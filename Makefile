@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race chaos bench bench-shard bench-load bench-pushdown check
+.PHONY: build vet test race chaos bench bench-shard bench-load bench-pushdown bench-check bench-pipeline loc check
 
 build:
 	$(GO) build ./...
@@ -62,5 +62,26 @@ bench-load:
 bench-pushdown:
 	$(GO) test -run '^TestEmitPushdownBenchJSON$$' -emit-bench -count 1 -timeout 30m .
 
+# The pipeline benchmark harness (bench/, a Go module of its own that
+# the targets above neither build nor vet) compiles against this
+# module's public API; vet and self-test it so an API it needs cannot
+# be broken unnoticed.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# One full pipeline-benchmark pass (every workload, measured and traced).
+bench-pipeline:
+	bash bench/run.sh
+
+# Non-test Go lines per package outside bench/: all lines, and lines
+# that are neither blank nor comment-only.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | sort | xargs awk '\
+		FNR == 1 { dir = FILENAME; sub(/\/[^\/]*$$/, "", dir) } \
+		{ all[dir]++; tall++ } \
+		!/^[ \t]*($$|\/\/)/ { code[dir]++; tcode++ } \
+		END { for (d in all) printf "%-36s %6d %6d\n", d, all[d], code[d] | "sort"; close("sort"); \
+		      printf "%-36s %6d %6d\n", "TOTAL (lines, code lines)", tall, tcode }'
+
 # Tier-1 gate: everything CI runs.
-check: build vet test race
+check: build vet test race bench-check

@@ -2,7 +2,7 @@
 // current after replicated data lands. FirstQueryAfterBatch measures
 // one tight batch (a single job) landing on a hub that already holds
 // queryFacts facts, then the first chart query — incrementally folded
-// (the default) versus the mark-dirty/full-rebuild path it replaced.
+// (what the hub does) versus a full federation rebuild after the batch.
 // ParallelReaggregate measures the full rebuild as the scan worker
 // count grows. The -emit-bench flag (shared with the query-cache
 // benches) writes BENCH_3.json with the measured speedups (make bench).
@@ -38,14 +38,13 @@ type aggFeeder struct {
 
 // newAggFeeder builds a hub holding queryFacts replicated job facts
 // with clean aggregates, ready to measure the next batch.
-func newAggFeeder(b *testing.B, incremental bool) *aggFeeder {
+func newAggFeeder(b *testing.B) *aggFeeder {
 	b.Helper()
 	hub, err := core.NewHub(config.InstanceConfig{
 		Name: "bench-hub", Version: core.Version,
 		AggregationLevels: []config.AggregationLevels{
 			config.HubWallTime(), config.DefaultJobSize(), config.CloudVMMemory(),
 		},
-		Aggregation: config.AggregationConfig{DisableIncremental: !incremental},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -72,7 +71,7 @@ func newAggFeeder(b *testing.B, incremental bool) *aggFeeder {
 	}
 	f.nextID = queryFacts + 1
 	f.ship(b)
-	// Prime: one query brings the aggregates current on either path.
+	// Prime: one query brings the aggregates current.
 	if _, err := f.hub.Query("Jobs", chartReq); err != nil {
 		b.Fatal(err)
 	}
@@ -116,9 +115,10 @@ func (f *aggFeeder) ship(b *testing.B) {
 
 // benchFirstQuery measures one replication batch of a single job
 // landing on a warm hub followed immediately by a chart query — the
-// freshness path a dashboard user hits right after data arrives.
-func benchFirstQuery(b *testing.B, incremental bool) {
-	f := newAggFeeder(b, incremental)
+// freshness path a dashboard user hits right after data arrives. With
+// rebuild set, a full AggregateFederation runs between the two.
+func benchFirstQuery(b *testing.B, rebuild bool) {
+	f := newAggFeeder(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -126,21 +126,26 @@ func benchFirstQuery(b *testing.B, incremental bool) {
 		f.insertJob(b) // satellite-side work, not hub cost
 		b.StartTimer()
 		f.ship(b)
+		if rebuild {
+			if _, err := f.hub.AggregateFederation(); err != nil {
+				b.Fatal(err)
+			}
+		}
 		if _, err := f.hub.Query("Jobs", chartReq); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkFirstQueryAfterBatchIncremental (EXP-B11): the default
-// path — the batch folds into the aggregation tables at apply time, so
-// the query pays O(batch), not O(all facts).
-func BenchmarkFirstQueryAfterBatchIncremental(b *testing.B) { benchFirstQuery(b, true) }
+// BenchmarkFirstQueryAfterBatchIncremental (EXP-B11): the batch folds
+// into the aggregation tables at apply time, so the query pays
+// O(batch), not O(all facts).
+func BenchmarkFirstQueryAfterBatchIncremental(b *testing.B) { benchFirstQuery(b, false) }
 
-// BenchmarkFirstQueryAfterBatchRebuild (EXP-B11 baseline): incremental
-// folding disabled — every batch dirties the realm and the first query
-// re-aggregates all queryFacts facts.
-func BenchmarkFirstQueryAfterBatchRebuild(b *testing.B) { benchFirstQuery(b, false) }
+// BenchmarkFirstQueryAfterBatchRebuild (EXP-B11 baseline): the batch
+// is followed by a full rebuild that re-aggregates all queryFacts
+// facts before the query.
+func BenchmarkFirstQueryAfterBatchRebuild(b *testing.B) { benchFirstQuery(b, true) }
 
 // benchParallelReaggregate measures a full rebuild over a 4-satellite
 // federation with the given number of scan workers.

@@ -294,7 +294,7 @@ func queryFixture(b *testing.B, nFacts int) (*aggregate.Engine, *warehouse.DB) {
 	if err := eng.Setup(info); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := eng.AggregateSchema(info, jobs.SchemaName); err != nil {
+	if _, err := eng.Reaggregate(info, []string{jobs.SchemaName}); err != nil {
 		b.Fatal(err)
 	}
 	return eng, db

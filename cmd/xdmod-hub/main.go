@@ -48,48 +48,33 @@ func main() {
 		adminUser   = flag.String("admin-user", "", "bootstrap a local admin account")
 		adminPass   = flag.String("admin-pass", "", "password for -admin-user")
 		logJSON     = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
-		qcEnable    = flag.Bool("query-cache", true, "enable the chart query-result cache")
-		qcBytes     = flag.Int64("query-cache-bytes", 0, "query-cache capacity in bytes (0 = config/default)")
-		qcTTL       = flag.String("query-cache-ttl", "", "optional query-cache entry TTL, e.g. 30s (default none)")
-		aggInc      = flag.Bool("agg-incremental", true, "fold replicated inserts into hub aggregates at apply time")
-		aggWorkers  = flag.Int("agg-rebuild-workers", 0, "parallel scan workers for full re-aggregation (0 = one per CPU)")
-		shards      = flag.Int("shards", 0, "aggregation shards per realm (0/1 = unsharded)")
-		shardKey    = flag.String("shard-key", "", "shard routing key: resource or schema (default config/resource)")
-		traceCap    = flag.Int("trace-capacity", 0, "retained spans for /debug/traces (0 = config/default)")
-		scrapeIv    = flag.String("scrape-interval", "", "member telemetry scrape interval, e.g. 15s (default config/15s)")
-		storageBk   = flag.String("storage-backend", "", "segment-store backend: memory or disk (default config/memory)")
-		dataDir     = flag.String("data-dir", "", "segment directory for -storage-backend=disk")
-		hotTail     = flag.Int("hot-tail-rows", 0, "rows buffered per table before sealing a segment (0 = config/default)")
-		maxResid    = flag.Int64("max-resident-bytes", 0, "heap cap for materialized disk segments (0 = config/default)")
-		admEnable   = flag.Bool("admission", false, "enable front-door admission control (rate limits, bounded queue, load shedding)")
-		admGlobal   = flag.Float64("admission-global-rps", 0, "global sustained requests/sec (0 = config/default)")
-		admUser     = flag.Float64("admission-user-rps", 0, "per-user sustained requests/sec (0 = config/default)")
-		admConc     = flag.Int("max-concurrent", 0, "concurrent in-flight API requests past which arrivals queue (0 = config/default)")
-		admQueue    = flag.Int("max-queue", 0, "queued API requests past which arrivals are shed with 429 (0 = config/default)")
-		admWait     = flag.String("queue-timeout", "", "max time a request may wait for a slot, e.g. 2s (default config/2s)")
-		repMode     = flag.String("replication-mode", "", "validate the replication mode knob: facts or pushdown (satellites choose; the hub grants offers it can merge)")
-		pdFlush     = flag.String("pushdown-flush-interval", "", "delta flush pacing recorded in config, e.g. 2s")
 		loose       looseFlags
 		scrape      scrapeFlags
 	)
 	flag.Var(&loose, "loose", "load a loose dump: instance=path (repeatable)")
 	flag.Var(&scrape, "scrape", "scrape a member's telemetry: name=addr (repeatable)")
+	var cfg config.InstanceConfig
+	applyKnobFlags := config.BindFlags(flag.CommandLine, &cfg, true)
 	flag.Parse()
 	if *configPath == "" {
 		fatal(fmt.Errorf("-config is required"))
 	}
 	obs.SetLogOutput(os.Stderr, *logJSON)
-	cfg, err := config.LoadFile(*configPath)
-	if err != nil {
+	var err error
+	if cfg, err = config.LoadFile(*configPath); err != nil {
 		fatal(err)
 	}
-	applyCacheFlags(&cfg, *qcEnable, *qcBytes, *qcTTL)
-	applyAggFlags(&cfg, *aggInc, *aggWorkers)
-	applyShardingFlags(&cfg, *shards, *shardKey)
-	applyTelemetryFlags(&cfg, *traceCap, *scrapeIv, scrape)
-	applyStorageFlags(&cfg, *storageBk, *dataDir, *hotTail, *maxResid)
-	applyAdmissionFlags(&cfg, *admEnable, *admGlobal, *admUser, *admConc, *admQueue, *admWait)
-	applyReplicationFlags(&cfg, *repMode, *pdFlush)
+	// -scrape targets add to the configured member list.
+	for _, spec := range scrape {
+		name, addr, ok := strings.Cut(spec, "=")
+		if !ok || name == "" || addr == "" {
+			fatal(fmt.Errorf("bad -scrape %q, want name=addr", spec))
+		}
+		cfg.Telemetry.Members = append(cfg.Telemetry.Members, config.TelemetryMember{Name: name, Addr: addr})
+	}
+	if err := applyKnobFlags(); err != nil {
+		fatal(err)
+	}
 	hub, err := core.NewHub(cfg)
 	if err != nil {
 		fatal(err)
@@ -151,40 +136,6 @@ func main() {
 	}
 }
 
-// applyCacheFlags layers the query-cache command-line knobs over the
-// config file: only flags the operator actually set override it.
-func applyCacheFlags(cfg *config.InstanceConfig, enable bool, maxBytes int64, ttl string) {
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "query-cache":
-			cfg.QueryCache.Disabled = !enable
-		case "query-cache-bytes":
-			cfg.QueryCache.MaxBytes = maxBytes
-		case "query-cache-ttl":
-			cfg.QueryCache.TTL = ttl
-		}
-	})
-	if err := cfg.QueryCache.Validate(); err != nil {
-		fatal(err)
-	}
-}
-
-// applyReplicationFlags layers the replication-mode knobs over the
-// config file: only flags the operator actually set override it.
-func applyReplicationFlags(cfg *config.InstanceConfig, mode, pushdownFlush string) {
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "replication-mode":
-			cfg.Replication.Mode = mode
-		case "pushdown-flush-interval":
-			cfg.Replication.PushdownFlushInterval = pushdownFlush
-		}
-	})
-	if err := cfg.Replication.Validate(); err != nil {
-		fatal(err)
-	}
-}
-
 // scrapeFlags collects repeated -scrape name=addr flags.
 type scrapeFlags []string
 
@@ -192,109 +143,6 @@ func (s *scrapeFlags) String() string { return strings.Join(*s, ",") }
 func (s *scrapeFlags) Set(v string) error {
 	*s = append(*s, v)
 	return nil
-}
-
-// applyTelemetryFlags layers the observability/telemetry command-line
-// knobs over the config file: only flags the operator actually set
-// override it, and -scrape targets add to the configured member list.
-func applyTelemetryFlags(cfg *config.InstanceConfig, traceCap int, scrapeIv string, scrape scrapeFlags) {
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "trace-capacity":
-			cfg.Observability.TraceCapacity = traceCap
-		case "scrape-interval":
-			cfg.Telemetry.ScrapeInterval = scrapeIv
-		}
-	})
-	for _, spec := range scrape {
-		name, addr, ok := strings.Cut(spec, "=")
-		if !ok || name == "" || addr == "" {
-			fatal(fmt.Errorf("bad -scrape %q, want name=addr", spec))
-		}
-		cfg.Telemetry.Members = append(cfg.Telemetry.Members, config.TelemetryMember{Name: name, Addr: addr})
-	}
-	if err := cfg.Observability.Validate(); err != nil {
-		fatal(err)
-	}
-	if err := cfg.Telemetry.Validate(); err != nil {
-		fatal(err)
-	}
-}
-
-// applyStorageFlags layers the segment-store knobs over the config
-// file: only flags the operator actually set override it.
-func applyStorageFlags(cfg *config.InstanceConfig, backend, dataDir string, hotTail int, maxResident int64) {
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "storage-backend":
-			cfg.Storage.Backend = backend
-		case "data-dir":
-			cfg.Storage.DataDir = dataDir
-		case "hot-tail-rows":
-			cfg.Storage.HotTailRows = hotTail
-		case "max-resident-bytes":
-			cfg.Storage.MaxResidentBytes = maxResident
-		}
-	})
-	if err := cfg.Storage.Validate(); err != nil {
-		fatal(err)
-	}
-}
-
-// applyAdmissionFlags layers the front-door admission knobs over the
-// config file: only flags the operator actually set override it.
-func applyAdmissionFlags(cfg *config.InstanceConfig, enable bool, globalRPS, userRPS float64, maxConc, maxQueue int, queueTimeout string) {
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "admission":
-			cfg.Admission.Enabled = enable
-		case "admission-global-rps":
-			cfg.Admission.GlobalRPS = globalRPS
-		case "admission-user-rps":
-			cfg.Admission.UserRPS = userRPS
-		case "max-concurrent":
-			cfg.Admission.MaxConcurrent = maxConc
-		case "max-queue":
-			cfg.Admission.MaxQueue = maxQueue
-		case "queue-timeout":
-			cfg.Admission.QueueTimeout = queueTimeout
-		}
-	})
-	if err := cfg.Admission.Validate(); err != nil {
-		fatal(err)
-	}
-}
-
-// applyAggFlags layers the aggregation command-line knobs over the
-// config file: only flags the operator actually set override it.
-func applyAggFlags(cfg *config.InstanceConfig, incremental bool, workers int) {
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "agg-incremental":
-			cfg.Aggregation.DisableIncremental = !incremental
-		case "agg-rebuild-workers":
-			cfg.Aggregation.RebuildWorkers = workers
-		}
-	})
-	if err := cfg.Aggregation.Validate(); err != nil {
-		fatal(err)
-	}
-}
-
-// applyShardingFlags layers the aggregation-sharding knobs over the
-// config file: only flags the operator actually set override it.
-func applyShardingFlags(cfg *config.InstanceConfig, shards int, key string) {
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "shards":
-			cfg.Sharding.Shards = shards
-		case "shard-key":
-			cfg.Sharding.Key = key
-		}
-	})
-	if err := cfg.Sharding.Validate(); err != nil {
-		fatal(err)
-	}
 }
 
 func fatal(err error) {

@@ -100,9 +100,9 @@ func fixture(t testing.TB, n int, seed int64) (*warehouse.DB, *Engine, realm.Inf
 	return db, eng, info
 }
 
-func TestAggregateSchemaAndQuerySum(t *testing.T) {
+func TestReaggregateAndQuerySum(t *testing.T) {
 	db, eng, info := fixture(t, 200, 1)
-	n, err := eng.AggregateSchema(info, jobs.SchemaName)
+	n, err := eng.Reaggregate(info, []string{jobs.SchemaName})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestAggregateSchemaAndQuerySum(t *testing.T) {
 
 func TestQueryGroupByAndFilters(t *testing.T) {
 	db, eng, info := fixture(t, 300, 2)
-	if _, err := eng.AggregateSchema(info, jobs.SchemaName); err != nil {
+	if _, err := eng.Reaggregate(info, []string{jobs.SchemaName}); err != nil {
 		t.Fatal(err)
 	}
 	byRes, err := eng.Query(info, Request{MetricID: jobs.MetricNumJobs, GroupBy: jobs.DimResource, Period: Year})
@@ -165,7 +165,7 @@ func TestQueryGroupByAndFilters(t *testing.T) {
 
 func TestQueryAvgMinMax(t *testing.T) {
 	db, eng, info := fixture(t, 150, 3)
-	if _, err := eng.AggregateSchema(info, jobs.SchemaName); err != nil {
+	if _, err := eng.Reaggregate(info, []string{jobs.SchemaName}); err != nil {
 		t.Fatal(err)
 	}
 	avg, err := eng.Query(info, Request{MetricID: jobs.MetricAvgJobSize, Period: Year})
@@ -201,7 +201,7 @@ func TestQueryAvgMinMax(t *testing.T) {
 
 func TestQueryPeriodRange(t *testing.T) {
 	_, eng, info := fixture(t, 400, 4)
-	if _, err := eng.AggregateSchema(info, jobs.SchemaName); err != nil {
+	if _, err := eng.Reaggregate(info, []string{jobs.SchemaName}); err != nil {
 		t.Fatal(err)
 	}
 	h1, err := eng.Query(info, Request{MetricID: jobs.MetricNumJobs, Period: Month, StartKey: 201701, EndKey: 201706})
@@ -224,7 +224,7 @@ func TestQueryPeriodRange(t *testing.T) {
 
 func TestWallTimeBucketsTableI(t *testing.T) {
 	_, eng, info := fixture(t, 500, 5)
-	if _, err := eng.AggregateSchema(info, jobs.SchemaName); err != nil {
+	if _, err := eng.Reaggregate(info, []string{jobs.SchemaName}); err != nil {
 		t.Fatal(err)
 	}
 	series, err := eng.Query(info, Request{MetricID: jobs.MetricNumJobs, GroupBy: jobs.DimWallTime, Period: Year})
@@ -255,7 +255,7 @@ func TestWallTimeBucketsTableI(t *testing.T) {
 
 func TestReaggregateAfterLevelChange(t *testing.T) {
 	_, eng, info := fixture(t, 300, 6)
-	if _, err := eng.AggregateSchema(info, jobs.SchemaName); err != nil {
+	if _, err := eng.Reaggregate(info, []string{jobs.SchemaName}); err != nil {
 		t.Fatal(err)
 	}
 	before, _ := eng.Query(info, Request{MetricID: jobs.MetricNumJobs, GroupBy: jobs.DimWallTime, Period: Year})
@@ -293,36 +293,6 @@ func TestReaggregateAfterLevelChange(t *testing.T) {
 	}
 }
 
-func TestIncrementalApplyMatchesBulk(t *testing.T) {
-	db, eng, info := fixture(t, 100, 7)
-	fact, _ := db.TableIn(jobs.SchemaName, jobs.FactTable)
-	var rows []warehouse.Row
-	db.View(func() error {
-		fact.Scan(func(r warehouse.Row) bool { rows = append(rows, r); return true })
-		return nil
-	})
-	for _, r := range rows {
-		if err := eng.ApplyFactRow(info, r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	inc, _ := eng.Query(info, Request{MetricID: jobs.MetricCPUHours, GroupBy: jobs.DimResource, Period: Month})
-
-	if _, err := eng.Reaggregate(info, []string{jobs.SchemaName}); err != nil {
-		t.Fatal(err)
-	}
-	bulk, _ := eng.Query(info, Request{MetricID: jobs.MetricCPUHours, GroupBy: jobs.DimResource, Period: Month})
-
-	if len(inc) != len(bulk) {
-		t.Fatalf("series counts differ: %d vs %d", len(inc), len(bulk))
-	}
-	for i := range inc {
-		if inc[i].Group != bulk[i].Group || math.Abs(inc[i].Aggregate-bulk[i].Aggregate) > 1e-6 {
-			t.Errorf("series %d: %+v vs %+v", i, inc[i], bulk[i])
-		}
-	}
-}
-
 func TestTopN(t *testing.T) {
 	series := []Series{
 		{Group: "a", Aggregate: 10},
@@ -343,7 +313,7 @@ func TestTopN(t *testing.T) {
 
 func TestDrillDown(t *testing.T) {
 	_, eng, info := fixture(t, 200, 8)
-	if _, err := eng.AggregateSchema(info, jobs.SchemaName); err != nil {
+	if _, err := eng.Reaggregate(info, []string{jobs.SchemaName}); err != nil {
 		t.Fatal(err)
 	}
 	byRes, _ := eng.Query(info, Request{MetricID: jobs.MetricNumJobs, GroupBy: jobs.DimResource, Period: Year})
@@ -407,7 +377,7 @@ func TestAggSchemaNotSetUp(t *testing.T) {
 	jobs.Setup(db)
 	eng, _ := New(db, nil)
 	info := jobs.RealmInfo()
-	if _, err := eng.AggregateSchema(info, jobs.SchemaName); err == nil {
+	if _, err := eng.Reaggregate(info, []string{jobs.SchemaName}); err == nil {
 		t.Error("aggregating before Setup must error")
 	}
 }

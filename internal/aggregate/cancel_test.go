@@ -13,7 +13,7 @@ import (
 // chart client releases its admission slot promptly.
 func TestQueryStatsCtxCanceled(t *testing.T) {
 	_, eng, info := fixture(t, 200, 7)
-	if _, err := eng.AggregateSchema(info, jobs.SchemaName); err != nil {
+	if _, err := eng.Reaggregate(info, []string{jobs.SchemaName}); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())

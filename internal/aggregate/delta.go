@@ -39,9 +39,9 @@ import (
 // replicate's pushdown folder), so crash recovery needs no delta-level
 // positions.
 
-// accRow is one partially aggregated group: the same running state
-// mergeAggRow keeps in the aggregation table, held in memory while a
-// rebuild scans (and inside a Delta while it crosses the wire).
+// accRow is one partially aggregated group: the running state an
+// aggregation-table row stores, held in memory while a rebuild scans
+// or a batch merges (and inside a Delta while it crosses the wire).
 // Measure slices are indexed by the realm's measureColumns order
 // (sums/mins/maxs/lasts by cols, wsums by weights).
 type accRow struct {
@@ -72,11 +72,11 @@ func newAccRow(periodKey int64, dims []string, ts float64, vals, wvals []float64
 	}
 }
 
-// fold adds one fact to the accumulator with exactly the semantics of
-// mergeAggRow: counts and sums add, min/max compare, and last_* follow
-// the newest timestamp with ties won by the later fold. This is THE
-// fold; the rebuild scan, the incremental batch fold and the pushdown
-// delta folder all call it.
+// fold adds one fact to the accumulator: counts and sums add, min/max
+// compare, and last_* follow the newest timestamp with ties won by the
+// later fold. This is THE fold: every fact eachFact decodes ends up
+// here, through folder.fold (rebuild scan, pushdown folder) or
+// mergeGroupsInto (incremental batch).
 func (acc *accRow) fold(ts float64, vals, wvals []float64) {
 	newer := ts >= acc.lastTS
 	acc.n++
@@ -414,12 +414,10 @@ type DeltaFolder struct {
 	e             *Engine
 	info          realm.Info
 	cols, weights []string
-	rr            *rowReader
+	fact          *warehouse.Table
 	f             *folder
 	covered       uint64
 	resetPending  bool // next flush must carry Reset (fresh snapshot fold)
-	dims          []string
-	vals, wvals   []float64
 }
 
 // NewDeltaFolder builds a pushdown folder for one realm over the
@@ -434,17 +432,9 @@ func (e *Engine) NewDeltaFolder(info realm.Info) (*DeltaFolder, error) {
 		return nil, err
 	}
 	cols, weights := measureColumns(info)
-	rr, err := e.newRowReader(info, fact.Def(), cols, weights)
-	if err != nil {
-		return nil, err
-	}
 	f := newFolder()
 	f.trackDirty()
-	return &DeltaFolder{
-		e: e, info: info, cols: cols, weights: weights, rr: rr, f: f,
-		dims: make([]string, len(info.Dimensions)),
-		vals: make([]float64, len(cols)), wvals: make([]float64, len(weights)),
-	}, nil
+	return &DeltaFolder{e: e, info: info, cols: cols, weights: weights, fact: fact, f: f}, nil
 }
 
 // Realm returns the folder's realm name.
@@ -484,33 +474,12 @@ func (df *DeltaFolder) Dirty() bool {
 // The rows must already reflect the route's filtering (the sender
 // folds the rewriter's output).
 func (df *DeltaFolder) FoldRows(rows [][]any) error {
-	rr := df.rr
-	for _, row := range rows {
-		if len(row) != rr.ncols {
-			return fmt.Errorf("aggregate: pushdown fold into %s: row has %d values, table has %d columns",
-				df.info.Name, len(row), rr.ncols)
-		}
-		t, ok := row[rr.timeIdx].(time.Time)
-		if !ok {
-			return fmt.Errorf("aggregate: pushdown fold into %s: time column %q is %T, want time.Time",
-				df.info.Name, rr.timeCol, row[rr.timeIdx])
-		}
-		for i, d := range rr.dims {
-			if !d.numeric {
-				df.dims[i] = cellString(row, d.idx)
-			} else if d.hasLevels {
-				df.dims[i] = d.levels(cellFloat(row, d.idx))
-			} else {
-				df.dims[i] = "all"
-			}
-		}
-		for i, mi := range rr.meas {
-			df.vals[i] = cellFloat(row, mi)
-		}
-		for i, wp := range rr.wpairs {
-			df.wvals[i] = cellFloat(row, wp[0]) * cellFloat(row, wp[1])
-		}
-		df.f.fold(t, df.dims, df.vals, df.wvals)
+	ch, err := df.fact.RowsChunk(rows)
+	if err == nil {
+		_, err = df.e.foldFacts(df.info, ch, df.cols, df.weights, nil, func([]string) *folder { return df.f })
+	}
+	if err != nil {
+		return fmt.Errorf("aggregate: pushdown fold into %s: %w", df.info.Name, err)
 	}
 	return nil
 }
@@ -547,47 +516,19 @@ func (df *DeltaFolder) Reset(excludeResources map[string]bool, resourceColumn st
 	fresh := newFolder()
 	fresh.trackDirty()
 	n := 0
-	if td.NumRows() > 0 {
-		for chunk := 0; chunk < td.NumChunks(); chunk++ {
-			ch := td.Chunk(chunk)
-			if ch.Rows() == 0 {
-				continue
-			}
-			fr, err := df.e.newFactReader(df.info, ch, df.cols, df.weights)
-			if err != nil {
-				return 0, err
-			}
-			var res []string
-			if len(excludeResources) > 0 {
-				if ci, ok := ch.ColIndex(resourceColumn); ok {
-					res = ch.StringCol(ci)
-				}
-			}
-			dead := ch.Tombstones()
-			for pos := 0; pos < ch.Rows(); pos++ {
-				if dead[pos] {
-					continue
-				}
-				if res != nil && pos < len(res) && excludeResources[res[pos]] {
-					continue
-				}
-				t, err := fr.timeAt(pos)
-				if err != nil {
-					return 0, err
-				}
-				for i := range fr.dims {
-					df.dims[i] = fr.dims[i].value(pos)
-				}
-				for i := range fr.meas {
-					df.vals[i] = fr.meas[i].at(pos)
-				}
-				for i := range fr.wpairs {
-					df.wvals[i] = fr.wpairs[i][0].at(pos) * fr.wpairs[i][1].at(pos)
-				}
-				fresh.fold(t, df.dims, df.vals, df.wvals)
-				n++
+	for chunk := 0; chunk < td.NumChunks(); chunk++ {
+		ch := td.Chunk(chunk)
+		var skip func(pos int) bool
+		if ci, ok := ch.ColIndex(resourceColumn); ok && len(excludeResources) > 0 {
+			if res := ch.StringCol(ci); res != nil {
+				skip = func(pos int) bool { return excludeResources[res[pos]] }
 			}
 		}
+		folded, err := df.e.foldFacts(df.info, ch, df.cols, df.weights, skip, func([]string) *folder { return fresh })
+		if err != nil {
+			return 0, err
+		}
+		n += folded
 	}
 	// The dirty marks of the snapshot fold are irrelevant: the Reset
 	// flush ships every bin.

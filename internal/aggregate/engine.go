@@ -2,7 +2,6 @@ package aggregate
 
 import (
 	"fmt"
-	"time"
 
 	"xdmodfed/internal/config"
 	"xdmodfed/internal/realm"
@@ -170,175 +169,6 @@ func (e *Engine) Setup(info realm.Info) error {
 type target struct {
 	period Period
 	tab    *warehouse.Table
-}
-
-// dimValue renders one fact row's value for a dimension: categorical
-// dimensions use the raw string; numeric dimensions bin into the
-// configured aggregation level.
-func (e *Engine) dimValue(d realm.Dimension, r warehouse.Row) string {
-	if !d.Numeric {
-		return r.String(d.Column)
-	}
-	v := r.Float(d.Column)
-	if l, ok := e.levels[d.ID]; ok {
-		return l.BucketFor(v)
-	}
-	return "all"
-}
-
-// ApplyFactRow merges one fact row into all period aggregation tables
-// (of the shard the row routes to). Aggregation is additive, so newly
-// ingested facts can be folded in incrementally (the paper's daily
-// aggregation of "newly ingested data"). Rows of a realm without a
-// resource dimension route as if read from the realm's own schema —
-// callers folding replicated data on source-schema-sharded realms must
-// use ApplyFactRows, which carries the source schema.
-func (e *Engine) ApplyFactRow(info realm.Info, r warehouse.Row) error {
-	st, err := e.shardTargets(info)
-	if err != nil {
-		return err
-	}
-	cols, weights := measureColumns(info)
-	return e.db.Do(func() error {
-		return e.applyLocked(info, st, e.router(info), info.Schema, cols, weights, r)
-	})
-}
-
-// factTime extracts a fact row's time-bucketing column.
-func factTime(info realm.Info, r warehouse.Row) (time.Time, error) {
-	ts, ok := r.Lookup(info.TimeColumn)
-	if !ok {
-		return time.Time{}, fmt.Errorf("aggregate: fact row missing time column %q", info.TimeColumn)
-	}
-	t, ok := ts.(time.Time)
-	if !ok {
-		return time.Time{}, fmt.Errorf("aggregate: time column %q is %T, want time.Time", info.TimeColumn, ts)
-	}
-	return t, nil
-}
-
-// applyLocked folds one fact row into the targets of the shard the
-// row routes to. Must run while holding the DB write lock.
-func (e *Engine) applyLocked(info realm.Info, st [][]target, rt shardRouter, sourceSchema string,
-	cols, weights []string, r warehouse.Row) error {
-	mFactsApplied.Inc()
-	t, err := factTime(info, r)
-	if err != nil {
-		return err
-	}
-	dims := make([]string, len(info.Dimensions))
-	for i, d := range info.Dimensions {
-		dims[i] = e.dimValue(d, r)
-	}
-	for _, tg := range st[rt.shardOf(sourceSchema, dims)] {
-		pk := tg.period.Key(t)
-		key := make([]any, 0, 1+len(dims))
-		key = append(key, pk)
-		for _, d := range dims {
-			key = append(key, d)
-		}
-		if err := mergeAggRow(tg.tab, key, info, r, dims, cols, weights, pk, t); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// mergeAggRow adds one fact's contribution to one aggregation row,
-// creating the row when absent. Must run under the DB write lock.
-func mergeAggRow(tab *warehouse.Table, key []any, info realm.Info, r warehouse.Row,
-	dims, cols, weights []string, periodKey int64, factTime time.Time) error {
-
-	ts := float64(factTime.UnixNano()) / 1e9
-	set := map[string]any{"period_key": periodKey}
-	for i, d := range info.Dimensions {
-		set["dim_"+d.ID] = dims[i]
-	}
-	existing, ok := tab.GetByKey(key...)
-	if !ok {
-		set["n"] = int64(1)
-		set["last_ts"] = ts
-		for _, c := range cols {
-			v := r.Float(c)
-			set["sum_"+c] = v
-			set["min_"+c] = v
-			set["max_"+c] = v
-			set["last_"+c] = v
-		}
-		for _, w := range weights {
-			set[wsumColName(w)] = wProduct(r, w)
-		}
-		return tab.Upsert(set)
-	}
-	newer := ts >= existing.Float("last_ts")
-	set["n"] = existing.Int("n") + 1
-	if newer {
-		set["last_ts"] = ts
-	} else {
-		set["last_ts"] = existing.Float("last_ts")
-	}
-	for _, c := range cols {
-		v := r.Float(c)
-		set["sum_"+c] = existing.Float("sum_"+c) + v
-		mn, mx := existing.Float("min_"+c), existing.Float("max_"+c)
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
-		set["min_"+c] = mn
-		set["max_"+c] = mx
-		if newer {
-			set["last_"+c] = v
-		} else {
-			set["last_"+c] = existing.Float("last_" + c)
-		}
-	}
-	for _, w := range weights {
-		set[wsumColName(w)] = existing.Float(wsumColName(w)) + wProduct(r, w)
-	}
-	return tab.Upsert(set)
-}
-
-func wProduct(r warehouse.Row, pair string) float64 {
-	for i := 0; i < len(pair); i++ {
-		if pair[i] == '*' {
-			return r.Float(pair[:i]) * r.Float(pair[i+1:])
-		}
-	}
-	return 0
-}
-
-// AggregateSchema (re)aggregates every fact row found in the named
-// source schema's fact table. Pass the realm's own schema on a
-// satellite; on a federation hub, call once per replicated satellite
-// schema (fed_<instance>) to fold all federation data into the hub's
-// aggregation tables.
-func (e *Engine) AggregateSchema(info realm.Info, sourceSchema string) (int, error) {
-	fact, err := e.db.TableIn(sourceSchema, info.FactTable)
-	if err != nil {
-		return 0, err
-	}
-	st, err := e.shardTargets(info)
-	if err != nil {
-		return 0, err
-	}
-	rt := e.router(info)
-	cols, weights := measureColumns(info)
-	n := 0
-	var applyErr error
-	err = e.db.Do(func() error {
-		fact.Scan(func(r warehouse.Row) bool {
-			if applyErr = e.applyLocked(info, st, rt, sourceSchema, cols, weights, r); applyErr != nil {
-				return false
-			}
-			n++
-			return true
-		})
-		return applyErr
-	})
-	return n, err
 }
 
 // Truncate clears a realm's aggregation tables across every shard. The

@@ -3,7 +3,6 @@ package aggregate
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"time"
 
 	"xdmodfed/internal/realm"
@@ -17,88 +16,6 @@ import (
 // add, min/max compare, last_* follow the newest timestamp), so the
 // fold commutes with a full rebuild — non-additive mutations (update,
 // delete, truncate) must fall back to Reaggregate instead.
-
-// rowReader resolves the positional layout of binlog fact rows against
-// the replicated table's definition — never hardcoded offsets, so a
-// satellite whose fact columns are ordered differently still folds
-// correctly. Cells read with Row.Float/Row.String semantics: integers
-// widen, absent or mistyped cells read as zero values.
-type rowReader struct {
-	ncols   int
-	timeCol string
-	timeIdx int
-	dims    []posDim
-	meas    []int
-	wpairs  [][2]int
-}
-
-type posDim struct {
-	idx       int
-	numeric   bool
-	levels    levelsFunc
-	hasLevels bool
-}
-
-// levelsFunc buckets a numeric dimension value.
-type levelsFunc func(float64) string
-
-func (e *Engine) newRowReader(info realm.Info, def warehouse.TableDef, cols, weights []string) (*rowReader, error) {
-	idx := make(map[string]int, len(def.Columns))
-	for i, c := range def.Columns {
-		idx[c.Name] = i
-	}
-	at := func(name string) int {
-		if i, ok := idx[name]; ok {
-			return i
-		}
-		return -1
-	}
-	rr := &rowReader{ncols: len(def.Columns), timeCol: info.TimeColumn, timeIdx: at(info.TimeColumn)}
-	if rr.timeIdx < 0 {
-		return nil, fmt.Errorf("aggregate: fact row missing time column %q", info.TimeColumn)
-	}
-	rr.dims = make([]posDim, len(info.Dimensions))
-	for i, d := range info.Dimensions {
-		pd := posDim{idx: at(d.Column), numeric: d.Numeric}
-		if d.Numeric {
-			if l, ok := e.levels[d.ID]; ok {
-				pd.levels, pd.hasLevels = l.BucketFor, true
-			}
-		}
-		rr.dims[i] = pd
-	}
-	rr.meas = make([]int, len(cols))
-	for i, c := range cols {
-		rr.meas[i] = at(c)
-	}
-	rr.wpairs = make([][2]int, len(weights))
-	for i, w := range weights {
-		a, b := splitPair(w)
-		rr.wpairs[i] = [2]int{at(a), at(b)}
-	}
-	return rr, nil
-}
-
-func cellFloat(row []any, idx int) float64 {
-	if idx < 0 {
-		return 0
-	}
-	switch v := row[idx].(type) {
-	case float64:
-		return v
-	case int64:
-		return float64(v)
-	}
-	return 0
-}
-
-func cellString(row []any, idx int) string {
-	if idx < 0 {
-		return ""
-	}
-	s, _ := row[idx].(string)
-	return s
-}
 
 // factEntry is one parsed fact's contribution, retained in arrival
 // order: the merge replays entries one at a time so floating-point
@@ -120,15 +37,16 @@ type groupFacts struct {
 
 // ApplyFactRows folds positional fact rows (binlog event payloads for
 // sourceSchema's fact table) into all period aggregation tables. The
-// batch is parsed, routed to shards and grouped with no lock held; one
-// shard-scoped write transaction per touched shard then updates each
-// affected aggregation row once — one GetByKey and one positional
-// upsert per group instead of per fact — while folding the group's
-// facts sequentially to keep float accumulation identical to the old
-// per-row path and to a full rebuild. Untouched shards keep their
-// epochs (and their cached charts). A row failing validation aborts
-// the fold before any table is touched; the caller must schedule a
-// full rebuild if it cannot tolerate the dropped batch.
+// batch becomes a transient column chunk, is decoded by eachFact,
+// routed to shards and grouped with no lock held; one shard-scoped
+// write transaction per touched shard then updates each affected
+// aggregation row once — one GetByKey and one positional upsert per
+// group instead of per fact — while folding the group's facts
+// sequentially to keep float accumulation identical to a full rebuild.
+// Untouched shards keep their epochs (and their cached charts). A row
+// failing validation aborts the fold before any table is touched; the
+// caller must schedule a full rebuild if it cannot tolerate the
+// dropped batch.
 func (e *Engine) ApplyFactRows(info realm.Info, sourceSchema string, rows [][]any) (int, error) {
 	if len(rows) == 0 {
 		return 0, nil
@@ -143,76 +61,50 @@ func (e *Engine) ApplyFactRows(info realm.Info, sourceSchema string, rows [][]an
 	}
 	rt := e.router(info)
 	cols, weights := measureColumns(info)
-	rr, err := e.newRowReader(info, fact.Def(), cols, weights)
-	if err != nil {
-		return 0, fmt.Errorf("aggregate: incremental fold into %s: %w", info.Name, err)
-	}
 
-	// Phase 1, lock-free: parse the batch, route each fact to its shard
+	// Phase 1, lock-free: decode the batch, route each fact to its shard
 	// and group. Shard group maps allocate lazily — a batch from one
 	// satellite typically touches one shard (source-schema routing) or a
 	// few (resource routing).
+	ch, err := fact.RowsChunk(rows)
+	if err != nil {
+		return 0, fmt.Errorf("aggregate: incremental fold into %s: %w", info.Name, err)
+	}
 	periods := Periods()
 	groups := make([][]map[string]*groupFacts, rt.shards) // [shard][period]
-	dims := make([]string, len(info.Dimensions))
 	var keyBuf []byte
-	for _, row := range rows {
-		if len(row) != rr.ncols {
-			return 0, fmt.Errorf("aggregate: incremental fold into %s: row has %d values, table has %d columns",
-				info.Name, len(row), rr.ncols)
-		}
-		t, ok := row[rr.timeIdx].(time.Time)
-		if !ok {
-			return 0, fmt.Errorf("aggregate: incremental fold into %s: time column %q is %T, want time.Time",
-				info.Name, rr.timeCol, row[rr.timeIdx])
-		}
-		for i, d := range rr.dims {
-			if !d.numeric {
-				dims[i] = cellString(row, d.idx)
-			} else if d.hasLevels {
-				dims[i] = d.levels(cellFloat(row, d.idx))
-			} else {
-				dims[i] = "all"
-			}
-		}
+	err = e.eachFact(info, ch, cols, weights, nil, func(t time.Time, dims []string, vals, wvals []float64) {
 		entry := factEntry{
 			ts:    float64(t.UnixNano()) / 1e9,
-			vals:  make([]float64, len(cols)),
-			wvals: make([]float64, len(weights)),
+			vals:  append([]float64(nil), vals...),
+			wvals: append([]float64(nil), wvals...),
 		}
-		for i, mi := range rr.meas {
-			entry.vals[i] = cellFloat(row, mi)
-		}
-		for i, wp := range rr.wpairs {
-			entry.wvals[i] = cellFloat(row, wp[0]) * cellFloat(row, wp[1])
-		}
-		sg := groups[rt.shardOf(sourceSchema, dims)]
+		k := rt.shardOf(sourceSchema, dims)
+		sg := groups[k]
 		if sg == nil {
 			sg = make([]map[string]*groupFacts, len(periods))
 			for i := range sg {
 				sg[i] = make(map[string]*groupFacts)
 			}
-			groups[rt.shardOf(sourceSchema, dims)] = sg
+			groups[k] = sg
 		}
 		var dimsCopy []string // shared by every period's group of this fact
 		for pi, period := range periods {
 			pk := period.Key(t)
-			b := strconv.AppendInt(keyBuf[:0], pk, 10)
-			for _, d := range dims {
-				b = append(b, 0)
-				b = append(b, d...)
-			}
-			keyBuf = b
-			g, ok := sg[pi][string(b)]
+			keyBuf = groupKey(keyBuf, pk, dims)
+			g, ok := sg[pi][string(keyBuf)]
 			if !ok {
 				if dimsCopy == nil {
 					dimsCopy = append([]string(nil), dims...)
 				}
 				g = &groupFacts{periodKey: pk, dims: dimsCopy}
-				sg[pi][string(b)] = g
+				sg[pi][string(keyBuf)] = g
 			}
 			g.entries = append(g.entries, entry)
 		}
+	})
+	if err != nil {
+		return 0, fmt.Errorf("aggregate: incremental fold into %s: %w", info.Name, err)
 	}
 
 	// Phase 2: merge into each touched shard's aggregation tables, one

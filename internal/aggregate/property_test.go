@@ -64,7 +64,7 @@ func TestPropertyQueryMatchesDirectComputation(t *testing.T) {
 				return false
 			}
 		}
-		if _, err := eng.AggregateSchema(info, jobs.SchemaName); err != nil {
+		if _, err := eng.Reaggregate(info, []string{jobs.SchemaName}); err != nil {
 			return false
 		}
 
@@ -153,7 +153,7 @@ func TestPropertyTimeseriesSumsToAggregate(t *testing.T) {
 func propFixture(t *testing.T, n int, seed int64) (*warehouse.DB, *Engine, realm.Info) {
 	t.Helper()
 	db, eng, info := fixture(t, n, seed)
-	if _, err := eng.AggregateSchema(info, jobs.SchemaName); err != nil {
+	if _, err := eng.Reaggregate(info, []string{jobs.SchemaName}); err != nil {
 		t.Fatal(err)
 	}
 	return db, eng, info

@@ -91,16 +91,15 @@ func (d *dimReader) value(pos int) string {
 // chunk; the per-row loop then touches only typed vectors at
 // chunk-local positions.
 type factReader struct {
-	timeCol string
-	times   []time.Time
-	tnulls  []bool
-	dims    []dimReader
-	meas    []numCol
-	wpairs  [][2]numCol
+	times  []time.Time
+	tnulls []bool
+	dims   []dimReader
+	meas   []numCol
+	wpairs [][2]numCol
 }
 
 func (e *Engine) newFactReader(info realm.Info, ch warehouse.ColChunk, cols, weights []string) (*factReader, error) {
-	fr := &factReader{timeCol: info.TimeColumn}
+	fr := &factReader{}
 	ti, ok := ch.ColIndex(info.TimeColumn)
 	if !ok {
 		return nil, fmt.Errorf("aggregate: fact row missing time column %q", info.TimeColumn)
@@ -144,13 +143,64 @@ func splitPair(pair string) (string, string) {
 	return pair, ""
 }
 
-// timeAt returns the fact time at pos; NULL is an error, as a row
-// without its time column cannot be bucketed.
-func (fr *factReader) timeAt(pos int) (time.Time, error) {
-	if fr.tnulls[pos] {
-		return time.Time{}, fmt.Errorf("aggregate: time column %q is <nil>, want time.Time", fr.timeCol)
+// eachFact is the one loop that decodes fact rows for aggregation —
+// the rebuild scan, the pushdown folder's snapshot fold and both
+// boxed-row folds (which first turn their batch into a transient chunk
+// with warehouse.Table.RowsChunk) all run it, so there is no second
+// rendering for them to disagree with. Every live position of ch that
+// skip (nil = keep all) does not reject is rendered as (time, dimension
+// values, measure values, weighted products) and handed to visit; the
+// slices are reused between calls, so visit copies what it keeps. A
+// NULL time cell is an error, as the row cannot be bucketed.
+func (e *Engine) eachFact(info realm.Info, ch warehouse.ColChunk, cols, weights []string,
+	skip func(pos int) bool, visit func(t time.Time, dims []string, vals, wvals []float64)) error {
+
+	if ch.Rows() == 0 {
+		return nil
 	}
-	return fr.times[pos], nil
+	fr, err := e.newFactReader(info, ch, cols, weights)
+	if err != nil {
+		return err
+	}
+	dims := make([]string, len(fr.dims))
+	vals := make([]float64, len(fr.meas))
+	wvals := make([]float64, len(fr.wpairs))
+	dead := ch.Tombstones()
+	for pos := 0; pos < ch.Rows(); pos++ {
+		if dead[pos] || (skip != nil && skip(pos)) {
+			continue
+		}
+		if fr.tnulls[pos] {
+			return fmt.Errorf("aggregate: time column %q is <nil>, want time.Time", info.TimeColumn)
+		}
+		for i := range fr.dims {
+			dims[i] = fr.dims[i].value(pos)
+		}
+		for i := range fr.meas {
+			vals[i] = fr.meas[i].at(pos)
+		}
+		for i := range fr.wpairs {
+			wvals[i] = fr.wpairs[i][0].at(pos) * fr.wpairs[i][1].at(pos)
+		}
+		visit(fr.times[pos], dims, vals, wvals)
+	}
+	return nil
+}
+
+// foldFacts folds each fact eachFact yields into the folder route picks
+// for its dimension values (nil drops the fact) and returns how many
+// were folded.
+func (e *Engine) foldFacts(info realm.Info, ch warehouse.ColChunk, cols, weights []string,
+	skip func(pos int) bool, route func(dims []string) *folder) (int, error) {
+
+	n := 0
+	err := e.eachFact(info, ch, cols, weights, skip, func(t time.Time, dims []string, vals, wvals []float64) {
+		if f := route(dims); f != nil {
+			f.fold(t, dims, vals, wvals)
+			n++
+		}
+	})
+	return n, err
 }
 
 // scanPartials folds every live fact row of one snapshot into fresh
@@ -165,51 +215,25 @@ func (e *Engine) scanPartials(info realm.Info, td *warehouse.TableData, sourceSc
 	rt shardRouter, want []bool, cols, weights []string) ([]partial, int, error) {
 
 	folders := make([]*folder, rt.shards)
-	out := make([]partial, rt.shards)
-	n := 0
-	if td.NumRows() > 0 {
-		dims := make([]string, len(info.Dimensions))
-		vals := make([]float64, len(cols))
-		wvals := make([]float64, len(weights))
-		for chunk := 0; chunk < td.NumChunks(); chunk++ {
-			ch := td.Chunk(chunk)
-			if ch.Rows() == 0 {
-				continue
-			}
-			fr, err := e.newFactReader(info, ch, cols, weights)
-			if err != nil {
-				return nil, 0, err
-			}
-			dead := ch.Tombstones()
-			for pos := 0; pos < ch.Rows(); pos++ {
-				if dead[pos] {
-					continue
-				}
-				t, err := fr.timeAt(pos)
-				if err != nil {
-					return nil, 0, err
-				}
-				for i := range fr.dims {
-					dims[i] = fr.dims[i].value(pos)
-				}
-				k := rt.shardOf(sourceSchema, dims)
-				if want != nil && !want[k] {
-					continue
-				}
-				for i := range fr.meas {
-					vals[i] = fr.meas[i].at(pos)
-				}
-				for i := range fr.wpairs {
-					wvals[i] = fr.wpairs[i][0].at(pos) * fr.wpairs[i][1].at(pos)
-				}
-				if folders[k] == nil {
-					folders[k] = newFolder()
-				}
-				folders[k].fold(t, dims, vals, wvals)
-				n++
-			}
+	route := func(dims []string) *folder {
+		k := rt.shardOf(sourceSchema, dims)
+		if want != nil && !want[k] {
+			return nil
 		}
+		if folders[k] == nil {
+			folders[k] = newFolder()
+		}
+		return folders[k]
 	}
+	n := 0
+	for chunk := 0; chunk < td.NumChunks(); chunk++ {
+		folded, err := e.foldFacts(info, td.Chunk(chunk), cols, weights, nil, route)
+		if err != nil {
+			return nil, 0, err
+		}
+		n += folded
+	}
+	out := make([]partial, rt.shards)
 	for k, f := range folders {
 		if f != nil {
 			out[k] = f.p // nil partials merge (and install) as empty

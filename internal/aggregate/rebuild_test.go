@@ -48,7 +48,7 @@ func aggSnapshot(t *testing.T, db *warehouse.DB, info realm.Info) []string {
 // outlive the data they summarized).
 func TestTruncateBumpsEpoch(t *testing.T) {
 	db, eng, info := fixture(t, 10, 1)
-	if _, err := eng.AggregateSchema(info, jobs.SchemaName); err != nil {
+	if _, err := eng.Reaggregate(info, []string{jobs.SchemaName}); err != nil {
 		t.Fatal(err)
 	}
 	before := db.Epoch()
@@ -147,50 +147,43 @@ func TestParallelReaggregateMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestApplyFactRowsMatchesRebuild: folding a batch of positional rows
-// (the replicated-event shape) must land exactly where a full rebuild
-// from the raw table puts them.
+// TestApplyFactRowsMatchesRebuild: folding positional rows (the
+// replicated-event shape) must land exactly where a full rebuild from
+// the raw table puts them — bit for bit, whether they arrive as one
+// batch or one row at a time.
 func TestApplyFactRowsMatchesRebuild(t *testing.T) {
-	db, eng, info := fixture(t, 150, 12)
-	fact, err := db.TableIn(jobs.SchemaName, jobs.FactTable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cols := fact.Columns()
-	var rows [][]any
-	db.View(func() error {
-		fact.Scan(func(r warehouse.Row) bool {
-			row := make([]any, len(cols))
-			for j, c := range cols {
-				row[j] = r.Get(c)
+	for _, batch := range []int{150, 1} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			db, eng, info := fixture(t, 150, 12)
+			rows := factRowsPositional(t, db, jobs.SchemaName, jobs.FactTable)
+			n := 0
+			for len(rows) > 0 {
+				folded, err := eng.ApplyFactRows(info, jobs.SchemaName, rows[:batch])
+				if err != nil {
+					t.Fatal(err)
+				}
+				n += folded
+				rows = rows[batch:]
 			}
-			rows = append(rows, row)
-			return true
+			if n != 150 {
+				t.Fatalf("folded %d rows, want 150", n)
+			}
+			inc := aggSnapshot(t, db, info)
+
+			if _, err := eng.Reaggregate(info, []string{jobs.SchemaName}); err != nil {
+				t.Fatal(err)
+			}
+			full := aggSnapshot(t, db, info)
+
+			if len(inc) != len(full) {
+				t.Fatalf("incremental produced %d agg rows, rebuild %d", len(inc), len(full))
+			}
+			for i := range full {
+				if inc[i] != full[i] {
+					t.Fatalf("row %d:\n incremental %s\n rebuild     %s", i, inc[i], full[i])
+				}
+			}
 		})
-		return nil
-	})
-
-	n, err := eng.ApplyFactRows(info, jobs.SchemaName, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 150 {
-		t.Fatalf("folded %d rows, want 150", n)
-	}
-	inc := aggSnapshot(t, db, info)
-
-	if _, err := eng.Reaggregate(info, []string{jobs.SchemaName}); err != nil {
-		t.Fatal(err)
-	}
-	full := aggSnapshot(t, db, info)
-
-	if len(inc) != len(full) {
-		t.Fatalf("incremental produced %d agg rows, rebuild %d", len(inc), len(full))
-	}
-	for i := range full {
-		if inc[i] != full[i] {
-			t.Fatalf("row %d:\n incremental %s\n rebuild     %s", i, inc[i], full[i])
-		}
 	}
 }
 

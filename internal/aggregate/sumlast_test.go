@@ -41,7 +41,7 @@ func TestSumLastSemantics(t *testing.T) {
 			}
 		}
 	}
-	if _, err := eng.AggregateSchema(info, storage.SchemaName); err != nil {
+	if _, err := eng.Reaggregate(info, []string{storage.SchemaName}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -151,19 +151,13 @@ func (q QueryCacheConfig) Validate() error {
 	return nil
 }
 
-// AggregationConfig tunes how the instance keeps its aggregation
-// tables current. The zero value means "incremental folding on, full
-// rebuilds use one scan worker per CPU" — correctness never depends on
-// these knobs, because the incremental fold and a full rebuild produce
-// identical aggregation tables.
+// AggregationConfig tunes full rebuilds of the instance's aggregation
+// tables. The zero value means one scan worker per CPU; the result
+// never depends on the worker count.
 type AggregationConfig struct {
 	// RebuildWorkers caps the number of source schemas a full rebuild
 	// scans in parallel. 0 uses one worker per CPU.
 	RebuildWorkers int `json:"rebuild_workers,omitempty"`
-	// DisableIncremental turns off folding replicated insert events
-	// into the hub's aggregates at apply time; every batch then marks
-	// its realm dirty and the next read pays a full rebuild.
-	DisableIncremental bool `json:"disable_incremental,omitempty"`
 }
 
 // Validate checks the aggregation knobs.

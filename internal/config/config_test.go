@@ -2,6 +2,8 @@ package config
 
 import (
 	"bytes"
+	"flag"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -153,6 +155,12 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 	if err == nil {
 		t.Error("unknown fields must be rejected")
 	}
+	// A config file written for a retired knob fails loudly, naming the
+	// key, instead of being silently ignored.
+	_, err = Load(strings.NewReader(`{"name":"x","version":"1","aggregation":{"disable_incremental":true}}`))
+	if err == nil || !strings.Contains(err.Error(), "disable_incremental") {
+		t.Errorf("retired aggregation.disable_incremental: err = %v, want an error naming the key", err)
+	}
 }
 
 func TestLoadRejectsInvalid(t *testing.T) {
@@ -212,5 +220,70 @@ func TestAdmissionConfigDurations(t *testing.T) {
 	}
 	if d, _ := a.SessionCacheTTLDuration(); d.Seconds() != 10 {
 		t.Fatalf("session ttl: %v", d)
+	}
+}
+
+// TestBindFlags: a flag the operator set overrides the file's value, a
+// flag left unset preserves it, and an invalid flag value surfaces the
+// owning section's Validate error.
+func TestBindFlags(t *testing.T) {
+	file := validInstance()
+	file.QueryCache.MaxBytes = 1 << 20
+	file.Sharding.Shards = 4
+	file.Aggregation.RebuildWorkers = 3
+	file.Durability.WALFsync = "interval"
+	for _, tc := range []struct {
+		name    string
+		hub     bool
+		args    []string
+		check   func(InstanceConfig) bool
+		wantErr string
+	}{
+		{name: "no flags preserve the file", hub: true, check: func(c InstanceConfig) bool {
+			return !c.QueryCache.Disabled && c.QueryCache.MaxBytes == 1<<20 && c.Sharding.Shards == 4 && c.Aggregation.RebuildWorkers == 3
+		}},
+		{name: "set flags override, unset preserve", hub: true,
+			args: []string{"-query-cache=false", "-shards", "8", "-agg-rebuild-workers", "1", "-scrape-interval", "5s"},
+			check: func(c InstanceConfig) bool {
+				return c.QueryCache.Disabled && c.QueryCache.MaxBytes == 1<<20 && c.Sharding.Shards == 8 &&
+					c.Aggregation.RebuildWorkers == 1 && c.Telemetry.ScrapeInterval == "5s"
+			}},
+		{name: "flag set to its default still overrides", hub: false, args: []string{"-shards", "0", "-wal-fsync", "none"},
+			check: func(c InstanceConfig) bool { return c.Sharding.Shards == 0 && c.Durability.WALFsync == "none" }},
+		{name: "invalid shared knob", hub: true, args: []string{"-shard-key", "moon"}, wantErr: "sharding key"},
+		{name: "invalid hub knob", hub: true, args: []string{"-agg-rebuild-workers", "-2"}, wantErr: "aggregation rebuild_workers"},
+		{name: "invalid satellite knob", hub: false, args: []string{"-wal-fsync", "sometimes"}, wantErr: "durability wal_fsync"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := flag.NewFlagSet("daemon", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			var cfg InstanceConfig
+			apply := BindFlags(fs, &cfg, tc.hub)
+			if err := fs.Parse(tc.args); err != nil {
+				t.Fatal(err)
+			}
+			cfg = file // the daemons load the file after parsing
+			err := apply()
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("apply error = %v, want one containing %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tc.check(cfg) {
+				t.Errorf("layered config wrong: %+v", cfg)
+			}
+		})
+	}
+	// The role's own flags exist only on that role's daemon.
+	hubFS, satFS := flag.NewFlagSet("hub", flag.ContinueOnError), flag.NewFlagSet("sat", flag.ContinueOnError)
+	var c InstanceConfig
+	BindFlags(hubFS, &c, true)
+	BindFlags(satFS, &c, false)
+	if hubFS.Lookup("wal-fsync") != nil || satFS.Lookup("agg-rebuild-workers") != nil || satFS.Lookup("scrape-interval") != nil {
+		t.Error("a role-specific flag leaked onto the other daemon")
 	}
 }

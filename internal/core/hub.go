@@ -149,10 +149,6 @@ type Hub struct {
 	// apply path can classify replicated events per realm.
 	factRealms map[string]realm.Info
 
-	// noIncremental (config aggregation.disable_incremental) forces
-	// every batch onto the mark-dirty / full-rebuild path.
-	noIncremental bool
-
 	// aggMu serializes full AggregateFederation passes (the admin /
 	// config-change path). ensureMu additionally collapses a queue of
 	// EnsureAggregated callers into one rebuild of the dirty realms.
@@ -204,7 +200,6 @@ func NewHub(cfg config.InstanceConfig) (*Hub, error) {
 		members:       make(map[string]*Member),
 		realms:        make(map[string]*realmAggState),
 		factRealms:    make(map[string]realm.Info),
-		noIncremental: in.Config.Aggregation.DisableIncremental,
 		quarThreshold: cfg.Replication.Threshold(),
 		quarBackoff:   quarBackoff,
 		quarMax:       quarMax,
@@ -488,7 +483,7 @@ func (h *Hub) ApplyBatchCtx(ctx context.Context, instance string, upTo uint64, e
 	for name, d := range deltas {
 		st := h.realmStateLocked(name)
 		st.gen++
-		if d.dirty || h.noIncremental || st.dirtyAny() || st.rebuilding {
+		if d.dirty || st.dirtyAny() || st.rebuilding {
 			// Either the batch itself is non-additive, or the realm
 			// already needs (or is getting) a rebuild that will cover
 			// these rows from the raw tables.

@@ -268,6 +268,30 @@ func (ch ColChunk) TimeCol(i int) []time.Time { return ch.cols[i].times }
 // NullCol returns column i's validity vector (true = NULL).
 func (ch ColChunk) NullCol(i int) []bool { return ch.cols[i].nulls }
 
+// RowsChunk converts boxed positional rows (binlog insert payloads for
+// this table) into a transient chunk laid out like the table — the one
+// boxed-rows → columns bridge, so readers of fact rows need only the
+// columnar decoder. Every cell is coerced exactly as an insert would
+// coerce it: wrong arity, a NULL in a non-nullable column or a cell the
+// column type cannot hold is an error naming the row, never a zeroed
+// value. The chunk has no tombstones and does not alias rows.
+func (t *Table) RowsChunk(rows [][]any) (ColChunk, error) {
+	vecs := make([]colVec, len(t.def.Columns))
+	for i, c := range t.def.Columns {
+		vecs[i] = newColVec(c)
+	}
+	for n, row := range rows {
+		vals, err := t.normalizeSlice(row)
+		if err != nil {
+			return ColChunk{}, fmt.Errorf("row %d: %w", n, err)
+		}
+		for i := range vecs {
+			vecs[i].appendVal(vals[i])
+		}
+	}
+	return ColChunk{lay: t.lay, cols: vecs, dead: make([]bool, len(rows)), rows: len(rows)}, nil
+}
+
 // ColumnData carries a whole table's contents in columnar form: the
 // payload of bulk loads (EvLoad binlog events, snapshot files, loose
 // dumps). Vectors are indexed [0, Rows) with no tombstones.
@@ -296,6 +320,9 @@ type ColumnVector struct {
 // load event whose payload types disagree with the schema is rejected
 // with a clear error instead of reading as zeros.
 func (cd *ColumnData) Validate(def TableDef) error {
+	if cd == nil {
+		return fmt.Errorf("warehouse: load for table %q carries no column data", def.Name)
+	}
 	if len(cd.Names) != len(def.Columns) || len(cd.Cols) != len(def.Columns) {
 		return fmt.Errorf("warehouse: load for table %q has %d columns, definition has %d",
 			def.Name, len(cd.Names), len(def.Columns))

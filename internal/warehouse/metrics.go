@@ -2,8 +2,7 @@ package warehouse
 
 import "xdmodfed/internal/obs"
 
-// logw is the warehouse's structured logger (snapshot migrations, WAL
-// recovery notices).
+// logw is the warehouse's structured logger (segment seal failures).
 var logw = obs.Logger("warehouse")
 
 // Warehouse instrumentation. Handles are resolved once at package init
@@ -24,8 +23,6 @@ var (
 		"Immutable table snapshots published at write-transaction commit (the copy-on-write version swap lock-free readers scan).")
 	mCompactions = obs.Default.Counter("xdmodfed_warehouse_snapshot_compactions_total",
 		"Column-vector compactions: tables rewritten without tombstones once dead rows outnumber live ones.")
-	mLegacyMigrations = obs.Default.Counter("xdmodfed_warehouse_snapshot_legacy_migrations_total",
-		"Tables migrated on load from the legacy row-oriented snapshot format to columnar storage.")
 	mWALFsyncs = obs.Default.Counter("xdmodfed_warehouse_wal_fsync_total",
 		"Durable-binlog fsync calls.")
 	mWALFsyncSeconds = obs.Default.Histogram("xdmodfed_warehouse_wal_fsync_seconds",

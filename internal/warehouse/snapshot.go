@@ -8,24 +8,20 @@ import (
 	"time"
 )
 
-// Snapshot persistence. Version 2 (current) stores each table's
-// contents in columnar form — one typed vector per column — matching
-// the in-memory layout, so a snapshot is written straight from the
-// published TableData without materializing rows. Version 1 (legacy)
-// stored boxed row slices; v1 streams are still readable and are
-// migrated to columnar form on load (counted by
-// xdmodfed_warehouse_snapshot_legacy_migrations_total and logged as a
-// warning). The format doubles as the "database dump" used by loose
-// federation (dump / ship / batch-load, paper §II-C2).
+// Snapshot persistence. A snapshot stores each table's contents in
+// columnar form — one typed vector per column — matching the in-memory
+// layout, so it is written straight from the published TableData
+// without materializing rows. The format doubles as the "database
+// dump" used by loose federation (dump / ship / batch-load, paper
+// §II-C2).
 
-// snapshotVersion is the current on-disk format version. Legacy
-// row-format streams predate the field and decode as version 0.
+// snapshotVersion is the only on-disk format version Restore accepts.
+// The row-oriented format that preceded it carried no version field
+// and decodes as version 0.
 const snapshotVersion = 2
 
 // snapshot is the gob wire form of an entire DB (or a subset of its
-// schemas). The same struct decodes both format versions: legacy
-// streams populate tableSnapshot.Rows, current streams populate
-// tableSnapshot.Data.
+// schemas).
 type snapshot struct {
 	Version int
 	Name    string
@@ -40,8 +36,7 @@ type schemaSnapshot struct {
 
 type tableSnapshot struct {
 	Def  TableDef
-	Rows [][]any     // legacy (v1) row-oriented payload
-	Data *ColumnData // current (v2) columnar payload
+	Data *ColumnData
 }
 
 // Snapshot writes the full DB state to w. The snapshot records the
@@ -132,18 +127,19 @@ func (db *DB) Restore(r io.Reader) (uint64, error) {
 // loose-federation hub lands each satellite's dump in a uniquely named
 // schema, mirroring Tungsten's rename-on-transfer feature.
 //
-// Columnar (v2) payloads are validated strictly against each table's
+// A stream of any other format version is rejected before the DB is
+// touched. Payloads are validated strictly against each table's
 // definition — mismatched types, lengths or nullability fail the
 // restore with a descriptive error rather than loading as zeroed
-// values. Legacy row-format (v1) streams are migrated to columnar
-// storage on load, with a warning logged and
-// xdmodfed_warehouse_snapshot_legacy_migrations_total incremented per
-// migrated table.
+// values.
 func (db *DB) RestoreRenamed(r io.Reader, rename map[string]string) (uint64, error) {
 	defer mRestoreSeconds.ObserveSince(time.Now())
 	var snap snapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return 0, fmt.Errorf("warehouse: restore: %w", err)
+	}
+	if snap.Version != snapshotVersion {
+		return 0, fmt.Errorf("warehouse: restore: unsupported snapshot version %d", snap.Version)
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -165,53 +161,13 @@ func (db *DB) RestoreRenamed(r io.Reader, rename map[string]string) (uint64, err
 			db.rebuildCatalogLocked()
 			d := ts.Def.Clone()
 			db.logEvent(Event{Kind: EvCreateTable, Schema: name, Table: ts.Def.Name, Def: &d})
-			cd := ts.Data
-			if cd == nil {
-				// Legacy row-format table: coerce each row against the
-				// definition (strict — a cell the column type cannot hold
-				// fails the restore) and assemble the columnar payload.
-				cd, err = t.migrateLegacyRows(ts.Rows)
-				if err != nil {
-					return 0, err
-				}
-				mLegacyMigrations.Inc()
-				logw.Warn("migrated legacy row-format snapshot table to columnar storage",
-					"schema", name, "table", ts.Def.Name, "rows", cd.Rows)
-			}
-			if err := t.ReplaceAllColumns(cd); err != nil {
+			if err := t.ReplaceAllColumns(ts.Data); err != nil {
 				return 0, err
 			}
 		}
 	}
 	db.rebuildCatalogLocked()
 	return snap.LastLSN, nil
-}
-
-// migrateLegacyRows converts legacy boxed rows into a columnar payload,
-// coercing every cell against the table definition.
-func (t *Table) migrateLegacyRows(rows [][]any) (*ColumnData, error) {
-	vecs := make([]colVec, len(t.def.Columns))
-	for i, c := range t.def.Columns {
-		vecs[i] = newColVec(c)
-	}
-	for n, row := range rows {
-		vals, err := t.normalizeSlice(row)
-		if err != nil {
-			return nil, fmt.Errorf("warehouse: restore %s.%s row %d: %w", t.schema, t.def.Name, n, err)
-		}
-		for i := range vecs {
-			vecs[i].appendVal(vals[i])
-		}
-	}
-	cd := &ColumnData{Rows: len(rows), Names: make([]string, len(t.def.Columns)), Cols: make([]ColumnVector, len(t.def.Columns))}
-	for i, c := range t.def.Columns {
-		cd.Names[i] = c.Name
-		v := &vecs[i]
-		cd.Cols[i] = ColumnVector{Type: v.typ, Ints: v.ints, Floats: v.floats,
-			Strs: v.strs, Bools: v.bools, Times: v.times, Nulls: v.nulls}
-		ensureTyped(&cd.Cols[i], len(rows))
-	}
-	return cd, nil
 }
 
 // SaveFile snapshots the DB to a file path.

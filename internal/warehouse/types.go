@@ -116,7 +116,9 @@ func (d TableDef) Validate() error {
 
 // coerce normalizes v to the canonical Go representation for the column
 // type: int64, float64, string, bool or time.Time. nil is permitted for
-// nullable columns.
+// nullable columns. A value already in canonical form is returned as
+// the interface it arrived in, not re-boxed — most cells on the insert
+// and rows→chunk paths are, and re-boxing allocates per cell.
 func coerce(col Column, v any) (any, error) {
 	if v == nil {
 		if !col.Nullable {
@@ -128,7 +130,7 @@ func coerce(col Column, v any) (any, error) {
 	case TypeInt:
 		switch x := v.(type) {
 		case int64:
-			return x, nil
+			return v, nil
 		case int:
 			return int64(x), nil
 		case int32:
@@ -141,7 +143,7 @@ func coerce(col Column, v any) (any, error) {
 	case TypeFloat:
 		switch x := v.(type) {
 		case float64:
-			return x, nil
+			return v, nil
 		case float32:
 			return float64(x), nil
 		case int64:
@@ -150,15 +152,18 @@ func coerce(col Column, v any) (any, error) {
 			return float64(x), nil
 		}
 	case TypeString:
-		if x, ok := v.(string); ok {
-			return x, nil
+		if _, ok := v.(string); ok {
+			return v, nil
 		}
 	case TypeBool:
-		if x, ok := v.(bool); ok {
-			return x, nil
+		if _, ok := v.(bool); ok {
+			return v, nil
 		}
 	case TypeTime:
 		if x, ok := v.(time.Time); ok {
+			if x.Location() == time.UTC {
+				return v, nil
+			}
 			return x.UTC(), nil
 		}
 	}
