@@ -176,7 +176,7 @@ func benchParallelReaggregate(b *testing.B, workers int) {
 	if err := eng.Setup(info); err != nil {
 		b.Fatal(err)
 	}
-	eng.SetRebuildWorkers(workers)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -317,45 +317,6 @@ func (d Delta) toPartial() (partial, error) {
 	return p, nil
 }
 
-// MergeDeltas merges b into a (a's bins are updated in place,
-// semantically; a new Delta is returned). Merge order matters exactly
-// as it does for source schemas in a rebuild: last_* timestamp ties
-// are won by b. This is the operation a hub-of-hubs tier would apply
-// to roll regional deltas upward; it shares the accRow merge with the
-// rebuild's partial merge.
-func MergeDeltas(a, b Delta) (Delta, error) {
-	if a.Realm != b.Realm {
-		return Delta{}, fmt.Errorf("aggregate: cannot merge deltas of realms %q and %q", a.Realm, b.Realm)
-	}
-	pa, err := a.toPartial()
-	if err != nil {
-		return Delta{}, err
-	}
-	pb, err := b.toPartial()
-	if err != nil {
-		return Delta{}, err
-	}
-	pa.merge(pb)
-	out := Delta{Realm: a.Realm, Reset: a.Reset && b.Reset, CoveredLSN: max(a.CoveredLSN, b.CoveredLSN)}
-	for _, period := range Periods() {
-		groups := pa[period]
-		if groups == nil {
-			continue
-		}
-		keys := make([]string, 0, len(groups))
-		for k := range groups {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		bins := make([]Bin, 0, len(keys))
-		for _, k := range keys {
-			bins = append(bins, binOf(groups[k]))
-		}
-		out.Periods = append(out.Periods, PeriodBins{Period: period.String(), Bins: bins})
-	}
-	return out, nil
-}
-
 // MergeableRealm reports whether every metric of a realm uses an
 // aggregate function with a correct partial-aggregate merge rule:
 // sum/count/min/max are additive or comparable, avg rides as
@@ -451,10 +412,6 @@ func (df *DeltaFolder) SetCovered(lsn uint64) {
 		df.covered = lsn
 	}
 }
-
-// ResetPending reports whether the next flush will carry a Reset (a
-// Reset ran since the last flush).
-func (df *DeltaFolder) ResetPending() bool { return df.resetPending }
 
 // Dirty reports whether any bins changed since the last flush.
 func (df *DeltaFolder) Dirty() bool {

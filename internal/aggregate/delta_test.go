@@ -3,7 +3,6 @@ package aggregate
 import (
 	"bytes"
 	"encoding/gob"
-	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -124,9 +123,7 @@ func TestPushdownMatchesFactReplication(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := eng.SetSharding(tc.shards, ShardKeyResource); err != nil {
-					t.Fatal(err)
-				}
+				eng.SetSharding(tc.shards)
 				if err := eng.Setup(info); err != nil {
 					t.Fatal(err)
 				}
@@ -156,10 +153,10 @@ func TestPushdownMatchesFactReplication(t *testing.T) {
 				}
 			}
 			compare := func(stage string) {
-				if _, err := pushEng.ReaggregateFrom(info, []Source{{Schema: member, Pushdown: true}}); err != nil {
+				if _, err := pushEng.ReaggregateFrom(info, []Source{{Schema: member, Pushdown: true}}, nil); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := factEng.ReaggregateFrom(info, []Source{{Schema: member}}); err != nil {
+				if _, err := factEng.ReaggregateFrom(info, []Source{{Schema: member}}, nil); err != nil {
 					t.Fatal(err)
 				}
 				got := shardAggSnapshot(t, pushHub, pushEng, info)
@@ -264,72 +261,52 @@ func TestPushdownMatchesFactReplication(t *testing.T) {
 	}
 }
 
-// TestMergeDeltas exercises the merge rules on synthetic bins: counts
-// and sums add, mins/maxs compare, sum_last follows the newest last_ts
-// with the later-merged side winning ties, Reset survives only when
-// both sides are resets, and CoveredLSN takes the max.
-func TestMergeDeltas(t *testing.T) {
+// TestPartialMergeRules exercises the merge rules on synthetic bins:
+// counts and sums add, mins/maxs compare, and sum_last follows the
+// newest last_ts with the later-merged side winning ties.
+func TestPartialMergeRules(t *testing.T) {
 	bin := func(pk int64, dims []string, n int64, lastTS float64, sum, min, max, last float64) Bin {
 		return Bin{PeriodKey: pk, Dims: dims, N: n, LastTS: lastTS,
 			Sums: []float64{sum}, Mins: []float64{min}, Maxs: []float64{max},
 			Lasts: []float64{last}, WSums: []float64{0}}
 	}
-	a := Delta{Realm: "Jobs", Reset: true, CoveredLSN: 10, Periods: []PeriodBins{
-		{Period: "day", Bins: []Bin{
+	day := func(bins ...Bin) partial {
+		p, err := Delta{Realm: "Jobs", Periods: []PeriodBins{{Period: "day", Bins: bins}}}.toPartial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	shared := string(groupKey(nil, 20170101, []string{"r1"}))
+	a := func() partial {
+		return day(
 			bin(20170101, []string{"r1"}, 2, 100, 8, 1, 7, 50),
-			bin(20170102, []string{"r1"}, 1, 90, 3, 3, 3, 30),
-		}},
-	}}
-	b := Delta{Realm: "Jobs", Reset: false, CoveredLSN: 25, Periods: []PeriodBins{
-		{Period: "day", Bins: []Bin{
-			bin(20170101, []string{"r1"}, 3, 100, 4, 0.5, 9, 60), // equal lastTS: later-merged wins
-			bin(20170101, []string{"r2"}, 1, 40, 2, 2, 2, 20),    // disjoint bin
-		}},
-	}}
-	m, err := MergeDeltas(a, b)
-	if err != nil {
-		t.Fatal(err)
+			bin(20170102, []string{"r1"}, 1, 90, 3, 3, 3, 30))
 	}
-	if m.Reset {
-		t.Error("merged Reset must be false unless both sides reset")
+
+	m := a()
+	m.merge(day(
+		bin(20170101, []string{"r1"}, 3, 100, 4, 0.5, 9, 60), // equal lastTS: later-merged wins
+		bin(20170101, []string{"r2"}, 1, 40, 2, 2, 2, 20)))   // disjoint bin
+	if len(m[Day]) != 3 {
+		t.Fatalf("merged %d groups, want 3", len(m[Day]))
 	}
-	if m.CoveredLSN != 25 {
-		t.Errorf("merged CoveredLSN = %d, want 25", m.CoveredLSN)
-	}
-	if len(m.Periods) != 1 || len(m.Periods[0].Bins) != 3 {
-		t.Fatalf("merged shape: %+v", m.Periods)
-	}
-	byKey := map[string]Bin{}
-	for _, bn := range m.Periods[0].Bins {
-		byKey[fmt.Sprintf("%d/%v", bn.PeriodKey, bn.Dims)] = bn
-	}
-	g := byKey["20170101/[r1]"]
-	if g.N != 5 || g.Sums[0] != 12 || g.Mins[0] != 0.5 || g.Maxs[0] != 9 {
+	g := m[Day][shared]
+	if g.n != 5 || g.sums[0] != 12 || g.mins[0] != 0.5 || g.maxs[0] != 9 {
 		t.Errorf("merged shared bin: %+v", g)
 	}
-	if g.Lasts[0] != 60 || g.LastTS != 100 {
+	if g.lasts[0] != 60 || g.lastTS != 100 {
 		t.Errorf("sum_last tie must take the later-merged side: %+v", g)
 	}
-	if byKey["20170102/[r1]"].N != 1 || byKey["20170101/[r2]"].N != 1 {
-		t.Error("disjoint bins must pass through unchanged")
+	if g := m[Day][string(groupKey(nil, 20170101, []string{"r2"}))]; g == nil || g.n != 1 {
+		t.Errorf("disjoint bin must pass through unchanged: %+v", g)
 	}
 
 	// An older lastTS on the merged-in side must NOT replace newer lasts.
-	stale := Delta{Realm: "Jobs", Periods: []PeriodBins{
-		{Period: "day", Bins: []Bin{bin(20170101, []string{"r1"}, 1, 10, 1, 1, 1, 999)}},
-	}}
-	m2, err := MergeDeltas(a, stale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, bn := range m2.Periods[0].Bins {
-		if bn.PeriodKey == 20170101 && bn.Lasts[0] != 50 {
-			t.Errorf("stale merge replaced last: %+v", bn)
-		}
-	}
-
-	if _, err := MergeDeltas(a, Delta{Realm: "Cloud"}); err == nil {
-		t.Error("cross-realm merge must fail")
+	m = a()
+	m.merge(day(bin(20170101, []string{"r1"}, 1, 10, 1, 1, 1, 999)))
+	if g := m[Day][shared]; g.lasts[0] != 50 || g.lastTS != 100 {
+		t.Errorf("stale merge replaced last: %+v", g)
 	}
 }
 
@@ -423,7 +400,7 @@ func TestPushdownSumLast(t *testing.T) {
 
 	queryMonth := func(stage string, want float64) {
 		t.Helper()
-		if _, err := hubEng.ReaggregateFrom(info, []Source{{Schema: member, Pushdown: true}}); err != nil {
+		if _, err := hubEng.ReaggregateFrom(info, []Source{{Schema: member, Pushdown: true}}, nil); err != nil {
 			t.Fatal(err)
 		}
 		series, err := hubEng.Query(info, Request{MetricID: storage.MetricFileCount, Period: Month})

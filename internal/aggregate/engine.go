@@ -20,15 +20,9 @@ type Engine struct {
 	db     *warehouse.DB
 	levels map[string]config.AggregationLevels // dimension id -> levels
 
-	// rebuildWorkers caps how many workers Reaggregate's work-stealing
-	// pool runs; <= 0 means GOMAXPROCS (see rebuild.go).
-	rebuildWorkers int
-
-	// shards/shardKey partition each realm's aggregation tables into
-	// independent per-schema shards (see shard.go). shards <= 1 keeps
-	// the legacy single "<schema>_agg" table set.
-	shards   int
-	shardKey string
+	// shards partitions each realm's aggregation tables into
+	// independent per-schema shards (see shard.go); <= 1 means one.
+	shards int
 }
 
 // New creates an engine over db with the given aggregation levels.
@@ -68,10 +62,6 @@ func (e *Engine) SetLevels(l config.AggregationLevels) error {
 	e.levels[l.Dimension] = l
 	return nil
 }
-
-// SetRebuildWorkers sets how many source schemas a full Reaggregate
-// scans concurrently; n <= 0 restores the default (GOMAXPROCS).
-func (e *Engine) SetRebuildWorkers(n int) { e.rebuildWorkers = n }
 
 // AggTableName names the aggregation table for a fact table + period.
 func AggTableName(fact string, p Period) string {
@@ -122,7 +112,9 @@ func wsumColName(pair string) string {
 
 // aggDef builds the aggregation table definition for a realm + period.
 func aggDef(info realm.Info, p Period) warehouse.TableDef {
-	def := warehouse.TableDef{Name: AggTableName(info.FactTable, p)}
+	cols, weights := measureColumns(info)
+	def := warehouse.TableDef{Name: AggTableName(info.FactTable, p),
+		Columns: make([]warehouse.Column, 0, 3+len(info.Dimensions)+4*len(cols)+len(weights))}
 	def.Columns = append(def.Columns, warehouse.Column{Name: "period_key", Type: warehouse.TypeInt})
 	pk := []string{"period_key"}
 	for _, d := range info.Dimensions {
@@ -132,7 +124,6 @@ func aggDef(info realm.Info, p Period) warehouse.TableDef {
 	}
 	def.Columns = append(def.Columns, warehouse.Column{Name: "n", Type: warehouse.TypeInt})
 	def.Columns = append(def.Columns, warehouse.Column{Name: "last_ts", Type: warehouse.TypeFloat})
-	cols, weights := measureColumns(info)
 	for _, c := range cols {
 		def.Columns = append(def.Columns,
 			warehouse.Column{Name: "sum_" + c, Type: warehouse.TypeFloat},

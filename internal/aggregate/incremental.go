@@ -60,12 +60,11 @@ func (e *Engine) ApplyFactRows(info realm.Info, sourceSchema string, rows [][]an
 		return 0, err
 	}
 	rt := e.router(info)
-	cols, weights := measureColumns(info)
+	codec := newAggCodec(info)
 
 	// Phase 1, lock-free: decode the batch, route each fact to its shard
 	// and group. Shard group maps allocate lazily — a batch from one
-	// satellite typically touches one shard (source-schema routing) or a
-	// few (resource routing).
+	// satellite typically touches the few shards its resources route to.
 	ch, err := fact.RowsChunk(rows)
 	if err != nil {
 		return 0, fmt.Errorf("aggregate: incremental fold into %s: %w", info.Name, err)
@@ -73,13 +72,13 @@ func (e *Engine) ApplyFactRows(info realm.Info, sourceSchema string, rows [][]an
 	periods := Periods()
 	groups := make([][]map[string]*groupFacts, rt.shards) // [shard][period]
 	var keyBuf []byte
-	err = e.eachFact(info, ch, cols, weights, nil, func(t time.Time, dims []string, vals, wvals []float64) {
+	err = e.eachFact(info, ch, codec.cols, codec.weights, nil, func(t time.Time, dims []string, vals, wvals []float64) {
 		entry := factEntry{
 			ts:    float64(t.UnixNano()) / 1e9,
 			vals:  append([]float64(nil), vals...),
 			wvals: append([]float64(nil), wvals...),
 		}
-		k := rt.shardOf(sourceSchema, dims)
+		k := rt.shardOf(dims)
 		sg := groups[k]
 		if sg == nil {
 			sg = make([]map[string]*groupFacts, len(periods))
@@ -110,14 +109,13 @@ func (e *Engine) ApplyFactRows(info realm.Info, sourceSchema string, rows [][]an
 	// Phase 2: merge into each touched shard's aggregation tables, one
 	// shard-scoped transaction per shard (ascending, so concurrent
 	// callers that ever take several shard locks agree on the order).
-	names := newAggColNames(cols, weights)
 	for k, sg := range groups {
 		if sg == nil {
 			continue
 		}
 		err = e.db.DoSchema(e.aggSchemaShard(info, k), func() error {
 			for pi, tg := range st[k] {
-				if err := mergeGroupsInto(tg.tab, info, cols, weights, names, sg[pi]); err != nil {
+				if err := mergeGroupsInto(tg.tab, codec, sg[pi]); err != nil {
 					return err
 				}
 			}
@@ -131,33 +129,10 @@ func (e *Engine) ApplyFactRows(info realm.Info, sourceSchema string, rows [][]an
 	return len(rows), nil
 }
 
-// aggColNames pre-renders the aggregation-table column names the merge
-// reads from existing rows, so the per-group loop does no string
-// concatenation.
-type aggColNames struct {
-	sums, mins, maxs, lasts, wsums []string
-}
-
-func newAggColNames(cols, weights []string) *aggColNames {
-	n := &aggColNames{}
-	for _, c := range cols {
-		n.sums = append(n.sums, "sum_"+c)
-		n.mins = append(n.mins, "min_"+c)
-		n.maxs = append(n.maxs, "max_"+c)
-		n.lasts = append(n.lasts, "last_"+c)
-	}
-	for _, w := range weights {
-		n.wsums = append(n.wsums, wsumColName(w))
-	}
-	return n
-}
-
 // mergeGroupsInto combines one period's grouped batch entries with the
 // aggregation table's existing rows, writing each group positionally.
 // Must run under the DB write lock.
-func mergeGroupsInto(tab *warehouse.Table, info realm.Info, cols, weights []string,
-	names *aggColNames, groups map[string]*groupFacts) error {
-
+func mergeGroupsInto(tab *warehouse.Table, c *aggCodec, groups map[string]*groupFacts) error {
 	if len(groups) == 0 {
 		return nil
 	}
@@ -166,35 +141,19 @@ func mergeGroupsInto(tab *warehouse.Table, info realm.Info, cols, weights []stri
 		keys = append(keys, k)
 	}
 	sort.Strings(keys) // deterministic upsert (and binlog) order
-	nd := len(info.Dimensions)
-	key := make([]any, 1+nd)
-	buf := make([]any, 1+nd+2+4*len(cols)+len(weights))
-	acc := accRow{
-		sums:  make([]float64, len(cols)),
-		mins:  make([]float64, len(cols)),
-		maxs:  make([]float64, len(cols)),
-		lasts: make([]float64, len(cols)),
-		wsums: make([]float64, len(weights)),
-	}
+	key := make([]any, 1+c.nd)
+	buf := make([]any, len(c.names))
+	acc := c.newAcc()
 	for _, k := range keys {
 		g := groups[k]
+		acc.periodKey, acc.dims = g.periodKey, g.dims
 		key[0] = g.periodKey
 		for i, d := range g.dims {
 			key[1+i] = d
 		}
 		entries := g.entries
 		if existing, ok := tab.GetByKey(key...); ok {
-			acc.n = existing.Int("n")
-			acc.lastTS = existing.Float("last_ts")
-			for i := range cols {
-				acc.sums[i] = existing.Float(names.sums[i])
-				acc.mins[i] = existing.Float(names.mins[i])
-				acc.maxs[i] = existing.Float(names.maxs[i])
-				acc.lasts[i] = existing.Float(names.lasts[i])
-			}
-			for i := range weights {
-				acc.wsums[i] = existing.Float(names.wsums[i])
-			}
+			c.load(existing, &acc)
 		} else {
 			first := entries[0]
 			acc.n = 1
@@ -209,29 +168,7 @@ func mergeGroupsInto(tab *warehouse.Table, info realm.Info, cols, weights []stri
 		for _, e := range entries {
 			acc.fold(e.ts, e.vals, e.wvals)
 		}
-		ci := 0
-		buf[ci] = g.periodKey
-		ci++
-		for _, d := range g.dims {
-			buf[ci] = d
-			ci++
-		}
-		buf[ci] = acc.n
-		ci++
-		buf[ci] = acc.lastTS
-		ci++
-		for i := range cols {
-			buf[ci] = acc.sums[i]
-			buf[ci+1] = acc.mins[i]
-			buf[ci+2] = acc.maxs[i]
-			buf[ci+3] = acc.lasts[i]
-			ci += 4
-		}
-		for i := range weights {
-			buf[ci] = acc.wsums[i]
-			ci++
-		}
-		if err := tab.UpsertRow(buf[:ci]); err != nil {
+		if err := tab.UpsertRow(c.row(&acc, buf)); err != nil {
 			return err
 		}
 	}

@@ -23,22 +23,6 @@ var (
 		"Duration of one full aggregation rebuild of a single realm.",
 		nil, "realm")
 
-	// Per-shard instrumentation (see shard.go). Labeled by shard ordinal
-	// rather than realm×shard to keep series cardinality bounded by the
-	// configured shard count.
-	mShardRebuilds = obs.Default.CounterVec("xdmodfed_shard_rebuilds_total",
-		"Shard aggregation-table installs (merge + bulk load of one shard).",
-		"shard")
-	mShardRebuildSeconds = obs.Default.HistogramVec("xdmodfed_shard_rebuild_seconds",
-		"Duration of one shard's merge + install during a rebuild.",
-		nil, "shard")
-	mShardAggRows = obs.Default.GaugeVec("xdmodfed_shard_agg_rows",
-		"Aggregation rows installed into a shard by its most recent rebuild.",
-		"shard")
-	mShardQueries = obs.Default.CounterVec("xdmodfed_shard_queries_total",
-		"Chart-query scatter reads served by each shard.",
-		"shard")
-
 	// Aggregation pushdown (see delta.go / pagg.go). The role label
 	// separates the satellite side ("sent": deltas flushed onto the
 	// wire) from the hub side ("applied": deltas installed into pagg

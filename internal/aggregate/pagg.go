@@ -71,19 +71,20 @@ func (e *Engine) paggTables(info realm.Info, schema string) []*warehouse.Table {
 // disappeared) and the number of bins applied.
 func (e *Engine) ApplyDelta(info realm.Info, schema string, d Delta) ([]int, int, error) {
 	start := time.Now()
-	cols, weights := measureColumns(info)
+	codec := newAggCodec(info)
 	p, err := d.toPartial()
 	if err != nil {
 		return nil, 0, err
 	}
+	nc, nw := len(codec.cols), len(codec.weights)
 	for _, pb := range d.Periods {
 		for _, b := range pb.Bins {
-			if len(b.Dims) != len(info.Dimensions) ||
-				len(b.Sums) != len(cols) || len(b.Mins) != len(cols) ||
-				len(b.Maxs) != len(cols) || len(b.Lasts) != len(cols) ||
-				len(b.WSums) != len(weights) {
+			if len(b.Dims) != codec.nd ||
+				len(b.Sums) != nc || len(b.Mins) != nc ||
+				len(b.Maxs) != nc || len(b.Lasts) != nc ||
+				len(b.WSums) != nw {
 				return nil, 0, fmt.Errorf("aggregate: delta bin for realm %s does not match the realm's shape (%d dims, %d measures, %d weights)",
-					d.Realm, len(info.Dimensions), len(cols), len(weights))
+					d.Realm, codec.nd, nc, nw)
 			}
 		}
 	}
@@ -102,7 +103,7 @@ func (e *Engine) ApplyDelta(info realm.Info, schema string, d Delta) ([]int, int
 	err = e.db.DoSchema(schema, func() error {
 		if d.Reset {
 			for _, period := range Periods() {
-				cd := buildAggColumns(info, period, cols, weights, p[period])
+				cd := codec.columns(p[period])
 				rows += cd.Rows
 				if err := tabs[period].ReplaceAllColumns(cd); err != nil {
 					return err
@@ -110,8 +111,7 @@ func (e *Engine) ApplyDelta(info realm.Info, schema string, d Delta) ([]int, int
 			}
 			return nil
 		}
-		nd := len(info.Dimensions)
-		buf := make([]any, 1+nd+2+4*len(cols)+len(weights))
+		buf := make([]any, len(codec.names))
 		for _, period := range Periods() {
 			groups := p[period]
 			if len(groups) == 0 {
@@ -123,30 +123,7 @@ func (e *Engine) ApplyDelta(info realm.Info, schema string, d Delta) ([]int, int
 			}
 			sort.Strings(keys) // deterministic upsert (and binlog) order
 			for _, k := range keys {
-				acc := groups[k]
-				ci := 0
-				buf[ci] = acc.periodKey
-				ci++
-				for _, dim := range acc.dims {
-					buf[ci] = dim
-					ci++
-				}
-				buf[ci] = acc.n
-				ci++
-				buf[ci] = acc.lastTS
-				ci++
-				for i := range cols {
-					buf[ci] = acc.sums[i]
-					buf[ci+1] = acc.mins[i]
-					buf[ci+2] = acc.maxs[i]
-					buf[ci+3] = acc.lasts[i]
-					ci += 4
-				}
-				for i := range weights {
-					buf[ci] = acc.wsums[i]
-					ci++
-				}
-				if err := tabs[period].UpsertRow(buf[:ci]); err != nil {
+				if err := tabs[period].UpsertRow(codec.row(groups[k], buf)); err != nil {
 					return err
 				}
 				rows++
@@ -159,7 +136,7 @@ func (e *Engine) ApplyDelta(info realm.Info, schema string, d Delta) ([]int, int
 	}
 	for _, groups := range p {
 		for _, acc := range groups {
-			touched[rt.shardOf(schema, acc.dims)] = true
+			touched[rt.shardOf(acc.dims)] = true
 		}
 	}
 	shards := make([]int, 0, len(touched))
@@ -173,127 +150,27 @@ func (e *Engine) ApplyDelta(info realm.Info, schema string, d Delta) ([]int, int
 	return shards, rows, nil
 }
 
-// Install merges the delta into an engine's warehouse: the hub-side
-// half of the pushdown pipeline (the satellite-side half is
-// DeltaFolder.Flush). See Engine.ApplyDelta.
-func (d Delta) Install(e *Engine, info realm.Info, schema string) ([]int, int, error) {
-	return e.ApplyDelta(info, schema, d)
-}
-
-// paggReader resolves one pagg-table chunk's columns. Layout errors
-// are real errors — the hub created these tables itself.
-type paggReader struct {
-	pks                            []int64
-	dims                           [][]string
-	ns                             []int64
-	lastTS                         numCol
-	sums, mins, maxs, lasts, wsums []numCol
-}
-
-func newPaggReader(info realm.Info, ch warehouse.ColChunk, names *aggColNames) (*paggReader, error) {
-	intsOf := func(name string) ([]int64, error) {
-		ci, ok := ch.ColIndex(name)
-		if !ok {
-			return nil, fmt.Errorf("aggregate: pagg table missing column %q", name)
-		}
-		v := ch.IntCol(ci)
-		if v == nil {
-			return nil, fmt.Errorf("aggregate: pagg column %q is not an integer column", name)
-		}
-		return v, nil
-	}
-	pr := &paggReader{}
-	var err error
-	if pr.pks, err = intsOf("period_key"); err != nil {
-		return nil, err
-	}
-	if pr.ns, err = intsOf("n"); err != nil {
-		return nil, err
-	}
-	pr.lastTS = numColOf(ch, "last_ts")
-	pr.dims = make([][]string, len(info.Dimensions))
-	for i, d := range info.Dimensions {
-		ci, ok := ch.ColIndex("dim_" + d.ID)
-		if !ok {
-			return nil, fmt.Errorf("aggregate: pagg table missing column %q", "dim_"+d.ID)
-		}
-		strs := ch.StringCol(ci)
-		if strs == nil {
-			return nil, fmt.Errorf("aggregate: pagg column %q is not a string column", "dim_"+d.ID)
-		}
-		pr.dims[i] = strs
-	}
-	mk := func(cols []string) []numCol {
-		out := make([]numCol, len(cols))
-		for i, c := range cols {
-			out[i] = numColOf(ch, c)
-		}
-		return out
-	}
-	pr.sums = mk(names.sums)
-	pr.mins = mk(names.mins)
-	pr.maxs = mk(names.maxs)
-	pr.lasts = mk(names.lasts)
-	pr.wsums = mk(names.wsums)
-	return pr, nil
-}
-
-// accAt reconstructs one stored bin as a fresh accumulator (fresh
-// slices: the rebuild's merge mutates accumulators in place).
-func (pr *paggReader) accAt(pos int) *accRow {
-	acc := &accRow{
-		periodKey: pr.pks[pos],
-		dims:      make([]string, len(pr.dims)),
-		n:         pr.ns[pos],
-		lastTS:    pr.lastTS.at(pos),
-		sums:      make([]float64, len(pr.sums)),
-		mins:      make([]float64, len(pr.mins)),
-		maxs:      make([]float64, len(pr.maxs)),
-		lasts:     make([]float64, len(pr.lasts)),
-		wsums:     make([]float64, len(pr.wsums)),
-	}
-	for i := range pr.dims {
-		acc.dims[i] = pr.dims[i][pos]
-	}
-	for i := range pr.sums {
-		acc.sums[i] = pr.sums[i].at(pos)
-		acc.mins[i] = pr.mins[i].at(pos)
-		acc.maxs[i] = pr.maxs[i].at(pos)
-		acc.lasts[i] = pr.lasts[i].at(pos)
-	}
-	for i := range pr.wsums {
-		acc.wsums[i] = pr.wsums[i].at(pos)
-	}
-	return acc
-}
-
 // paggPartials loads a pushdown member's replicated bins into
 // per-shard partials: the pushdown counterpart of scanPartials, with
 // identical routing and want-filter semantics but no fact scan at all
 // — the member already folded its facts. Returns the number of bins
 // loaded.
-func (e *Engine) paggPartials(info realm.Info, pds []*warehouse.TableData, schema string,
-	rt shardRouter, want []bool, cols, weights []string) ([]partial, int, error) {
-
+func paggPartials(codec *aggCodec, pds []*warehouse.TableData, rt shardRouter, want []bool) ([]partial, int, error) {
 	out := make([]partial, rt.shards)
 	n := 0
 	periods := Periods()
-	names := newAggColNames(cols, weights)
 	var keyBuf []byte
 	for pi, period := range periods {
 		if pds == nil || pds[pi] == nil {
 			continue
 		}
 		td := pds[pi]
-		if td.NumRows() == 0 {
-			continue
-		}
 		for chunk := 0; chunk < td.NumChunks(); chunk++ {
 			ch := td.Chunk(chunk)
 			if ch.Rows() == 0 {
 				continue
 			}
-			pr, err := newPaggReader(info, ch, names)
+			r, err := codec.reader(ch)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -302,8 +179,8 @@ func (e *Engine) paggPartials(info realm.Info, pds []*warehouse.TableData, schem
 				if dead[pos] {
 					continue
 				}
-				acc := pr.accAt(pos)
-				k := rt.shardOf(schema, acc.dims)
+				acc := r.accAt(pos)
+				k := rt.shardOf(acc.dims)
 				if want != nil && !want[k] {
 					continue
 				}

@@ -200,26 +200,78 @@ func (e *Engine) QueryStatsCtx(ctx context.Context, info realm.Info, req Request
 	if req.Period == 0 {
 		req.Period = Month
 	}
-	if e.NumShards() > 1 {
-		return e.queryShards(ctx, info, req, metric, groupCol)
+
+	// Scatter set: every shard — or just one, when the engine has one, the
+	// realm does not route by resource (all its rows are in shard 0), or a
+	// filter on the resource dimension pins the rows to the shard that
+	// value routes to ("which resource?" drill-downs pay 1/Nth).
+	rt := e.router(info)
+	var shards []int
+	if want, ok := req.Filters[ShardKeyResource]; ok || rt.rdi < 0 || rt.shards == 1 {
+		shards = []int{rt.shardOfResource(want)}
+	} else {
+		for k := 0; k < rt.shards; k++ {
+			shards = append(shards, k)
+		}
 	}
-	td, err := e.db.DataFor(AggSchema(info), AggTableName(info.FactTable, req.Period))
-	if err != nil {
-		return nil, QueryInfo{}, err
-	}
+
+	// Fold order matters: a chart cell usually combines many aggregation
+	// rows (every row whose group-by value matches, across all the other
+	// dimensions) and floating-point addition is not associative. One
+	// shard folds in table-scan order. Several shards gather their rows
+	// and fold them sorted by group key — the order a rebuild's bulk load
+	// leaves in a single table — and since a group lives in exactly one
+	// shard the keys are unique, so the sorted fold is fully determined.
 	cells := map[gp]*cell{}
 	aggCells := map[string]*cell{}
 	hasMeasure := metric.Column != ""
 	hasWeight := metric.WeightColumn != ""
-	scanned, err := scanAggRows(ctx, td, info, req, metric, groupCol, false,
-		func(pk int64, group string, n int64, sum, last, mn, mx, wsum, wden float64, _ []string) {
-			foldCell(cells, aggCells, gp{group, pk}, n, sum, last, mn, mx, wsum, wden, hasMeasure, hasWeight)
-		})
-	mRowsScanned.Add(uint64(scanned))
-	if err != nil {
-		return nil, QueryInfo{RowsScanned: scanned}, err
+	var rows []shardAggRow
+	var keyBuf []byte
+	emit := func(pk int64, group string, n int64, sum, last, mn, mx, wsum, wden float64, _ []string) {
+		foldCell(cells, aggCells, gp{group, pk}, n, sum, last, mn, mx, wsum, wden, hasMeasure, hasWeight)
 	}
+	if len(shards) > 1 {
+		emit = func(pk int64, group string, n int64, sum, last, mn, mx, wsum, wden float64, dimVals []string) {
+			keyBuf = groupKey(keyBuf, pk, dimVals)
+			rows = append(rows, shardAggRow{
+				key: string(keyBuf), pk: pk, group: group, n: n,
+				sum: sum, last: last, mn: mn, mx: mx, wsum: wsum, wden: wden,
+			})
+		}
+	}
+	tbl := AggTableName(info.FactTable, req.Period)
+	scanned := 0
+	for _, k := range shards {
+		td, err := e.db.DataFor(e.aggSchemaShard(info, k), tbl)
+		if err != nil {
+			return nil, QueryInfo{RowsScanned: scanned}, err
+		}
+		n, err := scanAggRows(ctx, td, info, req, metric, groupCol, len(shards) > 1, emit)
+		scanned += n
+		if err != nil {
+			mRowsScanned.Add(uint64(scanned))
+			return nil, QueryInfo{RowsScanned: scanned}, err
+		}
+	}
+	if len(shards) > 1 {
+		sort.Slice(rows, func(i, j int) bool { return rows[i].key < rows[j].key })
+		for _, r := range rows {
+			foldCell(cells, aggCells, gp{r.group, r.pk}, r.n, r.sum, r.last, r.mn, r.mx, r.wsum, r.wden, hasMeasure, hasWeight)
+		}
+	}
+	mRowsScanned.Add(uint64(scanned))
 	return buildSeries(metric, cells, aggCells), QueryInfo{RowsScanned: scanned}, nil
+}
+
+// shardAggRow is one row gathered from a multi-shard scan: its group
+// key plus the metric's pre-extracted values.
+type shardAggRow struct {
+	key                           string
+	pk                            int64
+	group                         string
+	n                             int64
+	sum, last, mn, mx, wsum, wden float64
 }
 
 // gp keys one timeseries accumulator cell: (group value, period key).
@@ -254,8 +306,8 @@ func foldCell(cells map[gp]*cell, aggCells map[string]*cell, k gp,
 // reaches it) and the per-row loop reads typed vectors only. When
 // needDims is true, emit's dimVals argument carries the row's full
 // dimension values in info.Dimensions order (the buffer is reused —
-// valid only during the call); the sharded gather uses it to build
-// deterministic merge keys. Returns the live rows visited.
+// valid only during the call); the multi-shard gather sorts by them.
+// Returns the live rows visited.
 //
 // ctx is checked once per chunk — cheap relative to a chunk's row loop
 // but prompt enough that a canceled query stops within one chunk's

@@ -3,8 +3,6 @@ package aggregate
 import (
 	"fmt"
 	"runtime"
-	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -211,12 +209,12 @@ func (e *Engine) foldFacts(info realm.Info, ch warehouse.ColChunk, cols, weights
 // evictable again as soon as the scan moves on), so the scan's
 // resident footprint is one segment plus the backend's budget — never
 // the whole table.
-func (e *Engine) scanPartials(info realm.Info, td *warehouse.TableData, sourceSchema string,
+func (e *Engine) scanPartials(info realm.Info, td *warehouse.TableData,
 	rt shardRouter, want []bool, cols, weights []string) ([]partial, int, error) {
 
 	folders := make([]*folder, rt.shards)
 	route := func(dims []string) *folder {
-		k := rt.shardOf(sourceSchema, dims)
+		k := rt.shardOf(dims)
 		if want != nil && !want[k] {
 			return nil
 		}
@@ -240,80 +238,6 @@ func (e *Engine) scanPartials(info realm.Info, td *warehouse.TableData, sourceSc
 		}
 	}
 	return out, n, nil
-}
-
-// buildAggColumns renders one period's merged groups as the columnar
-// payload of the period's aggregation table, rows in sorted group-key
-// order (deterministic installs: replicas replaying the resulting LOAD
-// event end up bit-identical).
-func buildAggColumns(info realm.Info, p Period, cols, weights []string, groups map[string]*accRow) *warehouse.ColumnData {
-	def := aggDef(info, p)
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	n := len(keys)
-	nd := len(info.Dimensions)
-	cd := &warehouse.ColumnData{Rows: n,
-		Names: make([]string, len(def.Columns)),
-		Cols:  make([]warehouse.ColumnVector, len(def.Columns))}
-	for i, c := range def.Columns {
-		cd.Names[i] = c.Name
-	}
-	periodKeys := make([]int64, n)
-	dimVecs := make([][]string, nd)
-	for d := range dimVecs {
-		dimVecs[d] = make([]string, n)
-	}
-	ns := make([]int64, n)
-	lastTS := make([]float64, n)
-	measVecs := make([][]float64, 4*len(cols)) // sum,min,max,last per measure
-	for i := range measVecs {
-		measVecs[i] = make([]float64, n)
-	}
-	wsumVecs := make([][]float64, len(weights))
-	for i := range wsumVecs {
-		wsumVecs[i] = make([]float64, n)
-	}
-	for ri, k := range keys {
-		acc := groups[k]
-		periodKeys[ri] = acc.periodKey
-		for d := 0; d < nd; d++ {
-			dimVecs[d][ri] = acc.dims[d]
-		}
-		ns[ri] = acc.n
-		lastTS[ri] = acc.lastTS
-		for i := range cols {
-			measVecs[4*i][ri] = acc.sums[i]
-			measVecs[4*i+1][ri] = acc.mins[i]
-			measVecs[4*i+2][ri] = acc.maxs[i]
-			measVecs[4*i+3][ri] = acc.lasts[i]
-		}
-		for i := range weights {
-			wsumVecs[i][ri] = acc.wsums[i]
-		}
-	}
-	ci := 0
-	cd.Cols[ci] = warehouse.ColumnVector{Type: warehouse.TypeInt, Ints: periodKeys}
-	ci++
-	for d := 0; d < nd; d++ {
-		cd.Cols[ci] = warehouse.ColumnVector{Type: warehouse.TypeString, Strs: dimVecs[d]}
-		ci++
-	}
-	cd.Cols[ci] = warehouse.ColumnVector{Type: warehouse.TypeInt, Ints: ns}
-	ci++
-	cd.Cols[ci] = warehouse.ColumnVector{Type: warehouse.TypeFloat, Floats: lastTS}
-	ci++
-	for i := range measVecs {
-		cd.Cols[ci] = warehouse.ColumnVector{Type: warehouse.TypeFloat, Floats: measVecs[i]}
-		ci++
-	}
-	for i := range wsumVecs {
-		cd.Cols[ci] = warehouse.ColumnVector{Type: warehouse.TypeFloat, Floats: wsumVecs[i]}
-		ci++
-	}
-	return cd
 }
 
 // Source identifies one input to a realm rebuild: a schema holding
@@ -345,46 +269,55 @@ func factSources(schemas []string) []Source {
 // the incremental path cannot keep the aggregates current (updates,
 // deletes, truncates, loose reloads).
 func (e *Engine) Reaggregate(info realm.Info, sourceSchemas []string) (int, error) {
-	return e.reaggregate(info, factSources(sourceSchemas), nil)
+	return e.ReaggregateFrom(info, factSources(sourceSchemas), nil)
 }
 
-// ReaggregateFrom is Reaggregate over mixed fact/pushdown sources.
-func (e *Engine) ReaggregateFrom(info realm.Info, sources []Source) (int, error) {
-	return e.reaggregate(info, sources, nil)
+// forEachParallel calls fn(0) .. fn(n-1) on min(GOMAXPROCS, n) workers
+// and returns when all are done. Workers pull the next index from a
+// shared counter, so one oversized task never serializes the tail the
+// way a fixed split would — the remaining workers drain the other tasks
+// meanwhile.
+func forEachParallel(n int, fn func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
-// ReaggregateShards rebuilds only the named shards' aggregation
-// tables. A rebuild triggered by a mutation that maps to one shard —
-// a loose reload of one member schema under source-schema routing —
-// pays for that shard alone; the other shards' tables are not touched
-// and their cached charts stay valid.
-func (e *Engine) ReaggregateShards(info realm.Info, sourceSchemas []string, shards []int) (int, error) {
-	return e.reaggregate(info, factSources(sourceSchemas), shards)
-}
-
-// ReaggregateShardsFrom is ReaggregateShards over mixed sources.
-func (e *Engine) ReaggregateShardsFrom(info realm.Info, sources []Source, shards []int) (int, error) {
-	return e.reaggregate(info, sources, shards)
-}
-
-// reaggregate scans the source schemas with a work-stealing worker
-// pool, merges each shard's per-schema partials in source-schema
-// order (so floating-point accumulation associates exactly like the
-// sequential reference), and installs each shard independently under
-// its own schema's shard lock — there is no shared install lock, so
-// shard installs proceed in parallel with each other and with chart
-// queries against other shards. only selects the shards to rebuild
-// (nil = all).
-func (e *Engine) reaggregate(info realm.Info, sources []Source, only []int) (int, error) {
+// ReaggregateFrom is Reaggregate over mixed fact/pushdown sources,
+// rebuilding only the named shards' tables (nil = all): a rebuild
+// triggered by bins that route to one shard pays the install for that
+// shard alone, and the other shards' tables — and the charts cached
+// over them — are not touched.
+//
+// It scans the sources in parallel, merges each shard's per-source
+// partials in source order (so floating-point accumulation associates
+// exactly like the sequential reference), and installs each shard
+// independently under its own schema's shard lock — there is no shared
+// install lock, so shard installs proceed in parallel with each other
+// and with chart queries against other shards.
+func (e *Engine) ReaggregateFrom(info realm.Info, sources []Source, shards []int) (int, error) {
 	st, err := e.shardTargets(info)
 	if err != nil {
 		return 0, err
 	}
 	rt := e.router(info)
 	var want []bool // nil = rebuild every shard
-	if only != nil {
+	if shards != nil {
 		want = make([]bool, rt.shards)
-		for _, k := range only {
+		for _, k := range shards {
 			if k < 0 || k >= rt.shards {
 				return 0, fmt.Errorf("aggregate: realm %s has no shard %d", info.Name, k)
 			}
@@ -392,12 +325,10 @@ func (e *Engine) reaggregate(info realm.Info, sources []Source, only []int) (int
 		}
 	}
 	sourceSchemas := make([]string, len(sources))
-	for i, s := range sources {
-		sourceSchemas[i] = s.Schema
-	}
 	tabs := make([]*warehouse.Table, len(sources))       // fact sources
 	paggTabs := make([][]*warehouse.Table, len(sources)) // pushdown sources, indexed like Periods()
 	for i, s := range sources {
+		sourceSchemas[i] = s.Schema
 		if s.Pushdown {
 			paggTabs[i] = e.paggTables(info, s.Schema)
 			continue
@@ -407,17 +338,6 @@ func (e *Engine) reaggregate(info realm.Info, sources []Source, only []int) (int
 			return 0, err
 		}
 		tabs[i] = tab
-	}
-	// Under source-schema routing a whole schema maps to one shard, so
-	// scans of schemas outside the wanted set are skipped entirely; in
-	// resource mode every schema can feed every shard and all scans run
-	// (unwanted rows are dropped after routing, before folding).
-	scanIdx := make([]int, 0, len(sources))
-	for i := range sources {
-		if want != nil && rt.bySchema() && !want[rt.shardOfSchema(sourceSchemas[i])] {
-			continue
-		}
-		scanIdx = append(scanIdx, i)
 	}
 	// Capture the published snapshot of every source table inside one
 	// brief read transaction: the shard read locks exclude writers for
@@ -451,86 +371,47 @@ func (e *Engine) reaggregate(info realm.Info, sources []Source, only []int) (int
 	}
 	mRebuilds.Inc()
 	defer mRealmAggSeconds.With(info.Name).ObserveSince(time.Now())
+	codec := newAggCodec(info)
 
-	workers := e.rebuildWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(scanIdx) {
-		workers = len(scanIdx)
-	}
-	workers = max(workers, 1)
-	cols, weights := measureColumns(info)
-
-	// Scan phase: a work-stealing pool over the per-schema scan tasks.
-	// Workers pull the next unscanned schema from a shared counter, so
-	// one oversized member schema never serializes the tail the way a
-	// fixed split would — the remaining workers drain the other schemas
-	// meanwhile. A pushdown source does no fact scan at all: its
-	// partial loads straight from the member's replicated bins.
+	// Scan phase, one task per source: every source can feed every shard,
+	// so all are scanned and rows of unwanted shards are dropped after
+	// routing, before folding. A pushdown source does no fact scan at all:
+	// its partial loads straight from the member's replicated bins.
 	partials := make([][]partial, len(sources)) // [source][shard]
 	counts := make([]int, len(sources))
 	errs := make([]error, len(sources))
-	var nextScan atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				t := int(nextScan.Add(1)) - 1
-				if t >= len(scanIdx) {
-					return
-				}
-				i := scanIdx[t]
-				if sources[i].Pushdown {
-					partials[i], counts[i], errs[i] = e.paggPartials(info, paggData[i], sourceSchemas[i], rt, want, cols, weights)
-				} else {
-					partials[i], counts[i], errs[i] = e.scanPartials(info, facts[i], sourceSchemas[i], rt, want, cols, weights)
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	forEachParallel(len(sources), func(i int) {
+		if sources[i].Pushdown {
+			partials[i], counts[i], errs[i] = paggPartials(codec, paggData[i], rt, want)
+		} else {
+			partials[i], counts[i], errs[i] = e.scanPartials(info, facts[i], rt, want, codec.cols, codec.weights)
+		}
+	})
 	total := 0
-	for _, i := range scanIdx {
-		if errs[i] != nil {
-			return 0, errs[i]
+	for i, err := range errs {
+		if err != nil {
+			return 0, err
 		}
 		total += counts[i]
 	}
 
-	// Merge + install phase: one task per wanted shard, again
-	// work-stealing. Each task merges the shard's per-schema partials
-	// in schema order and installs them into the shard's own schema
-	// under that schema's shard lock — one bulk columnar load per
-	// aggregation table, all periods in one shard transaction, so no
-	// reader ever sees a half-built shard and the binlog carries one
-	// LOAD event per table.
+	// Merge + install phase, one task per wanted shard. Each task merges
+	// the shard's per-source partials in source order and installs them
+	// into the shard's own schema under that schema's shard lock — one
+	// bulk columnar load per aggregation table, all periods in one shard
+	// transaction, so no reader ever sees a half-built shard and the
+	// binlog carries one LOAD event per table.
 	installIdx := make([]int, 0, rt.shards)
 	for k := 0; k < rt.shards; k++ {
 		if want == nil || want[k] {
 			installIdx = append(installIdx, k)
 		}
 	}
-	iworkers := min(workers, len(installIdx))
 	ierrs := make([]error, len(installIdx))
-	var nextInstall atomic.Int64
-	var iwg sync.WaitGroup
-	for w := 0; w < max(iworkers, 1); w++ {
-		iwg.Add(1)
-		go func() {
-			defer iwg.Done()
-			for {
-				t := int(nextInstall.Add(1)) - 1
-				if t >= len(installIdx) {
-					return
-				}
-				ierrs[t] = e.installShard(info, installIdx[t], st[installIdx[t]], partials, cols, weights)
-			}
-		}()
-	}
-	iwg.Wait()
+	forEachParallel(len(installIdx), func(t int) {
+		k := installIdx[t]
+		ierrs[t] = e.installShard(info, k, st[k], partials, codec)
+	})
 	for _, err := range ierrs {
 		if err != nil {
 			return 0, err
@@ -540,31 +421,20 @@ func (e *Engine) reaggregate(info realm.Info, sources []Source, only []int) (int
 	return total, nil
 }
 
-// installShard merges one shard's per-schema partials (in schema
+// installShard merges one shard's per-source partials (in source
 // order) and installs them as bulk columnar loads under the shard
 // schema's own lock.
-func (e *Engine) installShard(info realm.Info, k int, targets []target, partials [][]partial, cols, weights []string) error {
-	start := time.Now()
+func (e *Engine) installShard(info realm.Info, k int, targets []target, partials [][]partial, codec *aggCodec) error {
 	merged := make(partial, len(Periods()))
-	rows := 0
 	for _, ps := range partials {
-		if ps != nil {
-			merged.merge(ps[k])
-		}
+		merged.merge(ps[k])
 	}
-	err := e.db.DoSchema(e.aggSchemaShard(info, k), func() error {
+	return e.db.DoSchema(e.aggSchemaShard(info, k), func() error {
 		for _, tg := range targets {
-			cd := buildAggColumns(info, tg.period, cols, weights, merged[tg.period])
-			rows += cd.Rows
-			if err := tg.tab.ReplaceAllColumns(cd); err != nil {
+			if err := tg.tab.ReplaceAllColumns(codec.columns(merged[tg.period])); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
-	shard := strconv.Itoa(k)
-	mShardRebuilds.With(shard).Inc()
-	mShardRebuildSeconds.With(shard).ObserveSince(start)
-	mShardAggRows.With(shard).Set(float64(rows))
-	return err
 }

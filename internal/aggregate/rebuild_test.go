@@ -2,6 +2,7 @@ package aggregate
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -113,13 +114,14 @@ func fanInFixture(t *testing.T, schemas, perSchema int, seed int64) (*warehouse.
 	return db, eng, info, sources
 }
 
-// TestParallelReaggregateMatchesSequential: the worker count is a pure
-// performance knob — 1, 2 and 4 scan workers must produce bit-identical
-// aggregation tables over a multi-schema federation.
+// TestParallelReaggregateMatchesSequential: the worker count (one per
+// CPU, at most one per task) never shows in the result — 1, 2 and 4
+// scan workers must produce bit-identical aggregation tables over a
+// multi-schema federation.
 func TestParallelReaggregateMatchesSequential(t *testing.T) {
 	db, eng, info, sources := fanInFixture(t, 4, 120, 11)
 
-	eng.SetRebuildWorkers(1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	n1, err := eng.Reaggregate(info, sources)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +129,7 @@ func TestParallelReaggregateMatchesSequential(t *testing.T) {
 	want := aggSnapshot(t, db, info)
 
 	for _, workers := range []int{2, 4} {
-		eng.SetRebuildWorkers(workers)
+		runtime.GOMAXPROCS(workers)
 		n, err := eng.Reaggregate(info, sources)
 		if err != nil {
 			t.Fatal(err)
@@ -217,7 +219,6 @@ func TestReaggregateConcurrentReaders(t *testing.T) {
 			}
 		}
 	}()
-	eng.SetRebuildWorkers(2)
 	for i := 0; i < 5; i++ {
 		if _, err := eng.Reaggregate(info, sources); err != nil {
 			t.Fatal(err)

@@ -17,53 +17,28 @@ import (
 // shards a filter touches, merging partial rows in deterministic
 // group-key order.
 //
-// Rows route by the realm's resource dimension (the default): the
-// resource value is part of every aggregation group key, so a group
-// never spans shards and the sharded tables partition the unsharded
-// reference exactly — bit-identical, not approximately. Realms without
-// a resource dimension (and engines configured with key "schema") fall
-// back to hashing the source schema — the satellite a row replicated
-// from — which keeps whole member schemas per shard; there a group CAN
-// span shards (the same period and dimensions on two members), and the
-// scatter/gather merge folds the per-shard partial rows in sorted
-// group-key order, shard-ascending on ties, so results stay
-// deterministic with float accumulation ordered by group key.
+// Rows route by the hash of the realm's resource dimension value — the
+// one routing rule. The resource value is part of every aggregation
+// group key, so a group never spans shards and the sharded tables
+// partition the single-shard reference exactly: bit-identical, not
+// approximately. A realm without a categorical resource dimension
+// routes every row to shard 0 (its other shards stay empty), so there
+// too no group spans shards.
 //
-// One shard (the default) reproduces the legacy unsharded layout and
-// behavior exactly, including the "<realm schema>_agg" schema name.
+// One shard (the default) is the layout every earlier release wrote,
+// including the "<realm schema>_agg" schema name.
 
-// Shard-key modes.
-const (
-	ShardKeyResource = "resource" // hash the fact's resource dimension value
-	ShardKeySchema   = "schema"   // hash the source (member) schema name
-)
+// ShardKeyResource is the dimension id whose value routes a fact to its
+// shard.
+const ShardKeyResource = "resource"
 
 // SetSharding configures how many shards each realm's aggregation
-// tables split into and which key routes rows. shards <= 1 disables
-// sharding (legacy single table set); key "" means ShardKeyResource.
-// Must be called before Setup — the shard schemas are created there.
-func (e *Engine) SetSharding(shards int, key string) error {
-	if shards < 1 {
-		shards = 1
-	}
-	switch key {
-	case "":
-		key = ShardKeyResource
-	case ShardKeyResource, ShardKeySchema:
-	default:
-		return fmt.Errorf("aggregate: unknown shard key %q (want %q or %q)", key, ShardKeyResource, ShardKeySchema)
-	}
-	e.shards, e.shardKey = shards, key
-	return nil
-}
+// tables split into; shards <= 1 means one. Must be called before Setup
+// — the shard schemas are created there.
+func (e *Engine) SetSharding(shards int) { e.shards = max(shards, 1) }
 
 // NumShards returns the configured shard count (at least 1).
-func (e *Engine) NumShards() int {
-	if e.shards < 1 {
-		return 1
-	}
-	return e.shards
-}
+func (e *Engine) NumShards() int { return max(e.shards, 1) }
 
 // aggSchemaShard names shard k's aggregation schema for a realm. With
 // one shard it is the legacy "<schema>_agg" name, so unsharded engines
@@ -99,8 +74,7 @@ func fnv1a(s string) uint32 {
 }
 
 // resourceDimIndex returns the index of the realm's categorical
-// resource dimension in info.Dimensions, or -1 when the realm has none
-// (then the source-schema fallback routes its rows).
+// resource dimension in info.Dimensions, or -1 when the realm has none.
 func resourceDimIndex(info realm.Info) int {
 	for i, d := range info.Dimensions {
 		if d.ID == ShardKeyResource && !d.Numeric {
@@ -114,69 +88,28 @@ func resourceDimIndex(info realm.Info) int {
 // per operation, so the per-row path is a hash and a modulus.
 type shardRouter struct {
 	shards int
-	rdi    int // resource dimension index; -1 = route by source schema
+	rdi    int // resource dimension index; -1 = everything in shard 0
 }
 
 func (e *Engine) router(info realm.Info) shardRouter {
-	r := shardRouter{shards: e.NumShards(), rdi: -1}
-	if r.shards > 1 && e.shardKey != ShardKeySchema {
-		r.rdi = resourceDimIndex(info)
-	}
-	return r
+	return shardRouter{shards: e.NumShards(), rdi: resourceDimIndex(info)}
 }
 
-// bySchema reports whether every row of one source schema lands in a
-// single shard (the source-schema fallback), which lets scans and
-// dirty tracking skip shards entirely.
-func (r shardRouter) bySchema() bool { return r.shards > 1 && r.rdi < 0 }
-
-// shardOfSchema returns the shard all of sourceSchema's rows route to
-// in source-schema mode.
-func (r shardRouter) shardOfSchema(sourceSchema string) int {
-	if r.shards <= 1 {
+// shardOfResource returns the shard a resource value routes to.
+func (r shardRouter) shardOfResource(resource string) int {
+	if r.shards == 1 || r.rdi < 0 {
 		return 0
 	}
-	return int(fnv1a(sourceSchema) % uint32(r.shards))
+	return int(fnv1a(resource) % uint32(r.shards))
 }
 
-// shardOf routes one fact by its rendered dimension values (resource
-// mode) or its source schema (fallback).
-func (r shardRouter) shardOf(sourceSchema string, dims []string) int {
-	if r.shards <= 1 {
+// shardOf routes one fact (or stored group) by its rendered dimension
+// values.
+func (r shardRouter) shardOf(dims []string) int {
+	if r.rdi < 0 {
 		return 0
 	}
-	if r.rdi >= 0 {
-		return int(fnv1a(dims[r.rdi]) % uint32(r.shards))
-	}
-	return int(fnv1a(sourceSchema) % uint32(r.shards))
-}
-
-// ShardOfResource returns the shard the given resource value routes to
-// for a realm, and whether resource routing applies at all — when it
-// does, a chart filtered on that resource only needs to scatter to the
-// one shard.
-func (e *Engine) ShardOfResource(info realm.Info, resource string) (int, bool) {
-	r := e.router(info)
-	if r.shards <= 1 || r.rdi < 0 {
-		return 0, false
-	}
-	return int(fnv1a(resource) % uint32(r.shards)), true
-}
-
-// ShardsForSourceSchema returns the shards that facts from one source
-// schema can land in: a single shard in source-schema mode, every
-// shard in resource mode. The hub's dirty tracking uses this to mark
-// only the shards a loose reload actually invalidated.
-func (e *Engine) ShardsForSourceSchema(info realm.Info, sourceSchema string) []int {
-	r := e.router(info)
-	if r.bySchema() {
-		return []int{r.shardOfSchema(sourceSchema)}
-	}
-	out := make([]int, r.shards)
-	for k := range out {
-		out[k] = k
-	}
-	return out
+	return r.shardOfResource(dims[r.rdi])
 }
 
 // shardTargets resolves every shard's aggregation tables for a realm:

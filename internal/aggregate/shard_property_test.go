@@ -18,11 +18,11 @@ import (
 )
 
 // shardFixture builds a warehouse holding n random jobs spread over
-// several resources and an engine with the given sharding; shards <= 1
-// is the unsharded reference. The same (n, seed) always produces the
+// several resources and an engine with the given shard count; one
+// shard is the reference. The same (n, seed) always produces the
 // same fact population, so a sharded and an unsharded fixture can be
 // compared row for row.
-func shardFixture(t testing.TB, n int, seed int64, shards int, key string) (*warehouse.DB, *Engine, realm.Info) {
+func shardFixture(t testing.TB, n int, seed int64, shards int) (*warehouse.DB, *Engine, realm.Info) {
 	t.Helper()
 	db := warehouse.Open("shardtest")
 	if _, err := jobs.Setup(db); err != nil {
@@ -32,9 +32,7 @@ func shardFixture(t testing.TB, n int, seed int64, shards int, key string) (*war
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SetSharding(shards, key); err != nil {
-		t.Fatal(err)
-	}
+	eng.SetSharding(shards)
 	info := jobs.RealmInfo()
 	if err := eng.Setup(info); err != nil {
 		t.Fatal(err)
@@ -49,7 +47,7 @@ func shardFixture(t testing.TB, n int, seed int64, shards int, key string) (*war
 func insertShardJobs(t testing.TB, db *warehouse.DB, schema string, n int, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	resources := []string{"comet", "stampede", "bridges", "expanse", "anvil"}
+	resources := shardResources
 	users := []string{"alice", "bob", "carol", "dave"}
 	for i := 0; i < n; i++ {
 		end := time.Date(2017, time.Month(1+rng.Intn(12)), 1+rng.Intn(28), rng.Intn(24), 0, 0, 0, time.UTC)
@@ -151,8 +149,8 @@ func TestPropertyShardedRebuildBitIdentical(t *testing.T) {
 		if n == 0 {
 			return true
 		}
-		dbRef, engRef, info := shardFixture(t, n, seed, 1, "")
-		dbSh, engSh, _ := shardFixture(t, n, seed, 4, ShardKeyResource)
+		dbRef, engRef, info := shardFixture(t, n, seed, 1)
+		dbSh, engSh, _ := shardFixture(t, n, seed, 4)
 
 		nRef, err := engRef.Reaggregate(info, []string{jobs.SchemaName})
 		if err != nil {
@@ -219,7 +217,7 @@ func TestPropertyShardedRebuildBitIdentical(t *testing.T) {
 // incremental fold must land every batch exactly where a per-shard
 // rebuild puts it (the sharded twin of TestApplyFactRowsMatchesRebuild).
 func TestShardedApplyFactRowsMatchesRebuild(t *testing.T) {
-	db, eng, info := shardFixture(t, 150, 21, 4, ShardKeyResource)
+	db, eng, info := shardFixture(t, 150, 21, 4)
 	fact, err := db.TableIn(jobs.SchemaName, jobs.FactTable)
 	if err != nil {
 		t.Fatal(err)
@@ -262,83 +260,148 @@ func TestShardedApplyFactRowsMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestShardedSchemaKeyDeterministic: under source-schema routing a
-// group CAN span shards (the same period and dimensions on two
-// members), so the result is only guaranteed equal to the unsharded
-// reference up to float association — but integer counts must be
-// exact, floats must agree to rounding noise, and two rebuilds of the
-// same data must be bit-identical to each other.
-func TestShardedSchemaKeyDeterministic(t *testing.T) {
-	build := func(shards int) (*warehouse.DB, *Engine, realm.Info, []string) {
-		db, eng, info := shardFixture(t, 80, 31, shards, ShardKeySchema)
-		sources := []string{jobs.SchemaName}
-		for s := 0; s < 3; s++ {
-			name := fmt.Sprintf("fed_site%d", s)
-			sch := db.EnsureSchema(name)
-			if _, err := sch.EnsureTable(jobs.Def()); err != nil {
-				t.Fatal(err)
-			}
-			// Distinct seeds but the same resource/user pools, so the
-			// same aggregation groups recur across member schemas.
-			insertShardJobs(t, db, name, 80, 31+int64(s)+1)
-			sources = append(sources, name)
-		}
-		return db, eng, info, sources
-	}
+// shardResources is insertShardJobs' resource pool.
+var shardResources = []string{"comet", "stampede", "bridges", "expanse", "anvil"}
 
-	_, engRef, info, sources := build(1)
-	if _, err := engRef.Reaggregate(info, sources); err != nil {
-		t.Fatal(err)
-	}
-	dbSh, engSh, _, _ := build(3)
-	if _, err := engSh.Reaggregate(info, sources); err != nil {
-		t.Fatal(err)
-	}
-
-	first := shardAggSnapshot(t, dbSh, engSh, info)
-	if _, err := engSh.Reaggregate(info, sources); err != nil {
-		t.Fatal(err)
-	}
-	second := shardAggSnapshot(t, dbSh, engSh, info)
-	if len(first) != len(second) {
-		t.Fatalf("rebuild #2 produced %d agg rows, #1 produced %d", len(second), len(first))
-	}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("rebuilds disagree at row %d:\n #1 %s\n #2 %s", i, first[i], second[i])
-		}
-	}
-
-	for _, groupBy := range []string{jobs.DimResource, jobs.DimUser} {
-		want, err := engRef.Query(info, Request{MetricID: jobs.MetricNumJobs, GroupBy: groupBy, Period: Year})
+// requireSameCharts fails unless both engines answer every request
+// with bit-identical series.
+func requireSameCharts(t *testing.T, stage string, ref, got *Engine, info realm.Info, reqs []Request) {
+	t.Helper()
+	for _, req := range reqs {
+		want, err := ref.Query(info, req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		have, err := engSh.Query(info, Request{MetricID: jobs.MetricNumJobs, GroupBy: groupBy, Period: Year})
+		have, err := got.Query(info, req)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(want) == 0 {
+			t.Fatalf("%s: query %+v returned nothing on the reference", stage, req)
 		}
 		if d := diffSeriesBits(want, have); d != "" {
-			t.Fatalf("job counts by %s: %s", groupBy, d)
+			t.Fatalf("%s: query %+v: %s", stage, req, d)
 		}
+	}
+}
 
-		wantH, err := engRef.Query(info, Request{MetricID: jobs.MetricCPUHours, GroupBy: groupBy, Period: Year})
+// TestOneShardScanMatchesSingleShardEngine: a chart whose scatter set
+// is one shard folds that shard's rows in table-scan order, which for a
+// resource-filtered chart is the order the same rows have in a 1-shard
+// engine's table — after a rebuild (sorted bulk load) and equally after
+// a run of incremental batches (upsert order), so the two engines agree
+// to the bit at every point.
+func TestOneShardScanMatchesSingleShardEngine(t *testing.T) {
+	const n = 400
+	dbRef, engRef, info := shardFixture(t, n, 41, 1)
+	_, engSh, _ := shardFixture(t, n, 41, 4)
+
+	var reqs []Request
+	for _, res := range shardResources {
+		f := map[string]string{jobs.DimResource: res}
+		reqs = append(reqs,
+			Request{MetricID: jobs.MetricCPUHours, GroupBy: jobs.DimUser, Period: Year, Filters: f},
+			Request{MetricID: jobs.MetricWallHours, Period: Month, Filters: f},
+			Request{MetricID: jobs.MetricAvgWaitHours, GroupBy: jobs.DimQueue, Period: Quarter, Filters: f},
+			Request{MetricID: jobs.MetricCPUHours, GroupBy: jobs.DimJobSize, Period: Year,
+				Filters: map[string]string{jobs.DimResource: res, jobs.DimUser: "alice"}},
+		)
+	}
+
+	for _, eng := range []*Engine{engRef, engSh} {
+		if _, err := eng.Reaggregate(info, []string{jobs.SchemaName}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	requireSameCharts(t, "after rebuild", engRef, engSh, info, reqs)
+
+	for _, eng := range []*Engine{engRef, engSh} {
+		if err := eng.Truncate(info); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows := factRowsPositional(t, dbRef, jobs.SchemaName, jobs.FactTable)
+	for batch := 0; len(rows) > 0; batch++ {
+		size := min(37, len(rows))
+		for _, eng := range []*Engine{engRef, engSh} {
+			if _, err := eng.ApplyFactRows(info, jobs.SchemaName, rows[:size]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rows = rows[size:]
+		if batch >= 3 { // every resource has rows by now
+			requireSameCharts(t, fmt.Sprintf("after batch %d", batch), engRef, engSh, info, reqs)
+		}
+	}
+}
+
+// TestRealmWithoutResourceDimensionUsesShardZero: with nothing to route
+// by, every row of the realm lands in shard 0 — so no group spans
+// shards there either — and its charts read that one shard, equal to
+// the bit to a 1-shard engine's.
+func TestRealmWithoutResourceDimensionUsesShardZero(t *testing.T) {
+	noResource := func(shards int) (*warehouse.DB, *Engine, realm.Info) {
+		db := warehouse.Open("shardtest")
+		if _, err := jobs.Setup(db); err != nil {
+			t.Fatal(err)
+		}
+		eng, err := New(db, []config.AggregationLevels{config.HubWallTime(), config.DefaultJobSize()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		haveH, err := engSh.Query(info, Request{MetricID: jobs.MetricCPUHours, GroupBy: groupBy, Period: Year})
-		if err != nil {
+		eng.SetSharding(shards)
+		info := jobs.RealmInfo()
+		var dims []realm.Dimension
+		for _, d := range info.Dimensions {
+			if d.ID != jobs.DimResource {
+				dims = append(dims, d)
+			}
+		}
+		info.Dimensions = dims
+		if err := eng.Setup(info); err != nil {
 			t.Fatal(err)
 		}
-		if len(wantH) != len(haveH) {
-			t.Fatalf("cpu hours by %s: %d series vs %d", groupBy, len(haveH), len(wantH))
-		}
-		for i := range wantH {
-			w, h := wantH[i].Aggregate, haveH[i].Aggregate
-			if wantH[i].Group != haveH[i].Group || math.Abs(w-h) > 1e-9*math.Max(1, math.Abs(w)) {
-				t.Fatalf("cpu hours by %s series %d: %q=%g vs %q=%g",
-					groupBy, i, haveH[i].Group, h, wantH[i].Group, w)
+		insertShardJobs(t, db, jobs.SchemaName, 300, 43)
+		return db, eng, info
+	}
+	dbRef, engRef, info := noResource(1)
+	dbSh, engSh, _ := noResource(4)
+	reqs := []Request{
+		{MetricID: jobs.MetricCPUHours, GroupBy: jobs.DimUser, Period: Year},
+		{MetricID: jobs.MetricWallHours, Period: Month},
+		{MetricID: jobs.MetricAvgWaitHours, GroupBy: jobs.DimQueue, Period: Quarter,
+			Filters: map[string]string{jobs.DimUser: "bob"}},
+	}
+	requireShardZero := func(stage string) {
+		t.Helper()
+		for k, schema := range engSh.AggSchemas(info) {
+			for _, p := range Periods() {
+				rows := dbSh.Count(schema, AggTableName(info.FactTable, p))
+				if (k == 0) != (rows > 0) {
+					t.Fatalf("%s: shard %d %s table holds %d rows; want all rows in shard 0", stage, k, p, rows)
+				}
 			}
 		}
 	}
+
+	rows := factRowsPositional(t, dbRef, jobs.SchemaName, jobs.FactTable)
+	for len(rows) > 0 {
+		size := min(64, len(rows))
+		for _, eng := range []*Engine{engRef, engSh} {
+			if _, err := eng.ApplyFactRows(info, jobs.SchemaName, rows[:size]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rows = rows[size:]
+	}
+	requireShardZero("after incremental folds")
+	requireSameCharts(t, "after incremental folds", engRef, engSh, info, reqs)
+
+	for _, eng := range []*Engine{engRef, engSh} {
+		if _, err := eng.Reaggregate(info, []string{jobs.SchemaName}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	requireShardZero("after rebuild")
+	requireSameCharts(t, "after rebuild", engRef, engSh, info, reqs)
 }

@@ -151,45 +151,17 @@ func (q QueryCacheConfig) Validate() error {
 	return nil
 }
 
-// AggregationConfig tunes full rebuilds of the instance's aggregation
-// tables. The zero value means one scan worker per CPU; the result
-// never depends on the worker count.
-type AggregationConfig struct {
-	// RebuildWorkers caps the number of source schemas a full rebuild
-	// scans in parallel. 0 uses one worker per CPU.
-	RebuildWorkers int `json:"rebuild_workers,omitempty"`
-}
-
-// Validate checks the aggregation knobs.
-func (a AggregationConfig) Validate() error {
-	if a.RebuildWorkers < 0 {
-		return fmt.Errorf("config: aggregation rebuild_workers must not be negative")
-	}
-	return nil
-}
-
-// Sharding key modes (mirrored by the aggregation engine).
-const (
-	ShardKeyResource = "resource"
-	ShardKeySchema   = "schema"
-)
-
 // ShardingConfig partitions each realm's aggregation tables into
 // independent shards, each with its own warehouse schema, writer lock
 // and epoch counter: rebuilds install one worker per shard with no
 // shared lock, and a write to one shard leaves the other shards'
-// cached charts valid. The zero value means "one shard" — the legacy
-// unsharded layout. Changing the shard count or key requires a full
-// re-aggregation (the shard schemas are laid out at startup).
+// cached charts valid. Rows route by their resource dimension value,
+// which partitions the aggregate groups exactly. The zero value means
+// one shard. Changing the shard count requires a full re-aggregation
+// (the shard schemas are laid out at startup).
 type ShardingConfig struct {
-	// Shards is the number of aggregation shards per realm. 0 or 1
-	// disables sharding.
+	// Shards is the number of aggregation shards per realm; 0 means 1.
 	Shards int `json:"shards,omitempty"`
-	// Key selects how fact rows route to shards: "resource" (default)
-	// hashes the fact's resource dimension value, which partitions the
-	// aggregate groups exactly; "schema" hashes the source (member)
-	// schema, keeping whole members per shard.
-	Key string `json:"key,omitempty"`
 }
 
 // Validate checks the sharding knobs.
@@ -197,12 +169,7 @@ func (s ShardingConfig) Validate() error {
 	if s.Shards < 0 {
 		return fmt.Errorf("config: sharding shards must not be negative")
 	}
-	switch s.Key {
-	case "", ShardKeyResource, ShardKeySchema:
-		return nil
-	default:
-		return fmt.Errorf("config: unknown sharding key %q (want %q or %q)", s.Key, ShardKeyResource, ShardKeySchema)
-	}
+	return nil
 }
 
 // ReplicationConfig tunes the liveness and fault handling of tight
@@ -644,11 +611,8 @@ type InstanceConfig struct {
 	// QueryCache tunes the chart query-result cache; the zero value
 	// enables it with defaults.
 	QueryCache QueryCacheConfig `json:"query_cache,omitempty"`
-	// Aggregation tunes incremental folding and full-rebuild
-	// parallelism; the zero value enables incremental with defaults.
-	Aggregation AggregationConfig `json:"aggregation,omitempty"`
 	// Sharding partitions each realm's aggregation tables; the zero
-	// value keeps the legacy single table set per realm.
+	// value keeps one table set per realm.
 	Sharding ShardingConfig `json:"sharding,omitempty"`
 	// Replication tunes heartbeat/deadline liveness and the hub's
 	// member quarantine; the zero value uses safe defaults.
@@ -709,9 +673,6 @@ func (c InstanceConfig) Validate() error {
 		}
 	}
 	if err := c.QueryCache.Validate(); err != nil {
-		return err
-	}
-	if err := c.Aggregation.Validate(); err != nil {
 		return err
 	}
 	if err := c.Sharding.Validate(); err != nil {

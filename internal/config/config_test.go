@@ -157,9 +157,13 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 	}
 	// A config file written for a retired knob fails loudly, naming the
 	// key, instead of being silently ignored.
-	_, err = Load(strings.NewReader(`{"name":"x","version":"1","aggregation":{"disable_incremental":true}}`))
-	if err == nil || !strings.Contains(err.Error(), "disable_incremental") {
-		t.Errorf("retired aggregation.disable_incremental: err = %v, want an error naming the key", err)
+	for file, key := range map[string]string{
+		`{"name":"x","version":"1","aggregation":{"disable_incremental":true}}`: `"aggregation"`,
+		`{"name":"x","version":"1","sharding":{"shards":2,"key":"schema"}}`:     `"key"`,
+	} {
+		if _, err := Load(strings.NewReader(file)); err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("Load(%s): err = %v, want an error naming %s", file, err, key)
+		}
 	}
 }
 
@@ -230,7 +234,7 @@ func TestBindFlags(t *testing.T) {
 	file := validInstance()
 	file.QueryCache.MaxBytes = 1 << 20
 	file.Sharding.Shards = 4
-	file.Aggregation.RebuildWorkers = 3
+	file.Telemetry.ScrapeInterval = "30s"
 	file.Durability.WALFsync = "interval"
 	for _, tc := range []struct {
 		name    string
@@ -240,18 +244,18 @@ func TestBindFlags(t *testing.T) {
 		wantErr string
 	}{
 		{name: "no flags preserve the file", hub: true, check: func(c InstanceConfig) bool {
-			return !c.QueryCache.Disabled && c.QueryCache.MaxBytes == 1<<20 && c.Sharding.Shards == 4 && c.Aggregation.RebuildWorkers == 3
+			return !c.QueryCache.Disabled && c.QueryCache.MaxBytes == 1<<20 && c.Sharding.Shards == 4 && c.Telemetry.ScrapeInterval == "30s"
 		}},
 		{name: "set flags override, unset preserve", hub: true,
-			args: []string{"-query-cache=false", "-shards", "8", "-agg-rebuild-workers", "1", "-scrape-interval", "5s"},
+			args: []string{"-query-cache=false", "-shards", "8", "-scrape-interval", "5s"},
 			check: func(c InstanceConfig) bool {
 				return c.QueryCache.Disabled && c.QueryCache.MaxBytes == 1<<20 && c.Sharding.Shards == 8 &&
-					c.Aggregation.RebuildWorkers == 1 && c.Telemetry.ScrapeInterval == "5s"
+					c.Telemetry.ScrapeInterval == "5s"
 			}},
 		{name: "flag set to its default still overrides", hub: false, args: []string{"-shards", "0", "-wal-fsync", "none"},
 			check: func(c InstanceConfig) bool { return c.Sharding.Shards == 0 && c.Durability.WALFsync == "none" }},
-		{name: "invalid shared knob", hub: true, args: []string{"-shard-key", "moon"}, wantErr: "sharding key"},
-		{name: "invalid hub knob", hub: true, args: []string{"-agg-rebuild-workers", "-2"}, wantErr: "aggregation rebuild_workers"},
+		{name: "invalid shared knob", hub: true, args: []string{"-shards", "-1"}, wantErr: "sharding shards"},
+		{name: "invalid hub knob", hub: true, args: []string{"-scrape-interval", "soon"}, wantErr: "scrape_interval"},
 		{name: "invalid satellite knob", hub: false, args: []string{"-wal-fsync", "sometimes"}, wantErr: "durability wal_fsync"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -283,7 +287,7 @@ func TestBindFlags(t *testing.T) {
 	var c InstanceConfig
 	BindFlags(hubFS, &c, true)
 	BindFlags(satFS, &c, false)
-	if hubFS.Lookup("wal-fsync") != nil || satFS.Lookup("agg-rebuild-workers") != nil || satFS.Lookup("scrape-interval") != nil {
+	if hubFS.Lookup("wal-fsync") != nil || satFS.Lookup("scrape-interval") != nil {
 		t.Error("a role-specific flag leaked onto the other daemon")
 	}
 }

@@ -5,11 +5,11 @@ import "flag"
 // BindFlags registers on fs every daemon command-line knob that is
 // backed by a configuration key: the set the hub and satellite share
 // (query cache, storage, sharding, admission, replication, trace
-// capacity) plus the role's own (hub: rebuild workers, scrape interval;
-// satellite: WAL fsync). The returned apply is called after fs is
-// parsed and *cfg is loaded from its file: it copies over the file only
-// the flags the operator actually set, then re-validates the
-// configuration so a bad flag value fails with its section's error.
+// capacity) plus the role's own (hub: scrape interval; satellite: WAL
+// fsync). The returned apply is called after fs is parsed and *cfg is
+// loaded from its file: it copies over the file only the flags the
+// operator actually set, then re-validates the configuration so a bad
+// flag value fails with its section's error.
 func BindFlags(fs *flag.FlagSet, cfg *InstanceConfig, hub bool) (apply func() error) {
 	set := map[string]func(){} // flag name -> copy the parsed value into *cfg
 	str := func(dst *string, name, usage string) {
@@ -40,7 +40,6 @@ func BindFlags(fs *flag.FlagSet, cfg *InstanceConfig, hub bool) (apply func() er
 	i64(&cfg.Storage.MaxResidentBytes, "max-resident-bytes", "heap cap for materialized disk segments (0 = config/default)")
 
 	num(&cfg.Sharding.Shards, "shards", "aggregation shards per realm (0/1 = unsharded)")
-	str(&cfg.Sharding.Key, "shard-key", "shard routing key: resource or schema (default config/resource)")
 
 	adm := fs.Bool("admission", false, "enable front-door admission control (rate limits, bounded queue, load shedding)")
 	set["admission"] = func() { cfg.Admission.Enabled = *adm }
@@ -55,7 +54,6 @@ func BindFlags(fs *flag.FlagSet, cfg *InstanceConfig, hub bool) (apply func() er
 
 	if hub {
 		str(&cfg.Replication.PushdownFlushInterval, "pushdown-flush-interval", "delta flush pacing recorded in config, e.g. 2s")
-		num(&cfg.Aggregation.RebuildWorkers, "agg-rebuild-workers", "parallel scan workers for full re-aggregation (0 = one per CPU)")
 		str(&cfg.Telemetry.ScrapeInterval, "scrape-interval", "member telemetry scrape interval, e.g. 15s (default config/15s)")
 	} else {
 		str(&cfg.Replication.PushdownFlushInterval, "pushdown-flush-interval", "delta flush pacing for -replication-mode=pushdown, e.g. 2s")

@@ -265,6 +265,104 @@ func TestIncrementalFoldServesWithoutRebuild(t *testing.T) {
 	if len(series) != 1 || series[0].Aggregate != 10 {
 		t.Fatalf("aggregates after fold = %+v, want 10 jobs", series)
 	}
+
+	// Nothing on a hub reads its binlog, so none of the above — the
+	// replicated events, the fold's upserts — nor a rebuild's bulk loads
+	// may pile up in it.
+	if _, err := hub.AggregateFederation(); err != nil {
+		t.Fatal(err)
+	}
+	if n := hub.DB.Binlog().Len(); n != 0 {
+		t.Errorf("hub binlog holds %d events that nothing will ever read or trim", n)
+	}
+}
+
+// TestConcurrentEnsureAggregatedRebuildsOnce: the per-realm rebuilding
+// flag is all that orders rebuilds. A crowd of readers arriving at a
+// dirty realm must cost one rebuild — the first claims it, the rest
+// wait, wake to a clean realm and return — and admin passes running
+// alongside must leave the hub clean and correct.
+func TestConcurrentEnsureAggregatedRebuildsOnce(t *testing.T) {
+	hub, err := NewHub(hubCfg("hub"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub.Register("sat")
+	sat := warehouse.Open("sat")
+	if _, err := jobs.Setup(sat); err != nil {
+		t.Fatal(err)
+	}
+	base := time.Date(2017, 3, 1, 0, 0, 0, 0, time.UTC)
+	upsert := func(id int64, cores int64) {
+		row, err := jobs.FactFromRecord(shredder.JobRecord{
+			LocalJobID: id, User: "u", Account: "a", Resource: "r", Queue: "q", Nodes: 1, Cores: cores,
+			Submit: base, Start: base, End: base.Add(time.Duration(id) * time.Hour),
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sat.Upsert(jobs.SchemaName, jobs.FactTable, row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := int64(1); id <= 200; id++ {
+		upsert(id, 4)
+	}
+	upsert(7, 8) // an update: not foldable, so the batch leaves Jobs dirty
+	evs, err := sat.Binlog().ReadFrom(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, upTo := replicate.NewRewriter("sat", replicate.Filter{}).ProcessBatch(evs)
+	if err := hub.ApplyBatch("sat", upTo, out); err != nil {
+		t.Fatal(err)
+	}
+	if st := hub.Status(); len(st.DirtyRealms) != 1 || st.DirtyRealms[0] != "Jobs" {
+		t.Fatalf("dirty realms = %v, want [Jobs]", st.DirtyRealms)
+	}
+
+	// One rebuild is one install transaction on the realm's aggregation
+	// schema, i.e. one epoch step.
+	aggSchemas := hub.Engine.AggSchemas(jobs.RealmInfo())
+	before := hub.DB.EpochOf(aggSchemas...)
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := hub.EnsureAggregated(); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := hub.DB.EpochOf(aggSchemas...) - before; got != 1 {
+		t.Errorf("16 concurrent EnsureAggregated calls ran %d rebuilds of the dirty realm, want 1", got)
+	}
+
+	for i := 0; i < 6; i++ {
+		wg.Add(1)
+		go func(admin bool) {
+			defer wg.Done()
+			var err error
+			if admin {
+				_, err = hub.AggregateFederation()
+			} else {
+				_, err = hub.Query("Jobs", aggregate.Request{MetricID: jobs.MetricNumJobs, Period: aggregate.Year})
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}(i%3 == 0)
+	}
+	wg.Wait()
+	series, err := hub.Query("Jobs", aggregate.Request{MetricID: jobs.MetricNumJobs, Period: aggregate.Year})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(series) != 1 || series[0].Aggregate != 200 || hub.Status().Dirty {
+		t.Fatalf("after concurrent rebuilds: series %+v, dirty %v; want 200 jobs on a clean hub", series, hub.Status().DirtyRealms)
+	}
 }
 
 // TestIdentityObservedFromReorderedFactTable: the username offset is

@@ -78,10 +78,10 @@ func (m Member) Quarantined(t time.Time) bool {
 //     instead), so a fold can never land between a rebuild's scan and
 //     its install.
 //
-// dirtyShards is tracked per aggregation shard: a non-additive batch
-// or a loose reload dirties only the shards its source schema feeds
-// (every shard under resource routing, one under source-schema
-// routing), and EnsureAggregated rebuilds exactly the dirty shards.
+// dirtyShards is tracked per aggregation shard: a pushdown delta
+// dirties only the shards its bins route to, anything else (a
+// non-additive batch, a loose reload, a failed fold) every shard, and
+// EnsureAggregated rebuilds exactly the dirty shards.
 type realmAggState struct {
 	dirtyShards map[int]bool // shards whose aggregates may lag raw data
 	gen         uint64       // bumped whenever replicated data for this realm lands
@@ -92,20 +92,14 @@ type realmAggState struct {
 // dirtyAny reports whether any shard needs a rebuild.
 func (st *realmAggState) dirtyAny() bool { return len(st.dirtyShards) > 0 }
 
-// markDirtyLocked records that the shards fed by sourceSchema may lag
-// the raw data. An empty sourceSchema (unknown origin) dirties every
-// shard. Caller must hold h.mu.
-func (h *Hub) markDirtyLocked(st *realmAggState, info realm.Info, sourceSchema string) {
+// markDirtyLocked records that every shard of a realm may lag the raw
+// data: any member's facts can route to any shard. Caller must hold
+// h.mu.
+func (h *Hub) markDirtyLocked(st *realmAggState) {
 	if st.dirtyShards == nil {
 		st.dirtyShards = make(map[int]bool)
 	}
-	if sourceSchema == "" {
-		for k := 0; k < h.Engine.NumShards(); k++ {
-			st.dirtyShards[k] = true
-		}
-		return
-	}
-	for _, k := range h.Engine.ShardsForSourceSchema(info, sourceSchema) {
+	for k := 0; k < h.Engine.NumShards(); k++ {
 		st.dirtyShards[k] = true
 	}
 }
@@ -148,12 +142,6 @@ type Hub struct {
 	// factRealms maps a realm fact table name to its realm, so the
 	// apply path can classify replicated events per realm.
 	factRealms map[string]realm.Info
-
-	// aggMu serializes full AggregateFederation passes (the admin /
-	// config-change path). ensureMu additionally collapses a queue of
-	// EnsureAggregated callers into one rebuild of the dirty realms.
-	aggMu    sync.Mutex
-	ensureMu sync.Mutex
 }
 
 // NewHub builds a federation hub from its configuration.
@@ -357,8 +345,8 @@ func (h *Hub) pushdownFactsFor(instance string) map[string]bool {
 // ApplyDeltas implements replicate.PushdownSink: a granted member's
 // partial-aggregate deltas land in its pagg tables (the durable,
 // idempotent bin store) and the touched aggregation shards are marked
-// dirty for rebuild — a reset delta dirties every shard its schema
-// feeds, since bins may also have disappeared. Like ApplyBatch, each
+// dirty for rebuild — a reset delta dirties every shard, since bins may
+// also have disappeared. Like ApplyBatch, each
 // realm bumps its generation after the apply so a rebuild that was
 // scanning mid-apply can never clear the dirty marks while missing
 // these bins.
@@ -390,7 +378,7 @@ func (h *Hub) ApplyDeltas(ctx context.Context, instance string, upTo uint64, del
 		st.gen++
 		switch {
 		case err != nil || d.Reset:
-			h.markDirtyLocked(st, info, schema)
+			h.markDirtyLocked(st)
 		default:
 			if st.dirtyShards == nil {
 				st.dirtyShards = make(map[int]bool)
@@ -487,7 +475,7 @@ func (h *Hub) ApplyBatchCtx(ctx context.Context, instance string, upTo uint64, e
 			// Either the batch itself is non-additive, or the realm
 			// already needs (or is getting) a rebuild that will cover
 			// these rows from the raw tables.
-			h.markDirtyLocked(st, d.info, d.schema)
+			h.markDirtyLocked(st)
 			dirtied = append(dirtied, d)
 			continue
 		}
@@ -506,7 +494,7 @@ func (h *Hub) ApplyBatchCtx(ctx context.Context, instance string, upTo uint64, e
 			for _, d := range folds {
 				st := h.realmStateLocked(d.info.Name)
 				st.folding--
-				h.markDirtyLocked(st, d.info, d.schema)
+				h.markDirtyLocked(st)
 			}
 		}
 		for _, d := range dirtied {
@@ -577,8 +565,8 @@ func (h *Hub) ApplyBatchCtx(ctx context.Context, instance string, upTo uint64, e
 		st.folding--
 		if err != nil {
 			// The fold may be partial; the raw rows are safely applied,
-			// so a rebuild of the schema's shards restores consistency.
-			h.markDirtyLocked(st, d.info, d.schema)
+			// so a rebuild restores consistency.
+			h.markDirtyLocked(st)
 			coreLog.Error("incremental fold failed; shards queued for rebuild",
 				"instance", instance, "realm", d.info.Name, "err", err)
 		}
@@ -775,14 +763,9 @@ func (h *Hub) LoadLooseDump(instance string, r io.Reader) error {
 	}
 	h.mu.Lock()
 	for _, name := range touched {
-		info, _ := h.Registry.Get(name)
 		st := h.realmStateLocked(name)
 		st.gen++
-		// Only the shards this member's schema feeds go dirty: under
-		// source-schema routing a re-shipped dump costs one shard's
-		// rebuild, and charts over the other shards stay cached. The
-		// load's own commits bumped the raw schema's epoch already.
-		h.markDirtyLocked(st, info, schema)
+		h.markDirtyLocked(st)
 	}
 	if m, ok := h.members[instance]; ok {
 		m.Mode = "loose"
@@ -842,15 +825,19 @@ func (h *Hub) realmSources(info realm.Info) []aggregate.Source {
 // running (they mark their shards dirty instead), and only clears the
 // rebuilt shards when no new data landed mid-rebuild. With all=true
 // every shard is rebuilt (the admin / config-change path); with
-// all=false only the currently dirty shards are, so a loose reload of
-// one member schema under source-schema routing pays for its one shard.
+// all=false only the currently dirty shards are.
+//
+// Nothing else serializes rebuilds. Concurrent callers for one realm
+// queue on the wait below — rebuilding is set and cleared under h.mu —
+// and an all=false caller re-checks dirtyAny after its wait, so a queue
+// of EnsureAggregated callers collapses into the first one's rebuild
+// and the rest return at once. (Two hub-wide mutexes used to give these
+// two guarantees before the per-realm state existed.)
 func (h *Hub) rebuildRealm(name string, all bool) (int, error) {
 	info, ok := h.Registry.Get(name)
 	if !ok {
 		return 0, fmt.Errorf("core: hub has no realm %q", name)
 	}
-	sources := h.realmSources(info)
-
 	h.mu.Lock()
 	st := h.realmStateLocked(name)
 	for st.rebuilding || st.folding > 0 {
@@ -872,18 +859,14 @@ func (h *Hub) rebuildRealm(name string, all bool) (int, error) {
 	gen0 := st.gen
 	h.mu.Unlock()
 
-	var n int
-	var err error
-	if shards == nil {
-		n, err = h.Engine.ReaggregateFrom(info, sources)
-	} else {
-		n, err = h.Engine.ReaggregateShardsFrom(info, sources, shards)
-	}
+	// Resolved after gen0: a member schema that appears later bumps gen
+	// on arrival, so the realm stays dirty instead of losing its rows.
+	n, err := h.Engine.ReaggregateFrom(info, h.realmSources(info), shards)
 
 	h.mu.Lock()
 	st.rebuilding = false
 	if err != nil {
-		h.markDirtyLocked(st, info, "")
+		h.markDirtyLocked(st)
 	} else if st.gen == gen0 {
 		// No data landed while scanning: the rebuilt shards are current.
 		// Otherwise everything stays dirty and the next read rebuilds —
@@ -910,8 +893,6 @@ func (h *Hub) rebuildRealm(name string, all bool) (int, error) {
 // routine reads use EnsureAggregated, which rebuilds only dirty
 // realms. Returns fact rows aggregated per realm.
 func (h *Hub) AggregateFederation() (map[string]int, error) {
-	h.aggMu.Lock()
-	defer h.aggMu.Unlock()
 	_, sp := obs.StartSpan(context.Background(), "hub.AggregateFederation")
 	defer sp.End()
 	defer mAggSeconds.ObserveSince(time.Now())
@@ -932,25 +913,17 @@ func (h *Hub) AggregateFederation() (map[string]int, error) {
 // drain: a batch registers its fold before its raw rows become
 // visible, so a reader that polls the raw tables and then calls
 // EnsureAggregated is guaranteed aggregates covering every raw row it
-// saw. Realms kept current by the fold then cost nothing here. A
-// queue of concurrent callers collapses into a single rebuild: the
-// first one rebuilds the dirty shards, the rest observe a clean hub
-// and return immediately.
+// saw. Realms kept current by the fold then cost nothing here, and a
+// queue of concurrent callers collapses into a single rebuild (see
+// rebuildRealm).
 func (h *Hub) EnsureAggregated() error {
-	h.mu.Lock()
-	pending := h.anyFoldingLocked() || h.anyDirtyLocked()
-	h.mu.Unlock()
-	if !pending {
-		return nil
-	}
-	h.ensureMu.Lock()
-	defer h.ensureMu.Unlock()
 	h.mu.Lock()
 	for h.anyFoldingLocked() {
 		h.cond.Wait()
 	}
+	dirty := h.dirtyRealmsLocked()
 	h.mu.Unlock()
-	for _, name := range h.dirtyRealms() {
+	for _, name := range dirty {
 		if _, err := h.rebuildRealm(name, false); err != nil {
 			return err
 		}
@@ -967,20 +940,15 @@ func (h *Hub) anyFoldingLocked() bool {
 	return false
 }
 
-func (h *Hub) anyDirtyLocked() bool {
-	for _, st := range h.realms {
-		if st.dirtyAny() {
-			return true
-		}
-	}
-	return false
-}
-
 // dirtyRealms returns the realms with shards needing a rebuild,
 // sorted by name.
 func (h *Hub) dirtyRealms() []string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	return h.dirtyRealmsLocked()
+}
+
+func (h *Hub) dirtyRealmsLocked() []string {
 	var out []string
 	for name, st := range h.realms {
 		if st.dirtyAny() {

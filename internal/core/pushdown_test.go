@@ -110,7 +110,7 @@ func TestMixedFederationPushdownMatchesFactControl(t *testing.T) {
 	}
 	build := func(ctx context.Context, label string, pushdownP bool) *fed {
 		cfg := hubCfg("fedhub")
-		cfg.Sharding = config.ShardingConfig{Shards: 3, Key: config.ShardKeyResource}
+		cfg.Sharding = config.ShardingConfig{Shards: 3}
 		hub, err := NewHub(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -84,6 +84,12 @@ type Instance struct {
 // disabled. With backend "disk", cold segments spill to
 // cfg.Storage.DataDir and tables seal their hot tail every
 // cfg.Storage.TailRows() appended rows.
+//
+// A hub's warehouse keeps no binlog: every reader of one (replication
+// sender, WAL follower, trim) is satellite-side, so on a hub each
+// replicated event and each aggregation upsert would be appended to an
+// in-memory log that only ever grows. The hub WAL on the ROADMAP turns
+// it back on, together with the trim that bounds it.
 func openWarehouse(cfg config.InstanceConfig) (*warehouse.DB, error) {
 	var backend store.Backend
 	switch cfg.Storage.Backend {
@@ -99,6 +105,7 @@ func openWarehouse(cfg config.InstanceConfig) (*warehouse.DB, error) {
 	return warehouse.OpenOptions(cfg.Name, warehouse.Options{
 		Storage:     backend,
 		HotTailRows: cfg.Storage.TailRows(),
+		NoBinlog:    cfg.IsHub,
 	}), nil
 }
 
@@ -137,10 +144,7 @@ func NewInstance(cfg config.InstanceConfig) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng.SetRebuildWorkers(cfg.Aggregation.RebuildWorkers)
-	if err := eng.SetSharding(cfg.Sharding.Shards, cfg.Sharding.Key); err != nil {
-		return nil, err
-	}
+	eng.SetSharding(cfg.Sharding.Shards)
 
 	reg := realm.NewRegistry()
 	if _, err := jobs.Setup(db); err != nil {

@@ -1,0 +1,16 @@
+package obs
+
+import "sort"
+
+// FamilyNames returns every family registered in r, sorted — including
+// labeled families that have no series yet, which Render skips.
+func (r *Registry) FamilyNames() []string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	names := make([]string, 0, len(r.fams))
+	for name := range r.fams {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}

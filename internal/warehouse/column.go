@@ -178,13 +178,6 @@ func (td *TableData) Value(pos, col int) any {
 	return c.columns()[col].value(pos - c.base)
 }
 
-// RowAt wraps position pos for by-name access. The caller must skip
-// tombstoned positions itself.
-func (td *TableData) RowAt(pos int) Row {
-	c := td.chunkAt(pos)
-	return Row{lay: td.lay, cols: c.columns(), pos: pos - c.base}
-}
-
 // Scan calls fn for every live row of the snapshot, in position order;
 // fn returning false stops the scan.
 func (td *TableData) Scan(fn func(Row) bool) {

@@ -71,14 +71,18 @@ type Options struct {
 	// segments then form only through compaction and bulk loads, which
 	// with the memory backend is byte-for-byte the pre-tiering layout.
 	HotTailRows int
+	// NoBinlog opens a DB that does not record mutations: scratch stores
+	// nobody replicates from, and a hub's warehouse, whose log no sender,
+	// WAL or trim would ever read.
+	NoBinlog bool
 }
 
 // Open creates an empty DB with binary logging enabled and in-memory
 // segment storage.
 func Open(name string) *DB { return OpenOptions(name, Options{}) }
 
-// OpenOptions creates an empty DB with binary logging enabled and the
-// given storage configuration.
+// OpenOptions creates an empty DB with the given storage configuration
+// and, unless opts.NoBinlog, binary logging enabled.
 func OpenOptions(name string, opts Options) *DB {
 	if opts.Storage == nil {
 		opts.Storage = store.NewMem()
@@ -90,7 +94,7 @@ func OpenOptions(name string, opts Options) *DB {
 		name:        name,
 		schemas:     make(map[string]*Schema),
 		binlog:      NewBinlog(),
-		logging:     true,
+		logging:     !opts.NoBinlog,
 		storage:     opts.Storage,
 		hotTailRows: opts.HotTailRows,
 	}
@@ -110,11 +114,7 @@ func (db *DB) Close() error { return db.storage.Close() }
 // OpenWithoutBinlog creates a DB that does not record mutations; used
 // for scratch stores (e.g. staging areas) where replication is not
 // wanted.
-func OpenWithoutBinlog(name string) *DB {
-	db := Open(name)
-	db.logging = false
-	return db
-}
+func OpenWithoutBinlog(name string) *DB { return OpenOptions(name, Options{NoBinlog: true}) }
 
 // Name returns the DB's instance name.
 func (db *DB) Name() string { return db.name }

@@ -123,16 +123,6 @@ func (db *DB) commitShardLocked(sh *shardState) {
 	sh.epoch.Add(1)
 }
 
-// SchemaEpoch returns one schema's shard epoch (0 when the schema does
-// not exist). Schema-scoped: unlike Epoch it does not include the root
-// counter, so use EpochOf for cache tags.
-func (db *DB) SchemaEpoch(name string) uint64 {
-	if sh, ok := db.shards.Load().byName[name]; ok {
-		return sh.epoch.Load()
-	}
-	return 0
-}
-
 // EpochOf returns the warehouse generation as observed through the
 // named schemas: the root epoch (global invalidations, schema drops)
 // plus the named schemas' shard epochs. A cached result that only read
@@ -148,17 +138,6 @@ func (db *DB) EpochOf(names ...string) uint64 {
 		}
 	}
 	return e
-}
-
-// BumpSchemaEpoch advances one schema's shard epoch, invalidating
-// cached results scoped to it; an unknown schema bumps the root epoch
-// instead (global invalidation, never silently a no-op).
-func (db *DB) BumpSchemaEpoch(name string) {
-	if sh, ok := db.shards.Load().byName[name]; ok {
-		sh.epoch.Add(1)
-		return
-	}
-	db.epoch.Add(1)
 }
 
 // resolveShards maps schema names to their shard domains, deduplicated

@@ -7,15 +7,13 @@ import (
 	"sync/atomic"
 )
 
-// Row is one table row with access to column values by name. A Row is
-// either a position into a set of column vectors (table scans, key
-// lookups, snapshot iteration) or a detached positional value slice
-// (BindRow); both forms are plain values and allocate nothing.
+// Row is one table row with access to column values by name: a
+// position into a set of column vectors (table scans, key lookups,
+// snapshot iteration). It is a plain value and allocates nothing.
 type Row struct {
 	lay  *layout
 	cols []colVec
 	pos  int
-	det  []any // detached values; when set, cols/pos are unused
 }
 
 // Get returns the value of the named column, or nil when the column
@@ -37,9 +35,6 @@ func (r Row) Lookup(col string) (any, bool) {
 
 // value returns the cell at column position i.
 func (r Row) value(i int) any {
-	if r.det != nil {
-		return r.det[i]
-	}
 	return r.cols[i].value(r.pos)
 }
 
@@ -48,12 +43,6 @@ func (r Row) value(i int) any {
 func (r Row) Int(col string) int64 {
 	i, ok := r.lay.colIndex[col]
 	if !ok {
-		return 0
-	}
-	if r.det != nil {
-		if x, ok := r.det[i].(int64); ok {
-			return x
-		}
 		return 0
 	}
 	v := &r.cols[i]
@@ -67,15 +56,6 @@ func (r Row) Int(col string) int64 {
 func (r Row) Float(col string) float64 {
 	i, ok := r.lay.colIndex[col]
 	if !ok {
-		return 0
-	}
-	if r.det != nil {
-		switch x := r.det[i].(type) {
-		case float64:
-			return x
-		case int64:
-			return float64(x)
-		}
 		return 0
 	}
 	v := &r.cols[i]
@@ -97,12 +77,6 @@ func (r Row) String(col string) string {
 	if !ok {
 		return ""
 	}
-	if r.det != nil {
-		if x, ok := r.det[i].(string); ok {
-			return x
-		}
-		return ""
-	}
 	v := &r.cols[i]
 	if v.typ != TypeString || v.nulls[r.pos] {
 		return ""
@@ -112,9 +86,6 @@ func (r Row) String(col string) string {
 
 // Values returns a copy of the row's values, in column order.
 func (r Row) Values() []any {
-	if r.det != nil {
-		return append([]any(nil), r.det...)
-	}
 	out := make([]any, len(r.cols))
 	for i := range r.cols {
 		out[i] = r.cols[i].value(r.pos)
@@ -776,18 +747,6 @@ func equalIntSlices(a, b []int) bool {
 func (t *Table) ColumnIndex(name string) (int, bool) {
 	i, ok := t.lay.colIndex[name]
 	return i, ok
-}
-
-// BindRow coerces a positional value slice (e.g. a binlog event's Row)
-// against the table definition and wraps it for by-name column access.
-// The returned Row is a detached view: it is not inserted and does not
-// alias table storage.
-func (t *Table) BindRow(row []any) (Row, error) {
-	vals, err := t.normalizeSlice(row)
-	if err != nil {
-		return Row{}, err
-	}
-	return Row{lay: t.lay, det: vals}, nil
 }
 
 // Columns returns the ordered column names.

@@ -54,9 +54,7 @@ func shardBenchFixture(b testing.TB, shards int) (*aggregate.Engine, []string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := eng.SetSharding(shards, aggregate.ShardKeyResource); err != nil {
-		b.Fatal(err)
-	}
+	eng.SetSharding(shards)
 	if err := eng.Setup(jobs.RealmInfo()); err != nil {
 		b.Fatal(err)
 	}
@@ -64,11 +62,11 @@ func shardBenchFixture(b testing.TB, shards int) (*aggregate.Engine, []string) {
 }
 
 // benchShardedReaggregate measures a full sharded rebuild with the
-// given worker count.
+// given worker count (the rebuild runs one worker per GOMAXPROCS).
 func benchShardedReaggregate(b *testing.B, workers int) {
 	eng, schemas := shardBenchFixture(b, shardBenchShards)
 	info := jobs.RealmInfo()
-	eng.SetRebuildWorkers(workers)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -98,11 +96,15 @@ func BenchmarkShardedReaggregate(b *testing.B) {
 func benchSingleShardRebuild(b *testing.B) {
 	eng, schemas := shardBenchFixture(b, shardBenchShards)
 	info := jobs.RealmInfo()
-	eng.SetRebuildWorkers(1)
+	sources := make([]aggregate.Source, len(schemas))
+	for i, s := range schemas {
+		sources[i] = aggregate.Source{Schema: s}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.ReaggregateShards(info, schemas, []int{i % shardBenchShards}); err != nil {
+		if _, err := eng.ReaggregateFrom(info, sources, []int{i % shardBenchShards}); err != nil {
 			b.Fatal(err)
 		}
 	}
