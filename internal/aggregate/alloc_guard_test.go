@@ -74,3 +74,74 @@ func TestColdChartQueryAllocationCeiling(t *testing.T) {
 		t.Errorf("cold chart query allocates %.0f objects/op, ceiling %d — the lock-free columnar read path has regressed", allocs, ceiling)
 	}
 }
+
+// TestUpsertOfExistingRowDoesNotBoxThePriorRow guards the incremental
+// fold's write: replacing an aggregation row boxes neither the row it
+// replaces (no secondary index needs it, and an update event carries
+// only the new values) nor, for the derived table, an event at all. The
+// same layout as a logged table pays only for the event it appends.
+// Both measure 7 allocations; boxing the prior row costs one more per
+// cell — 29 on a Jobs aggregation row — which the ceiling leaves no
+// room for.
+func TestUpsertOfExistingRowDoesNotBoxThePriorRow(t *testing.T) {
+	db := warehouse.Open("upsertguard")
+	info := jobs.RealmInfo()
+	derived := aggDef(info, Day)
+	logged := derived
+	logged.Derived = false
+	if len(derived.Indexes) != 0 || !derived.Derived {
+		t.Fatalf("aggregation tables are expected to be derived and index-free: %+v", derived)
+	}
+	row := make([]any, len(derived.Columns))
+	for i, c := range derived.Columns {
+		switch c.Type {
+		case warehouse.TypeInt:
+			row[i] = int64(20170301 + i)
+		case warehouse.TypeFloat:
+			row[i] = 1234.5 + float64(i)
+		case warehouse.TypeString:
+			row[i] = "v"
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		schema string
+		def    warehouse.TableDef
+	}{
+		{"derived", "scratch_agg", derived},
+		{"logged", "scratch_raw", logged},
+	} {
+		tab, err := db.EnsureSchema(tc.schema).EnsureTable(tc.def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		head := db.Binlog().Last()
+		var allocs float64
+		const runs = 200
+		if err := db.Do(func() error {
+			if err := tab.UpsertRow(row); err != nil {
+				return err
+			}
+			allocs = testing.AllocsPerRun(runs, func() {
+				if err := tab.UpsertRow(row); err != nil {
+					t.Fatal(err)
+				}
+			})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		const ceiling = 12
+		t.Logf("%s table: %.1f allocs per upsert of an existing %d-column row (ceiling %d)", tc.name, allocs, len(row), ceiling)
+		if allocs > ceiling {
+			t.Errorf("%s table: upsert of an existing row allocates %.1f objects, ceiling %d — the prior row is being boxed again", tc.name, allocs, ceiling)
+		}
+		wantEvents := uint64(0)
+		if !tc.def.Derived {
+			wantEvents = runs + 2 // first insert, warm-up run, measured runs
+		}
+		if got := db.Binlog().Last() - head; got != wantEvents {
+			t.Errorf("%s table: %d upserts logged %d events, want %d", tc.name, runs+2, got, wantEvents)
+		}
+	}
+}

@@ -398,9 +398,6 @@ func (e *Engine) NewDeltaFolder(info realm.Info) (*DeltaFolder, error) {
 	return &DeltaFolder{e: e, info: info, cols: cols, weights: weights, fact: fact, f: f}, nil
 }
 
-// Realm returns the folder's realm name.
-func (df *DeltaFolder) Realm() string { return df.info.Name }
-
 // Covered returns the binlog LSN through which the realm's fact events
 // are folded in.
 func (df *DeltaFolder) Covered() uint64 { return df.covered }

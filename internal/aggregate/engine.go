@@ -111,9 +111,12 @@ func wsumColName(pair string) string {
 }
 
 // aggDef builds the aggregation table definition for a realm + period.
+// The table is derived: every instance recomputes it from the raw realm
+// tables under its own levels (paper §II-C3) — Setup recreates it on
+// each start and a rebuild refills it — so it is never logged.
 func aggDef(info realm.Info, p Period) warehouse.TableDef {
 	cols, weights := measureColumns(info)
-	def := warehouse.TableDef{Name: AggTableName(info.FactTable, p),
+	def := warehouse.TableDef{Name: AggTableName(info.FactTable, p), Derived: true,
 		Columns: make([]warehouse.Column, 0, 3+len(info.Dimensions)+4*len(cols)+len(weights))}
 	def.Columns = append(def.Columns, warehouse.Column{Name: "period_key", Type: warehouse.TypeInt})
 	pk := []string{"period_key"}

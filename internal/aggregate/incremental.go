@@ -140,7 +140,7 @@ func mergeGroupsInto(tab *warehouse.Table, c *aggCodec, groups map[string]*group
 	for k := range groups {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys) // deterministic upsert (and binlog) order
+	sort.Strings(keys) // deterministic row order in the table
 	key := make([]any, 1+c.nd)
 	buf := make([]any, len(c.names))
 	acc := c.newAcc()

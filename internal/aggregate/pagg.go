@@ -33,7 +33,8 @@ func PaggTableName(fact string, p Period) string {
 }
 
 // paggDef is the aggregation-table layout under the pagg name: the
-// pagg table is the member's partial in table form.
+// pagg table is the member's partial in table form, and derived like
+// the aggregation table (the member re-ships it on every connect).
 func paggDef(info realm.Info, p Period) warehouse.TableDef {
 	def := aggDef(info, p)
 	def.Name = PaggTableName(info.FactTable, p)
@@ -121,7 +122,7 @@ func (e *Engine) ApplyDelta(info realm.Info, schema string, d Delta) ([]int, int
 			for k := range groups {
 				keys = append(keys, k)
 			}
-			sort.Strings(keys) // deterministic upsert (and binlog) order
+			sort.Strings(keys) // deterministic row order in the table
 			for _, k := range keys {
 				if err := tabs[period].UpsertRow(codec.row(groups[k], buf)); err != nil {
 					return err

@@ -399,8 +399,7 @@ func (e *Engine) ReaggregateFrom(info realm.Info, sources []Source, shards []int
 	// the shard's per-source partials in source order and installs them
 	// into the shard's own schema under that schema's shard lock — one
 	// bulk columnar load per aggregation table, all periods in one shard
-	// transaction, so no reader ever sees a half-built shard and the
-	// binlog carries one LOAD event per table.
+	// transaction, so no reader ever sees a half-built shard.
 	installIdx := make([]int, 0, rt.shards)
 	for k := 0; k < rt.shards; k++ {
 		if want == nil || want[k] {

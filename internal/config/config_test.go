@@ -287,7 +287,12 @@ func TestBindFlags(t *testing.T) {
 	var c InstanceConfig
 	BindFlags(hubFS, &c, true)
 	BindFlags(satFS, &c, false)
-	if hubFS.Lookup("wal-fsync") != nil || satFS.Lookup("scrape-interval") != nil {
-		t.Error("a role-specific flag leaked onto the other daemon")
+	for _, name := range []string{"wal-fsync", "replication-mode", "pushdown-flush-interval"} {
+		if hubFS.Lookup(name) != nil || satFS.Lookup(name) == nil {
+			t.Errorf("-%s must be a satellite-only flag", name)
+		}
+	}
+	if hubFS.Lookup("scrape-interval") == nil || satFS.Lookup("scrape-interval") != nil {
+		t.Error("-scrape-interval must be a hub-only flag")
 	}
 }

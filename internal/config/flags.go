@@ -4,12 +4,12 @@ import "flag"
 
 // BindFlags registers on fs every daemon command-line knob that is
 // backed by a configuration key: the set the hub and satellite share
-// (query cache, storage, sharding, admission, replication, trace
-// capacity) plus the role's own (hub: scrape interval; satellite: WAL
-// fsync). The returned apply is called after fs is parsed and *cfg is
-// loaded from its file: it copies over the file only the flags the
-// operator actually set, then re-validates the configuration so a bad
-// flag value fails with its section's error.
+// (query cache, storage, sharding, admission, trace capacity) plus the
+// role's own (hub: scrape interval; satellite: replication mode,
+// pushdown flush pacing, WAL fsync). The returned apply is called after
+// fs is parsed and *cfg is loaded from its file: it copies over the
+// file only the flags the operator actually set, then re-validates the
+// configuration so a bad flag value fails with its section's error.
 func BindFlags(fs *flag.FlagSet, cfg *InstanceConfig, hub bool) (apply func() error) {
 	set := map[string]func(){} // flag name -> copy the parsed value into *cfg
 	str := func(dst *string, name, usage string) {
@@ -49,13 +49,12 @@ func BindFlags(fs *flag.FlagSet, cfg *InstanceConfig, hub bool) (apply func() er
 	num(&cfg.Admission.MaxQueue, "max-queue", "queued API requests past which arrivals are shed with 429 (0 = config/default)")
 	str(&cfg.Admission.QueueTimeout, "queue-timeout", "max time a request may wait for a slot, e.g. 2s (default config/2s)")
 
-	str(&cfg.Replication.Mode, "replication-mode", "tight replication payload: facts or pushdown (default config/facts)")
 	num(&cfg.Observability.TraceCapacity, "trace-capacity", "retained spans for /debug/traces (0 = config/default)")
 
 	if hub {
-		str(&cfg.Replication.PushdownFlushInterval, "pushdown-flush-interval", "delta flush pacing recorded in config, e.g. 2s")
 		str(&cfg.Telemetry.ScrapeInterval, "scrape-interval", "member telemetry scrape interval, e.g. 15s (default config/15s)")
 	} else {
+		str(&cfg.Replication.Mode, "replication-mode", "tight replication payload: facts or pushdown (default config/facts)")
 		str(&cfg.Replication.PushdownFlushInterval, "pushdown-flush-interval", "delta flush pacing for -replication-mode=pushdown, e.g. 2s")
 		str(&cfg.Durability.WALFsync, "wal-fsync", "WAL fsync policy: always, interval or none (default config/always)")
 		str(&cfg.Durability.WALFsyncInterval, "wal-fsync-interval", "fsync timer for -wal-fsync=interval, e.g. 100ms")

@@ -388,3 +388,58 @@ func TestPushdownSkipsUnmergeableRealm(t *testing.T) {
 		t.Error("route with no mergeable realm must disable pushdown, not merge wrong")
 	}
 }
+
+// TestPushdownIdleMemberFlushesOnInterval: bins that turn dirty less
+// than one flush interval after the previous flush must ship when that
+// interval has passed, although the binlog stands still from then on —
+// not at the next idle heartbeat (5 s by default). The member's binlog
+// ends in fact inserts, so once they are flushed it shows delta_lag 0.
+func TestPushdownIdleMemberFlushesOnInterval(t *testing.T) {
+	const interval = 500 * time.Millisecond
+	hub, err := NewHub(hubCfg("fedhub"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := hub.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	if err := hub.Register("P"); err != nil {
+		t.Fatal(err)
+	}
+	cfg := pushSatCfg("P", []string{"pres"}, addr)
+	cfg.Replication.PushdownFlushInterval = interval.String()
+	sat, err := NewSatellite(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestJobs(t, sat, "pres", 20, time.Hour, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := sat.StartFederation(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer sat.StopFederation()
+	deltaLag := func() (lag uint64, converged bool) {
+		m := hub.Members()[0]
+		head := sat.DB.Binlog().Last()
+		return m.Position - m.DeltaCovered, m.Mode == "pushdown" && m.Position == head && m.DeltaCovered == head
+	}
+	// The connect-time reset flush covers the first batch at once.
+	waitFor(t, func() bool { _, ok := deltaLag(); return ok })
+
+	// The second batch lands right behind that flush.
+	ingestJobs(t, sat, "pres", 10, 2*time.Hour, 1000)
+	deadline := time.Now().Add(2 * interval)
+	for {
+		lag, ok := deltaLag()
+		if ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("two flush intervals after the last ingest the idle member still shows delta_lag %d", lag)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}

@@ -87,9 +87,10 @@ type Instance struct {
 //
 // A hub's warehouse keeps no binlog: every reader of one (replication
 // sender, WAL follower, trim) is satellite-side, so on a hub each
-// replicated event and each aggregation upsert would be appended to an
-// in-memory log that only ever grows. The hub WAL on the ROADMAP turns
-// it back on, together with the trim that bounds it.
+// replicated event would be appended to an in-memory log that only
+// ever grows. The hub WAL on the ROADMAP turns it back on, together
+// with the trim that bounds it. (Aggregation and pagg tables log on
+// neither role: they are derived, see warehouse.TableDef.Derived.)
 func openWarehouse(cfg config.InstanceConfig) (*warehouse.DB, error) {
 	var backend store.Backend
 	switch cfg.Storage.Backend {

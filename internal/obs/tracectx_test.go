@@ -36,8 +36,8 @@ func TestParseTraceParentRejects(t *testing.T) {
 	bad := []string{
 		"",
 		"not-a-traceparent",
-		"00-abc-def-01",                          // wrong widths
-		"00-" + strings.Repeat("0", 32) + "-00f067aa0ba902b7-01", // all-zero trace id
+		"00-abc-def-01", // wrong widths
+		"00-" + strings.Repeat("0", 32) + "-00f067aa0ba902b7-01",                 // all-zero trace id
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-" + strings.Repeat("0", 16) + "-01", // all-zero span id
 		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",                // reserved version
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-zz",                // bad flags

@@ -682,7 +682,7 @@ func (s *Sender) Run(ctx context.Context, hubAddr string) error {
 	// delta application is idempotent and carries no positions of its
 	// own — and the exact wire size is the encoder tap's delta.
 	flushDeltas := func(now time.Time) (bool, error) {
-		if pd == nil || !pd.Due(now) {
+		if pd == nil || pd.DueIn(now) > 0 {
 			return true, nil
 		}
 		deltas, rows, err := pd.Flush(now)
@@ -733,7 +733,13 @@ func (s *Sender) Run(ctx context.Context, hubAddr string) error {
 	}
 
 	for {
-		wctx, cancelWait := context.WithTimeout(ctx, hb)
+		// Idle for at most a heartbeat interval — or, with dirty pushdown
+		// bins waiting out their flush interval, until that flush is due.
+		idle := hb
+		if pd != nil {
+			idle = min(hb, pd.DueIn(time.Now()))
+		}
+		wctx, cancelWait := context.WithTimeout(ctx, idle)
 		evs, err := s.DB.Binlog().Wait(wctx, pos, batchSize)
 		cancelWait()
 		if err != nil {

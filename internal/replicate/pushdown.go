@@ -2,6 +2,7 @@ package replicate
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -174,18 +175,25 @@ func (p *PushdownFolder) Consume(events []warehouse.Event, upTo uint64) ([]wareh
 	return out, nil
 }
 
-// Due reports whether a flush should run now: immediately when any
-// realm needs a reset, on the flush interval when bins are dirty.
-func (p *PushdownFolder) Due(now time.Time) bool {
+// notDue is DueIn's answer when there is nothing to flush.
+const notDue = time.Duration(math.MaxInt64)
+
+// DueIn reports how long until a flush should run: zero or less when
+// any realm needs a reset, or bins are dirty and a flush interval has
+// passed since the last flush; the rest of that interval while dirty
+// bins wait for it; notDue when nothing is pending. The sender flushes
+// when it is <= 0 and never sleeps on an idle binlog for longer.
+func (p *PushdownFolder) DueIn(now time.Time) time.Duration {
+	d := notDue
 	for _, pr := range p.order {
 		if pr.needReset {
-			return true
+			return 0
 		}
-		if pr.df.Dirty() && now.Sub(p.lastFlush) >= p.interval {
-			return true
+		if pr.df.Dirty() {
+			d = p.interval - now.Sub(p.lastFlush)
 		}
 	}
-	return false
+	return d
 }
 
 // Flush produces the deltas to ship: realms in name order, pending
@@ -211,16 +219,4 @@ func (p *PushdownFolder) Flush(now time.Time) ([]aggregate.Delta, int, error) {
 	}
 	p.lastFlush = now
 	return deltas, rows, nil
-}
-
-// Covered returns the smallest covered position across realms — the
-// conservative "deltas supersede facts up to here" the sender reports.
-func (p *PushdownFolder) Covered() uint64 {
-	var c uint64
-	for i, pr := range p.order {
-		if i == 0 || pr.df.Covered() < c {
-			c = pr.df.Covered()
-		}
-	}
-	return c
 }

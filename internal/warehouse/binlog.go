@@ -24,8 +24,8 @@ const (
 	EvDropSchema
 	// EvLoad is a bulk load: the event's Cols payload atomically
 	// replaces the table's entire contents (truncate + refill in one
-	// event). Re-aggregation installs, loose-dump batch loads and
-	// backup restores log one EvLoad instead of per-row events.
+	// event). Loose-dump batch loads and backup restores log one
+	// EvLoad instead of per-row events.
 	EvLoad
 )
 
@@ -65,9 +65,8 @@ func (k EventKind) String() string {
 // CoveredLSN c supersedes every fact event with LSN <= c for its
 // realm, and a snapshot re-fold captures the table data and the
 // binlog head atomically so later events are folded exactly once.
-// Pagg-table mutations on the hub are ordinary binlog events there
-// (upserts and loads in sorted bin order), so a hub's own binlog
-// remains a deterministic record even for pushed-down realms.
+// The bins themselves are never events: on either end they live in
+// derived tables (TableDef.Derived), which log nothing.
 type Event struct {
 	LSN    uint64
 	Time   time.Time
@@ -75,7 +74,7 @@ type Event struct {
 	Schema string
 	Table  string
 	Row    []any       // new values (insert/update)
-	Old    []any       // previous values (update/delete)
+	Old    []any       // previous values (delete: how the applier finds the row)
 	Def    *TableDef   // table definition (create table)
 	Cols   *ColumnData // full-table columnar payload (load)
 }

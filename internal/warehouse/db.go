@@ -73,7 +73,8 @@ type Options struct {
 	HotTailRows int
 	// NoBinlog opens a DB that does not record mutations: scratch stores
 	// nobody replicates from, and a hub's warehouse, whose log no sender,
-	// WAL or trim would ever read.
+	// WAL or trim would ever read. (On a DB that does log, a derived
+	// table still does not: see TableDef.Derived.)
 	NoBinlog bool
 }
 
@@ -250,6 +251,20 @@ func (db *DB) Schemas() []string {
 // Name returns the schema name.
 func (s *Schema) Name() string { return s.name }
 
+// createTableLocked adds a table built from def to the schema,
+// republishes the catalog and, for a logged table, logs the DDL.
+// Caller must hold mu.
+func (s *Schema) createTableLocked(def TableDef) (*Table, error) {
+	t, err := newTable(s.db, s.name, def)
+	if err != nil {
+		return nil, err
+	}
+	s.tables[def.Name] = t
+	s.db.rebuildCatalogLocked()
+	t.logEvent(Event{Kind: EvCreateTable, Def: &t.def}) // t.def is never modified
+	return t, nil
+}
+
 // CreateTable creates a table in the schema from the definition.
 func (s *Schema) CreateTable(def TableDef) (*Table, error) {
 	s.db.mu.Lock()
@@ -257,15 +272,7 @@ func (s *Schema) CreateTable(def TableDef) (*Table, error) {
 	if _, ok := s.tables[def.Name]; ok {
 		return nil, fmt.Errorf("warehouse: table %s.%s already exists", s.name, def.Name)
 	}
-	t, err := newTable(s.db, s.name, def)
-	if err != nil {
-		return nil, err
-	}
-	s.tables[def.Name] = t
-	s.db.rebuildCatalogLocked()
-	d := def.Clone()
-	s.db.logEvent(Event{Kind: EvCreateTable, Schema: s.name, Table: def.Name, Def: &d})
-	return t, nil
+	return s.createTableLocked(def)
 }
 
 // EnsureTable returns the named table, creating it from def if absent.
@@ -275,15 +282,7 @@ func (s *Schema) EnsureTable(def TableDef) (*Table, error) {
 	if t, ok := s.tables[def.Name]; ok {
 		return t, nil
 	}
-	t, err := newTable(s.db, s.name, def)
-	if err != nil {
-		return nil, err
-	}
-	s.tables[def.Name] = t
-	s.db.rebuildCatalogLocked()
-	d := def.Clone()
-	s.db.logEvent(Event{Kind: EvCreateTable, Schema: s.name, Table: def.Name, Def: &d})
-	return t, nil
+	return s.createTableLocked(def)
 }
 
 // Table returns the named table, or nil when absent.
@@ -550,15 +549,8 @@ func (db *DB) applyLocked(ev Event) error {
 		if ev.Def == nil {
 			return fmt.Errorf("warehouse: CREATE_TABLE event for %s.%s missing definition", ev.Schema, ev.Table)
 		}
-		t, err := newTable(db, ev.Schema, *ev.Def)
-		if err != nil {
-			return err
-		}
-		s.tables[ev.Table] = t
-		db.rebuildCatalogLocked()
-		d := ev.Def.Clone()
-		db.logEvent(Event{Kind: EvCreateTable, Schema: ev.Schema, Table: ev.Table, Def: &d})
-		return nil
+		_, err := s.createTableLocked(*ev.Def)
+		return err
 	}
 	t, err := db.lookupLocked(ev.Schema, ev.Table)
 	if err != nil {
@@ -570,7 +562,7 @@ func (db *DB) applyLocked(ev Event) error {
 		if err != nil {
 			return err
 		}
-		return t.insertVals(vals, true)
+		return t.insertVals(vals)
 	case EvUpdate:
 		vals, err := t.normalizeSlice(ev.Row)
 		if err != nil {
@@ -579,7 +571,7 @@ func (db *DB) applyLocked(ev Event) error {
 		if _, ok := t.pkKey(vals); ok {
 			return t.upsertVals(vals)
 		}
-		return t.insertVals(vals, true)
+		return t.insertVals(vals)
 	case EvDelete:
 		vals, err := t.normalizeSlice(ev.Old)
 		if err != nil {

@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"bytes"
 	"path/filepath"
 	"testing"
 	"time"
@@ -284,5 +285,68 @@ func TestApplyUnknownKind(t *testing.T) {
 	}
 	if db.Schema("s") != nil {
 		t.Error("schema survived applied drop")
+	}
+}
+
+// TestDerivedTableLogsNothing: a derived table's DDL and every kind of
+// mutation stay out of the binlog of a DB that logs, and the mark
+// survives a snapshot round trip.
+func TestDerivedTableLogsNothing(t *testing.T) {
+	db := Open("test")
+	def := jobsDef()
+	def.Name, def.Derived = "jobs_by_day", true
+	tab, err := db.EnsureSchema("s").CreateTable(def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := db.Binlog().Last()
+	mutate := func(db *DB, tab *Table) {
+		t.Helper()
+		row := map[string]any{"job_id": 1, "user": "u", "resource": "a", "cores": 1, "wall": 1.0}
+		if err := db.Do(func() error {
+			if err := tab.Insert(row); err != nil {
+				return err
+			}
+			row["cores"] = 2
+			if err := tab.Upsert(row); err != nil {
+				return err
+			}
+			if err := tab.UpdateByKey([]any{int64(1)}, map[string]any{"resource": "b"}); err != nil {
+				return err
+			}
+			if !tab.DeleteByKey(int64(1)) {
+				t.Error("row to delete not found")
+			}
+			tab.Truncate()
+			return tab.ReplaceAllColumns(tab.Data().ColumnData())
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mutate(db, tab)
+	if got := db.Binlog().Last(); got != head {
+		evs, _ := db.Binlog().ReadFrom(head, 0)
+		t.Fatalf("derived table logged %d events: %+v", got-head, evs)
+	}
+
+	var snap bytes.Buffer
+	if err := db.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	restored := Open("restored")
+	if _, err := restored.Restore(&snap); err != nil {
+		t.Fatal(err)
+	}
+	rtab, err := restored.TableIn("s", "jobs_by_day")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rtab.Def().Derived {
+		t.Error("snapshot round trip lost the derived mark")
+	}
+	head = restored.Binlog().Last()
+	mutate(restored, rtab)
+	if got := restored.Binlog().Last(); got != head {
+		t.Errorf("restored derived table logged %d events", got-head)
 	}
 }

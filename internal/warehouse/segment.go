@@ -71,8 +71,8 @@ func segmentData(cols []colVec, rows int) *store.SegmentData {
 		out[i] = store.Column{
 			// ColumnType and store.Kind enumerate the five types in the
 			// same order from 1.
-			Kind:  store.Kind(v.typ),
-			Ints:  v.ints, Floats: v.floats, Strs: v.strs,
+			Kind: store.Kind(v.typ),
+			Ints: v.ints, Floats: v.floats, Strs: v.strs,
 			Bools: v.bools, Times: v.times, Nulls: v.nulls,
 		}
 	}

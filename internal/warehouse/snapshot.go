@@ -153,20 +153,15 @@ func (db *DB) RestoreRenamed(r io.Reader, rename map[string]string) (uint64, err
 		}
 		s := db.createSchemaLocked(name)
 		for _, ts := range ss.Tables {
-			t, err := newTable(db, name, ts.Def)
+			t, err := s.createTableLocked(ts.Def)
 			if err != nil {
 				return 0, err
 			}
-			s.tables[ts.Def.Name] = t
-			db.rebuildCatalogLocked()
-			d := ts.Def.Clone()
-			db.logEvent(Event{Kind: EvCreateTable, Schema: name, Table: ts.Def.Name, Def: &d})
 			if err := t.ReplaceAllColumns(ts.Data); err != nil {
 				return 0, err
 			}
 		}
 	}
-	db.rebuildCatalogLocked()
 	return snap.LastLSN, nil
 }
 

@@ -32,4 +32,3 @@ var (
 // NoteSealError records a failed seal attempt; the warehouse calls it
 // when it falls back to keeping the would-be segment in its RAM tail.
 func NoteSealError() { mSealErrors.Inc() }
-

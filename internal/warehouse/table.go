@@ -113,10 +113,15 @@ func (r Row) Values() []any {
 // to. The tombstone vector and the key maps always span both tiers in
 // global positions.
 type Table struct {
-	def        TableDef
-	lay        *layout
-	schema     string
-	db         *DB
+	def    TableDef
+	lay    *layout
+	schema string
+	db     *DB
+	// logged is "will anything ever read a log of this table?", fixed
+	// at creation: the DB keeps a binlog (Options.NoBinlog) and the
+	// table is not derived (TableDef.Derived). Every logging site
+	// checks it before it builds an event payload.
+	logged     bool
 	shard      *shardState // the schema's shard domain (see shard.go)
 	sealed     []*sealedChunk
 	sealedRows int
@@ -153,6 +158,7 @@ func newTable(db *DB, schema string, def TableDef) (*Table, error) {
 		lay:    newLayout(d),
 		schema: schema,
 		db:     db,
+		logged: db.logging && !d.Derived,
 		shard:  db.shards.Load().byName[schema],
 	}
 	if t.shard == nil {
@@ -357,17 +363,6 @@ func (t *Table) pkKey(vals []any) (string, bool) {
 	return encodeKey(parts), true
 }
 
-// rowValues materializes the row at global position pos as a fresh
-// value slice.
-func (t *Table) rowValues(pos int) []any {
-	cols, lp := t.colsAt(pos)
-	out := make([]any, len(cols))
-	for i := range cols {
-		out[i] = cols[i].value(lp)
-	}
-	return out
-}
-
 // appendRow appends a normalized row to the hot tail and returns its
 // global position.
 func (t *Table) appendRow(vals []any) int {
@@ -404,31 +399,26 @@ func (t *Table) markDirty() {
 	}
 }
 
+// logEvent appends a mutation of this table to the binlog, when the
+// table is logged at all.
+func (t *Table) logEvent(ev Event) {
+	if t.logged {
+		ev.Schema, ev.Table = t.schema, t.def.Name
+		t.db.binlog.Append(ev)
+	}
+}
+
 // insertVals inserts a pre-normalized row and logs the mutation.
-func (t *Table) insertVals(vals []any, log bool) error {
+func (t *Table) insertVals(vals []any) error {
 	if key, ok := t.pkKey(vals); ok {
 		if _, dup := t.pk[key]; dup {
 			return fmt.Errorf("warehouse: table %s.%s: duplicate primary key %q", t.schema, t.def.Name, key)
 		}
 		t.pk[key] = t.rows
 	}
-	pos := t.appendRow(vals)
-	for _, ix := range t.indexes {
-		k := ix.key(vals)
-		ix.m[k] = append(ix.m[k], pos)
-	}
-	if log {
-		t.db.logEvent(Event{Kind: EvInsert, Schema: t.schema, Table: t.def.Name, Row: vals})
-	}
+	t.addToIndexes(t.appendRow(vals))
+	t.logEvent(Event{Kind: EvInsert, Row: vals})
 	return nil
-}
-
-func (ix *secondaryIndex) key(vals []any) string {
-	parts := make([]any, len(ix.cols))
-	for i, c := range ix.cols {
-		parts[i] = vals[c]
-	}
-	return encodeKey(parts)
 }
 
 // Insert adds a row given as a column-name map.
@@ -437,7 +427,7 @@ func (t *Table) Insert(row map[string]any) error {
 	if err != nil {
 		return err
 	}
-	return t.insertVals(vals, true)
+	return t.insertVals(vals)
 }
 
 // InsertRow adds a positional row (values in column order).
@@ -446,7 +436,7 @@ func (t *Table) InsertRow(row []any) error {
 	if err != nil {
 		return err
 	}
-	return t.insertVals(vals, true)
+	return t.insertVals(vals)
 }
 
 // Upsert inserts the row, or replaces the existing row with the same
@@ -475,21 +465,28 @@ func (t *Table) upsertVals(vals []any) error {
 	}
 	pos, exists := t.pk[key]
 	if !exists {
-		return t.insertVals(vals, true)
+		return t.insertVals(vals)
 	}
-	old := t.rowValues(pos)
-	t.removeFromIndexes(old, pos)
+	t.removeFromIndexes(pos)
 	t.tombstoneAt(pos)
 	newPos := t.appendRow(vals)
 	t.pk[key] = newPos
-	t.addToIndexes(vals, newPos)
-	t.db.logEvent(Event{Kind: EvUpdate, Schema: t.schema, Table: t.def.Name, Row: vals, Old: old})
+	t.addToIndexes(newPos)
+	t.logEvent(Event{Kind: EvUpdate, Row: vals})
 	return nil
 }
 
-func (t *Table) removeFromIndexes(vals []any, pos int) {
+// removeFromIndexes drops the row at pos from every secondary index,
+// keyed straight from the column vectors (no boxed copy of the row).
+func (t *Table) removeFromIndexes(pos int) {
+	if len(t.indexes) == 0 {
+		return
+	}
+	cols, lp := t.colsAt(pos)
+	var buf []byte
 	for _, ix := range t.indexes {
-		k := ix.key(vals)
+		buf = appendKeyAt(buf[:0], cols, ix.cols, lp)
+		k := string(buf)
 		lst := ix.m[k]
 		for i, p := range lst {
 			if p == pos {
@@ -506,10 +503,16 @@ func (t *Table) removeFromIndexes(vals []any, pos int) {
 	}
 }
 
-func (t *Table) addToIndexes(vals []any, pos int) {
+// addToIndexes enters the row at pos into every secondary index.
+func (t *Table) addToIndexes(pos int) {
+	if len(t.indexes) == 0 {
+		return
+	}
+	cols, lp := t.colsAt(pos)
+	var buf []byte
 	for _, ix := range t.indexes {
-		k := ix.key(vals)
-		ix.m[k] = append(ix.m[k], pos)
+		buf = appendKeyAt(buf[:0], cols, ix.cols, lp)
+		ix.m[string(buf)] = append(ix.m[string(buf)], pos)
 	}
 }
 
@@ -533,13 +536,16 @@ func (t *Table) Delete(where func(Row) bool) int {
 }
 
 func (t *Table) deleteAt(pos int) {
-	old := t.rowValues(pos)
-	if key, ok := t.pkKey(old); ok {
-		delete(t.pk, key)
+	if len(t.pkCols) > 0 {
+		cols, lp := t.colsAt(pos)
+		delete(t.pk, string(appendKeyAt(nil, cols, t.pkCols, lp)))
 	}
-	t.removeFromIndexes(old, pos)
+	t.removeFromIndexes(pos)
 	t.tombstoneAt(pos)
-	t.db.logEvent(Event{Kind: EvDelete, Schema: t.schema, Table: t.def.Name, Old: old})
+	if t.logged {
+		// The applier finds the row to delete by the prior values.
+		t.logEvent(Event{Kind: EvDelete, Old: t.rowAt(pos).Values()})
+	}
 }
 
 // DeleteByKey removes the row with the given primary key values.
@@ -556,7 +562,7 @@ func (t *Table) DeleteByKey(keyVals ...any) bool {
 // Truncate removes all rows.
 func (t *Table) Truncate() {
 	t.resetStorage()
-	t.db.logEvent(Event{Kind: EvTruncate, Schema: t.schema, Table: t.def.Name})
+	t.logEvent(Event{Kind: EvTruncate})
 }
 
 func (t *Table) resetStorage() {
@@ -579,8 +585,8 @@ func (t *Table) resetStorage() {
 // with the given columnar payload (a bulk load: re-aggregation
 // installs, loose-dump batch loads, backup restores). The payload is
 // validated strictly against the table definition, primary-key
-// uniqueness included, before anything is mutated; on success one
-// EvLoad event carrying the payload is logged in place of per-row
+// uniqueness included, before anything is mutated; on success a logged
+// table logs one EvLoad event carrying the payload in place of per-row
 // events. The table adopts cd's vectors — the caller must not modify
 // cd afterwards.
 func (t *Table) ReplaceAllColumns(cd *ColumnData) error {
@@ -620,7 +626,7 @@ func (t *Table) ReplaceAllColumns(cd *ColumnData) error {
 	t.pk = newPK
 	t.installAll(cols, cd.Rows)
 	t.markDirty()
-	t.db.logEvent(Event{Kind: EvLoad, Schema: t.schema, Table: t.def.Name, Cols: cd})
+	t.logEvent(Event{Kind: EvLoad, Cols: cd})
 	return nil
 }
 
@@ -642,8 +648,7 @@ func (t *Table) UpdateByKey(keyVals []any, set map[string]any) error {
 	if !ok {
 		return fmt.Errorf("warehouse: table %s.%s: no row with key %v", t.schema, t.def.Name, keyVals)
 	}
-	old := t.rowValues(pos)
-	vals := append([]any(nil), old...)
+	vals := t.rowAt(pos).Values()
 	for k, v := range set {
 		i, ok := t.lay.colIndex[k]
 		if !ok {
@@ -661,13 +666,13 @@ func (t *Table) UpdateByKey(keyVals []any, set map[string]any) error {
 			return fmt.Errorf("warehouse: table %s.%s: update collides on key %q", t.schema, t.def.Name, newKey)
 		}
 	}
-	t.removeFromIndexes(old, pos)
+	t.removeFromIndexes(pos)
 	t.tombstoneAt(pos)
 	delete(t.pk, key)
 	newPos := t.appendRow(vals)
 	t.pk[newKey] = newPos
-	t.addToIndexes(vals, newPos)
-	t.db.logEvent(Event{Kind: EvUpdate, Schema: t.schema, Table: t.def.Name, Row: vals, Old: old})
+	t.addToIndexes(newPos)
+	t.logEvent(Event{Kind: EvUpdate, Row: vals})
 	return nil
 }
 

@@ -60,11 +60,17 @@ type TableDef struct {
 	Columns    []Column
 	PrimaryKey []string
 	Indexes    [][]string
+	// Derived marks a table whose contents are recomputable from other
+	// tables (aggregation and partial-aggregate tables). Its owner
+	// recreates and refills it on every start, so nothing would ever
+	// read a log of it: neither its DDL nor its mutations are logged,
+	// on any DB (see Table.logged).
+	Derived bool
 }
 
 // Clone returns a deep copy of the definition.
 func (d TableDef) Clone() TableDef {
-	c := TableDef{Name: d.Name}
+	c := TableDef{Name: d.Name, Derived: d.Derived}
 	c.Columns = append([]Column(nil), d.Columns...)
 	c.PrimaryKey = append([]string(nil), d.PrimaryKey...)
 	for _, ix := range d.Indexes {

@@ -243,17 +243,40 @@ func TestIndexMaintainedAcrossDeleteAndUpsert(t *testing.T) {
 		tab.Insert(map[string]any{"job_id": 2, "user": "u", "resource": "a", "cores": 1, "wall": 1.0})
 		tab.Upsert(map[string]any{"job_id": 2, "user": "u", "resource": "b", "cores": 1, "wall": 1.0})
 		tab.DeleteByKey(int64(1))
-		return nil
+		tab.Insert(map[string]any{"job_id": 3, "user": "u", "resource": "b", "cores": 1, "wall": 1.0})
+		return tab.UpdateByKey([]any{int64(3)}, map[string]any{"resource": "c"})
 	})
 	db.View(func() error {
-		var inA, inB int
+		var inA, inB, inC int
 		tab.ScanIndex([]string{"resource"}, []any{"a"}, func(r Row) bool { inA++; return true })
 		tab.ScanIndex([]string{"resource"}, []any{"b"}, func(r Row) bool { inB++; return true })
-		if inA != 0 || inB != 1 {
-			t.Errorf("index counts a=%d b=%d, want 0,1", inA, inB)
+		tab.ScanIndex([]string{"resource"}, []any{"c"}, func(r Row) bool { inC++; return true })
+		if inA != 0 || inB != 1 || inC != 1 {
+			t.Errorf("index counts a=%d b=%d c=%d, want 0,1,1", inA, inB, inC)
 		}
 		return nil
 	})
+	// An update event carries the new row only (the applier upserts by
+	// primary key); a delete event carries the row it removed.
+	evs, _ := db.Binlog().ReadFrom(0, 0)
+	var updates, deletes int
+	for _, ev := range evs {
+		switch ev.Kind {
+		case EvUpdate:
+			updates++
+			if ev.Old != nil || len(ev.Row) != 6 {
+				t.Errorf("update event: Row %v, Old %v", ev.Row, ev.Old)
+			}
+		case EvDelete:
+			deletes++
+			if ev.Row != nil || len(ev.Old) != 6 || ev.Old[0] != int64(1) || ev.Old[2] != "a" {
+				t.Errorf("delete event: Row %v, Old %v", ev.Row, ev.Old)
+			}
+		}
+	}
+	if updates != 2 || deletes != 1 {
+		t.Errorf("logged %d updates and %d deletes, want 2 and 1", updates, deletes)
+	}
 }
 
 func TestGroupBy(t *testing.T) {

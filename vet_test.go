@@ -1,7 +1,13 @@
 package xdmodfed
 
 import (
+	"bytes"
+	"go/format"
+	"io/fs"
+	"os"
 	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -18,5 +24,39 @@ func TestGoVet(t *testing.T) {
 	out, err := exec.Command(goBin, "vet", "./...").CombinedOutput()
 	if err != nil {
 		t.Fatalf("go vet: %v\n%s", err, out)
+	}
+}
+
+// TestGofmt keeps every Go file of this module gofmt-clean. bench/ is a
+// module of its own (and no PR may touch it); dot-directories hold
+// build output and tool state.
+func TestGofmt(t *testing.T) {
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		want, err := format.Source(src)
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+		} else if !bytes.Equal(src, want) {
+			t.Errorf("%s is not gofmt-formatted; run gofmt -w %s", path, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
