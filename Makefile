@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race chaos bench bench-shard bench-load bench-pushdown bench-check bench-pipeline loc check
+.PHONY: build vet test race chaos fuzz bench bench-shard bench-load bench-pushdown bench-check bench-pipeline loc check
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,15 @@ race:
 # See docs/robustness.md for the failure model and failpoint catalog.
 chaos:
 	$(GO) test -race -run 'TestChaos(FederationConvergence|PushdownConvergence)' -count 1 -v .
+
+# Native fuzzing of the decoders that read bytes from outside the
+# process: the binary event codec (replication frames, WAL payloads)
+# and WAL recovery over whole files. One target per invocation is a
+# `go test -fuzz` rule. The seed corpora run in plain `go test` (tier-1)
+# too; a failure is written to the package's testdata/fuzz/ — commit it.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEvents$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/warehouse
+	$(GO) test -run '^$$' -fuzz '^FuzzReplayLog$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/warehouse
 
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkObsOverhead -benchtime 20000x .

@@ -39,7 +39,12 @@ import (
 // Version is the XDMoD software version of this build. The federation
 // handshake requires hub and satellites to match ("each individual
 // XDMoD instance must run the same version of XDMoD", paper §II-A).
-const Version = "8.0.0-fed"
+// It changes whenever the replication wire format does — 8.1.0 carries
+// a frame's events in the binary event codec where 8.0.0 carried them
+// as gob. What the handshake compares is each instance's config string,
+// which xdmod-setup fills from here; the check that does not depend on
+// a config file being edited is replicate's compiled-in wireFormat.
+const Version = "8.1.0-fed"
 
 // FederatedTablesFor maps a realm name to the tables that replicate to
 // a hub. The Jobs realm federates its fact table; Cloud federates

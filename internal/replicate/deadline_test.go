@@ -3,8 +3,10 @@ package replicate
 import (
 	"context"
 	"encoding/gob"
+	"errors"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -33,7 +35,7 @@ func TestReceiverDetectsStalledPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := gob.NewEncoder(conn).Encode(hello{Instance: "ccr", Version: "v"}); err != nil {
+	if err := gob.NewEncoder(conn).Encode(hello{Instance: "ccr", Version: "v", Wire: wireFormat}); err != nil {
 		t.Fatal(err)
 	}
 	dec := gob.NewDecoder(conn)
@@ -81,7 +83,7 @@ func TestSenderDetectsDeadHub(t *testing.T) {
 		if err := gob.NewDecoder(conn).Decode(&h); err != nil {
 			return
 		}
-		if err := gob.NewEncoder(conn).Encode(helloAck{OK: true, Resume: 0, Heartbeat: hb}); err != nil {
+		if err := gob.NewEncoder(conn).Encode(helloAck{OK: true, Wire: wireFormat, Resume: 0, Heartbeat: hb}); err != nil {
 			return
 		}
 		// Play dead: swallow frames, never respond.
@@ -170,7 +172,7 @@ func TestReceiverRejectsOversizeFrame(t *testing.T) {
 	}
 	defer conn.Close()
 	enc := gob.NewEncoder(conn)
-	if err := enc.Encode(hello{Instance: "ccr", Version: "v"}); err != nil {
+	if err := enc.Encode(hello{Instance: "ccr", Version: "v", Wire: wireFormat}); err != nil {
 		t.Fatal(err)
 	}
 	dec := gob.NewDecoder(conn)
@@ -178,10 +180,10 @@ func TestReceiverRejectsOversizeFrame(t *testing.T) {
 	if err := dec.Decode(&ha); err != nil || !ha.OK {
 		t.Fatalf("handshake: %v %+v", err, ha)
 	}
-	huge := batch{UpTo: 1, Events: []warehouse.Event{{
+	huge := batch{UpTo: 1, Packed: warehouse.AppendEvents(nil, []warehouse.Event{{
 		LSN: 1, Kind: warehouse.EvInsert, Schema: "s", Table: "t",
 		Row: []any{strings.Repeat("x", 1<<20)}, // ~1 MiB >> 8 KiB cap
-	}}}
+	}})}
 	// The hub must hang up mid-frame; with a ~1MiB frame against an
 	// 8KiB budget either the write fails or the follow-up read does.
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
@@ -198,5 +200,201 @@ func TestReceiverRejectsOversizeFrame(t *testing.T) {
 	}
 	if got := hub.Count(HubSchema("ccr"), jobs.FactTable); got != 0 {
 		t.Fatalf("oversize frame was applied: %d rows", got)
+	}
+}
+
+// TestReceiverRejectsMalformedPackedEvents: a frame whose Packed bytes
+// do not decode closes the connection with nothing of the frame
+// applied and the member's position where the last good frame left it.
+func TestReceiverRejectsMalformedPackedEvents(t *testing.T) {
+	sink, hub := newTestSink(t)
+	recv := &Receiver{Version: "v", Sink: sink, HeartbeatInterval: 50 * time.Millisecond}
+	addr, err := recv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
+	if err := enc.Encode(hello{Instance: "ccr", Version: "v", Wire: wireFormat}); err != nil {
+		t.Fatal(err)
+	}
+	var ha helloAck
+	if err := dec.Decode(&ha); err != nil || !ha.OK {
+		t.Fatalf("handshake: %v %+v", err, ha)
+	}
+	awaitAck := func() (ack, error) {
+		for {
+			var a ack
+			if err := dec.Decode(&a); err != nil || !a.HB {
+				return a, err
+			}
+		}
+	}
+
+	// A good frame first: the hub's schema and one row, position 3.
+	def := jobs.Def()
+	schema := HubSchema("ccr")
+	row := func(id int64) []any {
+		r, err := jobs.FactRowFromRecord(shredder.JobRecord{
+			LocalJobID: id, User: "u", Account: "a", Resource: "ccr-cluster", Queue: "q", Nodes: 1, Cores: 2,
+			Submit: time.Date(2017, 1, 1, 0, 0, 0, 0, time.UTC),
+			Start:  time.Date(2017, 1, 1, 1, 0, 0, 0, time.UTC),
+			End:    time.Date(2017, 1, 1, 2, 0, 0, 0, time.UTC),
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	good := warehouse.AppendEvents(nil, []warehouse.Event{
+		{LSN: 1, Kind: warehouse.EvCreateSchema, Schema: schema},
+		{LSN: 2, Kind: warehouse.EvCreateTable, Schema: schema, Table: def.Name, Def: &def},
+		{LSN: 3, Kind: warehouse.EvInsert, Schema: schema, Table: def.Name, Row: row(1)},
+	})
+	if err := enc.Encode(batch{UpTo: 3, Packed: good}); err != nil {
+		t.Fatal(err)
+	}
+	if a, err := awaitAck(); err != nil || a.UpTo != 3 {
+		t.Fatalf("good frame: ack %+v, %v", a, err)
+	}
+
+	// Then two more rows, the second cut short mid-cell.
+	bad := warehouse.AppendEvents(nil, []warehouse.Event{
+		{LSN: 4, Kind: warehouse.EvInsert, Schema: schema, Table: def.Name, Row: row(2)},
+		{LSN: 5, Kind: warehouse.EvInsert, Schema: schema, Table: def.Name, Row: row(3)},
+	})
+	if err := enc.Encode(batch{UpTo: 5, Packed: bad[:len(bad)-3]}); err != nil {
+		t.Fatal(err)
+	}
+	if a, err := awaitAck(); err == nil {
+		t.Fatalf("hub acked a frame whose events do not decode: %+v", a)
+	}
+	recv.Close() // the handler has returned: what it applied is final
+	if got := hub.Count(schema, def.Name); got != 1 {
+		t.Errorf("hub holds %d rows, want the 1 of the good frame: part of the malformed frame was applied", got)
+	}
+	if pos, _ := sink.Resume("ccr"); pos != 3 {
+		t.Errorf("member position %d after the malformed frame, want 3", pos)
+	}
+}
+
+// The 8.0 build's frames, which carried events as gob and had no Wire
+// field in the handshake (gob matches structs by field name).
+type (
+	hello80    struct{ Instance, Version string }
+	helloAck80 struct {
+		OK        bool
+		Err       string
+		Resume    uint64
+		Heartbeat time.Duration
+	}
+	batch80 struct {
+		UpTo   uint64
+		Events []warehouse.Event
+	}
+)
+
+// TestReceiverRefusesOldWireFormatSatellite: a satellite whose build
+// ships events as gob is refused at hello even when its config carries
+// the hub's version string — and a batch it sends regardless is never
+// acked, since the hub would decode it as a frame of no events.
+func TestReceiverRefusesOldWireFormatSatellite(t *testing.T) {
+	sink, hub := newTestSink(t)
+	recv := &Receiver{Version: "v", Sink: sink, HeartbeatInterval: 50 * time.Millisecond}
+	addr, err := recv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
+	if err := enc.Encode(hello80{Instance: "ccr", Version: "v"}); err != nil {
+		t.Fatal(err)
+	}
+	var ha helloAck
+	if err := dec.Decode(&ha); err != nil || ha.OK || !strings.Contains(ha.Err, "wire format mismatch") {
+		t.Fatalf("hello without a wire format: ack %+v, %v; want a wire format refusal", ha, err)
+	}
+	schema := HubSchema("ccr")
+	if err := enc.Encode(batch80{UpTo: 1, Events: []warehouse.Event{
+		{LSN: 1, Kind: warehouse.EvCreateSchema, Schema: schema},
+	}}); err == nil {
+		for {
+			var a ack
+			if err := dec.Decode(&a); err != nil {
+				break // hub hung up
+			}
+			if !a.HB {
+				t.Fatalf("hub acked a gob-events batch it cannot see into: %+v", a)
+			}
+		}
+	}
+	recv.Close()
+	if slices.Contains(hub.Schemas(), schema) {
+		t.Error("the refused peer's batch was applied")
+	}
+	if pos, _ := sink.Resume("ccr"); pos != 0 {
+		t.Errorf("member position %d after a refused handshake, want 0", pos)
+	}
+}
+
+// TestSenderRefusesOldWireFormatHub: a hub whose build predates Packed
+// accepts any hello whose version string matches; the satellite must
+// stop at its ack, permanently, without sending it a batch.
+func TestSenderRefusesOldWireFormatHub(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	afterAck := make(chan error, 1) // what the hub reads after its OK
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			afterAck <- err
+			return
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		dec := gob.NewDecoder(conn)
+		var h hello80
+		if err := dec.Decode(&h); err != nil {
+			afterAck <- err
+			return
+		}
+		if err := gob.NewEncoder(conn).Encode(helloAck80{OK: true, Heartbeat: 50 * time.Millisecond}); err != nil {
+			afterAck <- err
+			return
+		}
+		var b batch80
+		afterAck <- dec.Decode(&b)
+	}()
+
+	sat := satelliteWithJobs(t, "ccr", 10)
+	sender := &Sender{Instance: "ccr", Version: "v", DB: sat, Rewriter: NewRewriter("ccr", Filter{})}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	err = sender.RunWithRetry(ctx, ln.Addr().String(), time.Millisecond)
+	if !errors.Is(err, ErrHandshakeRejected) || !strings.Contains(err.Error(), "wire format mismatch") {
+		t.Fatalf("RunWithRetry against an old-format hub = %v, want a permanent wire format rejection", err)
+	}
+	if err := <-afterAck; err != io.EOF {
+		t.Fatalf("hub read %v after its ack, want EOF: the satellite sent a frame", err)
+	}
+	if st := sender.Stats(); st.SentBatches != 0 || st.Position != 0 {
+		t.Fatalf("sender progressed against an old-format hub: %+v", st)
 	}
 }

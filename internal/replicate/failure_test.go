@@ -112,9 +112,9 @@ func TestReplicationSurvivesConnectionDrops(t *testing.T) {
 	}
 	defer recv.Close()
 
-	// Kill connections every ~64 KiB so the stream needs several
-	// sessions to complete.
-	proxy := newChaosProxy(t, hubAddr, 64*1024)
+	// Kill connections every ~4 KiB (the 300 facts are ~20 KiB on the
+	// wire) so the stream needs several sessions to complete.
+	proxy := newChaosProxy(t, hubAddr, 4*1024)
 	defer proxy.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

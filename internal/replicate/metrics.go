@@ -16,7 +16,7 @@ var (
 	mSentBatches = obs.Default.CounterVec("xdmodfed_replicate_sent_batches_total",
 		"Replication batches acknowledged by a hub.", "instance")
 	mSentBytes = obs.Default.CounterVec("xdmodfed_replicate_sent_bytes_total",
-		"Bytes written to hub connections, gob framing included.", "instance")
+		"Bytes written to hub connections: gob frame envelopes, the events packed inside them in the binary event codec, and pushdown deltas.", "instance")
 	mRetries = obs.Default.CounterVec("xdmodfed_replicate_retries_total",
 		"Sender reconnect attempts after transient failures.", "instance")
 	mLag = obs.Default.GaugeVec("xdmodfed_replication_lag_events",

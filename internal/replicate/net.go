@@ -24,15 +24,28 @@ import (
 // over TCP as they are committed ("live replication", paper §II-A).
 // Protocol (gob-framed):
 //
-//	satellite -> hub:  hello{instance, version}
-//	hub -> satellite:  helloAck{ok, err, resumeLSN, heartbeat}
-//	satellite -> hub:  batch{upTo, events}   (repeated; hb=true when idle)
+//	satellite -> hub:  hello{instance, version, wire}
+//	hub -> satellite:  helloAck{ok, err, wire, resumeLSN, heartbeat}
+//	satellite -> hub:  batch{upTo, packed}   (repeated; hb=true when idle)
 //	hub -> satellite:  ack{upTo}             (one per batch; hb=true on a timer)
+//
+// The frames are gob; a batch's events are not — they ride in one byte
+// field, packed by the warehouse's binary event codec
+// (warehouse.AppendEvents), the same bytes a WAL record holds. There is
+// one codec and no negotiation of it: the same-version rule below is
+// what keeps both ends agreeing on the format.
 //
 // The hub enforces the paper's same-version requirement ("each
 // individual XDMoD instance must run the same version of XDMoD",
 // §II-A) at handshake time and tells the satellite where to resume
-// from, using its durable per-instance commit position.
+// from, using its durable per-instance commit position. The version is
+// a string from each instance's config file, so it says what the
+// operator wrote, not what is running; the part of the rule that data
+// depends on — both ends frame events the same way — is therefore
+// carried separately as wireFormat, a number compiled into the binary.
+// Each end sends its own and refuses a peer whose number differs, and
+// gob reads the field as 0 from a build that predates it, so a build
+// that would not see Packed is never sent a batch and never acks one.
 //
 // Liveness: every read and write carries a deadline. The hub sends a
 // heartbeat ack every HeartbeatInterval and the satellite sends a
@@ -55,6 +68,9 @@ const (
 	DefaultMaxFrameBytes = 64 << 20
 	// handshakeTimeout bounds dial + hello/helloAck exchange.
 	handshakeTimeout = 30 * time.Second
+	// maxKeptPacked is the largest Packed array the hub keeps between
+	// frames of a connection; a full batch of facts is well under it.
+	maxKeptPacked = 1 << 20
 )
 
 // writeTimeout is the deadline for writing one protocol frame.
@@ -75,9 +91,17 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
+// wireFormat numbers what a batch frame carries. It is not configurable
+// and nothing is chosen by it: unequal numbers end the handshake.
+// 1 (never sent: the field did not exist) was batch.Events as gob; 2 is
+// batch.Packed.
+const wireFormat = 2
+
 type hello struct {
 	Instance string
 	Version  string
+	// Wire is the satellite build's wireFormat.
+	Wire int
 	// Trace is the satellite handshake span's wire-form trace context
 	// (obs traceparent). Optional: gob omits the zero value, so old
 	// peers interoperate and an empty string means "no trace".
@@ -95,8 +119,11 @@ type hello struct {
 }
 
 type helloAck struct {
-	OK     bool
-	Err    string
+	OK  bool
+	Err string
+	// Wire is the hub build's wireFormat; the satellite checks it on an
+	// OK ack, since a hub that predates the field accepts any hello.
+	Wire   int
 	Resume uint64
 	// RetryAfter, when nonzero on a rejection, tells the satellite the
 	// refusal is temporary (e.g. the member is quarantined) and when to
@@ -117,8 +144,10 @@ type helloAck struct {
 }
 
 type batch struct {
-	UpTo   uint64
-	Events []warehouse.Event
+	UpTo uint64
+	// Packed is the frame's events in the binary event codec
+	// (warehouse.AppendEvents); empty when the frame carries none.
+	Packed []byte
 	// HB marks an empty keep-alive frame sent while the satellite has
 	// nothing to replicate; the hub ignores it (no ack, no apply).
 	HB bool
@@ -130,7 +159,7 @@ type batch struct {
 	Trace string
 	// Deltas carries partial-aggregate deltas on a pushdown-granted
 	// connection (possibly alongside raw events for non-pushdown
-	// tables). Applied after Events, before the ack. Old hubs never
+	// tables). Applied after the events, before the ack. Old hubs never
 	// grant pushdown, so they never see this field.
 	Deltas []aggregate.Delta
 }
@@ -329,6 +358,17 @@ func (r *Receiver) serve(conn net.Conn) {
 		hsp.End()
 		return
 	}
+	if h.Wire != wireFormat {
+		repLog.Warn("replication handshake rejected",
+			"instance", h.Instance, "err", "wire format mismatch", "hub_wire", wireFormat, "instance_wire", h.Wire)
+		send(helloAck{OK: false, Err: fmt.Sprintf(
+			"wire format mismatch: the hub's build speaks replication wire format %d, instance %q's build speaks %d, "+
+				"whatever their configs say (upgrade the hub and its satellites together)",
+			wireFormat, h.Instance, h.Wire)})
+		hsp.SetAttr("rejected", "wire format")
+		hsp.End()
+		return
+	}
 	if r.Authorize != nil {
 		if err := r.Authorize(h.Instance); err != nil {
 			send(rejection(err))
@@ -370,7 +410,7 @@ func (r *Receiver) serve(conn net.Conn) {
 		hsp.End()
 		return
 	}
-	ackErr := send(helloAck{OK: true, Resume: resume, Heartbeat: hb, Trace: obs.TraceParent(hctx),
+	ackErr := send(helloAck{OK: true, Wire: wireFormat, Resume: resume, Heartbeat: hb, Trace: obs.TraceParent(hctx),
 		PushdownOK: pdGranted, PushdownErr: pdErr})
 	hsp.SetAttr("resume", strconv.FormatUint(resume, 10))
 	hsp.End()
@@ -401,10 +441,18 @@ func (r *Receiver) serve(conn net.Conn) {
 		}
 	}()
 
+	var b batch
 	for {
 		conn.SetReadDeadline(time.Now().Add(2 * hb))
 		flr.reset()
-		var b batch
+		// gob leaves a field the frame omits as it was, so every frame
+		// decodes into a zeroed batch; only Packed's array is kept for
+		// reuse (decoded events never alias it) — unless one outsize
+		// frame (a restore's LOAD) grew it: a hub holds one per member.
+		b = batch{Packed: b.Packed[:0]}
+		if cap(b.Packed) > maxKeptPacked {
+			b.Packed = nil
+		}
 		if err := dec.Decode(&b); err != nil {
 			switch {
 			case isTimeout(err):
@@ -421,14 +469,25 @@ func (r *Receiver) serve(conn net.Conn) {
 		if b.HB {
 			continue // satellite keep-alive
 		}
+		var events []warehouse.Event
+		if len(b.Packed) > 0 {
+			var err error
+			if events, err = warehouse.DecodeEvents(b.Packed); err != nil {
+				// Nothing of the frame is applied and the member's
+				// position stays where it was.
+				repLog.Error("malformed replication frame, closing",
+					"instance", h.Instance, "up_to", b.UpTo, "err", err)
+				return
+			}
+		}
 		var err error
 		if cs, ok := r.Sink.(ContextSink); ok {
 			// Hand the frame's trace context to the sink so its apply
 			// span continues the satellite's trace.
 			actx := obs.ContextWithTraceParent(context.Background(), b.Trace)
-			err = cs.ApplyBatchCtx(actx, h.Instance, b.UpTo, b.Events)
+			err = cs.ApplyBatchCtx(actx, h.Instance, b.UpTo, events)
 		} else {
-			err = r.Sink.ApplyBatch(h.Instance, b.UpTo, b.Events)
+			err = r.Sink.ApplyBatch(h.Instance, b.UpTo, events)
 		}
 		if err != nil {
 			repLog.Warn("replication batch rejected",
@@ -539,8 +598,8 @@ func (s *Sender) Stats() SenderStats {
 	return s.stats
 }
 
-// ErrHandshakeRejected reports that the hub refused the connection
-// permanently (version mismatch or unauthorized instance).
+// ErrHandshakeRejected reports that the connection was refused
+// permanently (version or wire format mismatch, unauthorized instance).
 var ErrHandshakeRejected = errors.New("replicate: handshake rejected")
 
 // Run connects to the hub and streams until the context is cancelled,
@@ -565,7 +624,7 @@ func (s *Sender) Run(ctx context.Context, hubAddr string) error {
 	hctx, hsp := obs.StartSpan(ctx, "replicate.handshake")
 	hsp.SetAttr("instance", s.Instance)
 	hsp.SetAttr("hub", hubAddr)
-	h := hello{Instance: s.Instance, Version: s.Version, Trace: obs.TraceParent(hctx)}
+	h := hello{Instance: s.Instance, Version: s.Version, Wire: wireFormat, Trace: obs.TraceParent(hctx)}
 	if s.Pushdown != nil {
 		h.Pushdown = true
 		h.PushdownRealms = s.Pushdown.Realms()
@@ -587,6 +646,12 @@ func (s *Sender) Run(ctx context.Context, hubAddr string) error {
 			return &RetryAfterError{After: ha.RetryAfter, Reason: ha.Err}
 		}
 		return fmt.Errorf("%w: %s", ErrHandshakeRejected, ha.Err)
+	}
+	if ha.Wire != wireFormat {
+		// A hub that predates the field accepted the hello without
+		// looking at it, and would ack frames whose events it cannot see.
+		return fmt.Errorf("%w: wire format mismatch: this build speaks replication wire format %d, the hub's speaks %d "+
+			"(upgrade the hub and its satellites together)", ErrHandshakeRejected, wireFormat, ha.Wire)
 	}
 	conn.SetDeadline(time.Time{}) // handshake done; per-frame deadlines below
 	hb := ha.Heartbeat
@@ -732,6 +797,7 @@ func (s *Sender) Run(ctx context.Context, hubAddr string) error {
 		}
 	}
 
+	var packed []byte // the frame's events, reused: Encode has copied them out
 	for {
 		// Idle for at most a heartbeat interval — or, with dirty pushdown
 		// bins waiting out their flush interval, until that flush is due.
@@ -787,8 +853,12 @@ func (s *Sender) Run(ctx context.Context, hubAddr string) error {
 		sctx, ssp := obs.StartSpan(sctx, "replicate.send")
 		ssp.SetAttr("instance", s.Instance)
 		ssp.SetAttr("events", strconv.Itoa(len(out)))
+		packed = packed[:0]
+		if len(out) > 0 {
+			packed = warehouse.AppendEvents(packed, out)
+		}
 		conn.SetWriteDeadline(time.Now().Add(writeTimeout(hb)))
-		err = enc.Encode(batch{UpTo: upTo, Events: out, Trace: obs.TraceParent(sctx)})
+		err = enc.Encode(batch{UpTo: upTo, Packed: packed, Trace: obs.TraceParent(sctx)})
 		ssp.End()
 		if err != nil {
 			if ctx.Err() != nil {

@@ -263,7 +263,7 @@ func TestReceiverRejectsOversizeDeltaFrame(t *testing.T) {
 	}
 	defer conn.Close()
 	enc := gob.NewEncoder(conn)
-	if err := enc.Encode(hello{Instance: "ccr", Version: "v", Pushdown: true, PushdownRealms: []string{"Jobs"}, LevelsDigest: "d"}); err != nil {
+	if err := enc.Encode(hello{Instance: "ccr", Version: "v", Wire: wireFormat, Pushdown: true, PushdownRealms: []string{"Jobs"}, LevelsDigest: "d"}); err != nil {
 		t.Fatal(err)
 	}
 	dec := gob.NewDecoder(conn)

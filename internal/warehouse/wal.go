@@ -22,15 +22,23 @@ import (
 // append-only file (a write-ahead log of row events) and replayed on
 // startup. Each on-disk record is
 //
-//	uvarint(payload length) | CRC32C of payload (4 bytes LE) | gob payload
+//	uvarint(payload length) | CRC32C of payload (4 bytes LE) | payload
 //
-// The length prefix allows appending across process restarts (a bare
-// gob stream does not), the checksum catches torn or bit-rotted tails,
-// and a length sanity cap stops a corrupt prefix from forcing a huge
-// allocation. Recovery replays events into a fresh DB, which re-logs
-// them in the same order so replication positions remain meaningful
-// across restarts; a torn or corrupt tail is truncated at the last
-// valid record so the writer can resume appending there.
+// and a payload is the walBinary tag byte followed by one event in the
+// binary event codec (eventcodec.go) — each record a buffer of its own,
+// so any record decodes without the ones before it. The length prefix
+// allows appending across process restarts, the checksum catches torn
+// or bit-rotted tails, and a length sanity cap stops a corrupt prefix
+// from forcing a huge allocation. Recovery replays events into a fresh
+// DB, which re-logs them in the same order so replication positions
+// remain meaningful across restarts; a torn tail is truncated at the
+// last valid record so the writer can resume appending there.
+//
+// Files written before the binary codec hold one gob-encoded Event per
+// payload. Nothing writes that form any more, but ReplayLog still
+// reads it (a gob stream cannot begin with a zero byte, so the tag
+// tells them apart): a satellite upgraded in place replays the WAL it
+// has. The fallback can go once no deployed WAL predates this format.
 
 var walLog = obs.Logger("warehouse.wal")
 
@@ -44,6 +52,13 @@ const maxWALRecord = 64 << 20
 // walHeaderLen is the fixed part of a record after the varint: the
 // 4-byte CRC32C of the payload.
 const walHeaderLen = 4
+
+// walBinary is the first payload byte of a binary-codec record.
+const walBinary = 0x00
+
+// walMaxPrefix is the longest a record's length varint and checksum
+// can be; the writer builds the payload behind a gap of this size.
+const walMaxPrefix = binary.MaxVarintLen64 + walHeaderLen
 
 // FsyncPolicy selects when the WAL writer calls fsync.
 type FsyncPolicy string
@@ -79,7 +94,8 @@ type LogWriter struct {
 	f      faults.File
 	policy FsyncPolicy
 	pos    uint64
-	dirty  bool // bytes written since the last successful sync
+	dirty  bool   // bytes written since the last successful sync
+	rec    []byte // record under construction, reused across records
 	err    error
 	db     *DB
 	cancel context.CancelFunc
@@ -167,33 +183,30 @@ func (w *LogWriter) syncLoop(ctx context.Context, interval time.Duration) {
 func (w *LogWriter) writeEvents(evs []Event) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var payload, rec bytes.Buffer
-	var lenBuf [binary.MaxVarintLen64]byte
-	var crcBuf [walHeaderLen]byte
 	var written uint64
-	for _, ev := range evs {
-		payload.Reset()
-		if err := gob.NewEncoder(&payload).Encode(ev); err != nil {
-			w.err = err
-			return err
-		}
-		rec.Reset()
-		n := binary.PutUvarint(lenBuf[:], uint64(payload.Len()))
-		rec.Write(lenBuf[:n])
-		binary.LittleEndian.PutUint32(crcBuf[:], crc32.Checksum(payload.Bytes(), castagnoli))
-		rec.Write(crcBuf[:])
-		rec.Write(payload.Bytes())
+	for i := range evs {
+		// The payload is encoded behind a gap the length prefix and the
+		// checksum are then written into, right-aligned.
+		rec := append(w.rec[:0], make([]byte, walMaxPrefix)...)
+		rec = AppendEvents(append(rec, walBinary), evs[i:i+1])
+		w.rec = rec
+		payload := rec[walMaxPrefix:]
+		var lenBuf [binary.MaxVarintLen64]byte
+		n := binary.PutUvarint(lenBuf[:], uint64(len(payload)))
+		rec = rec[walMaxPrefix-walHeaderLen-n:]
+		copy(rec, lenBuf[:n])
+		binary.LittleEndian.PutUint32(rec[n:], crc32.Checksum(payload, castagnoli))
 		// One Write per record: a crash (or injected short write)
 		// tears at most the record being appended, never an earlier
 		// one, and recovery truncates exactly there.
-		if _, err := w.f.Write(rec.Bytes()); err != nil {
+		if _, err := w.f.Write(rec); err != nil {
 			w.dirty = true
 			w.err = err
 			return err
 		}
-		written += uint64(rec.Len())
+		written += uint64(len(rec))
 		w.dirty = true
-		w.pos = ev.LSN
+		w.pos = evs[i].LSN
 	}
 	mWALBytes.Add(written)
 	if w.policy == FsyncAlways {
@@ -303,11 +316,16 @@ func (c *countingByteReader) Read(p []byte) (int, error) {
 // schemas first and then recover prior state into them.
 //
 // Every record is validated (length sanity + CRC32C) before it is
-// applied. The first invalid record — torn length prefix, impossible
-// length, checksum mismatch, or undecodable payload — ends recovery:
-// the file is truncated at the end of the last valid record and the
-// writer resumes appending from there. An apply error on a *valid*
-// record is a real fault and is returned.
+// applied. The first torn record — short length prefix, checksum or
+// payload, impossible length, or checksum mismatch: what a crash
+// mid-append leaves — ends recovery: the file is truncated at the end
+// of the last valid record and the writer resumes appending from
+// there. A record whose checksum holds but whose payload does not
+// decode is not a torn write (the bytes are the ones that were
+// written): the records before it are applied, the file is left
+// untouched — later records may be perfectly good — and an error
+// naming the offset is returned. An apply error on a valid record is
+// likewise a real fault and is returned.
 func ReplayLog(db *DB, path string) (uint64, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	canTruncate := true
@@ -324,10 +342,15 @@ func ReplayLog(db *DB, path string) (uint64, error) {
 		canTruncate = false
 	}
 	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
 	cr := &countingByteReader{br: bufio.NewReader(f)}
 	var last uint64
 	var validOff int64
 	var torn string
+	var undecodable error
 	// Validated events are applied in batches: one write transaction —
 	// one lock acquisition and one snapshot publish per touched table —
 	// per replayBatch events instead of per event.
@@ -345,6 +368,7 @@ func ReplayLog(db *DB, path string) (uint64, error) {
 		batch = batch[:0]
 		return nil
 	}
+	var frame []byte // reused: decoded events own their strings
 	for {
 		frameLen, err := binary.ReadUvarint(cr)
 		if err != nil {
@@ -363,7 +387,16 @@ func ReplayLog(db *DB, path string) (uint64, error) {
 			torn = "torn checksum"
 			break
 		}
-		frame := make([]byte, frameLen)
+		// A length the rest of the file cannot hold is a torn payload;
+		// nothing is allocated for it.
+		if int64(frameLen) > info.Size()-cr.off {
+			torn = "torn payload"
+			break
+		}
+		if uint64(cap(frame)) < frameLen {
+			frame = make([]byte, frameLen)
+		}
+		frame = frame[:frameLen]
 		if _, err := io.ReadFull(cr, frame); err != nil {
 			torn = "torn payload"
 			break
@@ -372,12 +405,22 @@ func ReplayLog(db *DB, path string) (uint64, error) {
 			torn = fmt.Sprintf("checksum mismatch (%08x != %08x)", got, want)
 			break
 		}
-		var ev Event
-		if err := gob.NewDecoder(bytes.NewReader(frame)).Decode(&ev); err != nil {
-			torn = "undecodable payload"
-			break
+		if frame[0] == walBinary {
+			evs, err := DecodeEvents(frame[1:])
+			if err != nil {
+				undecodable = err
+				break
+			}
+			batch = append(batch, evs...)
+		} else {
+			// A record from before the binary codec: one gob Event.
+			var ev Event
+			if err := gob.NewDecoder(bytes.NewReader(frame)).Decode(&ev); err != nil {
+				undecodable = err
+				break
+			}
+			batch = append(batch, ev)
 		}
-		batch = append(batch, ev)
 		if len(batch) >= replayBatch {
 			if err := flush(); err != nil {
 				return last, err
@@ -387,6 +430,10 @@ func ReplayLog(db *DB, path string) (uint64, error) {
 	}
 	if err := flush(); err != nil {
 		return last, err
+	}
+	if undecodable != nil {
+		return last, fmt.Errorf("warehouse: recover %s: the record at offset %d (after LSN %d) has a valid checksum but does not decode; file left untouched: %w",
+			path, validOff, last, undecodable)
 	}
 	if torn != "" {
 		mWALTruncated.Inc()

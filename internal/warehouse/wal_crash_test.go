@@ -1,8 +1,16 @@
 package warehouse
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"xdmodfed/internal/faults"
@@ -241,4 +249,211 @@ func TestWALShortWriteTornTail(t *testing.T) {
 	if got := rec2.Count("s", "jobs"); got != 4 {
 		t.Fatalf("after resume recovered %d rows, want 4", got)
 	}
+}
+
+// walRecord frames one payload as the writer does.
+func walRecord(payload []byte) []byte {
+	rec := binary.AppendUvarint(nil, uint64(len(payload)))
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(payload, castagnoli))
+	return append(rec, payload...)
+}
+
+// walValidPrefix returns the end offsets of the leading run of records
+// in data whose framing and checksum hold — computed apart from
+// ReplayLog, as the reference for what recovery may never cut into.
+func walValidPrefix(data []byte) (ends []int) {
+	off := 0
+	for {
+		n, k := binary.Uvarint(data[off:])
+		if k <= 0 || n == 0 || n > maxWALRecord || uint64(len(data)-off-k) < walHeaderLen+n {
+			return ends
+		}
+		payload := data[off+k+walHeaderLen:][:n]
+		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[off+k:]) {
+			return ends
+		}
+		off += k + walHeaderLen + int(n)
+		ends = append(ends, off)
+	}
+}
+
+// sampleWALEvents returns a small binlog with every row-event kind.
+func sampleWALEvents(t testing.TB) []Event {
+	t.Helper()
+	db := Open("src")
+	tab := mustTable(t, db, "s")
+	db.Do(func() error {
+		for i := 0; i < 12; i++ {
+			tab.Insert(map[string]any{"job_id": i, "user": "u", "resource": "r", "cores": i, "wall": float64(i) / 2})
+		}
+		tab.UpdateByKey([]any{int64(5)}, map[string]any{"cores": 999})
+		tab.DeleteByKey(int64(7))
+		return nil
+	})
+	evs, err := db.Binlog().ReadFrom(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return evs
+}
+
+func gobWALRecord(t testing.TB, ev Event) []byte {
+	t.Helper()
+	var p bytes.Buffer
+	if err := gob.NewEncoder(&p).Encode(ev); err != nil {
+		t.Fatal(err)
+	}
+	return walRecord(p.Bytes())
+}
+
+func binaryWALRecord(ev Event) []byte {
+	return walRecord(AppendEvents([]byte{walBinary}, []Event{ev}))
+}
+
+// TestReplayLogReadsGobRecordsThenBinaryOnes: a satellite upgraded in
+// place has a WAL that starts in the old gob form and continues in the
+// binary codec; replay returns every event of both, in order, and a
+// writer resumed on the file keeps it replayable.
+func TestReplayLogReadsGobRecordsThenBinaryOnes(t *testing.T) {
+	evs := sampleWALEvents(t)
+	var file []byte
+	for i, ev := range evs {
+		if i < len(evs)/2 {
+			file = append(file, gobWALRecord(t, ev)...)
+		} else {
+			file = append(file, binaryWALRecord(ev)...)
+		}
+	}
+	path := walPath(t)
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec, last, err := RecoverDB("sat", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := rec.Binlog().ReadFrom(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last != evs[len(evs)-1].LSN || len(got) != len(evs) {
+		t.Fatalf("replayed to LSN %d with %d events, want %d and %d", last, len(got), evs[len(evs)-1].LSN, len(evs))
+	}
+	for i := range evs {
+		w, g := evs[i], got[i]
+		if g.LSN != w.LSN || g.Kind != w.Kind || g.Schema != w.Schema || g.Table != w.Table ||
+			!reflect.DeepEqual(g.Row, w.Row) || !reflect.DeepEqual(g.Old, w.Old) || (g.Def == nil) != (w.Def == nil) {
+			t.Fatalf("event %d replayed as %+v, want %+v", i, g, w)
+		}
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, file) {
+		t.Fatal("replay of a clean mixed-format file changed it")
+	}
+
+	w, err := OpenLogWriter(rec, path, last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, _ := rec.TableIn("s", "jobs")
+	rec.Do(func() error {
+		return tab.Insert(map[string]any{"job_id": 100, "user": "u", "resource": "r", "cores": 1, "wall": 1.0})
+	})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec2, _, err := RecoverDB("sat", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rec2.Count("s", "jobs"), rec.Count("s", "jobs"); got != want || want != 12 {
+		t.Fatalf("after resuming on the mixed file recovered %d rows, want %d (12)", got, want)
+	}
+}
+
+// TestReplayLogKeepsWhatItCannotDecode: a record whose checksum holds
+// but whose payload does not decode is not a torn write. Recovery must
+// report it — naming where — and leave the file byte for byte as it
+// was, because the records after it are intact; it used to truncate
+// there and silently delete them.
+func TestReplayLogKeepsWhatItCannotDecode(t *testing.T) {
+	evs := sampleWALEvents(t)
+	const good = 6 // records before the bad one
+	for name, bad := range map[string][]byte{
+		"binary tag, malformed events": walRecord([]byte{walBinary, 1, 1, 0xff}),
+		"no tag, not gob either":       walRecord([]byte("\x07garbage that is no gob stream")),
+	} {
+		var file []byte
+		for i, ev := range evs {
+			if i == good {
+				file = append(file, bad...)
+			}
+			file = append(file, binaryWALRecord(ev)...)
+		}
+		path := walPath(t)
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if ends := walValidPrefix(file); len(ends) != len(evs)+1 {
+			t.Fatalf("%s: test file has %d checksum-valid records, want %d", name, len(ends), len(evs)+1)
+		}
+		db := Open("sat")
+		last, err := ReplayLog(db, path)
+		if err == nil {
+			t.Fatalf("%s: replay succeeded past an undecodable record (last LSN %d)", name, last)
+		}
+		offset := fmt.Sprintf("offset %d", walValidPrefix(file)[good-1])
+		if !strings.Contains(err.Error(), offset) || !strings.Contains(err.Error(), fmt.Sprintf("LSN %d", evs[good-1].LSN)) {
+			t.Errorf("%s: error %q does not name %s and LSN %d", name, err, offset, evs[good-1].LSN)
+		}
+		if last != evs[good-1].LSN || db.Binlog().Last() != last {
+			t.Errorf("%s: replay stopped at LSN %d (binlog %d), want %d", name, last, db.Binlog().Last(), evs[good-1].LSN)
+		}
+		if after, _ := os.ReadFile(path); !bytes.Equal(after, file) {
+			t.Errorf("%s: recovery changed the file (%d bytes, was %d): the %d records after the bad one are lost",
+				name, len(after), len(file), len(evs)-good)
+		}
+	}
+}
+
+// FuzzReplayLog feeds whole WAL files to recovery: it never panics,
+// the file never grows, what remains is a prefix of what was there,
+// and it is never cut below the end of the last checksum-valid record
+// of the leading valid run.
+func FuzzReplayLog(f *testing.F) {
+	evs := sampleWALEvents(f)
+	var binaryFile, gobFile []byte
+	for _, ev := range evs {
+		binaryFile = append(binaryFile, binaryWALRecord(ev)...)
+		gobFile = append(gobFile, gobWALRecord(f, ev)...)
+	}
+	f.Add(binaryFile)
+	f.Add(gobFile)
+	f.Add(binaryFile[:len(binaryFile)-7])
+	f.Add(append(append([]byte(nil), gobFile[:len(gobFile)/2]...), binaryFile[len(binaryFile)/3:]...))
+	f.Add(walRecord([]byte{walBinary, 1, 1, 0xff}))
+	f.Add([]byte{})
+	path := filepath.Join(f.TempDir(), "fuzz.wal")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		keep := 0
+		if ends := walValidPrefix(data); len(ends) > 0 {
+			keep = ends[len(ends)-1]
+		}
+		_, err := ReplayLog(Open("fuzz"), path)
+		after, rerr := os.ReadFile(path)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if len(after) > len(data) || !bytes.Equal(after, data[:len(after)]) {
+			t.Fatalf("recovery rewrote the file: %d bytes before, %d after", len(data), len(after))
+		}
+		if len(after) < keep {
+			t.Fatalf("recovery cut the file to %d bytes, below the %d its checksum-valid records span (err %v)", len(after), keep, err)
+		}
+		if err != nil && len(after) != len(data) {
+			t.Fatalf("recovery failed (%v) and still truncated the file from %d to %d bytes", err, len(data), len(after))
+		}
+	})
 }

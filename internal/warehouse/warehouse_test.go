@@ -24,7 +24,7 @@ func jobsDef() TableDef {
 	}
 }
 
-func mustTable(t *testing.T, db *DB, schema string) *Table {
+func mustTable(t testing.TB, db *DB, schema string) *Table {
 	t.Helper()
 	s := db.EnsureSchema(schema)
 	tab, err := s.CreateTable(jobsDef())
