@@ -75,14 +75,15 @@ func TestColdChartQueryAllocationCeiling(t *testing.T) {
 	}
 }
 
-// TestUpsertOfExistingRowDoesNotBoxThePriorRow guards the incremental
-// fold's write: replacing an aggregation row boxes neither the row it
-// replaces (no secondary index needs it, and an update event carries
-// only the new values) nor, for the derived table, an event at all. The
-// same layout as a logged table pays only for the event it appends.
-// Both measure 7 allocations; boxing the prior row costs one more per
-// cell — 29 on a Jobs aggregation row — which the ceiling leaves no
-// room for.
+// TestUpsertOfExistingRowDoesNotBoxThePriorRow guards the positional
+// upsert the ingest-side tables take: replacing a row boxes neither the
+// row it replaces (no secondary index needs it, and an update event
+// carries only the new values) nor, for a derived table, an event at
+// all. The same layout as a logged table pays only for the event it
+// appends. Both measure 3 allocations on a 29-column row — the coerced
+// copy, the key string and the amortized vector growth; boxing the
+// prior row costs one more per cell, which the ceiling leaves no room
+// for.
 func TestUpsertOfExistingRowDoesNotBoxThePriorRow(t *testing.T) {
 	db := warehouse.Open("upsertguard")
 	info := jobs.RealmInfo()
@@ -143,5 +144,24 @@ func TestUpsertOfExistingRowDoesNotBoxThePriorRow(t *testing.T) {
 		if got := db.Binlog().Last() - head; got != wantEvents {
 			t.Errorf("%s table: %d upserts logged %d events, want %d", tc.name, runs+2, got, wantEvents)
 		}
+	}
+}
+
+// TestIncrementalFoldAllocationCeiling guards the incremental fold's
+// path through the aggregation tables: stored groups are read and
+// written as typed column vectors — one keyed batch upsert per table —
+// so a fold allocates for what it keeps (group maps, entry lists, key
+// strings, the appended vectors), not per cell. A 512-fact XSEDE-shaped
+// batch into an engine warm with the 4 500 facts before it measures
+// about 18 objects per fact; boxing each group's cells for a positional
+// upsert, as the fold once did, costs about 220.
+func TestIncrementalFoldAllocationCeiling(t *testing.T) {
+	const warm, batch, ceiling = 4500, 512, 30
+	rows := xsedeFactRows(t, warm+batch)
+	eng, info := warmJobsEngine(t, rows[:warm])
+	perFact := float64(foldMallocs(t, eng, info, rows[warm:])) / batch
+	t.Logf("incremental fold of %d facts: %.1f allocs/fact (ceiling %d)", batch, perFact, ceiling)
+	if perFact > ceiling {
+		t.Errorf("the incremental fold allocates %.1f objects per fact, ceiling %d — aggregation rows are being boxed again", perFact, ceiling)
 	}
 }

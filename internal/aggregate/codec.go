@@ -18,10 +18,12 @@ import (
 //	then         sum, min, max, last per measure column
 //	then         one weighted sum per weight pair
 //
-// Every writer (incremental upsert, delta upsert, rebuild and reset bulk
-// loads) and every reader (the incremental merge's existing row, the
-// rebuild's pagg load) goes through it, so a stored group reads back as
-// exactly the accumulator that was written. Built once per operation.
+// Every writer (the incremental fold's and the incremental delta's
+// batch upserts, rebuild and reset bulk loads) goes through newColumns
+// and every reader (the incremental merge's existing row, the rebuild's
+// pagg load) through reader, both over typed column vectors, so a
+// stored group reads back as exactly the accumulator that was written.
+// Built once per operation.
 type aggCodec struct {
 	cols, weights []string // measureColumns(info)
 	nd            int      // dimensions
@@ -47,63 +49,19 @@ func (c *aggCodec) newAcc() accRow {
 		lasts: vals[3*n : 4*n : 4*n], wsums: vals[4*n:]}
 }
 
-// row renders acc as a positional table row into buf (reused by the
-// caller across groups; len(c.names) long) and returns it.
-func (c *aggCodec) row(acc *accRow, buf []any) []any {
-	buf[0] = acc.periodKey
-	for i, d := range acc.dims {
-		buf[1+i] = d
-	}
-	ci := 1 + c.nd
-	buf[ci] = acc.n
-	buf[ci+1] = acc.lastTS
-	ci += 2
-	for i := range c.cols {
-		buf[ci] = acc.sums[i]
-		buf[ci+1] = acc.mins[i]
-		buf[ci+2] = acc.maxs[i]
-		buf[ci+3] = acc.lasts[i]
-		ci += 4
-	}
-	for i := range c.weights {
-		buf[ci] = acc.wsums[i]
-		ci++
-	}
-	return buf[:ci]
+// aggColumns is a payload of the table layout under construction: a
+// ColumnData and its typed vectors, addressed by accRow field.
+type aggColumns struct {
+	cd         *warehouse.ColumnData
+	periodKeys []int64
+	dims       [][]string
+	ns         []int64
+	lastTS     []float64
+	meas       [][]float64 // sum, min, max, last per measure column, then the weighted sums
 }
 
-// load reads a stored row's running state into acc, whose measure
-// slices are already sized (newAcc). The key — periodKey and dims — is
-// the caller's: it looked the row up by it.
-func (c *aggCodec) load(row warehouse.Row, acc *accRow) {
-	ci := 1 + c.nd
-	acc.n = row.Int(c.names[ci])
-	acc.lastTS = row.Float(c.names[ci+1])
-	ci += 2
-	for i := range c.cols {
-		acc.sums[i] = row.Float(c.names[ci])
-		acc.mins[i] = row.Float(c.names[ci+1])
-		acc.maxs[i] = row.Float(c.names[ci+2])
-		acc.lasts[i] = row.Float(c.names[ci+3])
-		ci += 4
-	}
-	for i := range c.weights {
-		acc.wsums[i] = row.Float(c.names[ci])
-		ci++
-	}
-}
-
-// columns renders one period's groups as the bulk-load payload of the
-// period's table, rows in sorted group-key order (deterministic
-// installs: replicas replaying the resulting LOAD event end up
-// bit-identical).
-func (c *aggCodec) columns(groups map[string]*accRow) *warehouse.ColumnData {
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	n := len(keys)
+// newColumns starts an n-row payload; putKey and putState fill a row.
+func (c *aggCodec) newColumns(n int) *aggColumns {
 	cd := &warehouse.ColumnData{Rows: n, Names: c.names, Cols: make([]warehouse.ColumnVector, len(c.names))}
 	ints := func(ci int) []int64 {
 		v := make([]int64, n)
@@ -115,37 +73,58 @@ func (c *aggCodec) columns(groups map[string]*accRow) *warehouse.ColumnData {
 		cd.Cols[ci] = warehouse.ColumnVector{Type: warehouse.TypeFloat, Floats: v}
 		return v
 	}
-	periodKeys := ints(0)
-	dimVecs := make([][]string, c.nd)
-	for d := range dimVecs {
-		dimVecs[d] = make([]string, n)
-		cd.Cols[1+d] = warehouse.ColumnVector{Type: warehouse.TypeString, Strs: dimVecs[d]}
+	b := &aggColumns{cd: cd, periodKeys: ints(0), dims: make([][]string, c.nd),
+		ns: ints(1 + c.nd), lastTS: floats(2 + c.nd), meas: make([][]float64, len(c.names)-3-c.nd)}
+	for d := range b.dims {
+		b.dims[d] = make([]string, n)
+		cd.Cols[1+d] = warehouse.ColumnVector{Type: warehouse.TypeString, Strs: b.dims[d]}
 	}
-	ns, lastTS := ints(1+c.nd), floats(2+c.nd)
-	measVecs := make([][]float64, len(c.names)-3-c.nd) // sum,min,max,last per measure, then wsums
-	for i := range measVecs {
-		measVecs[i] = floats(3 + c.nd + i)
+	for i := range b.meas {
+		b.meas[i] = floats(3 + c.nd + i)
 	}
-	wsumVecs := measVecs[4*len(c.cols):]
+	return b
+}
+
+// putKey writes row ri's group key.
+func (b *aggColumns) putKey(ri int, periodKey int64, dims []string) {
+	b.periodKeys[ri] = periodKey
+	for d, v := range dims {
+		b.dims[d][ri] = v
+	}
+}
+
+// putState writes row ri's running state.
+func (b *aggColumns) putState(ri int, acc *accRow) {
+	b.ns[ri] = acc.n
+	b.lastTS[ri] = acc.lastTS
+	for i := range acc.sums {
+		b.meas[4*i][ri] = acc.sums[i]
+		b.meas[4*i+1][ri] = acc.mins[i]
+		b.meas[4*i+2][ri] = acc.maxs[i]
+		b.meas[4*i+3][ri] = acc.lasts[i]
+	}
+	wsums := b.meas[4*len(acc.sums):]
+	for i := range acc.wsums {
+		wsums[i][ri] = acc.wsums[i]
+	}
+}
+
+// columns renders one period's groups as a payload of the period's
+// table, rows in sorted group-key order (deterministic installs:
+// replicas replaying the resulting LOAD event end up bit-identical).
+func (c *aggCodec) columns(groups map[string]*accRow) *warehouse.ColumnData {
+	keys := make([]string, 0, len(groups))
+	for k := range groups {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	b := c.newColumns(len(keys))
 	for ri, k := range keys {
 		acc := groups[k]
-		periodKeys[ri] = acc.periodKey
-		for d := range dimVecs {
-			dimVecs[d][ri] = acc.dims[d]
-		}
-		ns[ri] = acc.n
-		lastTS[ri] = acc.lastTS
-		for i := range c.cols {
-			measVecs[4*i][ri] = acc.sums[i]
-			measVecs[4*i+1][ri] = acc.mins[i]
-			measVecs[4*i+2][ri] = acc.maxs[i]
-			measVecs[4*i+3][ri] = acc.lasts[i]
-		}
-		for i := range wsumVecs {
-			wsumVecs[i][ri] = acc.wsums[i]
-		}
+		b.putKey(ri, acc.periodKey, acc.dims)
+		b.putState(ri, acc)
 	}
-	return cd
+	return b.cd
 }
 
 // aggReader is the codec bound to one table chunk's typed vectors.
@@ -211,6 +190,14 @@ func (r *aggReader) accAt(pos int) *accRow {
 	for i := range r.dims {
 		acc.dims[i] = r.dims[i][pos]
 	}
+	r.load(pos, &acc)
+	return &acc
+}
+
+// load reads the running state stored at a chunk position into acc,
+// whose measure slices are already sized (newAcc). The key — periodKey
+// and dims — is the caller's: it found the row by it.
+func (r *aggReader) load(pos int, acc *accRow) {
 	acc.n = r.ns[pos]
 	acc.lastTS = r.floats[0].at(pos)
 	f := r.floats[1:]
@@ -223,5 +210,4 @@ func (r *aggReader) accAt(pos int) *accRow {
 	for i := range acc.wsums {
 		acc.wsums[i] = f[4*len(acc.sums)+i].at(pos)
 	}
-	return &acc
 }

@@ -84,9 +84,11 @@ func diffAccBits(want, got *accRow) string {
 	return ""
 }
 
-// TestAggCodecRoundTrip: whichever way a group is written — row by row
-// through the positional upsert or in bulk through the columnar load —
-// both readers return exactly the accumulator that went in.
+// TestAggCodecRoundTrip: whichever way a group is written — a keyed
+// batch upsert over new keys, over a mix of existing and new keys, or a
+// bulk load — the reader returns exactly the accumulator that went in,
+// both at a scan position of the published snapshot and at the position
+// a key probe finds in the writer state.
 func TestAggCodecRoundTrip(t *testing.T) {
 	for _, info := range []realm.Info{jobs.RealmInfo(), cloud.RealmInfo(), storage.RealmInfo()} {
 		t.Run(info.Name, func(t *testing.T) {
@@ -104,8 +106,21 @@ func TestAggCodecRoundTrip(t *testing.T) {
 			}
 			c := newAggCodec(info)
 			groups := randomAccRows(c, rand.New(rand.NewSource(7)), 200)
+			// Half the keys, holding other values: what the mixed upsert replaces.
+			stale := make(map[string]*accRow)
+			for k, acc := range groups {
+				if len(stale) == len(groups)/2 {
+					break
+				}
+				o := c.newAcc()
+				o.periodKey, o.dims, o.n, o.lastTS = acc.periodKey, acc.dims, ^acc.n, acc.lastTS+1
+				copy(o.sums, acc.lasts)
+				copy(o.mins, acc.maxs)
+				copy(o.maxs, acc.sums)
+				stale[k] = &o
+			}
 
-			check := func(how string) {
+			check := func(how string, want map[string]*accRow) {
 				t.Helper()
 				seen := 0
 				td := tab.Data()
@@ -120,33 +135,47 @@ func TestAggCodecRoundTrip(t *testing.T) {
 							continue
 						}
 						got := r.accAt(pos)
-						want := groups[string(groupKey(nil, got.periodKey, got.dims))]
-						if want == nil {
+						w := want[string(groupKey(nil, got.periodKey, got.dims))]
+						if w == nil {
 							t.Fatalf("%s: accAt returned unknown group %d %v", how, got.periodKey, got.dims)
 						}
-						if d := diffAccBits(want, got); d != "" {
+						if d := diffAccBits(w, got); d != "" {
 							t.Fatalf("%s, accAt: %s", how, d)
 						}
 						seen++
 					}
 				}
-				if seen != len(groups) {
-					t.Fatalf("%s: read back %d groups, wrote %d", how, seen, len(groups))
+				if seen != len(want) {
+					t.Fatalf("%s: read back %d groups, wrote %d", how, seen, len(want))
 				}
 				db.View(func() error {
+					probe := c.newColumns(len(groups))
+					accs := make([]*accRow, 0, len(groups))
+					for _, acc := range groups {
+						probe.putKey(len(accs), acc.periodKey, acc.dims)
+						accs = append(accs, acc)
+					}
+					at, err := tab.LocateColumns(probe.cd)
+					if err != nil {
+						t.Fatal(err)
+					}
 					got := c.newAcc()
-					for _, want := range groups {
-						key := []any{want.periodKey}
-						for _, d := range want.dims {
-							key = append(key, d)
+					for i, acc := range accs {
+						w := want[string(groupKey(nil, acc.periodKey, acc.dims))]
+						if (at[i] >= 0) != (w != nil) {
+							t.Fatalf("%s: group %d %v located at %d, stored: %v", how, acc.periodKey, acc.dims, at[i], w != nil)
 						}
-						row, ok := tab.GetByKey(key...)
-						if !ok {
-							t.Fatalf("%s: group %d %v not found by key", how, want.periodKey, want.dims)
+						if w == nil {
+							continue
 						}
-						got.periodKey, got.dims = want.periodKey, want.dims
-						c.load(row, &got)
-						if d := diffAccBits(want, &got); d != "" {
+						ch, lp := tab.ChunkAt(at[i])
+						r, err := c.reader(ch)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got.periodKey, got.dims = acc.periodKey, acc.dims
+						r.load(lp, &got)
+						if d := diffAccBits(w, &got); d != "" {
 							t.Fatalf("%s, load: %s", how, d)
 						}
 					}
@@ -154,27 +183,21 @@ func TestAggCodecRoundTrip(t *testing.T) {
 				})
 			}
 
-			err = db.DoSchema(AggSchema(info), func() error {
-				buf := make([]any, len(c.names))
-				for _, acc := range groups {
-					if err := tab.UpsertRow(c.row(acc, buf)); err != nil {
-						return err
-					}
+			for _, step := range []struct {
+				how    string
+				write  func(*warehouse.ColumnData) error
+				groups map[string]*accRow
+			}{
+				{"columns + UpsertColumns, new keys", tab.UpsertColumns, stale},
+				{"columns + UpsertColumns, existing and new keys", tab.UpsertColumns, groups},
+				{"columns + ReplaceAllColumns", tab.ReplaceAllColumns, groups},
+			} {
+				err := db.DoSchema(AggSchema(info), func() error { return step.write(c.columns(step.groups)) })
+				if err != nil {
+					t.Fatal(err)
 				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
+				check(step.how, step.groups)
 			}
-			check("row + UpsertRow")
-
-			err = db.DoSchema(AggSchema(info), func() error {
-				return tab.ReplaceAllColumns(c.columns(groups))
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			check("columns + ReplaceAllColumns")
 		})
 	}
 }

@@ -21,7 +21,8 @@ import (
 // order: the merge replays entries one at a time so floating-point
 // accumulation associates exactly like the per-fact sequential fold a
 // full rebuild performs — the fold/rebuild equivalence is bit-exact,
-// not merely approximate.
+// not merely approximate. vals and wvals are sub-slices of one
+// per-batch arena.
 type factEntry struct {
 	ts    float64
 	vals  []float64
@@ -40,8 +41,8 @@ type groupFacts struct {
 // batch becomes a transient column chunk, is decoded by eachFact,
 // routed to shards and grouped with no lock held; one shard-scoped
 // write transaction per touched shard then updates each affected
-// aggregation row once — one GetByKey and one positional upsert per
-// group instead of per fact — while folding the group's facts
+// aggregation row once — one keyed batch upsert per table, through
+// typed column vectors — while folding each group's facts
 // sequentially to keep float accumulation identical to a full rebuild.
 // Untouched shards keep their epochs (and their cached charts). A row
 // failing validation aborts the fold before any table is touched; the
@@ -72,11 +73,15 @@ func (e *Engine) ApplyFactRows(info realm.Info, sourceSchema string, rows [][]an
 	periods := Periods()
 	groups := make([][]map[string]*groupFacts, rt.shards) // [shard][period]
 	var keyBuf []byte
+	nv, nw := len(codec.cols), len(codec.weights)
+	arena := make([]float64, 0, len(rows)*(nv+nw)) // every fact's vals, then its wvals
 	err = e.eachFact(info, ch, codec.cols, codec.weights, nil, func(t time.Time, dims []string, vals, wvals []float64) {
+		off := len(arena)
+		arena = append(append(arena, vals...), wvals...)
 		entry := factEntry{
 			ts:    float64(t.UnixNano()) / 1e9,
-			vals:  append([]float64(nil), vals...),
-			wvals: append([]float64(nil), wvals...),
+			vals:  arena[off : off+nv : off+nv],
+			wvals: arena[off+nv : off+nv+nw : off+nv+nw],
 		}
 		k := rt.shardOf(dims)
 		sg := groups[k]
@@ -130,8 +135,8 @@ func (e *Engine) ApplyFactRows(info realm.Info, sourceSchema string, rows [][]an
 }
 
 // mergeGroupsInto combines one period's grouped batch entries with the
-// aggregation table's existing rows, writing each group positionally.
-// Must run under the DB write lock.
+// aggregation table's existing rows and writes every group in one
+// keyed batch upsert. Must run under the DB write lock.
 func mergeGroupsInto(tab *warehouse.Table, c *aggCodec, groups map[string]*groupFacts) error {
 	if len(groups) == 0 {
 		return nil
@@ -141,19 +146,31 @@ func mergeGroupsInto(tab *warehouse.Table, c *aggCodec, groups map[string]*group
 		keys = append(keys, k)
 	}
 	sort.Strings(keys) // deterministic row order in the table
-	key := make([]any, 1+c.nd)
-	buf := make([]any, len(c.names))
-	acc := c.newAcc()
-	for _, k := range keys {
+	out := c.newColumns(len(keys))
+	sorted := make([]*groupFacts, len(keys))
+	for ri, k := range keys {
 		g := groups[k]
-		acc.periodKey, acc.dims = g.periodKey, g.dims
-		key[0] = g.periodKey
-		for i, d := range g.dims {
-			key[1+i] = d
-		}
+		sorted[ri] = g
+		out.putKey(ri, g.periodKey, g.dims)
+	}
+	current, err := tab.LocateColumns(out.cd)
+	if err != nil {
+		return err
+	}
+	readers := map[int]*aggReader{} // by chunk base: the stored rows span sealed chunks and the tail
+	acc := c.newAcc()
+	for ri, g := range sorted {
 		entries := g.entries
-		if existing, ok := tab.GetByKey(key...); ok {
-			c.load(existing, &acc)
+		if pos := current[ri]; pos >= 0 {
+			ch, lp := tab.ChunkAt(pos)
+			r := readers[ch.Base()]
+			if r == nil {
+				if r, err = c.reader(ch); err != nil {
+					return err
+				}
+				readers[ch.Base()] = r
+			}
+			r.load(lp, &acc)
 		} else {
 			first := entries[0]
 			acc.n = 1
@@ -168,9 +185,7 @@ func mergeGroupsInto(tab *warehouse.Table, c *aggCodec, groups map[string]*group
 		for _, e := range entries {
 			acc.fold(e.ts, e.vals, e.wvals)
 		}
-		if err := tab.UpsertRow(c.row(&acc, buf)); err != nil {
-			return err
-		}
+		out.putState(ri, &acc)
 	}
-	return nil
+	return tab.UpsertColumns(out.cd)
 }

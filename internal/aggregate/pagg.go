@@ -102,32 +102,15 @@ func (e *Engine) ApplyDelta(info realm.Info, schema string, d Delta) ([]int, int
 	touched := map[int]bool{}
 	rows := 0
 	err = e.db.DoSchema(schema, func() error {
-		if d.Reset {
-			for _, period := range Periods() {
-				cd := codec.columns(p[period])
-				rows += cd.Rows
-				if err := tabs[period].ReplaceAllColumns(cd); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		buf := make([]any, len(codec.names))
 		for _, period := range Periods() {
-			groups := p[period]
-			if len(groups) == 0 {
-				continue
+			install := tabs[period].UpsertColumns // carried bins replace by key
+			if d.Reset {
+				install = tabs[period].ReplaceAllColumns // the carried bins are the table
 			}
-			keys := make([]string, 0, len(groups))
-			for k := range groups {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys) // deterministic row order in the table
-			for _, k := range keys {
-				if err := tabs[period].UpsertRow(codec.row(groups[k], buf)); err != nil {
-					return err
-				}
-				rows++
+			cd := codec.columns(p[period])
+			rows += cd.Rows
+			if err := install(cd); err != nil {
+				return err
 			}
 		}
 		return nil

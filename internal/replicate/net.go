@@ -747,7 +747,7 @@ func (s *Sender) Run(ctx context.Context, hubAddr string) error {
 	// delta application is idempotent and carries no positions of its
 	// own — and the exact wire size is the encoder tap's delta.
 	flushDeltas := func(now time.Time) (bool, error) {
-		if pd == nil || pd.DueIn(now) > 0 {
+		if pd == nil || pd.DueIn(now, s.DB.Binlog().Last() > pos) > 0 {
 			return true, nil
 		}
 		deltas, rows, err := pd.Flush(now)
@@ -803,7 +803,7 @@ func (s *Sender) Run(ctx context.Context, hubAddr string) error {
 		// bins waiting out their flush interval, until that flush is due.
 		idle := hb
 		if pd != nil {
-			idle = min(hb, pd.DueIn(time.Now()))
+			idle = min(hb, pd.DueIn(time.Now(), false))
 		}
 		wctx, cancelWait := context.WithTimeout(ctx, idle)
 		evs, err := s.DB.Binlog().Wait(wctx, pos, batchSize)
@@ -881,7 +881,8 @@ func (s *Sender) Run(ctx context.Context, hubAddr string) error {
 		s.stats.Position = pos
 		s.mu.Unlock()
 		// Ship any due deltas right behind the acked batch, so delta
-		// convergence never waits on an idle heartbeat.
+		// convergence never waits on an idle heartbeat — once the binlog
+		// is drained, or a whole interval overdue if it never is.
 		if ok, err := flushDeltas(time.Now()); err != nil {
 			return err
 		} else if !ok {

@@ -183,7 +183,14 @@ const notDue = time.Duration(math.MaxInt64)
 // passed since the last flush; the rest of that interval while dirty
 // bins wait for it; notDue when nothing is pending. The sender flushes
 // when it is <= 0 and never sleeps on an idle binlog for longer.
-func (p *PushdownFolder) DueIn(now time.Time) time.Duration {
+//
+// behind says the binlog already holds events the sender has not
+// consumed. Dirty bins then wait one interval more: a flush cut into a
+// backlog ships bins the rest of the backlog dirties again, and whether
+// the backlog's last events make this flush or wait a whole interval
+// for the next is decided by where the interval happens to fall. A
+// reset does not wait — its snapshot fold covers the backlog.
+func (p *PushdownFolder) DueIn(now time.Time, behind bool) time.Duration {
 	d := notDue
 	for _, pr := range p.order {
 		if pr.needReset {
@@ -191,6 +198,9 @@ func (p *PushdownFolder) DueIn(now time.Time) time.Duration {
 		}
 		if pr.df.Dirty() {
 			d = p.interval - now.Sub(p.lastFlush)
+			if behind {
+				d += p.interval
+			}
 		}
 	}
 	return d

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -296,4 +297,144 @@ func TestReceiverRejectsOversizeDeltaFrame(t *testing.T) {
 	if got := sink.appliedDeltas(); len(got) != 0 {
 		t.Fatalf("oversize delta frame was applied: %d deltas", len(got))
 	}
+}
+
+// septemberFact is job i of a run of jobs later than satelliteWithJobs'.
+func septemberFact(t testing.TB, i int) map[string]any {
+	t.Helper()
+	at := time.Date(2017, 9, 1+i%20, i%24, 0, 0, 0, time.UTC)
+	row, err := jobs.FactFromRecord(shredder.JobRecord{
+		LocalJobID: int64(1000 + i), User: "x", Account: "a", Resource: "ccr-cluster", Queue: "q",
+		Nodes: 1, Cores: 2, Submit: at, Start: at.Add(time.Minute), End: at.Add(time.Hour),
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return row
+}
+
+// TestPushdownDueInWaitsOutABacklog pins the pacing rule on fixed
+// times: dirty bins are due one interval after the previous flush, one
+// interval later still while the sender is behind the binlog; a reset
+// is due at once either way and clean bins never.
+func TestPushdownDueInWaitsOutABacklog(t *testing.T) {
+	const interval = time.Second
+	sat := satelliteWithJobs(t, "ccr", 3)
+	eng, err := aggregate.New(sat, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := jobs.RealmInfo()
+	if err := eng.Setup(info); err != nil {
+		t.Fatal(err)
+	}
+	pf, err := NewPushdownFolder(eng, []realm.Info{info}, Filter{}, interval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Date(2017, 1, 1, 0, 0, 0, 0, time.UTC)
+	due := func(after time.Duration, behind bool, want time.Duration) {
+		t.Helper()
+		if got := pf.DueIn(t0.Add(after), behind); got != want {
+			t.Errorf("DueIn(%v after the flush, behind=%v) = %v, want %v", after, behind, got, want)
+		}
+	}
+
+	pf.PrepareConnect()
+	due(0, false, 0)
+	due(0, true, 0)
+	if _, _, err := pf.Flush(t0); err != nil {
+		t.Fatal(err)
+	}
+	due(5*interval, false, notDue)
+	due(5*interval, true, notDue)
+
+	head := sat.Binlog().Last()
+	if err := sat.Insert(jobs.SchemaName, jobs.FactTable, septemberFact(t, 0)); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := sat.Binlog().ReadFrom(head, 0)
+	if err != nil || len(evs) != 1 {
+		t.Fatalf("read %d events past %d: %v", len(evs), head, err)
+	}
+	if _, err := pf.Consume(evs, evs[0].LSN); err != nil {
+		t.Fatal(err)
+	}
+	due(interval/4, false, 3*interval/4)
+	due(interval, false, 0)
+	due(interval, true, interval)
+	due(2*interval, true, 0)
+	due(3*interval, true, -interval)
+}
+
+// heldSink is a pushTestSink whose next ApplyBatch, once armed, waits
+// for release: the sender sits in its stop-and-wait while the test
+// grows a backlog behind it.
+type heldSink struct {
+	*pushTestSink
+	armed            atomic.Bool
+	entered, release chan struct{}
+}
+
+func (s *heldSink) ApplyBatch(instance string, upTo uint64, events []warehouse.Event) error {
+	if s.armed.CompareAndSwap(true, false) {
+		close(s.entered)
+		<-s.release
+	}
+	return s.pushTestSink.ApplyBatch(instance, upTo, events)
+}
+
+// TestPushdownBacklogShipsInOneFlush: a flush that comes due while the
+// binlog holds events the sender has not consumed waits for them, so a
+// backlog reaches the hub as one delta — not as one delta for whatever
+// the first frame happened to hold and a second an interval later.
+func TestPushdownBacklogShipsInOneFlush(t *testing.T) {
+	const interval = 400 * time.Millisecond
+	sat := satelliteWithJobs(t, "ccr", 5)
+	base, _ := newTestSink(t)
+	sink := &heldSink{pushTestSink: &pushTestSink{testSink: base},
+		entered: make(chan struct{}), release: make(chan struct{})}
+	recv := &Receiver{Version: "v1", Sink: sink}
+	addr, err := recv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+
+	sender := pushdownSender(t, sat, "v1")
+	sender.BatchSize = 8
+	if sender.Pushdown, err = NewPushdownFolder(sender.Pushdown.eng, []realm.Info{jobs.RealmInfo()}, Filter{}, interval); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- sender.Run(ctx, addr) }()
+	waitFor(t, func() bool { return sink.coveredLSN() == sat.Binlog().Last() })
+	resets := len(sink.appliedDeltas())
+
+	// Past the interval, so that the first dirty bin makes a flush due.
+	time.Sleep(interval + 50*time.Millisecond)
+	sink.armed.Store(true)
+	if err := sat.Insert(jobs.SchemaName, jobs.FactTable, septemberFact(t, 0)); err != nil {
+		t.Fatal(err)
+	}
+	<-sink.entered // the first frame is on the hub, unacknowledged
+	for i := 1; i < 64; i++ {
+		if err := sat.Insert(jobs.SchemaName, jobs.FactTable, septemberFact(t, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(sink.release)
+
+	head := sat.Binlog().Last()
+	waitFor(t, func() bool { return sink.coveredLSN() == head })
+	if got := sink.appliedDeltas()[resets:]; len(got) != 1 || got[0].Reset || got[0].CoveredLSN != head {
+		t.Errorf("the backlog reached the hub as %d deltas, want one incremental delta covering %d", len(got), head)
+		for _, d := range got {
+			t.Logf("  reset=%v covered=%d rows=%d", d.Reset, d.CoveredLSN, d.Rows())
+		}
+	}
+	cancel()
+	<-done
 }

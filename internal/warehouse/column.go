@@ -92,6 +92,23 @@ func (v *colVec) value(i int) any {
 
 func (v *colVec) length() int { return len(v.nulls) }
 
+// reserve gives an empty vector room for n cells.
+func (v *colVec) reserve(n int) {
+	switch v.typ {
+	case TypeInt:
+		v.ints = make([]int64, 0, n)
+	case TypeFloat:
+		v.floats = make([]float64, 0, n)
+	case TypeString:
+		v.strs = make([]string, 0, n)
+	case TypeBool:
+		v.bools = make([]bool, 0, n)
+	case TypeTime:
+		v.times = make([]time.Time, 0, n)
+	}
+	v.nulls = make([]bool, 0, n)
+}
+
 // layout is the immutable name→position mapping shared by a table, its
 // published snapshots and every Row handed out; it never changes after
 // table creation.
@@ -269,17 +286,20 @@ func (ch ColChunk) NullCol(i int) []bool { return ch.cols[i].nulls }
 // column type cannot hold is an error naming the row, never a zeroed
 // value. The chunk has no tombstones and does not alias rows.
 func (t *Table) RowsChunk(rows [][]any) (ColChunk, error) {
-	vecs := make([]colVec, len(t.def.Columns))
-	for i, c := range t.def.Columns {
-		vecs[i] = newColVec(c)
+	vecs := freshCols(t.def)
+	for i := range vecs {
+		vecs[i].reserve(len(rows))
 	}
 	for n, row := range rows {
-		vals, err := t.normalizeSlice(row)
-		if err != nil {
+		if err := t.checkArity(len(row)); err != nil {
 			return ColChunk{}, fmt.Errorf("row %d: %w", n, err)
 		}
 		for i := range vecs {
-			vecs[i].appendVal(vals[i])
+			v, err := t.coerceAt(i, row[i])
+			if err != nil {
+				return ColChunk{}, fmt.Errorf("row %d: %w", n, err)
+			}
+			vecs[i].appendVal(v)
 		}
 	}
 	return ColChunk{lay: t.lay, cols: vecs, dead: make([]bool, len(rows)), rows: len(rows)}, nil
@@ -316,6 +336,9 @@ func (cd *ColumnData) Validate(def TableDef) error {
 	if cd == nil {
 		return fmt.Errorf("warehouse: load for table %q carries no column data", def.Name)
 	}
+	if cd.Rows < 0 {
+		return fmt.Errorf("warehouse: load for table %q declares %d rows", def.Name, cd.Rows)
+	}
 	if len(cd.Names) != len(def.Columns) || len(cd.Cols) != len(def.Columns) {
 		return fmt.Errorf("warehouse: load for table %q has %d columns, definition has %d",
 			def.Name, len(cd.Names), len(def.Columns))
@@ -346,14 +369,20 @@ func (cd *ColumnData) Validate(def TableDef) error {
 			return fmt.Errorf("warehouse: load for table %q column %q carries mixed-type data (%d typed payloads)",
 				def.Name, c.Name, typed)
 		}
-		want := map[ColumnType]bool{
-			TypeInt:    v.Ints != nil,
-			TypeFloat:  v.Floats != nil,
-			TypeString: v.Strs != nil,
-			TypeBool:   v.Bools != nil,
-			TypeTime:   v.Times != nil,
+		var present bool // the payload of the declared type
+		switch c.Type {
+		case TypeInt:
+			present = v.Ints != nil
+		case TypeFloat:
+			present = v.Floats != nil
+		case TypeString:
+			present = v.Strs != nil
+		case TypeBool:
+			present = v.Bools != nil
+		case TypeTime:
+			present = v.Times != nil
 		}
-		if cd.Rows > 0 && !want[c.Type] {
+		if cd.Rows > 0 && !present {
 			return fmt.Errorf("warehouse: load for table %q column %q: missing %s payload",
 				def.Name, c.Name, c.Type)
 		}
@@ -377,16 +406,20 @@ func (cd *ColumnData) Validate(def TableDef) error {
 	return nil
 }
 
+// view wraps one validated ColumnVector's slices as a column vector,
+// without copying; the validity vector stays nil when v carries none.
+func (v *ColumnVector) view(c Column) colVec {
+	return colVec{typ: c.Type, nullable: c.Nullable,
+		ints: v.Ints, floats: v.Floats, strs: v.Strs, bools: v.Bools, times: v.Times, nulls: v.Nulls}
+}
+
 // toVec converts one validated ColumnVector into internal form. The
 // vector's slices are adopted, not copied: the caller must not mutate
 // cd afterwards (bulk-load producers build a fresh ColumnData per
 // load).
 func (v *ColumnVector) toVec(c Column, rows int) colVec {
-	out := colVec{typ: c.Type, nullable: c.Nullable,
-		ints: v.Ints, floats: v.Floats, strs: v.Strs, bools: v.Bools, times: v.Times}
-	if v.Nulls != nil {
-		out.nulls = v.Nulls
-	} else {
+	out := v.view(c)
+	if out.nulls == nil {
 		out.nulls = make([]bool, rows)
 	}
 	return out

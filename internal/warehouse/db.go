@@ -568,7 +568,7 @@ func (db *DB) applyLocked(ev Event) error {
 		if err != nil {
 			return err
 		}
-		if _, ok := t.pkKey(vals); ok {
+		if t.pk != nil {
 			return t.upsertVals(vals)
 		}
 		return t.insertVals(vals)
@@ -577,8 +577,8 @@ func (db *DB) applyLocked(ev Event) error {
 		if err != nil {
 			return err
 		}
-		if key, ok := t.pkKey(vals); ok {
-			if pos, exists := t.pk[key]; exists {
+		if t.pk != nil {
+			if pos, exists := t.pk[string(t.pkBytes(vals))]; exists {
 				t.deleteAt(pos)
 			}
 			return nil

@@ -456,9 +456,12 @@ func TestDecodeEventsRejectsHostileBytes(t *testing.T) {
 }
 
 // FuzzDecodeEvents: no input panics, and whatever decodes re-encodes
-// to bytes that decode to an equal slice. The seed corpus (which plain
+// to bytes that decode to an equal slice and applies to an empty
+// warehouse without panicking, as a hub would apply a peer's frame —
+// errors are the expected outcome there. The seed corpus (which plain
 // `go test` runs too) is real ingest batches of all three realms, each
-// DDL kind and a LOAD.
+// DDL kind, a LOAD, and a LOAD of a negative row count into a table
+// created just before it.
 func FuzzDecodeEvents(f *testing.F) {
 	live, restored := ingestedBinlogs(f)
 	for _, evs := range [][]warehouse.Event{live, restored} {
@@ -473,11 +476,18 @@ func FuzzDecodeEvents(f *testing.F) {
 		f.Add(warehouse.AppendEvents(nil, randomEvents(rng, 12)))
 	}
 	f.Add([]byte{})
+	hostile := warehouse.TableDef{Name: "t", Columns: []warehouse.Column{{Name: "a", Type: warehouse.TypeInt}}}
+	f.Add(warehouse.AppendEvents(nil, []warehouse.Event{
+		{LSN: 1, Kind: warehouse.EvCreateTable, Schema: "fed_siteA", Table: "t", Def: &hostile},
+		{LSN: 2, Kind: warehouse.EvLoad, Schema: "fed_siteA", Table: "t", Cols: &warehouse.ColumnData{
+			Rows: -1, Names: []string{"a"}, Cols: []warehouse.ColumnVector{{Type: warehouse.TypeInt}}}},
+	}))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		evs, err := warehouse.DecodeEvents(b)
 		if err != nil {
 			return
 		}
+		_, _ = warehouse.OpenWithoutBinlog("fuzz").ApplyAll(evs) // errors are fine, panics are not
 		again, err := warehouse.DecodeEvents(warehouse.AppendEvents(nil, evs))
 		if err != nil {
 			t.Fatalf("re-encoded events do not decode: %v", err)

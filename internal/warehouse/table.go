@@ -130,8 +130,9 @@ type Table struct {
 	rows       int // total slots, tombstones included
 	deleted    int // tombstoned slots
 	pkCols     []int
-	pk         map[string]int // encoded pk -> row position
+	pk         map[string]int // encoded pk -> row position; nil without a primary key
 	indexes    []*secondaryIndex
+	keyBuf     []byte // writer-side scratch for rendered keys
 
 	version    atomic.Pointer[TableData]
 	deadShared bool // dead's backing array is referenced by the published snapshot
@@ -284,6 +285,23 @@ func (v *colVec) appendFrom(src *colVec, pos int) {
 	v.nulls = append(v.nulls, src.nulls[pos])
 }
 
+// appendVec appends every cell of src, a vector of the same type.
+func (v *colVec) appendVec(src *colVec) {
+	switch v.typ {
+	case TypeInt:
+		v.ints = append(v.ints, src.ints...)
+	case TypeFloat:
+		v.floats = append(v.floats, src.floats...)
+	case TypeString:
+		v.strs = append(v.strs, src.strs...)
+	case TypeBool:
+		v.bools = append(v.bools, src.bools...)
+	case TypeTime:
+		v.times = append(v.times, src.times...)
+	}
+	v.nulls = append(v.nulls, src.nulls...)
+}
+
 // appendKeyAt renders the key for the given column positions of row
 // pos, producing exactly the bytes encodeKey yields for the same
 // values.
@@ -317,6 +335,24 @@ func appendKeyAt(b []byte, cols []colVec, idx []int, pos int) []byte {
 	return b
 }
 
+// checkArity rejects a positional row of the wrong width.
+func (t *Table) checkArity(n int) error {
+	if n != len(t.def.Columns) {
+		return fmt.Errorf("warehouse: table %s.%s expects %d values, got %d",
+			t.schema, t.def.Name, len(t.def.Columns), n)
+	}
+	return nil
+}
+
+// coerceAt coerces one cell to column i's canonical form.
+func (t *Table) coerceAt(i int, v any) (any, error) {
+	cv, err := coerce(t.def.Columns[i], v)
+	if err != nil {
+		return nil, fmt.Errorf("warehouse: table %s.%s: %w", t.schema, t.def.Name, err)
+	}
+	return cv, nil
+}
+
 // normalize converts a map-form row into a coerced value slice.
 func (t *Table) normalize(row map[string]any) ([]any, error) {
 	vals := make([]any, len(t.def.Columns))
@@ -326,9 +362,9 @@ func (t *Table) normalize(row map[string]any) ([]any, error) {
 		}
 	}
 	for i, c := range t.def.Columns {
-		v, err := coerce(c, row[c.Name])
+		v, err := t.coerceAt(i, row[c.Name])
 		if err != nil {
-			return nil, fmt.Errorf("warehouse: table %s.%s: %w", t.schema, t.def.Name, err)
+			return nil, err
 		}
 		vals[i] = v
 	}
@@ -337,30 +373,27 @@ func (t *Table) normalize(row map[string]any) ([]any, error) {
 
 // normalizeSlice coerces a positional row.
 func (t *Table) normalizeSlice(row []any) ([]any, error) {
-	if len(row) != len(t.def.Columns) {
-		return nil, fmt.Errorf("warehouse: table %s.%s expects %d values, got %d",
-			t.schema, t.def.Name, len(t.def.Columns), len(row))
+	if err := t.checkArity(len(row)); err != nil {
+		return nil, err
 	}
 	vals := make([]any, len(row))
-	for i, c := range t.def.Columns {
-		v, err := coerce(c, row[i])
+	for i := range vals {
+		v, err := t.coerceAt(i, row[i])
 		if err != nil {
-			return nil, fmt.Errorf("warehouse: table %s.%s: %w", t.schema, t.def.Name, err)
+			return nil, err
 		}
 		vals[i] = v
 	}
 	return vals, nil
 }
 
-func (t *Table) pkKey(vals []any) (string, bool) {
-	if len(t.pkCols) == 0 {
-		return "", false
-	}
-	parts := make([]any, len(t.pkCols))
-	for i, c := range t.pkCols {
-		parts[i] = vals[c]
-	}
-	return encodeKey(parts), true
+// pkBytes renders the primary key of a coerced row into the table's
+// reused key buffer: the bytes encodeKey yields for the key cells. The
+// result is valid until the next key is rendered; the table must have a
+// primary key.
+func (t *Table) pkBytes(vals []any) []byte {
+	t.keyBuf = appendKeyVals(t.keyBuf[:0], vals, t.pkCols)
+	return t.keyBuf
 }
 
 // appendRow appends a normalized row to the hot tail and returns its
@@ -410,15 +443,24 @@ func (t *Table) logEvent(ev Event) {
 
 // insertVals inserts a pre-normalized row and logs the mutation.
 func (t *Table) insertVals(vals []any) error {
-	if key, ok := t.pkKey(vals); ok {
-		if _, dup := t.pk[key]; dup {
+	if t.pk != nil {
+		key := t.pkBytes(vals)
+		if _, dup := t.pk[string(key)]; dup {
 			return fmt.Errorf("warehouse: table %s.%s: duplicate primary key %q", t.schema, t.def.Name, key)
 		}
-		t.pk[key] = t.rows
+	}
+	t.insertNew(vals)
+	return nil
+}
+
+// insertNew appends a row whose primary key, already rendered in keyBuf
+// by the caller's probe, is known to be absent, and logs the insert.
+func (t *Table) insertNew(vals []any) {
+	if t.pk != nil {
+		t.pk[string(t.keyBuf)] = t.rows
 	}
 	t.addToIndexes(t.appendRow(vals))
 	t.logEvent(Event{Kind: EvInsert, Row: vals})
-	return nil
 }
 
 // Insert adds a row given as a column-name map.
@@ -459,19 +501,18 @@ func (t *Table) UpsertRow(row []any) error {
 }
 
 func (t *Table) upsertVals(vals []any) error {
-	key, ok := t.pkKey(vals)
-	if !ok {
+	if t.pk == nil {
 		return fmt.Errorf("warehouse: table %s.%s has no primary key; cannot upsert", t.schema, t.def.Name)
 	}
-	pos, exists := t.pk[key]
+	pos, exists := t.pk[string(t.pkBytes(vals))]
 	if !exists {
-		return t.insertVals(vals)
+		t.insertNew(vals)
+		return nil
 	}
+	t.pk[string(t.keyBuf)] = t.rows // before the index updates reuse keyBuf
 	t.removeFromIndexes(pos)
 	t.tombstoneAt(pos)
-	newPos := t.appendRow(vals)
-	t.pk[key] = newPos
-	t.addToIndexes(newPos)
+	t.addToIndexes(t.appendRow(vals))
 	t.logEvent(Event{Kind: EvUpdate, Row: vals})
 	return nil
 }
@@ -483,10 +524,9 @@ func (t *Table) removeFromIndexes(pos int) {
 		return
 	}
 	cols, lp := t.colsAt(pos)
-	var buf []byte
 	for _, ix := range t.indexes {
-		buf = appendKeyAt(buf[:0], cols, ix.cols, lp)
-		k := string(buf)
+		t.keyBuf = appendKeyAt(t.keyBuf[:0], cols, ix.cols, lp)
+		k := string(t.keyBuf)
 		lst := ix.m[k]
 		for i, p := range lst {
 			if p == pos {
@@ -505,14 +545,18 @@ func (t *Table) removeFromIndexes(pos int) {
 
 // addToIndexes enters the row at pos into every secondary index.
 func (t *Table) addToIndexes(pos int) {
-	if len(t.indexes) == 0 {
-		return
+	if len(t.indexes) > 0 {
+		cols, lp := t.colsAt(pos)
+		t.indexRow(cols, lp, pos)
 	}
-	cols, lp := t.colsAt(pos)
-	var buf []byte
+}
+
+// indexRow enters global position pos into every secondary index under
+// the keys of row lp of cols.
+func (t *Table) indexRow(cols []colVec, lp, pos int) {
 	for _, ix := range t.indexes {
-		buf = appendKeyAt(buf[:0], cols, ix.cols, lp)
-		ix.m[string(buf)] = append(ix.m[string(buf)], pos)
+		t.keyBuf = appendKeyAt(t.keyBuf[:0], cols, ix.cols, lp)
+		ix.m[string(t.keyBuf)] = append(ix.m[string(t.keyBuf)], pos)
 	}
 }
 
@@ -630,9 +674,150 @@ func (t *Table) ReplaceAllColumns(cd *ColumnData) error {
 	return nil
 }
 
+// payloadCols validates a columnar payload strictly against the table
+// definition and views it as column vectors, so keys render from it
+// with appendKeyAt. cd's slices are referenced, not copied, and columns
+// without a validity vector share one all-false vector: the view is
+// read-only.
+func (t *Table) payloadCols(cd *ColumnData) ([]colVec, error) {
+	if err := cd.Validate(t.def); err != nil {
+		return nil, err
+	}
+	if t.pk == nil {
+		return nil, fmt.Errorf("warehouse: table %s.%s has no primary key; cannot match rows by key", t.schema, t.def.Name)
+	}
+	cols := make([]colVec, len(t.def.Columns))
+	var noNulls []bool
+	for i, c := range t.def.Columns {
+		cols[i] = cd.Cols[i].view(c)
+		if cols[i].nulls == nil {
+			if noNulls == nil {
+				noNulls = make([]bool, cd.Rows)
+			}
+			cols[i].nulls = noNulls
+		}
+	}
+	return cols, nil
+}
+
+// posOf returns the position the rendered primary key maps to, or -1.
+func (t *Table) posOf(key []byte) int {
+	if pos, ok := t.pk[string(key)]; ok {
+		return pos
+	}
+	return -1
+}
+
+// UpsertColumns upserts every row of a columnar payload by primary key
+// in one batch: the result is what UpsertRow of the same rows, in
+// payload order, would leave — table contents, scan order, indexes and,
+// on a logged table, one INSERT or UPDATE event per row. The payload is
+// validated strictly (ColumnData.Validate) and must not repeat a key; a
+// refused payload leaves the table as it was. Replaced rows are
+// tombstoned through the copy-on-write path and every column is
+// appended with one copy, so published snapshots keep reading the old
+// cells. cd is copied, not adopted: the caller may reuse it.
+func (t *Table) UpsertColumns(cd *ColumnData) error {
+	cols, err := t.payloadCols(cd)
+	if err != nil {
+		return err
+	}
+	n, base := cd.Rows, t.rows
+	if n == 0 {
+		return nil
+	}
+	// Claim each key for its new position base+r, remembering the
+	// position it replaces. A key already claimed by this payload is the
+	// one failure left once Validate has passed; the claims made so far
+	// are then handed back, so nothing has changed.
+	old := make([]int, n)
+	for r := range old {
+		t.keyBuf = appendKeyAt(t.keyBuf[:0], cols, t.pkCols, r)
+		pos := t.posOf(t.keyBuf)
+		if pos >= base {
+			dup := string(t.keyBuf)
+			for q := 0; q < r; q++ {
+				t.keyBuf = appendKeyAt(t.keyBuf[:0], cols, t.pkCols, q)
+				if old[q] < 0 {
+					delete(t.pk, string(t.keyBuf))
+				} else {
+					t.pk[string(t.keyBuf)] = old[q]
+				}
+			}
+			return fmt.Errorf("warehouse: upsert into table %s.%s: duplicate primary key %q at rows %d and %d",
+				t.schema, t.def.Name, dup, pos-base, r)
+		}
+		old[r] = pos
+		t.pk[string(t.keyBuf)] = base + r
+	}
+	for r, pos := range old { // index updates in UpsertRow's order: the lists end up in the same order
+		if pos >= 0 {
+			t.removeFromIndexes(pos)
+			t.tombstoneAt(pos)
+		}
+		t.indexRow(cols, r, base+r)
+	}
+	for i := range t.tail {
+		t.tail[i].appendVec(&cols[i])
+	}
+	t.dead = append(t.dead, make([]bool, n)...)
+	t.rows += n
+	t.markDirty()
+	if t.logged {
+		for r, pos := range old {
+			kind := EvInsert
+			if pos >= 0 {
+				kind = EvUpdate
+			}
+			t.logEvent(Event{Kind: kind, Row: Row{lay: t.lay, cols: cols, pos: r}.Values()})
+		}
+	}
+	return nil
+}
+
+// LocateColumns matches each row of a columnar payload (validated as
+// for UpsertColumns) against the primary key: element r is the global
+// position of the table's current row with payload row r's key, or -1
+// when there is none. ChunkAt gives typed access to a reported
+// position. Like Scan, it reads the writer state.
+func (t *Table) LocateColumns(cd *ColumnData) ([]int, error) {
+	cols, err := t.payloadCols(cd)
+	if err != nil {
+		return nil, err
+	}
+	at := make([]int, cd.Rows)
+	var buf []byte // not keyBuf: readers may share the table
+	for r := range at {
+		buf = appendKeyAt(buf[:0], cols, t.pkCols, r)
+		at[r] = t.posOf(buf)
+	}
+	return at, nil
+}
+
+// ChunkAt returns typed access to the row at global position pos: the
+// chunk holding it — a sealed segment or the hot tail — and the row's
+// position within that chunk. The chunk views the writer state, the
+// current transaction's changes included, and is valid until the table
+// is next written.
+func (t *Table) ChunkAt(pos int) (ColChunk, int) {
+	base, rows, cols := t.sealedRows, t.rows-t.sealedRows, t.tail
+	if pos < t.sealedRows {
+		base = 0
+		for _, sc := range t.sealed {
+			if pos < base+sc.rows {
+				rows, cols = sc.rows, sc.columns()
+				break
+			}
+			base += sc.rows
+		}
+	}
+	return ColChunk{lay: t.lay, cols: cols, dead: t.dead[base : base+rows], base: base, rows: rows}, pos - base
+}
+
 // GetByKey returns the row with the given primary key values.
 func (t *Table) GetByKey(keyVals ...any) (Row, bool) {
-	pos, ok := t.pk[encodeKey(keyVals)]
+	var buf [64]byte // readers share the table: the key renders on the stack, not in keyBuf
+	pos, ok := t.pk[string(appendKey(buf[:0], keyVals))]
 	if !ok {
 		return Row{}, false
 	}
@@ -660,7 +845,7 @@ func (t *Table) UpdateByKey(keyVals []any, set map[string]any) error {
 		}
 		vals[i] = cv
 	}
-	newKey, _ := t.pkKey(vals)
+	newKey := string(t.pkBytes(vals))
 	if newKey != key {
 		if _, dup := t.pk[newKey]; dup {
 			return fmt.Errorf("warehouse: table %s.%s: update collides on key %q", t.schema, t.def.Name, newKey)

@@ -11,7 +11,6 @@ package warehouse
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
 )
 
@@ -176,37 +175,60 @@ func coerce(col Column, v any) (any, error) {
 	return nil, fmt.Errorf("warehouse: column %q (%s) cannot hold %T value", col.Name, col.Type, v)
 }
 
-// encodeKeyPart renders one value into a key-safe string.
-func encodeKeyPart(v any) string {
+// appendKeyPart renders one value in key-safe form. It is the one
+// rendering of a boxed key cell: appendKeyAt yields the same bytes for
+// the same value held in a column vector.
+func appendKeyPart(b []byte, v any) []byte {
 	switch x := v.(type) {
 	case nil:
-		return "\x00"
+		return append(b, 0)
 	case int64:
-		return strconv.FormatInt(x, 10)
+		return strconv.AppendInt(b, x, 10)
 	case float64:
-		return strconv.FormatFloat(x, 'g', -1, 64)
+		return strconv.AppendFloat(b, x, 'g', -1, 64)
 	case string:
-		return x
+		return append(b, x...)
 	case bool:
 		if x {
-			return "1"
+			return append(b, '1')
 		}
-		return "0"
+		return append(b, '0')
 	case time.Time:
-		return strconv.FormatInt(x.UnixNano(), 10)
+		return strconv.AppendInt(b, x.UnixNano(), 10)
 	default:
-		return fmt.Sprintf("%v", x)
+		return append(b, fmt.Sprintf("%v", x)...) // not Appendf: b must not escape
 	}
 }
 
-// encodeKey builds a composite key string for index maps.
-func encodeKey(parts []any) string {
-	var b strings.Builder
+// appendKeyVals renders the composite key of the cells of vals at the
+// positions idx, joined by the unit separator (which cannot collide
+// with a numeric encoding).
+func appendKeyVals(b []byte, vals []any, idx []int) []byte {
+	for n, ci := range idx {
+		if n > 0 {
+			b = append(b, 0x1f)
+		}
+		b = appendKeyPart(b, vals[ci])
+	}
+	return b
+}
+
+// appendKey renders the composite key of parts, in order.
+func appendKey(b []byte, parts []any) []byte {
 	for i, p := range parts {
 		if i > 0 {
-			b.WriteByte(0x1f) // unit separator; cannot collide with numeric encodings
+			b = append(b, 0x1f)
 		}
-		b.WriteString(encodeKeyPart(p))
+		b = appendKeyPart(b, p)
 	}
-	return b.String()
+	return b
+}
+
+// encodeKeyPart renders one value into a key-safe string.
+func encodeKeyPart(v any) string { return string(appendKeyPart(nil, v)) }
+
+// encodeKey builds a composite key string for index maps.
+func encodeKey(parts []any) string {
+	var buf [64]byte // most keys fit: the string is then the only allocation
+	return string(appendKey(buf[:0], parts))
 }

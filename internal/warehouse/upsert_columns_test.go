@@ -1,0 +1,418 @@
+package warehouse
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+)
+
+// keyedDef is allTypesDef under a composite primary key and one
+// secondary index over a nullable column with few distinct values.
+func keyedDef() TableDef {
+	def := allTypesDef()
+	def.PrimaryKey = []string{"id", "b"}
+	def.Indexes = [][]string{{"s"}}
+	return def
+}
+
+// columnDataOf renders canonical positional rows as a columnar payload.
+// Only nullable columns get a validity vector.
+func columnDataOf(def TableDef, rows [][]any) *ColumnData {
+	n := len(rows)
+	cd := &ColumnData{Rows: n, Names: make([]string, len(def.Columns)), Cols: make([]ColumnVector, len(def.Columns))}
+	for i, c := range def.Columns {
+		cd.Names[i] = c.Name
+		v := ColumnVector{Type: c.Type}
+		if c.Nullable {
+			v.Nulls = make([]bool, n)
+		}
+		switch c.Type {
+		case TypeInt:
+			v.Ints = make([]int64, n)
+		case TypeFloat:
+			v.Floats = make([]float64, n)
+		case TypeString:
+			v.Strs = make([]string, n)
+		case TypeBool:
+			v.Bools = make([]bool, n)
+		case TypeTime:
+			v.Times = make([]time.Time, n)
+		}
+		for r, row := range rows {
+			switch x := row[i].(type) {
+			case nil:
+				v.Nulls[r] = true
+			case int64:
+				v.Ints[r] = x
+			case float64:
+				v.Floats[r] = x
+			case string:
+				v.Strs[r] = x
+			case bool:
+				v.Bools[r] = x
+			case time.Time:
+				v.Times[r] = x
+			}
+		}
+		cd.Cols[i] = v
+	}
+	return cd
+}
+
+var indexedStrings = []any{nil, "", "alpha", "beta"}
+
+// randomKeyedRows draws n rows of keyedDef with distinct keys from a
+// space of 2*ids keys.
+func randomKeyedRows(rng *rand.Rand, n, ids int) [][]any {
+	rows := make([][]any, 0, n)
+	taken := map[[2]any]bool{}
+	for len(rows) < n {
+		id, b := int64(rng.Intn(ids)), rng.Intn(2) == 0
+		if taken[[2]any{id, b}] {
+			continue
+		}
+		taken[[2]any{id, b}] = true
+		var nn any
+		if rng.Intn(3) > 0 {
+			nn = rng.Int63n(1000)
+		}
+		rows = append(rows, []any{id, rng.NormFloat64(), indexedStrings[rng.Intn(len(indexedStrings))], b,
+			time.Unix(rng.Int63n(1e9), rng.Int63n(1e9)).UTC(), nn})
+	}
+	return rows
+}
+
+// tableState is everything a reader can ask of a table, plus the
+// writer's own bookkeeping.
+type tableState struct {
+	Scan    [][]any
+	Len     int
+	ByKey   map[string][]any
+	ByIndex map[string][][]any
+	PK      map[string]int
+	Rows    int
+	Deleted int
+	LastLSN uint64
+}
+
+func stateOf(db *DB, tab *Table, ids int) tableState {
+	st := tableState{ByKey: map[string][]any{}, ByIndex: map[string][][]any{}, PK: map[string]int{}}
+	db.View(func() error {
+		tab.Scan(func(r Row) bool {
+			st.Scan = append(st.Scan, r.Values())
+			return true
+		})
+		st.Len = tab.Len()
+		for id := int64(0); id < int64(ids); id++ {
+			for _, b := range []bool{false, true} {
+				if r, ok := tab.GetByKey(id, b); ok {
+					st.ByKey[fmt.Sprint(id, b)] = r.Values()
+				}
+			}
+		}
+		for _, s := range indexedStrings {
+			tab.ScanIndex([]string{"s"}, []any{s}, func(r Row) bool {
+				st.ByIndex[fmt.Sprint(s)] = append(st.ByIndex[fmt.Sprint(s)], r.Values())
+				return true
+			})
+		}
+		for k, v := range tab.pk {
+			st.PK[k] = v
+		}
+		st.Rows, st.Deleted = tab.rows, tab.deleted
+		return nil
+	})
+	st.LastLSN = db.Binlog().Last()
+	return st
+}
+
+func snapshotRows(td *TableData) [][]any {
+	var rows [][]any
+	td.Scan(func(r Row) bool {
+		rows = append(rows, r.Values())
+		return true
+	})
+	return rows
+}
+
+// TestUpsertColumnsMatchesUpsertRow sends the same random batches of
+// new and existing keys row by row through UpsertRow into one table and
+// as one payload through UpsertColumns into its twin. Everything
+// observable must stay identical — scan order, key lookups, index
+// scans, the key map, the binlog — while a snapshot taken before each
+// batch keeps reading the cells it captured. The hot tail is tiny, so
+// replaced rows sit in sealed chunks, and the run crosses compactions.
+// The keyed probe is checked on the way: LocateColumns + ChunkAt reach
+// the typed cells of every payload row's current row, in either tier.
+func TestUpsertColumnsMatchesUpsertRow(t *testing.T) {
+	const ids = 150
+	def := keyedDef()
+	open := func() (*DB, *Table) {
+		db := OpenOptions("twin", Options{HotTailRows: 8})
+		tab, err := db.EnsureSchema("modw").CreateTable(def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db, tab
+	}
+	dbR, tabR := open()
+	dbC, tabC := open()
+	rng := rand.New(rand.NewSource(20))
+	replacedSealed, replacedTail, compactions := 0, 0, 0
+	for round := 0; round < 80; round++ {
+		rows := randomKeyedRows(rng, rng.Intn(60), ids)
+		cd := columnDataOf(def, rows)
+
+		before := tabC.Data()
+		beforeRows := snapshotRows(before)
+		rowsBefore := tabC.rows
+
+		if err := dbR.Do(func() error {
+			for _, row := range rows {
+				if err := tabR.UpsertRow(row); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := dbC.Do(func() error {
+			at, err := tabC.LocateColumns(cd)
+			if err != nil {
+				return err
+			}
+			for r, pos := range at {
+				cur, ok := tabC.GetByKey(rows[r][0], rows[r][3])
+				if ok != (pos >= 0) {
+					t.Fatalf("round %d: row %d located at %d, GetByKey found: %v", round, r, pos, ok)
+				}
+				if !ok {
+					continue
+				}
+				ch, lp := tabC.ChunkAt(pos)
+				if ch.Base()+lp != pos || ch.Tombstones()[lp] {
+					t.Fatalf("round %d: ChunkAt(%d) = base %d local %d, dead %v", round, pos, ch.Base(), lp, ch.Tombstones()[lp])
+				}
+				fi, _ := ch.ColIndex("f")
+				ni, _ := ch.ColIndex("n")
+				if ch.FloatCol(fi)[lp] != cur.Float("f") || ch.IntCol(ni)[lp] != cur.Int("n") || ch.NullCol(ni)[lp] != (cur.Get("n") == nil) {
+					t.Fatalf("round %d: typed cells at %d disagree with GetByKey %v", round, pos, cur.Values())
+				}
+				if pos < tabC.sealedRows {
+					replacedSealed++
+				} else {
+					replacedTail++
+				}
+			}
+			return tabC.UpsertColumns(cd)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if tabC.rows < rowsBefore+len(rows) {
+			compactions++
+		}
+
+		if got := snapshotRows(before); !reflect.DeepEqual(got, beforeRows) {
+			t.Fatalf("round %d: the snapshot taken before the batch changed under it:\n got %v\nwant %v", round, got, beforeRows)
+		}
+		want, got := stateOf(dbR, tabR, ids), stateOf(dbC, tabC, ids)
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("round %d (%d rows): tables diverged\nUpsertRow:     %+v\nUpsertColumns: %+v", round, len(rows), want, got)
+		}
+		if !reflect.DeepEqual(snapshotRows(tabR.Data()), snapshotRows(tabC.Data())) {
+			t.Fatalf("round %d: published snapshots diverged", round)
+		}
+	}
+	if replacedSealed == 0 || replacedTail == 0 || compactions == 0 {
+		t.Fatalf("the run probed and replaced %d sealed and %d tail rows and crossed %d compactions; want all above zero",
+			replacedSealed, replacedTail, compactions)
+	}
+	evR, err := dbR.Binlog().ReadFrom(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evC, err := dbC.Binlog().ReadFrom(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(evR) != len(evC) {
+		t.Fatalf("UpsertRow logged %d events, UpsertColumns %d", len(evR), len(evC))
+	}
+	for i := range evR {
+		evR[i].Time, evC[i].Time = time.Time{}, time.Time{}
+		if !reflect.DeepEqual(evR[i], evC[i]) {
+			t.Fatalf("event %d: UpsertRow logged %+v, UpsertColumns %+v", i, evR[i], evC[i])
+		}
+	}
+}
+
+// TestUpsertColumnsRefusalMutatesNothing: a payload that repeats a key,
+// fails the strict validation or targets a table without a primary key
+// is refused with the table exactly as it was — no row, key, index
+// entry, tombstone, event or new snapshot.
+func TestUpsertColumnsRefusalMutatesNothing(t *testing.T) {
+	const ids = 40
+	def := keyedDef()
+	db := OpenOptions("refuse", Options{HotTailRows: 8})
+	tab, err := db.EnsureSchema("modw").CreateTable(def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(21))
+	stored := randomKeyedRows(rng, 30, ids)
+	if err := db.Do(func() error { return tab.UpsertColumns(columnDataOf(def, stored)) }); err != nil {
+		t.Fatal(err)
+	}
+	unkeyed := allTypesDef()
+	unkeyed.Name, unkeyed.PrimaryKey = "unkeyed", nil
+	noPK, err := db.EnsureSchema("modw").CreateTable(unkeyed)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := func() [][]any { // existing keys to replace, then new ones
+		rows := append([][]any(nil), stored[:10]...)
+		for i := 0; i < 10; i++ {
+			rows = append(rows, []any{int64(ids + i), 1.5, "alpha", true, time.Unix(int64(i), 0).UTC(), nil})
+		}
+		return rows
+	}
+	dupOfExisting := append(fresh(), stored[3])
+	dupOfNew := append(fresh(), fresh()[15])
+	wrongType := columnDataOf(def, fresh())
+	wrongType.Cols[1] = ColumnVector{Type: TypeFloat, Ints: make([]int64, wrongType.Rows)}
+	short := columnDataOf(def, fresh())
+	short.Cols[4].Times = short.Cols[4].Times[:5]
+	negative := columnDataOf(def, nil)
+	negative.Rows = -1
+	nullKey := columnDataOf(def, fresh())
+	nullKey.Cols[0].Nulls = make([]bool, nullKey.Rows)
+	nullKey.Cols[0].Nulls[19] = true
+
+	for _, tc := range []struct {
+		name string
+		tab  *Table
+		cd   *ColumnData
+		want string
+	}{
+		{"key of an existing row twice", tab, columnDataOf(def, dupOfExisting), "duplicate primary key"},
+		{"new key twice", tab, columnDataOf(def, dupOfNew), "duplicate primary key"},
+		{"mistyped payload", tab, wrongType, "missing DOUBLE payload"},
+		{"short vector", tab, short, "has 5 values, want 20 rows"},
+		{"negative row count", tab, negative, "declares -1 rows"},
+		{"NULL in a key column", tab, nullKey, "is NULL but the column is not nullable"},
+		{"no payload", tab, nil, "carries no column data"},
+		{"no primary key", noPK, columnDataOf(unkeyed, fresh()), "has no primary key"},
+	} {
+		before, beforeNoPK := stateOf(db, tab, ids+10), stateOf(db, noPK, 0)
+		snap, snapNoPK := tab.Data(), noPK.Data()
+		err := db.Do(func() error { return tc.tab.UpsertColumns(tc.cd) })
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error = %v, want one containing %q", tc.name, err, tc.want)
+		}
+		if after := stateOf(db, tab, ids+10); !reflect.DeepEqual(before, after) {
+			t.Errorf("%s: the refused payload changed the table\nbefore %+v\nafter  %+v", tc.name, before, after)
+		}
+		if after := stateOf(db, noPK, 0); !reflect.DeepEqual(beforeNoPK, after) {
+			t.Errorf("%s: the refused payload changed the unkeyed table", tc.name)
+		}
+		if tab.Data() != snap || noPK.Data() != snapNoPK {
+			t.Errorf("%s: the refused payload published a new snapshot", tc.name)
+		}
+		if _, err := tc.tab.LocateColumns(tc.cd); tc.want != "duplicate primary key" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%s: LocateColumns error = %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+	// The table still takes the good payload.
+	if err := db.Do(func() error { return tab.UpsertColumns(columnDataOf(def, fresh())) }); err != nil {
+		t.Fatal(err)
+	}
+	if got := tab.Len(); got != 40 {
+		t.Errorf("after the accepted payload the table holds %d rows, want 40", got)
+	}
+}
+
+// TestColumnDataValidateIsStrict pins every way a columnar payload can
+// disagree with the table definition to its error — the gate bulk
+// loads, batch upserts, peers' LOAD events and snapshot files all pass.
+// A refused load leaves the table as it was; a negative row count, which
+// once reached makeslice, is refused like the rest.
+func TestColumnDataValidateIsStrict(t *testing.T) {
+	def := allTypesDef()
+	rows := [][]any{
+		{int64(1), 1.5, "alpha", true, time.Unix(1, 0).UTC(), int64(7)},
+		{int64(2), 2.5, nil, false, time.Unix(2, 0).UTC(), nil},
+	}
+	edit := func(f func(cd *ColumnData)) *ColumnData {
+		cd := columnDataOf(def, rows)
+		f(cd)
+		return cd
+	}
+	bare := func(rows int) *ColumnData { // the layout with no payload at all
+		cd := columnDataOf(def, nil)
+		for i := range cd.Cols {
+			cd.Cols[i] = ColumnVector{Type: cd.Cols[i].Type}
+		}
+		cd.Rows = rows
+		return cd
+	}
+	cases := []struct {
+		name string
+		cd   *ColumnData
+		want string // "" = valid
+	}{
+		{"valid", columnDataOf(def, rows), ""},
+		{"valid, no rows and no payloads", bare(0), ""},
+		{"nil", nil, `load for table "t" carries no column data`},
+		{"negative rows", bare(-1), `load for table "t" declares -1 rows`},
+		{"column missing", edit(func(cd *ColumnData) { cd.Names, cd.Cols = cd.Names[:5], cd.Cols[:5] }), `has 5 columns, definition has 6`},
+		{"column renamed", edit(func(cd *ColumnData) { cd.Names[1] = "x" }), `column 1 is "x", definition says "f"`},
+		{"other type", edit(func(cd *ColumnData) { cd.Cols[1] = ColumnVector{Type: TypeInt, Ints: make([]int64, 2)} }), `column "f" carries BIGINT data, definition says DOUBLE`},
+		{"two payloads", edit(func(cd *ColumnData) { cd.Cols[1].Ints = make([]int64, 2) }), `column "f" carries mixed-type data (2 typed payloads)`},
+		{"int payload missing", edit(func(cd *ColumnData) { cd.Cols[0].Ints = nil }), `column "id": missing BIGINT payload`},
+		{"float payload missing", edit(func(cd *ColumnData) { cd.Cols[1].Floats = nil }), `column "f": missing DOUBLE payload`},
+		{"string payload missing", edit(func(cd *ColumnData) { cd.Cols[2].Strs = nil }), `column "s": missing VARCHAR payload`},
+		{"bool payload missing", edit(func(cd *ColumnData) { cd.Cols[3].Bools = nil }), `column "b": missing BOOLEAN payload`},
+		{"time payload missing", edit(func(cd *ColumnData) { cd.Cols[4].Times = nil }), `column "ts": missing DATETIME payload`},
+		{"payload of another type only", edit(func(cd *ColumnData) { cd.Cols[3] = ColumnVector{Type: TypeBool, Strs: make([]string, 2)} }), `column "b": missing BOOLEAN payload`},
+		{"short payload", edit(func(cd *ColumnData) { cd.Cols[2].Strs = cd.Cols[2].Strs[:1] }), `column "s" has 1 values, want 2 rows`},
+		{"short validity", edit(func(cd *ColumnData) { cd.Cols[2].Nulls = cd.Cols[2].Nulls[:1] }), `column "s" has 1 validity entries, want 2 rows`},
+		{"NULL where none may be", edit(func(cd *ColumnData) { cd.Cols[3].Nulls = []bool{false, true} }), `column "b" row 1 is NULL but the column is not nullable`},
+	}
+	db := Open("strict")
+	tab, err := db.EnsureSchema("modw").CreateTable(def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.LoadColumns("modw", "t", columnDataOf(def, rows[:1])); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		err := tc.cd.Validate(def)
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("%s: Validate = %v, want valid", tc.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.HasSuffix(err.Error(), tc.want) || !strings.HasPrefix(err.Error(), `warehouse: load for table "t"`) {
+			t.Errorf("%s: Validate = %v, want %q", tc.name, err, tc.want)
+		}
+		before := stateOf(db, tab, 3)
+		if err := db.LoadColumns("modw", "t", tc.cd); err == nil {
+			t.Errorf("%s: LoadColumns accepted the payload", tc.name)
+		}
+		if tc.cd != nil { // a peer's LOAD event takes the same gate
+			if err := db.Apply(Event{Kind: EvLoad, Schema: "modw", Table: "t", Cols: tc.cd}); err == nil {
+				t.Errorf("%s: a LOAD event carrying the payload applied", tc.name)
+			}
+		}
+		if after := stateOf(db, tab, 3); !reflect.DeepEqual(before, after) {
+			t.Errorf("%s: the refused load changed the table\nbefore %+v\nafter  %+v", tc.name, before, after)
+		}
+	}
+}
