@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race chaos fuzz bench bench-shard bench-load bench-pushdown bench-check bench-pipeline loc check
+.PHONY: build vet test race chaos fuzz bench bench-load bench-pushdown bench-check bench-pipeline loc check
 
 build:
 	$(GO) build ./...
@@ -45,14 +45,6 @@ bench:
 	$(GO) test -run '^$$' -bench BenchmarkTelemetryOverhead -benchtime 500x .
 	$(GO) test -run '^$$' -bench 'BenchmarkChartQuery' -cpu 4 .
 	$(GO) test -run '^TestEmit.*BenchJSON$$' -emit-bench -timeout 30m .
-
-# Sharded-rebuild scaling: emits BENCH_8.json (a full rebuild with
-# 1/2/4/8 workers over 4 resource-routed shards, plus the single-shard
-# rebuild win from shard-scoped dirty tracking). The emitter fails if
-# 4 workers don't reach 2.5x over 1 on a host with at least 4 CPUs;
-# on smaller hosts the honest numbers are recorded unasserted.
-bench-shard:
-	$(GO) test -run '^TestEmitShardBenchJSON$$' -emit-bench -count 1 -timeout 30m .
 
 # Front-door load bench: emits BENCH_9.json — thousands of concurrent
 # authenticated chart clients against a live federation with admission

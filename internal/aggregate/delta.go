@@ -26,9 +26,8 @@ import (
 // Bit-exactness contract: a satellite folds its committed facts
 // sequentially, in binlog (= fact-table row) order, with exactly the
 // per-fact semantics of a full rebuild's scan. Because fold state is
-// per group and a group never spans shards, the hub can load a
-// member's cumulative bins from its pagg tables (see pagg.go), route
-// them to shards, and merge them in source order exactly where a
+// per group, the hub can load a member's cumulative bins from its pagg
+// tables (see pagg.go) and merge them in source order exactly where a
 // fact-mode rebuild would have merged the member's scanned partial —
 // the float accumulation order is identical, so the resulting
 // aggregation tables are row-bit-identical to fact replication.
@@ -136,7 +135,7 @@ type partial map[Period]map[string]*accRow
 func (p partial) merge(other partial) {
 	for period, groups := range other {
 		dst := p[period]
-		if dst == nil {
+		if len(dst) == 0 {
 			p[period] = groups
 			continue
 		}
@@ -430,7 +429,7 @@ func (df *DeltaFolder) Dirty() bool {
 func (df *DeltaFolder) FoldRows(rows [][]any) error {
 	ch, err := df.fact.RowsChunk(rows)
 	if err == nil {
-		_, err = df.e.foldFacts(df.info, ch, df.cols, df.weights, nil, func([]string) *folder { return df.f })
+		_, err = df.e.foldFacts(df.info, ch, df.cols, df.weights, nil, df.f)
 	}
 	if err != nil {
 		return fmt.Errorf("aggregate: pushdown fold into %s: %w", df.info.Name, err)
@@ -478,7 +477,7 @@ func (df *DeltaFolder) Reset(excludeResources map[string]bool, resourceColumn st
 				skip = func(pos int) bool { return excludeResources[res[pos]] }
 			}
 		}
-		folded, err := df.e.foldFacts(df.info, ch, df.cols, df.weights, skip, func([]string) *folder { return fresh })
+		folded, err := df.e.foldFacts(df.info, ch, df.cols, df.weights, skip, fresh)
 		if err != nil {
 			return 0, err
 		}

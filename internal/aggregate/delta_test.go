@@ -100,165 +100,158 @@ func TestDeltaWireStability(t *testing.T) {
 // TestPushdownMatchesFactReplication: a hub that merges a satellite's
 // deltas via pagg tables must hold bit-identical aggregation tables to
 // a hub that replicated the same raw facts — for the initial reset
-// flush, for incremental flushes, and when re-applying a delta — at
-// one shard and several.
+// flush, for incremental flushes, and when re-applying a delta. The
+// subtest keeps its name from when a sharded arm ran beside it; the
+// unsharded layout is now the only one.
 func TestPushdownMatchesFactReplication(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		shards int
-	}{
-		{"unsharded", 1},
-		{"resource3", 3},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			sat, satEng, info := fixture(t, 300, 11)
-			const member = "fed_sat"
+	t.Run("unsharded", func(t *testing.T) {
+		sat, satEng, info := fixture(t, 300, 11)
+		const member = "fed_sat"
 
-			newHub := func(name string) (*warehouse.DB, *Engine) {
-				db := warehouse.Open(name)
-				if _, err := jobs.Setup(db); err != nil {
-					t.Fatal(err)
-				}
-				eng, err := New(db, []config.AggregationLevels{config.HubWallTime(), config.DefaultJobSize()})
-				if err != nil {
-					t.Fatal(err)
-				}
-				eng.SetSharding(tc.shards)
-				if err := eng.Setup(info); err != nil {
-					t.Fatal(err)
-				}
-				return db, eng
+		newHub := func(name string) (*warehouse.DB, *Engine) {
+			db := warehouse.Open(name)
+			if _, err := jobs.Setup(db); err != nil {
+				t.Fatal(err)
 			}
-			pushHub, pushEng := newHub("hub-pushdown")
-			factHub, factEng := newHub("hub-facts")
-
-			// Fact-mode control: raw facts land verbatim in the member
-			// schema and the hub rebuilds by scanning them.
-			syncFacts := func() {
-				sch := factHub.EnsureSchema(member)
-				if sch.Table(jobs.FactTable) == nil {
-					if _, err := sch.EnsureTable(jobs.Def()); err != nil {
-						t.Fatal(err)
-					}
-				}
-				cols := jobs.Def().Columns
-				for _, row := range factRowsPositional(t, sat, jobs.SchemaName, jobs.FactTable) {
-					m := make(map[string]any, len(cols))
-					for i, c := range cols {
-						m[c.Name] = row[i]
-					}
-					if err := factHub.Upsert(member, jobs.FactTable, m); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			compare := func(stage string) {
-				if _, err := pushEng.ReaggregateFrom(info, []Source{{Schema: member, Pushdown: true}}, nil); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := factEng.ReaggregateFrom(info, []Source{{Schema: member}}, nil); err != nil {
-					t.Fatal(err)
-				}
-				got := shardAggSnapshot(t, pushHub, pushEng, info)
-				want := shardAggSnapshot(t, factHub, factEng, info)
-				if len(want) == 0 {
-					t.Fatalf("%s: control snapshot is empty", stage)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: pushdown aggregates differ from fact-replication control (%d vs %d rows)",
-						stage, len(got), len(want))
-				}
-			}
-
-			df, err := satEng.NewDeltaFolder(info)
+			eng, err := New(db, []config.AggregationLevels{config.HubWallTime(), config.DefaultJobSize()})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := df.Reset(nil, "resource"); err != nil {
+			if err := eng.Setup(info); err != nil {
 				t.Fatal(err)
 			}
-			d, ok := df.Flush()
-			if !ok {
-				t.Fatal("no reset delta")
-			}
-			if _, _, err := pushEng.ApplyDelta(info, member, d); err != nil {
-				t.Fatal(err)
-			}
-			if !pushEng.HasPagg(info, member) {
-				t.Fatal("reset delta left no pagg tables")
-			}
-			syncFacts()
-			compare("reset")
+			return db, eng
+		}
 
-			// Incremental: a second wave of brand-new facts (distinct job
-			// IDs — an upsert collision would need a reset, not a fold)
-			// folds into the cumulative state and flushes as an upsert
-			// delta shipping only touched bins. The rows are taken from
-			// the binlog insert events — the exact positional shape the
-			// replication sender folds.
-			pos := sat.Binlog().Last()
-			for i := 0; i < 80; i++ {
-				end := time.Date(2017, time.Month(1+i%12), 1+i%28, i%24, 0, 0, 0, time.UTC)
-				rec := shredder.JobRecord{
-					LocalJobID: int64(100000 + i),
-					User:       "erin",
-					Account:    "acct",
-					Resource:   []string{"comet", "stampede", "bridges"}[i%3],
-					Queue:      "batch",
-					Nodes:      1,
-					Cores:      int64(1 + i%32),
-					Submit:     end.Add(-3 * time.Hour),
-					Start:      end.Add(-2 * time.Hour),
-					End:        end,
-				}
-				row, err := jobs.FactFromRecord(rec, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := sat.Upsert(jobs.SchemaName, jobs.FactTable, row); err != nil {
+		pushHub, pushEng := newHub("hub-pushdown")
+		factHub, factEng := newHub("hub-facts")
+
+		// Fact-mode control: raw facts land verbatim in the member
+		// schema and the hub rebuilds by scanning them.
+		syncFacts := func() {
+			sch := factHub.EnsureSchema(member)
+			if sch.Table(jobs.FactTable) == nil {
+				if _, err := sch.EnsureTable(jobs.Def()); err != nil {
 					t.Fatal(err)
 				}
 			}
-			evs, err := sat.Binlog().ReadFrom(pos, 0)
+			cols := jobs.Def().Columns
+			for _, row := range factRowsPositional(t, sat, jobs.SchemaName, jobs.FactTable) {
+				m := make(map[string]any, len(cols))
+				for i, c := range cols {
+					m[c.Name] = row[i]
+				}
+				if err := factHub.Upsert(member, jobs.FactTable, m); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		compare := func(stage string) {
+			if _, err := pushEng.ReaggregateFrom(info, []Source{{Schema: member, Pushdown: true}}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := factEng.ReaggregateFrom(info, []Source{{Schema: member}}); err != nil {
+				t.Fatal(err)
+			}
+			got := aggSnapshot(t, pushHub, info)
+			want := aggSnapshot(t, factHub, info)
+			if len(want) == 0 {
+				t.Fatalf("%s: control snapshot is empty", stage)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: pushdown aggregates differ from fact-replication control (%d vs %d rows)",
+					stage, len(got), len(want))
+			}
+		}
+
+		df, err := satEng.NewDeltaFolder(info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := df.Reset(nil, "resource"); err != nil {
+			t.Fatal(err)
+		}
+		d, ok := df.Flush()
+		if !ok {
+			t.Fatal("no reset delta")
+		}
+		if _, err := pushEng.ApplyDelta(info, member, d); err != nil {
+			t.Fatal(err)
+		}
+		if !pushEng.HasPagg(info, member) {
+			t.Fatal("reset delta left no pagg tables")
+		}
+		syncFacts()
+		compare("reset")
+
+		// Incremental: a second wave of brand-new facts (distinct job
+		// IDs — an upsert collision would need a reset, not a fold)
+		// folds into the cumulative state and flushes as an upsert
+		// delta shipping only touched bins. The rows are taken from
+		// the binlog insert events — the exact positional shape the
+		// replication sender folds.
+		pos := sat.Binlog().Last()
+		for i := 0; i < 80; i++ {
+			end := time.Date(2017, time.Month(1+i%12), 1+i%28, i%24, 0, 0, 0, time.UTC)
+			rec := shredder.JobRecord{
+				LocalJobID: int64(100000 + i),
+				User:       "erin",
+				Account:    "acct",
+				Resource:   []string{"comet", "stampede", "bridges"}[i%3],
+				Queue:      "batch",
+				Nodes:      1,
+				Cores:      int64(1 + i%32),
+				Submit:     end.Add(-3 * time.Hour),
+				Start:      end.Add(-2 * time.Hour),
+				End:        end,
+			}
+			row, err := jobs.FactFromRecord(rec, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var fresh [][]any
-			for _, ev := range evs {
-				if ev.Kind == warehouse.EvInsert && ev.Table == info.FactTable {
-					fresh = append(fresh, ev.Row)
-				}
-			}
-			if len(fresh) != 80 {
-				t.Fatalf("second wave logged %d inserts, want 80", len(fresh))
-			}
-			if err := df.FoldRows(fresh); err != nil {
+			if err := sat.Upsert(jobs.SchemaName, jobs.FactTable, row); err != nil {
 				t.Fatal(err)
 			}
-			df.SetCovered(sat.Binlog().Last())
-			d2, ok := df.Flush()
-			if !ok {
-				t.Fatal("no incremental delta")
+		}
+		evs, err := sat.Binlog().ReadFrom(pos, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fresh [][]any
+		for _, ev := range evs {
+			if ev.Kind == warehouse.EvInsert && ev.Table == info.FactTable {
+				fresh = append(fresh, ev.Row)
 			}
-			if d2.Reset {
-				t.Fatal("incremental flush must not be a reset")
-			}
-			if shards, _, err := pushEng.ApplyDelta(info, member, d2); err != nil {
-				t.Fatal(err)
-			} else if len(shards) == 0 {
-				t.Fatal("incremental delta touched no shards")
-			}
-			syncFacts()
-			compare("incremental")
+		}
+		if len(fresh) != 80 {
+			t.Fatalf("second wave logged %d inserts, want 80", len(fresh))
+		}
+		if err := df.FoldRows(fresh); err != nil {
+			t.Fatal(err)
+		}
+		df.SetCovered(sat.Binlog().Last())
+		d2, ok := df.Flush()
+		if !ok {
+			t.Fatal("no incremental delta")
+		}
+		if d2.Reset {
+			t.Fatal("incremental flush must not be a reset")
+		}
+		if rows, err := pushEng.ApplyDelta(info, member, d2); err != nil {
+			t.Fatal(err)
+		} else if rows == 0 {
+			t.Fatal("incremental delta applied no bins")
+		}
+		syncFacts()
+		compare("incremental")
 
-			// Idempotence: cumulative bins replace, so re-applying the
-			// same delta must change nothing.
-			if _, _, err := pushEng.ApplyDelta(info, member, d2); err != nil {
-				t.Fatal(err)
-			}
-			compare("reapply")
-		})
-	}
+		// Idempotence: cumulative bins replace, so re-applying the
+		// same delta must change nothing.
+		if _, err := pushEng.ApplyDelta(info, member, d2); err != nil {
+			t.Fatal(err)
+		}
+		compare("reapply")
+	})
 }
 
 // TestPartialMergeRules exercises the merge rules on synthetic bins:
@@ -400,7 +393,7 @@ func TestPushdownSumLast(t *testing.T) {
 
 	queryMonth := func(stage string, want float64) {
 		t.Helper()
-		if _, err := hubEng.ReaggregateFrom(info, []Source{{Schema: member, Pushdown: true}}, nil); err != nil {
+		if _, err := hubEng.ReaggregateFrom(info, []Source{{Schema: member, Pushdown: true}}); err != nil {
 			t.Fatal(err)
 		}
 		series, err := hubEng.Query(info, Request{MetricID: storage.MetricFileCount, Period: Month})
@@ -426,7 +419,7 @@ func TestPushdownSumLast(t *testing.T) {
 	if !ok {
 		t.Fatal("no reset delta")
 	}
-	if _, _, err := hubEng.ApplyDelta(info, member, d); err != nil {
+	if _, err := hubEng.ApplyDelta(info, member, d); err != nil {
 		t.Fatal(err)
 	}
 	queryMonth("reset", 6200)
@@ -458,7 +451,7 @@ func TestPushdownSumLast(t *testing.T) {
 	if !ok {
 		t.Fatal("no incremental delta after stale fold")
 	}
-	if _, _, err := hubEng.ApplyDelta(info, member, d2); err != nil {
+	if _, err := hubEng.ApplyDelta(info, member, d2); err != nil {
 		t.Fatal(err)
 	}
 	queryMonth("stale-incremental", 6200)

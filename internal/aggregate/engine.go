@@ -19,10 +19,6 @@ const AggSchemaSuffix = "_agg"
 type Engine struct {
 	db     *warehouse.DB
 	levels map[string]config.AggregationLevels // dimension id -> levels
-
-	// shards partitions each realm's aggregation tables into
-	// independent per-schema shards (see shard.go); <= 1 means one.
-	shards int
 }
 
 // New creates an engine over db with the given aggregation levels.
@@ -142,18 +138,15 @@ func aggDef(info realm.Info, p Period) warehouse.TableDef {
 	return def
 }
 
-// Setup creates the aggregation tables for every period of a realm,
-// one table set per shard.
+// Setup creates the aggregation tables for every period of a realm.
 func (e *Engine) Setup(info realm.Info) error {
 	if err := info.Validate(); err != nil {
 		return err
 	}
-	for k := 0; k < e.NumShards(); k++ {
-		s := e.db.EnsureSchema(e.aggSchemaShard(info, k))
-		for _, p := range Periods() {
-			if _, err := s.EnsureTable(aggDef(info, p)); err != nil {
-				return err
-			}
+	s := e.db.EnsureSchema(AggSchema(info))
+	for _, p := range Periods() {
+		if _, err := s.EnsureTable(aggDef(info, p)); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -165,20 +158,31 @@ type target struct {
 	tab    *warehouse.Table
 }
 
-// Truncate clears a realm's aggregation tables across every shard. The
-// commit bumps each touched shard schema's epoch, so query-result
-// cache entries computed against the old contents are never served
-// again.
+// targets resolves a realm's aggregation tables, indexed like
+// Periods().
+func (e *Engine) targets(info realm.Info) ([]target, error) {
+	out := make([]target, 0, len(Periods()))
+	for _, p := range Periods() {
+		tab, err := e.db.TableIn(AggSchema(info), AggTableName(info.FactTable, p))
+		if err != nil {
+			return nil, fmt.Errorf("aggregate: realm %s not set up for period %s: %w", info.Name, p, err)
+		}
+		out = append(out, target{p, tab})
+	}
+	return out, nil
+}
+
+// Truncate clears a realm's aggregation tables. The commit bumps the
+// aggregate schema's epoch, so query-result cache entries computed
+// against the old contents are never served again.
 func (e *Engine) Truncate(info realm.Info) error {
-	st, err := e.shardTargets(info)
+	targets, err := e.targets(info)
 	if err != nil {
 		return err
 	}
 	return e.db.Do(func() error {
-		for _, targets := range st {
-			for _, tg := range targets {
-				tg.tab.Truncate()
-			}
+		for _, tg := range targets {
+			tg.tab.Truncate()
 		}
 		return nil
 	})

@@ -38,16 +38,14 @@ type groupFacts struct {
 
 // ApplyFactRows folds positional fact rows (binlog event payloads for
 // sourceSchema's fact table) into all period aggregation tables. The
-// batch becomes a transient column chunk, is decoded by eachFact,
-// routed to shards and grouped with no lock held; one shard-scoped
-// write transaction per touched shard then updates each affected
-// aggregation row once — one keyed batch upsert per table, through
-// typed column vectors — while folding each group's facts
-// sequentially to keep float accumulation identical to a full rebuild.
-// Untouched shards keep their epochs (and their cached charts). A row
-// failing validation aborts the fold before any table is touched; the
-// caller must schedule a full rebuild if it cannot tolerate the
-// dropped batch.
+// batch becomes a transient column chunk, is decoded by eachFact and
+// grouped by period with no lock held; one write transaction on the
+// realm's aggregate schema then updates each affected aggregation row
+// once — one keyed batch upsert per table, through typed column
+// vectors — while folding each group's facts sequentially to keep
+// float accumulation identical to a full rebuild. A row failing
+// validation aborts the fold before any table is touched; the caller
+// must schedule a full rebuild if it cannot tolerate the dropped batch.
 func (e *Engine) ApplyFactRows(info realm.Info, sourceSchema string, rows [][]any) (int, error) {
 	if len(rows) == 0 {
 		return 0, nil
@@ -56,22 +54,22 @@ func (e *Engine) ApplyFactRows(info realm.Info, sourceSchema string, rows [][]an
 	if err != nil {
 		return 0, err
 	}
-	st, err := e.shardTargets(info)
+	targets, err := e.targets(info)
 	if err != nil {
 		return 0, err
 	}
-	rt := e.router(info)
 	codec := newAggCodec(info)
 
-	// Phase 1, lock-free: decode the batch, route each fact to its shard
-	// and group. Shard group maps allocate lazily — a batch from one
-	// satellite typically touches the few shards its resources route to.
+	// Phase 1, lock-free: decode the batch and group it per period.
 	ch, err := fact.RowsChunk(rows)
 	if err != nil {
 		return 0, fmt.Errorf("aggregate: incremental fold into %s: %w", info.Name, err)
 	}
 	periods := Periods()
-	groups := make([][]map[string]*groupFacts, rt.shards) // [shard][period]
+	groups := make([]map[string]*groupFacts, len(periods))
+	for i := range groups {
+		groups[i] = make(map[string]*groupFacts)
+	}
 	var keyBuf []byte
 	nv, nw := len(codec.cols), len(codec.weights)
 	arena := make([]float64, 0, len(rows)*(nv+nw)) // every fact's vals, then its wvals
@@ -83,26 +81,17 @@ func (e *Engine) ApplyFactRows(info realm.Info, sourceSchema string, rows [][]an
 			vals:  arena[off : off+nv : off+nv],
 			wvals: arena[off+nv : off+nv+nw : off+nv+nw],
 		}
-		k := rt.shardOf(dims)
-		sg := groups[k]
-		if sg == nil {
-			sg = make([]map[string]*groupFacts, len(periods))
-			for i := range sg {
-				sg[i] = make(map[string]*groupFacts)
-			}
-			groups[k] = sg
-		}
 		var dimsCopy []string // shared by every period's group of this fact
 		for pi, period := range periods {
 			pk := period.Key(t)
 			keyBuf = groupKey(keyBuf, pk, dims)
-			g, ok := sg[pi][string(keyBuf)]
+			g, ok := groups[pi][string(keyBuf)]
 			if !ok {
 				if dimsCopy == nil {
 					dimsCopy = append([]string(nil), dims...)
 				}
 				g = &groupFacts{periodKey: pk, dims: dimsCopy}
-				sg[pi][string(keyBuf)] = g
+				groups[pi][string(keyBuf)] = g
 			}
 			g.entries = append(g.entries, entry)
 		}
@@ -111,24 +100,17 @@ func (e *Engine) ApplyFactRows(info realm.Info, sourceSchema string, rows [][]an
 		return 0, fmt.Errorf("aggregate: incremental fold into %s: %w", info.Name, err)
 	}
 
-	// Phase 2: merge into each touched shard's aggregation tables, one
-	// shard-scoped transaction per shard (ascending, so concurrent
-	// callers that ever take several shard locks agree on the order).
-	for k, sg := range groups {
-		if sg == nil {
-			continue
-		}
-		err = e.db.DoSchema(e.aggSchemaShard(info, k), func() error {
-			for pi, tg := range st[k] {
-				if err := mergeGroupsInto(tg.tab, codec, sg[pi]); err != nil {
-					return err
-				}
+	// Phase 2: merge into the aggregation tables in one transaction.
+	err = e.db.DoSchema(AggSchema(info), func() error {
+		for pi, tg := range targets {
+			if err := mergeGroupsInto(tg.tab, codec, groups[pi]); err != nil {
+				return err
 			}
-			return nil
-		})
-		if err != nil {
-			return 0, err
 		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
 	mIncrementalFacts.Add(uint64(len(rows)))
 	return len(rows), nil

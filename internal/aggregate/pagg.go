@@ -2,7 +2,6 @@ package aggregate
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"xdmodfed/internal/realm"
@@ -66,16 +65,13 @@ func (e *Engine) paggTables(info realm.Info, schema string) []*warehouse.Table {
 // schema (fed_<instance>), creating them on first use. Bins replace:
 // an incremental delta upserts each carried bin, a reset delta
 // replaces every period table with exactly the carried bins. Returns
-// the sorted list of aggregation shards the carried bins route to
-// (the caller marks those dirty; for a reset the caller must instead
-// treat the whole source schema as dirty, since bins may also have
-// disappeared) and the number of bins applied.
-func (e *Engine) ApplyDelta(info realm.Info, schema string, d Delta) ([]int, int, error) {
+// the number of bins applied.
+func (e *Engine) ApplyDelta(info realm.Info, schema string, d Delta) (int, error) {
 	start := time.Now()
 	codec := newAggCodec(info)
 	p, err := d.toPartial()
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	nc, nw := len(codec.cols), len(codec.weights)
 	for _, pb := range d.Periods {
@@ -84,7 +80,7 @@ func (e *Engine) ApplyDelta(info realm.Info, schema string, d Delta) ([]int, int
 				len(b.Sums) != nc || len(b.Mins) != nc ||
 				len(b.Maxs) != nc || len(b.Lasts) != nc ||
 				len(b.WSums) != nw {
-				return nil, 0, fmt.Errorf("aggregate: delta bin for realm %s does not match the realm's shape (%d dims, %d measures, %d weights)",
+				return 0, fmt.Errorf("aggregate: delta bin for realm %s does not match the realm's shape (%d dims, %d measures, %d weights)",
 					d.Realm, codec.nd, nc, nw)
 			}
 		}
@@ -94,12 +90,10 @@ func (e *Engine) ApplyDelta(info realm.Info, schema string, d Delta) ([]int, int
 	for _, period := range Periods() {
 		tab, err := s.EnsureTable(paggDef(info, period))
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		tabs[period] = tab
 	}
-	rt := e.router(info)
-	touched := map[int]bool{}
 	rows := 0
 	err = e.db.DoSchema(schema, func() error {
 		for _, period := range Periods() {
@@ -116,39 +110,30 @@ func (e *Engine) ApplyDelta(info realm.Info, schema string, d Delta) ([]int, int
 		return nil
 	})
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	for _, groups := range p {
-		for _, acc := range groups {
-			touched[rt.shardOf(acc.dims)] = true
-		}
-	}
-	shards := make([]int, 0, len(touched))
-	for k := range touched {
-		shards = append(shards, k)
-	}
-	sort.Ints(shards)
 	mPushdownDeltas.With("applied").Inc()
 	mPushdownDeltaRows.With("applied").Add(uint64(rows))
 	mPushdownMergeSeconds.Add(time.Since(start).Seconds())
-	return shards, rows, nil
+	return rows, nil
 }
 
-// paggPartials loads a pushdown member's replicated bins into
-// per-shard partials: the pushdown counterpart of scanPartials, with
-// identical routing and want-filter semantics but no fact scan at all
-// — the member already folded its facts. Returns the number of bins
-// loaded.
-func paggPartials(codec *aggCodec, pds []*warehouse.TableData, rt shardRouter, want []bool) ([]partial, int, error) {
-	out := make([]partial, rt.shards)
-	n := 0
+// paggPartials loads a pushdown member's replicated bins (pds, indexed
+// like Periods()) into one partial: the pushdown counterpart of
+// scanPartials, with no fact scan at all — the member already folded
+// its facts. Returns the number of bins loaded.
+func paggPartials(codec *aggCodec, pds []*warehouse.TableData) (partial, int, error) {
 	periods := Periods()
+	p := make(partial, len(periods))
+	n := 0
 	var keyBuf []byte
 	for pi, period := range periods {
-		if pds == nil || pds[pi] == nil {
+		td := pds[pi]
+		if td == nil {
 			continue
 		}
-		td := pds[pi]
+		g := make(map[string]*accRow)
+		p[period] = g
 		for chunk := 0; chunk < td.NumChunks(); chunk++ {
 			ch := td.Chunk(chunk)
 			if ch.Rows() == 0 {
@@ -164,23 +149,11 @@ func paggPartials(codec *aggCodec, pds []*warehouse.TableData, rt shardRouter, w
 					continue
 				}
 				acc := r.accAt(pos)
-				k := rt.shardOf(acc.dims)
-				if want != nil && !want[k] {
-					continue
-				}
-				if out[k] == nil {
-					out[k] = make(partial, len(periods))
-				}
-				g := out[k][period]
-				if g == nil {
-					g = make(map[string]*accRow)
-					out[k][period] = g
-				}
 				keyBuf = groupKey(keyBuf, acc.periodKey, acc.dims)
 				g[string(keyBuf)] = acc
 				n++
 			}
 		}
 	}
-	return out, n, nil
+	return p, n, nil
 }

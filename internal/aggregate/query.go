@@ -201,77 +201,26 @@ func (e *Engine) QueryStatsCtx(ctx context.Context, info realm.Info, req Request
 		req.Period = Month
 	}
 
-	// Scatter set: every shard — or just one, when the engine has one, the
-	// realm does not route by resource (all its rows are in shard 0), or a
-	// filter on the resource dimension pins the rows to the shard that
-	// value routes to ("which resource?" drill-downs pay 1/Nth).
-	rt := e.router(info)
-	var shards []int
-	if want, ok := req.Filters[ShardKeyResource]; ok || rt.rdi < 0 || rt.shards == 1 {
-		shards = []int{rt.shardOfResource(want)}
-	} else {
-		for k := 0; k < rt.shards; k++ {
-			shards = append(shards, k)
-		}
-	}
-
-	// Fold order matters: a chart cell usually combines many aggregation
-	// rows (every row whose group-by value matches, across all the other
-	// dimensions) and floating-point addition is not associative. One
-	// shard folds in table-scan order. Several shards gather their rows
-	// and fold them sorted by group key — the order a rebuild's bulk load
-	// leaves in a single table — and since a group lives in exactly one
-	// shard the keys are unique, so the sorted fold is fully determined.
+	// Rows fold in table-scan order: a chart cell usually combines many
+	// aggregation rows and floating-point addition is not associative,
+	// so the scan order is part of the answer.
 	cells := map[gp]*cell{}
 	aggCells := map[string]*cell{}
 	hasMeasure := metric.Column != ""
 	hasWeight := metric.WeightColumn != ""
-	var rows []shardAggRow
-	var keyBuf []byte
-	emit := func(pk int64, group string, n int64, sum, last, mn, mx, wsum, wden float64, _ []string) {
-		foldCell(cells, aggCells, gp{group, pk}, n, sum, last, mn, mx, wsum, wden, hasMeasure, hasWeight)
+	td, err := e.db.DataFor(AggSchema(info), AggTableName(info.FactTable, req.Period))
+	if err != nil {
+		return nil, QueryInfo{}, err
 	}
-	if len(shards) > 1 {
-		emit = func(pk int64, group string, n int64, sum, last, mn, mx, wsum, wden float64, dimVals []string) {
-			keyBuf = groupKey(keyBuf, pk, dimVals)
-			rows = append(rows, shardAggRow{
-				key: string(keyBuf), pk: pk, group: group, n: n,
-				sum: sum, last: last, mn: mn, mx: mx, wsum: wsum, wden: wden,
-			})
-		}
-	}
-	tbl := AggTableName(info.FactTable, req.Period)
-	scanned := 0
-	for _, k := range shards {
-		td, err := e.db.DataFor(e.aggSchemaShard(info, k), tbl)
-		if err != nil {
-			return nil, QueryInfo{RowsScanned: scanned}, err
-		}
-		n, err := scanAggRows(ctx, td, info, req, metric, groupCol, len(shards) > 1, emit)
-		scanned += n
-		if err != nil {
-			mRowsScanned.Add(uint64(scanned))
-			return nil, QueryInfo{RowsScanned: scanned}, err
-		}
-	}
-	if len(shards) > 1 {
-		sort.Slice(rows, func(i, j int) bool { return rows[i].key < rows[j].key })
-		for _, r := range rows {
-			foldCell(cells, aggCells, gp{r.group, r.pk}, r.n, r.sum, r.last, r.mn, r.mx, r.wsum, r.wden, hasMeasure, hasWeight)
-		}
-	}
+	scanned, err := scanAggRows(ctx, td, req, metric, groupCol,
+		func(pk int64, group string, n int64, sum, last, mn, mx, wsum, wden float64) {
+			foldCell(cells, aggCells, gp{group, pk}, n, sum, last, mn, mx, wsum, wden, hasMeasure, hasWeight)
+		})
 	mRowsScanned.Add(uint64(scanned))
+	if err != nil {
+		return nil, QueryInfo{RowsScanned: scanned}, err
+	}
 	return buildSeries(metric, cells, aggCells), QueryInfo{RowsScanned: scanned}, nil
-}
-
-// shardAggRow is one row gathered from a multi-shard scan: its group
-// key plus the metric's pre-extracted values.
-type shardAggRow struct {
-	key                           string
-	pk                            int64
-	group                         string
-	n                             int64
-	sum, last, mn, mx, wsum, wden float64
 }
 
 // gp keys one timeseries accumulator cell: (group value, period key).
@@ -303,19 +252,15 @@ func foldCell(cells map[gp]*cell, aggCells map[string]*cell, k gp,
 // emit for every passing live row with the metric's pre-extracted
 // values. Every column the metric touches is resolved once per
 // contiguous chunk (a cold segment materializes only when the scan
-// reaches it) and the per-row loop reads typed vectors only. When
-// needDims is true, emit's dimVals argument carries the row's full
-// dimension values in info.Dimensions order (the buffer is reused —
-// valid only during the call); the multi-shard gather sorts by them.
-// Returns the live rows visited.
+// reaches it) and the per-row loop reads typed vectors only. Returns
+// the live rows visited.
 //
 // ctx is checked once per chunk — cheap relative to a chunk's row loop
 // but prompt enough that a canceled query stops within one chunk's
 // worth of work; on cancellation the scan returns ctx.Err() with the
 // rows visited so far.
-func scanAggRows(ctx context.Context, td *warehouse.TableData, info realm.Info, req Request, metric realm.Metric,
-	groupCol string, needDims bool,
-	emit func(pk int64, group string, n int64, sum, last, mn, mx, wsum, wden float64, dimVals []string)) (int, error) {
+func scanAggRows(ctx context.Context, td *warehouse.TableData, req Request, metric realm.Metric, groupCol string,
+	emit func(pk int64, group string, n int64, sum, last, mn, mx, wsum, wden float64)) (int, error) {
 
 	type dimFilter struct {
 		vals []string
@@ -329,10 +274,6 @@ func scanAggRows(ctx context.Context, td *warehouse.TableData, info realm.Info, 
 			return 0
 		}
 		return v[pos]
-	}
-	var dimVals []string
-	if needDims {
-		dimVals = make([]string, len(info.Dimensions))
 	}
 	for chunk := 0; chunk < td.NumChunks(); chunk++ {
 		if err := ctx.Err(); err != nil {
@@ -374,13 +315,6 @@ func scanAggRows(ctx context.Context, td *warehouse.TableData, info realm.Info, 
 		if groupCol != "" {
 			groupV = strCol(groupCol)
 		}
-		var dimVs [][]string
-		if needDims {
-			dimVs = make([][]string, len(info.Dimensions))
-			for i, d := range info.Dimensions {
-				dimVs[i] = strCol("dim_" + d.ID)
-			}
-		}
 		filters := make([]dimFilter, 0, len(req.Filters))
 		for dim, want := range req.Filters {
 			filters = append(filters, dimFilter{vals: strCol("dim_" + dim), want: want})
@@ -415,17 +349,8 @@ func scanAggRows(ctx context.Context, td *warehouse.TableData, info realm.Info, 
 			if nV != nil {
 				n = nV[pos]
 			}
-			if needDims {
-				for i := range dimVs {
-					if dimVs[i] != nil {
-						dimVals[i] = dimVs[i][pos]
-					} else {
-						dimVals[i] = ""
-					}
-				}
-			}
 			emit(pk, group, n, at(sumV, pos), at(lastV, pos), at(minV, pos), at(maxV, pos),
-				at(wsumV, pos), at(wdenV, pos), dimVals)
+				at(wsumV, pos), at(wdenV, pos))
 		}
 	}
 	return scanned, nil

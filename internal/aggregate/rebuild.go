@@ -185,59 +185,36 @@ func (e *Engine) eachFact(info realm.Info, ch warehouse.ColChunk, cols, weights 
 	return nil
 }
 
-// foldFacts folds each fact eachFact yields into the folder route picks
-// for its dimension values (nil drops the fact) and returns how many
-// were folded.
+// foldFacts folds each fact eachFact yields into f and returns how
+// many were folded.
 func (e *Engine) foldFacts(info realm.Info, ch warehouse.ColChunk, cols, weights []string,
-	skip func(pos int) bool, route func(dims []string) *folder) (int, error) {
+	skip func(pos int) bool, f *folder) (int, error) {
 
 	n := 0
 	err := e.eachFact(info, ch, cols, weights, skip, func(t time.Time, dims []string, vals, wvals []float64) {
-		if f := route(dims); f != nil {
-			f.fold(t, dims, vals, wvals)
-			n++
-		}
+		f.fold(t, dims, vals, wvals)
+		n++
 	})
 	return n, err
 }
 
-// scanPartials folds every live fact row of one snapshot into fresh
-// per-shard partials: out[k] holds the groups routing to shard k (nil
-// for shards the caller did not ask for — want nil means all). Runs
-// lock-free against the immutable snapshot, chunk by chunk: a cold
-// sealed segment is materialized only when the scan reaches it (and is
-// evictable again as soon as the scan moves on), so the scan's
-// resident footprint is one segment plus the backend's budget — never
-// the whole table.
-func (e *Engine) scanPartials(info realm.Info, td *warehouse.TableData,
-	rt shardRouter, want []bool, cols, weights []string) ([]partial, int, error) {
-
-	folders := make([]*folder, rt.shards)
-	route := func(dims []string) *folder {
-		k := rt.shardOf(dims)
-		if want != nil && !want[k] {
-			return nil
-		}
-		if folders[k] == nil {
-			folders[k] = newFolder()
-		}
-		return folders[k]
-	}
+// scanPartials folds every live fact row of one snapshot into a fresh
+// partial. Runs lock-free against the immutable snapshot, chunk by
+// chunk: a cold sealed segment is materialized only when the scan
+// reaches it (and is evictable again as soon as the scan moves on), so
+// the scan's resident footprint is one segment plus the backend's
+// budget — never the whole table.
+func (e *Engine) scanPartials(info realm.Info, td *warehouse.TableData, cols, weights []string) (partial, int, error) {
+	f := newFolder()
 	n := 0
 	for chunk := 0; chunk < td.NumChunks(); chunk++ {
-		folded, err := e.foldFacts(info, td.Chunk(chunk), cols, weights, nil, route)
+		folded, err := e.foldFacts(info, td.Chunk(chunk), cols, weights, nil, f)
 		if err != nil {
 			return nil, 0, err
 		}
 		n += folded
 	}
-	out := make([]partial, rt.shards)
-	for k, f := range folders {
-		if f != nil {
-			out[k] = f.p // nil partials merge (and install) as empty
-		}
-	}
-	return out, n, nil
+	return f.p, n, nil
 }
 
 // Source identifies one input to a realm rebuild: a schema holding
@@ -261,15 +238,15 @@ func factSources(schemas []string) []Source {
 	return out
 }
 
-// Reaggregate rebuilds the realm's aggregation tables — every shard —
-// from the given fact source schemas. This is the paper's config-change
-// path: "update the appropriate configuration file on the federation
-// hub, then re-aggregate all raw federation data" (§II-C3) — raw data
-// is untouched, so nothing is lost. It is also the fallback whenever
-// the incremental path cannot keep the aggregates current (updates,
+// Reaggregate rebuilds the realm's aggregation tables from the given
+// fact source schemas. This is the paper's config-change path: "update
+// the appropriate configuration file on the federation hub, then
+// re-aggregate all raw federation data" (§II-C3) — raw data is
+// untouched, so nothing is lost. It is also the fallback whenever the
+// incremental path cannot keep the aggregates current (updates,
 // deletes, truncates, loose reloads).
 func (e *Engine) Reaggregate(info realm.Info, sourceSchemas []string) (int, error) {
-	return e.ReaggregateFrom(info, factSources(sourceSchemas), nil)
+	return e.ReaggregateFrom(info, factSources(sourceSchemas))
 }
 
 // forEachParallel calls fn(0) .. fn(n-1) on min(GOMAXPROCS, n) workers
@@ -296,33 +273,17 @@ func forEachParallel(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// ReaggregateFrom is Reaggregate over mixed fact/pushdown sources,
-// rebuilding only the named shards' tables (nil = all): a rebuild
-// triggered by bins that route to one shard pays the install for that
-// shard alone, and the other shards' tables — and the charts cached
-// over them — are not touched.
+// ReaggregateFrom is Reaggregate over mixed fact/pushdown sources.
 //
-// It scans the sources in parallel, merges each shard's per-source
-// partials in source order (so floating-point accumulation associates
-// exactly like the sequential reference), and installs each shard
-// independently under its own schema's shard lock — there is no shared
-// install lock, so shard installs proceed in parallel with each other
-// and with chart queries against other shards.
-func (e *Engine) ReaggregateFrom(info realm.Info, sources []Source, shards []int) (int, error) {
-	st, err := e.shardTargets(info)
+// It scans the sources in parallel, merges the per-source partials in
+// source order (so floating-point accumulation associates exactly like
+// the sequential reference), and installs the result under the realm's
+// aggregate schema lock alone, so chart queries of other realms and
+// replication writes proceed meanwhile.
+func (e *Engine) ReaggregateFrom(info realm.Info, sources []Source) (int, error) {
+	targets, err := e.targets(info)
 	if err != nil {
 		return 0, err
-	}
-	rt := e.router(info)
-	var want []bool // nil = rebuild every shard
-	if shards != nil {
-		want = make([]bool, rt.shards)
-		for _, k := range shards {
-			if k < 0 || k >= rt.shards {
-				return 0, fmt.Errorf("aggregate: realm %s has no shard %d", info.Name, k)
-			}
-			want[k] = true
-		}
 	}
 	sourceSchemas := make([]string, len(sources))
 	tabs := make([]*warehouse.Table, len(sources))       // fact sources
@@ -373,18 +334,17 @@ func (e *Engine) ReaggregateFrom(info realm.Info, sources []Source, shards []int
 	defer mRealmAggSeconds.With(info.Name).ObserveSince(time.Now())
 	codec := newAggCodec(info)
 
-	// Scan phase, one task per source: every source can feed every shard,
-	// so all are scanned and rows of unwanted shards are dropped after
-	// routing, before folding. A pushdown source does no fact scan at all:
-	// its partial loads straight from the member's replicated bins.
-	partials := make([][]partial, len(sources)) // [source][shard]
+	// Scan phase, one task per source. A pushdown source does no fact
+	// scan at all: its partial loads straight from the member's
+	// replicated bins.
+	partials := make([]partial, len(sources))
 	counts := make([]int, len(sources))
 	errs := make([]error, len(sources))
 	forEachParallel(len(sources), func(i int) {
 		if sources[i].Pushdown {
-			partials[i], counts[i], errs[i] = paggPartials(codec, paggData[i], rt, want)
+			partials[i], counts[i], errs[i] = paggPartials(codec, paggData[i])
 		} else {
-			partials[i], counts[i], errs[i] = e.scanPartials(info, facts[i], rt, want, codec.cols, codec.weights)
+			partials[i], counts[i], errs[i] = e.scanPartials(info, facts[i], codec.cols, codec.weights)
 		}
 	})
 	total := 0
@@ -395,40 +355,15 @@ func (e *Engine) ReaggregateFrom(info realm.Info, sources []Source, shards []int
 		total += counts[i]
 	}
 
-	// Merge + install phase, one task per wanted shard. Each task merges
-	// the shard's per-source partials in source order and installs them
-	// into the shard's own schema under that schema's shard lock — one
-	// bulk columnar load per aggregation table, all periods in one shard
-	// transaction, so no reader ever sees a half-built shard.
-	installIdx := make([]int, 0, rt.shards)
-	for k := 0; k < rt.shards; k++ {
-		if want == nil || want[k] {
-			installIdx = append(installIdx, k)
-		}
-	}
-	ierrs := make([]error, len(installIdx))
-	forEachParallel(len(installIdx), func(t int) {
-		k := installIdx[t]
-		ierrs[t] = e.installShard(info, k, st[k], partials, codec)
-	})
-	for _, err := range ierrs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	mFactsApplied.Add(uint64(total))
-	return total, nil
-}
-
-// installShard merges one shard's per-source partials (in source
-// order) and installs them as bulk columnar loads under the shard
-// schema's own lock.
-func (e *Engine) installShard(info realm.Info, k int, targets []target, partials [][]partial, codec *aggCodec) error {
+	// Merge + install: the per-source partials merge in source order and
+	// install as one bulk columnar load per aggregation table, all
+	// periods in one transaction, so no reader ever sees a half-built
+	// realm.
 	merged := make(partial, len(Periods()))
-	for _, ps := range partials {
-		merged.merge(ps[k])
+	for _, p := range partials {
+		merged.merge(p)
 	}
-	return e.db.DoSchema(e.aggSchemaShard(info, k), func() error {
+	err = e.db.DoSchema(AggSchema(info), func() error {
 		for _, tg := range targets {
 			if err := tg.tab.ReplaceAllColumns(codec.columns(merged[tg.period])); err != nil {
 				return err
@@ -436,4 +371,9 @@ func (e *Engine) installShard(info realm.Info, k int, targets []target, partials
 		}
 		return nil
 	})
+	if err != nil {
+		return 0, err
+	}
+	mFactsApplied.Add(uint64(total))
+	return total, nil
 }

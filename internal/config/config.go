@@ -151,27 +151,6 @@ func (q QueryCacheConfig) Validate() error {
 	return nil
 }
 
-// ShardingConfig partitions each realm's aggregation tables into
-// independent shards, each with its own warehouse schema, writer lock
-// and epoch counter: rebuilds install one worker per shard with no
-// shared lock, and a write to one shard leaves the other shards'
-// cached charts valid. Rows route by their resource dimension value,
-// which partitions the aggregate groups exactly. The zero value means
-// one shard. Changing the shard count requires a full re-aggregation
-// (the shard schemas are laid out at startup).
-type ShardingConfig struct {
-	// Shards is the number of aggregation shards per realm; 0 means 1.
-	Shards int `json:"shards,omitempty"`
-}
-
-// Validate checks the sharding knobs.
-func (s ShardingConfig) Validate() error {
-	if s.Shards < 0 {
-		return fmt.Errorf("config: sharding shards must not be negative")
-	}
-	return nil
-}
-
 // ReplicationConfig tunes the liveness and fault handling of tight
 // replication. The zero value means "defaults": 5s heartbeats, 64 MiB
 // frame cap, quarantine after 3 consecutive apply failures with a 30s
@@ -611,9 +590,6 @@ type InstanceConfig struct {
 	// QueryCache tunes the chart query-result cache; the zero value
 	// enables it with defaults.
 	QueryCache QueryCacheConfig `json:"query_cache,omitempty"`
-	// Sharding partitions each realm's aggregation tables; the zero
-	// value keeps one table set per realm.
-	Sharding ShardingConfig `json:"sharding,omitempty"`
 	// Replication tunes heartbeat/deadline liveness and the hub's
 	// member quarantine; the zero value uses safe defaults.
 	Replication ReplicationConfig `json:"replication,omitempty"`
@@ -673,9 +649,6 @@ func (c InstanceConfig) Validate() error {
 		}
 	}
 	if err := c.QueryCache.Validate(); err != nil {
-		return err
-	}
-	if err := c.Sharding.Validate(); err != nil {
 		return err
 	}
 	if err := c.Replication.Validate(); err != nil {

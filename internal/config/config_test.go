@@ -159,7 +159,7 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 	// key, instead of being silently ignored.
 	for file, key := range map[string]string{
 		`{"name":"x","version":"1","aggregation":{"disable_incremental":true}}`: `"aggregation"`,
-		`{"name":"x","version":"1","sharding":{"shards":2,"key":"schema"}}`:     `"key"`,
+		`{"name":"x","version":"1","sharding":{"shards":2}}`:                    `"sharding"`,
 	} {
 		if _, err := Load(strings.NewReader(file)); err == nil || !strings.Contains(err.Error(), key) {
 			t.Errorf("Load(%s): err = %v, want an error naming %s", file, err, key)
@@ -233,7 +233,7 @@ func TestAdmissionConfigDurations(t *testing.T) {
 func TestBindFlags(t *testing.T) {
 	file := validInstance()
 	file.QueryCache.MaxBytes = 1 << 20
-	file.Sharding.Shards = 4
+	file.Storage.HotTailRows = 4
 	file.Telemetry.ScrapeInterval = "30s"
 	file.Durability.WALFsync = "interval"
 	for _, tc := range []struct {
@@ -244,17 +244,17 @@ func TestBindFlags(t *testing.T) {
 		wantErr string
 	}{
 		{name: "no flags preserve the file", hub: true, check: func(c InstanceConfig) bool {
-			return !c.QueryCache.Disabled && c.QueryCache.MaxBytes == 1<<20 && c.Sharding.Shards == 4 && c.Telemetry.ScrapeInterval == "30s"
+			return !c.QueryCache.Disabled && c.QueryCache.MaxBytes == 1<<20 && c.Storage.HotTailRows == 4 && c.Telemetry.ScrapeInterval == "30s"
 		}},
 		{name: "set flags override, unset preserve", hub: true,
-			args: []string{"-query-cache=false", "-shards", "8", "-scrape-interval", "5s"},
+			args: []string{"-query-cache=false", "-hot-tail-rows", "8", "-scrape-interval", "5s"},
 			check: func(c InstanceConfig) bool {
-				return c.QueryCache.Disabled && c.QueryCache.MaxBytes == 1<<20 && c.Sharding.Shards == 8 &&
+				return c.QueryCache.Disabled && c.QueryCache.MaxBytes == 1<<20 && c.Storage.HotTailRows == 8 &&
 					c.Telemetry.ScrapeInterval == "5s"
 			}},
-		{name: "flag set to its default still overrides", hub: false, args: []string{"-shards", "0", "-wal-fsync", "none"},
-			check: func(c InstanceConfig) bool { return c.Sharding.Shards == 0 && c.Durability.WALFsync == "none" }},
-		{name: "invalid shared knob", hub: true, args: []string{"-shards", "-1"}, wantErr: "sharding shards"},
+		{name: "flag set to its default still overrides", hub: false, args: []string{"-hot-tail-rows", "0", "-wal-fsync", "none"},
+			check: func(c InstanceConfig) bool { return c.Storage.HotTailRows == 0 && c.Durability.WALFsync == "none" }},
+		{name: "invalid shared knob", hub: true, args: []string{"-query-cache-ttl", "soon"}, wantErr: "query_cache ttl"},
 		{name: "invalid hub knob", hub: true, args: []string{"-scrape-interval", "soon"}, wantErr: "scrape_interval"},
 		{name: "invalid satellite knob", hub: false, args: []string{"-wal-fsync", "sometimes"}, wantErr: "durability wal_fsync"},
 	} {

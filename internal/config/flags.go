@@ -4,7 +4,7 @@ import "flag"
 
 // BindFlags registers on fs every daemon command-line knob that is
 // backed by a configuration key: the set the hub and satellite share
-// (query cache, storage, sharding, admission, trace capacity) plus the
+// (query cache, storage, admission, trace capacity) plus the
 // role's own (hub: scrape interval; satellite: replication mode,
 // pushdown flush pacing, WAL fsync). The returned apply is called after
 // fs is parsed and *cfg is loaded from its file: it copies over the
@@ -38,8 +38,6 @@ func BindFlags(fs *flag.FlagSet, cfg *InstanceConfig, hub bool) (apply func() er
 	str(&cfg.Storage.DataDir, "data-dir", "segment directory for -storage-backend=disk")
 	num(&cfg.Storage.HotTailRows, "hot-tail-rows", "rows buffered per table before sealing a segment (0 = config/default)")
 	i64(&cfg.Storage.MaxResidentBytes, "max-resident-bytes", "heap cap for materialized disk segments (0 = config/default)")
-
-	num(&cfg.Sharding.Shards, "shards", "aggregation shards per realm (0/1 = unsharded)")
 
 	adm := fs.Bool("admission", false, "enable front-door admission control (rate limits, bounded queue, load shedding)")
 	set["admission"] = func() { cfg.Admission.Enabled = *adm }

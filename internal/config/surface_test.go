@@ -1,0 +1,154 @@
+package config
+
+import (
+	"flag"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// configSurface is every configuration key an instance file may set
+// (dotted JSON paths; "[]" marks a list element) and every flag
+// BindFlags registers per daemon role. It is written out by hand on
+// purpose: a change that adds or removes a knob must edit this list in
+// the same diff, so the option count is visible in review.
+var configSurface = struct {
+	keys, hubFlags, satelliteFlags []string
+}{
+	keys: []string{
+		"admission.center_burst",
+		"admission.center_rps",
+		"admission.centers",
+		"admission.disable_stale",
+		"admission.enabled",
+		"admission.global_burst",
+		"admission.global_rps",
+		"admission.max_concurrent",
+		"admission.max_queue",
+		"admission.queue_timeout",
+		"admission.retry_after",
+		"admission.session_cache_entries",
+		"admission.session_cache_ttl",
+		"admission.user_burst",
+		"admission.user_rps",
+		"aggregation_levels[].buckets[].label",
+		"aggregation_levels[].buckets[].max",
+		"aggregation_levels[].buckets[].min",
+		"aggregation_levels[].dimension",
+		"aggregation_levels[].unit",
+		"durability.wal_fsync",
+		"durability.wal_fsync_interval",
+		"enable_pprof",
+		"hierarchy_file",
+		"hubs[].exclude_resources",
+		"hubs[].hub_addr",
+		"hubs[].include_realms",
+		"hubs[].mode",
+		"is_hub",
+		"name",
+		"observability.slow_query_capacity",
+		"observability.slow_query_threshold",
+		"observability.trace_capacity",
+		"organization",
+		"query_cache.disabled",
+		"query_cache.max_bytes",
+		"query_cache.ttl",
+		"replication.heartbeat_interval",
+		"replication.max_frame_bytes",
+		"replication.mode",
+		"replication.pushdown_flush_interval",
+		"replication.quarantine_backoff",
+		"replication.quarantine_max_backoff",
+		"replication.quarantine_threshold",
+		"resources[].cores_per_node",
+		"resources[].description",
+		"resources[].name",
+		"resources[].nodes",
+		"resources[].sensitive",
+		"resources[].su_factor",
+		"resources[].type",
+		"resources[].wall_limit_hours",
+		"sso_sources[].issuer",
+		"sso_sources[].metadata",
+		"sso_sources[].name",
+		"sso_sources[].secret",
+		"storage.backend",
+		"storage.data_dir",
+		"storage.hot_tail_rows",
+		"storage.max_resident_bytes",
+		"telemetry.members[].addr",
+		"telemetry.members[].name",
+		"telemetry.scrape_interval",
+		"telemetry.scrape_timeout",
+		"version",
+	},
+	hubFlags: []string{
+		"admission", "admission-global-rps", "admission-user-rps", "data-dir",
+		"hot-tail-rows", "max-concurrent", "max-queue", "max-resident-bytes",
+		"query-cache", "query-cache-bytes", "query-cache-ttl", "queue-timeout",
+		"scrape-interval", "storage-backend", "trace-capacity",
+	},
+	satelliteFlags: []string{
+		"admission", "admission-global-rps", "admission-user-rps", "data-dir",
+		"hot-tail-rows", "max-concurrent", "max-queue", "max-resident-bytes",
+		"pushdown-flush-interval", "query-cache", "query-cache-bytes", "query-cache-ttl",
+		"queue-timeout", "replication-mode", "storage-backend", "trace-capacity",
+		"wal-fsync", "wal-fsync-interval",
+	},
+}
+
+// jsonKeys appends the dotted JSON path of every leaf field reachable
+// from t. Structs are walked, list elements are marked "[]", and any
+// other type (including maps) is one key.
+func jsonKeys(t reflect.Type, prefix string, out []string) []string {
+	switch {
+	case t.Kind() == reflect.Slice && t.Elem().Kind() == reflect.Struct:
+		return jsonKeys(t.Elem(), prefix+"[]", out)
+	case t.Kind() != reflect.Struct:
+		return append(out, prefix)
+	}
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if name == "" || name == "-" || !f.IsExported() {
+			continue
+		}
+		if prefix != "" {
+			name = prefix + "." + name
+		}
+		out = jsonKeys(f.Type, name, out)
+	}
+	return out
+}
+
+// boundFlags lists the flags BindFlags registers for one role, sorted.
+func boundFlags(hub bool) []string {
+	fs := flag.NewFlagSet("daemon", flag.ContinueOnError)
+	var cfg InstanceConfig
+	BindFlags(fs, &cfg, hub)
+	var out []string
+	fs.VisitAll(func(f *flag.Flag) { out = append(out, f.Name) })
+	return out
+}
+
+// TestConfigSurface: the configuration keys and daemon flags that
+// exist are exactly the ones configSurface lists — the options-count
+// counterpart of the metric catalogue check.
+func TestConfigSurface(t *testing.T) {
+	keys := jsonKeys(reflect.TypeOf(InstanceConfig{}), "", nil)
+	sort.Strings(keys)
+	for _, c := range []struct {
+		what      string
+		got, want []string
+	}{
+		{"config keys", keys, configSurface.keys},
+		{"hub flags", boundFlags(true), configSurface.hubFlags},
+		{"satellite flags", boundFlags(false), configSurface.satelliteFlags},
+	} {
+		if strings.Join(c.got, "\n") != strings.Join(c.want, "\n") {
+			t.Errorf("%s changed; update configSurface in the same change.\n got  %d: %q\n want %d: %q",
+				c.what, len(c.got), c.got, len(c.want), c.want)
+		}
+	}
+}

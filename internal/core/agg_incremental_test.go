@@ -323,8 +323,8 @@ func TestConcurrentEnsureAggregatedRebuildsOnce(t *testing.T) {
 
 	// One rebuild is one install transaction on the realm's aggregation
 	// schema, i.e. one epoch step.
-	aggSchemas := hub.Engine.AggSchemas(jobs.RealmInfo())
-	before := hub.DB.EpochOf(aggSchemas...)
+	aggSchema := aggregate.AggSchema(jobs.RealmInfo())
+	before := hub.DB.EpochOf(aggSchema)
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
@@ -336,7 +336,7 @@ func TestConcurrentEnsureAggregatedRebuildsOnce(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := hub.DB.EpochOf(aggSchemas...) - before; got != 1 {
+	if got := hub.DB.EpochOf(aggSchema) - before; got != 1 {
 		t.Errorf("16 concurrent EnsureAggregated calls ran %d rebuilds of the dirty realm, want 1", got)
 	}
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/json"
-	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -16,15 +15,13 @@ import (
 	"xdmodfed/internal/warehouse"
 )
 
-// multiRealmSatCfg is a satellite with HPC, cloud and storage resources
-// and the given aggregation shard count.
-func multiRealmSatCfg(shards int) config.InstanceConfig {
+// multiRealmSatCfg is a satellite with HPC, cloud and storage resources.
+func multiRealmSatCfg() config.InstanceConfig {
 	cfg := satCfg("center", []string{"clusterA", "clusterB", "clusterC"}, "")
 	cfg.Resources = append(cfg.Resources,
 		config.ResourceConfig{Name: "research-cloud", Type: "cloud"},
 		config.ResourceConfig{Name: "isilon", Type: "storage"},
 	)
-	cfg.Sharding.Shards = shards
 	return cfg
 }
 
@@ -57,88 +54,89 @@ func derivedTable(ev warehouse.Event) bool {
 // logs the raw realm rows it wrote and nothing else — no insert, update,
 // truncate, load or table DDL of an aggregation table reaches the binlog
 // or the WAL file, although every ingest folds into (or reloads) them.
+// The subtest keeps its name from when the aggregate shard count was a
+// parameter: 0 was the default, one table set per realm, which is now
+// the only layout.
 func TestDerivedTablesAreNeverLogged(t *testing.T) {
-	for _, shards := range []int{0, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			sat, err := NewSatellite(multiRealmSatCfg(shards))
-			if err != nil {
-				t.Fatal(err)
-			}
-			walPath := filepath.Join(t.TempDir(), "binlog.wal")
-			wal, err := warehouse.OpenLogWriter(sat.DB, walPath, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			log := sat.DB.Binlog()
-			setup := log.Last()
+	t.Run("shards=0", func(t *testing.T) {
+		sat, err := NewSatellite(multiRealmSatCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		walPath := filepath.Join(t.TempDir(), "binlog.wal")
+		wal, err := warehouse.OpenLogWriter(sat.DB, walPath, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log := sat.DB.Binlog()
+		setup := log.Last()
 
-			const n = 60
-			ingestJobs(t, sat, "clusterA", n, time.Hour, 1)
-			if got := log.Last() - setup; got != n {
-				t.Errorf("ingesting %d new facts advanced the binlog by %d events", n, got)
+		const n = 60
+		ingestJobs(t, sat, "clusterA", n, time.Hour, 1)
+		if got := log.Last() - setup; got != n {
+			t.Errorf("ingesting %d new facts advanced the binlog by %d events", n, got)
+		}
+		// A second batch folds into existing aggregation rows (upserts).
+		ingestJobs(t, sat, "clusterB", n, 2*time.Hour, 1)
+		if got := log.Last() - setup; got != 2*n {
+			t.Errorf("ingesting %d new facts advanced the binlog by %d events", 2*n, got)
+		}
+		t0 := time.Date(2017, 4, 1, 0, 0, 0, 0, time.UTC)
+		for i, vm := range []string{"vm1", "vm2"} {
+			at := t0.Add(time.Duration(i) * 24 * time.Hour)
+			if _, err := sat.Pipeline.IngestCloudEvents(cloudBatch(vm, at), at.Add(48*time.Hour)); err != nil {
+				t.Fatal(err)
 			}
-			// A second batch folds into existing aggregation rows (upserts).
-			ingestJobs(t, sat, "clusterB", n, 2*time.Hour, 1)
-			if got := log.Last() - setup; got != 2*n {
-				t.Errorf("ingesting %d new facts advanced the binlog by %d events", 2*n, got)
+		}
+		for i := int64(0); i < 2; i++ {
+			if _, err := sat.Pipeline.IngestStorageSnapshots(storageBatch(t0, 100+i)); err != nil {
+				t.Fatal(err)
 			}
-			t0 := time.Date(2017, 4, 1, 0, 0, 0, 0, time.UTC)
-			for i, vm := range []string{"vm1", "vm2"} {
-				at := t0.Add(time.Duration(i) * 24 * time.Hour)
-				if _, err := sat.Pipeline.IngestCloudEvents(cloudBatch(vm, at), at.Add(48*time.Hour)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := int64(0); i < 2; i++ {
-				if _, err := sat.Pipeline.IngestStorageSnapshots(storageBatch(t0, 100+i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if cs, err := sat.Query("Cloud", aggregate.Request{MetricID: cloud.MetricCoreHours, Period: aggregate.Year}); err != nil || cs[0].Aggregate != 56 {
-				t.Fatalf("cloud aggregates not maintained: %+v, %v", cs, err)
-			}
+		}
+		if cs, err := sat.Query("Cloud", aggregate.Request{MetricID: cloud.MetricCoreHours, Period: aggregate.Year}); err != nil || cs[0].Aggregate != 56 {
+			t.Fatalf("cloud aggregates not maintained: %+v, %v", cs, err)
+		}
 
-			evs, err := log.ReadFrom(0, 0)
-			if err != nil {
-				t.Fatal(err)
+		evs, err := log.ReadFrom(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range evs {
+			if !derivedTable(ev) {
+				continue
 			}
-			for _, ev := range evs {
-				if !derivedTable(ev) {
-					continue
-				}
-				// The one thing an aggregation schema does log is its own
-				// creation, at Setup: a schema is not a table.
-				if ev.Kind != warehouse.EvCreateSchema || ev.LSN > setup {
-					t.Errorf("binlog holds %s %s.%s at LSN %d", ev.Kind, ev.Schema, ev.Table, ev.LSN)
-				}
+			// The one thing an aggregation schema does log is its own
+			// creation, at Setup: a schema is not a table.
+			if ev.Kind != warehouse.EvCreateSchema || ev.LSN > setup {
+				t.Errorf("binlog holds %s %s.%s at LSN %d", ev.Kind, ev.Schema, ev.Table, ev.LSN)
 			}
+		}
 
-			// The WAL file is the binlog, event for event.
-			if err := wal.Close(); err != nil {
-				t.Fatal(err)
+		// The WAL file is the binlog, event for event.
+		if err := wal.Close(); err != nil {
+			t.Fatal(err)
+		}
+		recovered, last, err := warehouse.RecoverDB("recovered", walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last != log.Last() {
+			t.Fatalf("WAL ends at LSN %d, binlog at %d", last, log.Last())
+		}
+		walEvs, err := recovered.Binlog().ReadFrom(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(walEvs) != len(evs) {
+			t.Fatalf("WAL holds %d events, binlog %d", len(walEvs), len(evs))
+		}
+		for i, ev := range walEvs {
+			if ev.Kind != evs[i].Kind || ev.Schema != evs[i].Schema || ev.Table != evs[i].Table {
+				t.Fatalf("WAL event %d is %s %s.%s, binlog has %s %s.%s", i+1,
+					ev.Kind, ev.Schema, ev.Table, evs[i].Kind, evs[i].Schema, evs[i].Table)
 			}
-			recovered, last, err := warehouse.RecoverDB("recovered", walPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if last != log.Last() {
-				t.Fatalf("WAL ends at LSN %d, binlog at %d", last, log.Last())
-			}
-			walEvs, err := recovered.Binlog().ReadFrom(0, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(walEvs) != len(evs) {
-				t.Fatalf("WAL holds %d events, binlog %d", len(walEvs), len(evs))
-			}
-			for i, ev := range walEvs {
-				if ev.Kind != evs[i].Kind || ev.Schema != evs[i].Schema || ev.Table != evs[i].Table {
-					t.Fatalf("WAL event %d is %s %s.%s, binlog has %s %s.%s", i+1,
-						ev.Kind, ev.Schema, ev.Table, evs[i].Kind, evs[i].Schema, evs[i].Table)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // restartCharts is the chart workload compared across a restart: every
@@ -180,68 +178,67 @@ func chartJSON(t *testing.T, in *Instance) []string {
 // so a killed satellite gets its aggregation tables back the one way
 // left — ReplayLog, then AggregateAll — and must serve every chart
 // byte-identical to the instance that was killed, at the same binlog
-// positions.
+// positions. The subtest is named for the default layout, as in
+// TestDerivedTablesAreNeverLogged.
 func TestRestartRebuildsAggregatesFromFacts(t *testing.T) {
-	for _, shards := range []int{0, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			cfg := multiRealmSatCfg(shards)
-			before, err := NewSatellite(cfg)
-			if err != nil {
+	t.Run("shards=0", func(t *testing.T) {
+		cfg := multiRealmSatCfg()
+		before, err := NewSatellite(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		walPath := filepath.Join(t.TempDir(), "binlog.wal")
+		wal, err := warehouse.OpenLogWriter(before.DB, walPath, before.DB.Binlog().Last())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Several batches per resource, so most aggregation rows are
+		// reached through incremental upserts, not first inserts.
+		for i, res := range []string{"clusterA", "clusterB", "clusterC", "clusterA", "clusterB"} {
+			ingestJobs(t, before, res, 30+7*i, time.Duration(30+45*i)*time.Minute, int64(1+1000*i))
+		}
+		t0 := time.Date(2017, 4, 1, 0, 0, 0, 0, time.UTC)
+		for i, vm := range []string{"vm1", "vm2", "vm3"} {
+			at := t0.Add(time.Duration(i) * 30 * time.Hour)
+			if _, err := before.Pipeline.IngestCloudEvents(cloudBatch(vm, at), at.Add(48*time.Hour)); err != nil {
 				t.Fatal(err)
 			}
-			walPath := filepath.Join(t.TempDir(), "binlog.wal")
-			wal, err := warehouse.OpenLogWriter(before.DB, walPath, before.DB.Binlog().Last())
-			if err != nil {
+		}
+		for i := int64(0); i < 3; i++ {
+			at := t0.Add(time.Duration(i/2) * 24 * time.Hour) // the second batch revises the first day's facts
+			if _, err := before.Pipeline.IngestStorageSnapshots(storageBatch(at, 100+i)); err != nil {
 				t.Fatal(err)
 			}
-			// Several batches per resource, so most aggregation rows are
-			// reached through incremental upserts, not first inserts.
-			for i, res := range []string{"clusterA", "clusterB", "clusterC", "clusterA", "clusterB"} {
-				ingestJobs(t, before, res, 30+7*i, time.Duration(30+45*i)*time.Minute, int64(1+1000*i))
-			}
-			t0 := time.Date(2017, 4, 1, 0, 0, 0, 0, time.UTC)
-			for i, vm := range []string{"vm1", "vm2", "vm3"} {
-				at := t0.Add(time.Duration(i) * 30 * time.Hour)
-				if _, err := before.Pipeline.IngestCloudEvents(cloudBatch(vm, at), at.Add(48*time.Hour)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := int64(0); i < 3; i++ {
-				at := t0.Add(time.Duration(i/2) * 24 * time.Hour) // the second batch revises the first day's facts
-				if _, err := before.Pipeline.IngestStorageSnapshots(storageBatch(at, 100+i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want := chartJSON(t, before.Instance)
-			head := before.DB.Binlog().Last()
-			// The kill: nothing of the old process survives but the WAL.
-			if err := wal.Close(); err != nil {
-				t.Fatal(err)
-			}
+		}
+		want := chartJSON(t, before.Instance)
+		head := before.DB.Binlog().Last()
+		// The kill: nothing of the old process survives but the WAL.
+		if err := wal.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-			after, err := NewSatellite(cfg)
-			if err != nil {
-				t.Fatal(err)
+		after, err := NewSatellite(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last, err := warehouse.ReplayLog(after.DB, walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last != head || after.DB.Binlog().Last() != head {
+			t.Fatalf("replayed through LSN %d, binlog at %d; the killed instance was at %d",
+				last, after.DB.Binlog().Last(), head)
+		}
+		if err := after.AggregateAll(); err != nil {
+			t.Fatal(err)
+		}
+		if after.DB.Binlog().Last() != head {
+			t.Errorf("re-aggregation moved the binlog from %d to %d", head, after.DB.Binlog().Last())
+		}
+		for i, got := range chartJSON(t, after.Instance) {
+			if got != want[i] {
+				t.Errorf("chart %d (%s) differs after restart:\nwant %s\ngot  %s", i, restartCharts[i].realm, want[i], got)
 			}
-			last, err := warehouse.ReplayLog(after.DB, walPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if last != head || after.DB.Binlog().Last() != head {
-				t.Fatalf("replayed through LSN %d, binlog at %d; the killed instance was at %d",
-					last, after.DB.Binlog().Last(), head)
-			}
-			if err := after.AggregateAll(); err != nil {
-				t.Fatal(err)
-			}
-			if after.DB.Binlog().Last() != head {
-				t.Errorf("re-aggregation moved the binlog from %d to %d", head, after.DB.Binlog().Last())
-			}
-			for i, got := range chartJSON(t, after.Instance) {
-				if got != want[i] {
-					t.Errorf("chart %d (%s) differs after restart:\nwant %s\ngot  %s", i, restartCharts[i].realm, want[i], got)
-				}
-			}
-		})
-	}
+		}
+	})
 }

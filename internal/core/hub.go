@@ -74,34 +74,19 @@ func (m Member) Quarantined(t time.Time) bool {
 //     it so a reader that has observed replicated raw rows never sees
 //     aggregates from before those rows (a batch registers its fold
 //     here before its raw rows become visible).
-//   - rebuilding blocks new folds (they mark their shards dirty
-//     instead), so a fold can never land between a rebuild's scan and
-//     its install.
+//   - rebuilding blocks new folds (they mark the realm dirty instead),
+//     so a fold can never land between a rebuild's scan and its
+//     install.
 //
-// dirtyShards is tracked per aggregation shard: a pushdown delta
-// dirties only the shards its bins route to, anything else (a
-// non-additive batch, a loose reload, a failed fold) every shard, and
-// EnsureAggregated rebuilds exactly the dirty shards.
+// dirty is set by anything the fold cannot express — a pushdown delta
+// that resets or carries bins, a non-additive batch, a loose reload
+// (also one that failed partway), a failed fold — and EnsureAggregated
+// rebuilds exactly the dirty realms.
 type realmAggState struct {
-	dirtyShards map[int]bool // shards whose aggregates may lag raw data
-	gen         uint64       // bumped whenever replicated data for this realm lands
-	rebuilding  bool         // a rebuild is in flight
-	folding     int          // in-flight incremental folds
-}
-
-// dirtyAny reports whether any shard needs a rebuild.
-func (st *realmAggState) dirtyAny() bool { return len(st.dirtyShards) > 0 }
-
-// markDirtyLocked records that every shard of a realm may lag the raw
-// data: any member's facts can route to any shard. Caller must hold
-// h.mu.
-func (h *Hub) markDirtyLocked(st *realmAggState) {
-	if st.dirtyShards == nil {
-		st.dirtyShards = make(map[int]bool)
-	}
-	for k := 0; k < h.Engine.NumShards(); k++ {
-		st.dirtyShards[k] = true
-	}
+	dirty      bool   // the realm's aggregates may lag raw data
+	gen        uint64 // bumped whenever replicated data for this realm lands
+	rebuilding bool   // a rebuild is in flight
+	folding    int    // in-flight incremental folds
 }
 
 // Hub is a federation hub: an XDMoD instance of its own (it has a
@@ -344,12 +329,11 @@ func (h *Hub) pushdownFactsFor(instance string) map[string]bool {
 
 // ApplyDeltas implements replicate.PushdownSink: a granted member's
 // partial-aggregate deltas land in its pagg tables (the durable,
-// idempotent bin store) and the touched aggregation shards are marked
-// dirty for rebuild — a reset delta dirties every shard, since bins may
-// also have disappeared. Like ApplyBatch, each
-// realm bumps its generation after the apply so a rebuild that was
-// scanning mid-apply can never clear the dirty marks while missing
-// these bins.
+// idempotent bin store) and the realm is marked dirty for rebuild when
+// the delta is a reset (bins may also have disappeared), failed, or
+// carried at least one bin. Like ApplyBatch, each realm bumps its
+// generation after the apply so a rebuild that was scanning mid-apply
+// can never clear the dirty mark while missing these bins.
 func (h *Hub) ApplyDeltas(ctx context.Context, instance string, upTo uint64, deltas []aggregate.Delta) error {
 	sctx, sp := obs.StartSpan(ctx, "hub.ApplyDeltas")
 	sp.SetAttr("instance", instance)
@@ -371,21 +355,13 @@ func (h *Hub) ApplyDeltas(ctx context.Context, instance string, upTo uint64, del
 		}
 		_, dsp := obs.StartSpan(sctx, "hub.ApplyDelta")
 		dsp.SetAttr("realm", d.Realm)
-		shards, n, err := h.Engine.ApplyDelta(info, schema, d)
+		n, err := h.Engine.ApplyDelta(info, schema, d)
 		dsp.End()
 		h.mu.Lock()
 		st := h.realmStateLocked(d.Realm)
 		st.gen++
-		switch {
-		case err != nil || d.Reset:
-			h.markDirtyLocked(st)
-		default:
-			if st.dirtyShards == nil {
-				st.dirtyShards = make(map[int]bool)
-			}
-			for _, k := range shards {
-				st.dirtyShards[k] = true
-			}
+		if err != nil || d.Reset || n > 0 {
+			st.dirty = true
 		}
 		h.cond.Broadcast()
 		h.mu.Unlock()
@@ -450,10 +426,10 @@ func (h *Hub) ApplyBatchCtx(ctx context.Context, instance string, upTo uint64, e
 	}
 	// Classify the batch and register its aggregation work BEFORE the
 	// raw rows become visible: a fold increments folding, a non-additive
-	// batch marks its shards dirty. Any reader that later observes the
+	// batch marks its realm dirty. Any reader that later observes the
 	// replicated raw rows and calls EnsureAggregated therefore either
 	// finds the registration (and waits for the fold / rebuilds the
-	// shard) or the aggregation already done — raw data can never be
+	// realm) or the aggregation already done — raw data can never be
 	// ahead of what EnsureAggregated accounts for.
 	deltas := map[string]*realmDelta{}
 	pushFacts := h.pushdownFactsFor(instance)
@@ -471,11 +447,11 @@ func (h *Hub) ApplyBatchCtx(ctx context.Context, instance string, upTo uint64, e
 	for name, d := range deltas {
 		st := h.realmStateLocked(name)
 		st.gen++
-		if d.dirty || st.dirtyAny() || st.rebuilding {
+		if d.dirty || st.dirty || st.rebuilding {
 			// Either the batch itself is non-additive, or the realm
 			// already needs (or is getting) a rebuild that will cover
 			// these rows from the raw tables.
-			h.markDirtyLocked(st)
+			st.dirty = true
 			dirtied = append(dirtied, d)
 			continue
 		}
@@ -484,7 +460,7 @@ func (h *Hub) ApplyBatchCtx(ctx context.Context, instance string, upTo uint64, e
 	}
 	h.mu.Unlock()
 	// settle closes out the registrations once the raw apply's outcome
-	// is known: failed folds downgrade to dirty shards (the applied
+	// is known: failed folds downgrade to dirty realms (the applied
 	// prefix is covered by a rebuild from the raw tables), and realms
 	// that went dirty bump gen again so a rebuild that scanned mid-apply
 	// can never clear them while missing this batch's rows.
@@ -494,7 +470,7 @@ func (h *Hub) ApplyBatchCtx(ctx context.Context, instance string, upTo uint64, e
 			for _, d := range folds {
 				st := h.realmStateLocked(d.info.Name)
 				st.folding--
-				h.markDirtyLocked(st)
+				st.dirty = true
 			}
 		}
 		for _, d := range dirtied {
@@ -566,8 +542,8 @@ func (h *Hub) ApplyBatchCtx(ctx context.Context, instance string, upTo uint64, e
 		if err != nil {
 			// The fold may be partial; the raw rows are safely applied,
 			// so a rebuild restores consistency.
-			h.markDirtyLocked(st)
-			coreLog.Error("incremental fold failed; shards queued for rebuild",
+			st.dirty = true
+			coreLog.Error("incremental fold failed; realm queued for rebuild",
 				"instance", instance, "realm", d.info.Name, "err", err)
 		}
 		h.cond.Broadcast()
@@ -575,7 +551,7 @@ func (h *Hub) ApplyBatchCtx(ctx context.Context, instance string, upTo uint64, e
 	}
 	settle(true)
 	// No explicit epoch bump: every commit above (raw apply, fold
-	// installs) bumped its own schema shard's epoch, so once ApplyBatch
+	// installs) bumped its own schema's epoch, so once ApplyBatch
 	// returns no chart query can serve a result computed against the
 	// pre-batch view of the schemas this batch touched — while cached
 	// charts of untouched realms stay valid.
@@ -735,15 +711,13 @@ func (h *Hub) Close() {
 // mix tight and loose members freely. A loose load replaces whole
 // tables (periodic re-ships supersede earlier ones), which the
 // additive fold cannot express, so each realm whose fact table was
-// (re)loaded is marked dirty for rebuild.
+// (re)loaded is marked dirty for rebuild — also when the load fails
+// partway, since the tables replaced before the failure stay replaced.
 func (h *Hub) LoadLooseDump(instance string, r io.Reader) error {
 	if err := h.authorize(instance); err != nil {
 		return err
 	}
-	loaded, err := replicate.Load(h.DB, instance, r)
-	if err != nil {
-		return err
-	}
+	loaded, loadErr := replicate.Load(h.DB, instance, r)
 	loadedSet := make(map[string]bool, len(loaded))
 	for _, t := range loaded {
 		loadedSet[t] = true
@@ -762,10 +736,14 @@ func (h *Hub) LoadLooseDump(instance string, r io.Reader) error {
 		}
 	}
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	for _, name := range touched {
 		st := h.realmStateLocked(name)
 		st.gen++
-		h.markDirtyLocked(st)
+		st.dirty = true
+	}
+	if loadErr != nil {
+		return loadErr
 	}
 	if m, ok := h.members[instance]; ok {
 		m.Mode = "loose"
@@ -777,7 +755,6 @@ func (h *Hub) LoadLooseDump(instance string, r io.Reader) error {
 		}
 		m.Batches++
 	}
-	h.mu.Unlock()
 	return nil
 }
 
@@ -822,18 +799,17 @@ func (h *Hub) realmSources(info realm.Info) []aggregate.Source {
 // rebuildRealm rebuilds one realm's aggregation tables from all member
 // schemas plus the hub's own, coordinating with the incremental fold
 // path: it waits for in-flight folds to drain, blocks new folds while
-// running (they mark their shards dirty instead), and only clears the
-// rebuilt shards when no new data landed mid-rebuild. With all=true
-// every shard is rebuilt (the admin / config-change path); with
-// all=false only the currently dirty shards are.
+// running (they mark the realm dirty instead), and only clears the
+// dirty mark when no new data landed mid-rebuild. With force=true the
+// realm is rebuilt even when clean (the admin / config-change path).
 //
 // Nothing else serializes rebuilds. Concurrent callers for one realm
 // queue on the wait below — rebuilding is set and cleared under h.mu —
-// and an all=false caller re-checks dirtyAny after its wait, so a queue
+// and a force=false caller re-checks dirty after its wait, so a queue
 // of EnsureAggregated callers collapses into the first one's rebuild
 // and the rest return at once. (Two hub-wide mutexes used to give these
 // two guarantees before the per-realm state existed.)
-func (h *Hub) rebuildRealm(name string, all bool) (int, error) {
+func (h *Hub) rebuildRealm(name string, force bool) (int, error) {
 	info, ok := h.Registry.Get(name)
 	if !ok {
 		return 0, fmt.Errorf("core: hub has no realm %q", name)
@@ -843,17 +819,9 @@ func (h *Hub) rebuildRealm(name string, all bool) (int, error) {
 	for st.rebuilding || st.folding > 0 {
 		h.cond.Wait()
 	}
-	var shards []int // nil = all
-	if !all {
-		if !st.dirtyAny() {
-			h.mu.Unlock()
-			return 0, nil
-		}
-		shards = make([]int, 0, len(st.dirtyShards))
-		for k := range st.dirtyShards {
-			shards = append(shards, k)
-		}
-		sort.Ints(shards)
+	if !force && !st.dirty {
+		h.mu.Unlock()
+		return 0, nil
 	}
 	st.rebuilding = true
 	gen0 := st.gen
@@ -861,23 +829,17 @@ func (h *Hub) rebuildRealm(name string, all bool) (int, error) {
 
 	// Resolved after gen0: a member schema that appears later bumps gen
 	// on arrival, so the realm stays dirty instead of losing its rows.
-	n, err := h.Engine.ReaggregateFrom(info, h.realmSources(info), shards)
+	n, err := h.Engine.ReaggregateFrom(info, h.realmSources(info))
 
 	h.mu.Lock()
 	st.rebuilding = false
 	if err != nil {
-		h.markDirtyLocked(st)
+		st.dirty = true
 	} else if st.gen == gen0 {
-		// No data landed while scanning: the rebuilt shards are current.
-		// Otherwise everything stays dirty and the next read rebuilds —
-		// a batch that landed mid-scan may or may not be in the result.
-		if shards == nil {
-			st.dirtyShards = nil
-		} else {
-			for _, k := range shards {
-				delete(st.dirtyShards, k)
-			}
-		}
+		// No data landed while scanning: the rebuilt realm is current.
+		// Otherwise it stays dirty and the next read rebuilds — a batch
+		// that landed mid-scan may or may not be in the result.
+		st.dirty = false
 	}
 	h.cond.Broadcast()
 	h.mu.Unlock()
@@ -908,7 +870,7 @@ func (h *Hub) AggregateFederation() (map[string]int, error) {
 	return counts, nil
 }
 
-// EnsureAggregated brings every dirty shard's aggregates current
+// EnsureAggregated brings every dirty realm's aggregates current
 // before a read. It first waits for in-flight incremental folds to
 // drain: a batch registers its fold before its raw rows become
 // visible, so a reader that polls the raw tables and then calls
@@ -940,8 +902,7 @@ func (h *Hub) anyFoldingLocked() bool {
 	return false
 }
 
-// dirtyRealms returns the realms with shards needing a rebuild,
-// sorted by name.
+// dirtyRealms returns the realms needing a rebuild, sorted by name.
 func (h *Hub) dirtyRealms() []string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -951,7 +912,7 @@ func (h *Hub) dirtyRealms() []string {
 func (h *Hub) dirtyRealmsLocked() []string {
 	var out []string
 	for name, st := range h.realms {
-		if st.dirtyAny() {
+		if st.dirty {
 			out = append(out, name)
 		}
 	}

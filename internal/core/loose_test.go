@@ -5,11 +5,14 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 	"time"
 
 	"xdmodfed/internal/config"
 	"xdmodfed/internal/realm/jobs"
+	"xdmodfed/internal/replicate"
+	"xdmodfed/internal/warehouse"
 )
 
 func TestRunLooseFederationShipsDumps(t *testing.T) {
@@ -161,4 +164,76 @@ func TestTrimReplicatedLog(t *testing.T) {
 	// New events still replicate after the trim.
 	ingestJobs(t, sat, "r", 2, time.Hour, 100)
 	waitFor(t, func() bool { return hub.DB.Count("fed_s", "jobfact") == 12 })
+}
+
+// TestLooseLoadFailingPartwayMarksLoadedRealmsDirty: a loose dump whose
+// Jobs fact table is replaced before a later table fails to load leaves
+// the new raw rows in place, so the Jobs realm must be dirty — the next
+// read rebuilds it instead of serving aggregates of the previous dump
+// (regression: the failed load dropped the list of replaced tables and
+// the hub reported itself clean over stale charts).
+func TestLooseLoadFailingPartwayMarksLoadedRealmsDirty(t *testing.T) {
+	sat, err := NewSatellite(satCfg("L", []string{"r"}, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub, err := NewHub(hubCfg("hub"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hub.Register("L"); err != nil {
+		t.Fatal(err)
+	}
+	dump := func() *bytes.Buffer {
+		var b bytes.Buffer
+		if err := replicate.Dump(sat.DB, []string{jobs.SchemaName}, &b); err != nil {
+			t.Fatal(err)
+		}
+		return &b
+	}
+
+	ingestJobs(t, sat, "r", 5, time.Hour, 1)
+	if err := hub.LoadLooseDump("L", dump()); err != nil {
+		t.Fatal(err)
+	}
+	if err := hub.EnsureAggregated(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The next dump carries more jobs and a table that sorts after the
+	// fact table and clashes with the hub's table of that name.
+	ingestJobs(t, sat, "r", 7, 2*time.Hour, 1000)
+	const clash = "zz_clash"
+	if _, err := sat.DB.EnsureSchema(jobs.SchemaName).EnsureTable(warehouse.TableDef{
+		Name: clash, Columns: []warehouse.Column{{Name: "b", Type: warehouse.TypeString}}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hub.DB.EnsureSchema(replicate.HubSchema("L")).EnsureTable(warehouse.TableDef{
+		Name: clash, Columns: []warehouse.Column{{Name: "a", Type: warehouse.TypeInt}}}); err != nil {
+		t.Fatal(err)
+	}
+	if jobs.FactTable >= clash {
+		t.Fatalf("%q must sort after the fact table %q", clash, jobs.FactTable)
+	}
+	if err := hub.LoadLooseDump("L", dump()); err == nil || !strings.Contains(err.Error(), clash) {
+		t.Fatalf("LoadLooseDump error = %v, want the %s clash", err, clash)
+	}
+	if got := hub.DB.Count(replicate.HubSchema("L"), jobs.FactTable); got != 12 {
+		t.Fatalf("hub holds %d Jobs facts after the partial load, want 12", got)
+	}
+	if st := hub.Status(); !st.Dirty || len(st.DirtyRealms) != 1 || st.DirtyRealms[0] != jobs.RealmInfo().Name {
+		t.Fatalf("dirty realms after a partial loose load = %v, want [Jobs]", st.DirtyRealms)
+	}
+
+	served := chartBits(t, hub) // Hub.Query runs EnsureAggregated first
+	if _, err := hub.AggregateFederation(); err != nil {
+		t.Fatal(err)
+	}
+	rebuilt := chartBits(t, hub)
+	if len(rebuilt) == 0 {
+		t.Fatal("rebuilt Jobs charts are empty")
+	}
+	if strings.Join(served, "\n") != strings.Join(rebuilt, "\n") {
+		t.Fatalf("charts served after the partial load differ from a rebuild:\n served:  %v\n rebuilt: %v", served, rebuilt)
+	}
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -31,41 +30,6 @@ func pushSatCfg(name string, resources []string, hubAddr string) config.Instance
 	cfg.Replication.Mode = "pushdown"
 	cfg.Replication.PushdownFlushInterval = "20ms"
 	return cfg
-}
-
-// hubShardSnapshot renders every aggregation-table row of one realm
-// across all shards as a sorted string list (shard-aware counterpart
-// of hubAggSnapshot).
-func hubShardSnapshot(t *testing.T, hub *Hub, realmName string) []string {
-	t.Helper()
-	info, ok := hub.Registry.Get(realmName)
-	if !ok {
-		t.Fatalf("no realm %q", realmName)
-	}
-	var out []string
-	hub.DB.View(func() error {
-		for _, schema := range hub.Engine.AggSchemas(info) {
-			for _, p := range aggregate.Periods() {
-				tab, err := hub.DB.TableIn(schema, aggregate.AggTableName(info.FactTable, p))
-				if err != nil {
-					t.Fatal(err)
-				}
-				cols := tab.Columns()
-				tab.Scan(func(r warehouse.Row) bool {
-					var b strings.Builder
-					b.WriteString(p.String())
-					for _, c := range cols {
-						fmt.Fprintf(&b, "|%s=%v", c, r.Get(c))
-					}
-					out = append(out, b.String())
-					return true
-				})
-			}
-		}
-		return nil
-	})
-	sort.Strings(out)
-	return out
 }
 
 // chartBits runs a set of chart queries and renders every series
@@ -100,8 +64,8 @@ func chartBits(t *testing.T, hub *Hub) []string {
 // fact-mode satellite and one loose-dump member must produce charts
 // and aggregation tables bit-identical to a control hub where every
 // member replicates raw facts — across an initial load, an incremental
-// wave, and with chart queries racing replication, sharded 3-way by
-// resource. Run under -race via `make race`.
+// wave, and with chart queries racing replication. Run under -race via
+// `make race`.
 func TestMixedFederationPushdownMatchesFactControl(t *testing.T) {
 	type fed struct {
 		hub  *Hub
@@ -109,9 +73,7 @@ func TestMixedFederationPushdownMatchesFactControl(t *testing.T) {
 		stop []func()
 	}
 	build := func(ctx context.Context, label string, pushdownP bool) *fed {
-		cfg := hubCfg("fedhub")
-		cfg.Sharding = config.ShardingConfig{Shards: 3}
-		hub, err := NewHub(cfg)
+		hub, err := NewHub(hubCfg("fedhub"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,8 +182,8 @@ func TestMixedFederationPushdownMatchesFactControl(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		gotTables := hubShardSnapshot(t, push.hub, "Jobs")
-		wantTables := hubShardSnapshot(t, ctrl.hub, "Jobs")
+		gotTables := hubAggSnapshot(t, push.hub, "Jobs")
+		wantTables := hubAggSnapshot(t, ctrl.hub, "Jobs")
 		if len(wantTables) == 0 {
 			t.Fatalf("%s: control hub has no aggregates", stage)
 		}

@@ -150,7 +150,6 @@ func NewInstance(cfg config.InstanceConfig) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng.SetSharding(cfg.Sharding.Shards)
 
 	reg := realm.NewRegistry()
 	if _, err := jobs.Setup(db); err != nil {

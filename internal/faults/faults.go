@@ -82,7 +82,6 @@ type Registry struct {
 	mu     sync.Mutex
 	rng    *rand.Rand
 	points map[string]*point
-	stall  time.Duration
 }
 
 // New returns a Registry whose injection decisions derive from seed.
@@ -90,7 +89,6 @@ func New(seed int64) *Registry {
 	return &Registry{
 		rng:    rand.New(rand.NewSource(seed)),
 		points: make(map[string]*point),
-		stall:  50 * time.Millisecond,
 	}
 }
 
@@ -110,21 +108,12 @@ func (r *Registry) EnableEvery(name string, n uint64) {
 	r.point(name).every = n
 }
 
-// SetStall sets how long ConnReadStall injections sleep. Default 50ms.
-func (r *Registry) SetStall(d time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.stall = d
-}
-
-// Stall returns the configured stall duration.
+// Stall returns how long ConnReadStall injections sleep: 50ms.
 func (r *Registry) Stall() time.Duration {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stall
+	return 50 * time.Millisecond
 }
 
 // point returns the named point, creating it disarmed if needed.

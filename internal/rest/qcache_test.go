@@ -198,8 +198,8 @@ func TestChartCacheHitsAndEpochInvalidation(t *testing.T) {
 }
 
 // TestCrossRealmCacheRetention: cached charts are tagged with their
-// own realm's epoch — the combined epoch of the warehouse shards
-// holding that realm's aggregate schemas — so a write to one realm
+// own realm's epoch — the epoch of the warehouse schema holding that
+// realm's aggregate tables — so a write to one realm
 // must not evict another realm's cached charts. Regression: the tag
 // used to be the whole-warehouse epoch, and any ingest anywhere
 // flushed every realm's charts.

@@ -384,13 +384,12 @@ func parseKey(s string) (int64, error) {
 //
 // Ordering is what makes cached results safe on a hub: any pending
 // replicated data is folded into the hub's aggregates FIRST, and only
-// then is the epoch read. The epoch is realm-scoped — the sum of the
-// shard epochs of this realm's aggregate schemas — so a write that
-// only touches another realm leaves this realm's cached charts valid.
-// An epoch observed here proves the realm's aggregates already
-// reflect every write to them that preceded it, and the entry stored
-// under it can be served until the next write to THIS realm bumps one
-// of its shard epochs.
+// then is the epoch read. The epoch is realm-scoped — the epoch of
+// this realm's aggregate schema — so a write that only touches another
+// realm leaves this realm's cached charts valid. An epoch observed here
+// proves the realm's aggregates already reflect every write to them
+// that preceded it, and the entry stored under it can be served until
+// the next write to THIS realm bumps that epoch.
 // The returned QueryStat describes how the query ran — duration, rows
 // scanned, cache outcome, snapshot epoch — and has already been
 // recorded into the RED metrics and the slow-query ring; ctx supplies
@@ -442,15 +441,15 @@ func (s *Server) QuerySeries(ctx context.Context, realmName string, req aggregat
 	return res.Series, stat, err
 }
 
-// realmEpoch returns the cache-tag epoch for one realm: the combined
-// epoch of the shard(s) holding that realm's aggregate tables. Writes
-// to other realms' schemas don't move it, so their commits no longer
-// invalidate this realm's cached charts. Unknown realms fall back to
-// the whole-warehouse epoch (the query will fail with a clear error
+// realmEpoch returns the cache-tag epoch for one realm: the epoch of
+// the schema holding that realm's aggregate tables. Writes to other
+// realms' schemas don't move it, so their commits no longer invalidate
+// this realm's cached charts. Unknown realms fall back to the
+// whole-warehouse epoch (the query will fail with a clear error
 // anyway).
 func (s *Server) realmEpoch(realmName string) uint64 {
 	if info, ok := s.Instance.Registry.Get(realmName); ok {
-		return s.Instance.DB.EpochOf(s.Instance.Engine.AggSchemas(info)...)
+		return s.Instance.DB.EpochOf(aggregate.AggSchema(info))
 	}
 	return s.Instance.DB.Epoch()
 }

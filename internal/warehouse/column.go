@@ -127,7 +127,7 @@ func newLayout(def TableDef) *layout {
 
 // TableData is an immutable snapshot of one table's contents, published
 // atomically at the end of each write transaction. Readers iterate it
-// without any lock: global positions [0, NumRows()) index the tombstone
+// without any lock: global positions [0, rows) index the tombstone
 // vector, and are split across an ordered list of contiguous chunks —
 // sealed segments (possibly cold, materialized on first touch) followed
 // by the hot tail. Tombstoned positions must be skipped via
@@ -161,9 +161,6 @@ func (c *tdChunk) columns() []colVec {
 // Len returns the number of live rows in the snapshot.
 func (td *TableData) Len() int { return td.live }
 
-// NumRows returns the number of row slots, tombstones included.
-func (td *TableData) NumRows() int { return td.rows }
-
 // Def returns the snapshot's table definition (shared; do not mutate).
 func (td *TableData) Def() TableDef { return td.lay.def }
 
@@ -175,7 +172,7 @@ func (td *TableData) ColIndex(name string) (int, bool) {
 
 // Tombstones returns the tombstone vector: Tombstones()[pos] reports
 // that row pos is deleted and must be skipped. It may be longer than
-// NumRows(); index only positions below NumRows().
+// the snapshot; index only positions the snapshot's chunks cover.
 func (td *TableData) Tombstones() []bool { return td.dead }
 
 // chunkAt resolves a global position to its chunk.

@@ -112,9 +112,6 @@ func VerifyFile(path string) error {
 
 func (d *Disk) Name() string { return "disk" }
 
-// Dir returns the backend's data directory.
-func (d *Disk) Dir() string { return d.dir }
-
 type diskHandle struct {
 	d     *Disk
 	id    uint64
