@@ -167,12 +167,14 @@ func groupKey(buf []byte, periodKey int64, dims []string) []byte {
 // key is only materialized as a string when a new group is created.
 // With dirty tracking enabled (the pushdown delta folder), every
 // touched group key is additionally recorded per period so a flush can
-// ship only the bins changed since the previous one.
+// ship only the bins changed since the previous one. With a scope (a
+// scoped recompute), a fact folds only into the groups the scope names.
 type folder struct {
 	periods []Period
 	p       partial
 	groups  []map[string]*accRow // indexed like periods
 	dirty   []map[string]bool    // nil unless trackDirty was called
+	scope   Scope                // nil: every group
 	keyBuf  []byte
 }
 
@@ -196,14 +198,22 @@ func (f *folder) trackDirty() {
 	}
 }
 
-// fold folds one fact into every period's accumulator.
+// fold folds one fact into every period's accumulator — or, under a
+// scope, into the scoped ones — and reports whether it folded into any.
 // The caller may reuse dims, vals and wvals between calls.
-func (f *folder) fold(t time.Time, dims []string, vals, wvals []float64) {
+func (f *folder) fold(t time.Time, dims []string, vals, wvals []float64) bool {
 	ts := float64(t.UnixNano()) / 1e9
+	folded := false
 	for i, period := range f.periods {
 		pk := period.Key(t)
 		b := groupKey(f.keyBuf, pk, dims)
 		f.keyBuf = b
+		if f.scope != nil {
+			if _, ok := f.scope[i][string(b)]; !ok {
+				continue
+			}
+		}
+		folded = true
 		g := f.groups[i]
 		acc, ok := g[string(b)] // compiler elides the string conversion
 		if !ok {
@@ -215,6 +225,7 @@ func (f *folder) fold(t time.Time, dims []string, vals, wvals []float64) {
 			f.dirty[i][string(b)] = true
 		}
 	}
+	return folded
 }
 
 // Bin is one aggregation group's partial-aggregate state as it crosses

@@ -147,10 +147,10 @@ func TestPushdownMatchesFactReplication(t *testing.T) {
 			}
 		}
 		compare := func(stage string) {
-			if _, err := pushEng.ReaggregateFrom(info, []Source{{Schema: member, Pushdown: true}}); err != nil {
+			if _, err := pushEng.ReaggregateFrom(info, []Source{{Schema: member, Pushdown: true}}, nil); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := factEng.ReaggregateFrom(info, []Source{{Schema: member}}); err != nil {
+			if _, err := factEng.ReaggregateFrom(info, []Source{{Schema: member}}, nil); err != nil {
 				t.Fatal(err)
 			}
 			got := aggSnapshot(t, pushHub, info)
@@ -393,7 +393,7 @@ func TestPushdownSumLast(t *testing.T) {
 
 	queryMonth := func(stage string, want float64) {
 		t.Helper()
-		if _, err := hubEng.ReaggregateFrom(info, []Source{{Schema: member, Pushdown: true}}); err != nil {
+		if _, err := hubEng.ReaggregateFrom(info, []Source{{Schema: member, Pushdown: true}}, nil); err != nil {
 			t.Fatal(err)
 		}
 		series, err := hubEng.Query(info, Request{MetricID: storage.MetricFileCount, Period: Month})

@@ -14,8 +14,9 @@ import (
 // the first chart query after a batch pays O(batch) instead of
 // O(all federation facts). Aggregation is additive (counts and sums
 // add, min/max compare, last_* follow the newest timestamp), so the
-// fold commutes with a full rebuild — non-additive mutations (update,
-// delete, truncate) must fall back to Reaggregate instead.
+// fold commutes with a full rebuild — non-additive mutations recompute
+// instead: updates and deletes the groups they touched (ReaggregateFrom
+// with a scope), a truncate the whole realm.
 
 // factEntry is one parsed fact's contribution, retained in arrival
 // order: the merge replays entries one at a time so floating-point

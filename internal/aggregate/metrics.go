@@ -17,11 +17,14 @@ var (
 		"Fact rows folded into aggregation tables.")
 	mIncrementalFacts = obs.Default.Counter("xdmodfed_agg_incremental_facts_total",
 		"Fact rows folded incrementally (at replication-apply time) instead of by a full rebuild.")
-	mRebuilds = obs.Default.Counter("xdmodfed_agg_rebuilds_total",
-		"Full aggregation-table rebuilds (Reaggregate runs), per realm invocation.")
+	// scope is "realm" for a full rebuild and "groups" for a scoped
+	// recompute of the groups a non-additive write touched.
+	mRebuilds = obs.Default.CounterVec("xdmodfed_agg_rebuilds_total",
+		"Aggregation-table recomputes (ReaggregateFrom runs) of one realm, by scope: the whole realm or a set of groups.",
+		"scope")
 	mRealmAggSeconds = obs.Default.HistogramVec("xdmodfed_agg_realm_seconds",
-		"Duration of one full aggregation rebuild of a single realm.",
-		nil, "realm")
+		"Duration of one aggregation recompute of a single realm, by scope.",
+		nil, "realm", "scope")
 
 	// Aggregation pushdown (see delta.go / pagg.go). The role label
 	// separates the satellite side ("sent": deltas flushed onto the

@@ -192,20 +192,23 @@ func (e *Engine) foldFacts(info realm.Info, ch warehouse.ColChunk, cols, weights
 
 	n := 0
 	err := e.eachFact(info, ch, cols, weights, skip, func(t time.Time, dims []string, vals, wvals []float64) {
-		f.fold(t, dims, vals, wvals)
-		n++
+		if f.fold(t, dims, vals, wvals) {
+			n++
+		}
 	})
 	return n, err
 }
 
 // scanPartials folds every live fact row of one snapshot into a fresh
-// partial. Runs lock-free against the immutable snapshot, chunk by
-// chunk: a cold sealed segment is materialized only when the scan
-// reaches it (and is evictable again as soon as the scan moves on), so
-// the scan's resident footprint is one segment plus the backend's
-// budget — never the whole table.
-func (e *Engine) scanPartials(info realm.Info, td *warehouse.TableData, cols, weights []string) (partial, int, error) {
+// partial — restricted to the scope's groups when scope is non-nil.
+// Runs lock-free against the immutable snapshot, chunk by chunk: a
+// cold sealed segment is materialized only when the scan reaches it
+// (and is evictable again as soon as the scan moves on), so the scan's
+// resident footprint is one segment plus the backend's budget — never
+// the whole table.
+func (e *Engine) scanPartials(info realm.Info, td *warehouse.TableData, cols, weights []string, scope Scope) (partial, int, error) {
 	f := newFolder()
+	f.scope = scope
 	n := 0
 	for chunk := 0; chunk < td.NumChunks(); chunk++ {
 		folded, err := e.foldFacts(info, td.Chunk(chunk), cols, weights, nil, f)
@@ -242,11 +245,11 @@ func factSources(schemas []string) []Source {
 // fact source schemas. This is the paper's config-change path: "update
 // the appropriate configuration file on the federation hub, then
 // re-aggregate all raw federation data" (§II-C3) — raw data is
-// untouched, so nothing is lost. It is also the fallback whenever the
-// incremental path cannot keep the aggregates current (updates,
-// deletes, truncates, loose reloads).
+// untouched, so nothing is lost. It is also the fallback whenever
+// neither the incremental fold nor a scoped recompute can keep the
+// aggregates current (truncates, loose reloads, restarts).
 func (e *Engine) Reaggregate(info realm.Info, sourceSchemas []string) (int, error) {
-	return e.ReaggregateFrom(info, factSources(sourceSchemas))
+	return e.ReaggregateFrom(info, factSources(sourceSchemas), nil)
 }
 
 // forEachParallel calls fn(0) .. fn(n-1) on min(GOMAXPROCS, n) workers
@@ -273,17 +276,37 @@ func forEachParallel(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// ReaggregateFrom is Reaggregate over mixed fact/pushdown sources.
+// ReaggregateFrom is Reaggregate over mixed fact/pushdown sources,
+// optionally limited to a scope of groups.
 //
 // It scans the sources in parallel, merges the per-source partials in
 // source order (so floating-point accumulation associates exactly like
 // the sequential reference), and installs the result under the realm's
 // aggregate schema lock alone, so chart queries of other realms and
-// replication writes proceed meanwhile.
-func (e *Engine) ReaggregateFrom(info realm.Info, sources []Source) (int, error) {
+// replication writes proceed meanwhile. A nil scope rebuilds the realm
+// and installs every table whole (ReplaceAllColumns). A scope refolds
+// only its groups — each source still scanned in position order and
+// merged in source order, so every recomputed group is bit-identical to
+// what a rebuild would write for it — and installs them with one batch
+// upsert per period, deleting the scoped groups that came out empty.
+// A pushdown source cannot be restricted to groups, so a realm with one
+// ignores the scope and rebuilds. Returns the facts folded.
+func (e *Engine) ReaggregateFrom(info realm.Info, sources []Source, scope Scope) (int, error) {
 	targets, err := e.targets(info)
 	if err != nil {
 		return 0, err
+	}
+	for _, s := range sources {
+		if s.Pushdown {
+			scope = nil
+		}
+	}
+	kind := "realm"
+	if scope != nil {
+		if scope.Len() == 0 {
+			return 0, nil
+		}
+		kind = "groups"
 	}
 	sourceSchemas := make([]string, len(sources))
 	tabs := make([]*warehouse.Table, len(sources))       // fact sources
@@ -330,8 +353,8 @@ func (e *Engine) ReaggregateFrom(info realm.Info, sources []Source) (int, error)
 	if err != nil {
 		return 0, err
 	}
-	mRebuilds.Inc()
-	defer mRealmAggSeconds.With(info.Name).ObserveSince(time.Now())
+	mRebuilds.With(kind).Inc()
+	defer mRealmAggSeconds.With(info.Name, kind).ObserveSince(time.Now())
 	codec := newAggCodec(info)
 
 	// Scan phase, one task per source. A pushdown source does no fact
@@ -344,7 +367,7 @@ func (e *Engine) ReaggregateFrom(info realm.Info, sources []Source) (int, error)
 		if sources[i].Pushdown {
 			partials[i], counts[i], errs[i] = paggPartials(codec, paggData[i])
 		} else {
-			partials[i], counts[i], errs[i] = e.scanPartials(info, facts[i], codec.cols, codec.weights)
+			partials[i], counts[i], errs[i] = e.scanPartials(info, facts[i], codec.cols, codec.weights, scope)
 		}
 	})
 	total := 0
@@ -356,16 +379,22 @@ func (e *Engine) ReaggregateFrom(info realm.Info, sources []Source) (int, error)
 	}
 
 	// Merge + install: the per-source partials merge in source order and
-	// install as one bulk columnar load per aggregation table, all
-	// periods in one transaction, so no reader ever sees a half-built
-	// realm.
+	// install — as one bulk columnar load per aggregation table, or one
+	// scoped upsert-and-delete per table — all periods in one
+	// transaction, so no reader ever sees a half-built realm.
 	merged := make(partial, len(Periods()))
 	for _, p := range partials {
 		merged.merge(p)
 	}
 	err = e.db.DoSchema(AggSchema(info), func() error {
-		for _, tg := range targets {
-			if err := tg.tab.ReplaceAllColumns(codec.columns(merged[tg.period])); err != nil {
+		for pi, tg := range targets {
+			var err error
+			if scope == nil {
+				err = tg.tab.ReplaceAllColumns(codec.columns(merged[tg.period]))
+			} else {
+				err = installScoped(tg.tab, codec, merged[tg.period], scope[pi])
+			}
+			if err != nil {
 				return err
 			}
 		}

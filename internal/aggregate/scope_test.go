@@ -1,0 +1,257 @@
+package aggregate
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+	"time"
+
+	"xdmodfed/internal/config"
+	"xdmodfed/internal/realm"
+	"xdmodfed/internal/realm/cloud"
+	"xdmodfed/internal/realm/storage"
+	"xdmodfed/internal/warehouse"
+)
+
+// aggBits renders every row of every aggregation table of a realm by
+// group: period and key columns to the row's cells, floats as their bit
+// patterns, so two states compare key for key and bit for bit.
+func aggBits(t *testing.T, db *warehouse.DB, info realm.Info) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	db.View(func() error {
+		for _, p := range Periods() {
+			tab, err := db.TableIn(AggSchema(info), AggTableName(info.FactTable, p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			nKey := 1 + len(info.Dimensions)
+			tab.Scan(func(r warehouse.Row) bool {
+				key, cells := p.String(), ""
+				for i, v := range r.Values() {
+					if f, ok := v.(float64); ok {
+						v = fmt.Sprintf("%016x", math.Float64bits(f))
+					}
+					if i < nKey {
+						key += fmt.Sprintf("|%v", v)
+					} else {
+						cells += fmt.Sprintf("|%v", v)
+					}
+				}
+				if _, dup := out[key]; dup {
+					t.Fatalf("aggregation group %s stored twice", key)
+				}
+				out[key] = cells
+				return true
+			})
+		}
+		return nil
+	})
+	return out
+}
+
+// scopeRealm is one realm the scoped-recompute property runs over: how
+// to set it up and how to draw a random fact row from a small key space,
+// so that batches collide with stored rows.
+type scopeRealm struct {
+	info   realm.Info
+	levels []config.AggregationLevels
+	setup  func(*warehouse.DB) error
+	def    warehouse.TableDef
+	row    func(rng *rand.Rand) []any
+}
+
+func storageScopeRealm() scopeRealm {
+	return scopeRealm{
+		info:  storage.RealmInfo(),
+		setup: func(db *warehouse.DB) error { _, err := storage.Setup(db); return err },
+		def:   storage.Def(),
+		row: func(rng *rand.Rand) []any {
+			return storage.FactValues(storage.Snapshot{
+				Resource: []string{"fs1", "fs2"}[rng.Intn(2)], ResourceType: "persistent",
+				Mountpoint: []string{"/home", "/proj"}[rng.Intn(2)],
+				User:       fmt.Sprintf("u%d", rng.Intn(3)), PI: "pi",
+				Timestamp: time.Date(2017, time.Month(3+rng.Intn(2)), 1+rng.Intn(4), rng.Intn(24), 0, 0, 0, time.UTC),
+				FileCount: rng.Int63n(1000), LogicalBytes: rng.Int63n(1 << 40), PhysicalBytes: rng.Int63n(1 << 40),
+				SoftThreshold: 3 << 30, HardThreshold: 7 << 30,
+			})
+		},
+	}
+}
+
+func cloudScopeRealm() scopeRealm {
+	return scopeRealm{
+		info:   cloud.RealmInfo(),
+		levels: []config.AggregationLevels{config.CloudVMMemory()},
+		setup:  cloud.Setup,
+		def:    cloud.SessionDef(),
+		row: func(rng *rand.Rand) []any {
+			start := time.Date(2017, 6, 1+rng.Intn(3), rng.Intn(24), rng.Intn(60), 0, 0, time.UTC)
+			// Few distinct end times: sessions of one group tie on their
+			// timestamp, so last_* depends on the fold order.
+			end := time.Date(2017, 6, 4+rng.Intn(2), 6*rng.Intn(2), 0, 0, 0, time.UTC)
+			return cloud.SessionValues(cloud.Session{
+				VMID: fmt.Sprintf("vm%d", rng.Intn(6)), Resource: "cloud",
+				User: fmt.Sprintf("u%d", rng.Intn(2)), Project: "p", InstanceType: "m1",
+				Cores: 1 + rng.Int63n(4), MemoryGB: []float64{1.5, 3, 12.25}[rng.Intn(3)], DiskGB: 20,
+				Start: start, End: end, Ended: rng.Intn(2) == 0,
+			}, rng.Intn(4))
+		},
+	}
+}
+
+// TestScopedRecomputeMatchesRebuild: after random batches of inserts,
+// upserts and deletes across two source schemas, recomputing just the
+// scope of the batch's old and new rows leaves every aggregation table
+// equal — key for key, bit for bit, row count included, so groups the
+// batch emptied are gone — to a fresh rebuild of the same facts. The
+// Storage realm's SUM_LAST and the Cloud realm's tied session end times
+// make the fold order part of the answer.
+func TestScopedRecomputeMatchesRebuild(t *testing.T) {
+	for _, sr := range []scopeRealm{storageScopeRealm(), cloudScopeRealm()} {
+		for _, seed := range []int64{1, 2, 3} {
+			t.Run(fmt.Sprintf("%s/seed=%d", sr.info.Name, seed), func(t *testing.T) {
+				runScopedRecompute(t, sr, seed)
+			})
+		}
+	}
+}
+
+func runScopedRecompute(t *testing.T, sr scopeRealm, seed int64) {
+	info := sr.info
+	schemas := []string{info.Schema, "fed_b"}
+	open := func() (*warehouse.DB, *Engine) {
+		db := warehouse.Open("scoped")
+		if err := sr.setup(db); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.EnsureSchema("fed_b").EnsureTable(sr.def); err != nil {
+			t.Fatal(err)
+		}
+		eng, err := New(db, sr.levels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Setup(info); err != nil {
+			t.Fatal(err)
+		}
+		return db, eng
+	}
+	scopedDB, scopedEng := open()
+	rebuiltDB, rebuiltEng := open()
+	sources := factSources(schemas)
+
+	rng := rand.New(rand.NewSource(seed))
+	var pkCols []int
+	for _, c := range sr.def.PrimaryKey {
+		for i, col := range sr.def.Columns {
+			if col.Name == c {
+				pkCols = append(pkCols, i)
+			}
+		}
+	}
+	keyOf := func(row []any) []any {
+		key := make([]any, len(pkCols))
+		for i, c := range pkCols {
+			key[i] = row[c]
+		}
+		return key
+	}
+	for batch := 0; batch < 40; batch++ {
+		// The same mutations on both warehouses; the scoped side records
+		// each source's old and new rows.
+		type op struct {
+			schema int
+			row    []any
+			del    bool
+		}
+		var ops []op
+		for n := 1 + rng.Intn(6); n > 0; n-- {
+			ops = append(ops, op{schema: rng.Intn(len(schemas)), row: sr.row(rng), del: rng.Intn(4) == 0})
+		}
+		touched := make([][][]any, len(schemas))
+		for side, db := range []*warehouse.DB{scopedDB, rebuiltDB} {
+			tabs := make([]*warehouse.Table, len(schemas))
+			for i, s := range schemas {
+				var err error
+				if tabs[i], err = db.TableIn(s, info.FactTable); err != nil {
+					t.Fatal(err)
+				}
+			}
+			err := db.Do(func() error {
+				for _, o := range ops {
+					tab := tabs[o.schema]
+					if r, ok := tab.GetByKey(keyOf(o.row)...); ok && side == 0 {
+						touched[o.schema] = append(touched[o.schema], r.Values())
+					}
+					if o.del {
+						tab.DeleteByKey(keyOf(o.row)...)
+						continue
+					}
+					if err := tab.UpsertRow(o.row); err != nil {
+						return err
+					}
+					if side == 0 {
+						touched[o.schema] = append(touched[o.schema], o.row)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		var scope Scope
+		for i, rows := range touched {
+			sc, err := scopedEng.ScopeOf(info, schemas[i], rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scope.Add(sc)
+		}
+		if scope == nil {
+			scope = newScope() // a batch of deletes of absent keys: nothing to recompute
+		}
+		if _, err := scopedEng.ReaggregateFrom(info, sources, scope); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rebuiltEng.Reaggregate(info, schemas); err != nil {
+			t.Fatal(err)
+		}
+		got, want := aggBits(t, scopedDB, info), aggBits(t, rebuiltDB, info)
+		for k, w := range want {
+			if g, ok := got[k]; !ok {
+				t.Fatalf("batch %d: group %s missing after the scoped recompute", batch, k)
+			} else if g != w {
+				t.Fatalf("batch %d: group %s differs:\n scoped  %s\n rebuilt %s", batch, k, g, w)
+			}
+		}
+		if len(got) != len(want) {
+			for k := range got {
+				if _, ok := want[k]; !ok {
+					t.Fatalf("batch %d: scoped recompute kept group %s a rebuild does not have", batch, k)
+				}
+			}
+		}
+	}
+}
+
+// TestScopedRecomputeWithPushdownSourceRebuilds: a pagg source cannot
+// be restricted to groups, so a scope over a realm with one is ignored
+// and the realm rebuilt whole — an empty scope included.
+func TestScopedRecomputeWithPushdownSourceRebuilds(t *testing.T) {
+	db, eng, info := fixture(t, 40, 5)
+	rows := factRowsPositional(t, db, info.Schema, info.FactTable)
+	if _, err := eng.ApplyDelta(info, "fed_push", Delta{Realm: info.Name, Reset: true}); err != nil {
+		t.Fatal(err)
+	}
+	sources := []Source{{Schema: info.Schema}, {Schema: "fed_push", Pushdown: true}}
+	n, err := eng.ReaggregateFrom(info, sources, newScope())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(rows) {
+		t.Fatalf("recompute with a pushdown source folded %d facts, want all %d", n, len(rows))
+	}
+}

@@ -308,7 +308,16 @@ func TestConcurrentEnsureAggregatedRebuildsOnce(t *testing.T) {
 	for id := int64(1); id <= 200; id++ {
 		upsert(id, 4)
 	}
-	upsert(7, 8) // an update: not foldable, so the batch leaves Jobs dirty
+	// A truncate and a refill: no group scope expresses a truncate, so
+	// the batch leaves Jobs dirty.
+	fact, err := sat.TableIn(jobs.SchemaName, jobs.FactTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sat.Do(func() error { fact.Truncate(); return nil })
+	for id := int64(1); id <= 200; id++ {
+		upsert(id, 8)
+	}
 	evs, err := sat.Binlog().ReadFrom(0, 0)
 	if err != nil {
 		t.Fatal(err)

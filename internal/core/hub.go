@@ -63,30 +63,36 @@ func (m Member) Quarantined(t time.Time) bool {
 // realmAggState tracks how one realm's hub aggregation tables relate
 // to the replicated raw data. All fields are guarded by Hub.mu.
 //
-// The incremental fold and the full rebuild coordinate through it:
+// The incremental fold, the scoped recompute and the full rebuild
+// coordinate through it:
 //
-//   - gen counts data arrivals for the realm. A rebuild snapshots it
-//     before scanning; if it moved by the time the rebuild finishes,
-//     rows may have been missed, so the realm stays dirty.
-//   - folding counts in-flight incremental folds. A rebuild waits for
-//     it to drain so a fold can never re-add facts the rebuild's scan
-//     already counted (or vice versa), and EnsureAggregated waits for
-//     it so a reader that has observed replicated raw rows never sees
-//     aggregates from before those rows (a batch registers its fold
-//     here before its raw rows become visible).
-//   - rebuilding blocks new folds (they mark the realm dirty instead),
-//     so a fold can never land between a rebuild's scan and its
-//     install.
+//   - gen counts data arrivals for the realm. A recompute snapshots it
+//     before scanning; if it moved by the time the recompute finishes,
+//     rows may have been missed, so what it claimed stays pending.
+//   - folding counts in-flight batches registered to fold, or to add
+//     their groups to scope, once their raw rows are applied. A
+//     recompute waits for it to drain so a fold can never re-add facts
+//     the recompute's scan already counted (or vice versa), and
+//     EnsureAggregated waits for it so a reader that has observed
+//     replicated raw rows never sees aggregates from before those rows
+//     (a batch registers here before its raw rows become visible).
+//   - rebuilding blocks new folds (their groups join scope instead), so
+//     a fold can never land between a recompute's scan and its install.
 //
-// dirty is set by anything the fold cannot express — a pushdown delta
-// that resets or carries bins, a non-additive batch, a loose reload
-// (also one that failed partway), a failed fold — and EnsureAggregated
-// rebuilds exactly the dirty realms.
+// scope holds the groups an update or delete batch changed — and, while
+// it is pending or being recomputed, the groups of every later batch —
+// and the batch recomputes it before ApplyBatch returns. dirty means
+// the whole realm must be rebuilt, and overrides scope: it is set by
+// what no group scope can express — a truncate or bulk load, a pushdown
+// delta that resets or carries bins, a loose reload (also one that
+// failed partway), a failed fold or recompute. EnsureAggregated brings
+// every realm with either current.
 type realmAggState struct {
-	dirty      bool   // the realm's aggregates may lag raw data
-	gen        uint64 // bumped whenever replicated data for this realm lands
-	rebuilding bool   // a rebuild is in flight
-	folding    int    // in-flight incremental folds
+	dirty      bool            // the whole realm's aggregates may lag raw data
+	scope      aggregate.Scope // groups whose aggregates may lag raw data; nil when none
+	gen        uint64          // bumped whenever replicated data for this realm lands
+	rebuilding bool            // a rebuild or scoped recompute is in flight
+	folding    int             // in-flight batches still to fold or add to scope
 }
 
 // Hub is a federation hub: an XDMoD instance of its own (it has a
@@ -393,10 +399,23 @@ func (h *Hub) ApplyDeltas(ctx context.Context, instance string, upTo uint64, del
 
 // realmDelta classifies one batch's effect on a single realm.
 type realmDelta struct {
-	info   realm.Info
-	schema string  // hub schema the realm's insert events landed in
-	rows   [][]any // insert rows, foldable incrementally
-	dirty  bool    // non-additive mutation seen; realm needs a rebuild
+	info    realm.Info
+	schema  string  // hub schema the realm's fact events landed in
+	rows    [][]any // insert rows, foldable incrementally
+	updated [][]any // update rows (the new values)
+	old     [][]any // rows updates and deletes replace or remove
+	dirty   bool    // a mutation no group scope expresses; the realm needs a rebuild
+}
+
+// scoped reports whether the batch replaces or removes facts, so its
+// realm's groups must be recomputed rather than folded.
+func (d *realmDelta) scoped() bool { return len(d.updated) > 0 || len(d.old) > 0 }
+
+// scopeRows returns every fact row the batch touched: inserted, new and
+// old, the rows whose groups a recompute must cover.
+func (d *realmDelta) scopeRows() [][]any {
+	out := make([][]any, 0, len(d.rows)+len(d.updated)+len(d.old))
+	return append(append(append(out, d.rows...), d.updated...), d.old...)
 }
 
 // ApplyBatch implements replicate.Sink: events land verbatim in the
@@ -406,7 +425,9 @@ type realmDelta struct {
 // map. Insert events on realm fact tables are folded straight into the
 // hub's aggregation tables (aggregation is additive), so the first
 // chart query after a batch pays O(batch) instead of O(all facts);
-// non-additive mutations mark just their realm dirty for rebuild.
+// updates and deletes recompute the aggregation groups they touched
+// before ApplyBatch returns, and truncates and bulk loads mark just
+// their realm dirty for rebuild.
 func (h *Hub) ApplyBatch(instance string, upTo uint64, events []warehouse.Event) error {
 	return h.ApplyBatchCtx(context.Background(), instance, upTo, events)
 }
@@ -425,12 +446,13 @@ func (h *Hub) ApplyBatchCtx(ctx context.Context, instance string, upTo uint64, e
 		return err
 	}
 	// Classify the batch and register its aggregation work BEFORE the
-	// raw rows become visible: a fold increments folding, a non-additive
-	// batch marks its realm dirty. Any reader that later observes the
-	// replicated raw rows and calls EnsureAggregated therefore either
-	// finds the registration (and waits for the fold / rebuilds the
-	// realm) or the aggregation already done — raw data can never be
-	// ahead of what EnsureAggregated accounts for.
+	// raw rows become visible: a fold or a scoped batch increments
+	// folding, a batch no scope expresses marks its realm dirty. Any
+	// reader that later observes the replicated raw rows and calls
+	// EnsureAggregated therefore either finds the registration (and
+	// waits for it / recomputes the realm) or the aggregation already
+	// done — raw data can never be ahead of what EnsureAggregated
+	// accounts for.
 	deltas := map[string]*realmDelta{}
 	pushFacts := h.pushdownFactsFor(instance)
 	for _, ev := range events {
@@ -442,32 +464,43 @@ func (h *Hub) ApplyBatchCtx(ctx context.Context, instance string, upTo uint64, e
 		}
 		h.classifyEvent(deltas, ev)
 	}
-	var folds, dirtied []*realmDelta
+	for _, d := range deltas {
+		if !d.dirty && len(d.updated) > 0 {
+			h.readReplaced(d)
+		}
+	}
+	var folds, scoped, dirtied []*realmDelta
 	h.mu.Lock()
 	for name, d := range deltas {
 		st := h.realmStateLocked(name)
 		st.gen++
-		if d.dirty || st.dirty || st.rebuilding {
-			// Either the batch itself is non-additive, or the realm
-			// already needs (or is getting) a rebuild that will cover
-			// these rows from the raw tables.
+		switch {
+		case d.dirty || st.dirty:
+			// The batch itself needs a rebuild, or the realm already
+			// needs one that will cover these rows from the raw tables.
 			st.dirty = true
 			dirtied = append(dirtied, d)
-			continue
+		case d.scoped() || st.scope != nil || st.rebuilding:
+			// Updates or deletes — or a realm whose groups are pending or
+			// being recomputed, which a fold must not race: the batch's
+			// groups join the scope once its rows are applied.
+			st.folding++
+			scoped = append(scoped, d)
+		default:
+			st.folding++
+			folds = append(folds, d)
 		}
-		st.folding++
-		folds = append(folds, d)
 	}
 	h.mu.Unlock()
 	// settle closes out the registrations once the raw apply's outcome
-	// is known: failed folds downgrade to dirty realms (the applied
-	// prefix is covered by a rebuild from the raw tables), and realms
-	// that went dirty bump gen again so a rebuild that scanned mid-apply
-	// can never clear them while missing this batch's rows.
+	// is known: failed folds and scopes downgrade to dirty realms (the
+	// applied prefix is covered by a rebuild from the raw tables), and
+	// realms that went dirty bump gen again so a rebuild that scanned
+	// mid-apply can never clear them while missing this batch's rows.
 	settle := func(foldsOK bool) {
 		h.mu.Lock()
 		if !foldsOK {
-			for _, d := range folds {
+			for _, d := range append(folds, scoped...) {
 				st := h.realmStateLocked(d.info.Name)
 				st.folding--
 				st.dirty = true
@@ -549,12 +582,39 @@ func (h *Hub) ApplyBatchCtx(ctx context.Context, instance string, upTo uint64, e
 		h.cond.Broadcast()
 		h.mu.Unlock()
 	}
+	for _, d := range scoped {
+		sc, err := h.Engine.ScopeOf(d.info, d.schema, d.scopeRows())
+		h.mu.Lock()
+		st := h.realmStateLocked(d.info.Name)
+		st.folding--
+		if err != nil {
+			st.dirty = true
+			coreLog.Error("recompute scope failed; realm queued for rebuild",
+				"instance", instance, "realm", d.info.Name, "err", err)
+		} else {
+			st.scope.Add(sc)
+		}
+		h.cond.Broadcast()
+		h.mu.Unlock()
+	}
 	settle(true)
-	// No explicit epoch bump: every commit above (raw apply, fold
-	// installs) bumped its own schema's epoch, so once ApplyBatch
-	// returns no chart query can serve a result computed against the
-	// pre-batch view of the schemas this batch touched — while cached
-	// charts of untouched realms stay valid.
+	// Finish the scoped realms the way a fold finishes: the batch's
+	// groups are recomputed before ApplyBatch returns. A recompute that
+	// fails leaves its realm dirty, and the next read rebuilds it.
+	for _, d := range scoped {
+		_, rsp := obs.StartSpan(sctx, "hub.ScopedRecompute")
+		rsp.SetAttr("realm", d.info.Name)
+		if _, err := h.rebuildRealm(d.info.Name, false); err != nil {
+			coreLog.Error("scoped recompute failed; realm queued for rebuild",
+				"instance", instance, "realm", d.info.Name, "err", err)
+		}
+		rsp.End()
+	}
+	// No explicit epoch bump: every commit above (raw apply, fold and
+	// recompute installs) bumped its own schema's epoch, so once
+	// ApplyBatch returns no chart query can serve a result computed
+	// against the pre-batch view of the schemas this batch touched —
+	// while cached charts of untouched realms stay valid.
 	return nil
 }
 
@@ -609,9 +669,10 @@ func (h *Hub) noteApplyFailure(instance string, cause error) {
 }
 
 // classifyEvent sorts one applied event into its realm's delta: fact
-// inserts are foldable, any other fact-table mutation forces a rebuild,
-// and events off the fact tables (DDL, detail tables, bookkeeping)
-// never touch the aggregates at all.
+// inserts are foldable, updates and deletes scope a recompute of their
+// groups, a truncate or bulk load forces a rebuild, and events off the
+// fact tables (DDL, detail tables, bookkeeping) never touch the
+// aggregates at all.
 func (h *Hub) classifyEvent(deltas map[string]*realmDelta, ev warehouse.Event) {
 	info, ok := h.factRealms[ev.Table]
 	if !ok {
@@ -629,16 +690,62 @@ func (h *Hub) classifyEvent(deltas map[string]*realmDelta, ev warehouse.Event) {
 	if d.dirty {
 		return
 	}
-	if ev.Kind != warehouse.EvInsert || ev.Schema != d.schema {
-		// Updates/deletes/truncates are not additive; inserts split
-		// across schemas within one batch (not produced by the
-		// rewriter, but possible through the Sink interface) would
-		// need per-schema folds — both fall back to a rebuild.
-		d.dirty = true
-		d.rows = nil
+	switch {
+	case ev.Schema != d.schema:
+		// Fact events split across schemas within one batch (not
+		// produced by the rewriter, but possible through the Sink
+		// interface) would need per-schema folds and scopes.
+	case ev.Kind == warehouse.EvInsert:
+		d.rows = append(d.rows, ev.Row)
+		return
+	case ev.Kind == warehouse.EvUpdate:
+		d.updated = append(d.updated, ev.Row)
+		return
+	case ev.Kind == warehouse.EvDelete && ev.Old != nil:
+		d.old = append(d.old, ev.Old)
 		return
 	}
-	d.rows = append(d.rows, ev.Row)
+	// Truncates and bulk loads replace the table: no group scope says
+	// what they removed, so the realm is rebuilt.
+	d.dirty = true
+	d.rows, d.updated, d.old = nil, nil, nil
+}
+
+// readReplaced adds to d.old, for each update d carries, the row the
+// update replaces: the member table's row under the same primary key
+// before the batch applies. A miss means an earlier event of the batch
+// wrote the key, and that event's rows are in the scope already; so
+// does a table the batch itself creates. A table without a primary key
+// gives updates no old row to find, and its realm is rebuilt.
+func (h *Hub) readReplaced(d *realmDelta) {
+	tab, err := h.DB.TableIn(d.schema, d.info.FactTable)
+	if err != nil {
+		return
+	}
+	pk := tab.Def().PrimaryKey
+	if len(pk) == 0 {
+		d.dirty = true
+		return
+	}
+	at := make([]int, len(pk))
+	for i, c := range pk {
+		at[i], _ = tab.ColumnIndex(c)
+	}
+	key, width := make([]any, len(pk)), len(tab.Columns())
+	h.DB.ViewSchemas([]string{d.schema}, func() error {
+		for _, row := range d.updated {
+			if len(row) != width {
+				continue // a malformed row fails the apply, and the realm is rebuilt
+			}
+			for i, ci := range at {
+				key[i] = row[ci]
+			}
+			if r, ok := tab.GetByKey(key...); ok {
+				d.old = append(d.old, r.Values())
+			}
+		}
+		return nil
+	})
 }
 
 // observeIdentity feeds job-fact usernames into the identity map so
@@ -796,19 +903,23 @@ func (h *Hub) realmSources(info realm.Info) []aggregate.Source {
 	return sources
 }
 
-// rebuildRealm rebuilds one realm's aggregation tables from all member
-// schemas plus the hub's own, coordinating with the incremental fold
-// path: it waits for in-flight folds to drain, blocks new folds while
-// running (they mark the realm dirty instead), and only clears the
-// dirty mark when no new data landed mid-rebuild. With force=true the
+// rebuildRealm brings one realm's aggregation tables up to the raw data
+// of all member schemas plus the hub's own, coordinating with the
+// incremental fold path: it waits for in-flight batches to drain,
+// claims what is pending — the whole realm when it is dirty, else the
+// scope's groups — and blocks new folds while running (their groups
+// join the scope instead). What it claimed counts as done only when no
+// new data landed mid-scan; otherwise the realm stays dirty, or the
+// claimed groups go back into the scope. With force=true the whole
 // realm is rebuilt even when clean (the admin / config-change path).
 //
 // Nothing else serializes rebuilds. Concurrent callers for one realm
 // queue on the wait below — rebuilding is set and cleared under h.mu —
-// and a force=false caller re-checks dirty after its wait, so a queue
-// of EnsureAggregated callers collapses into the first one's rebuild
-// and the rest return at once. (Two hub-wide mutexes used to give these
-// two guarantees before the per-realm state existed.)
+// and a force=false caller re-checks what is pending after its wait,
+// so a queue of EnsureAggregated callers collapses into the first
+// one's recompute and the rest return at once. (Two hub-wide mutexes
+// used to give these two guarantees before the per-realm state
+// existed.)
 func (h *Hub) rebuildRealm(name string, force bool) (int, error) {
 	info, ok := h.Registry.Get(name)
 	if !ok {
@@ -819,26 +930,36 @@ func (h *Hub) rebuildRealm(name string, force bool) (int, error) {
 	for st.rebuilding || st.folding > 0 {
 		h.cond.Wait()
 	}
-	if !force && !st.dirty {
+	if !force && !st.dirty && st.scope == nil {
 		h.mu.Unlock()
 		return 0, nil
 	}
 	st.rebuilding = true
 	gen0 := st.gen
+	claimed := st.scope
+	st.scope = nil
+	var scope aggregate.Scope // nil: the whole realm
+	if !force && !st.dirty {
+		scope = claimed
+	}
 	h.mu.Unlock()
 
 	// Resolved after gen0: a member schema that appears later bumps gen
 	// on arrival, so the realm stays dirty instead of losing its rows.
-	n, err := h.Engine.ReaggregateFrom(info, h.realmSources(info))
+	n, err := h.Engine.ReaggregateFrom(info, h.realmSources(info), scope)
 
 	h.mu.Lock()
 	st.rebuilding = false
-	if err != nil {
+	switch {
+	case err != nil:
 		st.dirty = true
-	} else if st.gen == gen0 {
+	case st.gen != gen0:
+		// A batch landed while scanning and may or may not be in the
+		// result: what was claimed stays pending, and a dirty realm
+		// stays dirty for the next read.
+		st.scope.Add(claimed)
+	case scope == nil:
 		// No data landed while scanning: the rebuilt realm is current.
-		// Otherwise it stays dirty and the next read rebuilds — a batch
-		// that landed mid-scan may or may not be in the result.
 		st.dirty = false
 	}
 	h.cond.Broadcast()
@@ -870,22 +991,28 @@ func (h *Hub) AggregateFederation() (map[string]int, error) {
 	return counts, nil
 }
 
-// EnsureAggregated brings every dirty realm's aggregates current
-// before a read. It first waits for in-flight incremental folds to
-// drain: a batch registers its fold before its raw rows become
-// visible, so a reader that polls the raw tables and then calls
-// EnsureAggregated is guaranteed aggregates covering every raw row it
-// saw. Realms kept current by the fold then cost nothing here, and a
-// queue of concurrent callers collapses into a single rebuild (see
-// rebuildRealm).
+// EnsureAggregated brings every realm with a pending rebuild or
+// scoped recompute current before a read. It first waits for in-flight
+// batches to drain: a batch registers its fold or scope before its raw
+// rows become visible, so a reader that polls the raw tables and then
+// calls EnsureAggregated is guaranteed aggregates covering every raw
+// row it saw. Realms kept current by ApplyBatch then cost nothing here,
+// and a queue of concurrent callers collapses into a single recompute
+// (see rebuildRealm).
 func (h *Hub) EnsureAggregated() error {
 	h.mu.Lock()
 	for h.anyFoldingLocked() {
 		h.cond.Wait()
 	}
-	dirty := h.dirtyRealmsLocked()
+	var pending []string
+	for name, st := range h.realms {
+		if st.dirty || st.scope != nil {
+			pending = append(pending, name)
+		}
+	}
 	h.mu.Unlock()
-	for _, name := range dirty {
+	sort.Strings(pending)
+	for _, name := range pending {
 		if _, err := h.rebuildRealm(name, false); err != nil {
 			return err
 		}

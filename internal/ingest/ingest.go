@@ -10,10 +10,12 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sort"
 	"time"
 
 	"xdmodfed/internal/aggregate"
 	"xdmodfed/internal/obs"
+	"xdmodfed/internal/realm"
 	"xdmodfed/internal/realm/cloud"
 	"xdmodfed/internal/realm/jobs"
 	"xdmodfed/internal/realm/storage"
@@ -36,9 +38,11 @@ func (s Stats) String() string {
 }
 
 // Pipeline ingests data into one instance's warehouse. Engine is
-// optional; when set, newly ingested job/storage facts are folded into
-// the aggregation tables incrementally, and cloud ingestion triggers a
-// cloud-realm re-aggregation (sessions are rebuilt from the event log).
+// optional; when set, the aggregation tables follow every ingest: new
+// job and storage facts fold in incrementally, and a write that
+// replaces or removes facts — a revised storage day, a cloud session a
+// new event changed — recomputes just the aggregation groups it
+// touched.
 type Pipeline struct {
 	DB        *warehouse.DB
 	Converter *su.Converter
@@ -134,9 +138,14 @@ func (p *Pipeline) IngestJobLog(r io.Reader, format, resource string) (Stats, er
 	return st, err
 }
 
-// IngestCloudEvents appends raw VM lifecycle events, rebuilds the
-// session table from the full event log (sessions are a pure function
-// of the event history), and re-aggregates the Cloud realm.
+// IngestCloudEvents appends raw VM lifecycle events and brings the
+// session table up to date in the same write transaction: the sessions
+// of every VM the batch names, plus those of every VM whose
+// still-running session this horizon closes elsewhere, are
+// reconstructed from the VM's own events and diffed against the stored
+// ones (cloud.SyncSessions), so only sessions that changed are written
+// and logged. The Cloud realm's aggregates then follow the changed
+// sessions (see refresh).
 func (p *Pipeline) IngestCloudEvents(events []cloud.Event, horizon time.Time) (Stats, error) {
 	var st Stats
 	_, sp := obs.StartSpan(context.Background(), "ingest.IngestCloudEvents")
@@ -147,7 +156,12 @@ func (p *Pipeline) IngestCloudEvents(events []cloud.Event, horizon time.Time) (S
 	if err != nil {
 		return st, fmt.Errorf("ingest: cloud realm not set up: %w", err)
 	}
+	sessTab, err := p.DB.TableIn(cloud.SchemaName, cloud.SessionTable)
+	if err != nil {
+		return st, fmt.Errorf("ingest: cloud realm not set up: %w", err)
+	}
 	rows := make([][]any, 0, len(events))
+	named := map[string]bool{}
 	for _, e := range events {
 		st.Parsed++
 		if err := e.Validate(); err != nil {
@@ -156,25 +170,41 @@ func (p *Pipeline) IngestCloudEvents(events []cloud.Event, horizon time.Time) (S
 			continue
 		}
 		rows = append(rows, cloud.EventRow(e))
+		named[e.VMID] = true
 	}
-	if len(rows) > 0 {
-		err := p.DB.Do(func() error {
-			for _, r := range rows {
-				if err := evTab.InsertRow(r); err != nil {
-					st.Rejected++
-					st.Errors = append(st.Errors, err)
-					continue
-				}
-				st.Ingested++
-			}
-			return nil
-		})
-		if err != nil {
-			return st, err
+	var old, written [][]any
+	err = p.DB.Do(func() error {
+		// Read before this transaction writes: the published snapshot is
+		// then exactly the writer state.
+		vms := cloud.StaleOpenVMs(sessTab.Data(), horizon)
+		for _, vm := range vms {
+			named[vm] = true
 		}
-	}
-	if err := p.RebuildCloudSessions(horizon); err != nil {
+		if len(named) == 0 {
+			return nil
+		}
+		for _, r := range rows {
+			if err := evTab.InsertRow(r); err != nil {
+				st.Rejected++
+				st.Errors = append(st.Errors, err)
+				continue
+			}
+			st.Ingested++
+		}
+		vms = vms[:0]
+		for vm := range named {
+			vms = append(vms, vm)
+		}
+		sort.Strings(vms)
+		var err error
+		old, written, err = cloud.SyncSessions(evTab, sessTab, vms, horizon)
+		return err
+	})
+	if err != nil {
 		return st, err
+	}
+	if err := p.refresh(cloud.RealmInfo(), old, written); err != nil {
+		return st, fmt.Errorf("ingest: aggregate cloud: %w", err)
 	}
 	if st.Ingested > 0 {
 		p.DB.Binlog().NoteTrace(sp.TraceParent())
@@ -182,67 +212,34 @@ func (p *Pipeline) IngestCloudEvents(events []cloud.Event, horizon time.Time) (S
 	return st, nil
 }
 
-// RebuildCloudSessions reconstructs the session table from the raw
-// event log up to the horizon and re-aggregates the Cloud realm.
-func (p *Pipeline) RebuildCloudSessions(horizon time.Time) error {
-	evTab, err := p.DB.TableIn(cloud.SchemaName, cloud.EventTable)
-	if err != nil {
-		return err
-	}
-	var events []cloud.Event
-	p.DB.View(func() error {
-		evTab.Scan(func(r warehouse.Row) bool {
-			var ts time.Time
-			if v, _ := r.Lookup("event_time"); v != nil {
-				ts = v.(time.Time)
-			}
-			events = append(events, cloud.Event{
-				VMID: r.String("vm_id"), Resource: r.String("resource"),
-				User: r.String("username"), Project: r.String("project"),
-				InstanceType: r.String("instance_type"),
-				Type:         cloud.EventType(r.String("event_type")),
-				Time:         ts, Cores: r.Int("cores"),
-				MemoryGB: r.Float("memory_gb"), DiskGB: r.Float("disk_gb"),
-			})
-			return true
-		})
+// refresh brings a realm's aggregates up to the fact rows one ingest
+// wrote (written) and the stored rows those replaced or removed (old).
+// When nothing was replaced the write is additive, and the new facts
+// fold in like a jobs batch; otherwise exactly the groups the old and
+// new rows fall in are recomputed from the realm's facts. Either way
+// every group ends bit-identical to a rebuild's.
+func (p *Pipeline) refresh(info realm.Info, old, written [][]any) error {
+	if p.Engine == nil || len(old)+len(written) == 0 {
 		return nil
-	})
-	sessions, err := cloud.ReconstructSessions(events, horizon)
+	}
+	if len(old) == 0 {
+		_, err := p.Engine.ApplyFactRows(info, info.Schema, written)
+		return err
+	}
+	scope, err := p.Engine.ScopeOf(info, info.Schema, append(old, written...))
 	if err != nil {
 		return err
 	}
-	sessTab, err := p.DB.TableIn(cloud.SchemaName, cloud.SessionTable)
-	if err != nil {
-		return err
-	}
-	seq := map[string]int{}
-	if err := p.DB.Do(func() error {
-		sessTab.Truncate()
-		for _, s := range sessions {
-			row := cloud.SessionValues(s, seq[s.VMID])
-			seq[s.VMID]++
-			if err := sessTab.UpsertRow(row); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	if p.Engine != nil {
-		if _, err := p.Engine.Reaggregate(cloud.RealmInfo(), []string{cloud.SchemaName}); err != nil {
-			return err
-		}
-	}
-	// The session-table commit bumped its shard's epoch even when no
-	// engine re-aggregates, so cached cloud charts are invalidated.
-	return nil
+	_, err = p.Engine.ReaggregateFrom(info, []aggregate.Source{{Schema: info.Schema}}, scope)
+	return err
 }
 
-// IngestStorageSnapshots upserts storage usage snapshots. Same-day
-// duplicates collapse (latest wins); the Storage realm is re-aggregated
-// when an engine is configured, since upserts may revise prior facts.
+// IngestStorageSnapshots upserts storage usage snapshots. A snapshot
+// replaces the stored one of its (resource, user, day) unless that one
+// was sampled later — sub-daily samples collapse to the day's latest
+// state whatever order they arrive in — and a snapshot that loses is
+// counted Skipped and writes nothing. The Storage realm's aggregates
+// then follow the rows written (see refresh).
 func (p *Pipeline) IngestStorageSnapshots(snaps []storage.Snapshot) (Stats, error) {
 	var st Stats
 	_, sp := obs.StartSpan(context.Background(), "ingest.IngestStorageSnapshots")
@@ -253,7 +250,7 @@ func (p *Pipeline) IngestStorageSnapshots(snaps []storage.Snapshot) (Stats, erro
 	if err != nil {
 		return st, fmt.Errorf("ingest: storage realm not set up: %w", err)
 	}
-	rows := make([][]any, 0, len(snaps))
+	valid := make([]storage.Snapshot, 0, len(snaps))
 	for _, s := range snaps {
 		st.Parsed++
 		if err := s.Validate(); err != nil {
@@ -261,17 +258,31 @@ func (p *Pipeline) IngestStorageSnapshots(snaps []storage.Snapshot) (Stats, erro
 			st.Errors = append(st.Errors, err)
 			continue
 		}
-		rows = append(rows, storage.FactValues(s))
+		valid = append(valid, s)
 	}
-	if len(rows) > 0 {
+	var old, written [][]any
+	if len(valid) > 0 {
 		err := p.DB.Do(func() error {
-			for _, r := range rows {
-				if err := tab.UpsertRow(r); err != nil {
+			for _, s := range valid {
+				var prev []any
+				if r, ok := tab.GetByKey(storage.Key(s)...); ok {
+					if r.Get("dt").(time.Time).After(s.Timestamp) {
+						st.Skipped++
+						continue
+					}
+					prev = r.Values()
+				}
+				row := storage.FactValues(s)
+				if err := tab.UpsertRow(row); err != nil {
 					st.Rejected++
 					st.Errors = append(st.Errors, err)
 					continue
 				}
 				st.Ingested++
+				if prev != nil {
+					old = append(old, prev)
+				}
+				written = append(written, row)
 			}
 			return nil
 		})
@@ -279,10 +290,8 @@ func (p *Pipeline) IngestStorageSnapshots(snaps []storage.Snapshot) (Stats, erro
 			return st, err
 		}
 	}
-	if p.Engine != nil && st.Ingested > 0 {
-		if _, err := p.Engine.Reaggregate(storage.RealmInfo(), []string{storage.SchemaName}); err != nil {
-			return st, err
-		}
+	if err := p.refresh(storage.RealmInfo(), old, written); err != nil {
+		return st, fmt.Errorf("ingest: aggregate storage: %w", err)
 	}
 	if st.Ingested > 0 {
 		p.DB.Binlog().NoteTrace(sp.TraceParent())

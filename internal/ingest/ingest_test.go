@@ -1,6 +1,9 @@
 package ingest
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +16,7 @@ import (
 	"xdmodfed/internal/shredder"
 	"xdmodfed/internal/su"
 	"xdmodfed/internal/warehouse"
+	"xdmodfed/internal/workload"
 )
 
 func pipeline(t *testing.T) *Pipeline {
@@ -214,5 +218,247 @@ func TestIngestWithoutRealmSetup(t *testing.T) {
 	}
 	if _, err := p.IngestStorageSnapshots(nil); err == nil {
 		t.Error("storage ingest without setup must error")
+	}
+}
+
+// TestStorageLateSnapshotKeepsLatest: two samples of one (resource,
+// user, day) collapse to the later-sampled one whatever order they
+// arrive in. The 06:00 document re-shipped after the 18:00 one is
+// skipped — stored row, Month chart and binlog all stay at 18:00.
+func TestStorageLateSnapshotKeepsLatest(t *testing.T) {
+	p := pipeline(t)
+	snap := func(hour int, files int64) storage.Snapshot {
+		return storage.Snapshot{Resource: "isilon", ResourceType: "persistent", Mountpoint: "/home",
+			User: "alice", PI: "smith", Timestamp: time.Date(2017, 2, 28, hour, 0, 0, 0, time.UTC),
+			FileCount: files, LogicalBytes: 10 * files, PhysicalBytes: 14 * files}
+	}
+	if st, err := p.IngestStorageSnapshots([]storage.Snapshot{snap(18, 180)}); err != nil || st.Ingested != 1 {
+		t.Fatalf("18:00 ingest: %s, %v", st, err)
+	}
+	head := p.DB.Binlog().Last()
+	st, err := p.IngestStorageSnapshots([]storage.Snapshot{snap(6, 60)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Skipped != 1 || st.Ingested != 0 {
+		t.Errorf("late 06:00 snapshot: stats = %s, want it skipped", st)
+	}
+	if got := p.DB.Binlog().Last(); got != head {
+		t.Errorf("the skipped snapshot advanced the binlog from %d to %d", head, got)
+	}
+	tab, err := p.DB.TableIn(storage.SchemaName, storage.FactTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.DB.View(func() error {
+		if r, ok := tab.GetByKey("isilon", "alice", int64(20170228)); !ok || r.Int("file_count") != 180 {
+			t.Errorf("stored file_count = %d (found %v), want the 18:00 sample's 180", r.Int("file_count"), ok)
+		}
+		return nil
+	})
+	series, err := p.Engine.Query(storage.RealmInfo(), aggregate.Request{MetricID: storage.MetricFileCount, Period: aggregate.Month})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(series) != 1 || series[0].Aggregate != 180 {
+		t.Errorf("Month file count = %+v, want 180", series)
+	}
+	// An equal timestamp still replaces: a re-shipped correction wins.
+	if st, err := p.IngestStorageSnapshots([]storage.Snapshot{snap(18, 181)}); err != nil || st.Ingested != 1 {
+		t.Fatalf("same-time correction: %s, %v", st, err)
+	}
+	series, _ = p.Engine.Query(storage.RealmInfo(), aggregate.Request{MetricID: storage.MetricFileCount, Period: aggregate.Month})
+	if len(series) != 1 || series[0].Aggregate != 181 {
+		t.Errorf("Month file count after the correction = %+v, want 181", series)
+	}
+}
+
+// TestNonAdditiveIngestLogIsFlat: what one cloud batch or storage day
+// logs depends on the batch, not on the history before it. After 30
+// batches of each, one more cloud batch logs its events plus at most
+// two events per session of the VMs it names, a storage day logs
+// exactly one event per snapshot, nothing ever logs a TRUNCATE, and a
+// cloud batch with no valid event logs nothing at all.
+func TestNonAdditiveIngestLogIsFlat(t *testing.T) {
+	p := pipeline(t)
+	const batch, history = 10, 30
+	events := workload.CCRCloud2017(2*history*batch/6, 7)
+	snaps := workload.CCRStorage2017(5, 8)
+	days := len(snaps) / 12 // one month's collection run
+	day := func(i int) []storage.Snapshot {
+		out := append([]storage.Snapshot(nil), snaps[(i%12)*days:(i%12+1)*days]...)
+		for j := range out {
+			out[j].Timestamp = time.Date(2017, 1, 1, 6, 0, 0, 0, time.UTC).AddDate(0, 0, i)
+		}
+		return out
+	}
+	for i := 0; i < history; i++ {
+		if _, err := p.IngestCloudEvents(events[i*batch:(i+1)*batch], workload.CloudHorizon2017); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.IngestStorageSnapshots(day(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log := p.DB.Binlog()
+
+	next := events[history*batch : (history+1)*batch]
+	head := log.Last()
+	if _, err := p.IngestCloudEvents(next, workload.CloudHorizon2017); err != nil {
+		t.Fatal(err)
+	}
+	vms := map[string]bool{}
+	for _, e := range next {
+		vms[e.VMID] = true
+	}
+	sessions := 0
+	sess, err := p.DB.TableIn(cloud.SchemaName, cloud.SessionTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.DB.View(func() error {
+		sess.Scan(func(r warehouse.Row) bool {
+			if vms[r.String("vm_id")] {
+				sessions++
+			}
+			return true
+		})
+		return nil
+	})
+	if got, limit := log.Last()-head, uint64(len(next)+2*sessions); got > limit {
+		t.Errorf("cloud batch of %d events (%d sessions of its VMs) logged %d events, want at most %d",
+			len(next), sessions, got, limit)
+	}
+
+	head = log.Last()
+	d := day(history)
+	if _, err := p.IngestStorageSnapshots(d); err != nil {
+		t.Fatal(err)
+	}
+	if got := log.Last() - head; got != uint64(len(d)) {
+		t.Errorf("storage day of %d snapshots logged %d events", len(d), got)
+	}
+
+	head = log.Last()
+	invalid := []cloud.Event{{VMID: "", Resource: "lakeeffect", Type: cloud.EvStart, Time: time.Now()}}
+	if st, err := p.IngestCloudEvents(invalid, workload.CloudHorizon2017); err != nil || st.Rejected != 1 {
+		t.Fatalf("invalid batch: %s, %v", st, err)
+	}
+	if got := log.Last() - head; got != 0 {
+		t.Errorf("a cloud batch of invalid events logged %d events", got)
+	}
+
+	evs, err := log.ReadFrom(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range evs {
+		if ev.Kind == warehouse.EvTruncate {
+			t.Fatalf("binlog holds a TRUNCATE of %s.%s at LSN %d", ev.Schema, ev.Table, ev.LSN)
+		}
+	}
+}
+
+// TestCloudSessionDiffMatchesFullReconstruction: sessions maintained
+// batch by batch — each batch diffing only the VMs it names and the
+// ones a moved horizon reopens — end up exactly the rows one
+// reconstruction of the whole event log writes, and the Cloud
+// aggregates exactly what a rebuild computes from them. Batches arrive
+// out of time order and the horizon moves between them; resizes split
+// sessions, and a stop that arrives after a resize merges them again,
+// so sessions are deleted as well as written.
+func TestCloudSessionDiffMatchesFullReconstruction(t *testing.T) {
+	p := pipeline(t)
+	events := workload.CCRCloud2017(40, 11)
+	rng := rand.New(rand.NewSource(11))
+	for _, e := range events {
+		if e.Type == cloud.EvStart && rng.Intn(2) == 0 {
+			e.Type, e.Cores = cloud.EvResize, 2*e.Cores
+			e.Time = e.Time.Add(time.Duration(1+rng.Intn(96)) * time.Hour)
+			events = append(events, e)
+		}
+	}
+	rng.Shuffle(len(events), func(i, j int) { events[i], events[j] = events[j], events[i] })
+	horizon := time.Date(2017, 6, 1, 0, 0, 0, 0, time.UTC)
+	for len(events) > 0 {
+		n := min(len(events), 1+rng.Intn(12))
+		horizon = horizon.Add(time.Duration(rng.Intn(30*24)) * time.Hour)
+		if _, err := p.IngestCloudEvents(events[:n], horizon); err != nil {
+			t.Fatal(err)
+		}
+		events = events[n:]
+	}
+	info := cloud.RealmInfo()
+	snapshot := func() (sessions, aggs []string) {
+		sess, err := p.DB.TableIn(cloud.SchemaName, cloud.SessionTable)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.DB.View(func() error {
+			sess.Scan(func(r warehouse.Row) bool {
+				sessions = append(sessions, fmt.Sprint(r.Values()))
+				return true
+			})
+			for _, per := range aggregate.Periods() {
+				tab, err := p.DB.TableIn(aggregate.AggSchema(info), aggregate.AggTableName(info.FactTable, per))
+				if err != nil {
+					t.Fatal(err)
+				}
+				tab.Scan(func(r warehouse.Row) bool {
+					aggs = append(aggs, fmt.Sprint(per, r.Values()))
+					return true
+				})
+			}
+			return nil
+		})
+		sort.Strings(sessions)
+		sort.Strings(aggs)
+		return sessions, aggs
+	}
+	gotSessions, gotAggs := snapshot()
+
+	// The reference: one reconstruction of the whole log, as the ingest
+	// did before it diffed, then a rebuild.
+	evTab, _ := p.DB.TableIn(cloud.SchemaName, cloud.EventTable)
+	sessTab, _ := p.DB.TableIn(cloud.SchemaName, cloud.SessionTable)
+	var all []string
+	p.DB.View(func() error {
+		evTab.Scan(func(r warehouse.Row) bool {
+			all = append(all, r.String("vm_id"))
+			return true
+		})
+		return nil
+	})
+	sort.Strings(all)
+	var vms []string
+	for i, vm := range all {
+		if i == 0 || vm != all[i-1] {
+			vms = append(vms, vm)
+		}
+	}
+	err := p.DB.Do(func() error {
+		sessTab.Truncate()
+		_, _, err := cloud.SyncSessions(evTab, sessTab, vms, horizon)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Engine.Reaggregate(info, []string{cloud.SchemaName}); err != nil {
+		t.Fatal(err)
+	}
+	wantSessions, wantAggs := snapshot()
+	for _, c := range []struct {
+		what      string
+		got, want []string
+	}{{"sessions", gotSessions, wantSessions}, {"aggregation rows", gotAggs, wantAggs}} {
+		if len(c.got) != len(c.want) {
+			t.Fatalf("%s: maintained %d, full reconstruction %d", c.what, len(c.got), len(c.want))
+		}
+		for i := range c.want {
+			if c.got[i] != c.want[i] {
+				t.Fatalf("%s differ:\n maintained %s\n full       %s", c.what, c.got[i], c.want[i])
+			}
+		}
 	}
 }

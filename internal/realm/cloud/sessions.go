@@ -2,8 +2,11 @@ package cloud
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
+
+	"xdmodfed/internal/warehouse"
 )
 
 // vmState tracks one VM through the event stream.
@@ -106,11 +109,7 @@ func ReconstructSessions(events []Event, horizon time.Time) ([]Session, error) {
 		st := states[id]
 		if st.running {
 			s := st.cur
-			if horizon.After(s.Start) {
-				s.End = horizon
-			} else {
-				s.End = s.Start
-			}
+			s.End = horizonEnd(s.Start, horizon)
 			s.Ended = false
 			st.seq++
 			out = append(out, s)
@@ -124,6 +123,144 @@ func ReconstructSessions(events []Event, horizon time.Time) ([]Session, error) {
 		return out[i].Start.Before(out[j].Start)
 	})
 	return out, nil
+}
+
+// horizonEnd is where the horizon closes a session still running since
+// start: at the horizon, or at the start when the horizon precedes it.
+func horizonEnd(start, horizon time.Time) time.Time {
+	if horizon.After(start) {
+		return horizon
+	}
+	return start
+}
+
+// StaleOpenVMs returns, sorted, the VMs of a session-table snapshot
+// whose still-running session (ended false) does not end where horizon
+// closes it: the only sessions a change of horizon alters.
+func StaleOpenVMs(td *warehouse.TableData, horizon time.Time) []string {
+	var out []string
+	for c := 0; c < td.NumChunks(); c++ {
+		ch := td.Chunk(c)
+		vm, ended := colOf(ch, "vm_id"), colOf(ch, "ended")
+		start, end := colOf(ch, "start_time"), colOf(ch, "end_time")
+		vms, endeds, starts, ends := ch.StringCol(vm), ch.BoolCol(ended), ch.TimeCol(start), ch.TimeCol(end)
+		dead := ch.Tombstones()
+		for pos := 0; pos < ch.Rows(); pos++ {
+			if !dead[pos] && !endeds[pos] && !ends[pos].Equal(horizonEnd(starts[pos], horizon)) {
+				out = append(out, vms[pos])
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+func colOf(ch warehouse.ColChunk, name string) int {
+	i, _ := ch.ColIndex(name)
+	return i
+}
+
+// eventFromRow reads one event-table row back into an Event.
+func eventFromRow(r warehouse.Row) Event {
+	var ts time.Time
+	if v, _ := r.Lookup("event_time"); v != nil {
+		ts = v.(time.Time)
+	}
+	return Event{
+		VMID: r.String("vm_id"), Resource: r.String("resource"),
+		User: r.String("username"), Project: r.String("project"),
+		InstanceType: r.String("instance_type"),
+		Type:         EventType(r.String("event_type")),
+		Time:         ts, Cores: r.Int("cores"),
+		MemoryGB: r.Float("memory_gb"), DiskGB: r.Float("disk_gb"),
+	}
+}
+
+// SyncSessions brings the stored sessions of the given VMs up to date
+// with their events at horizon. Sessions are per-VM independent, and so
+// is their seq numbering, so each VM is reconstructed on its own: its
+// events are read through the event table's vm_id index in position
+// order (the order a full scan yields them in) and replayed by
+// ReconstructSessions, giving exactly the rows a reconstruction of the
+// whole log would. The result is diffed against the VM's stored
+// sessions: a session whose values changed is upserted, a session id
+// that no longer exists is deleted, and an identical session is left
+// alone, so it logs nothing. Every VM is reconstructed before the first
+// write, so a failure leaves the session table untouched.
+//
+// Must run inside the caller's write transaction. It returns the stored
+// rows it replaced or deleted (old) and the rows it wrote (written), in
+// session-table column order.
+func SyncSessions(evTab, sessTab *warehouse.Table, vms []string, horizon time.Time) (old, written [][]any, err error) {
+	byVM := make([][]Session, len(vms))
+	for i, vm := range vms {
+		var events []Event
+		evTab.ScanIndex([]string{"vm_id"}, []any{vm}, func(r warehouse.Row) bool {
+			events = append(events, eventFromRow(r))
+			return true
+		})
+		if byVM[i], err = ReconstructSessions(events, horizon); err != nil {
+			return nil, nil, fmt.Errorf("cloud: sessions of vm %s: %w", vm, err)
+		}
+	}
+	for i, vm := range vms {
+		stored := map[string][]any{}
+		sessTab.ScanIndex([]string{"vm_id"}, []any{vm}, func(r warehouse.Row) bool {
+			stored[r.String("session_id")] = r.Values()
+			return true
+		})
+		for seq, s := range byVM[i] {
+			row := SessionValues(s, seq)
+			id := row[0].(string)
+			prev, ok := stored[id]
+			delete(stored, id)
+			if ok && sameRow(prev, row) {
+				continue
+			}
+			if err := sessTab.UpsertRow(row); err != nil {
+				return nil, nil, err
+			}
+			if ok {
+				old = append(old, prev)
+			}
+			written = append(written, row)
+		}
+		gone := make([]string, 0, len(stored))
+		for id := range stored {
+			gone = append(gone, id)
+		}
+		sort.Strings(gone)
+		for _, id := range gone {
+			sessTab.DeleteByKey(id)
+			old = append(old, stored[id])
+		}
+	}
+	return old, written, nil
+}
+
+// sameRow reports whether a stored row holds exactly the values of a
+// freshly computed one: floats compared by bits, times as instants
+// (the warehouse stores them in UTC), everything else by equality.
+func sameRow(stored, fresh []any) bool {
+	for i, a := range stored {
+		switch x := a.(type) {
+		case float64:
+			y, ok := fresh[i].(float64)
+			if !ok || math.Float64bits(x) != math.Float64bits(y) {
+				return false
+			}
+		case time.Time:
+			y, ok := fresh[i].(time.Time)
+			if !ok || !x.Equal(y) {
+				return false
+			}
+		default:
+			if a != fresh[i] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // StateChangeCount returns, per VM, the number of state-transition

@@ -197,11 +197,17 @@ func monthKey(t time.Time) int64 {
 	return int64(t.Year())*100 + int64(t.Month())
 }
 
+// Key returns the snapshot's storage_usage primary key values: (resource,
+// user, day).
+func Key(s Snapshot) []any {
+	return []any{s.Resource, s.User, dayKey(s.Timestamp)}
+}
+
 // FactValues converts a snapshot into a positional storage_usage row
-// (Def column order). Snapshots are keyed by (resource, user, day); a
-// later snapshot the same day replaces the earlier one via upsert,
-// implementing the paper's "sampling frequency" caveat — sub-daily
-// samples collapse to the day's latest state.
+// (Def column order). Snapshots are keyed by (resource, user, day); the
+// ingest keeps the later-sampled of two snapshots of one day, whichever
+// arrives last, implementing the paper's "sampling frequency" caveat —
+// sub-daily samples collapse to the day's latest state.
 func FactValues(s Snapshot) []any {
 	return []any{
 		s.Resource, s.ResourceType, s.Mountpoint, s.User, s.PI,

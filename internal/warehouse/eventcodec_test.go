@@ -283,8 +283,8 @@ func TestEventCodecRoundTripIsExact(t *testing.T) {
 }
 
 // ingestedBinlogs returns the binlog of a satellite that ingested all
-// three realms (DDL, inserts, upserts, the cloud session table's
-// truncate-and-refill, a delete, a dropped schema) and the binlog of a
+// three realms (DDL, inserts, upserts, a truncate of the cloud session
+// table, a delete, a dropped schema) and the binlog of a
 // second DB restored from its snapshot (DDL and one LOAD per table).
 func ingestedBinlogs(t testing.TB) (live, restored []warehouse.Event) {
 	t.Helper()
@@ -311,11 +311,16 @@ func ingestedBinlogs(t testing.TB) (live, restored []warehouse.Event) {
 			t.Fatal(err)
 		}
 	}
+	sess, err := db.TableIn(cloud.SchemaName, cloud.SessionTable)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tab, err := db.TableIn(jobs.SchemaName, jobs.FactTable)
 	if err != nil {
 		t.Fatal(err)
 	}
 	db.Do(func() error {
+		sess.Truncate()
 		tab.Delete(func(r warehouse.Row) bool { return r.Int(jobs.ColNodes) == 1 })
 		return nil
 	})

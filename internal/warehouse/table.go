@@ -519,6 +519,9 @@ func (t *Table) upsertVals(vals []any) error {
 
 // removeFromIndexes drops the row at pos from every secondary index,
 // keyed straight from the column vectors (no boxed copy of the row).
+// The removal keeps each list in position order: rows only ever enter
+// an index at a position above every other, so the lists stay sorted
+// and ScanIndex visits rows in scan order.
 func (t *Table) removeFromIndexes(pos int) {
 	if len(t.indexes) == 0 {
 		return
@@ -530,8 +533,7 @@ func (t *Table) removeFromIndexes(pos int) {
 		lst := ix.m[k]
 		for i, p := range lst {
 			if p == pos {
-				lst[i] = lst[len(lst)-1]
-				lst = lst[:len(lst)-1]
+				lst = append(lst[:i], lst[i+1:]...)
 				break
 			}
 		}
@@ -880,7 +882,9 @@ func (t *Table) Scan(fn func(Row) bool) {
 }
 
 // ScanIndex scans only rows whose indexed columns equal the given
-// values. The index is chosen by exact column-name match; when no such
+// values, in position order (the order Scan visits them in). Like Scan
+// it reads the writer state. The index is chosen by exact column-name
+// match; when no such
 // index exists ScanIndex falls back to a full scan with an equality
 // filter (so callers stay correct even if an index was not declared).
 func (t *Table) ScanIndex(cols []string, vals []any, fn func(Row) bool) {
