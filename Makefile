@@ -20,9 +20,12 @@ test:
 # ./internal/warehouse/store (concurrent materialize/evict/drop), and
 # the fault-injection layer. The admission package (token buckets,
 # bounded queue, concurrency limiter) and the load harness that hammers
-# it are raced too — their whole job is concurrent arrival.
+# it are raced too — their whole job is concurrent arrival. The hub's
+# fold/rebuild coordination tests then run ten times over, since a lock
+# ordering bug shows up only in some interleavings.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/replicate/... ./internal/qcache/... ./internal/aggregate/... ./internal/core/... ./internal/rest/... ./internal/warehouse/... ./internal/faults/... ./internal/admission/... ./internal/loadgen/...
+	$(GO) test -race -count=10 -run '^(TestIncrementalFoldMatchesRebuild|TestConcurrentEnsureAggregatedRebuildsOnce|TestUpdateAndDeleteBatchesLeaveHubClean|TestBatchWaitsForRunningRecompute|TestConcurrentMembersReadersAndRebuilds)$$' ./internal/core
 
 # Chaos end-to-end: a multi-satellite federation under seeded fault
 # injection (dropped connections, killed senders, torn WAL tails) must
@@ -32,13 +35,16 @@ chaos:
 	$(GO) test -race -run 'TestChaos(FederationConvergence|PushdownConvergence)' -count 1 -v .
 
 # Native fuzzing of the decoders that read bytes from outside the
-# process: the binary event codec (replication frames, WAL payloads)
-# and WAL recovery over whole files. One target per invocation is a
+# process: the binary event codec (replication frames, WAL payloads),
+# WAL recovery over whole files, snapshot restore, and the segment
+# files a disk-tiered store finds on open. One target per invocation is a
 # `go test -fuzz` rule. The seed corpora run in plain `go test` (tier-1)
 # too; a failure is written to the package's testdata/fuzz/ — commit it.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEvents$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/warehouse
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayLog$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/warehouse
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreSnapshot$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/warehouse
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSegment$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/warehouse/store
 
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkObsOverhead -benchtime 20000x .

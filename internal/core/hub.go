@@ -6,6 +6,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xdmodfed/internal/aggregate"
@@ -60,39 +61,25 @@ func (m Member) Quarantined(t time.Time) bool {
 	return !m.QuarantinedUntil.IsZero() && t.Before(m.QuarantinedUntil)
 }
 
-// realmAggState tracks how one realm's hub aggregation tables relate
-// to the replicated raw data. All fields are guarded by Hub.mu.
+// realmAggState orders everything that changes one realm's replicated
+// raw rows or its hub aggregation tables. Whoever does holds mu for the
+// whole change: a batch from its raw apply through its fold or scoped
+// recompute, a rebuild from its scan through its install, a pushdown
+// delta apply, a loose load. So a reader that takes mu never finds the
+// aggregates behind raw rows it could have seen before taking it.
 //
-// The incremental fold, the scoped recompute and the full rebuild
-// coordinate through it:
+// dirty means the whole realm must be rebuilt. It is set by what no
+// group scope can express — a truncate or bulk load, a pushdown delta
+// that resets or carries bins, a loose reload (also one that failed
+// partway) — and by a failed apply, fold or recompute; a rebuild clears
+// it. It is written only with mu held and read lock-free by Status.
 //
-//   - gen counts data arrivals for the realm. A recompute snapshots it
-//     before scanning; if it moved by the time the recompute finishes,
-//     rows may have been missed, so what it claimed stays pending.
-//   - folding counts in-flight batches registered to fold, or to add
-//     their groups to scope, once their raw rows are applied. A
-//     recompute waits for it to drain so a fold can never re-add facts
-//     the recompute's scan already counted (or vice versa), and
-//     EnsureAggregated waits for it so a reader that has observed
-//     replicated raw rows never sees aggregates from before those rows
-//     (a batch registers here before its raw rows become visible).
-//   - rebuilding blocks new folds (their groups join scope instead), so
-//     a fold can never land between a recompute's scan and its install.
-//
-// scope holds the groups an update or delete batch changed — and, while
-// it is pending or being recomputed, the groups of every later batch —
-// and the batch recomputes it before ApplyBatch returns. dirty means
-// the whole realm must be rebuilt, and overrides scope: it is set by
-// what no group scope can express — a truncate or bulk load, a pushdown
-// delta that resets or carries bins, a loose reload (also one that
-// failed partway), a failed fold or recompute. EnsureAggregated brings
-// every realm with either current.
+// Lock order: realm mutexes first, in realm-name order; then Hub.mu
+// (realmSources reads the members with a realm mutex held, so nothing
+// may take a realm mutex while holding Hub.mu); warehouse locks last.
 type realmAggState struct {
-	dirty      bool            // the whole realm's aggregates may lag raw data
-	scope      aggregate.Scope // groups whose aggregates may lag raw data; nil when none
-	gen        uint64          // bumped whenever replicated data for this realm lands
-	rebuilding bool            // a rebuild or scoped recompute is in flight
-	folding    int             // in-flight batches still to fold or add to scope
+	mu    sync.Mutex
+	dirty atomic.Bool
 }
 
 // Hub is a federation hub: an XDMoD instance of its own (it has a
@@ -126,9 +113,11 @@ type Hub struct {
 	maxFrame      int64
 
 	mu      sync.Mutex
-	cond    *sync.Cond // broadcast on fold/rebuild transitions
 	members map[string]*Member
-	realms  map[string]*realmAggState // realm name -> aggregation state
+
+	// realms maps a realm name to its aggregation state; filled in
+	// NewHub and read-only afterwards.
+	realms map[string]*realmAggState
 
 	// factRealms maps a realm fact table name to its realm, so the
 	// apply path can classify replicated events per realm.
@@ -185,7 +174,6 @@ func NewHub(cfg config.InstanceConfig) (*Hub, error) {
 		heartbeat:     hb,
 		maxFrame:      cfg.Replication.MaxFrameBytes,
 	}
-	h.cond = sync.NewCond(&h.mu)
 	for _, name := range in.Registry.Names() {
 		info, _ := in.Registry.Get(name)
 		h.realms[name] = &realmAggState{}
@@ -194,15 +182,17 @@ func NewHub(cfg config.InstanceConfig) (*Hub, error) {
 	return h, nil
 }
 
-// realmStateLocked returns the aggregation state for a realm, creating
-// it if needed. Caller must hold h.mu.
-func (h *Hub) realmStateLocked(name string) *realmAggState {
-	st, ok := h.realms[name]
-	if !ok {
-		st = &realmAggState{}
-		h.realms[name] = st
+// lockRealms locks the named realms' mutexes, which must come in name
+// order, and returns the function that unlocks them.
+func (h *Hub) lockRealms(names []string) (unlock func()) {
+	for _, name := range names {
+		h.realms[name].mu.Lock()
 	}
-	return st
+	return func() {
+		for _, name := range names {
+			h.realms[name].mu.Unlock()
+		}
+	}
 }
 
 // Register adds a satellite to the federation's membership. Only
@@ -337,9 +327,8 @@ func (h *Hub) pushdownFactsFor(instance string) map[string]bool {
 // partial-aggregate deltas land in its pagg tables (the durable,
 // idempotent bin store) and the realm is marked dirty for rebuild when
 // the delta is a reset (bins may also have disappeared), failed, or
-// carried at least one bin. Like ApplyBatch, each realm bumps its
-// generation after the apply so a rebuild that was scanning mid-apply
-// can never clear the dirty mark while missing these bins.
+// carried at least one bin. The realm's mutex is held across the apply
+// and the mark, so no reader finds the new bins with the realm clean.
 func (h *Hub) ApplyDeltas(ctx context.Context, instance string, upTo uint64, deltas []aggregate.Delta) error {
 	sctx, sp := obs.StartSpan(ctx, "hub.ApplyDeltas")
 	sp.SetAttr("instance", instance)
@@ -359,18 +348,16 @@ func (h *Hub) ApplyDeltas(ctx context.Context, instance string, upTo uint64, del
 		if !granted[info.FactTable] {
 			return fmt.Errorf("core: realm %q is not pushdown-granted for member %q", d.Realm, instance)
 		}
+		st := h.realms[d.Realm]
+		st.mu.Lock()
 		_, dsp := obs.StartSpan(sctx, "hub.ApplyDelta")
 		dsp.SetAttr("realm", d.Realm)
 		n, err := h.Engine.ApplyDelta(info, schema, d)
 		dsp.End()
-		h.mu.Lock()
-		st := h.realmStateLocked(d.Realm)
-		st.gen++
 		if err != nil || d.Reset || n > 0 {
-			st.dirty = true
+			st.dirty.Store(true)
 		}
-		h.cond.Broadcast()
-		h.mu.Unlock()
+		st.mu.Unlock()
 		if err != nil {
 			coreLog.Error("pushdown delta apply failed",
 				"instance", instance, "realm", d.Realm, "err", err)
@@ -445,14 +432,10 @@ func (h *Hub) ApplyBatchCtx(ctx context.Context, instance string, upTo uint64, e
 	if err := h.quarantineGate(instance); err != nil {
 		return err
 	}
-	// Classify the batch and register its aggregation work BEFORE the
-	// raw rows become visible: a fold or a scoped batch increments
-	// folding, a batch no scope expresses marks its realm dirty. Any
-	// reader that later observes the replicated raw rows and calls
-	// EnsureAggregated therefore either finds the registration (and
-	// waits for it / recomputes the realm) or the aggregation already
-	// done — raw data can never be ahead of what EnsureAggregated
-	// accounts for.
+	// Classify the batch per realm, then hold the mutex of every realm it
+	// touches from the raw apply through the aggregation work, so a
+	// reader that takes a realm's mutex never sees these raw rows ahead
+	// of the aggregates that cover them.
 	deltas := map[string]*realmDelta{}
 	pushFacts := h.pushdownFactsFor(instance)
 	for _, ev := range events {
@@ -464,66 +447,36 @@ func (h *Hub) ApplyBatchCtx(ctx context.Context, instance string, upTo uint64, e
 		}
 		h.classifyEvent(deltas, ev)
 	}
+	names := make([]string, 0, len(deltas))
+	for name := range deltas {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	defer h.lockRealms(names)()
 	for _, d := range deltas {
 		if !d.dirty && len(d.updated) > 0 {
 			h.readReplaced(d)
 		}
 	}
-	var folds, scoped, dirtied []*realmDelta
-	h.mu.Lock()
-	for name, d := range deltas {
-		st := h.realmStateLocked(name)
-		st.gen++
-		switch {
-		case d.dirty || st.dirty:
-			// The batch itself needs a rebuild, or the realm already
-			// needs one that will cover these rows from the raw tables.
-			st.dirty = true
-			dirtied = append(dirtied, d)
-		case d.scoped() || st.scope != nil || st.rebuilding:
-			// Updates or deletes — or a realm whose groups are pending or
-			// being recomputed, which a fold must not race: the batch's
-			// groups join the scope once its rows are applied.
-			st.folding++
-			scoped = append(scoped, d)
-		default:
-			st.folding++
-			folds = append(folds, d)
+	// A failed apply leaves the touched realms for a rebuild from the
+	// raw tables, which covers whatever prefix did apply.
+	dirtyAll := func() {
+		for _, name := range names {
+			h.realms[name].dirty.Store(true)
 		}
-	}
-	h.mu.Unlock()
-	// settle closes out the registrations once the raw apply's outcome
-	// is known: failed folds and scopes downgrade to dirty realms (the
-	// applied prefix is covered by a rebuild from the raw tables), and
-	// realms that went dirty bump gen again so a rebuild that scanned
-	// mid-apply can never clear them while missing this batch's rows.
-	settle := func(foldsOK bool) {
-		h.mu.Lock()
-		if !foldsOK {
-			for _, d := range append(folds, scoped...) {
-				st := h.realmStateLocked(d.info.Name)
-				st.folding--
-				st.dirty = true
-			}
-		}
-		for _, d := range dirtied {
-			h.realmStateLocked(d.info.Name).gen++
-		}
-		h.cond.Broadcast()
-		h.mu.Unlock()
 	}
 
 	// The whole batch lands as one write transaction: one lock
 	// acquisition and one columnar-snapshot publish per touched table.
 	// On failure the applied prefix stays applied (matching the old
-	// per-event behavior), identity bookkeeping covers exactly that
-	// prefix, and the affected realms are rebuilt from the raw tables.
+	// per-event behavior) and identity bookkeeping covers exactly that
+	// prefix.
 	applied, err := h.DB.ApplyAll(events)
 	for _, ev := range events[:applied] {
 		h.observeIdentity(instance, ev)
 	}
 	if err != nil {
-		settle(false)
+		dirtyAll()
 		lsn := uint64(0)
 		if applied < len(events) {
 			lsn = events[applied].LSN
@@ -533,7 +486,7 @@ func (h *Hub) ApplyBatchCtx(ctx context.Context, instance string, upTo uint64, e
 		return err
 	}
 	if err := h.Positions.Set(instance, upTo); err != nil {
-		settle(false)
+		dirtyAll()
 		return err
 	}
 	mHubApplied.With(instance).Add(uint64(len(events)))
@@ -563,52 +516,36 @@ func (h *Hub) ApplyBatchCtx(ctx context.Context, instance string, upTo uint64, e
 	}
 	h.mu.Unlock()
 
-	for _, d := range folds {
-		_, fsp := obs.StartSpan(sctx, "hub.IncrementalFold")
-		fsp.SetAttr("realm", d.info.Name)
-		fsp.SetAttr("rows", fmt.Sprintf("%d", len(d.rows)))
-		_, err := h.Engine.ApplyFactRows(d.info, d.schema, d.rows)
-		fsp.End()
-		h.mu.Lock()
-		st := h.realmStateLocked(d.info.Name)
-		st.folding--
+	for _, name := range names {
+		d, st := deltas[name], h.realms[name]
+		var err error
+		switch {
+		case d.dirty || st.dirty.Load():
+			// The batch itself needs a rebuild, or the realm already
+			// needs one that will cover these rows from the raw tables.
+			st.dirty.Store(true)
+		case d.scoped():
+			_, rsp := obs.StartSpan(sctx, "hub.ScopedRecompute")
+			rsp.SetAttr("realm", name)
+			var sc aggregate.Scope
+			if sc, err = h.Engine.ScopeOf(d.info, d.schema, d.scopeRows()); err == nil {
+				_, err = h.Engine.ReaggregateFrom(d.info, h.realmSources(d.info), sc)
+			}
+			rsp.End()
+		default:
+			_, fsp := obs.StartSpan(sctx, "hub.IncrementalFold")
+			fsp.SetAttr("realm", name)
+			fsp.SetAttr("rows", fmt.Sprintf("%d", len(d.rows)))
+			_, err = h.Engine.ApplyFactRows(d.info, d.schema, d.rows)
+			fsp.End()
+		}
 		if err != nil {
-			// The fold may be partial; the raw rows are safely applied,
-			// so a rebuild restores consistency.
-			st.dirty = true
-			coreLog.Error("incremental fold failed; realm queued for rebuild",
-				"instance", instance, "realm", d.info.Name, "err", err)
+			// The fold or recompute may be partial; the raw rows are
+			// safely applied, so a rebuild restores consistency.
+			st.dirty.Store(true)
+			coreLog.Error("aggregation after apply failed; realm queued for rebuild",
+				"instance", instance, "realm", name, "err", err)
 		}
-		h.cond.Broadcast()
-		h.mu.Unlock()
-	}
-	for _, d := range scoped {
-		sc, err := h.Engine.ScopeOf(d.info, d.schema, d.scopeRows())
-		h.mu.Lock()
-		st := h.realmStateLocked(d.info.Name)
-		st.folding--
-		if err != nil {
-			st.dirty = true
-			coreLog.Error("recompute scope failed; realm queued for rebuild",
-				"instance", instance, "realm", d.info.Name, "err", err)
-		} else {
-			st.scope.Add(sc)
-		}
-		h.cond.Broadcast()
-		h.mu.Unlock()
-	}
-	settle(true)
-	// Finish the scoped realms the way a fold finishes: the batch's
-	// groups are recomputed before ApplyBatch returns. A recompute that
-	// fails leaves its realm dirty, and the next read rebuilds it.
-	for _, d := range scoped {
-		_, rsp := obs.StartSpan(sctx, "hub.ScopedRecompute")
-		rsp.SetAttr("realm", d.info.Name)
-		if _, err := h.rebuildRealm(d.info.Name, false); err != nil {
-			coreLog.Error("scoped recompute failed; realm queued for rebuild",
-				"instance", instance, "realm", d.info.Name, "err", err)
-		}
-		rsp.End()
 	}
 	// No explicit epoch bump: every commit above (raw apply, fold and
 	// recompute installs) bumped its own schema's epoch, so once
@@ -820,38 +757,36 @@ func (h *Hub) Close() {
 // additive fold cannot express, so each realm whose fact table was
 // (re)loaded is marked dirty for rebuild — also when the load fails
 // partway, since the tables replaced before the failure stay replaced.
+// Every realm's mutex is held across the load and the marks, so no
+// reader finds loaded rows while their realm still reads clean.
 func (h *Hub) LoadLooseDump(instance string, r io.Reader) error {
 	if err := h.authorize(instance); err != nil {
 		return err
 	}
+	unlock := h.lockRealms(h.Registry.Names())
 	loaded, loadErr := replicate.Load(h.DB, instance, r)
 	loadedSet := make(map[string]bool, len(loaded))
 	for _, t := range loaded {
 		loadedSet[t] = true
 	}
 	schema := replicate.HubSchema(instance)
-	var touched []string
 	var newest time.Time
 	for _, name := range h.Registry.Names() {
 		info, _ := h.Registry.Get(name)
 		if !loadedSet[info.FactTable] {
 			continue
 		}
-		touched = append(touched, name)
+		h.realms[name].dirty.Store(true)
 		if t := h.newestFactTime(schema, info); t.After(newest) {
 			newest = t
 		}
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, name := range touched {
-		st := h.realmStateLocked(name)
-		st.gen++
-		st.dirty = true
-	}
+	unlock()
 	if loadErr != nil {
 		return loadErr
 	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	if m, ok := h.members[instance]; ok {
 		m.Mode = "loose"
 		m.LastBatch = h.now()
@@ -903,67 +838,25 @@ func (h *Hub) realmSources(info realm.Info) []aggregate.Source {
 	return sources
 }
 
-// rebuildRealm brings one realm's aggregation tables up to the raw data
-// of all member schemas plus the hub's own, coordinating with the
-// incremental fold path: it waits for in-flight batches to drain,
-// claims what is pending — the whole realm when it is dirty, else the
-// scope's groups — and blocks new folds while running (their groups
-// join the scope instead). What it claimed counts as done only when no
-// new data landed mid-scan; otherwise the realm stays dirty, or the
-// claimed groups go back into the scope. With force=true the whole
-// realm is rebuilt even when clean (the admin / config-change path).
-//
-// Nothing else serializes rebuilds. Concurrent callers for one realm
-// queue on the wait below — rebuilding is set and cleared under h.mu —
-// and a force=false caller re-checks what is pending after its wait,
-// so a queue of EnsureAggregated callers collapses into the first
-// one's recompute and the rest return at once. (Two hub-wide mutexes
-// used to give these two guarantees before the per-realm state
-// existed.)
+// rebuildRealm rebuilds one realm's aggregation tables from the raw
+// data of all member schemas plus the hub's own, holding the realm's
+// mutex from the scan through the install. Unless force is set (the
+// admin / config-change path), a clean realm is left alone — so a queue
+// of EnsureAggregated callers collapses into the first one's rebuild,
+// and the rest find the realm clean and return.
 func (h *Hub) rebuildRealm(name string, force bool) (int, error) {
 	info, ok := h.Registry.Get(name)
 	if !ok {
 		return 0, fmt.Errorf("core: hub has no realm %q", name)
 	}
-	h.mu.Lock()
-	st := h.realmStateLocked(name)
-	for st.rebuilding || st.folding > 0 {
-		h.cond.Wait()
-	}
-	if !force && !st.dirty && st.scope == nil {
-		h.mu.Unlock()
+	st := h.realms[name]
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if !force && !st.dirty.Load() {
 		return 0, nil
 	}
-	st.rebuilding = true
-	gen0 := st.gen
-	claimed := st.scope
-	st.scope = nil
-	var scope aggregate.Scope // nil: the whole realm
-	if !force && !st.dirty {
-		scope = claimed
-	}
-	h.mu.Unlock()
-
-	// Resolved after gen0: a member schema that appears later bumps gen
-	// on arrival, so the realm stays dirty instead of losing its rows.
-	n, err := h.Engine.ReaggregateFrom(info, h.realmSources(info), scope)
-
-	h.mu.Lock()
-	st.rebuilding = false
-	switch {
-	case err != nil:
-		st.dirty = true
-	case st.gen != gen0:
-		// A batch landed while scanning and may or may not be in the
-		// result: what was claimed stays pending, and a dirty realm
-		// stays dirty for the next read.
-		st.scope.Add(claimed)
-	case scope == nil:
-		// No data landed while scanning: the rebuilt realm is current.
-		st.dirty = false
-	}
-	h.cond.Broadcast()
-	h.mu.Unlock()
+	n, err := h.Engine.ReaggregateFrom(info, h.realmSources(info), nil)
+	st.dirty.Store(err != nil)
 	return n, err
 }
 
@@ -991,28 +884,13 @@ func (h *Hub) AggregateFederation() (map[string]int, error) {
 	return counts, nil
 }
 
-// EnsureAggregated brings every realm with a pending rebuild or
-// scoped recompute current before a read. It first waits for in-flight
-// batches to drain: a batch registers its fold or scope before its raw
-// rows become visible, so a reader that polls the raw tables and then
-// calls EnsureAggregated is guaranteed aggregates covering every raw
-// row it saw. Realms kept current by ApplyBatch then cost nothing here,
-// and a queue of concurrent callers collapses into a single recompute
-// (see rebuildRealm).
+// EnsureAggregated rebuilds every dirty realm before a read. It takes
+// each realm's mutex in turn, so a reader that has seen a batch's raw
+// rows gets there only after the batch's fold or recompute, and is
+// guaranteed aggregates covering every raw row it saw. Realms kept
+// current by ApplyBatch cost one uncontended lock here.
 func (h *Hub) EnsureAggregated() error {
-	h.mu.Lock()
-	for h.anyFoldingLocked() {
-		h.cond.Wait()
-	}
-	var pending []string
-	for name, st := range h.realms {
-		if st.dirty || st.scope != nil {
-			pending = append(pending, name)
-		}
-	}
-	h.mu.Unlock()
-	sort.Strings(pending)
-	for _, name := range pending {
+	for _, name := range h.Registry.Names() {
 		if _, err := h.rebuildRealm(name, false); err != nil {
 			return err
 		}
@@ -1020,30 +898,15 @@ func (h *Hub) EnsureAggregated() error {
 	return nil
 }
 
-func (h *Hub) anyFoldingLocked() bool {
-	for _, st := range h.realms {
-		if st.folding > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// dirtyRealms returns the realms needing a rebuild, sorted by name.
+// dirtyRealms returns the realms needing a rebuild, sorted by name,
+// without waiting for any realm's mutex.
 func (h *Hub) dirtyRealms() []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.dirtyRealmsLocked()
-}
-
-func (h *Hub) dirtyRealmsLocked() []string {
 	var out []string
-	for name, st := range h.realms {
-		if st.dirty {
+	for _, name := range h.Registry.Names() {
+		if h.realms[name].dirty.Load() {
 			out = append(out, name)
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 

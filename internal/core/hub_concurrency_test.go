@@ -1,0 +1,256 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+	"time"
+
+	"xdmodfed/internal/aggregate"
+	"xdmodfed/internal/realm/jobs"
+	"xdmodfed/internal/realm/storage"
+	"xdmodfed/internal/replicate"
+	"xdmodfed/internal/shredder"
+	"xdmodfed/internal/warehouse"
+)
+
+// TestConcurrentMembersReadersAndRebuilds drives every hub path that
+// changes a realm's raw rows or its aggregates at once: two members
+// apply batches concurrently — job inserts, updates and deletes,
+// storage re-samples, one Jobs truncate and refill each — while
+// readers poll the replicated raw rows and chart them, and an admin
+// loop rebuilds the whole federation.
+//
+// A reader that has seen raw rows must never be served a chart that
+// lacks them. No batch lowers a member's job count, so the jobs chart a
+// reader gets may not show fewer jobs than the raw rows it counted just
+// before. At quiescence the aggregation tables must equal a fresh
+// rebuild's key for key (each member feeds groups of its own, and every
+// measure is a whole number, so no cell depends on fold order), and the
+// hub must be clean.
+func TestConcurrentMembersReadersAndRebuilds(t *testing.T) {
+	hub, err := NewHub(hubCfg("hub"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := []string{"a", "b"}
+	for _, m := range members {
+		if err := hub.Register(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	rawJobs := func() int {
+		var tabs []*warehouse.Table
+		for _, m := range members {
+			if tab, err := hub.DB.TableIn(replicate.HubSchema(m), jobs.FactTable); err == nil {
+				tabs = append(tabs, tab)
+			}
+		}
+		n := 0
+		hub.DB.View(func() error {
+			for _, tab := range tabs {
+				n += tab.Len()
+			}
+			return nil
+		})
+		return n
+	}
+	chartJobs := func() (int, error) {
+		series, err := hub.Query("Jobs", aggregate.Request{MetricID: jobs.MetricNumJobs, Period: aggregate.Year})
+		total := 0.0
+		for _, s := range series {
+			total += s.Aggregate
+		}
+		return int(total), err
+	}
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				seen := rawJobs()
+				got, err := chartJobs()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got < seen {
+					t.Errorf("chart shows %d jobs after the reader saw %d replicated job rows", got, seen)
+					return
+				}
+			}
+		}()
+	}
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := hub.AggregateFederation(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+
+	var writers sync.WaitGroup
+	live := make([]int, len(members))
+	for i, m := range members {
+		writers.Add(1)
+		go func(i int, m string) {
+			defer writers.Done()
+			live[i] = feedMember(t, hub, m, int64(i+1))
+		}(i, m)
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	if t.Failed() {
+		return
+	}
+
+	got, err := chartJobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := live[0] + live[1]; got != want {
+		t.Fatalf("jobs chart shows %d jobs, the members hold %d", got, want)
+	}
+	if st := hub.Status(); st.Dirty {
+		t.Fatalf("hub dirty at quiescence: %v", st.DirtyRealms)
+	}
+	realms := []string{"Jobs", "Cloud", "Storage"}
+	served := map[string][]string{}
+	for _, name := range realms {
+		served[name] = hubAggSnapshot(t, hub, name)
+	}
+	if _, err := hub.AggregateFederation(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range realms {
+		rebuilt := hubAggSnapshot(t, hub, name)
+		if len(rebuilt) != len(served[name]) {
+			t.Fatalf("%s: hub served %d aggregation rows, a rebuild computes %d", name, len(served[name]), len(rebuilt))
+		}
+		for i := range rebuilt {
+			if rebuilt[i] != served[name][i] {
+				t.Fatalf("%s row %d differs:\n served  %s\n rebuilt %s", name, i, served[name][i], rebuilt[i])
+			}
+		}
+	}
+}
+
+// feedMember plays one member: a feeder warehouse whose binlog ships to
+// the hub batch by batch, like a tight sender's. Every batch inserts at
+// least as many jobs as it deletes. It returns the member's job count.
+func feedMember(t *testing.T, hub *Hub, member string, seed int64) int {
+	rng := rand.New(rand.NewSource(seed))
+	sat := warehouse.Open(member)
+	if _, err := jobs.Setup(sat); err != nil {
+		t.Error(err)
+		return 0
+	}
+	if _, err := storage.Setup(sat); err != nil {
+		t.Error(err)
+		return 0
+	}
+	jobTab, err := sat.TableIn(jobs.SchemaName, jobs.FactTable)
+	if err != nil {
+		t.Error(err)
+		return 0
+	}
+	resource := "cluster-" + member
+	t0 := time.Date(2017, 3, 1, 0, 0, 0, 0, time.UTC)
+	job := func(id int64) map[string]any {
+		end := t0.Add(time.Duration(rng.Intn(24*20)) * time.Hour)
+		wall := time.Duration(1+rng.Intn(8)) * time.Hour
+		row, err := jobs.FactFromRecord(shredder.JobRecord{LocalJobID: id, User: fmt.Sprintf("%s-u%d", member, rng.Intn(3)),
+			Account: "acct", Resource: resource, Queue: "batch", Nodes: 1, Cores: int64(1 + rng.Intn(16)),
+			Submit: end.Add(-wall - time.Hour), Start: end.Add(-wall), End: end}, nil)
+		if err != nil {
+			panic(err)
+		}
+		return row
+	}
+	snap := func(day, hour int) map[string]any {
+		files := int64(rng.Intn(1 << 20))
+		return storage.FactRow(storage.Snapshot{Resource: "fs-" + member, ResourceType: "persistent", Mountpoint: "/home",
+			User: fmt.Sprintf("%s-u%d", member, rng.Intn(2)), PI: "p", Timestamp: t0.AddDate(0, 0, day).Add(time.Duration(hour) * time.Hour),
+			FileCount: files, LogicalBytes: 1000 * files, PhysicalBytes: 1200 * files})
+	}
+
+	rw := replicate.NewRewriter(member, replicate.Filter{})
+	var pos uint64
+	var ids []int64
+	var nextID int64 = 1
+	for round := 0; round < 30; round++ {
+		err := sat.Do(func() error {
+			for n := 0; n < 3; n++ {
+				if err := jobTab.Upsert(job(nextID)); err != nil {
+					return err
+				}
+				ids = append(ids, nextID)
+				nextID++
+			}
+			for n := 0; n < 2; n++ { // updates
+				if err := jobTab.Upsert(job(ids[rng.Intn(len(ids))])); err != nil {
+					return err
+				}
+			}
+			if round%2 == 1 { // a delete
+				k := rng.Intn(len(ids))
+				jobTab.DeleteByKey(resource, ids[k])
+				ids = append(ids[:k], ids[k+1:]...)
+			}
+			if round == 15 { // truncate and refill: the realm goes dirty
+				jobTab.Truncate()
+				for _, id := range ids {
+					if err := jobTab.Upsert(job(id)); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		// A new day's sample, and a later re-sample of an earlier day.
+		if err := sat.Upsert(storage.SchemaName, storage.FactTable, snap(round, 6)); err != nil {
+			t.Error(err)
+			return 0
+		}
+		if err := sat.Upsert(storage.SchemaName, storage.FactTable, snap(round/2, 12+round%12)); err != nil {
+			t.Error(err)
+			return 0
+		}
+
+		evs, err := sat.Binlog().ReadFrom(pos, 0)
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		out, upTo := rw.ProcessBatch(evs)
+		if err := hub.ApplyBatch(member, upTo, out); err != nil {
+			t.Error(err)
+			return 0
+		}
+		pos = upTo
+	}
+	return len(ids)
+}

@@ -249,7 +249,9 @@ func (in *Instance) QueryStatsCtx(ctx context.Context, realmName string, req agg
 }
 
 // AggregateAll (re)aggregates every realm from the instance's own raw
-// data — the daily aggregation run.
+// data. A restart runs it after replaying the WAL or restoring a
+// snapshot, since aggregation tables are never logged; ingest keeps
+// them current between restarts.
 func (in *Instance) AggregateAll() error {
 	_, sp := obs.StartSpan(context.Background(), "instance.AggregateAll")
 	defer sp.End()
@@ -262,30 +264,6 @@ func (in *Instance) AggregateAll() error {
 		}
 	}
 	return nil
-}
-
-// RunDailyAggregation re-aggregates every realm on a fixed interval —
-// the paper's "every day, aggregation processes run against newly
-// ingested data" (§II-C3). It blocks until ctx is cancelled and
-// returns the number of completed aggregation runs.
-func (in *Instance) RunDailyAggregation(ctx context.Context, interval time.Duration) (int, error) {
-	if interval <= 0 {
-		return 0, fmt.Errorf("core: aggregation interval must be positive")
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	runs := 0
-	for {
-		select {
-		case <-ctx.Done():
-			return runs, nil
-		case <-ticker.C:
-			if err := in.AggregateAll(); err != nil {
-				return runs, err
-			}
-			runs++
-		}
-	}
 }
 
 // Satellite is an instance that participates in federations as a data

@@ -352,14 +352,19 @@ func parseSegment(m []byte) (*segMeta, error) {
 	}
 	meta := &segMeta{rows: int(rows), dirs: make([]colDir, ncols)}
 	check := func(off, length uint64, align bool) error {
+		// Written so that no sum can wrap: off+length may exceed 2^64.
+		// An empty block is bounded too, since materialize slices it.
+		if n := uint64(len(body)); length > n || off > n-length {
+			return fmt.Errorf("store: block of %d bytes at offset %d outside segment body", length, off)
+		}
 		if length == 0 {
 			return nil
 		}
 		if align && off%8 != 0 {
 			return fmt.Errorf("store: misaligned block at offset %d", off)
 		}
-		if off < uint64(headerSize+ncols*dirEntry) || off+length > uint64(len(body)) {
-			return fmt.Errorf("store: block [%d,%d) outside segment body", off, off+length)
+		if off < uint64(headerSize+ncols*dirEntry) {
+			return fmt.Errorf("store: block at offset %d overlaps the segment directory", off)
 		}
 		return nil
 	}

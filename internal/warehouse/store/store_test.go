@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -296,5 +298,46 @@ func TestFormatLayoutIsAligned(t *testing.T) {
 	}
 	if !reflect.DeepEqual(lay.dirs[0].kind, KindInt) {
 		t.Fatal("layout must preserve column order")
+	}
+}
+
+// segmentWithDataOff seals sd in memory, points its first column's data
+// block at off, and re-signs the file, so only the block bounds are wrong.
+func segmentWithDataOff(t *testing.T, sd *SegmentData, off uint64) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := writeSegment(&buf, sd); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	putU64(b[headerSize+8:], off)
+	putU32(b[len(b)-footerSize:], crc32.Checksum(b[:len(b)-footerSize], castagnoli))
+	return b
+}
+
+// TestWrappingBlockOffsetIsTorn: a leftover segment whose block offset
+// is so large that offset+length wraps past 2^64 is a torn file like any
+// other — OpenDisk counts it and removes it instead of accepting it or
+// panicking while it verifies it.
+func TestWrappingBlockOffsetIsTorn(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string][]byte{
+		"00000001-s-int.seg": segmentWithDataOff(t, NewSegmentData(1, []Column{{Kind: KindInt, Ints: []int64{7}}}), 1<<64-8),
+		"00000002-s-str.seg": segmentWithDataOff(t, NewSegmentData(1, []Column{{Kind: KindString, Strs: []string{"abc"}}}), 1<<64-16),
+	}
+	for name, b := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tornBefore := mTornSegments.Value()
+	if _, err := OpenDisk(dir, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := mTornSegments.Value() - tornBefore; got != 2 {
+		t.Fatalf("torn counter advanced by %d, want 2", got)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*.seg")); len(left) != 0 {
+		t.Fatalf("open left files behind: %v", left)
 	}
 }
