@@ -21,11 +21,12 @@ test:
 # the fault-injection layer. The admission package (token buckets,
 # bounded queue, concurrency limiter) and the load harness that hammers
 # it are raced too — their whole job is concurrent arrival. The hub's
-# fold/rebuild coordination tests then run ten times over, since a lock
-# ordering bug shows up only in some interleavings.
+# fold/rebuild coordination tests and the warehouse's guard that a View
+# captures a table snapshot and the binlog head atomically then run ten
+# times over, since a locking bug shows up only in some interleavings.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/replicate/... ./internal/qcache/... ./internal/aggregate/... ./internal/core/... ./internal/rest/... ./internal/warehouse/... ./internal/faults/... ./internal/admission/... ./internal/loadgen/...
-	$(GO) test -race -count=10 -run '^(TestIncrementalFoldMatchesRebuild|TestConcurrentEnsureAggregatedRebuildsOnce|TestUpdateAndDeleteBatchesLeaveHubClean|TestBatchWaitsForRunningRecompute|TestConcurrentMembersReadersAndRebuilds)$$' ./internal/core
+	$(GO) test -race -count=10 -run '^(TestIncrementalFoldMatchesRebuild|TestConcurrentEnsureAggregatedRebuildsOnce|TestUpdateAndDeleteBatchesLeaveHubClean|TestBatchWaitsForRunningRecompute|TestConcurrentMembersReadersAndRebuilds|TestViewCapturesCommitAtomically)$$' ./internal/core ./internal/warehouse
 
 # Chaos end-to-end: a multi-satellite federation under seeded fault
 # injection (dropped connections, killed senders, torn WAL tails) must

@@ -192,7 +192,7 @@ func TestAggCodecRoundTrip(t *testing.T) {
 				{"columns + UpsertColumns, existing and new keys", tab.UpsertColumns, groups},
 				{"columns + ReplaceAllColumns", tab.ReplaceAllColumns, groups},
 			} {
-				err := db.DoSchema(AggSchema(info), func() error { return step.write(c.columns(step.groups)) })
+				err := db.Do(func() error { return step.write(c.columns(step.groups)) })
 				if err != nil {
 					t.Fatal(err)
 				}

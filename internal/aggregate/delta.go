@@ -462,18 +462,15 @@ func (df *DeltaFolder) Reset(excludeResources map[string]bool, resourceColumn st
 	}
 	var td *warehouse.TableData
 	var covered uint64
-	err = df.e.db.ViewSchemas([]string{df.info.Schema}, func() error {
-		// Both captures happen under the schema's read lock: a fact
-		// commit (table mutation + binlog append) is atomic with respect
-		// to this view, so the snapshot holds exactly the fact events at
-		// or below covered.
+	df.e.db.View(func() error {
+		// Both captures happen under the read lock: a fact commit (table
+		// mutation + binlog append) is atomic with respect to this view,
+		// so the snapshot holds exactly the fact events at or below
+		// covered.
 		td = tab.Data()
 		covered = df.e.db.Binlog().Last()
 		return nil
 	})
-	if err != nil {
-		return 0, err
-	}
 	if resourceColumn == "" {
 		resourceColumn = "resource"
 	}

@@ -102,7 +102,7 @@ func (e *Engine) ApplyFactRows(info realm.Info, sourceSchema string, rows [][]an
 	}
 
 	// Phase 2: merge into the aggregation tables in one transaction.
-	err = e.db.DoSchema(AggSchema(info), func() error {
+	err = e.db.Do(func() error {
 		for pi, tg := range targets {
 			if err := mergeGroupsInto(tg.tab, codec, groups[pi]); err != nil {
 				return err

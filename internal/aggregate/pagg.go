@@ -95,7 +95,7 @@ func (e *Engine) ApplyDelta(info realm.Info, schema string, d Delta) (int, error
 		tabs[period] = tab
 	}
 	rows := 0
-	err = e.db.DoSchema(schema, func() error {
+	err = e.db.Do(func() error {
 		for _, period := range Periods() {
 			install := tabs[period].UpsertColumns // carried bins replace by key
 			if d.Reset {

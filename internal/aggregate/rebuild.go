@@ -281,14 +281,14 @@ func forEachParallel(n int, fn func(i int)) {
 //
 // It scans the sources in parallel, merges the per-source partials in
 // source order (so floating-point accumulation associates exactly like
-// the sequential reference), and installs the result under the realm's
-// aggregate schema lock alone, so chart queries of other realms and
-// replication writes proceed meanwhile. A nil scope rebuilds the realm
-// and installs every table whole (ReplaceAllColumns). A scope refolds
-// only its groups — each source still scanned in position order and
-// merged in source order, so every recomputed group is bit-identical to
-// what a rebuild would write for it — and installs them with one batch
-// upsert per period, deleting the scoped groups that came out empty.
+// the sequential reference), and installs the result in one write
+// transaction; chart queries, which read lock-free, proceed meanwhile.
+// A nil scope rebuilds the realm and installs every table whole
+// (ReplaceAllColumns). A scope refolds only its groups — each source
+// still scanned in position order and merged in source order, so every
+// recomputed group is bit-identical to what a rebuild would write for
+// it — and installs them with one batch upsert per period, deleting the
+// scoped groups that came out empty.
 // A pushdown source cannot be restricted to groups, so a realm with one
 // ignores the scope and rebuilds. Returns the facts folded.
 func (e *Engine) ReaggregateFrom(info realm.Info, sources []Source, scope Scope) (int, error) {
@@ -308,11 +308,9 @@ func (e *Engine) ReaggregateFrom(info realm.Info, sources []Source, scope Scope)
 		}
 		kind = "groups"
 	}
-	sourceSchemas := make([]string, len(sources))
 	tabs := make([]*warehouse.Table, len(sources))       // fact sources
 	paggTabs := make([][]*warehouse.Table, len(sources)) // pushdown sources, indexed like Periods()
 	for i, s := range sources {
-		sourceSchemas[i] = s.Schema
 		if s.Pushdown {
 			paggTabs[i] = e.paggTables(info, s.Schema)
 			continue
@@ -324,14 +322,14 @@ func (e *Engine) ReaggregateFrom(info realm.Info, sources []Source, scope Scope)
 		tabs[i] = tab
 	}
 	// Capture the published snapshot of every source table inside one
-	// brief read transaction: the shard read locks exclude writers for
-	// a few pointer loads, so the snapshot set is a consistent cut
-	// across schemas even when one write transaction spans several of
-	// them. The scans themselves then run with no lock held at all —
-	// chart queries and replication writes proceed concurrently.
+	// brief read transaction: the read lock excludes writers for a few
+	// pointer loads, so the snapshot set is a consistent cut across
+	// schemas even when one write transaction spans several of them.
+	// The scans themselves then run with no lock held at all — chart
+	// queries and replication writes proceed concurrently.
 	facts := make([]*warehouse.TableData, len(sources))
 	paggData := make([][]*warehouse.TableData, len(sources))
-	err = e.db.ViewSchemas(sourceSchemas, func() error {
+	e.db.View(func() error {
 		for i, tab := range tabs {
 			if tab != nil {
 				facts[i] = tab.Data()
@@ -350,9 +348,6 @@ func (e *Engine) ReaggregateFrom(info realm.Info, sources []Source, scope Scope)
 		}
 		return nil
 	})
-	if err != nil {
-		return 0, err
-	}
 	mRebuilds.With(kind).Inc()
 	defer mRealmAggSeconds.With(info.Name, kind).ObserveSince(time.Now())
 	codec := newAggCodec(info)
@@ -386,7 +381,7 @@ func (e *Engine) ReaggregateFrom(info realm.Info, sources []Source, scope Scope)
 	for _, p := range partials {
 		merged.merge(p)
 	}
-	err = e.db.DoSchema(AggSchema(info), func() error {
+	err = e.db.Do(func() error {
 		for pi, tg := range targets {
 			var err error
 			if scope == nil {

@@ -95,8 +95,7 @@ func (s Scope) Len() int {
 // installScoped writes a scoped recompute's result into one period's
 // aggregation table: one batch upsert of the groups that came out
 // non-empty, then a delete of every scoped group that came out empty —
-// its last fact is gone. Must run under the aggregate schema's write
-// lock.
+// its last fact is gone. Must run under the DB write lock.
 func installScoped(tab *warehouse.Table, c *aggCodec, groups map[string]*accRow, scope map[string]scopeGroup) error {
 	if len(groups) > 0 {
 		if err := tab.UpsertColumns(c.columns(groups)); err != nil {

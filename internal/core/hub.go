@@ -669,7 +669,7 @@ func (h *Hub) readReplaced(d *realmDelta) {
 		at[i], _ = tab.ColumnIndex(c)
 	}
 	key, width := make([]any, len(pk)), len(tab.Columns())
-	h.DB.ViewSchemas([]string{d.schema}, func() error {
+	h.DB.View(func() error {
 		for _, row := range d.updated {
 			if len(row) != width {
 				continue // a malformed row fails the apply, and the realm is rebuilt

@@ -112,7 +112,7 @@ func (p *Pipeline) IngestJobRecords(recs []shredder.JobRecord) (Stats, error) {
 		}
 	}
 	if st.Ingested > 0 {
-		// The ingest's own commits bumped the touched shards' epochs,
+		// The ingest's own commits bumped the touched schemas' epochs,
 		// invalidating cached charts for exactly the realms written.
 		// Mark the binlog with this ingest's trace context, so the
 		// replication send and the hub apply join the same trace.

@@ -221,9 +221,12 @@ func TestPushdownEndToEnd(t *testing.T) {
 	if got := hub.Count(HubSchema("ccr"), jobs.FactTable); got != 0 {
 		t.Fatalf("live fact leaked as a raw row: %d", got)
 	}
-	if st := sender.Stats(); st.Mode != "pushdown" || st.Deltas < 2 || st.DeltaCovered != sat.Binlog().Last() {
-		t.Errorf("stats = %+v", st)
-	}
+	// The sink records a delta before the sender reads its ack, and the
+	// sender counts it only after: wait for the stats to catch up.
+	waitFor(t, func() bool {
+		st := sender.Stats()
+		return st.Mode == "pushdown" && st.Deltas >= 2 && st.DeltaCovered == sat.Binlog().Last()
+	})
 
 	// Reconnect: the sender must start over with a fresh reset delta
 	// (reset-on-connect makes kill/restart trivially convergent).

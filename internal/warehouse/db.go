@@ -2,6 +2,7 @@ package warehouse
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,12 +14,14 @@ import (
 // set of typed columnar tables, with an optional binlog recording every
 // mutation. A DB plays the role MySQL plays for a real XDMoD instance.
 //
-// All exported methods are safe for concurrent use. Write transactions
-// (Do and the mutation wrappers) hold the write lock and publish an
-// immutable snapshot of every table they touched when they commit;
-// DataFor resolves those snapshots through an atomically swapped
-// catalog, so scan-heavy readers (aggregation, chart queries,
-// replication extraction, snapshot dumps) never take the lock at all.
+// All exported methods are safe for concurrent use. One RWMutex orders
+// the DB: write transactions (Do and the mutation wrappers) hold it
+// exclusively and publish an immutable snapshot of every table they
+// touched when they commit; View, Scan, Count and snapshot collection
+// hold it shared. DataFor resolves the published snapshots through an
+// atomically swapped catalog, so scan-heavy readers (aggregation, chart
+// queries, replication extraction, snapshot dumps) never take the lock
+// at all.
 type DB struct {
 	name    string
 	mu      sync.RWMutex
@@ -33,24 +36,28 @@ type DB struct {
 	storage     store.Backend
 	hotTailRows int
 
-	// catalog is the lock-free name→table resolution map, rebuilt (rarely)
-	// on DDL. The inner maps are never mutated after publication.
-	catalog atomic.Pointer[map[string]map[string]*Table]
+	// catalog is the lock-free name resolution map, rebuilt (rarely) on
+	// DDL. Entries and their table maps are never mutated after
+	// publication.
+	catalog atomic.Pointer[map[string]catalogSchema]
 
-	// shards maps each schema to its shard domain — per-schema writer
-	// lock, epoch counter and dirty list (see shard.go). Rebuilt on DDL
-	// like the catalog; shardOrd assigns lock-ordering ranks (guarded
-	// by mu).
-	shards   atomic.Pointer[shardSet]
-	shardOrd int
+	// dirty lists the tables the in-flight write transaction mutated
+	// (guarded by mu); commit publishes each and clears the list.
+	dirty []*Table
 
 	// epoch is the root of the warehouse generation counter for the
 	// query-result cache (internal/qcache). Commits bump the touched
-	// schemas' shard epochs automatically; the root absorbs global
-	// invalidations (BumpEpoch, schema drops). The DB-wide generation
-	// reported by Epoch is the root plus the sum of all shard epochs,
-	// and EpochOf scopes the sum to the schemas a query actually read.
+	// schemas' epochs; the root absorbs global invalidations (BumpEpoch,
+	// schema drops). The DB-wide generation reported by Epoch is the
+	// root plus every schema's epoch, and EpochOf scopes the sum to the
+	// schema a query actually read.
 	epoch atomic.Uint64
+}
+
+// catalogSchema is one schema's entry in the lock-free catalog.
+type catalogSchema struct {
+	epoch  *atomic.Uint64
+	tables map[string]*Table
 }
 
 // Schema is a named group of tables (the paper replicates each
@@ -59,6 +66,13 @@ type Schema struct {
 	name   string
 	db     *DB
 	tables map[string]*Table
+
+	// epoch counts the write transactions that published any of the
+	// schema's tables, so the query cache can scope invalidation to the
+	// schema a chart reads. txnDirty marks the schema for the bump while
+	// a commit runs (guarded by db.mu).
+	epoch    atomic.Uint64
+	txnDirty bool
 }
 
 // Options configures a DB's tiered storage.
@@ -99,9 +113,7 @@ func OpenOptions(name string, opts Options) *DB {
 		storage:     opts.Storage,
 		hotTailRows: opts.HotTailRows,
 	}
-	empty := map[string]map[string]*Table{}
-	db.catalog.Store(&empty)
-	db.shards.Store(emptyShardSet)
+	db.catalog.Store(&map[string]catalogSchema{})
 	return db
 }
 
@@ -124,13 +136,27 @@ func (db *DB) Name() string { return db.name }
 func (db *DB) Binlog() *Binlog { return db.binlog }
 
 // Epoch returns the current warehouse generation: the root epoch plus
-// every schema's shard epoch. Commits bump the epochs of the schemas
-// they touched, so any committed write moves the value; it is monotone
+// every schema's epoch. Commits bump the epochs of the schemas they
+// touched, so any committed write moves the value; it is monotone
 // across sequential observations.
 func (db *DB) Epoch() uint64 {
 	e := db.epoch.Load()
-	for _, sh := range db.shards.Load().list {
-		e += sh.epoch.Load()
+	for _, s := range *db.catalog.Load() {
+		e += s.epoch.Load()
+	}
+	return e
+}
+
+// EpochOf returns the warehouse generation as observed through one
+// schema: the root epoch (global invalidations, schema drops) plus the
+// schema's epoch. A cached result that only read the schema is valid
+// iff the value is unchanged — commits against other schemas leave it
+// alone, which is what scopes query-cache invalidation to the realm a
+// chart actually reads.
+func (db *DB) EpochOf(schema string) uint64 {
+	e := db.epoch.Load()
+	if s, ok := (*db.catalog.Load())[schema]; ok {
+		e += s.epoch.Load()
 	}
 	return e
 }
@@ -141,8 +167,8 @@ func (db *DB) Epoch() uint64 {
 // root). Writers call it after their data is visible, so a reader that
 // observed a partial state necessarily read the epoch before the bump
 // and its cached result can never be served afterwards. Ordinary
-// commits no longer need it (commit bumps the touched schemas' shard
-// epochs itself); it remains for global invalidations.
+// commits no longer need it (commit bumps the touched schemas' epochs
+// itself); it remains for global invalidations.
 func (db *DB) BumpEpoch() uint64 { return db.epoch.Add(1) }
 
 func (db *DB) logEvent(ev Event) {
@@ -151,42 +177,44 @@ func (db *DB) logEvent(ev Event) {
 	}
 }
 
-// noteDirty records that t was mutated in the current write
-// transaction on its schema's shard. Called (via Table.markDirty)
-// while holding the lock that owns the table: either mu exclusively or
-// mu shared plus the shard lock.
-func (db *DB) noteDirty(t *Table) { t.shard.dirty = append(t.shard.dirty, t) }
-
 // commitLocked publishes a fresh immutable snapshot for every table the
-// finished transaction touched, bumping each touched schema's shard
-// epoch. Must run while holding mu exclusively (global transactions —
-// shard-scoped ones commit via commitShardLocked); after it returns,
+// finished transaction touched, then bumps each touched schema's epoch
+// once. Must run while holding mu exclusively; after it returns,
 // lock-free readers observe the transaction's effects.
 func (db *DB) commitLocked() {
-	for _, sh := range db.shards.Load().list {
-		db.commitShardLocked(sh)
+	for _, t := range db.dirty {
+		t.publish()
+		t.txnDirty = false
+		t.sch.txnDirty = true
 	}
+	for _, t := range db.dirty {
+		if t.sch.txnDirty {
+			t.sch.txnDirty = false
+			t.sch.epoch.Add(1)
+		}
+	}
+	clear(db.dirty)
+	db.dirty = db.dirty[:0]
 }
 
 // rebuildCatalogLocked republishes the lock-free catalog after DDL.
 func (db *DB) rebuildCatalogLocked() {
-	cat := make(map[string]map[string]*Table, len(db.schemas))
+	cat := make(map[string]catalogSchema, len(db.schemas))
 	for name, s := range db.schemas {
-		tabs := make(map[string]*Table, len(s.tables))
-		for tn, t := range s.tables {
-			tabs[tn] = t
-		}
-		cat[name] = tabs
+		cat[name] = catalogSchema{epoch: &s.epoch, tables: maps.Clone(s.tables)}
 	}
 	db.catalog.Store(&cat)
 }
 
-// createSchemaLocked installs a fresh schema (and its shard domain),
-// replacing any existing schema of the same name. Caller must hold mu.
+// createSchemaLocked installs a fresh schema, replacing any existing
+// schema of the same name (whose epoch the new one carries on). Caller
+// must hold mu.
 func (db *DB) createSchemaLocked(name string) *Schema {
 	s := &Schema{name: name, db: db, tables: make(map[string]*Table)}
+	if old := db.schemas[name]; old != nil {
+		s.epoch.Store(old.epoch.Load())
+	}
 	db.schemas[name] = s
-	db.ensureShardLocked(name)
 	db.rebuildCatalogLocked()
 	db.logEvent(Event{Kind: EvCreateSchema, Schema: name})
 	return s
@@ -222,11 +250,20 @@ func (db *DB) DropSchema(name string) error {
 	if _, ok := db.schemas[name]; !ok {
 		return fmt.Errorf("warehouse: schema %q does not exist", name)
 	}
-	delete(db.schemas, name)
-	db.dropShardLocked(name)
+	db.dropSchemaLocked(name)
+	return nil
+}
+
+// dropSchemaLocked removes a schema (if present), folding its epoch plus
+// one for the drop itself into the root epoch so Epoch and EpochOf never
+// move backwards, and logs the drop. Caller must hold mu.
+func (db *DB) dropSchemaLocked(name string) {
+	if s, ok := db.schemas[name]; ok {
+		db.epoch.Add(s.epoch.Load() + 1)
+		delete(db.schemas, name)
+	}
 	db.rebuildCatalogLocked()
 	db.logEvent(Event{Kind: EvDropSchema, Schema: name})
-	return nil
 }
 
 // Schema returns the named schema, or nil when absent.
@@ -255,7 +292,7 @@ func (s *Schema) Name() string { return s.name }
 // republishes the catalog and, for a logged table, logs the DDL.
 // Caller must hold mu.
 func (s *Schema) createTableLocked(def TableDef) (*Table, error) {
-	t, err := newTable(s.db, s.name, def)
+	t, err := newTable(s, def)
 	if err != nil {
 		return nil, err
 	}
@@ -316,14 +353,11 @@ func (db *DB) Do(fn func() error) error {
 	return fn()
 }
 
-// View runs fn while holding the read lock on the DB and on every
-// shard, so fn observes a consistent cut across all schemas: global
-// writers are excluded by the DB lock, shard-scoped writers by their
-// shard locks. Prefer ViewSchemas when the schemas fn reads are known.
+// View runs fn while holding the read lock, so fn observes a consistent
+// cut across all schemas: no write transaction commits while it runs.
 func (db *DB) View(fn func() error) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	defer db.lockAllShardsRead()()
 	return fn()
 }
 
@@ -381,8 +415,7 @@ func (db *DB) LoadColumns(schema, table string, cd *ColumnData) error {
 	return t.ReplaceAllColumns(cd)
 }
 
-// Scan iterates schema.table under the read lock (DB plus the table's
-// shard, excluding shard-scoped writers).
+// Scan iterates schema.table under the read lock.
 func (db *DB) Scan(schema, table string, fn func(Row) bool) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -390,8 +423,6 @@ func (db *DB) Scan(schema, table string, fn func(Row) bool) error {
 	if err != nil {
 		return err
 	}
-	t.shard.mu.RLock()
-	defer t.shard.mu.RUnlock()
 	t.Scan(fn)
 	return nil
 }
@@ -404,8 +435,6 @@ func (db *DB) Count(schema, table string) int {
 	if err != nil {
 		return 0
 	}
-	t.shard.mu.RLock()
-	defer t.shard.mu.RUnlock()
 	return t.Len()
 }
 
@@ -428,12 +457,12 @@ func (db *DB) lookupLocked(schema, table string) (*Table, error) {
 // consistent) for as long as the caller holds it, regardless of
 // concurrent writes.
 func (db *DB) DataFor(schema, table string) (*TableData, error) {
-	cat := *db.catalog.Load()
-	t, ok := cat[schema][table]
+	s, ok := (*db.catalog.Load())[schema]
 	if !ok {
-		if _, sok := cat[schema]; !sok {
-			return nil, fmt.Errorf("warehouse: schema %q does not exist", schema)
-		}
+		return nil, fmt.Errorf("warehouse: schema %q does not exist", schema)
+	}
+	t, ok := s.tables[table]
+	if !ok {
 		return nil, fmt.Errorf("warehouse: table %s.%s does not exist", schema, table)
 	}
 	return t.Data(), nil
@@ -459,18 +488,9 @@ func (db *DB) Apply(ev Event) error {
 // on. It returns how many events of the prefix were applied, so callers
 // that post-process applied events (identity observation, aggregation
 // classification) can cover exactly the applied prefix on error.
-//
-// A batch of pure row events against existing schemas — the steady
-// state of tight replication — applies as a shard-scoped transaction:
-// only the touched schemas' shard locks are taken, so batches from
-// different members land fully in parallel. Any DDL in the batch (or a
-// schema the catalog has not seen) falls back to the exclusive path.
 func (db *DB) ApplyAll(evs []Event) (int, error) {
 	if len(evs) == 0 {
 		return 0, nil
-	}
-	if n, err, ok := db.applyAllSharded(evs); ok {
-		return n, err
 	}
 	mTxns.Inc()
 	db.mu.Lock()
@@ -484,47 +504,6 @@ func (db *DB) ApplyAll(evs []Event) (int, error) {
 	return len(evs), nil
 }
 
-// applyAllSharded applies a DDL-free batch under the touched schemas'
-// shard locks. ok is false when the batch needs the exclusive path —
-// it carries DDL, or touches a schema that does not exist yet (the
-// exclusive path reproduces the legacy partial-apply error exactly).
-func (db *DB) applyAllSharded(evs []Event) (n int, err error, ok bool) {
-	var schemas []string
-	seen := map[string]bool{}
-	for _, ev := range evs {
-		switch ev.Kind {
-		case EvCreateSchema, EvDropSchema, EvCreateTable:
-			return 0, nil, false
-		}
-		if !seen[ev.Schema] {
-			seen[ev.Schema] = true
-			schemas = append(schemas, ev.Schema)
-		}
-	}
-	mTxns.Inc()
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	shards, rerr := db.resolveShards(schemas)
-	if rerr != nil {
-		return 0, nil, false
-	}
-	for _, sh := range shards {
-		sh.mu.Lock()
-	}
-	defer func() {
-		for i := len(shards) - 1; i >= 0; i-- {
-			db.commitShardLocked(shards[i])
-			shards[i].mu.Unlock()
-		}
-	}()
-	for i, ev := range evs {
-		if err := db.applyLocked(ev); err != nil {
-			return i, err, true
-		}
-	}
-	return len(evs), nil, true
-}
-
 func (db *DB) applyLocked(ev Event) error {
 	switch ev.Kind {
 	case EvCreateSchema:
@@ -533,10 +512,7 @@ func (db *DB) applyLocked(ev Event) error {
 		}
 		return nil
 	case EvDropSchema:
-		delete(db.schemas, ev.Schema)
-		db.dropShardLocked(ev.Schema)
-		db.rebuildCatalogLocked()
-		db.logEvent(Event{Kind: EvDropSchema, Schema: ev.Schema})
+		db.dropSchemaLocked(ev.Schema)
 		return nil
 	case EvCreateTable:
 		s, ok := db.schemas[ev.Schema]

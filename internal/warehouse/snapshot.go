@@ -47,12 +47,11 @@ func (db *DB) Snapshot(w io.Writer) error {
 }
 
 // SnapshotSchemas writes the named schemas (all when names is nil).
-// The read locks (DB plus every shard, so concurrent shard-scoped
-// writers cannot publish mid-collection) are held only long enough to
-// collect the published table snapshots — a few pointer loads — and
-// the (potentially large) encode runs against those immutable
-// snapshots with no lock held, so dumps never stall writers or other
-// readers.
+// The read lock (so no writer publishes mid-collection) is held only
+// long enough to collect the published table snapshots — a few pointer
+// loads — and the (potentially large) encode runs against those
+// immutable snapshots with no lock held, so dumps never stall writers
+// or other readers.
 func (db *DB) SnapshotSchemas(w io.Writer, names []string) error {
 	defer mSnapshotSeconds.ObserveSince(time.Now())
 	want := map[string]bool{}
@@ -60,7 +59,6 @@ func (db *DB) SnapshotSchemas(w io.Writer, names []string) error {
 		want[n] = true
 	}
 	db.mu.RLock()
-	unlockShards := db.lockAllShardsRead()
 	snap := snapshot{Version: snapshotVersion, Name: db.name, LastLSN: db.binlog.Last()}
 	type pending struct {
 		schema int
@@ -81,7 +79,6 @@ func (db *DB) SnapshotSchemas(w io.Writer, names []string) error {
 		}
 		snap.Schemas = append(snap.Schemas, ss)
 	}
-	unlockShards()
 	db.mu.RUnlock()
 	for _, p := range work {
 		snap.Schemas[p.schema].Tables[p.table].Data = p.td.columnData()

@@ -122,7 +122,7 @@ type Table struct {
 	// table is not derived (TableDef.Derived). Every logging site
 	// checks it before it builds an event payload.
 	logged     bool
-	shard      *shardState // the schema's shard domain (see shard.go)
+	sch        *Schema // owning schema, whose epoch the table's commits bump
 	sealed     []*sealedChunk
 	sealedRows int
 	tail       []colVec // positions [sealedRows, rows)
@@ -149,7 +149,7 @@ type secondaryIndex struct {
 // tombstones outnumber live rows.
 const compactMinDead = 256
 
-func newTable(db *DB, schema string, def TableDef) (*Table, error) {
+func newTable(s *Schema, def TableDef) (*Table, error) {
 	if err := def.Validate(); err != nil {
 		return nil, err
 	}
@@ -157,13 +157,10 @@ func newTable(db *DB, schema string, def TableDef) (*Table, error) {
 	t := &Table{
 		def:    d,
 		lay:    newLayout(d),
-		schema: schema,
-		db:     db,
-		logged: db.logging && !d.Derived,
-		shard:  db.shards.Load().byName[schema],
-	}
-	if t.shard == nil {
-		return nil, fmt.Errorf("warehouse: schema %q has no shard domain", schema)
+		schema: s.name,
+		db:     s.db,
+		logged: s.db.logging && !d.Derived,
+		sch:    s,
 	}
 	t.tail = freshCols(d)
 	for _, k := range d.PrimaryKey {
@@ -428,7 +425,7 @@ func (t *Table) tombstoneAt(pos int) {
 func (t *Table) markDirty() {
 	if !t.txnDirty {
 		t.txnDirty = true
-		t.db.noteDirty(t)
+		t.db.dirty = append(t.db.dirty, t)
 	}
 }
 
