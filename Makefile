@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race chaos fuzz bench bench-load bench-pushdown bench-check bench-pipeline loc check
+.PHONY: build vet test reach race chaos fuzz bench bench-load bench-pushdown bench-check bench-pipeline loc check
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,13 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# Reachability guard (also part of `test`): every function in internal/
+# must be linked into a binary under cmd/, examples/ or bench/cmd, or
+# carry a reachAllowlist entry in reach_test.go. -v prints the
+# allowlist with each entry's class and reason.
+reach:
+	$(GO) test -count=1 -run '^TestReachability$$' -v .
 
 # Race-check the packages with the most lock-free/concurrent code: the
 # metrics registry, the replication senders/receivers, the query-result

@@ -149,7 +149,7 @@ func BenchmarkWALDurability(b *testing.B) {
 			var w *warehouse.LogWriter
 			if durable {
 				var err error
-				w, err = warehouse.OpenLogWriter(db, filepath.Join(b.TempDir(), "binlog.wal"), db.Binlog().Last())
+				w, err = warehouse.OpenLogWriterOpts(db, filepath.Join(b.TempDir(), "binlog.wal"), db.Binlog().Last(), warehouse.WALOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

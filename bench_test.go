@@ -156,7 +156,7 @@ func BenchmarkReplicationApply(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for _, ev := range out {
-		if err := dst.Apply(ev); err != nil {
+		if _, err := dst.ApplyAll([]warehouse.Event{ev}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -207,10 +207,8 @@ type benchSink struct {
 
 func (s *benchSink) Resume(instance string) (uint64, error) { return s.ps.Get(instance), nil }
 func (s *benchSink) ApplyBatch(instance string, upTo uint64, events []warehouse.Event) error {
-	for _, ev := range events {
-		if err := s.hub.Apply(ev); err != nil {
-			return err
-		}
+	if _, err := s.hub.ApplyAll(events); err != nil {
+		return err
 	}
 	return s.ps.Set(instance, upTo)
 }
@@ -221,7 +219,7 @@ func BenchmarkReplicationLoose(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	var dump bytes.Buffer
-	if err := replicate.Dump(src, []string{jobs.SchemaName}, &dump); err != nil {
+	if err := src.SnapshotSchemas(&dump, []string{jobs.SchemaName}); err != nil {
 		b.Fatal(err)
 	}
 	hub := warehouse.Open("bench-hub")
@@ -328,16 +326,20 @@ func BenchmarkQueryRawScan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var res []warehouse.GroupResult
+		type group struct {
+			user  string
+			month int64
+		}
+		res := map[group]float64{}
 		db.View(func() error {
-			res, err = tab.GroupBy(warehouse.GroupQuery{
-				GroupBy:    []string{jobs.ColUser, jobs.ColMonthKey},
-				Aggregates: []warehouse.Aggregate{{Func: warehouse.AggSum, Column: jobs.ColCPUHours, As: "s"}},
+			tab.Scan(func(r warehouse.Row) bool {
+				res[group{r.String(jobs.ColUser), r.Int(jobs.ColMonthKey)}] += r.Float(jobs.ColCPUHours)
+				return true
 			})
-			return err
+			return nil
 		})
-		if err != nil || len(res) == 0 {
-			b.Fatalf("raw scan failed: %v", err)
+		if len(res) == 0 {
+			b.Fatal("raw scan found no facts")
 		}
 	}
 }
@@ -345,16 +347,20 @@ func BenchmarkQueryRawScan(b *testing.B) {
 // BenchmarkReaggregate (EXP-B6): full re-aggregation after an
 // aggregation-level config change (paper §II-C3).
 func BenchmarkReaggregate(b *testing.B) {
-	eng, _ := queryFixture(b, queryFacts)
+	_, db := queryFixture(b, queryFacts)
 	info := jobs.RealmInfo()
-	levels := []config.AggregationLevels{config.InstanceAWallTime(), config.InstanceBWallTime()}
+	var engs []*aggregate.Engine
+	for _, l := range []config.AggregationLevels{config.InstanceAWallTime(), config.InstanceBWallTime()} {
+		eng, err := aggregate.New(db, []config.AggregationLevels{l, config.DefaultJobSize()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		engs = append(engs, eng)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := eng.SetLevels(levels[i%2]); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := eng.Reaggregate(info, []string{jobs.SchemaName}); err != nil {
+		if _, err := engs[i%2].Reaggregate(info, []string{jobs.SchemaName}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -263,7 +263,3 @@ func (c *Controller) Stats() Stats {
 	}
 	return st
 }
-
-// QueueTimeout reports the resolved queue deadline (the bound the
-// load harness asserts admitted p99 against).
-func (c *Controller) QueueTimeout() time.Duration { return c.cfg.QueueTimeout }

@@ -115,10 +115,3 @@ func (k *KeyedBuckets) Take(key string, now time.Time) (bool, time.Duration) {
 	k.mu.Unlock()
 	return b.Take(now)
 }
-
-// Keys reports how many distinct keys are currently tracked.
-func (k *KeyedBuckets) Keys() int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.ll.Len()
-}

@@ -121,7 +121,10 @@ func TestReaggregateAndQuerySum(t *testing.T) {
 	fact, _ := db.TableIn(jobs.SchemaName, jobs.FactTable)
 	var direct float64
 	db.View(func() error {
-		direct = fact.SumWhere(jobs.ColCPUHours, nil)
+		fact.Scan(func(r warehouse.Row) bool {
+			direct += r.Float(jobs.ColCPUHours)
+			return true
+		})
 		return nil
 	})
 	if math.Abs(series[0].Aggregate-direct) > 1e-6*math.Max(1, direct) {
@@ -254,7 +257,7 @@ func TestWallTimeBucketsTableI(t *testing.T) {
 }
 
 func TestReaggregateAfterLevelChange(t *testing.T) {
-	_, eng, info := fixture(t, 300, 6)
+	db, eng, info := fixture(t, 300, 6)
 	if _, err := eng.Reaggregate(info, []string{jobs.SchemaName}); err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +266,8 @@ func TestReaggregateAfterLevelChange(t *testing.T) {
 	// Admin switches the hub to Instance B's coarser levels and
 	// re-aggregates; the same facts land in different buckets, with no
 	// data lost.
-	if err := eng.SetLevels(config.InstanceBWallTime()); err != nil {
+	eng, err := New(db, []config.AggregationLevels{config.InstanceBWallTime(), config.DefaultJobSize()})
+	if err != nil {
 		t.Fatal(err)
 	}
 	n, err := eng.Reaggregate(info, []string{jobs.SchemaName})
@@ -351,10 +355,6 @@ func TestEngineConstructorValidation(t *testing.T) {
 	}
 	if _, err := New(db, []config.AggregationLevels{config.HubWallTime(), config.HubWallTime()}); err == nil {
 		t.Error("duplicate dimension must be rejected")
-	}
-	eng, _ := New(db, nil)
-	if err := eng.SetLevels(config.AggregationLevels{Dimension: "d"}); err == nil {
-		t.Error("SetLevels must validate")
 	}
 }
 

@@ -38,27 +38,6 @@ func New(db *warehouse.DB, levels []config.AggregationLevels) (*Engine, error) {
 	return e, nil
 }
 
-// DB returns the warehouse the engine aggregates into.
-func (e *Engine) DB() *warehouse.DB { return e.db }
-
-// Levels returns the engine's levels for a dimension id.
-func (e *Engine) Levels(dim string) (config.AggregationLevels, bool) {
-	l, ok := e.levels[dim]
-	return l, ok
-}
-
-// SetLevels replaces the levels for one dimension; the caller must
-// re-aggregate afterwards ("the administrator will update the
-// appropriate configuration file ... then re-aggregate all raw
-// federation data", paper §II-C3).
-func (e *Engine) SetLevels(l config.AggregationLevels) error {
-	if err := l.Validate(); err != nil {
-		return err
-	}
-	e.levels[l.Dimension] = l
-	return nil
-}
-
 // AggTableName names the aggregation table for a fact table + period.
 func AggTableName(fact string, p Period) string {
 	return fmt.Sprintf("%s_by_%s", fact, p)
@@ -170,20 +149,4 @@ func (e *Engine) targets(info realm.Info) ([]target, error) {
 		out = append(out, target{p, tab})
 	}
 	return out, nil
-}
-
-// Truncate clears a realm's aggregation tables. The commit bumps the
-// aggregate schema's epoch, so query-result cache entries computed
-// against the old contents are never served again.
-func (e *Engine) Truncate(info realm.Info) error {
-	targets, err := e.targets(info)
-	if err != nil {
-		return err
-	}
-	return e.db.Do(func() error {
-		for _, tg := range targets {
-			tg.tab.Truncate()
-		}
-		return nil
-	})
 }

@@ -43,24 +43,6 @@ func aggSnapshot(t *testing.T, db *warehouse.DB, info realm.Info) []string {
 	return out
 }
 
-// TestTruncateBumpsEpoch: clearing the aggregation tables changes what
-// chart queries see, so it must invalidate the query cache (regression:
-// Truncate used to leave the epoch alone, letting cached chart results
-// outlive the data they summarized).
-func TestTruncateBumpsEpoch(t *testing.T) {
-	db, eng, info := fixture(t, 10, 1)
-	if _, err := eng.Reaggregate(info, []string{jobs.SchemaName}); err != nil {
-		t.Fatal(err)
-	}
-	before := db.Epoch()
-	if err := eng.Truncate(info); err != nil {
-		t.Fatal(err)
-	}
-	if db.Epoch() <= before {
-		t.Fatalf("epoch %d after Truncate, want > %d", db.Epoch(), before)
-	}
-}
-
 // TestReaggregateBumpsEpoch: a rebuild replaces the aggregation tables
 // wholesale, so cached chart results from before it must be invalidated.
 func TestReaggregateBumpsEpoch(t *testing.T) {

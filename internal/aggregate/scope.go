@@ -68,21 +68,6 @@ func (e *Engine) ScopeOf(info realm.Info, sourceSchema string, rows [][]any) (Sc
 	return s, nil
 }
 
-// Add unions other into s, allocating s when it is nil.
-func (s *Scope) Add(other Scope) {
-	if other == nil {
-		return
-	}
-	if *s == nil {
-		*s = newScope()
-	}
-	for pi, groups := range other {
-		for k, g := range groups {
-			(*s)[pi][k] = g
-		}
-	}
-}
-
 // Len returns how many groups the scope names, over all periods.
 func (s Scope) Len() int {
 	n := 0

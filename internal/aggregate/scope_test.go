@@ -202,16 +202,19 @@ func runScopedRecompute(t *testing.T, sr scopeRealm, seed int64) {
 				t.Fatal(err)
 			}
 		}
-		var scope Scope
+		// A batch of deletes of absent keys leaves the scope empty:
+		// nothing to recompute.
+		scope := newScope()
 		for i, rows := range touched {
 			sc, err := scopedEng.ScopeOf(info, schemas[i], rows)
 			if err != nil {
 				t.Fatal(err)
 			}
-			scope.Add(sc)
-		}
-		if scope == nil {
-			scope = newScope() // a batch of deletes of absent keys: nothing to recompute
+			for pi, groups := range sc {
+				for k, g := range groups {
+					scope[pi][k] = g
+				}
+			}
 		}
 		if _, err := scopedEng.ReaggregateFrom(info, sources, scope); err != nil {
 			t.Fatal(err)

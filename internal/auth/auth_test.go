@@ -177,8 +177,8 @@ func TestMultipleSSOSources(t *testing.T) {
 	if err := a.AddSSOSource(SSOSource{}); err == nil {
 		t.Error("incomplete source accepted")
 	}
-	if len(a.SSOSources()) != 2 {
-		t.Errorf("sources = %v", a.SSOSources())
+	if len(a.sources) != 2 {
+		t.Errorf("sources = %v", a.sources)
 	}
 
 	as1, _ := idp1.Authenticate("jdoe", "idp-pass", time.Now())
@@ -211,7 +211,7 @@ func TestSessionExpiry(t *testing.T) {
 	v.Create(User{Username: "u", Role: RoleUser}, "password123")
 	a := NewAuthenticator(v)
 	now := time.Date(2018, 1, 1, 0, 0, 0, 0, time.UTC)
-	a.SetClock(func() time.Time { return now })
+	a.now = func() time.Time { return now }
 	s, err := a.LoginLocal("u", "password123")
 	if err != nil {
 		t.Fatal(err)
@@ -276,8 +276,8 @@ func TestIdentityMapDistinctWithoutEmail(t *testing.T) {
 	if ra != rb {
 		t.Error("link did not merge")
 	}
-	if len(m.Persons()) != 1 {
-		t.Errorf("persons = %v", m.Persons())
+	if len(m.persons) != 1 {
+		t.Errorf("persons = %v", m.persons)
 	}
 	if err := m.Link(a, InstanceUser{Instance: "zz", Username: "zz"}); err == nil {
 		t.Error("linking unknown account should fail")
@@ -292,7 +292,7 @@ func TestIdentityMapObserveIdempotent(t *testing.T) {
 	if id1 != id2 {
 		t.Error("re-observation created a new person")
 	}
-	p, ok := m.Person(id1)
+	p, ok := m.persons[id1]
 	if !ok || len(p.Accounts) != 1 || len(p.Emails) != 1 {
 		t.Errorf("person = %+v", p)
 	}

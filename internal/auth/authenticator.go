@@ -40,9 +40,6 @@ func NewAuthenticator(v *Vault) *Authenticator {
 	}
 }
 
-// SetClock overrides the time source (tests).
-func (a *Authenticator) SetClock(now func() time.Time) { a.now = now }
-
 // Vault returns the underlying account vault.
 func (a *Authenticator) Vault() *Vault { return a.vault }
 
@@ -61,17 +58,6 @@ func (a *Authenticator) AddSSOSource(s SSOSource) error {
 	}
 	a.sources[s.Name] = s
 	return nil
-}
-
-// SSOSources returns the configured source names.
-func (a *Authenticator) SSOSources() []string {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	out := make([]string, 0, len(a.sources))
-	for n := range a.sources {
-		out = append(out, n)
-	}
-	return out
 }
 
 // LoginLocal authenticates with the instance's own password store.

@@ -125,32 +125,6 @@ func (m *IdentityMap) Resolve(acct InstanceUser) (string, bool) {
 	return id, ok
 }
 
-// Person returns a person by id (a copy).
-func (m *IdentityMap) Person(id string) (Person, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	p, ok := m.persons[id]
-	if !ok {
-		return Person{}, false
-	}
-	cp := *p
-	cp.Emails = append([]string(nil), p.Emails...)
-	cp.Accounts = append([]InstanceUser(nil), p.Accounts...)
-	return cp, true
-}
-
-// Persons returns all person ids, sorted.
-func (m *IdentityMap) Persons() []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]string, 0, len(m.persons))
-	for id := range m.persons {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // AccountsOf returns every federation account of the person owning
 // acct — the query the paper motivates: "identify all jobs run by that
 // individual across all federated resources".

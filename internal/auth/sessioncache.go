@@ -2,7 +2,6 @@ package auth
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"xdmodfed/internal/obs"
@@ -53,8 +52,6 @@ type SessionCache struct {
 	mu      sync.RWMutex
 	entries map[string]cachedSession
 	order   []string // insert order; front = oldest (eviction victim)
-
-	hits, misses atomic.Uint64
 }
 
 // NewSessionCache builds a cache over a. maxEntries <= 0 uses
@@ -81,11 +78,9 @@ func (c *SessionCache) Validate(token string) (Session, error) {
 	e, ok := c.entries[token]
 	c.mu.RUnlock()
 	if ok && now.Sub(e.verifiedAt) <= c.ttl && now.Before(e.sess.Expires) {
-		c.hits.Add(1)
 		mSessHits.Inc()
 		return e.sess, nil
 	}
-	c.misses.Add(1)
 	mSessMisses.Inc()
 	sess, err := c.auth.Validate(token)
 	if err != nil {
@@ -120,9 +115,4 @@ func (c *SessionCache) Invalidate(token string) {
 	c.mu.Lock()
 	delete(c.entries, token)
 	c.mu.Unlock()
-}
-
-// Stats reports cache hit/miss counters (tests, diagnostics).
-func (c *SessionCache) Stats() (hits, misses uint64) {
-	return c.hits.Load(), c.misses.Load()
 }

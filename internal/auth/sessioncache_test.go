@@ -6,6 +6,13 @@ import (
 	"time"
 )
 
+// cacheStats returns a reader of the session-cache hit and miss counts
+// since the call (the counters are process-wide).
+func cacheStats() func() (hits, misses uint64) {
+	h0, m0 := mSessHits.Value(), mSessMisses.Value()
+	return func() (uint64, uint64) { return mSessHits.Value() - h0, mSessMisses.Value() - m0 }
+}
+
 func cacheFixture(t *testing.T) (*Authenticator, *SessionCache, *time.Time) {
 	t.Helper()
 	v := NewVault()
@@ -14,12 +21,13 @@ func cacheFixture(t *testing.T) (*Authenticator, *SessionCache, *time.Time) {
 	}
 	a := NewAuthenticator(v)
 	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	a.SetClock(func() time.Time { return now })
+	a.now = func() time.Time { return now }
 	return a, NewSessionCache(a, 8, 30*time.Second), &now
 }
 
 func TestSessionCacheHit(t *testing.T) {
 	a, c, _ := cacheFixture(t)
+	stats := cacheStats()
 	sess, err := a.LoginLocal("alice", "correct-horse-battery")
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +38,7 @@ func TestSessionCacheHit(t *testing.T) {
 			t.Fatalf("validate %d: %+v, %v", i, got, err)
 		}
 	}
-	hits, misses := c.Stats()
+	hits, misses := stats()
 	if misses != 1 || hits != 2 {
 		t.Fatalf("hits=%d misses=%d, want 2/1 (first fills, rest hit)", hits, misses)
 	}
@@ -38,6 +46,7 @@ func TestSessionCacheHit(t *testing.T) {
 
 func TestSessionCacheTTLExpiry(t *testing.T) {
 	a, c, now := cacheFixture(t)
+	stats := cacheStats()
 	sess, _ := a.LoginLocal("alice", "correct-horse-battery")
 	if _, err := c.Validate(sess.Token); err != nil {
 		t.Fatal(err)
@@ -48,7 +57,7 @@ func TestSessionCacheTTLExpiry(t *testing.T) {
 	if _, err := c.Validate(sess.Token); err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := c.Stats(); hits != 0 || misses != 2 {
+	if hits, misses := stats(); hits != 0 || misses != 2 {
 		t.Fatalf("hits=%d misses=%d, want 0/2 (TTL forced re-verification)", hits, misses)
 	}
 	// Past the SESSION expiry, a cached entry must not resurrect it.

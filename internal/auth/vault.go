@@ -14,7 +14,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -153,18 +152,6 @@ func (v *Vault) Upsert(u User) error {
 	}
 	v.users[u.Username] = &vaultEntry{user: u}
 	return nil
-}
-
-// Users returns all usernames, sorted.
-func (v *Vault) Users() []string {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make([]string, 0, len(v.users))
-	for u := range v.users {
-		out = append(out, u)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // randomToken returns a 32-byte random hex string.

@@ -672,16 +672,6 @@ func (c InstanceConfig) Validate() error {
 	return nil
 }
 
-// Levels returns the aggregation levels for a dimension, if configured.
-func (c InstanceConfig) Levels(dimension string) (AggregationLevels, bool) {
-	for _, a := range c.AggregationLevels {
-		if a.Dimension == dimension {
-			return a, true
-		}
-	}
-	return AggregationLevels{}, false
-}
-
 // Load reads and validates an instance configuration from JSON.
 func Load(r io.Reader) (InstanceConfig, error) {
 	var c InstanceConfig

@@ -144,8 +144,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if got.Name != c.Name || len(got.Resources) != len(c.Resources) || len(got.AggregationLevels) != 1 {
 		t.Errorf("round trip lost data: %+v", got)
 	}
-	lv, ok := got.Levels(WallTimeDimension)
-	if !ok || len(lv.Buckets) != 3 {
+	if lv := got.AggregationLevels[0]; lv.Dimension != WallTimeDimension || len(lv.Buckets) != 3 {
 		t.Errorf("levels lost in round trip: %+v", lv)
 	}
 }
@@ -194,13 +193,6 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 	if _, err := LoadFile(filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("missing file must error")
-	}
-}
-
-func TestLevelsLookup(t *testing.T) {
-	c := validInstance()
-	if _, ok := c.Levels("nope"); ok {
-		t.Error("unknown dimension should report !ok")
 	}
 }
 

@@ -64,7 +64,7 @@ func TestDerivedTablesAreNeverLogged(t *testing.T) {
 			t.Fatal(err)
 		}
 		walPath := filepath.Join(t.TempDir(), "binlog.wal")
-		wal, err := warehouse.OpenLogWriter(sat.DB, walPath, 0)
+		wal, err := warehouse.OpenLogWriterOpts(sat.DB, walPath, 0, warehouse.WALOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,8 @@ func TestDerivedTablesAreNeverLogged(t *testing.T) {
 		if err := wal.Close(); err != nil {
 			t.Fatal(err)
 		}
-		recovered, last, err := warehouse.RecoverDB("recovered", walPath)
+		recovered := warehouse.Open("recovered")
+		last, err := warehouse.ReplayLog(recovered, walPath)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +189,7 @@ func TestRestartRebuildsAggregatesFromFacts(t *testing.T) {
 			t.Fatal(err)
 		}
 		walPath := filepath.Join(t.TempDir(), "binlog.wal")
-		wal, err := warehouse.OpenLogWriter(before.DB, walPath, before.DB.Binlog().Last())
+		wal, err := warehouse.OpenLogWriterOpts(before.DB, walPath, before.DB.Binlog().Last(), warehouse.WALOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

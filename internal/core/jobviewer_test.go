@@ -5,7 +5,43 @@ import (
 	"time"
 
 	"xdmodfed/internal/realm/perf"
+	"xdmodfed/internal/warehouse"
 )
+
+// storePerfJob writes one job's SUPReMM rows the way a summarizer
+// would: one timeseries row per cpu_user sample, 30 s apart (the other
+// metrics are 0), the job script, and the summary holding each
+// metric's average and peak.
+func storePerfJob(t *testing.T, db *warehouse.DB, resource string, jobID int64, start time.Time, cpuUser []float64, script string) {
+	t.Helper()
+	var total, peak float64
+	for i, v := range cpuUser {
+		row := map[string]any{"job_id": jobID, "resource": resource, "offset_sec": float64(30 * i)}
+		for _, m := range perf.MetricNames {
+			row[m] = 0.0
+		}
+		row["cpu_user"] = v
+		if err := db.Insert(perf.SchemaName, perf.TimeseriesTable, row); err != nil {
+			t.Fatal(err)
+		}
+		total += v
+		peak = max(peak, v)
+	}
+	sum := map[string]any{"job_id": jobID, "resource": resource, "start_time": start,
+		"n_samples": int64(len(cpuUser)), "month_key": int64(start.Year())*100 + int64(start.Month())}
+	for _, m := range perf.MetricNames {
+		sum["avg_"+m], sum["peak_"+m] = 0.0, 0.0
+	}
+	sum["avg_cpu_user"], sum["peak_cpu_user"] = total/float64(len(cpuUser)), peak
+	if err := db.Upsert(perf.SchemaName, perf.SummaryTable, sum); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Upsert(perf.SchemaName, perf.ScriptTable, map[string]any{
+		"job_id": jobID, "resource": resource, "script": script,
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestJobDetail(t *testing.T) {
 	sat, err := NewSatellite(satCfg("s", []string{"rush"}, ""))
@@ -14,20 +50,12 @@ func TestJobDetail(t *testing.T) {
 	}
 	ingestJobs(t, sat, "rush", 3, 2*time.Hour, 1)
 
-	// Attach SUPReMM detail to job 2.
-	ts := perf.JobTimeseries{
-		JobID: 2, Resource: "rush",
-		Start:  time.Date(2017, 3, 1, 0, 0, 0, 0, time.UTC),
-		Script: "#!/bin/bash\nsrun ./md\n",
-	}
+	// Attach SUPReMM detail to job 2: cpu_user climbs 50..59.
+	var cpuUser []float64
 	for i := 0; i < 10; i++ {
-		s := perf.Sample{JobID: 2, Resource: "rush", Offset: time.Duration(i) * 30 * time.Second}
-		s.Values[0] = float64(50 + i) // cpu_user climbing
-		ts.Samples = append(ts.Samples, s)
+		cpuUser = append(cpuUser, float64(50+i))
 	}
-	if err := perf.StoreJob(sat.DB, ts); err != nil {
-		t.Fatal(err)
-	}
+	storePerfJob(t, sat.DB, "rush", 2, time.Date(2017, 3, 1, 0, 0, 0, 0, time.UTC), cpuUser, "#!/bin/bash\nsrun ./md\n")
 
 	detail, err := sat.Instance.JobDetail("rush", 2)
 	if err != nil {

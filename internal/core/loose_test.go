@@ -5,11 +5,14 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"xdmodfed/internal/config"
+	"xdmodfed/internal/obs"
 	"xdmodfed/internal/realm/jobs"
 	"xdmodfed/internal/replicate"
 	"xdmodfed/internal/warehouse"
@@ -65,11 +68,39 @@ func TestRunLooseFederationShipsDumps(t *testing.T) {
 	}
 }
 
+// lockedBuffer is a log sink that goroutines may write concurrently.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// captureLogs sends every component's log lines to the returned buffer
+// for the rest of the test.
+func captureLogs(t *testing.T) *lockedBuffer {
+	buf := &lockedBuffer{}
+	obs.SetLogOutput(buf, false)
+	t.Cleanup(func() { obs.SetLogOutput(os.Stderr, false) })
+	return buf
+}
+
 func TestRunLooseFederationShipErrorsAreRetried(t *testing.T) {
 	cfg := satCfg("s", []string{"r"}, "")
 	cfg.Hubs = []config.HubRoute{{HubAddr: "hub", Mode: "loose"}}
 	sat, _ := NewSatellite(cfg)
 	ingestJobs(t, sat, "r", 1, time.Hour, 1)
+	logs := captureLogs(t)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	attempts := 0
@@ -92,6 +123,49 @@ func TestRunLooseFederationShipErrorsAreRetried(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("loop stalled")
+	}
+	// Each failed shipment is logged with its route and error.
+	var failures int
+	for _, line := range strings.Split(logs.String(), "\n") {
+		if strings.Contains(line, "level=WARN") && strings.Contains(line, "loose dump shipment failed") &&
+			strings.Contains(line, "hub=hub") && strings.Contains(line, "transient ship failure") {
+			failures++
+		}
+	}
+	if failures != 2 {
+		t.Errorf("%d WARN lines for the 2 failed shipments:\n%s", failures, logs)
+	}
+}
+
+// TestStartFederationWarnsOnLooseRoutes: the daemon ships nothing for a
+// loose route, and says so once per route instead of dropping it.
+func TestStartFederationWarnsOnLooseRoutes(t *testing.T) {
+	cfg := satCfg("s", []string{"r"}, "")
+	cfg.Hubs = []config.HubRoute{{HubAddr: "hub-a:7441", Mode: "loose"}, {HubAddr: "hub-b:7441", Mode: "loose"}}
+	sat, err := NewSatellite(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logs := captureLogs(t)
+	if err := sat.StartFederation(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer sat.StopFederation()
+	if n := len(sat.SenderStats()); n != 0 {
+		t.Errorf("%d senders started for loose routes", n)
+	}
+	for _, hub := range []string{"hub-a:7441", "hub-b:7441"} {
+		var warned int
+		for _, line := range strings.Split(logs.String(), "\n") {
+			if strings.Contains(line, "level=WARN") && strings.Contains(line, "hub="+hub) &&
+				strings.Contains(line, "does not ship loose dumps") &&
+				strings.Contains(line, "-loose or POST /api/federation/loose/{instance}") {
+				warned++
+			}
+		}
+		if warned != 1 {
+			t.Errorf("route to %s: %d WARN lines, want 1:\n%s", hub, warned, logs)
+		}
 	}
 }
 
@@ -186,7 +260,7 @@ func TestLooseLoadFailingPartwayMarksLoadedRealmsDirty(t *testing.T) {
 	}
 	dump := func() *bytes.Buffer {
 		var b bytes.Buffer
-		if err := replicate.Dump(sat.DB, []string{jobs.SchemaName}, &b); err != nil {
+		if err := sat.DB.SnapshotSchemas(&b, []string{jobs.SchemaName}); err != nil {
 			t.Fatal(err)
 		}
 		return &b

@@ -48,10 +48,8 @@ func TestMultiRealmFederation(t *testing.T) {
 		MonthlyWeight: [12]float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1},
 		MeanWallHours: 1, QueueNames: []string{"q"}, Users: 4,
 	}, 1, 7)
-	for _, ts := range workload.PerfTimeseries(recs[:5], time.Minute, 1) {
-		if err := perf.StoreJob(sat.DB, ts); err != nil {
-			t.Fatal(err)
-		}
+	for _, rec := range recs[:5] {
+		storePerfJob(t, sat.DB, rec.Resource, rec.LocalJobID, rec.Start, []float64{40, 60, 80}, "#!/bin/bash\n./app\n")
 	}
 
 	// Cloud events.
@@ -114,36 +112,5 @@ func TestMultiRealmFederation(t *testing.T) {
 	cs, _ := hub.Query("Cloud", aggregate.Request{MetricID: cloud.MetricCoreHours, Period: aggregate.Year})
 	if cs[0].Aggregate != 40 {
 		t.Errorf("federated cloud core hours = %g, want 40", cs[0].Aggregate)
-	}
-}
-
-// TestPerfWorkloadSummaries: synthesized profiles summarize with the
-// expected personalities.
-func TestPerfWorkloadSummaries(t *testing.T) {
-	recs := workload.GenerateJobs(workload.ResourceModel{
-		Name: "r", CoresPerNode: 4, MaxNodes: 2, SUFactor: 1,
-		MonthlyWeight: [12]float64{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
-		MeanWallHours: 2, QueueNames: []string{"q"}, Users: 2,
-	}, 10, 3)
-	profiles := workload.PerfTimeseries(recs, time.Minute, 3)
-	if len(profiles) != len(recs) {
-		t.Fatalf("profiles = %d, want %d", len(profiles), len(recs))
-	}
-	for _, ts := range profiles {
-		if len(ts.Samples) == 0 || len(ts.Samples) > 240 {
-			t.Fatalf("job %d has %d samples", ts.JobID, len(ts.Samples))
-		}
-		sum, err := perf.Summarize(ts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for m := 0; m < perf.NumMetrics; m++ {
-			if sum.Avg[m] < 0 || sum.Peak[m] < sum.Avg[m] {
-				t.Fatalf("job %d metric %d: avg %g peak %g", ts.JobID, m, sum.Avg[m], sum.Peak[m])
-			}
-		}
-		if ts.Script == "" {
-			t.Fatal("missing job script")
-		}
 	}
 }

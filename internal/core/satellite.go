@@ -227,19 +227,11 @@ func (in *Instance) Query(realmName string, req aggregate.Request) ([]aggregate.
 	return in.Engine.Query(info, req)
 }
 
-// QueryStats is Query plus per-query execution statistics (rows
-// scanned), for the REST layer's explain and slow-query log.
-func (in *Instance) QueryStats(realmName string, req aggregate.Request) ([]aggregate.Series, aggregate.QueryInfo, error) {
-	info, ok := in.Registry.Get(realmName)
-	if !ok {
-		return nil, aggregate.QueryInfo{}, aggregate.BadRequestf("core: instance %s has no realm %q", in.Config.Name, realmName)
-	}
-	return in.Engine.QueryStats(info, req)
-}
-
-// QueryStatsCtx is QueryStats bounded by a context: cancellation
-// aborts the aggregation scan between chunks, so a chart client that
-// disconnects (or is shed mid-queue) stops consuming the warehouse.
+// QueryStatsCtx is Query plus per-query execution statistics (rows
+// scanned), for the REST layer's explain and slow-query log. It is
+// bounded by ctx: cancellation aborts the aggregation scan between
+// chunks, so a chart client that disconnects (or is shed mid-queue)
+// stops consuming the warehouse.
 func (in *Instance) QueryStatsCtx(ctx context.Context, realmName string, req aggregate.Request) ([]aggregate.Series, aggregate.QueryInfo, error) {
 	info, ok := in.Registry.Get(realmName)
 	if !ok {
@@ -362,8 +354,10 @@ func (s *Satellite) pushdownFolderFor(route config.HubRoute, flushInterval time.
 }
 
 // StartFederation starts one tight-replication sender per configured
-// tight hub route. Loose routes are served by DumpForRoute instead.
-// Senders reconnect with backoff and stop when ctx is cancelled.
+// tight hub route. It ships nothing for a loose route and says so once
+// per route: loose dumps load on the hub through -loose or POST
+// /api/federation/loose/{instance}. Senders reconnect with backoff and
+// stop when ctx is cancelled.
 func (s *Satellite) StartFederation(ctx context.Context) error {
 	pushdown := s.Config.Replication.PushdownEnabled()
 	var flushInterval time.Duration
@@ -375,6 +369,8 @@ func (s *Satellite) StartFederation(ctx context.Context) error {
 	}
 	for _, route := range s.Config.Hubs {
 		if route.Mode != "tight" {
+			coreLog.Warn("this daemon does not ship loose dumps; load them on the hub with -loose or POST /api/federation/loose/{instance}",
+				"instance", s.Config.Name, "hub", route.HubAddr, "mode", route.Mode)
 			continue
 		}
 		rw, err := s.rewriterFor(route)
@@ -479,9 +475,9 @@ func (s *Satellite) DumpForRoute(route config.HubRoute, w io.Writer) error {
 // RunLooseFederation periodically dumps each loose route and hands the
 // dump to ship for delivery ("log files or database dumps could be
 // periodically shipped to the federation hub, and batch processed
-// there", paper §II-C2). It blocks until ctx is cancelled; ship errors
-// are counted and retried next period rather than aborting the loop.
-// Returns the number of successful shipments.
+// there", paper §II-C2). It blocks until ctx is cancelled. A route
+// whose dump or shipment fails is logged at WARN and tried again next
+// period; the loop goes on. Returns the number of successful shipments.
 func (s *Satellite) RunLooseFederation(ctx context.Context, interval time.Duration,
 	ship func(route config.HubRoute, dump io.Reader) error) (int, error) {
 	if interval <= 0 {
@@ -513,11 +509,16 @@ func (s *Satellite) RunLooseFederation(ctx context.Context, interval time.Durati
 			for _, route := range routes {
 				var dump bytes.Buffer
 				if err := s.DumpForRoute(route, &dump); err != nil {
+					coreLog.Warn("loose dump failed; retrying next period",
+						"instance", s.Config.Name, "hub", route.HubAddr, "err", err)
 					continue
 				}
-				if err := ship(route, &dump); err == nil {
-					shipped++
+				if err := ship(route, &dump); err != nil {
+					coreLog.Warn("loose dump shipment failed; retrying next period",
+						"instance", s.Config.Name, "hub", route.HubAddr, "err", err)
+					continue
 				}
+				shipped++
 			}
 		}
 	}

@@ -134,10 +134,3 @@ func (r *Registry) Render(w io.Writer) error {
 	_, err := io.WriteString(w, b.String())
 	return err
 }
-
-// RenderString renders the registry to a string (test convenience).
-func (r *Registry) RenderString() string {
-	var b strings.Builder
-	r.Render(&b)
-	return b.String()
-}

@@ -143,7 +143,7 @@ func (f *Federator) Interval() time.Duration { return f.interval }
 // until ctx is cancelled. Backed-off members are skipped until their
 // backoff expires.
 func (f *Federator) Run(ctx context.Context) {
-	f.scrapeAll(ctx, false)
+	f.scrapeAll(ctx)
 	t := time.NewTicker(f.interval)
 	defer t.Stop()
 	for {
@@ -151,26 +151,20 @@ func (f *Federator) Run(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			f.scrapeAll(ctx, false)
+			f.scrapeAll(ctx)
 		}
 	}
 }
 
-// ScrapeOnce scrapes every target now, ignoring backoff (tests and
-// admin-triggered refresh).
-func (f *Federator) ScrapeOnce(ctx context.Context) {
-	f.scrapeAll(ctx, true)
-}
-
 // scrapeAll scrapes due members concurrently; one slow member cannot
 // delay the others past the HTTP timeout.
-func (f *Federator) scrapeAll(ctx context.Context, force bool) {
+func (f *Federator) scrapeAll(ctx context.Context) {
 	f.mu.Lock()
 	now := time.Now()
 	var due []*fedMember
 	for _, name := range f.order {
 		m := f.members[name]
-		if !force && now.Before(m.backoffUntil) {
+		if now.Before(m.backoffUntil) {
 			continue
 		}
 		due = append(due, m)

@@ -28,16 +28,6 @@ type ParsedSample struct {
 	Value  float64
 }
 
-// Label returns the value of the named label ("" when absent).
-func (s ParsedSample) Label(name string) string {
-	for _, l := range s.Labels {
-		if l.Name == name {
-			return l.Value
-		}
-	}
-	return ""
-}
-
 // ParsedFamily is one metric family: its HELP/TYPE announcement and
 // the samples that followed it.
 type ParsedFamily struct {

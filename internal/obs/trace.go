@@ -86,13 +86,6 @@ func (t *Tracer) SetCapacity(capacity int) {
 	t.n = keep
 }
 
-// Capacity returns the ring buffer's span retention.
-func (t *Tracer) Capacity() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.buf)
-}
-
 func (t *Tracer) record(s Span) {
 	t.mu.Lock()
 	t.buf[t.n%len(t.buf)] = s

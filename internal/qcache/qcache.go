@@ -294,21 +294,6 @@ func (c *Cache[V]) removeLocked(sh *shard[V], el *list.Element) {
 	c.mBytes.Add(-float64(e.bytes))
 }
 
-// Purge drops every cached entry (in-flight fills are unaffected and
-// will store their results as usual).
-func (c *Cache[V]) Purge() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for el := sh.ll.Front(); el != nil; {
-			next := el.Next()
-			c.removeLocked(sh, el)
-			el = next
-		}
-		sh.mu.Unlock()
-	}
-}
-
 // Stats returns a snapshot of the cache's counters.
 func (c *Cache[V]) Stats() Stats {
 	return Stats{

@@ -242,25 +242,3 @@ func SessionValues(s Session, seq int) []any {
 		s.Ended, s.Terminated, monthKey(s.End),
 	}
 }
-
-// SessionRow converts a session into a session_records row.
-func SessionRow(s Session, seq int) map[string]any {
-	return map[string]any{
-		"session_id":    fmt.Sprintf("%s/%d", s.VMID, seq),
-		"vm_id":         s.VMID,
-		"resource":      s.Resource,
-		"username":      s.User,
-		"project":       s.Project,
-		"instance_type": s.InstanceType,
-		"cores":         s.Cores,
-		"memory_gb":     s.MemoryGB,
-		"disk_gb":       s.DiskGB,
-		"start_time":    s.Start,
-		"end_time":      s.End,
-		"wall_hours":    s.Wall().Hours(),
-		"core_hours":    s.CoreHours(),
-		"ended":         s.Ended,
-		"terminated":    s.Terminated,
-		"month_key":     monthKey(s.End),
-	}
-}

@@ -262,50 +262,3 @@ func sameRow(stored, fresh []any) bool {
 	}
 	return true
 }
-
-// StateChangeCount returns, per VM, the number of state-transition
-// events (a metric the paper lists as under consideration: "Count of
-// State Changes").
-func StateChangeCount(events []Event) map[string]int {
-	out := map[string]int{}
-	for _, e := range events {
-		switch e.Type {
-		case EvStart, EvStop, EvPause, EvResume, EvTerminate, EvResize:
-			out[e.VMID]++
-		}
-	}
-	return out
-}
-
-// TimePerState sums, per VM, the time spent running vs stopped between
-// the VM's first event and the horizon ("Time Spent per State").
-func TimePerState(events []Event, horizon time.Time) map[string]map[string]time.Duration {
-	sessions, err := ReconstructSessions(events, horizon)
-	if err != nil {
-		return nil
-	}
-	first := map[string]time.Time{}
-	for _, e := range events {
-		if t, ok := first[e.VMID]; !ok || e.Time.Before(t) {
-			first[e.VMID] = e.Time
-		}
-	}
-	out := map[string]map[string]time.Duration{}
-	running := map[string]time.Duration{}
-	for _, s := range sessions {
-		running[s.VMID] += s.Wall()
-	}
-	for vm, start := range first {
-		total := horizon.Sub(start)
-		if total < 0 {
-			total = 0
-		}
-		run := running[vm]
-		stopped := total - run
-		if stopped < 0 {
-			stopped = 0
-		}
-		out[vm] = map[string]time.Duration{"running": run, "stopped": stopped}
-	}
-	return out
-}

@@ -9,10 +9,6 @@
 package perf
 
 import (
-	"fmt"
-	"math"
-	"time"
-
 	"xdmodfed/internal/realm"
 	"xdmodfed/internal/warehouse"
 )
@@ -38,64 +34,6 @@ var MetricNames = []string{
 	"net_rx_rate",
 	"net_tx_rate",
 	"flops",
-}
-
-// NumMetrics is the number of per-job timeseries metrics.
-const NumMetrics = 9
-
-// Sample is one timeseries point for one job: the nine metric values
-// at one offset into the job's life.
-type Sample struct {
-	JobID    int64
-	Resource string
-	Offset   time.Duration // since job start
-	Values   [NumMetrics]float64
-}
-
-// JobTimeseries is the full per-job detail: samples plus job script.
-type JobTimeseries struct {
-	JobID    int64
-	Resource string
-	Start    time.Time
-	Samples  []Sample
-	Script   string
-}
-
-// Summary is the compact per-job form that federates: average and peak
-// of each metric over the job's life.
-type Summary struct {
-	JobID    int64
-	Resource string
-	Start    time.Time
-	Avg      [NumMetrics]float64
-	Peak     [NumMetrics]float64
-	NSamples int64
-}
-
-// Summarize reduces a job's timeseries to its summary.
-func Summarize(ts JobTimeseries) (Summary, error) {
-	if ts.JobID <= 0 || ts.Resource == "" {
-		return Summary{}, fmt.Errorf("perf: timeseries missing job identity")
-	}
-	if len(ts.Samples) == 0 {
-		return Summary{}, fmt.Errorf("perf: job %d has no samples", ts.JobID)
-	}
-	sum := Summary{JobID: ts.JobID, Resource: ts.Resource, Start: ts.Start, NSamples: int64(len(ts.Samples))}
-	for i := range sum.Peak {
-		sum.Peak[i] = math.Inf(-1)
-	}
-	for _, s := range ts.Samples {
-		for i, v := range s.Values {
-			sum.Avg[i] += v
-			if v > sum.Peak[i] {
-				sum.Peak[i] = v
-			}
-		}
-	}
-	for i := range sum.Avg {
-		sum.Avg[i] /= float64(len(ts.Samples))
-	}
-	return sum, nil
 }
 
 // TimeseriesDef returns the raw timeseries table definition.
@@ -162,53 +100,6 @@ func Setup(db *warehouse.DB) error {
 	return nil
 }
 
-// StoreJob writes a job's detailed timeseries, script and derived
-// summary into the warehouse.
-func StoreJob(db *warehouse.DB, ts JobTimeseries) error {
-	sum, err := Summarize(ts)
-	if err != nil {
-		return err
-	}
-	for _, s := range ts.Samples {
-		row := map[string]any{
-			"job_id":     s.JobID,
-			"resource":   s.Resource,
-			"offset_sec": s.Offset.Seconds(),
-		}
-		for i, m := range MetricNames {
-			row[m] = s.Values[i]
-		}
-		if err := db.Insert(SchemaName, TimeseriesTable, row); err != nil {
-			return err
-		}
-	}
-	if ts.Script != "" {
-		err := db.Upsert(SchemaName, ScriptTable, map[string]any{
-			"job_id": ts.JobID, "resource": ts.Resource, "script": ts.Script,
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return StoreSummary(db, sum)
-}
-
-// StoreSummary writes one job summary row.
-func StoreSummary(db *warehouse.DB, sum Summary) error {
-	row := map[string]any{
-		"job_id":     sum.JobID,
-		"resource":   sum.Resource,
-		"start_time": sum.Start,
-		"n_samples":  sum.NSamples,
-		"month_key":  int64(sum.Start.UTC().Year())*100 + int64(sum.Start.UTC().Month()),
-	}
-	for i, m := range MetricNames {
-		row["avg_"+m] = sum.Avg[i]
-		row["peak_"+m] = sum.Peak[i]
-	}
-	return db.Upsert(SchemaName, SummaryTable, row)
-}
-
 // RealmInfo describes the SUPReMM realm over the summary table.
 func RealmInfo() realm.Info {
 	info := realm.Info{
@@ -236,6 +127,3 @@ func RealmInfo() realm.Info {
 // the summary (paper §II-C5: "we plan to replicate summarized
 // performance data to the federated hub database").
 func FederatedTables() []string { return []string{SummaryTable} }
-
-// SatelliteOnlyTables lists the detail tables that never federate.
-func SatelliteOnlyTables() []string { return []string{TimeseriesTable, ScriptTable} }

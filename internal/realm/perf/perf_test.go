@@ -1,30 +1,10 @@
 package perf
 
 import (
-	"math/rand"
 	"testing"
-	"testing/quick"
-	"time"
 
 	"xdmodfed/internal/warehouse"
 )
-
-func series(jobID int64, n int, seed int64) JobTimeseries {
-	rng := rand.New(rand.NewSource(seed))
-	ts := JobTimeseries{
-		JobID: jobID, Resource: "rush",
-		Start:  time.Date(2017, 7, 1, 0, 0, 0, 0, time.UTC),
-		Script: "#!/bin/bash\nsrun ./a.out\n",
-	}
-	for i := 0; i < n; i++ {
-		s := Sample{JobID: jobID, Resource: "rush", Offset: time.Duration(i) * 30 * time.Second}
-		for j := range s.Values {
-			s.Values[j] = rng.Float64() * 100
-		}
-		ts.Samples = append(ts.Samples, s)
-	}
-	return ts
-}
 
 func TestRealmInfoValid(t *testing.T) {
 	info := RealmInfo()
@@ -32,123 +12,32 @@ func TestRealmInfoValid(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 1 count metric + avg and peak per each of the nine metrics.
-	if len(info.Metrics) != 1+2*NumMetrics {
+	if len(info.Metrics) != 1+2*len(MetricNames) {
 		t.Errorf("metric count = %d", len(info.Metrics))
 	}
 }
 
 func TestNineMetrics(t *testing.T) {
-	if len(MetricNames) != NumMetrics || NumMetrics != 9 {
+	if len(MetricNames) != 9 {
 		t.Fatalf("the paper specifies nine job metrics; have %d", len(MetricNames))
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	ts := JobTimeseries{
-		JobID: 1, Resource: "r", Start: time.Now(),
-		Samples: []Sample{
-			{Values: [NumMetrics]float64{10, 0, 1, 2, 3, 4, 5, 6, 7}},
-			{Values: [NumMetrics]float64{30, 0, 3, 2, 3, 4, 5, 6, 7}},
-		},
-	}
-	sum, err := Summarize(ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Avg[0] != 20 || sum.Peak[0] != 30 {
-		t.Errorf("cpu_user avg/peak = %g/%g", sum.Avg[0], sum.Peak[0])
-	}
-	if sum.Avg[2] != 2 || sum.Peak[2] != 3 {
-		t.Errorf("memory avg/peak = %g/%g", sum.Avg[2], sum.Peak[2])
-	}
-	if sum.NSamples != 2 {
-		t.Errorf("n = %d", sum.NSamples)
-	}
-}
-
-func TestSummarizeRejectsEmpty(t *testing.T) {
-	if _, err := Summarize(JobTimeseries{JobID: 1, Resource: "r"}); err == nil {
-		t.Error("no samples must error")
-	}
-	if _, err := Summarize(JobTimeseries{Resource: "r", Samples: []Sample{{}}}); err == nil {
-		t.Error("missing id must error")
-	}
-}
-
-func TestStoreJobAndFederationSplit(t *testing.T) {
+func TestSetupAndFederationSplit(t *testing.T) {
 	db := warehouse.Open("p")
 	if err := Setup(db); err != nil {
 		t.Fatal(err)
 	}
-	ts := series(42, 20, 1)
-	if err := StoreJob(db, ts); err != nil {
-		t.Fatal(err)
+	if err := Setup(db); err != nil {
+		t.Fatalf("setup not idempotent: %v", err)
 	}
-	if got := db.Count(SchemaName, TimeseriesTable); got != 20 {
-		t.Errorf("timeseries rows = %d", got)
+	if got := db.Schema(SchemaName).Tables(); len(got) != 3 {
+		t.Errorf("tables = %v", got)
 	}
-	if got := db.Count(SchemaName, ScriptTable); got != 1 {
-		t.Errorf("script rows = %d", got)
-	}
-	if got := db.Count(SchemaName, SummaryTable); got != 1 {
-		t.Errorf("summary rows = %d", got)
-	}
-	// Federation split: only the summary federates.
+	// Federation split: only the summary federates; the timeseries and
+	// scripts stay on the satellite.
 	fed := FederatedTables()
 	if len(fed) != 1 || fed[0] != SummaryTable {
 		t.Errorf("federated tables = %v", fed)
-	}
-	only := SatelliteOnlyTables()
-	if len(only) != 2 {
-		t.Errorf("satellite-only tables = %v", only)
-	}
-	// Re-storing the same job must not duplicate summaries (upsert).
-	if err := StoreSummary(db, mustSummarize(t, ts)); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.Count(SchemaName, SummaryTable); got != 1 {
-		t.Errorf("summary rows after re-store = %d", got)
-	}
-}
-
-func mustSummarize(t *testing.T, ts JobTimeseries) Summary {
-	t.Helper()
-	s, err := Summarize(ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-// TestPropertySummaryBounds: avg is always within [min observed, peak],
-// and peak equals the true maximum.
-func TestPropertySummaryBounds(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		if n == 0 {
-			return true
-		}
-		ts := series(7, int(n), seed)
-		sum, err := Summarize(ts)
-		if err != nil {
-			return false
-		}
-		for m := 0; m < NumMetrics; m++ {
-			truePeak := ts.Samples[0].Values[m]
-			for _, s := range ts.Samples {
-				if s.Values[m] > truePeak {
-					truePeak = s.Values[m]
-				}
-			}
-			if sum.Peak[m] != truePeak {
-				return false
-			}
-			if sum.Avg[m] > sum.Peak[m]+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }

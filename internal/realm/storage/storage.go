@@ -216,23 +216,3 @@ func FactValues(s Snapshot) []any {
 		dayKey(s.Timestamp), monthKey(s.Timestamp),
 	}
 }
-
-// FactRow is the named-column form of FactValues.
-func FactRow(s Snapshot) map[string]any {
-	return map[string]any{
-		"resource":       s.Resource,
-		"resource_type":  s.ResourceType,
-		"mountpoint":     s.Mountpoint,
-		"username":       s.User,
-		"pi":             s.PI,
-		"dt":             s.Timestamp,
-		"file_count":     s.FileCount,
-		"logical_bytes":  s.LogicalBytes,
-		"physical_bytes": s.PhysicalBytes,
-		"soft_threshold": s.SoftThreshold,
-		"hard_threshold": s.HardThreshold,
-		"quota_util":     s.QuotaUtilization(),
-		"day_key":        dayKey(s.Timestamp),
-		"month_key":      monthKey(s.Timestamp),
-	}
-}

@@ -11,6 +11,7 @@ import (
 	"xdmodfed/internal/faults"
 	"xdmodfed/internal/realm/jobs"
 	"xdmodfed/internal/shredder"
+	"xdmodfed/internal/warehouse"
 )
 
 // chaosProxy forwards TCP to a backend but kills every connection
@@ -241,7 +242,7 @@ func TestConcurrentIngestReplicateQuery(t *testing.T) {
 			default:
 			}
 			sat.View(func() error {
-				tab.CountWhere(nil)
+				tab.Scan(func(warehouse.Row) bool { return true })
 				return nil
 			})
 		}

@@ -1,7 +1,6 @@
 package replicate
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -35,42 +34,6 @@ func Pump(src *warehouse.DB, dst *warehouse.DB, rw *Rewriter, fromLSN uint64) (u
 		mPumpEvents.Add(uint64(len(out)))
 		pos = upTo
 	}
-}
-
-// PumpUntil keeps pumping, blocking for new events, until the context
-// is cancelled or the source log closes. It reports positions through
-// commit after each applied batch.
-func PumpUntil(ctx context.Context, src, dst *warehouse.DB, rw *Rewriter, fromLSN uint64,
-	commit func(uint64) error) error {
-	pos := fromLSN
-	for {
-		evs, err := src.Binlog().Wait(ctx, pos, 1024)
-		if err != nil {
-			if err == warehouse.ErrLogClosed || ctx.Err() != nil {
-				return nil
-			}
-			return err
-		}
-		out, upTo := rw.ProcessBatch(evs)
-		if _, err := dst.ApplyAll(out); err != nil {
-			return fmt.Errorf("replicate: apply: %w", err)
-		}
-		mPumpEvents.Add(uint64(len(out)))
-		pos = upTo
-		if commit != nil {
-			if err := commit(pos); err != nil {
-				return err
-			}
-		}
-	}
-}
-
-// Dump writes a loose-federation dump of the named schemas (all when
-// nil) of the satellite database: the "log files or database dumps
-// [that] could be periodically shipped to the federation hub" of paper
-// §II-C2.
-func Dump(src *warehouse.DB, schemas []string, w io.Writer) error {
-	return src.SnapshotSchemas(w, schemas)
 }
 
 // Load batch-loads a loose-federation dump into the hub, landing every

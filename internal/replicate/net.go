@@ -809,7 +809,7 @@ func (s *Sender) Run(ctx context.Context, hubAddr string) error {
 		evs, err := s.DB.Binlog().Wait(wctx, pos, batchSize)
 		cancelWait()
 		if err != nil {
-			if err == warehouse.ErrLogClosed || ctx.Err() != nil {
+			if ctx.Err() != nil {
 				return nil
 			}
 			if errors.Is(err, context.DeadlineExceeded) {

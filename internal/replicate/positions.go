@@ -65,19 +65,3 @@ func (p *PositionStore) Set(instance string, lsn uint64) error {
 		"lsn":      int64(lsn),
 	})
 }
-
-// Instances returns the instances with stored positions.
-func (p *PositionStore) Instances() []string {
-	tab, err := p.db.TableIn(PositionSchema, PositionTable)
-	if err != nil {
-		return nil
-	}
-	var out []string
-	p.db.View(func() error {
-		for _, r := range tab.SortedRows("instance") {
-			out = append(out, r.String("instance"))
-		}
-		return nil
-	})
-	return out
-}

@@ -102,7 +102,7 @@ func TestPropertyPumpEquivalentToSnapshot(t *testing.T) {
 		// Loose: dump and load.
 		loose := warehouse.Open("hub-loose")
 		var dump bytes.Buffer
-		if err := Dump(sat, []string{jobs.SchemaName}, &dump); err != nil {
+		if err := sat.SnapshotSchemas(&dump, []string{jobs.SchemaName}); err != nil {
 			return false
 		}
 		if _, err := Load(loose, "sat", &dump); err != nil {

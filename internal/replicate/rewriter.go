@@ -208,12 +208,6 @@ func (rw *Rewriter) ProcessBatch(evs []warehouse.Event) (out []warehouse.Event, 
 	return out, upTo
 }
 
-// JobsOnlyFilter returns the paper's initial-release filter: only the
-// HPC Jobs realm fact table replicates.
-func JobsOnlyFilter(jobsFactTable string) Filter {
-	return Filter{IncludeTables: map[string]bool{jobsFactTable: true}}
-}
-
 // Validate checks filter consistency.
 func (f Filter) Validate() error {
 	if f.IncludeTables != nil && len(f.IncludeTables) == 0 {

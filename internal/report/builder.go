@@ -48,9 +48,6 @@ func (b *Builder) AddChart(heading string, c *chart.Chart, commentary string) *B
 	return b
 }
 
-// Sections returns the accumulated sections.
-func (b *Builder) Sections() []Section { return b.sections }
-
 // Text renders the report for terminals or plain-text mail.
 func (b *Builder) Text() string {
 	var out strings.Builder

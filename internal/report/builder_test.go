@@ -33,8 +33,8 @@ func TestBuilderText(t *testing.T) {
 			t.Errorf("text missing %q:\n%s", want, out)
 		}
 	}
-	if len(b.Sections()) != 2 {
-		t.Errorf("sections = %d", len(b.Sections()))
+	if len(b.sections) != 2 {
+		t.Errorf("sections = %d", len(b.sections))
 	}
 }
 

@@ -69,10 +69,6 @@ func (s *Server) setupAdmission(ac config.AdmissionConfig) {
 	s.staleOK = !ac.DisableStale
 }
 
-// Admission exposes the front-door controller (nil when admission is
-// disabled) for the load harness and /healthz.
-func (s *Server) Admission() *admission.Controller { return s.admit }
-
 // admitAnon gates an unauthenticated /api route on the global rate
 // tier only. A no-op pass-through when admission is disabled.
 func (s *Server) admitAnon(next http.HandlerFunc) http.HandlerFunc {

@@ -12,6 +12,7 @@ import (
 	"xdmodfed/internal/auth"
 	"xdmodfed/internal/config"
 	"xdmodfed/internal/core"
+	"xdmodfed/internal/obs"
 	"xdmodfed/internal/shredder"
 )
 
@@ -25,7 +26,7 @@ func admissionServer(t *testing.T, ac config.AdmissionConfig) (*Server, *core.In
 	if err := in.Config.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	return NewServer(in), in
+	return newServer(in), in
 }
 
 func TestUserQuotaShedsWith429AndRetryAfter(t *testing.T) {
@@ -84,7 +85,7 @@ func TestQueueFullSheds(t *testing.T) {
 	token := login(t, srv)
 	// Occupy the only slot and the only queue seat out-of-band; the
 	// HTTP request then finds the queue full and sheds instantly.
-	hold := s.Admission().Admit(context.Background(), "x", "")
+	hold := s.admit.Admit(context.Background(), "x", "")
 	if !hold.Admitted {
 		t.Fatalf("holder: %+v", hold)
 	}
@@ -92,11 +93,11 @@ func TestQueueFullSheds(t *testing.T) {
 	waiting := make(chan struct{})
 	go func() {
 		defer close(waiting)
-		d := s.Admission().Admit(context.Background(), "y", "")
+		d := s.admit.Admit(context.Background(), "y", "")
 		d.Release()
 	}()
 	deadline := time.Now().Add(2 * time.Second)
-	for s.Admission().Stats().QueueDepth != 1 {
+	for s.admit.Stats().QueueDepth != 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("waiter never queued")
 		}
@@ -206,18 +207,20 @@ func TestCenterQuotaTenantIsolation(t *testing.T) {
 
 func TestSessionCacheServesAndLogoutInvalidates(t *testing.T) {
 	in := testInstance(t)
-	s := NewServer(in) // admission off; session cache on by default
+	s := newServer(in) // admission off; session cache on by default
 	if s.sessions == nil {
 		t.Fatal("session cache not built by default")
 	}
 	srv := s.Handler()
+	hits0, misses0 := sessionCacheCounts()
 	token := login(t, srv)
 	for i := 0; i < 3; i++ {
 		if rec := get(t, srv, token, "/api/realms"); rec.Code != http.StatusOK {
 			t.Fatalf("request %d: %d", i, rec.Code)
 		}
 	}
-	hits, misses := s.sessions.Stats()
+	hits, misses := sessionCacheCounts()
+	hits, misses = hits-hits0, misses-misses0
 	if misses != 1 || hits != 2 {
 		t.Fatalf("session cache hits=%d misses=%d, want 2/1", hits, misses)
 	}
@@ -253,7 +256,7 @@ func TestCanceledRequestReleasesAdmission(t *testing.T) {
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("canceled chart: %d, want 500", rec.Code)
 	}
-	if st := s.Admission().Stats(); st.Inflight != 0 || st.QueueDepth != 0 {
+	if st := s.admit.Stats(); st.Inflight != 0 || st.QueueDepth != 0 {
 		t.Fatalf("admission leaked after cancel: %+v", st)
 	}
 	// The slot is immediately reusable.
@@ -263,8 +266,8 @@ func TestCanceledRequestReleasesAdmission(t *testing.T) {
 }
 
 func TestAdmissionDisabledIsWideOpen(t *testing.T) {
-	s := NewServer(testInstance(t))
-	if s.Admission() != nil {
+	s := newServer(testInstance(t))
+	if s.admit != nil {
 		t.Fatal("controller built with admission disabled")
 	}
 	srv := s.Handler()
@@ -274,4 +277,11 @@ func TestAdmissionDisabledIsWideOpen(t *testing.T) {
 			t.Fatalf("request %d throttled with admission off: %d", i, rec.Code)
 		}
 	}
+}
+
+// sessionCacheCounts reads the process-wide session-cache hit and miss
+// counters.
+func sessionCacheCounts() (hits, misses uint64) {
+	return obs.Default.Counter("xdmodfed_auth_session_cache_hits_total", "").Value(),
+		obs.Default.Counter("xdmodfed_auth_session_cache_misses_total", "").Value()
 }

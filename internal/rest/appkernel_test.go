@@ -12,7 +12,7 @@ import (
 func TestAppKernelEndpoints(t *testing.T) {
 	in := testInstance(t)
 	in.Auth.Vault().Create(auth.User{Username: "ops", Role: auth.RoleStaff}, "opspassword1")
-	srv := NewServer(in).Handler()
+	srv := newServer(in).Handler()
 	admin := login(t, srv) // manager, not staff
 	ops := loginAs(t, srv, "ops", "opspassword1")
 

@@ -113,7 +113,7 @@ func TestClientEndToEndLooseFederation(t *testing.T) {
 
 func TestClientAuthFailures(t *testing.T) {
 	in := testInstance(t)
-	api := httptest.NewServer(NewServer(in).Handler())
+	api := httptest.NewServer(newServer(in).Handler())
 	defer api.Close()
 	client := NewClient(api.URL)
 	if err := client.Login("admin", "wrong"); err == nil {

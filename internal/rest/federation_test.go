@@ -149,7 +149,7 @@ func TestAggregateEndpoint(t *testing.T) {
 }
 
 func TestFederationEndpointsOnSatellite(t *testing.T) {
-	srv := NewServer(testInstance(t)).Handler()
+	srv := newServer(testInstance(t)).Handler()
 	token := login(t, srv)
 	if rec := post(t, srv, token, "/api/federation/members", addMemberRequest{Name: "x"}); rec.Code != http.StatusForbidden && rec.Code != http.StatusNotFound {
 		t.Errorf("satellite member add: %d", rec.Code)

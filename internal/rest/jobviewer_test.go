@@ -12,21 +12,33 @@ import (
 
 func TestJobViewerEndpoint(t *testing.T) {
 	in := testInstance(t)
-	// Attach perf detail to job 5.
-	ts := perf.JobTimeseries{
-		JobID: 5, Resource: "rush",
-		Start:  time.Date(2017, 5, 10, 0, 0, 0, 0, time.UTC),
-		Script: "#!/bin/bash\n./a.out\n",
-	}
+	// Attach perf detail to job 5: four samples, their summary and the
+	// job script.
 	for i := 0; i < 4; i++ {
-		s := perf.Sample{JobID: 5, Resource: "rush", Offset: time.Duration(i) * time.Minute}
-		s.Values[0] = 90
-		ts.Samples = append(ts.Samples, s)
+		row := map[string]any{"job_id": 5, "resource": "rush", "offset_sec": float64(60 * i)}
+		for _, m := range perf.MetricNames {
+			row[m] = 0.0
+		}
+		row["cpu_user"] = 90.0
+		if err := in.DB.Insert(perf.SchemaName, perf.TimeseriesTable, row); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := perf.StoreJob(in.DB, ts); err != nil {
+	sum := map[string]any{"job_id": 5, "resource": "rush", "n_samples": 4, "month_key": 201705,
+		"start_time": time.Date(2017, 5, 10, 0, 0, 0, 0, time.UTC)}
+	for _, m := range perf.MetricNames {
+		sum["avg_"+m], sum["peak_"+m] = 0.0, 0.0
+	}
+	sum["avg_cpu_user"], sum["peak_cpu_user"] = 90.0, 90.0
+	if err := in.DB.Upsert(perf.SchemaName, perf.SummaryTable, sum); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(in).Handler()
+	if err := in.DB.Upsert(perf.SchemaName, perf.ScriptTable, map[string]any{
+		"job_id": 5, "resource": "rush", "script": "#!/bin/bash\n./a.out\n",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(in).Handler()
 	token := login(t, srv)
 
 	rec := get(t, srv, token, "/api/jobs/rush/5")

@@ -17,7 +17,7 @@ import (
 )
 
 func TestMetricsEndpoint(t *testing.T) {
-	srv := NewServer(testInstance(t)).Handler()
+	srv := newServer(testInstance(t)).Handler()
 
 	// Drive a couple of requests through the middleware first.
 	get(t, srv, "", "/api/version")
@@ -46,7 +46,7 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestHealthzInstance(t *testing.T) {
-	srv := NewServer(testInstance(t)).Handler()
+	srv := newServer(testInstance(t)).Handler()
 	rec := get(t, srv, "", "/healthz")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
@@ -110,7 +110,7 @@ func TestHealthzHubFreshness(t *testing.T) {
 }
 
 func TestDebugTraces(t *testing.T) {
-	srv := NewServer(testInstance(t)).Handler()
+	srv := newServer(testInstance(t)).Handler()
 	get(t, srv, "", "/api/version") // generate at least one span
 
 	rec := get(t, srv, "", "/debug/traces")
@@ -164,7 +164,7 @@ func TestWriteErrLogs(t *testing.T) {
 	obs.SetLogOutput(&buf, false)
 	defer obs.SetLogOutput(os.Stderr, false)
 
-	srv := NewServer(testInstance(t)).Handler()
+	srv := newServer(testInstance(t)).Handler()
 	rec := get(t, srv, "", "/api/realms") // no token -> 401
 	if rec.Code != http.StatusUnauthorized {
 		t.Fatalf("status %d", rec.Code)
@@ -183,13 +183,13 @@ func TestWriteErrLogs(t *testing.T) {
 
 func TestPprofGatedByConfig(t *testing.T) {
 	in := testInstance(t)
-	srv := NewServer(in).Handler()
+	srv := newServer(in).Handler()
 	if rec := get(t, srv, "", "/debug/pprof/"); rec.Code != http.StatusNotFound {
 		t.Errorf("pprof without config flag: status %d, want 404", rec.Code)
 	}
 
 	in.Config.EnablePprof = true
-	srv = NewServer(in).Handler()
+	srv = newServer(in).Handler()
 	req := httptest.NewRequest("GET", "/debug/pprof/", nil)
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, req)

@@ -158,7 +158,7 @@ func TestChartNeverStaleAfterApply(t *testing.T) {
 // invalidates them without any explicit flush.
 func TestChartCacheHitsAndEpochInvalidation(t *testing.T) {
 	in := testInstance(t)
-	s := NewServer(in)
+	s := newServer(in)
 	srv := s.Handler()
 	token := login(t, srv)
 	const path = "/api/chart?realm=Jobs&metric=job_count&period=year"
@@ -205,7 +205,7 @@ func TestChartCacheHitsAndEpochInvalidation(t *testing.T) {
 // flushed every realm's charts.
 func TestCrossRealmCacheRetention(t *testing.T) {
 	in := testInstance(t)
-	s := NewServer(in)
+	s := newServer(in)
 	srv := s.Handler()
 	token := login(t, srv)
 
@@ -272,7 +272,7 @@ func TestCrossRealmCacheRetention(t *testing.T) {
 // fault (400), a broken warehouse is ours (500).
 func TestChartErrorClassification(t *testing.T) {
 	in := testInstance(t)
-	srv := NewServer(in).Handler()
+	srv := newServer(in).Handler()
 	token := login(t, srv)
 
 	if rec := get(t, srv, token, "/api/chart?realm=Nope&metric=job_count"); rec.Code != http.StatusBadRequest {
@@ -287,7 +287,7 @@ func TestChartErrorClassification(t *testing.T) {
 
 	// Dropping the aggregation schema simulates internal corruption: the
 	// request is well-formed, so this must surface as a 500.
-	if err := in.DB.DropSchema(aggregate.AggSchema(jobs.RealmInfo())); err != nil {
+	if _, err := in.DB.ApplyAll([]warehouse.Event{{Kind: warehouse.EvDropSchema, Schema: aggregate.AggSchema(jobs.RealmInfo())}}); err != nil {
 		t.Fatal(err)
 	}
 	if rec := get(t, srv, token, "/api/chart?realm=Jobs&metric=job_count"); rec.Code != http.StatusInternalServerError {

@@ -12,7 +12,7 @@ import (
 func TestAllocationEndpoints(t *testing.T) {
 	in := testInstance(t) // 20 jobs, PI "a", resource rush, 8 cores * 2h = 16 XDSU each
 	in.Auth.Vault().Create(auth.User{Username: "joe", Role: auth.RoleUser}, "joespassword1")
-	srv := NewServer(in).Handler()
+	srv := newServer(in).Handler()
 	admin := login(t, srv)
 	joe := loginAs(t, srv, "joe", "joespassword1")
 
@@ -68,7 +68,7 @@ func TestAllocationEndpoints(t *testing.T) {
 func TestGatewayEndpoints(t *testing.T) {
 	in := testInstance(t)
 	in.Auth.Vault().Create(auth.User{Username: "ops", Role: auth.RoleStaff}, "opspassword1")
-	srv := NewServer(in).Handler()
+	srv := newServer(in).Handler()
 	admin := login(t, srv)
 	ops := loginAs(t, srv, "ops", "opspassword1")
 

@@ -93,9 +93,6 @@ func newServer(in *core.Instance) *Server {
 	return s
 }
 
-// NewServer creates a server for a plain instance.
-func NewServer(in *core.Instance) *Server { return newServer(in) }
-
 // NewHubServer creates a server for a federation hub.
 func NewHubServer(h *core.Hub) *Server {
 	s := newServer(h.Instance)

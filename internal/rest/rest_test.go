@@ -76,7 +76,7 @@ func get(t *testing.T, srv http.Handler, token, path string) *httptest.ResponseR
 }
 
 func TestVersionIsPublic(t *testing.T) {
-	srv := NewServer(testInstance(t)).Handler()
+	srv := newServer(testInstance(t)).Handler()
 	rec := get(t, srv, "", "/api/version")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
@@ -89,7 +89,7 @@ func TestVersionIsPublic(t *testing.T) {
 }
 
 func TestAuthRequired(t *testing.T) {
-	srv := NewServer(testInstance(t)).Handler()
+	srv := newServer(testInstance(t)).Handler()
 	for _, path := range []string{"/api/realms", "/api/chart?realm=Jobs", "/api/federation/status"} {
 		if rec := get(t, srv, "", path); rec.Code != http.StatusUnauthorized {
 			t.Errorf("%s without token: status %d", path, rec.Code)
@@ -101,7 +101,7 @@ func TestAuthRequired(t *testing.T) {
 }
 
 func TestLoginRejectsBadCredentials(t *testing.T) {
-	srv := NewServer(testInstance(t)).Handler()
+	srv := newServer(testInstance(t)).Handler()
 	body, _ := json.Marshal(map[string]string{"username": "admin", "password": "wrong"})
 	req := httptest.NewRequest("POST", "/api/auth/login", bytes.NewReader(body))
 	rec := httptest.NewRecorder()
@@ -118,7 +118,7 @@ func TestLoginRejectsBadCredentials(t *testing.T) {
 }
 
 func TestRealmsEndpoint(t *testing.T) {
-	srv := NewServer(testInstance(t)).Handler()
+	srv := newServer(testInstance(t)).Handler()
 	token := login(t, srv)
 	rec := get(t, srv, token, "/api/realms")
 	if rec.Code != http.StatusOK {
@@ -138,7 +138,7 @@ func TestRealmsEndpoint(t *testing.T) {
 }
 
 func TestChartJSON(t *testing.T) {
-	srv := NewServer(testInstance(t)).Handler()
+	srv := newServer(testInstance(t)).Handler()
 	token := login(t, srv)
 	rec := get(t, srv, token,
 		"/api/chart?realm=Jobs&metric=job_count&group_by=person&period=year")
@@ -160,7 +160,7 @@ func TestChartJSON(t *testing.T) {
 }
 
 func TestChartFilterAndRange(t *testing.T) {
-	srv := NewServer(testInstance(t)).Handler()
+	srv := newServer(testInstance(t)).Handler()
 	token := login(t, srv)
 	rec := get(t, srv, token,
 		"/api/chart?realm=Jobs&metric=job_count&period=month&start=201701&end=201706&filter.person=u0")
@@ -179,7 +179,7 @@ func TestChartFilterAndRange(t *testing.T) {
 }
 
 func TestChartFormats(t *testing.T) {
-	srv := NewServer(testInstance(t)).Handler()
+	srv := newServer(testInstance(t)).Handler()
 	token := login(t, srv)
 	cases := map[string]string{
 		"csv":  "month,",
@@ -198,7 +198,7 @@ func TestChartFormats(t *testing.T) {
 }
 
 func TestChartTopN(t *testing.T) {
-	srv := NewServer(testInstance(t)).Handler()
+	srv := newServer(testInstance(t)).Handler()
 	token := login(t, srv)
 	rec := get(t, srv, token, "/api/chart?realm=Jobs&metric=job_count&group_by=person&period=year&top=2")
 	var resp chartResponse
@@ -212,7 +212,7 @@ func TestChartTopN(t *testing.T) {
 }
 
 func TestChartErrors(t *testing.T) {
-	srv := NewServer(testInstance(t)).Handler()
+	srv := newServer(testInstance(t)).Handler()
 	token := login(t, srv)
 	cases := []string{
 		"/api/chart",                             // no realm
@@ -236,7 +236,7 @@ func TestSSOLoginEndpoint(t *testing.T) {
 	idp := auth.NewIdentityProvider("https://idp.example", "secret")
 	idp.Register("remote_user", "pw", "ru@example.edu", "Remote User", nil)
 	in.Auth.AddSSOSource(auth.SSOSource{Name: "shibboleth", Issuer: idp.Issuer, Secret: "secret", Metadata: true})
-	srv := NewServer(in).Handler()
+	srv := newServer(in).Handler()
 
 	assertion, err := idp.Authenticate("remote_user", "pw", time.Now())
 	if err != nil {
@@ -271,7 +271,7 @@ func TestSSOLoginEndpoint(t *testing.T) {
 }
 
 func TestLogoutInvalidatesToken(t *testing.T) {
-	srv := NewServer(testInstance(t)).Handler()
+	srv := newServer(testInstance(t)).Handler()
 	token := login(t, srv)
 	req := httptest.NewRequest("POST", "/api/auth/logout", nil)
 	req.Header.Set("Authorization", "Bearer "+token)
@@ -309,7 +309,7 @@ func TestFederationStatusOnHub(t *testing.T) {
 	}
 
 	// Satellites 404 the endpoint.
-	sat := NewServer(testInstance(t)).Handler()
+	sat := newServer(testInstance(t)).Handler()
 	tok := login(t, sat)
 	if rec := get(t, sat, tok, "/api/federation/status"); rec.Code != http.StatusNotFound {
 		t.Errorf("satellite federation status = %d", rec.Code)

@@ -23,7 +23,7 @@ func TestChartRollup(t *testing.T) {
 		t.Fatal(err)
 	}
 	in.Hierarchy = h
-	srv := NewServer(in).Handler()
+	srv := newServer(in).Handler()
 	token := login(t, srv)
 
 	rec := get(t, srv, token,

@@ -11,7 +11,7 @@ import (
 // TestChartExplainAndSlowlog drives /api/chart with ?explain=1 twice
 // (miss then hit) and checks the same stats land in /debug/slowlog.
 func TestChartExplainAndSlowlog(t *testing.T) {
-	srv := NewServer(testInstance(t)).Handler()
+	srv := newServer(testInstance(t)).Handler()
 	token := login(t, srv)
 
 	const chartPath = "/api/chart?realm=Jobs&metric=total_cpu_hours&group_by=person&period=month&explain=1"
@@ -124,7 +124,7 @@ func TestSlowLogThresholdAndErrors(t *testing.T) {
 // TestFederationTelemetryNotHub: the rollup endpoint 404s on plain
 // instances and satellites.
 func TestFederationTelemetryNotHub(t *testing.T) {
-	srv := NewServer(testInstance(t)).Handler()
+	srv := newServer(testInstance(t)).Handler()
 	if rec := get(t, srv, "", "/api/federation/telemetry"); rec.Code != http.StatusNotFound {
 		t.Fatalf("non-hub telemetry status %d", rec.Code)
 	}
@@ -133,7 +133,7 @@ func TestFederationTelemetryNotHub(t *testing.T) {
 // TestTraceparentPropagation: a caller-supplied traceparent is adopted
 // (same trace id comes back) and a server span joins that trace.
 func TestTraceparentPropagation(t *testing.T) {
-	srv := NewServer(testInstance(t)).Handler()
+	srv := newServer(testInstance(t)).Handler()
 	const incoming = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
 	req := httptest.NewRequest("GET", "/api/version", nil)
 	req.Header.Set("traceparent", incoming)

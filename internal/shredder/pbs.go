@@ -16,9 +16,6 @@ import (
 // types (Q queued, S started, D deleted, ...) are skipped.
 type PBSParser struct{}
 
-// Format returns "pbs".
-func (PBSParser) Format() string { return "pbs" }
-
 // Parse reads a PBS accounting log.
 func (PBSParser) Parse(r io.Reader, resource string) ([]JobRecord, []ParseError) {
 	var recs []JobRecord
@@ -120,24 +117,4 @@ func parseUnixAttr(kv map[string]string, key string) (time.Time, error) {
 		return time.Time{}, fmt.Errorf("bad %s %q", key, v)
 	}
 	return time.Unix(sec, 0).UTC(), nil
-}
-
-// FormatPBS renders records as PBS "E" accounting lines, for use by
-// the synthetic workload generators.
-func FormatPBS(w io.Writer, recs []JobRecord) error {
-	for _, r := range recs {
-		exit := r.ExitState
-		if exit == "" {
-			exit = "0"
-		}
-		_, err := fmt.Fprintf(w,
-			"%s;E;%d.server;user=%s group=%s account=%s jobname=%s queue=%s ctime=%d qtime=%d etime=%d start=%d end=%d Resource_List.nodect=%d Resource_List.ncpus=%d Exit_status=%s\n",
-			r.End.UTC().Format("01/02/2006 15:04:05"), r.LocalJobID, r.User, r.Account, r.Account,
-			r.JobName, r.Queue, r.Submit.Unix(), r.Submit.Unix(), r.Submit.Unix(),
-			r.Start.Unix(), r.End.Unix(), r.Nodes, r.Cores, exit)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -95,8 +95,6 @@ func (e ParseError) Error() string {
 type Parser interface {
 	// Parse reads the log and returns records for resource.
 	Parse(r io.Reader, resource string) ([]JobRecord, []ParseError)
-	// Format returns the format name ("slurm", "pbs", ...).
-	Format() string
 }
 
 // New returns the parser for a named format.
@@ -112,9 +110,6 @@ func New(format string) (Parser, error) {
 		return nil, fmt.Errorf("shredder: unknown log format %q", format)
 	}
 }
-
-// Formats lists supported accounting-log formats.
-func Formats() []string { return []string{"slurm", "pbs", "lsf"} }
 
 func scanLines(r io.Reader, fn func(n int, line string)) {
 	sc := bufio.NewScanner(r)

@@ -140,6 +140,8 @@ func TestPBSParseErrors(t *testing.T) {
 	}
 }
 
+// TestPBSRoundTrip: the accounting "E" record PBS writes for a finished
+// job parses back to that job, field for field.
 func TestPBSRoundTrip(t *testing.T) {
 	in := JobRecord{
 		LocalJobID: 7, JobName: "x", User: "u", Account: "a", Resource: "r",
@@ -148,11 +150,10 @@ func TestPBSRoundTrip(t *testing.T) {
 		Start:  time.Date(2017, 2, 1, 2, 0, 0, 0, time.UTC),
 		End:    time.Date(2017, 2, 1, 5, 0, 0, 0, time.UTC),
 	}
-	var buf bytes.Buffer
-	if err := FormatPBS(&buf, []JobRecord{in}); err != nil {
-		t.Fatal(err)
-	}
-	out, errs := PBSParser{}.Parse(&buf, "r")
+	line := "02/01/2017 05:00:00;E;7.server;user=u group=a account=a jobname=x queue=q " +
+		"ctime=1485907200 qtime=1485907200 etime=1485907200 start=1485914400 end=1485925200 " +
+		"Resource_List.nodect=1 Resource_List.ncpus=16 Exit_status=0\n"
+	out, errs := PBSParser{}.Parse(strings.NewReader(line), "r")
 	if len(errs) != 0 || len(out) != 1 {
 		t.Fatalf("round trip failed: %v", errs)
 	}
@@ -164,17 +165,13 @@ func TestPBSRoundTrip(t *testing.T) {
 }
 
 func TestNewParserFactory(t *testing.T) {
-	for _, f := range Formats() {
+	for f, want := range map[string]Parser{
+		"slurm": SlurmParser{}, "pbs": PBSParser{}, "lsf": LSFParser{}, "TORQUE": PBSParser{},
+	} {
 		p, err := New(f)
-		if err != nil {
-			t.Errorf("New(%q): %v", f, err)
+		if err != nil || p != want {
+			t.Errorf("New(%q) = %T, %v; want %T", f, p, err, want)
 		}
-		if p.Format() != f {
-			t.Errorf("Format() = %q, want %q", p.Format(), f)
-		}
-	}
-	if p, err := New("TORQUE"); err != nil || p.Format() != "pbs" {
-		t.Errorf("torque alias broken: %v", err)
 	}
 	if _, err := New("lsf2"); err == nil {
 		t.Error("unknown format should error")

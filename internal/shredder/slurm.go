@@ -15,9 +15,6 @@ import (
 // which is the log form Open XDMoD's slurm shredder consumes.
 type SlurmParser struct{}
 
-// Format returns "slurm".
-func (SlurmParser) Format() string { return "slurm" }
-
 const slurmFields = 11
 
 // slurmTime is sacct's ISO-ish timestamp layout.

@@ -9,21 +9,8 @@ package su
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
-
-// NUsPerXDSU is the fixed NU-per-XDSU conversion from the paper's
-// footnote: an XD SU is one CPU-hour on a Phase-1 DTF cluster, and a
-// Phase-1 DTF SU equals 21.576 NUs.
-const NUsPerXDSU = 21.576
-
-// Factor describes one resource's conversion from local CPU hours to
-// XD SUs, as derived from HPL benchmarking of that resource.
-type Factor struct {
-	Resource string  // resource identifier, e.g. "comet"
-	PerCPUH  float64 // XD SUs charged per local CPU hour
-}
 
 // Converter maps resources to conversion factors. The zero value is
 // unusable; use NewConverter.
@@ -71,51 +58,4 @@ func (c *Converter) ToXDSU(resource string, cpuHours float64) (float64, error) {
 		return 0, fmt.Errorf("su: no conversion factor registered for resource %q", resource)
 	}
 	return cpuHours * f, nil
-}
-
-// ToNU converts local CPU hours on the resource to NUs.
-func (c *Converter) ToNU(resource string, cpuHours float64) (float64, error) {
-	xd, err := c.ToXDSU(resource, cpuHours)
-	if err != nil {
-		return 0, err
-	}
-	return xd * NUsPerXDSU, nil
-}
-
-// XDSUToNU converts XD SUs to NUs.
-func XDSUToNU(xdsu float64) float64 { return xdsu * NUsPerXDSU }
-
-// NUToXDSU converts NUs to XD SUs.
-func NUToXDSU(nu float64) float64 { return nu / NUsPerXDSU }
-
-// Resources returns the sorted list of registered resources.
-func (c *Converter) Resources() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.factors))
-	for r := range c.factors {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Merge copies all factors from other into c, overwriting collisions.
-// A federation hub merges the factor registries of its satellites so
-// hub-side charts can standardize usage from every member instance.
-func (c *Converter) Merge(other *Converter) {
-	if other == nil {
-		return
-	}
-	other.mu.RLock()
-	factors := make(map[string]float64, len(other.factors))
-	for k, v := range other.factors {
-		factors[k] = v
-	}
-	other.mu.RUnlock()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for k, v := range factors {
-		c.factors[k] = v
-	}
 }

@@ -98,8 +98,7 @@ type Binlog struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	events []Event
-	first  uint64 // LSN of events[0]; next LSN is first+len(events)
-	closed bool
+	first  uint64      // LSN of events[0]; next LSN is first+len(events)
 	notes  []traceNote // recent trace-context marks, oldest first
 }
 
@@ -118,9 +117,6 @@ const maxTraceNotes = 64
 // ErrPositionTrimmed reports a read from a position older than the log
 // retains.
 var ErrPositionTrimmed = fmt.Errorf("warehouse: binlog position has been trimmed")
-
-// ErrLogClosed reports a read from a closed binlog.
-var ErrLogClosed = fmt.Errorf("warehouse: binlog closed")
 
 // NewBinlog creates an empty binlog whose first event will have LSN 1.
 func NewBinlog() *Binlog {
@@ -182,7 +178,7 @@ func (b *Binlog) readLocked(pos uint64, max int) ([]Event, error) {
 }
 
 // Wait blocks until events beyond pos exist (returning up to max of
-// them), the context is cancelled, or the log is closed.
+// them) or the context is cancelled.
 func (b *Binlog) Wait(ctx context.Context, pos uint64, max int) ([]Event, error) {
 	done := make(chan struct{})
 	defer close(done)
@@ -199,9 +195,6 @@ func (b *Binlog) Wait(ctx context.Context, pos uint64, max int) ([]Event, error)
 		evs, err := b.readLocked(pos, max)
 		if err != nil || len(evs) > 0 {
 			return evs, err
-		}
-		if b.closed {
-			return nil, ErrLogClosed
 		}
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
@@ -266,12 +259,4 @@ func (b *Binlog) Trim(upTo uint64) {
 	b.events = append([]Event(nil), b.events[n:]...)
 	b.first += uint64(n)
 	mBinlogTrims.Add(uint64(n))
-}
-
-// Close wakes all blocked readers with ErrLogClosed.
-func (b *Binlog) Close() {
-	b.mu.Lock()
-	b.closed = true
-	b.cond.Broadcast()
-	b.mu.Unlock()
 }

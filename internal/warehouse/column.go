@@ -90,8 +90,6 @@ func (v *colVec) value(i int) any {
 	return nil
 }
 
-func (v *colVec) length() int { return len(v.nulls) }
-
 // reserve gives an empty vector room for n cells.
 func (v *colVec) reserve(n int) {
 	switch v.typ {
@@ -160,54 +158,6 @@ func (c *tdChunk) columns() []colVec {
 
 // Len returns the number of live rows in the snapshot.
 func (td *TableData) Len() int { return td.live }
-
-// Def returns the snapshot's table definition (shared; do not mutate).
-func (td *TableData) Def() TableDef { return td.lay.def }
-
-// ColIndex resolves a column name to its vector position.
-func (td *TableData) ColIndex(name string) (int, bool) {
-	i, ok := td.lay.colIndex[name]
-	return i, ok
-}
-
-// Tombstones returns the tombstone vector: Tombstones()[pos] reports
-// that row pos is deleted and must be skipped. It may be longer than
-// the snapshot; index only positions the snapshot's chunks cover.
-func (td *TableData) Tombstones() []bool { return td.dead }
-
-// chunkAt resolves a global position to its chunk.
-func (td *TableData) chunkAt(pos int) *tdChunk {
-	for i := range td.chunks {
-		c := &td.chunks[i]
-		if pos < c.base+c.rows {
-			return c
-		}
-	}
-	panic("warehouse: snapshot position out of range")
-}
-
-// Value materializes the cell at (pos, col) as a canonical any.
-func (td *TableData) Value(pos, col int) any {
-	c := td.chunkAt(pos)
-	return c.columns()[col].value(pos - c.base)
-}
-
-// Scan calls fn for every live row of the snapshot, in position order;
-// fn returning false stops the scan.
-func (td *TableData) Scan(fn func(Row) bool) {
-	for i := range td.chunks {
-		c := &td.chunks[i]
-		cols := c.columns()
-		for lp := 0; lp < c.rows; lp++ {
-			if td.dead[c.base+lp] {
-				continue
-			}
-			if !fn(Row{lay: td.lay, cols: cols, pos: lp}) {
-				return
-			}
-		}
-	}
-}
 
 // NumChunks returns how many contiguous chunks the snapshot spans.
 func (td *TableData) NumChunks() int { return len(td.chunks) }

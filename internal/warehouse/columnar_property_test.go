@@ -32,7 +32,7 @@ func snapshotMatchesRef(t *testing.T, td *TableData, ref map[int64][]any) {
 		t.Fatalf("snapshot has %d live rows, reference has %d", td.Len(), len(ref))
 	}
 	seen := 0
-	td.Scan(func(r Row) bool {
+	scanData(td, func(r Row) bool {
 		seen++
 		id := r.Int("id")
 		want, ok := ref[id]
@@ -56,10 +56,6 @@ func snapshotMatchesRef(t *testing.T, td *TableData, ref map[int64][]any) {
 				t.Fatalf("id=%d col %d: got %#v, want %#v", id, i, got[i], want[i])
 			}
 		}
-		// Typed vector accessors must agree with the generic accessor.
-		for ci := range td.Def().Columns {
-			_ = td.Value(r.pos, ci)
-		}
 		return true
 	})
 	if seen != len(ref) {
@@ -79,7 +75,7 @@ func TestPropertyColumnarScanMatchesRowReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		db := Open("p")
 		s := db.EnsureSchema("s")
-		tab, err := s.CreateTable(allTypesDef())
+		tab, err := s.EnsureTable(allTypesDef())
 		if err != nil {
 			t.Error(err)
 			return false
@@ -138,7 +134,7 @@ func TestPropertyColumnarScanMatchesRowReference(t *testing.T) {
 							break
 						}
 						v := rng.NormFloat64()
-						if err := tab.UpdateByKey([]any{id}, map[string]any{"f": v}); err != nil {
+						if err := updateCols(tab, id, map[string]any{"f": v}); err != nil {
 							return err
 						}
 						ref[id][1] = v
@@ -175,7 +171,7 @@ func TestPropertyColumnarScanMatchesRowReference(t *testing.T) {
 func TestSnapshotIsolationUnderConcurrentWriter(t *testing.T) {
 	db := Open("iso")
 	s := db.EnsureSchema("s")
-	tab, err := s.CreateTable(TableDef{
+	tab, err := s.EnsureTable(TableDef{
 		Name: "acct",
 		Columns: []Column{
 			{Name: "id", Type: TypeInt},
@@ -265,7 +261,7 @@ func TestSnapshotIsolationUnderConcurrentWriter(t *testing.T) {
 }
 
 func scanSum(td *TableData) (sum float64, count int) {
-	td.Scan(func(r Row) bool {
+	scanData(td, func(r Row) bool {
 		sum += r.Float("bal")
 		count++
 		return true

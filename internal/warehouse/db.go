@@ -17,7 +17,7 @@ import (
 // All exported methods are safe for concurrent use. One RWMutex orders
 // the DB: write transactions (Do and the mutation wrappers) hold it
 // exclusively and publish an immutable snapshot of every table they
-// touched when they commit; View, Scan, Count and snapshot collection
+// touched when they commit; View, Count and snapshot collection
 // hold it shared. DataFor resolves the published snapshots through an
 // atomically swapped catalog, so scan-heavy readers (aggregation, chart
 // queries, replication extraction, snapshot dumps) never take the lock
@@ -47,8 +47,7 @@ type DB struct {
 
 	// epoch is the root of the warehouse generation counter for the
 	// query-result cache (internal/qcache). Commits bump the touched
-	// schemas' epochs; the root absorbs global invalidations (BumpEpoch,
-	// schema drops). The DB-wide generation reported by Epoch is the
+	// schemas' epochs; the root absorbs schema drops. The DB-wide generation reported by Epoch is the
 	// root plus every schema's epoch, and EpochOf scopes the sum to the
 	// schema a query actually read.
 	epoch atomic.Uint64
@@ -117,9 +116,6 @@ func OpenOptions(name string, opts Options) *DB {
 	return db
 }
 
-// Storage returns the DB's segment backend.
-func (db *DB) Storage() store.Backend { return db.storage }
-
 // Close releases the DB's segment-store backend (unmapping any
 // disk-backed segments). The DB must not be used afterwards.
 func (db *DB) Close() error { return db.storage.Close() }
@@ -148,8 +144,7 @@ func (db *DB) Epoch() uint64 {
 }
 
 // EpochOf returns the warehouse generation as observed through one
-// schema: the root epoch (global invalidations, schema drops) plus the
-// schema's epoch. A cached result that only read the schema is valid
+// schema: the root epoch (schema drops) plus the schema's epoch. A cached result that only read the schema is valid
 // iff the value is unchanged — commits against other schemas leave it
 // alone, which is what scopes query-cache invalidation to the realm a
 // chart actually reads.
@@ -160,16 +155,6 @@ func (db *DB) EpochOf(schema string) uint64 {
 	}
 	return e
 }
-
-// BumpEpoch advances the root warehouse generation, invalidating every
-// query-cache entry computed against earlier generations — including
-// entries tagged with schema-scoped epochs (EpochOf includes the
-// root). Writers call it after their data is visible, so a reader that
-// observed a partial state necessarily read the epoch before the bump
-// and its cached result can never be served afterwards. Ordinary
-// commits no longer need it (commit bumps the touched schemas' epochs
-// itself); it remains for global invalidations.
-func (db *DB) BumpEpoch() uint64 { return db.epoch.Add(1) }
 
 func (db *DB) logEvent(ev Event) {
 	if db.logging {
@@ -220,19 +205,6 @@ func (db *DB) createSchemaLocked(name string) *Schema {
 	return s
 }
 
-// CreateSchema creates a schema; it is an error if it already exists.
-func (db *DB) CreateSchema(name string) (*Schema, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if name == "" {
-		return nil, fmt.Errorf("warehouse: schema name must not be empty")
-	}
-	if _, ok := db.schemas[name]; ok {
-		return nil, fmt.Errorf("warehouse: schema %q already exists", name)
-	}
-	return db.createSchemaLocked(name), nil
-}
-
 // EnsureSchema returns the named schema, creating it if needed.
 func (db *DB) EnsureSchema(name string) *Schema {
 	db.mu.Lock()
@@ -241,17 +213,6 @@ func (db *DB) EnsureSchema(name string) *Schema {
 		return s
 	}
 	return db.createSchemaLocked(name)
-}
-
-// DropSchema removes a schema and all of its tables.
-func (db *DB) DropSchema(name string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, ok := db.schemas[name]; !ok {
-		return fmt.Errorf("warehouse: schema %q does not exist", name)
-	}
-	db.dropSchemaLocked(name)
-	return nil
 }
 
 // dropSchemaLocked removes a schema (if present), folding its epoch plus
@@ -300,16 +261,6 @@ func (s *Schema) createTableLocked(def TableDef) (*Table, error) {
 	s.db.rebuildCatalogLocked()
 	t.logEvent(Event{Kind: EvCreateTable, Def: &t.def}) // t.def is never modified
 	return t, nil
-}
-
-// CreateTable creates a table in the schema from the definition.
-func (s *Schema) CreateTable(def TableDef) (*Table, error) {
-	s.db.mu.Lock()
-	defer s.db.mu.Unlock()
-	if _, ok := s.tables[def.Name]; ok {
-		return nil, fmt.Errorf("warehouse: table %s.%s already exists", s.name, def.Name)
-	}
-	return s.createTableLocked(def)
 }
 
 // EnsureTable returns the named table, creating it from def if absent.
@@ -415,18 +366,6 @@ func (db *DB) LoadColumns(schema, table string, cd *ColumnData) error {
 	return t.ReplaceAllColumns(cd)
 }
 
-// Scan iterates schema.table under the read lock.
-func (db *DB) Scan(schema, table string, fn func(Row) bool) error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, err := db.lookupLocked(schema, table)
-	if err != nil {
-		return err
-	}
-	t.Scan(fn)
-	return nil
-}
-
 // Count returns the number of live rows in schema.table.
 func (db *DB) Count(schema, table string) int {
 	db.mu.RLock()
@@ -466,18 +405,6 @@ func (db *DB) DataFor(schema, table string) (*TableData, error) {
 		return nil, fmt.Errorf("warehouse: table %s.%s does not exist", schema, table)
 	}
 	return t.Data(), nil
-}
-
-// Apply replays a single binlog event against this DB. This is the
-// applier half of replication: events extracted from a satellite are
-// applied to the hub, optionally after schema renaming. Row events are
-// applied positionally, trusting the upstream definition.
-func (db *DB) Apply(ev Event) error {
-	mTxns.Inc()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	defer db.commitLocked()
-	return db.applyLocked(ev)
 }
 
 // ApplyAll replays a batch of binlog events as one write transaction:

@@ -20,7 +20,7 @@ func TestSchemaEpochs(t *testing.T) {
 	a1 := mustTable(t, db, "a")
 	def2 := jobsDef()
 	def2.Name = "jobs2"
-	a2, err := db.Schema("a").CreateTable(def2)
+	a2, err := db.Schema("a").EnsureTable(def2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestSchemaEpochs(t *testing.T) {
 		}
 		last = now
 	}
-	if err := db.DropSchema("a"); err != nil {
+	if err := applyOne(db, Event{Kind: EvDropSchema, Schema: "a"}); err != nil {
 		t.Fatal(err)
 	}
 	monotone("drop a")

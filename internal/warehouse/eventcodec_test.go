@@ -321,7 +321,16 @@ func ingestedBinlogs(t testing.TB) (live, restored []warehouse.Event) {
 	}
 	db.Do(func() error {
 		sess.Truncate()
-		tab.Delete(func(r warehouse.Row) bool { return r.Int(jobs.ColNodes) == 1 })
+		var oneNode [][]any
+		tab.Scan(func(r warehouse.Row) bool {
+			if r.Int(jobs.ColNodes) == 1 {
+				oneNode = append(oneNode, []any{r.Get(jobs.ColResource), r.Get(jobs.ColJobID)})
+			}
+			return true
+		})
+		for _, key := range oneNode {
+			tab.DeleteByKey(key...)
+		}
 		return nil
 	})
 	var snap bytes.Buffer
@@ -329,7 +338,7 @@ func ingestedBinlogs(t testing.TB) (live, restored []warehouse.Event) {
 		t.Fatal(err)
 	}
 	db.EnsureSchema("scratch")
-	if err := db.DropSchema("scratch"); err != nil {
+	if _, err := db.ApplyAll([]warehouse.Event{{Kind: warehouse.EvDropSchema, Schema: "scratch"}}); err != nil {
 		t.Fatal(err)
 	}
 	db2 := warehouse.Open("restored")

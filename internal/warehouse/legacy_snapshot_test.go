@@ -83,7 +83,7 @@ func TestRestoreRejectsUnsupportedSnapshotVersion(t *testing.T) {
 // value.
 func TestRowsChunkCoercesStrictly(t *testing.T) {
 	db := Open("chunk")
-	tab, err := db.EnsureSchema("modw").CreateTable(allTypesDef())
+	tab, err := db.EnsureSchema("modw").EnsureTable(allTypesDef())
 	if err != nil {
 		t.Fatal(err)
 	}

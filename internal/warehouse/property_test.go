@@ -32,7 +32,7 @@ func TestPropertySnapshotRoundTrip(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		db := Open("p")
 		s := db.EnsureSchema("s")
-		tab, err := s.CreateTable(TableDef{
+		tab, err := s.EnsureTable(TableDef{
 			Name: "t",
 			Columns: []Column{
 				{Name: "id", Type: TypeInt},
@@ -98,7 +98,7 @@ func TestPropertyApplyReplaysToIdenticalState(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		src := Open("src")
 		s := src.EnsureSchema("s")
-		tab, _ := s.CreateTable(TableDef{
+		tab, _ := s.EnsureTable(TableDef{
 			Name: "t",
 			Columns: []Column{
 				{Name: "id", Type: TypeInt},
@@ -116,7 +116,7 @@ func TestPropertyApplyReplaysToIdenticalState(t *testing.T) {
 					tab.DeleteByKey(id)
 				case 2:
 					if _, ok := tab.GetByKey(id); ok {
-						tab.UpdateByKey([]any{id}, map[string]any{"v": rng.Int63n(1000)})
+						updateCols(tab, id, map[string]any{"v": rng.Int63n(1000)})
 					}
 				}
 			}
@@ -128,7 +128,7 @@ func TestPropertyApplyReplaysToIdenticalState(t *testing.T) {
 			return false
 		}
 		for _, ev := range evs {
-			if err := dst.Apply(ev); err != nil {
+			if err := applyOne(dst, ev); err != nil {
 				return false
 			}
 		}
@@ -151,51 +151,6 @@ func TestPropertyApplyReplaysToIdenticalState(t *testing.T) {
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestPropertyGroupBySumMatchesManual: GROUP BY SUM must equal a manual
-// accumulation for arbitrary data.
-func TestPropertyGroupBySumMatchesManual(t *testing.T) {
-	f := func(vals []uint16) bool {
-		db := Open("p")
-		s := db.EnsureSchema("s")
-		tab, _ := s.CreateTable(TableDef{
-			Name: "t",
-			Columns: []Column{
-				{Name: "k", Type: TypeString},
-				{Name: "v", Type: TypeInt},
-			},
-		})
-		manual := map[string]float64{}
-		db.Do(func() error {
-			for i, v := range vals {
-				k := fmt.Sprintf("g%d", i%5)
-				manual[k] += float64(v)
-				tab.InsertRow([]any{k, int64(v)})
-			}
-			return nil
-		})
-		var res []GroupResult
-		db.View(func() error {
-			res, _ = tab.GroupBy(GroupQuery{
-				GroupBy:    []string{"k"},
-				Aggregates: []Aggregate{{Func: AggSum, Column: "v", As: "sum"}},
-			})
-			return nil
-		})
-		if len(res) != len(manual) {
-			return false
-		}
-		for _, g := range res {
-			if manual[g.Keys[0].(string)] != g.Values["sum"] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }

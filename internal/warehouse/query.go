@@ -1,11 +1,8 @@
 package warehouse
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
-// AggFunc enumerates the aggregate functions the query engine supports.
+// AggFunc enumerates the aggregate functions a realm metric can apply.
 type AggFunc int
 
 // Supported aggregate functions.
@@ -39,201 +36,4 @@ func (f AggFunc) String() string {
 	default:
 		return fmt.Sprintf("AggFunc(%d)", int(f))
 	}
-}
-
-// Aggregate names one aggregate output: Func applied to Column (Column
-// is ignored for AggCount), labeled As in the result.
-type Aggregate struct {
-	Func   AggFunc
-	Column string
-	As     string
-}
-
-// GroupQuery describes a grouped aggregation over a single table: the
-// moral equivalent of
-//
-//	SELECT groupBy..., agg(...) FROM t WHERE where GROUP BY groupBy...
-type GroupQuery struct {
-	GroupBy    []string
-	Aggregates []Aggregate
-	Where      func(Row) bool
-}
-
-// GroupResult is one output group.
-type GroupResult struct {
-	Keys   []any              // values of the GroupBy columns, in order
-	Values map[string]float64 // aggregate label -> value
-	Count  int64              // number of input rows in the group
-}
-
-type aggState struct {
-	keys  []any
-	sum   []float64
-	min   []float64
-	max   []float64
-	n     []int64
-	count int64
-}
-
-// GroupBy executes the query against the table and returns one result
-// per distinct grouping key, sorted by encoded key for determinism.
-func (t *Table) GroupBy(q GroupQuery) ([]GroupResult, error) {
-	groupIdx := make([]int, len(q.GroupBy))
-	for i, c := range q.GroupBy {
-		ci, ok := t.lay.colIndex[c]
-		if !ok {
-			return nil, fmt.Errorf("warehouse: group-by column %q not in table %s.%s", c, t.schema, t.def.Name)
-		}
-		groupIdx[i] = ci
-	}
-	aggIdx := make([]int, len(q.Aggregates))
-	for i, a := range q.Aggregates {
-		if a.Func == AggCount {
-			aggIdx[i] = -1
-			continue
-		}
-		ci, ok := t.lay.colIndex[a.Column]
-		if !ok {
-			return nil, fmt.Errorf("warehouse: aggregate column %q not in table %s.%s", a.Column, t.schema, t.def.Name)
-		}
-		aggIdx[i] = ci
-	}
-
-	groups := make(map[string]*aggState)
-	t.Scan(func(r Row) bool {
-		if q.Where != nil && !q.Where(r) {
-			return true
-		}
-		keyParts := make([]any, len(groupIdx))
-		for i, ci := range groupIdx {
-			keyParts[i] = r.value(ci)
-		}
-		key := encodeKey(keyParts)
-		st, ok := groups[key]
-		if !ok {
-			st = &aggState{
-				keys: keyParts,
-				sum:  make([]float64, len(q.Aggregates)),
-				min:  make([]float64, len(q.Aggregates)),
-				max:  make([]float64, len(q.Aggregates)),
-				n:    make([]int64, len(q.Aggregates)),
-			}
-			groups[key] = st
-		}
-		st.count++
-		for i, ci := range aggIdx {
-			if ci < 0 {
-				st.n[i]++
-				continue
-			}
-			v := r.value(ci)
-			if v == nil {
-				continue
-			}
-			f := toFloat(v)
-			if st.n[i] == 0 {
-				st.min[i], st.max[i] = f, f
-			} else {
-				if f < st.min[i] {
-					st.min[i] = f
-				}
-				if f > st.max[i] {
-					st.max[i] = f
-				}
-			}
-			st.sum[i] += f
-			st.n[i]++
-		}
-		return true
-	})
-
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	out := make([]GroupResult, 0, len(groups))
-	for _, k := range keys {
-		st := groups[k]
-		res := GroupResult{Keys: st.keys, Values: make(map[string]float64, len(q.Aggregates)), Count: st.count}
-		for i, a := range q.Aggregates {
-			label := a.As
-			if label == "" {
-				label = fmt.Sprintf("%s(%s)", a.Func, a.Column)
-			}
-			switch a.Func {
-			case AggSum:
-				res.Values[label] = st.sum[i]
-			case AggCount:
-				res.Values[label] = float64(st.n[i])
-			case AggAvg:
-				if st.n[i] > 0 {
-					res.Values[label] = st.sum[i] / float64(st.n[i])
-				}
-			case AggMin:
-				if st.n[i] > 0 {
-					res.Values[label] = st.min[i]
-				}
-			case AggMax:
-				if st.n[i] > 0 {
-					res.Values[label] = st.max[i]
-				}
-			}
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
-func toFloat(v any) float64 {
-	switch x := v.(type) {
-	case float64:
-		return x
-	case int64:
-		return float64(x)
-	case bool:
-		if x {
-			return 1
-		}
-		return 0
-	default:
-		return 0
-	}
-}
-
-// Select returns the rows matching where (all rows when where is nil).
-func (t *Table) Select(where func(Row) bool) []Row {
-	var out []Row
-	t.Scan(func(r Row) bool {
-		if where == nil || where(r) {
-			out = append(out, r)
-		}
-		return true
-	})
-	return out
-}
-
-// SumWhere is a convenience: SUM(col) over rows matching where.
-func (t *Table) SumWhere(col string, where func(Row) bool) float64 {
-	var sum float64
-	t.Scan(func(r Row) bool {
-		if where == nil || where(r) {
-			sum += r.Float(col)
-		}
-		return true
-	})
-	return sum
-}
-
-// CountWhere is a convenience: COUNT(*) over rows matching where.
-func (t *Table) CountWhere(where func(Row) bool) int64 {
-	var n int64
-	t.Scan(func(r Row) bool {
-		if where == nil || where(r) {
-			n++
-		}
-		return true
-	})
-	return n
 }

@@ -174,13 +174,3 @@ func (db *DB) SaveFile(path string) error {
 	}
 	return f.Close()
 }
-
-// LoadFile restores a DB snapshot from a file path.
-func (db *DB) LoadFile(path string) (uint64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	return db.Restore(f)
-}

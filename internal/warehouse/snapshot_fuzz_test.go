@@ -14,7 +14,7 @@ func FuzzRestoreSnapshot(f *testing.F) {
 	src := Open("src")
 	def := allTypesDef()
 	def.Indexes = [][]string{{"s"}}
-	if _, err := src.EnsureSchema("modw").CreateTable(def); err != nil {
+	if _, err := src.EnsureSchema("modw").EnsureTable(def); err != nil {
 		f.Fatal(err)
 	}
 	ts := time.Date(2017, 3, 1, 12, 0, 0, 5, time.UTC)

@@ -128,8 +128,6 @@ type diskHandle struct {
 	lastUse atomic.Int64
 }
 
-func (h *diskHandle) Rows() int        { return h.rows }
-func (h *diskHandle) Bytes() int64     { return h.bytes }
 func (h *diskHandle) HeapBacked() bool { return false }
 
 func (h *diskHandle) Peek() *SegmentData { return h.view.Load() }
@@ -265,12 +263,6 @@ func (d *Disk) evict(keep *diskHandle) {
 		}
 	}
 	d.mu.Unlock()
-}
-
-func (d *Disk) Stats() Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return Stats{Backend: "disk", Segments: len(d.segs), SegmentBytes: d.bytes, ResidentBytes: d.resident.Load()}
 }
 
 // Close marks the backend closed and releases its remaining

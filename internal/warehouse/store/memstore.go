@@ -25,8 +25,6 @@ type memHandle struct {
 	bytes int64
 }
 
-func (h *memHandle) Rows() int          { return h.sd.Rows }
-func (h *memHandle) Bytes() int64       { return h.bytes }
 func (h *memHandle) View() *SegmentData { return h.sd }
 func (h *memHandle) Peek() *SegmentData { return h.sd }
 func (h *memHandle) HeapBacked() bool   { return true }
@@ -65,12 +63,6 @@ func (m *Mem) Drop(h Handle) {
 	mSegmentBytes.Add(-float64(mh.bytes))
 	mResidentBytes.Add(-float64(mh.bytes))
 	mDrops.Inc()
-}
-
-func (m *Mem) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return Stats{Backend: "memory", Segments: m.segments, SegmentBytes: m.bytes, ResidentBytes: m.bytes}
 }
 
 // Close releases the backend's remaining accounting from the global

@@ -52,20 +52,8 @@ type SegmentData struct {
 	keep any
 }
 
-// Stats is a point-in-time summary of a backend's footprint.
-type Stats struct {
-	Backend       string // "memory" or "disk"
-	Segments      int    // live sealed segments
-	SegmentBytes  int64  // sealed payload bytes (file bytes for disk)
-	ResidentBytes int64  // heap bytes currently held by materialized views
-}
-
 // Handle is a reference to one sealed segment.
 type Handle interface {
-	// Rows is the segment's row count.
-	Rows() int
-	// Bytes is the sealed payload size (file size for disk segments).
-	Bytes() int64
 	// View returns the segment's readable columns, materializing them
 	// if needed. The returned view stays valid for as long as the
 	// caller references it, even if the backend evicts its own copy.
@@ -93,8 +81,6 @@ type Backend interface {
 	// Drop releases a sealed segment the warehouse no longer
 	// references (table truncated, compacted, or bulk-replaced).
 	Drop(h Handle)
-	// Stats reports the backend's current footprint.
-	Stats() Stats
 	// Close releases backend resources. Handles already held remain
 	// readable (mappings stay valid until their owners are collected).
 	Close() error

@@ -100,8 +100,9 @@ func TestDiskRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Rows() != 337 || h.HeapBacked() {
-		t.Fatalf("rows=%d heap=%v", h.Rows(), h.HeapBacked())
+	dh := h.(*diskHandle)
+	if dh.rows != 337 || h.HeapBacked() {
+		t.Fatalf("rows=%d heap=%v", dh.rows, h.HeapBacked())
 	}
 	if h.Peek() != nil {
 		t.Fatal("segment should be cold right after seal")
@@ -114,9 +115,11 @@ func TestDiskRoundTrip(t *testing.T) {
 	if h.View() != h.Peek() {
 		t.Fatal("warm View must not rebuild")
 	}
-	st := d.Stats()
-	if st.Segments != 1 || st.SegmentBytes != h.Bytes() || st.ResidentBytes <= 0 {
-		t.Fatalf("stats: %+v (bytes=%d)", st, h.Bytes())
+	d.mu.Lock()
+	segs, bytes := len(d.segs), d.bytes
+	d.mu.Unlock()
+	if segs != 1 || bytes != dh.bytes || d.resident.Load() <= 0 {
+		t.Fatalf("segments=%d bytes=%d resident=%d (segment bytes=%d)", segs, bytes, d.resident.Load(), dh.bytes)
 	}
 }
 
@@ -132,8 +135,8 @@ func TestMemRoundTrip(t *testing.T) {
 	}
 	equalViews(t, want, h.View())
 	m.Drop(h)
-	if st := m.Stats(); st.Segments != 0 || st.SegmentBytes != 0 {
-		t.Fatalf("after drop: %+v", st)
+	if m.segments != 0 || m.bytes != 0 {
+		t.Fatalf("after drop: segments=%d bytes=%d", m.segments, m.bytes)
 	}
 }
 
@@ -187,8 +190,8 @@ func TestDiskDropUnlinksAndKeepsReaders(t *testing.T) {
 	}
 	// The in-flight view still reads correctly after the unlink.
 	equalViews(t, sampleSegment(100), v)
-	if st := d.Stats(); st.Segments != 0 || st.SegmentBytes != 0 {
-		t.Fatalf("after drop: %+v", st)
+	if len(d.segs) != 0 || d.bytes != 0 {
+		t.Fatalf("after drop: segments=%d bytes=%d", len(d.segs), d.bytes)
 	}
 }
 

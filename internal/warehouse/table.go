@@ -2,7 +2,6 @@ package warehouse
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"sync/atomic"
 )
@@ -559,25 +558,6 @@ func (t *Table) indexRow(cols []colVec, lp, pos int) {
 	}
 }
 
-// Delete removes rows matching the predicate and returns the count.
-func (t *Table) Delete(where func(Row) bool) int {
-	n := 0
-	t.forEachChunk(func(cols []colVec, base, rows int) bool {
-		for lp := 0; lp < rows; lp++ {
-			pos := base + lp
-			if t.dead[pos] {
-				continue
-			}
-			if where(Row{lay: t.lay, cols: cols, pos: lp}) {
-				t.deleteAt(pos)
-				n++
-			}
-		}
-		return true
-	})
-	return n
-}
-
 func (t *Table) deleteAt(pos int) {
 	if len(t.pkCols) > 0 {
 		cols, lp := t.colsAt(pos)
@@ -823,43 +803,6 @@ func (t *Table) GetByKey(keyVals ...any) (Row, bool) {
 	return t.rowAt(pos), true
 }
 
-// UpdateByKey applies the given column assignments to the row with the
-// primary key values and logs the update. It fails when the update
-// would change the primary key to a conflicting value.
-func (t *Table) UpdateByKey(keyVals []any, set map[string]any) error {
-	key := encodeKey(keyVals)
-	pos, ok := t.pk[key]
-	if !ok {
-		return fmt.Errorf("warehouse: table %s.%s: no row with key %v", t.schema, t.def.Name, keyVals)
-	}
-	vals := t.rowAt(pos).Values()
-	for k, v := range set {
-		i, ok := t.lay.colIndex[k]
-		if !ok {
-			return fmt.Errorf("warehouse: table %s.%s has no column %q", t.schema, t.def.Name, k)
-		}
-		cv, err := coerce(t.def.Columns[i], v)
-		if err != nil {
-			return err
-		}
-		vals[i] = cv
-	}
-	newKey := string(t.pkBytes(vals))
-	if newKey != key {
-		if _, dup := t.pk[newKey]; dup {
-			return fmt.Errorf("warehouse: table %s.%s: update collides on key %q", t.schema, t.def.Name, newKey)
-		}
-	}
-	t.removeFromIndexes(pos)
-	t.tombstoneAt(pos)
-	delete(t.pk, key)
-	newPos := t.appendRow(vals)
-	t.pk[newKey] = newPos
-	t.addToIndexes(newPos)
-	t.logEvent(Event{Kind: EvUpdate, Row: vals})
-	return nil
-}
-
 // Scan calls fn for every live row; fn returning false stops the scan.
 // Within a write transaction the scan observes the transaction's own
 // uncommitted changes (it reads the writer state, not the published
@@ -947,18 +890,4 @@ func (t *Table) Columns() []string {
 		names[i] = c.Name
 	}
 	return names
-}
-
-// SortedRows returns all live rows ordered by the given column
-// (ascending); used by deterministic exports and tests.
-func (t *Table) SortedRows(orderBy string) []Row {
-	var rows []Row
-	t.Scan(func(r Row) bool {
-		rows = append(rows, r)
-		return true
-	})
-	sort.SliceStable(rows, func(i, j int) bool {
-		return encodeKeyPart(rows[i].Get(orderBy)) < encodeKeyPart(rows[j].Get(orderBy))
-	})
-	return rows
 }

@@ -131,7 +131,7 @@ func stateOf(db *DB, tab *Table, ids int) tableState {
 
 func snapshotRows(td *TableData) [][]any {
 	var rows [][]any
-	td.Scan(func(r Row) bool {
+	scanData(td, func(r Row) bool {
 		rows = append(rows, r.Values())
 		return true
 	})
@@ -152,7 +152,7 @@ func TestUpsertColumnsMatchesUpsertRow(t *testing.T) {
 	def := keyedDef()
 	open := func() (*DB, *Table) {
 		db := OpenOptions("twin", Options{HotTailRows: 8})
-		tab, err := db.EnsureSchema("modw").CreateTable(def)
+		tab, err := db.EnsureSchema("modw").EnsureTable(def)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +258,7 @@ func TestUpsertColumnsRefusalMutatesNothing(t *testing.T) {
 	const ids = 40
 	def := keyedDef()
 	db := OpenOptions("refuse", Options{HotTailRows: 8})
-	tab, err := db.EnsureSchema("modw").CreateTable(def)
+	tab, err := db.EnsureSchema("modw").EnsureTable(def)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestUpsertColumnsRefusalMutatesNothing(t *testing.T) {
 	}
 	unkeyed := allTypesDef()
 	unkeyed.Name, unkeyed.PrimaryKey = "unkeyed", nil
-	noPK, err := db.EnsureSchema("modw").CreateTable(unkeyed)
+	noPK, err := db.EnsureSchema("modw").EnsureTable(unkeyed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestColumnDataValidateIsStrict(t *testing.T) {
 		{"NULL where none may be", edit(func(cd *ColumnData) { cd.Cols[3].Nulls = []bool{false, true} }), `column "b" row 1 is NULL but the column is not nullable`},
 	}
 	db := Open("strict")
-	tab, err := db.EnsureSchema("modw").CreateTable(def)
+	tab, err := db.EnsureSchema("modw").EnsureTable(def)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func TestColumnDataValidateIsStrict(t *testing.T) {
 			t.Errorf("%s: LoadColumns accepted the payload", tc.name)
 		}
 		if tc.cd != nil { // a peer's LOAD event takes the same gate
-			if err := db.Apply(Event{Kind: EvLoad, Schema: "modw", Table: "t", Cols: tc.cd}); err == nil {
+			if err := applyOne(db, Event{Kind: EvLoad, Schema: "modw", Table: "t", Cols: tc.cd}); err == nil {
 				t.Errorf("%s: a LOAD event carrying the payload applied", tc.name)
 			}
 		}

@@ -102,15 +102,11 @@ type LogWriter struct {
 	wg     sync.WaitGroup
 }
 
-// OpenLogWriter opens (creating or appending) the binlog file for db
-// and starts mirroring events committed after fromLSN with the default
-// durability (fsync-always). Callers that created the file fresh pass
-// 0; callers resuming pass the LSN returned by RecoverDB or ReplayLog.
-func OpenLogWriter(db *DB, path string, fromLSN uint64) (*LogWriter, error) {
-	return OpenLogWriterOpts(db, path, fromLSN, WALOptions{})
-}
-
-// OpenLogWriterOpts is OpenLogWriter with explicit durability options.
+// OpenLogWriterOpts opens (creating or appending) the binlog file for
+// db and starts mirroring events committed after fromLSN with the given
+// durability (the zero WALOptions fsyncs every record). Callers that
+// created the file fresh pass 0; callers resuming pass the LSN returned
+// by ReplayLog.
 func OpenLogWriterOpts(db *DB, path string, fromLSN uint64, opts WALOptions) (*LogWriter, error) {
 	policy := opts.Fsync
 	if policy == "" {
@@ -151,7 +147,7 @@ func (w *LogWriter) follow(ctx context.Context) {
 	for {
 		evs, err := w.db.binlog.Wait(ctx, w.Position(), 256)
 		if err != nil {
-			return // cancelled, log closed, or trimmed past us
+			return // cancelled, or trimmed past us
 		}
 		if err := w.writeEvents(evs); err != nil {
 			walLog.Error("wal append failed, writer stopped", "err", err)
@@ -272,20 +268,6 @@ func (w *LogWriter) Close() error {
 		firstErr = err
 	}
 	return firstErr
-}
-
-// RecoverDB rebuilds a DB by replaying the on-disk binlog file. It
-// returns the recovered DB and the last LSN applied. A missing file
-// yields an empty DB at position 0. Torn or corrupt tails (a crash
-// mid-write) are truncated at the last valid record so a subsequent
-// OpenLogWriter resumes appending cleanly.
-func RecoverDB(name, path string) (*DB, uint64, error) {
-	db := Open(name)
-	last, err := ReplayLog(db, path)
-	if err != nil {
-		return nil, last, err
-	}
-	return db, last, nil
 }
 
 // countingByteReader tracks the file offset consumed through a

@@ -60,7 +60,7 @@ func TestWALCrashRecoveryProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		rec, last, err := RecoverDB("sat", path)
+		rec, last, err := recoverDB("sat", path)
 		if err != nil {
 			t.Fatalf("seed %d cut %d: recovery failed: %v", seed, cut, err)
 		}
@@ -91,7 +91,7 @@ func TestWALCrashRecoveryProperty(t *testing.T) {
 		// Truncate-idempotence: recovery shrank the file to exactly the
 		// valid prefix; recovering again changes nothing.
 		sizeAfter, _ := os.Stat(path)
-		rec2, last2, err := RecoverDB("sat", path)
+		rec2, last2, err := recoverDB("sat", path)
 		if err != nil {
 			t.Fatalf("seed %d: second recovery failed: %v", seed, err)
 		}
@@ -109,7 +109,7 @@ func TestWALCrashRecoveryProperty(t *testing.T) {
 		if count == 0 {
 			continue // schema events were cut too; nothing to resume onto
 		}
-		w, err := OpenLogWriter(rec, path, last)
+		w, err := OpenLogWriterOpts(rec, path, last, WALOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestWALCrashRecoveryProperty(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatalf("seed %d: resume close: %v", seed, err)
 		}
-		rec3, _, err := RecoverDB("sat", path)
+		rec3, _, err := recoverDB("sat", path)
 		if err != nil {
 			t.Fatalf("seed %d: recovery after resume: %v", seed, err)
 		}
@@ -164,7 +164,7 @@ func TestWALCloseFlushesFinalEvents(t *testing.T) {
 			if syncs, _ := reg.Stats(faults.WALSyncError); syncs == 0 {
 				t.Fatalf("policy %s: Close never fsynced", policy)
 			}
-			rec, _, err := RecoverDB("sat", path)
+			rec, _, err := recoverDB("sat", path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -223,7 +223,7 @@ func TestWALShortWriteTornTail(t *testing.T) {
 	if _, injected := reg.Stats(faults.WALShortWrite); injected == 0 {
 		t.Fatal("short write never injected")
 	}
-	rec, last, err := RecoverDB("sat", path)
+	rec, last, err := recoverDB("sat", path)
 	if err != nil {
 		t.Fatalf("recovery after torn tail: %v", err)
 	}
@@ -231,7 +231,7 @@ func TestWALShortWriteTornTail(t *testing.T) {
 		t.Fatalf("recovered %d rows, want the 3 before the torn record", got)
 	}
 	// And the truncated file accepts resumed appends.
-	w2, err := OpenLogWriter(rec, path, last)
+	w2, err := OpenLogWriterOpts(rec, path, last, WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestWALShortWriteTornTail(t *testing.T) {
 	if err := w2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rec2, _, err := RecoverDB("sat", path)
+	rec2, _, err := recoverDB("sat", path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func sampleWALEvents(t testing.TB) []Event {
 		for i := 0; i < 12; i++ {
 			tab.Insert(map[string]any{"job_id": i, "user": "u", "resource": "r", "cores": i, "wall": float64(i) / 2})
 		}
-		tab.UpdateByKey([]any{int64(5)}, map[string]any{"cores": 999})
+		updateCols(tab, int64(5), map[string]any{"cores": 999})
 		tab.DeleteByKey(int64(7))
 		return nil
 	})
@@ -328,7 +328,7 @@ func TestReplayLogReadsGobRecordsThenBinaryOnes(t *testing.T) {
 	if err := os.WriteFile(path, file, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rec, last, err := RecoverDB("sat", path)
+	rec, last, err := recoverDB("sat", path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestReplayLogReadsGobRecordsThenBinaryOnes(t *testing.T) {
 		t.Fatal("replay of a clean mixed-format file changed it")
 	}
 
-	w, err := OpenLogWriter(rec, path, last)
+	w, err := OpenLogWriterOpts(rec, path, last, WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestReplayLogReadsGobRecordsThenBinaryOnes(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rec2, _, err := RecoverDB("sat", path)
+	rec2, _, err := recoverDB("sat", path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,13 @@ import (
 	"time"
 )
 
+// recoverDB opens an empty DB and replays the log at path into it.
+func recoverDB(name, path string) (*DB, uint64, error) {
+	db := Open(name)
+	last, err := ReplayLog(db, path)
+	return db, last, err
+}
+
 func walPath(t *testing.T) string {
 	t.Helper()
 	return filepath.Join(t.TempDir(), "binlog.wal")
@@ -15,7 +22,7 @@ func walPath(t *testing.T) string {
 func TestLogWriterAndRecover(t *testing.T) {
 	path := walPath(t)
 	db := Open("sat")
-	w, err := OpenLogWriter(db, path, 0)
+	w, err := OpenLogWriterOpts(db, path, 0, WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +31,7 @@ func TestLogWriterAndRecover(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			tab.Insert(map[string]any{"job_id": i, "user": "u", "resource": "r", "cores": i, "wall": float64(i)})
 		}
-		tab.UpdateByKey([]any{int64(5)}, map[string]any{"cores": 999})
+		updateCols(tab, int64(5), map[string]any{"cores": 999})
 		tab.DeleteByKey(int64(7))
 		return nil
 	})
@@ -35,7 +42,7 @@ func TestLogWriterAndRecover(t *testing.T) {
 		t.Fatalf("writer drained to %d of %d", w.Position(), db.Binlog().Last())
 	}
 
-	rec, last, err := RecoverDB("sat", path)
+	rec, last, err := recoverDB("sat", path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +74,7 @@ func TestLogWriterFollowsLiveWrites(t *testing.T) {
 	path := walPath(t)
 	db := Open("sat")
 	tab := mustTable(t, db, "s")
-	w, err := OpenLogWriter(db, path, 0)
+	w, err := OpenLogWriterOpts(db, path, 0, WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +97,7 @@ func TestRecoverResumeAppend(t *testing.T) {
 	path := walPath(t)
 	// Session 1: write some events.
 	db1 := Open("sat")
-	w1, _ := OpenLogWriter(db1, path, 0)
+	w1, _ := OpenLogWriterOpts(db1, path, 0, WALOptions{})
 	tab1 := mustTable(t, db1, "s")
 	db1.Do(func() error {
 		for i := 0; i < 10; i++ {
@@ -101,11 +108,11 @@ func TestRecoverResumeAppend(t *testing.T) {
 	w1.Close()
 
 	// Session 2: recover, append more.
-	db2, last, err := RecoverDB("sat", path)
+	db2, last, err := recoverDB("sat", path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, err := OpenLogWriter(db2, path, last)
+	w2, err := OpenLogWriterOpts(db2, path, last, WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +126,7 @@ func TestRecoverResumeAppend(t *testing.T) {
 	w2.Close()
 
 	// Session 3: recover everything.
-	db3, _, err := RecoverDB("sat", path)
+	db3, _, err := recoverDB("sat", path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +136,7 @@ func TestRecoverResumeAppend(t *testing.T) {
 }
 
 func TestRecoverMissingFile(t *testing.T) {
-	db, last, err := RecoverDB("sat", filepath.Join(t.TempDir(), "nope.wal"))
+	db, last, err := recoverDB("sat", filepath.Join(t.TempDir(), "nope.wal"))
 	if err != nil || last != 0 || db == nil {
 		t.Fatalf("missing file should recover empty: db=%v last=%d err=%v", db, last, err)
 	}
@@ -138,7 +145,7 @@ func TestRecoverMissingFile(t *testing.T) {
 func TestRecoverTruncatedTail(t *testing.T) {
 	path := walPath(t)
 	db := Open("sat")
-	w, _ := OpenLogWriter(db, path, 0)
+	w, _ := OpenLogWriterOpts(db, path, 0, WALOptions{})
 	tab := mustTable(t, db, "s")
 	db.Do(func() error {
 		for i := 0; i < 20; i++ {
@@ -156,7 +163,7 @@ func TestRecoverTruncatedTail(t *testing.T) {
 	if err := os.Truncate(path, info.Size()-25); err != nil {
 		t.Fatal(err)
 	}
-	rec, last, err := RecoverDB("sat", path)
+	rec, last, err := recoverDB("sat", path)
 	if err != nil {
 		t.Fatalf("truncated tail must not fail recovery: %v", err)
 	}
@@ -173,7 +180,7 @@ func TestReplayLogIntoExistingDB(t *testing.T) {
 	// Session 1: a DB with realm-style structure and some rows, WAL on.
 	db1 := Open("sat")
 	tab1 := mustTable(t, db1, "modw")
-	w1, err := OpenLogWriter(db1, path, db1.Binlog().Last())
+	w1, err := OpenLogWriterOpts(db1, path, db1.Binlog().Last(), WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +204,7 @@ func TestReplayLogIntoExistingDB(t *testing.T) {
 		t.Fatalf("replayed to %d, rows %d", last, db2.Count("modw", "jobs"))
 	}
 	// Attach the WAL and add more rows.
-	w2, err := OpenLogWriter(db2, path, db2.Binlog().Last())
+	w2, err := OpenLogWriterOpts(db2, path, db2.Binlog().Last(), WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -374,11 +374,21 @@ func TestFederatedTelemetryEndToEnd(t *testing.T) {
 	}
 
 	// Telemetry federation: point the hub's scraper at the satellite's
-	// REST endpoint and force one scrape cycle.
+	// REST endpoint and run it until the member is scraped.
 	memberSrv := httptest.NewServer(satSrv)
 	defer memberSrv.Close()
 	hub.Telemetry.AddTarget("siteB", memberSrv.URL)
-	hub.Telemetry.ScrapeOnce(context.Background())
+	scrapeCtx, stopScrape := context.WithCancel(context.Background())
+	defer stopScrape()
+	go hub.Telemetry.Run(scrapeCtx)
+	waitUntil(t, 10*time.Second, func() bool {
+		for _, m := range hub.Telemetry.Snapshot() {
+			if m.Name == "siteB" && m.Up {
+				return true
+			}
+		}
+		return false
+	}, "hub telemetry never scraped siteB")
 
 	code, hubMetrics := httpGetBody(t, hubSrv, "/metrics")
 	if code != http.StatusOK {
