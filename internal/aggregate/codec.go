@@ -42,12 +42,7 @@ func newAggCodec(info realm.Info) *aggCodec {
 
 // newAcc returns a zero accumulator with measure slices of the realm's
 // shape and no dimension values.
-func (c *aggCodec) newAcc() accRow {
-	vals := make([]float64, 4*len(c.cols)+len(c.weights))
-	n := len(c.cols)
-	return accRow{sums: vals[:n:n], mins: vals[n : 2*n : 2*n], maxs: vals[2*n : 3*n : 3*n],
-		lasts: vals[3*n : 4*n : 4*n], wsums: vals[4*n:]}
-}
+func (c *aggCodec) newAcc() accRow { return accOfShape(len(c.cols), len(c.weights)) }
 
 // aggColumns is a payload of the table layout under construction: a
 // ColumnData and its typed vectors, addressed by accRow field.

@@ -1,6 +1,7 @@
 package aggregate
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -88,7 +89,7 @@ func diffAccBits(want, got *accRow) string {
 // batch upsert over new keys, over a mix of existing and new keys, or a
 // bulk load — the reader returns exactly the accumulator that went in,
 // both at a scan position of the published snapshot and at the position
-// a key probe finds in the writer state.
+// an upsert's key probe hands its fill hook in the writer state.
 func TestAggCodecRoundTrip(t *testing.T) {
 	for _, info := range []realm.Info{jobs.RealmInfo(), cloud.RealmInfo(), storage.RealmInfo()} {
 		t.Run(info.Name, func(t *testing.T) {
@@ -120,6 +121,7 @@ func TestAggCodecRoundTrip(t *testing.T) {
 				stale[k] = &o
 			}
 
+			upsert := func(cd *warehouse.ColumnData) error { return tab.UpsertColumns(cd, nil) }
 			check := func(how string, want map[string]*accRow) {
 				t.Helper()
 				seen := 0
@@ -148,39 +150,44 @@ func TestAggCodecRoundTrip(t *testing.T) {
 				if seen != len(want) {
 					t.Fatalf("%s: read back %d groups, wrote %d", how, seen, len(want))
 				}
-				db.View(func() error {
-					probe := c.newColumns(len(groups))
-					accs := make([]*accRow, 0, len(groups))
-					for _, acc := range groups {
-						probe.putKey(len(accs), acc.periodKey, acc.dims)
-						accs = append(accs, acc)
-					}
-					at, err := tab.LocateColumns(probe.cd)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := c.newAcc()
-					for i, acc := range accs {
+				// The keyed probe: an upsert of every key whose fill loads the
+				// row each one replaces, then refuses the payload.
+				probe := c.newColumns(len(groups))
+				accs := make([]*accRow, 0, len(groups))
+				for _, acc := range groups {
+					probe.putKey(len(accs), acc.periodKey, acc.dims)
+					accs = append(accs, acc)
+				}
+				errProbed := errors.New("probed")
+				err := db.Do(func() error {
+					return tab.UpsertColumns(probe.cd, func(i, replaced int) error {
+						acc := accs[i]
 						w := want[string(groupKey(nil, acc.periodKey, acc.dims))]
-						if (at[i] >= 0) != (w != nil) {
-							t.Fatalf("%s: group %d %v located at %d, stored: %v", how, acc.periodKey, acc.dims, at[i], w != nil)
+						if (replaced >= 0) != (w != nil) {
+							t.Fatalf("%s: group %d %v replaces %d, stored: %v", how, acc.periodKey, acc.dims, replaced, w != nil)
 						}
-						if w == nil {
-							continue
+						if w != nil {
+							ch, lp := tab.ChunkAt(replaced)
+							r, err := c.reader(ch)
+							if err != nil {
+								t.Fatal(err)
+							}
+							got := c.newAcc()
+							got.periodKey, got.dims = acc.periodKey, acc.dims
+							r.load(lp, &got)
+							if d := diffAccBits(w, &got); d != "" {
+								t.Fatalf("%s, load: %s", how, d)
+							}
 						}
-						ch, lp := tab.ChunkAt(at[i])
-						r, err := c.reader(ch)
-						if err != nil {
-							t.Fatal(err)
+						if i == len(accs)-1 {
+							return errProbed
 						}
-						got.periodKey, got.dims = acc.periodKey, acc.dims
-						r.load(lp, &got)
-						if d := diffAccBits(w, &got); d != "" {
-							t.Fatalf("%s, load: %s", how, d)
-						}
-					}
-					return nil
+						return nil
+					})
 				})
+				if err != errProbed {
+					t.Fatalf("%s: the probe ended with %v", how, err)
+				}
 			}
 
 			for _, step := range []struct {
@@ -188,8 +195,8 @@ func TestAggCodecRoundTrip(t *testing.T) {
 				write  func(*warehouse.ColumnData) error
 				groups map[string]*accRow
 			}{
-				{"columns + UpsertColumns, new keys", tab.UpsertColumns, stale},
-				{"columns + UpsertColumns, existing and new keys", tab.UpsertColumns, groups},
+				{"columns + UpsertColumns, new keys", upsert, stale},
+				{"columns + UpsertColumns, existing and new keys", upsert, groups},
 				{"columns + ReplaceAllColumns", tab.ReplaceAllColumns, groups},
 			} {
 				err := db.Do(func() error { return step.write(c.columns(step.groups)) })

@@ -56,26 +56,41 @@ type accRow struct {
 }
 
 // newAccRow seeds a group's accumulator from its first fact. The
-// caller may reuse dims, vals and wvals; they are copied.
+// caller may reuse dims, vals and wvals; they are copied, the measure
+// values into one allocation.
 func newAccRow(periodKey int64, dims []string, ts float64, vals, wvals []float64) *accRow {
-	return &accRow{
-		periodKey: periodKey,
-		dims:      append([]string(nil), dims...),
-		n:         1,
-		lastTS:    ts,
-		sums:      append([]float64(nil), vals...),
-		mins:      append([]float64(nil), vals...),
-		maxs:      append([]float64(nil), vals...),
-		lasts:     append([]float64(nil), vals...),
-		wsums:     append([]float64(nil), wvals...),
-	}
+	acc := accOfShape(len(vals), len(wvals))
+	acc.periodKey = periodKey
+	acc.dims = append([]string(nil), dims...)
+	acc.seed(ts, vals, wvals)
+	return &acc
+}
+
+// accOfShape returns a zero accumulator for nv measure columns and nw
+// weighted pairs, its measure slices carved from one []float64.
+func accOfShape(nv, nw int) accRow {
+	vals := make([]float64, 4*nv+nw)
+	return accRow{sums: vals[:nv:nv], mins: vals[nv : 2*nv : 2*nv], maxs: vals[2*nv : 3*nv : 3*nv],
+		lasts: vals[3*nv : 4*nv : 4*nv], wsums: vals[4*nv:]}
+}
+
+// seed sets the running state to that of a group holding the one fact
+// given; the key is left as it is.
+func (acc *accRow) seed(ts float64, vals, wvals []float64) {
+	acc.n = 1
+	acc.lastTS = ts
+	copy(acc.sums, vals)
+	copy(acc.mins, vals)
+	copy(acc.maxs, vals)
+	copy(acc.lasts, vals)
+	copy(acc.wsums, wvals)
 }
 
 // fold adds one fact to the accumulator: counts and sums add, min/max
 // compare, and last_* follow the newest timestamp with ties won by the
 // later fold. This is THE fold: every fact eachFact decodes ends up
 // here, through folder.fold (rebuild scan, pushdown folder) or
-// mergeGroupsInto (incremental batch).
+// foldBatch.mergeInto (incremental batch).
 func (acc *accRow) fold(ts float64, vals, wvals []float64) {
 	newer := ts >= acc.lastTS
 	acc.n++
@@ -152,9 +167,14 @@ func (p partial) merge(other partial) {
 
 // groupKey renders the group key — period key plus NUL-joined
 // dimension values — into buf, returning the extended buffer. Every
-// path that probes or sorts groups uses this one rendering.
+// path that probes or sorts groups by string uses this one rendering.
 func groupKey(buf []byte, periodKey int64, dims []string) []byte {
-	b := strconv.AppendInt(buf[:0], periodKey, 10)
+	return appendDims(strconv.AppendInt(buf[:0], periodKey, 10), dims)
+}
+
+// appendDims appends the NUL-prefixed dimension values of a group key
+// to b.
+func appendDims(b []byte, dims []string) []byte {
 	for _, d := range dims {
 		b = append(b, 0)
 		b = append(b, d...)

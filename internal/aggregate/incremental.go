@@ -2,7 +2,6 @@ package aggregate
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"xdmodfed/internal/realm"
@@ -18,33 +17,15 @@ import (
 // instead: updates and deletes the groups they touched (ReaggregateFrom
 // with a scope), a truncate the whole realm.
 
-// factEntry is one parsed fact's contribution, retained in arrival
-// order: the merge replays entries one at a time so floating-point
-// accumulation associates exactly like the per-fact sequential fold a
-// full rebuild performs — the fold/rebuild equivalence is bit-exact,
-// not merely approximate. vals and wvals are sub-slices of one
-// per-batch arena.
-type factEntry struct {
-	ts    float64
-	vals  []float64
-	wvals []float64
-}
-
-// groupFacts collects one aggregation group's batch entries.
-type groupFacts struct {
-	periodKey int64
-	dims      []string
-	entries   []factEntry
-}
-
 // ApplyFactRows folds positional fact rows (binlog event payloads for
 // sourceSchema's fact table) into all period aggregation tables. The
 // batch becomes a transient column chunk, is decoded by eachFact and
-// grouped by period with no lock held; one write transaction on the
-// realm's aggregate schema then updates each affected aggregation row
+// grouped per period with no lock held; one write transaction on the
+// realm's aggregate schema then writes each affected aggregation row
 // once — one keyed batch upsert per table, through typed column
-// vectors — while folding each group's facts sequentially to keep
-// float accumulation identical to a full rebuild. A row failing
+// vectors, whose one key probe per row also hands the fold the stored
+// row it replaces — while folding each group's facts sequentially to
+// keep float accumulation identical to a full rebuild. A row failing
 // validation aborts the fold before any table is touched; the caller
 // must schedule a full rebuild if it cannot tolerate the dropped batch.
 func (e *Engine) ApplyFactRows(info realm.Info, sourceSchema string, rows [][]any) (int, error) {
@@ -66,45 +47,15 @@ func (e *Engine) ApplyFactRows(info realm.Info, sourceSchema string, rows [][]an
 	if err != nil {
 		return 0, fmt.Errorf("aggregate: incremental fold into %s: %w", info.Name, err)
 	}
-	periods := Periods()
-	groups := make([]map[string]*groupFacts, len(periods))
-	for i := range groups {
-		groups[i] = make(map[string]*groupFacts)
-	}
-	var keyBuf []byte
-	nv, nw := len(codec.cols), len(codec.weights)
-	arena := make([]float64, 0, len(rows)*(nv+nw)) // every fact's vals, then its wvals
-	err = e.eachFact(info, ch, codec.cols, codec.weights, nil, func(t time.Time, dims []string, vals, wvals []float64) {
-		off := len(arena)
-		arena = append(append(arena, vals...), wvals...)
-		entry := factEntry{
-			ts:    float64(t.UnixNano()) / 1e9,
-			vals:  arena[off : off+nv : off+nv],
-			wvals: arena[off+nv : off+nv+nw : off+nv+nw],
-		}
-		var dimsCopy []string // shared by every period's group of this fact
-		for pi, period := range periods {
-			pk := period.Key(t)
-			keyBuf = groupKey(keyBuf, pk, dims)
-			g, ok := groups[pi][string(keyBuf)]
-			if !ok {
-				if dimsCopy == nil {
-					dimsCopy = append([]string(nil), dims...)
-				}
-				g = &groupFacts{periodKey: pk, dims: dimsCopy}
-				groups[pi][string(keyBuf)] = g
-			}
-			g.entries = append(g.entries, entry)
-		}
-	})
-	if err != nil {
+	b := newFoldBatch(codec, len(rows))
+	if err := e.eachFact(info, ch, codec.cols, codec.weights, nil, b.add); err != nil {
 		return 0, fmt.Errorf("aggregate: incremental fold into %s: %w", info.Name, err)
 	}
 
 	// Phase 2: merge into the aggregation tables in one transaction.
 	err = e.db.Do(func() error {
 		for pi, tg := range targets {
-			if err := mergeGroupsInto(tg.tab, codec, groups[pi]); err != nil {
+			if err := b.mergeInto(tg.tab, pi); err != nil {
 				return err
 			}
 		}
@@ -117,58 +68,131 @@ func (e *Engine) ApplyFactRows(info realm.Info, sourceSchema string, rows [][]an
 	return len(rows), nil
 }
 
-// mergeGroupsInto combines one period's grouped batch entries with the
-// aggregation table's existing rows and writes every group in one
-// keyed batch upsert. Must run under the DB write lock.
-func mergeGroupsInto(tab *warehouse.Table, c *aggCodec, groups map[string]*groupFacts) error {
+// foldBatch is one batch's facts grouped per period. Everything is
+// held in per-batch arrays: each fact's timestamp and measures by fact
+// index, each distinct dimension tuple once, each period's groups in
+// first-arrival order, and each group's facts as a chain of fact
+// indices in arrival order. The merge replays a chain one fact at a
+// time, so floating-point accumulation associates exactly like the
+// per-fact sequential fold a full rebuild performs — the fold/rebuild
+// equivalence is bit-exact, not merely approximate.
+type foldBatch struct {
+	c       *aggCodec
+	periods []Period
+	ts      []float64 // by fact
+	meas    []float64 // by fact: its vals, then its wvals
+	tuples  map[string]int32
+	dims    []string            // by tuple: its nd dimension values
+	index   []map[groupID]int32 // by period: group → position in groups
+	groups  [][]foldGroup       // by period, in first-arrival order
+	next    [][]int32           // by period and fact: the group's next fact, or -1
+	keyBuf  []byte
+}
+
+// groupID names a group within one period's batch: its period key and
+// dimension tuple.
+type groupID struct {
+	periodKey int64
+	tuple     int32
+}
+
+// foldGroup is one aggregation group of a batch: the first and last
+// facts of its chain.
+type foldGroup struct {
+	id          groupID
+	first, last int32
+}
+
+func newFoldBatch(c *aggCodec, n int) *foldBatch {
+	periods := Periods()
+	nm := len(c.cols) + len(c.weights)
+	b := &foldBatch{c: c, periods: periods, ts: make([]float64, 0, n), meas: make([]float64, 0, n*nm),
+		tuples: make(map[string]int32, n), index: make([]map[groupID]int32, len(periods)),
+		groups: make([][]foldGroup, len(periods)), next: make([][]int32, len(periods))}
+	next := make([]int32, len(periods)*n)
+	for pi := range periods {
+		b.index[pi] = make(map[groupID]int32, n)
+		b.groups[pi] = make([]foldGroup, 0, n)
+		b.next[pi] = next[pi*n : (pi+1)*n : (pi+1)*n]
+	}
+	return b
+}
+
+// add appends one decoded fact to its group in every period; it is
+// eachFact's visitor, so it copies what it keeps.
+func (b *foldBatch) add(t time.Time, dims []string, vals, wvals []float64) {
+	fi := int32(len(b.ts))
+	b.ts = append(b.ts, float64(t.UnixNano())/1e9)
+	b.meas = append(append(b.meas, vals...), wvals...)
+	b.keyBuf = appendDims(b.keyBuf[:0], dims)
+	tuple, ok := b.tuples[string(b.keyBuf)]
+	if !ok {
+		tuple = int32(len(b.tuples))
+		b.tuples[string(b.keyBuf)] = tuple
+		b.dims = append(b.dims, dims...)
+	}
+	for pi, period := range b.periods {
+		id := groupID{period.Key(t), tuple}
+		b.next[pi][fi] = -1
+		gi, ok := b.index[pi][id]
+		if !ok {
+			b.index[pi][id] = int32(len(b.groups[pi]))
+			b.groups[pi] = append(b.groups[pi], foldGroup{id: id, first: fi, last: fi})
+			continue
+		}
+		g := &b.groups[pi][gi]
+		b.next[pi][g.last] = fi
+		g.last = fi
+	}
+}
+
+// fact returns fact fi's timestamp, measure values and weighted
+// products.
+func (b *foldBatch) fact(fi int32) (float64, []float64, []float64) {
+	nv, nm := len(b.c.cols), len(b.c.cols)+len(b.c.weights)
+	m := b.meas[int(fi)*nm : int(fi+1)*nm]
+	return b.ts[fi], m[:nv], m[nv:]
+}
+
+// mergeInto writes period pi's groups into their aggregation table in
+// one keyed batch upsert, rows in first-arrival order: the upsert's key
+// probe hands each row the stored row it replaces, which is loaded as
+// the group's starting state, and the group's facts fold on top of it
+// (or of its first fact, for a new group). Must run under the DB write
+// lock.
+func (b *foldBatch) mergeInto(tab *warehouse.Table, pi int) error {
+	groups, next, nd := b.groups[pi], b.next[pi], b.c.nd
 	if len(groups) == 0 {
 		return nil
 	}
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys) // deterministic row order in the table
-	out := c.newColumns(len(keys))
-	sorted := make([]*groupFacts, len(keys))
-	for ri, k := range keys {
-		g := groups[k]
-		sorted[ri] = g
-		out.putKey(ri, g.periodKey, g.dims)
-	}
-	current, err := tab.LocateColumns(out.cd)
-	if err != nil {
-		return err
+	out := b.c.newColumns(len(groups))
+	for ri, g := range groups {
+		t := int(g.id.tuple) * nd
+		out.putKey(ri, g.id.periodKey, b.dims[t:t+nd])
 	}
 	readers := map[int]*aggReader{} // by chunk base: the stored rows span sealed chunks and the tail
-	acc := c.newAcc()
-	for ri, g := range sorted {
-		entries := g.entries
-		if pos := current[ri]; pos >= 0 {
-			ch, lp := tab.ChunkAt(pos)
+	acc := b.c.newAcc()
+	return tab.UpsertColumns(out.cd, func(ri, replaced int) error {
+		fi := groups[ri].first
+		if replaced >= 0 {
+			ch, lp := tab.ChunkAt(replaced)
 			r := readers[ch.Base()]
 			if r == nil {
-				if r, err = c.reader(ch); err != nil {
+				var err error
+				if r, err = b.c.reader(ch); err != nil {
 					return err
 				}
 				readers[ch.Base()] = r
 			}
 			r.load(lp, &acc)
 		} else {
-			first := entries[0]
-			acc.n = 1
-			acc.lastTS = first.ts
-			copy(acc.sums, first.vals)
-			copy(acc.mins, first.vals)
-			copy(acc.maxs, first.vals)
-			copy(acc.lasts, first.vals)
-			copy(acc.wsums, first.wvals)
-			entries = entries[1:]
+			acc.seed(b.fact(fi))
+			fi = next[fi]
 		}
-		for _, e := range entries {
-			acc.fold(e.ts, e.vals, e.wvals)
+		for ; fi >= 0; fi = next[fi] {
+			acc.fold(b.fact(fi))
 		}
 		out.putState(ri, &acc)
-	}
-	return tab.UpsertColumns(out.cd)
+		return nil
+	})
 }

@@ -97,13 +97,15 @@ func (e *Engine) ApplyDelta(info realm.Info, schema string, d Delta) (int, error
 	rows := 0
 	err = e.db.Do(func() error {
 		for _, period := range Periods() {
-			install := tabs[period].UpsertColumns // carried bins replace by key
-			if d.Reset {
-				install = tabs[period].ReplaceAllColumns // the carried bins are the table
-			}
 			cd := codec.columns(p[period])
 			rows += cd.Rows
-			if err := install(cd); err != nil {
+			var err error
+			if d.Reset {
+				err = tabs[period].ReplaceAllColumns(cd) // the carried bins are the table
+			} else {
+				err = tabs[period].UpsertColumns(cd, nil) // carried bins replace by key
+			}
+			if err != nil {
 				return err
 			}
 		}

@@ -83,7 +83,7 @@ func (s Scope) Len() int {
 // its last fact is gone. Must run under the DB write lock.
 func installScoped(tab *warehouse.Table, c *aggCodec, groups map[string]*accRow, scope map[string]scopeGroup) error {
 	if len(groups) > 0 {
-		if err := tab.UpsertColumns(c.columns(groups)); err != nil {
+		if err := tab.UpsertColumns(c.columns(groups), nil); err != nil {
 			return err
 		}
 	}

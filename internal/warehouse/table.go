@@ -696,7 +696,15 @@ func (t *Table) posOf(key []byte) int {
 // tombstoned through the copy-on-write path and every column is
 // appended with one copy, so published snapshots keep reading the old
 // cells. cd is copied, not adopted: the caller may reuse it.
-func (t *Table) UpsertColumns(cd *ColumnData) error {
+//
+// fill, when not nil, completes the payload row by row in the same
+// pass that matches the keys: it runs once per row r, in payload order,
+// after r's key has been matched — replaced is the global position of
+// the current row with that key, readable through ChunkAt, or -1 — and
+// before anything is tombstoned or appended. It may write row r's
+// non-key cells into cd's existing vectors; it must not write the
+// table. A fill error refuses the payload like a repeated key does.
+func (t *Table) UpsertColumns(cd *ColumnData, fill func(r, replaced int) error) error {
 	cols, err := t.payloadCols(cd)
 	if err != nil {
 		return err
@@ -707,24 +715,24 @@ func (t *Table) UpsertColumns(cd *ColumnData) error {
 	}
 	// Claim each key for its new position base+r, remembering the
 	// position it replaces. A key already claimed by this payload is the
-	// one failure left once Validate has passed; the claims made so far
-	// are then handed back, so nothing has changed.
+	// one failure left once Validate has passed, a fill error the other;
+	// the claims made so far are then handed back, so nothing has
+	// changed.
 	old := make([]int, n)
 	for r := range old {
 		t.keyBuf = appendKeyAt(t.keyBuf[:0], cols, t.pkCols, r)
 		pos := t.posOf(t.keyBuf)
 		if pos >= base {
 			dup := string(t.keyBuf)
-			for q := 0; q < r; q++ {
-				t.keyBuf = appendKeyAt(t.keyBuf[:0], cols, t.pkCols, q)
-				if old[q] < 0 {
-					delete(t.pk, string(t.keyBuf))
-				} else {
-					t.pk[string(t.keyBuf)] = old[q]
-				}
-			}
+			t.releaseClaims(cols, old[:r])
 			return fmt.Errorf("warehouse: upsert into table %s.%s: duplicate primary key %q at rows %d and %d",
 				t.schema, t.def.Name, dup, pos-base, r)
+		}
+		if fill != nil {
+			if err := fill(r, pos); err != nil {
+				t.releaseClaims(cols, old[:r])
+				return err
+			}
 		}
 		old[r] = pos
 		t.pk[string(t.keyBuf)] = base + r
@@ -754,23 +762,18 @@ func (t *Table) UpsertColumns(cd *ColumnData) error {
 	return nil
 }
 
-// LocateColumns matches each row of a columnar payload (validated as
-// for UpsertColumns) against the primary key: element r is the global
-// position of the table's current row with payload row r's key, or -1
-// when there is none. ChunkAt gives typed access to a reported
-// position. Like Scan, it reads the writer state.
-func (t *Table) LocateColumns(cd *ColumnData) ([]int, error) {
-	cols, err := t.payloadCols(cd)
-	if err != nil {
-		return nil, err
+// releaseClaims hands back the key claims of a refused UpsertColumns
+// payload: old[q] is the position payload row q's key mapped to before
+// it was claimed, or -1 when the key was new.
+func (t *Table) releaseClaims(cols []colVec, old []int) {
+	for q, pos := range old {
+		t.keyBuf = appendKeyAt(t.keyBuf[:0], cols, t.pkCols, q)
+		if pos < 0 {
+			delete(t.pk, string(t.keyBuf))
+		} else {
+			t.pk[string(t.keyBuf)] = pos
+		}
 	}
-	at := make([]int, cd.Rows)
-	var buf []byte // not keyBuf: readers may share the table
-	for r := range at {
-		buf = appendKeyAt(buf[:0], cols, t.pkCols, r)
-		at[r] = t.posOf(buf)
-	}
-	return at, nil
 }
 
 // ChunkAt returns typed access to the row at global position pos: the

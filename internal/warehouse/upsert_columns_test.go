@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -145,8 +146,10 @@ func snapshotRows(td *TableData) [][]any {
 // scans, the key map, the binlog — while a snapshot taken before each
 // batch keeps reading the cells it captured. The hot tail is tiny, so
 // replaced rows sit in sealed chunks, and the run crosses compactions.
-// The keyed probe is checked on the way: LocateColumns + ChunkAt reach
-// the typed cells of every payload row's current row, in either tier.
+// The fill hook is checked on the way: it sees, in payload order, the
+// position GetByKey's key map held for each row before the call (or
+// -1), ChunkAt reaches that row's typed cells in either tier, and the
+// cells fill writes are the ones stored.
 func TestUpsertColumnsMatchesUpsertRow(t *testing.T) {
 	const ids = 150
 	def := keyedDef()
@@ -165,6 +168,10 @@ func TestUpsertColumnsMatchesUpsertRow(t *testing.T) {
 	for round := 0; round < 80; round++ {
 		rows := randomKeyedRows(rng, rng.Intn(60), ids)
 		cd := columnDataOf(def, rows)
+		fs := cd.Cols[1].Floats // column "f": left for fill to write
+		for r := range fs {
+			fs[r] = 0
+		}
 
 		before := tabC.Data()
 		beforeRows := snapshotRows(before)
@@ -181,18 +188,28 @@ func TestUpsertColumnsMatchesUpsertRow(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := dbC.Do(func() error {
-			at, err := tabC.LocateColumns(cd)
-			if err != nil {
-				return err
-			}
-			for r, pos := range at {
-				cur, ok := tabC.GetByKey(rows[r][0], rows[r][3])
-				if ok != (pos >= 0) {
-					t.Fatalf("round %d: row %d located at %d, GetByKey found: %v", round, r, pos, ok)
+			want := make([]int, len(rows))
+			for r, row := range rows {
+				pos, ok := tabC.pk[encodeKey([]any{row[0], row[3]})]
+				if _, found := tabC.GetByKey(row[0], row[3]); found != ok {
+					t.Fatalf("round %d: row %d: GetByKey found %v, key map %v", round, r, found, ok)
 				}
 				if !ok {
-					continue
+					pos = -1
 				}
+				want[r] = pos
+			}
+			next := 0
+			err := tabC.UpsertColumns(cd, func(r, pos int) error {
+				if r != next || pos != want[r] {
+					t.Fatalf("round %d: fill(%d, %d), want fill(%d, %d)", round, r, pos, next, want[next])
+				}
+				next++
+				fs[r] = rows[r][1].(float64)
+				if pos < 0 {
+					return nil
+				}
+				cur, _ := tabC.GetByKey(rows[r][0], rows[r][3])
 				ch, lp := tabC.ChunkAt(pos)
 				if ch.Base()+lp != pos || ch.Tombstones()[lp] {
 					t.Fatalf("round %d: ChunkAt(%d) = base %d local %d, dead %v", round, pos, ch.Base(), lp, ch.Tombstones()[lp])
@@ -207,8 +224,12 @@ func TestUpsertColumnsMatchesUpsertRow(t *testing.T) {
 				} else {
 					replacedTail++
 				}
+				return nil
+			})
+			if next != len(rows) {
+				t.Fatalf("round %d: fill ran for %d of %d rows", round, next, len(rows))
 			}
-			return tabC.UpsertColumns(cd)
+			return err
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -251,9 +272,12 @@ func TestUpsertColumnsMatchesUpsertRow(t *testing.T) {
 }
 
 // TestUpsertColumnsRefusalMutatesNothing: a payload that repeats a key,
-// fails the strict validation or targets a table without a primary key
-// is refused with the table exactly as it was — no row, key, index
-// entry, tombstone, event or new snapshot.
+// fails the strict validation, targets a table without a primary key or
+// whose fill hook fails is refused with the table exactly as it was — no
+// row, key, index entry, tombstone, event or new snapshot. A payload
+// refused before its keys are matched never calls fill; a repeated key
+// is found in the matching pass, so fill has run for the rows before it
+// and never runs for the repeat.
 func TestUpsertColumnsRefusalMutatesNothing(t *testing.T) {
 	const ids = 40
 	def := keyedDef()
@@ -264,7 +288,7 @@ func TestUpsertColumnsRefusalMutatesNothing(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(21))
 	stored := randomKeyedRows(rng, 30, ids)
-	if err := db.Do(func() error { return tab.UpsertColumns(columnDataOf(def, stored)) }); err != nil {
+	if err := db.Do(func() error { return tab.UpsertColumns(columnDataOf(def, stored), nil) }); err != nil {
 		t.Fatal(err)
 	}
 	unkeyed := allTypesDef()
@@ -293,26 +317,47 @@ func TestUpsertColumnsRefusalMutatesNothing(t *testing.T) {
 	nullKey.Cols[0].Nulls = make([]bool, nullKey.Rows)
 	nullKey.Cols[0].Nulls[19] = true
 
+	fillErr := errors.New("fill refused the row")
 	for _, tc := range []struct {
-		name string
-		tab  *Table
-		cd   *ColumnData
-		want string
+		name  string
+		tab   *Table
+		cd    *ColumnData
+		want  string
+		fills int // fill calls the refusal leaves room for
+		fail  int // the row whose fill fails, or -1
 	}{
-		{"key of an existing row twice", tab, columnDataOf(def, dupOfExisting), "duplicate primary key"},
-		{"new key twice", tab, columnDataOf(def, dupOfNew), "duplicate primary key"},
-		{"mistyped payload", tab, wrongType, "missing DOUBLE payload"},
-		{"short vector", tab, short, "has 5 values, want 20 rows"},
-		{"negative row count", tab, negative, "declares -1 rows"},
-		{"NULL in a key column", tab, nullKey, "is NULL but the column is not nullable"},
-		{"no payload", tab, nil, "carries no column data"},
-		{"no primary key", noPK, columnDataOf(unkeyed, fresh()), "has no primary key"},
+		{"key of an existing row twice", tab, columnDataOf(def, dupOfExisting), "duplicate primary key", 20, -1},
+		{"new key twice", tab, columnDataOf(def, dupOfNew), "duplicate primary key", 20, -1},
+		{"mistyped payload", tab, wrongType, "missing DOUBLE payload", 0, -1},
+		{"short vector", tab, short, "has 5 values, want 20 rows", 0, -1},
+		{"negative row count", tab, negative, "declares -1 rows", 0, -1},
+		{"NULL in a key column", tab, nullKey, "is NULL but the column is not nullable", 0, -1},
+		{"no payload", tab, nil, "carries no column data", 0, -1},
+		{"no primary key", noPK, columnDataOf(unkeyed, fresh()), "has no primary key", 0, -1},
+		{"fill fails on the first row", tab, columnDataOf(def, fresh()), fillErr.Error(), 1, 0},
+		{"fill fails after replacing", tab, columnDataOf(def, fresh()), fillErr.Error(), 13, 12},
+		{"fill fails on the last row", tab, columnDataOf(def, fresh()), fillErr.Error(), 20, 19},
 	} {
 		before, beforeNoPK := stateOf(db, tab, ids+10), stateOf(db, noPK, 0)
 		snap, snapNoPK := tab.Data(), noPK.Data()
-		err := db.Do(func() error { return tc.tab.UpsertColumns(tc.cd) })
+		fills := 0
+		err := db.Do(func() error {
+			return tc.tab.UpsertColumns(tc.cd, func(r, _ int) error {
+				if r != fills {
+					t.Errorf("%s: fill(%d) after %d calls", tc.name, r, fills)
+				}
+				fills++
+				if r == tc.fail {
+					return fillErr
+				}
+				return nil
+			})
+		})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error = %v, want one containing %q", tc.name, err, tc.want)
+		}
+		if fills != tc.fills {
+			t.Errorf("%s: fill ran %d times, want %d", tc.name, fills, tc.fills)
 		}
 		if after := stateOf(db, tab, ids+10); !reflect.DeepEqual(before, after) {
 			t.Errorf("%s: the refused payload changed the table\nbefore %+v\nafter  %+v", tc.name, before, after)
@@ -323,12 +368,9 @@ func TestUpsertColumnsRefusalMutatesNothing(t *testing.T) {
 		if tab.Data() != snap || noPK.Data() != snapNoPK {
 			t.Errorf("%s: the refused payload published a new snapshot", tc.name)
 		}
-		if _, err := tc.tab.LocateColumns(tc.cd); tc.want != "duplicate primary key" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
-			t.Errorf("%s: LocateColumns error = %v, want one containing %q", tc.name, err, tc.want)
-		}
 	}
 	// The table still takes the good payload.
-	if err := db.Do(func() error { return tab.UpsertColumns(columnDataOf(def, fresh())) }); err != nil {
+	if err := db.Do(func() error { return tab.UpsertColumns(columnDataOf(def, fresh()), nil) }); err != nil {
 		t.Fatal(err)
 	}
 	if got := tab.Len(); got != 40 {
