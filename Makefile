@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test reach race chaos fuzz bench bench-load bench-pushdown bench-check bench-pipeline loc check
+.PHONY: build vet test reach race chaos fuzz bench bench-check loc check
 
 build:
 	$(GO) build ./...
@@ -26,14 +26,16 @@ reach:
 # and fsync timer goroutines) including the tiered segment store under
 # ./internal/warehouse/store (concurrent materialize/evict/drop), and
 # the fault-injection layer. The admission package (token buckets,
-# bounded queue, concurrency limiter) and the load harness that hammers
-# it are raced too — their whole job is concurrent arrival. The hub's
-# fold/rebuild coordination tests and the warehouse's guard that a View
-# captures a table snapshot and the binlog head atomically then run ten
-# times over, since a locking bug shows up only in some interleavings.
+# bounded queue, concurrency limiter) is raced too — its whole job is
+# concurrent arrival. The hub's fold/rebuild coordination tests and the
+# warehouse's guard that a View captures a table snapshot and the binlog
+# head atomically then run ten times over, and the front-door storm
+# (200 concurrent chart requests through a 4-slot admission queue) five
+# times, since a locking bug shows up only in some interleavings.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/replicate/... ./internal/qcache/... ./internal/aggregate/... ./internal/core/... ./internal/rest/... ./internal/warehouse/... ./internal/faults/... ./internal/admission/... ./internal/loadgen/...
+	$(GO) test -race ./internal/obs/... ./internal/replicate/... ./internal/qcache/... ./internal/aggregate/... ./internal/core/... ./internal/rest/... ./internal/warehouse/... ./internal/faults/... ./internal/admission/...
 	$(GO) test -race -count=10 -run '^(TestIncrementalFoldMatchesRebuild|TestConcurrentEnsureAggregatedRebuildsOnce|TestUpdateAndDeleteBatchesLeaveHubClean|TestBatchWaitsForRunningRecompute|TestConcurrentMembersReadersAndRebuilds|TestViewCapturesCommitAtomically)$$' ./internal/core ./internal/warehouse
+	$(GO) test -race -count=5 -run '^TestAdmissionStorm$$' ./internal/rest
 
 # Chaos end-to-end: a multi-satellite federation under seeded fault
 # injection (dropped connections, killed senders, torn WAL tails) must
@@ -54,28 +56,11 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreSnapshot$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/warehouse
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSegment$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/warehouse/store
 
+# The benchmark: one full pass of the pipeline harness under bench/
+# (every workload of BENCHMARK.json, measured and traced). See
+# bench/README.md for the workloads and metrics.
 bench:
-	$(GO) test -run '^$$' -bench BenchmarkObsOverhead -benchtime 20000x .
-	$(GO) test -run '^$$' -bench BenchmarkTelemetryOverhead -benchtime 500x .
-	$(GO) test -run '^$$' -bench 'BenchmarkChartQuery' -cpu 4 .
-	$(GO) test -run '^TestEmit.*BenchJSON$$' -emit-bench -timeout 30m .
-
-# Front-door load bench: emits BENCH_9.json — thousands of concurrent
-# authenticated chart clients against a live federation with admission
-# control on, at 1x/4x/16x of the concurrency cap. Raced, because the
-# point is correct behavior under concurrent overload: every shed must
-# carry a positive Retry-After, admitted p99 must stay within the queue
-# deadline, and the goroutine population must return to baseline.
-bench-load:
-	$(GO) test -race -run '^TestEmitLoadBenchJSON$$' -emit-bench -count 1 -timeout 30m .
-
-# Aggregation pushdown: emits BENCH_10.json — hub aggregation CPU and
-# replication wire bytes for a 20k-fact member replicated as raw facts
-# vs as pushed-down partial-aggregate deltas. The emitter first checks
-# the two modes render bit-identical charts, then fails unless
-# pushdown cuts both hub CPU and wire bytes by at least 5x.
-bench-pushdown:
-	$(GO) test -run '^TestEmitPushdownBenchJSON$$' -emit-bench -count 1 -timeout 30m .
+	bash bench/run.sh
 
 # The pipeline benchmark harness (bench/, a Go module of its own that
 # the targets above neither build nor vet) compiles against this
@@ -83,10 +68,6 @@ bench-pushdown:
 # be broken unnoticed.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-
-# One full pipeline-benchmark pass (every workload, measured and traced).
-bench-pipeline:
-	bash bench/run.sh
 
 # Non-test Go lines per package outside bench/: all lines, and lines
 # that are neither blank nor comment-only.

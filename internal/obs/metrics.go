@@ -9,8 +9,9 @@
 // The package is stdlib-only and allocation-free on the hot paths: a
 // Counter increment is one atomic add, a Histogram observation is a
 // small bounds scan plus three atomics. Instrumentation can be globally
-// disabled with SetEnabled(false) (used by BenchmarkObsOverhead to
-// measure its own cost).
+// disabled with SetEnabled(false); BenchmarkObsOverhead and
+// BenchmarkTelemetryOverhead in internal/rest toggle it to measure its
+// own cost.
 package obs
 
 import (

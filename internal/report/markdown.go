@@ -20,8 +20,8 @@ repository. Reproduce everything below with:
 
 `+"```sh\ngo run ./cmd/xdmod-report -experiment all -scale %d -seed %d\n```"+`
 
-(each artifact also has a benchmark: `+"`go test -bench=BenchmarkFig1TopResources`"+` etc.,
-and this file itself regenerates via `+"`go run ./cmd/xdmod-report -markdown -scale %d -seed %d`"+`)
+(`+"`go test ./internal/report`"+` runs each artifact's shape checks as TestFig1 ... TestFig7
+and TestTable1, and this file itself regenerates via `+"`go run ./cmd/xdmod-report -markdown EXPERIMENTS.md -scale %d -seed %d`"+`)
 
 The paper's charts are drawn over proprietary center data (XSEDE
 accounting, CCR Isilon/GPFS storage, the CCR research cloud). Per the
@@ -61,20 +61,14 @@ are, and each is machine-checked ("Shape checks" below`,
 	}
 
 	b.WriteString(`
-## Systems benchmarks (EXP-B1..B8)
+## Systems benchmarks
 
-` + "`go test -bench=. -benchmem`" + ` covers the production concerns the paper
-implies but does not measure: ingest throughput (EXP-B1), tight TCP
-replication throughput and hub-side apply rate (EXP-B2), loose
-dump/ship/load (EXP-B3), hub re-aggregation cost vs number of
-federated satellites (EXP-B4), chart-query latency from aggregation
-tables vs raw fact scans — the reason pre-binned aggregation exists
-(EXP-B5), full re-aggregation after an aggregation-level config change
-(EXP-B6), binlog append/tail throughput (EXP-B7), and local vs SSO
-authentication cost (EXP-B8). Ablations (index-vs-scan, bucket-count
-sensitivity, WAL durability overhead, snapshot cost) live in
-ablation_bench_test.go. Representative results are recorded in
-bench_output.txt by the final benchmark run.
+The production concerns the paper implies but does not measure —
+ingest, replication, hub apply and aggregation, chart queries and the
+query cache — are measured by the pipeline benchmark under ` + "`bench/`" + `
+(` + "`make bench`" + `; workloads and metrics in bench/README.md). DESIGN.md maps
+each EXP-B question to its metric, or to the open item that will
+measure it.
 
 ## Full regenerated output
 

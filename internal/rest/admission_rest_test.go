@@ -3,12 +3,18 @@ package rest
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"xdmodfed/internal/admission"
 	"xdmodfed/internal/auth"
 	"xdmodfed/internal/config"
 	"xdmodfed/internal/core"
@@ -262,6 +268,115 @@ func TestCanceledRequestReleasesAdmission(t *testing.T) {
 	// The slot is immediately reusable.
 	if rec := get(t, srv, token, "/api/chart?realm=Jobs&metric=total_cpu_hours"); rec.Code != http.StatusOK {
 		t.Fatalf("follow-up chart: %d (%s)", rec.Code, rec.Body)
+	}
+}
+
+// TestAdmissionStorm: 200 concurrent authenticated chart requests over
+// HTTP against a front door of 4 slots and 8 queue seats. The slots are
+// held out of band until half the storm has been answered, so the
+// queue fills and later arrivals shed; then the queued requests and any
+// still arriving run in the freed slots. Every request must end as a fresh 200, a
+// stale 200 (Warning: 110) or a 429, the last two with a positive
+// Retry-After; nothing may fail with a 5xx. Afterwards the controller
+// is empty, a new request is admitted, and the goroutine count is back
+// at its pre-storm level.
+func TestAdmissionStorm(t *testing.T) {
+	const storm, maxConcurrent = 200, 4
+	s, _ := admissionServer(t, config.AdmissionConfig{
+		GlobalRPS: -1, CenterRPS: -1, UserRPS: -1,
+		MaxConcurrent: maxConcurrent, MaxQueue: 8, QueueTimeout: "200ms",
+	})
+	h := s.Handler()
+	token := login(t, h)
+	// Half the paths are cached before the storm, so a shed on them
+	// degrades to the stale answer; the other half shed plainly.
+	var paths []string
+	for _, metric := range []string{"total_cpu_hours", "job_count", "total_wall_hours", "avg_job_size"} {
+		for _, period := range []string{"month", "year"} {
+			paths = append(paths, "/api/chart?realm=Jobs&metric="+metric+"&period="+period)
+		}
+	}
+	for _, p := range paths[:len(paths)/2] {
+		if rec := get(t, h, token, p); rec.Code != http.StatusOK {
+			t.Fatalf("warming %s: %d %s", p, rec.Code, rec.Body)
+		}
+	}
+
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: storm}}
+	baseline := runtime.NumGoroutine()
+
+	holds := make([]admission.Decision, maxConcurrent)
+	for i := range holds {
+		if holds[i] = s.admit.Admit(context.Background(), "holder", ""); !holds[i].Admitted {
+			t.Fatalf("holder %d refused: %+v", i, holds[i])
+		}
+	}
+	var fresh, stale, shed, answered atomic.Int32
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < storm; i++ {
+		wg.Add(1)
+		go func(path string) {
+			defer wg.Done()
+			defer answered.Add(1)
+			<-start
+			req, _ := http.NewRequest("GET", srv.URL+path, nil)
+			req.Header.Set("Authorization", "Bearer "+token)
+			resp, err := client.Do(req)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body) // so the connection is reused
+			resp.Body.Close()
+			retry, _ := strconv.Atoi(resp.Header.Get("Retry-After"))
+			warning := resp.Header.Get("Warning")
+			switch {
+			case resp.StatusCode == http.StatusOK && warning == "":
+				fresh.Add(1)
+			case resp.StatusCode == http.StatusOK && warning == `110 - "Response is Stale"` && retry >= 1:
+				stale.Add(1)
+			case resp.StatusCode == http.StatusTooManyRequests && retry >= 1:
+				shed.Add(1)
+			default:
+				t.Errorf("GET %s: status %d, Warning %q, Retry-After %q",
+					path, resp.StatusCode, warning, resp.Header.Get("Retry-After"))
+			}
+		}(paths[i%len(paths)])
+	}
+	close(start)
+	waitFor(t, 30*time.Second, func() bool { return answered.Load() >= storm/2 }, "half the storm answered")
+	for _, d := range holds {
+		d.Release()
+	}
+	wg.Wait()
+	t.Logf("storm of %d: %d fresh, %d stale, %d shed", storm, fresh.Load(), stale.Load(), shed.Load())
+	if stale.Load() == 0 || shed.Load() == 0 {
+		t.Errorf("storm did not overload the front door both ways: %d stale, %d shed", stale.Load(), shed.Load())
+	}
+
+	if st := s.admit.Stats(); st.Inflight != 0 || st.QueueDepth != 0 {
+		t.Fatalf("admission not drained after the storm: %+v", st)
+	}
+	if rec := get(t, h, token, paths[len(paths)-1]); rec.Code != http.StatusOK || rec.Header().Get("Warning") != "" {
+		t.Fatalf("post-storm chart: %d, Warning %q", rec.Code, rec.Header().Get("Warning"))
+	}
+	client.CloseIdleConnections()
+	waitFor(t, 10*time.Second, func() bool { return runtime.NumGoroutine() <= baseline },
+		fmt.Sprintf("goroutines back to the pre-storm %d", baseline))
+}
+
+// waitFor polls cond until it holds or limit passes.
+func waitFor(t *testing.T, limit time.Duration, cond func() bool, what string) {
+	t.Helper()
+	deadline := time.Now().Add(limit)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out after %v waiting for %s", limit, what)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

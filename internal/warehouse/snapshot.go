@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 )
 
@@ -91,7 +92,7 @@ func (db *DB) schemasSortedLocked() []string {
 	for n := range db.schemas {
 		names = append(names, n)
 	}
-	sortStrings(names)
+	slices.Sort(names)
 	return names
 }
 
@@ -100,16 +101,8 @@ func (s *Schema) tablesSortedLocked() []string {
 	for n := range s.tables {
 		names = append(names, n)
 	}
-	sortStrings(names)
+	slices.Sort(names)
 	return names
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // Restore loads a snapshot into the DB, creating the schemas and

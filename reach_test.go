@@ -55,12 +55,11 @@ var reachAllowlist = map[string]reachExemption{
 	// (b) Test harnesses and fixtures shared by the tests of several
 	// packages.
 	"faults":                    {reachHarness, "failpoint registry that the warehouse, replicate, core and root chaos tests arm; daemons only consult it"},
-	"loadgen":                   {reachHarness, "front-door load generator driven by its own tests and the root overload benchmark"},
 	"warehouse.Open":            {reachHarness, "logging in-memory DB for tests; daemons open through OpenOptions"},
 	"warehouse.DB.Insert":       {reachHarness, "map-form row insert that tests of most packages seed tables with"},
 	"warehouse.Table.Insert":    {reachHarness, "map-form row insert inside a transaction, for the same fixtures"},
-	"realm/jobs.FactFromRecord": {reachHarness, "map-form job fact row for the replicate, core, aggregate and root tests"},
-	"obs.SetEnabled":            {reachHarness, "instrumentation off switch that the obs tests and the root overhead benchmarks flip"},
+	"realm/jobs.FactFromRecord": {reachHarness, "map-form job fact row for the replicate, core, aggregate, rest and warehouse tests"},
+	"obs.SetEnabled":            {reachHarness, "instrumentation off switch that TestDisabled and TestSpanDisabledNil in obs, and BenchmarkObsOverhead and BenchmarkTelemetryOverhead in rest, flip"},
 	"workload.SUConverter2017":  {reachHarness, "Figure 1 SU factors as a converter, for the warehouse, aggregate and workload tests"},
 
 	// (c) Methods an interface from outside the module requires.

@@ -10,25 +10,28 @@ package xdmodfed
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"xdmodfed/internal/aggregate"
 	"xdmodfed/internal/config"
 	"xdmodfed/internal/core"
 	"xdmodfed/internal/realm/jobs"
+	"xdmodfed/internal/shredder"
 	"xdmodfed/internal/warehouse"
 	"xdmodfed/internal/warehouse/store"
 )
 
-// tieredInstance builds a bench-shaped instance on the given segment
+// tieredInstance builds a one-resource instance on the given segment
 // storage configuration.
 func tieredInstance(t testing.TB, name string, storage config.StorageConfig) *core.Instance {
 	t.Helper()
 	in, err := core.NewInstance(config.InstanceConfig{
 		Name: name, Version: core.Version,
-		Resources: []config.ResourceConfig{{Name: "bench", Type: "hpc", SUFactor: 1.0}},
+		Resources: []config.ResourceConfig{{Name: "cluster", Type: "hpc", SUFactor: 1.0}},
 		AggregationLevels: []config.AggregationLevels{
 			config.HubWallTime(), config.DefaultJobSize(), config.CloudVMMemory(),
 		},
@@ -38,6 +41,23 @@ func tieredInstance(t testing.TB, name string, storage config.StorageConfig) *co
 		t.Fatal(err)
 	}
 	return in
+}
+
+// hourlyJobs returns n one-hour, 8-core jobs on the instance's
+// resource, one ending every hour of 2017 (wrapping after a year),
+// spread over 32 users.
+func hourlyJobs(n int) []shredder.JobRecord {
+	recs := make([]shredder.JobRecord, 0, n)
+	base := time.Date(2017, 1, 1, 0, 0, 0, 0, time.UTC)
+	for i := 0; i < n; i++ {
+		end := base.Add(time.Duration(i%8760) * time.Hour)
+		recs = append(recs, shredder.JobRecord{
+			LocalJobID: int64(i + 1), User: fmt.Sprintf("u%d", i%32), Account: "a",
+			Resource: "cluster", Queue: "batch", Nodes: 1, Cores: 8,
+			Submit: end.Add(-2 * time.Hour), Start: end.Add(-time.Hour), End: end,
+		})
+	}
+	return recs
 }
 
 // tieredQueries is the chart workload the equivalence tests compare:
@@ -92,7 +112,7 @@ func segmentFiles(t testing.TB, dir string) (n int, bytes int64) {
 // again after a full rebuild.
 func TestTieredMatchesMemstore(t *testing.T) {
 	const facts = 6000
-	recs := benchRecords(facts)
+	recs := hourlyJobs(facts)
 
 	mem := tieredInstance(t, "ram", config.StorageConfig{})
 	diskDir := t.TempDir()
@@ -164,7 +184,7 @@ func TestTieredCrashMidSealRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := before.Pipeline.IngestJobRecords(benchRecords(facts)); err != nil {
+	if _, err := before.Pipeline.IngestJobRecords(hourlyJobs(facts)); err != nil {
 		t.Fatal(err)
 	}
 	if err := wal.Close(); err != nil {
