@@ -47,14 +47,20 @@ chaos:
 # Native fuzzing of the decoders that read bytes from outside the
 # process: the binary event codec (replication frames, WAL payloads),
 # WAL recovery over whole files, snapshot restore, and the segment
-# files a disk-tiered store finds on open. One target per invocation is a
-# `go test -fuzz` rule. The seed corpora run in plain `go test` (tier-1)
-# too; a failure is written to the package's testdata/fuzz/ — commit it.
+# files a disk-tiered store finds on open. The chart encoders are fuzzed
+# too, because the bytes they write come from ingested data: the
+# /api/chart JSON body must equal encoding/json's for any strings and
+# finite values, and the SVG must stay legal XML for any text. One
+# target per invocation is a `go test -fuzz` rule. The seed corpora run
+# in plain `go test` (tier-1) too; a failure is written to the
+# package's testdata/fuzz/ — commit it.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEvents$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/warehouse
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayLog$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/warehouse
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreSnapshot$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/warehouse
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSegment$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/warehouse/store
+	$(GO) test -run '^$$' -fuzz '^FuzzChartJSON$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/rest
+	$(GO) test -run '^$$' -fuzz '^FuzzChartSVG$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/chart
 
 # The benchmark: one full pass of the pipeline harness under bench/
 # (every workload of BENCHMARK.json, measured and traced). See

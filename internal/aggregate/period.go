@@ -12,6 +12,7 @@ package aggregate
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 )
 
@@ -65,19 +66,49 @@ func (p Period) Key(t time.Time) int64 {
 }
 
 // Label renders a period key for display ("2017-06", "2017 Q2", ...).
-func (p Period) Label(key int64) string {
+func (p Period) Label(key int64) string { return string(p.AppendLabel(nil, key)) }
+
+// AppendLabel appends Label(key) to b. Each field is zero-padded the
+// way fmt's %04d and %02d pad it, a minus sign counting toward the
+// width, so a key of any value renders as Label always has.
+func (p Period) AppendLabel(b []byte, key int64) []byte {
 	switch p {
 	case Day:
-		return fmt.Sprintf("%04d-%02d-%02d", key/10000, (key/100)%100, key%100)
+		b = appendPadded(b, key/10000, 4)
+		b = append(b, '-')
+		b = appendPadded(b, (key/100)%100, 2)
+		b = append(b, '-')
+		return appendPadded(b, key%100, 2)
 	case Month:
-		return fmt.Sprintf("%04d-%02d", key/100, key%100)
+		b = appendPadded(b, key/100, 4)
+		b = append(b, '-')
+		return appendPadded(b, key%100, 2)
 	case Quarter:
-		return fmt.Sprintf("%04d Q%d", key/10, key%10)
+		b = appendPadded(b, key/10, 4)
+		b = append(b, " Q"...)
+		return strconv.AppendInt(b, key%10, 10)
 	case Year:
-		return fmt.Sprintf("%04d", key)
+		return appendPadded(b, key, 4)
 	default:
-		return fmt.Sprintf("%d", key)
+		return strconv.AppendInt(b, key, 10)
 	}
+}
+
+// appendPadded appends v in decimal, left-padded with zeros after any
+// sign to width bytes.
+func appendPadded(b []byte, v int64, width int) []byte {
+	u := uint64(v)
+	if v < 0 {
+		b = append(b, '-')
+		u = -u
+		width--
+	}
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], u, 10)
+	for i := len(d); i < width; i++ {
+		b = append(b, '0')
+	}
+	return append(b, d...)
 }
 
 // Parse returns the period with the given name.

@@ -7,8 +7,11 @@ package chart
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"xdmodfed/internal/aggregate"
 )
@@ -30,18 +33,18 @@ func New(title, subtitle, yLabel string, p aggregate.Period, series []aggregate.
 
 // periodKeys returns the sorted union of period keys across series.
 func (c *Chart) periodKeys() []int64 {
-	set := map[int64]bool{}
+	n := 0
+	for _, s := range c.Series {
+		n += len(s.Points)
+	}
+	keys := make([]int64, 0, n)
 	for _, s := range c.Series {
 		for _, pt := range s.Points {
-			set[pt.PeriodKey] = true
+			keys = append(keys, pt.PeriodKey)
 		}
 	}
-	keys := make([]int64, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
+	slices.Sort(keys)
+	return slices.Compact(keys)
 }
 
 // maxValue returns the largest point value (0 when empty).
@@ -65,7 +68,10 @@ var markers = []string{"circle", "diamond", "square", "triangle"}
 var seriesColors = []string{"#1f77b4", "#d62728", "#7f7f7f", "#e8c22e", "#2ca02c", "#9467bd"}
 
 // SVG renders the chart as a standalone SVG document.
-func (c *Chart) SVG(width, height int) string {
+func (c *Chart) SVG(width, height int) string { return string(c.AppendSVG(nil, width, height)) }
+
+// AppendSVG appends the chart's standalone SVG document to b.
+func (c *Chart) AppendSVG(b []byte, width, height int) []byte {
 	if width <= 0 {
 		width = 800
 	}
@@ -95,31 +101,58 @@ func (c *Chart) SVG(width, height int) string {
 	yPos := func(v float64) float64 {
 		return marginT + plotH*(1-v/maxV)
 	}
+	xOf := func(key int64) float64 {
+		i, _ := slices.BinarySearch(keys, key)
+		return xPos(i)
+	}
 
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`+"\n",
-		width, height, width, height)
-	fmt.Fprintf(&b, `<rect width="%d" height="%d" fill="white"/>`+"\n", width, height)
-	fmt.Fprintf(&b, `<text x="%d" y="22" font-size="16" font-family="sans-serif" font-weight="bold">%s</text>`+"\n",
-		marginL, escape(c.Title))
+	b = append(b, `<svg xmlns="http://www.w3.org/2000/svg" width="`...)
+	b = strconv.AppendInt(b, int64(width), 10)
+	b = append(b, `" height="`...)
+	b = strconv.AppendInt(b, int64(height), 10)
+	b = append(b, `" viewBox="0 0 `...)
+	b = strconv.AppendInt(b, int64(width), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(height), 10)
+	b = append(b, "\">\n<rect width=\""...)
+	b = strconv.AppendInt(b, int64(width), 10)
+	b = append(b, `" height="`...)
+	b = strconv.AppendInt(b, int64(height), 10)
+	b = append(b, "\" fill=\"white\"/>\n<text x=\""...)
+	b = strconv.AppendInt(b, marginL, 10)
+	b = append(b, `" y="22" font-size="16" font-family="sans-serif" font-weight="bold">`...)
+	b = appendEscaped(b, c.Title)
+	b = append(b, "</text>\n"...)
 	if c.Subtitle != "" {
-		fmt.Fprintf(&b, `<text x="%d" y="40" font-size="12" font-family="sans-serif" fill="#555">%s</text>`+"\n",
-			marginL, escape(c.Subtitle))
+		b = append(b, `<text x="`...)
+		b = strconv.AppendInt(b, marginL, 10)
+		b = append(b, `" y="40" font-size="12" font-family="sans-serif" fill="#555">`...)
+		b = appendEscaped(b, c.Subtitle)
+		b = append(b, "</text>\n"...)
 	}
 
 	// Axes.
-	fmt.Fprintf(&b, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#333"/>`+"\n",
-		marginL, marginT, marginL, height-marginB)
-	fmt.Fprintf(&b, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#333"/>`+"\n",
-		marginL, height-marginB, width-marginR, height-marginB)
+	b = appendLine(b, marginL, marginT, marginL, height-marginB)
+	b = appendLine(b, marginL, height-marginB, width-marginR, height-marginB)
 	// Y ticks.
 	for i := 0; i <= 4; i++ {
 		v := maxV * float64(i) / 4
 		y := yPos(v)
-		fmt.Fprintf(&b, `<line x1="%d" y1="%.1f" x2="%d" y2="%.1f" stroke="#ccc" stroke-dasharray="3,3"/>`+"\n",
-			marginL, y, width-marginR, y)
-		fmt.Fprintf(&b, `<text x="%d" y="%.1f" font-size="10" font-family="sans-serif" text-anchor="end">%s</text>`+"\n",
-			marginL-6, y+3, formatTick(v))
+		b = append(b, `<line x1="`...)
+		b = strconv.AppendInt(b, marginL, 10)
+		b = append(b, `" y1="`...)
+		b = appendFixed1(b, y)
+		b = append(b, `" x2="`...)
+		b = strconv.AppendInt(b, int64(width-marginR), 10)
+		b = append(b, `" y2="`...)
+		b = appendFixed1(b, y)
+		b = append(b, "\" stroke=\"#ccc\" stroke-dasharray=\"3,3\"/>\n<text x=\""...)
+		b = strconv.AppendInt(b, marginL-6, 10)
+		b = append(b, `" y="`...)
+		b = appendFixed1(b, y+3)
+		b = append(b, `" font-size="10" font-family="sans-serif" text-anchor="end">`...)
+		b = appendTick(b, v)
+		b = append(b, "</text>\n"...)
 	}
 	// X tick labels (thinned).
 	step := 1
@@ -127,33 +160,42 @@ func (c *Chart) SVG(width, height int) string {
 		step = len(keys) / 12
 	}
 	for i := 0; i < len(keys); i += step {
-		fmt.Fprintf(&b, `<text x="%.1f" y="%d" font-size="10" font-family="sans-serif" text-anchor="middle">%s</text>`+"\n",
-			xPos(i), height-marginB+16, c.Period.Label(keys[i]))
+		b = append(b, `<text x="`...)
+		b = appendFixed1(b, xPos(i))
+		b = append(b, `" y="`...)
+		b = strconv.AppendInt(b, int64(height-marginB+16), 10)
+		b = append(b, `" font-size="10" font-family="sans-serif" text-anchor="middle">`...)
+		b = c.Period.AppendLabel(b, keys[i])
+		b = append(b, "</text>\n"...)
 	}
-	fmt.Fprintf(&b, `<text x="16" y="%d" font-size="11" font-family="sans-serif" transform="rotate(-90 16 %d)" text-anchor="middle">%s</text>`+"\n",
-		marginT+int(plotH)/2, marginT+int(plotH)/2, escape(c.YLabel))
-
-	keyIndex := map[int64]int{}
-	for i, k := range keys {
-		keyIndex[k] = i
-	}
+	midY := int64(marginT + int(plotH)/2)
+	b = append(b, `<text x="16" y="`...)
+	b = strconv.AppendInt(b, midY, 10)
+	b = append(b, `" font-size="11" font-family="sans-serif" transform="rotate(-90 16 `...)
+	b = strconv.AppendInt(b, midY, 10)
+	b = append(b, `)" text-anchor="middle">`...)
+	b = appendEscaped(b, c.YLabel)
+	b = append(b, "</text>\n"...)
 
 	// Series lines + markers.
 	for si, s := range c.Series {
 		color := seriesColors[si%len(seriesColors)]
-		var path strings.Builder
+		b = append(b, `<path d="`...)
 		for pi, pt := range s.Points {
-			x, y := xPos(keyIndex[pt.PeriodKey]), yPos(pt.Value)
 			if pi == 0 {
-				fmt.Fprintf(&path, "M%.1f %.1f", x, y)
+				b = append(b, 'M')
 			} else {
-				fmt.Fprintf(&path, " L%.1f %.1f", x, y)
+				b = append(b, " L"...)
 			}
+			b = appendFixed1(b, xOf(pt.PeriodKey))
+			b = append(b, ' ')
+			b = appendFixed1(b, yPos(pt.Value))
 		}
-		fmt.Fprintf(&b, `<path d="%s" fill="none" stroke="%s" stroke-width="2"/>`+"\n", path.String(), color)
+		b = append(b, `" fill="none" stroke="`...)
+		b = append(b, color...)
+		b = append(b, "\" stroke-width=\"2\"/>\n"...)
 		for _, pt := range s.Points {
-			x, y := xPos(keyIndex[pt.PeriodKey]), yPos(pt.Value)
-			b.WriteString(marker(markers[si%len(markers)], x, y, color))
+			b = appendMarker(b, markers[si%len(markers)], xOf(pt.PeriodKey), yPos(pt.Value), color)
 		}
 	}
 
@@ -165,44 +207,156 @@ func (c *Chart) SVG(width, height int) string {
 		if name == "" {
 			name = "total"
 		}
-		b.WriteString(marker(markers[si%len(markers)], lx, ly, color))
-		fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" font-size="11" font-family="sans-serif">%s</text>`+"\n",
-			lx+10, ly+4, escape(name))
+		b = appendMarker(b, markers[si%len(markers)], lx, ly, color)
+		b = append(b, `<text x="`...)
+		b = appendFixed1(b, lx+10)
+		b = append(b, `" y="`...)
+		b = appendFixed1(b, ly+4)
+		b = append(b, `" font-size="11" font-family="sans-serif">`...)
+		b = appendEscaped(b, name)
+		b = append(b, "</text>\n"...)
 		ly += 16
 	}
-	b.WriteString("</svg>\n")
-	return b.String()
+	return append(b, "</svg>\n"...)
 }
 
-func marker(shape string, x, y float64, color string) string {
+// appendLine appends a solid axis line from (x1, y1) to (x2, y2).
+func appendLine(b []byte, x1, y1, x2, y2 int) []byte {
+	b = append(b, `<line x1="`...)
+	b = strconv.AppendInt(b, int64(x1), 10)
+	b = append(b, `" y1="`...)
+	b = strconv.AppendInt(b, int64(y1), 10)
+	b = append(b, `" x2="`...)
+	b = strconv.AppendInt(b, int64(x2), 10)
+	b = append(b, `" y2="`...)
+	b = strconv.AppendInt(b, int64(y2), 10)
+	return append(b, "\" stroke=\"#333\"/>\n"...)
+}
+
+func appendMarker(b []byte, shape string, x, y float64, color string) []byte {
 	switch shape {
 	case "diamond":
-		return fmt.Sprintf(`<path d="M%.1f %.1f l4 4 l-4 4 l-4 -4 z" fill="%s"/>`+"\n", x, y-4, color)
+		b = append(b, `<path d="M`...)
+		b = appendFixed1(b, x)
+		b = append(b, ' ')
+		b = appendFixed1(b, y-4)
+		b = append(b, ` l4 4 l-4 4 l-4 -4 z" fill="`...)
 	case "square":
-		return fmt.Sprintf(`<rect x="%.1f" y="%.1f" width="7" height="7" fill="%s"/>`+"\n", x-3.5, y-3.5, color)
+		b = append(b, `<rect x="`...)
+		b = appendFixed1(b, x-3.5)
+		b = append(b, `" y="`...)
+		b = appendFixed1(b, y-3.5)
+		b = append(b, `" width="7" height="7" fill="`...)
 	case "triangle":
-		return fmt.Sprintf(`<path d="M%.1f %.1f l4.5 8 l-9 0 z" fill="%s"/>`+"\n", x, y-5, color)
+		b = append(b, `<path d="M`...)
+		b = appendFixed1(b, x)
+		b = append(b, ' ')
+		b = appendFixed1(b, y-5)
+		b = append(b, ` l4.5 8 l-9 0 z" fill="`...)
 	default: // circle
-		return fmt.Sprintf(`<circle cx="%.1f" cy="%.1f" r="3.5" fill="%s"/>`+"\n", x, y, color)
+		b = append(b, `<circle cx="`...)
+		b = appendFixed1(b, x)
+		b = append(b, `" cy="`...)
+		b = appendFixed1(b, y)
+		b = append(b, `" r="3.5" fill="`...)
 	}
+	b = append(b, color...)
+	return append(b, "\"/>\n"...)
 }
 
-func formatTick(v float64) string {
+// appendTick appends an axis tick value: one decimal with a G, M or k
+// suffix from a thousand up, four significant digits below.
+func appendTick(b []byte, v float64) []byte {
 	switch {
 	case v >= 1e9:
-		return fmt.Sprintf("%.1fG", v/1e9)
+		return append(appendFixed1(b, v/1e9), 'G')
 	case v >= 1e6:
-		return fmt.Sprintf("%.1fM", v/1e6)
+		return append(appendFixed1(b, v/1e6), 'M')
 	case v >= 1e3:
-		return fmt.Sprintf("%.1fk", v/1e3)
+		return append(appendFixed1(b, v/1e3), 'k')
 	default:
-		return fmt.Sprintf("%.4g", v)
+		return strconv.AppendFloat(b, v, 'g', 4, 64)
 	}
 }
 
-func escape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
+// fixed1Limit bounds the magnitude of v*10 that appendFixed1 rounds
+// itself: below 2^40 the product's rounding error is at most 2^-14, so
+// a fraction farther than fixed1Tie from one half rounds the same way
+// as the exact decimal value of v.
+const (
+	fixed1Limit = 1 << 40
+	fixed1Tie   = 1.0 / 1024
+)
+
+// appendFixed1 appends v with one decimal, exactly as
+// strconv.AppendFloat(b, v, 'f', 1, 64) (and fmt's %.1f) would. The
+// fixed-precision 'f' format always takes strconv's multi-precision
+// path, so values that are finite, below fixed1Limit/10 in magnitude
+// and clearly off a .x5 tie are rounded here as integers of tenths
+// instead; the rest go to strconv.
+func appendFixed1(b []byte, v float64) []byte {
+	t := math.Abs(v) * 10
+	if !(t < fixed1Limit) {
+		return strconv.AppendFloat(b, v, 'f', 1, 64)
+	}
+	whole := math.Floor(t)
+	frac := t - whole
+	if math.Abs(frac-0.5) < fixed1Tie {
+		return strconv.AppendFloat(b, v, 'f', 1, 64)
+	}
+	tenths := uint64(whole)
+	if frac > 0.5 {
+		tenths++
+	}
+	if math.Signbit(v) {
+		b = append(b, '-')
+	}
+	b = strconv.AppendUint(b, tenths/10, 10)
+	return append(b, '.', byte('0'+tenths%10))
+}
+
+// appendEscaped appends s as XML character data: the markup
+// characters become entities, and every byte that is not valid UTF-8
+// and every character XML 1.0 forbids (controls other than tab, line
+// feed and carriage return, U+FFFE, U+FFFF) becomes U+FFFD, so that
+// text taken from ingested data cannot make the document ill-formed.
+func appendEscaped(b []byte, s string) []byte {
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c >= 0x20 && c < utf8.RuneSelf && c != '&' && c != '<' && c != '>' && c != '"' {
+			i++
+			continue
+		}
+		r, size := rune(c), 1
+		if c >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(s[i:])
+		}
+		var repl string
+		switch {
+		case r == '&':
+			repl = "&amp;"
+		case r == '<':
+			repl = "&lt;"
+		case r == '>':
+			repl = "&gt;"
+		case r == '"':
+			repl = "&quot;"
+		case r == '\t' || r == '\n' || r == '\r':
+			i++
+			continue
+		case r < 0x20 || r == 0xFFFE || r == 0xFFFF || (r == utf8.RuneError && size == 1):
+			repl = "\uFFFD"
+		default:
+			i += size
+			continue
+		}
+		b = append(b, s[start:i]...)
+		b = append(b, repl...)
+		i += size
+		start = i
+	}
+	return append(b, s[start:]...)
 }
 
 // Text renders the chart as a fixed-width table for terminals.
@@ -220,16 +374,17 @@ func (c *Chart) Text() string {
 // series), the XDMoD export format.
 func (c *Chart) CSV() string {
 	keys := c.periodKeys()
-	var b strings.Builder
-	b.WriteString(c.Period.String())
+	var b []byte
+	b = append(b, c.Period.String()...)
 	for _, s := range c.Series {
 		name := s.Group
 		if name == "" {
 			name = "total"
 		}
-		fmt.Fprintf(&b, ",%s", csvEscape(name))
+		b = append(b, ',')
+		b = append(b, csvEscape(name)...)
 	}
-	b.WriteByte('\n')
+	b = append(b, '\n')
 	lookup := make([]map[int64]float64, len(c.Series))
 	for i, s := range c.Series {
 		lookup[i] = map[int64]float64{}
@@ -238,17 +393,16 @@ func (c *Chart) CSV() string {
 		}
 	}
 	for _, k := range keys {
-		b.WriteString(c.Period.Label(k))
+		b = c.Period.AppendLabel(b, k)
 		for i := range c.Series {
+			b = append(b, ',')
 			if v, ok := lookup[i][k]; ok {
-				fmt.Fprintf(&b, ",%g", v)
-			} else {
-				b.WriteString(",")
+				b = strconv.AppendFloat(b, v, 'g', -1, 64)
 			}
 		}
-		b.WriteByte('\n')
+		b = append(b, '\n')
 	}
-	return b.String()
+	return string(b)
 }
 
 func csvEscape(s string) string {

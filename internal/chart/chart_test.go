@@ -1,6 +1,8 @@
 package chart
 
 import (
+	"encoding/xml"
+	"io"
 	"strings"
 	"testing"
 
@@ -45,6 +47,33 @@ func TestSVGEscapesText(t *testing.T) {
 	}
 	if !strings.Contains(svg, "&lt;script&gt;") {
 		t.Error("escaped form missing")
+	}
+
+	// A control byte or invalid UTF-8 in a group name, title or
+	// subtitle becomes U+FFFD, so the document stays legal XML.
+	for _, bad := range []string{"a\x01b", "a\xffb"} {
+		c := New(bad, bad, bad, aggregate.Year, []aggregate.Series{
+			{Group: bad, Points: []aggregate.Point{{PeriodKey: 2017, Value: 1}}},
+		})
+		svg := c.SVG(0, 0)
+		if err := xmlWellFormed(svg); err != nil {
+			t.Errorf("%q: SVG is not legal XML: %v", bad, err)
+		}
+		if n := strings.Count(svg, "a\uFFFDb"); n != 4 {
+			t.Errorf("%q: %d replaced texts, want 4 (title, subtitle, y label, legend)", bad, n)
+		}
+	}
+}
+
+// xmlWellFormed reads doc to the end with encoding/xml's tokenizer.
+func xmlWellFormed(doc string) error {
+	d := xml.NewDecoder(strings.NewReader(doc))
+	for {
+		if _, err := d.Token(); err == io.EOF {
+			return nil
+		} else if err != nil {
+			return err
+		}
 	}
 }
 
@@ -93,8 +122,8 @@ func TestFormatTick(t *testing.T) {
 		3.2e9: "3.2G",
 	}
 	for v, want := range cases {
-		if got := formatTick(v); got != want {
-			t.Errorf("formatTick(%g) = %q, want %q", v, got, want)
+		if got := string(appendTick(nil, v)); got != want {
+			t.Errorf("appendTick(%g) = %q, want %q", v, got, want)
 		}
 	}
 }

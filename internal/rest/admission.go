@@ -111,6 +111,11 @@ func (s *Server) shedOrDegrade(w http.ResponseWriter, r *http.Request, d admissi
 		if f := q.Get("format"); f == "" || f == "json" {
 			if p, err := s.parseChartRequest(q); err == nil {
 				if res, epoch, ok := s.cache.PeekStale(chartKey(p.realm, p.req, p.rollup, p.top)); ok {
+					body, err := encodeChartJSON(p, res.Series, nil)
+					if err != nil {
+						writeErr(w, http.StatusInternalServerError, err)
+						return
+					}
 					secs := int64(math.Ceil(d.RetryAfter.Seconds()))
 					if secs < 1 {
 						secs = 1
@@ -120,7 +125,7 @@ func (s *Server) shedOrDegrade(w http.ResponseWriter, r *http.Request, d admissi
 					restLog.Warn("serving stale chart under shed",
 						"reason", d.Reason, "realm", p.realm, "epoch", epoch)
 					mStaleServed.Inc()
-					writeJSON(w, http.StatusOK, chartJSONResponse(p, res.Series, nil))
+					writeBody(w, http.StatusOK, "application/json", body)
 					return
 				}
 			}
@@ -192,17 +197,4 @@ func (s *Server) parseChartRequest(q url.Values) (chartParams, error) {
 		}
 	}
 	return p, nil
-}
-
-// chartJSONResponse renders series as the /api/chart JSON document.
-func chartJSONResponse(p chartParams, series []aggregate.Series, explain *QueryStat) chartResponse {
-	resp := chartResponse{Realm: p.realm, Metric: p.req.MetricID, Period: p.req.Period.String(), Explain: explain}
-	for _, ser := range series {
-		sr := seriesResponse{Group: ser.Group, Aggregate: ser.Aggregate, N: ser.N}
-		for _, pt := range ser.Points {
-			sr.Points = append(sr.Points, pointResponse{Period: p.req.Period.Label(pt.PeriodKey), Key: pt.PeriodKey, Value: pt.Value})
-		}
-		resp.Series = append(resp.Series, sr)
-	}
-	return resp
 }

@@ -130,10 +130,24 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// writeJSON encodes v before it writes the header, so a value that
+// cannot be encoded is answered with a logged 500 instead of an empty
+// 200.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	b, err := json.Marshal(v)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
+		return
+	}
+	writeBody(w, status, "application/json", append(b, '\n'))
+}
+
+// writeBody sends a complete response body in one Write.
+func writeBody(w http.ResponseWriter, status int, contentType string, body []byte) {
+	w.Header().Set("Content-Type", contentType)
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	// A failed write means the client is gone; there is no one to tell.
+	_, _ = w.Write(body)
 }
 
 // writeErr sends the error response and logs it server-side, so the
@@ -349,13 +363,17 @@ func (s *Server) handleChart(w http.ResponseWriter, r *http.Request, _ auth.Sess
 		if q.Get("explain") == "1" {
 			explain = &stat
 		}
-		writeJSON(w, http.StatusOK, chartJSONResponse(p, series, explain))
+		body, err := encodeChartJSON(p, series, explain)
+		if err != nil {
+			writeErr(w, http.StatusInternalServerError, err)
+			return
+		}
+		writeBody(w, http.StatusOK, "application/json", body)
 	case "csv":
 		w.Header().Set("Content-Type", "text/csv")
 		fmt.Fprint(w, ch.CSV())
 	case "svg":
-		w.Header().Set("Content-Type", "image/svg+xml")
-		fmt.Fprint(w, ch.SVG(0, 0))
+		writeBody(w, http.StatusOK, "image/svg+xml", ch.AppendSVG(nil, 0, 0))
 	case "text":
 		w.Header().Set("Content-Type", "text/plain")
 		fmt.Fprint(w, ch.Text())
