@@ -23,19 +23,21 @@ import (
 	"xdmodfed/internal/workload"
 )
 
-// buildTools compiles the cmd binaries once into a temp dir.
+// buildTools compiles the cmd binaries into a temp dir with one go
+// build, which compiles and links the commands in parallel.
 func buildTools(t *testing.T, names ...string) map[string]string {
 	t.Helper()
 	dir := t.TempDir()
+	args := []string{"build", "-o", dir + string(filepath.Separator)}
 	out := map[string]string{}
 	for _, n := range names {
-		bin := filepath.Join(dir, n)
-		cmd := exec.Command("go", "build", "-o", bin, "./cmd/"+n)
-		cmd.Env = os.Environ()
-		if msg, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("building %s: %v\n%s", n, err, msg)
-		}
-		out[n] = bin
+		args = append(args, "./cmd/"+n)
+		out[n] = filepath.Join(dir, n)
+	}
+	cmd := exec.Command("go", args...)
+	cmd.Env = os.Environ()
+	if msg, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("building %v: %v\n%s", names, err, msg)
 	}
 	return out
 }

@@ -87,7 +87,7 @@ func TestColdChartQueryAllocationCeiling(t *testing.T) {
 func TestUpsertOfExistingRowDoesNotBoxThePriorRow(t *testing.T) {
 	db := warehouse.Open("upsertguard")
 	info := jobs.RealmInfo()
-	derived := aggDef(info, Day)
+	derived := aggDef(info, stateLayout(info), Day)
 	logged := derived
 	logged.Derived = false
 	if len(derived.Indexes) != 0 || !derived.Derived {

@@ -9,14 +9,16 @@ import (
 )
 
 // aggCodec is the one translation between an accRow and a row of an
-// aggregation (or pagg) table. aggDef owns the column names and their
-// order; the codec owns which accRow field each position holds:
+// aggregation (or pagg) table. The row layout (stateLayout) owns which
+// state a row stores and aggDef the column names and their order;
+// the codec maps each position to an accRow field:
 //
 //	0            period_key
 //	1 .. nd      one per dimension
-//	1+nd, 2+nd   n, last_ts
-//	then         sum, min, max, last per measure column
-//	then         one weighted sum per weight pair
+//	1+nd         n
+//	2+nd         last_ts, only when the layout stores a last
+//	then         the layout's state columns, each to its slot of
+//	             accRow.state: sums, maxes, lasts, weighted sums
 //
 // Every writer (the incremental fold's and the incremental delta's
 // batch upserts, rebuild and reset bulk loads) goes through newColumns
@@ -25,24 +27,20 @@ import (
 // stored group reads back as exactly the accumulator that was written.
 // Built once per operation.
 type aggCodec struct {
-	cols, weights []string // measureColumns(info)
-	nd            int      // dimensions
-	names         []string // aggDef column names, in layout order
+	l     *rowLayout
+	nd    int      // dimensions
+	names []string // aggDef column names, in layout order
 }
 
 func newAggCodec(info realm.Info) *aggCodec {
-	cols, weights := measureColumns(info)
-	def := aggDef(info, Day) // the layout is the same for every period
+	l := stateLayout(info)
+	def := aggDef(info, l, Day) // the layout is the same for every period
 	names := make([]string, len(def.Columns))
 	for i, c := range def.Columns {
 		names[i] = c.Name
 	}
-	return &aggCodec{cols: cols, weights: weights, nd: len(info.Dimensions), names: names}
+	return &aggCodec{l: l, nd: len(info.Dimensions), names: names}
 }
-
-// newAcc returns a zero accumulator with measure slices of the realm's
-// shape and no dimension values.
-func (c *aggCodec) newAcc() accRow { return accOfShape(len(c.cols), len(c.weights)) }
 
 // aggColumns is a payload of the table layout under construction: a
 // ColumnData and its typed vectors, addressed by accRow field.
@@ -51,8 +49,8 @@ type aggColumns struct {
 	periodKeys []int64
 	dims       [][]string
 	ns         []int64
-	lastTS     []float64
-	meas       [][]float64 // sum, min, max, last per measure column, then the weighted sums
+	lastTS     []float64   // nil unless the layout stores last_ts
+	state      [][]float64 // by state slot
 }
 
 // newColumns starts an n-row payload; putKey and putState fill a row.
@@ -69,13 +67,16 @@ func (c *aggCodec) newColumns(n int) *aggColumns {
 		return v
 	}
 	b := &aggColumns{cd: cd, periodKeys: ints(0), dims: make([][]string, c.nd),
-		ns: ints(1 + c.nd), lastTS: floats(2 + c.nd), meas: make([][]float64, len(c.names)-3-c.nd)}
+		ns: ints(1 + c.nd), state: make([][]float64, len(c.l.state))}
 	for d := range b.dims {
 		b.dims[d] = make([]string, n)
 		cd.Cols[1+d] = warehouse.ColumnVector{Type: warehouse.TypeString, Strs: b.dims[d]}
 	}
-	for i := range b.meas {
-		b.meas[i] = floats(3 + c.nd + i)
+	if c.l.lastTS {
+		b.lastTS = floats(2 + c.nd)
+	}
+	for i := range b.state {
+		b.state[i] = floats(len(c.names) - len(b.state) + i)
 	}
 	return b
 }
@@ -91,16 +92,11 @@ func (b *aggColumns) putKey(ri int, periodKey int64, dims []string) {
 // putState writes row ri's running state.
 func (b *aggColumns) putState(ri int, acc *accRow) {
 	b.ns[ri] = acc.n
-	b.lastTS[ri] = acc.lastTS
-	for i := range acc.sums {
-		b.meas[4*i][ri] = acc.sums[i]
-		b.meas[4*i+1][ri] = acc.mins[i]
-		b.meas[4*i+2][ri] = acc.maxs[i]
-		b.meas[4*i+3][ri] = acc.lasts[i]
+	if b.lastTS != nil {
+		b.lastTS[ri] = acc.lastTS
 	}
-	wsums := b.meas[4*len(acc.sums):]
-	for i := range acc.wsums {
-		wsums[i][ri] = acc.wsums[i]
+	for i, v := range acc.state {
+		b.state[i][ri] = v
 	}
 }
 
@@ -128,7 +124,8 @@ type aggReader struct {
 	pks    []int64
 	dims   [][]string
 	ns     []int64
-	floats []numCol // last_ts, then the measure and weight columns in layout order
+	lastTS numCol   // reads zero when the layout stores no last_ts
+	state  []numCol // by state slot
 }
 
 // reader resolves one chunk's columns. Layout errors are real errors —
@@ -169,8 +166,10 @@ func (c *aggCodec) reader(ch warehouse.ColChunk) (*aggReader, error) {
 			return nil, fmt.Errorf("aggregate: aggregation column %q is not a string column", c.names[1+i])
 		}
 	}
-	for pos := 2 + c.nd; pos < len(c.names); pos++ {
-		r.floats = append(r.floats, numColOf(ch, c.names[pos]))
+	r.lastTS = numColOf(ch, "last_ts")
+	r.state = make([]numCol, len(c.l.state))
+	for i := range r.state {
+		r.state[i] = numColOf(ch, c.names[len(c.names)-len(r.state)+i])
 	}
 	return r, nil
 }
@@ -179,7 +178,7 @@ func (c *aggCodec) reader(ch warehouse.ColChunk) (*aggReader, error) {
 // accumulator (fresh slices: the rebuild's merge mutates accumulators
 // in place).
 func (r *aggReader) accAt(pos int) *accRow {
-	acc := r.c.newAcc()
+	acc := r.c.l.newAcc()
 	acc.periodKey = r.pks[pos]
 	acc.dims = make([]string, len(r.dims))
 	for i := range r.dims {
@@ -190,19 +189,12 @@ func (r *aggReader) accAt(pos int) *accRow {
 }
 
 // load reads the running state stored at a chunk position into acc,
-// whose measure slices are already sized (newAcc). The key — periodKey
+// whose state is already sized (rowLayout.newAcc). The key — periodKey
 // and dims — is the caller's: it found the row by it.
 func (r *aggReader) load(pos int, acc *accRow) {
 	acc.n = r.ns[pos]
-	acc.lastTS = r.floats[0].at(pos)
-	f := r.floats[1:]
-	for i := range acc.sums {
-		acc.sums[i] = f[4*i].at(pos)
-		acc.mins[i] = f[4*i+1].at(pos)
-		acc.maxs[i] = f[4*i+2].at(pos)
-		acc.lasts[i] = f[4*i+3].at(pos)
-	}
-	for i := range acc.wsums {
-		acc.wsums[i] = f[4*len(acc.sums)+i].at(pos)
+	acc.lastTS = r.lastTS.at(pos)
+	for i := range acc.state {
+		acc.state[i] = r.state[i].at(pos)
 	}
 }

@@ -30,14 +30,15 @@ func randomCodecFloat(rng *rand.Rand) float64 {
 	return math.Float64frombits(rng.Uint64()>>12 | uint64(rng.Intn(2046)+1)<<52 | uint64(rng.Intn(2))<<63)
 }
 
-// randomAccRows builds n accumulators of the codec's shape with
-// distinct keys. last_ts comes from a pool of three values, so many
-// groups tie; every fifth group is all zeros with n = 0.
+// randomAccRows builds n accumulators of the codec's layout with
+// distinct keys, holding exactly the state the layout stores: last_ts
+// only when it stores lasts, and then from a pool of three values, so
+// many groups tie. Every fifth group is all zeros with n = 0.
 func randomAccRows(c *aggCodec, rng *rand.Rand, n int) map[string]*accRow {
 	groups := make(map[string]*accRow, n)
 	lastTS := []float64{1483228800, 1483228800.5, 0}
 	for i := 0; i < n; i++ {
-		acc := c.newAcc()
+		acc := c.l.newAcc()
 		acc.periodKey = int64(20170101 + i%28)
 		acc.dims = make([]string, c.nd)
 		for d := range acc.dims {
@@ -46,11 +47,11 @@ func randomAccRows(c *aggCodec, rng *rand.Rand, n int) map[string]*accRow {
 		acc.dims[0] = fmt.Sprintf("g%d", i) // keeps the key unique
 		if i%5 != 0 {
 			acc.n = rng.Int63()
-			acc.lastTS = lastTS[rng.Intn(len(lastTS))]
-			for _, vec := range [][]float64{acc.sums, acc.mins, acc.maxs, acc.lasts, acc.wsums} {
-				for j := range vec {
-					vec[j] = randomCodecFloat(rng)
-				}
+			if c.l.lastTS {
+				acc.lastTS = lastTS[rng.Intn(len(lastTS))]
+			}
+			for j := range acc.state {
+				acc.state[j] = randomCodecFloat(rng)
 			}
 		}
 		groups[string(groupKey(nil, acc.periodKey, acc.dims))] = &acc
@@ -68,8 +69,7 @@ func diffAccBits(want, got *accRow) string {
 		want, got []float64
 	}{
 		{"last_ts", []float64{want.lastTS}, []float64{got.lastTS}},
-		{"sums", want.sums, got.sums}, {"mins", want.mins, got.mins}, {"maxs", want.maxs, got.maxs},
-		{"lasts", want.lasts, got.lasts}, {"wsums", want.wsums, got.wsums},
+		{"state", want.state, got.state},
 	}
 	for _, v := range vecs {
 		if len(v.want) != len(v.got) {
@@ -87,9 +87,10 @@ func diffAccBits(want, got *accRow) string {
 
 // TestAggCodecRoundTrip: whichever way a group is written — a keyed
 // batch upsert over new keys, over a mix of existing and new keys, or a
-// bulk load — the reader returns exactly the accumulator that went in,
+// bulk load — the reader returns exactly the stored state that went in,
 // both at a scan position of the published snapshot and at the position
-// an upsert's key probe hands its fill hook in the writer state.
+// an upsert's key probe hands its fill hook in the writer state. The
+// realms cover a layout with lasts (Storage) and ones without.
 func TestAggCodecRoundTrip(t *testing.T) {
 	for _, info := range []realm.Info{jobs.RealmInfo(), cloud.RealmInfo(), storage.RealmInfo()} {
 		t.Run(info.Name, func(t *testing.T) {
@@ -113,11 +114,14 @@ func TestAggCodecRoundTrip(t *testing.T) {
 				if len(stale) == len(groups)/2 {
 					break
 				}
-				o := c.newAcc()
-				o.periodKey, o.dims, o.n, o.lastTS = acc.periodKey, acc.dims, ^acc.n, acc.lastTS+1
-				copy(o.sums, acc.lasts)
-				copy(o.mins, acc.maxs)
-				copy(o.maxs, acc.sums)
+				o := c.l.newAcc()
+				o.periodKey, o.dims, o.n = acc.periodKey, acc.dims, ^acc.n
+				if c.l.lastTS {
+					o.lastTS = acc.lastTS + 1
+				}
+				for j := range o.state {
+					o.state[j] = acc.state[(j+1)%len(o.state)]
+				}
 				stale[k] = &o
 			}
 
@@ -172,7 +176,7 @@ func TestAggCodecRoundTrip(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							got := c.newAcc()
+							got := c.l.newAcc()
 							got.periodKey, got.dims = acc.periodKey, acc.dims
 							r.load(lp, &got)
 							if d := diffAccBits(w, &got); d != "" {

@@ -16,9 +16,8 @@ import (
 // A Delta is the unit of aggregation state that crosses the federation
 // wire when a satellite replicates partial aggregates instead of raw
 // facts (replication mode "pushdown"). It is the same running state the
-// fold path keeps per aggregation group — count, sum, min, max, the
-// last value by newest timestamp (sum_last), and the weighted-sum
-// products — held per period bin, so satellite-side folding and
+// fold path keeps per aggregation group — n and the realm's rowLayout
+// state — held per period bin, so satellite-side folding and
 // hub-side merging share one implementation (the accRow fold below)
 // and the pushdown ≡ fact-replication equivalence is structural, not
 // coincidental.
@@ -41,113 +40,101 @@ import (
 // accRow is one partially aggregated group: the running state an
 // aggregation-table row stores, held in memory while a rebuild scans
 // or a batch merges (and inside a Delta while it crosses the wire).
-// Measure slices are indexed by the realm's measureColumns order
-// (sums/mins/maxs/lasts by cols, wsums by weights).
+// state holds the realm's rowLayout state in slot order; lastTS is the
+// timestamp the lasts follow, and stays zero when the layout has none.
 type accRow struct {
 	periodKey int64
 	dims      []string
 	n         int64
 	lastTS    float64
-	sums      []float64
-	mins      []float64
-	maxs      []float64
-	lasts     []float64
-	wsums     []float64
+	state     []float64
 }
+
+// newAcc returns a zero accumulator of the layout's shape with no key.
+func (l *rowLayout) newAcc() accRow { return accRow{state: make([]float64, len(l.state))} }
 
 // newAccRow seeds a group's accumulator from its first fact. The
-// caller may reuse dims, vals and wvals; they are copied, the measure
-// values into one allocation.
-func newAccRow(periodKey int64, dims []string, ts float64, vals, wvals []float64) *accRow {
-	acc := accOfShape(len(vals), len(wvals))
+// caller may reuse dims, vals and wvals; they are copied.
+func newAccRow(l *rowLayout, periodKey int64, dims []string, ts float64, vals, wvals []float64) *accRow {
+	acc := l.newAcc()
 	acc.periodKey = periodKey
 	acc.dims = append([]string(nil), dims...)
-	acc.seed(ts, vals, wvals)
+	acc.seed(l, ts, vals, wvals)
 	return &acc
-}
-
-// accOfShape returns a zero accumulator for nv measure columns and nw
-// weighted pairs, its measure slices carved from one []float64.
-func accOfShape(nv, nw int) accRow {
-	vals := make([]float64, 4*nv+nw)
-	return accRow{sums: vals[:nv:nv], mins: vals[nv : 2*nv : 2*nv], maxs: vals[2*nv : 3*nv : 3*nv],
-		lasts: vals[3*nv : 4*nv : 4*nv], wsums: vals[4*nv:]}
 }
 
 // seed sets the running state to that of a group holding the one fact
 // given; the key is left as it is.
-func (acc *accRow) seed(ts float64, vals, wvals []float64) {
+func (acc *accRow) seed(l *rowLayout, ts float64, vals, wvals []float64) {
 	acc.n = 1
-	acc.lastTS = ts
-	copy(acc.sums, vals)
-	copy(acc.mins, vals)
-	copy(acc.maxs, vals)
-	copy(acc.lasts, vals)
-	copy(acc.wsums, wvals)
-}
-
-// fold adds one fact to the accumulator: counts and sums add, min/max
-// compare, and last_* follow the newest timestamp with ties won by the
-// later fold. This is THE fold: every fact eachFact decodes ends up
-// here, through folder.fold (rebuild scan, pushdown folder) or
-// foldBatch.mergeInto (incremental batch).
-func (acc *accRow) fold(ts float64, vals, wvals []float64) {
-	newer := ts >= acc.lastTS
-	acc.n++
-	if newer {
+	if l.lastTS {
 		acc.lastTS = ts
 	}
-	for i, v := range vals {
-		acc.sums[i] += v
-		if v < acc.mins[i] {
-			acc.mins[i] = v
-		}
-		if v > acc.maxs[i] {
-			acc.maxs[i] = v
-		}
-		if newer {
-			acc.lasts[i] = v
+	for i, src := range l.src {
+		acc.state[i] = vals[src]
+	}
+	copy(acc.state[l.at[stateWSum]:], wvals)
+}
+
+// fold adds one fact to the accumulator: n and sums add, maxes
+// compare, and lasts follow the newest timestamp with ties won by the
+// later fold — one loop per state kind over its slots. This is THE
+// fold: every fact eachFact decodes ends up here, through folder.fold
+// (rebuild scan, pushdown folder) or foldBatch.mergeInto (incremental
+// batch).
+func (acc *accRow) fold(l *rowLayout, ts float64, vals, wvals []float64) {
+	acc.n++
+	s := acc.state
+	for i := range l.at[stateMax] {
+		s[i] += vals[l.src[i]]
+	}
+	for i := l.at[stateMax]; i < l.at[stateLast]; i++ {
+		if v := vals[l.src[i]]; v > s[i] {
+			s[i] = v
 		}
 	}
-	for i, w := range wvals {
-		acc.wsums[i] += w
+	if l.lastTS && ts >= acc.lastTS {
+		acc.lastTS = ts
+		for i := l.at[stateLast]; i < l.at[stateWSum]; i++ {
+			s[i] = vals[l.src[i]]
+		}
+	}
+	for i, v := range wvals {
+		s[l.at[stateWSum]+i] += v
 	}
 }
 
 // mergeFrom folds another accumulator of the same group into acc.
-// last_* timestamp ties are won by the merged-in side, matching a
+// Last timestamp ties are won by the merged-in side, matching a
 // sequential scan where b's facts arrive after acc's — callers must
 // merge in source order.
-func (acc *accRow) mergeFrom(b *accRow) {
+func (acc *accRow) mergeFrom(l *rowLayout, b *accRow) {
 	acc.n += b.n
-	newer := b.lastTS >= acc.lastTS
-	if newer {
+	s, bs := acc.state, b.state
+	for i := range l.at[stateMax] {
+		s[i] += bs[i]
+	}
+	for i := l.at[stateMax]; i < l.at[stateLast]; i++ {
+		if bs[i] > s[i] {
+			s[i] = bs[i]
+		}
+	}
+	if l.lastTS && b.lastTS >= acc.lastTS {
 		acc.lastTS = b.lastTS
+		copy(s[l.at[stateLast]:l.at[stateWSum]], bs[l.at[stateLast]:])
 	}
-	for i := range acc.sums {
-		acc.sums[i] += b.sums[i]
-		if b.mins[i] < acc.mins[i] {
-			acc.mins[i] = b.mins[i]
-		}
-		if b.maxs[i] > acc.maxs[i] {
-			acc.maxs[i] = b.maxs[i]
-		}
-		if newer {
-			acc.lasts[i] = b.lasts[i]
-		}
-	}
-	for i := range acc.wsums {
-		acc.wsums[i] += b.wsums[i]
+	for i := l.at[stateWSum]; i < len(s); i++ {
+		s[i] += bs[i]
 	}
 }
 
 // partial accumulates one source schema's facts, per period.
 type partial map[Period]map[string]*accRow
 
-// merge folds another partial into p. Call in source-schema order:
-// last_* timestamp ties are won by the later-merged schema, matching a
-// sequential scan over the schemas.
-func (p partial) merge(other partial) {
+// merge folds another partial of layout l into p. Call in
+// source-schema order: last timestamp ties are won by the later-merged
+// schema, matching a sequential scan over the schemas.
+func (p partial) merge(l *rowLayout, other partial) {
 	for period, groups := range other {
 		dst := p[period]
 		if len(dst) == 0 {
@@ -160,7 +147,7 @@ func (p partial) merge(other partial) {
 				dst[key] = b
 				continue
 			}
-			a.mergeFrom(b)
+			a.mergeFrom(l, b)
 		}
 	}
 }
@@ -190,6 +177,7 @@ func appendDims(b []byte, dims []string) []byte {
 // ship only the bins changed since the previous one. With a scope (a
 // scoped recompute), a fact folds only into the groups the scope names.
 type folder struct {
+	l       *rowLayout
 	periods []Period
 	p       partial
 	groups  []map[string]*accRow // indexed like periods
@@ -198,9 +186,9 @@ type folder struct {
 	keyBuf  []byte
 }
 
-func newFolder() *folder {
+func newFolder(l *rowLayout) *folder {
 	periods := Periods()
-	f := &folder{periods: periods, p: make(partial, len(periods)),
+	f := &folder{l: l, periods: periods, p: make(partial, len(periods)),
 		groups: make([]map[string]*accRow, len(periods))}
 	for i, period := range periods {
 		g := make(map[string]*accRow)
@@ -237,9 +225,9 @@ func (f *folder) fold(t time.Time, dims []string, vals, wvals []float64) bool {
 		g := f.groups[i]
 		acc, ok := g[string(b)] // compiler elides the string conversion
 		if !ok {
-			g[string(b)] = newAccRow(pk, dims, ts, vals, wvals)
+			g[string(b)] = newAccRow(f.l, pk, dims, ts, vals, wvals)
 		} else {
-			acc.fold(ts, vals, wvals)
+			acc.fold(f.l, ts, vals, wvals)
 		}
 		if f.dirty != nil {
 			f.dirty[i][string(b)] = true
@@ -249,19 +237,15 @@ func (f *folder) fold(t time.Time, dims []string, vals, wvals []float64) bool {
 }
 
 // Bin is one aggregation group's partial-aggregate state as it crosses
-// the wire: the exported form of accRow. Measure slices are indexed by
-// the realm's measureColumns order. Values are cumulative — the hub
-// replaces its stored bin, it never adds.
+// the wire: the exported form of accRow, State in the realm's rowLayout
+// slot order. Values are cumulative — the hub replaces its stored bin,
+// it never adds.
 type Bin struct {
 	PeriodKey int64
 	Dims      []string
 	N         int64
 	LastTS    float64
-	Sums      []float64
-	Mins      []float64
-	Maxs      []float64
-	Lasts     []float64
-	WSums     []float64
+	State     []float64
 }
 
 // PeriodBins is one period's bins, sorted by group key so the gob wire
@@ -299,32 +283,14 @@ func (d Delta) Rows() int {
 
 // binOf copies one accumulator into its wire form.
 func binOf(acc *accRow) Bin {
-	return Bin{
-		PeriodKey: acc.periodKey,
-		Dims:      append([]string(nil), acc.dims...),
-		N:         acc.n,
-		LastTS:    acc.lastTS,
-		Sums:      append([]float64(nil), acc.sums...),
-		Mins:      append([]float64(nil), acc.mins...),
-		Maxs:      append([]float64(nil), acc.maxs...),
-		Lasts:     append([]float64(nil), acc.lasts...),
-		WSums:     append([]float64(nil), acc.wsums...),
-	}
+	return Bin{PeriodKey: acc.periodKey, Dims: append([]string(nil), acc.dims...), N: acc.n,
+		LastTS: acc.lastTS, State: append([]float64(nil), acc.state...)}
 }
 
 // accOf copies one wire bin back into an accumulator.
 func accOf(b Bin) *accRow {
-	return &accRow{
-		periodKey: b.PeriodKey,
-		dims:      append([]string(nil), b.Dims...),
-		n:         b.N,
-		lastTS:    b.LastTS,
-		sums:      append([]float64(nil), b.Sums...),
-		mins:      append([]float64(nil), b.Mins...),
-		maxs:      append([]float64(nil), b.Maxs...),
-		lasts:     append([]float64(nil), b.Lasts...),
-		wsums:     append([]float64(nil), b.WSums...),
-	}
+	return &accRow{periodKey: b.PeriodKey, dims: append([]string(nil), b.Dims...), n: b.N,
+		lastTS: b.LastTS, state: append([]float64(nil), b.State...)}
 }
 
 // toPartial converts a delta's bins back into the in-memory partial
@@ -349,16 +315,15 @@ func (d Delta) toPartial() (partial, error) {
 
 // MergeableRealm reports whether every metric of a realm uses an
 // aggregate function with a correct partial-aggregate merge rule:
-// sum/count/min/max are additive or comparable, avg rides as
-// sum+count, and sum_last merges by newest last_ts exactly like the
-// rebuild's source-order scan. A realm with any other function must
+// sum/count/max are additive or comparable, avg rides as sum+count,
+// and sum_last merges by newest last_ts exactly like the rebuild's
+// source-order scan. A realm with any other function must
 // replicate raw facts — the satellite forces fact mode for it with a
 // startup warning rather than ever merging wrong.
 func MergeableRealm(info realm.Info) error {
 	for _, m := range info.Metrics {
 		switch m.Func {
-		case warehouse.AggSum, warehouse.AggCount, warehouse.AggAvg,
-			warehouse.AggMin, warehouse.AggMax, warehouse.AggSumLast:
+		case warehouse.AggSum, warehouse.AggCount, warehouse.AggAvg, warehouse.AggMax, warehouse.AggSumLast:
 		default:
 			return fmt.Errorf("aggregate: realm %s metric %q uses aggregate function %d with no partial-aggregate merge rule",
 				info.Name, m.ID, m.Func)
@@ -402,13 +367,13 @@ func (e *Engine) LevelsDigest() string {
 // below Covered() are already in the fold and must not be folded
 // again.
 type DeltaFolder struct {
-	e             *Engine
-	info          realm.Info
-	cols, weights []string
-	fact          *warehouse.Table
-	f             *folder
-	covered       uint64
-	resetPending  bool // next flush must carry Reset (fresh snapshot fold)
+	e            *Engine
+	info         realm.Info
+	l            *rowLayout
+	fact         *warehouse.Table
+	f            *folder
+	covered      uint64
+	resetPending bool // next flush must carry Reset (fresh snapshot fold)
 }
 
 // NewDeltaFolder builds a pushdown folder for one realm over the
@@ -422,10 +387,10 @@ func (e *Engine) NewDeltaFolder(info realm.Info) (*DeltaFolder, error) {
 	if err != nil {
 		return nil, err
 	}
-	cols, weights := measureColumns(info)
-	f := newFolder()
+	l := stateLayout(info)
+	f := newFolder(l)
 	f.trackDirty()
-	return &DeltaFolder{e: e, info: info, cols: cols, weights: weights, fact: fact, f: f}, nil
+	return &DeltaFolder{e: e, info: info, l: l, fact: fact, f: f}, nil
 }
 
 // Covered returns the binlog LSN through which the realm's fact events
@@ -460,7 +425,7 @@ func (df *DeltaFolder) Dirty() bool {
 func (df *DeltaFolder) FoldRows(rows [][]any) error {
 	ch, err := df.fact.RowsChunk(rows)
 	if err == nil {
-		_, err = df.e.foldFacts(df.info, ch, df.cols, df.weights, nil, df.f)
+		_, err = df.e.foldFacts(df.info, ch, nil, df.f)
 	}
 	if err != nil {
 		return fmt.Errorf("aggregate: pushdown fold into %s: %w", df.info.Name, err)
@@ -494,7 +459,7 @@ func (df *DeltaFolder) Reset(excludeResources map[string]bool, resourceColumn st
 	if resourceColumn == "" {
 		resourceColumn = "resource"
 	}
-	fresh := newFolder()
+	fresh := newFolder(df.l)
 	fresh.trackDirty()
 	n := 0
 	for chunk := 0; chunk < td.NumChunks(); chunk++ {
@@ -505,7 +470,7 @@ func (df *DeltaFolder) Reset(excludeResources map[string]bool, resourceColumn st
 				skip = func(pos int) bool { return excludeResources[res[pos]] }
 			}
 		}
-		folded, err := df.e.foldFacts(df.info, ch, df.cols, df.weights, skip, fresh)
+		folded, err := df.e.foldFacts(df.info, ch, skip, fresh)
 		if err != nil {
 			return 0, err
 		}

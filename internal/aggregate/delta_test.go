@@ -254,14 +254,21 @@ func TestPushdownMatchesFactReplication(t *testing.T) {
 	})
 }
 
-// TestPartialMergeRules exercises the merge rules on synthetic bins:
-// counts and sums add, mins/maxs compare, and sum_last follows the
-// newest last_ts with the later-merged side winning ties.
+// TestPartialMergeRules exercises the merge rules on synthetic bins
+// of a layout storing one sum, one max and one last: counts and sums
+// add, maxes compare, and sum_last follows the newest last_ts with the
+// later-merged side winning ties.
 func TestPartialMergeRules(t *testing.T) {
-	bin := func(pk int64, dims []string, n int64, lastTS float64, sum, min, max, last float64) Bin {
-		return Bin{PeriodKey: pk, Dims: dims, N: n, LastTS: lastTS,
-			Sums: []float64{sum}, Mins: []float64{min}, Maxs: []float64{max},
-			Lasts: []float64{last}, WSums: []float64{0}}
+	l := stateLayout(realm.Info{Metrics: []realm.Metric{
+		{ID: "s", Func: warehouse.AggSum, Column: "x"},
+		{ID: "m", Func: warehouse.AggMax, Column: "x"},
+		{ID: "l", Func: warehouse.AggSumLast, Column: "x"},
+	}})
+	if len(l.state) != 3 || l.at[stateMax] != 1 || l.at[stateLast] != 2 || !l.lastTS {
+		t.Fatalf("layout %+v, want sum_x, max_x, last_x and last_ts", l)
+	}
+	bin := func(pk int64, dims []string, n int64, lastTS float64, sum, max, last float64) Bin {
+		return Bin{PeriodKey: pk, Dims: dims, N: n, LastTS: lastTS, State: []float64{sum, max, last}}
 	}
 	day := func(bins ...Bin) partial {
 		p, err := Delta{Realm: "Jobs", Periods: []PeriodBins{{Period: "day", Bins: bins}}}.toPartial()
@@ -273,33 +280,34 @@ func TestPartialMergeRules(t *testing.T) {
 	shared := string(groupKey(nil, 20170101, []string{"r1"}))
 	a := func() partial {
 		return day(
-			bin(20170101, []string{"r1"}, 2, 100, 8, 1, 7, 50),
-			bin(20170102, []string{"r1"}, 1, 90, 3, 3, 3, 30))
+			bin(20170101, []string{"r1"}, 2, 100, 8, 7, 50),
+			bin(20170102, []string{"r1"}, 1, 90, 3, 3, 30))
 	}
 
 	m := a()
-	m.merge(day(
-		bin(20170101, []string{"r1"}, 3, 100, 4, 0.5, 9, 60), // equal lastTS: later-merged wins
-		bin(20170101, []string{"r2"}, 1, 40, 2, 2, 2, 20)))   // disjoint bin
+	m.merge(l, day(
+		bin(20170101, []string{"r1"}, 3, 100, 4, 9, 60), // equal lastTS: later-merged wins
+		bin(20170101, []string{"r2"}, 1, 40, 2, 2, 20))) // disjoint bin
 	if len(m[Day]) != 3 {
 		t.Fatalf("merged %d groups, want 3", len(m[Day]))
 	}
 	g := m[Day][shared]
-	if g.n != 5 || g.sums[0] != 12 || g.mins[0] != 0.5 || g.maxs[0] != 9 {
+	if g.n != 5 || g.state[0] != 12 || g.state[1] != 9 {
 		t.Errorf("merged shared bin: %+v", g)
 	}
-	if g.lasts[0] != 60 || g.lastTS != 100 {
+	if g.state[2] != 60 || g.lastTS != 100 {
 		t.Errorf("sum_last tie must take the later-merged side: %+v", g)
 	}
 	if g := m[Day][string(groupKey(nil, 20170101, []string{"r2"}))]; g == nil || g.n != 1 {
 		t.Errorf("disjoint bin must pass through unchanged: %+v", g)
 	}
 
-	// An older lastTS on the merged-in side must NOT replace newer lasts.
+	// An older lastTS on the merged-in side must NOT replace newer lasts,
+	// and a smaller max must not replace the larger one.
 	m = a()
-	m.merge(day(bin(20170101, []string{"r1"}, 1, 10, 1, 1, 1, 999)))
-	if g := m[Day][shared]; g.lasts[0] != 50 || g.lastTS != 100 {
-		t.Errorf("stale merge replaced last: %+v", g)
+	m.merge(l, day(bin(20170101, []string{"r1"}, 1, 10, 1, 1, 999)))
+	if g := m[Day][shared]; g.state[2] != 50 || g.lastTS != 100 || g.state[1] != 7 {
+		t.Errorf("stale merge replaced last or max: %+v", g)
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 // and weighted product — so two decodings compare with DeepEqual.
 func decodedFacts(t *testing.T, eng *Engine, info realm.Info, chunks ...warehouse.ColChunk) []string {
 	t.Helper()
-	cols, weights := measureColumns(info)
+	l := stateLayout(info)
 	bits := func(vs []float64) []uint64 {
 		out := make([]uint64, len(vs))
 		for i, v := range vs {
@@ -30,7 +30,7 @@ func decodedFacts(t *testing.T, eng *Engine, info realm.Info, chunks ...warehous
 	}
 	var out []string
 	for _, ch := range chunks {
-		err := eng.eachFact(info, ch, cols, weights, nil, func(ts time.Time, dims []string, vals, wvals []float64) {
+		err := eng.eachFact(info, ch, l.cols, l.weights, nil, func(ts time.Time, dims []string, vals, wvals []float64) {
 			out = append(out, fmt.Sprintf("%d %q %x %x", ts.UnixNano(), dims, bits(vals), bits(wvals)))
 		})
 		if err != nil {

@@ -2,6 +2,8 @@ package aggregate
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"xdmodfed/internal/config"
 	"xdmodfed/internal/realm"
@@ -46,53 +48,114 @@ func AggTableName(fact string, p Period) string {
 // AggSchema names the aggregate schema for a realm.
 func AggSchema(info realm.Info) string { return info.Schema + AggSchemaSuffix }
 
-// measureColumns returns the distinct numeric fact columns referenced
-// by the realm's metrics (for sums/mins/maxes) and the weighted pairs
-// ("col*weight") needed by weighted-average metrics.
-func measureColumns(info realm.Info) (cols, weights []string) {
-	seen := map[string]bool{}
-	wseen := map[string]bool{}
-	for _, m := range info.Metrics {
-		if m.Column != "" && !seen[m.Column] {
-			seen[m.Column] = true
-			cols = append(cols, m.Column)
-		}
+// stateKind is how a stored state column folds facts and merges rows.
+type stateKind uint8
+
+const (
+	stateSum  stateKind = iota // adds the column
+	stateMax                   // keeps the column's largest value
+	stateLast                  // keeps the column's value at the newest timestamp
+	stateWSum                  // adds a weighted pair's products
+	nStateKinds
+)
+
+// stateCol is one stored state column: its kind and what it folds — a
+// fact column, or a "col*weight" pair for stateWSum.
+type stateCol struct {
+	kind stateKind
+	of   string
+}
+
+// name is the aggregation-table column holding the state:
+// sum_<c>, max_<c>, last_<c> or wsum_<c>_x_<w>.
+func (s stateCol) name() string {
+	return [...]string{"sum_", "max_", "last_", "wsum_"}[s.kind] + strings.ReplaceAll(s.of, "*", "_x_")
+}
+
+// metricState names the stored state a metric's chart reads besides n:
+// val, which a chart cell folds over its aggregation rows (by max for
+// MAX, by addition otherwise), and den, the denominator of a weighted
+// average. A state with an empty of is none: COUNT reads only n, and
+// only a weighted average has a den. This is the one derivation of what
+// a chart reads; stateLayout stores exactly its union over the realm's
+// metrics.
+func metricState(m realm.Metric) (val, den stateCol) {
+	switch m.Func {
+	case warehouse.AggSum:
+		return stateCol{stateSum, m.Column}, stateCol{}
+	case warehouse.AggAvg:
 		if m.WeightColumn != "" {
-			if !seen[m.WeightColumn] {
-				seen[m.WeightColumn] = true
-				cols = append(cols, m.WeightColumn)
-			}
-			key := m.Column + "*" + m.WeightColumn
-			if !wseen[key] {
-				wseen[key] = true
-				weights = append(weights, key)
+			return stateCol{stateWSum, m.Column + "*" + m.WeightColumn}, stateCol{stateSum, m.WeightColumn}
+		}
+		return stateCol{stateSum, m.Column}, stateCol{}
+	case warehouse.AggMax:
+		return stateCol{stateMax, m.Column}, stateCol{}
+	case warehouse.AggSumLast:
+		return stateCol{stateLast, m.Column}, stateCol{}
+	}
+	return stateCol{}, stateCol{}
+}
+
+// rowLayout is the running state an aggregation row stores beside its
+// key and n, as stateLayout derives it. The state columns are grouped
+// by kind, state[at[k]:at[k+1]] holding kind k, so each kind folds in
+// one loop over its slots. The fold reads a fact as vals, one per
+// column of cols, and wvals, one product per pair of weights.
+type rowLayout struct {
+	state   []stateCol
+	at      [nStateKinds + 1]int
+	lastTS  bool     // last_ts is stored: some state is a last
+	cols    []string // fact columns a fact's vals hold
+	weights []string // weighted pairs, wvals[i] folding into state[at[stateWSum]+i]
+	src     []int    // per state slot below at[stateWSum]: the vals index it folds
+}
+
+// stateLayout derives a realm's stored state from its metrics, as the
+// union of their metricState: sum_<c> for SUM and unweighted AVG on c
+// and for c as a weight denominator, max_<c> for MAX, last_<c> for
+// SUM_LAST (with last_ts, the timestamp the lasts follow), and
+// wsum_<c>_x_<w> per weighted pair. State no metric reads is neither
+// stored nor folded.
+func stateLayout(info realm.Info) *rowLayout {
+	l := &rowLayout{}
+	for _, m := range info.Metrics {
+		val, den := metricState(m)
+		for _, s := range [...]stateCol{val, den} {
+			if s.of != "" && !slices.Contains(l.state, s) {
+				l.state = append(l.state, s)
 			}
 		}
 	}
-	return cols, weights
-}
-
-func wsumColName(pair string) string {
-	out := make([]byte, 0, len(pair)+8)
-	out = append(out, "wsum_"...)
-	for i := 0; i < len(pair); i++ {
-		if pair[i] == '*' {
-			out = append(out, "_x_"...)
-		} else {
-			out = append(out, pair[i])
+	slices.SortStableFunc(l.state, func(a, b stateCol) int { return int(a.kind) - int(b.kind) })
+	for _, s := range l.state {
+		for k := s.kind + 1; k <= nStateKinds; k++ {
+			l.at[k]++
 		}
+		if s.kind == stateWSum {
+			l.weights = append(l.weights, s.of)
+			continue
+		}
+		ci := slices.Index(l.cols, s.of)
+		if ci < 0 {
+			ci = len(l.cols)
+			l.cols = append(l.cols, s.of)
+		}
+		l.src = append(l.src, ci)
 	}
-	return string(out)
+	l.lastTS = l.at[stateLast] < l.at[stateWSum]
+	return l
 }
 
-// aggDef builds the aggregation table definition for a realm + period.
-// The table is derived: every instance recomputes it from the raw realm
-// tables under its own levels (paper §II-C3) — Setup recreates it on
-// each start and a rebuild refills it — so it is never logged.
-func aggDef(info realm.Info, p Period) warehouse.TableDef {
-	cols, weights := measureColumns(info)
+// aggDef builds the aggregation table definition for a realm + period
+// from the realm's layout: the key columns (period_key and one per
+// dimension), n, last_ts when stored, then the state columns in layout
+// order. The table is derived: every instance recomputes it from the
+// raw realm tables under its own levels (paper §II-C3) — Setup
+// recreates it on each start and a rebuild refills it — so it is never
+// logged.
+func aggDef(info realm.Info, l *rowLayout, p Period) warehouse.TableDef {
 	def := warehouse.TableDef{Name: AggTableName(info.FactTable, p), Derived: true,
-		Columns: make([]warehouse.Column, 0, 3+len(info.Dimensions)+4*len(cols)+len(weights))}
+		Columns: make([]warehouse.Column, 0, 3+len(info.Dimensions)+len(l.state))}
 	def.Columns = append(def.Columns, warehouse.Column{Name: "period_key", Type: warehouse.TypeInt})
 	pk := []string{"period_key"}
 	for _, d := range info.Dimensions {
@@ -101,17 +164,11 @@ func aggDef(info realm.Info, p Period) warehouse.TableDef {
 		pk = append(pk, col)
 	}
 	def.Columns = append(def.Columns, warehouse.Column{Name: "n", Type: warehouse.TypeInt})
-	def.Columns = append(def.Columns, warehouse.Column{Name: "last_ts", Type: warehouse.TypeFloat})
-	for _, c := range cols {
-		def.Columns = append(def.Columns,
-			warehouse.Column{Name: "sum_" + c, Type: warehouse.TypeFloat},
-			warehouse.Column{Name: "min_" + c, Type: warehouse.TypeFloat},
-			warehouse.Column{Name: "max_" + c, Type: warehouse.TypeFloat},
-			warehouse.Column{Name: "last_" + c, Type: warehouse.TypeFloat},
-		)
+	if l.lastTS {
+		def.Columns = append(def.Columns, warehouse.Column{Name: "last_ts", Type: warehouse.TypeFloat})
 	}
-	for _, w := range weights {
-		def.Columns = append(def.Columns, warehouse.Column{Name: wsumColName(w), Type: warehouse.TypeFloat})
+	for _, s := range l.state {
+		def.Columns = append(def.Columns, warehouse.Column{Name: s.name(), Type: warehouse.TypeFloat})
 	}
 	def.PrimaryKey = pk
 	return def
@@ -122,9 +179,9 @@ func (e *Engine) Setup(info realm.Info) error {
 	if err := info.Validate(); err != nil {
 		return err
 	}
-	s := e.db.EnsureSchema(AggSchema(info))
+	s, l := e.db.EnsureSchema(AggSchema(info)), stateLayout(info)
 	for _, p := range Periods() {
-		if _, err := s.EnsureTable(aggDef(info, p)); err != nil {
+		if _, err := s.EnsureTable(aggDef(info, l, p)); err != nil {
 			return err
 		}
 	}

@@ -12,7 +12,7 @@ import (
 // events fold straight into the per-period aggregates as they land, so
 // the first chart query after a batch pays O(batch) instead of
 // O(all federation facts). Aggregation is additive (counts and sums
-// add, min/max compare, last_* follow the newest timestamp), so the
+// add, maxes compare, lasts follow the newest timestamp), so the
 // fold commutes with a full rebuild — non-additive mutations recompute
 // instead: updates and deletes the groups they touched (ReaggregateFrom
 // with a scope), a truncate the whole realm.
@@ -48,7 +48,7 @@ func (e *Engine) ApplyFactRows(info realm.Info, sourceSchema string, rows [][]an
 		return 0, fmt.Errorf("aggregate: incremental fold into %s: %w", info.Name, err)
 	}
 	b := newFoldBatch(codec, len(rows))
-	if err := e.eachFact(info, ch, codec.cols, codec.weights, nil, b.add); err != nil {
+	if err := e.eachFact(info, ch, codec.l.cols, codec.l.weights, nil, b.add); err != nil {
 		return 0, fmt.Errorf("aggregate: incremental fold into %s: %w", info.Name, err)
 	}
 
@@ -105,7 +105,7 @@ type foldGroup struct {
 
 func newFoldBatch(c *aggCodec, n int) *foldBatch {
 	periods := Periods()
-	nm := len(c.cols) + len(c.weights)
+	nm := len(c.l.cols) + len(c.l.weights)
 	b := &foldBatch{c: c, periods: periods, ts: make([]float64, 0, n), meas: make([]float64, 0, n*nm),
 		tuples: make(map[string]int32, n), index: make([]map[groupID]int32, len(periods)),
 		groups: make([][]foldGroup, len(periods)), next: make([][]int32, len(periods))}
@@ -149,7 +149,7 @@ func (b *foldBatch) add(t time.Time, dims []string, vals, wvals []float64) {
 // fact returns fact fi's timestamp, measure values and weighted
 // products.
 func (b *foldBatch) fact(fi int32) (float64, []float64, []float64) {
-	nv, nm := len(b.c.cols), len(b.c.cols)+len(b.c.weights)
+	nv, nm := len(b.c.l.cols), len(b.c.l.cols)+len(b.c.l.weights)
 	m := b.meas[int(fi)*nm : int(fi+1)*nm]
 	return b.ts[fi], m[:nv], m[nv:]
 }
@@ -171,7 +171,7 @@ func (b *foldBatch) mergeInto(tab *warehouse.Table, pi int) error {
 		out.putKey(ri, g.id.periodKey, b.dims[t:t+nd])
 	}
 	readers := map[int]*aggReader{} // by chunk base: the stored rows span sealed chunks and the tail
-	acc := b.c.newAcc()
+	l, acc := b.c.l, b.c.l.newAcc()
 	return tab.UpsertColumns(out.cd, func(ri, replaced int) error {
 		fi := groups[ri].first
 		if replaced >= 0 {
@@ -186,11 +186,13 @@ func (b *foldBatch) mergeInto(tab *warehouse.Table, pi int) error {
 			}
 			r.load(lp, &acc)
 		} else {
-			acc.seed(b.fact(fi))
+			ts, vals, wvals := b.fact(fi)
+			acc.seed(l, ts, vals, wvals)
 			fi = next[fi]
 		}
 		for ; fi >= 0; fi = next[fi] {
-			acc.fold(b.fact(fi))
+			ts, vals, wvals := b.fact(fi)
+			acc.fold(l, ts, vals, wvals)
 		}
 		out.putState(ri, &acc)
 		return nil

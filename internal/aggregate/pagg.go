@@ -34,8 +34,8 @@ func PaggTableName(fact string, p Period) string {
 // paggDef is the aggregation-table layout under the pagg name: the
 // pagg table is the member's partial in table form, and derived like
 // the aggregation table (the member re-ships it on every connect).
-func paggDef(info realm.Info, p Period) warehouse.TableDef {
-	def := aggDef(info, p)
+func paggDef(info realm.Info, l *rowLayout, p Period) warehouse.TableDef {
+	def := aggDef(info, l, p)
 	def.Name = PaggTableName(info.FactTable, p)
 	return def
 }
@@ -73,22 +73,18 @@ func (e *Engine) ApplyDelta(info realm.Info, schema string, d Delta) (int, error
 	if err != nil {
 		return 0, err
 	}
-	nc, nw := len(codec.cols), len(codec.weights)
 	for _, pb := range d.Periods {
 		for _, b := range pb.Bins {
-			if len(b.Dims) != codec.nd ||
-				len(b.Sums) != nc || len(b.Mins) != nc ||
-				len(b.Maxs) != nc || len(b.Lasts) != nc ||
-				len(b.WSums) != nw {
-				return 0, fmt.Errorf("aggregate: delta bin for realm %s does not match the realm's shape (%d dims, %d measures, %d weights)",
-					d.Realm, codec.nd, nc, nw)
+			if len(b.Dims) != codec.nd || len(b.State) != len(codec.l.state) {
+				return 0, fmt.Errorf("aggregate: delta bin for realm %s does not match the realm's shape (%d dims, %d state values)",
+					d.Realm, codec.nd, len(codec.l.state))
 			}
 		}
 	}
 	s := e.db.EnsureSchema(schema)
 	tabs := make(map[Period]*warehouse.Table, len(Periods()))
 	for _, period := range Periods() {
-		tab, err := s.EnsureTable(paggDef(info, period))
+		tab, err := s.EnsureTable(paggDef(info, codec.l, period))
 		if err != nil {
 			return 0, err
 		}

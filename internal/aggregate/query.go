@@ -85,41 +85,26 @@ type Series struct {
 	N         int64 // fact rows contributing
 }
 
-// cell accumulates aggregation-table rows for (group, period).
+// cell accumulates aggregation-table rows for (group, period): n, the
+// metric's val state folded by max or by addition, and the weighted
+// average's den (see metricState).
 type cell struct {
-	n       int64
-	sum     float64
-	min     float64
-	max     float64
-	wsum    float64
-	wden    float64
-	sumLast float64
-	init    bool
+	n    int64
+	v    float64
+	den  float64
+	init bool
 }
 
-// addVals folds one aggregation-table row's pre-extracted values into
-// the cell; hasMeasure/hasWeight report whether the metric carries a
-// measure column / weighted pair at all.
-func (c *cell) addVals(n int64, sum, last, mn, mx, wsum, wden float64, hasMeasure, hasWeight bool) {
+// add folds one aggregation-table row's pre-extracted values into the
+// cell; byMax folds v by max instead of addition.
+func (c *cell) add(n int64, v, den float64, byMax bool) {
 	c.n += n
-	if hasMeasure {
-		c.sum += sum
-		c.sumLast += last
-		if !c.init {
-			c.min, c.max = mn, mx
-		} else {
-			if mn < c.min {
-				c.min = mn
-			}
-			if mx > c.max {
-				c.max = mx
-			}
-		}
+	if !byMax {
+		c.v += v
+	} else if !c.init || v > c.v {
+		c.v = v
 	}
-	if hasWeight {
-		c.wsum += wsum
-		c.wden += wden
-	}
+	c.den += den
 	c.init = true
 }
 
@@ -127,25 +112,19 @@ func (c *cell) value(m realm.Metric) float64 {
 	scale := m.ScaleOr1()
 	switch {
 	case m.WeightColumn != "" && m.Func == warehouse.AggAvg:
-		if c.wden == 0 {
+		if c.den == 0 {
 			return 0
 		}
-		return c.wsum / c.wden * scale
-	case m.Func == warehouse.AggSum:
-		return c.sum * scale
-	case m.Func == warehouse.AggSumLast:
-		return c.sumLast * scale
+		return c.v / c.den * scale
+	case m.Func == warehouse.AggSum, m.Func == warehouse.AggSumLast, m.Func == warehouse.AggMax:
+		return c.v * scale
 	case m.Func == warehouse.AggCount:
 		return float64(c.n) * scale
 	case m.Func == warehouse.AggAvg:
 		if c.n == 0 {
 			return 0
 		}
-		return c.sum / float64(c.n) * scale
-	case m.Func == warehouse.AggMin:
-		return c.min * scale
-	case m.Func == warehouse.AggMax:
-		return c.max * scale
+		return c.v / float64(c.n) * scale
 	default:
 		return 0
 	}
@@ -206,15 +185,15 @@ func (e *Engine) QueryStatsCtx(ctx context.Context, info realm.Info, req Request
 	// so the scan order is part of the answer.
 	cells := map[gp]*cell{}
 	aggCells := map[string]*cell{}
-	hasMeasure := metric.Column != ""
-	hasWeight := metric.WeightColumn != ""
+	val, den := metricState(metric)
+	byMax := val.kind == stateMax
 	td, err := e.db.DataFor(AggSchema(info), AggTableName(info.FactTable, req.Period))
 	if err != nil {
 		return nil, QueryInfo{}, err
 	}
-	scanned, err := scanAggRows(ctx, td, req, metric, groupCol,
-		func(pk int64, group string, n int64, sum, last, mn, mx, wsum, wden float64) {
-			foldCell(cells, aggCells, gp{group, pk}, n, sum, last, mn, mx, wsum, wden, hasMeasure, hasWeight)
+	scanned, err := scanAggRows(ctx, td, req, val, den, groupCol,
+		func(pk int64, group string, n int64, v, d float64) {
+			foldCell(cells, aggCells, gp{group, pk}, n, v, d, byMax)
 		})
 	mRowsScanned.Add(uint64(scanned))
 	if err != nil {
@@ -231,26 +210,26 @@ type gp struct {
 
 // foldCell folds one aggregation row's values into both the
 // per-(group, period) cell and the group's whole-range aggregate cell.
-func foldCell(cells map[gp]*cell, aggCells map[string]*cell, k gp,
-	n int64, sum, last, mn, mx, wsum, wden float64, hasMeasure, hasWeight bool) {
+func foldCell(cells map[gp]*cell, aggCells map[string]*cell, k gp, n int64, v, den float64, byMax bool) {
 	c := cells[k]
 	if c == nil {
 		c = &cell{}
 		cells[k] = c
 	}
-	c.addVals(n, sum, last, mn, mx, wsum, wden, hasMeasure, hasWeight)
+	c.add(n, v, den, byMax)
 	a := aggCells[k.group]
 	if a == nil {
 		a = &cell{}
 		aggCells[k.group] = a
 	}
-	a.addVals(n, sum, last, mn, mx, wsum, wden, hasMeasure, hasWeight)
+	a.add(n, v, den, byMax)
 }
 
 // scanAggRows iterates one aggregation-table snapshot chunk-wise,
 // applying the request's period range and dimension filters, and calls
-// emit for every passing live row with the metric's pre-extracted
-// values. Every column the metric touches is resolved once per
+// emit for every passing live row with n and the metric's val and den
+// state (metricState; none reads zero). Every column the metric touches
+// is resolved once per
 // contiguous chunk (a cold segment materializes only when the scan
 // reaches it) and the per-row loop reads typed vectors only. Returns
 // the live rows visited.
@@ -259,16 +238,14 @@ func foldCell(cells map[gp]*cell, aggCells map[string]*cell, k gp,
 // but prompt enough that a canceled query stops within one chunk's
 // worth of work; on cancellation the scan returns ctx.Err() with the
 // rows visited so far.
-func scanAggRows(ctx context.Context, td *warehouse.TableData, req Request, metric realm.Metric, groupCol string,
-	emit func(pk int64, group string, n int64, sum, last, mn, mx, wsum, wden float64)) (int, error) {
+func scanAggRows(ctx context.Context, td *warehouse.TableData, req Request, val, den stateCol, groupCol string,
+	emit func(pk int64, group string, n int64, v, d float64)) (int, error) {
 
 	type dimFilter struct {
 		vals []string
 		want string
 	}
 	scanned := 0
-	hasMeasure := metric.Column != ""
-	hasWeight := metric.WeightColumn != ""
 	at := func(v []float64, pos int) float64 {
 		if v == nil {
 			return 0
@@ -286,8 +263,8 @@ func scanAggRows(ctx context.Context, td *warehouse.TableData, req Request, metr
 			}
 			return nil
 		}
-		fltCol := func(name string) []float64 {
-			if ci, ok := ch.ColIndex(name); ok {
+		stateVec := func(s stateCol) []float64 {
+			if ci, ok := ch.ColIndex(s.name()); ok && s.of != "" {
 				return ch.FloatCol(ci)
 			}
 			return nil
@@ -299,18 +276,7 @@ func scanAggRows(ctx context.Context, td *warehouse.TableData, req Request, metr
 			return nil
 		}
 		pkV, nV := intCol("period_key"), intCol("n")
-		var sumV, lastV, minV, maxV []float64
-		if hasMeasure {
-			sumV = fltCol("sum_" + metric.Column)
-			lastV = fltCol("last_" + metric.Column)
-			minV = fltCol("min_" + metric.Column)
-			maxV = fltCol("max_" + metric.Column)
-		}
-		var wsumV, wdenV []float64
-		if hasWeight {
-			wsumV = fltCol(wsumColName(metric.Column + "*" + metric.WeightColumn))
-			wdenV = fltCol("sum_" + metric.WeightColumn)
-		}
+		valV, denV := stateVec(val), stateVec(den)
 		var groupV []string
 		if groupCol != "" {
 			groupV = strCol(groupCol)
@@ -349,8 +315,7 @@ func scanAggRows(ctx context.Context, td *warehouse.TableData, req Request, metr
 			if nV != nil {
 				n = nV[pos]
 			}
-			emit(pk, group, n, at(sumV, pos), at(lastV, pos), at(minV, pos), at(maxV, pos),
-				at(wsumV, pos), at(wdenV, pos))
+			emit(pk, group, n, at(valV, pos), at(denV, pos))
 		}
 	}
 	return scanned, nil

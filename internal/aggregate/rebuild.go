@@ -3,6 +3,7 @@ package aggregate
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -125,20 +126,10 @@ func (e *Engine) newFactReader(info realm.Info, ch warehouse.ColChunk, cols, wei
 	}
 	fr.wpairs = make([][2]numCol, len(weights))
 	for i, w := range weights {
-		a, b := splitPair(w)
+		a, b, _ := strings.Cut(w, "*")
 		fr.wpairs[i] = [2]numCol{numColOf(ch, a), numColOf(ch, b)}
 	}
 	return fr, nil
-}
-
-// splitPair splits a "col*weight" pair name.
-func splitPair(pair string) (string, string) {
-	for i := 0; i < len(pair); i++ {
-		if pair[i] == '*' {
-			return pair[:i], pair[i+1:]
-		}
-	}
-	return pair, ""
 }
 
 // eachFact is the one loop that decodes fact rows for aggregation —
@@ -185,13 +176,11 @@ func (e *Engine) eachFact(info realm.Info, ch warehouse.ColChunk, cols, weights 
 	return nil
 }
 
-// foldFacts folds each fact eachFact yields into f and returns how
-// many were folded.
-func (e *Engine) foldFacts(info realm.Info, ch warehouse.ColChunk, cols, weights []string,
-	skip func(pos int) bool, f *folder) (int, error) {
-
+// foldFacts folds each fact eachFact yields into f, reading the
+// columns f's layout folds, and returns how many were folded.
+func (e *Engine) foldFacts(info realm.Info, ch warehouse.ColChunk, skip func(pos int) bool, f *folder) (int, error) {
 	n := 0
-	err := e.eachFact(info, ch, cols, weights, skip, func(t time.Time, dims []string, vals, wvals []float64) {
+	err := e.eachFact(info, ch, f.l.cols, f.l.weights, skip, func(t time.Time, dims []string, vals, wvals []float64) {
 		if f.fold(t, dims, vals, wvals) {
 			n++
 		}
@@ -206,12 +195,12 @@ func (e *Engine) foldFacts(info realm.Info, ch warehouse.ColChunk, cols, weights
 // (and is evictable again as soon as the scan moves on), so the scan's
 // resident footprint is one segment plus the backend's budget — never
 // the whole table.
-func (e *Engine) scanPartials(info realm.Info, td *warehouse.TableData, cols, weights []string, scope Scope) (partial, int, error) {
-	f := newFolder()
+func (e *Engine) scanPartials(info realm.Info, td *warehouse.TableData, l *rowLayout, scope Scope) (partial, int, error) {
+	f := newFolder(l)
 	f.scope = scope
 	n := 0
 	for chunk := 0; chunk < td.NumChunks(); chunk++ {
-		folded, err := e.foldFacts(info, td.Chunk(chunk), cols, weights, nil, f)
+		folded, err := e.foldFacts(info, td.Chunk(chunk), nil, f)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -362,7 +351,7 @@ func (e *Engine) ReaggregateFrom(info realm.Info, sources []Source, scope Scope)
 		if sources[i].Pushdown {
 			partials[i], counts[i], errs[i] = paggPartials(codec, paggData[i])
 		} else {
-			partials[i], counts[i], errs[i] = e.scanPartials(info, facts[i], codec.cols, codec.weights, scope)
+			partials[i], counts[i], errs[i] = e.scanPartials(info, facts[i], codec.l, scope)
 		}
 	})
 	total := 0
@@ -379,7 +368,7 @@ func (e *Engine) ReaggregateFrom(info realm.Info, sources []Source, scope Scope)
 	// transaction, so no reader ever sees a half-built realm.
 	merged := make(partial, len(Periods()))
 	for _, p := range partials {
-		merged.merge(p)
+		merged.merge(codec.l, p)
 	}
 	err = e.db.Do(func() error {
 		for pi, tg := range targets {

@@ -94,8 +94,11 @@ func isTimeout(err error) bool {
 // wireFormat numbers what a batch frame carries. It is not configurable
 // and nothing is chosen by it: unequal numbers end the handshake.
 // 1 (never sent: the field did not exist) was batch.Events as gob; 2 is
-// batch.Packed.
-const wireFormat = 2
+// batch.Packed; 3 keeps batch.Packed and narrows aggregate.Bin to the
+// realm's stored state (one State slice in place of sums, mins, maxes
+// and lasts for every measure column), so a pushdown pair of mixed
+// builds refuses at hello instead of merging bins of another shape.
+const wireFormat = 3
 
 type hello struct {
 	Instance string

@@ -280,8 +280,7 @@ func TestReceiverRejectsOversizeDeltaFrame(t *testing.T) {
 	bins := make([]aggregate.Bin, 4096)
 	for i := range bins {
 		bins[i] = aggregate.Bin{PeriodKey: int64(i), Dims: []string{"rrrrrrrrrrrrrrrrrrrrrrrrrrrrrrrr"},
-			N: 1, Sums: []float64{1, 2, 3, 4}, Mins: []float64{1, 2, 3, 4},
-			Maxs: []float64{1, 2, 3, 4}, Lasts: []float64{1, 2, 3, 4}}
+			N: 1, State: []float64{1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4}}
 	}
 	huge := batch{UpTo: 1, Deltas: []aggregate.Delta{{Realm: "Jobs", Reset: true, CoveredLSN: 1,
 		Periods: []aggregate.PeriodBins{{Period: "day", Bins: bins}}}}}

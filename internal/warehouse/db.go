@@ -3,6 +3,7 @@ package warehouse
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -264,13 +265,44 @@ func (s *Schema) createTableLocked(def TableDef) (*Table, error) {
 }
 
 // EnsureTable returns the named table, creating it from def if absent.
+// A table that exists must have def's layout — its columns, primary key
+// and Derived flag — or EnsureTable refuses it rather than hand out a
+// table whose rows have another shape than the caller writes.
 func (s *Schema) EnsureTable(def TableDef) (*Table, error) {
 	s.db.mu.Lock()
 	defer s.db.mu.Unlock()
 	if t, ok := s.tables[def.Name]; ok {
+		if diff := layoutDiff(t.def, def); diff != "" {
+			return nil, fmt.Errorf("warehouse: table %s.%s exists with another layout: %s", s.name, def.Name, diff)
+		}
 		return t, nil
 	}
 	return s.createTableLocked(def)
+}
+
+// layoutDiff describes the first difference between the layout of an
+// existing table and a wanted one — columns in order, then primary key,
+// then Derived — or returns "" when they agree.
+func layoutDiff(have, want TableDef) string {
+	for i := range max(len(have.Columns), len(want.Columns)) {
+		h, w := "none", "none"
+		if i < len(have.Columns) {
+			h = fmt.Sprintf("%+v", have.Columns[i])
+		}
+		if i < len(want.Columns) {
+			w = fmt.Sprintf("%+v", want.Columns[i])
+		}
+		if h != w {
+			return fmt.Sprintf("column %d is %s, want %s", i+1, h, w)
+		}
+	}
+	if !slices.Equal(have.PrimaryKey, want.PrimaryKey) {
+		return fmt.Sprintf("primary key is %v, want %v", have.PrimaryKey, want.PrimaryKey)
+	}
+	if have.Derived != want.Derived {
+		return fmt.Sprintf("derived is %t, want %t", have.Derived, want.Derived)
+	}
+	return ""
 }
 
 // Table returns the named table, or nil when absent.

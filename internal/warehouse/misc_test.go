@@ -28,7 +28,7 @@ func TestStringers(t *testing.T) {
 		}
 	}
 	for v, want := range map[AggFunc]string{
-		AggSum: "SUM", AggCount: "COUNT", AggAvg: "AVG", AggMin: "MIN",
+		AggSum: "SUM", AggCount: "COUNT", AggAvg: "AVG",
 		AggMax: "MAX", AggSumLast: "SUM_LAST", AggFunc(42): "AggFunc(42)",
 	} {
 		if got := v.String(); got != want {

@@ -5,12 +5,13 @@ import "fmt"
 // AggFunc enumerates the aggregate functions a realm metric can apply.
 type AggFunc int
 
-// Supported aggregate functions.
+// Supported aggregate functions. 4 is unused: the numbers of the
+// others never changed.
 const (
 	AggSum AggFunc = iota + 1
 	AggCount
 	AggAvg
-	AggMin
+	_
 	AggMax
 	// AggSumLast sums, across dimension cells, each cell's most recent
 	// value — the correct roll-up for snapshot-style facts (storage
@@ -27,8 +28,6 @@ func (f AggFunc) String() string {
 		return "COUNT"
 	case AggAvg:
 		return "AVG"
-	case AggMin:
-		return "MIN"
 	case AggMax:
 		return "MAX"
 	case AggSumLast:

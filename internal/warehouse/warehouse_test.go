@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -538,6 +539,57 @@ func TestSchemaLifecycle(t *testing.T) {
 	}
 	if err := applyOne(db, Event{Kind: EvDropSchema, Schema: "a"}); err != nil {
 		t.Errorf("replayed drop of a dropped schema: %v", err)
+	}
+}
+
+// TestEnsureTableRefusesLayoutChange: ensuring a table again with its
+// own definition returns the same table and logs nothing, and a
+// definition whose columns, primary key or Derived flag differ is
+// refused with an error naming schema.table and the first difference.
+func TestEnsureTableRefusesLayoutChange(t *testing.T) {
+	db := Open("test")
+	s := db.EnsureSchema("modw")
+	tab := mustTable(t, db, "modw")
+	head := db.Binlog().Last()
+	again, err := s.EnsureTable(jobsDef())
+	if err != nil || again != tab {
+		t.Fatalf("EnsureTable of an identical definition: %p, %v; want %p", again, err, tab)
+	}
+	if db.Binlog().Last() != head {
+		t.Error("EnsureTable of an identical definition logged an event")
+	}
+	for _, c := range []struct {
+		name string
+		edit func(*TableDef)
+		want string
+	}{
+		{"renamed column", func(d *TableDef) { d.Columns[3].Name = "min_cores" },
+			`column 4 is {Name:cores Type:BIGINT Nullable:false}, want {Name:min_cores Type:BIGINT Nullable:false}`},
+		{"retyped column", func(d *TableDef) { d.Columns[4].Type = TypeInt },
+			`column 5 is {Name:wall Type:DOUBLE Nullable:false}, want {Name:wall Type:BIGINT Nullable:false}`},
+		{"nullability", func(d *TableDef) { d.Columns[5].Nullable = false },
+			`column 6 is {Name:end_time Type:DATETIME Nullable:true}, want {Name:end_time Type:DATETIME Nullable:false}`},
+		{"dropped column", func(d *TableDef) { d.Columns = d.Columns[:5] },
+			`column 6 is {Name:end_time Type:DATETIME Nullable:true}, want none`},
+		{"added column", func(d *TableDef) { d.Columns = append(d.Columns, Column{Name: "max_cores", Type: TypeFloat}) },
+			`column 7 is none, want {Name:max_cores Type:DOUBLE Nullable:false}`},
+		{"primary key", func(d *TableDef) { d.PrimaryKey = []string{"job_id", "resource"} },
+			`primary key is [job_id], want [job_id resource]`},
+		{"derived", func(d *TableDef) { d.Derived = true }, `derived is false, want true`},
+	} {
+		def := jobsDef()
+		c.edit(&def)
+		got, err := s.EnsureTable(def)
+		if err == nil || got != nil {
+			t.Errorf("%s: EnsureTable returned %p, %v; want a refusal", c.name, got, err)
+			continue
+		}
+		if want := "modw.jobs exists with another layout: " + c.want; !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not contain %q", c.name, err, want)
+		}
+	}
+	if s.Table("jobs") != tab || len(tab.Columns()) != len(jobsDef().Columns) {
+		t.Error("a refused EnsureTable changed the stored table")
 	}
 }
 
