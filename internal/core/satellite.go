@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"sync"
 	"time"
 
@@ -524,39 +525,48 @@ func (s *Satellite) RunLooseFederation(ctx context.Context, interval time.Durati
 	}
 }
 
-// RestoreFromHubBackup restores realm tables from a hub-regenerated
-// backup (paper §II-E4: "the hub itself could be used to regenerate
-// the databases for the member instances"). Tables land back in their
-// realm schemas, located by table name.
+// RestoreFromHubBackup restores warehouse state from a snapshot and
+// re-aggregates. The snapshot is either this instance's own (the -db
+// file of xdmod-ingestor and xdmod-satellite), whose every table lands
+// back in its schema, or a hub-regenerated backup (paper §II-E4: "the
+// hub itself could be used to regenerate the databases for the member
+// instances"), whose fed_<instance> schema holds the federated tables
+// of every realm: those land back in their realm schemas, located by
+// table name, and anything else there is hub bookkeeping. Derived
+// tables are not restored: AggregateAll rebuilds them.
 func (s *Satellite) RestoreFromHubBackup(r io.Reader) error {
 	scratch := warehouse.OpenWithoutBinlog("backup-restore")
 	defer scratch.Close()
 	if _, err := scratch.Restore(r); err != nil {
 		return err
 	}
-	tableSchema := map[string]string{}
+	realmSchema := map[string]string{} // federated table -> its realm schema
 	for _, name := range s.Registry.Names() {
 		info, _ := s.Registry.Get(name)
 		for _, t := range FederatedTablesFor(name) {
-			tableSchema[t] = info.Schema
+			realmSchema[t] = info.Schema
 		}
 	}
 	for _, sn := range scratch.Schemas() {
 		ss := scratch.Schema(sn)
+		hubBackup := strings.HasPrefix(sn, replicate.HubSchemaPrefix)
 		for _, tn := range ss.Tables() {
-			destSchema, ok := tableSchema[tn]
-			if !ok {
-				continue // non-realm table (e.g. hub bookkeeping)
-			}
 			src := ss.Table(tn)
-			if _, err := s.DB.TableIn(destSchema, tn); err != nil {
+			def := src.Def()
+			dest, ok := sn, true
+			if hubBackup {
+				dest, ok = realmSchema[tn]
+			}
+			if !ok || def.Derived {
+				continue
+			}
+			if _, err := s.DB.EnsureSchema(dest).EnsureTable(def); err != nil {
 				return err
 			}
-			// Bulk-load the backup table's columnar snapshot: one
-			// validated LOAD transaction, no row materialization. The
-			// scratch DB is discarded afterwards, so sharing its vectors
-			// is safe.
-			if err := s.DB.LoadColumns(destSchema, tn, src.Data().ColumnData()); err != nil {
+			// Bulk-load the table's columnar snapshot: one validated LOAD
+			// transaction, no row materialization. The scratch DB is
+			// discarded afterwards, so sharing its vectors is safe.
+			if err := s.DB.LoadColumns(dest, tn, src.Data().ColumnData()); err != nil {
 				return err
 			}
 		}

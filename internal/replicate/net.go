@@ -97,8 +97,18 @@ func isTimeout(err error) bool {
 // batch.Packed; 3 keeps batch.Packed and narrows aggregate.Bin to the
 // realm's stored state (one State slice in place of sums, mins, maxes
 // and lasts for every measure column), so a pushdown pair of mixed
-// builds refuses at hello instead of merging bins of another shape.
-const wireFormat = 3
+// builds refuses at hello instead of merging bins of another shape; 4
+// codes a CREATE_TABLE's definition and a LOAD's column vectors inside
+// Packed with the event codec's own primitives, where 3 nested gob
+// blobs.
+const wireFormat = 4
+
+func init() {
+	// The frames above never carry a boxed cell, but a gob encoding of
+	// warehouse.Event does (Row and Old are []any): bench/stepped.go
+	// sizes a frame that way. gob knows every other cell type already.
+	gob.Register(time.Time{})
+}
 
 type hello struct {
 	Instance string

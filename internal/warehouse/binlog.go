@@ -2,7 +2,6 @@ package warehouse
 
 import (
 	"context"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"time"
@@ -77,17 +76,6 @@ type Event struct {
 	Old    []any       // previous values (delete: how the applier finds the row)
 	Def    *TableDef   // table definition (create table)
 	Cols   *ColumnData // full-table columnar payload (load)
-}
-
-func init() {
-	// Register the concrete types that travel inside []any cells so the
-	// binlog and snapshots can cross gob boundaries (loose federation
-	// dumps, tight federation streams).
-	gob.Register(time.Time{})
-	gob.Register(int64(0))
-	gob.Register(float64(0))
-	gob.Register("")
-	gob.Register(false)
 }
 
 // Binlog is an in-memory, append-only ordered log of events with

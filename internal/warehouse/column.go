@@ -2,110 +2,16 @@ package warehouse
 
 import (
 	"fmt"
+	"slices"
 	"time"
+
+	"xdmodfed/internal/warehouse/store"
 )
 
-// Typed columnar storage. Each table column is one colVec: a typed
-// vector ([]int64, []float64, []string, []bool or []time.Time) plus a
-// parallel validity vector. Vectors are strictly append-only — updates
-// and deletes tombstone the old row position and append a fresh one —
-// which is what makes the copy-on-write snapshot protocol cheap: a
-// published TableData captures the slice headers, and later appends
-// land at indices beyond every published length (or in a reallocated
-// array), so readers and the writer never touch the same element.
-//
-// Validity is a []bool rather than a packed bitmap on purpose: packing
-// would make an append mutate a word that published snapshots share,
-// forcing a copy of the whole bitmap on every insert (and tripping the
-// race detector without it). One byte per cell buys race-free appends.
-type colVec struct {
-	typ      ColumnType
-	nullable bool
-	ints     []int64
-	floats   []float64
-	strs     []string
-	bools    []bool
-	times    []time.Time
-	nulls    []bool // nulls[i] reports cell i is NULL
-}
-
-func newColVec(c Column) colVec { return colVec{typ: c.Type, nullable: c.Nullable} }
-
-// appendVal appends one canonical value (int64/float64/string/bool/
-// time.Time, or nil for NULL) as produced by coerce.
-func (v *colVec) appendVal(x any) {
-	null := x == nil
-	switch v.typ {
-	case TypeInt:
-		var c int64
-		if !null {
-			c = x.(int64)
-		}
-		v.ints = append(v.ints, c)
-	case TypeFloat:
-		var c float64
-		if !null {
-			c = x.(float64)
-		}
-		v.floats = append(v.floats, c)
-	case TypeString:
-		var c string
-		if !null {
-			c = x.(string)
-		}
-		v.strs = append(v.strs, c)
-	case TypeBool:
-		var c bool
-		if !null {
-			c = x.(bool)
-		}
-		v.bools = append(v.bools, c)
-	case TypeTime:
-		var c time.Time
-		if !null {
-			c = x.(time.Time)
-		}
-		v.times = append(v.times, c)
-	}
-	v.nulls = append(v.nulls, null)
-}
-
-// value materializes cell i as a canonical any (nil for NULL).
-func (v *colVec) value(i int) any {
-	if v.nulls[i] {
-		return nil
-	}
-	switch v.typ {
-	case TypeInt:
-		return v.ints[i]
-	case TypeFloat:
-		return v.floats[i]
-	case TypeString:
-		return v.strs[i]
-	case TypeBool:
-		return v.bools[i]
-	case TypeTime:
-		return v.times[i]
-	}
-	return nil
-}
-
-// reserve gives an empty vector room for n cells.
-func (v *colVec) reserve(n int) {
-	switch v.typ {
-	case TypeInt:
-		v.ints = make([]int64, 0, n)
-	case TypeFloat:
-		v.floats = make([]float64, 0, n)
-	case TypeString:
-		v.strs = make([]string, 0, n)
-	case TypeBool:
-		v.bools = make([]bool, 0, n)
-	case TypeTime:
-		v.times = make([]time.Time, 0, n)
-	}
-	v.nulls = make([]bool, 0, n)
-}
+// Typed columnar storage. Each table column is one ColumnVector
+// (store.Column): a typed vector plus a parallel validity vector,
+// strictly append-only (see store.Column for why that makes the
+// copy-on-write snapshot protocol cheap).
 
 // layout is the immutable name→position mapping shared by a table, its
 // published snapshots and every Row handed out; it never changes after
@@ -144,12 +50,12 @@ type TableData struct {
 // set) or a captured hot tail (cols set).
 type tdChunk struct {
 	sc   *sealedChunk
-	cols []colVec
+	cols []ColumnVector
 	base int
 	rows int
 }
 
-func (c *tdChunk) columns() []colVec {
+func (c *tdChunk) columns() []ColumnVector {
 	if c.sc != nil {
 		return c.sc.columns()
 	}
@@ -185,7 +91,7 @@ func (td *TableData) Chunk(i int) ColChunk {
 // keeps alive.
 type ColChunk struct {
 	lay  *layout
-	cols []colVec
+	cols []ColumnVector
 	dead []bool
 	base int
 	rows int
@@ -208,22 +114,22 @@ func (ch ColChunk) ColIndex(name string) (int, bool) {
 
 // IntCol returns column i's int64 vector (nil when i is not a TypeInt
 // column). Never mutate the returned slice.
-func (ch ColChunk) IntCol(i int) []int64 { return ch.cols[i].ints }
+func (ch ColChunk) IntCol(i int) []int64 { return ch.cols[i].Ints }
 
 // FloatCol returns column i's float64 vector (nil unless TypeFloat).
-func (ch ColChunk) FloatCol(i int) []float64 { return ch.cols[i].floats }
+func (ch ColChunk) FloatCol(i int) []float64 { return ch.cols[i].Floats }
 
 // StringCol returns column i's string vector (nil unless TypeString).
-func (ch ColChunk) StringCol(i int) []string { return ch.cols[i].strs }
+func (ch ColChunk) StringCol(i int) []string { return ch.cols[i].Strs }
 
 // BoolCol returns column i's bool vector (nil unless TypeBool).
-func (ch ColChunk) BoolCol(i int) []bool { return ch.cols[i].bools }
+func (ch ColChunk) BoolCol(i int) []bool { return ch.cols[i].Bools }
 
 // TimeCol returns column i's time vector (nil unless TypeTime).
-func (ch ColChunk) TimeCol(i int) []time.Time { return ch.cols[i].times }
+func (ch ColChunk) TimeCol(i int) []time.Time { return ch.cols[i].Times }
 
 // NullCol returns column i's validity vector (true = NULL).
-func (ch ColChunk) NullCol(i int) []bool { return ch.cols[i].nulls }
+func (ch ColChunk) NullCol(i int) []bool { return ch.cols[i].Nulls }
 
 // RowsChunk converts boxed positional rows (binlog insert payloads for
 // this table) into a transient chunk laid out like the table — the one
@@ -235,7 +141,7 @@ func (ch ColChunk) NullCol(i int) []bool { return ch.cols[i].nulls }
 func (t *Table) RowsChunk(rows [][]any) (ColChunk, error) {
 	vecs := freshCols(t.def)
 	for i := range vecs {
-		vecs[i].reserve(len(rows))
+		vecs[i].Reserve(len(rows))
 	}
 	for n, row := range rows {
 		if err := t.checkArity(len(row)); err != nil {
@@ -246,7 +152,7 @@ func (t *Table) RowsChunk(rows [][]any) (ColChunk, error) {
 			if err != nil {
 				return ColChunk{}, fmt.Errorf("row %d: %w", n, err)
 			}
-			vecs[i].appendVal(v)
+			vecs[i].AppendValue(v)
 		}
 	}
 	return ColChunk{lay: t.lay, cols: vecs, dead: make([]bool, len(rows)), rows: len(rows)}, nil
@@ -261,17 +167,10 @@ type ColumnData struct {
 	Rows  int
 }
 
-// ColumnVector is one column of a ColumnData: exactly one typed payload
-// is set, matching Type; Nulls marks NULL cells (nil = none null).
-type ColumnVector struct {
-	Type   ColumnType
-	Ints   []int64
-	Floats []float64
-	Strs   []string
-	Bools  []bool
-	Times  []time.Time
-	Nulls  []bool
-}
+// ColumnVector is one column of a ColumnData, and the vector every
+// table chunk holds: exactly one typed payload is set, matching Type;
+// Nulls marks NULL cells (nil = none null).
+type ColumnVector = store.Column
 
 // Validate checks cd against a table definition: the column list must
 // match the definition exactly and every vector must carry exactly one
@@ -300,34 +199,22 @@ func (cd *ColumnData) Validate(def TableDef) error {
 			return fmt.Errorf("warehouse: load for table %q column %q carries %s data, definition says %s",
 				def.Name, c.Name, v.Type, c.Type)
 		}
-		n, typed := 0, 0
-		count := func(l int, active bool) {
+		n, typed, present := 0, 0, false // present: the payload of the declared type
+		count := func(t ColumnType, l int, active bool) {
 			if active {
 				typed++
 				n = l
+				present = present || t == c.Type
 			}
 		}
-		count(len(v.Ints), v.Ints != nil)
-		count(len(v.Floats), v.Floats != nil)
-		count(len(v.Strs), v.Strs != nil)
-		count(len(v.Bools), v.Bools != nil)
-		count(len(v.Times), v.Times != nil)
+		count(TypeInt, len(v.Ints), v.Ints != nil)
+		count(TypeFloat, len(v.Floats), v.Floats != nil)
+		count(TypeString, len(v.Strs), v.Strs != nil)
+		count(TypeBool, len(v.Bools), v.Bools != nil)
+		count(TypeTime, len(v.Times), v.Times != nil)
 		if typed > 1 {
 			return fmt.Errorf("warehouse: load for table %q column %q carries mixed-type data (%d typed payloads)",
 				def.Name, c.Name, typed)
-		}
-		var present bool // the payload of the declared type
-		switch c.Type {
-		case TypeInt:
-			present = v.Ints != nil
-		case TypeFloat:
-			present = v.Floats != nil
-		case TypeString:
-			present = v.Strs != nil
-		case TypeBool:
-			present = v.Bools != nil
-		case TypeTime:
-			present = v.Times != nil
 		}
 		if cd.Rows > 0 && !present {
 			return fmt.Errorf("warehouse: load for table %q column %q: missing %s payload",
@@ -353,58 +240,44 @@ func (cd *ColumnData) Validate(def TableDef) error {
 	return nil
 }
 
-// view wraps one validated ColumnVector's slices as a column vector,
-// without copying; the validity vector stays nil when v carries none.
-func (v *ColumnVector) view(c Column) colVec {
-	return colVec{typ: c.Type, nullable: c.Nullable,
-		ints: v.Ints, floats: v.Floats, strs: v.Strs, bools: v.Bools, times: v.Times, nulls: v.Nulls}
-}
-
-// toVec converts one validated ColumnVector into internal form. The
-// vector's slices are adopted, not copied: the caller must not mutate
-// cd afterwards (bulk-load producers build a fresh ColumnData per
-// load).
-func (v *ColumnVector) toVec(c Column, rows int) colVec {
-	out := v.view(c)
-	if out.nulls == nil {
-		out.nulls = make([]bool, rows)
+// vectors returns cd's columns, each with a full-length validity
+// vector: columns without one share a single all-false vector. cd's
+// slices are referenced, not copied; the shared validity vector is
+// full (len == cap), so an append to any one column reallocates it.
+func (cd *ColumnData) vectors() []ColumnVector {
+	cols := slices.Clone(cd.Cols)
+	var noNulls []bool
+	for i := range cols {
+		if cols[i].Nulls == nil {
+			if noNulls == nil {
+				noNulls = make([]bool, cd.Rows)
+			}
+			cols[i].Nulls = noNulls
+		}
 	}
-	return out
+	return cols
 }
 
 // ColumnData exports the snapshot's live rows in bulk columnar form,
 // suitable for LoadColumns into another warehouse (loose-dump loads,
-// backup restores). When the snapshot holds no tombstones the returned
-// vectors share the snapshot's immutable storage; do not mutate them.
-func (td *TableData) ColumnData() *ColumnData { return td.columnData() }
-
-// columnData exports the snapshot's live rows in bulk form. When the
+// backup restores) and for the LOAD events of a snapshot file. When the
 // snapshot is a single heap-backed chunk with no tombstones, its own
-// (immutable) vectors are shared; otherwise the rows are copied into
-// fresh vectors. Disk-backed chunks always copy — the export may be
-// adopted by another warehouse (loose-dump loads) and must not alias a
-// file mapping whose lifetime it does not control.
-func (td *TableData) columnData() *ColumnData {
+// (immutable) vectors are shared — do not mutate them; otherwise the
+// rows are copied into fresh vectors. Disk-backed chunks always copy —
+// the export may be adopted by another warehouse (loose-dump loads) and
+// must not alias a file mapping whose lifetime it does not control.
+func (td *TableData) ColumnData() *ColumnData {
 	def := td.lay.def
-	cd := &ColumnData{Rows: td.live, Names: make([]string, len(def.Columns)), Cols: make([]ColumnVector, len(def.Columns))}
+	cd := &ColumnData{Rows: td.live, Names: make([]string, len(def.Columns))}
 	for i, c := range def.Columns {
 		cd.Names[i] = c.Name
 	}
 	if td.live == td.rows && len(td.chunks) == 1 &&
 		(td.chunks[0].sc == nil || td.chunks[0].sc.h.HeapBacked()) {
-		cols := td.chunks[0].columns()
-		for i := range cols {
-			v := &cols[i]
-			cd.Cols[i] = ColumnVector{Type: v.typ, Ints: v.ints, Floats: v.floats,
-				Strs: v.strs, Bools: v.bools, Times: v.times, Nulls: v.nulls}
-			ensureTyped(&cd.Cols[i], td.rows)
-		}
+		cd.Cols = slices.Clone(td.chunks[0].columns())
 		return cd
 	}
-	dsts := make([]colVec, len(def.Columns))
-	for i, c := range def.Columns {
-		dsts[i] = newColVec(c)
-	}
+	cd.Cols = freshCols(def)
 	for ci := range td.chunks {
 		c := &td.chunks[ci]
 		cols := c.columns()
@@ -412,47 +285,10 @@ func (td *TableData) columnData() *ColumnData {
 			if td.dead[c.base+lp] {
 				continue
 			}
-			for i := range dsts {
-				dsts[i].appendFrom(&cols[i], lp)
+			for i := range cd.Cols {
+				cd.Cols[i].AppendFrom(&cols[i], lp)
 			}
 		}
 	}
-	for i := range dsts {
-		dst := &dsts[i]
-		cd.Cols[i] = ColumnVector{Type: dst.typ, Ints: dst.ints, Floats: dst.floats,
-			Strs: dst.strs, Bools: dst.bools, Times: dst.times, Nulls: dst.nulls}
-		ensureTyped(&cd.Cols[i], td.live)
-	}
 	return cd
-}
-
-// ensureTyped materializes an empty typed payload for zero-row or
-// all-null vectors so Validate's payload check holds after a gob round
-// trip (gob drops empty slices).
-func ensureTyped(v *ColumnVector, rows int) {
-	if rows == 0 {
-		return
-	}
-	switch v.Type {
-	case TypeInt:
-		if v.Ints == nil {
-			v.Ints = make([]int64, rows)
-		}
-	case TypeFloat:
-		if v.Floats == nil {
-			v.Floats = make([]float64, rows)
-		}
-	case TypeString:
-		if v.Strs == nil {
-			v.Strs = make([]string, rows)
-		}
-	case TypeBool:
-		if v.Bools == nil {
-			v.Bools = make([]bool, rows)
-		}
-	case TypeTime:
-		if v.Times == nil {
-			v.Times = make([]time.Time, rows)
-		}
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -239,12 +238,17 @@ func (db *DB) Schema(name string) *Schema {
 func (db *DB) Schemas() []string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	names := make([]string, 0, len(db.schemas))
-	for n := range db.schemas {
-		names = append(names, n)
+	return sortedKeys(db.schemas)
+}
+
+// sortedKeys returns m's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Strings(names)
-	return names
+	slices.Sort(keys)
+	return keys
 }
 
 // Name returns the schema name.
@@ -316,12 +320,7 @@ func (s *Schema) Table(name string) *Table {
 func (s *Schema) Tables() []string {
 	s.db.mu.RLock()
 	defer s.db.mu.RUnlock()
-	names := make([]string, 0, len(s.tables))
-	for n := range s.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return sortedKeys(s.tables)
 }
 
 // Do runs fn as one write transaction: fn runs while holding the DB
@@ -526,7 +525,7 @@ func (db *DB) applyLocked(ev Event) error {
 			allCols[i] = i
 		}
 		found := -1
-		t.forEachChunk(func(cols []colVec, base, rows int) bool {
+		t.forEachChunk(func(cols []ColumnVector, base, rows int) bool {
 			for lp := 0; lp < rows; lp++ {
 				if t.dead[base+lp] {
 					continue

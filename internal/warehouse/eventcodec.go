@@ -1,9 +1,7 @@
 package warehouse
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"time"
@@ -23,12 +21,28 @@ import (
 //	| varint(seconds delta) | varint(nanoseconds delta)   commit time
 //	| row                             if evHasRow
 //	| old row                         if evHasOld
-//	| gob(TableDef)                   if evHasDef
-//	| gob(ColumnData)                 if evHasCols
+//	| def                             if evHasDef
+//	| cols                            if evHasCols
 //
-// where a string (and a gob blob) is uvarint(length) | bytes, a varint
-// is zig-zag encoded, and a row is uvarint(width) followed by one tag
-// byte per cell and the cell's payload (see the cell* constants).
+// where a string is uvarint(length) | bytes, a varint is zig-zag
+// encoded, a flag is one byte 0 or 1, and a row is uvarint(width)
+// followed by one tag byte per cell and the cell's payload (see the
+// cell* constants). A CREATE_TABLE's definition is
+//
+//	def    = string(name) | uvarint(n) | column{n}
+//	         | uvarint(k) | string{k}              primary key
+//	         | uvarint(m) | (uvarint(w) | string{w}){m}   indexes
+//	         | flag(derived)
+//	column = string(name) | type byte | flag(nullable)
+//
+// and a LOAD's table contents are coded column-major:
+//
+//	cols   = uvarint(rows) | uvarint(n) | vector{n}
+//	vector = string(name) | type byte | flag(has validity vector) | cell{rows}
+//
+// with the row codec's cell tags, restricted to the column's type (and
+// to cellNull where the vector has validity); there cellSame repeats
+// the previous cell of the same column.
 //
 // Every event is coded against what preceded it in the same buffer,
 // starting from the zero state (no schema, LSN 0, the Unix epoch, no
@@ -40,9 +54,10 @@ import (
 // buffer last named a table: a change of table forgets it. A buffer is
 // therefore self-contained, and its events are not separable.
 //
-// The rare Def and Cols payloads (one CREATE_TABLE per table per start,
-// one LOAD per restore) ride as nested gob blobs; ColumnData.Validate
-// guards what is applied from them.
+// A snapshot file is the same stream (see snapshot.go), so every count
+// the decoder reads — events, cells, columns, rows, names — is checked
+// against the bytes remaining before anything is allocated for it.
+// ColumnData.Validate and TableDef.Validate guard what is applied.
 
 // Event flag bits.
 const (
@@ -65,7 +80,7 @@ const (
 	cellFalse
 	cellTrue
 	cellTime // varint(Unix seconds) | uvarint(nanoseconds); decoded in UTC
-	cellSame // the same column of the previous row (of this table, this width)
+	cellSame // the same column of the previous row (of this table, this width); in cols, the previous cell
 )
 
 // maxFloatInt bounds cellFloatInt to the range where every integer is
@@ -76,11 +91,13 @@ const maxFloatInt = 1 << 53
 // two time deltas.
 const minEventBytes = 4
 
-// The most events and cells DecodeEvents allocates for on a declared
-// count alone: two full sender batches, and wider than any fact table.
+// The most events, row cells and column cells DecodeEvents allocates
+// for on a declared count alone: two full sender batches, wider than
+// any fact table, and a LOAD of a sizable table.
 const (
 	maxEventsHint = 1024
 	maxWidthHint  = 64
+	maxRowsHint   = 1 << 14
 )
 
 // codecState is what an event is coded against; encoder and decoder
@@ -98,9 +115,9 @@ func (st *codecState) switchTable(schema, table string) {
 
 // AppendEvents appends the encoding of evs to dst and returns the
 // extended buffer. Cells must be canonical column values (nil, int64,
-// float64, string, bool, time.Time) — what the binlog holds; anything
-// else, or a Def/Cols payload gob cannot encode, is a bug in the
-// producer and panics.
+// float64, string, bool, time.Time) — what the binlog holds — and a
+// Cols payload must name every column and hold Rows cells in each;
+// anything else is a bug in the producer and panics.
 func AppendEvents(dst []byte, evs []Event) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(evs)))
 	var st codecState
@@ -147,10 +164,10 @@ func AppendEvents(dst []byte, evs []Event) []byte {
 			dst = st.appendRow(dst, ev.Old)
 		}
 		if ev.Def != nil {
-			dst = appendGob(dst, ev.Def)
+			dst = appendDef(dst, ev.Def)
 		}
 		if ev.Cols != nil {
-			dst = appendGob(dst, ev.Cols)
+			dst = appendCols(dst, ev.Cols)
 		}
 	}
 	return dst
@@ -160,12 +177,47 @@ func appendString(dst []byte, s string) []byte {
 	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
 }
 
-func appendGob(dst []byte, v any) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		panic(fmt.Sprintf("warehouse: encode event payload %T: %v", v, err))
+func appendStrings(dst []byte, ss []string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(ss)))
+	for _, s := range ss {
+		dst = appendString(dst, s)
 	}
-	return append(binary.AppendUvarint(dst, uint64(buf.Len())), buf.Bytes()...)
+	return dst
+}
+
+func appendFlag(dst []byte, b bool) []byte {
+	if b {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
+}
+
+func appendDef(dst []byte, d *TableDef) []byte {
+	dst = binary.AppendUvarint(appendString(dst, d.Name), uint64(len(d.Columns)))
+	for _, c := range d.Columns {
+		dst = appendFlag(append(appendString(dst, c.Name), byte(c.Type)), c.Nullable)
+	}
+	dst = binary.AppendUvarint(appendStrings(dst, d.PrimaryKey), uint64(len(d.Indexes)))
+	for _, ix := range d.Indexes {
+		dst = appendStrings(dst, ix)
+	}
+	return appendFlag(dst, d.Derived)
+}
+
+// appendCols codes a payload column by column, each cell against the
+// one above it.
+func appendCols(dst []byte, cd *ColumnData) []byte {
+	dst = binary.AppendUvarint(binary.AppendUvarint(dst, uint64(cd.Rows)), uint64(len(cd.Cols)))
+	for i := range cd.Cols {
+		v := &cd.Cols[i]
+		dst = appendFlag(append(appendString(dst, cd.Names[i]), byte(v.Type)), v.Nulls != nil)
+		var prev any
+		for r := 0; r < cd.Rows; r++ {
+			x := v.Value(r)
+			dst, prev = appendCell(dst, x, prev), x
+		}
+	}
+	return dst
 }
 
 func (st *codecState) appendRow(dst []byte, row []any) []byte {
@@ -186,9 +238,9 @@ func (st *codecState) appendRow(dst []byte, row []any) []byte {
 }
 
 // appendCell encodes v, as cellSame when it is identical to prev (the
-// previous row's cell, nil when there is none). Floats compare by bits
-// so that -0 and NaN payloads survive; null and bool cells are one
-// byte already.
+// cell above it, nil when there is none). Floats compare by bits so
+// that -0 and NaN payloads survive; null and bool cells are one byte
+// already.
 func appendCell(dst []byte, v, prev any) []byte {
 	switch x := v.(type) {
 	case nil:
@@ -230,18 +282,17 @@ func appendCell(dst []byte, v, prev any) []byte {
 // DecodeEvents decodes a buffer written by AppendEvents. It is strict:
 // a declared count, width or length the remaining bytes cannot hold is
 // an error before anything is allocated for it, as are an unknown
-// kind, flag bit or cell tag, a cellSame with no previous row of that
-// table and width, and trailing bytes. The event slice and a row start
-// at no more than maxEventsHint and maxWidthHint entries and grow as
-// their bytes are consumed, so what a buffer makes the decoder allocate
+// kind, flag bit, flag byte, column type or cell tag, a cellSame with
+// no previous row of that table and width (or, in a LOAD, no cell
+// above it), a LOAD cell its column cannot hold, and trailing bytes.
+// The event slice, a row and a LOAD's vectors start at no more than
+// maxEventsHint, maxWidthHint and maxRowsHint entries and grow as their
+// bytes are consumed, so what a buffer makes the decoder allocate
 // follows what it holds, not what it declares. Decoded strings own
-// their bytes (or share the previous row's); nothing aliases b.
+// their bytes (or share the previous cell's); nothing aliases b.
 func DecodeEvents(b []byte) ([]Event, error) {
 	r := eventReader{b: b}
-	n := r.uvarint()
-	if n > uint64(len(r.b))/minEventBytes {
-		r.fail("%d events cannot fit in %d bytes", n, len(r.b))
-	}
+	n := r.count("events", minEventBytes)
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -317,14 +368,79 @@ func (r *eventReader) take(n uint64) []byte {
 
 func (r *eventReader) string() string { return string(r.take(r.uvarint())) }
 
-func (r *eventReader) gob(v any) {
-	blob := r.take(r.uvarint())
-	if r.err != nil {
-		return
+// count reads a declared count of items of at least size bytes each,
+// and fails (returning 0) when the bytes remaining cannot hold them.
+func (r *eventReader) count(what string, size int) int {
+	n := r.uvarint()
+	if n > uint64(len(r.b)/size) {
+		r.fail("%d %s cannot fit in %d bytes", n, what, len(r.b))
+		return 0
 	}
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(v); err != nil {
-		r.fail("payload %T: %v", v, err)
+	return int(n)
+}
+
+func (r *eventReader) flag() bool {
+	c := r.byte()
+	if c > 1 {
+		r.fail("flag byte %d is neither 0 nor 1", c)
 	}
+	return c == 1
+}
+
+// strings reads a counted list of strings; an empty list is nil.
+func (r *eventReader) strings() []string {
+	var ss []string
+	for n := r.count("strings", 1); n > 0 && r.err == nil; n-- {
+		ss = append(ss, r.string())
+	}
+	return ss
+}
+
+func (r *eventReader) def() *TableDef {
+	d := &TableDef{Name: r.string()}
+	for n := r.count("columns", 3); n > 0 && r.err == nil; n-- {
+		d.Columns = append(d.Columns, Column{Name: r.string(), Type: ColumnType(r.byte()), Nullable: r.flag()})
+	}
+	d.PrimaryKey = r.strings()
+	for n := r.count("indexes", 1); n > 0 && r.err == nil; n-- {
+		d.Indexes = append(d.Indexes, r.strings())
+	}
+	d.Derived = r.flag()
+	return d
+}
+
+// cols reads a LOAD payload. Every cell is at least its tag byte, so
+// the row count is bounded by the bytes remaining, and each vector
+// starts at no more than maxRowsHint cells and grows as they decode.
+func (r *eventReader) cols() *ColumnData {
+	cd := &ColumnData{Rows: r.count("rows", 1)}
+	for n := r.count("columns", 3); n > 0 && r.err == nil; n-- {
+		cd.Names = append(cd.Names, r.string())
+		v := ColumnVector{Type: ColumnType(r.byte())}
+		validity := r.flag()
+		if v.Type < TypeInt || v.Type > TypeTime {
+			r.fail("unknown column type %d", v.Type)
+		} else if cd.Rows > len(r.b) {
+			r.fail("%d cells cannot fit in %d bytes", cd.Rows, len(r.b))
+		}
+		v.Reserve(min(cd.Rows, maxRowsHint))
+		var prev any
+		for i := 0; i < cd.Rows && r.err == nil; i++ {
+			x, same := r.cell()
+			if same && i > 0 {
+				x = prev
+			}
+			if same && i == 0 || x == nil && !validity || !v.AppendValue(x) {
+				r.fail("cell %d of column %q cannot be a %T in a %s vector (validity: %t)", i, cd.Names[len(cd.Names)-1], x, v.Type, validity)
+			}
+			prev = x
+		}
+		if !validity {
+			v.Nulls = nil
+		}
+		cd.Cols = append(cd.Cols, v)
+	}
+	return cd
 }
 
 func (r *eventReader) event(st *codecState, ev *Event) {
@@ -366,59 +482,30 @@ func (r *eventReader) event(st *codecState, ev *Event) {
 		ev.Old = r.row(st)
 	}
 	if flags&evHasDef != 0 {
-		ev.Def = new(TableDef)
-		r.gob(ev.Def)
+		ev.Def = r.def()
 	}
 	if flags&evHasCols != 0 {
-		ev.Cols = new(ColumnData)
-		r.gob(ev.Cols)
+		ev.Cols = r.cols()
 	}
 }
 
 func (r *eventReader) row(st *codecState) []any {
-	width := r.uvarint()
-	if width > uint64(len(r.b)) {
-		r.fail("row of %d cells cannot fit in %d bytes", width, len(r.b))
+	width := r.count("cells", 1)
+	if r.err != nil {
 		return nil
 	}
 	row := make([]any, 0, min(width, maxWidthHint))
 	prev := st.row
-	if uint64(len(prev)) != width {
+	if len(prev) != width {
 		prev = nil
 	}
-	for i := 0; uint64(i) < width; i++ {
-		var v any
-		switch tag := r.byte(); tag {
-		case cellNull:
-		case cellInt:
-			v = r.varint()
-		case cellFloat:
-			if bits := r.take(8); bits != nil {
-				v = math.Float64frombits(binary.LittleEndian.Uint64(bits))
-			}
-		case cellFloatInt:
-			v = float64(r.varint())
-		case cellString:
-			v = r.string()
-		case cellFalse:
-			v = false
-		case cellTrue:
-			v = true
-		case cellTime:
-			sec, nsec := r.varint(), r.uvarint()
-			if nsec >= 1e9 {
-				r.fail("time cell nanoseconds %d out of range", nsec)
-			}
-			v = time.Unix(sec, int64(nsec)).UTC()
-		case cellSame:
-			if prev == nil {
-				r.fail("cell %d repeats a previous row, but %s.%s has none of width %d before it",
-					i, st.schema, st.table, width)
-			} else {
-				v = prev[i]
-			}
-		default:
-			r.fail("unknown cell tag %d", tag)
+	for i := 0; i < width; i++ {
+		v, same := r.cell()
+		if same && prev == nil {
+			r.fail("cell %d repeats a previous row, but %s.%s has none of width %d before it",
+				i, st.schema, st.table, width)
+		} else if same {
+			v = prev[i]
 		}
 		if r.err != nil {
 			return nil
@@ -427,4 +514,37 @@ func (r *eventReader) row(st *codecState) []any {
 	}
 	st.row = row
 	return row
+}
+
+// cell reads one cell. A cellSame tag reads as same, with no value: the
+// caller knows the cell it repeats.
+func (r *eventReader) cell() (v any, same bool) {
+	switch tag := r.byte(); tag {
+	case cellNull:
+	case cellInt:
+		v = r.varint()
+	case cellFloat:
+		if bits := r.take(8); bits != nil {
+			v = math.Float64frombits(binary.LittleEndian.Uint64(bits))
+		}
+	case cellFloatInt:
+		v = float64(r.varint())
+	case cellString:
+		v = r.string()
+	case cellFalse:
+		v = false
+	case cellTrue:
+		v = true
+	case cellTime:
+		sec, nsec := r.varint(), r.uvarint()
+		if nsec >= 1e9 {
+			r.fail("time cell nanoseconds %d out of range", nsec)
+		}
+		v = time.Unix(sec, int64(nsec)).UTC()
+	case cellSame:
+		same = true
+	default:
+		r.fail("unknown cell tag %d", tag)
+	}
+	return v, same
 }

@@ -225,10 +225,14 @@ func randomEvents(rng *rand.Rand, n int) []warehouse.Event {
 			ev.Kind, ev.Def = kind, &def
 		case warehouse.EvLoad:
 			ev.Kind = kind
-			ev.Cols = &warehouse.ColumnData{Rows: 2, Names: []string{"a", "b", "c"}, Cols: []warehouse.ColumnVector{
-				{Type: warehouse.TypeInt, Ints: []int64{1, math.MinInt64}},
-				{Type: warehouse.TypeFloat, Floats: []float64{math.NaN(), math.Copysign(0, -1)}, Nulls: []bool{false, true}},
-				{Type: warehouse.TypeTime, Times: []time.Time{now, {}}},
+			// A NULL cell's payload is not coded: it decodes as the zero
+			// value, which is what every vector the warehouse builds holds.
+			ev.Cols = &warehouse.ColumnData{Rows: 3, Names: []string{"a", "b", "c", "d", "e"}, Cols: []warehouse.ColumnVector{
+				{Type: warehouse.TypeInt, Ints: []int64{1, math.MinInt64, math.MinInt64}},
+				{Type: warehouse.TypeFloat, Floats: []float64{math.NaN(), math.Copysign(0, -1), 0}, Nulls: []bool{false, false, true}},
+				{Type: warehouse.TypeTime, Times: []time.Time{now, {}, {}}},
+				{Type: warehouse.TypeString, Strs: []string{"", "x", "x"}, Nulls: []bool{true, false, false}},
+				{Type: warehouse.TypeBool, Bools: []bool{true, true, false}},
 			}}
 		default:
 			ev.Kind = kind // TRUNCATE, CREATE_SCHEMA, DROP_SCHEMA: no payload
@@ -431,7 +435,7 @@ func TestDecodeEventsRejectsHostileBytes(t *testing.T) {
 		"row width beyond the bytes":     frame(1, head, huge, tNull),
 		"string length beyond the bytes": frame(1, head, 1, tString, huge, "ab"),
 		"schema length beyond the bytes": frame(1, 1, nextLSN, huge, "s"),
-		"def blob length beyond bytes":   frame(1, 6, nextLSN|hasDef, "s", "t", 0, 0, huge, 1),
+		"def name length beyond bytes":   frame(1, 6, nextLSN|hasDef, "s", "t", 0, 0, huge, 1),
 		"overlong varint":                frame(1, head, 1, tInt, bytes.Repeat([]byte{0xff}, 11)),
 		"unknown cell tag":               frame(1, head, 1, 9),
 		"event kind 0":                   frame(1, 0, head[1:], 0),
@@ -446,14 +450,31 @@ func TestDecodeEventsRejectsHostileBytes(t *testing.T) {
 		"commit nanoseconds over 1e9":    frame(1, 1, nextLSN, "s", "t", 0, uint64(2e9)),
 		"time cell nanoseconds over 1e9": frame(1, head, 1, tTime, 0, uint64(1e9)),
 		"float cell cut short":           frame(1, head, 1, tFloat, 1, 2, 3),
-		"def blob that is not gob":       frame(1, 6, nextLSN|hasDef, "s", "t", 0, 0, "not gob"),
-		"cols blob that is not gob":      frame(1, 8, nextLSN|hasCols, "s", "t", 0, 0, "\x03\x01\x02"),
+		// Malformed CREATE_TABLE definitions and LOAD payloads.
+		"def of a name only":                frame(1, 6, nextLSN|hasDef, "s", "t", 0, 0, "t"),
+		"def column count beyond the bytes": frame(1, 6, nextLSN|hasDef, "s", "t", 0, 0, "t", huge, "a", 1, 0),
+		"def nullable flag of 2":            frame(1, 6, nextLSN|hasDef, "s", "t", 0, 0, "t", 1, "a", 1, 2, 0, 0, 0),
+		"def derived flag of 2":             frame(1, 6, nextLSN|hasDef, "s", "t", 0, 0, "t", 1, "a", 1, 0, 0, 0, 2),
+		"def key count beyond the bytes":    frame(1, 6, nextLSN|hasDef, "s", "t", 0, 0, "t", 1, "a", 1, 0, huge, "a", 0, 0),
+		"def index width beyond the bytes":  frame(1, 6, nextLSN|hasDef, "s", "t", 0, 0, "t", 1, "a", 1, 0, 0, 1, huge, "a", 0),
+		"cols row count beyond the bytes":   frame(1, 8, nextLSN|hasCols, "s", "t", 0, 0, huge, 1, "a", 1, 0, tInt, 2),
+		"cols column count beyond bytes":    frame(1, 8, nextLSN|hasCols, "s", "t", 0, 0, 1, huge, "a", 1, 0, tInt, 2),
+		"cols column type 0":                frame(1, 8, nextLSN|hasCols, "s", "t", 0, 0, 1, 1, "a", 0, 0, tInt, 2),
+		"cols column type 6":                frame(1, 8, nextLSN|hasCols, "s", "t", 0, 0, 1, 1, "a", 6, 0, tInt, 2),
+		"cols validity flag of 2":           frame(1, 8, nextLSN|hasCols, "s", "t", 0, 0, 1, 1, "a", 1, 2, tInt, 2),
+		"cols string cell in an int column": frame(1, 8, nextLSN|hasCols, "s", "t", 0, 0, 1, 1, "a", 1, 0, tString, "x"),
+		"cols int cell in a float column":   frame(1, 8, nextLSN|hasCols, "s", "t", 0, 0, 1, 1, "a", 2, 0, tInt, 2),
+		"cols NULL without validity":        frame(1, 8, nextLSN|hasCols, "s", "t", 0, 0, 1, 1, "a", 1, 0, tNull),
+		"cols same-cell in the first row":   frame(1, 8, nextLSN|hasCols, "s", "t", 0, 0, 1, 1, "a", 1, 1, tSame),
+		"cols cut short":                    frame(1, 8, nextLSN|hasCols, "s", "t", 0, 0, 2, 1, "a", 1, 0, tInt, 2),
 		// Declared sizes the bytes can back, over bytes that are not
 		// what was declared: allocation follows what decodes.
 		"2M events declared over junk":        frame(uint64(2<<20), bytes.Repeat([]byte{0xff}, 8<<20)),
 		"2M events declared, 100 there":       frame(uint64(2<<20), bytes.Repeat(frame(1, sameTable|nextLSN, 0, 0), 100), bytes.Repeat([]byte{0xff}, 8<<20)),
 		"row of 4M cells declared over junk":  frame(1, head, uint64(4<<20), bytes.Repeat([]byte{0xff}, 4<<20)),
 		"row of 4M cells declared, 100 there": frame(1, head, uint64(4<<20), make([]byte, 100), bytes.Repeat([]byte{0xff}, 4<<20)),
+		"LOAD of 4M rows declared over junk":  frame(1, 8, nextLSN|hasCols, "s", "t", 0, 0, uint64(4<<20), 1, "a", 5, 1, bytes.Repeat([]byte{0xff}, 4<<20)),
+		"LOAD of 4M rows declared, 100 there": frame(1, 8, nextLSN|hasCols, "s", "t", 0, 0, uint64(4<<20), 1, "a", 5, 1, make([]byte, 100), bytes.Repeat([]byte{0xff}, 4<<20)),
 	}
 	for name, b := range cases {
 		var before, after runtime.MemStats
@@ -474,8 +495,9 @@ func TestDecodeEventsRejectsHostileBytes(t *testing.T) {
 // warehouse without panicking, as a hub would apply a peer's frame —
 // errors are the expected outcome there. The seed corpus (which plain
 // `go test` runs too) is real ingest batches of all three realms, each
-// DDL kind, a LOAD, and a LOAD of a negative row count into a table
-// created just before it.
+// DDL kind, a LOAD, a CREATE_TABLE of every column type with a key,
+// an index and the Derived flag, and a LOAD whose payload disagrees
+// with the table created just before it.
 func FuzzDecodeEvents(f *testing.F) {
 	live, restored := ingestedBinlogs(f)
 	for _, evs := range [][]warehouse.Event{live, restored} {
@@ -490,11 +512,15 @@ func FuzzDecodeEvents(f *testing.F) {
 		f.Add(warehouse.AppendEvents(nil, randomEvents(rng, 12)))
 	}
 	f.Add([]byte{})
+	every := warehouse.TableDef{Name: "every", Derived: true, PrimaryKey: []string{"i", "s"}, Indexes: [][]string{{"t"}, {"b", "f"}},
+		Columns: []warehouse.Column{{Name: "i", Type: warehouse.TypeInt}, {Name: "f", Type: warehouse.TypeFloat, Nullable: true},
+			{Name: "s", Type: warehouse.TypeString}, {Name: "b", Type: warehouse.TypeBool, Nullable: true}, {Name: "t", Type: warehouse.TypeTime}}}
 	hostile := warehouse.TableDef{Name: "t", Columns: []warehouse.Column{{Name: "a", Type: warehouse.TypeInt}}}
 	f.Add(warehouse.AppendEvents(nil, []warehouse.Event{
-		{LSN: 1, Kind: warehouse.EvCreateTable, Schema: "fed_siteA", Table: "t", Def: &hostile},
-		{LSN: 2, Kind: warehouse.EvLoad, Schema: "fed_siteA", Table: "t", Cols: &warehouse.ColumnData{
-			Rows: -1, Names: []string{"a"}, Cols: []warehouse.ColumnVector{{Type: warehouse.TypeInt}}}},
+		{LSN: 1, Kind: warehouse.EvCreateTable, Schema: "fed_siteA", Table: "every", Def: &every},
+		{LSN: 2, Kind: warehouse.EvCreateTable, Schema: "fed_siteA", Table: "t", Def: &hostile},
+		{LSN: 3, Kind: warehouse.EvLoad, Schema: "fed_siteA", Table: "t", Cols: &warehouse.ColumnData{
+			Rows: 1, Names: []string{"a"}, Cols: []warehouse.ColumnVector{{Type: warehouse.TypeString, Strs: []string{"x"}}}}},
 	}))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		evs, err := warehouse.DecodeEvents(b)

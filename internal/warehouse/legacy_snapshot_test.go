@@ -2,16 +2,17 @@ package warehouse
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"strings"
 	"testing"
 	"time"
 )
 
-// The pre-columnar snapshot format: no Version field, no columnar
-// payload — each table carries boxed row slices. gob matches fields by
-// name, so encoding these shapes produces a byte stream
-// indistinguishable from one written by the old row-oriented engine.
+// The gob snapshot formats this build no longer reads. gob matches
+// fields by name, so encoding these shapes produces a byte stream
+// indistinguishable from one written by the old engines: version 1
+// (row-oriented, no Version field) and version 2 (columnar).
 type legacyTableSnapshot struct {
 	Def  TableDef
 	Rows [][]any
@@ -28,10 +29,39 @@ type legacySnapshot struct {
 	Schemas []legacySchemaSnapshot
 }
 
+type gobTableV2 struct {
+	Def  TableDef
+	Data *ColumnData
+}
+
+type gobSchemaV2 struct {
+	Name   string
+	Tables []gobTableV2
+}
+
+type gobSnapshotV2 struct {
+	Version int
+	Name    string
+	LastLSN uint64
+	Schemas []gobSchemaV2
+}
+
+func gobStream(t testing.TB, v any) []byte {
+	t.Helper()
+	gob.Register(time.Time{})
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatalf("encode %T: %v", v, err)
+	}
+	return buf.Bytes()
+}
+
 // TestRestoreRejectsUnsupportedSnapshotVersion: a hand-rolled v1
-// (row-format, unversioned) stream and a stream from a future version
-// both fail the restore with an error naming the version, and the
-// target DB is left exactly as it was — no schema created, no event
+// (row-format, unversioned) gob stream, a v2 (columnar) gob stream, a
+// stream of a future version, and streams whose header is right but
+// whose events are not, all fail the restore with an error naming what
+// is wrong — the version where there is one — and the target DB is
+// left exactly as it was: no schema created, no row changed, no event
 // logged.
 func TestRestoreRejectsUnsupportedSnapshotVersion(t *testing.T) {
 	legacy := legacySnapshot{
@@ -45,31 +75,68 @@ func TestRestoreRejectsUnsupportedSnapshotVersion(t *testing.T) {
 			}},
 		}},
 	}
-	future := snapshot{Version: snapshotVersion + 1, Name: "new",
-		Schemas: []schemaSnapshot{{Name: "modw"}}}
+	v2 := gobSnapshotV2{Version: 2, Name: "old", LastLSN: 41, Schemas: []gobSchemaV2{{
+		Name: "modw",
+		Tables: []gobTableV2{{Def: allTypesDef(), Data: &ColumnData{Rows: 1, Names: []string{"id"},
+			Cols: []ColumnVector{{Type: TypeInt, Ints: []int64{1}}}}}},
+	}}}
+
+	// A current snapshot of modw.t with one row: its header and events
+	// are reused below.
+	src := Open("src")
+	if _, err := src.EnsureSchema("modw").EnsureTable(allTypesDef()); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.InsertRow("modw", "t", []any{int64(1), 1.5, "alpha", true, time.Unix(0, 0).UTC(), int64(7)}); err != nil {
+		t.Fatal(err)
+	}
+	var cur bytes.Buffer
+	if err := src.Snapshot(&cur); err != nil {
+		t.Fatal(err)
+	}
+	header := func(version uint64) []byte {
+		b := binary.AppendUvarint([]byte(snapshotMagic), version)
+		b = append(binary.AppendUvarint(b, 3), "src"...)
+		return binary.AppendUvarint(b, 9)
+	}
+	evs, err := src.Binlog().ReadFrom(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name   string
-		stream any
+		stream []byte
 		want   string
 	}{
-		{"v1 row format", legacy, "warehouse: restore: unsupported snapshot version 0"},
-		{"future version", future, "warehouse: restore: unsupported snapshot version 3"},
+		{"v1 row format", gobStream(t, legacy), "snapshots of versions 1 and 2 were gob streams"},
+		{"v2 gob columnar", gobStream(t, v2), "snapshots of versions 1 and 2 were gob streams"},
+		{"future version", append(header(snapshotVersion+1), cur.Bytes()[len(header(snapshotVersion)):]...), "unsupported snapshot version 4"},
+		{"header cut short", cur.Bytes()[:len(snapshotMagic)+2], "snapshot header"},
+		{"events cut short", cur.Bytes()[:cur.Len()-1], "decode events"},
+		{"a row event", AppendEvents(header(snapshotVersion), evs), "snapshot holds a INSERT event for modw.t"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(tc.stream); err != nil {
-				t.Fatalf("encode stream: %v", err)
-			}
 			db := Open("restored")
-			_, err := db.Restore(&buf)
-			if err == nil || err.Error() != tc.want {
-				t.Fatalf("Restore error = %v, want %q", err, tc.want)
+			keep := db.EnsureSchema("keep")
+			if _, err := keep.EnsureTable(allTypesDef()); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.InsertRow("keep", "t", []any{int64(2), 2.5, nil, false, time.Unix(1, 0).UTC(), nil}); err != nil {
+				t.Fatal(err)
+			}
+			before := db.Binlog().Last()
+			_, err := db.Restore(bytes.NewReader(tc.stream))
+			if err == nil || !strings.HasPrefix(err.Error(), "warehouse: restore: ") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Restore error = %v, want one naming %q", err, tc.want)
 			}
 			if _, err := db.TableIn("modw", "t"); err == nil {
 				t.Error("rejected restore created modw.t")
 			}
-			if last := db.Binlog().Last(); last != 0 {
-				t.Errorf("rejected restore logged events (binlog at %d)", last)
+			if n := db.Count("keep", "t"); n != 1 {
+				t.Errorf("rejected restore left keep.t with %d rows, want 1", n)
+			}
+			if last := db.Binlog().Last(); last != before {
+				t.Errorf("rejected restore logged events (binlog at %d, was %d)", last, before)
 			}
 		})
 	}

@@ -2,8 +2,10 @@ package warehouse
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 )
@@ -131,6 +133,78 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 	if err := db.SaveFile("/nonexistent-dir/x.snap"); err == nil {
 		t.Error("bad save path accepted")
+	}
+}
+
+// TestSaveFileNeverRewritesThePreviousFile: SaveFile replaces the file
+// at path whole or not at all. The previous snapshot is never truncated
+// or written in place — a reader that opened it before the save still
+// reads it byte for byte afterwards, which is what a crash mid-save
+// leaves at path — and a save that fails leaves neither a changed file
+// nor a temporary one behind.
+func TestSaveFileNeverRewritesThePreviousFile(t *testing.T) {
+	db := Open("t")
+	tab := mustTable(t, db, "s")
+	insert := func(id int) {
+		t.Helper()
+		if err := db.Do(func() error {
+			return tab.Insert(map[string]any{"job_id": id, "user": "u", "resource": "r", "cores": 1, "wall": 1.0})
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert(1)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "db.snap")
+	if err := db.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+
+	insert(2)
+	if err := db.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := io.ReadAll(held); !bytes.Equal(got, old) {
+		t.Errorf("the previous snapshot was rewritten in place: a reader that opened it holds %d bytes, it had %d", len(got), len(old))
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	dst := Open("d")
+	if _, err := dst.Restore(f); err != nil || dst.Count("s", "jobs") != 2 {
+		t.Errorf("the new snapshot restores %d rows (%v), want 2", dst.Count("s", "jobs"), err)
+	}
+
+	// A save that cannot land (path is a directory) fails and cleans up.
+	sub := filepath.Join(dir, "sub")
+	if err := os.Mkdir(sub, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.SaveFile(sub); err == nil {
+		t.Error("saving over a directory succeeded")
+	}
+	var names []string
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if !slices.Equal(names, []string{"db.snap", "sub"}) {
+		t.Errorf("after a failed save the directory holds %v, want [db.snap sub]", names)
+	}
+	info, err := os.Stat(path)
+	if err != nil || info.Mode().Perm() != 0o644 {
+		t.Errorf("saved file mode = %v (%v), want 0644", info.Mode(), err)
 	}
 }
 

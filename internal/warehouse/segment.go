@@ -1,11 +1,6 @@
 package warehouse
 
-import (
-	"sync/atomic"
-	"weak"
-
-	"xdmodfed/internal/warehouse/store"
-)
+import "xdmodfed/internal/warehouse/store"
 
 // Tiered table storage. A table's rows live in two places: a list of
 // immutable sealed chunks held by the DB's segment backend (heap
@@ -17,91 +12,34 @@ import (
 // secondary-index maps, tombstone vector, and published snapshots all
 // keep speaking global positions unchanged.
 
-// sealedChunk binds one sealed segment to its cached colVec view. The
-// cache holds the wrappers only WEAKLY: the expensive materialized
-// data (*store.SegmentData) is cached strongly by the backend handle,
-// subject to its max_resident_bytes LRU, and the cache here must not
-// keep evicted views alive behind the backend's back — otherwise
-// every chunk a full-table scan ever touched would stay pinned on the
-// heap and the resident budget would bound nothing. After an eviction
-// the next GC collects the wrappers (and with them the view), and the
-// next access re-materializes; while the view is resident, losing the
-// wrappers to a GC merely costs rebuilding a few slice headers.
+// sealedChunk is one sealed segment of a table. Its columns are the
+// segment view's own vectors: a memory segment hands back the very
+// vectors that were sealed; a disk segment's numeric vectors alias the
+// file mapping (kept mapped for as long as any caller references the
+// view) and its strings and times are the view's heap copies.
 type sealedChunk struct {
-	h     store.Handle
-	rows  int
-	def   TableDef // shared with the table; used to type the columns
-	cache atomic.Pointer[weak.Pointer[chunkCols]]
-}
-
-type chunkCols struct {
-	sd   *store.SegmentData
-	cols []colVec
-}
-
-func newSealedChunk(h store.Handle, rows int, def TableDef) *sealedChunk {
-	return &sealedChunk{h: h, rows: rows, def: def}
+	h    store.Handle
+	rows int
 }
 
 // columns returns the chunk's column vectors, materializing the
 // segment if it is cold. Safe for concurrent use by lock-free readers.
-// Callers keep the returned vectors (and thus the underlying view)
-// alive for as long as they reference them, even across an eviction.
-func (sc *sealedChunk) columns() []colVec {
-	if wp := sc.cache.Load(); wp != nil {
-		if c := wp.Value(); c != nil && c.sd == sc.h.Peek() {
-			return c.cols
-		}
+// A resident segment is read through Peek, so a scan does not count as
+// a use for eviction on every row; callers keep the returned vectors
+// (and thus the view) alive for as long as they reference them, even
+// across an eviction.
+func (sc *sealedChunk) columns() []ColumnVector {
+	if sd := sc.h.Peek(); sd != nil {
+		return sd.Cols
 	}
-	sd := sc.h.View()
-	c := &chunkCols{sd: sd, cols: colsFromSegment(sd, sc.def)}
-	wp := weak.Make(c)
-	sc.cache.Store(&wp)
-	return c.cols
-}
-
-// segmentData wraps rows-long column vectors as a seal payload. The
-// slices are referenced, not copied; after a successful seal the
-// caller must stop appending to them (published snapshots may keep
-// reading them, which is fine — they are immutable below rows).
-func segmentData(cols []colVec, rows int) *store.SegmentData {
-	out := make([]store.Column, len(cols))
-	for i := range cols {
-		v := &cols[i]
-		out[i] = store.Column{
-			// ColumnType and store.Kind enumerate the five types in the
-			// same order from 1.
-			Kind: store.Kind(v.typ),
-			Ints: v.ints, Floats: v.floats, Strs: v.strs,
-			Bools: v.bools, Times: v.times, Nulls: v.nulls,
-		}
-	}
-	return store.NewSegmentData(rows, out)
-}
-
-// colsFromSegment converts a segment view back into column vectors.
-// For memory segments this restores the exact slices that were sealed;
-// for disk segments the numeric vectors alias the file mapping (kept
-// alive by sd's pin for as long as any caller references the vectors)
-// and strings/times are the view's heap copies.
-func colsFromSegment(sd *store.SegmentData, def TableDef) []colVec {
-	cols := make([]colVec, len(sd.Cols))
-	for i := range sd.Cols {
-		c := &sd.Cols[i]
-		cols[i] = colVec{
-			typ: ColumnType(c.Kind), nullable: def.Columns[i].Nullable,
-			ints: c.Ints, floats: c.Floats, strs: c.Strs,
-			bools: c.Bools, times: c.Times, nulls: c.Nulls,
-		}
-	}
-	return cols
+	return sc.h.View().Cols
 }
 
 // freshCols allocates empty writer vectors for a table definition.
-func freshCols(def TableDef) []colVec {
-	cols := make([]colVec, len(def.Columns))
+func freshCols(def TableDef) []ColumnVector {
+	cols := make([]ColumnVector, len(def.Columns))
 	for i, c := range def.Columns {
-		cols[i] = newColVec(c)
+		cols[i].Type = c.Type
 	}
 	return cols
 }
@@ -115,14 +53,14 @@ func (t *Table) sealTail() {
 	if rows <= 0 {
 		return
 	}
-	h, err := t.db.storage.Seal(t.schema, t.def.Name, segmentData(t.tail, rows))
+	h, err := t.db.storage.Seal(t.schema, t.def.Name, store.NewSegmentData(rows, t.tail))
 	if err != nil {
 		store.NoteSealError()
 		logw.Warn("tail seal failed; rows stay in the RAM tail",
 			"table", t.schema+"."+t.def.Name, "rows", rows, "err", err)
 		return
 	}
-	t.sealed = append(t.sealed, newSealedChunk(h, rows, t.def))
+	t.sealed = append(t.sealed, &sealedChunk{h: h, rows: rows})
 	t.sealedRows += rows
 	t.tail = freshCols(t.def)
 }
@@ -132,14 +70,14 @@ func (t *Table) sealTail() {
 // go straight to the backend so a cold table does not re-inflate into
 // RAM). Callers have already dropped the old sealed chunks and reset
 // positions; on seal failure the vectors become the RAM tail.
-func (t *Table) installAll(cols []colVec, rows int) {
+func (t *Table) installAll(cols []ColumnVector, rows int) {
 	t.sealed = nil
 	t.sealedRows = 0
 	if rows == 0 {
 		t.tail = freshCols(t.def)
 		return
 	}
-	h, err := t.db.storage.Seal(t.schema, t.def.Name, segmentData(cols, rows))
+	h, err := t.db.storage.Seal(t.schema, t.def.Name, store.NewSegmentData(rows, cols))
 	if err != nil {
 		store.NoteSealError()
 		logw.Warn("bulk seal failed; table stays in the RAM tail",
@@ -147,7 +85,7 @@ func (t *Table) installAll(cols []colVec, rows int) {
 		t.tail = cols
 		return
 	}
-	t.sealed = []*sealedChunk{newSealedChunk(h, rows, t.def)}
+	t.sealed = []*sealedChunk{{h: h, rows: rows}}
 	t.sealedRows = rows
 	t.tail = freshCols(t.def)
 }
@@ -163,7 +101,7 @@ func (t *Table) dropSealed() {
 
 // colsAt resolves a global row position to its chunk's column vectors
 // and the chunk-local position.
-func (t *Table) colsAt(pos int) ([]colVec, int) {
+func (t *Table) colsAt(pos int) ([]ColumnVector, int) {
 	if pos >= t.sealedRows {
 		return t.tail, pos - t.sealedRows
 	}
@@ -187,7 +125,7 @@ func (t *Table) rowAt(pos int) Row {
 // every sealed chunk, then the hot tail. fn receives the chunk's
 // columns, its global base position, and its row count; returning
 // false stops the walk.
-func (t *Table) forEachChunk(fn func(cols []colVec, base, rows int) bool) {
+func (t *Table) forEachChunk(fn func(cols []ColumnVector, base, rows int) bool) {
 	base := 0
 	for _, sc := range t.sealed {
 		if !fn(sc.columns(), base, sc.rows) {
@@ -212,7 +150,7 @@ func (t *Table) snapshotChunks() []tdChunk {
 		base += sc.rows
 	}
 	if tailRows > 0 {
-		chunks = append(chunks, tdChunk{cols: append([]colVec(nil), t.tail...), base: base, rows: tailRows})
+		chunks = append(chunks, tdChunk{cols: append([]ColumnVector(nil), t.tail...), base: base, rows: tailRows})
 	}
 	return chunks
 }

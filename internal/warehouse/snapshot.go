@@ -1,44 +1,33 @@
 package warehouse
 
 import (
-	"encoding/gob"
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"slices"
 	"time"
 )
 
-// Snapshot persistence. A snapshot stores each table's contents in
-// columnar form — one typed vector per column — matching the in-memory
-// layout, so it is written straight from the published TableData
-// without materializing rows. The format doubles as the "database
-// dump" used by loose federation (dump / ship / batch-load, paper
-// §II-C2).
+// Snapshot persistence. A snapshot is the event stream that rebuilds
+// the DB: a header, then one buffer of the binary event codec
+// (eventcodec.go) holding a CREATE_SCHEMA per schema and, per table, a
+// CREATE_TABLE and a LOAD of its live rows. The LOADs carry each
+// table's column vectors as they are stored, so a snapshot is written
+// straight from the published TableData without materializing rows.
+// The format doubles as the "database dump" used by loose federation
+// (dump / ship / batch-load, paper §II-C2).
+//
+//	magic "XDMFSNAP" | uvarint(version) | string(DB name) | uvarint(binlog LSN) | events
 
-// snapshotVersion is the only on-disk format version Restore accepts.
-// The row-oriented format that preceded it carried no version field
-// and decodes as version 0.
-const snapshotVersion = 2
+// snapshotMagic opens every snapshot of version 3 and later.
+const snapshotMagic = "XDMFSNAP"
 
-// snapshot is the gob wire form of an entire DB (or a subset of its
-// schemas).
-type snapshot struct {
-	Version int
-	Name    string
-	LastLSN uint64
-	Schemas []schemaSnapshot
-}
-
-type schemaSnapshot struct {
-	Name   string
-	Tables []tableSnapshot
-}
-
-type tableSnapshot struct {
-	Def  TableDef
-	Data *ColumnData
-}
+// snapshotVersion is the only format version Restore accepts. Versions
+// 1 and 2 were gob streams with no magic; they are refused.
+const snapshotVersion = 3
 
 // Snapshot writes the full DB state to w. The snapshot records the
 // binlog position it corresponds to, so a restore followed by binlog
@@ -55,59 +44,42 @@ func (db *DB) Snapshot(w io.Writer) error {
 // or other readers.
 func (db *DB) SnapshotSchemas(w io.Writer, names []string) error {
 	defer mSnapshotSeconds.ObserveSince(time.Now())
-	want := map[string]bool{}
-	for _, n := range names {
-		want[n] = true
-	}
 	db.mu.RLock()
-	snap := snapshot{Version: snapshotVersion, Name: db.name, LastLSN: db.binlog.Last()}
-	type pending struct {
-		schema int
-		table  int
-		td     *TableData
-	}
-	var work []pending
-	for _, sn := range db.schemasSortedLocked() {
-		if names != nil && !want[sn] {
+	lsn := db.binlog.Last()
+	var evs []Event
+	var data []*TableData // the published snapshot of each LOAD in evs, in order
+	for _, sn := range sortedKeys(db.schemas) {
+		if names != nil && !slices.Contains(names, sn) {
 			continue
 		}
+		evs = append(evs, Event{Kind: EvCreateSchema, Schema: sn})
 		s := db.schemas[sn]
-		ss := schemaSnapshot{Name: sn}
-		for _, tn := range s.tablesSortedLocked() {
+		for _, tn := range sortedKeys(s.tables) {
 			t := s.tables[tn]
-			ss.Tables = append(ss.Tables, tableSnapshot{Def: t.def.Clone()})
-			work = append(work, pending{schema: len(snap.Schemas), table: len(ss.Tables) - 1, td: t.Data()})
+			def := t.def.Clone()
+			evs = append(evs, Event{Kind: EvCreateTable, Schema: sn, Table: tn, Def: &def},
+				Event{Kind: EvLoad, Schema: sn, Table: tn})
+			data = append(data, t.Data())
 		}
-		snap.Schemas = append(snap.Schemas, ss)
 	}
 	db.mu.RUnlock()
-	for _, p := range work {
-		snap.Schemas[p.schema].Tables[p.table].Data = p.td.columnData()
+	for i := range evs {
+		evs[i].LSN = uint64(i + 1) // ignored on restore; consecutive numbers cost nothing
+		if evs[i].Kind == EvLoad {
+			evs[i].Cols, data = data[0].ColumnData(), data[1:]
+		}
 	}
-	return gob.NewEncoder(w).Encode(snap)
-}
-
-func (db *DB) schemasSortedLocked() []string {
-	names := make([]string, 0, len(db.schemas))
-	for n := range db.schemas {
-		names = append(names, n)
-	}
-	slices.Sort(names)
-	return names
-}
-
-func (s *Schema) tablesSortedLocked() []string {
-	names := make([]string, 0, len(s.tables))
-	for n := range s.tables {
-		names = append(names, n)
-	}
-	slices.Sort(names)
-	return names
+	b := binary.AppendUvarint([]byte(snapshotMagic), snapshotVersion)
+	b = appendString(b, db.name)
+	b = binary.AppendUvarint(b, lsn)
+	_, err := w.Write(AppendEvents(b, evs))
+	return err
 }
 
 // Restore loads a snapshot into the DB, creating the schemas and
-// tables it contains. Existing schemas with the same names are
-// replaced. Returns the binlog position the snapshot was taken at.
+// tables it contains that do not exist yet and replacing the contents
+// of every table it holds. Returns the binlog position the snapshot
+// was taken at.
 func (db *DB) Restore(r io.Reader) (uint64, error) {
 	return db.RestoreRenamed(r, nil)
 }
@@ -117,53 +89,103 @@ func (db *DB) Restore(r io.Reader) (uint64, error) {
 // loose-federation hub lands each satellite's dump in a uniquely named
 // schema, mirroring Tungsten's rename-on-transfer feature.
 //
-// A stream of any other format version is rejected before the DB is
-// touched. Payloads are validated strictly against each table's
-// definition — mismatched types, lengths or nullability fail the
-// restore with a descriptive error rather than loading as zeroed
-// values.
+// The whole stream is read and decoded before the DB is touched: a
+// stream of another format version, or one that does not decode, is
+// rejected with the DB as it was. The events are then applied as one
+// write transaction (ApplyAll), so each table's payload is validated
+// strictly against its definition — mismatched types, lengths or
+// nullability fail the restore with a descriptive error rather than
+// loading as zeroed values.
 func (db *DB) RestoreRenamed(r io.Reader, rename map[string]string) (uint64, error) {
 	defer mRestoreSeconds.ObserveSince(time.Now())
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
+	b, err := io.ReadAll(r)
+	if err != nil {
 		return 0, fmt.Errorf("warehouse: restore: %w", err)
 	}
-	if snap.Version != snapshotVersion {
-		return 0, fmt.Errorf("warehouse: restore: unsupported snapshot version %d", snap.Version)
+	lsn, evs, err := decodeSnapshot(b)
+	if err != nil {
+		return 0, fmt.Errorf("warehouse: restore: %w", err)
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	defer db.commitLocked()
-	for _, ss := range snap.Schemas {
-		name := ss.Name
-		if rename != nil {
-			if to, ok := rename[name]; ok {
-				name = to
-			}
-		}
-		s := db.createSchemaLocked(name)
-		for _, ts := range ss.Tables {
-			t, err := s.createTableLocked(ts.Def)
-			if err != nil {
-				return 0, err
-			}
-			if err := t.ReplaceAllColumns(ts.Data); err != nil {
-				return 0, err
-			}
+	for i := range evs {
+		if to, ok := rename[evs[i].Schema]; ok {
+			evs[i].Schema = to
 		}
 	}
-	return snap.LastLSN, nil
+	if _, err := db.ApplyAll(evs); err != nil {
+		return 0, fmt.Errorf("warehouse: restore: %w", err)
+	}
+	return lsn, nil
 }
 
-// SaveFile snapshots the DB to a file path.
+// decodeSnapshot checks a snapshot's header and decodes its events,
+// which may only create schemas and tables and load them.
+func decodeSnapshot(b []byte) (uint64, []Event, error) {
+	rest, ok := bytes.CutPrefix(b, []byte(snapshotMagic))
+	if !ok {
+		return 0, nil, fmt.Errorf("not a snapshot of version %d (no %q header); snapshots of versions 1 and 2 were gob streams and are no longer read: re-ingest the data",
+			snapshotVersion, snapshotMagic)
+	}
+	rd := eventReader{b: rest}
+	if v := rd.uvarint(); rd.err == nil && v != snapshotVersion {
+		return 0, nil, fmt.Errorf("unsupported snapshot version %d (this build reads version %d)", v, snapshotVersion)
+	}
+	rd.string() // the name of the DB it was taken from
+	lsn := rd.uvarint()
+	if rd.err != nil {
+		return 0, nil, fmt.Errorf("snapshot header: %w", rd.err)
+	}
+	evs, err := DecodeEvents(rd.b)
+	if err != nil {
+		return 0, nil, err
+	}
+	for _, ev := range evs {
+		switch ev.Kind {
+		case EvCreateSchema, EvCreateTable, EvLoad:
+		default:
+			return 0, nil, fmt.Errorf("snapshot holds a %v event for %s.%s", ev.Kind, ev.Schema, ev.Table)
+		}
+	}
+	return lsn, evs, nil
+}
+
+// SaveFile snapshots the DB to a file path. The snapshot is written to
+// a temporary file in the same directory, synced, and renamed over
+// path, and the directory is synced: a save that fails or is cut short
+// leaves the previous file at path whole.
 func (db *DB) SaveFile(path string) error {
-	f, err := os.Create(path)
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if err := db.Snapshot(f); err != nil {
+	defer os.Remove(f.Name()) // after the rename there is nothing left to remove
+	err = f.Chmod(0o644)
+	if err == nil {
+		err = db.Snapshot(f)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err == nil {
+		err = syncDir(dir)
+	}
+	return err
+}
+
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
 		return err
 	}
-	return f.Close()
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

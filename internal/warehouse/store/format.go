@@ -60,7 +60,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // colDir is one parsed column-directory entry.
 type colDir struct {
-	kind     Kind
+	kind     ColumnType
 	hasNulls bool
 	dataOff  uint64
 	dataLen  uint64
@@ -121,16 +121,16 @@ func planLayout(sd *SegmentData) (*segLayout, error) {
 	for i := range sd.Cols {
 		c := &sd.Cols[i]
 		d := &lay.dirs[i]
-		d.kind = c.Kind
-		switch c.Kind {
-		case KindInt, KindFloat:
+		d.kind = c.Type
+		switch c.Type {
+		case TypeInt, TypeFloat:
 			d.dataLen = 8 * rows
-		case KindBool:
+		case TypeBool:
 			d.dataLen = rows
-		case KindTime:
+		case TypeTime:
 			d.dataLen = 8 * rows
 			d.auxLen = 4 * rows
-		case KindString:
+		case TypeString:
 			d.dataLen = 8 * (rows + 1)
 			var total uint64
 			for _, s := range c.Strs {
@@ -138,7 +138,7 @@ func planLayout(sd *SegmentData) (*segLayout, error) {
 			}
 			d.auxLen = total
 		default:
-			return nil, fmt.Errorf("store: column %d has invalid kind %d", i, c.Kind)
+			return nil, fmt.Errorf("store: column %d has invalid kind %d", i, c.Type)
 		}
 		for _, isNull := range c.Nulls {
 			if isNull {
@@ -230,20 +230,20 @@ func writeSegment(w io.Writer, sd *SegmentData) (int64, error) {
 		if err := cw.padTo(d.dataOff); err != nil {
 			return 0, err
 		}
-		switch c.Kind {
-		case KindInt:
+		switch c.Type {
+		case TypeInt:
 			if err := writeWords(cw, wordBytes(c.Ints), d.dataLen); err != nil {
 				return 0, err
 			}
-		case KindFloat:
+		case TypeFloat:
 			if err := writeWords(cw, wordBytes(c.Floats), d.dataLen); err != nil {
 				return 0, err
 			}
-		case KindBool:
+		case TypeBool:
 			if err := writeWords(cw, wordBytes(c.Bools), d.dataLen); err != nil {
 				return 0, err
 			}
-		case KindTime:
+		case TypeTime:
 			secs := make([]int64, rows)
 			nsecs := make([]uint32, rows)
 			for j, t := range c.Times {
@@ -259,7 +259,7 @@ func writeSegment(w io.Writer, sd *SegmentData) (int64, error) {
 			if err := writeWords(cw, wordBytes(nsecs), d.auxLen); err != nil {
 				return 0, err
 			}
-		case KindString:
+		case TypeString:
 			offs := make([]uint64, rows+1)
 			var cur uint64
 			for j, s := range c.Strs {
@@ -371,26 +371,26 @@ func parseSegment(m []byte) (*segMeta, error) {
 	for i := 0; i < ncols; i++ {
 		e := m[headerSize+i*dirEntry:]
 		d := &meta.dirs[i]
-		d.kind = Kind(e[0])
+		d.kind = ColumnType(e[0])
 		d.hasNulls = e[1]&flagHasNulls != 0
 		d.dataOff, d.dataLen = getU64(e[8:]), getU64(e[16:])
 		d.auxOff, d.auxLen = getU64(e[24:]), getU64(e[32:])
 		d.nullOff, d.nullLen = getU64(e[40:]), getU64(e[48:])
 		var wantData, wantAux uint64
 		switch d.kind {
-		case KindInt, KindFloat:
+		case TypeInt, TypeFloat:
 			wantData = 8 * rows
-		case KindBool:
+		case TypeBool:
 			wantData = rows
-		case KindTime:
+		case TypeTime:
 			wantData, wantAux = 8*rows, 4*rows
-		case KindString:
+		case TypeString:
 			wantData = 8 * (rows + 1)
 			wantAux = d.auxLen // blob length is data-dependent
 		default:
 			return nil, fmt.Errorf("store: column %d has invalid kind %d", i, d.kind)
 		}
-		if d.dataLen != wantData || (d.kind != KindString && d.auxLen != wantAux) {
+		if d.dataLen != wantData || (d.kind != TypeString && d.auxLen != wantAux) {
 			return nil, fmt.Errorf("store: column %d block lengths disagree with row count", i)
 		}
 		if d.hasNulls && d.nullLen != (rows+7)/8 {
@@ -399,13 +399,13 @@ func parseSegment(m []byte) (*segMeta, error) {
 		if err := check(d.dataOff, d.dataLen, true); err != nil {
 			return nil, err
 		}
-		if err := check(d.auxOff, d.auxLen, d.kind == KindTime); err != nil {
+		if err := check(d.auxOff, d.auxLen, d.kind == TypeTime); err != nil {
 			return nil, err
 		}
 		if err := check(d.nullOff, d.nullLen, false); err != nil {
 			return nil, err
 		}
-		if d.kind == KindString && rows > 0 {
+		if d.kind == TypeString && rows > 0 {
 			offs := viewSlice[uint64](m, d.dataOff, rows+1)
 			var prev uint64
 			for _, o := range offs {
@@ -443,15 +443,15 @@ func materialize(m []byte, meta *segMeta, keep any) (*SegmentData, int64) {
 	var heap int64
 	for i, d := range meta.dirs {
 		c := &sd.Cols[i]
-		c.Kind = d.kind
+		c.Type = d.kind
 		switch d.kind {
-		case KindInt:
+		case TypeInt:
 			c.Ints = viewSlice[int64](m, d.dataOff, rows)
-		case KindFloat:
+		case TypeFloat:
 			c.Floats = viewSlice[float64](m, d.dataOff, rows)
-		case KindBool:
+		case TypeBool:
 			c.Bools = viewSlice[bool](m, d.dataOff, rows)
-		case KindTime:
+		case TypeTime:
 			secs := viewSlice[int64](m, d.dataOff, rows)
 			nsecs := viewSlice[uint32](m, d.auxOff, rows)
 			times := make([]time.Time, rows)
@@ -460,7 +460,7 @@ func materialize(m []byte, meta *segMeta, keep any) (*SegmentData, int64) {
 			}
 			c.Times = times
 			heap += int64(rows) * 24
-		case KindString:
+		case TypeString:
 			offs := viewSlice[uint64](m, d.dataOff, rows+1)
 			blob := m[d.auxOff : d.auxOff+d.auxLen]
 			strs := make([]string, rows)

@@ -13,8 +13,8 @@ import (
 func FuzzParseSegment(f *testing.F) {
 	for _, sd := range []*SegmentData{
 		sampleSegment(13),
-		NewSegmentData(1, []Column{{Kind: KindInt, Ints: []int64{7}}}),
-		NewSegmentData(1, []Column{{Kind: KindString, Strs: []string{"abc"}}}),
+		NewSegmentData(1, []Column{{Type: TypeInt, Ints: []int64{7}}}),
+		NewSegmentData(1, []Column{{Type: TypeString, Strs: []string{"abc"}}}),
 	} {
 		var buf bytes.Buffer
 		if _, err := writeSegment(&buf, sd); err != nil {

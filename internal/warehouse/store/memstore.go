@@ -87,14 +87,14 @@ func approxBytes(sd *SegmentData) int64 {
 	var b int64
 	for i := range sd.Cols {
 		c := &sd.Cols[i]
-		switch c.Kind {
-		case KindInt, KindFloat:
+		switch c.Type {
+		case TypeInt, TypeFloat:
 			b += 8 * rows
-		case KindBool:
+		case TypeBool:
 			b += rows
-		case KindTime:
+		case TypeTime:
 			b += 24 * rows
-		case KindString:
+		case TypeString:
 			b += 16 * rows
 			for _, s := range c.Strs {
 				b += int64(len(s))

@@ -4,42 +4,15 @@
 // spilled to an mmap-backed on-disk file format (Disk) so cold history
 // costs address space instead of resident memory. The warehouse keeps
 // each table as a hot in-memory tail plus a list of sealed segments;
-// this package owns everything below that line: the segment file
-// format, mapping, lazy materialization, residency accounting, and
-// eviction.
+// this package owns everything below that line: the column vector
+// both tiers hold (Column), the segment file format, mapping, lazy
+// materialization, residency accounting, and eviction.
 //
 // Segments are not a durability mechanism. The WAL and snapshots
 // remain the source of truth; a Disk backend discards every file it
 // finds on open (torn seals are detected by the CRC footer and counted
 // separately) and expects the warehouse to re-seal state as it replays.
 package store
-
-import "time"
-
-// Kind identifies a column's physical type inside a segment. The
-// values mirror the warehouse's logical column types one-for-one.
-type Kind uint8
-
-const (
-	KindInt Kind = iota + 1
-	KindFloat
-	KindString
-	KindBool
-	KindTime
-)
-
-// Column is one sealed column vector. Exactly the slice matching Kind
-// is populated; Nulls marks NULL cells and may be nil when no cell is
-// NULL (views returned by backends always carry a full-length Nulls).
-type Column struct {
-	Kind   Kind
-	Ints   []int64
-	Floats []float64
-	Strs   []string
-	Bools  []bool
-	Times  []time.Time
-	Nulls  []bool
-}
 
 // SegmentData is an immutable columnar block of rows: the payload
 // handed to Seal, and the view handed back by Handle.View. Views from
@@ -59,9 +32,9 @@ type Handle interface {
 	// caller references it, even if the backend evicts its own copy.
 	View() *SegmentData
 	// Peek returns the currently materialized view, or nil if the
-	// segment is cold. It never triggers a load — callers use it to
-	// check whether a cached conversion of a prior view is still
-	// current.
+	// segment is cold. It never triggers a load and never counts as a
+	// use for eviction — callers read a resident segment through it and
+	// fall back to View only when it is cold.
 	Peek() *SegmentData
 	// HeapBacked reports whether View returns plain heap slices that
 	// are safe to share outside the warehouse's snapshot lifetime

@@ -39,11 +39,11 @@ func sampleSegment(rows int) *SegmentData {
 		nulls[i] = i%6 == 5
 	}
 	return NewSegmentData(rows, []Column{
-		{Kind: KindInt, Ints: ints},
-		{Kind: KindFloat, Floats: floats},
-		{Kind: KindString, Strs: strs, Nulls: append([]bool(nil), nulls...)},
-		{Kind: KindBool, Bools: bools},
-		{Kind: KindTime, Times: times, Nulls: append([]bool(nil), nulls...)},
+		{Type: TypeInt, Ints: ints},
+		{Type: TypeFloat, Floats: floats},
+		{Type: TypeString, Strs: strs, Nulls: append([]bool(nil), nulls...)},
+		{Type: TypeBool, Bools: bools},
+		{Type: TypeTime, Times: times, Nulls: append([]bool(nil), nulls...)},
 	})
 }
 
@@ -55,8 +55,8 @@ func equalViews(t *testing.T, want, got *SegmentData) {
 	}
 	for c := range want.Cols {
 		w, g := &want.Cols[c], &got.Cols[c]
-		if w.Kind != g.Kind {
-			t.Fatalf("col %d kind %d != %d", c, w.Kind, g.Kind)
+		if w.Type != g.Type {
+			t.Fatalf("col %d kind %d != %d", c, w.Type, g.Type)
 		}
 		for i := 0; i < want.Rows; i++ {
 			wn := len(w.Nulls) > 0 && w.Nulls[i]
@@ -64,24 +64,24 @@ func equalViews(t *testing.T, want, got *SegmentData) {
 			if wn != gn {
 				t.Fatalf("col %d row %d null %v != %v", c, i, wn, gn)
 			}
-			switch w.Kind {
-			case KindInt:
+			switch w.Type {
+			case TypeInt:
 				if w.Ints[i] != g.Ints[i] {
 					t.Fatalf("col %d row %d int %d != %d", c, i, w.Ints[i], g.Ints[i])
 				}
-			case KindFloat:
+			case TypeFloat:
 				if w.Floats[i] != g.Floats[i] {
 					t.Fatalf("col %d row %d float %v != %v", c, i, w.Floats[i], g.Floats[i])
 				}
-			case KindString:
+			case TypeString:
 				if w.Strs[i] != g.Strs[i] {
 					t.Fatalf("col %d row %d str %q != %q", c, i, w.Strs[i], g.Strs[i])
 				}
-			case KindBool:
+			case TypeBool:
 				if w.Bools[i] != g.Bools[i] {
 					t.Fatalf("col %d row %d bool %v != %v", c, i, w.Bools[i], g.Bools[i])
 				}
-			case KindTime:
+			case TypeTime:
 				if !w.Times[i].UTC().Equal(g.Times[i]) {
 					t.Fatalf("col %d row %d time %v != %v", c, i, w.Times[i], g.Times[i])
 				}
@@ -295,11 +295,11 @@ func TestFormatLayoutIsAligned(t *testing.T) {
 		if d.dataOff%8 != 0 {
 			t.Fatalf("col %d data block misaligned at %d", i, d.dataOff)
 		}
-		if d.kind == KindTime && d.auxOff%8 != 0 {
+		if d.kind == TypeTime && d.auxOff%8 != 0 {
 			t.Fatalf("col %d nsec block misaligned at %d", i, d.auxOff)
 		}
 	}
-	if !reflect.DeepEqual(lay.dirs[0].kind, KindInt) {
+	if !reflect.DeepEqual(lay.dirs[0].kind, TypeInt) {
 		t.Fatal("layout must preserve column order")
 	}
 }
@@ -325,8 +325,8 @@ func segmentWithDataOff(t *testing.T, sd *SegmentData, off uint64) []byte {
 func TestWrappingBlockOffsetIsTorn(t *testing.T) {
 	dir := t.TempDir()
 	files := map[string][]byte{
-		"00000001-s-int.seg": segmentWithDataOff(t, NewSegmentData(1, []Column{{Kind: KindInt, Ints: []int64{7}}}), 1<<64-8),
-		"00000002-s-str.seg": segmentWithDataOff(t, NewSegmentData(1, []Column{{Kind: KindString, Strs: []string{"abc"}}}), 1<<64-16),
+		"00000001-s-int.seg": segmentWithDataOff(t, NewSegmentData(1, []Column{{Type: TypeInt, Ints: []int64{7}}}), 1<<64-8),
+		"00000002-s-str.seg": segmentWithDataOff(t, NewSegmentData(1, []Column{{Type: TypeString, Strs: []string{"abc"}}}), 1<<64-16),
 	}
 	for name, b := range files {
 		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {

@@ -11,7 +11,7 @@ import (
 // snapshot iteration). It is a plain value and allocates nothing.
 type Row struct {
 	lay  *layout
-	cols []colVec
+	cols []ColumnVector
 	pos  int
 }
 
@@ -29,12 +29,7 @@ func (r Row) Lookup(col string) (any, bool) {
 	if !ok {
 		return nil, false
 	}
-	return r.value(i), true
-}
-
-// value returns the cell at column position i.
-func (r Row) value(i int) any {
-	return r.cols[i].value(r.pos)
+	return r.cols[i].Value(r.pos), true
 }
 
 // Int returns the column as int64 (zero when null, absent or not an
@@ -45,10 +40,10 @@ func (r Row) Int(col string) int64 {
 		return 0
 	}
 	v := &r.cols[i]
-	if v.typ != TypeInt || v.nulls[r.pos] {
+	if v.Type != TypeInt || v.Nulls[r.pos] {
 		return 0
 	}
-	return v.ints[r.pos]
+	return v.Ints[r.pos]
 }
 
 // Float returns the column as float64, widening integers.
@@ -58,14 +53,14 @@ func (r Row) Float(col string) float64 {
 		return 0
 	}
 	v := &r.cols[i]
-	if v.nulls[r.pos] {
+	if v.Nulls[r.pos] {
 		return 0
 	}
-	switch v.typ {
+	switch v.Type {
 	case TypeFloat:
-		return v.floats[r.pos]
+		return v.Floats[r.pos]
 	case TypeInt:
-		return float64(v.ints[r.pos])
+		return float64(v.Ints[r.pos])
 	}
 	return 0
 }
@@ -77,17 +72,17 @@ func (r Row) String(col string) string {
 		return ""
 	}
 	v := &r.cols[i]
-	if v.typ != TypeString || v.nulls[r.pos] {
+	if v.Type != TypeString || v.Nulls[r.pos] {
 		return ""
 	}
-	return v.strs[r.pos]
+	return v.Strs[r.pos]
 }
 
 // Values returns a copy of the row's values, in column order.
 func (r Row) Values() []any {
 	out := make([]any, len(r.cols))
 	for i := range r.cols {
-		out[i] = r.cols[i].value(r.pos)
+		out[i] = r.cols[i].Value(r.pos)
 	}
 	return out
 }
@@ -124,7 +119,7 @@ type Table struct {
 	sch        *Schema // owning schema, whose epoch the table's commits bump
 	sealed     []*sealedChunk
 	sealedRows int
-	tail       []colVec // positions [sealedRows, rows)
+	tail       []ColumnVector // positions [sealedRows, rows)
 	dead       []bool
 	rows       int // total slots, tombstones included
 	deleted    int // tombstoned slots
@@ -235,13 +230,13 @@ func (t *Table) compact() {
 		ix.m = make(map[string][]int)
 	}
 	newPos := 0
-	t.forEachChunk(func(cols []colVec, base, rows int) bool {
+	t.forEachChunk(func(cols []ColumnVector, base, rows int) bool {
 		for lp := 0; lp < rows; lp++ {
 			if t.dead[base+lp] {
 				continue
 			}
 			for i := range newCols {
-				newCols[i].appendFrom(&cols[i], lp)
+				newCols[i].AppendFrom(&cols[i], lp)
 			}
 			if newPK != nil {
 				buf = appendKeyAt(buf[:0], newCols, t.pkCols, newPos)
@@ -264,68 +259,34 @@ func (t *Table) compact() {
 	t.installAll(newCols, live)
 }
 
-// appendFrom appends src's cell at pos without boxing.
-func (v *colVec) appendFrom(src *colVec, pos int) {
-	switch v.typ {
-	case TypeInt:
-		v.ints = append(v.ints, src.ints[pos])
-	case TypeFloat:
-		v.floats = append(v.floats, src.floats[pos])
-	case TypeString:
-		v.strs = append(v.strs, src.strs[pos])
-	case TypeBool:
-		v.bools = append(v.bools, src.bools[pos])
-	case TypeTime:
-		v.times = append(v.times, src.times[pos])
-	}
-	v.nulls = append(v.nulls, src.nulls[pos])
-}
-
-// appendVec appends every cell of src, a vector of the same type.
-func (v *colVec) appendVec(src *colVec) {
-	switch v.typ {
-	case TypeInt:
-		v.ints = append(v.ints, src.ints...)
-	case TypeFloat:
-		v.floats = append(v.floats, src.floats...)
-	case TypeString:
-		v.strs = append(v.strs, src.strs...)
-	case TypeBool:
-		v.bools = append(v.bools, src.bools...)
-	case TypeTime:
-		v.times = append(v.times, src.times...)
-	}
-	v.nulls = append(v.nulls, src.nulls...)
-}
-
 // appendKeyAt renders the key for the given column positions of row
 // pos, producing exactly the bytes encodeKey yields for the same
 // values.
-func appendKeyAt(b []byte, cols []colVec, idx []int, pos int) []byte {
+func appendKeyAt(b []byte, cols []ColumnVector, idx []int, pos int) []byte {
 	for n, ci := range idx {
 		if n > 0 {
 			b = append(b, 0x1f)
 		}
 		v := &cols[ci]
-		if v.nulls[pos] {
+		if v.Nulls[pos] {
 			b = append(b, 0)
 			continue
 		}
-		switch v.typ {
+		switch v.Type {
 		case TypeInt:
-			b = strconv.AppendInt(b, v.ints[pos], 10)
+			b = strconv.AppendInt(b, v.Ints[pos], 10)
 		case TypeFloat:
-			b = strconv.AppendFloat(b, v.floats[pos], 'g', -1, 64)
+			b = strconv.AppendFloat(b, v.Floats[pos], 'g', -1, 64)
 		case TypeString:
-			b = append(b, v.strs[pos]...)
+			b = append(b, v.Strs[pos]...)
 		case TypeBool:
-			if v.bools[pos] {
+			if v.Bools[pos] {
 				b = append(b, '1')
 			} else {
 				b = append(b, '0')
 			}
 		case TypeTime:
-			b = strconv.AppendInt(b, v.times[pos].UnixNano(), 10)
+			b = strconv.AppendInt(b, v.Times[pos].UnixNano(), 10)
 		}
 	}
 	return b
@@ -397,7 +358,7 @@ func (t *Table) pkBytes(vals []any) []byte {
 func (t *Table) appendRow(vals []any) int {
 	pos := t.rows
 	for i := range t.tail {
-		t.tail[i].appendVal(vals[i])
+		t.tail[i].AppendValue(vals[i])
 	}
 	t.dead = append(t.dead, false)
 	t.rows++
@@ -551,7 +512,7 @@ func (t *Table) addToIndexes(pos int) {
 
 // indexRow enters global position pos into every secondary index under
 // the keys of row lp of cols.
-func (t *Table) indexRow(cols []colVec, lp, pos int) {
+func (t *Table) indexRow(cols []ColumnVector, lp, pos int) {
 	for _, ix := range t.indexes {
 		t.keyBuf = appendKeyAt(t.keyBuf[:0], cols, ix.cols, lp)
 		ix.m[string(t.keyBuf)] = append(ix.m[string(t.keyBuf)], pos)
@@ -616,10 +577,7 @@ func (t *Table) ReplaceAllColumns(cd *ColumnData) error {
 	if err := cd.Validate(t.def); err != nil {
 		return err
 	}
-	cols := make([]colVec, len(t.def.Columns))
-	for i, c := range t.def.Columns {
-		cols[i] = cd.Cols[i].toVec(c, cd.Rows)
-	}
+	cols := cd.vectors()
 	var newPK map[string]int
 	if len(t.pkCols) > 0 {
 		newPK = make(map[string]int, cd.Rows)
@@ -654,29 +612,16 @@ func (t *Table) ReplaceAllColumns(cd *ColumnData) error {
 }
 
 // payloadCols validates a columnar payload strictly against the table
-// definition and views it as column vectors, so keys render from it
-// with appendKeyAt. cd's slices are referenced, not copied, and columns
-// without a validity vector share one all-false vector: the view is
-// read-only.
-func (t *Table) payloadCols(cd *ColumnData) ([]colVec, error) {
+// definition and returns its vectors (ColumnData.vectors), so keys
+// render from it with appendKeyAt.
+func (t *Table) payloadCols(cd *ColumnData) ([]ColumnVector, error) {
 	if err := cd.Validate(t.def); err != nil {
 		return nil, err
 	}
 	if t.pk == nil {
 		return nil, fmt.Errorf("warehouse: table %s.%s has no primary key; cannot match rows by key", t.schema, t.def.Name)
 	}
-	cols := make([]colVec, len(t.def.Columns))
-	var noNulls []bool
-	for i, c := range t.def.Columns {
-		cols[i] = cd.Cols[i].view(c)
-		if cols[i].nulls == nil {
-			if noNulls == nil {
-				noNulls = make([]bool, cd.Rows)
-			}
-			cols[i].nulls = noNulls
-		}
-	}
-	return cols, nil
+	return cd.vectors(), nil
 }
 
 // posOf returns the position the rendered primary key maps to, or -1.
@@ -745,7 +690,7 @@ func (t *Table) UpsertColumns(cd *ColumnData, fill func(r, replaced int) error) 
 		t.indexRow(cols, r, base+r)
 	}
 	for i := range t.tail {
-		t.tail[i].appendVec(&cols[i])
+		t.tail[i].AppendColumn(&cols[i])
 	}
 	t.dead = append(t.dead, make([]bool, n)...)
 	t.rows += n
@@ -765,7 +710,7 @@ func (t *Table) UpsertColumns(cd *ColumnData, fill func(r, replaced int) error) 
 // releaseClaims hands back the key claims of a refused UpsertColumns
 // payload: old[q] is the position payload row q's key mapped to before
 // it was claimed, or -1 when the key was new.
-func (t *Table) releaseClaims(cols []colVec, old []int) {
+func (t *Table) releaseClaims(cols []ColumnVector, old []int) {
 	for q, pos := range old {
 		t.keyBuf = appendKeyAt(t.keyBuf[:0], cols, t.pkCols, q)
 		if pos < 0 {
@@ -782,18 +727,9 @@ func (t *Table) releaseClaims(cols []colVec, old []int) {
 // current transaction's changes included, and is valid until the table
 // is next written.
 func (t *Table) ChunkAt(pos int) (ColChunk, int) {
-	base, rows, cols := t.sealedRows, t.rows-t.sealedRows, t.tail
-	if pos < t.sealedRows {
-		base = 0
-		for _, sc := range t.sealed {
-			if pos < base+sc.rows {
-				rows, cols = sc.rows, sc.columns()
-				break
-			}
-			base += sc.rows
-		}
-	}
-	return ColChunk{lay: t.lay, cols: cols, dead: t.dead[base : base+rows], base: base, rows: rows}, pos - base
+	cols, lp := t.colsAt(pos)
+	base, rows := pos-lp, len(cols[0].Nulls) // every vector the table holds has full validity
+	return ColChunk{lay: t.lay, cols: cols, dead: t.dead[base : base+rows], base: base, rows: rows}, lp
 }
 
 // GetByKey returns the row with the given primary key values.
@@ -811,7 +747,7 @@ func (t *Table) GetByKey(keyVals ...any) (Row, bool) {
 // uncommitted changes (it reads the writer state, not the published
 // snapshot); use Data().Scan for the lock-free committed view.
 func (t *Table) Scan(fn func(Row) bool) {
-	t.forEachChunk(func(cols []colVec, base, rows int) bool {
+	t.forEachChunk(func(cols []ColumnVector, base, rows int) bool {
 		for lp := 0; lp < rows; lp++ {
 			if t.dead[base+lp] {
 				continue

@@ -12,37 +12,22 @@ import (
 	"fmt"
 	"strconv"
 	"time"
+
+	"xdmodfed/internal/warehouse/store"
 )
 
-// ColumnType enumerates the value types a column may hold.
-type ColumnType int
+// ColumnType enumerates the value types a column may hold; it is the
+// segment store's enum, so a vector means the same thing in both tiers.
+type ColumnType = store.ColumnType
 
 // Supported column types.
 const (
-	TypeInt ColumnType = iota + 1
-	TypeFloat
-	TypeString
-	TypeBool
-	TypeTime
+	TypeInt    = store.TypeInt
+	TypeFloat  = store.TypeFloat
+	TypeString = store.TypeString
+	TypeBool   = store.TypeBool
+	TypeTime   = store.TypeTime
 )
-
-// String returns the SQL-ish name of the column type.
-func (t ColumnType) String() string {
-	switch t {
-	case TypeInt:
-		return "BIGINT"
-	case TypeFloat:
-		return "DOUBLE"
-	case TypeString:
-		return "VARCHAR"
-	case TypeBool:
-		return "BOOLEAN"
-	case TypeTime:
-		return "DATETIME"
-	default:
-		return fmt.Sprintf("ColumnType(%d)", int(t))
-	}
-}
 
 // Column describes a single table column.
 type Column struct {

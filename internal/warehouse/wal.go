@@ -2,10 +2,8 @@ package warehouse
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -34,11 +32,11 @@ import (
 // remain meaningful across restarts; a torn tail is truncated at the
 // last valid record so the writer can resume appending there.
 //
-// Files written before the binary codec hold one gob-encoded Event per
-// payload. Nothing writes that form any more, but ReplayLog still
-// reads it (a gob stream cannot begin with a zero byte, so the tag
-// tells them apart): a satellite upgraded in place replays the WAL it
-// has. The fallback can go once no deployed WAL predates this format.
+// Files written before the binary codec (before 8.1) hold one
+// gob-encoded Event per payload. A gob stream cannot begin with a zero
+// byte, so the tag tells them apart, and ReplayLog refuses such a
+// record as undecodable — naming the format, leaving the file as it is
+// — rather than reading it.
 
 var walLog = obs.Logger("warehouse.wal")
 
@@ -387,22 +385,17 @@ func ReplayLog(db *DB, path string) (uint64, error) {
 			torn = fmt.Sprintf("checksum mismatch (%08x != %08x)", got, want)
 			break
 		}
-		if frame[0] == walBinary {
-			evs, err := DecodeEvents(frame[1:])
-			if err != nil {
-				undecodable = err
-				break
-			}
-			batch = append(batch, evs...)
-		} else {
-			// A record from before the binary codec: one gob Event.
-			var ev Event
-			if err := gob.NewDecoder(bytes.NewReader(frame)).Decode(&ev); err != nil {
-				undecodable = err
-				break
-			}
-			batch = append(batch, ev)
+		if frame[0] != walBinary {
+			undecodable = fmt.Errorf("record tag %#02x is not the binary event codec's %#02x: a WAL written before 8.1 holds gob records, which are no longer read; re-ingest the data",
+				frame[0], walBinary)
+			break
 		}
+		evs, err := DecodeEvents(frame[1:])
+		if err != nil {
+			undecodable = err
+			break
+		}
+		batch = append(batch, evs...)
 		if len(batch) >= replayBatch {
 			if err := flush(); err != nil {
 				return last, err
@@ -414,7 +407,7 @@ func ReplayLog(db *DB, path string) (uint64, error) {
 		return last, err
 	}
 	if undecodable != nil {
-		return last, fmt.Errorf("warehouse: recover %s: the record at offset %d (after LSN %d) has a valid checksum but does not decode; file left untouched: %w",
+		return last, fmt.Errorf("warehouse: recover %s: the record at offset %d (after LSN %d) has a valid checksum but does not decode (records of builds before wire format 4 that hold a table definition or a bulk load do not: re-ingest); file left untouched: %w",
 			path, validOff, last, undecodable)
 	}
 	if torn != "" {

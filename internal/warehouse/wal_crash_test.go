@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -310,63 +309,52 @@ func binaryWALRecord(ev Event) []byte {
 	return walRecord(AppendEvents([]byte{walBinary}, []Event{ev}))
 }
 
-// TestReplayLogReadsGobRecordsThenBinaryOnes: a satellite upgraded in
-// place has a WAL that starts in the old gob form and continues in the
-// binary codec; replay returns every event of both, in order, and a
-// writer resumed on the file keeps it replayable.
-func TestReplayLogReadsGobRecordsThenBinaryOnes(t *testing.T) {
+// TestReplayLogRefusesGobRecords: a WAL record without the binary tag
+// is what a build before 8.1 wrote — one gob Event per record. Replay
+// no longer reads that form: it applies the binary records before it,
+// refuses the gob one as undecodable with an error naming the format
+// and where it stopped, and never truncates it as a torn tail — the
+// file stays byte for byte as it was, for the operator to re-ingest.
+func TestReplayLogRefusesGobRecords(t *testing.T) {
 	evs := sampleWALEvents(t)
-	var file []byte
-	for i, ev := range evs {
-		if i < len(evs)/2 {
-			file = append(file, gobWALRecord(t, ev)...)
-		} else {
-			file = append(file, binaryWALRecord(ev)...)
+	for _, good := range []int{0, len(evs) / 2} { // binary records before the first gob one
+		var file []byte
+		for i, ev := range evs {
+			if i < good {
+				file = append(file, binaryWALRecord(ev)...)
+			} else {
+				file = append(file, gobWALRecord(t, ev)...)
+			}
 		}
-	}
-	path := walPath(t)
-	if err := os.WriteFile(path, file, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rec, last, err := recoverDB("sat", path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := rec.Binlog().ReadFrom(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last != evs[len(evs)-1].LSN || len(got) != len(evs) {
-		t.Fatalf("replayed to LSN %d with %d events, want %d and %d", last, len(got), evs[len(evs)-1].LSN, len(evs))
-	}
-	for i := range evs {
-		w, g := evs[i], got[i]
-		if g.LSN != w.LSN || g.Kind != w.Kind || g.Schema != w.Schema || g.Table != w.Table ||
-			!reflect.DeepEqual(g.Row, w.Row) || !reflect.DeepEqual(g.Old, w.Old) || (g.Def == nil) != (w.Def == nil) {
-			t.Fatalf("event %d replayed as %+v, want %+v", i, g, w)
+		path := walPath(t)
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if after, _ := os.ReadFile(path); !bytes.Equal(after, file) {
-		t.Fatal("replay of a clean mixed-format file changed it")
-	}
-
-	w, err := OpenLogWriterOpts(rec, path, last, WALOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, _ := rec.TableIn("s", "jobs")
-	rec.Do(func() error {
-		return tab.Insert(map[string]any{"job_id": 100, "user": "u", "resource": "r", "cores": 1, "wall": 1.0})
-	})
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec2, _, err := recoverDB("sat", path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := rec2.Count("s", "jobs"), rec.Count("s", "jobs"); got != want || want != 12 {
-		t.Fatalf("after resuming on the mixed file recovered %d rows, want %d (12)", got, want)
+		db := Open("sat")
+		last, err := ReplayLog(db, path)
+		if err == nil {
+			t.Fatalf("%d binary records then gob ones: replay succeeded (last LSN %d)", good, last)
+		}
+		offset := 0
+		if good > 0 {
+			offset = walValidPrefix(file)[good-1]
+		}
+		for _, want := range []string{fmt.Sprintf("offset %d", offset), "before 8.1", "gob", "file left untouched"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%d binary records then gob ones: error %q does not name %q", good, err, want)
+			}
+		}
+		var wantLast uint64
+		if good > 0 {
+			wantLast = evs[good-1].LSN
+		}
+		if last != wantLast || db.Binlog().Last() != wantLast {
+			t.Errorf("%d binary records then gob ones: replay stopped at LSN %d (binlog %d), want %d",
+				good, last, db.Binlog().Last(), wantLast)
+		}
+		if after, _ := os.ReadFile(path); !bytes.Equal(after, file) {
+			t.Errorf("%d binary records then gob ones: recovery changed the file (%d bytes, was %d)", good, len(after), len(file))
+		}
 	}
 }
 

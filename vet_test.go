@@ -3,6 +3,8 @@ package xdmodfed
 import (
 	"bytes"
 	"go/format"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"os/exec"
@@ -58,5 +60,43 @@ func TestGofmt(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGobOnlyOnTheReplicationEnvelope: the warehouse's events, WAL
+// records and snapshots have one byte format, the binary event codec.
+// The one gob left is the replication handshake and frame envelope in
+// internal/replicate; no other program file may import encoding/gob.
+// bench/ is a module of its own and is not checked.
+func TestGobOnlyOnTheReplicationEnvelope(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, root := range []string{"internal", "cmd", "examples"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				if path == filepath.Join("internal", "replicate") {
+					return filepath.SkipDir
+				}
+				return nil
+			}
+			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+			if err != nil {
+				return err
+			}
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"encoding/gob"` {
+					t.Errorf("%s imports encoding/gob; outside internal/replicate's envelope use the binary event codec", path)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
