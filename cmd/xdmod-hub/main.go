@@ -49,10 +49,8 @@ func main() {
 		adminPass   = flag.String("admin-pass", "", "password for -admin-user")
 		logJSON     = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
 		loose       looseFlags
-		scrape      scrapeFlags
 	)
 	flag.Var(&loose, "loose", "load a loose dump: instance=path (repeatable)")
-	flag.Var(&scrape, "scrape", "scrape a member's telemetry: name=addr (repeatable)")
 	var cfg config.InstanceConfig
 	applyKnobFlags := config.BindFlags(flag.CommandLine, &cfg, true)
 	flag.Parse()
@@ -63,14 +61,6 @@ func main() {
 	var err error
 	if cfg, err = config.LoadFile(*configPath); err != nil {
 		fatal(err)
-	}
-	// -scrape targets add to the configured member list.
-	for _, spec := range scrape {
-		name, addr, ok := strings.Cut(spec, "=")
-		if !ok || name == "" || addr == "" {
-			fatal(fmt.Errorf("bad -scrape %q, want name=addr", spec))
-		}
-		cfg.Telemetry.Members = append(cfg.Telemetry.Members, config.TelemetryMember{Name: name, Addr: addr})
 	}
 	if err := applyKnobFlags(); err != nil {
 		fatal(err)
@@ -134,15 +124,6 @@ func main() {
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		fatal(err)
 	}
-}
-
-// scrapeFlags collects repeated -scrape name=addr flags.
-type scrapeFlags []string
-
-func (s *scrapeFlags) String() string { return strings.Join(*s, ",") }
-func (s *scrapeFlags) Set(v string) error {
-	*s = append(*s, v)
-	return nil
 }
 
 func fatal(err error) {

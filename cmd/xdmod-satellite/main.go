@@ -68,13 +68,8 @@ func main() {
 				fatal(err)
 			}
 		}
-		interval, err := cfg.Durability.FsyncIntervalDuration()
-		if err != nil {
-			fatal(err)
-		}
 		wal, err := warehouse.OpenLogWriterOpts(sat.DB, *walPath, sat.DB.Binlog().Last(), warehouse.WALOptions{
-			Fsync:         warehouse.FsyncPolicy(cfg.Durability.WALFsync),
-			FsyncInterval: interval,
+			Fsync: warehouse.FsyncPolicy(cfg.Durability.WALFsync),
 		})
 		if err != nil {
 			fatal(err)

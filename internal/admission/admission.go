@@ -42,14 +42,17 @@ const (
 // Defaults for Config zero values (production-shaped: generous enough
 // that a healthy interactive portal never notices them).
 const (
-	DefaultGlobalRate     = 5000.0
-	DefaultPerCenterRate  = 1000.0
-	DefaultPerUserRate    = 100.0
-	DefaultMaxConcurrent  = 256
-	DefaultQueueFactor    = 4 // MaxQueue = factor × MaxConcurrent
-	DefaultQueueTimeout   = 2 * time.Second
-	DefaultRetryAfterHint = time.Second
+	DefaultGlobalRate    = 5000.0
+	DefaultPerCenterRate = 1000.0
+	DefaultPerUserRate   = 100.0
+	DefaultMaxConcurrent = 256
+	DefaultQueueFactor   = 4 // MaxQueue = factor × MaxConcurrent
+	DefaultQueueTimeout  = 2 * time.Second
 )
+
+// minRetryAfter floors the Retry-After carried by shed decisions, so
+// clients never busy-loop on sub-second hints.
+const minRetryAfter = time.Second
 
 // Rate is one token-bucket tier: RPS requests per second sustained,
 // Burst instantly. RPS < 0 disables the tier; RPS == 0 selects the
@@ -89,9 +92,6 @@ type Config struct {
 	// QueueTimeout is how long a queued request may wait before it is
 	// shed; 0 = 2s.
 	QueueTimeout time.Duration
-	// RetryAfterHint floors the Retry-After carried by shed decisions,
-	// so clients never busy-loop on sub-second hints; 0 = 1s.
-	RetryAfterHint time.Duration
 	// MaxKeys bounds the per-user and per-center bucket maps; 0 =
 	// DefaultMaxKeys each.
 	MaxKeys int
@@ -149,9 +149,6 @@ func New(cfg Config) *Controller {
 	if cfg.QueueTimeout <= 0 {
 		cfg.QueueTimeout = DefaultQueueTimeout
 	}
-	if cfg.RetryAfterHint <= 0 {
-		cfg.RetryAfterHint = DefaultRetryAfterHint
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
@@ -170,8 +167,8 @@ func New(cfg Config) *Controller {
 
 // shed builds a refusal with an honest, floored Retry-After.
 func (c *Controller) shed(reason string, after time.Duration) Decision {
-	if after < c.cfg.RetryAfterHint {
-		after = c.cfg.RetryAfterHint
+	if after < minRetryAfter {
+		after = minRetryAfter
 	}
 	mShed.With(reason).Inc()
 	return Decision{Reason: reason, RetryAfter: after}
@@ -219,7 +216,7 @@ func (c *Controller) Admit(ctx context.Context, user, center string) Decision {
 		mInflight.Add(1)
 		return Decision{Admitted: true, Waited: waited, release: c.releaseSlot}
 	case errors.Is(err, ErrQueueFull):
-		return c.shed(ReasonQueueFull, c.cfg.RetryAfterHint)
+		return c.shed(ReasonQueueFull, minRetryAfter)
 	default:
 		// Deadline (or caller cancellation) while queued: advise waiting
 		// roughly one more queue drain.

@@ -306,8 +306,8 @@ func TestControllerDefaultsResolve(t *testing.T) {
 	if c.cfg.MaxConcurrent != DefaultMaxConcurrent || c.cfg.MaxQueue != DefaultQueueFactor*DefaultMaxConcurrent {
 		t.Fatalf("queue bounds %d/%d", c.cfg.MaxConcurrent, c.cfg.MaxQueue)
 	}
-	if c.cfg.QueueTimeout != DefaultQueueTimeout || c.cfg.RetryAfterHint != DefaultRetryAfterHint {
-		t.Fatalf("timeouts %v/%v", c.cfg.QueueTimeout, c.cfg.RetryAfterHint)
+	if c.cfg.QueueTimeout != DefaultQueueTimeout {
+		t.Fatalf("queue timeout %v", c.cfg.QueueTimeout)
 	}
 }
 

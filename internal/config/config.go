@@ -113,31 +113,13 @@ func (h HubRoute) Validate() error {
 }
 
 // QueryCacheConfig tunes the instance's chart query-result cache
-// (internal/qcache). The zero value means "enabled with defaults":
-// correctness never depends on these knobs, because cached results are
-// invalidated by warehouse epoch, not by age.
+// (internal/qcache). The cache is always on; correctness never depends
+// on it, because cached results are invalidated by warehouse epoch,
+// not by age.
 type QueryCacheConfig struct {
-	// Disabled turns the cache off entirely; every chart query then
-	// hits the aggregation engine.
-	Disabled bool `json:"disabled,omitempty"`
 	// MaxBytes caps the cache's (approximate) memory footprint.
 	// 0 uses the built-in default (64 MiB).
 	MaxBytes int64 `json:"max_bytes,omitempty"`
-	// TTL is an optional belt-and-braces age bound on entries, in Go
-	// duration syntax ("30s", "5m"). Empty disables the age bound.
-	TTL string `json:"ttl,omitempty"`
-}
-
-// TTLDuration parses the TTL knob; empty means no TTL.
-func (q QueryCacheConfig) TTLDuration() (time.Duration, error) {
-	if q.TTL == "" {
-		return 0, nil
-	}
-	d, err := time.ParseDuration(q.TTL)
-	if err != nil {
-		return 0, fmt.Errorf("config: invalid query_cache ttl %q: %w", q.TTL, err)
-	}
-	return d, nil
 }
 
 // Validate checks the query-cache knobs.
@@ -145,36 +127,17 @@ func (q QueryCacheConfig) Validate() error {
 	if q.MaxBytes < 0 {
 		return fmt.Errorf("config: query_cache max_bytes must not be negative")
 	}
-	if _, err := q.TTLDuration(); err != nil {
-		return err
-	}
 	return nil
 }
 
-// ReplicationConfig tunes the liveness and fault handling of tight
-// replication. The zero value means "defaults": 5s heartbeats, 64 MiB
-// frame cap, quarantine after 3 consecutive apply failures with a 30s
-// backoff doubling up to 10m. Correctness never depends on these
-// knobs; they bound how fast failures are detected and isolated.
+// ReplicationConfig tunes tight replication: its liveness pacing and
+// what a satellite ships. The zero value means "defaults": 5s
+// heartbeats, raw facts.
 type ReplicationConfig struct {
 	// HeartbeatInterval paces keep-alive frames on replication
 	// connections; a peer silent for 2× this is considered dead. Go
 	// duration syntax ("5s"). Empty uses the default (5s).
 	HeartbeatInterval string `json:"heartbeat_interval,omitempty"`
-	// MaxFrameBytes bounds a single replication frame on the hub so a
-	// corrupt length prefix cannot buffer without bound. 0 uses the
-	// default (64 MiB).
-	MaxFrameBytes int64 `json:"max_frame_bytes,omitempty"`
-	// QuarantineThreshold is how many consecutive batch-apply failures
-	// quarantine a member. 0 uses the default (3); negative disables
-	// quarantine entirely.
-	QuarantineThreshold int `json:"quarantine_threshold,omitempty"`
-	// QuarantineBackoff is the first quarantine duration; it doubles
-	// per consecutive quarantine. Empty uses the default (30s).
-	QuarantineBackoff string `json:"quarantine_backoff,omitempty"`
-	// QuarantineMaxBackoff caps the doubling. Empty uses the default
-	// (10m).
-	QuarantineMaxBackoff string `json:"quarantine_max_backoff,omitempty"`
 	// Mode selects what a satellite's tight routes ship: "facts"
 	// replicates raw fact events bit-identically (the reference mode),
 	// "pushdown" folds mergeable realms into partial-aggregate deltas
@@ -189,9 +152,6 @@ type ReplicationConfig struct {
 // Replication knob defaults.
 const (
 	DefaultHeartbeatInterval     = 5 * time.Second
-	DefaultQuarantineThreshold   = 3
-	DefaultQuarantineBackoff     = 30 * time.Second
-	DefaultQuarantineMaxBackoff  = 10 * time.Minute
 	DefaultPushdownFlushInterval = 2 * time.Second
 )
 
@@ -215,16 +175,6 @@ func (r ReplicationConfig) HeartbeatDuration() (time.Duration, error) {
 	return parseDuration("replication heartbeat_interval", r.HeartbeatInterval, DefaultHeartbeatInterval)
 }
 
-// QuarantineBackoffDuration parses the initial quarantine backoff.
-func (r ReplicationConfig) QuarantineBackoffDuration() (time.Duration, error) {
-	return parseDuration("replication quarantine_backoff", r.QuarantineBackoff, DefaultQuarantineBackoff)
-}
-
-// QuarantineMaxBackoffDuration parses the quarantine backoff cap.
-func (r ReplicationConfig) QuarantineMaxBackoffDuration() (time.Duration, error) {
-	return parseDuration("replication quarantine_max_backoff", r.QuarantineMaxBackoff, DefaultQuarantineMaxBackoff)
-}
-
 // PushdownFlushDuration parses the pushdown flush-interval knob.
 func (r ReplicationConfig) PushdownFlushDuration() (time.Duration, error) {
 	return parseDuration("replication pushdown_flush_interval", r.PushdownFlushInterval, DefaultPushdownFlushInterval)
@@ -233,30 +183,9 @@ func (r ReplicationConfig) PushdownFlushDuration() (time.Duration, error) {
 // PushdownEnabled reports whether the replication mode is "pushdown".
 func (r ReplicationConfig) PushdownEnabled() bool { return r.Mode == "pushdown" }
 
-// Threshold resolves the quarantine threshold: default when 0,
-// disabled (0) when negative.
-func (r ReplicationConfig) Threshold() int {
-	if r.QuarantineThreshold == 0 {
-		return DefaultQuarantineThreshold
-	}
-	if r.QuarantineThreshold < 0 {
-		return 0
-	}
-	return r.QuarantineThreshold
-}
-
 // Validate checks the replication knobs.
 func (r ReplicationConfig) Validate() error {
-	if r.MaxFrameBytes < 0 {
-		return fmt.Errorf("config: replication max_frame_bytes must not be negative")
-	}
 	if _, err := r.HeartbeatDuration(); err != nil {
-		return err
-	}
-	if _, err := r.QuarantineBackoffDuration(); err != nil {
-		return err
-	}
-	if _, err := r.QuarantineMaxBackoffDuration(); err != nil {
 		return err
 	}
 	switch r.Mode {
@@ -274,18 +203,10 @@ func (r ReplicationConfig) Validate() error {
 // value means "fsync after every batch" — the safest setting.
 type DurabilityConfig struct {
 	// WALFsync selects when the WAL fsyncs: "always" (every appended
-	// batch; default), "interval" (on a timer; a crash loses at most
+	// batch; default), "interval" (every 100ms; a crash loses at most
 	// one interval), or "none" (the OS decides; clean shutdown still
 	// flushes).
 	WALFsync string `json:"wal_fsync,omitempty"`
-	// WALFsyncInterval is the timer for the "interval" policy, in Go
-	// duration syntax. Empty uses the default (100ms).
-	WALFsyncInterval string `json:"wal_fsync_interval,omitempty"`
-}
-
-// FsyncIntervalDuration parses the interval knob.
-func (d DurabilityConfig) FsyncIntervalDuration() (time.Duration, error) {
-	return parseDuration("durability wal_fsync_interval", d.WALFsyncInterval, 100*time.Millisecond)
 }
 
 // Validate checks the durability knobs.
@@ -294,9 +215,6 @@ func (d DurabilityConfig) Validate() error {
 	case "", "always", "interval", "none":
 	default:
 		return fmt.Errorf("config: durability wal_fsync must be always, interval or none, got %q", d.WALFsync)
-	}
-	if _, err := d.FsyncIntervalDuration(); err != nil {
-		return err
 	}
 	return nil
 }
@@ -363,54 +281,6 @@ func (s StorageConfig) TailRows() int {
 	}
 }
 
-// ObservabilityConfig tunes the instance's tracing and slow-query
-// diagnostics. The zero value means "defaults": 256 retained spans,
-// 128 slow-log entries, every query recorded. Correctness never
-// depends on these knobs; they bound how much diagnostic history the
-// process retains.
-type ObservabilityConfig struct {
-	// TraceCapacity is how many completed spans the process retains for
-	// GET /debug/traces. 0 uses the default (256). Busy hubs stitching
-	// federated traces typically raise it.
-	TraceCapacity int `json:"trace_capacity,omitempty"`
-	// SlowQueryCapacity is how many entries the chart slow-query ring
-	// (GET /debug/slowlog) retains. 0 uses the default (128).
-	SlowQueryCapacity int `json:"slow_query_capacity,omitempty"`
-	// SlowQueryThreshold records only queries at least this slow, in Go
-	// duration syntax ("50ms"). Empty records every query.
-	SlowQueryThreshold string `json:"slow_query_threshold,omitempty"`
-}
-
-// SlowQueryThresholdDuration parses the threshold; empty means 0
-// (record everything).
-func (o ObservabilityConfig) SlowQueryThresholdDuration() (time.Duration, error) {
-	if o.SlowQueryThreshold == "" {
-		return 0, nil
-	}
-	d, err := time.ParseDuration(o.SlowQueryThreshold)
-	if err != nil {
-		return 0, fmt.Errorf("config: invalid observability slow_query_threshold %q: %w", o.SlowQueryThreshold, err)
-	}
-	if d < 0 {
-		return 0, fmt.Errorf("config: observability slow_query_threshold must not be negative, got %q", o.SlowQueryThreshold)
-	}
-	return d, nil
-}
-
-// Validate checks the observability knobs.
-func (o ObservabilityConfig) Validate() error {
-	if o.TraceCapacity < 0 {
-		return fmt.Errorf("config: observability trace_capacity must not be negative")
-	}
-	if o.SlowQueryCapacity < 0 {
-		return fmt.Errorf("config: observability slow_query_capacity must not be negative")
-	}
-	if _, err := o.SlowQueryThresholdDuration(); err != nil {
-		return err
-	}
-	return nil
-}
-
 // TelemetryMember names one member instance whose /metrics and
 // /healthz a hub scrapes.
 type TelemetryMember struct {
@@ -420,41 +290,27 @@ type TelemetryMember struct {
 
 // TelemetryConfig tunes the hub's telemetry federation: scraping each
 // member's /metrics and /healthz and re-exporting them centrally. With
-// no members listed, nothing is scraped (targets may still be added at
-// runtime, e.g. by the hub daemon's -scrape flag).
+// no members listed, nothing is scraped.
 type TelemetryConfig struct {
 	// ScrapeInterval paces member telemetry scrapes. Empty uses the
 	// default (15s).
 	ScrapeInterval string `json:"scrape_interval,omitempty"`
-	// ScrapeTimeout bounds one member scrape HTTP round trip. Empty
-	// uses the default (5s).
-	ScrapeTimeout string `json:"scrape_timeout,omitempty"`
 	// Members are the instances to scrape.
 	Members []TelemetryMember `json:"members,omitempty"`
 }
 
-// Telemetry knob defaults.
-const (
-	DefaultScrapeInterval = 15 * time.Second
-	DefaultScrapeTimeout  = 5 * time.Second
-)
+// DefaultScrapeInterval paces member scrapes when scrape_interval is
+// unset.
+const DefaultScrapeInterval = 15 * time.Second
 
 // ScrapeIntervalDuration parses the scrape-interval knob.
 func (t TelemetryConfig) ScrapeIntervalDuration() (time.Duration, error) {
 	return parseDuration("telemetry scrape_interval", t.ScrapeInterval, DefaultScrapeInterval)
 }
 
-// ScrapeTimeoutDuration parses the scrape-timeout knob.
-func (t TelemetryConfig) ScrapeTimeoutDuration() (time.Duration, error) {
-	return parseDuration("telemetry scrape_timeout", t.ScrapeTimeout, DefaultScrapeTimeout)
-}
-
 // Validate checks the telemetry knobs.
 func (t TelemetryConfig) Validate() error {
 	if _, err := t.ScrapeIntervalDuration(); err != nil {
-		return err
-	}
-	if _, err := t.ScrapeTimeoutDuration(); err != nil {
 		return err
 	}
 	seen := map[string]bool{}
@@ -476,26 +332,23 @@ func (t TelemetryConfig) Validate() error {
 // AdmissionConfig tunes the REST front door's admission controller
 // (internal/admission): layered token-bucket rate limits (per-user,
 // per-center, global), a concurrency cap with a bounded FIFO queue,
-// load-shedding with Retry-After hints, and stale-chart degradation.
-// Admission is opt-in: the zero value leaves the front door wide open
-// (pre-admission behavior). With Enabled set, every unset knob
-// resolves to the internal/admission defaults.
+// load-shedding with Retry-After hints (at least 1s), and stale-chart
+// degradation. Admission is opt-in: the zero value leaves the front
+// door wide open. With Enabled set, every unset knob resolves to the
+// internal/admission defaults; each tier's burst is 2× its rate.
 type AdmissionConfig struct {
 	// Enabled turns the front-door admission controller on.
 	Enabled bool `json:"enabled,omitempty"`
 
-	// GlobalRPS / GlobalBurst shape the process-wide token bucket.
-	// 0 uses the default (5000/s, burst 2×); negative disables the tier.
-	GlobalRPS   float64 `json:"global_rps,omitempty"`
-	GlobalBurst float64 `json:"global_burst,omitempty"`
-	// CenterRPS / CenterBurst shape each center's (tenant's) bucket.
-	// 0 uses the default (1000/s); negative disables the tier.
-	CenterRPS   float64 `json:"center_rps,omitempty"`
-	CenterBurst float64 `json:"center_burst,omitempty"`
-	// UserRPS / UserBurst shape each authenticated user's bucket.
-	// 0 uses the default (100/s); negative disables the tier.
-	UserRPS   float64 `json:"user_rps,omitempty"`
-	UserBurst float64 `json:"user_burst,omitempty"`
+	// GlobalRPS is the process-wide token bucket's rate. 0 uses the
+	// default (5000/s); negative disables the tier.
+	GlobalRPS float64 `json:"global_rps,omitempty"`
+	// CenterRPS is each center's (tenant's) rate. 0 uses the default
+	// (1000/s); negative disables the tier.
+	CenterRPS float64 `json:"center_rps,omitempty"`
+	// UserRPS is each authenticated user's rate. 0 uses the default
+	// (100/s); negative disables the tier.
+	UserRPS float64 `json:"user_rps,omitempty"`
 
 	// Centers maps usernames to center (tenant) names for the
 	// per-center tier. Users not listed are only subject to the user
@@ -510,35 +363,11 @@ type AdmissionConfig struct {
 	// QueueTimeout is how long a queued request may wait before it is
 	// shed, in Go duration syntax ("2s"). Empty uses the default (2s).
 	QueueTimeout string `json:"queue_timeout,omitempty"`
-	// RetryAfter floors the Retry-After hint carried by shed
-	// responses. Empty uses the default (1s).
-	RetryAfter string `json:"retry_after,omitempty"`
-
-	// DisableStale turns off serving an epoch-stale cached chart
-	// (tagged Warning: 110) when the request would otherwise be shed.
-	DisableStale bool `json:"disable_stale,omitempty"`
-
-	// SessionCacheEntries bounds the verified bearer-token cache;
-	// 0 uses the default (4096), negative disables the cache.
-	SessionCacheEntries int `json:"session_cache_entries,omitempty"`
-	// SessionCacheTTL is how long a verified token stays memoized.
-	// Empty uses the default (1m).
-	SessionCacheTTL string `json:"session_cache_ttl,omitempty"`
 }
 
 // QueueTimeoutDuration parses the queue-timeout knob.
 func (a AdmissionConfig) QueueTimeoutDuration() (time.Duration, error) {
 	return parseDuration("admission queue_timeout", a.QueueTimeout, 2*time.Second)
-}
-
-// RetryAfterDuration parses the retry-after floor.
-func (a AdmissionConfig) RetryAfterDuration() (time.Duration, error) {
-	return parseDuration("admission retry_after", a.RetryAfter, time.Second)
-}
-
-// SessionCacheTTLDuration parses the session-cache TTL knob.
-func (a AdmissionConfig) SessionCacheTTLDuration() (time.Duration, error) {
-	return parseDuration("admission session_cache_ttl", a.SessionCacheTTL, time.Minute)
 }
 
 // Validate checks the admission knobs.
@@ -547,12 +376,6 @@ func (a AdmissionConfig) Validate() error {
 		return fmt.Errorf("config: admission max_queue must not be negative")
 	}
 	if _, err := a.QueueTimeoutDuration(); err != nil {
-		return err
-	}
-	if _, err := a.RetryAfterDuration(); err != nil {
-		return err
-	}
-	if _, err := a.SessionCacheTTLDuration(); err != nil {
 		return err
 	}
 	for user, center := range a.Centers {
@@ -587,11 +410,11 @@ type InstanceConfig struct {
 	// EnablePprof mounts net/http/pprof profiling handlers under
 	// /debug/pprof/ on the instance's REST server.
 	EnablePprof bool `json:"enable_pprof,omitempty"`
-	// QueryCache tunes the chart query-result cache; the zero value
-	// enables it with defaults.
+	// QueryCache sizes the chart query-result cache; the zero value
+	// uses the default capacity.
 	QueryCache QueryCacheConfig `json:"query_cache,omitempty"`
-	// Replication tunes heartbeat/deadline liveness and the hub's
-	// member quarantine; the zero value uses safe defaults.
+	// Replication tunes heartbeat/deadline liveness and what a
+	// satellite ships; the zero value uses safe defaults.
 	Replication ReplicationConfig `json:"replication,omitempty"`
 	// Durability tunes the satellite write-ahead log's fsync policy;
 	// the zero value fsyncs on every batch.
@@ -599,9 +422,6 @@ type InstanceConfig struct {
 	// Storage selects the warehouse segment-store backend; the zero
 	// value keeps every segment in memory.
 	Storage StorageConfig `json:"storage,omitempty"`
-	// Observability tunes span retention and the chart slow-query log;
-	// the zero value uses safe defaults.
-	Observability ObservabilityConfig `json:"observability,omitempty"`
 	// Telemetry configures hub-side scraping of member /metrics and
 	// /healthz; the zero value scrapes nothing.
 	Telemetry TelemetryConfig `json:"telemetry,omitempty"`
@@ -658,9 +478,6 @@ func (c InstanceConfig) Validate() error {
 		return err
 	}
 	if err := c.Storage.Validate(); err != nil {
-		return err
-	}
-	if err := c.Observability.Validate(); err != nil {
 		return err
 	}
 	if err := c.Telemetry.Validate(); err != nil {

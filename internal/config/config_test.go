@@ -3,8 +3,10 @@ package config
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"io"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -47,8 +49,6 @@ func TestValidateRejections(t *testing.T) {
 		{"missing hub addr", func(c *InstanceConfig) { c.Hubs[0].HubAddr = "" }},
 		{"bad admission queue timeout", func(c *InstanceConfig) { c.Admission.QueueTimeout = "soon" }},
 		{"negative admission queue timeout", func(c *InstanceConfig) { c.Admission.QueueTimeout = "-1s" }},
-		{"bad admission retry after", func(c *InstanceConfig) { c.Admission.RetryAfter = "later" }},
-		{"bad admission session ttl", func(c *InstanceConfig) { c.Admission.SessionCacheTTL = "1 parsec" }},
 		{"negative admission queue", func(c *InstanceConfig) { c.Admission.MaxQueue = -1 }},
 		{"anonymous admission center", func(c *InstanceConfig) {
 			c.Admission.Centers = map[string]string{"": "ccr"}
@@ -155,11 +155,41 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 		t.Error("unknown fields must be rejected")
 	}
 	// A config file written for a retired knob fails loudly, naming the
-	// key, instead of being silently ignored.
-	for file, key := range map[string]string{
+	// key, instead of being silently ignored. The tuning keys that
+	// became constants are retired knobs too; the observability ones are
+	// named by their section, which went as a whole.
+	retired := map[string]string{
 		`{"name":"x","version":"1","aggregation":{"disable_incremental":true}}`: `"aggregation"`,
 		`{"name":"x","version":"1","sharding":{"shards":2}}`:                    `"sharding"`,
+	}
+	for _, key := range []string{
+		"admission.center_burst",
+		"admission.disable_stale",
+		"admission.global_burst",
+		"admission.retry_after",
+		"admission.session_cache_entries",
+		"admission.session_cache_ttl",
+		"admission.user_burst",
+		"durability.wal_fsync_interval",
+		"observability.slow_query_capacity",
+		"observability.slow_query_threshold",
+		"observability.trace_capacity",
+		"query_cache.disabled",
+		"query_cache.ttl",
+		"replication.max_frame_bytes",
+		"replication.quarantine_backoff",
+		"replication.quarantine_max_backoff",
+		"replication.quarantine_threshold",
+		"telemetry.scrape_timeout",
 	} {
+		section, leaf, _ := strings.Cut(key, ".")
+		named := leaf
+		if section == "observability" {
+			named = section
+		}
+		retired[fmt.Sprintf(`{"name":"x","version":"1",%q:{%q:1}}`, section, leaf)] = strconv.Quote(named)
+	}
+	for file, key := range retired {
 		if _, err := Load(strings.NewReader(file)); err == nil || !strings.Contains(err.Error(), key) {
 			t.Errorf("Load(%s): err = %v, want an error naming %s", file, err, key)
 		}
@@ -201,21 +231,9 @@ func TestAdmissionConfigDurations(t *testing.T) {
 	if d, err := a.QueueTimeoutDuration(); err != nil || d.Seconds() != 2 {
 		t.Fatalf("zero queue timeout: %v %v", d, err)
 	}
-	if d, err := a.RetryAfterDuration(); err != nil || d.Seconds() != 1 {
-		t.Fatalf("zero retry after: %v %v", d, err)
-	}
-	if d, err := a.SessionCacheTTLDuration(); err != nil || d.Minutes() != 1 {
-		t.Fatalf("zero session ttl: %v %v", d, err)
-	}
-	a = AdmissionConfig{QueueTimeout: "500ms", RetryAfter: "3s", SessionCacheTTL: "10s"}
+	a = AdmissionConfig{QueueTimeout: "500ms"}
 	if d, _ := a.QueueTimeoutDuration(); d.Milliseconds() != 500 {
 		t.Fatalf("queue timeout: %v", d)
-	}
-	if d, _ := a.RetryAfterDuration(); d.Seconds() != 3 {
-		t.Fatalf("retry after: %v", d)
-	}
-	if d, _ := a.SessionCacheTTLDuration(); d.Seconds() != 10 {
-		t.Fatalf("session ttl: %v", d)
 	}
 }
 
@@ -228,6 +246,7 @@ func TestBindFlags(t *testing.T) {
 	file.Storage.HotTailRows = 4
 	file.Telemetry.ScrapeInterval = "30s"
 	file.Durability.WALFsync = "interval"
+	file.Admission.Enabled = true
 	for _, tc := range []struct {
 		name    string
 		hub     bool
@@ -236,17 +255,17 @@ func TestBindFlags(t *testing.T) {
 		wantErr string
 	}{
 		{name: "no flags preserve the file", hub: true, check: func(c InstanceConfig) bool {
-			return !c.QueryCache.Disabled && c.QueryCache.MaxBytes == 1<<20 && c.Storage.HotTailRows == 4 && c.Telemetry.ScrapeInterval == "30s"
+			return c.Admission.Enabled && c.QueryCache.MaxBytes == 1<<20 && c.Storage.HotTailRows == 4 && c.Telemetry.ScrapeInterval == "30s"
 		}},
 		{name: "set flags override, unset preserve", hub: true,
-			args: []string{"-query-cache=false", "-hot-tail-rows", "8", "-scrape-interval", "5s"},
+			args: []string{"-admission=false", "-hot-tail-rows", "8", "-scrape-interval", "5s"},
 			check: func(c InstanceConfig) bool {
-				return c.QueryCache.Disabled && c.QueryCache.MaxBytes == 1<<20 && c.Storage.HotTailRows == 8 &&
+				return !c.Admission.Enabled && c.QueryCache.MaxBytes == 1<<20 && c.Storage.HotTailRows == 8 &&
 					c.Telemetry.ScrapeInterval == "5s"
 			}},
 		{name: "flag set to its default still overrides", hub: false, args: []string{"-hot-tail-rows", "0", "-wal-fsync", "none"},
 			check: func(c InstanceConfig) bool { return c.Storage.HotTailRows == 0 && c.Durability.WALFsync == "none" }},
-		{name: "invalid shared knob", hub: true, args: []string{"-query-cache-ttl", "soon"}, wantErr: "query_cache ttl"},
+		{name: "invalid shared knob", hub: true, args: []string{"-queue-timeout", "soon"}, wantErr: "admission queue_timeout"},
 		{name: "invalid hub knob", hub: true, args: []string{"-scrape-interval", "soon"}, wantErr: "scrape_interval"},
 		{name: "invalid satellite knob", hub: false, args: []string{"-wal-fsync", "sometimes"}, wantErr: "durability wal_fsync"},
 	} {

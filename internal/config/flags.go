@@ -4,7 +4,7 @@ import "flag"
 
 // BindFlags registers on fs every daemon command-line knob that is
 // backed by a configuration key: the set the hub and satellite share
-// (query cache, storage, admission, trace capacity) plus the
+// (query-cache size, storage, admission) plus the
 // role's own (hub: scrape interval; satellite: replication mode,
 // pushdown flush pacing, WAL fsync). The returned apply is called after
 // fs is parsed and *cfg is loaded from its file: it copies over the
@@ -29,10 +29,7 @@ func BindFlags(fs *flag.FlagSet, cfg *InstanceConfig, hub bool) (apply func() er
 		set[name] = func() { *dst = *v }
 	}
 
-	qc := fs.Bool("query-cache", true, "enable the chart query-result cache")
-	set["query-cache"] = func() { cfg.QueryCache.Disabled = !*qc }
 	i64(&cfg.QueryCache.MaxBytes, "query-cache-bytes", "query-cache capacity in bytes (0 = config/default)")
-	str(&cfg.QueryCache.TTL, "query-cache-ttl", "optional query-cache entry TTL, e.g. 30s (default none)")
 
 	str(&cfg.Storage.Backend, "storage-backend", "segment-store backend: memory or disk (default config/memory)")
 	str(&cfg.Storage.DataDir, "data-dir", "segment directory for -storage-backend=disk")
@@ -47,15 +44,12 @@ func BindFlags(fs *flag.FlagSet, cfg *InstanceConfig, hub bool) (apply func() er
 	num(&cfg.Admission.MaxQueue, "max-queue", "queued API requests past which arrivals are shed with 429 (0 = config/default)")
 	str(&cfg.Admission.QueueTimeout, "queue-timeout", "max time a request may wait for a slot, e.g. 2s (default config/2s)")
 
-	num(&cfg.Observability.TraceCapacity, "trace-capacity", "retained spans for /debug/traces (0 = config/default)")
-
 	if hub {
 		str(&cfg.Telemetry.ScrapeInterval, "scrape-interval", "member telemetry scrape interval, e.g. 15s (default config/15s)")
 	} else {
 		str(&cfg.Replication.Mode, "replication-mode", "tight replication payload: facts or pushdown (default config/facts)")
 		str(&cfg.Replication.PushdownFlushInterval, "pushdown-flush-interval", "delta flush pacing for -replication-mode=pushdown, e.g. 2s")
-		str(&cfg.Durability.WALFsync, "wal-fsync", "WAL fsync policy: always, interval or none (default config/always)")
-		str(&cfg.Durability.WALFsyncInterval, "wal-fsync-interval", "fsync timer for -wal-fsync=interval, e.g. 100ms")
+		str(&cfg.Durability.WALFsync, "wal-fsync", "WAL fsync policy: always, interval (100ms) or none (default config/always)")
 	}
 
 	return func() error {

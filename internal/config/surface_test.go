@@ -17,20 +17,13 @@ var configSurface = struct {
 	keys, hubFlags, satelliteFlags []string
 }{
 	keys: []string{
-		"admission.center_burst",
 		"admission.center_rps",
 		"admission.centers",
-		"admission.disable_stale",
 		"admission.enabled",
-		"admission.global_burst",
 		"admission.global_rps",
 		"admission.max_concurrent",
 		"admission.max_queue",
 		"admission.queue_timeout",
-		"admission.retry_after",
-		"admission.session_cache_entries",
-		"admission.session_cache_ttl",
-		"admission.user_burst",
 		"admission.user_rps",
 		"aggregation_levels[].buckets[].label",
 		"aggregation_levels[].buckets[].max",
@@ -38,7 +31,6 @@ var configSurface = struct {
 		"aggregation_levels[].dimension",
 		"aggregation_levels[].unit",
 		"durability.wal_fsync",
-		"durability.wal_fsync_interval",
 		"enable_pprof",
 		"hierarchy_file",
 		"hubs[].exclude_resources",
@@ -47,20 +39,11 @@ var configSurface = struct {
 		"hubs[].mode",
 		"is_hub",
 		"name",
-		"observability.slow_query_capacity",
-		"observability.slow_query_threshold",
-		"observability.trace_capacity",
 		"organization",
-		"query_cache.disabled",
 		"query_cache.max_bytes",
-		"query_cache.ttl",
 		"replication.heartbeat_interval",
-		"replication.max_frame_bytes",
 		"replication.mode",
 		"replication.pushdown_flush_interval",
-		"replication.quarantine_backoff",
-		"replication.quarantine_max_backoff",
-		"replication.quarantine_threshold",
 		"resources[].cores_per_node",
 		"resources[].description",
 		"resources[].name",
@@ -80,21 +63,18 @@ var configSurface = struct {
 		"telemetry.members[].addr",
 		"telemetry.members[].name",
 		"telemetry.scrape_interval",
-		"telemetry.scrape_timeout",
 		"version",
 	},
 	hubFlags: []string{
 		"admission", "admission-global-rps", "admission-user-rps", "data-dir",
 		"hot-tail-rows", "max-concurrent", "max-queue", "max-resident-bytes",
-		"query-cache", "query-cache-bytes", "query-cache-ttl", "queue-timeout",
-		"scrape-interval", "storage-backend", "trace-capacity",
+		"query-cache-bytes", "queue-timeout", "scrape-interval", "storage-backend",
 	},
 	satelliteFlags: []string{
 		"admission", "admission-global-rps", "admission-user-rps", "data-dir",
 		"hot-tail-rows", "max-concurrent", "max-queue", "max-resident-bytes",
-		"pushdown-flush-interval", "query-cache", "query-cache-bytes", "query-cache-ttl",
-		"queue-timeout", "replication-mode", "storage-backend", "trace-capacity",
-		"wal-fsync", "wal-fsync-interval",
+		"pushdown-flush-interval", "query-cache-bytes", "queue-timeout", "replication-mode",
+		"storage-backend", "wal-fsync",
 	},
 }
 

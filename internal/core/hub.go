@@ -104,13 +104,12 @@ type Hub struct {
 	receiver *replicate.Receiver
 	now      func() time.Time
 
-	// Quarantine circuit-breaker knobs (config replication section).
-	// quarThreshold 0 disables quarantine.
+	// Quarantine circuit breaker: quarantineThreshold and friends,
+	// held per hub so tests can shorten them.
 	quarThreshold int
 	quarBackoff   time.Duration
 	quarMax       time.Duration
 	heartbeat     time.Duration
-	maxFrame      int64
 
 	mu      sync.Mutex
 	members map[string]*Member
@@ -123,6 +122,15 @@ type Hub struct {
 	// apply path can classify replicated events per realm.
 	factRealms map[string]realm.Info
 }
+
+// Member quarantine: quarantineThreshold consecutive apply failures
+// bounce a member for quarantineBackoff, doubling per consecutive trip
+// up to quarantineMaxBackoff.
+const (
+	quarantineThreshold  = 3
+	quarantineBackoff    = 30 * time.Second
+	quarantineMaxBackoff = 10 * time.Minute
+)
 
 // NewHub builds a federation hub from its configuration.
 func NewHub(cfg config.InstanceConfig) (*Hub, error) {
@@ -139,19 +147,7 @@ func NewHub(cfg config.InstanceConfig) (*Hub, error) {
 	if err != nil {
 		return nil, err
 	}
-	quarBackoff, err := cfg.Replication.QuarantineBackoffDuration()
-	if err != nil {
-		return nil, err
-	}
-	quarMax, err := cfg.Replication.QuarantineMaxBackoffDuration()
-	if err != nil {
-		return nil, err
-	}
 	scrapeInterval, err := cfg.Telemetry.ScrapeIntervalDuration()
-	if err != nil {
-		return nil, err
-	}
-	scrapeTimeout, err := cfg.Telemetry.ScrapeTimeoutDuration()
 	if err != nil {
 		return nil, err
 	}
@@ -163,16 +159,15 @@ func NewHub(cfg config.InstanceConfig) (*Hub, error) {
 		Instance:      in,
 		Positions:     ps,
 		Identity:      auth.NewIdentityMap(),
-		Telemetry:     obs.NewFederator(targets, scrapeInterval, scrapeTimeout),
+		Telemetry:     obs.NewFederator(targets, scrapeInterval, obs.DefaultScrapeTimeout),
 		now:           time.Now,
 		members:       make(map[string]*Member),
 		realms:        make(map[string]*realmAggState),
 		factRealms:    make(map[string]realm.Info),
-		quarThreshold: cfg.Replication.Threshold(),
-		quarBackoff:   quarBackoff,
-		quarMax:       quarMax,
+		quarThreshold: quarantineThreshold,
+		quarBackoff:   quarantineBackoff,
+		quarMax:       quarantineMaxBackoff,
 		heartbeat:     hb,
-		maxFrame:      cfg.Replication.MaxFrameBytes,
 	}
 	for _, name := range in.Registry.Names() {
 		info, _ := in.Registry.Get(name)
@@ -405,7 +400,13 @@ func (d *realmDelta) scopeRows() [][]any {
 	return append(append(append(out, d.rows...), d.updated...), d.old...)
 }
 
-// ApplyBatch implements replicate.Sink: events land verbatim in the
+// ApplyBatch is ApplyBatchCtx with no trace context, for callers that
+// apply batches in process.
+func (h *Hub) ApplyBatch(instance string, upTo uint64, events []warehouse.Event) error {
+	return h.ApplyBatchCtx(context.Background(), instance, upTo, events)
+}
+
+// ApplyBatchCtx implements replicate.Sink: events land verbatim in the
 // instance's fed_<name> schema ("the federation hub does not alter the
 // raw, replicated data from the individual instances", §II-B), the
 // commit position advances durably, and usernames feed the identity
@@ -413,17 +414,12 @@ func (d *realmDelta) scopeRows() [][]any {
 // hub's aggregation tables (aggregation is additive), so the first
 // chart query after a batch pays O(batch) instead of O(all facts);
 // updates and deletes recompute the aggregation groups they touched
-// before ApplyBatch returns, and truncates and bulk loads mark just
-// their realm dirty for rebuild.
-func (h *Hub) ApplyBatch(instance string, upTo uint64, events []warehouse.Event) error {
-	return h.ApplyBatchCtx(context.Background(), instance, upTo, events)
-}
-
-// ApplyBatchCtx implements replicate.ContextSink: when ctx carries the
-// replication frame's trace context, the apply span (and the fold
-// spans under it) join the satellite's trace, so one TraceID covers
-// the ingest commit, the replication send, the hub apply and the
-// incremental aggregation fold across both processes.
+// before ApplyBatchCtx returns, and truncates and bulk loads mark just
+// their realm dirty for rebuild. When ctx carries the replication
+// frame's trace context, the apply span (and the fold spans under it)
+// join the satellite's trace, so one TraceID covers the ingest commit,
+// the replication send, the hub apply and the incremental aggregation
+// fold across both processes.
 func (h *Hub) ApplyBatchCtx(ctx context.Context, instance string, upTo uint64, events []warehouse.Event) error {
 	sctx, sp := obs.StartSpan(ctx, "hub.ApplyBatch")
 	sp.SetAttr("instance", instance)
@@ -576,7 +572,7 @@ func (h *Hub) quarantineGate(instance string) error {
 }
 
 // noteApplyFailure counts one failed batch apply against the member's
-// circuit breaker, tripping a quarantine at the configured threshold.
+// circuit breaker, tripping a quarantine at the threshold.
 // The failure count deliberately survives the quarantine window: once
 // it expires, the sender's next batch is a half-open probe, and a
 // single further failure re-trips the breaker with a doubled backoff
@@ -585,7 +581,7 @@ func (h *Hub) noteApplyFailure(instance string, cause error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	m, ok := h.members[instance]
-	if !ok || h.quarThreshold <= 0 {
+	if !ok {
 		return
 	}
 	m.Failures++
@@ -737,7 +733,6 @@ func (h *Hub) Listen(addr string) (string, error) {
 		Sink:              h,
 		Authorize:         h.authorize,
 		HeartbeatInterval: h.heartbeat,
-		MaxFrameBytes:     h.maxFrame,
 		Faults:            h.Faults,
 	}
 	return h.receiver.Listen(addr)

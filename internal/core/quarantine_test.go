@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"xdmodfed/internal/config"
 	"xdmodfed/internal/replicate"
 	"xdmodfed/internal/warehouse"
 )
@@ -43,16 +42,11 @@ func retryAfter(t *testing.T, err error) *replicate.RetryAfterError {
 // failure re-trips with a doubled backoff, and one success resets
 // everything — all without disturbing a healthy member.
 func TestMemberQuarantineCircuitBreaker(t *testing.T) {
-	cfg := hubCfg("hub")
-	cfg.Replication = config.ReplicationConfig{
-		QuarantineThreshold:  2,
-		QuarantineBackoff:    "30s",
-		QuarantineMaxBackoff: "2m",
-	}
-	hub, err := NewHub(cfg)
+	hub, err := NewHub(hubCfg("hub"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	hub.quarThreshold, hub.quarBackoff, hub.quarMax = 2, 30*time.Second, 2*time.Minute
 	now := time.Date(2018, 6, 1, 12, 0, 0, 0, time.UTC)
 	hub.now = func() time.Time { return now }
 	for _, m := range []string{"bad", "good"} {
@@ -137,18 +131,13 @@ func TestMemberQuarantineCircuitBreaker(t *testing.T) {
 }
 
 // TestQuarantineBackoffCap: consecutive re-trips double the backoff
-// only up to the configured cap.
+// only up to the cap.
 func TestQuarantineBackoffCap(t *testing.T) {
-	cfg := hubCfg("hub")
-	cfg.Replication = config.ReplicationConfig{
-		QuarantineThreshold:  1,
-		QuarantineBackoff:    "10s",
-		QuarantineMaxBackoff: "25s",
-	}
-	hub, err := NewHub(cfg)
+	hub, err := NewHub(hubCfg("hub"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	hub.quarThreshold, hub.quarBackoff, hub.quarMax = 1, 10*time.Second, 25*time.Second
 	now := time.Date(2018, 6, 1, 0, 0, 0, 0, time.UTC)
 	hub.now = func() time.Time { return now }
 	if err := hub.Register("flappy"); err != nil {
@@ -164,26 +153,5 @@ func TestQuarantineBackoffCap(t *testing.T) {
 			t.Fatalf("trip %d: backoff %v, want %v", i+1, ra.After, want)
 		}
 		now = now.Add(want + time.Second) // let it expire; next failure re-trips
-	}
-}
-
-// TestQuarantineDisabled: a negative threshold turns the breaker off.
-func TestQuarantineDisabled(t *testing.T) {
-	cfg := hubCfg("hub")
-	cfg.Replication = config.ReplicationConfig{QuarantineThreshold: -1}
-	hub, err := NewHub(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := hub.Register("bad"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := hub.ApplyBatch("bad", uint64(i+1), []warehouse.Event{poisonEvent(uint64(i + 1))}); err == nil {
-			t.Fatal("poison batch applied cleanly")
-		}
-	}
-	if err := hub.authorize("bad"); err != nil {
-		t.Fatalf("disabled breaker still quarantined: %v", err)
 	}
 }

@@ -128,11 +128,6 @@ func NewInstance(cfg config.InstanceConfig) (*Instance, error) {
 	if cfg.Version == "" {
 		cfg.Version = Version
 	}
-	if n := cfg.Observability.TraceCapacity; n > 0 {
-		// Process-wide: the last instance constructed wins, which is the
-		// normal one-instance-per-process deployment.
-		obs.DefaultTracer.SetCapacity(n)
-	}
 	db, err := openWarehouse(cfg)
 	if err != nil {
 		return nil, err

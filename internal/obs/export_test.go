@@ -57,10 +57,3 @@ func (s ParsedSample) Label(name string) string {
 	}
 	return ""
 }
-
-// Capacity returns the ring buffer's span retention.
-func (t *Tracer) Capacity() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.buf)
-}

@@ -50,41 +50,11 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{buf: make([]Span, capacity)}
 }
 
-// DefaultTraceCapacity is the span retention of DefaultTracer unless
-// reconfigured (config observability.trace_capacity, -trace-capacity).
+// DefaultTraceCapacity is the span retention of DefaultTracer.
 const DefaultTraceCapacity = 256
 
 // DefaultTracer receives spans from StartSpan.
 var DefaultTracer = NewTracer(DefaultTraceCapacity)
-
-// SetCapacity resizes the ring buffer, preserving the most recent
-// spans that fit. A busy hub stitching federated traces can raise it
-// so remote halves are still retained when the operator looks.
-func (t *Tracer) SetCapacity(capacity int) {
-	if capacity < 1 {
-		capacity = 1
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if capacity == len(t.buf) {
-		return
-	}
-	keep := t.n
-	if keep > len(t.buf) {
-		keep = len(t.buf)
-	}
-	if keep > capacity {
-		keep = capacity
-	}
-	nb := make([]Span, capacity)
-	// Repack newest-first into chronological order starting at slot 0,
-	// so record() and Recent() keep working off the reset counter.
-	for i := 0; i < keep; i++ {
-		nb[keep-1-i] = t.buf[(t.n-1-i)%len(t.buf)]
-	}
-	t.buf = nb
-	t.n = keep
-}
 
 func (t *Tracer) record(s Span) {
 	t.mu.Lock()

@@ -102,43 +102,6 @@ func TestRemoteParentAdoption(t *testing.T) {
 	}
 }
 
-func TestTracerSetCapacity(t *testing.T) {
-	tr := NewTracer(8)
-	for i := 0; i < 6; i++ {
-		tr.record(Span{Name: strings.Repeat("x", i+1)})
-	}
-	// Shrink: the 4 newest spans survive, newest-first order intact.
-	tr.SetCapacity(4)
-	if tr.Capacity() != 4 {
-		t.Fatalf("capacity = %d, want 4", tr.Capacity())
-	}
-	recent := tr.Recent()
-	if len(recent) != 4 {
-		t.Fatalf("retained %d spans after shrink, want 4", len(recent))
-	}
-	for i, want := range []int{6, 5, 4, 3} {
-		if len(recent[i].Name) != want {
-			t.Errorf("recent[%d] length %d, want %d", i, len(recent[i].Name), want)
-		}
-	}
-	// Grow: nothing is lost, and the ring keeps recording correctly.
-	tr.SetCapacity(16)
-	tr.record(Span{Name: strings.Repeat("x", 7)})
-	recent = tr.Recent()
-	if len(recent) != 5 || len(recent[0].Name) != 7 || len(recent[4].Name) != 3 {
-		t.Fatalf("after grow+record: %d spans, newest %d, oldest %d",
-			len(recent), len(recent[0].Name), len(recent[len(recent)-1].Name))
-	}
-	// Degenerate capacities clamp to 1.
-	tr.SetCapacity(0)
-	if tr.Capacity() != 1 {
-		t.Fatalf("capacity after SetCapacity(0) = %d, want 1", tr.Capacity())
-	}
-	if got := tr.Recent(); len(got) != 1 || len(got[0].Name) != 7 {
-		t.Fatalf("clamped ring kept %v", got)
-	}
-}
-
 func TestTracerFilter(t *testing.T) {
 	tr := NewTracer(16)
 	tr.record(Span{TraceID: "aaa", Name: "ingest.jobs"})

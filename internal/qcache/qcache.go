@@ -5,14 +5,13 @@
 // combined, master view" to many users — are answered from memory
 // instead of re-walking the aggregation tables.
 //
-// Correctness comes from the warehouse epoch, not from TTLs: every
-// write that could change a query result (replication batch, ingest
-// commit, re-aggregation) bumps the owning warehouse.DB's epoch after
-// the write is visible, and an entry is served only while the epoch it
-// was computed under equals the current one. There is therefore no
-// staleness window — the instant a write completes, all earlier
-// results are unservable. An optional TTL remains as a belt-and-braces
-// upper bound on entry age.
+// Correctness comes from the warehouse epoch, not from entry age:
+// every write that could change a query result (replication batch,
+// ingest commit, re-aggregation) bumps the owning warehouse.DB's epoch
+// after the write is visible, and an entry is served only while the
+// epoch it was computed under equals the current one. There is
+// therefore no staleness window — the instant a write completes, all
+// earlier results are unservable — and no need for a TTL.
 //
 // A cold popular key is computed once: concurrent GetOrCompute calls
 // for the same (key, epoch) coalesce onto a single in-flight fill
@@ -43,16 +42,15 @@ const (
 
 // Config tunes one cache instance.
 type Config struct {
-	Name     string        // metrics label for this cache; default "default"
-	MaxBytes int64         // total capacity across shards; <=0 = DefaultMaxBytes
-	Shards   int           // shard count; <=0 = DefaultShards
-	TTL      time.Duration // optional age bound; 0 = epoch invalidation only
+	Name     string // metrics label for this cache; default "default"
+	MaxBytes int64  // total capacity across shards; <=0 = DefaultMaxBytes
+	Shards   int    // shard count; <=0 = DefaultShards
 }
 
 // Stats is a point-in-time snapshot of a cache's counters.
 type Stats struct {
 	Hits      uint64 // lookups served from a valid entry
-	Misses    uint64 // lookups that computed (cold, stale epoch, expired)
+	Misses    uint64 // lookups that computed (cold or stale epoch)
 	Coalesced uint64 // lookups that joined an in-flight fill
 	Fills     uint64 // underlying computations performed
 	Evictions uint64 // entries evicted for capacity
@@ -62,11 +60,10 @@ type Stats struct {
 }
 
 type entry[V any] struct {
-	key      string
-	val      V
-	epoch    uint64
-	bytes    int64
-	storedAt time.Time
+	key   string
+	val   V
+	epoch uint64
+	bytes int64
 }
 
 // flight is one in-progress fill; waiters block on done and read
@@ -92,7 +89,6 @@ type shard[V any] struct {
 type Cache[V any] struct {
 	cfg      Config
 	perShard int64
-	ttl      time.Duration
 	shards   []shard[V]
 	sizeOf   func(V) int
 
@@ -125,7 +121,6 @@ func New[V any](cfg Config, sizeOf func(V) int) *Cache[V] {
 	c := &Cache[V]{
 		cfg:      cfg,
 		perShard: cfg.MaxBytes / int64(cfg.Shards),
-		ttl:      cfg.TTL,
 		shards:   make([]shard[V], cfg.Shards),
 		sizeOf:   sizeOf,
 
@@ -161,7 +156,7 @@ func (c *Cache[V]) shardFor(key string) *shard[V] {
 }
 
 // GetOrCompute returns the cached value for key if one exists at the
-// given epoch (and within TTL), otherwise computes it via fill and
+// given epoch, otherwise computes it via fill and
 // caches the result under that epoch. Concurrent calls for the same
 // (key, epoch) share a single fill. hit reports whether the value came
 // from the cache or an in-flight fill rather than a fresh computation
@@ -177,14 +172,14 @@ func (c *Cache[V]) GetOrCompute(key string, epoch uint64, fill func() (V, error)
 	sh.mu.Lock()
 	if el, ok := sh.entries[key]; ok {
 		e := el.Value.(*entry[V])
-		if e.epoch == epoch && (c.ttl <= 0 || time.Since(e.storedAt) <= c.ttl) {
+		if e.epoch == epoch {
 			sh.ll.MoveToFront(el)
 			sh.mu.Unlock()
 			c.hits.Add(1)
 			c.mHits.Inc()
 			return e.val, true, nil
 		}
-		// Stale epoch or expired: drop now so it cannot be served again.
+		// Stale epoch: drop now so it cannot be served again.
 		c.removeLocked(sh, el)
 	}
 	if f, ok := sh.inflight[key]; ok && f.epoch == epoch {
@@ -221,11 +216,9 @@ func (c *Cache[V]) GetOrCompute(key string, epoch uint64, fill func() (V, error)
 // PeekStale returns key's cached value regardless of epoch, for
 // graceful degradation: when the front door sheds a chart request it
 // may instead serve the last computed result, clearly tagged as stale
-// (HTTP Warning: 110). The TTL, if configured, is still honored — an
-// entry past its age bound is not served even as a degraded answer —
-// and the entry is NOT promoted in the LRU (a shed request should not
-// keep a stale entry warm). epoch reports the epoch the value was
-// computed under so callers can say how stale it is.
+// (HTTP Warning: 110). The entry is NOT promoted in the LRU (a shed
+// request should not keep a stale entry warm). epoch reports the epoch
+// the value was computed under so callers can say how stale it is.
 //
 // Note the interplay with GetOrCompute: an admitted request that finds
 // a stale-epoch entry removes and recomputes it, so stale entries only
@@ -240,10 +233,6 @@ func (c *Cache[V]) PeekStale(key string) (v V, epoch uint64, ok bool) {
 		return v, 0, false
 	}
 	e := el.Value.(*entry[V])
-	if c.ttl > 0 && time.Since(e.storedAt) > c.ttl {
-		c.removeLocked(sh, el)
-		return v, 0, false
-	}
 	c.staleHits.Add(1)
 	c.mStale.Inc()
 	return e.val, e.epoch, true
@@ -264,7 +253,7 @@ func (c *Cache[V]) storeLocked(sh *shard[V], key string, v V, epoch uint64) {
 		}
 		c.removeLocked(sh, el)
 	}
-	e := &entry[V]{key: key, val: v, epoch: epoch, bytes: size, storedAt: time.Now()}
+	e := &entry[V]{key: key, val: v, epoch: epoch, bytes: size}
 	sh.entries[key] = sh.ll.PushFront(e)
 	sh.bytes += size
 	c.entries.Add(1)

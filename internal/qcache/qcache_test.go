@@ -10,9 +10,9 @@ import (
 
 // fixedSize builds a cache whose every value costs exactly its int
 // value in bytes, with one shard so LRU ordering is deterministic.
-func fixedCache(t testing.TB, maxBytes int64, ttl time.Duration) *Cache[int] {
+func fixedCache(t testing.TB, maxBytes int64) *Cache[int] {
 	t.Helper()
-	return New[int](Config{Name: t.Name(), MaxBytes: maxBytes, Shards: 1, TTL: ttl},
+	return New[int](Config{Name: t.Name(), MaxBytes: maxBytes, Shards: 1},
 		func(v int) int { return v })
 }
 
@@ -30,7 +30,7 @@ func mustGet(t *testing.T, c *Cache[int], key string, epoch uint64, v int) (got 
 }
 
 func TestHitAndMiss(t *testing.T) {
-	c := fixedCache(t, 1<<20, 0)
+	c := fixedCache(t, 1<<20)
 	if v, hit := mustGet(t, c, "k", 1, 42); hit || v != 42 {
 		t.Fatalf("first lookup: got v=%d hit=%v, want 42, miss", v, hit)
 	}
@@ -44,7 +44,7 @@ func TestHitAndMiss(t *testing.T) {
 }
 
 func TestEpochInvalidation(t *testing.T) {
-	c := fixedCache(t, 1<<20, 0)
+	c := fixedCache(t, 1<<20)
 	mustGet(t, c, "k", 1, 10)
 	// Same key, newer epoch: the old entry must not be served.
 	if v, hit := mustGet(t, c, "k", 2, 20); hit || v != 20 {
@@ -60,22 +60,10 @@ func TestEpochInvalidation(t *testing.T) {
 	}
 }
 
-func TestTTLExpiry(t *testing.T) {
-	c := fixedCache(t, 1<<20, 5*time.Millisecond)
-	mustGet(t, c, "k", 1, 10)
-	if _, hit := mustGet(t, c, "k", 1, 10); !hit {
-		t.Fatal("immediate re-lookup missed")
-	}
-	time.Sleep(10 * time.Millisecond)
-	if _, hit := mustGet(t, c, "k", 1, 20); hit {
-		t.Fatal("expired entry was served")
-	}
-}
-
 func TestLRUEvictionOrder(t *testing.T) {
 	// Each entry costs 100 (value) + 1 (key) + overhead; cap fits 3.
 	per := int64(100 + 1 + entryOverhead)
-	c := fixedCache(t, 3*per, 0)
+	c := fixedCache(t, 3*per)
 	mustGet(t, c, "a", 1, 100)
 	mustGet(t, c, "b", 1, 100)
 	mustGet(t, c, "c", 1, 100)
@@ -93,7 +81,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 }
 
 func TestByteAccounting(t *testing.T) {
-	c := fixedCache(t, 1<<20, 0)
+	c := fixedCache(t, 1<<20)
 	mustGet(t, c, "a", 1, 1000)
 	mustGet(t, c, "bb", 1, 2000)
 	want := int64(1000+1+entryOverhead) + int64(2000+2+entryOverhead)
@@ -103,7 +91,7 @@ func TestByteAccounting(t *testing.T) {
 }
 
 func TestOversizeValueNotCached(t *testing.T) {
-	c := fixedCache(t, 1000, 0) // one shard: capacity 1000
+	c := fixedCache(t, 1000) // one shard: capacity 1000
 	if v, hit := mustGet(t, c, "big", 1, 5000); hit || v != 5000 {
 		t.Fatalf("oversize compute: got v=%d hit=%v", v, hit)
 	}
@@ -117,7 +105,7 @@ func TestOversizeValueNotCached(t *testing.T) {
 }
 
 func TestErrorsNotCached(t *testing.T) {
-	c := fixedCache(t, 1<<20, 0)
+	c := fixedCache(t, 1<<20)
 	boom := errors.New("boom")
 	if _, _, err := c.GetOrCompute("k", 1, func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
@@ -131,7 +119,7 @@ func TestErrorsNotCached(t *testing.T) {
 }
 
 func TestCoalescing(t *testing.T) {
-	c := fixedCache(t, 1<<20, 0)
+	c := fixedCache(t, 1<<20)
 	const n = 16
 	gate := make(chan struct{})
 	started := make(chan struct{})
@@ -169,7 +157,7 @@ func TestCoalescing(t *testing.T) {
 }
 
 func TestCoalescingRespectsEpoch(t *testing.T) {
-	c := fixedCache(t, 1<<20, 0)
+	c := fixedCache(t, 1<<20)
 	gate := make(chan struct{})
 	started := make(chan struct{})
 	done := make(chan struct{})
@@ -228,7 +216,7 @@ func TestConcurrentMixedKeys(t *testing.T) {
 }
 
 func TestPeekStale(t *testing.T) {
-	c := fixedCache(t, 1<<20, 0)
+	c := fixedCache(t, 1<<20)
 	if _, _, ok := c.PeekStale("k"); ok {
 		t.Fatal("peek on empty cache reported a value")
 	}
@@ -251,19 +239,5 @@ func TestPeekStale(t *testing.T) {
 	mustGet(t, c, "k", 2, 77)
 	if v, ep, ok := c.PeekStale("k"); !ok || v != 77 || ep != 2 {
 		t.Fatalf("post-recompute peek: v=%d ep=%d ok=%v", v, ep, ok)
-	}
-}
-
-func TestPeekStaleHonorsTTL(t *testing.T) {
-	c := fixedCache(t, 1<<20, 10*time.Millisecond)
-	mustGet(t, c, "k", 1, 42)
-	time.Sleep(25 * time.Millisecond)
-	// Past the TTL even a degraded serve is refused, and the dead
-	// entry is reaped.
-	if _, _, ok := c.PeekStale("k"); ok {
-		t.Fatal("TTL-expired entry served as stale")
-	}
-	if st := c.Stats(); st.Entries != 0 {
-		t.Fatalf("expired entry not reaped: %+v", st)
 	}
 }

@@ -69,7 +69,7 @@ func TestBackoffResetsAfterHandshake(t *testing.T) {
 			if err := gob.NewDecoder(conn).Decode(&h); err == nil {
 				// Accept the handshake, then drop the connection: a
 				// transient failure on a healthy hub.
-				gob.NewEncoder(conn).Encode(helloAck{OK: true, Wire: wireFormat, Resume: 0})
+				gob.NewEncoder(conn).Encode(helloAck{OK: true, Wire: wireFormat, Resume: 0, Heartbeat: DefaultHeartbeatInterval})
 			}
 			conn.Close()
 			accepted <- struct{}{}

@@ -116,16 +116,14 @@ type hello struct {
 	// Wire is the satellite build's wireFormat.
 	Wire int
 	// Trace is the satellite handshake span's wire-form trace context
-	// (obs traceparent). Optional: gob omits the zero value, so old
-	// peers interoperate and an empty string means "no trace".
+	// (obs traceparent); empty means "no trace".
 	Trace string
 	// Pushdown offers aggregation pushdown for PushdownRealms: the
 	// satellite folds those realms' facts into partial-aggregate deltas
 	// instead of shipping them raw (see pushdown.go). LevelsDigest
 	// fingerprints the satellite's aggregation levels; the hub declines
-	// the offer on a mismatch. All three fields are zero from old
-	// satellites — gob omits zero values and ignores unknown wire
-	// fields, so mixed-version federations keep working in facts mode.
+	// the offer on a mismatch. All three are zero from a satellite
+	// replicating facts.
 	Pushdown       bool
 	PushdownRealms []string
 	LevelsDigest   string
@@ -142,16 +140,15 @@ type helloAck struct {
 	// refusal is temporary (e.g. the member is quarantined) and when to
 	// try again, rather than a permanent stop.
 	RetryAfter time.Duration
-	// Heartbeat is the hub's heartbeat interval; the satellite adopts
-	// it (zero from an old hub means DefaultHeartbeatInterval).
+	// Heartbeat is the hub's heartbeat interval, always positive; the
+	// satellite adopts it.
 	Heartbeat time.Duration
 	// Trace is the hub accept span's trace context (optional; joins the
 	// satellite's handshake trace when hello carried one).
 	Trace string
-	// PushdownOK grants the hello's pushdown offer. False with a
-	// nonempty PushdownErr is a soft decline: the connection proceeds,
-	// the satellite falls back to raw fact replication (an old hub
-	// leaves both fields zero, which reads as the same decline).
+	// PushdownOK grants the hello's pushdown offer. False on an offer
+	// is a soft decline, with PushdownErr saying why: the connection
+	// proceeds and the satellite falls back to raw fact replication.
 	PushdownOK  bool
 	PushdownErr string
 }
@@ -172,8 +169,7 @@ type batch struct {
 	Trace string
 	// Deltas carries partial-aggregate deltas on a pushdown-granted
 	// connection (possibly alongside raw events for non-pushdown
-	// tables). Applied after the events, before the ack. Old hubs never
-	// grant pushdown, so they never see this field.
+	// tables). Applied after the events, before the ack.
 	Deltas []aggregate.Delta
 }
 
@@ -228,19 +224,10 @@ func (f *frameLimitReader) reset() { f.n = 0 }
 type Sink interface {
 	// Resume returns the position after which instance should resume.
 	Resume(instance string) (uint64, error)
-	// ApplyBatch applies events from instance and durably records upTo
-	// as its new commit position.
-	ApplyBatch(instance string, upTo uint64, events []warehouse.Event) error
-}
-
-// ContextSink is an optional Sink extension: a sink whose apply
-// accepts the incoming batch's trace context. The receiver prefers it
-// when implemented, so the hub's apply span joins the satellite's
-// trace instead of starting a fresh one.
-type ContextSink interface {
-	Sink
-	// ApplyBatchCtx is ApplyBatch with the batch frame's trace context
-	// installed in ctx (obs.ContextWithTraceParent).
+	// ApplyBatchCtx applies events from instance and durably records
+	// upTo as its new commit position. ctx carries the batch frame's
+	// trace context (obs.ContextWithTraceParent), so the sink's apply
+	// span joins the satellite's trace.
 	ApplyBatchCtx(ctx context.Context, instance string, upTo uint64, events []warehouse.Event) error
 }
 
@@ -493,16 +480,8 @@ func (r *Receiver) serve(conn net.Conn) {
 				return
 			}
 		}
-		var err error
-		if cs, ok := r.Sink.(ContextSink); ok {
-			// Hand the frame's trace context to the sink so its apply
-			// span continues the satellite's trace.
-			actx := obs.ContextWithTraceParent(context.Background(), b.Trace)
-			err = cs.ApplyBatchCtx(actx, h.Instance, b.UpTo, events)
-		} else {
-			err = r.Sink.ApplyBatch(h.Instance, b.UpTo, events)
-		}
-		if err != nil {
+		actx := obs.ContextWithTraceParent(context.Background(), b.Trace)
+		if err := r.Sink.ApplyBatchCtx(actx, h.Instance, b.UpTo, events); err != nil {
 			repLog.Warn("replication batch rejected",
 				"instance", h.Instance, "up_to", b.UpTo, "err", err)
 			return
@@ -515,7 +494,6 @@ func (r *Receiver) serve(conn net.Conn) {
 					"instance", h.Instance, "deltas", len(b.Deltas))
 				return
 			}
-			actx := obs.ContextWithTraceParent(context.Background(), b.Trace)
 			if err := pdSink.ApplyDeltas(actx, h.Instance, b.UpTo, b.Deltas); err != nil {
 				repLog.Warn("pushdown deltas rejected",
 					"instance", h.Instance, "up_to", b.UpTo, "err", err)
@@ -668,21 +646,14 @@ func (s *Sender) Run(ctx context.Context, hubAddr string) error {
 	}
 	conn.SetDeadline(time.Time{}) // handshake done; per-frame deadlines below
 	hb := ha.Heartbeat
-	if hb <= 0 {
-		hb = DefaultHeartbeatInterval
-	}
 	pos := ha.Resume
 	var pd *PushdownFolder
 	if s.Pushdown != nil {
 		if ha.PushdownOK {
 			pd = s.Pushdown
 		} else {
-			reason := ha.PushdownErr
-			if reason == "" {
-				reason = "hub predates aggregation pushdown"
-			}
 			repLog.Warn("hub declined aggregation pushdown; replicating raw facts",
-				"instance", s.Instance, "hub", hubAddr, "reason", reason)
+				"instance", s.Instance, "hub", hubAddr, "reason", ha.PushdownErr)
 		}
 	}
 	mode := "facts"

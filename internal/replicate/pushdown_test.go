@@ -88,7 +88,7 @@ func pushdownSender(t testing.TB, sat *warehouse.DB, version string) *Sender {
 	}
 }
 
-// TestPushdownFallsBackWithPlainSink: a hub whose sink predates
+// TestPushdownFallsBackWithPlainSink: a hub whose sink does not speak
 // pushdown must leave the connection in facts mode — the satellite
 // warns and replicates raw facts, bit-identically to before.
 func TestPushdownFallsBackWithPlainSink(t *testing.T) {
@@ -369,7 +369,7 @@ func TestPushdownDueInWaitsOutABacklog(t *testing.T) {
 	due(3*interval, true, -interval)
 }
 
-// heldSink is a pushTestSink whose next ApplyBatch, once armed, waits
+// heldSink is a pushTestSink whose next ApplyBatchCtx, once armed, waits
 // for release: the sender sits in its stop-and-wait while the test
 // grows a backlog behind it.
 type heldSink struct {
@@ -378,12 +378,12 @@ type heldSink struct {
 	entered, release chan struct{}
 }
 
-func (s *heldSink) ApplyBatch(instance string, upTo uint64, events []warehouse.Event) error {
+func (s *heldSink) ApplyBatchCtx(ctx context.Context, instance string, upTo uint64, events []warehouse.Event) error {
 	if s.armed.CompareAndSwap(true, false) {
 		close(s.entered)
 		<-s.release
 	}
-	return s.pushTestSink.ApplyBatch(instance, upTo, events)
+	return s.pushTestSink.ApplyBatchCtx(ctx, instance, upTo, events)
 }
 
 // TestPushdownBacklogShipsInOneFlush: a flush that comes due while the

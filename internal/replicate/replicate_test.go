@@ -254,7 +254,7 @@ func (s *testSink) Resume(instance string) (uint64, error) {
 	return s.ps.Get(instance), nil
 }
 
-func (s *testSink) ApplyBatch(instance string, upTo uint64, events []warehouse.Event) error {
+func (s *testSink) ApplyBatchCtx(_ context.Context, instance string, upTo uint64, events []warehouse.Event) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, err := s.hub.ApplyAll(events); err != nil {

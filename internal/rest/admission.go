@@ -10,7 +10,6 @@ import (
 
 	"xdmodfed/internal/admission"
 	"xdmodfed/internal/aggregate"
-	"xdmodfed/internal/auth"
 	"xdmodfed/internal/config"
 	"xdmodfed/internal/obs"
 )
@@ -31,42 +30,27 @@ var mStaleServed = obs.Default.Counter("xdmodfed_rest_stale_charts_total",
 // tagged "Warning: 110 ... Response is Stale" when the cache holds one
 // (a dashboard showing slightly old numbers beats one showing errors).
 
-// setupAdmission builds the controller and session cache from the
-// instance config. Called from newServer.
+// setupAdmission builds the controller from the instance config when
+// it enables admission. Called from newServer.
 func (s *Server) setupAdmission(ac config.AdmissionConfig) {
-	if ac.SessionCacheEntries >= 0 {
-		ttl, err := ac.SessionCacheTTLDuration()
-		if err != nil {
-			// Validated at load time; fail safe on hand-built configs.
-			restLog.Warn("ignoring invalid admission session_cache_ttl", "ttl", ac.SessionCacheTTL, "err", err)
-			ttl = 0
-		}
-		s.sessions = auth.NewSessionCache(s.Instance.Auth, ac.SessionCacheEntries, ttl)
-	}
 	if !ac.Enabled {
 		return
 	}
 	qt, err := ac.QueueTimeoutDuration()
 	if err != nil {
+		// Validated at load time; fail safe on hand-built configs.
 		restLog.Warn("ignoring invalid admission queue_timeout", "queue_timeout", ac.QueueTimeout, "err", err)
 		qt = 0
 	}
-	ra, err := ac.RetryAfterDuration()
-	if err != nil {
-		restLog.Warn("ignoring invalid admission retry_after", "retry_after", ac.RetryAfter, "err", err)
-		ra = 0
-	}
 	s.admit = admission.New(admission.Config{
-		Global:         admission.Rate{RPS: ac.GlobalRPS, Burst: ac.GlobalBurst},
-		PerCenter:      admission.Rate{RPS: ac.CenterRPS, Burst: ac.CenterBurst},
-		PerUser:        admission.Rate{RPS: ac.UserRPS, Burst: ac.UserBurst},
-		MaxConcurrent:  ac.MaxConcurrent,
-		MaxQueue:       ac.MaxQueue,
-		QueueTimeout:   qt,
-		RetryAfterHint: ra,
+		Global:        admission.Rate{RPS: ac.GlobalRPS},
+		PerCenter:     admission.Rate{RPS: ac.CenterRPS},
+		PerUser:       admission.Rate{RPS: ac.UserRPS},
+		MaxConcurrent: ac.MaxConcurrent,
+		MaxQueue:      ac.MaxQueue,
+		QueueTimeout:  qt,
 	})
 	s.centers = ac.Centers
-	s.staleOK = !ac.DisableStale
 }
 
 // admitAnon gates an unauthenticated /api route on the global rate
@@ -106,7 +90,7 @@ func (s *Server) writeShed(w http.ResponseWriter, d admission.Decision) {
 // and the shed's Retry-After, when the cache holds one. Everything
 // else (and cache misses) gets the plain 429.
 func (s *Server) shedOrDegrade(w http.ResponseWriter, r *http.Request, d admission.Decision) {
-	if s.staleOK && s.cache != nil && r.Method == http.MethodGet && r.URL.Path == "/api/chart" {
+	if r.Method == http.MethodGet && r.URL.Path == "/api/chart" {
 		q := r.URL.Query()
 		if f := q.Get("format"); f == "" || f == "json" {
 			if p, err := s.parseChartRequest(q); err == nil {

@@ -37,7 +37,7 @@ func admissionServer(t *testing.T, ac config.AdmissionConfig) (*Server, *core.In
 
 func TestUserQuotaShedsWith429AndRetryAfter(t *testing.T) {
 	s, _ := admissionServer(t, config.AdmissionConfig{
-		UserRPS: 0.001, UserBurst: 1, // one request, then a long refill
+		UserRPS:   0.001, // burst floors at one request, then a long refill
 		CenterRPS: -1, GlobalRPS: -1, MaxConcurrent: -1,
 	})
 	srv := s.Handler()
@@ -62,7 +62,7 @@ func TestUserQuotaShedsWith429AndRetryAfter(t *testing.T) {
 
 func TestAnonRoutesPayGlobalRate(t *testing.T) {
 	s, _ := admissionServer(t, config.AdmissionConfig{
-		GlobalRPS: 0.001, GlobalBurst: 1,
+		GlobalRPS: 0.001,
 		CenterRPS: -1, UserRPS: -1, MaxConcurrent: -1,
 	})
 	srv := s.Handler()
@@ -123,7 +123,7 @@ func TestQueueFullSheds(t *testing.T) {
 
 func TestStaleChartServedUnderShed(t *testing.T) {
 	s, in := admissionServer(t, config.AdmissionConfig{
-		UserRPS: 0.001, UserBurst: 1,
+		UserRPS:   0.001,
 		CenterRPS: -1, GlobalRPS: -1, MaxConcurrent: -1,
 	})
 	srv := s.Handler()
@@ -166,28 +166,11 @@ func TestStaleChartServedUnderShed(t *testing.T) {
 	}
 }
 
-func TestStaleDisabledSheds(t *testing.T) {
-	s, _ := admissionServer(t, config.AdmissionConfig{
-		UserRPS: 0.001, UserBurst: 1,
-		CenterRPS: -1, GlobalRPS: -1, MaxConcurrent: -1,
-		DisableStale: true,
-	})
-	srv := s.Handler()
-	token := login(t, srv)
-	const path = "/api/chart?realm=Jobs&metric=total_cpu_hours"
-	if rec := get(t, srv, token, path); rec.Code != http.StatusOK {
-		t.Fatalf("first chart: %d", rec.Code)
-	}
-	if rec := get(t, srv, token, path); rec.Code != http.StatusTooManyRequests {
-		t.Fatalf("disable_stale shed: %d, want 429", rec.Code)
-	}
-}
-
 func TestCenterQuotaTenantIsolation(t *testing.T) {
 	s, in := admissionServer(t, config.AdmissionConfig{
 		UserRPS: -1, GlobalRPS: -1, MaxConcurrent: -1,
-		CenterRPS: 0.001, CenterBurst: 1,
-		Centers: map[string]string{"admin": "ccr", "peer": "xsede"},
+		CenterRPS: 0.001,
+		Centers:   map[string]string{"admin": "ccr", "peer": "xsede"},
 	})
 	in.Auth.Vault().Create(auth.User{Username: "peer", Role: auth.RoleUser}, "hunter2hunter2")
 	srv := s.Handler()
@@ -213,9 +196,9 @@ func TestCenterQuotaTenantIsolation(t *testing.T) {
 
 func TestSessionCacheServesAndLogoutInvalidates(t *testing.T) {
 	in := testInstance(t)
-	s := newServer(in) // admission off; session cache on by default
+	s := newServer(in) // admission off; the session cache is always on
 	if s.sessions == nil {
-		t.Fatal("session cache not built by default")
+		t.Fatal("session cache not built")
 	}
 	srv := s.Handler()
 	hits0, misses0 := sessionCacheCounts()

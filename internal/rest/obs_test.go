@@ -206,10 +206,6 @@ func TestHealthzQuarantinedMember(t *testing.T) {
 	hub, err := core.NewHub(config.InstanceConfig{
 		Name: "fedhub", Version: core.Version,
 		AggregationLevels: []config.AggregationLevels{config.HubWallTime()},
-		Replication: config.ReplicationConfig{
-			QuarantineThreshold: 1,
-			QuarantineBackoff:   "30s",
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -226,8 +222,11 @@ func TestHealthzQuarantinedMember(t *testing.T) {
 		LSN: 1, Kind: warehouse.EvInsert,
 		Schema: "no_such_schema", Table: "no_such_table", Row: []any{int64(1)},
 	}
-	if err := hub.ApplyBatch("flaky", 1, []warehouse.Event{poison}); err == nil {
-		t.Fatal("poison batch applied cleanly")
+	// Three consecutive failures trip the breaker for 30s.
+	for i := 0; i < 3; i++ {
+		if err := hub.ApplyBatch("flaky", 1, []warehouse.Event{poison}); err == nil {
+			t.Fatal("poison batch applied cleanly")
+		}
 	}
 	if err := hub.ApplyBatch("steady", 1, nil); err != nil {
 		t.Fatal(err)

@@ -33,7 +33,7 @@ type Server struct {
 
 	// cache holds fully post-processed chart results (after rollup and
 	// top-N), keyed by the canonical request and invalidated by the
-	// warehouse epoch. nil when disabled in the instance config.
+	// warehouse epoch.
 	cache *qcache.Cache[chartResult]
 
 	// slow is the bounded slow-query ring behind GET /debug/slowlog.
@@ -45,10 +45,7 @@ type Server struct {
 	// centers maps usernames to center (tenant) names for the
 	// per-center admission tier.
 	centers map[string]string
-	// staleOK allows serving an epoch-stale cached chart (Warning: 110)
-	// instead of shedding, when the cache holds one.
-	staleOK bool
-	// sessions memoizes verified bearer tokens; nil when disabled.
+	// sessions memoizes verified bearer tokens.
 	sessions *auth.SessionCache
 
 	started time.Time
@@ -62,33 +59,20 @@ type chartResult struct {
 	RowsScanned int
 }
 
-// newServer wires the shared parts of every server flavour, including
-// the query-result cache when the instance config enables it.
+// newServer wires the shared parts of every server flavour: the
+// query-result cache, the slow-query ring, the session cache and, when
+// the instance config enables it, admission control.
 func newServer(in *core.Instance) *Server {
-	s := &Server{Instance: in, started: time.Now()}
-	qc := in.Config.QueryCache
-	if !qc.Disabled {
-		ttl, err := qc.TTLDuration()
-		if err != nil {
-			// Config was validated at load time; a bad TTL here can only
-			// come from a hand-built InstanceConfig. Fail safe: no TTL.
-			restLog.Warn("ignoring invalid query_cache ttl", "ttl", qc.TTL, "err", err)
-			ttl = 0
-		}
-		s.cache = qcache.New[chartResult](qcache.Config{
+	s := &Server{
+		Instance: in,
+		started:  time.Now(),
+		cache: qcache.New[chartResult](qcache.Config{
 			Name:     in.Config.Name,
-			MaxBytes: qc.MaxBytes,
-			TTL:      ttl,
-		}, chartResultBytes)
+			MaxBytes: in.Config.QueryCache.MaxBytes,
+		}, chartResultBytes),
+		slow:     newSlowLog(),
+		sessions: auth.NewSessionCache(in.Auth, auth.DefaultSessionCacheEntries, auth.DefaultSessionCacheTTL),
 	}
-	oc := in.Config.Observability
-	threshold, err := oc.SlowQueryThresholdDuration()
-	if err != nil {
-		// Validated at load time; fail safe on hand-built configs.
-		restLog.Warn("ignoring invalid observability slow_query_threshold", "threshold", oc.SlowQueryThreshold, "err", err)
-		threshold = 0
-	}
-	s.slow = newSlowLog(oc.SlowQueryCapacity, threshold)
 	s.setupAdmission(in.Config.Admission)
 	return s
 }
@@ -192,13 +176,9 @@ func (s *Server) requireAuth(next func(http.ResponseWriter, *http.Request, auth.
 	}
 }
 
-// validateToken resolves a bearer token through the session cache when
-// one is configured, falling back to the authenticator.
+// validateToken resolves a bearer token through the session cache.
 func (s *Server) validateToken(token string) (auth.Session, error) {
-	if s.sessions != nil {
-		return s.sessions.Validate(token)
-	}
-	return s.Instance.Auth.Validate(token)
+	return s.sessions.Validate(token)
 }
 
 type loginRequest struct {
@@ -253,9 +233,7 @@ func (s *Server) handleLogout(w http.ResponseWriter, r *http.Request) {
 		s.Instance.Auth.Logout(token)
 		// The memoized verification must die with the session, or the
 		// cache would serve a logged-out token until its TTL lapsed.
-		if s.sessions != nil {
-			s.sessions.Invalidate(token)
-		}
+		s.sessions.Invalidate(token)
 	}
 	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
@@ -422,7 +400,6 @@ func (s *Server) QuerySeries(ctx context.Context, realmName string, req aggregat
 		Filters: req.Filters,
 		Rollup:  rollup,
 		Top:     top,
-		Cache:   "off",
 	}
 	if tid, _, ok := obs.ParseTraceParent(obs.TraceParent(ctx)); ok {
 		stat.TraceID = tid
@@ -439,12 +416,6 @@ func (s *Server) QuerySeries(ctx context.Context, realmName string, req aggregat
 			finish(err)
 			return nil, stat, err
 		}
-	}
-	if s.cache == nil {
-		res, err := s.computeSeries(ctx, realmName, req, rollup, top)
-		stat.RowsScanned = res.RowsScanned
-		finish(err)
-		return res.Series, stat, err
 	}
 	stat.Epoch = s.realmEpoch(realmName)
 	res, hit, err := s.cache.GetOrCompute(chartKey(realmName, req, rollup, top), stat.Epoch, func() (chartResult, error) {
@@ -493,11 +464,8 @@ func chartKey(realmName string, req aggregate.Request, rollup string, top int) s
 }
 
 // CacheStats exposes the query cache's counters (for tests and
-// diagnostics); ok is false when the cache is disabled.
+// diagnostics); ok is always true, since every server has a cache.
 func (s *Server) CacheStats() (qcache.Stats, bool) {
-	if s.cache == nil {
-		return qcache.Stats{}, false
-	}
 	return s.cache.Stats(), true
 }
 

@@ -26,8 +26,7 @@ var (
 		[]float64{10, 100, 1000, 10000, 100000, 1000000}, "realm")
 )
 
-// DefaultSlowLogCapacity bounds the slow-query ring when the config
-// leaves observability.slow_query_capacity unset.
+// DefaultSlowLogCapacity bounds the slow-query ring.
 const DefaultSlowLogCapacity = 128
 
 // QueryStat describes one executed chart query: what was asked, how it
@@ -49,35 +48,27 @@ type QueryStat struct {
 	DurationMS  float64 `json:"duration_ms"`
 	RowsScanned int     `json:"rows_scanned"`
 	Epoch       uint64  `json:"epoch,omitempty"`
-	// Cache is "hit", "miss", or "off" (no cache configured).
+	// Cache is "hit" or "miss".
 	Cache string `json:"cache"`
 	Error string `json:"error,omitempty"`
 }
 
-// slowLog is a bounded ring of QueryStat entries. Threshold 0 records
-// every query; otherwise only queries at least that slow are kept
-// (errors are always kept — a failing query is worth a log entry
-// regardless of how fast it failed).
+// slowLog is a bounded ring of the most recent QueryStat entries. It
+// records every query, fast or failed; the newest
+// DefaultSlowLogCapacity survive.
 type slowLog struct {
-	mu        sync.Mutex
-	buf       []QueryStat
-	n         int // total recorded; buf[n % len(buf)] is the next slot
-	threshold time.Duration
+	mu  sync.Mutex
+	buf []QueryStat
+	n   int // total recorded; buf[n % len(buf)] is the next slot
 }
 
-func newSlowLog(capacity int, threshold time.Duration) *slowLog {
-	if capacity <= 0 {
-		capacity = DefaultSlowLogCapacity
-	}
-	return &slowLog{buf: make([]QueryStat, capacity), threshold: threshold}
+func newSlowLog() *slowLog {
+	return &slowLog{buf: make([]QueryStat, DefaultSlowLogCapacity)}
 }
 
-// record keeps st when it clears the threshold (or failed).
+// record keeps st.
 func (l *slowLog) record(st QueryStat) {
 	if l == nil {
-		return
-	}
-	if l.threshold > 0 && st.Error == "" && st.DurationMS < l.threshold.Seconds()*1000 {
 		return
 	}
 	l.mu.Lock()
@@ -136,10 +127,9 @@ func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
 	}
 	entries := s.slow.recent(limit)
 	writeJSON(w, http.StatusOK, map[string]any{
-		"enabled":      obs.Enabled(),
-		"capacity":     len(s.slow.buf),
-		"threshold_ms": s.slow.threshold.Seconds() * 1000,
-		"count":        len(entries),
-		"entries":      entries,
+		"enabled":  obs.Enabled(),
+		"capacity": len(s.slow.buf),
+		"count":    len(entries),
+		"entries":  entries,
 	})
 }

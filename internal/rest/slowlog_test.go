@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 )
 
 // TestChartExplainAndSlowlog drives /api/chart with ?explain=1 twice
@@ -56,7 +55,7 @@ func TestChartExplainAndSlowlog(t *testing.T) {
 		t.Error("explain attached without ?explain=1")
 	}
 
-	// The slow-query log recorded every query (threshold 0), newest
+	// The slow-query log recorded every query, newest
 	// first, with the cache outcome and scan size populated.
 	rec = get(t, srv, "", "/debug/slowlog")
 	if rec.Code != http.StatusOK {
@@ -96,25 +95,24 @@ func TestChartExplainAndSlowlog(t *testing.T) {
 	}
 }
 
-// TestSlowLogThresholdAndErrors: a threshold suppresses fast
-// successful queries but never failing ones, and the ring stays
-// bounded.
+// TestSlowLogThresholdAndErrors: the slow log has no threshold — fast,
+// slow and failing queries are all recorded, newest first — and the
+// ring stays bounded at DefaultSlowLogCapacity.
 func TestSlowLogThresholdAndErrors(t *testing.T) {
-	l := newSlowLog(2, 50*time.Millisecond)
+	l := newSlowLog()
 	l.record(QueryStat{Realm: "fast", DurationMS: 1})
-	if got := l.recent(0); len(got) != 0 {
-		t.Fatalf("fast query recorded: %v", got)
-	}
-	l.record(QueryStat{Realm: "slow", DurationMS: 80})
 	l.record(QueryStat{Realm: "failed", DurationMS: 1, Error: "boom"})
-	l.record(QueryStat{Realm: "slower", DurationMS: 120})
+	l.record(QueryStat{Realm: "slow", DurationMS: 80})
 	got := l.recent(0)
-	if len(got) != 2 || got[0].Realm != "slower" || got[1].Realm != "failed" {
+	if len(got) != 3 || got[0].Realm != "slow" || got[1].Realm != "failed" || got[2].Realm != "fast" {
 		t.Fatalf("ring contents = %v", got)
 	}
-	// Zero capacity falls back to the default.
-	if l := newSlowLog(0, 0); len(l.buf) != DefaultSlowLogCapacity {
-		t.Fatalf("default capacity = %d", len(l.buf))
+	for i := 0; i < DefaultSlowLogCapacity; i++ {
+		l.record(QueryStat{Realm: "filler", DurationMS: float64(i)})
+	}
+	got = l.recent(0)
+	if len(got) != DefaultSlowLogCapacity || got[0].DurationMS != DefaultSlowLogCapacity-1 || got[len(got)-1].DurationMS != 0 {
+		t.Fatalf("full ring kept %d entries, newest %v, oldest %v", len(got), got[0], got[len(got)-1])
 	}
 	// nil receiver is a no-op (server without observability wiring).
 	var nilLog *slowLog

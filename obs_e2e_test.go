@@ -243,8 +243,6 @@ func TestFederatedTelemetryEndToEnd(t *testing.T) {
 		AggregationLevels: []config.AggregationLevels{
 			config.HubWallTime(), config.DefaultJobSize(), config.CloudVMMemory(),
 		},
-		// Exercise the configurable span-ring capacity end to end.
-		Observability: config.ObservabilityConfig{TraceCapacity: 1024},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package xdmodfed
 
 import (
 	"bytes"
+	"go/ast"
 	"go/format"
 	"go/parser"
 	"go/token"
@@ -9,6 +10,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -99,4 +102,98 @@ func TestGobOnlyOnTheReplicationEnvelope(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// handFlags is every flag a cmd/ main registers itself on the
+// command line, by command, sorted. The configuration-backed daemon
+// flags are not here: config.BindFlags registers those, and
+// TestConfigSurface counts them. Like that list, this one is written
+// out by hand so a new flag — above all a second way to set a config
+// key, such as a hub flag that appends telemetry members — shows up in
+// review.
+var handFlags = map[string][]string{
+	"xdmod-hub":       {"admin-pass", "admin-user", "config", "listen", "log-json", "loose", "members", "replication"},
+	"xdmod-ingestor":  {"config", "db", "log-json", "metrics-listen", "pbs", "resource", "slurm", "staging", "storage-json"},
+	"xdmod-report":    {"experiment", "list", "markdown", "scale", "seed", "svg"},
+	"xdmod-satellite": {"admin-pass", "admin-user", "config", "db", "listen", "log-json", "wal"},
+	"xdmod-setup":     {"exclude-resources", "hierarchy-out", "hub", "hub-instance", "mode", "name", "org", "out", "realms", "resource", "wall-levels"},
+	"xdmod-shredder":  {"format", "input", "json", "resource"},
+}
+
+// flagNameArg is the index of the flag-name argument of each flag
+// package registration function.
+var flagNameArg = map[string]int{
+	"Bool": 0, "Duration": 0, "Float64": 0, "Func": 0, "BoolFunc": 0, "Int": 0, "Int64": 0,
+	"String": 0, "Uint": 0, "Uint64": 0,
+	"BoolVar": 1, "DurationVar": 1, "Float64Var": 1, "IntVar": 1, "Int64Var": 1, "StringVar": 1,
+	"TextVar": 1, "UintVar": 1, "Uint64Var": 1, "Var": 1,
+}
+
+// TestCmdFlagsByHand: the flags each cmd/ main registers through the
+// flag package (flag.X or flag.CommandLine.X) are exactly handFlags.
+func TestCmdFlagsByHand(t *testing.T) {
+	dirs, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, d := range dirs {
+		if !d.IsDir() {
+			continue
+		}
+		files, err := filepath.Glob(filepath.Join("cmd", d.Name(), "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || !isFlagCommandLine(sel.X) {
+					return true
+				}
+				i, ok := flagNameArg[sel.Sel.Name]
+				if !ok || i >= len(call.Args) {
+					return true
+				}
+				lit, ok := call.Args[i].(*ast.BasicLit)
+				if !ok || lit.Kind != token.STRING {
+					t.Errorf("%s: flag.%s name is not a string literal", fset.Position(call.Pos()), sel.Sel.Name)
+					return true
+				}
+				name, err := strconv.Unquote(lit.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, name)
+				return true
+			})
+		}
+		sort.Strings(got)
+		if want := handFlags[d.Name()]; strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("cmd/%s registers flags %q, handFlags lists %q; update handFlags in the same change",
+				d.Name(), got, want)
+		}
+	}
+}
+
+// isFlagCommandLine reports whether x is the flag package itself or
+// flag.CommandLine.
+func isFlagCommandLine(x ast.Expr) bool {
+	if id, ok := x.(*ast.Ident); ok {
+		return id.Name == "flag"
+	}
+	sel, ok := x.(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "CommandLine" && isFlagCommandLine(sel.X)
 }
