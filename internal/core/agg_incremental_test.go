@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -448,17 +447,14 @@ func TestLooseLoadDerivesLastEventFromDumpData(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingestJobs(t, sat, "r", 5, time.Hour, 1)
-	var dump bytes.Buffer
-	if err := sat.DB.SnapshotSchemas(&dump, []string{jobs.SchemaName}); err != nil {
-		t.Fatal(err)
-	}
+	dump := snapshotOf(t, sat.DB, jobs.SchemaName)
 
 	hub, err := NewHub(hubCfg("hub"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	hub.Register("batch-site")
-	if err := hub.LoadLooseDump("batch-site", &dump); err != nil {
+	if err := hub.LoadLooseDump("batch-site", dump); err != nil {
 		t.Fatal(err)
 	}
 

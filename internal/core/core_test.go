@@ -502,6 +502,28 @@ func TestIdentityObservation(t *testing.T) {
 	if len(accts) != 2 {
 		t.Errorf("linked accounts = %v", accts)
 	}
+
+	// A loose member's usernames arrive in its dump's LOAD payloads.
+	hub.Register("s3")
+	looseCfg := satCfg("s3", []string{"s3-r"}, "")
+	looseCfg.Hubs = []config.HubRoute{{HubAddr: "offline", Mode: "loose"}}
+	loose, err := NewSatellite(looseCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestJobs(t, loose, "s3-r", 4, time.Hour, 1)
+	var dump bytes.Buffer
+	if err := loose.DumpForRoute(looseCfg.Hubs[0], &dump); err != nil {
+		t.Fatal(err)
+	}
+	if err := hub.LoadLooseDump("s3", &dump); err != nil {
+		t.Fatal(err)
+	}
+	for _, user := range []string{"user0", "user1", "user2", "user3"} {
+		if _, ok := hub.Identity.Resolve(auth.InstanceUser{Instance: "s3", Username: user}); !ok {
+			t.Errorf("loose member s3's %s not observed from its dump", user)
+		}
+	}
 }
 
 func TestInstanceValidation(t *testing.T) {

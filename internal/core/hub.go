@@ -424,6 +424,18 @@ func (h *Hub) ApplyBatchCtx(ctx context.Context, instance string, upTo uint64, e
 	sctx, sp := obs.StartSpan(ctx, "hub.ApplyBatch")
 	sp.SetAttr("instance", instance)
 	defer sp.End()
+	return h.apply(sctx, instance, events, upTo, false)
+}
+
+// apply is the hub's one apply step for a member's events, a tight
+// batch and a loose dump alike: classify them per realm, lock the realms
+// they touch, apply them as one write transaction, observe identities
+// over the applied prefix, record the outcome against the member's
+// circuit breaker, and fold, recompute or mark dirty each touched realm.
+// A tight batch (loose false) moves the member's commit position to
+// upTo. A loose dump never moves it; it sets the member's mode to
+// "loose" and dates the member by the newest fact it carries.
+func (h *Hub) apply(ctx context.Context, instance string, events []warehouse.Event, upTo uint64, loose bool) error {
 	defer mHubBatchSeconds.ObserveSince(time.Now())
 	if err := h.quarantineGate(instance); err != nil {
 		return err
@@ -481,26 +493,37 @@ func (h *Hub) ApplyBatchCtx(ctx context.Context, instance string, upTo uint64, e
 		h.noteApplyFailure(instance, err)
 		return err
 	}
-	if err := h.Positions.Set(instance, upTo); err != nil {
-		dirtyAll()
-		return err
+	if !loose {
+		if err := h.Positions.Set(instance, upTo); err != nil {
+			dirtyAll()
+			return err
+		}
+		mMemberPosition.With(instance).Set(float64(upTo))
 	}
 	mHubApplied.With(instance).Add(uint64(len(events)))
-	mMemberPosition.With(instance).Set(float64(upTo))
 
 	h.mu.Lock()
 	if m, ok := h.members[instance]; ok {
-		m.Position = upTo
 		m.LastBatch = h.now()
-		if n := len(events); n > 0 {
-			if t := events[n-1].Time; !t.IsZero() {
+		m.Batches++
+		if loose {
+			m.Mode = "loose"
+			// LastEvent reflects data age, not load time: /healthz member
+			// freshness must expose a member shipping week-old dumps.
+			if t := h.newestLoadedFact(events); !t.IsZero() {
 				m.LastEvent = t
-			} else {
-				m.LastEvent = h.now()
+			}
+		} else {
+			m.Position = upTo
+			m.Events += len(events)
+			if n := len(events); n > 0 {
+				if t := events[n-1].Time; !t.IsZero() {
+					m.LastEvent = t
+				} else {
+					m.LastEvent = h.now()
+				}
 			}
 		}
-		m.Batches++
-		m.Events += len(events)
 		// A successfully applied batch closes the circuit breaker.
 		if m.Failures > 0 || m.Quarantines > 0 || !m.QuarantinedUntil.IsZero() {
 			m.Failures = 0
@@ -521,7 +544,7 @@ func (h *Hub) ApplyBatchCtx(ctx context.Context, instance string, upTo uint64, e
 			// needs one that will cover these rows from the raw tables.
 			st.dirty.Store(true)
 		case d.scoped():
-			_, rsp := obs.StartSpan(sctx, "hub.ScopedRecompute")
+			_, rsp := obs.StartSpan(ctx, "hub.ScopedRecompute")
 			rsp.SetAttr("realm", name)
 			var sc aggregate.Scope
 			if sc, err = h.Engine.ScopeOf(d.info, d.schema, d.scopeRows()); err == nil {
@@ -529,7 +552,7 @@ func (h *Hub) ApplyBatchCtx(ctx context.Context, instance string, upTo uint64, e
 			}
 			rsp.End()
 		default:
-			_, fsp := obs.StartSpan(sctx, "hub.IncrementalFold")
+			_, fsp := obs.StartSpan(ctx, "hub.IncrementalFold")
 			fsp.SetAttr("realm", name)
 			fsp.SetAttr("rows", fmt.Sprintf("%d", len(d.rows)))
 			_, err = h.Engine.ApplyFactRows(d.info, d.schema, d.rows)
@@ -747,71 +770,49 @@ func (h *Hub) Close() {
 
 // LoadLooseDump batch-loads a loose-federation dump from a registered
 // member ("loose federation", §II-C2). A heterogeneous federation can
-// mix tight and loose members freely. A loose load replaces whole
-// tables (periodic re-ships supersede earlier ones), which the
-// additive fold cannot express, so each realm whose fact table was
-// (re)loaded is marked dirty for rebuild — also when the load fails
-// partway, since the tables replaced before the failure stay replaced.
-// Every realm's mutex is held across the load and the marks, so no
-// reader finds loaded rows while their realm still reads clean.
+// mix tight and loose members freely. The dump is read whole, and every
+// event is forced into the member's fed_<instance> schema, however the
+// dump names its schemas; then it takes the step a tight batch takes
+// (apply). A dump that does not read touches nothing. A loose load
+// replaces whole tables (periodic re-ships supersede earlier ones),
+// which the additive fold cannot express, so each realm whose fact
+// table it loads is locked and marked dirty for rebuild — also when the
+// load fails partway, since the tables replaced before the failure stay
+// replaced, and such a failure counts toward the member's quarantine.
 func (h *Hub) LoadLooseDump(instance string, r io.Reader) error {
 	if err := h.authorize(instance); err != nil {
 		return err
 	}
-	unlock := h.lockRealms(h.Registry.Names())
-	loaded, loadErr := replicate.Load(h.DB, instance, r)
-	loadedSet := make(map[string]bool, len(loaded))
-	for _, t := range loaded {
-		loadedSet[t] = true
+	_, evs, err := warehouse.ReadSnapshot(r)
+	if err != nil {
+		return err
 	}
-	schema := replicate.HubSchema(instance)
-	var newest time.Time
-	for _, name := range h.Registry.Names() {
-		info, _ := h.Registry.Get(name)
-		if !loadedSet[info.FactTable] {
-			continue
-		}
-		h.realms[name].dirty.Store(true)
-		if t := h.newestFactTime(schema, info); t.After(newest) {
-			newest = t
-		}
+	for i := range evs {
+		evs[i].Schema = replicate.HubSchema(instance)
 	}
-	unlock()
-	if loadErr != nil {
-		return loadErr
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if m, ok := h.members[instance]; ok {
-		m.Mode = "loose"
-		m.LastBatch = h.now()
-		// LastEvent reflects data age, not load time: /healthz member
-		// freshness must expose a member shipping week-old dumps.
-		if !newest.IsZero() {
-			m.LastEvent = newest
-		}
-		m.Batches++
-	}
-	return nil
+	return h.apply(context.Background(), instance, evs, 0, true)
 }
 
-// newestFactTime returns the newest fact timestamp in one replicated
-// realm fact table (zero when the table is absent or empty).
-func (h *Hub) newestFactTime(schema string, info realm.Info) time.Time {
-	tab, err := h.DB.TableIn(schema, info.FactTable)
-	if err != nil {
-		return time.Time{}
-	}
+// newestLoadedFact returns the newest time that the LOAD events of evs
+// carry in their realm's time column (zero when none does).
+func (h *Hub) newestLoadedFact(evs []warehouse.Event) time.Time {
 	var newest time.Time
-	h.DB.View(func() error {
-		tab.Scan(func(r warehouse.Row) bool {
-			if t, ok := r.Get(info.TimeColumn).(time.Time); ok && t.After(newest) {
-				newest = t
+	for _, ev := range evs {
+		info, ok := h.factRealms[ev.Table]
+		if !ok || ev.Kind != warehouse.EvLoad {
+			continue
+		}
+		for i, name := range ev.Cols.Names {
+			if name != info.TimeColumn {
+				continue
 			}
-			return true
-		})
-		return nil
-	})
+			for _, t := range ev.Cols.Cols[i].Times {
+				if t.After(newest) {
+					newest = t
+				}
+			}
+		}
+	}
 	return newest
 }
 
@@ -924,7 +925,8 @@ func (h *Hub) RegenerateSatellite(instance string, w io.Writer) error {
 	if h.DB.Schema(schemaName) == nil {
 		return fmt.Errorf("core: no replicated data for instance %q", instance)
 	}
-	return h.DB.SnapshotSchemas(w, []string{schemaName})
+	lsn, evs := h.DB.SnapshotEvents([]string{schemaName})
+	return warehouse.WriteSnapshot(w, h.Config.Name, lsn, evs)
 }
 
 // Status summarizes the federation for monitoring and the REST API.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"xdmodfed/internal/aggregate"
+	"xdmodfed/internal/config"
 	"xdmodfed/internal/realm/jobs"
 	"xdmodfed/internal/realm/storage"
 	"xdmodfed/internal/replicate"
@@ -41,56 +43,9 @@ func TestConcurrentMembersReadersAndRebuilds(t *testing.T) {
 		}
 	}
 
-	rawJobs := func() int {
-		var tabs []*warehouse.Table
-		for _, m := range members {
-			if tab, err := hub.DB.TableIn(replicate.HubSchema(m), jobs.FactTable); err == nil {
-				tabs = append(tabs, tab)
-			}
-		}
-		n := 0
-		hub.DB.View(func() error {
-			for _, tab := range tabs {
-				n += tab.Len()
-			}
-			return nil
-		})
-		return n
-	}
-	chartJobs := func() (int, error) {
-		series, err := hub.Query("Jobs", aggregate.Request{MetricID: jobs.MetricNumJobs, Period: aggregate.Year})
-		total := 0.0
-		for _, s := range series {
-			total += s.Aggregate
-		}
-		return int(total), err
-	}
-
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				seen := rawJobs()
-				got, err := chartJobs()
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if got < seen {
-					t.Errorf("chart shows %d jobs after the reader saw %d replicated job rows", got, seen)
-					return
-				}
-			}
-		}()
-	}
+	chartReaders(t, hub, members, stop, &readers)
 	readers.Add(1)
 	go func() {
 		defer readers.Done()
@@ -123,7 +78,7 @@ func TestConcurrentMembersReadersAndRebuilds(t *testing.T) {
 		return
 	}
 
-	got, err := chartJobs()
+	got, err := chartJobs(hub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,6 +106,134 @@ func TestConcurrentMembersReadersAndRebuilds(t *testing.T) {
 				t.Fatalf("%s row %d differs:\n served  %s\n rebuilt %s", name, i, served[name][i], rebuilt[i])
 			}
 		}
+	}
+}
+
+// rawJobs counts the members' replicated job rows on the hub in one
+// consistent view.
+func rawJobs(hub *Hub, members []string) int {
+	var tabs []*warehouse.Table
+	for _, m := range members {
+		if tab, err := hub.DB.TableIn(replicate.HubSchema(m), jobs.FactTable); err == nil {
+			tabs = append(tabs, tab)
+		}
+	}
+	n := 0
+	hub.DB.View(func() error {
+		for _, tab := range tabs {
+			n += tab.Len()
+		}
+		return nil
+	})
+	return n
+}
+
+// chartJobs returns the job count the hub's Jobs chart serves.
+func chartJobs(hub *Hub) (int, error) {
+	series, err := hub.Query("Jobs", aggregate.Request{MetricID: jobs.MetricNumJobs, Period: aggregate.Year})
+	total := 0.0
+	for _, s := range series {
+		total += s.Aggregate
+	}
+	return int(total), err
+}
+
+// chartReaders starts two readers that, until stop closes, count the
+// members' replicated job rows and then chart them: no writer lowers a
+// member's job count, so a chart showing fewer jobs than the rows just
+// counted is served aggregates behind raw rows the reader saw.
+func chartReaders(t *testing.T, hub *Hub, members []string, stop <-chan struct{}, readers *sync.WaitGroup) {
+	for i := 0; i < 2; i++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				seen := rawJobs(hub, members)
+				got, err := chartJobs(hub)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got < seen {
+					t.Errorf("chart shows %d jobs after the reader saw %d replicated job rows", got, seen)
+					return
+				}
+			}
+		}()
+	}
+}
+
+// TestLooseLoadRacesTightMemberAndReaders: a loose member re-ships ever
+// larger dumps while a tight member applies batches and readers chart
+// the hub. A loose load locks only the realms whose fact tables it
+// carries, and the readers hold it to the bar above. At quiescence the
+// chart counts both members' jobs and the hub is clean.
+func TestLooseLoadRacesTightMemberAndReaders(t *testing.T) {
+	hub, err := NewHub(hubCfg("hub"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := []string{"a", "L"}
+	for _, m := range members {
+		if err := hub.Register(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	looseCfg := satCfg("L", []string{"lr"}, "")
+	looseCfg.Hubs = []config.HubRoute{{HubAddr: "offline", Mode: "loose"}}
+	loose, err := NewSatellite(looseCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds, perRound = 20, 3
+	var dumps [][]byte
+	for round := 0; round < rounds; round++ {
+		ingestJobs(t, loose, "lr", perRound, time.Hour, int64(1+round*perRound))
+		var dump bytes.Buffer
+		if err := loose.DumpForRoute(looseCfg.Hubs[0], &dump); err != nil {
+			t.Fatal(err)
+		}
+		dumps = append(dumps, dump.Bytes())
+	}
+
+	stop := make(chan struct{})
+	var readers, writers sync.WaitGroup
+	chartReaders(t, hub, members, stop, &readers)
+	var tightJobs int
+	writers.Add(2)
+	go func() {
+		defer writers.Done()
+		tightJobs = feedMember(t, hub, "a", 1)
+	}()
+	go func() {
+		defer writers.Done()
+		for _, dump := range dumps {
+			if err := hub.LoadLooseDump("L", bytes.NewReader(dump)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	if t.Failed() {
+		return
+	}
+	got, err := chartJobs(hub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := tightJobs + rounds*perRound; got != want {
+		t.Fatalf("jobs chart shows %d jobs, the members hold %d", got, want)
+	}
+	if st := hub.Status(); st.Dirty {
+		t.Fatalf("hub dirty at quiescence: %v", st.DirtyRealms)
 	}
 }
 

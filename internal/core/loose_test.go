@@ -68,6 +68,19 @@ func TestRunLooseFederationShipsDumps(t *testing.T) {
 	}
 }
 
+// snapshotOf returns a snapshot of the named schemas of db: a loose
+// dump taken without a route's rewriter, so every table of the schemas
+// is in it under its own schema name.
+func snapshotOf(t *testing.T, db *warehouse.DB, schemas ...string) *bytes.Buffer {
+	t.Helper()
+	var b bytes.Buffer
+	lsn, evs := db.SnapshotEvents(schemas)
+	if err := warehouse.WriteSnapshot(&b, db.Name(), lsn, evs); err != nil {
+		t.Fatal(err)
+	}
+	return &b
+}
+
 // lockedBuffer is a log sink that goroutines may write concurrently.
 type lockedBuffer struct {
 	mu sync.Mutex
@@ -227,6 +240,10 @@ func TestTrimReplicatedLog(t *testing.T) {
 	defer sat.StopFederation()
 	waitFor(t, func() bool { return sat.SenderStats()[0].Position == sat.DB.Binlog().Last() })
 
+	var dumpBefore bytes.Buffer
+	if err := sat.DumpForRoute(sat.Config.Hubs[0], &dumpBefore); err != nil {
+		t.Fatal(err)
+	}
 	before := sat.DB.Binlog().Len()
 	trimmed := sat.TrimReplicatedLog()
 	if trimmed != sat.DB.Binlog().Last() {
@@ -234,6 +251,33 @@ func TestTrimReplicatedLog(t *testing.T) {
 	}
 	if after := sat.DB.Binlog().Len(); after >= before || after != 0 {
 		t.Errorf("log len %d -> %d", before, after)
+	}
+	// A dump reads table state, not the binlog: the trim does not stop
+	// it, and loaded on a hub it gives the fed_ tables a dump taken
+	// before the trim gives, which are the ones tight replication filled.
+	var dumpAfter bytes.Buffer
+	if err := sat.DumpForRoute(sat.Config.Hubs[0], &dumpAfter); err != nil {
+		t.Fatalf("dump after the trim: %v", err)
+	}
+	held := fedContents(hub.DB)
+	if n := len(held["fed_s."+jobs.FactTable]); n != 10 {
+		t.Fatalf("the hub holds %d replicated jobs, want 10", n)
+	}
+	tight := fmt.Sprint(held)
+	for name, dump := range map[string]*bytes.Buffer{"before": &dumpBefore, "after": &dumpAfter} {
+		loose, err := NewHub(hubCfg("loose-hub"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := loose.Register("s"); err != nil {
+			t.Fatal(err)
+		}
+		if err := loose.LoadLooseDump("s", dump); err != nil {
+			t.Fatalf("loading the dump taken %s the trim: %v", name, err)
+		}
+		if got := fmt.Sprint(fedContents(loose.DB)); got != tight {
+			t.Errorf("the dump taken %s the trim loads\n %s\nwhere tight replication holds\n %s", name, got, tight)
+		}
 	}
 	// New events still replicate after the trim.
 	ingestJobs(t, sat, "r", 2, time.Hour, 100)
@@ -258,13 +302,7 @@ func TestLooseLoadFailingPartwayMarksLoadedRealmsDirty(t *testing.T) {
 	if err := hub.Register("L"); err != nil {
 		t.Fatal(err)
 	}
-	dump := func() *bytes.Buffer {
-		var b bytes.Buffer
-		if err := sat.DB.SnapshotSchemas(&b, []string{jobs.SchemaName}); err != nil {
-			t.Fatal(err)
-		}
-		return &b
-	}
+	dump := func() *bytes.Buffer { return snapshotOf(t, sat.DB, jobs.SchemaName) }
 
 	ingestJobs(t, sat, "r", 5, time.Hour, 1)
 	if err := hub.LoadLooseDump("L", dump()); err != nil {
@@ -309,5 +347,132 @@ func TestLooseLoadFailingPartwayMarksLoadedRealmsDirty(t *testing.T) {
 	}
 	if strings.Join(served, "\n") != strings.Join(rebuilt, "\n") {
 		t.Fatalf("charts served after the partial load differ from a rebuild:\n served:  %v\n rebuilt: %v", served, rebuilt)
+	}
+}
+
+// TestMalformedDumpTouchesNothing: a loose dump or a backup that does
+// not read — cut short, or with a LOAD whose payload its own
+// CREATE_TABLE refuses — is refused before anything applies. The hub
+// keeps its tables, positions, member records and clean realms; a
+// satellite keeps its tables and its binlog.
+func TestMalformedDumpTouchesNothing(t *testing.T) {
+	src, err := NewSatellite(satCfg("L", []string{"r"}, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestJobs(t, src, "r", 6, time.Hour, 1)
+	good := snapshotOf(t, src.DB, jobs.SchemaName).Bytes()
+	lsn, evs := src.DB.SnapshotEvents([]string{jobs.SchemaName})
+	for _, ev := range evs {
+		if cd := ev.Cols; ev.Table == jobs.FactTable && cd != nil {
+			cd.Names, cd.Cols = cd.Names[:len(cd.Names)-1], cd.Cols[:len(cd.Cols)-1]
+		}
+	}
+	var refused bytes.Buffer
+	if err := warehouse.WriteSnapshot(&refused, "L", lsn, evs); err != nil {
+		t.Fatal(err)
+	}
+	malformed := map[string][]byte{
+		"cut short":                good[:len(good)-7],
+		"a load its table refuses": refused.Bytes(),
+	}
+
+	hub, err := NewHub(hubCfg("hub"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []string{"T", "L"} {
+		if err := hub.Register(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tight, err := NewSatellite(satCfg("T", []string{"t"}, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestJobs(t, tight, "t", 4, time.Hour, 1)
+	rw, err := tight.rewriterFor(config.HubRoute{HubAddr: "hub", Mode: "tight"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, _ := tight.DB.Binlog().ReadFrom(0, 0)
+	out, upTo := rw.ProcessBatch(batch)
+	if err := hub.ApplyBatch("T", upTo, out); err != nil {
+		t.Fatal(err)
+	}
+	if err := hub.LoadLooseDump("L", bytes.NewReader(good)); err != nil {
+		t.Fatal(err)
+	}
+	if err := hub.EnsureAggregated(); err != nil {
+		t.Fatal(err)
+	}
+	hubState := func() string {
+		st := hub.Status()
+		return fmt.Sprintf("tables %v\npositions T=%d L=%d\nmembers %+v\ndirty %v",
+			tableContents(hub.DB), hub.Positions.Get("T"), hub.Positions.Get("L"), st.Members, st.DirtyRealms)
+	}
+
+	sat, err := NewSatellite(satCfg("L", []string{"r"}, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestJobs(t, sat, "r", 3, time.Hour, 100)
+	satState := func() string {
+		return fmt.Sprintf("tables %v\nbinlog at %d", tableContents(sat.DB), sat.DB.Binlog().Last())
+	}
+
+	for name, b := range malformed {
+		before := hubState()
+		if err := hub.LoadLooseDump("L", bytes.NewReader(b)); err == nil {
+			t.Errorf("%s: the hub loaded the dump", name)
+		}
+		if after := hubState(); after != before {
+			t.Errorf("%s: the refused dump changed the hub\nbefore %s\nafter  %s", name, before, after)
+		}
+		before = satState()
+		if err := sat.RestoreFromHubBackup(bytes.NewReader(b)); err == nil {
+			t.Errorf("%s: the satellite restored the backup", name)
+		}
+		if after := satState(); after != before {
+			t.Errorf("%s: the refused backup changed the satellite\nbefore %s\nafter  %s", name, before, after)
+		}
+	}
+}
+
+// TestFailedLooseLoadsQuarantineMember: a loose load that fails to
+// apply counts toward the member's circuit breaker as a failed batch
+// does, so at the threshold the member's next dump is refused with the
+// remaining backoff, however well formed.
+func TestFailedLooseLoadsQuarantineMember(t *testing.T) {
+	hub, err := NewHub(hubCfg("hub"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub.quarThreshold = 2
+	if err := hub.Register("L"); err != nil {
+		t.Fatal(err)
+	}
+	sat := warehouse.Open("L")
+	if _, err := sat.EnsureSchema(jobs.SchemaName).EnsureTable(warehouse.TableDef{
+		Name: "clash", Columns: []warehouse.Column{{Name: "b", Type: warehouse.TypeString}}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hub.DB.EnsureSchema(replicate.HubSchema("L")).EnsureTable(warehouse.TableDef{
+		Name: "clash", Columns: []warehouse.Column{{Name: "a", Type: warehouse.TypeInt}}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 2; i++ {
+		if err := hub.LoadLooseDump("L", snapshotOf(t, sat, jobs.SchemaName)); err == nil || !strings.Contains(err.Error(), "clash") {
+			t.Fatalf("load %d: error = %v, want the clash", i, err)
+		}
+		if m := hub.Members()[0]; m.Failures != i || !strings.Contains(m.LastError, "clash") {
+			t.Fatalf("after %d failed loads: failures=%d last error %q", i, m.Failures, m.LastError)
+		}
+	}
+	empty := warehouse.Open("L")
+	empty.EnsureSchema(jobs.SchemaName)
+	ra := retryAfter(t, hub.LoadLooseDump("L", snapshotOf(t, empty, jobs.SchemaName)))
+	if ra.After <= 0 {
+		t.Fatalf("retry-after = %v, want positive", ra.After)
 	}
 }

@@ -11,9 +11,9 @@ var (
 	mHubMembers = obs.Default.Gauge("xdmodfed_hub_members",
 		"Number of satellite instances registered with this hub.")
 	mHubApplied = obs.Default.CounterVec("xdmodfed_hub_applied_events_total",
-		"Replicated binlog events applied on the hub, per member.", "member")
+		"Events applied on the hub, per member: replicated batches and loose dumps.", "member")
 	mHubBatchSeconds = obs.Default.Histogram("xdmodfed_hub_apply_batch_seconds",
-		"Latency of applying one replication batch on the hub.", nil)
+		"Latency of the hub's apply step for one replication batch or loose dump.", nil)
 	mMemberPosition = obs.Default.GaugeVec("xdmodfed_hub_member_position",
 		"Last durably committed binlog LSN per member, as seen by the hub.", "member")
 	mMemberQuarantined = obs.Default.GaugeVec("xdmodfed_hub_member_quarantined",

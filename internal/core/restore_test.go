@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"xdmodfed/internal/realm/cloud"
 	"xdmodfed/internal/realm/jobs"
 	"xdmodfed/internal/realm/perf"
+	"xdmodfed/internal/replicate"
 	"xdmodfed/internal/warehouse"
 	"xdmodfed/internal/workload"
 )
@@ -39,6 +42,14 @@ func tableContents(db *warehouse.DB) map[string][]string {
 			out[sn+"."+tn] = rows
 		}
 	}
+	return out
+}
+
+// fedContents is tableContents of the fed_ schemas only: the member
+// data a hub holds.
+func fedContents(db *warehouse.DB) map[string][]string {
+	out := tableContents(db)
+	maps.DeleteFunc(out, func(key string, _ []string) bool { return !strings.HasPrefix(key, replicate.HubSchemaPrefix) })
 	return out
 }
 

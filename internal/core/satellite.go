@@ -453,19 +453,25 @@ func (s *Satellite) TrimReplicatedLog() uint64 {
 // DumpForRoute writes a loose-federation dump containing the realms of
 // one route (paper §II-C2: "log files or database dumps could be
 // periodically shipped to the federation hub, and batch processed
-// there"). Resource exclusions are honored by dumping through the
-// route's rewriter into a scratch store first.
+// there"): the snapshot events of the route's realm schemas through the
+// route's rewriter, which keeps the federated tables, drops the rows of
+// excluded resources and renames the schemas, so the dump holds what
+// tight replication of the route would ship. It reads table state, not
+// the binlog: its cost follows the data, not its history, and a trimmed
+// binlog does not stop it.
 func (s *Satellite) DumpForRoute(route config.HubRoute, w io.Writer) error {
 	rw, err := s.rewriterFor(route)
 	if err != nil {
 		return err
 	}
-	scratch := warehouse.OpenWithoutBinlog("dump-" + s.Config.Name)
-	defer scratch.Close()
-	if _, err := replicate.Pump(s.DB, scratch, rw, 0); err != nil {
-		return err
+	var schemas []string
+	for _, name := range s.routeRealms(route) {
+		info, _ := s.Registry.Get(name)
+		schemas = append(schemas, info.Schema)
 	}
-	return scratch.Snapshot(w)
+	lsn, evs := s.DB.SnapshotEvents(schemas)
+	out, _ := rw.ProcessBatch(evs)
+	return warehouse.WriteSnapshot(w, s.Config.Name, lsn, out)
 }
 
 // RunLooseFederation periodically dumps each loose route and hands the
@@ -528,11 +534,12 @@ func (s *Satellite) RunLooseFederation(ctx context.Context, interval time.Durati
 // instances"), whose fed_<instance> schema holds the federated tables
 // of every realm: those land back in their realm schemas, located by
 // table name, and anything else there is hub bookkeeping. Derived
-// tables are not restored: AggregateAll rebuilds them.
+// tables are not restored: AggregateAll rebuilds them. The snapshot is
+// read whole before anything applies, so one that does not read touches
+// nothing; its events, so rewritten, then apply as one transaction.
 func (s *Satellite) RestoreFromHubBackup(r io.Reader) error {
-	scratch := warehouse.OpenWithoutBinlog("backup-restore")
-	defer scratch.Close()
-	if _, err := scratch.Restore(r); err != nil {
+	_, evs, err := warehouse.ReadSnapshot(r)
+	if err != nil {
 		return err
 	}
 	realmSchema := map[string]string{} // federated table -> its realm schema
@@ -542,29 +549,27 @@ func (s *Satellite) RestoreFromHubBackup(r io.Reader) error {
 			realmSchema[t] = info.Schema
 		}
 	}
-	for _, sn := range scratch.Schemas() {
-		ss := scratch.Schema(sn)
-		hubBackup := strings.HasPrefix(sn, replicate.HubSchemaPrefix)
-		for _, tn := range ss.Tables() {
-			src := ss.Table(tn)
-			def := src.Def()
-			dest, ok := sn, true
-			if hubBackup {
-				dest, ok = realmSchema[tn]
-			}
-			if !ok || def.Derived {
+	derived := map[string]bool{} // "schema.table" of the derived tables
+	keep := evs[:0]
+	for _, ev := range evs {
+		key := ev.Schema + "." + ev.Table
+		if ev.Kind == warehouse.EvCreateTable && ev.Def.Derived {
+			derived[key] = true
+		}
+		if derived[key] {
+			continue
+		}
+		if strings.HasPrefix(ev.Schema, replicate.HubSchemaPrefix) {
+			dest, ok := realmSchema[ev.Table] // a fed_ schema's CREATE_SCHEMA names no table
+			if !ok {
 				continue
 			}
-			if _, err := s.DB.EnsureSchema(dest).EnsureTable(def); err != nil {
-				return err
-			}
-			// Bulk-load the table's columnar snapshot: one validated LOAD
-			// transaction, no row materialization. The scratch DB is
-			// discarded afterwards, so sharing its vectors is safe.
-			if err := s.DB.LoadColumns(dest, tn, src.Data().ColumnData()); err != nil {
-				return err
-			}
+			ev.Schema = dest
 		}
+		keep = append(keep, ev)
+	}
+	if _, err := s.DB.ApplyAll(keep); err != nil {
+		return err
 	}
 	return s.AggregateAll()
 }

@@ -26,8 +26,6 @@ var (
 		"Bytes read from satellite connections on the hub side.")
 	mRecvBatches = obs.Default.CounterVec("xdmodfed_replicate_recv_batches_total",
 		"Replication batches received and applied, per member instance.", "instance")
-	mPumpEvents = obs.Default.Counter("xdmodfed_replicate_pump_events_total",
-		"Events copied by in-process Pump replication.")
 	mHeartbeats = obs.Default.CounterVec("xdmodfed_replicate_heartbeats_total",
 		"Keep-alive frames sent, by role (hub acks, satellite idle batches).", "role")
 	mPeerTimeouts = obs.Default.CounterVec("xdmodfed_replicate_peer_timeouts_total",

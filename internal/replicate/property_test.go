@@ -63,7 +63,10 @@ func TestPropertyExcludedResourceNeverLeaks(t *testing.T) {
 
 // TestPropertyPumpEquivalentToSnapshot: replicating any random
 // mutation history via the binlog yields the same hub table contents
-// as shipping a dump (tight and loose federation agree).
+// as shipping a dump (tight and loose federation agree). The dump is
+// the satellite's snapshot events through the route's rewriter, and
+// the hub lands it by forcing every event into the member's schema and
+// applying it, as Satellite.DumpForRoute and Hub.LoadLooseDump do.
 func TestPropertyPumpEquivalentToSnapshot(t *testing.T) {
 	f := func(seed int64, nOps uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -94,18 +97,27 @@ func TestPropertyPumpEquivalentToSnapshot(t *testing.T) {
 			return nil
 		})
 
-		// Tight: pump the binlog.
+		// Tight: replay the binlog.
 		tight := warehouse.Open("hub-tight")
-		if _, err := Pump(sat, tight, NewRewriter("sat", Filter{}), 0); err != nil {
+		if _, err := pump(sat, tight, NewRewriter("sat", Filter{}), 0); err != nil {
 			return false
 		}
 		// Loose: dump and load.
 		loose := warehouse.Open("hub-loose")
 		var dump bytes.Buffer
-		if err := sat.SnapshotSchemas(&dump, []string{jobs.SchemaName}); err != nil {
+		lsn, evs := sat.SnapshotEvents([]string{jobs.SchemaName})
+		out, _ := NewRewriter("sat", Filter{}).ProcessBatch(evs)
+		if err := warehouse.WriteSnapshot(&dump, sat.Name(), lsn, out); err != nil {
 			return false
 		}
-		if _, err := Load(loose, "sat", &dump); err != nil {
+		_, loaded, err := warehouse.ReadSnapshot(&dump)
+		if err != nil {
+			return false
+		}
+		for i := range loaded {
+			loaded[i].Schema = HubSchema("sat")
+		}
+		if _, err := loose.ApplyAll(loaded); err != nil {
 			return false
 		}
 

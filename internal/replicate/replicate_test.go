@@ -1,7 +1,6 @@
 package replicate
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -126,11 +125,26 @@ func TestFilterValidate(t *testing.T) {
 	}
 }
 
+// pump copies src's binlog events after fromLSN through rw into dst,
+// one ApplyAll per rewritten batch, as a tight sender and hub do, and
+// returns the new position.
+func pump(src, dst *warehouse.DB, rw *Rewriter, fromLSN uint64) (uint64, error) {
+	evs, err := src.Binlog().ReadFrom(fromLSN, 0)
+	if err != nil {
+		return fromLSN, err
+	}
+	out, upTo := rw.ProcessBatch(evs)
+	if _, err := dst.ApplyAll(out); err != nil {
+		return fromLSN, err
+	}
+	return max(upTo, fromLSN), nil
+}
+
 func TestPumpReplicatesToHubSchema(t *testing.T) {
 	sat := satelliteWithJobs(t, "ccr", 50)
 	hub := warehouse.Open("hub")
 	rw := NewRewriter("ccr", Filter{})
-	pos, err := Pump(sat, hub, rw, 0)
+	pos, err := pump(sat, hub, rw, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,54 +182,11 @@ func TestPumpReplicatesToHubSchema(t *testing.T) {
 	}
 	row, _ := jobs.FactFromRecord(rec, nil)
 	sat.Insert(jobs.SchemaName, jobs.FactTable, row)
-	if _, err := Pump(sat, hub, rw, pos); err != nil {
+	if _, err := pump(sat, hub, rw, pos); err != nil {
 		t.Fatal(err)
 	}
 	if got := hub.Count(HubSchema("ccr"), jobs.FactTable); got != 51 {
 		t.Errorf("hub rows after increment = %d, want 51", got)
-	}
-}
-
-func TestLooseDumpLoad(t *testing.T) {
-	sat := satelliteWithJobs(t, "remote", 30)
-	var buf bytes.Buffer
-	if err := sat.SnapshotSchemas(&buf, []string{jobs.SchemaName}); err != nil {
-		t.Fatal(err)
-	}
-	hub := warehouse.Open("hub")
-	loaded, err := Load(hub, "remote", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := hub.Count(HubSchema("remote"), jobs.FactTable); got != 30 {
-		t.Errorf("hub rows = %d, want 30", got)
-	}
-	found := false
-	for _, tn := range loaded {
-		if tn == jobs.FactTable {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("Load reported tables %v, want %s included", loaded, jobs.FactTable)
-	}
-	// Re-shipping a newer dump supersedes the old contents.
-	rec := shredder.JobRecord{
-		LocalJobID: 99, User: "x", Account: "a", Resource: "remote-cluster", Queue: "q",
-		Nodes: 1, Cores: 1,
-		Submit: time.Date(2017, 6, 1, 0, 0, 0, 0, time.UTC),
-		Start:  time.Date(2017, 6, 1, 1, 0, 0, 0, time.UTC),
-		End:    time.Date(2017, 6, 1, 2, 0, 0, 0, time.UTC),
-	}
-	row, _ := jobs.FactFromRecord(rec, nil)
-	sat.Insert(jobs.SchemaName, jobs.FactTable, row)
-	var buf2 bytes.Buffer
-	sat.SnapshotSchemas(&buf2, []string{jobs.SchemaName})
-	if _, err := Load(hub, "remote", &buf2); err != nil {
-		t.Fatal(err)
-	}
-	if got := hub.Count(HubSchema("remote"), jobs.FactTable); got != 31 {
-		t.Errorf("hub rows after re-ship = %d, want 31", got)
 	}
 }
 

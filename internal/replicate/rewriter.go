@@ -7,9 +7,11 @@
 // selective replication of data from satellite instances".
 //
 // Two coupling modes are provided (paper §II-C2): tight federation
-// streams binlog events live over TCP; loose federation ships database
-// dumps that the hub batch-loads. Both land satellite data verbatim in
-// per-instance hub schemas; the hub never alters replicated raw data.
+// streams binlog events live over TCP (net.go); loose federation ships
+// database dumps — a satellite's snapshot events through the same
+// Rewriter — that the hub batch-loads (internal/core). Both land
+// satellite data verbatim in per-instance hub schemas; the hub never
+// alters replicated raw data.
 package replicate
 
 import (

@@ -258,14 +258,13 @@ func (cd *ColumnData) vectors() []ColumnVector {
 	return cols
 }
 
-// ColumnData exports the snapshot's live rows in bulk columnar form,
-// suitable for LoadColumns into another warehouse (loose-dump loads,
-// backup restores) and for the LOAD events of a snapshot file. When the
-// snapshot is a single heap-backed chunk with no tombstones, its own
-// (immutable) vectors are shared — do not mutate them; otherwise the
-// rows are copied into fresh vectors. Disk-backed chunks always copy —
-// the export may be adopted by another warehouse (loose-dump loads) and
-// must not alias a file mapping whose lifetime it does not control.
+// ColumnData exports the snapshot's live rows in bulk columnar form:
+// the payload of a LOAD event (SnapshotEvents), which another warehouse
+// may apply. When the snapshot is a single heap-backed chunk with no
+// tombstones, its own (immutable) vectors are shared — do not mutate
+// them; otherwise the rows are copied into fresh vectors. Disk-backed
+// chunks always copy — the export may be adopted by another warehouse
+// and must not alias a file mapping whose lifetime it does not control.
 func (td *TableData) ColumnData() *ColumnData {
 	def := td.lay.def
 	cd := &ColumnData{Rows: td.live, Names: make([]string, len(def.Columns))}

@@ -84,10 +84,10 @@ type Options struct {
 	// segments then form only through compaction and bulk loads, which
 	// with the memory backend is byte-for-byte the pre-tiering layout.
 	HotTailRows int
-	// NoBinlog opens a DB that does not record mutations: scratch stores
-	// nobody replicates from, and a hub's warehouse, whose log no sender,
-	// WAL or trim would ever read. (On a DB that does log, a derived
-	// table still does not: see TableDef.Derived.)
+	// NoBinlog opens a DB that does not record mutations: a hub's
+	// warehouse, whose log no sender, WAL or trim would ever read. (On a
+	// DB that does log, a derived table still does not: see
+	// TableDef.Derived.)
 	NoBinlog bool
 }
 
@@ -119,11 +119,6 @@ func OpenOptions(name string, opts Options) *DB {
 // Close releases the DB's segment-store backend (unmapping any
 // disk-backed segments). The DB must not be used afterwards.
 func (db *DB) Close() error { return db.storage.Close() }
-
-// OpenWithoutBinlog creates a DB that does not record mutations; used
-// for scratch stores (e.g. staging areas) where replication is not
-// wanted.
-func OpenWithoutBinlog(name string) *DB { return OpenOptions(name, Options{NoBinlog: true}) }
 
 // Name returns the DB's instance name.
 func (db *DB) Name() string { return db.name }
@@ -382,21 +377,6 @@ func (db *DB) Upsert(schema, table string, row map[string]any) error {
 	return t.Upsert(row)
 }
 
-// LoadColumns atomically replaces schema.table's contents with the
-// given columnar payload in one write transaction (see
-// Table.ReplaceAllColumns).
-func (db *DB) LoadColumns(schema, table string, cd *ColumnData) error {
-	mTxns.Inc()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	defer db.commitLocked()
-	t, err := db.lookupLocked(schema, table)
-	if err != nil {
-		return err
-	}
-	return t.ReplaceAllColumns(cd)
-}
-
 // Count returns the number of live rows in schema.table.
 func (db *DB) Count(schema, table string) int {
 	db.mu.RLock()
@@ -477,11 +457,17 @@ func (db *DB) applyLocked(ev Event) error {
 		if !ok {
 			s = db.createSchemaLocked(ev.Schema)
 		}
-		if _, ok := s.tables[ev.Table]; ok {
-			return nil // idempotent: reconnects resend DDL
-		}
 		if ev.Def == nil {
 			return fmt.Errorf("warehouse: CREATE_TABLE event for %s.%s missing definition", ev.Schema, ev.Table)
+		}
+		if t, ok := s.tables[ev.Table]; ok {
+			// Idempotent, since reconnects resend DDL and re-shipped dumps
+			// recreate their tables, but only for the table's own layout:
+			// rows of another shape must not land in it (as EnsureTable).
+			if diff := layoutDiff(t.def, *ev.Def); diff != "" {
+				return fmt.Errorf("warehouse: table %s.%s exists with another layout: %s", ev.Schema, ev.Table, diff)
+			}
+			return nil
 		}
 		_, err := s.createTableLocked(*ev.Def)
 		return err

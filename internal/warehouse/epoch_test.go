@@ -103,11 +103,11 @@ func TestSchemaEpochs(t *testing.T) {
 
 	// A restore replaces a in place: its epoch carries on.
 	var dump bytes.Buffer
-	if err := db.SnapshotSchemas(&dump, []string{"a"}); err != nil {
+	if err := snapshotSchemas(db, &dump, "a"); err != nil {
 		t.Fatal(err)
 	}
 	last = observe()
-	if _, err := db.Restore(&dump); err != nil {
+	if _, err := restore(db, &dump); err != nil {
 		t.Fatal(err)
 	}
 	monotone("restore over a")
@@ -190,12 +190,12 @@ func TestViewCapturesCommitAtomically(t *testing.T) {
 		defer readers.Done()
 		for dumps.Load() < minDumps {
 			var buf bytes.Buffer
-			if err := db.SnapshotSchemas(&buf, schemas); err != nil {
+			if err := snapshotSchemas(db, &buf, schemas...); err != nil {
 				fail("snapshot: %v", err)
 				return
 			}
-			restored := OpenWithoutBinlog("restored")
-			lsn, err := restored.Restore(&buf)
+			restored := OpenOptions("restored", Options{NoBinlog: true})
+			lsn, err := restore(restored, &buf)
 			if err != nil {
 				fail("restore: %v", err)
 				return

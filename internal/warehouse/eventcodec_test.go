@@ -346,7 +346,11 @@ func ingestedBinlogs(t testing.TB) (live, restored []warehouse.Event) {
 		t.Fatal(err)
 	}
 	db2 := warehouse.Open("restored")
-	if _, err := db2.Restore(&snap); err != nil {
+	_, evs, err := warehouse.ReadSnapshot(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db2.ApplyAll(evs); err != nil {
 		t.Fatal(err)
 	}
 	if live, err = db.Binlog().ReadFrom(0, 0); err != nil {
@@ -527,7 +531,7 @@ func FuzzDecodeEvents(f *testing.F) {
 		if err != nil {
 			return
 		}
-		_, _ = warehouse.OpenWithoutBinlog("fuzz").ApplyAll(evs) // errors are fine, panics are not
+		_, _ = warehouse.OpenOptions("fuzz", warehouse.Options{NoBinlog: true}).ApplyAll(evs) // errors are fine, panics are not
 		again, err := warehouse.DecodeEvents(warehouse.AppendEvents(nil, evs))
 		if err != nil {
 			t.Fatalf("re-encoded events do not decode: %v", err)

@@ -103,6 +103,13 @@ func TestRestoreRejectsUnsupportedSnapshotVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The snapshot's events with a LOAD short of its table's last column.
+	_, short := src.SnapshotEvents(nil)
+	for i := range short {
+		if cd := short[i].Cols; cd != nil {
+			cd.Names, cd.Cols = cd.Names[:len(cd.Names)-1], cd.Cols[:len(cd.Cols)-1]
+		}
+	}
 	for _, tc := range []struct {
 		name   string
 		stream []byte
@@ -114,6 +121,7 @@ func TestRestoreRejectsUnsupportedSnapshotVersion(t *testing.T) {
 		{"header cut short", cur.Bytes()[:len(snapshotMagic)+2], "snapshot header"},
 		{"events cut short", cur.Bytes()[:cur.Len()-1], "decode events"},
 		{"a row event", AppendEvents(header(snapshotVersion), evs), "snapshot holds a INSERT event for modw.t"},
+		{"a load its table refuses", AppendEvents(header(snapshotVersion), short), `snapshot table modw.t: warehouse: load for table "t" has 5 columns, definition has 6`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			db := Open("restored")
@@ -125,7 +133,7 @@ func TestRestoreRejectsUnsupportedSnapshotVersion(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := db.Binlog().Last()
-			_, err := db.Restore(bytes.NewReader(tc.stream))
+			_, err := restore(db, bytes.NewReader(tc.stream))
 			if err == nil || !strings.HasPrefix(err.Error(), "warehouse: restore: ") || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Restore error = %v, want one naming %q", err, tc.want)
 			}

@@ -16,9 +16,9 @@ var (
 	mBinlogTrims = obs.Default.Counter("xdmodfed_warehouse_binlog_trimmed_events_total",
 		"Binlog events discarded by Trim after all replicas acknowledged them.")
 	mSnapshotSeconds = obs.Default.Histogram("xdmodfed_warehouse_snapshot_seconds",
-		"Time to write a warehouse snapshot (full or per-schema dump).", nil)
+		"Time to encode and write a warehouse snapshot (full, per-schema or loose dump).", nil)
 	mRestoreSeconds = obs.Default.Histogram("xdmodfed_warehouse_restore_seconds",
-		"Time to restore a warehouse snapshot.", nil)
+		"Time to read, decode and check a warehouse snapshot before its events apply.", nil)
 	mSnapshotPublishes = obs.Default.Counter("xdmodfed_warehouse_snapshot_publishes_total",
 		"Immutable table snapshots published at write-transaction commit (the copy-on-write version swap lock-free readers scan).")
 	mCompactions = obs.Default.Counter("xdmodfed_warehouse_snapshot_compactions_total",

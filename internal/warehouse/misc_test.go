@@ -125,7 +125,7 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 	defer f.Close()
 	dst := Open("d")
-	if _, err := dst.Restore(f); err != nil {
+	if _, err := restore(dst, f); err != nil {
 		t.Fatal(err)
 	}
 	if dst.Count("s", "jobs") != 1 {
@@ -182,7 +182,7 @@ func TestSaveFileNeverRewritesThePreviousFile(t *testing.T) {
 	}
 	defer f.Close()
 	dst := Open("d")
-	if _, err := dst.Restore(f); err != nil || dst.Count("s", "jobs") != 2 {
+	if _, err := restore(dst, f); err != nil || dst.Count("s", "jobs") != 2 {
 		t.Errorf("the new snapshot restores %d rows (%v), want 2", dst.Count("s", "jobs"), err)
 	}
 
@@ -360,7 +360,7 @@ func TestDerivedTableLogsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := Open("restored")
-	if _, err := restored.Restore(&snap); err != nil {
+	if _, err := restore(restored, &snap); err != nil {
 		t.Fatal(err)
 	}
 	rtab, err := restored.TableIn("s", "jobs_by_day")

@@ -64,7 +64,7 @@ func TestPropertySnapshotRoundTrip(t *testing.T) {
 			return false
 		}
 		dst := Open("q")
-		if _, err := dst.Restore(&buf); err != nil {
+		if _, err := restore(dst, &buf); err != nil {
 			return false
 		}
 		if dst.Count("s", "t") != db.Count("s", "t") {

@@ -25,25 +25,28 @@ import (
 // snapshotMagic opens every snapshot of version 3 and later.
 const snapshotMagic = "XDMFSNAP"
 
-// snapshotVersion is the only format version Restore accepts. Versions
-// 1 and 2 were gob streams with no magic; they are refused.
+// snapshotVersion is the only format version ReadSnapshot accepts.
+// Versions 1 and 2 were gob streams with no magic; they are refused.
 const snapshotVersion = 3
 
 // Snapshot writes the full DB state to w. The snapshot records the
 // binlog position it corresponds to, so a restore followed by binlog
 // replay from that position is consistent.
 func (db *DB) Snapshot(w io.Writer) error {
-	return db.SnapshotSchemas(w, nil)
+	lsn, evs := db.SnapshotEvents(nil)
+	return WriteSnapshot(w, db.name, lsn, evs)
 }
 
-// SnapshotSchemas writes the named schemas (all when names is nil).
-// The read lock (so no writer publishes mid-collection) is held only
-// long enough to collect the published table snapshots — a few pointer
-// loads — and the (potentially large) encode runs against those
+// SnapshotEvents returns the events that rebuild the named schemas (all
+// when names is nil) and the binlog position they correspond to: a
+// CREATE_SCHEMA per schema and, per table, a CREATE_TABLE and a LOAD of
+// its live rows. The read lock (so no writer publishes mid-collection)
+// is held only long enough to collect the published table snapshots — a
+// few pointer loads — and the LOAD payloads are exported from those
 // immutable snapshots with no lock held, so dumps never stall writers
-// or other readers.
-func (db *DB) SnapshotSchemas(w io.Writer, names []string) error {
-	defer mSnapshotSeconds.ObserveSince(time.Now())
+// or other readers. The payloads may share the tables' vectors: do not
+// mutate them.
+func (db *DB) SnapshotEvents(names []string) (uint64, []Event) {
 	db.mu.RLock()
 	lsn := db.binlog.Last()
 	var evs []Event
@@ -64,61 +67,57 @@ func (db *DB) SnapshotSchemas(w io.Writer, names []string) error {
 	}
 	db.mu.RUnlock()
 	for i := range evs {
-		evs[i].LSN = uint64(i + 1) // ignored on restore; consecutive numbers cost nothing
 		if evs[i].Kind == EvLoad {
 			evs[i].Cols, data = data[0].ColumnData(), data[1:]
 		}
 	}
+	return lsn, evs
+}
+
+// WriteSnapshot writes evs to w as a snapshot of the DB named name at
+// binlog position lsn. It numbers the events 1..n in place: a
+// snapshot's event LSNs are ignored on read, and consecutive numbers
+// cost nothing in the codec.
+func WriteSnapshot(w io.Writer, name string, lsn uint64, evs []Event) error {
+	defer mSnapshotSeconds.ObserveSince(time.Now())
+	for i := range evs {
+		evs[i].LSN = uint64(i + 1)
+	}
 	b := binary.AppendUvarint([]byte(snapshotMagic), snapshotVersion)
-	b = appendString(b, db.name)
+	b = appendString(b, name)
 	b = binary.AppendUvarint(b, lsn)
 	_, err := w.Write(AppendEvents(b, evs))
 	return err
 }
 
-// Restore loads a snapshot into the DB, creating the schemas and
-// tables it contains that do not exist yet and replacing the contents
-// of every table it holds. Returns the binlog position the snapshot
-// was taken at.
-func (db *DB) Restore(r io.Reader) (uint64, error) {
-	return db.RestoreRenamed(r, nil)
-}
-
-// RestoreRenamed loads a snapshot, renaming schemas through the given
-// map (identity for schemas not in the map). Renaming on load is how a
-// loose-federation hub lands each satellite's dump in a uniquely named
-// schema, mirroring Tungsten's rename-on-transfer feature.
+// ReadSnapshot reads a whole snapshot and returns the binlog position
+// it was taken at and the events that rebuild its tables; applying them
+// with ApplyAll restores it, and rewriting their Schema first lands the
+// tables elsewhere (how a hub lands a loose member's dump in its
+// fed_<instance> schema, Tungsten's rename-on-transfer).
 //
-// The whole stream is read and decoded before the DB is touched: a
-// stream of another format version, or one that does not decode, is
-// rejected with the DB as it was. The events are then applied as one
-// write transaction (ApplyAll), so each table's payload is validated
-// strictly against its definition — mismatched types, lengths or
-// nullability fail the restore with a descriptive error rather than
-// loading as zeroed values.
-func (db *DB) RestoreRenamed(r io.Reader, rename map[string]string) (uint64, error) {
+// Nothing is applied here, so a stream that is refused touches no DB:
+// one of another format version, one that does not decode, one with an
+// event other than CREATE_SCHEMA, CREATE_TABLE and LOAD, and one with a
+// LOAD whose payload does not match the CREATE_TABLE before it — wrong
+// types, lengths or nullability fail with a descriptive error rather
+// than loading as zeroed values.
+func ReadSnapshot(r io.Reader) (uint64, []Event, error) {
 	defer mRestoreSeconds.ObserveSince(time.Now())
 	b, err := io.ReadAll(r)
 	if err != nil {
-		return 0, fmt.Errorf("warehouse: restore: %w", err)
+		return 0, nil, fmt.Errorf("warehouse: restore: %w", err)
 	}
 	lsn, evs, err := decodeSnapshot(b)
 	if err != nil {
-		return 0, fmt.Errorf("warehouse: restore: %w", err)
+		return 0, nil, fmt.Errorf("warehouse: restore: %w", err)
 	}
-	for i := range evs {
-		if to, ok := rename[evs[i].Schema]; ok {
-			evs[i].Schema = to
-		}
-	}
-	if _, err := db.ApplyAll(evs); err != nil {
-		return 0, fmt.Errorf("warehouse: restore: %w", err)
-	}
-	return lsn, nil
+	return lsn, evs, nil
 }
 
 // decodeSnapshot checks a snapshot's header and decodes its events,
-// which may only create schemas and tables and load them.
+// which may only create schemas and tables and load each table with a
+// payload its definition accepts.
 func decodeSnapshot(b []byte) (uint64, []Event, error) {
 	rest, ok := bytes.CutPrefix(b, []byte(snapshotMagic))
 	if !ok {
@@ -138,11 +137,26 @@ func decodeSnapshot(b []byte) (uint64, []Event, error) {
 	if err != nil {
 		return 0, nil, err
 	}
+	defs := map[string]*TableDef{} // "schema.table" -> its CREATE_TABLE's definition
 	for _, ev := range evs {
+		key := ev.Schema + "." + ev.Table
 		switch ev.Kind {
-		case EvCreateSchema, EvCreateTable, EvLoad:
+		case EvCreateSchema:
+		case EvCreateTable:
+			if ev.Def == nil {
+				return 0, nil, fmt.Errorf("snapshot creates %s with no definition", key)
+			}
+			defs[key] = ev.Def
+		case EvLoad:
+			def := defs[key]
+			if def == nil {
+				return 0, nil, fmt.Errorf("snapshot loads %s with no CREATE_TABLE before it", key)
+			}
+			if err := ev.Cols.Validate(*def); err != nil {
+				return 0, nil, fmt.Errorf("snapshot table %s: %w", key, err)
+			}
 		default:
-			return 0, nil, fmt.Errorf("snapshot holds a %v event for %s.%s", ev.Kind, ev.Schema, ev.Table)
+			return 0, nil, fmt.Errorf("snapshot holds a %v event for %s", ev.Kind, key)
 		}
 	}
 	return lsn, evs, nil

@@ -65,7 +65,11 @@ func BenchmarkRestore(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := warehouse.Open("restore").Restore(bytes.NewReader(data)); err != nil {
+		_, evs, err := warehouse.ReadSnapshot(bytes.NewReader(data))
+		if err == nil {
+			_, err = warehouse.Open("restore").ApplyAll(evs)
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

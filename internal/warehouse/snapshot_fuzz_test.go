@@ -82,7 +82,8 @@ func realmSnapshots(t testing.TB) [][]byte {
 	out := [][]byte{all.Bytes()}
 	for _, sn := range db.Schemas() {
 		var one bytes.Buffer
-		if err := db.SnapshotSchemas(&one, []string{sn}); err != nil {
+		lsn, evs := db.SnapshotEvents([]string{sn})
+		if err := warehouse.WriteSnapshot(&one, db.Name(), lsn, evs); err != nil {
 			t.Fatal(err)
 		}
 		out = append(out, one.Bytes())
@@ -98,16 +99,26 @@ type gobSnapshotV2 struct {
 	Schemas []struct{ Name string }
 }
 
-// FuzzRestoreSnapshot feeds arbitrary bytes to Restore: it returns an
-// error or succeeds, and never panics. A snapshot it restores is a
-// fixed point: the restored DB snapshots to bytes that restore to a DB
-// that snapshots to the same bytes. The seeds are real snapshots of
+// FuzzRestoreSnapshot feeds arbitrary bytes to a restore — ReadSnapshot,
+// then ApplyAll of its events into an empty DB: it returns an error or
+// succeeds, and never panics. A snapshot it restores is a fixed point:
+// the restored DB snapshots to bytes that restore to a DB that snapshots
+// to the same bytes. The seeds are real snapshots of
 // every realm (whole, then schema by schema), a cut-short one, an empty
 // input and a gob snapshot of version 2.
 func FuzzRestoreSnapshot(f *testing.F) {
+	restore := func(data []byte) (*warehouse.DB, error) {
+		_, evs, err := warehouse.ReadSnapshot(bytes.NewReader(data))
+		if err != nil {
+			return nil, err
+		}
+		db := warehouse.OpenOptions("restored", warehouse.Options{NoBinlog: true})
+		_, err = db.ApplyAll(evs)
+		return db, err
+	}
 	snaps := realmSnapshots(f)
 	for _, b := range snaps {
-		if _, err := warehouse.OpenWithoutBinlog("seed").Restore(bytes.NewReader(b)); err != nil {
+		if _, err := restore(b); err != nil {
 			f.Fatalf("a seed snapshot does not restore: %v", err)
 		}
 		f.Add(b)
@@ -121,8 +132,8 @@ func FuzzRestoreSnapshot(f *testing.F) {
 	}
 	f.Add(v2.Bytes())
 	snapshot := func(t *testing.T, data []byte) []byte {
-		db := warehouse.OpenWithoutBinlog("fuzz")
-		if _, err := db.Restore(bytes.NewReader(data)); err != nil {
+		db, err := restore(data)
+		if err != nil {
 			return nil
 		}
 		var out bytes.Buffer

@@ -430,7 +430,7 @@ func TestColumnDataValidateIsStrict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.LoadColumns("modw", "t", columnDataOf(def, rows[:1])); err != nil {
+	if err := applyOne(db, Event{Kind: EvLoad, Schema: "modw", Table: "t", Cols: columnDataOf(def, rows[:1])}); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range cases {
@@ -445,13 +445,8 @@ func TestColumnDataValidateIsStrict(t *testing.T) {
 			t.Errorf("%s: Validate = %v, want %q", tc.name, err, tc.want)
 		}
 		before := stateOf(db, tab, 3)
-		if err := db.LoadColumns("modw", "t", tc.cd); err == nil {
-			t.Errorf("%s: LoadColumns accepted the payload", tc.name)
-		}
-		if tc.cd != nil { // a peer's LOAD event takes the same gate
-			if err := applyOne(db, Event{Kind: EvLoad, Schema: "modw", Table: "t", Cols: tc.cd}); err == nil {
-				t.Errorf("%s: a LOAD event carrying the payload applied", tc.name)
-			}
+		if err := applyOne(db, Event{Kind: EvLoad, Schema: "modw", Table: "t", Cols: tc.cd}); err == nil {
+			t.Errorf("%s: a LOAD event carrying the payload applied", tc.name)
 		}
 		if after := stateOf(db, tab, 3); !reflect.DeepEqual(before, after) {
 			t.Errorf("%s: the refused load changed the table\nbefore %+v\nafter  %+v", tc.name, before, after)

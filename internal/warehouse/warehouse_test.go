@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -57,6 +58,22 @@ func updateCols(tab *Table, key any, set map[string]any) error {
 func applyOne(db *DB, ev Event) error {
 	_, err := db.ApplyAll([]Event{ev})
 	return err
+}
+
+// restore applies a snapshot to db the way every caller does: read it
+// whole, then apply its events.
+func restore(db *DB, r io.Reader) (uint64, error) {
+	lsn, evs, err := ReadSnapshot(r)
+	if err == nil {
+		_, err = db.ApplyAll(evs)
+	}
+	return lsn, err
+}
+
+// snapshotSchemas writes a snapshot of the named schemas of db to w.
+func snapshotSchemas(db *DB, w io.Writer, names ...string) error {
+	lsn, evs := db.SnapshotEvents(names)
+	return WriteSnapshot(w, db.Name(), lsn, evs)
 }
 
 // scanData calls fn for every live row of a committed snapshot, in
@@ -466,7 +483,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 
 	dst := Open("dst")
-	lsn, err := dst.Restore(&buf)
+	lsn, err := restore(dst, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +514,14 @@ func TestRestoreRenamed(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := Open("dst")
-	if _, err := dst.RestoreRenamed(&buf, map[string]string{"mod_shredder": "fed_siteA"}); err != nil {
+	_, evs, err := ReadSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range evs {
+		evs[i].Schema = "fed_siteA" // rename on transfer
+	}
+	if _, err := dst.ApplyAll(evs); err != nil {
 		t.Fatal(err)
 	}
 	if dst.Schema("fed_siteA") == nil {
@@ -513,11 +537,11 @@ func TestSnapshotSubsetOfSchemas(t *testing.T) {
 	mustTable(t, db, "keep")
 	mustTable(t, db, "drop")
 	var buf bytes.Buffer
-	if err := db.SnapshotSchemas(&buf, []string{"keep"}); err != nil {
+	if err := snapshotSchemas(db, &buf, "keep"); err != nil {
 		t.Fatal(err)
 	}
 	dst := Open("dst")
-	if _, err := dst.Restore(&buf); err != nil {
+	if _, err := restore(dst, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if dst.Schema("keep") == nil || dst.Schema("drop") != nil {
@@ -593,8 +617,51 @@ func TestEnsureTableRefusesLayoutChange(t *testing.T) {
 	}
 }
 
+// TestApplyAllRefusesLayoutChange: replication and restores create
+// tables through CREATE_TABLE events, and one for a table that exists
+// with another layout is refused like EnsureTable refuses it — naming
+// schema.table — with nothing written. Were it taken as a no-op, the
+// rows that follow it in its own layout (here a and b swapped) would
+// land in the other one's columns. The table's own layout stays
+// idempotent, as reconnects resend DDL.
+func TestApplyAllRefusesLayoutChange(t *testing.T) {
+	db := Open("test")
+	ab := TableDef{Name: "t", Columns: []Column{{Name: "a", Type: TypeString}, {Name: "b", Type: TypeString}}}
+	ba := TableDef{Name: "t", Columns: []Column{ab.Columns[1], ab.Columns[0]}}
+	if err := applyOne(db, Event{Kind: EvCreateTable, Schema: "s", Table: "t", Def: &ab}); err != nil {
+		t.Fatal(err)
+	}
+	head := db.Binlog().Last()
+	n, err := db.ApplyAll([]Event{
+		{Kind: EvCreateTable, Schema: "s", Table: "t", Def: &ba},
+		{Kind: EvInsert, Schema: "s", Table: "t", Row: []any{"B", "A"}}, // b="B", a="A"
+	})
+	if err == nil || n != 0 || !strings.Contains(err.Error(), "s.t exists with another layout: column 1 is {Name:a") {
+		t.Fatalf("CREATE_TABLE of another layout: applied %d, %v; want a refusal naming s.t", n, err)
+	}
+	if got := db.Count("s", "t"); got != 0 || db.Binlog().Last() != head {
+		t.Fatalf("the refused batch wrote %d rows and %d events", got, db.Binlog().Last()-head)
+	}
+	if _, err := db.ApplyAll([]Event{
+		{Kind: EvCreateTable, Schema: "s", Table: "t", Def: &ab},
+		{Kind: EvInsert, Schema: "s", Table: "t", Row: []any{"A", "B"}},
+	}); err != nil {
+		t.Fatalf("CREATE_TABLE of the table's own layout: %v", err)
+	}
+	tab, _ := db.TableIn("s", "t")
+	db.View(func() error {
+		tab.Scan(func(r Row) bool {
+			if a, b := r.Get("a"), r.Get("b"); a != "A" || b != "B" {
+				t.Errorf("stored a=%v b=%v, want a=A b=B", a, b)
+			}
+			return true
+		})
+		return nil
+	})
+}
+
 func TestOpenWithoutBinlog(t *testing.T) {
-	db := OpenWithoutBinlog("scratch")
+	db := OpenOptions("scratch", Options{NoBinlog: true})
 	mustTable(t, db, "s")
 	if db.Binlog().Len() != 0 {
 		t.Errorf("binlog should stay empty, has %d events", db.Binlog().Len())

@@ -43,7 +43,6 @@ var reachAllowlist = map[string]reachExemption{
 	// from a daemon, and nothing else ships".
 	"core.Satellite.RunLooseFederation": {reachPaperFeature, `loose shipping loop; ROADMAP "what the paper describes runs from a daemon, and nothing else ships"`},
 	"core.Satellite.DumpForRoute":       {reachPaperFeature, `one loose route's dump; ROADMAP "what the paper describes runs from a daemon, and nothing else ships"`},
-	"replicate.Pump":                    {reachPaperFeature, `copies a route's events into the loose dump; ROADMAP "what the paper describes runs from a daemon, and nothing else ships"`},
 	"rest.Client":                       {reachPaperFeature, `the loose shipper's transport to POST /api/federation/loose/{instance}; ROADMAP "what the paper describes runs from a daemon, and nothing else ships"`},
 	"rest.NewClient":                    {reachPaperFeature, `builds the loose shipper's transport; ROADMAP "what the paper describes runs from a daemon, and nothing else ships"`},
 	// (a) Binlog trim: unsafe until the hub keeps positions across a
@@ -58,6 +57,8 @@ var reachAllowlist = map[string]reachExemption{
 	"warehouse.Open":            {reachHarness, "logging in-memory DB for tests; daemons open through OpenOptions"},
 	"warehouse.DB.Insert":       {reachHarness, "map-form row insert that tests of most packages seed tables with"},
 	"warehouse.Table.Insert":    {reachHarness, "map-form row insert inside a transaction, for the same fixtures"},
+	"warehouse.DB.Schemas":      {reachHarness, "lists a DB's schemas for the warehouse, replicate and core tests"},
+	"warehouse.Schema.Tables":   {reachHarness, "lists a schema's tables for the warehouse, realm/perf and core tests"},
 	"realm/jobs.FactFromRecord": {reachHarness, "map-form job fact row for the replicate, core, aggregate, rest and warehouse tests"},
 	"obs.SetEnabled":            {reachHarness, "instrumentation off switch that TestDisabled and TestSpanDisabledNil in obs, and BenchmarkObsOverhead and BenchmarkTelemetryOverhead in rest, flip"},
 	"workload.SUConverter2017":  {reachHarness, "Figure 1 SU factors as a converter, for the warehouse, aggregate and workload tests"},
