@@ -30,12 +30,14 @@ reach:
 # concurrent arrival. The hub's fold/rebuild coordination tests (a loose
 # load racing a tight member and chart readers among them) and the
 # warehouse's guard that a View captures a table snapshot and the binlog
-# head atomically then run ten times over, and the front-door storm
+# head atomically, and its guard that lock-free readers resolve every
+# string cell while the writer grows the dictionaries, then run ten
+# times over, and the front-door storm
 # (200 concurrent chart requests through a 4-slot admission queue) five
 # times, since a locking bug shows up only in some interleavings.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/replicate/... ./internal/qcache/... ./internal/aggregate/... ./internal/core/... ./internal/rest/... ./internal/warehouse/... ./internal/faults/... ./internal/admission/...
-	$(GO) test -race -count=10 -run '^(TestIncrementalFoldMatchesRebuild|TestConcurrentEnsureAggregatedRebuildsOnce|TestUpdateAndDeleteBatchesLeaveHubClean|TestBatchWaitsForRunningRecompute|TestConcurrentMembersReadersAndRebuilds|TestLooseLoadRacesTightMemberAndReaders|TestViewCapturesCommitAtomically)$$' ./internal/core ./internal/warehouse
+	$(GO) test -race -count=10 -run '^(TestIncrementalFoldMatchesRebuild|TestConcurrentEnsureAggregatedRebuildsOnce|TestUpdateAndDeleteBatchesLeaveHubClean|TestBatchWaitsForRunningRecompute|TestConcurrentMembersReadersAndRebuilds|TestLooseLoadRacesTightMemberAndReaders|TestViewCapturesCommitAtomically|TestDictionaryGrowsUnderConcurrentReaders)$$' ./internal/core ./internal/warehouse
 	$(GO) test -race -count=5 -run '^TestAdmissionStorm$$' ./internal/rest
 
 # Chaos end-to-end: a multi-satellite federation under seeded fault

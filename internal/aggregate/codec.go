@@ -6,6 +6,7 @@ import (
 
 	"xdmodfed/internal/realm"
 	"xdmodfed/internal/warehouse"
+	"xdmodfed/internal/warehouse/store"
 )
 
 // aggCodec is the one translation between an accRow and a row of an
@@ -42,35 +43,64 @@ func newAggCodec(info realm.Info) *aggCodec {
 	return &aggCodec{l: l, nd: len(info.Dimensions), names: names}
 }
 
+// dimDicts holds one dictionary per dimension for the payloads of one
+// fold batch or one install: every payload built over it codes its
+// dimension columns into the same dictionaries, so a batch interns each
+// value once, not once per period.
+type dimDicts struct {
+	cols []warehouse.ColumnVector // string vectors holding only their dictionary
+	ix   []store.Index
+}
+
+// newDimDicts starts nd empty dictionaries with room for the values of
+// a few of n groups.
+func newDimDicts(nd, n int) *dimDicts {
+	d := &dimDicts{cols: make([]warehouse.ColumnVector, nd), ix: make([]store.Index, nd)}
+	for i := range d.cols {
+		d.cols[i] = warehouse.ColumnVector{Type: warehouse.TypeString, Dict: make([]string, 0, min(n, 8))}
+	}
+	return d
+}
+
+// intern appends the code of each dimension value of dims to dst.
+func (d *dimDicts) intern(dst []uint32, dims []string) []uint32 {
+	for i, v := range dims {
+		dst = append(dst, d.cols[i].Intern(&d.ix[i], v))
+	}
+	return dst
+}
+
 // aggColumns is a payload of the table layout under construction: a
 // ColumnData and its typed vectors, addressed by accRow field.
 type aggColumns struct {
 	cd         *warehouse.ColumnData
 	periodKeys []int64
-	dims       [][]string
+	dims       [][]uint32 // by dimension: codes into the dimDicts' dictionary
 	ns         []int64
 	lastTS     []float64   // nil unless the layout stores last_ts
 	state      [][]float64 // by state slot
 }
 
-// newColumns starts an n-row payload; putKey and putState fill a row.
-func (c *aggCodec) newColumns(n int) *aggColumns {
+// newColumns starts an n-row payload whose dimension columns index dd,
+// which already holds every value the payload's keys code; putKey and
+// putState fill a row.
+func (c *aggCodec) newColumns(n int, dd *dimDicts) *aggColumns {
 	cd := &warehouse.ColumnData{Rows: n, Names: c.names, Cols: make([]warehouse.ColumnVector, len(c.names))}
 	ints := func(ci int) []int64 {
 		v := make([]int64, n)
-		cd.Cols[ci] = warehouse.ColumnVector{Type: warehouse.TypeInt, Ints: v}
+		cd.Cols[ci] = store.ColumnOf(v)
 		return v
 	}
 	floats := func(ci int) []float64 {
 		v := make([]float64, n)
-		cd.Cols[ci] = warehouse.ColumnVector{Type: warehouse.TypeFloat, Floats: v}
+		cd.Cols[ci] = store.ColumnOf(v)
 		return v
 	}
-	b := &aggColumns{cd: cd, periodKeys: ints(0), dims: make([][]string, c.nd),
+	b := &aggColumns{cd: cd, periodKeys: ints(0), dims: make([][]uint32, c.nd),
 		ns: ints(1 + c.nd), state: make([][]float64, len(c.l.state))}
 	for d := range b.dims {
-		b.dims[d] = make([]string, n)
-		cd.Cols[1+d] = warehouse.ColumnVector{Type: warehouse.TypeString, Strs: b.dims[d]}
+		b.dims[d] = make([]uint32, n)
+		cd.Cols[1+d] = warehouse.ColumnVector{Type: warehouse.TypeString, Codes: b.dims[d], Dict: dd.cols[d].Dict}
 	}
 	if c.l.lastTS {
 		b.lastTS = floats(2 + c.nd)
@@ -81,11 +111,12 @@ func (c *aggCodec) newColumns(n int) *aggColumns {
 	return b
 }
 
-// putKey writes row ri's group key.
-func (b *aggColumns) putKey(ri int, periodKey int64, dims []string) {
+// putKey writes row ri's group key: its period key and the code of
+// each dimension value.
+func (b *aggColumns) putKey(ri int, periodKey int64, codes []uint32) {
 	b.periodKeys[ri] = periodKey
-	for d, v := range dims {
-		b.dims[d][ri] = v
+	for d, c := range codes {
+		b.dims[d][ri] = c
 	}
 }
 
@@ -109,10 +140,15 @@ func (c *aggCodec) columns(groups map[string]*accRow) *warehouse.ColumnData {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	b := c.newColumns(len(keys))
+	dd := newDimDicts(c.nd, len(keys))
+	codes := make([]uint32, 0, len(keys)*c.nd)
+	for _, k := range keys {
+		codes = dd.intern(codes, groups[k].dims)
+	}
+	b := c.newColumns(len(keys), dd)
 	for ri, k := range keys {
 		acc := groups[k]
-		b.putKey(ri, acc.periodKey, acc.dims)
+		b.putKey(ri, acc.periodKey, codes[ri*c.nd:(ri+1)*c.nd])
 		b.putState(ri, acc)
 	}
 	return b.cd
@@ -122,7 +158,7 @@ func (c *aggCodec) columns(groups map[string]*accRow) *warehouse.ColumnData {
 type aggReader struct {
 	c      *aggCodec
 	pks    []int64
-	dims   [][]string
+	dims   []warehouse.StringView
 	ns     []int64
 	lastTS numCol   // reads zero when the layout stores no last_ts
 	state  []numCol // by state slot
@@ -149,7 +185,7 @@ func (c *aggCodec) reader(ch warehouse.ColChunk) (*aggReader, error) {
 		}
 		return v, nil
 	}
-	r := &aggReader{c: c, dims: make([][]string, c.nd)}
+	r := &aggReader{c: c, dims: make([]warehouse.StringView, c.nd)}
 	var err error
 	if r.pks, err = intsOf(0); err != nil {
 		return nil, err
@@ -162,7 +198,7 @@ func (c *aggCodec) reader(ch warehouse.ColChunk) (*aggReader, error) {
 		if err != nil {
 			return nil, err
 		}
-		if r.dims[i] = ch.StringCol(ci); r.dims[i] == nil {
+		if r.dims[i] = ch.StringCol(ci); r.dims[i].Codes == nil {
 			return nil, fmt.Errorf("aggregate: aggregation column %q is not a string column", c.names[1+i])
 		}
 	}
@@ -182,7 +218,7 @@ func (r *aggReader) accAt(pos int) *accRow {
 	acc.periodKey = r.pks[pos]
 	acc.dims = make([]string, len(r.dims))
 	for i := range r.dims {
-		acc.dims[i] = r.dims[i][pos]
+		acc.dims[i] = r.dims[i].At(pos)
 	}
 	r.load(pos, &acc)
 	return &acc

@@ -156,11 +156,16 @@ func TestAggCodecRoundTrip(t *testing.T) {
 				}
 				// The keyed probe: an upsert of every key whose fill loads the
 				// row each one replaces, then refuses the payload.
-				probe := c.newColumns(len(groups))
+				dd := newDimDicts(c.nd, len(groups))
+				var codes []uint32
 				accs := make([]*accRow, 0, len(groups))
 				for _, acc := range groups {
-					probe.putKey(len(accs), acc.periodKey, acc.dims)
+					codes = dd.intern(codes, acc.dims)
 					accs = append(accs, acc)
+				}
+				probe := c.newColumns(len(groups), dd)
+				for i, acc := range accs {
+					probe.putKey(i, acc.periodKey, codes[i*c.nd:(i+1)*c.nd])
 				}
 				errProbed := errors.New("probed")
 				err := db.Do(func() error {

@@ -466,8 +466,12 @@ func (df *DeltaFolder) Reset(excludeResources map[string]bool, resourceColumn st
 		ch := td.Chunk(chunk)
 		var skip func(pos int) bool
 		if ci, ok := ch.ColIndex(resourceColumn); ok && len(excludeResources) > 0 {
-			if res := ch.StringCol(ci); res != nil {
-				skip = func(pos int) bool { return excludeResources[res[pos]] }
+			if res := ch.StringCol(ci); res.Codes != nil {
+				excluded := make([]bool, len(res.Dict)) // by code: each resource looked up once per chunk
+				for c, r := range res.Dict {
+					excluded[c] = excludeResources[r]
+				}
+				skip = func(pos int) bool { return excluded[res.Codes[pos]] }
 			}
 		}
 		folded, err := df.e.foldFacts(df.info, ch, skip, fresh)

@@ -30,7 +30,7 @@ func decodedFacts(t *testing.T, eng *Engine, info realm.Info, chunks ...warehous
 	}
 	var out []string
 	for _, ch := range chunks {
-		err := eng.eachFact(info, ch, l.cols, l.weights, nil, func(ts time.Time, dims []string, vals, wvals []float64) {
+		err := eng.eachFact(info, ch, l, nil, func(ts time.Time, dims []string, vals, wvals []float64) {
 			out = append(out, fmt.Sprintf("%d %q %x %x", ts.UnixNano(), dims, bits(vals), bits(wvals)))
 		})
 		if err != nil {

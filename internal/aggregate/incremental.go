@@ -48,7 +48,7 @@ func (e *Engine) ApplyFactRows(info realm.Info, sourceSchema string, rows [][]an
 		return 0, fmt.Errorf("aggregate: incremental fold into %s: %w", info.Name, err)
 	}
 	b := newFoldBatch(codec, len(rows))
-	if err := e.eachFact(info, ch, codec.l.cols, codec.l.weights, nil, b.add); err != nil {
+	if err := e.eachFact(info, ch, codec.l, nil, b.add); err != nil {
 		return 0, fmt.Errorf("aggregate: incremental fold into %s: %w", info.Name, err)
 	}
 
@@ -82,7 +82,8 @@ type foldBatch struct {
 	ts      []float64 // by fact
 	meas    []float64 // by fact: its vals, then its wvals
 	tuples  map[string]int32
-	dims    []string            // by tuple: its nd dimension values
+	dicts   *dimDicts           // the dimension values of every tuple
+	codes   []uint32            // by tuple: its nd dimension codes
 	index   []map[groupID]int32 // by period: group → position in groups
 	groups  [][]foldGroup       // by period, in first-arrival order
 	next    [][]int32           // by period and fact: the group's next fact, or -1
@@ -107,7 +108,7 @@ func newFoldBatch(c *aggCodec, n int) *foldBatch {
 	periods := Periods()
 	nm := len(c.l.cols) + len(c.l.weights)
 	b := &foldBatch{c: c, periods: periods, ts: make([]float64, 0, n), meas: make([]float64, 0, n*nm),
-		tuples: make(map[string]int32, n), index: make([]map[groupID]int32, len(periods)),
+		tuples: make(map[string]int32, n), dicts: newDimDicts(c.nd, n), index: make([]map[groupID]int32, len(periods)),
 		groups: make([][]foldGroup, len(periods)), next: make([][]int32, len(periods))}
 	next := make([]int32, len(periods)*n)
 	for pi := range periods {
@@ -129,7 +130,7 @@ func (b *foldBatch) add(t time.Time, dims []string, vals, wvals []float64) {
 	if !ok {
 		tuple = int32(len(b.tuples))
 		b.tuples[string(b.keyBuf)] = tuple
-		b.dims = append(b.dims, dims...)
+		b.codes = b.dicts.intern(b.codes, dims)
 	}
 	for pi, period := range b.periods {
 		id := groupID{period.Key(t), tuple}
@@ -165,10 +166,10 @@ func (b *foldBatch) mergeInto(tab *warehouse.Table, pi int) error {
 	if len(groups) == 0 {
 		return nil
 	}
-	out := b.c.newColumns(len(groups))
+	out := b.c.newColumns(len(groups), b.dicts)
 	for ri, g := range groups {
 		t := int(g.id.tuple) * nd
-		out.putKey(ri, g.id.periodKey, b.dims[t:t+nd])
+		out.putKey(ri, g.id.periodKey, b.codes[t:t+nd])
 	}
 	readers := map[int]*aggReader{} // by chunk base: the stored rows span sealed chunks and the tail
 	l, acc := b.c.l, b.c.l.newAcc()

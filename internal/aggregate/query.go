@@ -229,10 +229,11 @@ func foldCell(cells map[gp]*cell, aggCells map[string]*cell, k gp, n int64, v, d
 // applying the request's period range and dimension filters, and calls
 // emit for every passing live row with n and the metric's val and den
 // state (metricState; none reads zero). Every column the metric touches
-// is resolved once per
-// contiguous chunk (a cold segment materializes only when the scan
-// reaches it) and the per-row loop reads typed vectors only. Returns
-// the live rows visited.
+// is resolved once per contiguous chunk (a cold segment materializes
+// only when the scan reaches it), and so is each filter value, to its
+// code in the chunk's dictionary: the per-row loop compares codes and
+// reads typed vectors only. A chunk whose dictionary lacks a filter
+// value holds no row that passes. Returns the live rows visited.
 //
 // ctx is checked once per chunk — cheap relative to a chunk's row loop
 // but prompt enough that a canceled query stops within one chunk's
@@ -242,8 +243,8 @@ func scanAggRows(ctx context.Context, td *warehouse.TableData, req Request, val,
 	emit func(pk int64, group string, n int64, v, d float64)) (int, error) {
 
 	type dimFilter struct {
-		vals []string
-		want string
+		codes []uint32
+		want  uint32
 	}
 	scanned := 0
 	at := func(v []float64, pos int) float64 {
@@ -257,11 +258,11 @@ func scanAggRows(ctx context.Context, td *warehouse.TableData, req Request, val,
 			return scanned, err
 		}
 		ch := td.Chunk(chunk)
-		strCol := func(name string) []string {
+		strCol := func(name string) warehouse.StringView {
 			if ci, ok := ch.ColIndex(name); ok {
 				return ch.StringCol(ci)
 			}
-			return nil
+			return warehouse.StringView{}
 		}
 		stateVec := func(s stateCol) []float64 {
 			if ci, ok := ch.ColIndex(s.name()); ok && s.of != "" {
@@ -277,13 +278,17 @@ func scanAggRows(ctx context.Context, td *warehouse.TableData, req Request, val,
 		}
 		pkV, nV := intCol("period_key"), intCol("n")
 		valV, denV := stateVec(val), stateVec(den)
-		var groupV []string
+		var groupV warehouse.StringView
 		if groupCol != "" {
 			groupV = strCol(groupCol)
 		}
 		filters := make([]dimFilter, 0, len(req.Filters))
+		matchable := true
 		for dim, want := range req.Filters {
-			filters = append(filters, dimFilter{vals: strCol("dim_" + dim), want: want})
+			vals := strCol("dim_" + dim)
+			code, ok := vals.Code(want)
+			matchable = matchable && ok
+			filters = append(filters, dimFilter{codes: vals.Codes, want: code})
 		}
 		dead := ch.Tombstones()
 	rows:
@@ -302,14 +307,17 @@ func scanAggRows(ctx context.Context, td *warehouse.TableData, req Request, val,
 			if req.EndKey != 0 && pk > req.EndKey {
 				continue
 			}
+			if !matchable {
+				continue
+			}
 			for _, f := range filters {
-				if f.vals == nil || f.vals[pos] != f.want {
+				if f.codes[pos] != f.want {
 					continue rows
 				}
 			}
 			group := ""
-			if groupV != nil {
-				group = groupV[pos]
+			if groupV.Codes != nil {
+				group = groupV.At(pos)
 			}
 			var n int64
 			if nV != nil {

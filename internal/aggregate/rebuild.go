@@ -64,7 +64,7 @@ func numColOf(ch warehouse.ColChunk, name string) numCol {
 // widened value into the configured aggregation level.
 type dimReader struct {
 	numeric   bool
-	strs      []string
+	strs      warehouse.StringView
 	nulls     []bool
 	num       numCol
 	levels    config.AggregationLevels
@@ -73,10 +73,10 @@ type dimReader struct {
 
 func (d *dimReader) value(pos int) string {
 	if !d.numeric {
-		if d.strs == nil || (d.nulls != nil && d.nulls[pos]) {
+		if d.strs.Codes == nil || (d.nulls != nil && d.nulls[pos]) {
 			return ""
 		}
-		return d.strs[pos]
+		return d.strs.At(pos)
 	}
 	if d.hasLevels {
 		return d.levels.BucketFor(d.num.at(pos))
@@ -86,25 +86,27 @@ func (d *dimReader) value(pos int) string {
 
 // factReader resolves one fact-table chunk's columns for aggregation:
 // the time column, one reader per dimension, one numeric reader per
-// measure column and per weighted pair. Resolution happens once per
-// chunk; the per-row loop then touches only typed vectors at
-// chunk-local positions.
+// measure column and per weighted pair of the layout. Resolution
+// happens once per chunk; the per-row loop then touches only typed
+// vectors at chunk-local positions.
 type factReader struct {
-	times  []time.Time
+	times  warehouse.TimeView
 	tnulls []bool
 	dims   []dimReader
 	meas   []numCol
 	wpairs [][2]numCol
 }
 
-func (e *Engine) newFactReader(info realm.Info, ch warehouse.ColChunk, cols, weights []string) (*factReader, error) {
+// newFactReader resolves ch for layout l's measures and weighted pairs;
+// a nil l reads the time and the dimensions only.
+func (e *Engine) newFactReader(info realm.Info, ch warehouse.ColChunk, l *rowLayout) (*factReader, error) {
 	fr := &factReader{}
 	ti, ok := ch.ColIndex(info.TimeColumn)
 	if !ok {
 		return nil, fmt.Errorf("aggregate: fact row missing time column %q", info.TimeColumn)
 	}
 	fr.times = ch.TimeCol(ti)
-	if fr.times == nil {
+	if fr.times.Nanos == nil {
 		return nil, fmt.Errorf("aggregate: time column %q is not a time column, want time.Time", info.TimeColumn)
 	}
 	fr.tnulls = ch.NullCol(ti)
@@ -120,12 +122,15 @@ func (e *Engine) newFactReader(info realm.Info, ch warehouse.ColChunk, cols, wei
 		}
 		fr.dims[i] = dr
 	}
-	fr.meas = make([]numCol, len(cols))
-	for i, c := range cols {
+	if l == nil {
+		return fr, nil
+	}
+	fr.meas = make([]numCol, len(l.cols))
+	for i, c := range l.cols {
 		fr.meas[i] = numColOf(ch, c)
 	}
-	fr.wpairs = make([][2]numCol, len(weights))
-	for i, w := range weights {
+	fr.wpairs = make([][2]numCol, len(l.weights))
+	for i, w := range l.weights {
 		a, b, _ := strings.Cut(w, "*")
 		fr.wpairs[i] = [2]numCol{numColOf(ch, a), numColOf(ch, b)}
 	}
@@ -138,16 +143,17 @@ func (e *Engine) newFactReader(info realm.Info, ch warehouse.ColChunk, cols, wei
 // with warehouse.Table.RowsChunk) all run it, so there is no second
 // rendering for them to disagree with. Every live position of ch that
 // skip (nil = keep all) does not reject is rendered as (time, dimension
-// values, measure values, weighted products) and handed to visit; the
-// slices are reused between calls, so visit copies what it keeps. A
-// NULL time cell is an error, as the row cannot be bucketed.
-func (e *Engine) eachFact(info realm.Info, ch warehouse.ColChunk, cols, weights []string,
+// values, and the measure values and weighted products of layout l —
+// none for a nil l) and handed to visit; the slices are reused between
+// calls, so visit copies what it keeps. A NULL time cell is an error,
+// as the row cannot be bucketed.
+func (e *Engine) eachFact(info realm.Info, ch warehouse.ColChunk, l *rowLayout,
 	skip func(pos int) bool, visit func(t time.Time, dims []string, vals, wvals []float64)) error {
 
 	if ch.Rows() == 0 {
 		return nil
 	}
-	fr, err := e.newFactReader(info, ch, cols, weights)
+	fr, err := e.newFactReader(info, ch, l)
 	if err != nil {
 		return err
 	}
@@ -171,7 +177,7 @@ func (e *Engine) eachFact(info realm.Info, ch warehouse.ColChunk, cols, weights 
 		for i := range fr.wpairs {
 			wvals[i] = fr.wpairs[i][0].at(pos) * fr.wpairs[i][1].at(pos)
 		}
-		visit(fr.times[pos], dims, vals, wvals)
+		visit(fr.times.At(pos), dims, vals, wvals)
 	}
 	return nil
 }
@@ -180,7 +186,7 @@ func (e *Engine) eachFact(info realm.Info, ch warehouse.ColChunk, cols, weights 
 // columns f's layout folds, and returns how many were folded.
 func (e *Engine) foldFacts(info realm.Info, ch warehouse.ColChunk, skip func(pos int) bool, f *folder) (int, error) {
 	n := 0
-	err := e.eachFact(info, ch, f.l.cols, f.l.weights, skip, func(t time.Time, dims []string, vals, wvals []float64) {
+	err := e.eachFact(info, ch, f.l, skip, func(t time.Time, dims []string, vals, wvals []float64) {
 		if f.fold(t, dims, vals, wvals) {
 			n++
 		}

@@ -48,7 +48,7 @@ func (e *Engine) ScopeOf(info realm.Info, sourceSchema string, rows [][]any) (Sc
 	s := newScope()
 	periods := Periods()
 	var keyBuf []byte
-	err = e.eachFact(info, ch, nil, nil, nil, func(t time.Time, dims []string, _, _ []float64) {
+	err = e.eachFact(info, ch, nil, nil, func(t time.Time, dims []string, _, _ []float64) {
 		var dimsCopy []string // shared by every period's group of this fact
 		for pi, period := range periods {
 			pk := period.Key(t)

@@ -736,10 +736,12 @@ func (h *Hub) observeIdentity(instance string, ev warehouse.Event) {
 			if name != jobs.ColUser {
 				continue
 			}
-			seen := map[string]bool{}
-			for _, username := range ev.Cols.Cols[i].Strs {
-				if username != "" && !seen[username] {
-					seen[username] = true
+			// Each username is observed once, when its first cell comes.
+			users := ev.Cols.Cols[i].Strings()
+			seen := make([]bool, len(users.Dict))
+			for _, c := range users.Codes {
+				if username := users.Dict[c]; username != "" && !seen[c] {
+					seen[c] = true
 					h.Identity.Observe(auth.InstanceUser{Instance: instance, Username: username}, "", "")
 				}
 			}
@@ -806,8 +808,9 @@ func (h *Hub) newestLoadedFact(evs []warehouse.Event) time.Time {
 			if name != info.TimeColumn {
 				continue
 			}
-			for _, t := range ev.Cols.Cols[i].Times {
-				if t.After(newest) {
+			times, nulls := ev.Cols.Cols[i].Times(), ev.Cols.Cols[i].Nulls
+			for pos := range times.Nanos {
+				if t := times.At(pos); (nulls == nil || !nulls[pos]) && t.After(newest) {
 					newest = t
 				}
 			}

@@ -146,8 +146,8 @@ func StaleOpenVMs(td *warehouse.TableData, horizon time.Time) []string {
 		vms, endeds, starts, ends := ch.StringCol(vm), ch.BoolCol(ended), ch.TimeCol(start), ch.TimeCol(end)
 		dead := ch.Tombstones()
 		for pos := 0; pos < ch.Rows(); pos++ {
-			if !dead[pos] && !endeds[pos] && !ends[pos].Equal(horizonEnd(starts[pos], horizon)) {
-				out = append(out, vms[pos])
+			if !dead[pos] && !endeds[pos] && !ends.At(pos).Equal(horizonEnd(starts.At(pos), horizon)) {
+				out = append(out, vms.At(pos))
 			}
 		}
 	}

@@ -128,10 +128,11 @@ func (rw *Rewriter) Process(ev warehouse.Event) (warehouse.Event, bool) {
 
 // filterLoad drops excluded-resource rows from a bulk-load payload.
 // The input is never mutated (it may be shared with the source binlog):
-// when rows must go, a filtered copy is built; otherwise the payload
-// passes through untouched. The resource column is located by name in
-// the payload itself, so reordered upstream definitions filter
-// correctly.
+// when rows must go, a filtered copy is built — its string columns
+// keep the input's dictionaries, which neither payload appends to —
+// otherwise the payload passes through untouched. The resource column
+// is located by name in the payload itself, so reordered upstream
+// definitions filter correctly.
 func (rw *Rewriter) filterLoad(cd *warehouse.ColumnData) *warehouse.ColumnData {
 	ri := -1
 	for i, n := range cd.Names {
@@ -140,13 +141,17 @@ func (rw *Rewriter) filterLoad(cd *warehouse.ColumnData) *warehouse.ColumnData {
 			break
 		}
 	}
-	if ri < 0 || cd.Cols[ri].Strs == nil {
+	if ri < 0 || cd.Cols[ri].Codes == nil {
 		return cd
 	}
-	res := cd.Cols[ri].Strs
+	res := cd.Cols[ri].Strings()
+	excluded := make([]bool, len(res.Dict)) // by code
+	for c, r := range res.Dict {
+		excluded[c] = rw.filter.ExcludeResources[r]
+	}
 	keep := make([]int, 0, cd.Rows)
 	for pos := 0; pos < cd.Rows; pos++ {
-		if pos < len(res) && rw.filter.ExcludeResources[res[pos]] {
+		if pos < len(res.Codes) && excluded[res.Codes[pos]] {
 			continue
 		}
 		keep = append(keep, pos)
@@ -165,9 +170,10 @@ func (rw *Rewriter) filterLoad(cd *warehouse.ColumnData) *warehouse.ColumnData {
 			Type:   src.Type,
 			Ints:   pickRows(src.Ints, keep),
 			Floats: pickRows(src.Floats, keep),
-			Strs:   pickRows(src.Strs, keep),
+			Codes:  pickRows(src.Codes, keep),
+			Dict:   src.Dict,
 			Bools:  pickRows(src.Bools, keep),
-			Times:  pickRows(src.Times, keep),
+			Nanos:  pickRows(src.Nanos, keep),
 			Nulls:  pickRows(src.Nulls, keep),
 		}
 	}

@@ -3,7 +3,6 @@ package warehouse
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"xdmodfed/internal/warehouse/store"
 )
@@ -11,7 +10,9 @@ import (
 // Typed columnar storage. Each table column is one ColumnVector
 // (store.Column): a typed vector plus a parallel validity vector,
 // strictly append-only (see store.Column for why that makes the
-// copy-on-write snapshot protocol cheap).
+// copy-on-write snapshot protocol cheap). A string column's cells are
+// codes into a dictionary and a time column's are Unix nanoseconds, so
+// no vector holds a pointer per cell.
 
 // layout is the immutable name→position mapping shared by a table, its
 // published snapshots and every Row handed out; it never changes after
@@ -119,14 +120,24 @@ func (ch ColChunk) IntCol(i int) []int64 { return ch.cols[i].Ints }
 // FloatCol returns column i's float64 vector (nil unless TypeFloat).
 func (ch ColChunk) FloatCol(i int) []float64 { return ch.cols[i].Floats }
 
-// StringCol returns column i's string vector (nil unless TypeString).
-func (ch ColChunk) StringCol(i int) []string { return ch.cols[i].Strs }
+// StringCol returns column i's string view (the zero view, nil Codes,
+// unless TypeString). Never mutate the view's slices.
+func (ch ColChunk) StringCol(i int) StringView { return ch.cols[i].Strings() }
 
 // BoolCol returns column i's bool vector (nil unless TypeBool).
 func (ch ColChunk) BoolCol(i int) []bool { return ch.cols[i].Bools }
 
-// TimeCol returns column i's time vector (nil unless TypeTime).
-func (ch ColChunk) TimeCol(i int) []time.Time { return ch.cols[i].Times }
+// TimeCol returns column i's time view (the zero view, nil Nanos,
+// unless TypeTime).
+func (ch ColChunk) TimeCol(i int) TimeView { return ch.cols[i].Times() }
+
+// StringView reads a string column: At resolves a cell's code through
+// the chunk's dictionary.
+type StringView = store.StringView
+
+// TimeView reads a time column: At turns a cell's Unix nanoseconds into
+// a UTC time.
+type TimeView = store.TimeView
 
 // NullCol returns column i's validity vector (true = NULL).
 func (ch ColChunk) NullCol(i int) []bool { return ch.cols[i].Nulls }
@@ -137,9 +148,10 @@ func (ch ColChunk) NullCol(i int) []bool { return ch.cols[i].Nulls }
 // columnar decoder. Every cell is coerced exactly as an insert would
 // coerce it: wrong arity, a NULL in a non-nullable column or a cell the
 // column type cannot hold is an error naming the row, never a zeroed
-// value. The chunk has no tombstones and does not alias rows.
+// value. The chunk has no tombstones, does not alias rows and interns
+// its strings into dictionaries of its own.
 func (t *Table) RowsChunk(rows [][]any) (ColChunk, error) {
-	vecs := freshCols(t.def)
+	vecs, ixs := freshCols(t.def), make([]store.Index, len(t.def.Columns))
 	for i := range vecs {
 		vecs[i].Reserve(len(rows))
 	}
@@ -152,7 +164,7 @@ func (t *Table) RowsChunk(rows [][]any) (ColChunk, error) {
 			if err != nil {
 				return ColChunk{}, fmt.Errorf("row %d: %w", n, err)
 			}
-			vecs[i].AppendValue(v)
+			vecs[i].AppendValue(v, &ixs[i])
 		}
 	}
 	return ColChunk{lay: t.lay, cols: vecs, dead: make([]bool, len(rows)), rows: len(rows)}, nil
@@ -168,8 +180,9 @@ type ColumnData struct {
 }
 
 // ColumnVector is one column of a ColumnData, and the vector every
-// table chunk holds: exactly one typed payload is set, matching Type;
-// Nulls marks NULL cells (nil = none null).
+// table chunk holds: exactly one typed payload is set, matching Type
+// (for a string column, codes and the dictionary they index); Nulls
+// marks NULL cells (nil = none null).
 type ColumnVector = store.Column
 
 // Validate checks cd against a table definition: the column list must
@@ -209,9 +222,9 @@ func (cd *ColumnData) Validate(def TableDef) error {
 		}
 		count(TypeInt, len(v.Ints), v.Ints != nil)
 		count(TypeFloat, len(v.Floats), v.Floats != nil)
-		count(TypeString, len(v.Strs), v.Strs != nil)
+		count(TypeString, len(v.Codes), v.Codes != nil || v.Dict != nil)
 		count(TypeBool, len(v.Bools), v.Bools != nil)
-		count(TypeTime, len(v.Times), v.Times != nil)
+		count(TypeTime, len(v.Nanos), v.Nanos != nil)
 		if typed > 1 {
 			return fmt.Errorf("warehouse: load for table %q column %q carries mixed-type data (%d typed payloads)",
 				def.Name, c.Name, typed)
@@ -223,6 +236,12 @@ func (cd *ColumnData) Validate(def TableDef) error {
 		if typed == 1 && n != cd.Rows {
 			return fmt.Errorf("warehouse: load for table %q column %q has %d values, want %d rows",
 				def.Name, c.Name, n, cd.Rows)
+		}
+		for pos, code := range v.Codes {
+			if int(code) >= len(v.Dict) {
+				return fmt.Errorf("warehouse: load for table %q column %q row %d holds code %d of a %d-entry dictionary",
+					def.Name, c.Name, pos, code, len(v.Dict))
+			}
 		}
 		if v.Nulls != nil && len(v.Nulls) != cd.Rows {
 			return fmt.Errorf("warehouse: load for table %q column %q has %d validity entries, want %d rows",
@@ -243,11 +262,13 @@ func (cd *ColumnData) Validate(def TableDef) error {
 // vectors returns cd's columns, each with a full-length validity
 // vector: columns without one share a single all-false vector. cd's
 // slices are referenced, not copied; the shared validity vector is
-// full (len == cap), so an append to any one column reallocates it.
+// full (len == cap), and so is every dictionary, so an append to any
+// one column reallocates them and never writes into cd's arrays.
 func (cd *ColumnData) vectors() []ColumnVector {
 	cols := slices.Clone(cd.Cols)
 	var noNulls []bool
 	for i := range cols {
+		cols[i].Dict = slices.Clip(cols[i].Dict)
 		if cols[i].Nulls == nil {
 			if noNulls == nil {
 				noNulls = make([]bool, cd.Rows)
@@ -262,7 +283,9 @@ func (cd *ColumnData) vectors() []ColumnVector {
 // the payload of a LOAD event (SnapshotEvents), which another warehouse
 // may apply. When the snapshot is a single heap-backed chunk with no
 // tombstones, its own (immutable) vectors are shared — do not mutate
-// them; otherwise the rows are copied into fresh vectors. Disk-backed
+// them (each dictionary clipped to its length, so that an append to
+// the export reallocates rather than writing where the table will);
+// otherwise the rows are copied into fresh vectors. Disk-backed
 // chunks always copy — the export may be adopted by another warehouse
 // and must not alias a file mapping whose lifetime it does not control.
 func (td *TableData) ColumnData() *ColumnData {
@@ -274,9 +297,13 @@ func (td *TableData) ColumnData() *ColumnData {
 	if td.live == td.rows && len(td.chunks) == 1 &&
 		(td.chunks[0].sc == nil || td.chunks[0].sc.h.HeapBacked()) {
 		cd.Cols = slices.Clone(td.chunks[0].columns())
+		for i := range cd.Cols {
+			cd.Cols[i].Dict = slices.Clip(cd.Cols[i].Dict)
+		}
 		return cd
 	}
 	cd.Cols = freshCols(def)
+	ixs := make([]store.Index, len(def.Columns))
 	for ci := range td.chunks {
 		c := &td.chunks[ci]
 		cols := c.columns()
@@ -285,7 +312,7 @@ func (td *TableData) ColumnData() *ColumnData {
 				continue
 			}
 			for i := range cd.Cols {
-				cd.Cols[i].AppendFrom(&cols[i], lp)
+				cd.Cols[i].AppendFrom(&cols[i], lp, &ixs[i])
 			}
 		}
 	}

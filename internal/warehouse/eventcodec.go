@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"xdmodfed/internal/warehouse/store"
 )
 
 // Binary event codec: the one serialisation of Event, used for WAL
@@ -424,14 +426,19 @@ func (r *eventReader) cols() *ColumnData {
 			r.fail("%d cells cannot fit in %d bytes", cd.Rows, len(r.b))
 		}
 		v.Reserve(min(cd.Rows, maxRowsHint))
+		var ix store.Index
 		var prev any
 		for i := 0; i < cd.Rows && r.err == nil; i++ {
 			x, same := r.cell()
 			if same && i > 0 {
 				x = prev
 			}
-			if same && i == 0 || x == nil && !validity || !v.AppendValue(x) {
-				r.fail("cell %d of column %q cannot be a %T in a %s vector (validity: %t)", i, cd.Names[len(cd.Names)-1], x, v.Type, validity)
+			if same && i == 0 || x == nil && !validity || !v.AppendValue(x, &ix) {
+				if t, ok := x.(time.Time); ok && v.Type == TypeTime {
+					r.fail("cell %d of column %q: time %v is outside the years 1678 to 2262", i, cd.Names[len(cd.Names)-1], t)
+				} else {
+					r.fail("cell %d of column %q cannot be a %T in a %s vector (validity: %t)", i, cd.Names[len(cd.Names)-1], x, v.Type, validity)
+				}
 			}
 			prev = x
 		}

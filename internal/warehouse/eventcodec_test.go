@@ -18,6 +18,7 @@ import (
 	"xdmodfed/internal/realm/jobs"
 	"xdmodfed/internal/realm/storage"
 	"xdmodfed/internal/warehouse"
+	"xdmodfed/internal/warehouse/store"
 	"xdmodfed/internal/workload"
 )
 
@@ -69,11 +70,26 @@ func colsEqual(a, b *warehouse.ColumnData) bool {
 			return x.Type == y.Type &&
 				slices.Equal(x.Ints, y.Ints) &&
 				slices.EqualFunc(x.Floats, y.Floats, func(f, g float64) bool { return math.Float64bits(f) == math.Float64bits(g) }) &&
-				slices.Equal(x.Strs, y.Strs) &&
+				slices.Equal(cellStrings(x), cellStrings(y)) &&
 				slices.Equal(x.Bools, y.Bools) &&
-				slices.EqualFunc(x.Times, y.Times, time.Time.Equal) &&
+				slices.Equal(x.Nanos, y.Nanos) &&
 				slices.Equal(x.Nulls, y.Nulls)
 		})
+}
+
+// cellStrings resolves a string vector's codes (nil for another type).
+func cellStrings(v warehouse.ColumnVector) []string {
+	var out []string
+	for _, c := range v.Codes {
+		out = append(out, v.Dict[c])
+	}
+	return out
+}
+
+// withNulls sets a vector's validity.
+func withNulls(v warehouse.ColumnVector, nulls []bool) warehouse.ColumnVector {
+	v.Nulls = nulls
+	return v
 }
 
 // eventsDiffer returns a description of the first difference, or "".
@@ -228,11 +244,11 @@ func randomEvents(rng *rand.Rand, n int) []warehouse.Event {
 			// A NULL cell's payload is not coded: it decodes as the zero
 			// value, which is what every vector the warehouse builds holds.
 			ev.Cols = &warehouse.ColumnData{Rows: 3, Names: []string{"a", "b", "c", "d", "e"}, Cols: []warehouse.ColumnVector{
-				{Type: warehouse.TypeInt, Ints: []int64{1, math.MinInt64, math.MinInt64}},
-				{Type: warehouse.TypeFloat, Floats: []float64{math.NaN(), math.Copysign(0, -1), 0}, Nulls: []bool{false, false, true}},
-				{Type: warehouse.TypeTime, Times: []time.Time{now, {}, {}}},
-				{Type: warehouse.TypeString, Strs: []string{"", "x", "x"}, Nulls: []bool{true, false, false}},
-				{Type: warehouse.TypeBool, Bools: []bool{true, true, false}},
+				store.ColumnOf([]int64{1, math.MinInt64, math.MinInt64}),
+				withNulls(store.ColumnOf([]float64{math.NaN(), math.Copysign(0, -1), 0}), []bool{false, false, true}),
+				store.ColumnOf([]time.Time{now, time.Unix(0, math.MinInt64), time.Unix(0, math.MinInt64)}),
+				withNulls(store.ColumnOf([]string{"", "x", "x"}), []bool{true, false, false}),
+				store.ColumnOf([]bool{true, true, false}),
 			}}
 		default:
 			ev.Kind = kind // TRUNCATE, CREATE_SCHEMA, DROP_SCHEMA: no payload
@@ -524,7 +540,7 @@ func FuzzDecodeEvents(f *testing.F) {
 		{LSN: 1, Kind: warehouse.EvCreateTable, Schema: "fed_siteA", Table: "every", Def: &every},
 		{LSN: 2, Kind: warehouse.EvCreateTable, Schema: "fed_siteA", Table: "t", Def: &hostile},
 		{LSN: 3, Kind: warehouse.EvLoad, Schema: "fed_siteA", Table: "t", Cols: &warehouse.ColumnData{
-			Rows: 1, Names: []string{"a"}, Cols: []warehouse.ColumnVector{{Type: warehouse.TypeString, Strs: []string{"x"}}}}},
+			Rows: 1, Names: []string{"a"}, Cols: []warehouse.ColumnVector{store.ColumnOf([]string{"x"})}}},
 	}))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		evs, err := warehouse.DecodeEvents(b)

@@ -187,13 +187,13 @@ func TestRowsChunkCoercesStrictly(t *testing.T) {
 	if got := ch.FloatCol(col("f")); got[0] != 1.5 || got[1] != -2 {
 		t.Errorf("f = %v, want [1.5 -2] (int widened)", got)
 	}
-	if got, nulls := ch.StringCol(col("s")), ch.NullCol(col("s")); got[0] != "alpha" || nulls[0] || !nulls[1] {
+	if got, nulls := ch.StringCol(col("s")), ch.NullCol(col("s")); got.At(0) != "alpha" || nulls[0] || !nulls[1] {
 		t.Errorf("s = %v nulls %v", got, nulls)
 	}
 	if got := ch.BoolCol(col("b")); !got[0] || got[1] {
 		t.Errorf("b = %v", got)
 	}
-	if got := ch.TimeCol(col("ts")); !got[0].Equal(ts1) || !got[1].Equal(ts2) || got[1].Location() != time.UTC {
+	if got := ch.TimeCol(col("ts")); !got.At(0).Equal(ts1) || !got.At(1).Equal(ts2) || got.At(1).Location() != time.UTC {
 		t.Errorf("ts = %v, want UTC-normalized %v %v", got, ts1, ts2)
 	}
 	if got, nulls := ch.IntCol(col("n")), ch.NullCol(col("n")); got[0] != 7 || nulls[0] || !nulls[1] {

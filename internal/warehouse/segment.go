@@ -14,9 +14,10 @@ import "xdmodfed/internal/warehouse/store"
 
 // sealedChunk is one sealed segment of a table. Its columns are the
 // segment view's own vectors: a memory segment hands back the very
-// vectors that were sealed; a disk segment's numeric vectors alias the
-// file mapping (kept mapped for as long as any caller references the
-// view) and its strings and times are the view's heap copies.
+// vectors that were sealed, dictionaries shared with the tail; a disk
+// segment's numeric vectors alias the file mapping (kept mapped for as
+// long as any caller references the view) and its strings (interned
+// into dictionaries of the view's own) and times are heap copies.
 type sealedChunk struct {
 	h    store.Handle
 	rows int
@@ -44,7 +45,20 @@ func freshCols(def TableDef) []ColumnVector {
 	return cols
 }
 
-// sealTail seals the hot tail as one segment and starts a fresh tail.
+// nextTail returns empty vectors to follow cols as the hot tail: the
+// dictionaries carry over, so the table's index still describes them.
+func nextTail(cols []ColumnVector) []ColumnVector {
+	next := make([]ColumnVector, len(cols))
+	for i := range cols {
+		next[i] = ColumnVector{Type: cols[i].Type, Dict: cols[i].Dict}
+	}
+	return next
+}
+
+// sealTail seals the hot tail as one segment and starts a fresh tail
+// that goes on appending to the same dictionaries: the segment keeps
+// the dictionary header it was sealed with, and the tail's later
+// entries land beyond it.
 // On failure the rows simply stay in RAM: sealing is an optimization,
 // never a correctness requirement, so a full disk degrades residency
 // instead of losing writes.
@@ -62,19 +76,21 @@ func (t *Table) sealTail() {
 	}
 	t.sealed = append(t.sealed, &sealedChunk{h: h, rows: rows})
 	t.sealedRows += rows
-	t.tail = freshCols(t.def)
+	t.tail = nextTail(t.tail)
 }
 
 // installAll replaces the table's storage with rows-long vectors,
 // sealing them as a single segment (compaction results and bulk loads
 // go straight to the backend so a cold table does not re-inflate into
-// RAM). Callers have already dropped the old sealed chunks and reset
-// positions; on seal failure the vectors become the RAM tail.
-func (t *Table) installAll(cols []ColumnVector, rows int) {
+// RAM). ixs indexes the vectors' dictionaries, which the tail goes on
+// appending to. Callers have already dropped the old sealed chunks and
+// reset positions; on seal failure the vectors become the RAM tail.
+func (t *Table) installAll(cols []ColumnVector, ixs []store.Index, rows int) {
 	t.sealed = nil
 	t.sealedRows = 0
+	t.index = ixs
 	if rows == 0 {
-		t.tail = freshCols(t.def)
+		t.tail = nextTail(cols)
 		return
 	}
 	h, err := t.db.storage.Seal(t.schema, t.def.Name, store.NewSegmentData(rows, cols))
@@ -87,7 +103,7 @@ func (t *Table) installAll(cols []ColumnVector, rows int) {
 	}
 	t.sealed = []*sealedChunk{{h: h, rows: rows}}
 	t.sealedRows = rows
-	t.tail = freshCols(t.def)
+	t.tail = nextTail(cols)
 }
 
 // dropSealed releases every sealed chunk back to the backend.

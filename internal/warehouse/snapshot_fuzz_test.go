@@ -65,7 +65,7 @@ func realmSnapshots(t testing.TB) [][]byte {
 	for _, row := range [][]any{
 		{int64(1), 1.5, "alpha", true, ts},
 		{int64(2), nil, nil, nil, nil},
-		{int64(3), math.Copysign(0, -1), "", false, time.Time{}},
+		{int64(3), math.Copysign(0, -1), "", false, time.Unix(0, math.MinInt64)}, // the earliest time a column holds
 		{int64(4), 1.5, "alpha", true, ts},
 	} {
 		if err := db.InsertRow("x", "every", row); err != nil {

@@ -29,6 +29,7 @@ import (
 //	  bool:      rows bytes, one 0/1 byte per cell (zero-copy view)
 //	  time:      data = 8*rows unix seconds, aux = 4*rows nanoseconds
 //	  string:    data = 8*(rows+1) u64 offsets, aux = concatenated bytes
+//	             of every cell (a segment does not store the dictionary)
 //	  validity:  packed bitmap, ceil(rows/8) bytes, bit set = NULL
 //	footer (12 bytes)
 //	  u32 CRC32C (Castagnoli) over everything before the footer
@@ -133,8 +134,8 @@ func planLayout(sd *SegmentData) (*segLayout, error) {
 		case TypeString:
 			d.dataLen = 8 * (rows + 1)
 			var total uint64
-			for _, s := range c.Strs {
-				total += uint64(len(s))
+			for _, code := range c.Codes {
+				total += uint64(len(c.Dict[code]))
 			}
 			d.auxLen = total
 		default:
@@ -246,9 +247,9 @@ func writeSegment(w io.Writer, sd *SegmentData) (int64, error) {
 		case TypeTime:
 			secs := make([]int64, rows)
 			nsecs := make([]uint32, rows)
-			for j, t := range c.Times {
-				secs[j] = t.Unix()
-				nsecs[j] = uint32(t.Nanosecond())
+			for j, n := range c.Nanos {
+				t := time.Unix(0, n)
+				secs[j], nsecs[j] = t.Unix(), uint32(t.Nanosecond())
 			}
 			if err := writeWords(cw, wordBytes(secs), d.dataLen); err != nil {
 				return 0, err
@@ -262,9 +263,9 @@ func writeSegment(w io.Writer, sd *SegmentData) (int64, error) {
 		case TypeString:
 			offs := make([]uint64, rows+1)
 			var cur uint64
-			for j, s := range c.Strs {
+			for j, code := range c.Codes {
 				offs[j] = cur
-				cur += uint64(len(s))
+				cur += uint64(len(c.Dict[code]))
 			}
 			offs[rows] = cur
 			if err := writeWords(cw, wordBytes(offs), d.dataLen); err != nil {
@@ -273,8 +274,8 @@ func writeSegment(w io.Writer, sd *SegmentData) (int64, error) {
 			if err := cw.padTo(d.auxOff); err != nil {
 				return 0, err
 			}
-			for _, s := range c.Strs {
-				if _, err := io.WriteString(cw, s); err != nil {
+			for _, code := range c.Codes {
+				if _, err := io.WriteString(cw, c.Dict[code]); err != nil {
 					return 0, err
 				}
 			}
@@ -405,6 +406,14 @@ func parseSegment(m []byte) (*segMeta, error) {
 		if err := check(d.nullOff, d.nullLen, false); err != nil {
 			return nil, err
 		}
+		if d.kind == TypeTime && rows > 0 {
+			secs, nsecs := viewSlice[int64](m, d.dataOff, rows), viewSlice[uint32](m, d.auxOff, rows)
+			for j := range secs {
+				if _, ok := UnixNanos(time.Unix(secs[j], int64(nsecs[j]))); !ok || nsecs[j] >= 1e9 {
+					return nil, fmt.Errorf("store: column %d row %d time is outside the range of a time column", i, j)
+				}
+			}
+		}
 		if d.kind == TypeString && rows > 0 {
 			offs := viewSlice[uint64](m, d.dataOff, rows+1)
 			var prev uint64
@@ -430,13 +439,13 @@ func viewSlice[T any](m []byte, off, count uint64) []T {
 }
 
 // materialize builds the readable view of a parsed segment. Numeric
-// and bool vectors are zero-copy views of the mapping; string bytes
-// are copied onto the heap (a string read from a segment can escape
-// into query results and caches, so it must never alias pages that a
-// later munmap could invalidate); times and validity vectors are
-// decoded onto the heap. keep is stored on the view so the mapping's
-// owner stays reachable — and therefore mapped — for as long as any
-// reader holds the view.
+// and bool vectors are zero-copy views of the mapping; strings are
+// interned into a dictionary of the view's own, its entries copied onto
+// the heap (a string read from a segment can escape into query results
+// and caches, so it must never alias pages that a later munmap could
+// invalidate); times and validity vectors are decoded onto the heap.
+// keep is stored on the view so the mapping's owner stays reachable —
+// and therefore mapped — for as long as any reader holds the view.
 func materialize(m []byte, meta *segMeta, keep any) (*SegmentData, int64) {
 	rows := uint64(meta.rows)
 	sd := &SegmentData{Rows: meta.rows, Cols: make([]Column, len(meta.dirs)), keep: keep}
@@ -454,21 +463,20 @@ func materialize(m []byte, meta *segMeta, keep any) (*SegmentData, int64) {
 		case TypeTime:
 			secs := viewSlice[int64](m, d.dataOff, rows)
 			nsecs := viewSlice[uint32](m, d.auxOff, rows)
-			times := make([]time.Time, rows)
-			for j := range times {
-				times[j] = time.Unix(secs[j], int64(nsecs[j])).UTC()
+			c.Nanos = make([]int64, rows)
+			for j := range c.Nanos {
+				c.Nanos[j] = secs[j]*1e9 + int64(nsecs[j])
 			}
-			c.Times = times
-			heap += int64(rows) * 24
+			heap += int64(rows) * 8
 		case TypeString:
 			offs := viewSlice[uint64](m, d.dataOff, rows+1)
 			blob := m[d.auxOff : d.auxOff+d.auxLen]
-			strs := make([]string, rows)
-			for j := range strs {
-				strs[j] = string(blob[offs[j]:offs[j+1]])
+			c.Codes = make([]uint32, rows)
+			var ix Index
+			for j := range c.Codes {
+				c.Codes[j] = c.Intern(&ix, string(blob[offs[j]:offs[j+1]]))
 			}
-			c.Strs = strs
-			heap += int64(rows)*16 + int64(d.auxLen)
+			heap += int64(rows)*4 + dictBytes(c.Dict)
 		}
 		nulls := make([]bool, rows)
 		if d.hasNulls {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"sync/atomic"
+
+	"xdmodfed/internal/warehouse/store"
 )
 
 // Row is one table row with access to column values by name: a
@@ -75,7 +77,7 @@ func (r Row) String(col string) string {
 	if v.Type != TypeString || v.Nulls[r.pos] {
 		return ""
 	}
-	return v.Strs[r.pos]
+	return v.Dict[v.Codes[r.pos]]
 }
 
 // Values returns a copy of the row's values, in column order.
@@ -120,6 +122,7 @@ type Table struct {
 	sealed     []*sealedChunk
 	sealedRows int
 	tail       []ColumnVector // positions [sealedRows, rows)
+	index      []store.Index  // by column: the index of a string column's dictionary, which the tail appends to
 	dead       []bool
 	rows       int // total slots, tombstones included
 	deleted    int // tombstoned slots
@@ -156,7 +159,7 @@ func newTable(s *Schema, def TableDef) (*Table, error) {
 		logged: s.db.logging && !d.Derived,
 		sch:    s,
 	}
-	t.tail = freshCols(d)
+	t.tail, t.index = freshCols(d), make([]store.Index, len(d.Columns))
 	for _, k := range d.PrimaryKey {
 		t.pkCols = append(t.pkCols, t.lay.colIndex[k])
 	}
@@ -211,14 +214,15 @@ func (t *Table) publish() {
 }
 
 // compact rewrites the vectors with live rows only (preserving scan
-// order), rebuilds the position maps, and re-seals the result through
+// order) into fresh dictionaries that hold only live values, rebuilds
+// the position maps, and re-seals the result through
 // the segment store — so compacting a mostly-dead cold table frees its
 // segments without re-inflating the survivors into permanent RAM.
 // Published snapshots keep the old chunks, so concurrent readers are
 // unaffected.
 func (t *Table) compact() {
 	mCompactions.Inc()
-	newCols := freshCols(t.def)
+	newCols, newIx := freshCols(t.def), make([]store.Index, len(t.def.Columns))
 	live := t.rows - t.deleted
 	newDead := make([]bool, live)
 	var buf []byte
@@ -236,7 +240,7 @@ func (t *Table) compact() {
 				continue
 			}
 			for i := range newCols {
-				newCols[i].AppendFrom(&cols[i], lp)
+				newCols[i].AppendFrom(&cols[i], lp, &newIx[i])
 			}
 			if newPK != nil {
 				buf = appendKeyAt(buf[:0], newCols, t.pkCols, newPos)
@@ -256,7 +260,7 @@ func (t *Table) compact() {
 	t.deleted = 0
 	t.pk = newPK
 	t.deadShared = false
-	t.installAll(newCols, live)
+	t.installAll(newCols, newIx, live)
 }
 
 // appendKeyAt renders the key for the given column positions of row
@@ -278,7 +282,7 @@ func appendKeyAt(b []byte, cols []ColumnVector, idx []int, pos int) []byte {
 		case TypeFloat:
 			b = strconv.AppendFloat(b, v.Floats[pos], 'g', -1, 64)
 		case TypeString:
-			b = append(b, v.Strs[pos]...)
+			b = append(b, v.Dict[v.Codes[pos]]...)
 		case TypeBool:
 			if v.Bools[pos] {
 				b = append(b, '1')
@@ -286,7 +290,7 @@ func appendKeyAt(b []byte, cols []ColumnVector, idx []int, pos int) []byte {
 				b = append(b, '0')
 			}
 		case TypeTime:
-			b = strconv.AppendInt(b, v.Times[pos].UnixNano(), 10)
+			b = strconv.AppendInt(b, v.Nanos[pos], 10)
 		}
 	}
 	return b
@@ -358,7 +362,7 @@ func (t *Table) pkBytes(vals []any) []byte {
 func (t *Table) appendRow(vals []any) int {
 	pos := t.rows
 	for i := range t.tail {
-		t.tail[i].AppendValue(vals[i])
+		t.tail[i].AppendValue(vals[i], &t.index[i])
 	}
 	t.dead = append(t.dead, false)
 	t.rows++
@@ -551,7 +555,7 @@ func (t *Table) Truncate() {
 
 func (t *Table) resetStorage() {
 	t.dropSealed()
-	t.tail = freshCols(t.def)
+	t.tail, t.index = freshCols(t.def), make([]store.Index, len(t.def.Columns))
 	t.dead = nil
 	t.rows = 0
 	t.deleted = 0
@@ -572,12 +576,24 @@ func (t *Table) resetStorage() {
 // uniqueness included, before anything is mutated; on success a logged
 // table logs one EvLoad event carrying the payload in place of per-row
 // events. The table adopts cd's vectors — the caller must not modify
-// cd afterwards.
+// cd afterwards — and its dictionaries, clipped so that the table's own
+// appends reallocate them; a dictionary that holds a value twice is
+// refused.
 func (t *Table) ReplaceAllColumns(cd *ColumnData) error {
 	if err := cd.Validate(t.def); err != nil {
 		return err
 	}
 	cols := cd.vectors()
+	ixs := make([]store.Index, len(cols))
+	for i := range cols {
+		if cols[i].Type != TypeString {
+			continue
+		}
+		var err error
+		if ixs[i], err = store.NewIndex(cols[i].Dict); err != nil {
+			return fmt.Errorf("warehouse: load for table %s.%s column %q: %w", t.schema, t.def.Name, t.def.Columns[i].Name, err)
+		}
+	}
 	var newPK map[string]int
 	if len(t.pkCols) > 0 {
 		newPK = make(map[string]int, cd.Rows)
@@ -605,7 +621,7 @@ func (t *Table) ReplaceAllColumns(cd *ColumnData) error {
 	t.deleted = 0
 	t.deadShared = false
 	t.pk = newPK
-	t.installAll(cols, cd.Rows)
+	t.installAll(cols, ixs, cd.Rows)
 	t.markDirty()
 	t.logEvent(Event{Kind: EvLoad, Cols: cd})
 	return nil
@@ -639,8 +655,10 @@ func (t *Table) posOf(key []byte) int {
 // validated strictly (ColumnData.Validate) and must not repeat a key; a
 // refused payload leaves the table as it was. Replaced rows are
 // tombstoned through the copy-on-write path and every column is
-// appended with one copy, so published snapshots keep reading the old
-// cells. cd is copied, not adopted: the caller may reuse it.
+// appended with one copy (a string column's codes translated into the
+// table's dictionary once per distinct code), so published snapshots
+// keep reading the old cells. cd is copied, not adopted: the caller may
+// reuse it.
 //
 // fill, when not nil, completes the payload row by row in the same
 // pass that matches the keys: it runs once per row r, in payload order,
@@ -690,7 +708,7 @@ func (t *Table) UpsertColumns(cd *ColumnData, fill func(r, replaced int) error) 
 		t.indexRow(cols, r, base+r)
 	}
 	for i := range t.tail {
-		t.tail[i].AppendColumn(&cols[i])
+		t.tail[i].AppendColumn(&cols[i], &t.index[i])
 	}
 	t.dead = append(t.dead, make([]bool, n)...)
 	t.rows += n

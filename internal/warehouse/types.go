@@ -106,9 +106,11 @@ func (d TableDef) Validate() error {
 
 // coerce normalizes v to the canonical Go representation for the column
 // type: int64, float64, string, bool or time.Time. nil is permitted for
-// nullable columns. A value already in canonical form is returned as
-// the interface it arrived in, not re-boxed — most cells on the insert
-// and rows→chunk paths are, and re-boxing allocates per cell.
+// nullable columns. A time must lie where Unix nanoseconds are defined
+// (store.UnixNanos): a time column stores them, and a key renders them.
+// A value already in canonical form is returned as the interface it
+// arrived in, not re-boxed — most cells on the insert and rows→chunk
+// paths are, and re-boxing allocates per cell.
 func coerce(col Column, v any) (any, error) {
 	if v == nil {
 		if !col.Nullable {
@@ -151,6 +153,9 @@ func coerce(col Column, v any) (any, error) {
 		}
 	case TypeTime:
 		if x, ok := v.(time.Time); ok {
+			if _, ok := store.UnixNanos(x); !ok {
+				return nil, fmt.Errorf("warehouse: column %q (%s) cannot hold %v: outside the years 1678 to 2262", col.Name, col.Type, x)
+			}
 			if x.Location() == time.UTC {
 				return v, nil
 			}

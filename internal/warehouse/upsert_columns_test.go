@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"xdmodfed/internal/warehouse/store"
 )
 
 // keyedDef is allTypesDef under a composite primary key and one
@@ -26,38 +28,42 @@ func columnDataOf(def TableDef, rows [][]any) *ColumnData {
 	cd := &ColumnData{Rows: n, Names: make([]string, len(def.Columns)), Cols: make([]ColumnVector, len(def.Columns))}
 	for i, c := range def.Columns {
 		cd.Names[i] = c.Name
-		v := ColumnVector{Type: c.Type}
+		var nulls []bool
 		if c.Nullable {
-			v.Nulls = make([]bool, n)
+			nulls = make([]bool, n)
 		}
-		switch c.Type {
-		case TypeInt:
-			v.Ints = make([]int64, n)
-		case TypeFloat:
-			v.Floats = make([]float64, n)
-		case TypeString:
-			v.Strs = make([]string, n)
-		case TypeBool:
-			v.Bools = make([]bool, n)
-		case TypeTime:
-			v.Times = make([]time.Time, n)
-		}
+		ints, floats, strs, bools, times := make([]int64, n), make([]float64, n), make([]string, n), make([]bool, n), make([]time.Time, n)
 		for r, row := range rows {
+			times[r] = time.Unix(0, 0) // what a NULL time cell holds
 			switch x := row[i].(type) {
 			case nil:
-				v.Nulls[r] = true
+				nulls[r] = true
 			case int64:
-				v.Ints[r] = x
+				ints[r] = x
 			case float64:
-				v.Floats[r] = x
+				floats[r] = x
 			case string:
-				v.Strs[r] = x
+				strs[r] = x
 			case bool:
-				v.Bools[r] = x
+				bools[r] = x
 			case time.Time:
-				v.Times[r] = x
+				times[r] = x
 			}
 		}
+		var v ColumnVector
+		switch c.Type {
+		case TypeInt:
+			v = store.ColumnOf(ints)
+		case TypeFloat:
+			v = store.ColumnOf(floats)
+		case TypeString:
+			v = store.ColumnOf(strs)
+		case TypeBool:
+			v = store.ColumnOf(bools)
+		case TypeTime:
+			v = store.ColumnOf(times)
+		}
+		v.Nulls = nulls
 		cd.Cols[i] = v
 	}
 	return cd
@@ -310,7 +316,7 @@ func TestUpsertColumnsRefusalMutatesNothing(t *testing.T) {
 	wrongType := columnDataOf(def, fresh())
 	wrongType.Cols[1] = ColumnVector{Type: TypeFloat, Ints: make([]int64, wrongType.Rows)}
 	short := columnDataOf(def, fresh())
-	short.Cols[4].Times = short.Cols[4].Times[:5]
+	short.Cols[4].Nanos = short.Cols[4].Nanos[:5]
 	negative := columnDataOf(def, nil)
 	negative.Rows = -1
 	nullKey := columnDataOf(def, fresh())
@@ -417,11 +423,12 @@ func TestColumnDataValidateIsStrict(t *testing.T) {
 		{"two payloads", edit(func(cd *ColumnData) { cd.Cols[1].Ints = make([]int64, 2) }), `column "f" carries mixed-type data (2 typed payloads)`},
 		{"int payload missing", edit(func(cd *ColumnData) { cd.Cols[0].Ints = nil }), `column "id": missing BIGINT payload`},
 		{"float payload missing", edit(func(cd *ColumnData) { cd.Cols[1].Floats = nil }), `column "f": missing DOUBLE payload`},
-		{"string payload missing", edit(func(cd *ColumnData) { cd.Cols[2].Strs = nil }), `column "s": missing VARCHAR payload`},
+		{"string payload missing", edit(func(cd *ColumnData) { cd.Cols[2].Codes, cd.Cols[2].Dict = nil, nil }), `column "s": missing VARCHAR payload`},
 		{"bool payload missing", edit(func(cd *ColumnData) { cd.Cols[3].Bools = nil }), `column "b": missing BOOLEAN payload`},
-		{"time payload missing", edit(func(cd *ColumnData) { cd.Cols[4].Times = nil }), `column "ts": missing DATETIME payload`},
-		{"payload of another type only", edit(func(cd *ColumnData) { cd.Cols[3] = ColumnVector{Type: TypeBool, Strs: make([]string, 2)} }), `column "b": missing BOOLEAN payload`},
-		{"short payload", edit(func(cd *ColumnData) { cd.Cols[2].Strs = cd.Cols[2].Strs[:1] }), `column "s" has 1 values, want 2 rows`},
+		{"time payload missing", edit(func(cd *ColumnData) { cd.Cols[4].Nanos = nil }), `column "ts": missing DATETIME payload`},
+		{"payload of another type only", edit(func(cd *ColumnData) { cd.Cols[3] = store.ColumnOf(make([]string, 2)); cd.Cols[3].Type = TypeBool }), `column "b": missing BOOLEAN payload`},
+		{"short payload", edit(func(cd *ColumnData) { cd.Cols[2].Codes = cd.Cols[2].Codes[:1] }), `column "s" has 1 values, want 2 rows`},
+		{"code beyond the dictionary", edit(func(cd *ColumnData) { cd.Cols[2].Codes[1] = 9 }), `column "s" row 1 holds code 9 of a 2-entry dictionary`},
 		{"short validity", edit(func(cd *ColumnData) { cd.Cols[2].Nulls = cd.Cols[2].Nulls[:1] }), `column "s" has 1 validity entries, want 2 rows`},
 		{"NULL where none may be", edit(func(cd *ColumnData) { cd.Cols[3].Nulls = []bool{false, true} }), `column "b" row 1 is NULL but the column is not nullable`},
 	}
