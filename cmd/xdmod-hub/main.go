@@ -51,18 +51,13 @@ func main() {
 		loose       looseFlags
 	)
 	flag.Var(&loose, "loose", "load a loose dump: instance=path (repeatable)")
-	var cfg config.InstanceConfig
-	applyKnobFlags := config.BindFlags(flag.CommandLine, &cfg, true)
 	flag.Parse()
 	if *configPath == "" {
 		fatal(fmt.Errorf("-config is required"))
 	}
 	obs.SetLogOutput(os.Stderr, *logJSON)
-	var err error
-	if cfg, err = config.LoadFile(*configPath); err != nil {
-		fatal(err)
-	}
-	if err := applyKnobFlags(); err != nil {
+	cfg, err := config.LoadFile(*configPath)
+	if err != nil {
 		fatal(err)
 	}
 	hub, err := core.NewHub(cfg)

@@ -39,18 +39,13 @@ func main() {
 		walPath    = flag.String("wal", "", "durable binlog path: replayed on startup, appended while running")
 		logJSON    = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
 	)
-	var cfg config.InstanceConfig
-	applyKnobFlags := config.BindFlags(flag.CommandLine, &cfg, false)
 	flag.Parse()
 	if *configPath == "" {
 		fatal(fmt.Errorf("-config is required"))
 	}
 	obs.SetLogOutput(os.Stderr, *logJSON)
-	var err error
-	if cfg, err = config.LoadFile(*configPath); err != nil {
-		fatal(err)
-	}
-	if err := applyKnobFlags(); err != nil {
+	cfg, err := config.LoadFile(*configPath)
+	if err != nil {
 		fatal(err)
 	}
 	sat, err := core.NewSatellite(cfg)

@@ -23,25 +23,6 @@ import (
 	"xdmodfed/internal/workload"
 )
 
-// buildTools compiles the cmd binaries into a temp dir with one go
-// build, which compiles and links the commands in parallel.
-func buildTools(t *testing.T, names ...string) map[string]string {
-	t.Helper()
-	dir := t.TempDir()
-	args := []string{"build", "-o", dir + string(filepath.Separator)}
-	out := map[string]string{}
-	for _, n := range names {
-		args = append(args, "./cmd/"+n)
-		out[n] = filepath.Join(dir, n)
-	}
-	cmd := exec.Command("go", args...)
-	cmd.Env = os.Environ()
-	if msg, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("building %v: %v\n%s", names, err, msg)
-	}
-	return out
-}
-
 // freePort asks the kernel for an unused TCP port.
 func freePort(t *testing.T) int {
 	t.Helper()
@@ -67,7 +48,11 @@ func TestEndToEndDeployment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the real binaries")
 	}
-	tools := buildTools(t, "xdmod-setup", "xdmod-shredder", "xdmod-ingestor", "xdmod-hub", "xdmod-satellite", "xdmod-report")
+	dir, err := buildMains()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tool := func(name string) string { return filepath.Join(dir, "main", name) }
 	work := t.TempDir()
 
 	repPort := freePort(t)
@@ -78,8 +63,8 @@ func TestEndToEndDeployment(t *testing.T) {
 	// 1. Operator generates configs with xdmod-setup.
 	hubCfg := filepath.Join(work, "hub.json")
 	satCfg := filepath.Join(work, "site.json")
-	run(t, tools["xdmod-setup"], "-name", "fed-hub", "-hub-instance", "-out", hubCfg)
-	run(t, tools["xdmod-setup"], "-name", "siteA", "-resource", "clusterA:hpc:1.0",
+	run(t, tool("xdmod-setup"), "-name", "fed-hub", "-hub-instance", "-out", hubCfg)
+	run(t, tool("xdmod-setup"), "-name", "siteA", "-resource", "clusterA:hpc:1.0",
 		"-hub", repAddr, "-mode", "tight", "-out", satCfg)
 
 	// 2. A synthesized sacct log is shredded and ingested.
@@ -97,16 +82,16 @@ func TestEndToEndDeployment(t *testing.T) {
 		t.Fatal(err)
 	}
 	staged := filepath.Join(work, "staged.json")
-	run(t, tools["xdmod-shredder"], "-format", "slurm", "-resource", "clusterA",
+	run(t, tool("xdmod-shredder"), "-format", "slurm", "-resource", "clusterA",
 		"-input", logPath, "-json", staged)
 	snap := filepath.Join(work, "site.snap")
-	out := run(t, tools["xdmod-ingestor"], "-config", satCfg, "-db", snap, "-staging", staged)
+	out := run(t, tool("xdmod-ingestor"), "-config", satCfg, "-db", snap, "-staging", staged)
 	if !strings.Contains(out, fmt.Sprintf("ingested=%d", len(recs))) {
 		t.Fatalf("ingestor output:\n%s", out)
 	}
 
 	// 3. Start the hub and satellite daemons.
-	hubCmd := exec.Command(tools["xdmod-hub"],
+	hubCmd := exec.Command(tool("xdmod-hub"),
 		"-config", hubCfg,
 		"-listen", fmt.Sprintf("127.0.0.1:%d", hubAPIPort),
 		"-replication", repAddr,
@@ -132,7 +117,7 @@ func TestEndToEndDeployment(t *testing.T) {
 		if withSnapshot {
 			args = append(args, "-db", snap)
 		}
-		cmd := exec.Command(tools["xdmod-satellite"], args...)
+		cmd := exec.Command(tool("xdmod-satellite"), args...)
 		log := &bytes.Buffer{}
 		cmd.Stdout, cmd.Stderr = log, log
 		if err := cmd.Start(); err != nil {
@@ -210,7 +195,7 @@ func TestEndToEndDeployment(t *testing.T) {
 	}
 
 	// 8. xdmod-report regenerates the paper artifacts (small scale).
-	repOut := run(t, tools["xdmod-report"], "-experiment", "table1", "-scale", "30")
+	repOut := run(t, tool("xdmod-report"), "-experiment", "table1", "-scale", "30")
 	if !strings.Contains(repOut, "[PASS]") || strings.Contains(repOut, "[FAIL]") {
 		t.Errorf("xdmod-report output:\n%s", repOut)
 	}

@@ -303,7 +303,7 @@ type TelemetryConfig struct {
 // unset.
 const DefaultScrapeInterval = 15 * time.Second
 
-// ScrapeIntervalDuration parses the scrape-interval knob.
+// ScrapeIntervalDuration parses telemetry.scrape_interval.
 func (t TelemetryConfig) ScrapeIntervalDuration() (time.Duration, error) {
 	return parseDuration("telemetry scrape_interval", t.ScrapeInterval, DefaultScrapeInterval)
 }
@@ -365,7 +365,7 @@ type AdmissionConfig struct {
 	QueueTimeout string `json:"queue_timeout,omitempty"`
 }
 
-// QueueTimeoutDuration parses the queue-timeout knob.
+// QueueTimeoutDuration parses admission.queue_timeout.
 func (a AdmissionConfig) QueueTimeoutDuration() (time.Duration, error) {
 	return parseDuration("admission queue_timeout", a.QueueTimeout, 2*time.Second)
 }

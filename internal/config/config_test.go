@@ -2,9 +2,7 @@ package config
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
-	"io"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -234,76 +232,5 @@ func TestAdmissionConfigDurations(t *testing.T) {
 	a = AdmissionConfig{QueueTimeout: "500ms"}
 	if d, _ := a.QueueTimeoutDuration(); d.Milliseconds() != 500 {
 		t.Fatalf("queue timeout: %v", d)
-	}
-}
-
-// TestBindFlags: a flag the operator set overrides the file's value, a
-// flag left unset preserves it, and an invalid flag value surfaces the
-// owning section's Validate error.
-func TestBindFlags(t *testing.T) {
-	file := validInstance()
-	file.QueryCache.MaxBytes = 1 << 20
-	file.Storage.HotTailRows = 4
-	file.Telemetry.ScrapeInterval = "30s"
-	file.Durability.WALFsync = "interval"
-	file.Admission.Enabled = true
-	for _, tc := range []struct {
-		name    string
-		hub     bool
-		args    []string
-		check   func(InstanceConfig) bool
-		wantErr string
-	}{
-		{name: "no flags preserve the file", hub: true, check: func(c InstanceConfig) bool {
-			return c.Admission.Enabled && c.QueryCache.MaxBytes == 1<<20 && c.Storage.HotTailRows == 4 && c.Telemetry.ScrapeInterval == "30s"
-		}},
-		{name: "set flags override, unset preserve", hub: true,
-			args: []string{"-admission=false", "-hot-tail-rows", "8", "-scrape-interval", "5s"},
-			check: func(c InstanceConfig) bool {
-				return !c.Admission.Enabled && c.QueryCache.MaxBytes == 1<<20 && c.Storage.HotTailRows == 8 &&
-					c.Telemetry.ScrapeInterval == "5s"
-			}},
-		{name: "flag set to its default still overrides", hub: false, args: []string{"-hot-tail-rows", "0", "-wal-fsync", "none"},
-			check: func(c InstanceConfig) bool { return c.Storage.HotTailRows == 0 && c.Durability.WALFsync == "none" }},
-		{name: "invalid shared knob", hub: true, args: []string{"-queue-timeout", "soon"}, wantErr: "admission queue_timeout"},
-		{name: "invalid hub knob", hub: true, args: []string{"-scrape-interval", "soon"}, wantErr: "scrape_interval"},
-		{name: "invalid satellite knob", hub: false, args: []string{"-wal-fsync", "sometimes"}, wantErr: "durability wal_fsync"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			fs := flag.NewFlagSet("daemon", flag.ContinueOnError)
-			fs.SetOutput(io.Discard)
-			var cfg InstanceConfig
-			apply := BindFlags(fs, &cfg, tc.hub)
-			if err := fs.Parse(tc.args); err != nil {
-				t.Fatal(err)
-			}
-			cfg = file // the daemons load the file after parsing
-			err := apply()
-			if tc.wantErr != "" {
-				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-					t.Fatalf("apply error = %v, want one containing %q", err, tc.wantErr)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !tc.check(cfg) {
-				t.Errorf("layered config wrong: %+v", cfg)
-			}
-		})
-	}
-	// The role's own flags exist only on that role's daemon.
-	hubFS, satFS := flag.NewFlagSet("hub", flag.ContinueOnError), flag.NewFlagSet("sat", flag.ContinueOnError)
-	var c InstanceConfig
-	BindFlags(hubFS, &c, true)
-	BindFlags(satFS, &c, false)
-	for _, name := range []string{"wal-fsync", "replication-mode", "pushdown-flush-interval"} {
-		if hubFS.Lookup(name) != nil || satFS.Lookup(name) == nil {
-			t.Errorf("-%s must be a satellite-only flag", name)
-		}
-	}
-	if hubFS.Lookup("scrape-interval") == nil || satFS.Lookup("scrape-interval") != nil {
-		t.Error("-scrape-interval must be a hub-only flag")
 	}
 }

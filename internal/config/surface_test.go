@@ -1,7 +1,6 @@
 package config
 
 import (
-	"flag"
 	"reflect"
 	"sort"
 	"strings"
@@ -9,73 +8,58 @@ import (
 )
 
 // configSurface is every configuration key an instance file may set
-// (dotted JSON paths; "[]" marks a list element) and every flag
-// BindFlags registers per daemon role. It is written out by hand on
-// purpose: a change that adds or removes a knob must edit this list in
-// the same diff, so the option count is visible in review.
-var configSurface = struct {
-	keys, hubFlags, satelliteFlags []string
-}{
-	keys: []string{
-		"admission.center_rps",
-		"admission.centers",
-		"admission.enabled",
-		"admission.global_rps",
-		"admission.max_concurrent",
-		"admission.max_queue",
-		"admission.queue_timeout",
-		"admission.user_rps",
-		"aggregation_levels[].buckets[].label",
-		"aggregation_levels[].buckets[].max",
-		"aggregation_levels[].buckets[].min",
-		"aggregation_levels[].dimension",
-		"aggregation_levels[].unit",
-		"durability.wal_fsync",
-		"enable_pprof",
-		"hierarchy_file",
-		"hubs[].exclude_resources",
-		"hubs[].hub_addr",
-		"hubs[].include_realms",
-		"hubs[].mode",
-		"is_hub",
-		"name",
-		"organization",
-		"query_cache.max_bytes",
-		"replication.heartbeat_interval",
-		"replication.mode",
-		"replication.pushdown_flush_interval",
-		"resources[].cores_per_node",
-		"resources[].description",
-		"resources[].name",
-		"resources[].nodes",
-		"resources[].sensitive",
-		"resources[].su_factor",
-		"resources[].type",
-		"resources[].wall_limit_hours",
-		"sso_sources[].issuer",
-		"sso_sources[].metadata",
-		"sso_sources[].name",
-		"sso_sources[].secret",
-		"storage.backend",
-		"storage.data_dir",
-		"storage.hot_tail_rows",
-		"storage.max_resident_bytes",
-		"telemetry.members[].addr",
-		"telemetry.members[].name",
-		"telemetry.scrape_interval",
-		"version",
-	},
-	hubFlags: []string{
-		"admission", "admission-global-rps", "admission-user-rps", "data-dir",
-		"hot-tail-rows", "max-concurrent", "max-queue", "max-resident-bytes",
-		"query-cache-bytes", "queue-timeout", "scrape-interval", "storage-backend",
-	},
-	satelliteFlags: []string{
-		"admission", "admission-global-rps", "admission-user-rps", "data-dir",
-		"hot-tail-rows", "max-concurrent", "max-queue", "max-resident-bytes",
-		"pushdown-flush-interval", "query-cache-bytes", "queue-timeout", "replication-mode",
-		"storage-backend", "wal-fsync",
-	},
+// (dotted JSON paths; "[]" marks a list element). No daemon flag
+// shadows a key: the file is a knob's one source. The list is written
+// out by hand on purpose: a change that adds or removes a knob must
+// edit it in the same diff, so the option count is visible in review.
+var configSurface = []string{
+	"admission.center_rps",
+	"admission.centers",
+	"admission.enabled",
+	"admission.global_rps",
+	"admission.max_concurrent",
+	"admission.max_queue",
+	"admission.queue_timeout",
+	"admission.user_rps",
+	"aggregation_levels[].buckets[].label",
+	"aggregation_levels[].buckets[].max",
+	"aggregation_levels[].buckets[].min",
+	"aggregation_levels[].dimension",
+	"aggregation_levels[].unit",
+	"durability.wal_fsync",
+	"enable_pprof",
+	"hierarchy_file",
+	"hubs[].exclude_resources",
+	"hubs[].hub_addr",
+	"hubs[].include_realms",
+	"hubs[].mode",
+	"is_hub",
+	"name",
+	"organization",
+	"query_cache.max_bytes",
+	"replication.heartbeat_interval",
+	"replication.mode",
+	"replication.pushdown_flush_interval",
+	"resources[].cores_per_node",
+	"resources[].description",
+	"resources[].name",
+	"resources[].nodes",
+	"resources[].sensitive",
+	"resources[].su_factor",
+	"resources[].type",
+	"resources[].wall_limit_hours",
+	"sso_sources[].issuer",
+	"sso_sources[].metadata",
+	"sso_sources[].name",
+	"sso_sources[].secret",
+	"storage.backend",
+	"storage.data_dir",
+	"storage.hot_tail_rows",
+	"storage.max_resident_bytes",
+	"telemetry.members[].addr",
+	"telemetry.members[].name",
+	"telemetry.scrape_interval",
+	"version",
 }
 
 // jsonKeys appends the dotted JSON path of every leaf field reachable
@@ -102,33 +86,14 @@ func jsonKeys(t reflect.Type, prefix string, out []string) []string {
 	return out
 }
 
-// boundFlags lists the flags BindFlags registers for one role, sorted.
-func boundFlags(hub bool) []string {
-	fs := flag.NewFlagSet("daemon", flag.ContinueOnError)
-	var cfg InstanceConfig
-	BindFlags(fs, &cfg, hub)
-	var out []string
-	fs.VisitAll(func(f *flag.Flag) { out = append(out, f.Name) })
-	return out
-}
-
-// TestConfigSurface: the configuration keys and daemon flags that
-// exist are exactly the ones configSurface lists — the options-count
-// counterpart of the metric catalogue check.
+// TestConfigSurface: the configuration keys that exist are exactly
+// the ones configSurface lists — the options-count counterpart of the
+// metric catalogue check.
 func TestConfigSurface(t *testing.T) {
 	keys := jsonKeys(reflect.TypeOf(InstanceConfig{}), "", nil)
 	sort.Strings(keys)
-	for _, c := range []struct {
-		what      string
-		got, want []string
-	}{
-		{"config keys", keys, configSurface.keys},
-		{"hub flags", boundFlags(true), configSurface.hubFlags},
-		{"satellite flags", boundFlags(false), configSurface.satelliteFlags},
-	} {
-		if strings.Join(c.got, "\n") != strings.Join(c.want, "\n") {
-			t.Errorf("%s changed; update configSurface in the same change.\n got  %d: %q\n want %d: %q",
-				c.what, len(c.got), c.got, len(c.want), c.want)
-		}
+	if strings.Join(keys, "\n") != strings.Join(configSurface, "\n") {
+		t.Errorf("config keys changed; update configSurface in the same change.\n got  %d: %q\n want %d: %q",
+			len(keys), keys, len(configSurface), configSurface)
 	}
 }

@@ -264,8 +264,13 @@ type Satellite struct {
 	senders []*replicate.Sender
 }
 
-// NewSatellite builds a satellite from its configuration.
+// NewSatellite builds a satellite from its configuration. A hub's
+// configuration (is_hub) is refused: its warehouse keeps no binlog, so
+// the satellite would ingest and replicate nothing.
 func NewSatellite(cfg config.InstanceConfig) (*Satellite, error) {
+	if cfg.IsHub {
+		return nil, fmt.Errorf("core: instance %q sets is_hub; a satellite needs a satellite configuration", cfg.Name)
+	}
 	in, err := NewInstance(cfg)
 	if err != nil {
 		return nil, err

@@ -150,7 +150,7 @@ func SessionDef() warehouse.TableDef {
 			{Name: "month_key", Type: warehouse.TypeInt},
 		},
 		PrimaryKey: []string{"session_id"},
-		Indexes:    [][]string{{"vm_id"}, {"month_key"}},
+		Indexes:    [][]string{{"vm_id"}},
 	}
 }
 

@@ -67,7 +67,6 @@ func Def() warehouse.TableDef {
 			{Name: "month_key", Type: warehouse.TypeInt},
 		},
 		PrimaryKey: []string{"resource", "job_id"},
-		Indexes:    [][]string{{"gateway"}},
 	}
 }
 

@@ -67,7 +67,6 @@ func Def() warehouse.TableDef {
 			{Name: ColMonthKey, Type: warehouse.TypeInt},
 		},
 		PrimaryKey: []string{ColResource, ColJobID},
-		Indexes:    [][]string{{ColResource}, {ColMonthKey}},
 	}
 }
 

@@ -85,7 +85,6 @@ func SummaryDef() warehouse.TableDef {
 		Name:       SummaryTable,
 		Columns:    cols,
 		PrimaryKey: []string{"resource", "job_id"},
-		Indexes:    [][]string{{"month_key"}},
 	}
 }
 

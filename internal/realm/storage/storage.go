@@ -128,7 +128,6 @@ func Def() warehouse.TableDef {
 			{Name: "month_key", Type: warehouse.TypeInt},
 		},
 		PrimaryKey: []string{"resource", "username", "day_key"},
-		Indexes:    [][]string{{"month_key"}},
 	}
 }
 

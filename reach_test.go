@@ -3,11 +3,14 @@ package xdmodfed
 import (
 	"bufio"
 	"bytes"
+	"errors"
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -67,6 +70,61 @@ var reachAllowlist = map[string]reachExemption{
 	"obs.dynHandler.WithGroup": {reachInterface, "slog.Handler"},
 }
 
+// mains is the one build of every main package a test run makes;
+// TestMain removes it when the run ends.
+var mains struct {
+	once sync.Once
+	dir  string
+	err  error
+}
+
+// buildMains builds every main package under cmd/ and examples/ into
+// <dir>/main and every one under bench/cmd into <dir>/bench, once per
+// test run, and returns dir. The linker keeps what is reachable from
+// main; -l stops the compiler from folding small functions into their
+// callers, so TestReachability sees a symbol for each, and -w skips the
+// DWARF that nm does not read, so linking is faster. Neither changes
+// what a binary does, so the end-to-end tests run the same builds.
+// bench/ is a module of its own, so it builds in a second invocation.
+func buildMains() (string, error) {
+	mains.once.Do(func() {
+		if mains.dir, mains.err = os.MkdirTemp("", "xdmodfed-mains-"); mains.err != nil {
+			return
+		}
+		builds := []struct {
+			chdir, out string
+			pkgs       []string
+		}{
+			{".", "main", []string{"./cmd/...", "./examples/..."}},
+			{"bench", "bench", []string{"./cmd/..."}},
+		}
+		errs := make([]error, len(builds))
+		var wg sync.WaitGroup
+		for i, b := range builds {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				out := filepath.Join(mains.dir, b.out) + string(filepath.Separator)
+				args := append([]string{"build", "-C", b.chdir, "-gcflags=xdmodfed/...=-l", "-ldflags=-w", "-o", out}, b.pkgs...)
+				if msg, err := exec.Command("go", args...).CombinedOutput(); err != nil {
+					errs[i] = fmt.Errorf("go build in %s: %v\n%s", b.chdir, err, msg)
+				}
+			}()
+		}
+		wg.Wait()
+		mains.err = errors.Join(errs...)
+	})
+	return mains.dir, mains.err
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if mains.dir != "" {
+		os.RemoveAll(mains.dir)
+	}
+	os.Exit(code)
+}
+
 // TestReachability keeps internal/ to what an entry point runs. It
 // builds every main package under cmd/, examples/ and bench/cmd with
 // inlining off in this module (so a function called only from an
@@ -88,50 +146,21 @@ func TestReachability(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The linker keeps what is reachable from main; -l stops the
-	// compiler from folding small functions into their callers, and -w
-	// skips the DWARF that nm does not read, so linking is faster.
-	// bench/ is a module of its own, so it builds in a second invocation.
-	dir := t.TempDir()
-	builds := []struct {
-		chdir, out string
-		pkgs       []string
-	}{
-		{".", filepath.Join(dir, "main"), []string{"./cmd/...", "./examples/..."}},
-		{"bench", filepath.Join(dir, "bench"), []string{"./cmd/..."}},
+	dir, err := buildMains()
+	if err != nil {
+		t.Fatal(err)
 	}
-	errs := make([]error, len(builds))
-	outs := make([][]byte, len(builds))
-	var wg sync.WaitGroup
-	for i, b := range builds {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			args := append([]string{"build", "-C", b.chdir, "-gcflags=xdmodfed/...=-l", "-ldflags=-w", "-o", b.out + "/"}, b.pkgs...)
-			outs[i], errs[i] = exec.Command(goBin, args...).CombinedOutput()
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("go build in %s: %v\n%s", builds[i].chdir, err, outs[i])
-		}
-	}
-
-	var bins []string
-	for _, b := range builds {
-		m, err := filepath.Glob(filepath.Join(b.out, "*"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		bins = append(bins, m...)
+	bins, err := filepath.Glob(filepath.Join(dir, "*", "*"))
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(bins) == 0 {
 		t.Fatal("no binaries built")
 	}
 	linked := map[string]bool{}
 	var mu sync.Mutex
-	errs = make([]error, len(bins))
+	var wg sync.WaitGroup
+	errs := make([]error, len(bins))
 	for i, bin := range bins {
 		wg.Add(1)
 		go func() {

@@ -104,13 +104,12 @@ func TestGobOnlyOnTheReplicationEnvelope(t *testing.T) {
 	}
 }
 
-// handFlags is every flag a cmd/ main registers itself on the
-// command line, by command, sorted. The configuration-backed daemon
-// flags are not here: config.BindFlags registers those, and
-// TestConfigSurface counts them. Like that list, this one is written
-// out by hand so a new flag — above all a second way to set a config
-// key, such as a hub flag that appends telemetry members — shows up in
-// review.
+// handFlags is every flag a cmd/ main registers on the command line,
+// by command, sorted. No flag sets a configuration key: a daemon knob
+// lives in the instance file, whose keys TestConfigSurface counts.
+// Like that list, this one is written out by hand so a new flag —
+// above all a second way to set a config key, such as a hub flag that
+// appends telemetry members — shows up in review.
 var handFlags = map[string][]string{
 	"xdmod-hub":       {"admin-pass", "admin-user", "config", "listen", "log-json", "loose", "members", "replication"},
 	"xdmod-ingestor":  {"config", "db", "log-json", "metrics-listen", "pbs", "resource", "slurm", "staging", "storage-json"},
@@ -130,7 +129,9 @@ var flagNameArg = map[string]int{
 }
 
 // TestCmdFlagsByHand: the flags each cmd/ main registers through the
-// flag package (flag.X or flag.CommandLine.X) are exactly handFlags.
+// flag package (flag.X or flag.CommandLine.X) are exactly handFlags,
+// and no main hands flag.CommandLine to a call, where a helper could
+// register flags this check does not see.
 func TestCmdFlagsByHand(t *testing.T) {
 	dirs, err := os.ReadDir("cmd")
 	if err != nil {
@@ -158,6 +159,11 @@ func TestCmdFlagsByHand(t *testing.T) {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
+				}
+				for _, arg := range call.Args {
+					if sel, ok := arg.(*ast.SelectorExpr); ok && isFlagCommandLine(sel) {
+						t.Errorf("%s: flag.CommandLine passed to a call; register flags in main so handFlags sees them", fset.Position(arg.Pos()))
+					}
 				}
 				sel, ok := call.Fun.(*ast.SelectorExpr)
 				if !ok || !isFlagCommandLine(sel.X) {
