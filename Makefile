@@ -28,7 +28,8 @@ reach:
 # the fault-injection layer. The admission package (token buckets,
 # bounded queue, concurrency limiter) is raced too — its whole job is
 # concurrent arrival. The hub's fold/rebuild coordination tests (a loose
-# load racing a tight member and chart readers among them) and the
+# load racing a tight member and chart readers, and hub-local writes
+# racing a member's batches and rebuilds, among them) and the
 # warehouse's guard that a View captures a table snapshot and the binlog
 # head atomically, and its guard that lock-free readers resolve every
 # string cell while the writer grows the dictionaries, then run ten
@@ -37,7 +38,7 @@ reach:
 # times, since a locking bug shows up only in some interleavings.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/replicate/... ./internal/qcache/... ./internal/aggregate/... ./internal/core/... ./internal/rest/... ./internal/warehouse/... ./internal/faults/... ./internal/admission/...
-	$(GO) test -race -count=10 -run '^(TestIncrementalFoldMatchesRebuild|TestConcurrentEnsureAggregatedRebuildsOnce|TestUpdateAndDeleteBatchesLeaveHubClean|TestBatchWaitsForRunningRecompute|TestConcurrentMembersReadersAndRebuilds|TestLooseLoadRacesTightMemberAndReaders|TestViewCapturesCommitAtomically|TestDictionaryGrowsUnderConcurrentReaders)$$' ./internal/core ./internal/warehouse
+	$(GO) test -race -count=10 -run '^(TestIncrementalFoldMatchesRebuild|TestConcurrentEnsureAggregatedRebuildsOnce|TestUpdateAndDeleteBatchesLeaveHubClean|TestBatchWaitsForRunningRecompute|TestConcurrentMembersReadersAndRebuilds|TestHubLocalWritesRaceMemberBatchesAndRebuilds|TestLooseLoadRacesTightMemberAndReaders|TestViewCapturesCommitAtomically|TestDictionaryGrowsUnderConcurrentReaders)$$' ./internal/core ./internal/warehouse
 	$(GO) test -race -count=5 -run '^TestAdmissionStorm$$' ./internal/rest
 
 # Chaos end-to-end: a multi-satellite federation under seeded fault

@@ -437,10 +437,10 @@ func (df *DeltaFolder) FoldRows(rows [][]any) error {
 // of the realm's live fact table, capturing the binlog position the
 // snapshot covers (every fact event at or below it is in the fold;
 // later events must still be offered via FoldRows). Rows whose
-// resource column value is in excludeResources are skipped, mirroring
+// "resource" column value is in excludeResources are skipped, mirroring
 // the replication rewriter's filter, so the fold matches exactly what
 // fact replication would have shipped. Returns the rows folded.
-func (df *DeltaFolder) Reset(excludeResources map[string]bool, resourceColumn string) (int, error) {
+func (df *DeltaFolder) Reset(excludeResources map[string]bool) (int, error) {
 	tab, err := df.e.db.TableIn(df.info.Schema, df.info.FactTable)
 	if err != nil {
 		return 0, err
@@ -456,16 +456,13 @@ func (df *DeltaFolder) Reset(excludeResources map[string]bool, resourceColumn st
 		covered = df.e.db.Binlog().Last()
 		return nil
 	})
-	if resourceColumn == "" {
-		resourceColumn = "resource"
-	}
 	fresh := newFolder(df.l)
 	fresh.trackDirty()
 	n := 0
 	for chunk := 0; chunk < td.NumChunks(); chunk++ {
 		ch := td.Chunk(chunk)
 		var skip func(pos int) bool
-		if ci, ok := ch.ColIndex(resourceColumn); ok && len(excludeResources) > 0 {
+		if ci, ok := ch.ColIndex("resource"); ok && len(excludeResources) > 0 {
 			if res := ch.StringCol(ci); res.Codes != nil {
 				excluded := make([]bool, len(res.Dict)) // by code: each resource looked up once per chunk
 				for c, r := range res.Dict {

@@ -63,7 +63,7 @@ func TestDeltaWireStability(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := df.Reset(nil, "resource"); err != nil {
+		if _, err := df.Reset(nil); err != nil {
 			t.Fatal(err)
 		}
 		d, ok := df.Flush()
@@ -168,7 +168,7 @@ func TestPushdownMatchesFactReplication(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := df.Reset(nil, "resource"); err != nil {
+		if _, err := df.Reset(nil); err != nil {
 			t.Fatal(err)
 		}
 		d, ok := df.Flush()
@@ -421,7 +421,7 @@ func TestPushdownSumLast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := df.Reset(nil, "resource"); err != nil {
+	if _, err := df.Reset(nil); err != nil {
 		t.Fatal(err)
 	}
 	d, ok := df.Flush()

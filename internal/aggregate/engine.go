@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"xdmodfed/internal/config"
 	"xdmodfed/internal/realm"
@@ -21,13 +22,20 @@ const AggSchemaSuffix = "_agg"
 type Engine struct {
 	db     *warehouse.DB
 	levels map[string]config.AggregationLevels // dimension id -> levels
+	locks  map[string]*sync.Mutex              // realm name -> its mutex (Lock); filled by Setup
+
+	// Sources returns a realm's rebuild sources, the ones a write that
+	// replaced facts recomputes its groups over (Refresh). Nil means the
+	// realm's own schema, a satellite's only source; a hub sets it to
+	// its federation's sources before it serves.
+	Sources func(info realm.Info) []Source
 }
 
 // New creates an engine over db with the given aggregation levels.
 // Numeric dimensions without configured levels fall back to a single
 // catch-all bucket.
 func New(db *warehouse.DB, levels []config.AggregationLevels) (*Engine, error) {
-	e := &Engine{db: db, levels: make(map[string]config.AggregationLevels, len(levels))}
+	e := &Engine{db: db, levels: make(map[string]config.AggregationLevels, len(levels)), locks: map[string]*sync.Mutex{}}
 	for _, l := range levels {
 		if err := l.Validate(); err != nil {
 			return nil, err
@@ -179,6 +187,9 @@ func (e *Engine) Setup(info realm.Info) error {
 	if err := info.Validate(); err != nil {
 		return err
 	}
+	if e.locks[info.Name] == nil {
+		e.locks[info.Name] = new(sync.Mutex)
+	}
 	s, l := e.db.EnsureSchema(AggSchema(info)), stateLayout(info)
 	for _, p := range Periods() {
 		if _, err := s.EnsureTable(aggDef(info, l, p)); err != nil {
@@ -206,4 +217,57 @@ func (e *Engine) targets(info realm.Info) ([]target, error) {
 		out = append(out, target{p, tab})
 	}
 	return out, nil
+}
+
+// Lock takes the mutexes of the named realms in name order (it sorts
+// realms in place) and returns the function that releases them. A
+// realm's mutex orders everything that changes its facts or its
+// aggregation tables, on a satellite and on a hub alike: a write holds
+// it from its fact transaction through the Refresh that covers it, a
+// rebuild from its scan through its install. So a reader that takes it
+// never finds the aggregates behind facts it could have seen before
+// taking it. Realm mutexes come before every other lock their holder
+// takes.
+func (e *Engine) Lock(realms ...string) (unlock func()) {
+	slices.Sort(realms)
+	for _, name := range realms {
+		e.locks[name].Lock()
+	}
+	return func() {
+		for _, name := range realms {
+			e.locks[name].Unlock()
+		}
+	}
+}
+
+// Change is one committed write to a realm's fact table: the rows it
+// wrote, new or replacing stored ones, and the stored rows it replaced
+// or removed.
+type Change struct {
+	Inserted, Replaced [][]any
+}
+
+// Refresh brings a realm's aggregation tables up to one committed write
+// to sourceSchema's fact table; it is the one place that chooses how. A
+// write that replaced nothing is additive, and its rows fold in
+// (ApplyFactRows). Otherwise exactly the groups its replaced and written
+// rows fall in are recomputed over the realm's rebuild sources (scopeOf,
+// then ReaggregateFrom), so every group it touches ends as a rebuild
+// would write it. The caller holds the realm's mutex (Lock) from the
+// write through Refresh.
+func (e *Engine) Refresh(info realm.Info, sourceSchema string, c Change) error {
+	if len(c.Replaced) == 0 {
+		_, err := e.ApplyFactRows(info, sourceSchema, c.Inserted)
+		return err
+	}
+	scope, err := e.scopeOf(info, sourceSchema, slices.Concat(c.Replaced, c.Inserted))
+	if err != nil {
+		return err
+	}
+	sources := []Source{{Schema: info.Schema}}
+	if e.Sources != nil {
+		sources = e.Sources(info)
+	}
+	_, err = e.ReaggregateFrom(info, sources, scope)
+	return err
 }

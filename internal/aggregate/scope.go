@@ -30,13 +30,13 @@ func newScope() Scope {
 	return s
 }
 
-// ScopeOf returns the groups positional fact rows of sourceSchema's
+// scopeOf returns the groups positional fact rows of sourceSchema's
 // fact table fall in, in every period. The rows are decoded the way
 // every fold decodes them (Table.RowsChunk, then eachFact), so a
 // scope names exactly the groups those facts were or will be folded
 // into. For an update or delete, pass both the old and the new rows:
 // the groups a fact leaves change as much as the ones it joins.
-func (e *Engine) ScopeOf(info realm.Info, sourceSchema string, rows [][]any) (Scope, error) {
+func (e *Engine) scopeOf(info realm.Info, sourceSchema string, rows [][]any) (Scope, error) {
 	fact, err := e.db.TableIn(sourceSchema, info.FactTable)
 	if err != nil {
 		return nil, err

@@ -206,7 +206,7 @@ func runScopedRecompute(t *testing.T, sr scopeRealm, seed int64) {
 		// nothing to recompute.
 		scope := newScope()
 		for i, rows := range touched {
-			sc, err := scopedEng.ScopeOf(info, schemas[i], rows)
+			sc, err := scopedEng.scopeOf(info, schemas[i], rows)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -61,24 +61,24 @@ func (m Member) Quarantined(t time.Time) bool {
 	return !m.QuarantinedUntil.IsZero() && t.Before(m.QuarantinedUntil)
 }
 
-// realmAggState orders everything that changes one realm's replicated
-// raw rows or its hub aggregation tables. Whoever does holds mu for the
-// whole change: a batch from its raw apply through its fold or scoped
-// recompute, a rebuild from its scan through its install, a pushdown
-// delta apply, a loose load. So a reader that takes mu never finds the
-// aggregates behind raw rows it could have seen before taking it.
+// realmAggState is the hub's state of one realm's aggregates. Whoever
+// changes the realm's raw rows or aggregation tables holds the realm's
+// mutex (aggregate.Engine.Lock) for the whole change: a batch from its
+// raw apply through its Refresh, a hub-local ingest likewise, a rebuild
+// from its scan through its install, a pushdown delta apply, a loose
+// load.
 //
 // dirty means the whole realm must be rebuilt. It is set by what no
 // group scope can express — a truncate or bulk load, a pushdown delta
 // that resets or carries bins, a loose reload (also one that failed
-// partway) — and by a failed apply, fold or recompute; a rebuild clears
-// it. It is written only with mu held and read lock-free by Status.
+// partway) — and by a failed apply or Refresh; a rebuild clears it. It
+// is written only with the realm's mutex held and read lock-free by
+// Status.
 //
-// Lock order: realm mutexes first, in realm-name order; then Hub.mu
-// (realmSources reads the members with a realm mutex held, so nothing
-// may take a realm mutex while holding Hub.mu); warehouse locks last.
+// Lock order: realm mutexes first; then Hub.mu (realmSources reads the
+// members with a realm mutex held, so nothing may take a realm mutex
+// while holding Hub.mu); warehouse locks last.
 type realmAggState struct {
-	mu    sync.Mutex
 	dirty atomic.Bool
 }
 
@@ -174,20 +174,9 @@ func NewHub(cfg config.InstanceConfig) (*Hub, error) {
 		h.realms[name] = &realmAggState{}
 		h.factRealms[info.FactTable] = info
 	}
+	// A hub-local write then recomputes over exactly what a rebuild reads.
+	in.Engine.Sources = h.realmSources
 	return h, nil
-}
-
-// lockRealms locks the named realms' mutexes, which must come in name
-// order, and returns the function that unlocks them.
-func (h *Hub) lockRealms(names []string) (unlock func()) {
-	for _, name := range names {
-		h.realms[name].mu.Lock()
-	}
-	return func() {
-		for _, name := range names {
-			h.realms[name].mu.Unlock()
-		}
-	}
 }
 
 // Register adds a satellite to the federation's membership. Only
@@ -343,16 +332,15 @@ func (h *Hub) ApplyDeltas(ctx context.Context, instance string, upTo uint64, del
 		if !granted[info.FactTable] {
 			return fmt.Errorf("core: realm %q is not pushdown-granted for member %q", d.Realm, instance)
 		}
-		st := h.realms[d.Realm]
-		st.mu.Lock()
+		unlock := h.Engine.Lock(d.Realm)
 		_, dsp := obs.StartSpan(sctx, "hub.ApplyDelta")
 		dsp.SetAttr("realm", d.Realm)
 		n, err := h.Engine.ApplyDelta(info, schema, d)
 		dsp.End()
 		if err != nil || d.Reset || n > 0 {
-			st.dirty.Store(true)
+			h.realms[d.Realm].dirty.Store(true)
 		}
-		st.mu.Unlock()
+		unlock()
 		if err != nil {
 			coreLog.Error("pushdown delta apply failed",
 				"instance", instance, "realm", d.Realm, "err", err)
@@ -382,22 +370,10 @@ func (h *Hub) ApplyDeltas(ctx context.Context, instance string, upTo uint64, del
 // realmDelta classifies one batch's effect on a single realm.
 type realmDelta struct {
 	info    realm.Info
-	schema  string  // hub schema the realm's fact events landed in
-	rows    [][]any // insert rows, foldable incrementally
-	updated [][]any // update rows (the new values)
-	old     [][]any // rows updates and deletes replace or remove
-	dirty   bool    // a mutation no group scope expresses; the realm needs a rebuild
-}
-
-// scoped reports whether the batch replaces or removes facts, so its
-// realm's groups must be recomputed rather than folded.
-func (d *realmDelta) scoped() bool { return len(d.updated) > 0 || len(d.old) > 0 }
-
-// scopeRows returns every fact row the batch touched: inserted, new and
-// old, the rows whose groups a recompute must cover.
-func (d *realmDelta) scopeRows() [][]any {
-	out := make([][]any, 0, len(d.rows)+len(d.updated)+len(d.old))
-	return append(append(append(out, d.rows...), d.updated...), d.old...)
+	schema  string           // hub schema the realm's fact events landed in
+	change  aggregate.Change // rows inserted or updated; rows deleted, plus those readReplaced finds updates replace
+	updated [][]any          // update rows (the new values)
+	dirty   bool             // a mutation no group scope expresses; the realm needs a rebuild
 }
 
 // ApplyBatch is ApplyBatchCtx with no trace context, for callers that
@@ -410,13 +386,13 @@ func (h *Hub) ApplyBatch(instance string, upTo uint64, events []warehouse.Event)
 // instance's fed_<name> schema ("the federation hub does not alter the
 // raw, replicated data from the individual instances", §II-B), the
 // commit position advances durably, and usernames feed the identity
-// map. Insert events on realm fact tables are folded straight into the
-// hub's aggregation tables (aggregation is additive), so the first
-// chart query after a batch pays O(batch) instead of O(all facts);
-// updates and deletes recompute the aggregation groups they touched
-// before ApplyBatchCtx returns, and truncates and bulk loads mark just
+// map. Each touched realm's aggregates then follow the batch's fact
+// events (aggregate.Engine.Refresh): inserts fold straight in, so the
+// first chart query after a batch pays O(batch) instead of O(all
+// facts), and updates and deletes recompute the groups they touched,
+// before ApplyBatchCtx returns; truncates and bulk loads mark just
 // their realm dirty for rebuild. When ctx carries the replication
-// frame's trace context, the apply span (and the fold spans under it)
+// frame's trace context, the apply span (and the refresh spans under it)
 // join the satellite's trace, so one TraceID covers the ingest commit,
 // the replication send, the hub apply and the incremental aggregation
 // fold across both processes.
@@ -431,7 +407,7 @@ func (h *Hub) ApplyBatchCtx(ctx context.Context, instance string, upTo uint64, e
 // batch and a loose dump alike: classify them per realm, lock the realms
 // they touch, apply them as one write transaction, observe identities
 // over the applied prefix, record the outcome against the member's
-// circuit breaker, and fold, recompute or mark dirty each touched realm.
+// circuit breaker, and refresh or mark dirty each touched realm.
 // A tight batch (loose false) moves the member's commit position to
 // upTo. A loose dump never moves it; it sets the member's mode to
 // "loose" and dates the member by the newest fact it carries.
@@ -460,7 +436,7 @@ func (h *Hub) apply(ctx context.Context, instance string, events []warehouse.Eve
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	defer h.lockRealms(names)()
+	defer h.Engine.Lock(names...)()
 	for _, d := range deltas {
 		if !d.dirty && len(d.updated) > 0 {
 			h.readReplaced(d)
@@ -537,27 +513,16 @@ func (h *Hub) apply(ctx context.Context, instance string, events []warehouse.Eve
 
 	for _, name := range names {
 		d, st := deltas[name], h.realms[name]
-		var err error
-		switch {
-		case d.dirty || st.dirty.Load():
+		if d.dirty || st.dirty.Load() {
 			// The batch itself needs a rebuild, or the realm already
 			// needs one that will cover these rows from the raw tables.
 			st.dirty.Store(true)
-		case d.scoped():
-			_, rsp := obs.StartSpan(ctx, "hub.ScopedRecompute")
-			rsp.SetAttr("realm", name)
-			var sc aggregate.Scope
-			if sc, err = h.Engine.ScopeOf(d.info, d.schema, d.scopeRows()); err == nil {
-				_, err = h.Engine.ReaggregateFrom(d.info, h.realmSources(d.info), sc)
-			}
-			rsp.End()
-		default:
-			_, fsp := obs.StartSpan(ctx, "hub.IncrementalFold")
-			fsp.SetAttr("realm", name)
-			fsp.SetAttr("rows", fmt.Sprintf("%d", len(d.rows)))
-			_, err = h.Engine.ApplyFactRows(d.info, d.schema, d.rows)
-			fsp.End()
+			continue
 		}
+		_, rsp := obs.StartSpan(ctx, "hub.Refresh")
+		rsp.SetAttr("realm", name)
+		err := h.Engine.Refresh(d.info, d.schema, d.change)
+		rsp.End()
 		if err != nil {
 			// The fold or recompute may be partial; the raw rows are
 			// safely applied, so a rebuild restores consistency.
@@ -625,8 +590,9 @@ func (h *Hub) noteApplyFailure(instance string, cause error) {
 }
 
 // classifyEvent sorts one applied event into its realm's delta: fact
-// inserts are foldable, updates and deletes scope a recompute of their
-// groups, a truncate or bulk load forces a rebuild, and events off the
+// inserts and updates are written rows, deletes replaced ones (as are
+// the rows updates replace, see readReplaced), a truncate or bulk load
+// forces a rebuild, and events off the
 // fact tables (DDL, detail tables, bookkeeping) never touch the
 // aggregates at all.
 func (h *Hub) classifyEvent(deltas map[string]*realmDelta, ev warehouse.Event) {
@@ -652,30 +618,34 @@ func (h *Hub) classifyEvent(deltas map[string]*realmDelta, ev warehouse.Event) {
 		// produced by the rewriter, but possible through the Sink
 		// interface) would need per-schema folds and scopes.
 	case ev.Kind == warehouse.EvInsert:
-		d.rows = append(d.rows, ev.Row)
+		d.change.Inserted = append(d.change.Inserted, ev.Row)
 		return
 	case ev.Kind == warehouse.EvUpdate:
+		d.change.Inserted = append(d.change.Inserted, ev.Row)
 		d.updated = append(d.updated, ev.Row)
 		return
 	case ev.Kind == warehouse.EvDelete && ev.Old != nil:
-		d.old = append(d.old, ev.Old)
+		d.change.Replaced = append(d.change.Replaced, ev.Old)
 		return
 	}
 	// Truncates and bulk loads replace the table: no group scope says
 	// what they removed, so the realm is rebuilt.
 	d.dirty = true
-	d.rows, d.updated, d.old = nil, nil, nil
+	d.change, d.updated = aggregate.Change{}, nil
 }
 
-// readReplaced adds to d.old, for each update d carries, the row the
-// update replaces: the member table's row under the same primary key
-// before the batch applies. A miss means an earlier event of the batch
-// wrote the key, and that event's rows are in the scope already; so
-// does a table the batch itself creates. A table without a primary key
-// gives updates no old row to find, and its realm is rebuilt.
+// readReplaced adds to d's replaced rows, for each update d carries,
+// the row the update replaces: the member table's row under the same
+// primary key before the batch applies. A miss means an earlier event
+// of the batch wrote the key, or the batch itself creates the table,
+// and that event's rows are in the scope already; the update's own row
+// then stands for the replaced one, so the realm's groups are still
+// recomputed, not folded. A table without a primary key gives updates
+// no old row to find, and its realm is rebuilt.
 func (h *Hub) readReplaced(d *realmDelta) {
 	tab, err := h.DB.TableIn(d.schema, d.info.FactTable)
 	if err != nil {
+		d.change.Replaced = append(d.change.Replaced, d.updated...)
 		return
 	}
 	pk := tab.Def().PrimaryKey
@@ -697,7 +667,9 @@ func (h *Hub) readReplaced(d *realmDelta) {
 				key[i] = row[ci]
 			}
 			if r, ok := tab.GetByKey(key...); ok {
-				d.old = append(d.old, r.Values())
+				d.change.Replaced = append(d.change.Replaced, r.Values())
+			} else {
+				d.change.Replaced = append(d.change.Replaced, row)
 			}
 		}
 		return nil
@@ -849,8 +821,7 @@ func (h *Hub) rebuildRealm(name string, force bool) (int, error) {
 		return 0, fmt.Errorf("core: hub has no realm %q", name)
 	}
 	st := h.realms[name]
-	st.mu.Lock()
-	defer st.mu.Unlock()
+	defer h.Engine.Lock(name)()
 	if !force && !st.dirty.Load() {
 		return 0, nil
 	}

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"xdmodfed/internal/aggregate"
 	"xdmodfed/internal/config"
+	"xdmodfed/internal/realm/gateway"
 	"xdmodfed/internal/realm/jobs"
 	"xdmodfed/internal/realm/storage"
 	"xdmodfed/internal/replicate"
@@ -338,4 +341,115 @@ func feedMember(t *testing.T, hub *Hub, member string, seed int64) int {
 		pos = upTo
 	}
 	return len(ids)
+}
+
+// TestHubLocalWritesRaceMemberBatchesAndRebuilds: hub-local Gateways
+// submissions (through the hub's pipeline, which refreshes the
+// aggregates under the realm's mutex) race a member's Gateways batches
+// and a loop of federation rebuilds. Every second submission
+// re-attributes the previous one's job once its accounting record
+// arrived, which replaces its row and recomputes its groups; the others
+// add a row. The writers keep going until the rebuild loop ends, so the
+// last rebuilds overlap writes and nothing heals what they might lose.
+// Every measure is a whole number, so no cell depends on fold order. At
+// quiescence the aggregation tables must equal a fresh rebuild's key
+// for key.
+func TestHubLocalWritesRaceMemberBatchesAndRebuilds(t *testing.T) {
+	cfg := hubCfg("hub")
+	cfg.Resources = []config.ResourceConfig{{Name: "rush", Type: "hpc", SUFactor: 1.0}}
+	hub, err := NewHub(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hub.Register("m"); err != nil {
+		t.Fatal(err)
+	}
+	member := warehouse.Open("m")
+	memberTab, err := gateway.Setup(member)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw := replicate.NewRewriter("m", replicate.Filter{})
+	var pos uint64
+	day := time.Date(2017, 3, 1, 0, 0, 0, 0, time.UTC)
+	sub := func(id int64) gateway.Submission {
+		return gateway.Submission{Gateway: "cipres", PortalUser: fmt.Sprintf("u%d", id%7), Resource: "rush", JobID: id, Submitted: day}
+	}
+	// hubLocal makes hub-local write k: a new submission when k is even,
+	// else the previous job's accounting record and its re-attribution.
+	hubLocal := func(k int64) error {
+		if k%2 == 1 {
+			end := day.Add(4 * time.Hour)
+			rec := shredder.JobRecord{LocalJobID: k - 1, User: "gw", Account: "a", Resource: "rush", Queue: "q",
+				Nodes: 1, Cores: 4, Submit: day, Start: end.Add(-2 * time.Hour), End: end}
+			if _, err := hub.Pipeline.IngestJobRecords([]shredder.JobRecord{rec}); err != nil {
+				return err
+			}
+			k--
+		}
+		_, _, err := hub.Pipeline.AttributeGatewayJobs([]gateway.Submission{sub(k)})
+		return err
+	}
+	// memberBatch ships member batch k: one Gateways row.
+	memberBatch := func(k int64) error {
+		s := sub(100000 + k)
+		row := []any{s.Gateway, s.PortalUser, s.Resource, s.JobID, s.Submitted, float64(k % 5), float64(k % 3), int64(201703)}
+		if err := member.Do(func() error { return memberTab.InsertRow(row) }); err != nil {
+			return err
+		}
+		evs, err := member.Binlog().ReadFrom(pos, 0)
+		if err != nil {
+			return err
+		}
+		out, upTo := rw.ProcessBatch(evs)
+		pos = upTo
+		return hub.ApplyBatch("m", upTo, out)
+	}
+	local, batches := int64(2), int64(0) // job id 0 is not a valid submission
+	for round := 0; round < 8; round++ {
+		var rebuilding atomic.Bool
+		rebuilding.Store(true)
+		var wg sync.WaitGroup
+		wg.Add(3)
+		go func() {
+			defer wg.Done()
+			defer rebuilding.Store(false)
+			for i := 0; i < 8; i++ {
+				if _, err := hub.AggregateFederation(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for ; rebuilding.Load(); local++ {
+				if err := hubLocal(local); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for ; rebuilding.Load(); batches++ {
+				if err := memberBatch(batches); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		served := hubAggSnapshot(t, hub, "Gateways")
+		if _, err := hub.AggregateFederation(); err != nil {
+			t.Fatal(err)
+		}
+		if rebuilt := hubAggSnapshot(t, hub, "Gateways"); !slices.Equal(served, rebuilt) {
+			t.Fatalf("round %d (%d hub-local writes, %d member batches): the hub serves %d Gateways aggregation rows, a rebuild computes %d",
+				round, local, batches, len(served), len(rebuilt))
+		}
+	}
 }

@@ -269,7 +269,7 @@ func TestPushdownModeSwitchGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := df.Reset(nil, "resource"); err != nil {
+	if _, err := df.Reset(nil); err != nil {
 		t.Fatal(err)
 	}
 	d, ok := df.Flush()

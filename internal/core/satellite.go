@@ -237,9 +237,9 @@ func (in *Instance) QueryStatsCtx(ctx context.Context, realmName string, req agg
 }
 
 // AggregateAll (re)aggregates every realm from the instance's own raw
-// data. A restart runs it after replaying the WAL or restoring a
-// snapshot, since aggregation tables are never logged; ingest keeps
-// them current between restarts.
+// data, each under its realm's mutex. A restart runs it after replaying
+// the WAL or restoring a snapshot, since aggregation tables are never
+// logged; ingest keeps them current between restarts.
 func (in *Instance) AggregateAll() error {
 	_, sp := obs.StartSpan(context.Background(), "instance.AggregateAll")
 	defer sp.End()
@@ -247,7 +247,10 @@ func (in *Instance) AggregateAll() error {
 	defer mAggRuns.Inc()
 	for _, name := range in.Registry.Names() {
 		info, _ := in.Registry.Get(name)
-		if _, err := in.Engine.Reaggregate(info, []string{info.Schema}); err != nil {
+		unlock := in.Engine.Lock(name)
+		_, err := in.Engine.Reaggregate(info, []string{info.Schema})
+		unlock()
+		if err != nil {
 			return err
 		}
 	}

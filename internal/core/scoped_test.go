@@ -275,7 +275,7 @@ func TestBatchWaitsForRunningRecompute(t *testing.T) {
 	}
 
 	st := hub.realms["Jobs"]
-	st.mu.Lock() // a recompute is running
+	unlock := hub.Engine.Lock("Jobs") // a recompute is running
 	out, upTo = batch(6, 10)
 	done := make(chan error, 1)
 	go func() { done <- hub.ApplyBatch("sat", upTo, out) }()
@@ -290,7 +290,7 @@ func TestBatchWaitsForRunningRecompute(t *testing.T) {
 	if n, got := rawRows(), jobCount(); n != 5 || got != 5 {
 		t.Fatalf("a batch moved under a running recompute: %d raw rows, %g jobs charted; want the 5 from before it", n, got)
 	}
-	st.mu.Unlock() // the recompute installs
+	unlock() // the recompute installs
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ package ingest
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -16,7 +17,9 @@ import (
 	"xdmodfed/internal/aggregate"
 	"xdmodfed/internal/obs"
 	"xdmodfed/internal/realm"
+	"xdmodfed/internal/realm/alloc"
 	"xdmodfed/internal/realm/cloud"
+	"xdmodfed/internal/realm/gateway"
 	"xdmodfed/internal/realm/jobs"
 	"xdmodfed/internal/realm/storage"
 	"xdmodfed/internal/shredder"
@@ -37,16 +40,59 @@ func (s Stats) String() string {
 	return fmt.Sprintf("parsed=%d ingested=%d skipped=%d rejected=%d", s.Parsed, s.Ingested, s.Skipped, s.Rejected)
 }
 
-// Pipeline ingests data into one instance's warehouse. Engine is
-// optional; when set, the aggregation tables follow every ingest: new
-// job and storage facts fold in incrementally, and a write that
-// replaces or removes facts — a revised storage day, a cloud session a
-// new event changed — recomputes just the aggregation groups it
-// touched.
+// Pipeline ingests data into one instance's warehouse; it is the one
+// writer of realm facts. Every write goes through write, so the
+// aggregation tables follow it (Engine.Refresh): new facts fold in
+// incrementally, and a write that replaces or removes facts — a revised
+// storage day, a cloud session a new event changed, a re-attributed
+// gateway job — recomputes just the aggregation groups it touched.
 type Pipeline struct {
 	DB        *warehouse.DB
 	Converter *su.Converter
 	Engine    *aggregate.Engine
+}
+
+// write is the one way the pipeline changes a realm's facts. Holding
+// the realm's mutex (Engine.Lock) throughout, it runs fn as one write
+// transaction, fn recording the fact rows it wrote and replaced in c,
+// and then Engine.Refresh brings the realm's aggregates up to that
+// change. When the batch ingested anything it marks the binlog with the
+// batch's trace context, so the replication send and the hub apply join
+// the same trace. The commits bump the touched schemas' epochs,
+// invalidating cached charts of exactly the realms written.
+func (p *Pipeline) write(info realm.Info, sp *obs.Span, st *Stats, fn func(c *aggregate.Change) error) error {
+	defer p.Engine.Lock(info.Name)()
+	var c aggregate.Change
+	if err := p.DB.Do(func() error { return fn(&c) }); err != nil {
+		return err
+	}
+	if err := p.Engine.Refresh(info, info.Schema, c); err != nil {
+		return fmt.Errorf("ingest: aggregate %s: %w", info.Name, err)
+	}
+	if st.Ingested > 0 {
+		p.DB.Binlog().NoteTrace(sp.TraceParent())
+	}
+	return nil
+}
+
+// upsert writes row over the stored row under key, recording both in c,
+// unless the two are equal: such a row is counted Skipped and rewrites
+// nothing, so it logs no event and refreshes no group.
+func upsert(tab *warehouse.Table, row []any, c *aggregate.Change, st *Stats, key ...any) error {
+	var old []any
+	if r, ok := tab.GetByKey(key...); ok {
+		if old = r.Values(); realm.SameRow(old, row) {
+			st.Skipped++
+			return nil
+		}
+		c.Replaced = append(c.Replaced, old)
+	}
+	if err := tab.UpsertRow(row); err != nil {
+		return err
+	}
+	st.Ingested++
+	c.Inserted = append(c.Inserted, row)
+	return nil
 }
 
 // IngestJobRecords normalizes staging records into the Jobs realm.
@@ -84,41 +130,23 @@ func (p *Pipeline) IngestJobRecords(recs []shredder.JobRecord) (Stats, error) {
 	// acquisition and one columnar-snapshot publish regardless of batch
 	// size. Duplicate keys — already ingested, or repeated within the
 	// batch — are visible to GetByKey inside the transaction.
-	var ingested [][]any
-	if len(cands) > 0 {
-		err := p.DB.Do(func() error {
-			for _, c := range cands {
-				if _, exists := tab.GetByKey(c.resource, c.jobID); exists {
-					st.Skipped++
-					continue
-				}
-				if err := tab.InsertRow(c.row); err != nil {
-					st.Rejected++
-					st.Errors = append(st.Errors, err)
-					continue
-				}
-				st.Ingested++
-				ingested = append(ingested, c.row)
+	err = p.write(jobs.RealmInfo(), sp, &st, func(c *aggregate.Change) error {
+		for _, cd := range cands {
+			if _, exists := tab.GetByKey(cd.resource, cd.jobID); exists {
+				st.Skipped++
+				continue
 			}
-			return nil
-		})
-		if err != nil {
-			return st, err
+			if err := tab.InsertRow(cd.row); err != nil {
+				st.Rejected++
+				st.Errors = append(st.Errors, err)
+				continue
+			}
+			st.Ingested++
+			c.Inserted = append(c.Inserted, cd.row)
 		}
-	}
-	if p.Engine != nil && len(ingested) > 0 {
-		if _, err := p.Engine.ApplyFactRows(jobs.RealmInfo(), jobs.SchemaName, ingested); err != nil {
-			return st, fmt.Errorf("ingest: aggregate jobs: %w", err)
-		}
-	}
-	if st.Ingested > 0 {
-		// The ingest's own commits bumped the touched schemas' epochs,
-		// invalidating cached charts for exactly the realms written.
-		// Mark the binlog with this ingest's trace context, so the
-		// replication send and the hub apply join the same trace.
-		p.DB.Binlog().NoteTrace(sp.TraceParent())
-	}
-	return st, nil
+		return nil
+	})
+	return st, err
 }
 
 // IngestJobLog shreds an accounting log in the named format and
@@ -145,7 +173,7 @@ func (p *Pipeline) IngestJobLog(r io.Reader, format, resource string) (Stats, er
 // reconstructed from the VM's own events and diffed against the stored
 // ones (cloud.SyncSessions), so only sessions that changed are written
 // and logged. The Cloud realm's aggregates then follow the changed
-// sessions (see refresh).
+// sessions (see write).
 func (p *Pipeline) IngestCloudEvents(events []cloud.Event, horizon time.Time) (Stats, error) {
 	var st Stats
 	_, sp := obs.StartSpan(context.Background(), "ingest.IngestCloudEvents")
@@ -172,8 +200,7 @@ func (p *Pipeline) IngestCloudEvents(events []cloud.Event, horizon time.Time) (S
 		rows = append(rows, cloud.EventRow(e))
 		named[e.VMID] = true
 	}
-	var old, written [][]any
-	err = p.DB.Do(func() error {
+	err = p.write(cloud.RealmInfo(), sp, &st, func(c *aggregate.Change) error {
 		// Read before this transaction writes: the published snapshot is
 		// then exactly the writer state.
 		vms := cloud.StaleOpenVMs(sessTab.Data(), horizon)
@@ -197,41 +224,10 @@ func (p *Pipeline) IngestCloudEvents(events []cloud.Event, horizon time.Time) (S
 		}
 		sort.Strings(vms)
 		var err error
-		old, written, err = cloud.SyncSessions(evTab, sessTab, vms, horizon)
+		c.Replaced, c.Inserted, err = cloud.SyncSessions(evTab, sessTab, vms, horizon)
 		return err
 	})
-	if err != nil {
-		return st, err
-	}
-	if err := p.refresh(cloud.RealmInfo(), old, written); err != nil {
-		return st, fmt.Errorf("ingest: aggregate cloud: %w", err)
-	}
-	if st.Ingested > 0 {
-		p.DB.Binlog().NoteTrace(sp.TraceParent())
-	}
-	return st, nil
-}
-
-// refresh brings a realm's aggregates up to the fact rows one ingest
-// wrote (written) and the stored rows those replaced or removed (old).
-// When nothing was replaced the write is additive, and the new facts
-// fold in like a jobs batch; otherwise exactly the groups the old and
-// new rows fall in are recomputed from the realm's facts. Either way
-// every group ends bit-identical to a rebuild's.
-func (p *Pipeline) refresh(info realm.Info, old, written [][]any) error {
-	if p.Engine == nil || len(old)+len(written) == 0 {
-		return nil
-	}
-	if len(old) == 0 {
-		_, err := p.Engine.ApplyFactRows(info, info.Schema, written)
-		return err
-	}
-	scope, err := p.Engine.ScopeOf(info, info.Schema, append(old, written...))
-	if err != nil {
-		return err
-	}
-	_, err = p.Engine.ReaggregateFrom(info, []aggregate.Source{{Schema: info.Schema}}, scope)
-	return err
+	return st, err
 }
 
 // IngestStorageSnapshots upserts storage usage snapshots. A snapshot
@@ -239,7 +235,7 @@ func (p *Pipeline) refresh(info realm.Info, old, written [][]any) error {
 // was sampled later — sub-daily samples collapse to the day's latest
 // state whatever order they arrive in — and a snapshot that loses is
 // counted Skipped and writes nothing. The Storage realm's aggregates
-// then follow the rows written (see refresh).
+// then follow the rows written (see write).
 func (p *Pipeline) IngestStorageSnapshots(snaps []storage.Snapshot) (Stats, error) {
 	var st Stats
 	_, sp := obs.StartSpan(context.Background(), "ingest.IngestStorageSnapshots")
@@ -260,43 +256,31 @@ func (p *Pipeline) IngestStorageSnapshots(snaps []storage.Snapshot) (Stats, erro
 		}
 		valid = append(valid, s)
 	}
-	var old, written [][]any
-	if len(valid) > 0 {
-		err := p.DB.Do(func() error {
-			for _, s := range valid {
-				var prev []any
-				if r, ok := tab.GetByKey(storage.Key(s)...); ok {
-					if r.Get("dt").(time.Time).After(s.Timestamp) {
-						st.Skipped++
-						continue
-					}
-					prev = r.Values()
-				}
-				row := storage.FactValues(s)
-				if err := tab.UpsertRow(row); err != nil {
-					st.Rejected++
-					st.Errors = append(st.Errors, err)
+	err = p.write(storage.RealmInfo(), sp, &st, func(c *aggregate.Change) error {
+		for _, s := range valid {
+			var prev []any
+			if r, ok := tab.GetByKey(storage.Key(s)...); ok {
+				if r.Get("dt").(time.Time).After(s.Timestamp) {
+					st.Skipped++
 					continue
 				}
-				st.Ingested++
-				if prev != nil {
-					old = append(old, prev)
-				}
-				written = append(written, row)
+				prev = r.Values()
 			}
-			return nil
-		})
-		if err != nil {
-			return st, err
+			row := storage.FactValues(s)
+			if err := tab.UpsertRow(row); err != nil {
+				st.Rejected++
+				st.Errors = append(st.Errors, err)
+				continue
+			}
+			st.Ingested++
+			if prev != nil {
+				c.Replaced = append(c.Replaced, prev)
+			}
+			c.Inserted = append(c.Inserted, row)
 		}
-	}
-	if err := p.refresh(storage.RealmInfo(), old, written); err != nil {
-		return st, fmt.Errorf("ingest: aggregate storage: %w", err)
-	}
-	if st.Ingested > 0 {
-		p.DB.Binlog().NoteTrace(sp.TraceParent())
-	}
-	return st, nil
+		return nil
+	})
+	return st, err
 }
 
 // IngestStorageJSON validates and ingests a storage JSON document.
@@ -306,4 +290,69 @@ func (p *Pipeline) IngestStorageJSON(r io.Reader) (Stats, error) {
 		return Stats{}, err
 	}
 	return p.IngestStorageSnapshots(snaps)
+}
+
+// AttributeGatewayJobs records gateway submissions as Gateways facts
+// (gateway.FactValues), upserted by job identity. The batch is all or
+// nothing: one invalid submission rejects it before anything is
+// written. A submission whose row equals the stored one is Skipped.
+// Returns the submissions whose job the Jobs realm holds.
+func (p *Pipeline) AttributeGatewayJobs(subs []gateway.Submission) (st Stats, matched int, err error) {
+	_, sp := obs.StartSpan(context.Background(), "ingest.AttributeGatewayJobs")
+	defer sp.End()
+	defer mBatchSeconds.With("Gateways").ObserveSince(time.Now())
+	defer func() { countStats("Gateways", st) }()
+	tab, err1 := p.DB.TableIn(gateway.SchemaName, gateway.FactTable)
+	jobTab, err2 := p.DB.TableIn(jobs.SchemaName, jobs.FactTable)
+	if err := errors.Join(err1, err2); err != nil {
+		return st, 0, fmt.Errorf("ingest: gateways realm not set up: %w", err)
+	}
+	st.Parsed = len(subs)
+	for _, s := range subs {
+		if err := s.Validate(); err != nil {
+			st.Rejected = len(subs)
+			return st, 0, err
+		}
+	}
+	err = p.write(gateway.RealmInfo(), sp, &st, func(c *aggregate.Change) error {
+		for _, s := range subs {
+			row, found := gateway.FactValues(jobTab, s)
+			if found {
+				matched++
+			}
+			if err := upsert(tab, row, c, &st, s.Resource, s.JobID); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	return st, matched, err
+}
+
+// ChargeAllocations charges every job the Jobs realm holds to the
+// allocation whose project and award window it falls in
+// (alloc.Charges), upserting one charge per job. A charge equal to the
+// stored one is Skipped, so a re-run that changes nothing writes
+// nothing. Parsed counts the jobs charged, written or not.
+func (p *Pipeline) ChargeAllocations() (st Stats, err error) {
+	_, sp := obs.StartSpan(context.Background(), "ingest.ChargeAllocations")
+	defer sp.End()
+	defer mBatchSeconds.With("Allocations").ObserveSince(time.Now())
+	defer func() { countStats("Allocations", st) }()
+	awardTab, err1 := p.DB.TableIn(alloc.SchemaName, alloc.AwardTable)
+	chargeTab, err2 := p.DB.TableIn(alloc.SchemaName, alloc.ChargeTable)
+	jobTab, err3 := p.DB.TableIn(jobs.SchemaName, jobs.FactTable)
+	if err := errors.Join(err1, err2, err3); err != nil {
+		return st, fmt.Errorf("ingest: allocations realm not set up: %w", err)
+	}
+	err = p.write(alloc.RealmInfo(), sp, &st, func(c *aggregate.Change) error {
+		for _, row := range alloc.Charges(awardTab, jobTab) {
+			st.Parsed++
+			if err := upsert(chargeTab, row, c, &st, row[1], row[2]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	return st, err
 }

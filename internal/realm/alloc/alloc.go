@@ -125,65 +125,36 @@ func AddAllocation(db *warehouse.DB, a Allocation) error {
 	})
 }
 
-// ChargeFromJobs derives allocation charges from the Jobs realm fact
-// table: every job whose PI matches an allocation's project within the
-// award window produces a charge of its XD SUs. Re-running is
-// idempotent (charges upsert by job identity). Returns charges made.
-func ChargeFromJobs(db *warehouse.DB) (int, error) {
-	awardTab, err := db.TableIn(SchemaName, AwardTable)
-	if err != nil {
-		return 0, fmt.Errorf("alloc: realm not set up: %w", err)
-	}
-	jobTab, err := db.TableIn(jobs.SchemaName, jobs.FactTable)
-	if err != nil {
-		return 0, fmt.Errorf("alloc: jobs realm not set up: %w", err)
-	}
+// Charges derives allocation charges from the Jobs realm fact table:
+// every job whose PI matches an allocation's project and that ended
+// within the award window is charged its XD SUs, one charge-table row
+// per job. It reads the tables' writer state, so it runs inside the
+// write transaction that stores the charges
+// (ingest.Pipeline.ChargeAllocations).
+func Charges(awardTab, jobTab *warehouse.Table) [][]any {
 	type window struct{ start, end time.Time }
 	windows := map[string][]window{}
-	db.View(func() error {
-		awardTab.Scan(func(r warehouse.Row) bool {
-			st, _ := r.Lookup("start_time")
-			en, _ := r.Lookup("end_time")
-			windows[r.String("project")] = append(windows[r.String("project")],
-				window{st.(time.Time), en.(time.Time)})
-			return true
-		})
-		return nil
+	awardTab.Scan(func(r warehouse.Row) bool {
+		st, _ := r.Lookup("start_time")
+		en, _ := r.Lookup("end_time")
+		windows[r.String("project")] = append(windows[r.String("project")], window{st.(time.Time), en.(time.Time)})
+		return true
 	})
-
-	var charges []map[string]any
-	db.View(func() error {
-		jobTab.Scan(func(r warehouse.Row) bool {
-			project := r.String(jobs.ColPI)
-			wins, ok := windows[project]
-			if !ok {
-				return true
+	var charges [][]any
+	jobTab.Scan(func(r warehouse.Row) bool {
+		project := r.String(jobs.ColPI)
+		endV, _ := r.Lookup(jobs.ColEnd)
+		end := endV.(time.Time)
+		for _, w := range windows[project] {
+			if !end.Before(w.start) && end.Before(w.end) {
+				charges = append(charges, []any{project, r.String(jobs.ColResource), r.Int(jobs.ColJobID),
+					end, r.Float(jobs.ColXDSU), r.Int(jobs.ColMonthKey)})
+				break
 			}
-			endV, _ := r.Lookup(jobs.ColEnd)
-			end := endV.(time.Time)
-			for _, w := range wins {
-				if !end.Before(w.start) && end.Before(w.end) {
-					charges = append(charges, map[string]any{
-						"project":     project,
-						"resource":    r.String(jobs.ColResource),
-						"job_id":      r.Int(jobs.ColJobID),
-						"charge_time": end,
-						"xdsu":        r.Float(jobs.ColXDSU),
-						"month_key":   r.Int(jobs.ColMonthKey),
-					})
-					break
-				}
-			}
-			return true
-		})
-		return nil
-	})
-	for _, c := range charges {
-		if err := db.Upsert(SchemaName, ChargeTable, c); err != nil {
-			return 0, err
 		}
-	}
-	return len(charges), nil
+		return true
+	})
+	return charges
 }
 
 // Balance summarizes one project's allocation state.

@@ -1,9 +1,12 @@
-package alloc
+package alloc_test
 
 import (
 	"testing"
 	"time"
 
+	"xdmodfed/internal/aggregate"
+	"xdmodfed/internal/ingest"
+	"xdmodfed/internal/realm/alloc"
 	"xdmodfed/internal/realm/jobs"
 	"xdmodfed/internal/shredder"
 	"xdmodfed/internal/su"
@@ -15,19 +18,28 @@ var (
 	winEnd   = time.Date(2018, 1, 1, 0, 0, 0, 0, time.UTC)
 )
 
-func setupDB(t *testing.T) *warehouse.DB {
+// setupPipeline returns a pipeline over a warehouse holding the Jobs and
+// Allocations realms, the latter with its aggregation tables.
+func setupPipeline(t *testing.T) *ingest.Pipeline {
 	t.Helper()
 	db := warehouse.Open("a")
 	if _, err := jobs.Setup(db); err != nil {
 		t.Fatal(err)
 	}
-	if err := Setup(db); err != nil {
+	if err := alloc.Setup(db); err != nil {
 		t.Fatal(err)
 	}
-	if err := Setup(db); err != nil {
+	if err := alloc.Setup(db); err != nil {
 		t.Fatalf("setup not idempotent: %v", err)
 	}
-	return db
+	eng, err := aggregate.New(db, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Setup(alloc.RealmInfo()); err != nil {
+		t.Fatal(err)
+	}
+	return &ingest.Pipeline{DB: db, Engine: eng}
 }
 
 func ingestJob(t *testing.T, db *warehouse.DB, id int64, project string, end time.Time, cores int64, hours float64) {
@@ -51,11 +63,11 @@ func ingestJob(t *testing.T, db *warehouse.DB, id int64, project string, end tim
 }
 
 func TestAllocationValidate(t *testing.T) {
-	good := Allocation{Project: "p", Award: 1000, Start: winStart, End: winEnd}
+	good := alloc.Allocation{Project: "p", Award: 1000, Start: winStart, End: winEnd}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := []Allocation{
+	bad := []alloc.Allocation{
 		{Award: 1, Start: winStart, End: winEnd},
 		{Project: "p", Start: winStart, End: winEnd},
 		{Project: "p", Award: -1, Start: winStart, End: winEnd},
@@ -70,14 +82,15 @@ func TestAllocationValidate(t *testing.T) {
 }
 
 func TestRealmInfoValid(t *testing.T) {
-	if err := RealmInfo().Validate(); err != nil {
+	if err := alloc.RealmInfo().Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestChargeFromJobs(t *testing.T) {
-	db := setupDB(t)
-	if err := AddAllocation(db, Allocation{Project: "chem", Award: 10000, Start: winStart, End: winEnd}); err != nil {
+	p := setupPipeline(t)
+	db := p.DB
+	if err := alloc.AddAllocation(db, alloc.Allocation{Project: "chem", Award: 10000, Start: winStart, End: winEnd}); err != nil {
 		t.Fatal(err)
 	}
 	mid := time.Date(2017, 6, 1, 12, 0, 0, 0, time.UTC)
@@ -86,22 +99,22 @@ func TestChargeFromJobs(t *testing.T) {
 	ingestJob(t, db, 3, "bio", mid, 10, 10)                   // no allocation: not charged
 	ingestJob(t, db, 4, "chem", winEnd.Add(time.Hour), 10, 1) // outside window
 
-	n, err := ChargeFromJobs(db)
+	st, err := p.ChargeAllocations()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 {
-		t.Fatalf("charged %d jobs, want 2", n)
+	if st.Parsed != 2 {
+		t.Fatalf("charged %d jobs, want 2", st.Parsed)
 	}
 	// Idempotent.
-	if n, err = ChargeFromJobs(db); err != nil || n != 2 {
-		t.Fatalf("re-run: n=%d err=%v", n, err)
+	if st, err = p.ChargeAllocations(); err != nil || st.Parsed != 2 {
+		t.Fatalf("re-run: n=%d err=%v", st.Parsed, err)
 	}
-	if got := db.Count(SchemaName, ChargeTable); got != 2 {
+	if got := db.Count(alloc.SchemaName, alloc.ChargeTable); got != 2 {
 		t.Errorf("charge rows = %d", got)
 	}
 
-	b, err := ProjectBalance(db, "chem", mid.AddDate(0, 1, 0))
+	b, err := alloc.ProjectBalance(db, "chem", mid.AddDate(0, 1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,22 +124,23 @@ func TestChargeFromJobs(t *testing.T) {
 	if b.BurnPerDay <= 0 || b.ProjectedExhaustion.IsZero() {
 		t.Errorf("burn projection missing: %+v", b)
 	}
-	if _, err := ProjectBalance(db, "ghost", mid); err == nil {
+	if _, err := alloc.ProjectBalance(db, "ghost", mid); err == nil {
 		t.Error("unknown project should error")
 	}
 }
 
 func TestOverspentProjects(t *testing.T) {
-	db := setupDB(t)
-	AddAllocation(db, Allocation{Project: "small", Award: 10, Start: winStart, End: winEnd})
-	AddAllocation(db, Allocation{Project: "big", Award: 100000, Start: winStart, End: winEnd})
+	p := setupPipeline(t)
+	db := p.DB
+	alloc.AddAllocation(db, alloc.Allocation{Project: "small", Award: 10, Start: winStart, End: winEnd})
+	alloc.AddAllocation(db, alloc.Allocation{Project: "big", Award: 100000, Start: winStart, End: winEnd})
 	mid := time.Date(2017, 3, 1, 0, 0, 0, 0, time.UTC)
 	ingestJob(t, db, 1, "small", mid, 16, 10) // 160 XDSU against a 10 XDSU award
 	ingestJob(t, db, 2, "big", mid, 16, 10)
-	if _, err := ChargeFromJobs(db); err != nil {
+	if _, err := p.ChargeAllocations(); err != nil {
 		t.Fatal(err)
 	}
-	over, err := OverspentProjects(db, mid.AddDate(0, 1, 0))
+	over, err := alloc.OverspentProjects(db, mid.AddDate(0, 1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,27 +151,33 @@ func TestOverspentProjects(t *testing.T) {
 
 func TestChargeWithoutSetup(t *testing.T) {
 	db := warehouse.Open("x")
-	if _, err := ChargeFromJobs(db); err == nil {
+	eng, err := aggregate.New(db, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &ingest.Pipeline{DB: db, Engine: eng}
+	if _, err := p.ChargeAllocations(); err == nil {
 		t.Error("expected error without realm setup")
 	}
 	jobs.Setup(db)
-	if _, err := ChargeFromJobs(db); err == nil {
+	if _, err := p.ChargeAllocations(); err == nil {
 		t.Error("expected error without alloc setup")
 	}
 }
 
 func TestMultipleAwardsSameProject(t *testing.T) {
-	db := setupDB(t)
+	p := setupPipeline(t)
+	db := p.DB
 	h1End := time.Date(2017, 7, 1, 0, 0, 0, 0, time.UTC)
-	AddAllocation(db, Allocation{Project: "p", Award: 100, Start: winStart, End: h1End})
-	AddAllocation(db, Allocation{Project: "p", Award: 200, Start: h1End, End: winEnd})
+	alloc.AddAllocation(db, alloc.Allocation{Project: "p", Award: 100, Start: winStart, End: h1End})
+	alloc.AddAllocation(db, alloc.Allocation{Project: "p", Award: 200, Start: h1End, End: winEnd})
 	ingestJob(t, db, 1, "p", time.Date(2017, 3, 1, 0, 0, 0, 0, time.UTC), 1, 10) // H1
 	ingestJob(t, db, 2, "p", time.Date(2017, 9, 1, 0, 0, 0, 0, time.UTC), 1, 10) // H2
-	n, err := ChargeFromJobs(db)
-	if err != nil || n != 2 {
-		t.Fatalf("n=%d err=%v", n, err)
+	st, err := p.ChargeAllocations()
+	if err != nil || st.Parsed != 2 {
+		t.Fatalf("n=%d err=%v", st.Parsed, err)
 	}
-	b, err := ProjectBalance(db, "p", winEnd)
+	b, err := alloc.ProjectBalance(db, "p", winEnd)
 	if err != nil {
 		t.Fatal(err)
 	}

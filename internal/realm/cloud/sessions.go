@@ -2,10 +2,10 @@ package cloud
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
+	"xdmodfed/internal/realm"
 	"xdmodfed/internal/warehouse"
 )
 
@@ -214,7 +214,7 @@ func SyncSessions(evTab, sessTab *warehouse.Table, vms []string, horizon time.Ti
 			id := row[0].(string)
 			prev, ok := stored[id]
 			delete(stored, id)
-			if ok && sameRow(prev, row) {
+			if ok && realm.SameRow(prev, row) {
 				continue
 			}
 			if err := sessTab.UpsertRow(row); err != nil {
@@ -236,29 +236,4 @@ func SyncSessions(evTab, sessTab *warehouse.Table, vms []string, horizon time.Ti
 		}
 	}
 	return old, written, nil
-}
-
-// sameRow reports whether a stored row holds exactly the values of a
-// freshly computed one: floats compared by bits, times as instants
-// (the warehouse stores them in UTC), everything else by equality.
-func sameRow(stored, fresh []any) bool {
-	for i, a := range stored {
-		switch x := a.(type) {
-		case float64:
-			y, ok := fresh[i].(float64)
-			if !ok || math.Float64bits(x) != math.Float64bits(y) {
-				return false
-			}
-		case time.Time:
-			y, ok := fresh[i].(time.Time)
-			if !ok || !x.Equal(y) {
-				return false
-			}
-		default:
-			if a != fresh[i] {
-				return false
-			}
-		}
-	}
-	return true
 }

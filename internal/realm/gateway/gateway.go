@@ -107,45 +107,19 @@ func Setup(db *warehouse.DB) (*warehouse.Table, error) {
 	return s.EnsureTable(Def())
 }
 
-// Attribute records gateway submissions, denormalizing usage figures
-// from the Jobs realm when the referenced job exists (submissions may
-// arrive before the accounting record; usage backfills on re-run).
-// Returns the number of submissions whose job was found.
-func Attribute(db *warehouse.DB, subs []Submission) (matched int, err error) {
-	if _, err := db.TableIn(SchemaName, FactTable); err != nil {
-		return 0, fmt.Errorf("gateway: realm not set up: %w", err)
+// FactValues returns a submission's fact row. Its cpu_hours and xdsu
+// are denormalized from the Jobs realm's row of the job when jobTab
+// holds one (found), and zero until the accounting record arrives;
+// re-attributing the submission then backfills them. It reads jobTab's
+// writer state, so it runs inside the write transaction that stores
+// the row (ingest.Pipeline.AttributeGatewayJobs).
+func FactValues(jobTab *warehouse.Table, s Submission) (row []any, found bool) {
+	cpu, xdsu := 0.0, 0.0
+	if jr, ok := jobTab.GetByKey(s.Resource, s.JobID); ok {
+		cpu, xdsu, found = jr.Float(jobs.ColCPUHours), jr.Float(jobs.ColXDSU), true
 	}
-	jobTab, err := db.TableIn(jobs.SchemaName, jobs.FactTable)
-	if err != nil {
-		return 0, fmt.Errorf("gateway: jobs realm not set up: %w", err)
-	}
-	for _, s := range subs {
-		if err := s.Validate(); err != nil {
-			return matched, err
-		}
-		row := map[string]any{
-			"gateway":     s.Gateway,
-			"portal_user": s.PortalUser,
-			"resource":    s.Resource,
-			"job_id":      s.JobID,
-			"submit_time": s.Submitted,
-			"cpu_hours":   0.0,
-			"xdsu":        0.0,
-			"month_key":   int64(s.Submitted.UTC().Year())*100 + int64(s.Submitted.UTC().Month()),
-		}
-		db.View(func() error {
-			if jr, ok := jobTab.GetByKey(s.Resource, s.JobID); ok {
-				row["cpu_hours"] = jr.Float(jobs.ColCPUHours)
-				row["xdsu"] = jr.Float(jobs.ColXDSU)
-				matched++
-			}
-			return nil
-		})
-		if err := db.Upsert(SchemaName, FactTable, row); err != nil {
-			return matched, err
-		}
-	}
-	return matched, nil
+	t := s.Submitted.UTC()
+	return []any{s.Gateway, s.PortalUser, s.Resource, s.JobID, s.Submitted, cpu, xdsu, int64(t.Year())*100 + int64(t.Month())}, found
 }
 
 // CommunityUsers counts distinct portal users per gateway — the

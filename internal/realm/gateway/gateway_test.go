@@ -1,9 +1,12 @@
-package gateway
+package gateway_test
 
 import (
 	"testing"
 	"time"
 
+	"xdmodfed/internal/aggregate"
+	"xdmodfed/internal/ingest"
+	"xdmodfed/internal/realm/gateway"
 	"xdmodfed/internal/realm/jobs"
 	"xdmodfed/internal/shredder"
 	"xdmodfed/internal/warehouse"
@@ -11,16 +14,25 @@ import (
 
 var subTime = time.Date(2017, 5, 1, 10, 0, 0, 0, time.UTC)
 
-func setupDB(t *testing.T) *warehouse.DB {
+// setupPipeline returns a pipeline over a warehouse holding the Jobs
+// and Gateways realms, the latter with its aggregation tables.
+func setupPipeline(t *testing.T) *ingest.Pipeline {
 	t.Helper()
 	db := warehouse.Open("g")
 	if _, err := jobs.Setup(db); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Setup(db); err != nil {
+	if _, err := gateway.Setup(db); err != nil {
 		t.Fatal(err)
 	}
-	return db
+	eng, err := aggregate.New(db, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Setup(gateway.RealmInfo()); err != nil {
+		t.Fatal(err)
+	}
+	return &ingest.Pipeline{DB: db, Engine: eng}
 }
 
 func addJob(t *testing.T, db *warehouse.DB, id int64) {
@@ -40,17 +52,17 @@ func addJob(t *testing.T, db *warehouse.DB, id int64) {
 }
 
 func TestRealmInfoValid(t *testing.T) {
-	if err := RealmInfo().Validate(); err != nil {
+	if err := gateway.RealmInfo().Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestSubmissionValidate(t *testing.T) {
-	good := Submission{Gateway: "cipres", PortalUser: "biologist42", Resource: "comet", JobID: 1, Submitted: subTime}
+	good := gateway.Submission{Gateway: "cipres", PortalUser: "biologist42", Resource: "comet", JobID: 1, Submitted: subTime}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := []Submission{
+	bad := []gateway.Submission{
 		{},
 		{Gateway: "g", Resource: "r", JobID: 1, Submitted: subTime},
 		{Gateway: "g", PortalUser: "u", JobID: 1, Submitted: subTime},
@@ -65,20 +77,21 @@ func TestSubmissionValidate(t *testing.T) {
 }
 
 func TestAttributeAndBackfill(t *testing.T) {
-	db := setupDB(t)
+	p := setupPipeline(t)
+	db := p.DB
 	addJob(t, db, 100)
-	subs := []Submission{
+	subs := []gateway.Submission{
 		{Gateway: "cipres", PortalUser: "alice", Resource: "comet", JobID: 100, Submitted: subTime},
 		{Gateway: "cipres", PortalUser: "bob", Resource: "comet", JobID: 200, Submitted: subTime}, // job not yet accounted
 	}
-	matched, err := Attribute(db, subs)
+	_, matched, err := p.AttributeGatewayJobs(subs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if matched != 1 {
 		t.Fatalf("matched %d, want 1", matched)
 	}
-	tab, _ := db.TableIn(SchemaName, FactTable)
+	tab, _ := db.TableIn(gateway.SchemaName, gateway.FactTable)
 	db.View(func() error {
 		r, ok := tab.GetByKey("comet", int64(100))
 		if !ok || r.Float("cpu_hours") != 4.0 { // 4 cores * 1h
@@ -93,7 +106,7 @@ func TestAttributeAndBackfill(t *testing.T) {
 
 	// Accounting arrives later; re-attribution backfills usage.
 	addJob(t, db, 200)
-	matched, err = Attribute(db, subs)
+	_, matched, err = p.AttributeGatewayJobs(subs)
 	if err != nil || matched != 2 {
 		t.Fatalf("backfill: matched=%d err=%v", matched, err)
 	}
@@ -104,34 +117,35 @@ func TestAttributeAndBackfill(t *testing.T) {
 		}
 		return nil
 	})
-	if db.Count(SchemaName, FactTable) != 2 {
-		t.Errorf("fact rows = %d (upsert must not duplicate)", db.Count(SchemaName, FactTable))
+	if db.Count(gateway.SchemaName, gateway.FactTable) != 2 {
+		t.Errorf("fact rows = %d (upsert must not duplicate)", db.Count(gateway.SchemaName, gateway.FactTable))
 	}
 }
 
 func TestAttributeValidation(t *testing.T) {
-	db := setupDB(t)
-	if _, err := Attribute(db, []Submission{{}}); err == nil {
+	p := setupPipeline(t)
+	if _, _, err := p.AttributeGatewayJobs([]gateway.Submission{{}}); err == nil {
 		t.Error("invalid submission accepted")
 	}
-	bare := warehouse.Open("bare")
-	if _, err := Attribute(bare, nil); err == nil {
+	bare := &ingest.Pipeline{DB: warehouse.Open("bare"), Engine: p.Engine}
+	if _, _, err := bare.AttributeGatewayJobs(nil); err == nil {
 		t.Error("missing realm setup accepted")
 	}
 }
 
 func TestCommunityUsers(t *testing.T) {
-	db := setupDB(t)
-	subs := []Submission{
+	p := setupPipeline(t)
+	db := p.DB
+	subs := []gateway.Submission{
 		{Gateway: "cipres", PortalUser: "a", Resource: "comet", JobID: 1, Submitted: subTime},
 		{Gateway: "cipres", PortalUser: "b", Resource: "comet", JobID: 2, Submitted: subTime},
 		{Gateway: "cipres", PortalUser: "a", Resource: "comet", JobID: 3, Submitted: subTime},
 		{Gateway: "nanohub", PortalUser: "z", Resource: "comet", JobID: 4, Submitted: subTime},
 	}
-	if _, err := Attribute(db, subs); err != nil {
+	if _, _, err := p.AttributeGatewayJobs(subs); err != nil {
 		t.Fatal(err)
 	}
-	users, err := CommunityUsers(db)
+	users, err := gateway.CommunityUsers(db)
 	if err != nil {
 		t.Fatal(err)
 	}

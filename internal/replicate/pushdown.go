@@ -65,9 +65,6 @@ func NewPushdownFolder(eng *aggregate.Engine, infos []realm.Info, filter Filter,
 	if flushInterval <= 0 {
 		flushInterval = DefaultPushdownFlushInterval
 	}
-	if filter.ResourceColumn == "" {
-		filter.ResourceColumn = "resource"
-	}
 	p := &PushdownFolder{eng: eng, filter: filter, interval: flushInterval,
 		realms: make(map[string]*pushRealm, len(infos))}
 	for _, info := range infos {
@@ -215,7 +212,7 @@ func (p *PushdownFolder) Flush(now time.Time) ([]aggregate.Delta, int, error) {
 	rows := 0
 	for _, pr := range p.order {
 		if pr.needReset {
-			if _, err := pr.df.Reset(p.filter.ExcludeResources, p.filter.ResourceColumn); err != nil {
+			if _, err := pr.df.Reset(p.filter.ExcludeResources); err != nil {
 				return nil, 0, err
 			}
 			pr.needReset = false

@@ -38,10 +38,10 @@ type Filter struct {
 	// belongs to one of these resources (paper §II-C4: selectively
 	// exclude sensitive resources from federation).
 	ExcludeResources map[string]bool
-	// ResourceColumn names the column checked by ExcludeResources
-	// (default "resource").
-	ResourceColumn string
 }
+
+// resourceColumn names the column ExcludeResources is checked against.
+const resourceColumn = "resource"
 
 // Rewriter statefully transforms a satellite's binlog event stream for
 // application on a hub: it renames schemas to the instance's hub
@@ -56,9 +56,6 @@ type Rewriter struct {
 
 // NewRewriter creates a rewriter for one satellite instance.
 func NewRewriter(instance string, f Filter) *Rewriter {
-	if f.ResourceColumn == "" {
-		f.ResourceColumn = "resource"
-	}
 	return &Rewriter{instance: instance, filter: f, resCol: make(map[string]int)}
 }
 
@@ -82,7 +79,7 @@ func (rw *Rewriter) Process(ev warehouse.Event) (warehouse.Event, bool) {
 		if ev.Def != nil {
 			idx := -1
 			for i, c := range ev.Def.Columns {
-				if c.Name == rw.filter.ResourceColumn {
+				if c.Name == resourceColumn {
 					idx = i
 					break
 				}
@@ -136,7 +133,7 @@ func (rw *Rewriter) Process(ev warehouse.Event) (warehouse.Event, bool) {
 func (rw *Rewriter) filterLoad(cd *warehouse.ColumnData) *warehouse.ColumnData {
 	ri := -1
 	for i, n := range cd.Names {
-		if n == rw.filter.ResourceColumn {
+		if n == resourceColumn {
 			ri = i
 			break
 		}

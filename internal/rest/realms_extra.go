@@ -48,12 +48,12 @@ func (s *Server) handleAddAllocation(w http.ResponseWriter, r *http.Request, _ a
 }
 
 func (s *Server) handleChargeAllocations(w http.ResponseWriter, r *http.Request, _ auth.Session) {
-	n, err := alloc.ChargeFromJobs(s.Instance.DB)
+	st, err := s.Instance.Pipeline.ChargeAllocations()
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"charged_jobs": n})
+	writeJSON(w, http.StatusOK, map[string]int{"charged_jobs": st.Parsed})
 }
 
 type balanceResponse struct {
@@ -113,7 +113,7 @@ func (s *Server) handleGatewaySubmissions(w http.ResponseWriter, r *http.Request
 			Resource: q.Resource, JobID: q.JobID, Submitted: q.Submitted,
 		})
 	}
-	matched, err := gateway.Attribute(s.Instance.DB, subs)
+	_, matched, err := s.Instance.Pipeline.AttributeGatewayJobs(subs)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return

@@ -40,6 +40,18 @@ func TestAllocationEndpoints(t *testing.T) {
 	if charged["charged_jobs"] != 20 {
 		t.Errorf("charged = %v", charged)
 	}
+	// A second run finds every charge unchanged: it rewrites nothing,
+	// so it logs nothing, and still counts the jobs it matched.
+	head := in.DB.Binlog().Last()
+	rec = post(t, srv, admin, "/api/allocations/charge", nil)
+	charged = nil
+	json.Unmarshal(rec.Body.Bytes(), &charged)
+	if rec.Code != http.StatusOK || charged["charged_jobs"] != 20 {
+		t.Errorf("second charge run: %d %s", rec.Code, rec.Body)
+	}
+	if n := in.DB.Binlog().Last() - head; n != 0 {
+		t.Errorf("a charge run that changed nothing logged %d events", n)
+	}
 
 	rec = get(t, srv, joe, "/api/allocations/a")
 	if rec.Code != http.StatusOK {
@@ -92,6 +104,12 @@ func TestGatewayEndpoints(t *testing.T) {
 	}
 	if rec := post(t, srv, ops, "/api/gateways/submissions", []gatewaySubmissionRequest{{}}); rec.Code != http.StatusBadRequest {
 		t.Errorf("invalid submission accepted: %d", rec.Code)
+	}
+	// A batch is all or nothing: its valid submission is not stored either.
+	mixed := []gatewaySubmissionRequest{{Gateway: "cipres", PortalUser: "physicist", Resource: "rush", JobID: 2,
+		Submitted: time.Date(2017, 1, 10, 0, 0, 0, 0, time.UTC)}, {}}
+	if rec := post(t, srv, ops, "/api/gateways/submissions", mixed); rec.Code != http.StatusBadRequest {
+		t.Errorf("batch with an invalid submission accepted: %d", rec.Code)
 	}
 
 	rec = get(t, srv, admin, "/api/gateways/users")

@@ -13,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"xdmodfed/internal/aggregate"
 	"xdmodfed/internal/ingest"
+	"xdmodfed/internal/realm"
 	"xdmodfed/internal/realm/cloud"
 	"xdmodfed/internal/realm/jobs"
 	"xdmodfed/internal/realm/storage"
@@ -318,7 +320,16 @@ func ingestedBinlogs(t testing.TB) (live, restored []warehouse.Event) {
 	if _, err := storage.Setup(db); err != nil {
 		t.Fatal(err)
 	}
-	p := &ingest.Pipeline{DB: db, Converter: workload.SUConverter2017()}
+	eng, err := aggregate.New(db, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, info := range []realm.Info{jobs.RealmInfo(), cloud.RealmInfo(), storage.RealmInfo()} {
+		if err := eng.Setup(info); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := &ingest.Pipeline{DB: db, Converter: workload.SUConverter2017(), Engine: eng}
 	if _, err := p.IngestJobRecords(workload.GenerateJobs(workload.XSEDE2017Models()[0], 10, 3)[:120]); err != nil {
 		t.Fatal(err)
 	}
