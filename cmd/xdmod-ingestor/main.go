@@ -105,7 +105,8 @@ func main() {
 }
 
 // loadSatellite builds the satellite and, when the snapshot exists,
-// restores its warehouse state and re-aggregates.
+// restores its warehouse state and re-aggregates (Satellite.Recover
+// without a WAL).
 func loadSatellite(configPath, dbPath string) (*core.Satellite, error) {
 	cfg, err := config.LoadFile(configPath)
 	if err != nil {
@@ -115,16 +116,8 @@ func loadSatellite(configPath, dbPath string) (*core.Satellite, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := os.Stat(dbPath); err == nil {
-		f, err := os.Open(dbPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		if err := sat.RestoreFromHubBackup(f); err != nil {
-			return nil, fmt.Errorf("restoring %s: %w", dbPath, err)
-		}
-		fmt.Printf("restored warehouse from %s\n", dbPath)
+	if _, err := sat.Recover("", dbPath); err != nil {
+		return nil, err
 	}
 	return sat, nil
 }

@@ -7,6 +7,10 @@
 //
 //	xdmod-satellite -config xdmod.json -db warehouse.snap -listen :8080
 //
+// With -wal the warehouse replays its WAL on startup and appends to it
+// while running; once the WAL replays anything it is the record, and
+// -db is not restored over it (core.Satellite.Recover).
+//
 // An admin account can be bootstrapped with -admin-user/-admin-pass.
 // The process exits on SIGINT/SIGTERM, saving the warehouse snapshot.
 package main
@@ -26,7 +30,6 @@ import (
 	"xdmodfed/internal/core"
 	"xdmodfed/internal/obs"
 	"xdmodfed/internal/rest"
-	"xdmodfed/internal/warehouse"
 )
 
 func main() {
@@ -52,37 +55,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *walPath != "" {
-		pos, err := warehouse.ReplayLog(sat.DB, *walPath)
-		if err != nil {
-			fatal(err)
-		}
-		if pos > 0 {
-			fmt.Printf("recovered %d binlog events from %s\n", pos, *walPath)
-			if err := sat.AggregateAll(); err != nil {
-				fatal(err)
-			}
-		}
-		wal, err := warehouse.OpenLogWriterOpts(sat.DB, *walPath, sat.DB.Binlog().Last(), warehouse.WALOptions{
-			Fsync: warehouse.FsyncPolicy(cfg.Durability.WALFsync),
-		})
-		if err != nil {
-			fatal(err)
-		}
-		defer wal.Close()
+	wal, err := sat.Recover(*walPath, *dbPath)
+	if err != nil {
+		fatal(err)
 	}
-	if *dbPath != "" {
-		if _, err := os.Stat(*dbPath); err == nil {
-			f, err := os.Open(*dbPath)
-			if err != nil {
-				fatal(err)
-			}
-			if err := sat.RestoreFromHubBackup(f); err != nil {
-				fatal(err)
-			}
-			f.Close()
-			fmt.Printf("restored warehouse from %s\n", *dbPath)
-		}
+	if wal != nil {
+		defer wal.Close()
 	}
 	if *adminUser != "" {
 		err := sat.Auth.Vault().Create(auth.User{

@@ -37,7 +37,6 @@ func main() {
 	var (
 		name         = flag.String("name", "", "instance name (required)")
 		org          = flag.String("org", "", "organization name")
-		isHub        = flag.Bool("hub-instance", false, "configure a federation hub instead of a satellite")
 		hubAddr      = flag.String("hub", "", "federation hub replication address for this satellite")
 		mode         = flag.String("mode", "tight", "federation mode: tight or loose")
 		exclude      = flag.String("exclude-resources", "", "comma-separated resources withheld from federation")
@@ -57,7 +56,6 @@ func main() {
 		Name:         *name,
 		Version:      core.Version,
 		Organization: *org,
-		IsHub:        *isHub,
 	}
 	switch *wallLevels {
 	case "a":

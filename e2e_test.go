@@ -63,7 +63,7 @@ func TestEndToEndDeployment(t *testing.T) {
 	// 1. Operator generates configs with xdmod-setup.
 	hubCfg := filepath.Join(work, "hub.json")
 	satCfg := filepath.Join(work, "site.json")
-	run(t, tool("xdmod-setup"), "-name", "fed-hub", "-hub-instance", "-out", hubCfg)
+	run(t, tool("xdmod-setup"), "-name", "fed-hub", "-out", hubCfg)
 	run(t, tool("xdmod-setup"), "-name", "siteA", "-resource", "clusterA:hpc:1.0",
 		"-hub", repAddr, "-mode", "tight", "-out", satCfg)
 

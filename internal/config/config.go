@@ -399,7 +399,6 @@ type InstanceConfig struct {
 	Name              string              `json:"name"`
 	Version           string              `json:"version"`
 	Organization      string              `json:"organization,omitempty"`
-	IsHub             bool                `json:"is_hub,omitempty"`
 	Resources         []ResourceConfig    `json:"resources,omitempty"`
 	AggregationLevels []AggregationLevels `json:"aggregation_levels,omitempty"`
 	Hubs              []HubRoute          `json:"hubs,omitempty"`

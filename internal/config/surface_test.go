@@ -33,7 +33,6 @@ var configSurface = []string{
 	"hubs[].hub_addr",
 	"hubs[].include_realms",
 	"hubs[].mode",
-	"is_hub",
 	"name",
 	"organization",
 	"query_cache.max_bytes",

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -534,13 +533,6 @@ func TestInstanceValidation(t *testing.T) {
 	if _, err := NewSatellite(config.InstanceConfig{Name: "x", Version: "1",
 		Resources: []config.ResourceConfig{{Name: "r", Type: "warp-drive"}}}); err == nil {
 		t.Error("bad resource type accepted")
-	}
-	// A hub's warehouse keeps no binlog: a satellite built from an
-	// is_hub config would ingest and replicate nothing, silently.
-	hub := satCfg("s", []string{"r"}, "")
-	hub.IsHub = true
-	if _, err := NewSatellite(hub); err == nil || !strings.Contains(err.Error(), "is_hub") {
-		t.Errorf("NewSatellite(is_hub) error = %v, want one naming is_hub", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -70,10 +71,9 @@ func (m Member) Quarantined(t time.Time) bool {
 //
 // dirty means the whole realm must be rebuilt. It is set by what no
 // group scope can express — a truncate or bulk load, a pushdown delta
-// that resets or carries bins, a loose reload (also one that failed
-// partway) — and by a failed apply or Refresh; a rebuild clears it. It
-// is written only with the realm's mutex held and read lock-free by
-// Status.
+// that resets or carries bins — and by a failed apply or Refresh; a
+// rebuild clears it. It is written only with the realm's mutex held and
+// read lock-free by Status.
 //
 // Lock order: realm mutexes first; then Hub.mu (realmSources reads the
 // members with a realm mutex held, so nothing may take a realm mutex
@@ -134,8 +134,7 @@ const (
 
 // NewHub builds a federation hub from its configuration.
 func NewHub(cfg config.InstanceConfig) (*Hub, error) {
-	cfg.IsHub = true
-	in, err := NewInstance(cfg)
+	in, err := newInstance(cfg, true)
 	if err != nil {
 		return nil, err
 	}
@@ -174,8 +173,10 @@ func NewHub(cfg config.InstanceConfig) (*Hub, error) {
 		h.realms[name] = &realmAggState{}
 		h.factRealms[info.FactTable] = info
 	}
-	// A hub-local write then recomputes over exactly what a rebuild reads.
+	// A hub-local write then recomputes over exactly what a rebuild
+	// reads, and a rebuild of all realms leaves each clean.
 	in.Engine.Sources = h.realmSources
+	in.rebuilt = func(name string, err error) { h.realms[name].dirty.Store(err != nil) }
 	return h, nil
 }
 
@@ -367,15 +368,6 @@ func (h *Hub) ApplyDeltas(ctx context.Context, instance string, upTo uint64, del
 	return nil
 }
 
-// realmDelta classifies one batch's effect on a single realm.
-type realmDelta struct {
-	info    realm.Info
-	schema  string           // hub schema the realm's fact events landed in
-	change  aggregate.Change // rows inserted or updated; rows deleted, plus those readReplaced finds updates replace
-	updated [][]any          // update rows (the new values)
-	dirty   bool             // a mutation no group scope expresses; the realm needs a rebuild
-}
-
 // ApplyBatch is ApplyBatchCtx with no trace context, for callers that
 // apply batches in process.
 func (h *Hub) ApplyBatch(instance string, upTo uint64, events []warehouse.Event) error {
@@ -404,44 +396,35 @@ func (h *Hub) ApplyBatchCtx(ctx context.Context, instance string, upTo uint64, e
 }
 
 // apply is the hub's one apply step for a member's events, a tight
-// batch and a loose dump alike: classify them per realm, lock the realms
-// they touch, apply them as one write transaction, observe identities
+// batch and a loose dump alike: lock the realms whose fact tables the
+// events touch, apply them as one write transaction, observe identities
 // over the applied prefix, record the outcome against the member's
-// circuit breaker, and refresh or mark dirty each touched realm.
-// A tight batch (loose false) moves the member's commit position to
-// upTo. A loose dump never moves it; it sets the member's mode to
-// "loose" and dates the member by the newest fact it carries.
+// circuit breaker, and refresh each touched realm from the
+// transaction's record (warehouse.Record): Engine.Refresh per
+// (schema, fact table) the batch changed, or a dirty mark for a table
+// it replaced whole. A tight batch (loose false) moves the member's
+// commit position to upTo. A loose dump never moves it; it sets the
+// member's mode to "loose" and dates the member by the newest fact it
+// carries.
 func (h *Hub) apply(ctx context.Context, instance string, events []warehouse.Event, upTo uint64, loose bool) error {
 	defer mHubBatchSeconds.ObserveSince(time.Now())
 	if err := h.quarantineGate(instance); err != nil {
 		return err
 	}
-	// Classify the batch per realm, then hold the mutex of every realm it
-	// touches from the raw apply through the aggregation work, so a
-	// reader that takes a realm's mutex never sees these raw rows ahead
-	// of the aggregates that cover them.
-	deltas := map[string]*realmDelta{}
+	// Hold the mutex of every realm the batch touches from the raw apply
+	// through the aggregation work, so a reader that takes a realm's
+	// mutex never sees these raw rows ahead of the aggregates that cover
+	// them. A pushdown-granted realm's bins arrive as deltas and live in
+	// the pagg tables; a stray raw fact event of it lands verbatim but
+	// is never folded on top.
 	pushFacts := h.pushdownFactsFor(instance)
+	var names []string
 	for _, ev := range events {
-		if pushFacts[ev.Table] {
-			// Pushdown-granted realm: its bins arrive as deltas and live
-			// in the pagg tables; a stray raw fact event must never be
-			// folded on top (the rows still land verbatim below).
-			continue
+		if info, ok := h.factRealms[ev.Table]; ok && !pushFacts[ev.Table] && !slices.Contains(names, info.Name) {
+			names = append(names, info.Name)
 		}
-		h.classifyEvent(deltas, ev)
 	}
-	names := make([]string, 0, len(deltas))
-	for name := range deltas {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	defer h.Engine.Lock(names...)()
-	for _, d := range deltas {
-		if !d.dirty && len(d.updated) > 0 {
-			h.readReplaced(d)
-		}
-	}
 	// A failed apply leaves the touched realms for a rebuild from the
 	// raw tables, which covers whatever prefix did apply.
 	dirtyAll := func() {
@@ -455,7 +438,11 @@ func (h *Hub) apply(ctx context.Context, instance string, events []warehouse.Eve
 	// On failure the applied prefix stays applied (matching the old
 	// per-event behavior) and identity bookkeeping covers exactly that
 	// prefix.
-	applied, err := h.DB.ApplyAll(events)
+	applied := 0
+	rec, err := h.DB.Write(func() (err error) {
+		applied, err = h.DB.Apply(events)
+		return err
+	})
 	for _, ev := range events[:applied] {
 		h.observeIdentity(instance, ev)
 	}
@@ -511,24 +498,36 @@ func (h *Hub) apply(ctx context.Context, instance string, events []warehouse.Eve
 	}
 	h.mu.Unlock()
 
-	for _, name := range names {
-		d, st := deltas[name], h.realms[name]
-		if d.dirty || st.dirty.Load() {
-			// The batch itself needs a rebuild, or the realm already
-			// needs one that will cover these rows from the raw tables.
-			st.dirty.Store(true)
+	// Every additive change folds before any group is recomputed: a
+	// recompute reads the whole committed batch, so a fold after it
+	// would count rows that another schema's table of the realm added
+	// twice.
+	slices.SortStableFunc(rec, func(a, b warehouse.TableChange) int {
+		return min(len(a.Replaced), 1) - min(len(b.Replaced), 1)
+	})
+	for _, tc := range rec {
+		info, ok := h.factRealms[tc.Table]
+		if !ok || pushFacts[tc.Table] {
+			continue // DDL, detail tables, bookkeeping: no aggregates follow them
+		}
+		dirty := &h.realms[info.Name].dirty
+		if tc.Whole || dirty.Load() {
+			// A truncate or bulk load, which no group scope expresses, or a
+			// realm that already needs a rebuild that will cover these rows
+			// from the raw tables.
+			dirty.Store(true)
 			continue
 		}
 		_, rsp := obs.StartSpan(ctx, "hub.Refresh")
-		rsp.SetAttr("realm", name)
-		err := h.Engine.Refresh(d.info, d.schema, d.change)
+		rsp.SetAttr("realm", info.Name)
+		err := h.Engine.Refresh(info, tc.Schema, tc.Change)
 		rsp.End()
 		if err != nil {
 			// The fold or recompute may be partial; the raw rows are
 			// safely applied, so a rebuild restores consistency.
-			st.dirty.Store(true)
+			dirty.Store(true)
 			coreLog.Error("aggregation after apply failed; realm queued for rebuild",
-				"instance", instance, "realm", name, "err", err)
+				"instance", instance, "realm", info.Name, "err", err)
 		}
 	}
 	// No explicit epoch bump: every commit above (raw apply, fold and
@@ -587,93 +586,6 @@ func (h *Hub) noteApplyFailure(instance string, cause error) {
 	mQuarantines.With(instance).Inc()
 	coreLog.Error("member quarantined",
 		"instance", instance, "failures", m.Failures, "backoff", backoff, "err", cause)
-}
-
-// classifyEvent sorts one applied event into its realm's delta: fact
-// inserts and updates are written rows, deletes replaced ones (as are
-// the rows updates replace, see readReplaced), a truncate or bulk load
-// forces a rebuild, and events off the
-// fact tables (DDL, detail tables, bookkeeping) never touch the
-// aggregates at all.
-func (h *Hub) classifyEvent(deltas map[string]*realmDelta, ev warehouse.Event) {
-	info, ok := h.factRealms[ev.Table]
-	if !ok {
-		return
-	}
-	switch ev.Kind {
-	case warehouse.EvCreateSchema, warehouse.EvCreateTable:
-		return // DDL creates empty tables; nothing to aggregate
-	}
-	d := deltas[info.Name]
-	if d == nil {
-		d = &realmDelta{info: info, schema: ev.Schema}
-		deltas[info.Name] = d
-	}
-	if d.dirty {
-		return
-	}
-	switch {
-	case ev.Schema != d.schema:
-		// Fact events split across schemas within one batch (not
-		// produced by the rewriter, but possible through the Sink
-		// interface) would need per-schema folds and scopes.
-	case ev.Kind == warehouse.EvInsert:
-		d.change.Inserted = append(d.change.Inserted, ev.Row)
-		return
-	case ev.Kind == warehouse.EvUpdate:
-		d.change.Inserted = append(d.change.Inserted, ev.Row)
-		d.updated = append(d.updated, ev.Row)
-		return
-	case ev.Kind == warehouse.EvDelete && ev.Old != nil:
-		d.change.Replaced = append(d.change.Replaced, ev.Old)
-		return
-	}
-	// Truncates and bulk loads replace the table: no group scope says
-	// what they removed, so the realm is rebuilt.
-	d.dirty = true
-	d.change, d.updated = aggregate.Change{}, nil
-}
-
-// readReplaced adds to d's replaced rows, for each update d carries,
-// the row the update replaces: the member table's row under the same
-// primary key before the batch applies. A miss means an earlier event
-// of the batch wrote the key, or the batch itself creates the table,
-// and that event's rows are in the scope already; the update's own row
-// then stands for the replaced one, so the realm's groups are still
-// recomputed, not folded. A table without a primary key gives updates
-// no old row to find, and its realm is rebuilt.
-func (h *Hub) readReplaced(d *realmDelta) {
-	tab, err := h.DB.TableIn(d.schema, d.info.FactTable)
-	if err != nil {
-		d.change.Replaced = append(d.change.Replaced, d.updated...)
-		return
-	}
-	pk := tab.Def().PrimaryKey
-	if len(pk) == 0 {
-		d.dirty = true
-		return
-	}
-	at := make([]int, len(pk))
-	for i, c := range pk {
-		at[i], _ = tab.ColumnIndex(c)
-	}
-	key, width := make([]any, len(pk)), len(tab.Columns())
-	h.DB.View(func() error {
-		for _, row := range d.updated {
-			if len(row) != width {
-				continue // a malformed row fails the apply, and the realm is rebuilt
-			}
-			for i, ci := range at {
-				key[i] = row[ci]
-			}
-			if r, ok := tab.GetByKey(key...); ok {
-				d.change.Replaced = append(d.change.Replaced, r.Values())
-			} else {
-				d.change.Replaced = append(d.change.Replaced, row)
-			}
-		}
-		return nil
-	})
 }
 
 // observeIdentity feeds job-fact usernames into the identity map so
@@ -809,27 +721,6 @@ func (h *Hub) realmSources(info realm.Info) []aggregate.Source {
 	return sources
 }
 
-// rebuildRealm rebuilds one realm's aggregation tables from the raw
-// data of all member schemas plus the hub's own, holding the realm's
-// mutex from the scan through the install. Unless force is set (the
-// admin / config-change path), a clean realm is left alone — so a queue
-// of EnsureAggregated callers collapses into the first one's rebuild,
-// and the rest find the realm clean and return.
-func (h *Hub) rebuildRealm(name string, force bool) (int, error) {
-	info, ok := h.Registry.Get(name)
-	if !ok {
-		return 0, fmt.Errorf("core: hub has no realm %q", name)
-	}
-	st := h.realms[name]
-	defer h.Engine.Lock(name)()
-	if !force && !st.dirty.Load() {
-		return 0, nil
-	}
-	n, err := h.Engine.ReaggregateFrom(info, h.realmSources(info), nil)
-	st.dirty.Store(err != nil)
-	return n, err
-}
-
 // AggregateFederation rebuilds the hub's aggregation tables for every
 // realm from all replicated member data plus any data the hub monitors
 // directly, using the hub's own aggregation levels ("all raw instance
@@ -841,27 +732,27 @@ func (h *Hub) rebuildRealm(name string, force bool) (int, error) {
 func (h *Hub) AggregateFederation() (map[string]int, error) {
 	_, sp := obs.StartSpan(context.Background(), "hub.AggregateFederation")
 	defer sp.End()
-	defer mAggSeconds.ObserveSince(time.Now())
-	defer mAggRuns.Inc()
-	counts := map[string]int{}
-	for _, name := range h.Registry.Names() {
-		n, err := h.rebuildRealm(name, true)
-		if err != nil {
-			return counts, err
-		}
-		counts[name] = n
-	}
-	return counts, nil
+	return h.rebuildAll()
 }
 
-// EnsureAggregated rebuilds every dirty realm before a read. It takes
-// each realm's mutex in turn, so a reader that has seen a batch's raw
-// rows gets there only after the batch's fold or recompute, and is
-// guaranteed aggregates covering every raw row it saw. Realms kept
-// current by ApplyBatch cost one uncontended lock here.
+// EnsureAggregated rebuilds every dirty realm before a read
+// (Engine.Rebuild). It takes each realm's mutex in turn, so a reader
+// that has seen a batch's raw rows gets there only after the batch's
+// fold or recompute, and is guaranteed aggregates covering every raw
+// row it saw. Realms kept current by ApplyBatch cost one uncontended
+// lock here, and a queue of callers collapses into the first one's
+// rebuild: the rest find the realm clean.
 func (h *Hub) EnsureAggregated() error {
 	for _, name := range h.Registry.Names() {
-		if _, err := h.rebuildRealm(name, false); err != nil {
+		info, _ := h.Registry.Get(name)
+		st, unlock := h.realms[name], h.Engine.Lock(name)
+		var err error
+		if st.dirty.Load() {
+			_, err = h.Engine.Rebuild(info)
+			st.dirty.Store(err != nil)
+		}
+		unlock()
+		if err != nil {
 			return err
 		}
 	}

@@ -82,6 +82,10 @@ type Instance struct {
 	Converter  *su.Converter
 	AppKernels *appkernel.Monitor   // QoS module (paper §I-E)
 	Hierarchy  *hierarchy.Hierarchy // institutional hierarchy, nil when unconfigured
+
+	// rebuilt, when set, runs after each realm's rebuild in rebuildAll,
+	// with the realm's mutex held (a hub clears the realm's dirty mark).
+	rebuilt func(realm string, err error)
 }
 
 // openWarehouse builds the instance's warehouse on the configured
@@ -97,7 +101,7 @@ type Instance struct {
 // ever grows. The hub WAL on the ROADMAP turns it back on, together
 // with the trim that bounds it. (Aggregation and pagg tables log on
 // neither role: they are derived, see warehouse.TableDef.Derived.)
-func openWarehouse(cfg config.InstanceConfig) (*warehouse.DB, error) {
+func openWarehouse(cfg config.InstanceConfig, hub bool) (*warehouse.DB, error) {
 	var backend store.Backend
 	switch cfg.Storage.Backend {
 	case "disk":
@@ -112,7 +116,7 @@ func openWarehouse(cfg config.InstanceConfig) (*warehouse.DB, error) {
 	return warehouse.OpenOptions(cfg.Name, warehouse.Options{
 		Storage:     backend,
 		HotTailRows: cfg.Storage.TailRows(),
-		NoBinlog:    cfg.IsHub,
+		NoBinlog:    hub,
 	}), nil
 }
 
@@ -120,15 +124,19 @@ func openWarehouse(cfg config.InstanceConfig) (*warehouse.DB, error) {
 // realms are set up, resources register their SU conversion factors,
 // aggregation levels come from the config (instances "may be
 // configured to aggregate their data differently", §II-C3), and SSO
-// sources are installed.
-func NewInstance(cfg config.InstanceConfig) (*Instance, error) {
+// sources are installed. Its warehouse keeps a binlog, as a
+// satellite's does.
+func NewInstance(cfg config.InstanceConfig) (*Instance, error) { return newInstance(cfg, false) }
+
+// newInstance is NewInstance for a hub (hub set) or any other instance.
+func newInstance(cfg config.InstanceConfig, hub bool) (*Instance, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Version == "" {
 		cfg.Version = Version
 	}
-	db, err := openWarehouse(cfg)
+	db, err := openWarehouse(cfg, hub)
 	if err != nil {
 		return nil, err
 	}
@@ -236,25 +244,38 @@ func (in *Instance) QueryStatsCtx(ctx context.Context, realmName string, req agg
 	return in.Engine.QueryStatsCtx(ctx, info, req)
 }
 
-// AggregateAll (re)aggregates every realm from the instance's own raw
-// data, each under its realm's mutex. A restart runs it after replaying
-// the WAL or restoring a snapshot, since aggregation tables are never
-// logged; ingest keeps them current between restarts.
+// AggregateAll (re)aggregates every realm from its rebuild sources
+// (Engine.Rebuild: a satellite's own raw data, a hub's whole
+// federation), each under its realm's mutex. A restart runs it after
+// replaying the WAL or restoring a snapshot, since aggregation tables
+// are never logged; ingest keeps them current between restarts.
 func (in *Instance) AggregateAll() error {
 	_, sp := obs.StartSpan(context.Background(), "instance.AggregateAll")
 	defer sp.End()
+	_, err := in.rebuildAll()
+	return err
+}
+
+// rebuildAll is the one loop that rebuilds every realm: Engine.Rebuild
+// under the realm's mutex. It returns the facts read per realm.
+func (in *Instance) rebuildAll() (map[string]int, error) {
 	defer mAggSeconds.ObserveSince(time.Now())
 	defer mAggRuns.Inc()
+	counts := map[string]int{}
 	for _, name := range in.Registry.Names() {
 		info, _ := in.Registry.Get(name)
 		unlock := in.Engine.Lock(name)
-		_, err := in.Engine.Reaggregate(info, []string{info.Schema})
+		n, err := in.Engine.Rebuild(info)
+		if in.rebuilt != nil {
+			in.rebuilt(name, err)
+		}
 		unlock()
 		if err != nil {
-			return err
+			return counts, err
 		}
+		counts[name] = n
 	}
-	return nil
+	return counts, nil
 }
 
 // Satellite is an instance that participates in federations as a data
@@ -267,18 +288,62 @@ type Satellite struct {
 	senders []*replicate.Sender
 }
 
-// NewSatellite builds a satellite from its configuration. A hub's
-// configuration (is_hub) is refused: its warehouse keeps no binlog, so
-// the satellite would ingest and replicate nothing.
+// NewSatellite builds a satellite from its configuration.
 func NewSatellite(cfg config.InstanceConfig) (*Satellite, error) {
-	if cfg.IsHub {
-		return nil, fmt.Errorf("core: instance %q sets is_hub; a satellite needs a satellite configuration", cfg.Name)
-	}
 	in, err := NewInstance(cfg)
 	if err != nil {
 		return nil, err
 	}
 	return &Satellite{Instance: in}, nil
+}
+
+// Recover is a satellite's start-up order for its durable state, the
+// WAL at walPath and the snapshot at dbPath, either of which may be ""
+// for none. The WAL is replayed first. Once it replays anything it is
+// the record of the warehouse, and the snapshot is not restored over
+// it (Recover logs that it skipped it): the snapshot is older than
+// every write logged after it was saved. Then the WAL writer opens at
+// the binlog head. The snapshot seeds only a warehouse whose WAL
+// replayed nothing — a first start, or a satellite run without a WAL —
+// and with the writer already open, so its restore is the WAL's first
+// record. Aggregates are rebuilt after whichever loaded. Returns the
+// open WAL writer, nil without walPath, which the caller closes (a
+// failed restore returns it too).
+func (s *Satellite) Recover(walPath, dbPath string) (wal *warehouse.LogWriter, err error) {
+	var replayed uint64
+	if walPath != "" {
+		if replayed, err = warehouse.ReplayLog(s.DB, walPath); err != nil {
+			return nil, err
+		}
+		if replayed > 0 {
+			coreLog.Info("recovered binlog events", "instance", s.Config.Name, "last_lsn", replayed, "wal", walPath)
+			if err := s.AggregateAll(); err != nil {
+				return nil, err
+			}
+		}
+		if wal, err = warehouse.OpenLogWriterOpts(s.DB, walPath, s.DB.Binlog().Last(), warehouse.WALOptions{
+			Fsync: warehouse.FsyncPolicy(s.Config.Durability.WALFsync),
+		}); err != nil {
+			return nil, err
+		}
+	}
+	if _, err := os.Stat(dbPath); err != nil {
+		return wal, nil
+	}
+	if replayed > 0 {
+		coreLog.Warn("snapshot not restored: the WAL replayed, and it is the record", "instance", s.Config.Name, "db", dbPath, "wal", walPath)
+		return wal, nil
+	}
+	f, err := os.Open(dbPath)
+	if err == nil {
+		err = s.RestoreFromHubBackup(f)
+		f.Close()
+	}
+	if err != nil {
+		return wal, fmt.Errorf("restoring %s: %w", dbPath, err)
+	}
+	coreLog.Info("restored warehouse from snapshot", "instance", s.Config.Name, "db", dbPath)
+	return wal, nil
 }
 
 // routeRealms resolves a hub route's realm names.

@@ -31,7 +31,7 @@ import (
 type Stats struct {
 	Parsed   int // records seen in the input
 	Ingested int // new fact rows written
-	Skipped  int // duplicates of already-ingested facts
+	Skipped  int // duplicates of already-ingested facts, and rows equal to the stored ones, which write nothing
 	Rejected int // records failing validation or parse
 	Errors   []error
 }
@@ -54,45 +54,33 @@ type Pipeline struct {
 
 // write is the one way the pipeline changes a realm's facts. Holding
 // the realm's mutex (Engine.Lock) throughout, it runs fn as one write
-// transaction, fn recording the fact rows it wrote and replaced in c,
-// and then Engine.Refresh brings the realm's aggregates up to that
-// change. When the batch ingested anything it marks the binlog with the
-// batch's trace context, so the replication send and the hub apply join
-// the same trace. The commits bump the touched schemas' epochs,
+// transaction (warehouse.DB.Write), and then Engine.Refresh brings the
+// realm's aggregates up to the change the transaction's record holds
+// for the realm's fact table, which write returns — also when fn
+// fails, since what it wrote before failing stays written. When the
+// transaction changed anything it marks the binlog with the batch's
+// trace context, so the replication send and the hub apply join the
+// same trace. The commits bump the touched schemas' epochs,
 // invalidating cached charts of exactly the realms written.
-func (p *Pipeline) write(info realm.Info, sp *obs.Span, st *Stats, fn func(c *aggregate.Change) error) error {
+func (p *Pipeline) write(info realm.Info, sp *obs.Span, fn func() error) (warehouse.Change, error) {
 	defer p.Engine.Lock(info.Name)()
-	var c aggregate.Change
-	if err := p.DB.Do(func() error { return fn(&c) }); err != nil {
-		return err
+	rec, err := p.DB.Write(fn)
+	c := rec.Of(info.Schema, info.FactTable)
+	if rerr := p.Engine.Refresh(info, info.Schema, c); rerr != nil {
+		return c, errors.Join(err, fmt.Errorf("ingest: aggregate %s: %w", info.Name, rerr))
 	}
-	if err := p.Engine.Refresh(info, info.Schema, c); err != nil {
-		return fmt.Errorf("ingest: aggregate %s: %w", info.Name, err)
-	}
-	if st.Ingested > 0 {
+	if len(rec) > 0 {
 		p.DB.Binlog().NoteTrace(sp.TraceParent())
 	}
-	return nil
+	return c, err
 }
 
-// upsert writes row over the stored row under key, recording both in c,
-// unless the two are equal: such a row is counted Skipped and rewrites
-// nothing, so it logs no event and refreshes no group.
-func upsert(tab *warehouse.Table, row []any, c *aggregate.Change, st *Stats, key ...any) error {
-	var old []any
-	if r, ok := tab.GetByKey(key...); ok {
-		if old = r.Values(); realm.SameRow(old, row) {
-			st.Skipped++
-			return nil
-		}
-		c.Replaced = append(c.Replaced, old)
-	}
-	if err := tab.UpsertRow(row); err != nil {
-		return err
-	}
-	st.Ingested++
-	c.Inserted = append(c.Inserted, row)
-	return nil
+// countUpserts splits tried upserts into the rows c wrote (Ingested)
+// and the rest, which equalled the stored rows and wrote nothing
+// (Skipped).
+func countUpserts(st *Stats, c warehouse.Change, tried int) {
+	st.Ingested += len(c.Inserted)
+	st.Skipped += tried - len(c.Inserted)
 }
 
 // IngestJobRecords normalizes staging records into the Jobs realm.
@@ -130,7 +118,7 @@ func (p *Pipeline) IngestJobRecords(recs []shredder.JobRecord) (Stats, error) {
 	// acquisition and one columnar-snapshot publish regardless of batch
 	// size. Duplicate keys — already ingested, or repeated within the
 	// batch — are visible to GetByKey inside the transaction.
-	err = p.write(jobs.RealmInfo(), sp, &st, func(c *aggregate.Change) error {
+	_, err = p.write(jobs.RealmInfo(), sp, func() error {
 		for _, cd := range cands {
 			if _, exists := tab.GetByKey(cd.resource, cd.jobID); exists {
 				st.Skipped++
@@ -142,7 +130,6 @@ func (p *Pipeline) IngestJobRecords(recs []shredder.JobRecord) (Stats, error) {
 				continue
 			}
 			st.Ingested++
-			c.Inserted = append(c.Inserted, cd.row)
 		}
 		return nil
 	})
@@ -170,9 +157,9 @@ func (p *Pipeline) IngestJobLog(r io.Reader, format, resource string) (Stats, er
 // session table up to date in the same write transaction: the sessions
 // of every VM the batch names, plus those of every VM whose
 // still-running session this horizon closes elsewhere, are
-// reconstructed from the VM's own events and diffed against the stored
-// ones (cloud.SyncSessions), so only sessions that changed are written
-// and logged. The Cloud realm's aggregates then follow the changed
+// reconstructed from the VM's own events and upserted over the stored
+// ones (cloud.SyncSessions); a session that did not change writes
+// nothing, so only sessions that changed are written and logged. The Cloud realm's aggregates then follow the changed
 // sessions (see write).
 func (p *Pipeline) IngestCloudEvents(events []cloud.Event, horizon time.Time) (Stats, error) {
 	var st Stats
@@ -200,7 +187,7 @@ func (p *Pipeline) IngestCloudEvents(events []cloud.Event, horizon time.Time) (S
 		rows = append(rows, cloud.EventRow(e))
 		named[e.VMID] = true
 	}
-	err = p.write(cloud.RealmInfo(), sp, &st, func(c *aggregate.Change) error {
+	_, err = p.write(cloud.RealmInfo(), sp, func() error {
 		// Read before this transaction writes: the published snapshot is
 		// then exactly the writer state.
 		vms := cloud.StaleOpenVMs(sessTab.Data(), horizon)
@@ -223,9 +210,7 @@ func (p *Pipeline) IngestCloudEvents(events []cloud.Event, horizon time.Time) (S
 			vms = append(vms, vm)
 		}
 		sort.Strings(vms)
-		var err error
-		c.Replaced, c.Inserted, err = cloud.SyncSessions(evTab, sessTab, vms, horizon)
-		return err
+		return cloud.SyncSessions(evTab, sessTab, vms, horizon)
 	})
 	return st, err
 }
@@ -233,8 +218,8 @@ func (p *Pipeline) IngestCloudEvents(events []cloud.Event, horizon time.Time) (S
 // IngestStorageSnapshots upserts storage usage snapshots. A snapshot
 // replaces the stored one of its (resource, user, day) unless that one
 // was sampled later — sub-daily samples collapse to the day's latest
-// state whatever order they arrive in — and a snapshot that loses is
-// counted Skipped and writes nothing. The Storage realm's aggregates
+// state whatever order they arrive in — and a snapshot that loses, or
+// equals the stored one, is counted Skipped and writes nothing. The Storage realm's aggregates
 // then follow the rows written (see write).
 func (p *Pipeline) IngestStorageSnapshots(snaps []storage.Snapshot) (Stats, error) {
 	var st Stats
@@ -256,30 +241,23 @@ func (p *Pipeline) IngestStorageSnapshots(snaps []storage.Snapshot) (Stats, erro
 		}
 		valid = append(valid, s)
 	}
-	err = p.write(storage.RealmInfo(), sp, &st, func(c *aggregate.Change) error {
+	tried := 0
+	c, err := p.write(storage.RealmInfo(), sp, func() error {
 		for _, s := range valid {
-			var prev []any
-			if r, ok := tab.GetByKey(storage.Key(s)...); ok {
-				if r.Get("dt").(time.Time).After(s.Timestamp) {
-					st.Skipped++
-					continue
-				}
-				prev = r.Values()
+			if r, ok := tab.GetByKey(storage.Key(s)...); ok && r.Get("dt").(time.Time).After(s.Timestamp) {
+				st.Skipped++
+				continue
 			}
-			row := storage.FactValues(s)
-			if err := tab.UpsertRow(row); err != nil {
+			if err := tab.UpsertRow(storage.FactValues(s)); err != nil {
 				st.Rejected++
 				st.Errors = append(st.Errors, err)
 				continue
 			}
-			st.Ingested++
-			if prev != nil {
-				c.Replaced = append(c.Replaced, prev)
-			}
-			c.Inserted = append(c.Inserted, row)
+			tried++
 		}
 		return nil
 	})
+	countUpserts(&st, c, tried)
 	return st, err
 }
 
@@ -314,18 +292,21 @@ func (p *Pipeline) AttributeGatewayJobs(subs []gateway.Submission) (st Stats, ma
 			return st, 0, err
 		}
 	}
-	err = p.write(gateway.RealmInfo(), sp, &st, func(c *aggregate.Change) error {
+	tried := 0
+	c, err := p.write(gateway.RealmInfo(), sp, func() error {
 		for _, s := range subs {
 			row, found := gateway.FactValues(jobTab, s)
 			if found {
 				matched++
 			}
-			if err := upsert(tab, row, c, &st, s.Resource, s.JobID); err != nil {
+			if err := tab.UpsertRow(row); err != nil {
 				return err
 			}
+			tried++
 		}
 		return nil
 	})
+	countUpserts(&st, c, tried)
 	return st, matched, err
 }
 
@@ -345,14 +326,17 @@ func (p *Pipeline) ChargeAllocations() (st Stats, err error) {
 	if err := errors.Join(err1, err2, err3); err != nil {
 		return st, fmt.Errorf("ingest: allocations realm not set up: %w", err)
 	}
-	err = p.write(alloc.RealmInfo(), sp, &st, func(c *aggregate.Change) error {
+	tried := 0
+	c, err := p.write(alloc.RealmInfo(), sp, func() error {
 		for _, row := range alloc.Charges(awardTab, jobTab) {
 			st.Parsed++
-			if err := upsert(chargeTab, row, c, &st, row[1], row[2]); err != nil {
+			if err := chargeTab.UpsertRow(row); err != nil {
 				return err
 			}
+			tried++
 		}
 		return nil
 	})
+	countUpserts(&st, c, tried)
 	return st, err
 }

@@ -438,8 +438,7 @@ func TestCloudSessionDiffMatchesFullReconstruction(t *testing.T) {
 	}
 	err := p.DB.Do(func() error {
 		sessTab.Truncate()
-		_, _, err := cloud.SyncSessions(evTab, sessTab, vms, horizon)
-		return err
+		return cloud.SyncSessions(evTab, sessTab, vms, horizon)
 	})
 	if err != nil {
 		t.Fatal(err)

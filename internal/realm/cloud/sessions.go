@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"xdmodfed/internal/realm"
 	"xdmodfed/internal/warehouse"
 )
 
@@ -182,16 +181,13 @@ func eventFromRow(r warehouse.Row) Event {
 // events are read through the event table's vm_id index in position
 // order (the order a full scan yields them in) and replayed by
 // ReconstructSessions, giving exactly the rows a reconstruction of the
-// whole log would. The result is diffed against the VM's stored
-// sessions: a session whose values changed is upserted, a session id
-// that no longer exists is deleted, and an identical session is left
-// alone, so it logs nothing. Every VM is reconstructed before the first
-// write, so a failure leaves the session table untouched.
-//
-// Must run inside the caller's write transaction. It returns the stored
-// rows it replaced or deleted (old) and the rows it wrote (written), in
-// session-table column order.
-func SyncSessions(evTab, sessTab *warehouse.Table, vms []string, horizon time.Time) (old, written [][]any, err error) {
+// whole log would. Each reconstructed session is upserted — one equal
+// to the stored session writes and logs nothing — and a stored session
+// id that no longer exists is deleted. Every VM is reconstructed before
+// the first write, so a failure to reconstruct leaves the session table
+// untouched. Must run inside the caller's write transaction, whose
+// record then holds what changed.
+func SyncSessions(evTab, sessTab *warehouse.Table, vms []string, horizon time.Time) error {
 	byVM := make([][]Session, len(vms))
 	for i, vm := range vms {
 		var events []Event
@@ -199,41 +195,31 @@ func SyncSessions(evTab, sessTab *warehouse.Table, vms []string, horizon time.Ti
 			events = append(events, eventFromRow(r))
 			return true
 		})
+		var err error
 		if byVM[i], err = ReconstructSessions(events, horizon); err != nil {
-			return nil, nil, fmt.Errorf("cloud: sessions of vm %s: %w", vm, err)
+			return fmt.Errorf("cloud: sessions of vm %s: %w", vm, err)
 		}
 	}
 	for i, vm := range vms {
-		stored := map[string][]any{}
+		var stored []string
 		sessTab.ScanIndex([]string{"vm_id"}, []any{vm}, func(r warehouse.Row) bool {
-			stored[r.String("session_id")] = r.Values()
+			stored = append(stored, r.String("session_id"))
 			return true
 		})
+		kept := map[string]bool{}
 		for seq, s := range byVM[i] {
 			row := SessionValues(s, seq)
-			id := row[0].(string)
-			prev, ok := stored[id]
-			delete(stored, id)
-			if ok && realm.SameRow(prev, row) {
-				continue
-			}
+			kept[row[0].(string)] = true
 			if err := sessTab.UpsertRow(row); err != nil {
-				return nil, nil, err
+				return err
 			}
-			if ok {
-				old = append(old, prev)
+		}
+		sort.Strings(stored)
+		for _, id := range stored {
+			if !kept[id] {
+				sessTab.DeleteByKey(id)
 			}
-			written = append(written, row)
-		}
-		gone := make([]string, 0, len(stored))
-		for id := range stored {
-			gone = append(gone, id)
-		}
-		sort.Strings(gone)
-		for _, id := range gone {
-			sessTab.DeleteByKey(id)
-			old = append(old, stored[id])
 		}
 	}
-	return old, written, nil
+	return nil
 }

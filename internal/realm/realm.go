@@ -9,10 +9,8 @@ package realm
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
-	"time"
 
 	"xdmodfed/internal/warehouse"
 )
@@ -154,29 +152,4 @@ func (r *Registry) Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// SameRow reports whether a stored row holds exactly the values of a
-// freshly computed one: floats compared by bits, times as instants
-// (the warehouse stores them in UTC), everything else by equality.
-func SameRow(stored, fresh []any) bool {
-	for i, a := range stored {
-		switch x := a.(type) {
-		case float64:
-			y, ok := fresh[i].(float64)
-			if !ok || math.Float64bits(x) != math.Float64bits(y) {
-				return false
-			}
-		case time.Time:
-			y, ok := fresh[i].(time.Time)
-			if !ok || !x.Equal(y) {
-				return false
-			}
-		default:
-			if a != fresh[i] {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -337,7 +337,10 @@ func ingestedBinlogs(t testing.TB) (live, restored []warehouse.Event) {
 		t.Fatal(err)
 	}
 	snaps := workload.CCRStorage2017(3, 3)[:40]
-	for i := 0; i < 2; i++ { // the second pass upserts: UPDATE events
+	for pass := 0; pass < 2; pass++ { // the second pass revises every file count: UPDATE events
+		for i := range snaps {
+			snaps[i].FileCount += int64(pass)
+		}
 		if _, err := p.IngestStorageSnapshots(snaps); err != nil {
 			t.Fatal(err)
 		}

@@ -62,6 +62,8 @@ var reachAllowlist = map[string]reachExemption{
 	"warehouse.Table.Insert":    {reachHarness, "map-form row insert inside a transaction, for the same fixtures"},
 	"warehouse.DB.Schemas":      {reachHarness, "lists a DB's schemas for the warehouse, replicate and core tests"},
 	"warehouse.Schema.Tables":   {reachHarness, "lists a schema's tables for the warehouse, realm/perf and core tests"},
+	"warehouse.Table.Columns":   {reachHarness, "a table's column names, by which the aggregate, core and warehouse tests render its rows"},
+	"warehouse.Table.Def":       {reachHarness, "a table's definition, whose Derived flag and indexes the warehouse and core tests check"},
 	"realm/jobs.FactFromRecord": {reachHarness, "map-form job fact row for the replicate, core, aggregate, rest and warehouse tests"},
 	"obs.SetEnabled":            {reachHarness, "instrumentation off switch that TestDisabled and TestSpanDisabledNil in obs, and BenchmarkObsOverhead and BenchmarkTelemetryOverhead in rest, flip"},
 	"workload.SUConverter2017":  {reachHarness, "Figure 1 SU factors as a converter, for the warehouse, aggregate and workload tests"},

@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -104,6 +105,68 @@ func TestGobOnlyOnTheReplicationEnvelope(t *testing.T) {
 	}
 }
 
+// TestChangesComeFromTheWarehouse: what a write changed — the
+// warehouse.Change a Refresh follows — is recorded by the write
+// transaction that makes it (warehouse.DB.Write), not reassembled by
+// its caller. No program file outside internal/warehouse builds a
+// Change by hand: no Change composite literal with elements, and no
+// assignment or append to an Inserted or Replaced field. bench/ is a
+// module of its own and is not checked.
+func TestChangesComeFromTheWarehouse(t *testing.T) {
+	recorded := func(e ast.Expr) bool {
+		sel, ok := e.(*ast.SelectorExpr)
+		return ok && (sel.Sel.Name == "Inserted" || sel.Sel.Name == "Replaced")
+	}
+	fset := token.NewFileSet()
+	for _, root := range []string{"internal", "cmd", "examples"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				if path == filepath.Join("internal", "warehouse") {
+					return filepath.SkipDir
+				}
+				return nil
+			}
+			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				return err
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				var bad bool
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					name := ""
+					switch typ := n.Type.(type) {
+					case *ast.Ident:
+						name = typ.Name
+					case *ast.SelectorExpr:
+						name = typ.Sel.Name
+					}
+					bad = name == "Change" && len(n.Elts) > 0
+				case *ast.AssignStmt:
+					bad = slices.ContainsFunc(n.Lhs, recorded)
+				case *ast.CallExpr:
+					fn, ok := n.Fun.(*ast.Ident)
+					bad = ok && fn.Name == "append" && len(n.Args) > 0 && recorded(n.Args[0])
+				}
+				if bad {
+					t.Errorf("%s: builds a Change by hand; take it from the write's warehouse.Record", fset.Position(n.Pos()))
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // handFlags is every flag a cmd/ main registers on the command line,
 // by command, sorted. No flag sets a configuration key: a daemon knob
 // lives in the instance file, whose keys TestConfigSurface counts.
@@ -115,7 +178,7 @@ var handFlags = map[string][]string{
 	"xdmod-ingestor":  {"config", "db", "log-json", "metrics-listen", "pbs", "resource", "slurm", "staging", "storage-json"},
 	"xdmod-report":    {"experiment", "list", "markdown", "scale", "seed", "svg"},
 	"xdmod-satellite": {"admin-pass", "admin-user", "config", "db", "listen", "log-json", "wal"},
-	"xdmod-setup":     {"exclude-resources", "hierarchy-out", "hub", "hub-instance", "mode", "name", "org", "out", "realms", "resource", "wall-levels"},
+	"xdmod-setup":     {"exclude-resources", "hierarchy-out", "hub", "mode", "name", "org", "out", "realms", "resource", "wall-levels"},
 	"xdmod-shredder":  {"format", "input", "json", "resource"},
 }
 
