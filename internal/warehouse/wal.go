@@ -306,6 +306,13 @@ func (c *countingByteReader) Read(p []byte) (int, error) {
 // untouched — later records may be perfectly good — and an error
 // naming the offset is returned. An apply error on a valid record is
 // likewise a real fault and is returned.
+//
+// Replay logs every record again as exactly one event — Apply writes
+// an UPDATE equal to the stored row as it reads it, and WALs of earlier
+// builds hold such UPDATEs — so the binlog ends at the WAL's last LSN
+// and the writer resumes the WAL's numbering. A record that applies as
+// no event would leave the head below it; replay refuses that rather
+// than reuse LSNs a hub may already have acknowledged.
 func ReplayLog(db *DB, path string) (uint64, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	canTruncate := true
@@ -343,6 +350,12 @@ func ReplayLog(db *DB, path string) (uint64, error) {
 		first, lastLSN := batch[0].LSN, batch[len(batch)-1].LSN
 		if _, err := db.ApplyAll(batch); err != nil {
 			return fmt.Errorf("warehouse: recover %s in LSN range [%d, %d]: %w", path, first, lastLSN, err)
+		}
+		// A binlog head below the WAL's would hand new writes LSNs the
+		// WAL, and a hub that acknowledged them, already hold.
+		if head := db.Binlog().Last(); db.logging && head < lastLSN {
+			return fmt.Errorf("warehouse: recover %s: the binlog ends at LSN %d after replaying up to LSN %d: a record in [%d, %d] changed nothing",
+				path, head, lastLSN, first, lastLSN)
 		}
 		last = lastLSN
 		batch = batch[:0]

@@ -1,8 +1,11 @@
 package warehouse
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -229,5 +232,79 @@ func TestReplayLogIntoExistingDB(t *testing.T) {
 	// Missing file is a clean no-op.
 	if n, err := ReplayLog(db3, path+".missing"); err != nil || n != 0 {
 		t.Errorf("missing file: n=%d err=%v", n, err)
+	}
+}
+
+// TestReplayKeepsTheWALsLSNs: a WAL written before identical upserts
+// stopped being logged holds UPDATEs equal to the stored row. Replay
+// must log each of them again, so the binlog ends at the WAL's last LSN
+// and the next write continues the WAL's numbering — a head below it
+// would hand new writes LSNs that the WAL, and a hub that acknowledged
+// them, already hold. A record that applies as no event (a DELETE of an
+// absent key) is refused instead, and the file is left as it was.
+func TestReplayKeepsTheWALsLSNs(t *testing.T) {
+	evs := sampleWALEvents(t)
+	var insert Event
+	for _, ev := range evs {
+		if ev.Kind == EvInsert && ev.Row[0] == int64(0) { // job 0: never updated or deleted
+			insert = ev
+		}
+	}
+	if insert.Row == nil {
+		t.Fatal("sample has no INSERT of job 0")
+	}
+	n := evs[len(evs)-1].LSN
+	identical := insert
+	identical.Kind, identical.LSN = EvUpdate, n+1
+	absent := Event{Kind: EvDelete, Schema: insert.Schema, Table: insert.Table, LSN: n + 1,
+		Old: append([]any{int64(999)}, insert.Row[1:]...)}
+
+	writeWAL := func(evs ...Event) (path string, file []byte) {
+		for _, ev := range evs {
+			file = append(file, binaryWALRecord(ev)...)
+		}
+		path = walPath(t)
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path, file
+	}
+
+	path, _ := writeWAL(append(evs, identical)...)
+	db, last, err := recoverDB("sat", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last != n+1 || db.Binlog().Last() != last {
+		t.Fatalf("replayed to LSN %d with the binlog at %d, want both at %d", last, db.Binlog().Last(), n+1)
+	}
+	w, err := OpenLogWriterOpts(db, path, db.Binlog().Last(), WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, _ := db.TableIn(insert.Schema, insert.Table)
+	if err := db.Do(func() error {
+		return tab.Insert(map[string]any{"job_id": 100, "user": "u", "resource": "r", "cores": 1, "wall": 1.0})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again, last, err := recoverDB("sat", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last != n+2 || again.Binlog().Last() != n+2 || again.Count(insert.Schema, insert.Table) != db.Count(insert.Schema, insert.Table) {
+		t.Errorf("second replay: LSN %d, binlog %d, %d rows; want LSN %d and %d rows",
+			last, again.Binlog().Last(), again.Count(insert.Schema, insert.Table), n+2, db.Count(insert.Schema, insert.Table))
+	}
+
+	path, file := writeWAL(append(evs, absent)...)
+	if _, _, err := recoverDB("sat", path); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("replaying up to LSN %d", n+1)) {
+		t.Errorf("a DELETE of an absent key: replay error %v, want the LSN shortfall named", err)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, file) {
+		t.Errorf("refused replay changed the file (%d bytes, was %d)", len(after), len(file))
 	}
 }
