@@ -50,8 +50,9 @@ chaos:
 
 # Native fuzzing of the decoders that read bytes from outside the
 # process: the binary event codec (replication frames, WAL payloads),
-# WAL recovery over whole files, snapshot restore, and the segment
-# files a disk-tiered store finds on open. The chart encoders are fuzzed
+# WAL recovery over whole files, snapshot restore, the segment files a
+# disk-tiered store finds on open, and the member /metrics bodies the
+# hub's telemetry federator parses. The chart encoders are fuzzed
 # too, because the bytes they write come from ingested data: the
 # /api/chart JSON body must equal encoding/json's for any strings and
 # finite values, and the SVG must stay legal XML for any text. One
@@ -63,6 +64,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayLog$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/warehouse
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreSnapshot$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/warehouse
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSegment$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/warehouse/store
+	$(GO) test -run '^$$' -fuzz '^FuzzParseExposition$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzChartJSON$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/rest
 	$(GO) test -run '^$$' -fuzz '^FuzzChartSVG$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/chart
 

@@ -211,7 +211,6 @@ func (c *Controller) Admit(ctx context.Context, user, center string) Decision {
 	switch {
 	case err == nil:
 		mAdmitted.Inc()
-		mQueued.Inc()
 		mQueueWait.Observe(waited.Seconds())
 		mInflight.Add(1)
 		return Decision{Admitted: true, Waited: waited, release: c.releaseSlot}

@@ -11,8 +11,6 @@ var (
 		"Requests admitted through the front-door admission controller.")
 	mShed = obs.Default.CounterVec("xdmodfed_admission_shed_total",
 		"Requests shed by the admission controller, by reason.", "reason")
-	mQueued = obs.Default.Counter("xdmodfed_admission_queued_total",
-		"Admitted requests that waited in the admission queue first.")
 	mQueueWait = obs.Default.Histogram("xdmodfed_admission_queue_wait_seconds",
 		"Time admitted requests spent waiting in the admission queue.", nil)
 	mInflight = obs.Default.Gauge("xdmodfed_admission_inflight",

@@ -18,10 +18,8 @@ var (
 	mIncrementalFacts = obs.Default.Counter("xdmodfed_agg_incremental_facts_total",
 		"Fact rows folded incrementally (at replication-apply time) instead of by a full rebuild.")
 	// scope is "realm" for a full rebuild and "groups" for a scoped
-	// recompute of the groups a non-additive write touched.
-	mRebuilds = obs.Default.CounterVec("xdmodfed_agg_rebuilds_total",
-		"Aggregation-table recomputes (ReaggregateFrom runs) of one realm, by scope: the whole realm or a set of groups.",
-		"scope")
+	// recompute of the groups a non-additive write touched; the count
+	// of this histogram is the number of recomputes.
 	mRealmAggSeconds = obs.Default.HistogramVec("xdmodfed_agg_realm_seconds",
 		"Duration of one aggregation recompute of a single realm, by scope.",
 		nil, "realm", "scope")

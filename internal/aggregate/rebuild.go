@@ -343,7 +343,6 @@ func (e *Engine) ReaggregateFrom(info realm.Info, sources []Source, scope Scope)
 		}
 		return nil
 	})
-	mRebuilds.With(kind).Inc()
 	defer mRealmAggSeconds.With(info.Name, kind).ObserveSince(time.Now())
 	codec := newAggCodec(info)
 

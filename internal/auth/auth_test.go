@@ -300,3 +300,41 @@ func TestIdentityMapObserveIdempotent(t *testing.T) {
 		t.Error("empty account accepted")
 	}
 }
+
+// TestExpiredTokensAreSwept: a client that logs in and never returns
+// must not leave its token behind for the life of the process. Logins
+// sweep expired sessions whenever the token map has doubled since the
+// last sweep, so after the clock passes the TTL of 1 000 sessions, 100
+// more logins leave at most twice the live sessions plus the floor.
+func TestExpiredTokensAreSwept(t *testing.T) {
+	v := NewVault()
+	v.Create(User{Username: "u", Role: RoleUser}, "password123")
+	a := NewAuthenticator(v)
+	now := time.Date(2018, 1, 1, 0, 0, 0, 0, time.UTC)
+	a.now = func() time.Time { return now }
+	login := func(n int) []Session {
+		var out []Session
+		for i := 0; i < n; i++ {
+			s, err := a.LoginLocal("u", "password123")
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, s)
+		}
+		return out
+	}
+	login(1000)
+	now = now.Add(a.ttl + time.Minute)
+	live := login(100)
+	a.mu.RLock()
+	held := len(a.tokens)
+	a.mu.RUnlock()
+	if limit := 2*len(live) + minSweepTokens; held > limit {
+		t.Errorf("authenticator holds %d tokens after 1000 expired and 100 live logins, want at most %d", held, limit)
+	}
+	for _, s := range live {
+		if _, err := a.Validate(s.Token); err != nil {
+			t.Fatalf("live session dropped by the sweep: %v", err)
+		}
+	}
+}

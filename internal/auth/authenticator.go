@@ -27,7 +27,14 @@ type Authenticator struct {
 	mu      sync.RWMutex
 	sources map[string]SSOSource // by source name
 	tokens  map[string]Session
+	// sweepAt is the token count at which a login next drops expired
+	// sessions; see newSession.
+	sweepAt int
 }
+
+// minSweepTokens is the smallest token count at which a login sweeps
+// expired sessions.
+const minSweepTokens = 64
 
 // NewAuthenticator creates an authenticator over a vault.
 func NewAuthenticator(v *Vault) *Authenticator {
@@ -37,6 +44,7 @@ func NewAuthenticator(v *Vault) *Authenticator {
 		ttl:     8 * time.Hour,
 		sources: make(map[string]SSOSource),
 		tokens:  make(map[string]Session),
+		sweepAt: minSweepTokens,
 	}
 }
 
@@ -115,14 +123,26 @@ func (a *Authenticator) LoginSSO(assertion Assertion) (Session, error) {
 }
 
 func (a *Authenticator) newSession(u User, via string) Session {
+	now := a.now()
 	s := Session{
 		Token:    randomToken(),
 		Username: u.Username,
 		Role:     u.Role,
 		Via:      via,
-		Expires:  a.now().Add(a.ttl),
+		Expires:  now.Add(a.ttl),
 	}
 	a.mu.Lock()
+	// A token nobody presents again is otherwise never dropped. Sweeping
+	// whenever the map has doubled since the last sweep keeps it within
+	// twice the live sessions (plus the floor) at amortized O(1) a login.
+	if len(a.tokens) >= a.sweepAt {
+		for tok, old := range a.tokens {
+			if now.After(old.Expires) {
+				delete(a.tokens, tok)
+			}
+		}
+		a.sweepAt = max(2*len(a.tokens), minSweepTokens)
+	}
 	a.tokens[s.Token] = s
 	a.mu.Unlock()
 	return s

@@ -20,8 +20,6 @@ var (
 		"1 while the member is quarantined by the hub's circuit breaker, else 0.", "member")
 	mQuarantines = obs.Default.CounterVec("xdmodfed_hub_member_quarantines_total",
 		"Quarantine trips after repeated batch-apply failures, per member.", "member")
-	mAggRuns = obs.Default.Counter("xdmodfed_aggregation_runs_total",
-		"Completed aggregation runs (instance-local and federation-wide).")
 	mAggSeconds = obs.Default.Histogram("xdmodfed_aggregation_run_seconds",
 		"Duration of one full aggregation run across all realms.", nil)
 

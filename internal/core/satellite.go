@@ -260,7 +260,6 @@ func (in *Instance) AggregateAll() error {
 // under the realm's mutex. It returns the facts read per realm.
 func (in *Instance) rebuildAll() (map[string]int, error) {
 	defer mAggSeconds.ObserveSince(time.Now())
-	defer mAggRuns.Inc()
 	counts := map[string]int{}
 	for _, name := range in.Registry.Names() {
 		info, _ := in.Registry.Get(name)

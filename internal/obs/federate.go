@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -34,6 +35,12 @@ const (
 	DefaultScrapeTimeout  = 5 * time.Second
 	fedFailThreshold      = 3
 	fedMaxBackoffTicks    = 16 // backoff cap, in scrape intervals
+
+	// maxScrapeBytes bounds one member /metrics or /healthz body. The
+	// bytes come from another site, so a runaway or hostile member must
+	// not make the hub buffer and parse without limit until the scrape
+	// times out; a /metrics body over the cap fails the scrape.
+	maxScrapeBytes = 4 << 20
 )
 
 var (
@@ -246,7 +253,14 @@ func (f *Federator) fetchMetrics(ctx context.Context, addr string) ([]ParsedFami
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("obs: member /metrics returned status %d", resp.StatusCode)
 	}
-	return ParseExposition(resp.Body)
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxScrapeBytes+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(body) > maxScrapeBytes {
+		return nil, fmt.Errorf("obs: member /metrics body exceeds %d bytes", maxScrapeBytes)
+	}
+	return ParseExposition(bytes.NewReader(body))
 }
 
 func (f *Federator) fetchHealth(ctx context.Context, addr string) string {
@@ -264,7 +278,7 @@ func (f *Federator) fetchHealth(ctx context.Context, addr string) string {
 	var doc struct {
 		Status string `json:"status"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxScrapeBytes)).Decode(&doc); err != nil {
 		return ""
 	}
 	return doc.Status

@@ -2,8 +2,11 @@ package obs
 
 import (
 	"context"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -121,6 +124,41 @@ func TestFederatorFailureBackoff(t *testing.T) {
 	m = f.Snapshot()[0]
 	if !m.Up || m.ConsecutiveFailures != 0 || m.BackoffSecondsLeft != 0 || m.LastError != "" {
 		t.Fatalf("member did not recover: %+v", m)
+	}
+}
+
+// TestOversizedMemberScrapeIsRefused: a member whose /metrics body is
+// larger than maxScrapeBytes is reported down with an error that names
+// the cap, rather than buffered and parsed whole.
+func TestOversizedMemberScrapeIsRefused(t *testing.T) {
+	var body strings.Builder
+	body.WriteString("# TYPE pad_total counter\n")
+	for i := 0; body.Len() <= maxScrapeBytes; i++ {
+		fmt.Fprintf(&body, "pad_total{i=\"%d\"} 1\n", i)
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/metrics" {
+			w.Header().Set("Content-Type", ContentType)
+			io.WriteString(w, body.String())
+			return
+		}
+		w.Write([]byte(`{"status":"ok"}`))
+	}))
+	defer srv.Close()
+
+	f := NewFederator([]MemberTarget{{Name: "big", Addr: srv.URL}}, time.Hour, 5*time.Second)
+	f.ScrapeOnce(context.Background())
+	m := f.Snapshot()[0]
+	if m.Up || !strings.Contains(m.LastError, strconv.Itoa(maxScrapeBytes)) {
+		t.Fatalf("member serving a %d-byte /metrics body: up=%v err=%q, want down with an error naming the %d-byte cap",
+			body.Len(), m.Up, m.LastError, maxScrapeBytes)
+	}
+	var out strings.Builder
+	if err := f.Render(&out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("refused member rendered %d bytes", out.Len())
 	}
 }
 

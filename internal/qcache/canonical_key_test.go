@@ -51,7 +51,7 @@ func TestCanonicalKeyCollisionPairs(t *testing.T) {
 				t.Fatalf("distinct requests share canonical key %q", ka)
 			}
 			// And the cache must therefore hold separate entries.
-			c := New[string](Config{Name: t.Name(), Shards: 1}, nil)
+			c := New[string](Config{Name: t.Name()}, nil)
 			va, _, _ := c.GetOrCompute(ka, 1, func() (string, error) { return "result-a", nil })
 			vb, hit, _ := c.GetOrCompute(kb, 1, func() (string, error) { return "result-b", nil })
 			if hit || va == vb {

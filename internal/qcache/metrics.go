@@ -21,6 +21,4 @@ var (
 		"Approximate bytes held by the query cache.", "cache")
 	mFillVec = obs.Default.HistogramVec("xdmodfed_qcache_fill_seconds",
 		"Latency of one cache fill (the underlying aggregation query).", nil, "cache")
-	mStaleVec = obs.Default.CounterVec("xdmodfed_qcache_stale_peeks_total",
-		"Epoch-stale cached results served as degraded (Warning: 110) answers under shed.", "cache")
 )

@@ -1,4 +1,4 @@
-// Package qcache is a sharded, concurrency-safe query-result cache
+// Package qcache is a concurrency-safe query-result cache
 // with generation (epoch) invalidation and request coalescing. It sits
 // between the REST layer and the aggregation engine so that repeated
 // chart queries — the read hot path of a federation hub serving "a
@@ -17,14 +17,13 @@
 // for the same (key, epoch) coalesce onto a single in-flight fill
 // (singleflight), so a thundering herd performs ~1 underlying query.
 //
-// Capacity is byte-accounted: each shard runs an LRU list and evicts
-// from the cold end when its share of Config.MaxBytes is exceeded.
+// Capacity is byte-accounted: one LRU list evicts from its cold end
+// while the entries held exceed Config.MaxBytes.
 package qcache
 
 import (
 	"container/list"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"xdmodfed/internal/obs"
@@ -33,7 +32,6 @@ import (
 // Defaults for Config zero values.
 const (
 	DefaultMaxBytes = 64 << 20 // 64 MiB
-	DefaultShards   = 16
 
 	// entryOverhead approximates per-entry bookkeeping (map bucket,
 	// list element, entry struct) on top of the caller's size estimate.
@@ -43,8 +41,7 @@ const (
 // Config tunes one cache instance.
 type Config struct {
 	Name     string // metrics label for this cache; default "default"
-	MaxBytes int64  // total capacity across shards; <=0 = DefaultMaxBytes
-	Shards   int    // shard count; <=0 = DefaultShards
+	MaxBytes int64  // capacity of the whole cache; <=0 = DefaultMaxBytes
 }
 
 // Stats is a point-in-time snapshot of a cache's counters.
@@ -75,32 +72,25 @@ type flight[V any] struct {
 	err   error
 }
 
-type shard[V any] struct {
+// Cache is an epoch-invalidated result cache for values of type V:
+// one mutex guards one LRU list, its index and the in-flight fills.
+// Cached values are shared between callers and must be treated as
+// immutable.
+type Cache[V any] struct {
+	cfg    Config
+	sizeOf func(V) int
+
 	mu       sync.Mutex
 	ll       *list.List // of *entry[V]; front = most recently used
 	entries  map[string]*list.Element
 	inflight map[string]*flight[V]
-	bytes    int64
-}
-
-// Cache is a sharded epoch-invalidated result cache for values of type
-// V. Cached values are shared between callers and must be treated as
-// immutable.
-type Cache[V any] struct {
-	cfg      Config
-	perShard int64
-	shards   []shard[V]
-	sizeOf   func(V) int
-
-	hits, misses, coalesced, fills, evictions, staleHits atomic.Uint64
-	entries                                              atomic.Int64
-	bytes                                                atomic.Int64
+	stats    Stats // counters; Entries and Bytes are kept current
 
 	// pre-resolved obs handles (one label lookup at construction, not
 	// per request)
-	mHits, mMisses, mCoalesced, mEvictions, mStale *obs.Counter
-	mEntries, mBytes                               *obs.Gauge
-	mFill                                          *obs.Histogram
+	mHits, mMisses, mCoalesced, mEvictions *obs.Counter
+	mEntries, mBytes                       *obs.Gauge
+	mFill                                  *obs.Histogram
 }
 
 // New builds a cache. sizeOf estimates the retained bytes of one value
@@ -112,47 +102,24 @@ func New[V any](cfg Config, sizeOf func(V) int) *Cache[V] {
 	if cfg.MaxBytes <= 0 {
 		cfg.MaxBytes = DefaultMaxBytes
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = DefaultShards
-	}
 	if sizeOf == nil {
 		sizeOf = func(V) int { return 512 }
 	}
-	c := &Cache[V]{
+	return &Cache[V]{
 		cfg:      cfg,
-		perShard: cfg.MaxBytes / int64(cfg.Shards),
-		shards:   make([]shard[V], cfg.Shards),
 		sizeOf:   sizeOf,
+		ll:       list.New(),
+		entries:  make(map[string]*list.Element),
+		inflight: make(map[string]*flight[V]),
 
 		mHits:      mHitsVec.With(cfg.Name),
 		mMisses:    mMissesVec.With(cfg.Name),
 		mCoalesced: mCoalescedVec.With(cfg.Name),
 		mEvictions: mEvictionsVec.With(cfg.Name),
-		mStale:     mStaleVec.With(cfg.Name),
 		mEntries:   mEntriesVec.With(cfg.Name),
 		mBytes:     mBytesVec.With(cfg.Name),
 		mFill:      mFillVec.With(cfg.Name),
 	}
-	for i := range c.shards {
-		c.shards[i].ll = list.New()
-		c.shards[i].entries = make(map[string]*list.Element)
-		c.shards[i].inflight = make(map[string]*flight[V])
-	}
-	return c
-}
-
-// shardFor picks the shard by FNV-1a of the key.
-func (c *Cache[V]) shardFor(key string) *shard[V] {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return &c.shards[h%uint64(len(c.shards))]
 }
 
 // GetOrCompute returns the cached value for key if one exists at the
@@ -168,47 +135,51 @@ func (c *Cache[V]) shardFor(key string) *shard[V] {
 // entry is stored under the pre-write epoch and is stale on arrival,
 // which is safe (one extra recomputation, never a stale serve).
 func (c *Cache[V]) GetOrCompute(key string, epoch uint64, fill func() (V, error)) (v V, hit bool, err error) {
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	if el, ok := sh.entries[key]; ok {
+	c.mu.Lock()
+	if el, ok := c.entries[key]; ok {
 		e := el.Value.(*entry[V])
 		if e.epoch == epoch {
-			sh.ll.MoveToFront(el)
-			sh.mu.Unlock()
-			c.hits.Add(1)
+			c.ll.MoveToFront(el)
+			c.stats.Hits++
+			c.mu.Unlock()
 			c.mHits.Inc()
 			return e.val, true, nil
 		}
 		// Stale epoch: drop now so it cannot be served again.
-		c.removeLocked(sh, el)
+		c.removeLocked(el)
 	}
-	if f, ok := sh.inflight[key]; ok && f.epoch == epoch {
-		sh.mu.Unlock()
-		<-f.done
-		c.coalesced.Add(1)
+	if f, ok := c.inflight[key]; ok && f.epoch == epoch {
+		c.stats.Coalesced++
+		c.mu.Unlock()
 		c.mCoalesced.Inc()
+		<-f.done
 		return f.val, true, f.err
 	}
 	f := &flight[V]{epoch: epoch, done: make(chan struct{})}
-	sh.inflight[key] = f
-	sh.mu.Unlock()
+	c.inflight[key] = f
+	c.stats.Misses++
+	c.mu.Unlock()
 
-	c.misses.Add(1)
 	c.mMisses.Inc()
 	start := time.Now()
 	v, err = fill()
-	c.fills.Add(1)
 	c.mFill.ObserveSince(start)
 
 	f.val, f.err = v, err
-	sh.mu.Lock()
-	if sh.inflight[key] == f {
-		delete(sh.inflight, key)
+	// sizeOf is the caller's code: run it before taking the lock.
+	var size int64
+	if err == nil {
+		size = int64(c.sizeOf(v)) + int64(len(key)) + entryOverhead
+	}
+	c.mu.Lock()
+	c.stats.Fills++
+	if c.inflight[key] == f {
+		delete(c.inflight, key)
 	}
 	if err == nil {
-		c.storeLocked(sh, key, v, epoch)
+		c.storeLocked(key, v, epoch, size)
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	close(f.done)
 	return v, false, err
 }
@@ -225,74 +196,58 @@ func (c *Cache[V]) GetOrCompute(key string, epoch uint64, fill func() (V, error)
 // survive while the front door is refusing the recomputation — exactly
 // the overload window PeekStale exists for.
 func (c *Cache[V]) PeekStale(key string) (v V, epoch uint64, ok bool) {
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	el, found := sh.entries[key]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, found := c.entries[key]
 	if !found {
 		return v, 0, false
 	}
 	e := el.Value.(*entry[V])
-	c.staleHits.Add(1)
-	c.mStale.Inc()
+	c.stats.StaleHits++
 	return e.val, e.epoch, true
 }
 
-// storeLocked inserts or replaces key's entry and evicts from the cold
-// end while over the shard's capacity. Caller holds sh.mu.
-func (c *Cache[V]) storeLocked(sh *shard[V], key string, v V, epoch uint64) {
-	size := int64(c.sizeOf(v)) + int64(len(key)) + entryOverhead
-	if size > c.perShard {
-		return // larger than a whole shard: never cacheable
+// storeLocked inserts or replaces key's entry, charged size bytes, and
+// evicts from the cold end while over capacity. Caller holds c.mu.
+func (c *Cache[V]) storeLocked(key string, v V, epoch uint64, size int64) {
+	if size > c.cfg.MaxBytes {
+		return // larger than the whole cache: never cacheable
 	}
-	if el, ok := sh.entries[key]; ok {
+	if el, ok := c.entries[key]; ok {
 		// A slow fill from an older epoch must not clobber a fresher
 		// entry another caller stored while we were computing.
 		if el.Value.(*entry[V]).epoch > epoch {
 			return
 		}
-		c.removeLocked(sh, el)
+		c.removeLocked(el)
 	}
 	e := &entry[V]{key: key, val: v, epoch: epoch, bytes: size}
-	sh.entries[key] = sh.ll.PushFront(e)
-	sh.bytes += size
-	c.entries.Add(1)
-	c.bytes.Add(size)
+	c.entries[key] = c.ll.PushFront(e)
+	c.stats.Entries++
+	c.stats.Bytes += size
 	c.mEntries.Add(1)
 	c.mBytes.Add(float64(size))
-	for sh.bytes > c.perShard {
-		back := sh.ll.Back()
-		if back == nil {
-			break
-		}
-		c.removeLocked(sh, back)
-		c.evictions.Add(1)
+	for c.stats.Bytes > c.cfg.MaxBytes {
+		c.removeLocked(c.ll.Back())
+		c.stats.Evictions++
 		c.mEvictions.Inc()
 	}
 }
 
-// removeLocked unlinks one entry. Caller holds sh.mu.
-func (c *Cache[V]) removeLocked(sh *shard[V], el *list.Element) {
+// removeLocked unlinks one entry. Caller holds c.mu.
+func (c *Cache[V]) removeLocked(el *list.Element) {
 	e := el.Value.(*entry[V])
-	sh.ll.Remove(el)
-	delete(sh.entries, e.key)
-	sh.bytes -= e.bytes
-	c.entries.Add(-1)
-	c.bytes.Add(-e.bytes)
+	c.ll.Remove(el)
+	delete(c.entries, e.key)
+	c.stats.Entries--
+	c.stats.Bytes -= e.bytes
 	c.mEntries.Add(-1)
 	c.mBytes.Add(-float64(e.bytes))
 }
 
 // Stats returns a snapshot of the cache's counters.
 func (c *Cache[V]) Stats() Stats {
-	return Stats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Coalesced: c.coalesced.Load(),
-		Fills:     c.fills.Load(),
-		Evictions: c.evictions.Load(),
-		StaleHits: c.staleHits.Load(),
-		Entries:   int(c.entries.Load()),
-		Bytes:     c.bytes.Load(),
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.stats
 }

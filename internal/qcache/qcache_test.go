@@ -8,11 +8,11 @@ import (
 	"time"
 )
 
-// fixedSize builds a cache whose every value costs exactly its int
-// value in bytes, with one shard so LRU ordering is deterministic.
+// fixedCache builds a cache whose every value costs exactly its int
+// value in bytes.
 func fixedCache(t testing.TB, maxBytes int64) *Cache[int] {
 	t.Helper()
-	return New[int](Config{Name: t.Name(), MaxBytes: maxBytes, Shards: 1},
+	return New[int](Config{Name: t.Name(), MaxBytes: maxBytes},
 		func(v int) int { return v })
 }
 
@@ -91,7 +91,7 @@ func TestByteAccounting(t *testing.T) {
 }
 
 func TestOversizeValueNotCached(t *testing.T) {
-	c := fixedCache(t, 1000) // one shard: capacity 1000
+	c := fixedCache(t, 1000)
 	if v, hit := mustGet(t, c, "big", 1, 5000); hit || v != 5000 {
 		t.Fatalf("oversize compute: got v=%d hit=%v", v, hit)
 	}
@@ -186,7 +186,7 @@ func TestCoalescingRespectsEpoch(t *testing.T) {
 }
 
 func TestConcurrentMixedKeys(t *testing.T) {
-	c := New[int](Config{Name: t.Name(), MaxBytes: 1 << 16, Shards: 4},
+	c := New[int](Config{Name: t.Name(), MaxBytes: 1 << 16},
 		func(v int) int { return 64 })
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -239,5 +239,30 @@ func TestPeekStale(t *testing.T) {
 	mustGet(t, c, "k", 2, 77)
 	if v, ep, ok := c.PeekStale("k"); !ok || v != 77 || ep != 2 {
 		t.Fatalf("post-recompute peek: v=%d ep=%d ok=%v", v, ep, ok)
+	}
+}
+
+// TestMaxBytesBoundsTheWholeCache: Config.MaxBytes is the capacity of
+// the cache as a whole, so a value of a tenth of it is cacheable and
+// eleven values of nearly a tenth each all stay.
+func TestMaxBytesBoundsTheWholeCache(t *testing.T) {
+	c := New[int](Config{Name: t.Name(), MaxBytes: 1 << 20}, func(v int) int { return v })
+	mustGet(t, c, "big", 1, 100<<10)
+	if _, hit := mustGet(t, c, "big", 1, 100<<10); !hit {
+		t.Fatalf("a 100 KiB value in a 1 MiB cache was not cached: %+v", c.Stats())
+	}
+
+	c = New[int](Config{Name: t.Name() + "/eleven", MaxBytes: 1 << 20}, func(v int) int { return v })
+	for i := 0; i < 11; i++ {
+		mustGet(t, c, fmt.Sprintf("k%02d", i), 1, 90<<10)
+	}
+	st := c.Stats()
+	if st.Entries != 11 || st.Evictions != 0 {
+		t.Fatalf("eleven 90 KiB values in a 1 MiB cache: %+v, want 11 entries and no evictions", st)
+	}
+	for i := 0; i < 11; i++ {
+		if _, hit := mustGet(t, c, fmt.Sprintf("k%02d", i), 1, 0); !hit {
+			t.Fatalf("k%02d was not kept", i)
+		}
 	}
 }

@@ -45,8 +45,6 @@ type Server struct {
 	// centers maps usernames to center (tenant) names for the
 	// per-center admission tier.
 	centers map[string]string
-	// sessions memoizes verified bearer tokens.
-	sessions *auth.SessionCache
 
 	started time.Time
 }
@@ -60,8 +58,8 @@ type chartResult struct {
 }
 
 // newServer wires the shared parts of every server flavour: the
-// query-result cache, the slow-query ring, the session cache and, when
-// the instance config enables it, admission control.
+// query-result cache, the slow-query ring and, when the instance
+// config enables it, admission control.
 func newServer(in *core.Instance) *Server {
 	s := &Server{
 		Instance: in,
@@ -70,8 +68,7 @@ func newServer(in *core.Instance) *Server {
 			Name:     in.Config.Name,
 			MaxBytes: in.Config.QueryCache.MaxBytes,
 		}, chartResultBytes),
-		slow:     newSlowLog(),
-		sessions: auth.NewSessionCache(in.Auth, auth.DefaultSessionCacheEntries, auth.DefaultSessionCacheTTL),
+		slow: newSlowLog(),
 	}
 	s.setupAdmission(in.Config.Admission)
 	return s
@@ -147,9 +144,9 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 }
 
 // requireAuth enforces sign-on: "users must sign on to XDMoD to use
-// most of its advanced features" (paper §II-D). Verified tokens are
-// memoized in a bounded TTL cache (invalidated on logout) so repeated
-// requests skip the vault, and the authenticated request then passes
+// most of its advanced features" (paper §II-D). The bearer token is
+// checked by the instance's authenticator, the one place that knows
+// which sessions are live, and the authenticated request then passes
 // through the admission controller when one is configured.
 func (s *Server) requireAuth(next func(http.ResponseWriter, *http.Request, auth.Session)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -159,7 +156,7 @@ func (s *Server) requireAuth(next func(http.ResponseWriter, *http.Request, auth.
 			writeErr(w, http.StatusUnauthorized, fmt.Errorf("missing bearer token"))
 			return
 		}
-		sess, err := s.validateToken(strings.TrimPrefix(h, prefix))
+		sess, err := s.Instance.Auth.Validate(strings.TrimPrefix(h, prefix))
 		if err != nil {
 			writeErr(w, http.StatusUnauthorized, err)
 			return
@@ -174,11 +171,6 @@ func (s *Server) requireAuth(next func(http.ResponseWriter, *http.Request, auth.
 		}
 		next(w, r, sess)
 	}
-}
-
-// validateToken resolves a bearer token through the session cache.
-func (s *Server) validateToken(token string) (auth.Session, error) {
-	return s.sessions.Validate(token)
 }
 
 type loginRequest struct {
@@ -229,11 +221,7 @@ func (s *Server) handleSSO(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleLogout(w http.ResponseWriter, r *http.Request) {
 	h := r.Header.Get("Authorization")
 	if strings.HasPrefix(h, "Bearer ") {
-		token := strings.TrimPrefix(h, "Bearer ")
-		s.Instance.Auth.Logout(token)
-		// The memoized verification must die with the session, or the
-		// cache would serve a logged-out token until its TTL lapsed.
-		s.sessions.Invalidate(token)
+		s.Instance.Auth.Logout(strings.TrimPrefix(h, "Bearer "))
 	}
 	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }

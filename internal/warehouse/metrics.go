@@ -23,8 +23,6 @@ var (
 		"Immutable table snapshots published at write-transaction commit (the copy-on-write version swap lock-free readers scan).")
 	mCompactions = obs.Default.Counter("xdmodfed_warehouse_snapshot_compactions_total",
 		"Column-vector compactions: tables rewritten without tombstones once dead rows outnumber live ones.")
-	mWALFsyncs = obs.Default.Counter("xdmodfed_warehouse_wal_fsync_total",
-		"Durable-binlog fsync calls.")
 	mWALFsyncSeconds = obs.Default.Histogram("xdmodfed_warehouse_wal_fsync_seconds",
 		"Durable-binlog fsync latency.", nil)
 	mWALBytes = obs.Default.Counter("xdmodfed_warehouse_wal_bytes_total",

@@ -220,7 +220,6 @@ func (w *LogWriter) syncLocked() error {
 	}
 	syncStart := time.Now()
 	err := w.f.Sync()
-	mWALFsyncs.Inc()
 	mWALFsyncSeconds.ObserveSince(syncStart)
 	if err == nil {
 		w.dirty = false
