@@ -32,13 +32,14 @@ reach:
 # racing a member's batches and rebuilds, among them) and the
 # warehouse's guard that a View captures a table snapshot and the binlog
 # head atomically, and its guard that lock-free readers resolve every
-# string cell while the writer grows the dictionaries, then run ten
-# times over, and the front-door storm
+# string cell while the writer grows the dictionaries, and the key
+# index's model test (readers probing under View while the writer
+# changes the index), then run ten times over, and the front-door storm
 # (200 concurrent chart requests through a 4-slot admission queue) five
 # times, since a locking bug shows up only in some interleavings.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/replicate/... ./internal/qcache/... ./internal/aggregate/... ./internal/core/... ./internal/rest/... ./internal/warehouse/... ./internal/faults/... ./internal/admission/...
-	$(GO) test -race -count=10 -run '^(TestIncrementalFoldMatchesRebuild|TestConcurrentEnsureAggregatedRebuildsOnce|TestUpdateAndDeleteBatchesLeaveHubClean|TestBatchWaitsForRunningRecompute|TestConcurrentMembersReadersAndRebuilds|TestHubLocalWritesRaceMemberBatchesAndRebuilds|TestLooseLoadRacesTightMemberAndReaders|TestViewCapturesCommitAtomically|TestDictionaryGrowsUnderConcurrentReaders)$$' ./internal/core ./internal/warehouse
+	$(GO) test -race -count=10 -run '^(TestIncrementalFoldMatchesRebuild|TestConcurrentEnsureAggregatedRebuildsOnce|TestUpdateAndDeleteBatchesLeaveHubClean|TestBatchWaitsForRunningRecompute|TestConcurrentMembersReadersAndRebuilds|TestHubLocalWritesRaceMemberBatchesAndRebuilds|TestLooseLoadRacesTightMemberAndReaders|TestViewCapturesCommitAtomically|TestDictionaryGrowsUnderConcurrentReaders|FuzzKeyIndex)$$' ./internal/core ./internal/warehouse
 	$(GO) test -race -count=5 -run '^TestAdmissionStorm$$' ./internal/rest
 
 # Chaos end-to-end: a multi-satellite federation under seeded fault
@@ -52,7 +53,8 @@ chaos:
 # process: the binary event codec (replication frames, WAL payloads),
 # WAL recovery over whole files, snapshot restore, the segment files a
 # disk-tiered store finds on open, and the member /metrics bodies the
-# hub's telemetry federator parses. The chart encoders are fuzzed
+# hub's telemetry federator parses. The key index is fuzzed against a
+# model map, since the keys it finds come from ingested data. The chart encoders are fuzzed
 # too, because the bytes they write come from ingested data: the
 # /api/chart JSON body must equal encoding/json's for any strings and
 # finite values, and the SVG must stay legal XML for any text. One
@@ -63,6 +65,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEvents$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/warehouse
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayLog$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/warehouse
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreSnapshot$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/warehouse
+	$(GO) test -run '^$$' -fuzz '^FuzzKeyIndex$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/warehouse
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSegment$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/warehouse/store
 	$(GO) test -run '^$$' -fuzz '^FuzzParseExposition$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzChartJSON$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/rest

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -57,6 +58,7 @@ func ParseExposition(r io.Reader) ([]ParsedFamily, error) {
 	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Split(scanLF)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -96,6 +98,19 @@ func ParseExposition(r io.Reader) ([]ParsedFamily, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// scanLF splits lines at '\n' only. bufio.ScanLines would also drop a
+// '\r' before it, which is HELP text's own: the format escapes only
+// backslash and newline, so a help ending in '\r' renders it as is.
+func scanLF(data []byte, atEOF bool) (advance int, token []byte, err error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
 }
 
 // parseSampleLine parses `name{label="value",...} value [timestamp]`.

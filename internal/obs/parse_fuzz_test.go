@@ -13,7 +13,7 @@ import (
 // FuzzParseExposition: the hub parses the /metrics bodies its members
 // serve, so no input may panic the parser. And a registry built from
 // the input, rendered and parsed back, must give the same families
-// with the same sample names, label pairs and values.
+// with the same help, sample names, label pairs and values.
 func FuzzParseExposition(f *testing.F) {
 	var own bytes.Buffer
 	if err := obs.Default.Render(&own); err != nil {
@@ -27,13 +27,14 @@ func FuzzParseExposition(f *testing.F) {
 		"solo_bucket{le=\"1\"} 2\ng NaN\nh -Inf\n# a comment\n\n",
 		"name{x=\"unterminated} 1\n",
 		"name{x=\"dangling\\",
+		"\x00\x00\x00\x00\x04ab\\\r\x00\x05", // one counter whose help ends in a backslash and '\r'
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		obs.ParseExposition(bytes.NewReader(data)) // must not panic
 
-		reg, types, want := registryFrom(data)
+		reg, types, helps, want := registryFrom(data)
 		var text bytes.Buffer
 		if err := reg.Render(&text); err != nil {
 			t.Fatal(err)
@@ -46,6 +47,9 @@ func FuzzParseExposition(f *testing.F) {
 		for _, fam := range fams {
 			if types[fam.Name] != fam.Type {
 				t.Errorf("family %s parsed as %q, registered as %q", fam.Name, fam.Type, types[fam.Name])
+			}
+			if helps[fam.Name] != fam.Help {
+				t.Errorf("family %s help parsed as %q, registered as %q", fam.Name, fam.Help, helps[fam.Name])
 			}
 			delete(types, fam.Name)
 			for _, s := range fam.Samples {
@@ -71,10 +75,10 @@ func FuzzParseExposition(f *testing.F) {
 }
 
 // registryFrom builds a registry of up to four families of every type
-// from data, with arbitrary label values and values. It returns each
-// family's type and the value every rendered sample must parse back to
-// (a histogram's count stands for its samples).
-func registryFrom(data []byte) (reg *obs.Registry, types map[string]string, want map[string]float64) {
+// from data, with arbitrary help, label values and values. It returns
+// each family's type and help and the value every rendered sample must
+// parse back to (a histogram's count stands for its samples).
+func registryFrom(data []byte) (reg *obs.Registry, types, helps map[string]string, want map[string]float64) {
 	next := func() byte {
 		if len(data) == 0 {
 			return 0
@@ -90,7 +94,7 @@ func registryFrom(data []byte) (reg *obs.Registry, types map[string]string, want
 		}
 		return string(b)
 	}
-	reg, types, want = obs.NewRegistry(), map[string]string{}, map[string]float64{}
+	reg, types, helps, want = obs.NewRegistry(), map[string]string{}, map[string]string{}, map[string]float64{}
 	for i := 0; i < int(next()%4)+1; i++ {
 		suffix := make([]byte, next()%6)
 		for j := range suffix {
@@ -102,6 +106,8 @@ func registryFrom(data []byte) (reg *obs.Registry, types map[string]string, want
 			labels[j] = fmt.Sprintf("l%d", j)
 		}
 		kind := next() % 3
+		help := text(int(next() % 12))
+		helps[name] = help
 		for k := 0; k < int(next()%3)+1; k++ {
 			values := make([]string, len(labels))
 			pairs := make([]obs.ParsedLabel, len(labels))
@@ -112,7 +118,7 @@ func registryFrom(data []byte) (reg *obs.Registry, types map[string]string, want
 			switch kind {
 			case 0:
 				n := uint64(next())
-				reg.CounterVec(name, "counter", labels...).With(values...).Add(n)
+				reg.CounterVec(name, help, labels...).With(values...).Add(n)
 				types[name] = "counter"
 				want[sampleKey(name, pairs)] += float64(n)
 			case 1:
@@ -121,17 +127,17 @@ func registryFrom(data []byte) (reg *obs.Registry, types map[string]string, want
 					bits = bits<<8 | uint64(next())
 				}
 				v := math.Float64frombits(bits)
-				reg.GaugeVec(name, "gauge", labels...).With(values...).Set(v)
+				reg.GaugeVec(name, help, labels...).With(values...).Set(v)
 				types[name] = "gauge"
 				want[sampleKey(name, pairs)] = v
 			case 2:
-				reg.HistogramVec(name, "histogram", []float64{1, 4, 16}, labels...).With(values...).Observe(float64(next()) / 8)
+				reg.HistogramVec(name, help, []float64{1, 4, 16}, labels...).With(values...).Observe(float64(next()) / 8)
 				types[name] = "histogram"
 				want[sampleKey(name+"_count", pairs)]++
 			}
 		}
 	}
-	return reg, types, want
+	return reg, types, helps, want
 }
 
 func sampleKey(name string, labels []obs.ParsedLabel) string {

@@ -143,3 +143,18 @@ func TestParseExpositionEdgeCases(t *testing.T) {
 		}
 	}
 }
+
+// TestHelpEndingInCRRoundTrips: the format escapes only backslash and
+// newline in HELP text, so a help ending in '\r' renders the '\r' as is
+// right before the line's newline, and the parser keeps it.
+func TestHelpEndingInCRRoundTrips(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("a_total", "ends in cr\r").Inc()
+	fams, err := ParseExposition(strings.NewReader(r.RenderString()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fams) != 1 || fams[0].Help != "ends in cr\r" || fams[0].Type != "counter" || len(fams[0].Samples) != 1 {
+		t.Fatalf("parsed %+v", fams)
+	}
+}

@@ -498,26 +498,17 @@ func (db *DB) applyLocked(ev Event) error {
 			return err
 		}
 		if t.pk != nil {
-			if pos, exists := t.pk[string(t.pkBytes(vals))]; exists {
+			if pos, _, _ := t.rowPos(vals); pos >= 0 {
 				t.deleteAt(pos)
 			}
 			return nil
 		}
-		// No primary key: delete by full-row match (first match wins).
-		target := encodeKey(vals)
-		var buf []byte
-		allCols := make([]int, len(t.def.Columns))
-		for i := range allCols {
-			allCols[i] = i
-		}
+		// No primary key: delete by full-row match of typed cells, as
+		// sameAt compares them (first match wins).
 		found := -1
 		t.forEachChunk(func(cols []ColumnVector, base, rows int) bool {
 			for lp := 0; lp < rows; lp++ {
-				if t.dead[base+lp] {
-					continue
-				}
-				buf = appendKeyAt(buf[:0], cols, allCols, lp)
-				if string(buf) == target {
+				if !t.dead[base+lp] && sameCells(cols, lp, vals) {
 					found = base + lp
 					return false
 				}

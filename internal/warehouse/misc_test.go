@@ -246,26 +246,6 @@ func TestCoerceVariants(t *testing.T) {
 	}
 }
 
-func TestEncodeKeyPartVariants(t *testing.T) {
-	if encodeKeyPart(nil) != "\x00" {
-		t.Error("nil encoding wrong")
-	}
-	if encodeKeyPart(true) != "1" || encodeKeyPart(false) != "0" {
-		t.Error("bool encoding wrong")
-	}
-	ts := time.Date(2017, 1, 1, 0, 0, 0, 0, time.UTC)
-	if encodeKeyPart(ts) == "" {
-		t.Error("time encoding empty")
-	}
-	if encodeKeyPart(2.5) != "2.5" {
-		t.Errorf("float encoding = %q", encodeKeyPart(2.5))
-	}
-	type odd struct{ X int }
-	if encodeKeyPart(odd{1}) == "" {
-		t.Error("fallback encoding empty")
-	}
-}
-
 func TestRowAccessorEdgeCases(t *testing.T) {
 	db := Open("t")
 	tab := mustTable(t, db, "s")

@@ -8,20 +8,40 @@ import (
 	"testing/quick"
 )
 
-// TestPropertyKeyEncodingInjective: distinct composite keys must encode
-// to distinct strings (otherwise two different primary keys would
-// collide in the index map).
+// TestPropertyKeyEncodingInjective: distinct composite keys are
+// distinct keys of the index (otherwise two different primary keys
+// would collide), and equal ones are one key.
 func TestPropertyKeyEncodingInjective(t *testing.T) {
 	f := func(a1, a2 int64, b1, b2 string) bool {
-		k1 := encodeKey([]any{a1, b1})
-		k2 := encodeKey([]any{a2, b2})
-		if a1 == a2 && b1 == b2 {
-			return k1 == k2
+		db := Open("p")
+		tab, err := db.EnsureSchema("s").EnsureTable(TableDef{
+			Name:       "t",
+			Columns:    []Column{{Name: "a", Type: TypeInt}, {Name: "b", Type: TypeString}, {Name: "n", Type: TypeInt}},
+			PrimaryKey: []string{"a", "b"},
+		})
+		if err != nil {
+			return false
 		}
-		return k1 != k2
+		var err2 error
+		db.Do(func() error {
+			if err := tab.InsertRow([]any{a1, b1, int64(1)}); err != nil {
+				return err
+			}
+			err2 = tab.InsertRow([]any{a2, b2, int64(2)})
+			return nil
+		})
+		r1, ok1 := tab.GetByKey(a1, b1)
+		r2, ok2 := tab.GetByKey(a2, b2)
+		if a1 == a2 && b1 == b2 {
+			return err2 != nil && ok1 && r1.Int("n") == 1 && tab.Len() == 1
+		}
+		return err2 == nil && ok1 && ok2 && r1.Int("n") == 1 && r2.Int("n") == 2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+	if !f(1, 1, "x", "x") {
+		t.Error("an equal key inserted twice")
 	}
 }
 

@@ -62,10 +62,16 @@ func (db *DB) txn(record bool, fn func() error) (rec Record, err error) {
 }
 
 // sameAt reports whether the stored row at pos holds exactly the
-// coerced values vals: floats compared by bits, times as instants,
-// everything else by equality.
+// coerced values vals (sameCells).
 func (t *Table) sameAt(pos int, vals []any) bool {
 	cols, lp := t.colsAt(pos)
+	return sameCells(cols, lp, vals)
+}
+
+// sameCells reports whether row lp of cols holds exactly the coerced
+// values vals, one per column: floats compared by bits, times as
+// instants, everything else by equality, and NULL equal only to NULL.
+func sameCells(cols []ColumnVector, lp int, vals []any) bool {
 	for i := range cols {
 		v := &cols[i]
 		if v.Nulls[lp] || vals[i] == nil {

@@ -8,9 +8,9 @@ import "xdmodfed/internal/warehouse/store"
 // backend) followed by the hot tail — plain append-only vectors that
 // every write lands in. Global row positions are stable across
 // sealing: position p is sealed chunk space for p < sealedRows and
-// tail-local p-sealedRows beyond that, so the primary-key and
-// secondary-index maps, tombstone vector, and published snapshots all
-// keep speaking global positions unchanged.
+// tail-local p-sealedRows beyond that, so the key indexes, tombstone
+// vector, and published snapshots all keep speaking global positions
+// unchanged.
 
 // sealedChunk is one sealed segment of a table. Its columns are the
 // segment view's own vectors: a memory segment hands back the very
@@ -118,13 +118,22 @@ func (t *Table) dropSealed() {
 // colsAt resolves a global row position to its chunk's column vectors
 // and the chunk-local position.
 func (t *Table) colsAt(pos int) ([]ColumnVector, int) {
+	cols, lp, _ := t.cellsAt(pos)
+	return cols, lp
+}
+
+// cellsAt is colsAt that also reports whether the chunk's string codes
+// are the table's own: they are in the tail and in a memory segment,
+// which shares the tail's dictionary (a heap-backed view is the very
+// vectors sealed), and are not in a disk segment's view.
+func (t *Table) cellsAt(pos int) (cols []ColumnVector, lp int, own bool) {
 	if pos >= t.sealedRows {
-		return t.tail, pos - t.sealedRows
+		return t.tail, pos - t.sealedRows, true
 	}
 	base := 0
 	for _, sc := range t.sealed {
 		if pos < base+sc.rows {
-			return sc.columns(), pos - base
+			return sc.columns(), pos - base, sc.h.HeapBacked()
 		}
 		base += sc.rows
 	}

@@ -124,7 +124,7 @@ type diskHandle struct {
 
 	mu      sync.Mutex // serializes materialization
 	view    atomic.Pointer[SegmentData]
-	cost    int64 // heap cost of the current view
+	cost    int64 // heap cost of the current view (guarded by mu)
 	lastUse atomic.Int64
 }
 
@@ -151,6 +151,19 @@ func (h *diskHandle) View() *SegmentData {
 	h.mu.Unlock()
 	h.d.evict(h)
 	return v
+}
+
+// release drops the handle's materialized view, reporting the heap cost
+// it was charged and whether there was one. It holds mu, because a
+// reader materializing the segment again writes the view and its cost
+// together under mu.
+func (h *diskHandle) release() (cost int64, ok bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.view.Swap(nil) == nil {
+		return 0, false
+	}
+	return h.cost, true
 }
 
 func (d *Disk) Seal(schema, table string, sd *SegmentData) (Handle, error) {
@@ -222,9 +235,9 @@ func (d *Disk) Drop(h Handle) {
 	// survive the unlink, and the finalizer unmaps once the handle is
 	// unreachable.
 	os.Remove(dh.path)
-	if v := dh.view.Swap(nil); v != nil {
-		d.resident.Add(-dh.cost)
-		mResidentBytes.Add(-float64(dh.cost))
+	if cost, ok := dh.release(); ok {
+		d.resident.Add(-cost)
+		mResidentBytes.Add(-float64(cost))
 	}
 	mSegments.Add(-1)
 	mSegmentBytes.Add(-float64(dh.bytes))
@@ -256,9 +269,9 @@ func (d *Disk) evict(keep *diskHandle) {
 		if d.resident.Load() <= d.maxResident {
 			break
 		}
-		if v := c.h.view.Swap(nil); v != nil {
-			d.resident.Add(-c.h.cost)
-			mResidentBytes.Add(-float64(c.h.cost))
+		if cost, ok := c.h.release(); ok {
+			d.resident.Add(-cost)
+			mResidentBytes.Add(-float64(cost))
 			mEvictions.Inc()
 		}
 	}
@@ -280,8 +293,8 @@ func (d *Disk) Close() error {
 	bytes := d.bytes
 	var resident int64
 	for _, h := range d.segs {
-		if v := h.view.Swap(nil); v != nil {
-			resident += h.cost
+		if cost, ok := h.release(); ok {
+			resident += cost
 		}
 	}
 	d.segs = map[uint64]*diskHandle{}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 )
@@ -219,6 +220,50 @@ func TestDiskEviction(t *testing.T) {
 	}
 	// Evicted segments transparently re-materialize, identically.
 	equalViews(t, sampleSegment(200), hs[0].View())
+}
+
+// TestDiskConcurrentViewsUnderEviction: lock-free readers materialize
+// and evict one another's views at once. A view's cost is written with
+// the view, so the eviction that drops it reads the cost under the
+// same lock (the race detector checks), and the resident total ends
+// where the views still resident put it.
+func TestDiskConcurrentViewsUnderEviction(t *testing.T) {
+	d, err := OpenDisk(t.TempDir(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hs []*diskHandle
+	for i := 0; i < 4; i++ {
+		h, err := d.Seal("s", "t", sampleSegment(50))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs = append(hs, h.(*diskHandle))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				hs[(i+g)%len(hs)].View()
+			}
+		}()
+	}
+	wg.Wait()
+	var resident int64
+	for _, h := range hs {
+		if h.Peek() != nil {
+			resident += h.cost
+		}
+	}
+	if got := d.resident.Load(); got != resident {
+		t.Fatalf("resident bytes %d, the resident views cost %d", got, resident)
+	}
+	d.Close()
+	if got := d.resident.Load(); got != 0 {
+		t.Fatalf("resident bytes %d after Close", got)
+	}
 }
 
 func TestDiskDropUnlinksAndKeepsReaders(t *testing.T) {

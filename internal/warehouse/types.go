@@ -10,7 +10,6 @@ package warehouse
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"xdmodfed/internal/warehouse/store"
@@ -107,7 +106,7 @@ func (d TableDef) Validate() error {
 // coerce normalizes v to the canonical Go representation for the column
 // type: int64, float64, string, bool or time.Time. nil is permitted for
 // nullable columns. A time must lie where Unix nanoseconds are defined
-// (store.UnixNanos): a time column stores them, and a key renders them.
+// (store.UnixNanos): a time column stores them, and a key hashes them.
 // A value already in canonical form is returned as the interface it
 // arrived in, not re-boxed — most cells on the insert and rows→chunk
 // paths are, and re-boxing allocates per cell.
@@ -163,62 +162,4 @@ func coerce(col Column, v any) (any, error) {
 		}
 	}
 	return nil, fmt.Errorf("warehouse: column %q (%s) cannot hold %T value", col.Name, col.Type, v)
-}
-
-// appendKeyPart renders one value in key-safe form. It is the one
-// rendering of a boxed key cell: appendKeyAt yields the same bytes for
-// the same value held in a column vector.
-func appendKeyPart(b []byte, v any) []byte {
-	switch x := v.(type) {
-	case nil:
-		return append(b, 0)
-	case int64:
-		return strconv.AppendInt(b, x, 10)
-	case float64:
-		return strconv.AppendFloat(b, x, 'g', -1, 64)
-	case string:
-		return append(b, x...)
-	case bool:
-		if x {
-			return append(b, '1')
-		}
-		return append(b, '0')
-	case time.Time:
-		return strconv.AppendInt(b, x.UnixNano(), 10)
-	default:
-		return append(b, fmt.Sprintf("%v", x)...) // not Appendf: b must not escape
-	}
-}
-
-// appendKeyVals renders the composite key of the cells of vals at the
-// positions idx, joined by the unit separator (which cannot collide
-// with a numeric encoding).
-func appendKeyVals(b []byte, vals []any, idx []int) []byte {
-	for n, ci := range idx {
-		if n > 0 {
-			b = append(b, 0x1f)
-		}
-		b = appendKeyPart(b, vals[ci])
-	}
-	return b
-}
-
-// appendKey renders the composite key of parts, in order.
-func appendKey(b []byte, parts []any) []byte {
-	for i, p := range parts {
-		if i > 0 {
-			b = append(b, 0x1f)
-		}
-		b = appendKeyPart(b, p)
-	}
-	return b
-}
-
-// encodeKeyPart renders one value into a key-safe string.
-func encodeKeyPart(v any) string { return string(appendKeyPart(nil, v)) }
-
-// encodeKey builds a composite key string for index maps.
-func encodeKey(parts []any) string {
-	var buf [64]byte // most keys fit: the string is then the only allocation
-	return string(appendKey(buf[:0], parts))
 }

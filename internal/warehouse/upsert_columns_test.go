@@ -126,9 +126,7 @@ func stateOf(db *DB, tab *Table, ids int) tableState {
 				return true
 			})
 		}
-		for k, v := range tab.pk {
-			st.PK[k] = v
-		}
+		st.PK = keyPositions(tab)
 		st.Rows, st.Deleted = tab.rows, tab.deleted
 		return nil
 	})
@@ -149,11 +147,11 @@ func snapshotRows(td *TableData) [][]any {
 // new and existing keys row by row through UpsertRow into one table and
 // as one payload through UpsertColumns into its twin. Everything
 // observable must stay identical — scan order, key lookups, index
-// scans, the key map, the binlog — while a snapshot taken before each
+// scans, the key index, the binlog — while a snapshot taken before each
 // batch keeps reading the cells it captured. The hot tail is tiny, so
 // replaced rows sit in sealed chunks, and the run crosses compactions.
 // The fill hook is checked on the way: it sees, in payload order, the
-// position GetByKey's key map held for each row before the call (or
+// position the key index held for each row before the call (or
 // -1), ChunkAt reaches that row's typed cells in either tier, and the
 // cells fill writes are the ones stored.
 func TestUpsertColumnsMatchesUpsertRow(t *testing.T) {
@@ -195,10 +193,11 @@ func TestUpsertColumnsMatchesUpsertRow(t *testing.T) {
 		}
 		if err := dbC.Do(func() error {
 			want := make([]int, len(rows))
+			keys := keyPositions(tabC)
 			for r, row := range rows {
-				pos, ok := tabC.pk[encodeKey([]any{row[0], row[3]})]
+				pos, ok := keys[fmt.Sprint([]any{row[0], row[3]})]
 				if _, found := tabC.GetByKey(row[0], row[3]); found != ok {
-					t.Fatalf("round %d: row %d: GetByKey found %v, key map %v", round, r, found, ok)
+					t.Fatalf("round %d: row %d: GetByKey found %v, key index %v", round, r, found, ok)
 				}
 				if !ok {
 					pos = -1
