@@ -23,8 +23,8 @@ reach:
 # cache, the aggregation engine (parallel rebuild vs. incremental fold),
 # the federation core (hub apply vs. aggregate vs. query), the REST
 # layer that drives them all concurrently, the warehouse (WAL follower
-# and fsync timer goroutines) including the tiered segment store under
-# ./internal/warehouse/store (concurrent materialize/evict/drop), and
+# and fsync timer goroutines, lock-free snapshot readers beside the
+# writer) with its column vectors under ./internal/warehouse/store, and
 # the fault-injection layer. The admission package (token buckets,
 # bounded queue, concurrency limiter) is raced too — its whole job is
 # concurrent arrival. The hub's fold/rebuild coordination tests (a loose
@@ -51,9 +51,8 @@ chaos:
 
 # Native fuzzing of the decoders that read bytes from outside the
 # process: the binary event codec (replication frames, WAL payloads),
-# WAL recovery over whole files, snapshot restore, the segment files a
-# disk-tiered store finds on open, and the member /metrics bodies the
-# hub's telemetry federator parses. The key index is fuzzed against a
+# WAL recovery over whole files, snapshot restore, and the member
+# /metrics bodies the hub's telemetry federator parses. The key index is fuzzed against a
 # model map, since the keys it finds come from ingested data. The chart encoders are fuzzed
 # too, because the bytes they write come from ingested data: the
 # /api/chart JSON body must equal encoding/json's for any strings and
@@ -66,7 +65,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayLog$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/warehouse
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreSnapshot$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/warehouse
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyIndex$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/warehouse
-	$(GO) test -run '^$$' -fuzz '^FuzzParseSegment$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/warehouse/store
 	$(GO) test -run '^$$' -fuzz '^FuzzParseExposition$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzChartJSON$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/rest
 	$(GO) test -run '^$$' -fuzz '^FuzzChartSVG$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/chart

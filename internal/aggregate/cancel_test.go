@@ -9,7 +9,7 @@ import (
 )
 
 // A canceled context aborts the aggregation scan instead of walking
-// every chunk: the front door relies on this so a shed or disconnected
+// the table: the front door relies on this so a shed or disconnected
 // chart client releases its admission slot promptly.
 func TestQueryStatsCtxCanceled(t *testing.T) {
 	_, eng, info := fixture(t, 200, 7)

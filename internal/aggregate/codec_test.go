@@ -129,27 +129,24 @@ func TestAggCodecRoundTrip(t *testing.T) {
 			check := func(how string, want map[string]*accRow) {
 				t.Helper()
 				seen := 0
-				td := tab.Data()
-				for i := 0; i < td.NumChunks(); i++ {
-					ch := td.Chunk(i)
-					r, err := c.reader(ch)
-					if err != nil {
-						t.Fatal(err)
+				ch := tab.Data().Chunk()
+				r, err := c.reader(ch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for pos := 0; pos < ch.Rows(); pos++ {
+					if ch.Tombstones()[pos] {
+						continue
 					}
-					for pos := 0; pos < ch.Rows(); pos++ {
-						if ch.Tombstones()[pos] {
-							continue
-						}
-						got := r.accAt(pos)
-						w := want[string(groupKey(nil, got.periodKey, got.dims))]
-						if w == nil {
-							t.Fatalf("%s: accAt returned unknown group %d %v", how, got.periodKey, got.dims)
-						}
-						if d := diffAccBits(w, got); d != "" {
-							t.Fatalf("%s, accAt: %s", how, d)
-						}
-						seen++
+					got := r.accAt(pos)
+					w := want[string(groupKey(nil, got.periodKey, got.dims))]
+					if w == nil {
+						t.Fatalf("%s: accAt returned unknown group %d %v", how, got.periodKey, got.dims)
 					}
+					if d := diffAccBits(w, got); d != "" {
+						t.Fatalf("%s, accAt: %s", how, d)
+					}
+					seen++
 				}
 				if seen != len(want) {
 					t.Fatalf("%s: read back %d groups, wrote %d", how, seen, len(want))
@@ -168,7 +165,7 @@ func TestAggCodecRoundTrip(t *testing.T) {
 					probe.putKey(i, acc.periodKey, codes[i*c.nd:(i+1)*c.nd])
 				}
 				errProbed := errors.New("probed")
-				err := db.Do(func() error {
+				err = db.Do(func() error {
 					return tab.UpsertColumns(probe.cd, func(i, replaced int) error {
 						acc := accs[i]
 						w := want[string(groupKey(nil, acc.periodKey, acc.dims))]

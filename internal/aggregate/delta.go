@@ -458,24 +458,20 @@ func (df *DeltaFolder) Reset(excludeResources map[string]bool) (int, error) {
 	})
 	fresh := newFolder(df.l)
 	fresh.trackDirty()
-	n := 0
-	for chunk := 0; chunk < td.NumChunks(); chunk++ {
-		ch := td.Chunk(chunk)
-		var skip func(pos int) bool
-		if ci, ok := ch.ColIndex("resource"); ok && len(excludeResources) > 0 {
-			if res := ch.StringCol(ci); res.Codes != nil {
-				excluded := make([]bool, len(res.Dict)) // by code: each resource looked up once per chunk
-				for c, r := range res.Dict {
-					excluded[c] = excludeResources[r]
-				}
-				skip = func(pos int) bool { return excluded[res.Codes[pos]] }
+	ch := td.Chunk()
+	var skip func(pos int) bool
+	if ci, ok := ch.ColIndex("resource"); ok && len(excludeResources) > 0 {
+		if res := ch.StringCol(ci); res.Codes != nil {
+			excluded := make([]bool, len(res.Dict)) // by code: each resource looked up once
+			for c, r := range res.Dict {
+				excluded[c] = excludeResources[r]
 			}
+			skip = func(pos int) bool { return excluded[res.Codes[pos]] }
 		}
-		folded, err := df.e.foldFacts(df.info, ch, skip, fresh)
-		if err != nil {
-			return 0, err
-		}
-		n += folded
+	}
+	n, err := df.e.foldFacts(df.info, ch, skip, fresh)
+	if err != nil {
+		return 0, err
 	}
 	// The dirty marks of the snapshot fold are irrelevant: the Reset
 	// flush ships every bin.

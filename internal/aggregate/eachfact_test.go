@@ -41,7 +41,7 @@ func decodedFacts(t *testing.T, eng *Engine, info realm.Info, chunks ...warehous
 }
 
 // tableAndBatchFacts decodes one fact table twice: from its own
-// published chunks (the rebuild's input) and from its live rows boxed
+// published chunk (the rebuild's input) and from its live rows boxed
 // as [][]any and turned back into a chunk (the incremental and
 // pushdown folds' input).
 func tableAndBatchFacts(t *testing.T, db *warehouse.DB, eng *Engine, info realm.Info, schema string) (own, batch []string) {
@@ -50,12 +50,7 @@ func tableAndBatchFacts(t *testing.T, db *warehouse.DB, eng *Engine, info realm.
 	if err != nil {
 		t.Fatal(err)
 	}
-	td := tab.Data()
-	chunks := make([]warehouse.ColChunk, td.NumChunks())
-	for i := range chunks {
-		chunks[i] = td.Chunk(i)
-	}
-	own = decodedFacts(t, eng, info, chunks...)
+	own = decodedFacts(t, eng, info, tab.Data().Chunk())
 	ch, err := tab.RowsChunk(factRowsPositional(t, db, schema, info.FactTable))
 	if err != nil {
 		t.Fatal(err)

@@ -171,19 +171,17 @@ func (b *foldBatch) mergeInto(tab *warehouse.Table, pi int) error {
 		t := int(g.id.tuple) * nd
 		out.putKey(ri, g.id.periodKey, b.codes[t:t+nd])
 	}
-	readers := map[int]*aggReader{} // by chunk base: the stored rows span sealed chunks and the tail
+	var r *aggReader // of the stored rows, made when a group first replaces one
 	l, acc := b.c.l, b.c.l.newAcc()
 	return tab.UpsertColumns(out.cd, func(ri, replaced int) error {
 		fi := groups[ri].first
 		if replaced >= 0 {
 			ch, lp := tab.ChunkAt(replaced)
-			r := readers[ch.Base()]
 			if r == nil {
 				var err error
 				if r, err = b.c.reader(ch); err != nil {
 					return err
 				}
-				readers[ch.Base()] = r
 			}
 			r.load(lp, &acc)
 		} else {

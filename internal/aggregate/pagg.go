@@ -132,25 +132,23 @@ func paggPartials(codec *aggCodec, pds []*warehouse.TableData) (partial, int, er
 		}
 		g := make(map[string]*accRow)
 		p[period] = g
-		for chunk := 0; chunk < td.NumChunks(); chunk++ {
-			ch := td.Chunk(chunk)
-			if ch.Rows() == 0 {
+		ch := td.Chunk()
+		if ch.Rows() == 0 {
+			continue
+		}
+		r, err := codec.reader(ch)
+		if err != nil {
+			return nil, 0, err
+		}
+		dead := ch.Tombstones()
+		for pos := 0; pos < ch.Rows(); pos++ {
+			if dead[pos] {
 				continue
 			}
-			r, err := codec.reader(ch)
-			if err != nil {
-				return nil, 0, err
-			}
-			dead := ch.Tombstones()
-			for pos := 0; pos < ch.Rows(); pos++ {
-				if dead[pos] {
-					continue
-				}
-				acc := r.accAt(pos)
-				keyBuf = groupKey(keyBuf, acc.periodKey, acc.dims)
-				g[string(keyBuf)] = acc
-				n++
-			}
+			acc := r.accAt(pos)
+			keyBuf = groupKey(keyBuf, acc.periodKey, acc.dims)
+			g[string(keyBuf)] = acc
+			n++
 		}
 	}
 	return p, n, nil

@@ -153,10 +153,10 @@ func (e *Engine) QueryStats(info realm.Info, req Request) ([]Series, QueryInfo, 
 	return e.QueryStatsCtx(context.Background(), info, req)
 }
 
-// QueryStatsCtx is QueryStats bounded by a context: the chunk-wise
-// scan checks ctx between chunks and aborts with ctx.Err() once it is
-// canceled, so a disconnected chart client stops consuming CPU (and
-// releases its admission slot) instead of scanning to completion.
+// QueryStatsCtx is QueryStats bounded by a context: the scan checks ctx
+// before it starts and returns ctx.Err() once it is canceled, so a
+// chart client that disconnected while queued costs no scan (and
+// releases its admission slot).
 func (e *Engine) QueryStatsCtx(ctx context.Context, info realm.Info, req Request) ([]Series, QueryInfo, error) {
 	defer mQuerySeconds.With(info.Name).ObserveSince(time.Now())
 	metric, ok := info.Metric(req.MetricID)
@@ -225,20 +225,17 @@ func foldCell(cells map[gp]*cell, aggCells map[string]*cell, k gp, n int64, v, d
 	a.add(n, v, den, byMax)
 }
 
-// scanAggRows iterates one aggregation-table snapshot chunk-wise,
-// applying the request's period range and dimension filters, and calls
-// emit for every passing live row with n and the metric's val and den
-// state (metricState; none reads zero). Every column the metric touches
-// is resolved once per contiguous chunk (a cold segment materializes
-// only when the scan reaches it), and so is each filter value, to its
-// code in the chunk's dictionary: the per-row loop compares codes and
-// reads typed vectors only. A chunk whose dictionary lacks a filter
-// value holds no row that passes. Returns the live rows visited.
+// scanAggRows iterates one aggregation-table snapshot, applying the
+// request's period range and dimension filters, and calls emit for
+// every passing live row with n and the metric's val and den state
+// (metricState; none reads zero). Every column the metric touches is
+// resolved once, and so is each filter value, to its code in the
+// snapshot's dictionary: the per-row loop compares codes and reads
+// typed vectors only. A snapshot whose dictionary lacks a filter value
+// holds no row that passes. Returns the live rows visited.
 //
-// ctx is checked once per chunk — cheap relative to a chunk's row loop
-// but prompt enough that a canceled query stops within one chunk's
-// worth of work; on cancellation the scan returns ctx.Err() with the
-// rows visited so far.
+// ctx is checked once, before the scan: a query canceled before it
+// starts returns ctx.Err() having visited no row.
 func scanAggRows(ctx context.Context, td *warehouse.TableData, req Request, val, den stateCol, groupCol string,
 	emit func(pk int64, group string, n int64, v, d float64)) (int, error) {
 
@@ -253,78 +250,76 @@ func scanAggRows(ctx context.Context, td *warehouse.TableData, req Request, val,
 		}
 		return v[pos]
 	}
-	for chunk := 0; chunk < td.NumChunks(); chunk++ {
-		if err := ctx.Err(); err != nil {
-			return scanned, err
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	ch := td.Chunk()
+	strCol := func(name string) warehouse.StringView {
+		if ci, ok := ch.ColIndex(name); ok {
+			return ch.StringCol(ci)
 		}
-		ch := td.Chunk(chunk)
-		strCol := func(name string) warehouse.StringView {
-			if ci, ok := ch.ColIndex(name); ok {
-				return ch.StringCol(ci)
-			}
-			return warehouse.StringView{}
+		return warehouse.StringView{}
+	}
+	stateVec := func(s stateCol) []float64 {
+		if ci, ok := ch.ColIndex(s.name()); ok && s.of != "" {
+			return ch.FloatCol(ci)
 		}
-		stateVec := func(s stateCol) []float64 {
-			if ci, ok := ch.ColIndex(s.name()); ok && s.of != "" {
-				return ch.FloatCol(ci)
-			}
-			return nil
+		return nil
+	}
+	intCol := func(name string) []int64 {
+		if ci, ok := ch.ColIndex(name); ok {
+			return ch.IntCol(ci)
 		}
-		intCol := func(name string) []int64 {
-			if ci, ok := ch.ColIndex(name); ok {
-				return ch.IntCol(ci)
-			}
-			return nil
+		return nil
+	}
+	pkV, nV := intCol("period_key"), intCol("n")
+	valV, denV := stateVec(val), stateVec(den)
+	var groupV warehouse.StringView
+	if groupCol != "" {
+		groupV = strCol(groupCol)
+	}
+	filters := make([]dimFilter, 0, len(req.Filters))
+	matchable := true
+	for dim, want := range req.Filters {
+		vals := strCol("dim_" + dim)
+		code, ok := vals.Code(want)
+		matchable = matchable && ok
+		filters = append(filters, dimFilter{codes: vals.Codes, want: code})
+	}
+	dead := ch.Tombstones()
+rows:
+	for pos := 0; pos < ch.Rows(); pos++ {
+		if dead[pos] {
+			continue
 		}
-		pkV, nV := intCol("period_key"), intCol("n")
-		valV, denV := stateVec(val), stateVec(den)
-		var groupV warehouse.StringView
-		if groupCol != "" {
-			groupV = strCol(groupCol)
+		scanned++
+		var pk int64
+		if pkV != nil {
+			pk = pkV[pos]
 		}
-		filters := make([]dimFilter, 0, len(req.Filters))
-		matchable := true
-		for dim, want := range req.Filters {
-			vals := strCol("dim_" + dim)
-			code, ok := vals.Code(want)
-			matchable = matchable && ok
-			filters = append(filters, dimFilter{codes: vals.Codes, want: code})
+		if req.StartKey != 0 && pk < req.StartKey {
+			continue
 		}
-		dead := ch.Tombstones()
-	rows:
-		for pos := 0; pos < ch.Rows(); pos++ {
-			if dead[pos] {
-				continue
-			}
-			scanned++
-			var pk int64
-			if pkV != nil {
-				pk = pkV[pos]
-			}
-			if req.StartKey != 0 && pk < req.StartKey {
-				continue
-			}
-			if req.EndKey != 0 && pk > req.EndKey {
-				continue
-			}
-			if !matchable {
-				continue
-			}
-			for _, f := range filters {
-				if f.codes[pos] != f.want {
-					continue rows
-				}
-			}
-			group := ""
-			if groupV.Codes != nil {
-				group = groupV.At(pos)
-			}
-			var n int64
-			if nV != nil {
-				n = nV[pos]
-			}
-			emit(pk, group, n, at(valV, pos), at(denV, pos))
+		if req.EndKey != 0 && pk > req.EndKey {
+			continue
 		}
+		if !matchable {
+			continue
+		}
+		for _, f := range filters {
+			if f.codes[pos] != f.want {
+				continue rows
+			}
+		}
+		group := ""
+		if groupV.Codes != nil {
+			group = groupV.At(pos)
+		}
+		var n int64
+		if nV != nil {
+			n = nV[pos]
+		}
+		emit(pk, group, n, at(valV, pos), at(denV, pos))
 	}
 	return scanned, nil
 }

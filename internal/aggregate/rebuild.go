@@ -88,7 +88,7 @@ func (d *dimReader) value(pos int) string {
 // the time column, one reader per dimension, one numeric reader per
 // measure column and per weighted pair of the layout. Resolution
 // happens once per chunk; the per-row loop then touches only typed
-// vectors at chunk-local positions.
+// vectors.
 type factReader struct {
 	times  warehouse.TimeView
 	tnulls []bool
@@ -196,21 +196,13 @@ func (e *Engine) foldFacts(info realm.Info, ch warehouse.ColChunk, skip func(pos
 
 // scanPartials folds every live fact row of one snapshot into a fresh
 // partial — restricted to the scope's groups when scope is non-nil.
-// Runs lock-free against the immutable snapshot, chunk by chunk: a
-// cold sealed segment is materialized only when the scan reaches it
-// (and is evictable again as soon as the scan moves on), so the scan's
-// resident footprint is one segment plus the backend's budget — never
-// the whole table.
+// Runs lock-free against the immutable snapshot.
 func (e *Engine) scanPartials(info realm.Info, td *warehouse.TableData, l *rowLayout, scope Scope) (partial, int, error) {
 	f := newFolder(l)
 	f.scope = scope
-	n := 0
-	for chunk := 0; chunk < td.NumChunks(); chunk++ {
-		folded, err := e.foldFacts(info, td.Chunk(chunk), nil, f)
-		if err != nil {
-			return nil, 0, err
-		}
-		n += folded
+	n, err := e.foldFacts(info, td.Chunk(), nil, f)
+	if err != nil {
+		return nil, 0, err
 	}
 	return f.p, n, nil
 }

@@ -219,68 +219,6 @@ func (d DurabilityConfig) Validate() error {
 	return nil
 }
 
-// StorageConfig selects how the instance's warehouse stores sealed
-// column segments (internal/warehouse/store). The zero value means
-// "all in memory" — exactly the pre-tiering behavior. With the "disk"
-// backend, cold segments are sealed to an mmap-backed on-disk format
-// under DataDir and the resident heap footprint of materialized
-// segments is bounded by MaxResidentBytes.
-type StorageConfig struct {
-	// Backend selects the segment store: "memory" (default) keeps every
-	// segment on the Go heap; "disk" seals cold segments to DataDir.
-	Backend string `json:"backend,omitempty"`
-	// DataDir is where the disk backend writes segment files. Required
-	// when Backend is "disk"; ignored otherwise.
-	DataDir string `json:"data_dir,omitempty"`
-	// HotTailRows is how many appended rows a table buffers in its
-	// mutable hot tail before sealing them into an immutable segment.
-	// 0 uses the backend default (disk: 4096; memory: never seal).
-	// Negative disables sealing.
-	HotTailRows int `json:"hot_tail_rows,omitempty"`
-	// MaxResidentBytes caps the heap bytes of materialized disk-backed
-	// segment views; least-recently-used views are dropped above the
-	// cap and re-materialized from the mapping on next access. 0 uses
-	// the built-in default (256 MiB). Only meaningful for "disk".
-	MaxResidentBytes int64 `json:"max_resident_bytes,omitempty"`
-}
-
-// DefaultHotTailRows is the hot-tail threshold used by the disk
-// backend when hot_tail_rows is 0.
-const DefaultHotTailRows = 4096
-
-// Validate checks the storage knobs.
-func (s StorageConfig) Validate() error {
-	switch s.Backend {
-	case "", "memory", "disk":
-	default:
-		return fmt.Errorf("config: storage backend must be memory or disk, got %q", s.Backend)
-	}
-	if s.Backend == "disk" && s.DataDir == "" {
-		return fmt.Errorf("config: storage backend disk requires data_dir")
-	}
-	if s.MaxResidentBytes < 0 {
-		return fmt.Errorf("config: storage max_resident_bytes must not be negative")
-	}
-	return nil
-}
-
-// TailRows resolves the hot-tail threshold for the configured
-// backend: the explicit value when positive, 0 (never seal) when
-// negative or when the memory backend is selected, and
-// DefaultHotTailRows for the disk backend.
-func (s StorageConfig) TailRows() int {
-	switch {
-	case s.HotTailRows > 0:
-		return s.HotTailRows
-	case s.HotTailRows < 0:
-		return 0
-	case s.Backend == "disk":
-		return DefaultHotTailRows
-	default:
-		return 0
-	}
-}
-
 // TelemetryMember names one member instance whose /metrics and
 // /healthz a hub scrapes.
 type TelemetryMember struct {
@@ -418,9 +356,6 @@ type InstanceConfig struct {
 	// Durability tunes the satellite write-ahead log's fsync policy;
 	// the zero value fsyncs on every batch.
 	Durability DurabilityConfig `json:"durability,omitempty"`
-	// Storage selects the warehouse segment-store backend; the zero
-	// value keeps every segment in memory.
-	Storage StorageConfig `json:"storage,omitempty"`
 	// Telemetry configures hub-side scraping of member /metrics and
 	// /healthz; the zero value scrapes nothing.
 	Telemetry TelemetryConfig `json:"telemetry,omitempty"`
@@ -474,9 +409,6 @@ func (c InstanceConfig) Validate() error {
 		return err
 	}
 	if err := c.Durability.Validate(); err != nil {
-		return err
-	}
-	if err := c.Storage.Validate(); err != nil {
 		return err
 	}
 	if err := c.Telemetry.Validate(); err != nil {

@@ -159,6 +159,7 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 	retired := map[string]string{
 		`{"name":"x","version":"1","aggregation":{"disable_incremental":true}}`: `"aggregation"`,
 		`{"name":"x","version":"1","sharding":{"shards":2}}`:                    `"sharding"`,
+		`{"name":"x","version":"1","storage":{"backend":"disk"}}`:               `"storage"`,
 	}
 	for _, key := range []string{
 		"admission.center_burst",

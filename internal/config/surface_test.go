@@ -51,10 +51,6 @@ var configSurface = []string{
 	"sso_sources[].metadata",
 	"sso_sources[].name",
 	"sso_sources[].secret",
-	"storage.backend",
-	"storage.data_dir",
-	"storage.hot_tail_rows",
-	"storage.max_resident_bytes",
 	"telemetry.members[].addr",
 	"telemetry.members[].name",
 	"telemetry.scrape_interval",

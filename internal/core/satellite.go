@@ -34,7 +34,6 @@ import (
 	"xdmodfed/internal/replicate"
 	"xdmodfed/internal/su"
 	"xdmodfed/internal/warehouse"
-	"xdmodfed/internal/warehouse/store"
 )
 
 // Version is the XDMoD software version of this build. The federation
@@ -88,38 +87,6 @@ type Instance struct {
 	rebuilt func(realm string, err error)
 }
 
-// openWarehouse builds the instance's warehouse on the configured
-// segment-store backend. The zero-value storage config reproduces the
-// pre-tiering behavior exactly: an in-memory backend with sealing
-// disabled. With backend "disk", cold segments spill to
-// cfg.Storage.DataDir and tables seal their hot tail every
-// cfg.Storage.TailRows() appended rows.
-//
-// A hub's warehouse keeps no binlog: every reader of one (replication
-// sender, WAL follower, trim) is satellite-side, so on a hub each
-// replicated event would be appended to an in-memory log that only
-// ever grows. The hub WAL on the ROADMAP turns it back on, together
-// with the trim that bounds it. (Aggregation and pagg tables log on
-// neither role: they are derived, see warehouse.TableDef.Derived.)
-func openWarehouse(cfg config.InstanceConfig, hub bool) (*warehouse.DB, error) {
-	var backend store.Backend
-	switch cfg.Storage.Backend {
-	case "disk":
-		d, err := store.OpenDisk(cfg.Storage.DataDir, cfg.Storage.MaxResidentBytes)
-		if err != nil {
-			return nil, fmt.Errorf("core: opening segment store: %w", err)
-		}
-		backend = d
-	default:
-		backend = store.NewMem()
-	}
-	return warehouse.OpenOptions(cfg.Name, warehouse.Options{
-		Storage:     backend,
-		HotTailRows: cfg.Storage.TailRows(),
-		NoBinlog:    hub,
-	}), nil
-}
-
 // NewInstance builds an instance from its configuration: all four
 // realms are set up, resources register their SU conversion factors,
 // aggregation levels come from the config (instances "may be
@@ -136,10 +103,13 @@ func newInstance(cfg config.InstanceConfig, hub bool) (*Instance, error) {
 	if cfg.Version == "" {
 		cfg.Version = Version
 	}
-	db, err := openWarehouse(cfg, hub)
-	if err != nil {
-		return nil, err
-	}
+	// A hub's warehouse keeps no binlog: every reader of one
+	// (replication sender, WAL follower, trim) is satellite-side, so on
+	// a hub each replicated event would be appended to an in-memory log
+	// that only ever grows. A hub WAL would turn it back on, together
+	// with the trim that bounds it. (Aggregation and pagg tables log on
+	// neither role: they are derived, see warehouse.TableDef.Derived.)
+	db := warehouse.OpenOptions(cfg.Name, warehouse.Options{NoBinlog: hub})
 
 	conv := su.NewConverter()
 	for _, r := range cfg.Resources {
@@ -233,9 +203,9 @@ func (in *Instance) Query(realmName string, req aggregate.Request) ([]aggregate.
 
 // QueryStatsCtx is Query plus per-query execution statistics (rows
 // scanned), for the REST layer's explain and slow-query log. It is
-// bounded by ctx: cancellation aborts the aggregation scan between
-// chunks, so a chart client that disconnects (or is shed mid-queue)
-// stops consuming the warehouse.
+// bounded by ctx: cancellation before the aggregation scan starts skips
+// it, so a chart client that disconnects (or is shed mid-queue) does not
+// consume the warehouse.
 func (in *Instance) QueryStatsCtx(ctx context.Context, realmName string, req aggregate.Request) ([]aggregate.Series, aggregate.QueryInfo, error) {
 	info, ok := in.Registry.Get(realmName)
 	if !ok {

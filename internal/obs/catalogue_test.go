@@ -18,7 +18,6 @@ import (
 	_ "xdmodfed/internal/replicate"
 	_ "xdmodfed/internal/rest"
 	_ "xdmodfed/internal/warehouse"
-	_ "xdmodfed/internal/warehouse/store"
 )
 
 // TestMetricCatalogueIsComplete: docs/observability.md is the metric

@@ -138,16 +138,14 @@ func horizonEnd(start, horizon time.Time) time.Time {
 // closes it: the only sessions a change of horizon alters.
 func StaleOpenVMs(td *warehouse.TableData, horizon time.Time) []string {
 	var out []string
-	for c := 0; c < td.NumChunks(); c++ {
-		ch := td.Chunk(c)
-		vm, ended := colOf(ch, "vm_id"), colOf(ch, "ended")
-		start, end := colOf(ch, "start_time"), colOf(ch, "end_time")
-		vms, endeds, starts, ends := ch.StringCol(vm), ch.BoolCol(ended), ch.TimeCol(start), ch.TimeCol(end)
-		dead := ch.Tombstones()
-		for pos := 0; pos < ch.Rows(); pos++ {
-			if !dead[pos] && !endeds[pos] && !ends.At(pos).Equal(horizonEnd(starts.At(pos), horizon)) {
-				out = append(out, vms.At(pos))
-			}
+	ch := td.Chunk()
+	vm, ended := colOf(ch, "vm_id"), colOf(ch, "ended")
+	start, end := colOf(ch, "start_time"), colOf(ch, "end_time")
+	vms, endeds, starts, ends := ch.StringCol(vm), ch.BoolCol(ended), ch.TimeCol(start), ch.TimeCol(end)
+	dead := ch.Tombstones()
+	for pos := 0; pos < ch.Rows(); pos++ {
+		if !dead[pos] && !endeds[pos] && !ends.At(pos).Equal(horizonEnd(starts.At(pos), horizon)) {
+			out = append(out, vms.At(pos))
 		}
 	}
 	sort.Strings(out)

@@ -430,8 +430,8 @@ func (s *Server) realmEpoch(realmName string) uint64 {
 
 // computeSeries is the uncached query path. Its result is stored in
 // (and shared through) the cache, so callers must not mutate it. ctx
-// cancellation (a disconnected or shed client) aborts the aggregation
-// scan between chunks.
+// cancellation (a disconnected or shed client) skips the aggregation
+// scan when it comes before the scan starts.
 func (s *Server) computeSeries(ctx context.Context, realmName string, req aggregate.Request, rollup string, top int) (chartResult, error) {
 	series, info, err := s.Instance.QueryStatsCtx(ctx, realmName, req)
 	if err != nil {

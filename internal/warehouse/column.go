@@ -31,80 +31,42 @@ func newLayout(def TableDef) *layout {
 }
 
 // TableData is an immutable snapshot of one table's contents, published
-// atomically at the end of each write transaction. Readers iterate it
-// without any lock: global positions [0, rows) index the tombstone
-// vector, and are split across an ordered list of contiguous chunks —
-// sealed segments (possibly cold, materialized on first touch) followed
-// by the hot tail. Tombstoned positions must be skipped via
-// Tombstones(). Scan-heavy readers iterate chunk-wise via NumChunks/
-// Chunk so cold segments are materialized one at a time instead of all
-// at once.
+// atomically at the end of each write transaction: the table's vectors
+// as they stood, captured by their headers. Readers iterate it without
+// any lock, through Chunk: positions [0, rows) index every vector and
+// the tombstone vector, and tombstoned positions must be skipped. The
+// writer's later appends land beyond rows (or in a reallocated array),
+// and a compaction, bulk load or truncate gives the table new vectors,
+// so a snapshot's cells never change.
 type TableData struct {
-	lay    *layout
-	chunks []tdChunk
-	dead   []bool
-	rows   int // total slots, tombstones included
-	live   int // rows minus tombstones
-}
-
-// tdChunk is one contiguous piece of a snapshot: a sealed segment (sc
-// set) or a captured hot tail (cols set).
-type tdChunk struct {
-	sc   *sealedChunk
+	lay  *layout
 	cols []ColumnVector
-	base int
-	rows int
-}
-
-func (c *tdChunk) columns() []ColumnVector {
-	if c.sc != nil {
-		return c.sc.columns()
-	}
-	return c.cols
+	dead []bool
+	rows int // total slots, tombstones included
+	live int // rows minus tombstones
 }
 
 // Len returns the number of live rows in the snapshot.
 func (td *TableData) Len() int { return td.live }
 
-// NumChunks returns how many contiguous chunks the snapshot spans.
-func (td *TableData) NumChunks() int { return len(td.chunks) }
-
-// Chunk materializes (if cold) and returns chunk i. Iterating
-// chunk-by-chunk — resolving each only when the scan reaches it — is
-// what keeps a scan's resident footprint at one segment plus the
-// backend's budget rather than the whole table.
-func (td *TableData) Chunk(i int) ColChunk {
-	c := &td.chunks[i]
-	return ColChunk{
-		lay:  td.lay,
-		cols: c.columns(),
-		dead: td.dead[c.base : c.base+c.rows],
-		base: c.base,
-		rows: c.rows,
-	}
+// Chunk returns the snapshot's rows as one columnar view.
+func (td *TableData) Chunk() ColChunk {
+	return ColChunk{lay: td.lay, cols: td.cols, dead: td.dead, rows: td.rows}
 }
 
-// ColChunk is a contiguous columnar view of part of a snapshot. All
-// vectors are indexed by chunk-local position [0, Rows()); Base maps
-// local to global positions. Never mutate a returned vector, and do
-// not retain vectors beyond the snapshot's lifetime: for disk-backed
-// segments the numeric vectors alias a file mapping that the snapshot
-// keeps alive.
+// ColChunk is a columnar view of a table's rows: every vector is
+// indexed by position [0, Rows()). Never mutate a returned vector.
 type ColChunk struct {
 	lay  *layout
 	cols []ColumnVector
 	dead []bool
-	base int
 	rows int
 }
 
 // Rows returns the chunk's row count, tombstones included.
 func (ch ColChunk) Rows() int { return ch.rows }
 
-// Base returns the chunk's first global row position.
-func (ch ColChunk) Base() int { return ch.base }
-
-// Tombstones returns the chunk-local tombstone vector.
+// Tombstones returns the chunk's tombstone vector.
 func (ch ColChunk) Tombstones() []bool { return ch.dead }
 
 // ColIndex resolves a column name to its vector position.
@@ -261,19 +223,23 @@ func (cd *ColumnData) Validate(def TableDef) error {
 
 // vectors returns cd's columns, each with a full-length validity
 // vector: columns without one share a single all-false vector. cd's
-// slices are referenced, not copied; the shared validity vector is
-// full (len == cap), and so is every dictionary, so an append to any
-// one column reallocates them and never writes into cd's arrays.
+// slices are referenced, not copied, and each is clipped (len == cap),
+// as is the shared validity vector, so an append to any one vector
+// reallocates it and never writes into an array that cd — or whatever
+// else holds cd: a logged LOAD event, another table — shares.
 func (cd *ColumnData) vectors() []ColumnVector {
 	cols := slices.Clone(cd.Cols)
 	var noNulls []bool
 	for i := range cols {
-		cols[i].Dict = slices.Clip(cols[i].Dict)
-		if cols[i].Nulls == nil {
+		v := &cols[i]
+		v.Ints, v.Floats, v.Codes = slices.Clip(v.Ints), slices.Clip(v.Floats), slices.Clip(v.Codes)
+		v.Dict, v.Bools, v.Nanos = slices.Clip(v.Dict), slices.Clip(v.Bools), slices.Clip(v.Nanos)
+		v.Nulls = slices.Clip(v.Nulls)
+		if v.Nulls == nil {
 			if noNulls == nil {
 				noNulls = make([]bool, cd.Rows)
 			}
-			cols[i].Nulls = noNulls
+			v.Nulls = noNulls
 		}
 	}
 	return cols
@@ -281,39 +247,28 @@ func (cd *ColumnData) vectors() []ColumnVector {
 
 // ColumnData exports the snapshot's live rows in bulk columnar form:
 // the payload of a LOAD event (SnapshotEvents), which another warehouse
-// may apply. When the snapshot is a single heap-backed chunk with no
-// tombstones, its own (immutable) vectors are shared — do not mutate
-// them (each dictionary clipped to its length, so that an append to
-// the export reallocates rather than writing where the table will);
-// otherwise the rows are copied into fresh vectors. Disk-backed
-// chunks always copy — the export may be adopted by another warehouse
-// and must not alias a file mapping whose lifetime it does not control.
+// may apply. A non-empty snapshot with no tombstone shares its own
+// (immutable) vectors — do not mutate them; a table that adopts them
+// clips them first (ReplaceAllColumns) — and any other has its live
+// rows copied into fresh vectors.
 func (td *TableData) ColumnData() *ColumnData {
 	def := td.lay.def
 	cd := &ColumnData{Rows: td.live, Names: make([]string, len(def.Columns))}
 	for i, c := range def.Columns {
 		cd.Names[i] = c.Name
 	}
-	if td.live == td.rows && len(td.chunks) == 1 &&
-		(td.chunks[0].sc == nil || td.chunks[0].sc.h.HeapBacked()) {
-		cd.Cols = slices.Clone(td.chunks[0].columns())
-		for i := range cd.Cols {
-			cd.Cols[i].Dict = slices.Clip(cd.Cols[i].Dict)
-		}
+	if td.live == td.rows && td.rows > 0 {
+		cd.Cols = slices.Clone(td.cols)
 		return cd
 	}
 	cd.Cols = freshCols(def)
 	ixs := make([]store.Index, len(def.Columns))
-	for ci := range td.chunks {
-		c := &td.chunks[ci]
-		cols := c.columns()
-		for lp := 0; lp < c.rows; lp++ {
-			if td.dead[c.base+lp] {
-				continue
-			}
-			for i := range cd.Cols {
-				cd.Cols[i].AppendFrom(&cols[i], lp, &ixs[i])
-			}
+	for pos := 0; pos < td.rows; pos++ {
+		if td.dead[pos] {
+			continue
+		}
+		for i := range cd.Cols {
+			cd.Cols[i].AppendFrom(&td.cols[i], pos, &ixs[i])
 		}
 	}
 	return cd

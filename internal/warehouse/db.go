@@ -6,8 +6,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-
-	"xdmodfed/internal/warehouse/store"
 )
 
 // DB is an embedded warehouse instance: a set of named schemas, each a
@@ -28,13 +26,6 @@ type DB struct {
 	schemas map[string]*Schema
 	binlog  *Binlog
 	logging bool
-
-	// storage is the segment backend every table seals cold chunks
-	// into; hotTailRows is the tail size that triggers sealing at
-	// publish (0 = seal only on compaction and bulk loads). Both are
-	// fixed at Open.
-	storage     store.Backend
-	hotTailRows int
 
 	// catalog is the lock-free name resolution map, rebuilt (rarely) on
 	// DDL. Entries and their table maps are never mutated after
@@ -77,16 +68,8 @@ type Schema struct {
 	txnDirty bool
 }
 
-// Options configures a DB's tiered storage.
+// Options configures a DB.
 type Options struct {
-	// Storage is the segment backend cold chunks seal into; nil uses
-	// the in-memory backend (the classic all-RAM behavior).
-	Storage store.Backend
-	// HotTailRows seals a table's hot tail as a segment once it
-	// reaches this many rows at commit. 0 never seals the tail —
-	// segments then form only through compaction and bulk loads, which
-	// with the memory backend is byte-for-byte the pre-tiering layout.
-	HotTailRows int
 	// NoBinlog opens a DB that does not record mutations: a hub's
 	// warehouse, whose log no sender, WAL or trim would ever read. (On a
 	// DB that does log, a derived table still does not: see
@@ -94,34 +77,21 @@ type Options struct {
 	NoBinlog bool
 }
 
-// Open creates an empty DB with binary logging enabled and in-memory
-// segment storage.
+// Open creates an empty DB with binary logging enabled.
 func Open(name string) *DB { return OpenOptions(name, Options{}) }
 
-// OpenOptions creates an empty DB with the given storage configuration
-// and, unless opts.NoBinlog, binary logging enabled.
+// OpenOptions creates an empty DB with, unless opts.NoBinlog, binary
+// logging enabled.
 func OpenOptions(name string, opts Options) *DB {
-	if opts.Storage == nil {
-		opts.Storage = store.NewMem()
-	}
-	if opts.HotTailRows < 0 {
-		opts.HotTailRows = 0
-	}
 	db := &DB{
-		name:        name,
-		schemas:     make(map[string]*Schema),
-		binlog:      NewBinlog(),
-		logging:     !opts.NoBinlog,
-		storage:     opts.Storage,
-		hotTailRows: opts.HotTailRows,
+		name:    name,
+		schemas: make(map[string]*Schema),
+		binlog:  NewBinlog(),
+		logging: !opts.NoBinlog,
 	}
 	db.catalog.Store(&map[string]catalogSchema{})
 	return db
 }
-
-// Close releases the DB's segment-store backend (unmapping any
-// disk-backed segments). The DB must not be used afterwards.
-func (db *DB) Close() error { return db.storage.Close() }
 
 // Name returns the DB's instance name.
 func (db *DB) Name() string { return db.name }
@@ -504,19 +474,12 @@ func (db *DB) applyLocked(ev Event) error {
 			return nil
 		}
 		// No primary key: delete by full-row match of typed cells, as
-		// sameAt compares them (first match wins).
-		found := -1
-		t.forEachChunk(func(cols []ColumnVector, base, rows int) bool {
-			for lp := 0; lp < rows; lp++ {
-				if !t.dead[base+lp] && sameCells(cols, lp, vals) {
-					found = base + lp
-					return false
-				}
+		// sameCells compares them (first match wins).
+		for pos := 0; pos < t.rows; pos++ {
+			if !t.dead[pos] && sameCells(t.cols, pos, vals) {
+				t.deleteAt(pos)
+				break
 			}
-			return true
-		})
-		if found >= 0 {
-			t.deleteAt(found)
 		}
 		return nil
 	case EvTruncate:

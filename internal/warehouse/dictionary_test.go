@@ -23,12 +23,7 @@ func stringDicts(t *testing.T, tab *Table, col string) [][]string {
 	if !ok {
 		t.Fatalf("no column %q", col)
 	}
-	td := tab.Data()
-	var out [][]string
-	for c := 0; c < td.NumChunks(); c++ {
-		out = append(out, td.Chunk(c).StringCol(ci).Dict)
-	}
-	return out
+	return [][]string{tab.Data().Chunk().StringCol(ci).Dict}
 }
 
 // TestOutOfRangeTimesAreRefused: a time column stores Unix nanoseconds,
@@ -204,14 +199,115 @@ func TestAdoptedDictionaryLeavesPayloadUnchanged(t *testing.T) {
 	}
 }
 
+// TestAdoptedVectorsHaveOneWriter: the vectors of a bulk load can be
+// held by more than one table at once — a table's ColumnData export
+// adopted by other DBs, or one in-memory LOAD event applied to several —
+// and by the payload itself. Every adopter clips them, so its first
+// append reallocates: after each holder appends and upserts rows of its
+// own, it reads only those, and the logged event still encodes as it
+// did.
+func TestAdoptedVectorsHaveOneWriter(t *testing.T) {
+	ts := time.Unix(0, 0).UTC()
+	row := func(id int64, f float64, s string) []any { return []any{id, f, s, id%2 == 0, ts, id} }
+	open := func(name string) (*DB, *Table) {
+		db := Open(name)
+		tab, err := db.EnsureSchema("modw").EnsureTable(allTypesDef())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db, tab
+	}
+	// A table grown by appends holds vectors with room beyond their rows.
+	srcDB, src := open("src")
+	var stored [][]any
+	for id := int64(1); id <= 5; id++ {
+		stored = append(stored, row(id, float64(id)+0.5, fmt.Sprintf("v%d", id)))
+	}
+	if err := srcDB.Do(func() error {
+		for _, r := range stored {
+			if err := src.InsertRow(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	export := src.Data().ColumnData()
+	if f := export.Cols[1].Floats; cap(f) == len(f) {
+		t.Fatal("the export has no room beyond its rows, so no append could write into it")
+	}
+
+	type holder struct {
+		db  *DB
+		tab *Table
+	}
+	holders := []holder{{srcDB, src}}
+	for _, name := range []string{"a", "b"} {
+		db, tab := open(name)
+		if err := db.Do(func() error { return tab.ReplaceAllColumns(export) }); err != nil {
+			t.Fatal(err)
+		}
+		holders = append(holders, holder{db, tab})
+	}
+	// The same vectors, logged as a LOAD by a DB that adopts them, then
+	// applied from its in-memory binlog to two more DBs.
+	logDB, logTab := open("log")
+	if err := logDB.Do(func() error { return logTab.ReplaceAllColumns(src.Data().ColumnData()) }); err != nil {
+		t.Fatal(err)
+	}
+	holders = append(holders, holder{logDB, logTab})
+	evs, err := logDB.Binlog().ReadFrom(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged := AppendEvents(nil, evs)
+	for _, name := range []string{"c", "d"} {
+		db := Open(name)
+		if _, err := db.ApplyAll(evs); err != nil {
+			t.Fatal(err)
+		}
+		tab, err := db.TableIn("modw", "t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		holders = append(holders, holder{db, tab})
+	}
+
+	mine := func(i int) [][]any { // what holder i writes: a new key, then a replaced one
+		return [][]any{row(100, 100+float64(i), fmt.Sprintf("new-%d", i)), row(1, 200+float64(i), fmt.Sprintf("replaced-%d", i))}
+	}
+	for i, h := range holders {
+		if err := h.db.Do(func() error {
+			for _, r := range mine(i) {
+				if err := h.tab.UpsertRow(r); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, h := range holders {
+		want := append(slices.Clone(stored[1:]), mine(i)...)
+		if got := snapshotRows(h.tab.Data()); !slices.EqualFunc(got, want, sameValues) {
+			t.Errorf("holder %d reads %v, want %v", i, got, want)
+		}
+	}
+	if !bytes.Equal(AppendEvents(nil, evs), logged) {
+		t.Error("appends to the adopting tables changed the logged LOAD event")
+	}
+}
+
 // TestDictionaryGrowsUnderConcurrentReaders: lock-free snapshot readers
-// resolve every cell of every chunk while the writer keeps adding new
-// distinct strings — across tail seals, which share the dictionary
-// between sealed chunks and the tail, and compactions, which replace
-// it. Every cell must resolve to the value written with its row, and
-// the race detector must see no conflicting access.
+// resolve every cell of every snapshot while the writer keeps adding
+// new distinct strings — across appends, which share the dictionary
+// between published snapshots and the table, and compactions, which
+// replace it. Every cell must resolve to the value written with its
+// row, and the race detector must see no conflicting access.
 func TestDictionaryGrowsUnderConcurrentReaders(t *testing.T) {
-	db := OpenOptions("grow", Options{HotTailRows: 64})
+	db := OpenOptions("grow", Options{})
 	tab, err := db.EnsureSchema("modw").EnsureTable(allTypesDef())
 	if err != nil {
 		t.Fatal(err)
@@ -233,15 +329,12 @@ func TestDictionaryGrowsUnderConcurrentReaders(t *testing.T) {
 			failed := false
 			for {
 				last := done.Load()
-				td := tab.Data()
-				for c := 0; c < td.NumChunks(); c++ {
-					ch := td.Chunk(c)
-					id, s, dead := ch.IntCol(ids), ch.StringCol(strs), ch.Tombstones()
-					for pos := 0; pos < ch.Rows(); pos++ {
-						if got := s.At(pos); !dead[pos] && got != value(id[pos]) && !failed {
-							errs <- fmt.Errorf("row %d reads %q", id[pos], got)
-							failed = true
-						}
+				ch := tab.Data().Chunk()
+				id, s, dead := ch.IntCol(ids), ch.StringCol(strs), ch.Tombstones()
+				for pos := 0; pos < ch.Rows(); pos++ {
+					if got := s.At(pos); !dead[pos] && got != value(id[pos]) && !failed {
+						errs <- fmt.Errorf("row %d reads %q", id[pos], got)
+						failed = true
 					}
 				}
 				passes.Add(1)

@@ -27,15 +27,12 @@ import (
 // over those cells under a seed drawn per table, so an input crafted to
 // collide on one instance does not collide on another.
 //
-// A disk segment's view interns its strings into a dictionary of its
-// own (segment.go), so a cell read from one is hashed and compared
-// through its string's code in the table's dictionary, which holds
-// every value a live row holds: the dictionary only grows until a
-// truncate, compaction or bulk load restarts it, and each of those
-// rebuilds every index.
+// A table's dictionary only grows until a truncate, compaction or bulk
+// load replaces it, and each of those rebuilds every index, so a
+// string's code names one value for as long as an index holds it.
 //
-// The index is never persisted: WAL, snapshot, segment and wire bytes
-// do not depend on it.
+// The index is never persisted: WAL, snapshot and wire bytes do not
+// depend on it.
 
 // keyIndex is one index over the columns cols. Each slot packs 32 bits
 // of a key's hash (high half) with its row position plus one (low half;
@@ -214,14 +211,12 @@ func (t *Table) hashKey(cells []keyCell) uint32 {
 	return uint32(maphash.Bytes(t.seed, b))
 }
 
-// codeMap says how the string codes of a chunk's vectors become codes
-// of the table's dictionary. The zero codeMap: they are the table's own
-// (the hot tail, a memory segment, vectors a rebuild is about to
-// install). byValue: each is looked up by its string (a disk segment's
-// view). to: by column, a Translate result (a batch payload).
+// codeMap says how the string codes of some vectors become codes of the
+// table's dictionary. The zero codeMap: they are the table's own (the
+// table's vectors, vectors a rebuild is about to install). to: by
+// column, a Translate result (a batch payload).
 type codeMap struct {
-	to      [][]uint32
-	byValue bool
+	to [][]uint32
 }
 
 // cellAt reads cell lp of column ci of cols as a key cell.
@@ -237,14 +232,8 @@ func (t *Table) cellAt(cols []ColumnVector, ci, lp int, cm codeMap) keyCell {
 		return keyCell{w: math.Float64bits(v.Floats[lp])}
 	case TypeString:
 		c := v.Codes[lp]
-		switch {
-		case cm.to != nil:
+		if cm.to != nil {
 			c = cm.to[ci][c] - 1
-		case cm.byValue:
-			var ok bool
-			if c, ok = t.index[ci].Code(v.Dict[c]); !ok {
-				panic(fmt.Sprintf("warehouse: table %s.%s holds %q, which its dictionary lacks", t.schema, t.def.Name, v.Dict[v.Codes[lp]]))
-			}
 		}
 		return keyCell{w: uint64(c)}
 	case TypeBool:
@@ -279,8 +268,7 @@ func (t *Table) rowHolds(cols []ColumnVector, lp int, cm codeMap, idx []int, cel
 // holds reports whether the stored row at pos holds the key cells in
 // the columns idx.
 func (t *Table) holds(pos int, idx []int, cells []keyCell) bool {
-	cols, lp, own := t.cellsAt(pos)
-	return t.rowHolds(cols, lp, codeMap{byValue: !own}, idx, cells)
+	return t.rowHolds(t.cols, pos, codeMap{}, idx, cells)
 }
 
 // valueCell turns a coerced value of column ci into a key cell; false
@@ -355,8 +343,7 @@ func (t *Table) lookup(ix *keyIndex, cells []keyCell) (pos, slot int, h uint32) 
 // pos.
 func (t *Table) storedHash(ix *keyIndex, pos int) uint32 {
 	var buf [keyCellsOnStack]keyCell
-	cols, lp, own := t.cellsAt(pos)
-	return t.hashKey(t.keyCells(buf[:0], cols, lp, ix.cols, codeMap{byValue: !own}))
+	return t.hashKey(t.keyCells(buf[:0], t.cols, pos, ix.cols, codeMap{}))
 }
 
 // enter adds the stored row at pos to ix.

@@ -11,8 +11,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"xdmodfed/internal/warehouse/store"
 )
 
 // keyPositions reads the primary-key index slot by slot, apart from any
@@ -604,8 +602,7 @@ func checkKeyIndexModel(t *testing.T, step int, tab *Table, model map[fuzzKey][]
 		for _, a := range live {
 			for _, b := range live {
 				var buf [keyCellsOnStack]keyCell
-				cols, lp, own := tab.cellsAt(b)
-				cells := tab.keyCells(buf[:0], cols, lp, ix.cols, codeMap{byValue: !own})
+				cells := tab.keyCells(buf[:0], tab.cols, b, ix.cols, codeMap{})
 				va, vb := tab.rowAt(a).Values(), tab.rowAt(b).Values()
 				same := true
 				for _, ci := range ix.cols {
@@ -643,11 +640,7 @@ func checkKeyIndexModel(t *testing.T, step int, tab *Table, model map[fuzzKey][]
 // FuzzKeyIndex checks the key indexes against a model through every
 // way a write reaches them — insert, upsert, applied UPDATE and
 // DELETE, DeleteByKey, refused and accepted UpsertColumns, truncate,
-// bulk load and compaction — on the memory backend and on the disk
-// backend, each with a three-row hot tail so that probes reach sealed
-// segments and, on disk, segment views with dictionaries of their own
-// (a residency budget of a few segments keeps them being evicted and
-// read again).
+// bulk load and compaction.
 func FuzzKeyIndex(f *testing.F) {
 	rng := rand.New(rand.NewSource(40))
 	for n := 0; n < 12; n++ {
@@ -657,13 +650,6 @@ func FuzzKeyIndex(f *testing.F) {
 	}
 	f.Add([]byte{7, 7, 1, 2, 3, 4, 5, 6, 7, 10, 3, 9, 4, 1, 1, 1, 1, 8, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		runKeyIndexModel(t, OpenOptions("mem", Options{HotTailRows: 3}), data)
-		disk, err := store.OpenDisk(t.TempDir(), 2048)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db := OpenOptions("disk", Options{Storage: disk, HotTailRows: 3})
-		defer db.Close()
-		runKeyIndexModel(t, db, data)
+		runKeyIndexModel(t, OpenOptions("mem", Options{}), data)
 	})
 }

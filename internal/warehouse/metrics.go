@@ -2,9 +2,6 @@ package warehouse
 
 import "xdmodfed/internal/obs"
 
-// logw is the warehouse's structured logger (segment seal failures).
-var logw = obs.Logger("warehouse")
-
 // Warehouse instrumentation. Handles are resolved once at package init
 // so the hot paths (row mutation, binlog append) pay one atomic add
 // per operation, no map lookups.

@@ -61,13 +61,6 @@ func (db *DB) txn(record bool, fn func() error) (rec Record, err error) {
 	return nil, fn()
 }
 
-// sameAt reports whether the stored row at pos holds exactly the
-// coerced values vals (sameCells).
-func (t *Table) sameAt(pos int, vals []any) bool {
-	cols, lp := t.colsAt(pos)
-	return sameCells(cols, lp, vals)
-}
-
 // sameCells reports whether row lp of cols holds exactly the coerced
 // values vals, one per column: floats compared by bits, times as
 // instants, everything else by equality, and NULL equal only to NULL.

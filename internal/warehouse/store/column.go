@@ -1,3 +1,9 @@
+// Package store holds the warehouse's column vector (Column): one typed,
+// append-only vector of cells with its validity vector, a string
+// column's dictionary and the Index its writer keeps over it, and the
+// typed views (StringView, TimeView) readers scan it through. A table,
+// its published snapshots, a bulk-load payload and a transient batch
+// all hold their columns as Columns.
 package store
 
 import (
@@ -40,8 +46,8 @@ func (t ColumnType) String() string {
 // Column is one column vector: a typed payload — exactly the field (or,
 // for strings, the pair of fields) matching Type — plus a parallel
 // validity vector. It is the one vector type of the warehouse: a
-// table's hot tail, a sealed segment, a snapshot chunk and a bulk-load
-// payload all hold their columns as Columns.
+// table, a published snapshot and a bulk-load payload all hold their
+// columns as Columns.
 //
 // No per-cell field holds a Go pointer, so the collector never walks a
 // vector cell by cell: a string cell is a uint32 code into Dict, which
@@ -54,19 +60,19 @@ func (t ColumnType) String() string {
 // the slice headers, and later appends land at indices beyond every
 // published length (or in a reallocated array), so readers and the
 // writer never touch the same element. The dictionary is shared the
-// same way: a snapshot or sealed chunk captures its header, and the
-// writer's later entries land beyond it. Only one writer may append to
-// a dictionary: a table that adopts a payload's vectors clips the
-// dictionary's capacity first, so its own appends reallocate.
+// same way: a snapshot captures its header, and the writer's later
+// entries land beyond it. Only one writer may append to a vector: a
+// table that adopts a payload's vectors clips every one's capacity
+// first, so its own appends reallocate.
 //
 // Validity is a []bool rather than a packed bitmap on purpose: packing
 // would make an append mutate a word that published snapshots share,
 // forcing a copy of the whole bitmap on every insert (and tripping the
 // race detector without it). One byte per cell buys race-free appends.
 // Nulls may be nil in a payload handed in from outside when no cell is
-// NULL; the warehouse's own vectors and the views backends return
-// always carry a full-length Nulls. A NULL string cell holds the code
-// of "" and a NULL time cell 0, so that every code indexes Dict.
+// NULL; the warehouse's own vectors always carry a full-length Nulls.
+// A NULL string cell holds the code of "" and a NULL time cell 0, so
+// that every code indexes Dict.
 type Column struct {
 	Type   ColumnType
 	Ints   []int64   // TypeInt

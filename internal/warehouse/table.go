@@ -3,6 +3,7 @@ package warehouse
 import (
 	"fmt"
 	"hash/maphash"
+	"slices"
 	"sync/atomic"
 
 	"xdmodfed/internal/warehouse/store"
@@ -97,17 +98,14 @@ func (r Row) Values() []any {
 // last published immutable snapshot and may be called from anywhere
 // without locking.
 //
-// Vectors are append-only: an update or upsert tombstones the old
-// position and appends the replacement, so a published snapshot's
-// cells are never overwritten. The tombstone vector is the only state
-// shared with snapshots that a writer must touch below the published
-// boundary, and it is copied on first such write per transaction.
-//
-// Storage is tiered (see segment.go): global positions [0, sealedRows)
-// live in immutable sealed chunks held by the DB's segment backend,
-// and [sealedRows, rows) in the hot tail vectors that writes append
-// to. The tombstone vector and the key indexes always span both tiers
-// in global positions.
+// A table is one set of column vectors, rows [0, rows), plus a
+// tombstone vector of the same length. Vectors are append-only: an
+// update or upsert tombstones the old position and appends the
+// replacement, so a published snapshot's cells are never overwritten.
+// The tombstone vector is the only state shared with snapshots that a
+// writer must touch below the published boundary, and it is copied on
+// first such write per transaction. Compaction, a bulk load and a
+// truncate replace the vectors outright.
 type Table struct {
 	def    TableDef
 	lay    *layout
@@ -117,18 +115,16 @@ type Table struct {
 	// at creation: the DB keeps a binlog (Options.NoBinlog) and the
 	// table is not derived (TableDef.Derived). Every logging site
 	// checks it, or recording, before it builds an event payload.
-	logged     bool
-	sch        *Schema // owning schema, whose epoch the table's commits bump
-	sealed     []*sealedChunk
-	sealedRows int
-	tail       []ColumnVector // positions [sealedRows, rows)
-	index      []store.Index  // by column: the index of a string column's dictionary, which the tail appends to
-	dead       []bool
-	rows       int         // total slots, tombstones included
-	deleted    int         // tombstoned slots
-	pk         *keyIndex   // the primary key's index; nil without a primary key
-	indexes    []*keyIndex // the secondary indexes, in definition order
-	seed       maphash.Seed
+	logged  bool
+	sch     *Schema        // owning schema, whose epoch the table's commits bump
+	cols    []ColumnVector // the table's vectors, positions [0, rows)
+	index   []store.Index  // by column: the index of a string column's dictionary
+	dead    []bool
+	rows    int         // total slots, tombstones included
+	deleted int         // tombstoned slots
+	pk      *keyIndex   // the primary key's index; nil without a primary key
+	indexes []*keyIndex // the secondary indexes, in definition order
+	seed    maphash.Seed
 
 	version    atomic.Pointer[TableData]
 	deadShared bool    // dead's backing array is referenced by the published snapshot
@@ -155,7 +151,7 @@ func newTable(s *Schema, def TableDef) (*Table, error) {
 		sch:    s,
 		seed:   maphash.MakeSeed(),
 	}
-	t.tail, t.index = freshCols(d), make([]store.Index, len(d.Columns))
+	t.cols, t.index = freshCols(d), make([]store.Index, len(d.Columns))
 	colsOf := func(names []string) []int {
 		idx := make([]int, len(names))
 		for n, k := range names {
@@ -194,15 +190,12 @@ func (t *Table) publish() {
 	if t.deleted > compactMinDead && t.deleted*2 > t.rows {
 		t.compact()
 	}
-	if ht := t.db.hotTailRows; ht > 0 && t.rows-t.sealedRows >= ht {
-		t.sealTail()
-	}
 	td := &TableData{
-		lay:    t.lay,
-		chunks: t.snapshotChunks(),
-		dead:   t.dead,
-		rows:   t.rows,
-		live:   t.rows - t.deleted,
+		lay:  t.lay,
+		cols: slices.Clone(t.cols), // later appends never move a published header
+		dead: t.dead,
+		rows: t.rows,
+		live: t.rows - t.deleted,
 	}
 	t.version.Store(td)
 	t.deadShared = true
@@ -210,37 +203,47 @@ func (t *Table) publish() {
 }
 
 // compact rewrites the vectors with live rows only (preserving scan
-// order) into fresh dictionaries that hold only live values, rebuilds
-// the key indexes, and re-seals the result through
-// the segment store — so compacting a mostly-dead cold table frees its
-// segments without re-inflating the survivors into permanent RAM.
-// Published snapshots keep the old chunks, so concurrent readers are
-// unaffected.
+// order) into fresh dictionaries that hold only live values, and
+// rebuilds the key indexes. Published snapshots keep the old vectors,
+// so concurrent readers are unaffected.
 func (t *Table) compact() {
 	mCompactions.Inc()
 	newCols, newIx := freshCols(t.def), make([]store.Index, len(t.def.Columns))
 	live := t.rows - t.deleted
-	newDead := make([]bool, live)
-	t.forEachChunk(func(cols []ColumnVector, base, rows int) bool {
-		for lp := 0; lp < rows; lp++ {
-			if t.dead[base+lp] {
-				continue
-			}
-			for i := range newCols {
-				newCols[i].AppendFrom(&cols[i], lp, &newIx[i])
-			}
+	for pos := 0; pos < t.rows; pos++ {
+		if t.dead[pos] {
+			continue
 		}
-		return true
-	})
+		for i := range newCols {
+			newCols[i].AppendFrom(&t.cols[i], pos, &newIx[i])
+		}
+	}
 	pk, indexes, _ := t.buildIndexes(newCols, live, false) // live keys are distinct
-	t.dropSealed()
-	t.dead = newDead
-	t.rows = live
-	t.deleted = 0
+	t.install(newCols, newIx, live)
 	t.pk, t.indexes = pk, indexes
-	t.deadShared = false
-	t.installAll(newCols, newIx, live)
 }
+
+// install makes rows-long vectors, whose dictionaries ixs indexes, the
+// table's whole contents, with no tombstone.
+func (t *Table) install(cols []ColumnVector, ixs []store.Index, rows int) {
+	t.cols, t.index = cols, ixs
+	t.dead = make([]bool, rows)
+	t.rows = rows
+	t.deleted = 0
+	t.deadShared = false
+}
+
+// freshCols allocates empty vectors for a table definition.
+func freshCols(def TableDef) []ColumnVector {
+	cols := make([]ColumnVector, len(def.Columns))
+	for i, c := range def.Columns {
+		cols[i].Type = c.Type
+	}
+	return cols
+}
+
+// rowAt wraps the row at position pos.
+func (t *Table) rowAt(pos int) Row { return Row{lay: t.lay, cols: t.cols, pos: pos} }
 
 // buildIndexes returns the primary-key and secondary indexes of rows
 // [0, rows) of cols, vectors whose codes are the table's; with check
@@ -312,12 +315,11 @@ func (t *Table) normalizeSlice(row []any) ([]any, error) {
 	return vals, nil
 }
 
-// appendRow appends a normalized row to the hot tail and returns its
-// global position.
+// appendRow appends a normalized row and returns its position.
 func (t *Table) appendRow(vals []any) int {
 	pos := t.rows
-	for i := range t.tail {
-		t.tail[i].AppendValue(vals[i], &t.index[i])
+	for i := range t.cols {
+		t.cols[i].AppendValue(vals[i], &t.index[i])
 	}
 	t.dead = append(t.dead, false)
 	t.rows++
@@ -444,7 +446,7 @@ func (t *Table) InsertRow(row []any) error {
 }
 
 // Upsert inserts the row, or replaces the existing row with the same
-// primary key. A row equal to the stored one (sameAt) leaves the table
+// primary key. A row equal to the stored one (sameCells) leaves the table
 // as it is: nothing is written, logged or recorded. Tables without a
 // primary key reject Upsert.
 func (t *Table) Upsert(row map[string]any) error {
@@ -476,7 +478,7 @@ func (t *Table) upsertVals(vals []any, verbatim bool) error {
 		t.insertNew(vals)
 		return nil
 	}
-	if !verbatim && t.sameAt(pos, vals) {
+	if !verbatim && sameCells(t.cols, pos, vals) {
 		return nil
 	}
 	t.pk.set(slot, h, t.rows)
@@ -534,12 +536,7 @@ func (t *Table) Truncate() {
 }
 
 func (t *Table) resetStorage() {
-	t.dropSealed()
-	t.tail, t.index = freshCols(t.def), make([]store.Index, len(t.def.Columns))
-	t.dead = nil
-	t.rows = 0
-	t.deleted = 0
-	t.deadShared = false
+	t.install(freshCols(t.def), make([]store.Index, len(t.def.Columns)), 0)
 	if t.pk != nil {
 		t.pk = newKeyIndex(t.pk.cols, 0)
 	}
@@ -555,10 +552,11 @@ func (t *Table) resetStorage() {
 // validated strictly against the table definition, primary-key
 // uniqueness included, before anything is mutated; on success a logged
 // table logs one EvLoad event carrying the payload in place of per-row
-// events. The table adopts cd's vectors — the caller must not modify
-// cd afterwards — and its dictionaries, clipped so that the table's own
-// appends reallocate them; a dictionary that holds a value twice is
-// refused.
+// events. The table adopts cd's vectors and dictionaries — the caller
+// must not modify cd afterwards — each clipped (ColumnData.vectors), so
+// that the table's own appends reallocate them and never write where cd,
+// the logged event or another table adopting cd reads; a dictionary
+// that holds a value twice is refused.
 func (t *Table) ReplaceAllColumns(cd *ColumnData) error {
 	if err := cd.Validate(t.def); err != nil {
 		return err
@@ -578,13 +576,8 @@ func (t *Table) ReplaceAllColumns(cd *ColumnData) error {
 	if err != nil {
 		return fmt.Errorf("warehouse: load for table %s.%s: %w", t.schema, t.def.Name, err)
 	}
-	t.dropSealed()
-	t.dead = make([]bool, cd.Rows)
-	t.rows = cd.Rows
-	t.deleted = 0
-	t.deadShared = false
+	t.install(cols, ixs, cd.Rows)
 	t.pk, t.indexes = pk, indexes
-	t.installAll(cols, ixs, cd.Rows)
 	t.markDirty()
 	t.logEvent(Event{Kind: EvLoad, Cols: cd})
 	return nil
@@ -619,7 +612,7 @@ func (t *Table) payloadCols(cd *ColumnData) ([]ColumnVector, error) {
 //
 // fill, when not nil, completes the payload row by row in the same
 // pass that matches the keys: it runs once per row r, in payload order,
-// after r's key has been matched — replaced is the global position of
+// after r's key has been matched — replaced is the position of
 // the current row with that key, readable through ChunkAt, or -1 — and
 // before anything is tombstoned or appended. It may write row r's
 // non-key cells into cd's existing vectors; it must not write the
@@ -640,7 +633,7 @@ func (t *Table) UpsertColumns(cd *ColumnData, fill func(r, replaced int) error) 
 	for _, ci := range t.pk.cols {
 		if c := &cols[ci]; c.Type == TypeString && cm.to[ci] == nil {
 			cm.to[ci] = make([]uint32, len(c.Dict))
-			t.tail[ci].Translate(c, &t.index[ci], cm.to[ci])
+			t.cols[ci].Translate(c, &t.index[ci], cm.to[ci])
 		}
 	}
 	// Claim each key for its new position base+r, remembering the
@@ -685,8 +678,8 @@ func (t *Table) UpsertColumns(cd *ColumnData, fill func(r, replaced int) error) 
 			t.tombstoneAt(pos)
 		}
 	}
-	for i := range t.tail {
-		t.tail[i].AppendColumn(&cols[i], &t.index[i])
+	for i := range t.cols {
+		t.cols[i].AppendColumn(&cols[i], &t.index[i])
 	}
 	t.dead = append(t.dead, make([]bool, n)...)
 	t.rows += n
@@ -721,15 +714,13 @@ func (t *Table) releaseClaims(cols []ColumnVector, cm codeMap, old []int) {
 	}
 }
 
-// ChunkAt returns typed access to the row at global position pos: the
-// chunk holding it — a sealed segment or the hot tail — and the row's
-// position within that chunk. The chunk views the writer state, the
+// ChunkAt returns typed access to the row at position pos: the chunk
+// holding it, which is the whole table, and the row's position within
+// that chunk, which is pos. The chunk views the writer state, the
 // current transaction's changes included, and is valid until the table
 // is next written.
 func (t *Table) ChunkAt(pos int) (ColChunk, int) {
-	cols, lp := t.colsAt(pos)
-	base, rows := pos-lp, len(cols[0].Nulls) // every vector the table holds has full validity
-	return ColChunk{lay: t.lay, cols: cols, dead: t.dead[base : base+rows], base: base, rows: rows}, lp
+	return ColChunk{lay: t.lay, cols: t.cols, dead: t.dead, rows: t.rows}, pos
 }
 
 // GetByKey returns the row with the given primary key values, one per
@@ -766,17 +757,11 @@ func (t *Table) keyPos(keyVals []any) int {
 // uncommitted changes (it reads the writer state, not the published
 // snapshot); use Data().Scan for the lock-free committed view.
 func (t *Table) Scan(fn func(Row) bool) {
-	t.forEachChunk(func(cols []ColumnVector, base, rows int) bool {
-		for lp := 0; lp < rows; lp++ {
-			if t.dead[base+lp] {
-				continue
-			}
-			if !fn(Row{lay: t.lay, cols: cols, pos: lp}) {
-				return false
-			}
+	for pos := 0; pos < t.rows; pos++ {
+		if !t.dead[pos] && !fn(t.rowAt(pos)) {
+			return
 		}
-		return true
-	})
+	}
 }
 
 // ScanIndex scans only rows whose indexed columns equal the given
@@ -807,16 +792,11 @@ func (t *Table) ScanIndex(cols []string, vals []any, fn func(Row) bool) {
 			return
 		}
 	}
-	t.forEachChunk(func(chunk []ColumnVector, base, rows int) bool {
-		_, _, own := t.cellsAt(base)
-		cm := codeMap{byValue: !own}
-		for lp := 0; lp < rows; lp++ {
-			if !t.dead[base+lp] && t.rowHolds(chunk, lp, cm, want, cells) && !fn(Row{lay: t.lay, cols: chunk, pos: lp}) {
-				return false
-			}
+	for pos := 0; pos < t.rows; pos++ {
+		if !t.dead[pos] && t.rowHolds(t.cols, pos, codeMap{}, want, cells) && !fn(t.rowAt(pos)) {
+			return
 		}
-		return true
-	})
+	}
 }
 
 func equalIntSlices(a, b []int) bool {

@@ -16,7 +16,7 @@ import (
 )
 
 // ColumnType enumerates the value types a column may hold; it is the
-// segment store's enum, so a vector means the same thing in both tiers.
+// column vector's enum (store.ColumnType).
 type ColumnType = store.ColumnType
 
 // Supported column types.

@@ -148,17 +148,16 @@ func snapshotRows(td *TableData) [][]any {
 // as one payload through UpsertColumns into its twin. Everything
 // observable must stay identical — scan order, key lookups, index
 // scans, the key index, the binlog — while a snapshot taken before each
-// batch keeps reading the cells it captured. The hot tail is tiny, so
-// replaced rows sit in sealed chunks, and the run crosses compactions.
-// The fill hook is checked on the way: it sees, in payload order, the
-// position the key index held for each row before the call (or
-// -1), ChunkAt reaches that row's typed cells in either tier, and the
-// cells fill writes are the ones stored.
+// batch keeps reading the cells it captured. The run replaces rows and
+// crosses compactions. The fill hook is checked on the way: it sees,
+// in payload order, the position the key index held for each row
+// before the call (or -1), ChunkAt reaches that row's typed cells, and
+// the cells fill writes are the ones stored.
 func TestUpsertColumnsMatchesUpsertRow(t *testing.T) {
 	const ids = 150
 	def := keyedDef()
 	open := func() (*DB, *Table) {
-		db := OpenOptions("twin", Options{HotTailRows: 8})
+		db := OpenOptions("twin", Options{})
 		tab, err := db.EnsureSchema("modw").EnsureTable(def)
 		if err != nil {
 			t.Fatal(err)
@@ -168,7 +167,7 @@ func TestUpsertColumnsMatchesUpsertRow(t *testing.T) {
 	dbR, tabR := open()
 	dbC, tabC := open()
 	rng := rand.New(rand.NewSource(20))
-	replacedSealed, replacedTail, compactions := 0, 0, 0
+	replaced, compactions := 0, 0
 	for round := 0; round < 80; round++ {
 		rows := randomKeyedRows(rng, rng.Intn(60), ids)
 		cd := columnDataOf(def, rows)
@@ -216,19 +215,15 @@ func TestUpsertColumnsMatchesUpsertRow(t *testing.T) {
 				}
 				cur, _ := tabC.GetByKey(rows[r][0], rows[r][3])
 				ch, lp := tabC.ChunkAt(pos)
-				if ch.Base()+lp != pos || ch.Tombstones()[lp] {
-					t.Fatalf("round %d: ChunkAt(%d) = base %d local %d, dead %v", round, pos, ch.Base(), lp, ch.Tombstones()[lp])
+				if lp != pos || ch.Tombstones()[lp] {
+					t.Fatalf("round %d: ChunkAt(%d) = local %d, dead %v", round, pos, lp, ch.Tombstones()[lp])
 				}
 				fi, _ := ch.ColIndex("f")
 				ni, _ := ch.ColIndex("n")
 				if ch.FloatCol(fi)[lp] != cur.Float("f") || ch.IntCol(ni)[lp] != cur.Int("n") || ch.NullCol(ni)[lp] != (cur.Get("n") == nil) {
 					t.Fatalf("round %d: typed cells at %d disagree with GetByKey %v", round, pos, cur.Values())
 				}
-				if pos < tabC.sealedRows {
-					replacedSealed++
-				} else {
-					replacedTail++
-				}
+				replaced++
 				return nil
 			})
 			if next != len(rows) {
@@ -253,9 +248,9 @@ func TestUpsertColumnsMatchesUpsertRow(t *testing.T) {
 			t.Fatalf("round %d: published snapshots diverged", round)
 		}
 	}
-	if replacedSealed == 0 || replacedTail == 0 || compactions == 0 {
-		t.Fatalf("the run probed and replaced %d sealed and %d tail rows and crossed %d compactions; want all above zero",
-			replacedSealed, replacedTail, compactions)
+	if replaced == 0 || compactions == 0 {
+		t.Fatalf("the run probed and replaced %d rows and crossed %d compactions; want both above zero",
+			replaced, compactions)
 	}
 	evR, err := dbR.Binlog().ReadFrom(0, 0)
 	if err != nil {
@@ -286,7 +281,7 @@ func TestUpsertColumnsMatchesUpsertRow(t *testing.T) {
 func TestUpsertColumnsRefusalMutatesNothing(t *testing.T) {
 	const ids = 40
 	def := keyedDef()
-	db := OpenOptions("refuse", Options{HotTailRows: 8})
+	db := OpenOptions("refuse", Options{})
 	tab, err := db.EnsureSchema("modw").EnsureTable(def)
 	if err != nil {
 		t.Fatal(err)

@@ -79,16 +79,9 @@ func snapshotSchemas(db *DB, w io.Writer, names ...string) error {
 // scanData calls fn for every live row of a committed snapshot, in
 // position order; fn returning false stops the scan.
 func scanData(td *TableData, fn func(Row) bool) {
-	for i := range td.chunks {
-		c := &td.chunks[i]
-		cols := c.columns()
-		for lp := 0; lp < c.rows; lp++ {
-			if td.dead[c.base+lp] {
-				continue
-			}
-			if !fn(Row{lay: td.lay, cols: cols, pos: lp}) {
-				return
-			}
+	for pos := 0; pos < td.rows; pos++ {
+		if !td.dead[pos] && !fn(Row{lay: td.lay, cols: td.cols, pos: pos}) {
+			return
 		}
 	}
 }

@@ -370,7 +370,7 @@ func TestReachSymbolKey(t *testing.T) {
 		{"  4a0000 T xdmodfed/internal/aggregate.(*Series).Total", "aggregate.Series.Total"},
 		{"  4a0000 T xdmodfed/internal/rest.(*Server).handleChart-fm", "rest.Server.handleChart"},
 		{"  4a0000 T xdmodfed/internal/realm/cloud.SyncSessions.func3", "realm/cloud.SyncSessions"},
-		{"  4a0000 t xdmodfed/internal/warehouse/store.parseSegment", "warehouse/store.parseSegment"},
+		{"  4a0000 t xdmodfed/internal/warehouse/store.timeOf", "warehouse/store.timeOf"},
 	} {
 		got, ok := reachSymbolKey(tc.line)
 		if !ok || got != tc.want {
