@@ -1,12 +1,16 @@
 GO ?= go
 
-.PHONY: build vet test reach race chaos fuzz bench bench-check loc check
+.PHONY: build vet fmt test reach race chaos fuzz bench bench-check loc check
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# gofmt gate: fails, listing them, when any Go file needs gofmt.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l . lists:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -93,4 +97,4 @@ loc:
 		      printf "%-36s %6d %6d\n", "TOTAL (lines, code lines)", tall, tcode }'
 
 # Tier-1 gate: everything CI runs.
-check: build vet test race bench-check
+check: build vet fmt test race bench-check

@@ -2,6 +2,7 @@ package aggregate
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"xdmodfed/internal/realm"
@@ -24,13 +25,23 @@ import (
 // Every writer (the incremental fold's and the incremental delta's
 // batch upserts, rebuild and reset bulk loads) goes through newColumns
 // and every reader (the incremental merge's existing row, the rebuild's
-// pagg load) through reader, both over typed column vectors, so a
-// stored group reads back as exactly the accumulator that was written.
-// Built once per operation.
+// pagg load, chart queries) through reader, both over typed column
+// vectors, so a stored group reads back as exactly the accumulator that
+// was written. Built once per realm, by Setup (codecOf).
 type aggCodec struct {
 	l     *rowLayout
 	nd    int      // dimensions
 	names []string // aggDef column names, in layout order
+}
+
+// codecOf returns a realm's codec: the one Setup built, or a new one for
+// a realm this engine did not set up (an engine over a warehouse whose
+// tables another engine made).
+func (e *Engine) codecOf(info realm.Info) *aggCodec {
+	if st := e.realms[info.Name]; st != nil {
+		return st.codec
+	}
+	return newAggCodec(info)
 }
 
 func newAggCodec(info realm.Info) *aggCodec {
@@ -154,63 +165,68 @@ func (c *aggCodec) columns(groups map[string]*accRow) *warehouse.ColumnData {
 	return b.cd
 }
 
-// aggReader is the codec bound to one table chunk's typed vectors.
+// aggReader is the codec bound to one table view's typed vectors: the
+// one reader of aggregation (and pagg) tables, for the incremental
+// merge's existing rows, the rebuild's pagg load and chart queries.
 type aggReader struct {
 	c      *aggCodec
 	pks    []int64
 	dims   []warehouse.StringView
 	ns     []int64
-	lastTS numCol   // reads zero when the layout stores no last_ts
-	state  []numCol // by state slot
+	lastTS []float64   // nil unless the layout stores last_ts
+	state  [][]float64 // by state slot
 }
 
-// reader resolves one chunk's columns. Layout errors are real errors —
-// the engine created these tables itself.
-func (c *aggCodec) reader(ch warehouse.ColChunk) (*aggReader, error) {
-	col := func(pos int) (int, error) {
-		ci, ok := ch.ColIndex(c.names[pos])
-		if !ok {
-			return 0, fmt.Errorf("aggregate: aggregation table missing column %q", c.names[pos])
-		}
-		return ci, nil
-	}
-	intsOf := func(pos int) ([]int64, error) {
-		ci, err := col(pos)
-		if err != nil {
-			return nil, err
-		}
-		v := ch.IntCol(ci)
-		if v == nil {
-			return nil, fmt.Errorf("aggregate: aggregation column %q is not an integer column", c.names[pos])
-		}
-		return v, nil
-	}
-	r := &aggReader{c: c, dims: make([]warehouse.StringView, c.nd)}
+// reader resolves one view's columns by their layout positions. Layout
+// errors are real errors — the engine created these tables itself. An
+// empty view has no vectors to resolve; read none of it.
+func (c *aggCodec) reader(td *warehouse.TableData) (*aggReader, error) {
 	var err error
-	if r.pks, err = intsOf(0); err != nil {
-		return nil, err
+	// vec resolves the column at layout position pos into its typed
+	// vector, through get, which reports whether it has the type.
+	vec := func(pos int, typ string, get func(ci int) bool) {
+		if ci, ok := td.ColIndex(c.names[pos]); err == nil && (!ok || !get(ci)) {
+			err = fmt.Errorf("aggregate: aggregation table has no %s column %q", typ, c.names[pos])
+		}
 	}
-	if r.ns, err = intsOf(1 + c.nd); err != nil {
-		return nil, err
+	ints := func(dst *[]int64) func(int) bool {
+		return func(ci int) bool { *dst = td.IntCol(ci); return *dst != nil }
 	}
+	floats := func(dst *[]float64) func(int) bool {
+		return func(ci int) bool { *dst = td.FloatCol(ci); return *dst != nil }
+	}
+	r := &aggReader{c: c, dims: make([]warehouse.StringView, c.nd), state: make([][]float64, len(c.l.state))}
+	vec(0, "integer", ints(&r.pks))
 	for i := range r.dims {
-		ci, err := col(1 + i)
-		if err != nil {
-			return nil, err
-		}
-		if r.dims[i] = ch.StringCol(ci); r.dims[i].Codes == nil {
-			return nil, fmt.Errorf("aggregate: aggregation column %q is not a string column", c.names[1+i])
-		}
+		vec(1+i, "string", func(ci int) bool { r.dims[i] = td.StringCol(ci); return r.dims[i].Codes != nil })
 	}
-	r.lastTS = numColOf(ch, "last_ts")
-	r.state = make([]numCol, len(c.l.state))
+	vec(1+c.nd, "integer", ints(&r.ns))
+	if c.l.lastTS {
+		vec(2+c.nd, "float", floats(&r.lastTS))
+	}
 	for i := range r.state {
-		r.state[i] = numColOf(ch, c.names[len(c.names)-len(r.state)+i])
+		vec(len(c.names)-len(r.state)+i, "float", floats(&r.state[i]))
+	}
+	if err != nil {
+		return nil, err
 	}
 	return r, nil
 }
 
-// accAt reconstructs the stored group at a chunk position as a fresh
+// stateVec returns the stored vector of state s, or nil for none (an
+// empty of, see metricState).
+func (r *aggReader) stateVec(s stateCol) ([]float64, error) {
+	if s.of == "" {
+		return nil, nil
+	}
+	i := slices.Index(r.c.l.state, s)
+	if i < 0 {
+		return nil, fmt.Errorf("aggregate: aggregation table stores no column %q", s.name())
+	}
+	return r.state[i], nil
+}
+
+// accAt reconstructs the stored group at a view position as a fresh
 // accumulator (fresh slices: the rebuild's merge mutates accumulators
 // in place).
 func (r *aggReader) accAt(pos int) *accRow {
@@ -224,13 +240,15 @@ func (r *aggReader) accAt(pos int) *accRow {
 	return &acc
 }
 
-// load reads the running state stored at a chunk position into acc,
+// load reads the running state stored at a view position into acc,
 // whose state is already sized (rowLayout.newAcc). The key — periodKey
 // and dims — is the caller's: it found the row by it.
 func (r *aggReader) load(pos int, acc *accRow) {
 	acc.n = r.ns[pos]
-	acc.lastTS = r.lastTS.at(pos)
+	if r.lastTS != nil {
+		acc.lastTS = r.lastTS[pos]
+	}
 	for i := range acc.state {
-		acc.state[i] = r.state[i].at(pos)
+		acc.state[i] = r.state[i][pos]
 	}
 }

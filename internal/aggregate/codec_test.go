@@ -129,13 +129,13 @@ func TestAggCodecRoundTrip(t *testing.T) {
 			check := func(how string, want map[string]*accRow) {
 				t.Helper()
 				seen := 0
-				ch := tab.Data().Chunk()
-				r, err := c.reader(ch)
+				td := tab.Data()
+				r, err := c.reader(td)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for pos := 0; pos < ch.Rows(); pos++ {
-					if ch.Tombstones()[pos] {
+				for pos := 0; pos < td.Rows(); pos++ {
+					if td.Tombstones()[pos] {
 						continue
 					}
 					got := r.accAt(pos)
@@ -173,14 +173,13 @@ func TestAggCodecRoundTrip(t *testing.T) {
 							t.Fatalf("%s: group %d %v replaces %d, stored: %v", how, acc.periodKey, acc.dims, replaced, w != nil)
 						}
 						if w != nil {
-							ch, lp := tab.ChunkAt(replaced)
-							r, err := c.reader(ch)
+							r, err := c.reader(tab.View())
 							if err != nil {
 								t.Fatal(err)
 							}
 							got := c.l.newAcc()
 							got.periodKey, got.dims = acc.periodKey, acc.dims
-							r.load(lp, &got)
+							r.load(replaced, &got)
 							if d := diffAccBits(w, &got); d != "" {
 								t.Fatalf("%s, load: %s", how, d)
 							}

@@ -423,9 +423,9 @@ func (df *DeltaFolder) Dirty() bool {
 // The rows must already reflect the route's filtering (the sender
 // folds the rewriter's output).
 func (df *DeltaFolder) FoldRows(rows [][]any) error {
-	ch, err := df.fact.RowsChunk(rows)
+	td, err := df.fact.RowsChunk(rows)
 	if err == nil {
-		_, err = df.e.foldFacts(df.info, ch, nil, df.f)
+		_, err = df.e.foldFacts(df.info, td, nil, df.f)
 	}
 	if err != nil {
 		return fmt.Errorf("aggregate: pushdown fold into %s: %w", df.info.Name, err)
@@ -458,10 +458,9 @@ func (df *DeltaFolder) Reset(excludeResources map[string]bool) (int, error) {
 	})
 	fresh := newFolder(df.l)
 	fresh.trackDirty()
-	ch := td.Chunk()
 	var skip func(pos int) bool
-	if ci, ok := ch.ColIndex("resource"); ok && len(excludeResources) > 0 {
-		if res := ch.StringCol(ci); res.Codes != nil {
+	if ci, ok := td.ColIndex("resource"); ok && len(excludeResources) > 0 {
+		if res := td.StringCol(ci); res.Codes != nil {
 			excluded := make([]bool, len(res.Dict)) // by code: each resource looked up once
 			for c, r := range res.Dict {
 				excluded[c] = excludeResources[r]
@@ -469,7 +468,7 @@ func (df *DeltaFolder) Reset(excludeResources map[string]bool) (int, error) {
 			skip = func(pos int) bool { return excluded[res.Codes[pos]] }
 		}
 	}
-	n, err := df.e.foldFacts(df.info, ch, skip, fresh)
+	n, err := df.e.foldFacts(df.info, td, skip, fresh)
 	if err != nil {
 		return 0, err
 	}

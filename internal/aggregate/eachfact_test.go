@@ -15,10 +15,10 @@ import (
 	"xdmodfed/internal/warehouse"
 )
 
-// decodedFacts runs eachFact over the chunks and renders every fact it
+// decodedFacts runs eachFact over the views and renders every fact it
 // yields — time, dimension values and the exact bits of every measure
 // and weighted product — so two decodings compare with DeepEqual.
-func decodedFacts(t *testing.T, eng *Engine, info realm.Info, chunks ...warehouse.ColChunk) []string {
+func decodedFacts(t *testing.T, eng *Engine, info realm.Info, views ...*warehouse.TableData) []string {
 	t.Helper()
 	l := stateLayout(info)
 	bits := func(vs []float64) []uint64 {
@@ -29,8 +29,8 @@ func decodedFacts(t *testing.T, eng *Engine, info realm.Info, chunks ...warehous
 		return out
 	}
 	var out []string
-	for _, ch := range chunks {
-		err := eng.eachFact(info, ch, l, nil, func(ts time.Time, dims []string, vals, wvals []float64) {
+	for _, td := range views {
+		err := eng.eachFact(info, td, l, nil, func(ts time.Time, dims []string, vals, wvals []float64) {
 			out = append(out, fmt.Sprintf("%d %q %x %x", ts.UnixNano(), dims, bits(vals), bits(wvals)))
 		})
 		if err != nil {
@@ -41,8 +41,8 @@ func decodedFacts(t *testing.T, eng *Engine, info realm.Info, chunks ...warehous
 }
 
 // tableAndBatchFacts decodes one fact table twice: from its own
-// published chunk (the rebuild's input) and from its live rows boxed
-// as [][]any and turned back into a chunk (the incremental and
+// published snapshot (the rebuild's input) and from its live rows boxed
+// as [][]any and turned back into a view (the incremental and
 // pushdown folds' input).
 func tableAndBatchFacts(t *testing.T, db *warehouse.DB, eng *Engine, info realm.Info, schema string) (own, batch []string) {
 	t.Helper()
@@ -50,12 +50,12 @@ func tableAndBatchFacts(t *testing.T, db *warehouse.DB, eng *Engine, info realm.
 	if err != nil {
 		t.Fatal(err)
 	}
-	own = decodedFacts(t, eng, info, tab.Data().Chunk())
-	ch, err := tab.RowsChunk(factRowsPositional(t, db, schema, info.FactTable))
+	own = decodedFacts(t, eng, info, tab.Data())
+	td, err := tab.RowsChunk(factRowsPositional(t, db, schema, info.FactTable))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return own, decodedFacts(t, eng, info, ch)
+	return own, decodedFacts(t, eng, info, td)
 }
 
 // TestEachFactDecodesTableAndBatchAlike: whichever way a fact reaches

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"xdmodfed/internal/config"
 	"xdmodfed/internal/realm"
@@ -18,11 +19,15 @@ const AggSchemaSuffix = "_agg"
 
 // Engine aggregates realm fact tables into per-period aggregation
 // tables inside one warehouse, applying this instance's (or hub's)
-// aggregation-level configuration to numeric dimensions.
+// aggregation-level configuration to numeric dimensions. It owns every
+// realm's aggregate state: how a committed write reaches the aggregates
+// (Write) and when a realm must be rebuilt (its stale flag), with one
+// rule for a satellite and a hub.
 type Engine struct {
 	db     *warehouse.DB
 	levels map[string]config.AggregationLevels // dimension id -> levels
-	locks  map[string]*sync.Mutex              // realm name -> its mutex (Lock); filled by Setup
+	realms map[string]*realmState              // realm name -> its state; filled by Setup
+	names  []string                            // the keys of realms, sorted
 
 	// Sources returns a realm's rebuild sources, the ones a write that
 	// replaced facts recomputes its groups over (Refresh). Nil means the
@@ -35,7 +40,7 @@ type Engine struct {
 // Numeric dimensions without configured levels fall back to a single
 // catch-all bucket.
 func New(db *warehouse.DB, levels []config.AggregationLevels) (*Engine, error) {
-	e := &Engine{db: db, levels: make(map[string]config.AggregationLevels, len(levels)), locks: map[string]*sync.Mutex{}}
+	e := &Engine{db: db, levels: make(map[string]config.AggregationLevels, len(levels)), realms: map[string]*realmState{}}
 	for _, l := range levels {
 		if err := l.Validate(); err != nil {
 			return nil, err
@@ -182,15 +187,18 @@ func aggDef(info realm.Info, l *rowLayout, p Period) warehouse.TableDef {
 	return def
 }
 
-// Setup creates the aggregation tables for every period of a realm.
+// Setup creates the aggregation tables for every period of a realm
+// and registers the realm's aggregate state (realmState).
 func (e *Engine) Setup(info realm.Info) error {
 	if err := info.Validate(); err != nil {
 		return err
 	}
-	if e.locks[info.Name] == nil {
-		e.locks[info.Name] = new(sync.Mutex)
+	if e.realms[info.Name] == nil {
+		e.realms[info.Name] = &realmState{info: info, codec: newAggCodec(info)}
+		e.names = append(e.names, info.Name)
+		slices.Sort(e.names)
 	}
-	s, l := e.db.EnsureSchema(AggSchema(info)), stateLayout(info)
+	s, l := e.db.EnsureSchema(AggSchema(info)), e.realms[info.Name].codec.l
 	for _, p := range Periods() {
 		if _, err := s.EnsureTable(aggDef(info, l, p)); err != nil {
 			return err
@@ -219,25 +227,76 @@ func (e *Engine) targets(info realm.Info) ([]target, error) {
 	return out, nil
 }
 
+// realmState is the engine's state of one realm's aggregates. Whoever
+// changes the realm's facts or aggregation tables holds mu for the
+// whole change: a write from its fact transaction through the Refresh
+// that covers it (Write), a rebuild from its scan through its install,
+// a pushdown delta apply. So a reader that takes mu never finds the
+// aggregates behind facts it could have seen before taking it.
+//
+// stale means the whole realm must be rebuilt: a write changed a fact
+// table whole (truncate or LOAD), which no group scope expresses, a
+// Refresh failed part-way, or a pushdown delta changed the realm's
+// bins. A rebuild clears it. It is written only with mu held and read
+// lock-free (Stale).
+//
+// Lock order: realm mutexes first, in name order; warehouse locks
+// last. (A hub's Sources reads its members with a realm mutex held, so
+// nothing may take a realm mutex while holding the hub's own lock.)
+type realmState struct {
+	info  realm.Info
+	codec *aggCodec // the layout of the tables Setup made
+	mu    sync.Mutex
+	stale atomic.Bool
+}
+
 // Lock takes the mutexes of the named realms in name order (it sorts
-// realms in place) and returns the function that releases them. A
-// realm's mutex orders everything that changes its facts or its
-// aggregation tables, on a satellite and on a hub alike: a write holds
-// it from its fact transaction through the Refresh that covers it, a
-// rebuild from its scan through its install. So a reader that takes it
-// never finds the aggregates behind facts it could have seen before
-// taking it. Realm mutexes come before every other lock their holder
-// takes.
+// realms in place) and returns the function that releases them.
 func (e *Engine) Lock(realms ...string) (unlock func()) {
 	slices.Sort(realms)
 	for _, name := range realms {
-		e.locks[name].Lock()
+		e.realms[name].mu.Lock()
 	}
 	return func() {
 		for _, name := range realms {
-			e.locks[name].Unlock()
+			e.realms[name].mu.Unlock()
 		}
 	}
+}
+
+// Write is the one way a committed write reaches the aggregates, on a
+// satellite and a hub alike. Holding the named realms' mutexes (Lock),
+// it runs fn as one write transaction (warehouse.DB.Write) and then
+// brings each of those realms up to every entry of the transaction's
+// record whose table is the realm's fact table, in any schema: additive
+// entries first, since a recompute reads the whole committed batch and
+// a fold after it would count twice the rows another schema's table of
+// the realm added. A stale realm is skipped, since its rebuild covers
+// the rows; a Refresh that fails marks the realm stale and is logged,
+// not returned. It refreshes also when fn failed: what fn wrote before
+// failing stays written. Returns the record and fn's error.
+func (e *Engine) Write(realms []string, fn func() error) (warehouse.Record, error) {
+	defer e.Lock(realms...)()
+	rec, err := e.db.Write(fn)
+	for _, additive := range [...]bool{true, false} {
+		for _, tc := range rec {
+			if (len(tc.Replaced) == 0) != additive {
+				continue
+			}
+			for _, name := range realms {
+				st := e.realms[name]
+				if st.info.FactTable != tc.Table || st.stale.Load() {
+					continue
+				}
+				if rerr := e.Refresh(st.info, tc.Schema, tc.Change); rerr != nil {
+					st.stale.Store(true)
+					aggLog.Error("aggregation refresh failed; realm marked stale for rebuild",
+						"realm", name, "schema", tc.Schema, "err", rerr)
+				}
+			}
+		}
+	}
+	return rec, err
 }
 
 // sources returns a realm's rebuild sources: Sources, or the realm's
@@ -250,10 +309,60 @@ func (e *Engine) sources(info realm.Info) []Source {
 }
 
 // Rebuild recomputes every group of a realm's aggregation tables over
-// its rebuild sources (Sources), returning the facts it read. The
-// caller holds the realm's mutex (Lock).
+// its rebuild sources (Sources), returning the facts it read, and
+// leaves the realm stale exactly when it fails. The caller holds the
+// realm's mutex (Lock).
 func (e *Engine) Rebuild(info realm.Info) (int, error) {
-	return e.ReaggregateFrom(info, e.sources(info), nil)
+	n, err := e.ReaggregateFrom(info, e.sources(info), nil)
+	e.realms[info.Name].stale.Store(err != nil)
+	return n, err
+}
+
+// EnsureCurrent rebuilds every stale realm before a read, in name
+// order. It takes each realm's mutex in turn, stale or not, so a reader
+// that has seen a write's facts gets there only after the write's
+// Refresh, and is guaranteed aggregates covering every fact it saw. A
+// realm kept current by Write costs one uncontended lock, and a queue
+// of callers collapses into the first one's rebuild: the rest find the
+// realm current.
+func (e *Engine) EnsureCurrent() error {
+	_, err := e.rebuild(true)
+	return err
+}
+
+// RebuildAll rebuilds every realm, in name order, each under its
+// mutex. It returns the facts read per realm.
+func (e *Engine) RebuildAll() (map[string]int, error) { return e.rebuild(false) }
+
+// rebuild is the one loop over the realms that EnsureCurrent (only
+// stale ones, when staleOnly) and RebuildAll run.
+func (e *Engine) rebuild(staleOnly bool) (map[string]int, error) {
+	counts := map[string]int{}
+	for _, name := range e.names {
+		st := e.realms[name]
+		st.mu.Lock()
+		var err error
+		if !staleOnly || st.stale.Load() {
+			counts[name], err = e.Rebuild(st.info)
+		}
+		st.mu.Unlock()
+		if err != nil {
+			return counts, err
+		}
+	}
+	return counts, nil
+}
+
+// Stale returns the realms that must be rebuilt, sorted by name,
+// without waiting for any realm's mutex.
+func (e *Engine) Stale() []string {
+	var out []string
+	for _, name := range e.names {
+		if e.realms[name].stale.Load() {
+			out = append(out, name)
+		}
+	}
+	return out
 }
 
 // Refresh brings a realm's aggregation tables up to one committed write
@@ -263,13 +372,14 @@ func (e *Engine) Rebuild(info realm.Info) (int, error) {
 // (ApplyFactRows). Otherwise exactly the groups its replaced and
 // written rows fall in are recomputed over the realm's rebuild sources
 // (scopeOf, then ReaggregateFrom), so every group it touches ends as a
-// rebuild would write it. A whole-table change (truncate or LOAD) is
-// refused: its caller marks the realm for a rebuild instead. The caller
-// holds the realm's mutex (Lock) from the write through Refresh.
+// rebuild would write it. A whole-table change (truncate or LOAD) marks
+// the realm stale instead. The caller holds the realm's mutex (Lock)
+// from the write through Refresh.
 func (e *Engine) Refresh(info realm.Info, sourceSchema string, c warehouse.Change) error {
 	switch {
 	case c.Whole:
-		return fmt.Errorf("aggregate: realm %s: a whole-table change to %s's facts has no refresh; rebuild the realm", info.Name, sourceSchema)
+		e.realms[info.Name].stale.Store(true)
+		return nil
 	case len(c.Replaced) == 0:
 		_, err := e.ApplyFactRows(info, sourceSchema, c.Inserted)
 		return err

@@ -19,7 +19,7 @@ import (
 
 // ApplyFactRows folds positional fact rows (binlog event payloads for
 // sourceSchema's fact table) into all period aggregation tables. The
-// batch becomes a transient column chunk, is decoded by eachFact and
+// batch becomes a transient column view, is decoded by eachFact and
 // grouped per period with no lock held; one write transaction on the
 // realm's aggregate schema then writes each affected aggregation row
 // once — one keyed batch upsert per table, through typed column
@@ -40,15 +40,15 @@ func (e *Engine) ApplyFactRows(info realm.Info, sourceSchema string, rows [][]an
 	if err != nil {
 		return 0, err
 	}
-	codec := newAggCodec(info)
+	codec := e.codecOf(info)
 
 	// Phase 1, lock-free: decode the batch and group it per period.
-	ch, err := fact.RowsChunk(rows)
+	td, err := fact.RowsChunk(rows)
 	if err != nil {
 		return 0, fmt.Errorf("aggregate: incremental fold into %s: %w", info.Name, err)
 	}
 	b := newFoldBatch(codec, len(rows))
-	if err := e.eachFact(info, ch, codec.l, nil, b.add); err != nil {
+	if err := e.eachFact(info, td, codec.l, nil, b.add); err != nil {
 		return 0, fmt.Errorf("aggregate: incremental fold into %s: %w", info.Name, err)
 	}
 
@@ -176,14 +176,13 @@ func (b *foldBatch) mergeInto(tab *warehouse.Table, pi int) error {
 	return tab.UpsertColumns(out.cd, func(ri, replaced int) error {
 		fi := groups[ri].first
 		if replaced >= 0 {
-			ch, lp := tab.ChunkAt(replaced)
 			if r == nil {
 				var err error
-				if r, err = b.c.reader(ch); err != nil {
+				if r, err = b.c.reader(tab.View()); err != nil {
 					return err
 				}
 			}
-			r.load(lp, &acc)
+			r.load(replaced, &acc)
 		} else {
 			ts, vals, wvals := b.fact(fi)
 			acc.seed(l, ts, vals, wvals)

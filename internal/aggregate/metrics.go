@@ -40,6 +40,8 @@ var (
 		"role")
 	mPushdownMergeSeconds = obs.Default.Gauge("xdmodfed_pushdown_merge_seconds_total",
 		"Cumulative seconds spent installing pushdown deltas into pagg tables.")
+
+	aggLog = obs.Logger("aggregate")
 )
 
 // NotePushdownSent records the satellite side of the pushdown metrics:

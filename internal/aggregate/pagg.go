@@ -64,11 +64,22 @@ func (e *Engine) paggTables(info realm.Info, schema string) []*warehouse.Table {
 // ApplyDelta installs one member's delta into its pagg tables under
 // schema (fed_<instance>), creating them on first use. Bins replace:
 // an incremental delta upserts each carried bin, a reset delta
-// replaces every period table with exactly the carried bins. Returns
-// the number of bins applied.
-func (e *Engine) ApplyDelta(info realm.Info, schema string, d Delta) (int, error) {
+// replaces every period table with exactly the carried bins. Holding
+// the realm's mutex, it marks the realm stale when the delta is a reset
+// (bins may also have disappeared), carried a bin, or failed, so no
+// reader finds the new bins with the realm current. Returns the number
+// of bins applied.
+func (e *Engine) ApplyDelta(info realm.Info, schema string, d Delta) (rows int, err error) {
+	st := e.realms[info.Name]
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	defer func() {
+		if err != nil || d.Reset || rows > 0 {
+			st.stale.Store(true)
+		}
+	}()
 	start := time.Now()
-	codec := newAggCodec(info)
+	codec := st.codec
 	p, err := d.toPartial()
 	if err != nil {
 		return 0, err
@@ -90,7 +101,6 @@ func (e *Engine) ApplyDelta(info realm.Info, schema string, d Delta) (int, error
 		}
 		tabs[period] = tab
 	}
-	rows := 0
 	err = e.db.Do(func() error {
 		for _, period := range Periods() {
 			cd := codec.columns(p[period])
@@ -132,16 +142,15 @@ func paggPartials(codec *aggCodec, pds []*warehouse.TableData) (partial, int, er
 		}
 		g := make(map[string]*accRow)
 		p[period] = g
-		ch := td.Chunk()
-		if ch.Rows() == 0 {
+		if td.Rows() == 0 {
 			continue
 		}
-		r, err := codec.reader(ch)
+		r, err := codec.reader(td)
 		if err != nil {
 			return nil, 0, err
 		}
-		dead := ch.Tombstones()
-		for pos := 0; pos < ch.Rows(); pos++ {
+		dead := td.Tombstones()
+		for pos := 0; pos < td.Rows(); pos++ {
 			if dead[pos] {
 				continue
 			}

@@ -163,18 +163,20 @@ func (e *Engine) QueryStatsCtx(ctx context.Context, info realm.Info, req Request
 	if !ok {
 		return nil, QueryInfo{}, BadRequestf("aggregate: realm %s has no metric %q", info.Name, req.MetricID)
 	}
-	groupCol := ""
+	group := -1 // the dimension a request groups by, by index
 	if req.GroupBy != "" {
-		d, ok := info.Dimension(req.GroupBy)
-		if !ok {
+		var ok bool
+		if group, ok = info.DimensionIndex(req.GroupBy); !ok {
 			return nil, QueryInfo{}, BadRequestf("aggregate: realm %s has no dimension %q", info.Name, req.GroupBy)
 		}
-		groupCol = "dim_" + d.ID
 	}
-	for f := range req.Filters {
-		if _, ok := info.Dimension(f); !ok {
+	filters := make(map[int]string, len(req.Filters)) // dimension index -> required value
+	for f, want := range req.Filters {
+		d, ok := info.DimensionIndex(f)
+		if !ok {
 			return nil, QueryInfo{}, BadRequestf("aggregate: realm %s has no dimension %q (filter)", info.Name, f)
 		}
+		filters[d] = want
 	}
 	if req.Period == 0 {
 		req.Period = Month
@@ -191,7 +193,7 @@ func (e *Engine) QueryStatsCtx(ctx context.Context, info realm.Info, req Request
 	if err != nil {
 		return nil, QueryInfo{}, err
 	}
-	scanned, err := scanAggRows(ctx, td, req, val, den, groupCol,
+	scanned, err := scanAggRows(ctx, e.codecOf(info), td, req, val, den, group, filters,
 		func(pk int64, group string, n int64, v, d float64) {
 			foldCell(cells, aggCells, gp{group, pk}, n, v, d, byMax)
 		})
@@ -225,101 +227,78 @@ func foldCell(cells map[gp]*cell, aggCells map[string]*cell, k gp, n int64, v, d
 	a.add(n, v, den, byMax)
 }
 
-// scanAggRows iterates one aggregation-table snapshot, applying the
-// request's period range and dimension filters, and calls emit for
-// every passing live row with n and the metric's val and den state
-// (metricState; none reads zero). Every column the metric touches is
-// resolved once, and so is each filter value, to its code in the
-// snapshot's dictionary: the per-row loop compares codes and reads
-// typed vectors only. A snapshot whose dictionary lacks a filter value
-// holds no row that passes. Returns the live rows visited.
+// scanAggRows iterates one aggregation-table snapshot through the
+// codec's reader, applying the request's period range and the filters
+// (dimension index -> required value), and calls emit for every passing
+// live row with its group's value (of dimension group; "" for -1), n
+// and the metric's val and den state (metricState; none reads zero).
+// Each filter value is resolved once to its code in the snapshot's
+// dictionary: the per-row loop compares codes and reads typed vectors
+// only. A snapshot whose dictionary lacks a filter value holds no row
+// that passes. Returns the live rows visited.
 //
 // ctx is checked once, before the scan: a query canceled before it
 // starts returns ctx.Err() having visited no row.
-func scanAggRows(ctx context.Context, td *warehouse.TableData, req Request, val, den stateCol, groupCol string,
-	emit func(pk int64, group string, n int64, v, d float64)) (int, error) {
+func scanAggRows(ctx context.Context, c *aggCodec, td *warehouse.TableData, req Request, val, den stateCol,
+	group int, filters map[int]string, emit func(pk int64, group string, n int64, v, d float64)) (int, error) {
 
-	type dimFilter struct {
-		codes []uint32
-		want  uint32
+	if err := ctx.Err(); err != nil {
+		return 0, err
 	}
-	scanned := 0
+	if td.Rows() == 0 {
+		return 0, nil
+	}
+	r, err := c.reader(td)
+	if err != nil {
+		return 0, err
+	}
 	at := func(v []float64, pos int) float64 {
 		if v == nil {
 			return 0
 		}
 		return v[pos]
 	}
-	if err := ctx.Err(); err != nil {
+	type dimFilter struct {
+		codes []uint32
+		want  uint32
+	}
+	fs := make([]dimFilter, 0, len(filters))
+	matchable := true
+	for d, want := range filters {
+		code, ok := r.dims[d].Code(want)
+		matchable = matchable && ok
+		fs = append(fs, dimFilter{codes: r.dims[d].Codes, want: code})
+	}
+	valV, err := r.stateVec(val)
+	if err != nil {
 		return 0, err
 	}
-	ch := td.Chunk()
-	strCol := func(name string) warehouse.StringView {
-		if ci, ok := ch.ColIndex(name); ok {
-			return ch.StringCol(ci)
-		}
-		return warehouse.StringView{}
+	denV, err := r.stateVec(den)
+	if err != nil {
+		return 0, err
 	}
-	stateVec := func(s stateCol) []float64 {
-		if ci, ok := ch.ColIndex(s.name()); ok && s.of != "" {
-			return ch.FloatCol(ci)
-		}
-		return nil
-	}
-	intCol := func(name string) []int64 {
-		if ci, ok := ch.ColIndex(name); ok {
-			return ch.IntCol(ci)
-		}
-		return nil
-	}
-	pkV, nV := intCol("period_key"), intCol("n")
-	valV, denV := stateVec(val), stateVec(den)
-	var groupV warehouse.StringView
-	if groupCol != "" {
-		groupV = strCol(groupCol)
-	}
-	filters := make([]dimFilter, 0, len(req.Filters))
-	matchable := true
-	for dim, want := range req.Filters {
-		vals := strCol("dim_" + dim)
-		code, ok := vals.Code(want)
-		matchable = matchable && ok
-		filters = append(filters, dimFilter{codes: vals.Codes, want: code})
-	}
-	dead := ch.Tombstones()
+	scanned := 0
+	dead := td.Tombstones()
 rows:
-	for pos := 0; pos < ch.Rows(); pos++ {
+	for pos := 0; pos < td.Rows(); pos++ {
 		if dead[pos] {
 			continue
 		}
 		scanned++
-		var pk int64
-		if pkV != nil {
-			pk = pkV[pos]
-		}
-		if req.StartKey != 0 && pk < req.StartKey {
+		pk := r.pks[pos]
+		if (req.StartKey != 0 && pk < req.StartKey) || (req.EndKey != 0 && pk > req.EndKey) || !matchable {
 			continue
 		}
-		if req.EndKey != 0 && pk > req.EndKey {
-			continue
-		}
-		if !matchable {
-			continue
-		}
-		for _, f := range filters {
+		for _, f := range fs {
 			if f.codes[pos] != f.want {
 				continue rows
 			}
 		}
-		group := ""
-		if groupV.Codes != nil {
-			group = groupV.At(pos)
+		g := ""
+		if group >= 0 {
+			g = r.dims[group].At(pos)
 		}
-		var n int64
-		if nV != nil {
-			n = nV[pos]
-		}
-		emit(pk, group, n, at(valV, pos), at(denV, pos))
+		emit(pk, g, r.ns[pos], at(valV, pos), at(denV, pos))
 	}
 	return scanned, nil
 }

@@ -50,12 +50,12 @@ func (c numCol) at(pos int) float64 {
 	return 0
 }
 
-func numColOf(ch warehouse.ColChunk, name string) numCol {
-	ci, ok := ch.ColIndex(name)
+func numColOf(td *warehouse.TableData, name string) numCol {
+	ci, ok := td.ColIndex(name)
 	if !ok {
 		return numCol{}
 	}
-	return numCol{f: ch.FloatCol(ci), i: ch.IntCol(ci), nulls: ch.NullCol(ci)}
+	return numCol{f: td.FloatCol(ci), i: td.IntCol(ci), nulls: td.NullCol(ci)}
 }
 
 // dimReader renders one dimension's value from a snapshot position:
@@ -84,10 +84,10 @@ func (d *dimReader) value(pos int) string {
 	return "all"
 }
 
-// factReader resolves one fact-table chunk's columns for aggregation:
+// factReader resolves one fact-table view's columns for aggregation:
 // the time column, one reader per dimension, one numeric reader per
 // measure column and per weighted pair of the layout. Resolution
-// happens once per chunk; the per-row loop then touches only typed
+// happens once per view; the per-row loop then touches only typed
 // vectors.
 type factReader struct {
 	times  warehouse.TimeView
@@ -97,28 +97,28 @@ type factReader struct {
 	wpairs [][2]numCol
 }
 
-// newFactReader resolves ch for layout l's measures and weighted pairs;
+// newFactReader resolves td for layout l's measures and weighted pairs;
 // a nil l reads the time and the dimensions only.
-func (e *Engine) newFactReader(info realm.Info, ch warehouse.ColChunk, l *rowLayout) (*factReader, error) {
+func (e *Engine) newFactReader(info realm.Info, td *warehouse.TableData, l *rowLayout) (*factReader, error) {
 	fr := &factReader{}
-	ti, ok := ch.ColIndex(info.TimeColumn)
+	ti, ok := td.ColIndex(info.TimeColumn)
 	if !ok {
 		return nil, fmt.Errorf("aggregate: fact row missing time column %q", info.TimeColumn)
 	}
-	fr.times = ch.TimeCol(ti)
+	fr.times = td.TimeCol(ti)
 	if fr.times.Nanos == nil {
 		return nil, fmt.Errorf("aggregate: time column %q is not a time column, want time.Time", info.TimeColumn)
 	}
-	fr.tnulls = ch.NullCol(ti)
+	fr.tnulls = td.NullCol(ti)
 	fr.dims = make([]dimReader, len(info.Dimensions))
 	for i, d := range info.Dimensions {
 		dr := dimReader{numeric: d.Numeric}
 		if d.Numeric {
-			dr.num = numColOf(ch, d.Column)
+			dr.num = numColOf(td, d.Column)
 			dr.levels, dr.hasLevels = e.levels[d.ID]
-		} else if ci, ok := ch.ColIndex(d.Column); ok {
-			dr.strs = ch.StringCol(ci)
-			dr.nulls = ch.NullCol(ci)
+		} else if ci, ok := td.ColIndex(d.Column); ok {
+			dr.strs = td.StringCol(ci)
+			dr.nulls = td.NullCol(ci)
 		}
 		fr.dims[i] = dr
 	}
@@ -127,41 +127,41 @@ func (e *Engine) newFactReader(info realm.Info, ch warehouse.ColChunk, l *rowLay
 	}
 	fr.meas = make([]numCol, len(l.cols))
 	for i, c := range l.cols {
-		fr.meas[i] = numColOf(ch, c)
+		fr.meas[i] = numColOf(td, c)
 	}
 	fr.wpairs = make([][2]numCol, len(l.weights))
 	for i, w := range l.weights {
 		a, b, _ := strings.Cut(w, "*")
-		fr.wpairs[i] = [2]numCol{numColOf(ch, a), numColOf(ch, b)}
+		fr.wpairs[i] = [2]numCol{numColOf(td, a), numColOf(td, b)}
 	}
 	return fr, nil
 }
 
 // eachFact is the one loop that decodes fact rows for aggregation —
 // the rebuild scan, the pushdown folder's snapshot fold and both
-// boxed-row folds (which first turn their batch into a transient chunk
+// boxed-row folds (which first turn their batch into a transient view
 // with warehouse.Table.RowsChunk) all run it, so there is no second
-// rendering for them to disagree with. Every live position of ch that
+// rendering for them to disagree with. Every live position of td that
 // skip (nil = keep all) does not reject is rendered as (time, dimension
 // values, and the measure values and weighted products of layout l —
 // none for a nil l) and handed to visit; the slices are reused between
 // calls, so visit copies what it keeps. A NULL time cell is an error,
 // as the row cannot be bucketed.
-func (e *Engine) eachFact(info realm.Info, ch warehouse.ColChunk, l *rowLayout,
+func (e *Engine) eachFact(info realm.Info, td *warehouse.TableData, l *rowLayout,
 	skip func(pos int) bool, visit func(t time.Time, dims []string, vals, wvals []float64)) error {
 
-	if ch.Rows() == 0 {
+	if td.Rows() == 0 {
 		return nil
 	}
-	fr, err := e.newFactReader(info, ch, l)
+	fr, err := e.newFactReader(info, td, l)
 	if err != nil {
 		return err
 	}
 	dims := make([]string, len(fr.dims))
 	vals := make([]float64, len(fr.meas))
 	wvals := make([]float64, len(fr.wpairs))
-	dead := ch.Tombstones()
-	for pos := 0; pos < ch.Rows(); pos++ {
+	dead := td.Tombstones()
+	for pos := 0; pos < td.Rows(); pos++ {
 		if dead[pos] || (skip != nil && skip(pos)) {
 			continue
 		}
@@ -184,9 +184,9 @@ func (e *Engine) eachFact(info realm.Info, ch warehouse.ColChunk, l *rowLayout,
 
 // foldFacts folds each fact eachFact yields into f, reading the
 // columns f's layout folds, and returns how many were folded.
-func (e *Engine) foldFacts(info realm.Info, ch warehouse.ColChunk, skip func(pos int) bool, f *folder) (int, error) {
+func (e *Engine) foldFacts(info realm.Info, td *warehouse.TableData, skip func(pos int) bool, f *folder) (int, error) {
 	n := 0
-	err := e.eachFact(info, ch, f.l, skip, func(t time.Time, dims []string, vals, wvals []float64) {
+	err := e.eachFact(info, td, f.l, skip, func(t time.Time, dims []string, vals, wvals []float64) {
 		if f.fold(t, dims, vals, wvals) {
 			n++
 		}
@@ -200,7 +200,7 @@ func (e *Engine) foldFacts(info realm.Info, ch warehouse.ColChunk, skip func(pos
 func (e *Engine) scanPartials(info realm.Info, td *warehouse.TableData, l *rowLayout, scope Scope) (partial, int, error) {
 	f := newFolder(l)
 	f.scope = scope
-	n, err := e.foldFacts(info, td.Chunk(), nil, f)
+	n, err := e.foldFacts(info, td, nil, f)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -336,7 +336,7 @@ func (e *Engine) ReaggregateFrom(info realm.Info, sources []Source, scope Scope)
 		return nil
 	})
 	defer mRealmAggSeconds.With(info.Name, kind).ObserveSince(time.Now())
-	codec := newAggCodec(info)
+	codec := e.codecOf(info)
 
 	// Scan phase, one task per source. A pushdown source does no fact
 	// scan at all: its partial loads straight from the member's

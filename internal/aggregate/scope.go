@@ -41,14 +41,14 @@ func (e *Engine) scopeOf(info realm.Info, sourceSchema string, rows [][]any) (Sc
 	if err != nil {
 		return nil, err
 	}
-	ch, err := fact.RowsChunk(rows)
+	td, err := fact.RowsChunk(rows)
 	if err != nil {
 		return nil, fmt.Errorf("aggregate: scope of %s rows: %w", info.Name, err)
 	}
 	s := newScope()
 	periods := Periods()
 	var keyBuf []byte
-	err = e.eachFact(info, ch, nil, nil, func(t time.Time, dims []string, _, _ []float64) {
+	err = e.eachFact(info, td, nil, nil, func(t time.Time, dims []string, _, _ []float64) {
 		var dimsCopy []string // shared by every period's group of this fact
 		for pi, period := range periods {
 			pk := period.Key(t)

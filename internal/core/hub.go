@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"xdmodfed/internal/aggregate"
@@ -62,26 +61,6 @@ func (m Member) Quarantined(t time.Time) bool {
 	return !m.QuarantinedUntil.IsZero() && t.Before(m.QuarantinedUntil)
 }
 
-// realmAggState is the hub's state of one realm's aggregates. Whoever
-// changes the realm's raw rows or aggregation tables holds the realm's
-// mutex (aggregate.Engine.Lock) for the whole change: a batch from its
-// raw apply through its Refresh, a hub-local ingest likewise, a rebuild
-// from its scan through its install, a pushdown delta apply, a loose
-// load.
-//
-// dirty means the whole realm must be rebuilt. It is set by what no
-// group scope can express — a truncate or bulk load, a pushdown delta
-// that resets or carries bins — and by a failed apply or Refresh; a
-// rebuild clears it. It is written only with the realm's mutex held and
-// read lock-free by Status.
-//
-// Lock order: realm mutexes first; then Hub.mu (realmSources reads the
-// members with a realm mutex held, so nothing may take a realm mutex
-// while holding Hub.mu); warehouse locks last.
-type realmAggState struct {
-	dirty atomic.Bool
-}
-
 // Hub is a federation hub: an XDMoD instance of its own (it has a
 // warehouse, aggregation engine and authenticator like any other) plus
 // the federation machinery — a replication receiver, the per-instance
@@ -111,12 +90,10 @@ type Hub struct {
 	quarMax       time.Duration
 	heartbeat     time.Duration
 
+	// mu guards members. Realm mutexes (aggregate.Engine) come before
+	// it: realmSources reads the members with a realm mutex held.
 	mu      sync.Mutex
 	members map[string]*Member
-
-	// realms maps a realm name to its aggregation state; filled in
-	// NewHub and read-only afterwards.
-	realms map[string]*realmAggState
 
 	// factRealms maps a realm fact table name to its realm, so the
 	// apply path can classify replicated events per realm.
@@ -161,7 +138,6 @@ func NewHub(cfg config.InstanceConfig) (*Hub, error) {
 		Telemetry:     obs.NewFederator(targets, scrapeInterval, obs.DefaultScrapeTimeout),
 		now:           time.Now,
 		members:       make(map[string]*Member),
-		realms:        make(map[string]*realmAggState),
 		factRealms:    make(map[string]realm.Info),
 		quarThreshold: quarantineThreshold,
 		quarBackoff:   quarantineBackoff,
@@ -170,13 +146,11 @@ func NewHub(cfg config.InstanceConfig) (*Hub, error) {
 	}
 	for _, name := range in.Registry.Names() {
 		info, _ := in.Registry.Get(name)
-		h.realms[name] = &realmAggState{}
 		h.factRealms[info.FactTable] = info
 	}
 	// A hub-local write then recomputes over exactly what a rebuild
-	// reads, and a rebuild of all realms leaves each clean.
+	// reads.
 	in.Engine.Sources = h.realmSources
-	in.rebuilt = func(name string, err error) { h.realms[name].dirty.Store(err != nil) }
 	return h, nil
 }
 
@@ -310,10 +284,8 @@ func (h *Hub) pushdownFactsFor(instance string) map[string]bool {
 
 // ApplyDeltas implements replicate.PushdownSink: a granted member's
 // partial-aggregate deltas land in its pagg tables (the durable,
-// idempotent bin store) and the realm is marked dirty for rebuild when
-// the delta is a reset (bins may also have disappeared), failed, or
-// carried at least one bin. The realm's mutex is held across the apply
-// and the mark, so no reader finds the new bins with the realm clean.
+// idempotent bin store) through aggregate.Engine.ApplyDelta, which
+// marks the realm stale for a rebuild that reads them.
 func (h *Hub) ApplyDeltas(ctx context.Context, instance string, upTo uint64, deltas []aggregate.Delta) error {
 	sctx, sp := obs.StartSpan(ctx, "hub.ApplyDeltas")
 	sp.SetAttr("instance", instance)
@@ -333,15 +305,10 @@ func (h *Hub) ApplyDeltas(ctx context.Context, instance string, upTo uint64, del
 		if !granted[info.FactTable] {
 			return fmt.Errorf("core: realm %q is not pushdown-granted for member %q", d.Realm, instance)
 		}
-		unlock := h.Engine.Lock(d.Realm)
 		_, dsp := obs.StartSpan(sctx, "hub.ApplyDelta")
 		dsp.SetAttr("realm", d.Realm)
 		n, err := h.Engine.ApplyDelta(info, schema, d)
 		dsp.End()
-		if err != nil || d.Reset || n > 0 {
-			h.realms[d.Realm].dirty.Store(true)
-		}
-		unlock()
 		if err != nil {
 			coreLog.Error("pushdown delta apply failed",
 				"instance", instance, "realm", d.Realm, "err", err)
@@ -376,47 +343,43 @@ func (h *Hub) ApplyBatch(instance string, upTo uint64, events []warehouse.Event)
 
 // ApplyBatchCtx implements replicate.Sink: events land verbatim in the
 // instance's fed_<name> schema ("the federation hub does not alter the
-// raw, replicated data from the individual instances", §II-B), the
-// commit position advances durably, and usernames feed the identity
-// map. Each touched realm's aggregates then follow the batch's fact
-// events (aggregate.Engine.Refresh): inserts fold straight in, so the
-// first chart query after a batch pays O(batch) instead of O(all
-// facts), and updates and deletes recompute the groups they touched,
-// before ApplyBatchCtx returns; truncates and bulk loads mark just
-// their realm dirty for rebuild. When ctx carries the replication
-// frame's trace context, the apply span (and the refresh spans under it)
-// join the satellite's trace, so one TraceID covers the ingest commit,
-// the replication send, the hub apply and the incremental aggregation
-// fold across both processes.
+// raw, replicated data from the individual instances", §II-B) and
+// each touched realm's aggregates follow them (aggregate.Engine.Write):
+// inserts fold straight in, so the first chart query after a batch
+// pays O(batch) instead of O(all facts), updates and deletes recompute
+// the groups they touched, and truncates and bulk loads mark just their
+// realm stale for rebuild — also for the prefix of a batch that fails
+// part-way. Then the commit position advances durably and usernames
+// feed the identity map. When ctx carries the replication frame's trace
+// context, the apply span joins the satellite's trace, so one TraceID
+// covers the ingest commit, the replication send and the hub apply
+// across both processes.
 func (h *Hub) ApplyBatchCtx(ctx context.Context, instance string, upTo uint64, events []warehouse.Event) error {
-	sctx, sp := obs.StartSpan(ctx, "hub.ApplyBatch")
+	_, sp := obs.StartSpan(ctx, "hub.ApplyBatch")
 	sp.SetAttr("instance", instance)
 	defer sp.End()
-	return h.apply(sctx, instance, events, upTo, false)
+	return h.apply(instance, events, upTo, false)
 }
 
 // apply is the hub's one apply step for a member's events, a tight
-// batch and a loose dump alike: lock the realms whose fact tables the
-// events touch, apply them as one write transaction, observe identities
-// over the applied prefix, record the outcome against the member's
-// circuit breaker, and refresh each touched realm from the
-// transaction's record (warehouse.Record): Engine.Refresh per
-// (schema, fact table) the batch changed, or a dirty mark for a table
-// it replaced whole. A tight batch (loose false) moves the member's
-// commit position to upTo. A loose dump never moves it; it sets the
-// member's mode to "loose" and dates the member by the newest fact it
-// carries.
-func (h *Hub) apply(ctx context.Context, instance string, events []warehouse.Event, upTo uint64, loose bool) error {
+// batch and a loose dump alike: the quarantine gate, then the events as
+// one write transaction through aggregate.Engine.Write over the realms
+// whose fact tables they touch, which refreshes those realms' aggregates
+// from the transaction's record before it returns (also for the prefix
+// that applied when the batch fails part-way); then identities over the
+// applied prefix, the outcome against the member's circuit breaker, and
+// the member's bookkeeping. A tight batch (loose false) moves the
+// member's commit position to upTo. A loose dump never moves it; it
+// sets the member's mode to "loose" and dates the member by the newest
+// fact it carries.
+func (h *Hub) apply(instance string, events []warehouse.Event, upTo uint64, loose bool) error {
 	defer mHubBatchSeconds.ObserveSince(time.Now())
 	if err := h.quarantineGate(instance); err != nil {
 		return err
 	}
-	// Hold the mutex of every realm the batch touches from the raw apply
-	// through the aggregation work, so a reader that takes a realm's
-	// mutex never sees these raw rows ahead of the aggregates that cover
-	// them. A pushdown-granted realm's bins arrive as deltas and live in
-	// the pagg tables; a stray raw fact event of it lands verbatim but
-	// is never folded on top.
+	// A pushdown-granted realm's bins arrive as deltas and live in the
+	// pagg tables; a stray raw fact event of it lands verbatim but is
+	// never folded on top.
 	pushFacts := h.pushdownFactsFor(instance)
 	var names []string
 	for _, ev := range events {
@@ -424,22 +387,12 @@ func (h *Hub) apply(ctx context.Context, instance string, events []warehouse.Eve
 			names = append(names, info.Name)
 		}
 	}
-	defer h.Engine.Lock(names...)()
-	// A failed apply leaves the touched realms for a rebuild from the
-	// raw tables, which covers whatever prefix did apply.
-	dirtyAll := func() {
-		for _, name := range names {
-			h.realms[name].dirty.Store(true)
-		}
-	}
-
 	// The whole batch lands as one write transaction: one lock
 	// acquisition and one columnar-snapshot publish per touched table.
-	// On failure the applied prefix stays applied (matching the old
-	// per-event behavior) and identity bookkeeping covers exactly that
-	// prefix.
+	// On failure the applied prefix stays applied, and identity
+	// bookkeeping covers exactly that prefix.
 	applied := 0
-	rec, err := h.DB.Write(func() (err error) {
+	_, err := h.Engine.Write(names, func() (err error) {
 		applied, err = h.DB.Apply(events)
 		return err
 	})
@@ -447,7 +400,6 @@ func (h *Hub) apply(ctx context.Context, instance string, events []warehouse.Eve
 		h.observeIdentity(instance, ev)
 	}
 	if err != nil {
-		dirtyAll()
 		lsn := uint64(0)
 		if applied < len(events) {
 			lsn = events[applied].LSN
@@ -458,7 +410,6 @@ func (h *Hub) apply(ctx context.Context, instance string, events []warehouse.Eve
 	}
 	if !loose {
 		if err := h.Positions.Set(instance, upTo); err != nil {
-			dirtyAll()
 			return err
 		}
 		mMemberPosition.With(instance).Set(float64(upTo))
@@ -497,39 +448,6 @@ func (h *Hub) apply(ctx context.Context, instance string, events []warehouse.Eve
 		}
 	}
 	h.mu.Unlock()
-
-	// Every additive change folds before any group is recomputed: a
-	// recompute reads the whole committed batch, so a fold after it
-	// would count rows that another schema's table of the realm added
-	// twice.
-	slices.SortStableFunc(rec, func(a, b warehouse.TableChange) int {
-		return min(len(a.Replaced), 1) - min(len(b.Replaced), 1)
-	})
-	for _, tc := range rec {
-		info, ok := h.factRealms[tc.Table]
-		if !ok || pushFacts[tc.Table] {
-			continue // DDL, detail tables, bookkeeping: no aggregates follow them
-		}
-		dirty := &h.realms[info.Name].dirty
-		if tc.Whole || dirty.Load() {
-			// A truncate or bulk load, which no group scope expresses, or a
-			// realm that already needs a rebuild that will cover these rows
-			// from the raw tables.
-			dirty.Store(true)
-			continue
-		}
-		_, rsp := obs.StartSpan(ctx, "hub.Refresh")
-		rsp.SetAttr("realm", info.Name)
-		err := h.Engine.Refresh(info, tc.Schema, tc.Change)
-		rsp.End()
-		if err != nil {
-			// The fold or recompute may be partial; the raw rows are
-			// safely applied, so a rebuild restores consistency.
-			dirty.Store(true)
-			coreLog.Error("aggregation after apply failed; realm queued for rebuild",
-				"instance", instance, "realm", info.Name, "err", err)
-		}
-	}
 	// No explicit epoch bump: every commit above (raw apply, fold and
 	// recompute installs) bumped its own schema's epoch, so once
 	// ApplyBatch returns no chart query can serve a result computed
@@ -661,8 +579,8 @@ func (h *Hub) Close() {
 // dump names its schemas; then it takes the step a tight batch takes
 // (apply). A dump that does not read touches nothing. A loose load
 // replaces whole tables (periodic re-ships supersede earlier ones),
-// which the additive fold cannot express, so each realm whose fact
-// table it loads is locked and marked dirty for rebuild — also when the
+// which the additive fold cannot express, so Engine.Write marks each
+// realm whose fact table it loads stale for rebuild — also when the
 // load fails partway, since the tables replaced before the failure stay
 // replaced, and such a failure counts toward the member's quarantine.
 func (h *Hub) LoadLooseDump(instance string, r io.Reader) error {
@@ -676,7 +594,7 @@ func (h *Hub) LoadLooseDump(instance string, r io.Reader) error {
 	for i := range evs {
 		evs[i].Schema = replicate.HubSchema(instance)
 	}
-	return h.apply(context.Background(), instance, evs, 0, true)
+	return h.apply(instance, evs, 0, true)
 }
 
 // newestLoadedFact returns the newest time that the LOAD events of evs
@@ -727,52 +645,17 @@ func (h *Hub) realmSources(info realm.Info) []aggregate.Source {
 // data are fully replicated to the master, then aggregated there,
 // according to the federation hub's aggregation levels, so no data are
 // lost or changed", §II-C3). This is the config-change / admin path;
-// routine reads use EnsureAggregated, which rebuilds only dirty
+// routine reads use EnsureAggregated, which rebuilds only stale
 // realms. Returns fact rows aggregated per realm.
 func (h *Hub) AggregateFederation() (map[string]int, error) {
 	_, sp := obs.StartSpan(context.Background(), "hub.AggregateFederation")
 	defer sp.End()
-	return h.rebuildAll()
-}
-
-// EnsureAggregated rebuilds every dirty realm before a read
-// (Engine.Rebuild). It takes each realm's mutex in turn, so a reader
-// that has seen a batch's raw rows gets there only after the batch's
-// fold or recompute, and is guaranteed aggregates covering every raw
-// row it saw. Realms kept current by ApplyBatch cost one uncontended
-// lock here, and a queue of callers collapses into the first one's
-// rebuild: the rest find the realm clean.
-func (h *Hub) EnsureAggregated() error {
-	for _, name := range h.Registry.Names() {
-		info, _ := h.Registry.Get(name)
-		st, unlock := h.realms[name], h.Engine.Lock(name)
-		var err error
-		if st.dirty.Load() {
-			_, err = h.Engine.Rebuild(info)
-			st.dirty.Store(err != nil)
-		}
-		unlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// dirtyRealms returns the realms needing a rebuild, sorted by name,
-// without waiting for any realm's mutex.
-func (h *Hub) dirtyRealms() []string {
-	var out []string
-	for _, name := range h.Registry.Names() {
-		if h.realms[name].dirty.Load() {
-			out = append(out, name)
-		}
-	}
-	return out
+	defer mAggSeconds.ObserveSince(time.Now())
+	return h.Engine.RebuildAll()
 }
 
 // Query answers a chart query over the federation's unified view,
-// re-aggregating any dirty realm first ("the federation hub can then
+// re-aggregating any stale realm first ("the federation hub can then
 // provide an integrated view of job and performance data collected
 // from entirely independent XDMoD instances", §II-A).
 func (h *Hub) Query(realmName string, req aggregate.Request) ([]aggregate.Series, error) {
@@ -799,13 +682,13 @@ type Status struct {
 	Hub         string
 	Version     string
 	Members     []Member
-	Dirty       bool     // any realm pending rebuild
+	Dirty       bool     // any realm pending rebuild (stale, aggregate.Engine.Stale)
 	DirtyRealms []string // realms pending rebuild, sorted
 }
 
 // Status returns the hub's federation status.
 func (h *Hub) Status() Status {
-	dr := h.dirtyRealms()
+	dr := h.Engine.Stale()
 	return Status{
 		Hub:         h.Config.Name,
 		Version:     h.Config.Version,

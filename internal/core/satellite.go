@@ -81,10 +81,6 @@ type Instance struct {
 	Converter  *su.Converter
 	AppKernels *appkernel.Monitor   // QoS module (paper §I-E)
 	Hierarchy  *hierarchy.Hierarchy // institutional hierarchy, nil when unconfigured
-
-	// rebuilt, when set, runs after each realm's rebuild in rebuildAll,
-	// with the realm's mutex held (a hub clears the realm's dirty mark).
-	rebuilt func(realm string, err error)
 }
 
 // NewInstance builds an instance from its configuration: all four
@@ -215,37 +211,25 @@ func (in *Instance) QueryStatsCtx(ctx context.Context, realmName string, req agg
 }
 
 // AggregateAll (re)aggregates every realm from its rebuild sources
-// (Engine.Rebuild: a satellite's own raw data, a hub's whole
+// (Engine.RebuildAll: a satellite's own raw data, a hub's whole
 // federation), each under its realm's mutex. A restart runs it after
 // replaying the WAL or restoring a snapshot, since aggregation tables
 // are never logged; ingest keeps them current between restarts.
 func (in *Instance) AggregateAll() error {
 	_, sp := obs.StartSpan(context.Background(), "instance.AggregateAll")
 	defer sp.End()
-	_, err := in.rebuildAll()
+	defer mAggSeconds.ObserveSince(time.Now())
+	_, err := in.Engine.RebuildAll()
 	return err
 }
 
-// rebuildAll is the one loop that rebuilds every realm: Engine.Rebuild
-// under the realm's mutex. It returns the facts read per realm.
-func (in *Instance) rebuildAll() (map[string]int, error) {
-	defer mAggSeconds.ObserveSince(time.Now())
-	counts := map[string]int{}
-	for _, name := range in.Registry.Names() {
-		info, _ := in.Registry.Get(name)
-		unlock := in.Engine.Lock(name)
-		n, err := in.Engine.Rebuild(info)
-		if in.rebuilt != nil {
-			in.rebuilt(name, err)
-		}
-		unlock()
-		if err != nil {
-			return counts, err
-		}
-		counts[name] = n
-	}
-	return counts, nil
-}
+// EnsureAggregated rebuilds every stale realm before a read
+// (Engine.EnsureCurrent), on a satellite and a hub alike: a realm goes
+// stale when a write changed its facts whole, when its refresh failed,
+// or when a pushdown delta changed its bins. Taking each realm's mutex
+// in turn, it returns only after every write whose facts the caller
+// could have seen has reached the aggregates.
+func (in *Instance) EnsureAggregated() error { return in.Engine.EnsureCurrent() }
 
 // Satellite is an instance that participates in federations as a data
 // source.

@@ -274,7 +274,6 @@ func TestBatchWaitsForRunningRecompute(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st := hub.realms["Jobs"]
 	unlock := hub.Engine.Lock("Jobs") // a recompute is running
 	out, upTo = batch(6, 10)
 	done := make(chan error, 1)
@@ -297,7 +296,7 @@ func TestBatchWaitsForRunningRecompute(t *testing.T) {
 	if got := jobCount(); got != 10 {
 		t.Fatalf("after ApplyBatch returned: %g jobs, want 10", got)
 	}
-	if st.dirty.Load() {
+	if hub.Status().Dirty {
 		t.Fatal("realm left dirty")
 	}
 }

@@ -1,9 +1,11 @@
 // Package ingest implements the XDMoD data ingestion pipeline: staging
 // records from the shredders (or realm-specific feeds) are normalized
-// into warehouse fact tables and folded into the aggregation tables.
-// This is the per-instance "Data Ingestion" stage of the paper's
-// Figure 3; everything a satellite ingests subsequently replicates to
-// its federation hubs via the binlog.
+// into warehouse fact tables, each batch as one write through
+// aggregate.Engine.Write, the one path by which a committed write
+// reaches the aggregation tables on a satellite and a hub alike. This
+// is the per-instance "Data Ingestion" stage of the paper's Figure 3;
+// everything a satellite ingests subsequently replicates to its
+// federation hubs via the binlog.
 package ingest
 
 import (
@@ -42,37 +44,32 @@ func (s Stats) String() string {
 
 // Pipeline ingests data into one instance's warehouse; it is the one
 // writer of realm facts. Every write goes through write, so the
-// aggregation tables follow it (Engine.Refresh): new facts fold in
-// incrementally, and a write that replaces or removes facts — a revised
-// storage day, a cloud session a new event changed, a re-attributed
-// gateway job — recomputes just the aggregation groups it touched.
+// aggregation tables follow it (aggregate.Engine.Write): new facts fold
+// in incrementally, and a write that replaces or removes facts — a
+// revised storage day, a cloud session a new event changed, a
+// re-attributed gateway job — recomputes just the aggregation groups it
+// touched.
 type Pipeline struct {
 	DB        *warehouse.DB
 	Converter *su.Converter
 	Engine    *aggregate.Engine
 }
 
-// write is the one way the pipeline changes a realm's facts. Holding
-// the realm's mutex (Engine.Lock) throughout, it runs fn as one write
-// transaction (warehouse.DB.Write), and then Engine.Refresh brings the
-// realm's aggregates up to the change the transaction's record holds
-// for the realm's fact table, which write returns — also when fn
-// fails, since what it wrote before failing stays written. When the
-// transaction changed anything it marks the binlog with the batch's
-// trace context, so the replication send and the hub apply join the
-// same trace. The commits bump the touched schemas' epochs,
+// write is the one way the pipeline changes a realm's facts: fn runs
+// as one write transaction through aggregate.Engine.Write, which holds
+// the realm's mutex throughout and brings its aggregates up to what the
+// transaction wrote — also when fn fails, since what it wrote before
+// failing stays written. When the transaction changed anything write
+// marks the binlog with the batch's trace context, so the replication
+// send and the hub apply join the same trace. It returns the change to
+// the realm's fact table. The commits bump the touched schemas' epochs,
 // invalidating cached charts of exactly the realms written.
 func (p *Pipeline) write(info realm.Info, sp *obs.Span, fn func() error) (warehouse.Change, error) {
-	defer p.Engine.Lock(info.Name)()
-	rec, err := p.DB.Write(fn)
-	c := rec.Of(info.Schema, info.FactTable)
-	if rerr := p.Engine.Refresh(info, info.Schema, c); rerr != nil {
-		return c, errors.Join(err, fmt.Errorf("ingest: aggregate %s: %w", info.Name, rerr))
-	}
+	rec, err := p.Engine.Write([]string{info.Name}, fn)
 	if len(rec) > 0 {
 		p.DB.Binlog().NoteTrace(sp.TraceParent())
 	}
-	return c, err
+	return rec.Of(info.Schema, info.FactTable), err
 }
 
 // countUpserts splits tried upserts into the rows c wrote (Ingested)

@@ -138,12 +138,11 @@ func horizonEnd(start, horizon time.Time) time.Time {
 // closes it: the only sessions a change of horizon alters.
 func StaleOpenVMs(td *warehouse.TableData, horizon time.Time) []string {
 	var out []string
-	ch := td.Chunk()
-	vm, ended := colOf(ch, "vm_id"), colOf(ch, "ended")
-	start, end := colOf(ch, "start_time"), colOf(ch, "end_time")
-	vms, endeds, starts, ends := ch.StringCol(vm), ch.BoolCol(ended), ch.TimeCol(start), ch.TimeCol(end)
-	dead := ch.Tombstones()
-	for pos := 0; pos < ch.Rows(); pos++ {
+	vm, ended := colOf(td, "vm_id"), colOf(td, "ended")
+	start, end := colOf(td, "start_time"), colOf(td, "end_time")
+	vms, endeds, starts, ends := td.StringCol(vm), td.BoolCol(ended), td.TimeCol(start), td.TimeCol(end)
+	dead := td.Tombstones()
+	for pos := 0; pos < td.Rows(); pos++ {
 		if !dead[pos] && !endeds[pos] && !ends.At(pos).Equal(horizonEnd(starts.At(pos), horizon)) {
 			out = append(out, vms.At(pos))
 		}
@@ -152,8 +151,8 @@ func StaleOpenVMs(td *warehouse.TableData, horizon time.Time) []string {
 	return out
 }
 
-func colOf(ch warehouse.ColChunk, name string) int {
-	i, _ := ch.ColIndex(name)
+func colOf(td *warehouse.TableData, name string) int {
+	i, _ := td.ColIndex(name)
 	return i
 }
 

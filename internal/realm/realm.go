@@ -67,14 +67,15 @@ func (i Info) Metric(id string) (Metric, bool) {
 	return Metric{}, false
 }
 
-// Dimension returns the dimension with the given ID.
-func (i Info) Dimension(id string) (Dimension, bool) {
-	for _, d := range i.Dimensions {
+// DimensionIndex returns the index in Dimensions of the dimension with
+// the given ID.
+func (i Info) DimensionIndex(id string) (int, bool) {
+	for n, d := range i.Dimensions {
 		if d.ID == id {
-			return d, true
+			return n, true
 		}
 	}
-	return Dimension{}, false
+	return -1, false
 }
 
 // Validate checks the realm description for internal consistency.

@@ -51,10 +51,10 @@ func TestMetricDimensionLookup(t *testing.T) {
 	if _, ok := i.Metric("zz"); ok {
 		t.Error("unknown metric should miss")
 	}
-	if d, ok := i.Dimension("d1"); !ok || d.Name != "Dim 1" {
-		t.Errorf("Dimension lookup failed: %v %v", d, ok)
+	if n, ok := i.DimensionIndex("d1"); !ok || i.Dimensions[n].Name != "Dim 1" {
+		t.Errorf("DimensionIndex lookup failed: %v %v", n, ok)
 	}
-	if _, ok := i.Dimension("zz"); ok {
+	if _, ok := i.DimensionIndex("zz"); ok {
 		t.Error("unknown dimension should miss")
 	}
 }

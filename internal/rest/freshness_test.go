@@ -12,6 +12,7 @@ import (
 	"xdmodfed/internal/auth"
 	"xdmodfed/internal/config"
 	"xdmodfed/internal/core"
+	"xdmodfed/internal/realm"
 	"xdmodfed/internal/realm/gateway"
 	"xdmodfed/internal/replicate"
 	"xdmodfed/internal/shredder"
@@ -162,4 +163,31 @@ func TestGatewayAndAllocationChartsFollowWrites(t *testing.T) {
 	checkFresh(t, "hub re-attribution", hub.Instance, "Gateways", rebuildHub)
 	charge(t, hubSrv, hubAdmin)
 	checkFresh(t, "hub charge run", hub.Instance, "Allocations", rebuildHub)
+}
+
+// TestChartRebuildsRealmAfterFailedRefresh: on a satellite, a write
+// whose refresh fails (here a re-attribution whose group recompute
+// reads a source that is gone) leaves its realm stale rather than
+// behind with no mark, and the next chart request rebuilds it.
+func TestChartRebuildsRealmAfterFailedRefresh(t *testing.T) {
+	sat := testInstance(t)
+	sat.Auth.Vault().Create(auth.User{Username: "ops", Role: auth.RoleStaff}, "opspassword1")
+	srv := newServer(sat).Handler()
+	ops, admin := loginAs(t, srv, "ops", "opspassword1"), login(t, srv)
+	submit(t, srv, ops, "bob", 999) // job 999 is not accounted yet
+	ingestRush(t, sat, 999)
+
+	sat.Engine.Sources = func(realm.Info) []aggregate.Source { return []aggregate.Source{{Schema: "gone"}} }
+	submit(t, srv, ops, "bob", 999) // replaces the row: a group recompute, which fails
+	sat.Engine.Sources = nil
+	if got := sat.Engine.Stale(); !slices.Equal(got, []string{"Gateways"}) {
+		t.Fatalf("stale realms after a failed refresh = %v, want [Gateways]", got)
+	}
+	if rec := get(t, srv, admin, "/api/chart?realm=Gateways&metric="+gateway.MetricCPUHours+"&period=year"); rec.Code != http.StatusOK {
+		t.Fatalf("chart: %d %s", rec.Code, rec.Body)
+	}
+	if got := sat.Engine.Stale(); len(got) != 0 {
+		t.Fatalf("stale realms after a chart request = %v", got)
+	}
+	checkFresh(t, "chart after a failed refresh", sat, "Gateways", sat.AggregateAll)
 }

@@ -363,8 +363,9 @@ func parseKey(s string) (int64, error) {
 // hierarchy rollup and top-N — through the query-result cache when one
 // is configured.
 //
-// Ordering is what makes cached results safe on a hub: any pending
-// replicated data is folded into the hub's aggregates FIRST, and only
+// Ordering is what makes cached results safe: every stale realm is
+// rebuilt and every running write's refresh waited for FIRST
+// (Instance.EnsureAggregated, on a satellite and a hub alike), and only
 // then is the epoch read. The epoch is realm-scoped — the epoch of
 // this realm's aggregate schema — so a write that only touches another
 // realm leaves this realm's cached charts valid. An epoch observed here
@@ -399,11 +400,9 @@ func (s *Server) QuerySeries(ctx context.Context, realmName string, req aggregat
 		}
 		s.observeQuery(stat)
 	}
-	if s.Hub != nil {
-		if err := s.Hub.EnsureAggregated(); err != nil {
-			finish(err)
-			return nil, stat, err
-		}
+	if err := s.Instance.EnsureAggregated(); err != nil {
+		finish(err)
+		return nil, stat, err
 	}
 	stat.Epoch = s.realmEpoch(realmName)
 	res, hit, err := s.cache.GetOrCompute(chartKey(realmName, req, rollup, top), stat.Epoch, func() (chartResult, error) {

@@ -30,14 +30,20 @@ func newLayout(def TableDef) *layout {
 	return l
 }
 
-// TableData is an immutable snapshot of one table's contents, published
-// atomically at the end of each write transaction: the table's vectors
-// as they stood, captured by their headers. Readers iterate it without
-// any lock, through Chunk: positions [0, rows) index every vector and
-// the tombstone vector, and tombstoned positions must be skipped. The
-// writer's later appends land beyond rows (or in a reallocated array),
-// and a compaction, bulk load or truncate gives the table new vectors,
-// so a snapshot's cells never change.
+// TableData is a columnar view of a table's rows: every vector, and
+// the tombstone vector, is indexed by position [0, Rows()), and
+// tombstoned positions must be skipped. Never mutate a returned vector.
+//
+// A published view (Table.Data, DB.DataFor) is an immutable snapshot,
+// published atomically at the end of each write transaction: the
+// table's vectors as they stood, captured by their headers. Readers
+// iterate it without any lock. The writer's later appends land beyond
+// Rows() (or in a reallocated array), and a compaction, bulk load or
+// truncate gives the table new vectors, so a snapshot's cells never
+// change. A writer view (Table.View) reads the writer state instead,
+// the current transaction's changes included, and is valid only until
+// the table's next write. RowsChunk's transient view belongs to no
+// table.
 type TableData struct {
 	lay  *layout
 	cols []ColumnVector
@@ -46,90 +52,76 @@ type TableData struct {
 	live int // rows minus tombstones
 }
 
-// Len returns the number of live rows in the snapshot.
+// Len returns the number of live rows in the view.
 func (td *TableData) Len() int { return td.live }
 
-// Chunk returns the snapshot's rows as one columnar view.
-func (td *TableData) Chunk() ColChunk {
-	return ColChunk{lay: td.lay, cols: td.cols, dead: td.dead, rows: td.rows}
-}
+// Rows returns the view's row count, tombstones included.
+func (td *TableData) Rows() int { return td.rows }
 
-// ColChunk is a columnar view of a table's rows: every vector is
-// indexed by position [0, Rows()). Never mutate a returned vector.
-type ColChunk struct {
-	lay  *layout
-	cols []ColumnVector
-	dead []bool
-	rows int
-}
-
-// Rows returns the chunk's row count, tombstones included.
-func (ch ColChunk) Rows() int { return ch.rows }
-
-// Tombstones returns the chunk's tombstone vector.
-func (ch ColChunk) Tombstones() []bool { return ch.dead }
+// Tombstones returns the view's tombstone vector.
+func (td *TableData) Tombstones() []bool { return td.dead }
 
 // ColIndex resolves a column name to its vector position.
-func (ch ColChunk) ColIndex(name string) (int, bool) {
-	i, ok := ch.lay.colIndex[name]
+func (td *TableData) ColIndex(name string) (int, bool) {
+	i, ok := td.lay.colIndex[name]
 	return i, ok
 }
 
 // IntCol returns column i's int64 vector (nil when i is not a TypeInt
 // column). Never mutate the returned slice.
-func (ch ColChunk) IntCol(i int) []int64 { return ch.cols[i].Ints }
+func (td *TableData) IntCol(i int) []int64 { return td.cols[i].Ints }
 
 // FloatCol returns column i's float64 vector (nil unless TypeFloat).
-func (ch ColChunk) FloatCol(i int) []float64 { return ch.cols[i].Floats }
+func (td *TableData) FloatCol(i int) []float64 { return td.cols[i].Floats }
 
 // StringCol returns column i's string view (the zero view, nil Codes,
 // unless TypeString). Never mutate the view's slices.
-func (ch ColChunk) StringCol(i int) StringView { return ch.cols[i].Strings() }
+func (td *TableData) StringCol(i int) StringView { return td.cols[i].Strings() }
 
 // BoolCol returns column i's bool vector (nil unless TypeBool).
-func (ch ColChunk) BoolCol(i int) []bool { return ch.cols[i].Bools }
+func (td *TableData) BoolCol(i int) []bool { return td.cols[i].Bools }
 
 // TimeCol returns column i's time view (the zero view, nil Nanos,
 // unless TypeTime).
-func (ch ColChunk) TimeCol(i int) TimeView { return ch.cols[i].Times() }
+func (td *TableData) TimeCol(i int) TimeView { return td.cols[i].Times() }
+
+// NullCol returns column i's validity vector (true = NULL).
+func (td *TableData) NullCol(i int) []bool { return td.cols[i].Nulls }
 
 // StringView reads a string column: At resolves a cell's code through
-// the chunk's dictionary.
+// the view's dictionary.
 type StringView = store.StringView
 
 // TimeView reads a time column: At turns a cell's Unix nanoseconds into
 // a UTC time.
 type TimeView = store.TimeView
 
-// NullCol returns column i's validity vector (true = NULL).
-func (ch ColChunk) NullCol(i int) []bool { return ch.cols[i].Nulls }
-
 // RowsChunk converts boxed positional rows (binlog insert payloads for
-// this table) into a transient chunk laid out like the table — the one
+// this table) into a transient view laid out like the table — the one
 // boxed-rows → columns bridge, so readers of fact rows need only the
 // columnar decoder. Every cell is coerced exactly as an insert would
 // coerce it: wrong arity, a NULL in a non-nullable column or a cell the
 // column type cannot hold is an error naming the row, never a zeroed
-// value. The chunk has no tombstones, does not alias rows and interns
+// value. The view has no tombstones, does not alias rows and interns
 // its strings into dictionaries of its own.
-func (t *Table) RowsChunk(rows [][]any) (ColChunk, error) {
+func (t *Table) RowsChunk(rows [][]any) (*TableData, error) {
 	vecs, ixs := freshCols(t.def), make([]store.Index, len(t.def.Columns))
 	for i := range vecs {
 		vecs[i].Reserve(len(rows))
 	}
 	for n, row := range rows {
 		if err := t.checkArity(len(row)); err != nil {
-			return ColChunk{}, fmt.Errorf("row %d: %w", n, err)
+			return nil, fmt.Errorf("row %d: %w", n, err)
 		}
 		for i := range vecs {
 			v, err := t.coerceAt(i, row[i])
 			if err != nil {
-				return ColChunk{}, fmt.Errorf("row %d: %w", n, err)
+				return nil, fmt.Errorf("row %d: %w", n, err)
 			}
 			vecs[i].AppendValue(v, &ixs[i])
 		}
 	}
-	return ColChunk{lay: t.lay, cols: vecs, dead: make([]bool, len(rows)), rows: len(rows)}, nil
+	return &TableData{lay: t.lay, cols: vecs, dead: make([]bool, len(rows)), rows: len(rows), live: len(rows)}, nil
 }
 
 // ColumnData carries a whole table's contents in columnar form: the

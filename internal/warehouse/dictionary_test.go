@@ -23,7 +23,7 @@ func stringDicts(t *testing.T, tab *Table, col string) [][]string {
 	if !ok {
 		t.Fatalf("no column %q", col)
 	}
-	return [][]string{tab.Data().Chunk().StringCol(ci).Dict}
+	return [][]string{tab.Data().StringCol(ci).Dict}
 }
 
 // TestOutOfRangeTimesAreRefused: a time column stores Unix nanoseconds,
@@ -329,7 +329,7 @@ func TestDictionaryGrowsUnderConcurrentReaders(t *testing.T) {
 			failed := false
 			for {
 				last := done.Load()
-				ch := tab.Data().Chunk()
+				ch := tab.Data()
 				id, s, dead := ch.IntCol(ids), ch.StringCol(strs), ch.Tombstones()
 				for pos := 0; pos < ch.Rows(); pos++ {
 					if got := s.At(pos); !dead[pos] && got != value(id[pos]) && !failed {

@@ -613,7 +613,7 @@ func (t *Table) payloadCols(cd *ColumnData) ([]ColumnVector, error) {
 // fill, when not nil, completes the payload row by row in the same
 // pass that matches the keys: it runs once per row r, in payload order,
 // after r's key has been matched — replaced is the position of
-// the current row with that key, readable through ChunkAt, or -1 — and
+// the current row with that key, readable through View, or -1 — and
 // before anything is tombstoned or appended. It may write row r's
 // non-key cells into cd's existing vectors; it must not write the
 // table. A fill error refuses the payload like a repeated key does.
@@ -714,13 +714,12 @@ func (t *Table) releaseClaims(cols []ColumnVector, cm codeMap, old []int) {
 	}
 }
 
-// ChunkAt returns typed access to the row at position pos: the chunk
-// holding it, which is the whole table, and the row's position within
-// that chunk, which is pos. The chunk views the writer state, the
-// current transaction's changes included, and is valid until the table
-// is next written.
-func (t *Table) ChunkAt(pos int) (ColChunk, int) {
-	return ColChunk{lay: t.lay, cols: t.cols, dead: t.dead, rows: t.rows}, pos
+// View returns a writer view of the table: typed access to the writer
+// state, the current transaction's changes included, by table position.
+// It is valid only until the table's next write; Data is the published
+// snapshot.
+func (t *Table) View() *TableData {
+	return &TableData{lay: t.lay, cols: t.cols, dead: t.dead, rows: t.rows, live: t.rows - t.deleted}
 }
 
 // GetByKey returns the row with the given primary key values, one per
@@ -755,7 +754,8 @@ func (t *Table) keyPos(keyVals []any) int {
 // Scan calls fn for every live row; fn returning false stops the scan.
 // Within a write transaction the scan observes the transaction's own
 // uncommitted changes (it reads the writer state, not the published
-// snapshot); use Data().Scan for the lock-free committed view.
+// snapshot); the TableData accessors of Data() read the lock-free
+// committed view.
 func (t *Table) Scan(fn func(Row) bool) {
 	for pos := 0; pos < t.rows; pos++ {
 		if !t.dead[pos] && !fn(t.rowAt(pos)) {

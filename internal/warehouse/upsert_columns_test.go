@@ -151,7 +151,7 @@ func snapshotRows(td *TableData) [][]any {
 // batch keeps reading the cells it captured. The run replaces rows and
 // crosses compactions. The fill hook is checked on the way: it sees,
 // in payload order, the position the key index held for each row
-// before the call (or -1), ChunkAt reaches that row's typed cells, and
+// before the call (or -1), View reaches that row's typed cells, and
 // the cells fill writes are the ones stored.
 func TestUpsertColumnsMatchesUpsertRow(t *testing.T) {
 	const ids = 150
@@ -214,13 +214,13 @@ func TestUpsertColumnsMatchesUpsertRow(t *testing.T) {
 					return nil
 				}
 				cur, _ := tabC.GetByKey(rows[r][0], rows[r][3])
-				ch, lp := tabC.ChunkAt(pos)
-				if lp != pos || ch.Tombstones()[lp] {
-					t.Fatalf("round %d: ChunkAt(%d) = local %d, dead %v", round, pos, lp, ch.Tombstones()[lp])
+				v := tabC.View()
+				if pos >= v.Rows() || v.Tombstones()[pos] {
+					t.Fatalf("round %d: View() holds %d rows, and row %d is dead or beyond them", round, v.Rows(), pos)
 				}
-				fi, _ := ch.ColIndex("f")
-				ni, _ := ch.ColIndex("n")
-				if ch.FloatCol(fi)[lp] != cur.Float("f") || ch.IntCol(ni)[lp] != cur.Int("n") || ch.NullCol(ni)[lp] != (cur.Get("n") == nil) {
+				fi, _ := v.ColIndex("f")
+				ni, _ := v.ColIndex("n")
+				if v.FloatCol(fi)[pos] != cur.Float("f") || v.IntCol(ni)[pos] != cur.Int("n") || v.NullCol(ni)[pos] != (cur.Get("n") == nil) {
 					t.Fatalf("round %d: typed cells at %d disagree with GetByKey %v", round, pos, cur.Values())
 				}
 				replaced++

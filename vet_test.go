@@ -167,6 +167,89 @@ func TestChangesComeFromTheWarehouse(t *testing.T) {
 	}
 }
 
+// TestAggregateStateStaysInTheEngine: how a committed write reaches a
+// realm's aggregates, and when the realm must be rebuilt, is decided in
+// internal/aggregate (Engine.Write and the engine's per-realm stale
+// flag), with one rule for a satellite and a hub. No program file
+// outside it takes a realm's mutex or refreshes a realm itself — no
+// call of Lock or Refresh on an Engine field — or keeps a flag of its
+// own for a realm to rebuild: no field or variable named for dirt or
+// staleness that is an atomic.Bool or a map to bools. The check is
+// syntactic. bench/ is a module of its own and is not checked.
+func TestAggregateStateStaysInTheEngine(t *testing.T) {
+	onEngine := func(e ast.Expr) bool {
+		sel, ok := e.(*ast.SelectorExpr)
+		return ok && sel.Sel.Name == "Engine"
+	}
+	flagType := func(e ast.Expr) bool {
+		if m, ok := e.(*ast.MapType); ok {
+			if id, ok := m.Value.(*ast.Ident); ok && id.Name == "bool" {
+				return true
+			}
+			e = m.Value
+		}
+		if st, ok := e.(*ast.StarExpr); ok {
+			e = st.X
+		}
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok || sel.Sel.Name != "Bool" {
+			return false
+		}
+		pkg, ok := sel.X.(*ast.Ident)
+		return ok && pkg.Name == "atomic"
+	}
+	flagName := func(names []*ast.Ident) bool {
+		for _, n := range names {
+			if l := strings.ToLower(n.Name); strings.Contains(l, "dirty") || strings.Contains(l, "stale") {
+				return true
+			}
+		}
+		return false
+	}
+	fset := token.NewFileSet()
+	for _, root := range []string{"internal", "cmd", "examples"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				if path == filepath.Join("internal", "aggregate") {
+					return filepath.SkipDir
+				}
+				return nil
+			}
+			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				return err
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Lock" || sel.Sel.Name == "Refresh") && onEngine(sel.X) {
+						t.Errorf("%s: calls Engine.%s; write through aggregate.Engine.Write", fset.Position(n.Pos()), sel.Sel.Name)
+					}
+				case *ast.Field:
+					if flagName(n.Names) && flagType(n.Type) {
+						t.Errorf("%s: declares a realm rebuild flag; the engine keeps a realm's stale flag", fset.Position(n.Pos()))
+					}
+				case *ast.ValueSpec:
+					if flagName(n.Names) && n.Type != nil && flagType(n.Type) {
+						t.Errorf("%s: declares a realm rebuild flag; the engine keeps a realm's stale flag", fset.Position(n.Pos()))
+					}
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // handFlags is every flag a cmd/ main registers on the command line,
 // by command, sorted. No flag sets a configuration key: a daemon knob
 // lives in the instance file, whose keys TestConfigSurface counts.
