@@ -60,7 +60,7 @@ func TestParsePeriod(t *testing.T) {
 func fixture(t testing.TB, n int, seed int64) (*warehouse.DB, *Engine, realm.Info) {
 	t.Helper()
 	db := warehouse.Open("test")
-	if _, err := jobs.Setup(db); err != nil {
+	if _, err := realm.Setup(db, jobs.RealmInfo()); err != nil {
 		t.Fatal(err)
 	}
 	eng, err := New(db, []config.AggregationLevels{config.HubWallTime(), config.DefaultJobSize()})
@@ -261,12 +261,15 @@ func TestReaggregateAfterLevelChange(t *testing.T) {
 	if _, err := eng.Reaggregate(info, []string{jobs.SchemaName}); err != nil {
 		t.Fatal(err)
 	}
-	before, _ := eng.Query(info, Request{MetricID: jobs.MetricNumJobs, GroupBy: jobs.DimWallTime, Period: Year})
+	before, err := eng.Query(info, Request{MetricID: jobs.MetricNumJobs, GroupBy: jobs.DimWallTime, Period: Year})
+	if err != nil {
+		t.Fatalf("query before the level change: %v", err)
+	}
 
 	// Admin switches the hub to Instance B's coarser levels and
 	// re-aggregates; the same facts land in different buckets, with no
 	// data lost.
-	eng, err := New(db, []config.AggregationLevels{config.InstanceBWallTime(), config.DefaultJobSize()})
+	eng, err = New(db, []config.AggregationLevels{config.InstanceBWallTime(), config.DefaultJobSize()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +280,10 @@ func TestReaggregateAfterLevelChange(t *testing.T) {
 	if n != 300 {
 		t.Fatalf("reaggregated %d", n)
 	}
-	after, _ := eng.Query(info, Request{MetricID: jobs.MetricNumJobs, GroupBy: jobs.DimWallTime, Period: Year})
+	after, err := eng.Query(info, Request{MetricID: jobs.MetricNumJobs, GroupBy: jobs.DimWallTime, Period: Year})
+	if err != nil {
+		t.Fatalf("query after the level change: %v", err)
+	}
 
 	sum := func(ss []Series) (tot float64) {
 		for _, s := range ss {
@@ -374,7 +380,7 @@ func TestFormatSeriesTable(t *testing.T) {
 
 func TestAggSchemaNotSetUp(t *testing.T) {
 	db := warehouse.Open("x")
-	jobs.Setup(db)
+	realm.Setup(db, jobs.RealmInfo())
 	eng, _ := New(db, nil)
 	info := jobs.RealmInfo()
 	if _, err := eng.Reaggregate(info, []string{jobs.SchemaName}); err == nil {

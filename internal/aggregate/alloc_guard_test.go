@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"xdmodfed/internal/config"
+	"xdmodfed/internal/realm"
 	"xdmodfed/internal/realm/jobs"
 	"xdmodfed/internal/shredder"
 	"xdmodfed/internal/warehouse"
@@ -21,7 +22,7 @@ import (
 func TestColdChartQueryAllocationCeiling(t *testing.T) {
 	const nFacts = 4000
 	db := warehouse.Open("allocguard")
-	if _, err := jobs.Setup(db); err != nil {
+	if _, err := realm.Setup(db, jobs.RealmInfo()); err != nil {
 		t.Fatal(err)
 	}
 	eng, err := New(db, []config.AggregationLevels{config.HubWallTime(), config.DefaultJobSize()})

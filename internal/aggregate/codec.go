@@ -177,38 +177,37 @@ type aggReader struct {
 	state  [][]float64 // by state slot
 }
 
-// reader resolves one view's columns by their layout positions. Layout
-// errors are real errors — the engine created these tables itself. An
-// empty view has no vectors to resolve; read none of it.
+// reader takes one view's vectors by their layout positions, in one
+// pass over the layout: the engine makes every aggregation and pagg
+// table from aggDef, and EnsureTable refuses any other layout, so no
+// column is looked up by name. A vector of another type than the
+// layout's is an error. An empty view has no vectors to take; read none
+// of it.
 func (c *aggCodec) reader(td *warehouse.TableData) (*aggReader, error) {
-	var err error
-	// vec resolves the column at layout position pos into its typed
-	// vector, through get, which reports whether it has the type.
-	vec := func(pos int, typ string, get func(ci int) bool) {
-		if ci, ok := td.ColIndex(c.names[pos]); err == nil && (!ok || !get(ci)) {
-			err = fmt.Errorf("aggregate: aggregation table has no %s column %q", typ, c.names[pos])
-		}
-	}
-	ints := func(dst *[]int64) func(int) bool {
-		return func(ci int) bool { *dst = td.IntCol(ci); return *dst != nil }
-	}
-	floats := func(dst *[]float64) func(int) bool {
-		return func(ci int) bool { *dst = td.FloatCol(ci); return *dst != nil }
-	}
+	first := len(c.names) - len(c.l.state) // the first state column
 	r := &aggReader{c: c, dims: make([]warehouse.StringView, c.nd), state: make([][]float64, len(c.l.state))}
-	vec(0, "integer", ints(&r.pks))
-	for i := range r.dims {
-		vec(1+i, "string", func(ci int) bool { r.dims[i] = td.StringCol(ci); return r.dims[i].Codes != nil })
-	}
-	vec(1+c.nd, "integer", ints(&r.ns))
-	if c.l.lastTS {
-		vec(2+c.nd, "float", floats(&r.lastTS))
-	}
-	for i := range r.state {
-		vec(len(c.names)-len(r.state)+i, "float", floats(&r.state[i]))
-	}
-	if err != nil {
-		return nil, err
+	for pos, name := range c.names {
+		var ok bool
+		switch {
+		case pos == 0:
+			r.pks = td.IntCol(pos)
+			ok = r.pks != nil
+		case pos <= c.nd:
+			r.dims[pos-1] = td.StringCol(pos)
+			ok = r.dims[pos-1].Codes != nil
+		case pos == 1+c.nd:
+			r.ns = td.IntCol(pos)
+			ok = r.ns != nil
+		case pos < first: // last_ts
+			r.lastTS = td.FloatCol(pos)
+			ok = r.lastTS != nil
+		default:
+			r.state[pos-first] = td.FloatCol(pos)
+			ok = r.state[pos-first] != nil
+		}
+		if !ok {
+			return nil, fmt.Errorf("aggregate: aggregation table column %d (%q) is not of its layout's type", pos, name)
+		}
 	}
 	return r, nil
 }

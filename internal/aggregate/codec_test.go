@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"xdmodfed/internal/realm"
@@ -211,5 +212,40 @@ func TestAggCodecRoundTrip(t *testing.T) {
 				check(step.how, step.groups)
 			}
 		})
+	}
+}
+
+// TestAggCodecReaderRefusesWrongType: the reader takes vectors by
+// layout position without looking names up, so a table whose column at
+// a position has another type than the layout's is refused, naming the
+// column, and not read as the layout's state.
+func TestAggCodecReaderRefusesWrongType(t *testing.T) {
+	info := jobs.RealmInfo()
+	c := newAggCodec(info)
+	def := aggDef(info, c.l, Day)
+	last := len(def.Columns) - 1
+	def.Columns[last].Type = warehouse.TypeInt // a state column stored as an integer
+	db := warehouse.Open("codectest")
+	tab, err := db.EnsureSchema("odd").EnsureTable(def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := make([]any, len(def.Columns))
+	for i, col := range def.Columns {
+		switch col.Type {
+		case warehouse.TypeInt:
+			row[i] = int64(1)
+		case warehouse.TypeFloat:
+			row[i] = 1.0
+		default:
+			row[i] = "v"
+		}
+	}
+	if err := db.InsertRow("odd", def.Name, row); err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.reader(tab.Data())
+	if err == nil || !strings.Contains(err.Error(), def.Columns[last].Name) {
+		t.Fatalf("reader over a mistyped column: err = %v, want one naming %q", err, def.Columns[last].Name)
 	}
 }

@@ -110,7 +110,7 @@ func TestPushdownMatchesFactReplication(t *testing.T) {
 
 		newHub := func(name string) (*warehouse.DB, *Engine) {
 			db := warehouse.Open(name)
-			if _, err := jobs.Setup(db); err != nil {
+			if _, err := realm.Setup(db, jobs.RealmInfo()); err != nil {
 				t.Fatal(err)
 			}
 			eng, err := New(db, []config.AggregationLevels{config.HubWallTime(), config.DefaultJobSize()})
@@ -359,7 +359,7 @@ func TestLevelsDigest(t *testing.T) {
 // incrementally — must reproduce the fact-mode answer exactly.
 func TestPushdownSumLast(t *testing.T) {
 	sat := warehouse.Open("sl-sat")
-	stTab, err := storage.Setup(sat)
+	stTab, err := realm.Setup(sat, storage.RealmInfo())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,7 @@ func TestPushdownSumLast(t *testing.T) {
 	}
 
 	hub := warehouse.Open("sl-hub")
-	if _, err := storage.Setup(hub); err != nil {
+	if _, err := realm.Setup(hub, storage.RealmInfo()); err != nil {
 		t.Fatal(err)
 	}
 	hubEng, err := New(hub, nil)

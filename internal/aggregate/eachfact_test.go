@@ -113,7 +113,7 @@ func TestEachFactDecodesTableAndBatchAlike(t *testing.T) {
 
 	t.Run("Cloud", func(t *testing.T) {
 		db := warehouse.Open("cloud")
-		if err := cloud.Setup(db); err != nil {
+		if _, err := realm.Setup(db, cloud.RealmInfo()); err != nil {
 			t.Fatal(err)
 		}
 		eng, err := New(db, []config.AggregationLevels{config.CloudVMMemory()})
@@ -138,7 +138,7 @@ func TestEachFactDecodesTableAndBatchAlike(t *testing.T) {
 
 	t.Run("Storage", func(t *testing.T) {
 		db := warehouse.Open("storage")
-		if _, err := storage.Setup(db); err != nil {
+		if _, err := realm.Setup(db, storage.RealmInfo()); err != nil {
 			t.Fatal(err)
 		}
 		eng, err := New(db, nil)

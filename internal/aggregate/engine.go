@@ -207,6 +207,15 @@ func (e *Engine) Setup(info realm.Info) error {
 	return nil
 }
 
+// Realm returns the realm Setup set up under name. A nil engine has
+// set up none.
+func (e *Engine) Realm(name string) (realm.Info, bool) {
+	if e != nil && e.realms[name] != nil {
+		return e.realms[name].info, true
+	}
+	return realm.Info{}, false
+}
+
 // target is one resolved aggregation table.
 type target struct {
 	period Period

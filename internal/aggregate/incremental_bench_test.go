@@ -45,7 +45,7 @@ func xsedeFactRows(tb testing.TB, n int) [][]any {
 func warmJobsEngine(tb testing.TB, warm [][]any) (*Engine, realm.Info) {
 	tb.Helper()
 	db := warehouse.Open("foldbench")
-	if _, err := jobs.Setup(db); err != nil {
+	if _, err := realm.Setup(db, jobs.RealmInfo()); err != nil {
 		tb.Fatal(err)
 	}
 	eng, err := New(db, []config.AggregationLevels{config.HubWallTime(), config.DefaultJobSize()})

@@ -37,7 +37,7 @@ func TestPropertyQueryMatchesDirectComputation(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		db := warehouse.Open("p")
-		jobs.Setup(db)
+		realm.Setup(db, jobs.RealmInfo())
 		eng, err := New(db, []config.AggregationLevels{config.HubWallTime(), config.DefaultJobSize()})
 		if err != nil {
 			return false

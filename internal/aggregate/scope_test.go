@@ -57,16 +57,14 @@ func aggBits(t *testing.T, db *warehouse.DB, info realm.Info) map[string]string 
 type scopeRealm struct {
 	info   realm.Info
 	levels []config.AggregationLevels
-	setup  func(*warehouse.DB) error
 	def    warehouse.TableDef
 	row    func(rng *rand.Rand) []any
 }
 
 func storageScopeRealm() scopeRealm {
 	return scopeRealm{
-		info:  storage.RealmInfo(),
-		setup: func(db *warehouse.DB) error { _, err := storage.Setup(db); return err },
-		def:   storage.Def(),
+		info: storage.RealmInfo(),
+		def:  storage.Def(),
 		row: func(rng *rand.Rand) []any {
 			return storage.FactValues(storage.Snapshot{
 				Resource: []string{"fs1", "fs2"}[rng.Intn(2)], ResourceType: "persistent",
@@ -84,7 +82,6 @@ func cloudScopeRealm() scopeRealm {
 	return scopeRealm{
 		info:   cloud.RealmInfo(),
 		levels: []config.AggregationLevels{config.CloudVMMemory()},
-		setup:  cloud.Setup,
 		def:    cloud.SessionDef(),
 		row: func(rng *rand.Rand) []any {
 			start := time.Date(2017, 6, 1+rng.Intn(3), rng.Intn(24), rng.Intn(60), 0, 0, time.UTC)
@@ -123,7 +120,7 @@ func runScopedRecompute(t *testing.T, sr scopeRealm, seed int64) {
 	schemas := []string{info.Schema, "fed_b"}
 	open := func() (*warehouse.DB, *Engine) {
 		db := warehouse.Open("scoped")
-		if err := sr.setup(db); err != nil {
+		if _, err := realm.Setup(db, sr.info); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := db.EnsureSchema("fed_b").EnsureTable(sr.def); err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"xdmodfed/internal/realm"
 	"xdmodfed/internal/realm/storage"
 	"xdmodfed/internal/warehouse"
 )
@@ -13,7 +14,7 @@ import (
 // users — never the sum over every daily sample.
 func TestSumLastSemantics(t *testing.T) {
 	db := warehouse.Open("s")
-	stTab, err := storage.Setup(db)
+	stTab, err := realm.Setup(db, storage.RealmInfo())
 	if err != nil {
 		t.Fatal(err)
 	}

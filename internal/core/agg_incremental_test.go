@@ -11,6 +11,7 @@ import (
 
 	"xdmodfed/internal/aggregate"
 	"xdmodfed/internal/auth"
+	"xdmodfed/internal/realm"
 	"xdmodfed/internal/realm/jobs"
 	"xdmodfed/internal/realm/storage"
 	"xdmodfed/internal/replicate"
@@ -77,10 +78,10 @@ func runFoldEquivalence(t *testing.T, seed int64) {
 	// Feeder warehouse standing in for a satellite: inserts land in its
 	// binlog and ship to the hub like a tight sender would.
 	sat := warehouse.Open("sat")
-	if _, err := jobs.Setup(sat); err != nil {
+	if _, err := realm.Setup(sat, jobs.RealmInfo()); err != nil {
 		t.Fatal(err)
 	}
-	stTab, err := storage.Setup(sat)
+	stTab, err := realm.Setup(sat, storage.RealmInfo())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestIncrementalFoldServesWithoutRebuild(t *testing.T) {
 	}
 	hub.Register("sat")
 	sat := warehouse.Open("sat")
-	if _, err := jobs.Setup(sat); err != nil {
+	if _, err := realm.Setup(sat, jobs.RealmInfo()); err != nil {
 		t.Fatal(err)
 	}
 	base := time.Date(2017, 3, 1, 0, 0, 0, 0, time.UTC)
@@ -289,7 +290,7 @@ func TestConcurrentEnsureAggregatedRebuildsOnce(t *testing.T) {
 	}
 	hub.Register("sat")
 	sat := warehouse.Open("sat")
-	if _, err := jobs.Setup(sat); err != nil {
+	if _, err := realm.Setup(sat, jobs.RealmInfo()); err != nil {
 		t.Fatal(err)
 	}
 	base := time.Date(2017, 3, 1, 0, 0, 0, 0, time.UTC)

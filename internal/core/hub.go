@@ -144,8 +144,7 @@ func NewHub(cfg config.InstanceConfig) (*Hub, error) {
 		quarMax:       quarantineMaxBackoff,
 		heartbeat:     hb,
 	}
-	for _, name := range in.Registry.Names() {
-		info, _ := in.Registry.Get(name)
+	for _, info := range realms {
 		h.factRealms[info.FactTable] = info
 	}
 	// A hub-local write then recomputes over exactly what a rebuild

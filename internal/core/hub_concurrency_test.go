@@ -12,6 +12,7 @@ import (
 
 	"xdmodfed/internal/aggregate"
 	"xdmodfed/internal/config"
+	"xdmodfed/internal/realm"
 	"xdmodfed/internal/realm/gateway"
 	"xdmodfed/internal/realm/jobs"
 	"xdmodfed/internal/realm/storage"
@@ -246,11 +247,11 @@ func TestLooseLoadRacesTightMemberAndReaders(t *testing.T) {
 func feedMember(t *testing.T, hub *Hub, member string, seed int64) int {
 	rng := rand.New(rand.NewSource(seed))
 	sat := warehouse.Open(member)
-	if _, err := jobs.Setup(sat); err != nil {
+	if _, err := realm.Setup(sat, jobs.RealmInfo()); err != nil {
 		t.Error(err)
 		return 0
 	}
-	stTab, err := storage.Setup(sat)
+	stTab, err := realm.Setup(sat, storage.RealmInfo())
 	if err != nil {
 		t.Error(err)
 		return 0
@@ -365,7 +366,7 @@ func TestHubLocalWritesRaceMemberBatchesAndRebuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 	member := warehouse.Open("m")
-	memberTab, err := gateway.Setup(member)
+	memberTab, err := realm.Setup(member, gateway.RealmInfo())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -95,47 +96,40 @@ func (in *Instance) JobDetail(resource string, jobID int64) (*JobDetail, error) 
 		return nil, err
 	}
 
-	// SUPReMM summary (present on satellites and, for replicated jobs,
-	// on hubs too).
-	if sumTab, err := in.DB.TableIn(perf.SchemaName, perf.SummaryTable); err == nil {
-		in.DB.View(func() error {
-			if r, ok := sumTab.GetByKey(resource, jobID); ok {
-				detail.HasPerf = true
-				detail.AvgMetrics = map[string]float64{}
-				detail.PeakMetrics = map[string]float64{}
-				for _, m := range perf.MetricNames {
-					detail.AvgMetrics[m] = r.Float("avg_" + m)
-					detail.PeakMetrics[m] = r.Float("peak_" + m)
-				}
+	// The job's SUPReMM summary, timeseries and script, from one view.
+	// Every instance sets the realm up (realm.Setup), so all three
+	// tables exist; on a hub they hold only its own resources' jobs.
+	sumTab, err1 := in.DB.TableIn(perf.SchemaName, perf.SummaryTable)
+	tsTab, err2 := in.DB.TableIn(perf.SchemaName, perf.TimeseriesTable)
+	scTab, err3 := in.DB.TableIn(perf.SchemaName, perf.ScriptTable)
+	if err := errors.Join(err1, err2, err3); err != nil {
+		return nil, err
+	}
+	in.DB.View(func() error {
+		if r, ok := sumTab.GetByKey(resource, jobID); ok {
+			detail.HasPerf = true
+			detail.AvgMetrics = map[string]float64{}
+			detail.PeakMetrics = map[string]float64{}
+			for _, m := range perf.MetricNames {
+				detail.AvgMetrics[m] = r.Float("avg_" + m)
+				detail.PeakMetrics[m] = r.Float("peak_" + m)
 			}
-			return nil
+		}
+		tsTab.ScanIndex([]string{"resource", "job_id"}, []any{resource, jobID}, func(r warehouse.Row) bool {
+			pt := JobPerfPoint{OffsetSec: r.Float("offset_sec"), Values: map[string]float64{}}
+			for _, m := range perf.MetricNames {
+				pt.Values[m] = r.Float(m)
+			}
+			detail.Timeseries = append(detail.Timeseries, pt)
+			return true
 		})
-	}
-
-	// Detailed timeseries and script: satellite-only tables.
-	if tsTab, err := in.DB.TableIn(perf.SchemaName, perf.TimeseriesTable); err == nil {
-		in.DB.View(func() error {
-			tsTab.ScanIndex([]string{"resource", "job_id"}, []any{resource, jobID}, func(r warehouse.Row) bool {
-				pt := JobPerfPoint{OffsetSec: r.Float("offset_sec"), Values: map[string]float64{}}
-				for _, m := range perf.MetricNames {
-					pt.Values[m] = r.Float(m)
-				}
-				detail.Timeseries = append(detail.Timeseries, pt)
-				return true
-			})
-			return nil
-		})
-	}
+		if r, ok := scTab.GetByKey(resource, jobID); ok {
+			detail.Script = r.String("script")
+		}
+		return nil
+	})
 	sort.Slice(detail.Timeseries, func(i, j int) bool {
 		return detail.Timeseries[i].OffsetSec < detail.Timeseries[j].OffsetSec
 	})
-	if scTab, err := in.DB.TableIn(perf.SchemaName, perf.ScriptTable); err == nil {
-		in.DB.View(func() error {
-			if r, ok := scTab.GetByKey(resource, jobID); ok {
-				detail.Script = r.String("script")
-			}
-			return nil
-		})
-	}
 	return detail, nil
 }

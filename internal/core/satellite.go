@@ -46,26 +46,23 @@ import (
 // a config file being edited is replicate's compiled-in wireFormat.
 const Version = "8.1.0-fed"
 
-// FederatedTablesFor maps a realm name to the tables that replicate to
-// a hub. The Jobs realm federates its fact table; Cloud federates
-// reconstructed sessions; Storage federates usage facts; SUPReMM
-// federates only job summaries (paper §II-C5 — the detailed
-// timeseries and job scripts are deliberately satellite-only).
+// realms is every realm an instance serves, in setup order: the one
+// list of them. Each realm package declares its whole realm in its
+// RealmInfo — tables, fact table, metrics, dimensions, and whether its
+// facts stay home — and newInstance sets up, registers and aggregates
+// exactly these.
+var realms = []realm.Info{jobs.RealmInfo(), cloud.RealmInfo(), storage.RealmInfo(), perf.RealmInfo(), alloc.RealmInfo(), gateway.RealmInfo()}
+
+// FederatedTablesFor returns the tables of the named realm that
+// replicate to a hub (realm.Info.Federated: its fact table, unless the
+// realm is local), or nil for a local or unknown realm.
 func FederatedTablesFor(realmName string) []string {
-	switch realmName {
-	case "Jobs":
-		return []string{jobs.FactTable}
-	case "Cloud":
-		return []string{cloud.SessionTable}
-	case "Storage":
-		return []string{storage.FactTable}
-	case "SUPReMM":
-		return perf.FederatedTables()
-	case "Gateways":
-		return []string{gateway.FactTable}
-	default:
-		return nil
+	for _, info := range realms {
+		if info.Name == realmName {
+			return info.Federated()
+		}
 	}
+	return nil
 }
 
 // Instance is a fully assembled XDMoD installation: warehouse, realms,
@@ -83,9 +80,9 @@ type Instance struct {
 	Hierarchy  *hierarchy.Hierarchy // institutional hierarchy, nil when unconfigured
 }
 
-// NewInstance builds an instance from its configuration: all four
-// realms are set up, resources register their SU conversion factors,
-// aggregation levels come from the config (instances "may be
+// NewInstance builds an instance from its configuration: every realm
+// of the realm list is set up, resources register their SU conversion
+// factors, aggregation levels come from the config (instances "may be
 // configured to aggregate their data differently", §II-C3), and SSO
 // sources are installed. Its warehouse keeps a binlog, as a
 // satellite's does.
@@ -122,25 +119,10 @@ func newInstance(cfg config.InstanceConfig, hub bool) (*Instance, error) {
 	}
 
 	reg := realm.NewRegistry()
-	if _, err := jobs.Setup(db); err != nil {
-		return nil, err
-	}
-	if err := cloud.Setup(db); err != nil {
-		return nil, err
-	}
-	if _, err := storage.Setup(db); err != nil {
-		return nil, err
-	}
-	if err := perf.Setup(db); err != nil {
-		return nil, err
-	}
-	if err := alloc.Setup(db); err != nil {
-		return nil, err
-	}
-	if _, err := gateway.Setup(db); err != nil {
-		return nil, err
-	}
-	for _, info := range []realm.Info{jobs.RealmInfo(), cloud.RealmInfo(), storage.RealmInfo(), perf.RealmInfo(), alloc.RealmInfo(), gateway.RealmInfo()} {
+	for _, info := range realms {
+		if _, err := realm.Setup(db, info); err != nil {
+			return nil, err
+		}
 		if err := reg.Register(info); err != nil {
 			return nil, err
 		}
@@ -190,11 +172,8 @@ func newInstance(cfg config.InstanceConfig, hub bool) (*Instance, error) {
 
 // Query answers a chart query over the instance's own aggregated data.
 func (in *Instance) Query(realmName string, req aggregate.Request) ([]aggregate.Series, error) {
-	info, ok := in.Registry.Get(realmName)
-	if !ok {
-		return nil, aggregate.BadRequestf("core: instance %s has no realm %q", in.Config.Name, realmName)
-	}
-	return in.Engine.Query(info, req)
+	out, _, err := in.QueryStatsCtx(context.Background(), realmName, req)
+	return out, err
 }
 
 // QueryStatsCtx is Query plus per-query execution statistics (rows
@@ -299,28 +278,31 @@ func (s *Satellite) Recover(walPath, dbPath string) (wal *warehouse.LogWriter, e
 	return wal, nil
 }
 
-// routeRealms resolves a hub route's realm names.
-func (s *Satellite) routeRealms(route config.HubRoute) []string {
-	realms := route.IncludeRealms
-	if len(realms) == 0 {
+// filterFor resolves the realms a hub route names and builds the
+// route's replication filter over their federated tables. A realm this
+// instance does not serve, or one whose facts stay on the instance
+// (realm.Info.Local), is an error.
+func (s *Satellite) filterFor(route config.HubRoute) (replicate.Filter, []realm.Info, error) {
+	names := route.IncludeRealms
+	if len(names) == 0 {
 		// Paper §II-C1: "the initial release of the federation module
 		// replicates only the HPC Jobs realm data".
-		realms = []string{"Jobs"}
+		names = []string{"Jobs"}
 	}
-	return realms
-}
-
-// filterFor builds the replication filter for one hub route.
-func (s *Satellite) filterFor(route config.HubRoute) (replicate.Filter, error) {
 	include := map[string]bool{}
-	for _, r := range s.routeRealms(route) {
-		tables := FederatedTablesFor(r)
-		if tables == nil {
-			return replicate.Filter{}, fmt.Errorf("core: route to %s includes unknown realm %q", route.HubAddr, r)
+	infos := make([]realm.Info, len(names))
+	for i, name := range names {
+		info, ok := s.Registry.Get(name)
+		if !ok {
+			return replicate.Filter{}, nil, fmt.Errorf("core: route to %s includes unknown realm %q", route.HubAddr, name)
 		}
-		for _, t := range tables {
+		if info.Local {
+			return replicate.Filter{}, nil, fmt.Errorf("core: route to %s includes realm %q, which does not federate: its facts stay on the instance", route.HubAddr, name)
+		}
+		for _, t := range info.Federated() {
 			include[t] = true
 		}
+		infos[i] = info
 	}
 	var exclude map[string]bool
 	if len(route.ExcludeResources) > 0 {
@@ -331,14 +313,14 @@ func (s *Satellite) filterFor(route config.HubRoute) (replicate.Filter, error) {
 	}
 	f := replicate.Filter{IncludeTables: include, ExcludeResources: exclude}
 	if err := f.Validate(); err != nil {
-		return replicate.Filter{}, err
+		return replicate.Filter{}, nil, err
 	}
-	return f, nil
+	return f, infos, nil
 }
 
 // rewriterFor builds the replication rewriter for one hub route.
 func (s *Satellite) rewriterFor(route config.HubRoute) (*replicate.Rewriter, error) {
-	f, err := s.filterFor(route)
+	f, _, err := s.filterFor(route)
 	if err != nil {
 		return nil, err
 	}
@@ -350,29 +332,25 @@ func (s *Satellite) rewriterFor(route config.HubRoute) (*replicate.Rewriter, err
 // silently pushed down — it falls back to raw fact replication with a
 // startup warning. Returns nil (no error) when no realm qualifies.
 func (s *Satellite) pushdownFolderFor(route config.HubRoute, flushInterval time.Duration) (*replicate.PushdownFolder, error) {
-	f, err := s.filterFor(route)
+	f, infos, err := s.filterFor(route)
 	if err != nil {
 		return nil, err
 	}
-	var infos []realm.Info
-	for _, name := range s.routeRealms(route) {
-		info, ok := s.Registry.Get(name)
-		if !ok {
-			continue // federates tables without a queryable realm; ship raw
-		}
+	var mergeable []realm.Info
+	for _, info := range infos {
 		if err := aggregate.MergeableRealm(info); err != nil {
 			coreLog.Warn("realm is not mergeable; replicating its raw facts instead of pushing down",
-				"realm", name, "hub", route.HubAddr, "err", err)
+				"realm", info.Name, "hub", route.HubAddr, "err", err)
 			continue
 		}
-		infos = append(infos, info)
+		mergeable = append(mergeable, info)
 	}
-	if len(infos) == 0 {
+	if len(mergeable) == 0 {
 		coreLog.Warn("no mergeable realms on route; aggregation pushdown disabled, replicating raw facts",
 			"hub", route.HubAddr)
 		return nil, nil
 	}
-	return replicate.NewPushdownFolder(s.Engine, infos, f, flushInterval)
+	return replicate.NewPushdownFolder(s.Engine, mergeable, f, flushInterval)
 }
 
 // StartFederation starts one tight-replication sender per configured
@@ -486,17 +464,16 @@ func (s *Satellite) TrimReplicatedLog() uint64 {
 // the binlog: its cost follows the data, not its history, and a trimmed
 // binlog does not stop it.
 func (s *Satellite) DumpForRoute(route config.HubRoute, w io.Writer) error {
-	rw, err := s.rewriterFor(route)
+	f, infos, err := s.filterFor(route)
 	if err != nil {
 		return err
 	}
 	var schemas []string
-	for _, name := range s.routeRealms(route) {
-		info, _ := s.Registry.Get(name)
+	for _, info := range infos {
 		schemas = append(schemas, info.Schema)
 	}
 	lsn, evs := s.DB.SnapshotEvents(schemas)
-	out, _ := rw.ProcessBatch(evs)
+	out, _ := replicate.NewRewriter(s.Config.Name, f).ProcessBatch(evs)
 	return warehouse.WriteSnapshot(w, s.Config.Name, lsn, out)
 }
 
@@ -569,9 +546,8 @@ func (s *Satellite) RestoreFromHubBackup(r io.Reader) error {
 		return err
 	}
 	realmSchema := map[string]string{} // federated table -> its realm schema
-	for _, name := range s.Registry.Names() {
-		info, _ := s.Registry.Get(name)
-		for _, t := range FederatedTablesFor(name) {
+	for _, info := range realms {
+		for _, t := range info.Federated() {
 			realmSchema[t] = info.Schema
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"xdmodfed/internal/aggregate"
+	"xdmodfed/internal/realm"
 	"xdmodfed/internal/realm/cloud"
 	"xdmodfed/internal/realm/jobs"
 	"xdmodfed/internal/realm/storage"
@@ -228,7 +229,7 @@ func TestBatchWaitsForRunningRecompute(t *testing.T) {
 	}
 	hub.Register("sat")
 	sat := warehouse.Open("sat")
-	if _, err := jobs.Setup(sat); err != nil {
+	if _, err := realm.Setup(sat, jobs.RealmInfo()); err != nil {
 		t.Fatal(err)
 	}
 	rw := replicate.NewRewriter("sat", replicate.Filter{})

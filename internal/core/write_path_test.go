@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"xdmodfed/internal/aggregate"
+	"xdmodfed/internal/realm"
 	"xdmodfed/internal/realm/jobs"
 	"xdmodfed/internal/replicate"
 	"xdmodfed/internal/shredder"
@@ -57,7 +58,7 @@ func aggBits(t *testing.T, in *Instance, realmName string) []string {
 func jobInsertEvents(t *testing.T, n int) ([]warehouse.Event, uint64) {
 	t.Helper()
 	sat := warehouse.Open("sat")
-	if _, err := jobs.Setup(sat); err != nil {
+	if _, err := realm.Setup(sat, jobs.RealmInfo()); err != nil {
 		t.Fatal(err)
 	}
 	base := time.Date(2017, 3, 1, 0, 0, 0, 0, time.UTC)

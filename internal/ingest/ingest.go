@@ -18,7 +18,6 @@ import (
 
 	"xdmodfed/internal/aggregate"
 	"xdmodfed/internal/obs"
-	"xdmodfed/internal/realm"
 	"xdmodfed/internal/realm/alloc"
 	"xdmodfed/internal/realm/cloud"
 	"xdmodfed/internal/realm/gateway"
@@ -55,17 +54,24 @@ type Pipeline struct {
 	Engine    *aggregate.Engine
 }
 
-// write is the one way the pipeline changes a realm's facts: fn runs
-// as one write transaction through aggregate.Engine.Write, which holds
-// the realm's mutex throughout and brings its aggregates up to what the
-// transaction wrote — also when fn fails, since what it wrote before
-// failing stays written. When the transaction changed anything write
-// marks the binlog with the batch's trace context, so the replication
-// send and the hub apply join the same trace. It returns the change to
-// the realm's fact table. The commits bump the touched schemas' epochs,
-// invalidating cached charts of exactly the realms written.
-func (p *Pipeline) write(info realm.Info, sp *obs.Span, fn func() error) (warehouse.Change, error) {
-	rec, err := p.Engine.Write([]string{info.Name}, fn)
+// write is the one way the pipeline changes the named realm's facts:
+// fn runs as one write transaction through aggregate.Engine.Write,
+// which holds the realm's mutex throughout and brings its aggregates up
+// to what the transaction wrote — also when fn fails, since what it
+// wrote before failing stays written. When the transaction changed
+// anything write marks the binlog with the batch's trace context, so
+// the replication send and the hub apply join the same trace. fn gets
+// the realm's fact table, and write returns the change to it: the
+// realm is the one the engine set up (aggregate.Engine.Realm). The
+// commits bump the touched schemas' epochs, invalidating cached charts
+// of exactly the realms written.
+func (p *Pipeline) write(name string, sp *obs.Span, fn func(fact *warehouse.Table) error) (warehouse.Change, error) {
+	info, _ := p.Engine.Realm(name) // the zero Info, which names no table, when the engine lacks it
+	fact, err := p.DB.TableIn(info.Schema, info.FactTable)
+	if err != nil {
+		return warehouse.Change{}, fmt.Errorf("ingest: %s realm not set up: %w", name, err)
+	}
+	rec, err := p.Engine.Write([]string{name}, func() error { return fn(fact) })
 	if len(rec) > 0 {
 		p.DB.Binlog().NoteTrace(sp.TraceParent())
 	}
@@ -89,10 +95,6 @@ func (p *Pipeline) IngestJobRecords(recs []shredder.JobRecord) (Stats, error) {
 	defer sp.End()
 	defer mBatchSeconds.With("Jobs").ObserveSince(time.Now())
 	defer func() { countStats("Jobs", st) }()
-	tab, err := p.DB.TableIn(jobs.SchemaName, jobs.FactTable)
-	if err != nil {
-		return st, fmt.Errorf("ingest: jobs realm not set up: %w", err)
-	}
 	// Normalize and validate with no lock held; only well-formed rows
 	// enter the write transaction.
 	type candidate struct {
@@ -115,7 +117,7 @@ func (p *Pipeline) IngestJobRecords(recs []shredder.JobRecord) (Stats, error) {
 	// acquisition and one columnar-snapshot publish regardless of batch
 	// size. Duplicate keys — already ingested, or repeated within the
 	// batch — are visible to GetByKey inside the transaction.
-	_, err = p.write(jobs.RealmInfo(), sp, func() error {
+	_, err := p.write("Jobs", sp, func(tab *warehouse.Table) error {
 		for _, cd := range cands {
 			if _, exists := tab.GetByKey(cd.resource, cd.jobID); exists {
 				st.Skipped++
@@ -166,11 +168,7 @@ func (p *Pipeline) IngestCloudEvents(events []cloud.Event, horizon time.Time) (S
 	defer func() { countStats("Cloud", st) }()
 	evTab, err := p.DB.TableIn(cloud.SchemaName, cloud.EventTable)
 	if err != nil {
-		return st, fmt.Errorf("ingest: cloud realm not set up: %w", err)
-	}
-	sessTab, err := p.DB.TableIn(cloud.SchemaName, cloud.SessionTable)
-	if err != nil {
-		return st, fmt.Errorf("ingest: cloud realm not set up: %w", err)
+		return st, fmt.Errorf("ingest: Cloud realm not set up: %w", err)
 	}
 	rows := make([][]any, 0, len(events))
 	named := map[string]bool{}
@@ -184,7 +182,7 @@ func (p *Pipeline) IngestCloudEvents(events []cloud.Event, horizon time.Time) (S
 		rows = append(rows, cloud.EventRow(e))
 		named[e.VMID] = true
 	}
-	_, err = p.write(cloud.RealmInfo(), sp, func() error {
+	_, err = p.write("Cloud", sp, func(sessTab *warehouse.Table) error {
 		// Read before this transaction writes: the published snapshot is
 		// then exactly the writer state.
 		vms := cloud.StaleOpenVMs(sessTab.Data(), horizon)
@@ -224,10 +222,6 @@ func (p *Pipeline) IngestStorageSnapshots(snaps []storage.Snapshot) (Stats, erro
 	defer sp.End()
 	defer mBatchSeconds.With("Storage").ObserveSince(time.Now())
 	defer func() { countStats("Storage", st) }()
-	tab, err := p.DB.TableIn(storage.SchemaName, storage.FactTable)
-	if err != nil {
-		return st, fmt.Errorf("ingest: storage realm not set up: %w", err)
-	}
 	valid := make([]storage.Snapshot, 0, len(snaps))
 	for _, s := range snaps {
 		st.Parsed++
@@ -239,7 +233,7 @@ func (p *Pipeline) IngestStorageSnapshots(snaps []storage.Snapshot) (Stats, erro
 		valid = append(valid, s)
 	}
 	tried := 0
-	c, err := p.write(storage.RealmInfo(), sp, func() error {
+	c, err := p.write("Storage", sp, func(tab *warehouse.Table) error {
 		for _, s := range valid {
 			if r, ok := tab.GetByKey(storage.Key(s)...); ok && r.Get("dt").(time.Time).After(s.Timestamp) {
 				st.Skipped++
@@ -277,10 +271,9 @@ func (p *Pipeline) AttributeGatewayJobs(subs []gateway.Submission) (st Stats, ma
 	defer sp.End()
 	defer mBatchSeconds.With("Gateways").ObserveSince(time.Now())
 	defer func() { countStats("Gateways", st) }()
-	tab, err1 := p.DB.TableIn(gateway.SchemaName, gateway.FactTable)
-	jobTab, err2 := p.DB.TableIn(jobs.SchemaName, jobs.FactTable)
-	if err := errors.Join(err1, err2); err != nil {
-		return st, 0, fmt.Errorf("ingest: gateways realm not set up: %w", err)
+	jobTab, err := p.DB.TableIn(jobs.SchemaName, jobs.FactTable)
+	if err != nil {
+		return st, 0, fmt.Errorf("ingest: Gateways realm needs the Jobs realm: %w", err)
 	}
 	st.Parsed = len(subs)
 	for _, s := range subs {
@@ -290,7 +283,7 @@ func (p *Pipeline) AttributeGatewayJobs(subs []gateway.Submission) (st Stats, ma
 		}
 	}
 	tried := 0
-	c, err := p.write(gateway.RealmInfo(), sp, func() error {
+	c, err := p.write("Gateways", sp, func(tab *warehouse.Table) error {
 		for _, s := range subs {
 			row, found := gateway.FactValues(jobTab, s)
 			if found {
@@ -318,13 +311,12 @@ func (p *Pipeline) ChargeAllocations() (st Stats, err error) {
 	defer mBatchSeconds.With("Allocations").ObserveSince(time.Now())
 	defer func() { countStats("Allocations", st) }()
 	awardTab, err1 := p.DB.TableIn(alloc.SchemaName, alloc.AwardTable)
-	chargeTab, err2 := p.DB.TableIn(alloc.SchemaName, alloc.ChargeTable)
-	jobTab, err3 := p.DB.TableIn(jobs.SchemaName, jobs.FactTable)
-	if err := errors.Join(err1, err2, err3); err != nil {
-		return st, fmt.Errorf("ingest: allocations realm not set up: %w", err)
+	jobTab, err2 := p.DB.TableIn(jobs.SchemaName, jobs.FactTable)
+	if err := errors.Join(err1, err2); err != nil {
+		return st, fmt.Errorf("ingest: Allocations realm not set up: %w", err)
 	}
 	tried := 0
-	c, err := p.write(alloc.RealmInfo(), sp, func() error {
+	c, err := p.write("Allocations", sp, func(chargeTab *warehouse.Table) error {
 		for _, row := range alloc.Charges(awardTab, jobTab) {
 			st.Parsed++
 			if err := chargeTab.UpsertRow(row); err != nil {

@@ -10,6 +10,7 @@ import (
 
 	"xdmodfed/internal/aggregate"
 	"xdmodfed/internal/config"
+	"xdmodfed/internal/realm"
 	"xdmodfed/internal/realm/cloud"
 	"xdmodfed/internal/realm/jobs"
 	"xdmodfed/internal/realm/storage"
@@ -22,13 +23,13 @@ import (
 func pipeline(t *testing.T) *Pipeline {
 	t.Helper()
 	db := warehouse.Open("instance")
-	if _, err := jobs.Setup(db); err != nil {
+	if _, err := realm.Setup(db, jobs.RealmInfo()); err != nil {
 		t.Fatal(err)
 	}
-	if err := cloud.Setup(db); err != nil {
+	if _, err := realm.Setup(db, cloud.RealmInfo()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := storage.Setup(db); err != nil {
+	if _, err := realm.Setup(db, storage.RealmInfo()); err != nil {
 		t.Fatal(err)
 	}
 	eng, err := aggregate.New(db, []config.AggregationLevels{

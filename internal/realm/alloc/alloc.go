@@ -86,13 +86,17 @@ const (
 	DimResource = "resource"
 )
 
-// RealmInfo describes the Allocations realm over the charge table.
+// RealmInfo describes the Allocations realm over the charge table. It
+// is local: charges are derived from the instance's own jobs and
+// awards, so its facts stay on the instance.
 func RealmInfo() realm.Info {
 	return realm.Info{
 		Name:       "Allocations",
 		Schema:     SchemaName,
+		Tables:     []warehouse.TableDef{AwardDef(), ChargeDef()},
 		FactTable:  ChargeTable,
 		TimeColumn: "charge_time",
+		Local:      true,
 		Metrics: []realm.Metric{
 			{ID: MetricCharged, Name: "XD SUs Charged to Allocations", Unit: "XD SU", Func: warehouse.AggSum, Column: "xdsu"},
 			{ID: MetricChargeJob, Name: "Jobs Charged", Unit: "jobs", Func: warehouse.AggCount},
@@ -102,16 +106,6 @@ func RealmInfo() realm.Info {
 			{ID: DimResource, Name: "Resource", Column: "resource"},
 		},
 	}
-}
-
-// Setup creates the realm's schema and tables.
-func Setup(db *warehouse.DB) error {
-	s := db.EnsureSchema(SchemaName)
-	if _, err := s.EnsureTable(AwardDef()); err != nil {
-		return err
-	}
-	_, err := s.EnsureTable(ChargeDef())
-	return err
 }
 
 // AddAllocation records one award.

@@ -6,6 +6,7 @@ import (
 
 	"xdmodfed/internal/aggregate"
 	"xdmodfed/internal/ingest"
+	"xdmodfed/internal/realm"
 	"xdmodfed/internal/realm/alloc"
 	"xdmodfed/internal/realm/jobs"
 	"xdmodfed/internal/shredder"
@@ -23,13 +24,13 @@ var (
 func setupPipeline(t *testing.T) *ingest.Pipeline {
 	t.Helper()
 	db := warehouse.Open("a")
-	if _, err := jobs.Setup(db); err != nil {
+	if _, err := realm.Setup(db, jobs.RealmInfo()); err != nil {
 		t.Fatal(err)
 	}
-	if err := alloc.Setup(db); err != nil {
+	if _, err := realm.Setup(db, alloc.RealmInfo()); err != nil {
 		t.Fatal(err)
 	}
-	if err := alloc.Setup(db); err != nil {
+	if _, err := realm.Setup(db, alloc.RealmInfo()); err != nil {
 		t.Fatalf("setup not idempotent: %v", err)
 	}
 	eng, err := aggregate.New(db, nil)
@@ -159,7 +160,7 @@ func TestChargeWithoutSetup(t *testing.T) {
 	if _, err := p.ChargeAllocations(); err == nil {
 		t.Error("expected error without realm setup")
 	}
-	jobs.Setup(db)
+	realm.Setup(db, jobs.RealmInfo())
 	if _, err := p.ChargeAllocations(); err == nil {
 		t.Error("expected error without alloc setup")
 	}

@@ -182,6 +182,7 @@ func RealmInfo() realm.Info {
 	return realm.Info{
 		Name:       "Cloud",
 		Schema:     SchemaName,
+		Tables:     []warehouse.TableDef{EventDef(), SessionDef()},
 		FactTable:  SessionTable,
 		TimeColumn: "end_time",
 		Metrics: []realm.Metric{
@@ -205,22 +206,6 @@ func RealmInfo() realm.Info {
 	}
 }
 
-// Setup creates the realm's schema and tables.
-func Setup(db *warehouse.DB) error {
-	s := db.EnsureSchema(SchemaName)
-	if _, err := s.EnsureTable(EventDef()); err != nil {
-		return err
-	}
-	_, err := s.EnsureTable(SessionDef())
-	return err
-}
-
-// monthKey returns the YYYYMM key of t.
-func monthKey(t time.Time) int64 {
-	t = t.UTC()
-	return int64(t.Year())*100 + int64(t.Month())
-}
-
 // EventRow converts a VM lifecycle event into a positional
 // cloud_events row (EventDef column order).
 func EventRow(e Event) []any {
@@ -239,6 +224,6 @@ func SessionValues(s Session, seq int) []any {
 		s.VMID, s.Resource, s.User, s.Project, s.InstanceType,
 		s.Cores, s.MemoryGB, s.DiskGB,
 		s.Start, s.End, s.Wall().Hours(), s.CoreHours(),
-		s.Ended, s.Terminated, monthKey(s.End),
+		s.Ended, s.Terminated, realm.MonthKey(s.End),
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"xdmodfed/internal/realm"
 	"xdmodfed/internal/warehouse"
 )
 
@@ -190,10 +191,10 @@ func TestMultipleVMsIndependent(t *testing.T) {
 
 func TestSetupAndSessionRow(t *testing.T) {
 	db := warehouse.Open("c")
-	if err := Setup(db); err != nil {
+	if _, err := realm.Setup(db, RealmInfo()); err != nil {
 		t.Fatal(err)
 	}
-	if err := Setup(db); err != nil {
+	if _, err := realm.Setup(db, RealmInfo()); err != nil {
 		t.Fatalf("setup not idempotent: %v", err)
 	}
 	s := Session{

@@ -86,6 +86,7 @@ func RealmInfo() realm.Info {
 	return realm.Info{
 		Name:       "Gateways",
 		Schema:     SchemaName,
+		Tables:     []warehouse.TableDef{Def()},
 		FactTable:  FactTable,
 		TimeColumn: "submit_time",
 		Metrics: []realm.Metric{
@@ -101,12 +102,6 @@ func RealmInfo() realm.Info {
 	}
 }
 
-// Setup creates the realm's schema and fact table.
-func Setup(db *warehouse.DB) (*warehouse.Table, error) {
-	s := db.EnsureSchema(SchemaName)
-	return s.EnsureTable(Def())
-}
-
 // FactValues returns a submission's fact row. Its cpu_hours and xdsu
 // are denormalized from the Jobs realm's row of the job when jobTab
 // holds one (found), and zero until the accounting record arrives;
@@ -118,8 +113,7 @@ func FactValues(jobTab *warehouse.Table, s Submission) (row []any, found bool) {
 	if jr, ok := jobTab.GetByKey(s.Resource, s.JobID); ok {
 		cpu, xdsu, found = jr.Float(jobs.ColCPUHours), jr.Float(jobs.ColXDSU), true
 	}
-	t := s.Submitted.UTC()
-	return []any{s.Gateway, s.PortalUser, s.Resource, s.JobID, s.Submitted, cpu, xdsu, int64(t.Year())*100 + int64(t.Month())}, found
+	return []any{s.Gateway, s.PortalUser, s.Resource, s.JobID, s.Submitted, cpu, xdsu, realm.MonthKey(s.Submitted)}, found
 }
 
 // CommunityUsers counts distinct portal users per gateway — the

@@ -6,6 +6,7 @@ import (
 
 	"xdmodfed/internal/aggregate"
 	"xdmodfed/internal/ingest"
+	"xdmodfed/internal/realm"
 	"xdmodfed/internal/realm/gateway"
 	"xdmodfed/internal/realm/jobs"
 	"xdmodfed/internal/shredder"
@@ -19,10 +20,10 @@ var subTime = time.Date(2017, 5, 1, 10, 0, 0, 0, time.UTC)
 func setupPipeline(t *testing.T) *ingest.Pipeline {
 	t.Helper()
 	db := warehouse.Open("g")
-	if _, err := jobs.Setup(db); err != nil {
+	if _, err := realm.Setup(db, jobs.RealmInfo()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gateway.Setup(db); err != nil {
+	if _, err := realm.Setup(db, gateway.RealmInfo()); err != nil {
 		t.Fatal(err)
 	}
 	eng, err := aggregate.New(db, nil)

@@ -8,7 +8,6 @@ package jobs
 
 import (
 	"fmt"
-	"time"
 
 	"xdmodfed/internal/realm"
 	"xdmodfed/internal/shredder"
@@ -93,6 +92,7 @@ func RealmInfo() realm.Info {
 	return realm.Info{
 		Name:       "Jobs",
 		Schema:     SchemaName,
+		Tables:     []warehouse.TableDef{Def()},
 		FactTable:  FactTable,
 		TimeColumn: ColEnd,
 		Metrics: []realm.Metric{
@@ -113,24 +113,6 @@ func RealmInfo() realm.Info {
 			{ID: DimJobSize, Name: "Job Size", Column: ColCores, Numeric: true},
 		},
 	}
-}
-
-// Setup creates the realm's schema and fact table in the warehouse.
-func Setup(db *warehouse.DB) (*warehouse.Table, error) {
-	s := db.EnsureSchema(SchemaName)
-	return s.EnsureTable(Def())
-}
-
-// DayKey returns the YYYYMMDD integer key of t (UTC).
-func DayKey(t time.Time) int64 {
-	t = t.UTC()
-	return int64(t.Year())*10000 + int64(t.Month())*100 + int64(t.Day())
-}
-
-// MonthKey returns the YYYYMM integer key of t (UTC).
-func MonthKey(t time.Time) int64 {
-	t = t.UTC()
-	return int64(t.Year())*100 + int64(t.Month())
 }
 
 // FactRowFromRecord converts a staging record into a positional
@@ -166,8 +148,8 @@ func FactRowFromRecord(rec shredder.JobRecord, conv *su.Converter) ([]any, error
 		cpuh,
 		xdsu,
 		rec.ExitState,
-		DayKey(rec.End),
-		MonthKey(rec.End),
+		realm.DayKey(rec.End),
+		realm.MonthKey(rec.End),
 	}, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"xdmodfed/internal/realm"
 	"xdmodfed/internal/shredder"
 	"xdmodfed/internal/su"
 	"xdmodfed/internal/warehouse"
@@ -28,16 +29,16 @@ func TestRealmInfoValid(t *testing.T) {
 
 func TestDayMonthKeys(t *testing.T) {
 	ts := time.Date(2017, 11, 3, 23, 59, 0, 0, time.UTC)
-	if got := DayKey(ts); got != 20171103 {
+	if got := realm.DayKey(ts); got != 20171103 {
 		t.Errorf("DayKey = %d", got)
 	}
-	if got := MonthKey(ts); got != 201711 {
+	if got := realm.MonthKey(ts); got != 201711 {
 		t.Errorf("MonthKey = %d", got)
 	}
 	// Non-UTC times normalize to UTC.
 	est := time.FixedZone("EST", -5*3600)
 	ts2 := time.Date(2017, 12, 31, 22, 0, 0, 0, est) // = 2018-01-01 03:00 UTC
-	if got := MonthKey(ts2); got != 201801 {
+	if got := realm.MonthKey(ts2); got != 201801 {
 		t.Errorf("MonthKey across zone = %d, want 201801", got)
 	}
 }
@@ -93,12 +94,12 @@ func TestFactFromRecordInvalid(t *testing.T) {
 
 func TestSetupAndInsert(t *testing.T) {
 	db := warehouse.Open("x")
-	tab, err := Setup(db)
+	tab, err := realm.Setup(db, RealmInfo())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Setup is idempotent.
-	if _, err := Setup(db); err != nil {
+	if _, err := realm.Setup(db, RealmInfo()); err != nil {
 		t.Fatalf("second Setup: %v", err)
 	}
 	row, _ := FactFromRecord(record(), nil)

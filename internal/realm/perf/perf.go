@@ -3,9 +3,10 @@
 // §I-D, §I-E). Each job carries timeseries of nine metrics over its
 // lifetime plus its job script — data the paper calls
 // "storage-intensive and quite detailed" (§II-C5). Because replicating
-// that detail "runs counter to the goal of federation", only the
-// per-job summary table is marked for federation; the raw timeseries
-// and scripts stay on the satellite.
+// that detail "runs counter to the goal of federation", the per-job
+// summary is the realm's fact table and so the one table that
+// federates (realm.Info.Federated); the raw timeseries and scripts stay
+// on the satellite.
 package perf
 
 import (
@@ -88,31 +89,22 @@ func SummaryDef() warehouse.TableDef {
 	}
 }
 
-// Setup creates the realm's schema and all three tables.
-func Setup(db *warehouse.DB) error {
-	s := db.EnsureSchema(SchemaName)
-	for _, def := range []warehouse.TableDef{TimeseriesDef(), ScriptDef(), SummaryDef()} {
-		if _, err := s.EnsureTable(def); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RealmInfo describes the SUPReMM realm over the summary table.
+// RealmInfo describes the SUPReMM realm over the summary table, its
+// fact table and so the one table that federates.
 func RealmInfo() realm.Info {
 	info := realm.Info{
 		Name:       "SUPReMM",
 		Schema:     SchemaName,
+		Tables:     []warehouse.TableDef{TimeseriesDef(), ScriptDef(), SummaryDef()},
 		FactTable:  SummaryTable,
 		TimeColumn: "start_time",
+		Metrics: []realm.Metric{
+			{ID: "job_count", Name: "Number of Jobs Profiled", Unit: "jobs", Func: warehouse.AggCount},
+		},
 		Dimensions: []realm.Dimension{
 			{ID: "resource", Name: "Resource", Column: "resource"},
 		},
 	}
-	info.Metrics = append(info.Metrics, realm.Metric{
-		ID: "job_count", Name: "Number of Jobs Profiled", Unit: "jobs", Func: warehouse.AggCount,
-	})
 	for _, m := range MetricNames {
 		info.Metrics = append(info.Metrics,
 			realm.Metric{ID: "avg_" + m, Name: "Avg " + m, Unit: "value", Func: warehouse.AggAvg, Column: "avg_" + m},
@@ -121,8 +113,3 @@ func RealmInfo() realm.Info {
 	}
 	return info
 }
-
-// FederatedTables lists the realm tables that replicate to a hub: only
-// the summary (paper §II-C5: "we plan to replicate summarized
-// performance data to the federated hub database").
-func FederatedTables() []string { return []string{SummaryTable} }

@@ -3,6 +3,7 @@ package perf
 import (
 	"testing"
 
+	"xdmodfed/internal/realm"
 	"xdmodfed/internal/warehouse"
 )
 
@@ -23,21 +24,18 @@ func TestNineMetrics(t *testing.T) {
 	}
 }
 
-func TestSetupAndFederationSplit(t *testing.T) {
+// TestSetupCreatesEveryTable: realm.Setup makes the three tables the
+// realm declares, and running it again changes nothing. Which of them
+// federates is checked in internal/core (TestRealmCatalogue).
+func TestSetupCreatesEveryTable(t *testing.T) {
 	db := warehouse.Open("p")
-	if err := Setup(db); err != nil {
+	if _, err := realm.Setup(db, RealmInfo()); err != nil {
 		t.Fatal(err)
 	}
-	if err := Setup(db); err != nil {
+	if _, err := realm.Setup(db, RealmInfo()); err != nil {
 		t.Fatalf("setup not idempotent: %v", err)
 	}
 	if got := db.Schema(SchemaName).Tables(); len(got) != 3 {
 		t.Errorf("tables = %v", got)
-	}
-	// Federation split: only the summary federates; the timeseries and
-	// scripts stay on the satellite.
-	fed := FederatedTables()
-	if len(fed) != 1 || fed[0] != SummaryTable {
-		t.Errorf("federated tables = %v", fed)
 	}
 }

@@ -9,8 +9,10 @@ package realm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+	"time"
 
 	"xdmodfed/internal/warehouse"
 )
@@ -47,14 +49,64 @@ type Dimension struct {
 	Numeric bool
 }
 
-// Info is the static description of one realm.
+// DayKey returns the YYYYMMDD integer key of t (UTC), the day column a
+// realm's facts carry.
+func DayKey(t time.Time) int64 {
+	t = t.UTC()
+	return int64(t.Year())*10000 + int64(t.Month())*100 + int64(t.Day())
+}
+
+// MonthKey returns the YYYYMM integer key of t (UTC), the month column
+// a realm's facts carry.
+func MonthKey(t time.Time) int64 {
+	t = t.UTC()
+	return int64(t.Year())*100 + int64(t.Month())
+}
+
+// Info is the whole declaration of one realm: the tables Setup creates,
+// the fact table among them that the realm charts and federates, and
+// its metrics and dimensions.
 type Info struct {
-	Name       string // e.g. "Jobs", "Cloud", "Storage", "SUPReMM"
-	Schema     string // warehouse schema holding the realm's tables
-	FactTable  string // primary fact table
-	TimeColumn string // fact column used for time bucketing
+	Name       string               // e.g. "Jobs", "Cloud", "Storage", "SUPReMM"
+	Schema     string               // warehouse schema holding the realm's tables
+	Tables     []warehouse.TableDef // every table of the realm, in creation order
+	FactTable  string               // primary fact table, one of Tables
+	TimeColumn string               // fact column used for time bucketing
+	Local      bool                 // the facts stay on the instance: nothing federates
 	Metrics    []Metric
 	Dimensions []Dimension
+}
+
+// Federated returns the tables that replicate to a hub, by the one
+// federation rule: a realm federates its fact table unless it is Local.
+// Its other tables (raw events, timeseries, scripts, awards) stay home
+// (paper §II-C5).
+func (i Info) Federated() []string {
+	if i.Local {
+		return nil
+	}
+	return []string{i.FactTable}
+}
+
+// Setup creates the realm's schema and its tables in declaration order,
+// returning the fact table. A table that exists with the same layout is
+// kept (warehouse.Schema.EnsureTable), so Setup can run on every start.
+func Setup(db *warehouse.DB, info Info) (*warehouse.Table, error) {
+	if err := info.Validate(); err != nil {
+		return nil, err
+	}
+	s := db.EnsureSchema(info.Schema)
+	var fact *warehouse.Table
+	for _, def := range info.Tables {
+		tab, err := s.EnsureTable(def)
+		if err != nil {
+			return nil, err
+		}
+		if def.Name == info.FactTable {
+			fact = tab
+		}
+	}
+	return fact, nil
 }
 
 // Metric returns the metric with the given ID.
@@ -85,6 +137,9 @@ func (i Info) Validate() error {
 	}
 	if i.TimeColumn == "" {
 		return fmt.Errorf("realm %s: missing time column", i.Name)
+	}
+	if !slices.ContainsFunc(i.Tables, func(d warehouse.TableDef) bool { return d.Name == i.FactTable }) {
+		return fmt.Errorf("realm %s: fact table %q is not one of its tables", i.Name, i.FactTable)
 	}
 	ids := map[string]bool{}
 	for _, m := range i.Metrics {

@@ -9,6 +9,7 @@ import (
 func sample() Info {
 	return Info{
 		Name: "Test", Schema: "s", FactTable: "f", TimeColumn: "t",
+		Tables: []warehouse.TableDef{{Name: "f"}},
 		Metrics: []Metric{
 			{ID: "m1", Name: "Metric 1", Func: warehouse.AggSum, Column: "c"},
 			{ID: "m2", Name: "Metric 2", Func: warehouse.AggCount},
@@ -28,6 +29,8 @@ func TestInfoValidate(t *testing.T) {
 		func(i *Info) { i.Schema = "" },
 		func(i *Info) { i.FactTable = "" },
 		func(i *Info) { i.TimeColumn = "" },
+		func(i *Info) { i.Tables = nil },                                   // fact table not declared
+		func(i *Info) { i.Tables = []warehouse.TableDef{{Name: "other"}} }, // nor here
 		func(i *Info) { i.Metrics[0].ID = "" },
 		func(i *Info) { i.Metrics[0].Column = "" }, // sum without column
 		func(i *Info) { i.Metrics[1].ID = "m1" },   // duplicate

@@ -155,6 +155,7 @@ func RealmInfo() realm.Info {
 	return realm.Info{
 		Name:       "Storage",
 		Schema:     SchemaName,
+		Tables:     []warehouse.TableDef{Def()},
 		FactTable:  FactTable,
 		TimeColumn: "dt",
 		// Usage metrics use SUM_LAST: within each (user, filesystem)
@@ -180,26 +181,10 @@ func RealmInfo() realm.Info {
 	}
 }
 
-// Setup creates the realm's schema and fact table.
-func Setup(db *warehouse.DB) (*warehouse.Table, error) {
-	s := db.EnsureSchema(SchemaName)
-	return s.EnsureTable(Def())
-}
-
-func dayKey(t time.Time) int64 {
-	t = t.UTC()
-	return int64(t.Year())*10000 + int64(t.Month())*100 + int64(t.Day())
-}
-
-func monthKey(t time.Time) int64 {
-	t = t.UTC()
-	return int64(t.Year())*100 + int64(t.Month())
-}
-
 // Key returns the snapshot's storage_usage primary key values: (resource,
 // user, day).
 func Key(s Snapshot) []any {
-	return []any{s.Resource, s.User, dayKey(s.Timestamp)}
+	return []any{s.Resource, s.User, realm.DayKey(s.Timestamp)}
 }
 
 // FactValues converts a snapshot into a positional storage_usage row
@@ -212,6 +197,6 @@ func FactValues(s Snapshot) []any {
 		s.Resource, s.ResourceType, s.Mountpoint, s.User, s.PI,
 		s.Timestamp, s.FileCount, s.LogicalBytes, s.PhysicalBytes,
 		s.SoftThreshold, s.HardThreshold, s.QuotaUtilization(),
-		dayKey(s.Timestamp), monthKey(s.Timestamp),
+		realm.DayKey(s.Timestamp), realm.MonthKey(s.Timestamp),
 	}
 }

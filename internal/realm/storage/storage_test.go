@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"xdmodfed/internal/realm"
 	"xdmodfed/internal/warehouse"
 )
 
@@ -103,7 +104,7 @@ func TestParseJSONAllOrNothing(t *testing.T) {
 
 func TestFactRowAndSetup(t *testing.T) {
 	db := warehouse.Open("s")
-	tab, err := Setup(db)
+	tab, err := realm.Setup(db, RealmInfo())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -590,7 +590,8 @@ func (s *Sender) Stats() SenderStats {
 }
 
 // ErrHandshakeRejected reports that the connection was refused
-// permanently (version or wire format mismatch, unauthorized instance).
+// permanently (version or wire format mismatch, unauthorized instance,
+// a hub that resumes past this binlog's head).
 var ErrHandshakeRejected = errors.New("replicate: handshake rejected")
 
 // Run connects to the hub and streams until the context is cancelled,
@@ -643,6 +644,14 @@ func (s *Sender) Run(ctx context.Context, hubAddr string) error {
 		// looking at it, and would ack frames whose events it cannot see.
 		return fmt.Errorf("%w: wire format mismatch: this build speaks replication wire format %d, the hub's speaks %d "+
 			"(upgrade the hub and its satellites together)", ErrHandshakeRejected, wireFormat, ha.Wire)
+	}
+	if head := s.DB.Binlog().Last(); ha.Resume > head {
+		// The hub holds LSNs this binlog does not: a WAL that ended
+		// below what the hub acknowledged, or a restart that numbers
+		// LSNs from 1 again. The next writes would reuse LSNs the hub
+		// already holds, and it would never see them.
+		return fmt.Errorf("%w: the hub resumes at LSN %d but this binlog ends at LSN %d "+
+			"(the satellite lost events the hub holds; resync the member)", ErrHandshakeRejected, ha.Resume, head)
 	}
 	conn.SetDeadline(time.Time{}) // handshake done; per-frame deadlines below
 	hb := ha.Heartbeat
@@ -877,13 +886,10 @@ func (s *Sender) Run(ctx context.Context, hubAddr string) error {
 
 // setLag publishes the replication-lag gauge: how many binlog events
 // the satellite holds beyond the hub's last acknowledged position. A
-// caught-up route reads 0.
+// caught-up route reads 0. The hub never acks past the head: Run
+// refuses a hub that resumes beyond it.
 func (s *Sender) setLag(lag *obs.Gauge, acked uint64) {
-	head := s.DB.Binlog().Last()
-	if head < acked {
-		head = acked // rewriter skipped past the retained head
-	}
-	lag.Set(float64(head - acked))
+	lag.Set(float64(s.DB.Binlog().Last() - acked))
 }
 
 // Retry backoff bounds for RunWithRetry.

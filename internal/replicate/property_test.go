@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"xdmodfed/internal/realm"
 	"xdmodfed/internal/realm/jobs"
 	"xdmodfed/internal/warehouse"
 )
@@ -71,7 +72,7 @@ func TestPropertyPumpEquivalentToSnapshot(t *testing.T) {
 	f := func(seed int64, nOps uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		sat := warehouse.Open("sat")
-		if _, err := jobs.Setup(sat); err != nil {
+		if _, err := realm.Setup(sat, jobs.RealmInfo()); err != nil {
 			return false
 		}
 		tab, _ := sat.TableIn(jobs.SchemaName, jobs.FactTable)

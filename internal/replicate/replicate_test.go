@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"xdmodfed/internal/realm"
 	"xdmodfed/internal/realm/jobs"
 	"xdmodfed/internal/shredder"
 	"xdmodfed/internal/warehouse"
@@ -16,7 +18,7 @@ import (
 func satelliteWithJobs(t testing.TB, name string, n int) *warehouse.DB {
 	t.Helper()
 	db := warehouse.Open(name)
-	if _, err := jobs.Setup(db); err != nil {
+	if _, err := realm.Setup(db, jobs.RealmInfo()); err != nil {
 		t.Fatal(err)
 	}
 	base := time.Date(2017, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -338,6 +340,39 @@ func TestVersionMismatchRejected(t *testing.T) {
 	err = sender.Run(context.Background(), addr)
 	if !errors.Is(err, ErrHandshakeRejected) {
 		t.Errorf("got %v, want handshake rejection", err)
+	}
+}
+
+// TestSenderRefusesHubAheadOfBinlog: a hub that resumes past the
+// satellite's binlog head holds LSNs the satellite no longer has (a WAL
+// that ended below what the hub acknowledged, or a restart numbering
+// LSNs from 1 again). The satellite's next writes would reuse those
+// LSNs and never reach the hub, so the sender refuses the handshake,
+// naming both positions, instead of waiting for LSNs past the hub's.
+func TestSenderRefusesHubAheadOfBinlog(t *testing.T) {
+	sat := satelliteWithJobs(t, "ccr", 3)
+	head := sat.Binlog().Last()
+	sink, _ := newTestSink(t)
+	if err := sink.ps.Set("ccr", head+5); err != nil {
+		t.Fatal(err)
+	}
+	recv := &Receiver{Version: "v1", Sink: sink}
+	addr, err := recv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	sender := &Sender{Instance: "ccr", Version: "v1", DB: sat, Rewriter: NewRewriter("ccr", Filter{})}
+	err = sender.Run(ctx, addr)
+	if !errors.Is(err, ErrHandshakeRejected) {
+		t.Fatalf("Run against a hub ahead of the binlog: got %v, want a handshake rejection", err)
+	}
+	for _, lsn := range []uint64{head + 5, head} {
+		if !strings.Contains(err.Error(), fmt.Sprintf("LSN %d", lsn)) {
+			t.Errorf("rejection %q does not name LSN %d", err, lsn)
+		}
 	}
 }
 

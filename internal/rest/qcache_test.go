@@ -12,6 +12,7 @@ import (
 	"xdmodfed/internal/auth"
 	"xdmodfed/internal/config"
 	"xdmodfed/internal/core"
+	"xdmodfed/internal/realm"
 	"xdmodfed/internal/realm/cloud"
 	"xdmodfed/internal/realm/jobs"
 	"xdmodfed/internal/replicate"
@@ -64,7 +65,7 @@ func TestChartNeverStaleAfterApply(t *testing.T) {
 	// The feeder warehouse stands in for a satellite: inserts go to its
 	// binlog, and applyNext ships them to the hub like a tight sender.
 	sat := warehouse.Open("qsat")
-	if _, err := jobs.Setup(sat); err != nil {
+	if _, err := realm.Setup(sat, jobs.RealmInfo()); err != nil {
 		t.Fatal(err)
 	}
 	rw := replicate.NewRewriter("sat", replicate.Filter{})

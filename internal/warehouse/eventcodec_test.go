@@ -311,13 +311,13 @@ func TestEventCodecRoundTripIsExact(t *testing.T) {
 func ingestedBinlogs(t testing.TB) (live, restored []warehouse.Event) {
 	t.Helper()
 	db := warehouse.Open("sat")
-	if _, err := jobs.Setup(db); err != nil {
+	if _, err := realm.Setup(db, jobs.RealmInfo()); err != nil {
 		t.Fatal(err)
 	}
-	if err := cloud.Setup(db); err != nil {
+	if _, err := realm.Setup(db, cloud.RealmInfo()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := storage.Setup(db); err != nil {
+	if _, err := realm.Setup(db, storage.RealmInfo()); err != nil {
 		t.Fatal(err)
 	}
 	eng, err := aggregate.New(db, nil)

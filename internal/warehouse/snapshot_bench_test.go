@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"xdmodfed/internal/realm"
 	"xdmodfed/internal/realm/jobs"
 	"xdmodfed/internal/shredder"
 	"xdmodfed/internal/warehouse"
@@ -16,7 +17,7 @@ import (
 func snapshotFixture(b *testing.B, n int) *warehouse.DB {
 	b.Helper()
 	db := warehouse.Open("sat")
-	if _, err := jobs.Setup(db); err != nil {
+	if _, err := realm.Setup(db, jobs.RealmInfo()); err != nil {
 		b.Fatal(err)
 	}
 	base := time.Date(2017, 1, 1, 0, 0, 0, 0, time.UTC)

@@ -9,9 +9,6 @@ import (
 
 	"xdmodfed/internal/config"
 	"xdmodfed/internal/core"
-	"xdmodfed/internal/realm/alloc"
-	"xdmodfed/internal/realm/gateway"
-	"xdmodfed/internal/realm/perf"
 	"xdmodfed/internal/warehouse"
 	"xdmodfed/internal/workload"
 )
@@ -30,12 +27,6 @@ func realmSnapshots(t testing.TB) [][]byte {
 		t.Fatal(err)
 	}
 	db := sat.DB
-	for _, setup := range []func(*warehouse.DB) error{alloc.Setup, perf.Setup,
-		func(db *warehouse.DB) error { _, err := gateway.Setup(db); return err }} {
-		if err := setup(db); err != nil {
-			t.Fatal(err)
-		}
-	}
 	recs := workload.GenerateJobs(workload.XSEDE2017Models()[0], 10, 3)[:30]
 	for i := range recs {
 		recs[i].Resource = "r"

@@ -250,6 +250,86 @@ func TestAggregateStateStaysInTheEngine(t *testing.T) {
 	}
 }
 
+// TestRealmsAreListedOnce: a realm is declared once, in its package's
+// RealmInfo, and every instance is built from one list of the realms,
+// in internal/core. No program file under internal/ outside
+// internal/realm/... calls a realm package's RealmInfo, except as an
+// element of that list, the one composite literal in internal/core
+// that holds such calls; everything else reads a realm as the instance
+// set it up (Registry.Get, aggregate.Engine.Realm). The check is
+// syntactic. bench/ is a module of its own and is not checked.
+func TestRealmsAreListedOnce(t *testing.T) {
+	fset := token.NewFileSet()
+	var lists []string // the composite literals in internal/core holding RealmInfo calls
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == filepath.Join("internal", "realm") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		realmPkgs := map[string]bool{} // the file's names for realm packages
+		for _, imp := range f.Imports {
+			ip, _ := strconv.Unquote(imp.Path.Value)
+			if !strings.HasPrefix(ip, "xdmodfed/internal/realm/") {
+				continue
+			}
+			name := ip[strings.LastIndex(ip, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			realmPkgs[name] = true
+		}
+		realmInfo := func(e ast.Expr) bool {
+			call, ok := e.(*ast.CallExpr)
+			if !ok {
+				return false
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "RealmInfo" {
+				return false
+			}
+			pkg, ok := sel.X.(*ast.Ident)
+			return ok && realmPkgs[pkg.Name]
+		}
+		inCore := filepath.Dir(path) == filepath.Join("internal", "core")
+		listed := map[ast.Expr]bool{}
+		ast.Inspect(f, func(n ast.Node) bool { // a literal is visited before its elements
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				if inCore && slices.ContainsFunc(n.Elts, realmInfo) {
+					lists = append(lists, fset.Position(n.Pos()).String())
+					for _, e := range n.Elts {
+						listed[e] = true
+					}
+				}
+			case *ast.CallExpr:
+				if realmInfo(n) && !listed[n] {
+					t.Errorf("%s: calls a realm package's RealmInfo; read the realm the instance set up (Registry.Get, Engine.Realm)", fset.Position(n.Pos()))
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lists) > 1 {
+		t.Errorf("internal/core lists realms %d times (%s); keep the one list", len(lists), strings.Join(lists, ", "))
+	}
+}
+
 // handFlags is every flag a cmd/ main registers on the command line,
 // by command, sorted. No flag sets a configuration key: a daemon knob
 // lives in the instance file, whose keys TestConfigSurface counts.
