@@ -35,15 +35,17 @@ reach:
 # load racing a tight member and chart readers, and hub-local writes
 # racing a member's batches and rebuilds, among them) and the
 # warehouse's guard that a View captures a table snapshot and the binlog
-# head atomically, and its guard that lock-free readers resolve every
-# string cell while the writer grows the dictionaries, and the key
+# head atomically, its guard that binlog readers waiting on the log see
+# every commit whole and without an LSN gap while writers commit
+# transactions of several blocks, and its guard that lock-free readers
+# resolve every string cell while the writer grows the dictionaries, and the key
 # index's model test (readers probing under View while the writer
 # changes the index), then run ten times over, and the front-door storm
 # (200 concurrent chart requests through a 4-slot admission queue) five
 # times, since a locking bug shows up only in some interleavings.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/replicate/... ./internal/qcache/... ./internal/aggregate/... ./internal/core/... ./internal/rest/... ./internal/warehouse/... ./internal/faults/... ./internal/admission/...
-	$(GO) test -race -count=10 -run '^(TestIncrementalFoldMatchesRebuild|TestConcurrentEnsureAggregatedRebuildsOnce|TestUpdateAndDeleteBatchesLeaveHubClean|TestBatchWaitsForRunningRecompute|TestConcurrentMembersReadersAndRebuilds|TestHubLocalWritesRaceMemberBatchesAndRebuilds|TestLooseLoadRacesTightMemberAndReaders|TestViewCapturesCommitAtomically|TestDictionaryGrowsUnderConcurrentReaders|FuzzKeyIndex)$$' ./internal/core ./internal/warehouse
+	$(GO) test -race -count=10 -run '^(TestIncrementalFoldMatchesRebuild|TestConcurrentEnsureAggregatedRebuildsOnce|TestUpdateAndDeleteBatchesLeaveHubClean|TestBatchWaitsForRunningRecompute|TestConcurrentMembersReadersAndRebuilds|TestHubLocalWritesRaceMemberBatchesAndRebuilds|TestLooseLoadRacesTightMemberAndReaders|TestViewCapturesCommitAtomically|TestWaitNeverSeesPartOfACommit|TestDictionaryGrowsUnderConcurrentReaders|FuzzKeyIndex)$$' ./internal/core ./internal/warehouse
 	$(GO) test -race -count=5 -run '^TestAdmissionStorm$$' ./internal/rest
 
 # Chaos end-to-end: a multi-satellite federation under seeded fault

@@ -478,8 +478,12 @@ func TestIdentityObservation(t *testing.T) {
 		sat.StartFederation(ctx)
 		defer sat.StopFederation()
 	}
+	// The hub observes a batch's identities after the batch commits and
+	// its aggregates refresh, so the wait covers the observation too.
 	waitFor(t, func() bool {
-		return hub.DB.Count("fed_s1", jobs.FactTable) == 4 && hub.DB.Count("fed_s2", jobs.FactTable) == 4
+		_, ok1 := hub.Identity.Resolve(auth.InstanceUser{Instance: "s1", Username: "user0"})
+		_, ok2 := hub.Identity.Resolve(auth.InstanceUser{Instance: "s2", Username: "user0"})
+		return hub.DB.Count("fed_s1", jobs.FactTable) == 4 && hub.DB.Count("fed_s2", jobs.FactTable) == 4 && ok1 && ok2
 	})
 	// user0 exists on both instances; without email evidence they stay
 	// distinct persons (the paper's §II-D4 duplicate case)...

@@ -573,10 +573,14 @@ func (h *Hub) Close() {
 
 // LoadLooseDump batch-loads a loose-federation dump from a registered
 // member ("loose federation", §II-C2). A heterogeneous federation can
-// mix tight and loose members freely. The dump is read whole, and every
-// event is forced into the member's fed_<instance> schema, however the
-// dump names its schemas; then it takes the step a tight batch takes
-// (apply). A dump that does not read touches nothing. A loose load
+// mix tight and loose members freely. The dump is read whole and passed
+// through the rewriter a route would use with every realm's federated
+// tables included (realm.Info.Federated): whether it is a route's dump
+// or the member's whole warehouse, only those tables land, in the
+// member's fed_<instance> schema however the dump names its schemas —
+// never the member's aggregation tables or a local realm's facts. Then
+// it takes the step a tight batch takes (apply). A dump that does not
+// read touches nothing. A loose load
 // replaces whole tables (periodic re-ships supersede earlier ones),
 // which the additive fold cannot express, so Engine.Write marks each
 // realm whose fact table it loads stale for rebuild — also when the
@@ -590,9 +594,13 @@ func (h *Hub) LoadLooseDump(instance string, r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	for i := range evs {
-		evs[i].Schema = replicate.HubSchema(instance)
+	include := map[string]bool{}
+	for _, info := range realms {
+		for _, t := range info.Federated() {
+			include[t] = true
+		}
 	}
+	evs, _ = replicate.NewRewriter(instance, replicate.Filter{IncludeTables: include}).ProcessBatch(evs)
 	return h.apply(instance, evs, 0, true)
 }
 

@@ -11,8 +11,11 @@ import (
 	"testing"
 	"time"
 
+	"xdmodfed/internal/aggregate"
 	"xdmodfed/internal/config"
 	"xdmodfed/internal/obs"
+	"xdmodfed/internal/realm/alloc"
+	"xdmodfed/internal/realm/gateway"
 	"xdmodfed/internal/realm/jobs"
 	"xdmodfed/internal/replicate"
 	"xdmodfed/internal/warehouse"
@@ -302,32 +305,29 @@ func TestLooseLoadFailingPartwayMarksLoadedRealmsDirty(t *testing.T) {
 	if err := hub.Register("L"); err != nil {
 		t.Fatal(err)
 	}
-	dump := func() *bytes.Buffer { return snapshotOf(t, sat.DB, jobs.SchemaName) }
+	dump := func(schemas ...string) *bytes.Buffer { return snapshotOf(t, sat.DB, schemas...) }
 
 	ingestJobs(t, sat, "r", 5, time.Hour, 1)
-	if err := hub.LoadLooseDump("L", dump()); err != nil {
+	if err := hub.LoadLooseDump("L", dump(jobs.SchemaName)); err != nil {
 		t.Fatal(err)
 	}
 	if err := hub.EnsureAggregated(); err != nil {
 		t.Fatal(err)
 	}
 
-	// The next dump carries more jobs and a table that sorts after the
-	// fact table and clashes with the hub's table of that name.
+	// The next dump carries more jobs and a federated table that comes
+	// after the fact table (its schema sorts after the Jobs schema) and
+	// clashes with the hub's table of that name.
 	ingestJobs(t, sat, "r", 7, 2*time.Hour, 1000)
-	const clash = "zz_clash"
-	if _, err := sat.DB.EnsureSchema(jobs.SchemaName).EnsureTable(warehouse.TableDef{
-		Name: clash, Columns: []warehouse.Column{{Name: "b", Type: warehouse.TypeString}}}); err != nil {
-		t.Fatal(err)
-	}
+	const clash = gateway.FactTable
 	if _, err := hub.DB.EnsureSchema(replicate.HubSchema("L")).EnsureTable(warehouse.TableDef{
 		Name: clash, Columns: []warehouse.Column{{Name: "a", Type: warehouse.TypeInt}}}); err != nil {
 		t.Fatal(err)
 	}
-	if jobs.FactTable >= clash {
-		t.Fatalf("%q must sort after the fact table %q", clash, jobs.FactTable)
+	if jobs.SchemaName >= gateway.SchemaName {
+		t.Fatalf("schema %q must sort after the Jobs schema %q", gateway.SchemaName, jobs.SchemaName)
 	}
-	if err := hub.LoadLooseDump("L", dump()); err == nil || !strings.Contains(err.Error(), clash) {
+	if err := hub.LoadLooseDump("L", dump(jobs.SchemaName, gateway.SchemaName)); err == nil || !strings.Contains(err.Error(), clash) {
 		t.Fatalf("LoadLooseDump error = %v, want the %s clash", err, clash)
 	}
 	if got := hub.DB.Count(replicate.HubSchema("L"), jobs.FactTable); got != 12 {
@@ -452,20 +452,23 @@ func TestFailedLooseLoadsQuarantineMember(t *testing.T) {
 	if err := hub.Register("L"); err != nil {
 		t.Fatal(err)
 	}
+	// A federated table, so the load reaches it, of another layout on
+	// each side.
+	const clash = gateway.FactTable
 	sat := warehouse.Open("L")
-	if _, err := sat.EnsureSchema(jobs.SchemaName).EnsureTable(warehouse.TableDef{
-		Name: "clash", Columns: []warehouse.Column{{Name: "b", Type: warehouse.TypeString}}}); err != nil {
+	if _, err := sat.EnsureSchema(gateway.SchemaName).EnsureTable(warehouse.TableDef{
+		Name: clash, Columns: []warehouse.Column{{Name: "b", Type: warehouse.TypeString}}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := hub.DB.EnsureSchema(replicate.HubSchema("L")).EnsureTable(warehouse.TableDef{
-		Name: "clash", Columns: []warehouse.Column{{Name: "a", Type: warehouse.TypeInt}}}); err != nil {
+		Name: clash, Columns: []warehouse.Column{{Name: "a", Type: warehouse.TypeInt}}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 2; i++ {
-		if err := hub.LoadLooseDump("L", snapshotOf(t, sat, jobs.SchemaName)); err == nil || !strings.Contains(err.Error(), "clash") {
+		if err := hub.LoadLooseDump("L", snapshotOf(t, sat, gateway.SchemaName)); err == nil || !strings.Contains(err.Error(), clash) {
 			t.Fatalf("load %d: error = %v, want the clash", i, err)
 		}
-		if m := hub.Members()[0]; m.Failures != i || !strings.Contains(m.LastError, "clash") {
+		if m := hub.Members()[0]; m.Failures != i || !strings.Contains(m.LastError, clash) {
 			t.Fatalf("after %d failed loads: failures=%d last error %q", i, m.Failures, m.LastError)
 		}
 	}
@@ -474,5 +477,71 @@ func TestFailedLooseLoadsQuarantineMember(t *testing.T) {
 	ra := retryAfter(t, hub.LoadLooseDump("L", snapshotOf(t, empty, jobs.SchemaName)))
 	if ra.After <= 0 {
 		t.Fatalf("retry-after = %v, want positive", ra.After)
+	}
+}
+
+// TestLooseDumpLandsOnlyFederatedTables: a member's whole warehouse
+// loaded as a loose dump (its -db snapshot) lands only the tables that
+// federate — each realm's fact table — in fed_<instance>: not the
+// member's aggregation tables, and not the local Allocations realm,
+// whose charges the hub would otherwise count as its own.
+func TestLooseDumpLandsOnlyFederatedTables(t *testing.T) {
+	sat, err := NewSatellite(satCfg("s1", []string{"r"}, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestJobs(t, sat, "r", 10, time.Hour, 1)
+	if err := alloc.AddAllocation(sat.DB, alloc.Allocation{Project: "acct", Award: 1e6,
+		Start: time.Date(2017, 1, 1, 0, 0, 0, 0, time.UTC), End: time.Date(2018, 1, 1, 0, 0, 0, 0, time.UTC)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sat.Pipeline.ChargeAllocations(); err != nil {
+		t.Fatal(err)
+	}
+	if n := sat.DB.Count(alloc.SchemaName, alloc.ChargeTable); n != 10 {
+		t.Fatalf("satellite charged %d jobs, want 10", n)
+	}
+	hub, err := NewHub(hubCfg("hub"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hub.Register("s1"); err != nil {
+		t.Fatal(err)
+	}
+	var dump bytes.Buffer
+	if err := sat.DB.Snapshot(&dump); err != nil {
+		t.Fatal(err)
+	}
+	if err := hub.LoadLooseDump("s1", &dump); err != nil {
+		t.Fatal(err)
+	}
+	federated := map[string]bool{}
+	for _, info := range realms {
+		for _, tab := range info.Federated() {
+			federated[tab] = true
+		}
+	}
+	var stray []string
+	for _, tab := range hub.DB.Schema(replicate.HubSchema("s1")).Tables() {
+		if !federated[tab] {
+			stray = append(stray, tab)
+		}
+	}
+	if len(stray) > 0 {
+		t.Errorf("fed_s1 holds %d tables that do not federate: %v", len(stray), stray)
+	}
+	if got := hub.DB.Count(replicate.HubSchema("s1"), jobs.FactTable); got != 10 {
+		t.Errorf("fed_s1 holds %d job facts, want 10", got)
+	}
+	series, err := hub.Query(alloc.RealmInfo().Name, aggregate.Request{MetricID: alloc.MetricChargeJob, Period: aggregate.Year})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range series {
+		for _, p := range s.Points {
+			if p.Value != 0 {
+				t.Errorf("hub charts the member's allocation charges: %s %d = %v", s.Group, p.PeriodKey, p.Value)
+			}
+		}
 	}
 }

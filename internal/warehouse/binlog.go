@@ -1,8 +1,10 @@
 package warehouse
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 )
@@ -79,16 +81,41 @@ type Event struct {
 }
 
 // Binlog is an in-memory, append-only ordered log of events with
-// support for blocking tails. Events below the low-water mark (set by
-// Trim) are discarded; readers that fall behind a trim receive
+// support for blocking tails. It keeps its events coded, not boxed: a
+// commit's events are coded once with AppendEvents into blocks of at
+// most maxBlockEvents, which the WAL writer copies to disk as they are
+// and readers decode. Events below the low-water mark (set by Trim) are
+// discarded; readers that fall behind a trim receive
 // ErrPositionTrimmed.
 type Binlog struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	events []Event
-	first  uint64      // LSN of events[0]; next LSN is first+len(events)
-	notes  []traceNote // recent trace-context marks, oldest first
+	mu   sync.Mutex
+	cond *sync.Cond
+	// blocks are the retained blocks in LSN order. An append adds an
+	// element and never changes one, and Trim installs a new slice, so
+	// a reader may keep a sub-slice after it lets go of mu.
+	blocks  []block
+	first   uint64      // LSN of the first retained event
+	next    uint64      // LSN of the next appended event
+	scratch []byte      // coding buffer, reused; blocks hold exact-size copies
+	notes   []traceNote // recent trace-context marks, oldest first
 }
+
+// maxBlockEvents caps the events of one block. It is the replication
+// sender's default batch, so a sender keeping up reads a block at a
+// time.
+const maxBlockEvents = 512
+
+// block is a run of one commit's consecutive events: one
+// self-contained AppendEvents buffer, clipped to its size and never
+// modified once appended.
+type block struct {
+	first uint64 // LSN of its first event
+	n     int    // number of events
+	buf   []byte
+}
+
+// last returns the LSN of the block's last event.
+func (k *block) last() uint64 { return k.first + uint64(k.n) - 1 }
 
 // traceNote associates a trace context (wire-form traceparent) with
 // the binlog position it produced, so the replication sender can
@@ -108,68 +135,135 @@ var ErrPositionTrimmed = fmt.Errorf("warehouse: binlog position has been trimmed
 
 // NewBinlog creates an empty binlog whose first event will have LSN 1.
 func NewBinlog() *Binlog {
-	b := &Binlog{first: 1}
+	b := &Binlog{first: 1, next: 1}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
 
-// Append adds an event, assigns its LSN, and wakes blocked readers.
+// Append adds an event as a commit of its own, assigns its LSN, and
+// wakes blocked readers.
 func (b *Binlog) Append(ev Event) uint64 {
-	mBinlogEvents.Inc()
+	evs := []Event{ev}
+	b.appendCommit(evs)
+	return evs[0].LSN
+}
+
+// appendCommit appends the events of one commit: it numbers them from
+// the next LSN and gives those without a time the commit's, in place,
+// codes them in blocks of at most maxBlockEvents, and wakes blocked
+// readers once the whole commit is visible.
+func (b *Binlog) appendCommit(evs []Event) {
+	if len(evs) == 0 {
+		return
+	}
+	now := time.Now().UTC()
+	mBinlogEvents.Add(uint64(len(evs)))
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	ev.LSN = b.first + uint64(len(b.events))
-	if ev.Time.IsZero() {
-		ev.Time = time.Now().UTC()
+	for i := range evs {
+		evs[i].LSN = b.next + uint64(i)
+		if evs[i].Time.IsZero() {
+			evs[i].Time = now
+		}
 	}
-	b.events = append(b.events, ev)
+	for len(evs) > 0 {
+		n := min(len(evs), maxBlockEvents)
+		b.scratch = AppendEvents(b.scratch[:0], evs[:n])
+		b.blocks = append(b.blocks, block{first: evs[0].LSN, n: n, buf: bytes.Clone(b.scratch)})
+		b.next += uint64(n)
+		evs = evs[n:]
+	}
+	if cap(b.scratch) > 1<<20 {
+		b.scratch = nil // a LOAD's buffer: do not keep it
+	}
 	b.cond.Broadcast()
-	return ev.LSN
 }
 
 // Last returns the LSN of the most recent event (0 when empty).
 func (b *Binlog) Last() uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.first + uint64(len(b.events)) - 1
+	return b.next - 1
 }
 
 // Len returns the number of retained events.
 func (b *Binlog) Len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.events)
+	return int(b.next - b.first)
 }
 
-// ReadFrom returns up to max events with LSN > pos without blocking.
+// ReadFrom returns up to max events with LSN > pos without blocking
+// (every retained one when max <= 0).
 func (b *Binlog) ReadFrom(pos uint64, max int) ([]Event, error) {
+	blks, err := b.span(pos, max)
+	if err != nil || len(blks) == 0 {
+		return nil, err
+	}
+	return decodeSpan(blks, pos, max)
+}
+
+// span returns the blocks that hold the first max events past pos
+// (every retained one when max <= 0), without blocking.
+func (b *Binlog) span(pos uint64, max int) ([]block, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.readLocked(pos, max)
+	return b.spanLocked(pos, max)
 }
 
-func (b *Binlog) readLocked(pos uint64, max int) ([]Event, error) {
+func (b *Binlog) spanLocked(pos uint64, max int) ([]block, error) {
 	if pos+1 < b.first {
 		return nil, ErrPositionTrimmed
 	}
-	start := int(pos + 1 - b.first)
-	if start >= len(b.events) {
-		return nil, nil
+	i := sort.Search(len(b.blocks), func(i int) bool { return b.blocks[i].last() > pos })
+	j := len(b.blocks)
+	if max > 0 {
+		j = i + sort.Search(j-i, func(k int) bool { return b.blocks[i+k].first > pos+uint64(max) })
 	}
-	end := len(b.events)
-	if max > 0 && start+max < end {
-		end = start + max
+	return b.blocks[i:j:j], nil
+}
+
+// decodeSpan decodes the first max events past pos (all when max <= 0)
+// out of blks, which span returned for pos and max. Only the events of
+// the first block up to pos are decoded and dropped; the last block is
+// decoded no further than max.
+func decodeSpan(blks []block, pos uint64, max int) ([]Event, error) {
+	total := int(blks[len(blks)-1].last() - pos)
+	if max > 0 && total > max {
+		total = max
 	}
-	out := make([]Event, end-start)
-	copy(out, b.events[start:end])
+	out := make([]Event, 0, total)
+	for i := range blks {
+		k := &blks[i]
+		skip := 0
+		if k.first <= pos {
+			skip = int(pos - k.first + 1)
+		}
+		base := len(out)
+		var err error
+		if out, err = decodeBlock(out, k.buf, min(k.n, skip+total-base)); err != nil {
+			return nil, fmt.Errorf("warehouse: binlog block at LSN %d: %w", k.first, err)
+		}
+		if skip > 0 {
+			out = append(out[:base], out[base+skip:]...)
+		}
+	}
 	return out, nil
 }
 
 // Wait blocks until events beyond pos exist (returning up to max of
 // them) or the context is cancelled.
 func (b *Binlog) Wait(ctx context.Context, pos uint64, max int) ([]Event, error) {
-	done := make(chan struct{})
-	defer close(done)
+	blks, err := b.waitSpan(ctx, pos, max)
+	if err != nil {
+		return nil, err
+	}
+	return decodeSpan(blks, pos, max)
+}
+
+// waitSpan is span that blocks until events beyond pos exist or the
+// context is cancelled.
+func (b *Binlog) waitSpan(ctx context.Context, pos uint64, max int) ([]block, error) {
 	stop := context.AfterFunc(ctx, func() {
 		b.mu.Lock()
 		b.cond.Broadcast()
@@ -180,9 +274,9 @@ func (b *Binlog) Wait(ctx context.Context, pos uint64, max int) ([]Event, error)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for {
-		evs, err := b.readLocked(pos, max)
-		if err != nil || len(evs) > 0 {
-			return evs, err
+		blks, err := b.spanLocked(pos, max)
+		if err != nil || len(blks) > 0 {
+			return blks, err
 		}
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
@@ -201,7 +295,7 @@ func (b *Binlog) NoteTrace(tp string) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	last := b.first + uint64(len(b.events)) - 1
+	last := b.next - 1
 	if last == 0 {
 		return // nothing appended yet; nothing to attribute
 	}
@@ -232,19 +326,22 @@ func (b *Binlog) TraceBetween(from, upTo uint64) string {
 	return ""
 }
 
-// Trim discards events with LSN <= upTo, freeing memory once all
-// replicas have acknowledged past that position.
+// Trim discards the blocks whose events all have LSN <= upTo, freeing
+// memory once all replicas have acknowledged past that position. A
+// block holding upTo and later events stays whole, so reads from
+// positions inside it still succeed.
 func (b *Binlog) Trim(upTo uint64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if upTo+1 <= b.first {
+	i := sort.Search(len(b.blocks), func(i int) bool { return b.blocks[i].last() > upTo })
+	if i == 0 {
 		return
 	}
-	n := int(upTo + 1 - b.first)
-	if n > len(b.events) {
-		n = len(b.events)
+	first := b.next
+	if i < len(b.blocks) {
+		first = b.blocks[i].first
 	}
-	b.events = append([]Event(nil), b.events[n:]...)
-	b.first += uint64(n)
-	mBinlogTrims.Add(uint64(n))
+	mBinlogTrims.Add(first - b.first)
+	b.blocks = append([]block(nil), b.blocks[i:]...)
+	b.first = first
 }

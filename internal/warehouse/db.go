@@ -38,6 +38,11 @@ type DB struct {
 	// recording is set while a transaction that keeps a Record runs
 	// (Write); guarded by mu.
 	recording bool
+	// inTxn is set while a write transaction runs, and pending collects
+	// its binlog events, which commit appends as one commit (guarded by
+	// mu). DDL outside a transaction is a commit of its own.
+	inTxn   bool
+	pending []Event
 
 	// epoch is the root of the warehouse generation counter for the
 	// query-result cache (internal/qcache). Commits bump the touched
@@ -124,17 +129,37 @@ func (db *DB) EpochOf(schema string) uint64 {
 	return e
 }
 
+// logEvent logs ev: at the running transaction's commit, or at once
+// outside one. Caller holds mu.
 func (db *DB) logEvent(ev Event) {
-	if db.logging {
+	switch {
+	case !db.logging:
+	case db.inTxn:
+		db.pending = append(db.pending, ev)
+	default:
 		db.binlog.Append(ev)
 	}
 }
 
+// flushLogLocked appends the pending events to the binlog as one
+// commit, after which nothing holds their rows but the Record. Caller
+// holds mu.
+func (db *DB) flushLogLocked() {
+	db.binlog.appendCommit(db.pending)
+	if cap(db.pending) > maxBlockEvents {
+		db.pending = nil // a bulk commit's slice: do not keep it
+		return
+	}
+	clear(db.pending)
+	db.pending = db.pending[:0]
+}
+
 // commitLocked publishes a fresh immutable snapshot for every table the
 // finished transaction touched, then bumps each touched schema's epoch
-// once, and returns the transaction's Record (empty unless it kept
-// one). Must run while holding mu exclusively; after it returns,
-// lock-free readers observe the transaction's effects.
+// once, appends the transaction's events to the binlog, and returns
+// its Record (empty unless it kept one). Must run while holding mu
+// exclusively; after it returns, lock-free readers observe the
+// transaction's effects.
 func (db *DB) commitLocked() (rec Record) {
 	for _, t := range db.dirty {
 		if t.chg != nil {
@@ -153,6 +178,7 @@ func (db *DB) commitLocked() (rec Record) {
 	}
 	clear(db.dirty)
 	db.dirty = db.dirty[:0]
+	db.flushLogLocked()
 	return rec
 }
 

@@ -298,19 +298,36 @@ func DecodeEvents(b []byte) ([]Event, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	evs := make([]Event, 0, min(n, maxEventsHint))
-	var st codecState
-	for ; n > 0; n-- {
-		evs = append(evs, Event{})
-		r.event(&st, &evs[len(evs)-1])
-		if r.err != nil {
-			return nil, r.err
-		}
+	evs, err := r.events(make([]Event, 0, min(n, maxEventsHint)), n)
+	if err != nil {
+		return nil, err
 	}
 	if len(r.b) != 0 {
 		return nil, fmt.Errorf("warehouse: decode events: %d trailing bytes", len(r.b))
 	}
 	return evs, nil
+}
+
+// decodeBlock appends the first n events of a binlog block to dst,
+// leaving the rest undecoded. The block is the binlog's own coding, and
+// n is at most the count the binlog keeps beside it.
+func decodeBlock(dst []Event, b []byte, n int) ([]Event, error) {
+	r := eventReader{b: b}
+	r.uvarint() // the block's event count
+	return r.events(dst, n)
+}
+
+// events decodes the next n events, appending them to dst.
+func (r *eventReader) events(dst []Event, n int) ([]Event, error) {
+	var st codecState
+	for ; n > 0; n-- {
+		dst = append(dst, Event{})
+		r.event(&st, &dst[len(dst)-1])
+		if r.err != nil {
+			return nil, r.err
+		}
+	}
+	return dst, nil
 }
 
 // eventReader consumes a buffer front to back. The first failure

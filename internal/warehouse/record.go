@@ -53,9 +53,9 @@ func (db *DB) txn(record bool, fn func() error) (rec Record, err error) {
 	mTxns.Inc()
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.recording = record
+	db.recording, db.inTxn = record, true
 	defer func() {
-		db.recording = false
+		db.recording, db.inTxn = false, false
 		rec = db.commitLocked()
 	}()
 	return nil, fn()

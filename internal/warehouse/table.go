@@ -351,7 +351,8 @@ func (t *Table) markDirty() {
 }
 
 // logEvent notes a mutation of this table: in the binlog, when the
-// table is logged at all, and in the running transaction's record
+// table is logged at all (DB.logEvent: coded at commit, after which the
+// binlog keeps no boxed row), and in the running transaction's record
 // (Change), when it keeps one — the row an INSERT or UPDATE wrote, the
 // stored row an UPDATE replaced (passed as replaced) or a DELETE
 // removed, or a whole-table mark for a TRUNCATE or LOAD. Sites that
@@ -360,7 +361,7 @@ func (t *Table) markDirty() {
 func (t *Table) logEvent(ev Event, replaced ...[]any) {
 	if t.logged {
 		ev.Schema, ev.Table = t.schema, t.def.Name
-		t.db.binlog.Append(ev)
+		t.db.logEvent(ev)
 	}
 	if !t.recording() || ev.Kind == EvCreateTable {
 		return

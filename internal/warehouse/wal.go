@@ -22,9 +22,11 @@ import (
 //
 //	uvarint(payload length) | CRC32C of payload (4 bytes LE) | payload
 //
-// and a payload is the walBinary tag byte followed by one event in the
-// binary event codec (eventcodec.go) — each record a buffer of its own,
-// so any record decodes without the ones before it. The length prefix
+// and a payload is the walBinary tag byte followed by one binlog block:
+// up to maxBlockEvents consecutive events of one commit in the binary
+// event codec (eventcodec.go), copied as the binlog coded them. Each
+// record is a buffer of its own, so any record decodes without the ones
+// before it; a block is written whole or torn whole. The length prefix
 // allows appending across process restarts, the checksum catches torn
 // or bit-rotted tails, and a length sanity cap stops a corrupt prefix
 // from forcing a huge allocation. Recovery replays events into a fresh
@@ -143,11 +145,11 @@ func OpenLogWriterOpts(db *DB, path string, fromLSN uint64, opts WALOptions) (*L
 func (w *LogWriter) follow(ctx context.Context) {
 	defer w.wg.Done()
 	for {
-		evs, err := w.db.binlog.Wait(ctx, w.Position(), 256)
+		blks, err := w.db.binlog.waitSpan(ctx, w.Position(), walBatch)
 		if err != nil {
 			return // cancelled, or trimmed past us
 		}
-		if err := w.writeEvents(evs); err != nil {
+		if err := w.writeBlocks(blks); err != nil {
 			walLog.Error("wal append failed, writer stopped", "err", err)
 			return
 		}
@@ -174,15 +176,32 @@ func (w *LogWriter) syncLoop(ctx context.Context, interval time.Duration) {
 	}
 }
 
-func (w *LogWriter) writeEvents(evs []Event) error {
+// walBatch is how many events the writer takes from the binlog per
+// write (and fsync, under FsyncAlways): whole blocks, up to this many.
+const walBatch = 4 * maxBlockEvents
+
+// writeBlocks appends one record per block. A block the file already
+// holds in part — a writer opened at a position inside one — is coded
+// again from its first event past that position.
+func (w *LogWriter) writeBlocks(blks []block) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var written uint64
-	for i := range evs {
-		// The payload is encoded behind a gap the length prefix and the
+	for i := range blks {
+		k := &blks[i]
+		// The payload goes behind a gap the length prefix and the
 		// checksum are then written into, right-aligned.
 		rec := append(w.rec[:0], make([]byte, walMaxPrefix)...)
-		rec = AppendEvents(append(rec, walBinary), evs[i:i+1])
+		rec = append(rec, walBinary)
+		if k.first <= w.pos {
+			evs, err := decodeSpan(blks[i:i+1], w.pos, 0)
+			if err != nil {
+				return err
+			}
+			rec = AppendEvents(rec, evs)
+		} else {
+			rec = append(rec, k.buf...)
+		}
 		w.rec = rec
 		payload := rec[walMaxPrefix:]
 		var lenBuf [binary.MaxVarintLen64]byte
@@ -200,7 +219,7 @@ func (w *LogWriter) writeEvents(evs []Event) error {
 		}
 		written += uint64(len(rec))
 		w.dirty = true
-		w.pos = evs[i].LSN
+		w.pos = k.last()
 	}
 	mWALBytes.Add(written)
 	if w.policy == FsyncAlways {
@@ -245,11 +264,11 @@ func (w *LogWriter) Close() error {
 	firstErr := w.err
 	w.mu.Unlock()
 	for {
-		evs, err := w.db.binlog.ReadFrom(w.Position(), 1024)
-		if err != nil || len(evs) == 0 {
+		blks, err := w.db.binlog.span(w.Position(), walBatch)
+		if err != nil || len(blks) == 0 {
 			break
 		}
-		if err := w.writeEvents(evs); err != nil {
+		if err := w.writeBlocks(blks); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -306,12 +325,14 @@ func (c *countingByteReader) Read(p []byte) (int, error) {
 // naming the offset is returned. An apply error on a valid record is
 // likewise a real fault and is returned.
 //
-// Replay logs every record again as exactly one event — Apply writes
-// an UPDATE equal to the stored row as it reads it, and WALs of earlier
-// builds hold such UPDATEs — so the binlog ends at the WAL's last LSN
-// and the writer resumes the WAL's numbering. A record that applies as
-// no event would leave the head below it; replay refuses that rather
-// than reuse LSNs a hub may already have acknowledged.
+// Replay logs every event of every record again as exactly one event —
+// Apply writes an UPDATE equal to the stored row as it reads it, and
+// WALs of earlier builds hold such UPDATEs — so the binlog ends at the
+// WAL's last LSN and the writer resumes the WAL's numbering. A record
+// may hold one event (what builds before blocks wrote) or a block of
+// many; both replay alike. An event that applies as no event would
+// leave the head below it; replay refuses that rather than reuse LSNs
+// a hub may already have acknowledged.
 func ReplayLog(db *DB, path string) (uint64, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	canTruncate := true

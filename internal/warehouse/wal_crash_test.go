@@ -16,8 +16,8 @@ import (
 )
 
 // writeWALRows opens a WAL on a fresh DB, inserts n rows into
-// schema "s" (job_id 0..n-1), and closes the writer so every record
-// is on disk. Returns the WAL file path.
+// schema "s" (job_id 0..n-1), one commit and so one record each, and
+// closes the writer so every record is on disk.
 func writeWALRows(t *testing.T, path string, n int, opts WALOptions) {
 	t.Helper()
 	db := Open("sat")
@@ -25,20 +25,27 @@ func writeWALRows(t *testing.T, path string, n int, opts WALOptions) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := mustTable(t, db, "s")
-	db.Do(func() error {
-		for i := 0; i < n; i++ {
-			tab.Insert(map[string]any{"job_id": i, "user": "u", "resource": "r", "cores": 1, "wall": 1.0})
-		}
-		return nil
-	})
+	insertEach(t, db, mustTable(t, db, "s"), 0, n)
 	if err := w.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 }
 
+// insertEach inserts rows job_id from..to-1 into tab, one commit each.
+func insertEach(t testing.TB, db *DB, tab *Table, from, to int) {
+	t.Helper()
+	for i := from; i < to; i++ {
+		if err := db.Do(func() error {
+			return tab.Insert(map[string]any{"job_id": i, "user": "u", "resource": "r", "cores": 1, "wall": 1.0})
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestWALCrashRecoveryProperty is the seeded torn-tail property test:
-// write N events, truncate the file at a random byte offset, recover.
+// write N events, one record each, truncate the file at a random byte
+// offset, recover.
 // Whatever the cut point, every record before it survives intact (the
 // recovered rows are exactly a prefix of the inserted ones), recovery
 // truncates the file to the last valid record (so a second recovery
@@ -200,8 +207,8 @@ func TestWALFsyncErrorSurfaces(t *testing.T) {
 // rows before the tear survive deterministically.
 func TestWALShortWriteTornTail(t *testing.T) {
 	reg := faults.New(1)
-	// Records: 1 EnsureSchema + 1 CreateTable + inserts. The 6th
-	// record write (insert #4) tears.
+	// Records: 1 EnsureSchema + 1 CreateTable + one per insert commit.
+	// The 6th record write (insert #4) tears.
 	reg.EnableEvery(faults.WALShortWrite, 6)
 	path := walPath(t)
 	db := Open("sat")
@@ -209,13 +216,7 @@ func TestWALShortWriteTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := mustTable(t, db, "s")
-	db.Do(func() error {
-		for i := 0; i < 8; i++ {
-			tab.Insert(map[string]any{"job_id": i, "user": "u", "resource": "r", "cores": 1, "wall": 1.0})
-		}
-		return nil
-	})
+	insertEach(t, db, mustTable(t, db, "s"), 0, 8)
 	if err := w.Close(); !faults.IsInjected(err) {
 		t.Fatalf("Close = %v, want the injected short-write error surfaced", err)
 	}
@@ -305,8 +306,118 @@ func gobWALRecord(t testing.TB, ev Event) []byte {
 	return walRecord(p.Bytes())
 }
 
+// binaryWALRecord frames one event as a record of its own, as builds
+// before binlog blocks wrote every record.
 func binaryWALRecord(ev Event) []byte {
 	return walRecord(AppendEvents([]byte{walBinary}, []Event{ev}))
+}
+
+// TestWALTearInsideABlockLosesTheBlock: a record holds one block, a
+// commit of many events. A tear anywhere inside it loses all of that
+// block's events and none of the records before it, and the recovered
+// binlog ends at the last LSN the WAL keeps — the LSN its writer goes
+// on from.
+func TestWALTearInsideABlockLosesTheBlock(t *testing.T) {
+	path := walPath(t)
+	db := Open("sat")
+	w, err := OpenLogWriterOpts(db, path, 0, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := mustTable(t, db, "s")
+	insertEach(t, db, tab, 0, 3)
+	const blockRows = 40
+	db.Do(func() error {
+		for i := 100; i < 100+blockRows; i++ {
+			tab.Insert(map[string]any{"job_id": i, "user": "u", "resource": "r", "cores": i, "wall": 1.0})
+		}
+		return nil
+	})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := walValidPrefix(file)
+	if len(ends) != 6 || ends[5] != len(file) { // schema, table, 3 inserts, the block
+		t.Fatalf("WAL holds %d records ending at %v of %d bytes, want 6: the block must be one record", len(ends), ends, len(file))
+	}
+	const wantLast = 5 // schema, table, 3 single inserts
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 20; trial++ {
+		cut := ends[4] + 1 + rng.Intn(ends[5]-ends[4]-1)
+		torn := filepath.Join(t.TempDir(), "torn.wal")
+		if err := os.WriteFile(torn, file[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rec, last, err := recoverDB("sat", torn)
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		if got := rec.Count("s", "jobs"); got != 3 {
+			t.Errorf("cut %d inside the block: recovered %d rows, want the 3 before it", cut, got)
+		}
+		if last != wantLast || rec.Binlog().Last() != last {
+			t.Errorf("cut %d: recovery reported LSN %d, binlog head %d, want both %d", cut, last, rec.Binlog().Last(), wantLast)
+		}
+		if info, _ := os.Stat(torn); info.Size() != int64(ends[4]) {
+			t.Errorf("cut %d: recovery left %d bytes, want the %d before the block", cut, info.Size(), ends[4])
+		}
+	}
+}
+
+// TestReplayLogReadsOneEventRecords: a WAL of one-event records, what
+// builds before binlog blocks wrote, replays to the same state and
+// head as a WAL of blocks holding the same events.
+func TestReplayLogReadsOneEventRecords(t *testing.T) {
+	evs := sampleWALEvents(t)
+	var single []byte
+	for _, ev := range evs {
+		single = append(single, binaryWALRecord(ev)...)
+	}
+	blocks := walPath(t)
+	db := Open("src")
+	w, err := OpenLogWriterOpts(db, blocks, 0, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.ApplyAll(evs); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	singlePath := filepath.Join(t.TempDir(), "single.wal")
+	if err := os.WriteFile(singlePath, single, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fromSingle, lastSingle, err := recoverDB("sat", singlePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromBlocks, lastBlocks, err := recoverDB("sat", blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := evs[len(evs)-1].LSN; lastSingle != want || lastBlocks != want || fromSingle.Binlog().Last() != want {
+		t.Fatalf("replay ends at LSN %d (one-event records, head %d) and %d (blocks), want %d",
+			lastSingle, fromSingle.Binlog().Last(), lastBlocks, want)
+	}
+	var a, b bytes.Buffer
+	if err := fromSingle.Snapshot(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := fromBlocks.Snapshot(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("one-event records and blocks of the same events replay to different states")
+	}
+	if fromSingle.Count("s", "jobs") != 11 {
+		t.Fatalf("replayed %d rows, want 11", fromSingle.Count("s", "jobs"))
+	}
 }
 
 // TestReplayLogRefusesGobRecords: a WAL record without the binary tag
@@ -419,6 +530,8 @@ func FuzzReplayLog(f *testing.F) {
 	f.Add(binaryFile[:len(binaryFile)-7])
 	f.Add(append(append([]byte(nil), gobFile[:len(gobFile)/2]...), binaryFile[len(binaryFile)/3:]...))
 	f.Add(walRecord([]byte{walBinary, 1, 1, 0xff}))
+	f.Add(walRecord(AppendEvents([]byte{walBinary}, evs))) // one block of every event
+	f.Add(append(walRecord(AppendEvents([]byte{walBinary}, evs[:2])), walRecord(AppendEvents([]byte{walBinary}, evs[2:]))...))
 	f.Add([]byte{})
 	path := filepath.Join(f.TempDir(), "fuzz.wal")
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -444,4 +557,44 @@ func FuzzReplayLog(f *testing.F) {
 			t.Fatalf("recovery failed (%v) and still truncated the file from %d to %d bytes", err, len(data), len(after))
 		}
 	})
+}
+
+// TestLogWriterResumesInsideABlock: a writer opened at a position inside
+// a block appends only the block's events past that position, so the
+// file replays every event once.
+func TestLogWriterResumesInsideABlock(t *testing.T) {
+	db := Open("sat")
+	tab := mustTable(t, db, "s") // LSNs 1 and 2
+	db.Do(func() error {         // one block, LSNs 3..12
+		for i := 0; i < 10; i++ {
+			tab.Insert(map[string]any{"job_id": i, "user": "u", "resource": "r", "cores": 1, "wall": 1.0})
+		}
+		return nil
+	})
+	head, err := db.Binlog().ReadFrom(0, 7) // up to LSN 7, inside the block
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file []byte
+	for _, ev := range head {
+		file = append(file, binaryWALRecord(ev)...)
+	}
+	path := walPath(t)
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, err := OpenLogWriterOpts(db, path, 7, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, last, err := recoverDB("sat", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Count("s", "jobs"); got != 10 || last != 12 {
+		t.Fatalf("replayed %d rows up to LSN %d, want 10 up to 12", got, last)
+	}
 }

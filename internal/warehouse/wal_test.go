@@ -149,13 +149,7 @@ func TestRecoverTruncatedTail(t *testing.T) {
 	path := walPath(t)
 	db := Open("sat")
 	w, _ := OpenLogWriterOpts(db, path, 0, WALOptions{})
-	tab := mustTable(t, db, "s")
-	db.Do(func() error {
-		for i := 0; i < 20; i++ {
-			tab.Insert(map[string]any{"job_id": i, "user": "u", "resource": "r", "cores": 1, "wall": 1.0})
-		}
-		return nil
-	})
+	insertEach(t, db, mustTable(t, db, "s"), 0, 20) // a record per row
 	w.Close()
 
 	// Simulate a crash mid-write: chop bytes off the end.
