@@ -33,9 +33,11 @@ reach:
 # bounded queue, concurrency limiter) is raced too — its whole job is
 # concurrent arrival. The hub's fold/rebuild coordination tests (a loose
 # load racing a tight member and chart readers, and hub-local writes
-# racing a member's batches and rebuilds, among them) and the
-# warehouse's guard that a View captures a table snapshot and the binlog
-# head atomically, its guard that binlog readers waiting on the log see
+# racing a member's batches and rebuilds, among them), the hub's guard
+# that a reader never sees a member's fact before its user resolves in
+# the identity map, and the warehouse's guard that a View captures a
+# table snapshot and the binlog head atomically, its guard that binlog
+# readers waiting on the log see
 # every commit whole and without an LSN gap while writers commit
 # transactions of several blocks, and its guard that lock-free readers
 # resolve every string cell while the writer grows the dictionaries, and the key
@@ -45,7 +47,7 @@ reach:
 # times, since a locking bug shows up only in some interleavings.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/replicate/... ./internal/qcache/... ./internal/aggregate/... ./internal/core/... ./internal/rest/... ./internal/warehouse/... ./internal/faults/... ./internal/admission/...
-	$(GO) test -race -count=10 -run '^(TestIncrementalFoldMatchesRebuild|TestConcurrentEnsureAggregatedRebuildsOnce|TestUpdateAndDeleteBatchesLeaveHubClean|TestBatchWaitsForRunningRecompute|TestConcurrentMembersReadersAndRebuilds|TestHubLocalWritesRaceMemberBatchesAndRebuilds|TestLooseLoadRacesTightMemberAndReaders|TestViewCapturesCommitAtomically|TestWaitNeverSeesPartOfACommit|TestDictionaryGrowsUnderConcurrentReaders|FuzzKeyIndex)$$' ./internal/core ./internal/warehouse
+	$(GO) test -race -count=10 -run '^(TestIncrementalFoldMatchesRebuild|TestConcurrentEnsureAggregatedRebuildsOnce|TestUpdateAndDeleteBatchesLeaveHubClean|TestBatchWaitsForRunningRecompute|TestConcurrentMembersReadersAndRebuilds|TestHubLocalWritesRaceMemberBatchesAndRebuilds|TestLooseLoadRacesTightMemberAndReaders|TestIdentityKnownBeforeFactsAreVisible|TestViewCapturesCommitAtomically|TestWaitNeverSeesPartOfACommit|TestDictionaryGrowsUnderConcurrentReaders|FuzzKeyIndex)$$' ./internal/core ./internal/warehouse
 	$(GO) test -race -count=5 -run '^TestAdmissionStorm$$' ./internal/rest
 
 # Chaos end-to-end: a multi-satellite federation under seeded fault

@@ -40,9 +40,7 @@ type chaosSite struct {
 func chaosSatCfg(name, resource string) config.InstanceConfig {
 	return config.InstanceConfig{
 		Name: name, Version: core.Version,
-		Resources: []config.ResourceConfig{{
-			Name: resource, Type: "hpc", Nodes: 10, CoresPerNode: 16, WallLimitH: 50, SUFactor: 1.0,
-		}},
+		Resources: []config.ResourceConfig{{Name: resource, Type: "hpc", SUFactor: 1.0}},
 		AggregationLevels: []config.AggregationLevels{
 			config.InstanceAWallTime(), config.DefaultJobSize(), config.CloudVMMemory(),
 		},

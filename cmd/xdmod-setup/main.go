@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	xdmod-setup -name ccr -org "University at Buffalo" \
+//	xdmod-setup -name ccr \
 //	    -resource rush:hpc:1.0 -resource lakeeffect:cloud \
 //	    -hub hub.example.org:7100 -mode tight \
 //	    -out xdmod.json -hierarchy-out hierarchy.json
@@ -36,7 +36,6 @@ func (r *resourceFlags) Set(v string) error {
 func main() {
 	var (
 		name         = flag.String("name", "", "instance name (required)")
-		org          = flag.String("org", "", "organization name")
 		hubAddr      = flag.String("hub", "", "federation hub replication address for this satellite")
 		mode         = flag.String("mode", "tight", "federation mode: tight or loose")
 		exclude      = flag.String("exclude-resources", "", "comma-separated resources withheld from federation")
@@ -52,11 +51,7 @@ func main() {
 	if *name == "" {
 		fatal(fmt.Errorf("-name is required"))
 	}
-	cfg := config.InstanceConfig{
-		Name:         *name,
-		Version:      core.Version,
-		Organization: *org,
-	}
+	cfg := config.InstanceConfig{Name: *name, Version: core.Version}
 	switch *wallLevels {
 	case "a":
 		cfg.AggregationLevels = append(cfg.AggregationLevels, config.InstanceAWallTime())

@@ -25,7 +25,7 @@ func main() {
 		Name:    "quickstart",
 		Version: core.Version,
 		Resources: []config.ResourceConfig{
-			{Name: "comet", Type: "hpc", Nodes: 72, CoresPerNode: 24, WallLimitH: 48, SUFactor: 0.8},
+			{Name: "comet", Type: "hpc", SUFactor: 0.8},
 		},
 		AggregationLevels: []config.AggregationLevels{
 			config.HubWallTime(), config.DefaultJobSize(),

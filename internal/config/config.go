@@ -74,17 +74,13 @@ func (a AggregationLevels) BucketFor(v float64) string {
 const OverflowBucket = "other"
 
 // ResourceConfig describes one computing resource monitored by an
-// instance: its hardware shape, scheduler wall-time limit, and the
-// HPL-derived XD SU conversion factor.
+// instance: its name, its type and the HPL-derived XD SU conversion
+// factor. Whether its data federates is a route's choice
+// (HubRoute.ExcludeResources), not the resource's.
 type ResourceConfig struct {
-	Name          string  `json:"name"`
-	Type          string  `json:"type"` // "hpc", "cloud", "storage"
-	Nodes         int     `json:"nodes,omitempty"`
-	CoresPerNode  int     `json:"cores_per_node,omitempty"`
-	WallLimitH    float64 `json:"wall_limit_hours,omitempty"`
-	SUFactor      float64 `json:"su_factor,omitempty"` // XD SUs per CPU hour
-	Description   string  `json:"description,omitempty"`
-	SensitiveData bool    `json:"sensitive,omitempty"` // excluded from federation by default
+	Name     string  `json:"name"`
+	Type     string  `json:"type"`                // "hpc", "cloud", "storage"
+	SUFactor float64 `json:"su_factor,omitempty"` // XD SUs per CPU hour
 }
 
 // HubRoute describes one federation destination for this instance's
@@ -336,7 +332,6 @@ type SSOSource struct {
 type InstanceConfig struct {
 	Name              string              `json:"name"`
 	Version           string              `json:"version"`
-	Organization      string              `json:"organization,omitempty"`
 	Resources         []ResourceConfig    `json:"resources,omitempty"`
 	AggregationLevels []AggregationLevels `json:"aggregation_levels,omitempty"`
 	Hubs              []HubRoute          `json:"hubs,omitempty"`

@@ -15,7 +15,7 @@ func validInstance() InstanceConfig {
 		Name:    "ccr",
 		Version: "8.0.0",
 		Resources: []ResourceConfig{
-			{Name: "rush", Type: "hpc", Nodes: 100, CoresPerNode: 32, WallLimitH: 72, SUFactor: 1.0},
+			{Name: "rush", Type: "hpc", SUFactor: 1.0},
 			{Name: "lake-effect", Type: "cloud"},
 			{Name: "isilon", Type: "storage"},
 		},
@@ -155,11 +155,19 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 	// A config file written for a retired knob fails loudly, naming the
 	// key, instead of being silently ignored. The tuning keys that
 	// became constants are retired knobs too; the observability ones are
-	// named by their section, which went as a whole.
+	// named by their section, which went as a whole. So are the keys no
+	// code ever read: a resource marked "sensitive" federated all the
+	// same, since a route's exclude_resources is what withholds one.
 	retired := map[string]string{
-		`{"name":"x","version":"1","aggregation":{"disable_incremental":true}}`: `"aggregation"`,
-		`{"name":"x","version":"1","sharding":{"shards":2}}`:                    `"sharding"`,
-		`{"name":"x","version":"1","storage":{"backend":"disk"}}`:               `"storage"`,
+		`{"name":"x","version":"1","aggregation":{"disable_incremental":true}}`:                    `"aggregation"`,
+		`{"name":"x","version":"1","sharding":{"shards":2}}`:                                       `"sharding"`,
+		`{"name":"x","version":"1","storage":{"backend":"disk"}}`:                                  `"storage"`,
+		`{"name":"x","version":"1","organization":"University at Buffalo"}`:                        `"organization"`,
+		`{"name":"x","version":"1","resources":[{"name":"r","type":"hpc","sensitive":true}]}`:      `"sensitive"`,
+		`{"name":"x","version":"1","resources":[{"name":"r","type":"hpc","nodes":16}]}`:            `"nodes"`,
+		`{"name":"x","version":"1","resources":[{"name":"r","type":"hpc","cores_per_node":16}]}`:   `"cores_per_node"`,
+		`{"name":"x","version":"1","resources":[{"name":"r","type":"hpc","wall_limit_hours":72}]}`: `"wall_limit_hours"`,
+		`{"name":"x","version":"1","resources":[{"name":"r","type":"hpc","description":"c"}]}`:     `"description"`,
 	}
 	for _, key := range []string{
 		"admission.center_burst",

@@ -34,19 +34,13 @@ var configSurface = []string{
 	"hubs[].include_realms",
 	"hubs[].mode",
 	"name",
-	"organization",
 	"query_cache.max_bytes",
 	"replication.heartbeat_interval",
 	"replication.mode",
 	"replication.pushdown_flush_interval",
-	"resources[].cores_per_node",
-	"resources[].description",
 	"resources[].name",
-	"resources[].nodes",
-	"resources[].sensitive",
 	"resources[].su_factor",
 	"resources[].type",
-	"resources[].wall_limit_hours",
 	"sso_sources[].issuer",
 	"sso_sources[].metadata",
 	"sso_sources[].name",

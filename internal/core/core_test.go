@@ -23,9 +23,7 @@ func satCfg(name string, resources []string, hubAddr string) config.InstanceConf
 		},
 	}
 	for _, r := range resources {
-		cfg.Resources = append(cfg.Resources, config.ResourceConfig{
-			Name: r, Type: "hpc", Nodes: 10, CoresPerNode: 16, WallLimitH: 50, SUFactor: 1.0,
-		})
+		cfg.Resources = append(cfg.Resources, config.ResourceConfig{Name: r, Type: "hpc", SUFactor: 1.0})
 	}
 	if hubAddr != "" {
 		cfg.Hubs = []config.HubRoute{{HubAddr: hubAddr, Mode: "tight"}}
@@ -478,12 +476,10 @@ func TestIdentityObservation(t *testing.T) {
 		sat.StartFederation(ctx)
 		defer sat.StopFederation()
 	}
-	// The hub observes a batch's identities after the batch commits and
-	// its aggregates refresh, so the wait covers the observation too.
+	// The hub observes a batch's identities in the transaction that
+	// applies it, so once the facts are visible their users resolve.
 	waitFor(t, func() bool {
-		_, ok1 := hub.Identity.Resolve(auth.InstanceUser{Instance: "s1", Username: "user0"})
-		_, ok2 := hub.Identity.Resolve(auth.InstanceUser{Instance: "s2", Username: "user0"})
-		return hub.DB.Count("fed_s1", jobs.FactTable) == 4 && hub.DB.Count("fed_s2", jobs.FactTable) == 4 && ok1 && ok2
+		return hub.DB.Count("fed_s1", jobs.FactTable) == 4 && hub.DB.Count("fed_s2", jobs.FactTable) == 4
 	})
 	// user0 exists on both instances; without email evidence they stay
 	// distinct persons (the paper's §II-D4 duplicate case)...

@@ -348,11 +348,11 @@ func (h *Hub) ApplyBatch(instance string, upTo uint64, events []warehouse.Event)
 // pays O(batch) instead of O(all facts), updates and deletes recompute
 // the groups they touched, and truncates and bulk loads mark just their
 // realm stale for rebuild — also for the prefix of a batch that fails
-// part-way. Then the commit position advances durably and usernames
-// feed the identity map. When ctx carries the replication frame's trace
-// context, the apply span joins the satellite's trace, so one TraceID
-// covers the ingest commit, the replication send and the hub apply
-// across both processes.
+// part-way. Usernames feed the identity map before the batch's facts
+// become visible; then the commit position advances durably. When ctx
+// carries the replication frame's trace context, the apply span joins
+// the satellite's trace, so one TraceID covers the ingest commit, the
+// replication send and the hub apply across both processes.
 func (h *Hub) ApplyBatchCtx(ctx context.Context, instance string, upTo uint64, events []warehouse.Event) error {
 	_, sp := obs.StartSpan(ctx, "hub.ApplyBatch")
 	sp.SetAttr("instance", instance)
@@ -361,16 +361,16 @@ func (h *Hub) ApplyBatchCtx(ctx context.Context, instance string, upTo uint64, e
 }
 
 // apply is the hub's one apply step for a member's events, a tight
-// batch and a loose dump alike: the quarantine gate, then the events as
-// one write transaction through aggregate.Engine.Write over the realms
-// whose fact tables they touch, which refreshes those realms' aggregates
-// from the transaction's record before it returns (also for the prefix
-// that applied when the batch fails part-way); then identities over the
-// applied prefix, the outcome against the member's circuit breaker, and
-// the member's bookkeeping. A tight batch (loose false) moves the
-// member's commit position to upTo. A loose dump never moves it; it
-// sets the member's mode to "loose" and dates the member by the newest
-// fact it carries.
+// batch and a loose dump alike: the quarantine gate, then the events and
+// the identities they carry as one write transaction through
+// aggregate.Engine.Write over the realms whose fact tables they touch,
+// which refreshes those realms' aggregates from the transaction's record
+// before it returns (also for the prefix that applied when the batch
+// fails part-way); then the outcome against the member's circuit
+// breaker, and the member's bookkeeping. A tight batch (loose false)
+// moves the member's commit position to upTo. A loose dump never moves
+// it; it sets the member's mode to "loose" and dates the member by the
+// newest fact it carries.
 func (h *Hub) apply(instance string, events []warehouse.Event, upTo uint64, loose bool) error {
 	defer mHubBatchSeconds.ObserveSince(time.Now())
 	if err := h.quarantineGate(instance); err != nil {
@@ -388,16 +388,17 @@ func (h *Hub) apply(instance string, events []warehouse.Event, upTo uint64, loos
 	}
 	// The whole batch lands as one write transaction: one lock
 	// acquisition and one columnar-snapshot publish per touched table.
-	// On failure the applied prefix stays applied, and identity
-	// bookkeeping covers exactly that prefix.
+	// On failure the applied prefix stays applied. Identities are
+	// observed inside the transaction, over exactly the applied prefix,
+	// so no reader sees a fact whose user Identity cannot yet resolve.
 	applied := 0
 	_, err := h.Engine.Write(names, func() (err error) {
 		applied, err = h.DB.Apply(events)
+		for _, ev := range events[:applied] {
+			h.observeIdentity(instance, ev)
+		}
 		return err
 	})
-	for _, ev := range events[:applied] {
-		h.observeIdentity(instance, ev)
-	}
 	if err != nil {
 		lsn := uint64(0)
 		if applied < len(events) {
@@ -509,18 +510,20 @@ func (h *Hub) noteApplyFailure(instance string, cause error) {
 // the same human on different instances can be linked (§II-D4). The
 // username offset is resolved from the replicated table's definition —
 // never hardcoded — so a fact-table column reorder cannot silently
-// poison the identity map.
+// poison the identity map. It runs inside apply's write transaction, so
+// it resolves the table through the lock-free catalog (DataFor), which
+// already holds a table the batch created.
 func (h *Hub) observeIdentity(instance string, ev warehouse.Event) {
 	if ev.Table != jobs.FactTable {
 		return
 	}
 	switch ev.Kind {
 	case warehouse.EvInsert:
-		tab, err := h.DB.TableIn(ev.Schema, ev.Table)
+		data, err := h.DB.DataFor(ev.Schema, ev.Table)
 		if err != nil {
 			return
 		}
-		i, ok := tab.ColumnIndex(jobs.ColUser)
+		i, ok := data.ColIndex(jobs.ColUser)
 		if !ok || i >= len(ev.Row) {
 			return
 		}

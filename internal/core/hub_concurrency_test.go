@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"xdmodfed/internal/aggregate"
+	"xdmodfed/internal/auth"
 	"xdmodfed/internal/config"
 	"xdmodfed/internal/realm"
 	"xdmodfed/internal/realm/gateway"
@@ -453,4 +454,90 @@ func TestHubLocalWritesRaceMemberBatchesAndRebuilds(t *testing.T) {
 				round, local, batches, len(served), len(rebuilt))
 		}
 	}
+}
+
+// TestIdentityKnownBeforeFactsAreVisible: the hub observes a batch's
+// usernames in the transaction that applies it, so a reader that sees
+// a member's job fact on the hub can always resolve its user. A member
+// ships many one-job batches, each job with a user the hub has not seen,
+// while a reader polls the replicated fact table and resolves every user
+// it finds.
+func TestIdentityKnownBeforeFactsAreVisible(t *testing.T) {
+	hub, err := NewHub(hubCfg("hub"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hub.Register("s1"); err != nil {
+		t.Fatal(err)
+	}
+	member := warehouse.Open("s1")
+	jobTab, err := realm.Setup(member, jobs.RealmInfo())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batches = 300
+	stop := make(chan struct{})
+	var unresolved atomic.Value
+	var polls atomic.Int64
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			polls.Add(1)
+			tab, err := hub.DB.TableIn("fed_s1", jobs.FactTable)
+			if err != nil {
+				continue // the first batch has not created it yet
+			}
+			hub.DB.View(func() error {
+				tab.Scan(func(r warehouse.Row) bool {
+					user := r.String(jobs.ColUser)
+					if _, ok := hub.Identity.Resolve(auth.InstanceUser{Instance: "s1", Username: user}); !ok {
+						unresolved.CompareAndSwap(nil, user)
+						return false
+					}
+					return true
+				})
+				return nil
+			})
+		}
+	}()
+
+	rw := replicate.NewRewriter("s1", replicate.Filter{})
+	var pos uint64
+	t0 := time.Date(2017, 3, 1, 0, 0, 0, 0, time.UTC)
+	for k := int64(1); k <= batches && unresolved.Load() == nil; k++ {
+		end := t0.Add(time.Duration(k) * time.Hour)
+		row, err := jobs.FactFromRecord(shredder.JobRecord{LocalJobID: k, User: fmt.Sprintf("u%d", k), Account: "a",
+			Resource: "r", Queue: "q", Nodes: 1, Cores: 4, Submit: end.Add(-2 * time.Hour), Start: end.Add(-time.Hour), End: end}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := member.Do(func() error { return jobTab.Upsert(row) }); err != nil {
+			t.Fatal(err)
+		}
+		evs, err := member.Binlog().ReadFrom(pos, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, upTo := rw.ProcessBatch(evs)
+		if err := hub.ApplyBatch("s1", upTo, out); err != nil {
+			t.Fatal(err)
+		}
+		pos = upTo
+	}
+	close(stop)
+	reader.Wait()
+	if user := unresolved.Load(); user != nil {
+		t.Fatalf("a reader saw a fact of user %q on the hub before Identity could resolve it", user)
+	}
+	if n := hub.DB.Count("fed_s1", jobs.FactTable); n != batches {
+		t.Fatalf("hub holds %d facts, want %d", n, batches)
+	}
+	t.Logf("%d polls over %d batches", polls.Load(), batches)
 }

@@ -1,14 +1,11 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"xdmodfed/internal/realm/jobs"
 	"xdmodfed/internal/realm/perf"
-	"xdmodfed/internal/warehouse"
 )
 
 // The Job Viewer: "with XDMoD's Job Viewer, users can probe
@@ -16,9 +13,9 @@ import (
 // scripts, application, and timeseries plots of metrics such as CPU
 // user, flops, parallel file system usage, and memory usage" (paper
 // §IV). JobDetail assembles that view from the Jobs realm (accounting)
-// and the SUPReMM realm (summary, timeseries, script). The detailed
-// parts exist only on the satellite that monitors the resource — the
-// hub deliberately holds summaries only (§II-C5).
+// and the SUPReMM realm (the job's performance summary). The instance
+// keeps no raw timeseries or job scripts: the paper federates only
+// summaries (§II-C5), and nothing here collects the detail.
 
 // JobAccounting is the Jobs-realm view of one job.
 type JobAccounting struct {
@@ -39,25 +36,24 @@ type JobAccounting struct {
 	Exit     string
 }
 
-// JobPerfPoint is one timeseries sample of the nine SUPReMM metrics.
-type JobPerfPoint struct {
-	OffsetSec float64
-	Values    map[string]float64
-}
-
 // JobDetail is the Job Viewer document for one job.
 type JobDetail struct {
 	Accounting  JobAccounting
 	HasPerf     bool
 	AvgMetrics  map[string]float64 // SUPReMM summary averages
 	PeakMetrics map[string]float64
-	Timeseries  []JobPerfPoint // satellite-only detail
-	Script      string         // satellite-only detail
 }
 
-// JobDetail looks up one job by (resource, local job id).
+// JobDetail looks up one job by (resource, local job id): its
+// accounting and, when the job has one, its SUPReMM summary, from one
+// view. Every instance sets both realms up (realm.Setup), so both tables
+// exist; on a hub they hold only its own resources' jobs.
 func (in *Instance) JobDetail(resource string, jobID int64) (*JobDetail, error) {
 	factTab, err := in.DB.TableIn(jobs.SchemaName, jobs.FactTable)
+	if err != nil {
+		return nil, err
+	}
+	sumTab, err := in.DB.TableIn(perf.SchemaName, perf.SummaryTable)
 	if err != nil {
 		return nil, err
 	}
@@ -90,22 +86,6 @@ func (in *Instance) JobDetail(resource string, jobID int64) (*JobDetail, error) 
 			XDSU:     r.Float(jobs.ColXDSU),
 			Exit:     r.String(jobs.ColExit),
 		}}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// The job's SUPReMM summary, timeseries and script, from one view.
-	// Every instance sets the realm up (realm.Setup), so all three
-	// tables exist; on a hub they hold only its own resources' jobs.
-	sumTab, err1 := in.DB.TableIn(perf.SchemaName, perf.SummaryTable)
-	tsTab, err2 := in.DB.TableIn(perf.SchemaName, perf.TimeseriesTable)
-	scTab, err3 := in.DB.TableIn(perf.SchemaName, perf.ScriptTable)
-	if err := errors.Join(err1, err2, err3); err != nil {
-		return nil, err
-	}
-	in.DB.View(func() error {
 		if r, ok := sumTab.GetByKey(resource, jobID); ok {
 			detail.HasPerf = true
 			detail.AvgMetrics = map[string]float64{}
@@ -115,21 +95,10 @@ func (in *Instance) JobDetail(resource string, jobID int64) (*JobDetail, error) 
 				detail.PeakMetrics[m] = r.Float("peak_" + m)
 			}
 		}
-		tsTab.ScanIndex([]string{"resource", "job_id"}, []any{resource, jobID}, func(r warehouse.Row) bool {
-			pt := JobPerfPoint{OffsetSec: r.Float("offset_sec"), Values: map[string]float64{}}
-			for _, m := range perf.MetricNames {
-				pt.Values[m] = r.Float(m)
-			}
-			detail.Timeseries = append(detail.Timeseries, pt)
-			return true
-		})
-		if r, ok := scTab.GetByKey(resource, jobID); ok {
-			detail.Script = r.String("script")
-		}
 		return nil
 	})
-	sort.Slice(detail.Timeseries, func(i, j int) bool {
-		return detail.Timeseries[i].OffsetSec < detail.Timeseries[j].OffsetSec
-	})
+	if err != nil {
+		return nil, err
+	}
 	return detail, nil
 }

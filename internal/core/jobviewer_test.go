@@ -8,22 +8,13 @@ import (
 	"xdmodfed/internal/warehouse"
 )
 
-// storePerfJob writes one job's SUPReMM rows the way a summarizer
-// would: one timeseries row per cpu_user sample, 30 s apart (the other
-// metrics are 0), the job script, and the summary holding each
-// metric's average and peak.
-func storePerfJob(t *testing.T, db *warehouse.DB, resource string, jobID int64, start time.Time, cpuUser []float64, script string) {
+// storePerfJob writes one job's SUPReMM summary the way a summarizer
+// would, from its cpu_user samples: their average and peak (the other
+// metrics are 0).
+func storePerfJob(t *testing.T, db *warehouse.DB, resource string, jobID int64, start time.Time, cpuUser []float64) {
 	t.Helper()
 	var total, peak float64
-	for i, v := range cpuUser {
-		row := map[string]any{"job_id": jobID, "resource": resource, "offset_sec": float64(30 * i)}
-		for _, m := range perf.MetricNames {
-			row[m] = 0.0
-		}
-		row["cpu_user"] = v
-		if err := db.Insert(perf.SchemaName, perf.TimeseriesTable, row); err != nil {
-			t.Fatal(err)
-		}
+	for _, v := range cpuUser {
 		total += v
 		peak = max(peak, v)
 	}
@@ -36,11 +27,6 @@ func storePerfJob(t *testing.T, db *warehouse.DB, resource string, jobID int64, 
 	if err := db.Upsert(perf.SchemaName, perf.SummaryTable, sum); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Upsert(perf.SchemaName, perf.ScriptTable, map[string]any{
-		"job_id": jobID, "resource": resource, "script": script,
-	}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestJobDetail(t *testing.T) {
@@ -50,12 +36,12 @@ func TestJobDetail(t *testing.T) {
 	}
 	ingestJobs(t, sat, "rush", 3, 2*time.Hour, 1)
 
-	// Attach SUPReMM detail to job 2: cpu_user climbs 50..59.
+	// Attach a SUPReMM summary to job 2: cpu_user climbs 50..59.
 	var cpuUser []float64
 	for i := 0; i < 10; i++ {
 		cpuUser = append(cpuUser, float64(50+i))
 	}
-	storePerfJob(t, sat.DB, "rush", 2, time.Date(2017, 3, 1, 0, 0, 0, 0, time.UTC), cpuUser, "#!/bin/bash\nsrun ./md\n")
+	storePerfJob(t, sat.DB, "rush", 2, time.Date(2017, 3, 1, 0, 0, 0, 0, time.UTC), cpuUser)
 
 	detail, err := sat.Instance.JobDetail("rush", 2)
 	if err != nil {
@@ -70,24 +56,13 @@ func TestJobDetail(t *testing.T) {
 	if detail.AvgMetrics["cpu_user"] != 54.5 || detail.PeakMetrics["cpu_user"] != 59 {
 		t.Errorf("summary = avg %g peak %g", detail.AvgMetrics["cpu_user"], detail.PeakMetrics["cpu_user"])
 	}
-	if len(detail.Timeseries) != 10 {
-		t.Fatalf("timeseries points = %d", len(detail.Timeseries))
-	}
-	for i := 1; i < len(detail.Timeseries); i++ {
-		if detail.Timeseries[i].OffsetSec < detail.Timeseries[i-1].OffsetSec {
-			t.Fatal("timeseries not ordered")
-		}
-	}
-	if detail.Script == "" {
-		t.Error("script missing")
-	}
 
 	// A job without perf data still has accounting.
 	plain, err := sat.Instance.JobDetail("rush", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.HasPerf || len(plain.Timeseries) != 0 || plain.Script != "" {
+	if plain.HasPerf || plain.AvgMetrics != nil {
 		t.Errorf("job 1 should have no perf detail: %+v", plain)
 	}
 

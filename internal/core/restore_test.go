@@ -11,9 +11,9 @@ import (
 	"time"
 
 	"xdmodfed/internal/aggregate"
+	"xdmodfed/internal/realm/alloc"
 	"xdmodfed/internal/realm/cloud"
 	"xdmodfed/internal/realm/jobs"
-	"xdmodfed/internal/realm/perf"
 	"xdmodfed/internal/replicate"
 	"xdmodfed/internal/warehouse"
 	"xdmodfed/internal/workload"
@@ -57,7 +57,7 @@ func fedContents(db *warehouse.DB) map[string][]string {
 // xdmod-satellite save their warehouse to their -db file and reload it
 // through RestoreFromHubBackup on the next start. The reload must bring
 // back every table the file holds — the Cloud realm's raw events, the
-// SUPReMM detail tables, not only the federated fact tables — so that
+// Allocations realm's awards, not only the federated fact tables — so that
 // ingesting after the restart ends exactly where one uninterrupted run
 // ends. Before, only the federated tables came back: a VM started
 // before the restart and terminated after it found no start event, and
@@ -87,20 +87,9 @@ func TestOwnSnapshotRestoresEveryTable(t *testing.T) {
 		if _, err := s.Pipeline.IngestCloudEvents(before, cut); err != nil {
 			t.Fatal(err)
 		}
-		def := perf.TimeseriesDef()
 		for i := 0; i < 3; i++ {
-			row := make([]any, len(def.Columns))
-			for c, col := range def.Columns {
-				switch col.Type {
-				case warehouse.TypeInt:
-					row[c] = int64(i + 1)
-				case warehouse.TypeString:
-					row[c] = "r"
-				default:
-					row[c] = float64(10*i + c)
-				}
-			}
-			if err := s.DB.InsertRow(perf.SchemaName, perf.TimeseriesTable, row); err != nil {
+			if err := alloc.AddAllocation(s.DB, alloc.Allocation{Project: fmt.Sprintf("p%d", i), Award: float64(1000 * (i + 1)),
+				Start: time.Date(2017, 1, 1, 0, 0, 0, 0, time.UTC), End: time.Date(2018, 1, 1, 0, 0, 0, 0, time.UTC)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -158,7 +147,7 @@ func TestOwnSnapshotRestoresEveryTable(t *testing.T) {
 	secondHalf(restarted)
 
 	want, got := tableContents(control.DB), tableContents(restarted.DB)
-	for _, table := range []string{cloud.SchemaName + "." + cloud.EventTable, perf.SchemaName + "." + perf.TimeseriesTable} {
+	for _, table := range []string{cloud.SchemaName + "." + cloud.EventTable, alloc.SchemaName + "." + alloc.AwardTable} {
 		if len(want[table]) == 0 {
 			t.Fatalf("control run left %s empty: the test exercises nothing", table)
 		}

@@ -1,12 +1,11 @@
 // Package perf implements the SUPReMM performance realm: job-level
 // performance data collected from system hardware counters (paper
-// §I-D, §I-E). Each job carries timeseries of nine metrics over its
-// lifetime plus its job script — data the paper calls
-// "storage-intensive and quite detailed" (§II-C5). Because replicating
-// that detail "runs counter to the goal of federation", the per-job
-// summary is the realm's fact table and so the one table that
-// federates (realm.Info.Federated); the raw timeseries and scripts stay
-// on the satellite.
+// §I-D, §I-E). The paper calls a job's raw metric timeseries and job
+// script "storage-intensive and quite detailed" and federates only
+// per-job summaries (§II-C5), so the realm declares just the summary:
+// one row per job holding the average and peak of nine metrics. It is
+// the realm's fact table and so the one table that federates
+// (realm.Info.Federated).
 package perf
 
 import (
@@ -14,17 +13,14 @@ import (
 	"xdmodfed/internal/warehouse"
 )
 
-// Warehouse locations. TimeseriesTable and ScriptTable hold the
-// detailed satellite-only data; SummaryTable is the federated form.
+// Warehouse locations.
 const (
-	SchemaName      = "modw_supremm"
-	TimeseriesTable = "job_timeseries"
-	ScriptTable     = "job_scripts"
-	SummaryTable    = "job_summary"
+	SchemaName   = "modw_supremm"
+	SummaryTable = "job_summary"
 )
 
-// MetricNames are the nine per-job timeseries metrics the paper
-// enumerates examples of (CPU user, memory bandwidth, ...).
+// MetricNames are the nine per-job metrics the paper enumerates
+// examples of (CPU user, memory bandwidth, ...).
 var MetricNames = []string{
 	"cpu_user",
 	"cpu_idle",
@@ -37,37 +33,7 @@ var MetricNames = []string{
 	"flops",
 }
 
-// TimeseriesDef returns the raw timeseries table definition.
-func TimeseriesDef() warehouse.TableDef {
-	cols := []warehouse.Column{
-		{Name: "job_id", Type: warehouse.TypeInt},
-		{Name: "resource", Type: warehouse.TypeString},
-		{Name: "offset_sec", Type: warehouse.TypeFloat},
-	}
-	for _, m := range MetricNames {
-		cols = append(cols, warehouse.Column{Name: m, Type: warehouse.TypeFloat})
-	}
-	return warehouse.TableDef{
-		Name:    TimeseriesTable,
-		Columns: cols,
-		Indexes: [][]string{{"resource", "job_id"}},
-	}
-}
-
-// ScriptDef returns the job-script table definition.
-func ScriptDef() warehouse.TableDef {
-	return warehouse.TableDef{
-		Name: ScriptTable,
-		Columns: []warehouse.Column{
-			{Name: "job_id", Type: warehouse.TypeInt},
-			{Name: "resource", Type: warehouse.TypeString},
-			{Name: "script", Type: warehouse.TypeString},
-		},
-		PrimaryKey: []string{"resource", "job_id"},
-	}
-}
-
-// SummaryDef returns the federated summary table definition.
+// SummaryDef returns the summary table definition.
 func SummaryDef() warehouse.TableDef {
 	cols := []warehouse.Column{
 		{Name: "job_id", Type: warehouse.TypeInt},
@@ -89,13 +55,13 @@ func SummaryDef() warehouse.TableDef {
 	}
 }
 
-// RealmInfo describes the SUPReMM realm over the summary table, its
-// fact table and so the one table that federates.
+// RealmInfo describes the SUPReMM realm over its one table, the
+// summary.
 func RealmInfo() realm.Info {
 	info := realm.Info{
 		Name:       "SUPReMM",
 		Schema:     SchemaName,
-		Tables:     []warehouse.TableDef{TimeseriesDef(), ScriptDef(), SummaryDef()},
+		Tables:     []warehouse.TableDef{SummaryDef()},
 		FactTable:  SummaryTable,
 		TimeColumn: "start_time",
 		Metrics: []realm.Metric{

@@ -79,7 +79,7 @@ type Info struct {
 
 // Federated returns the tables that replicate to a hub, by the one
 // federation rule: a realm federates its fact table unless it is Local.
-// Its other tables (raw events, timeseries, scripts, awards) stay home
+// Its other tables (raw cloud events, allocation awards) stay home
 // (paper §II-C5).
 func (i Info) Federated() []string {
 	if i.Local {

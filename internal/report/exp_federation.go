@@ -24,9 +24,7 @@ func satelliteConfig(name string, resources []string, hubAddr string, exclude []
 		},
 	}
 	for _, r := range resources {
-		cfg.Resources = append(cfg.Resources, config.ResourceConfig{
-			Name: r, Type: "hpc", Nodes: 16, CoresPerNode: 16, SUFactor: 1.0,
-		})
+		cfg.Resources = append(cfg.Resources, config.ResourceConfig{Name: r, Type: "hpc", SUFactor: 1.0})
 	}
 	if hubAddr != "" {
 		cfg.Hubs = []config.HubRoute{{HubAddr: hubAddr, Mode: "tight", ExcludeResources: exclude}}

@@ -23,10 +23,7 @@ func xsedeInstanceConfig() config.InstanceConfig {
 		},
 	}
 	for _, m := range workload.XSEDE2017Models() {
-		cfg.Resources = append(cfg.Resources, config.ResourceConfig{
-			Name: m.Name, Type: "hpc", CoresPerNode: m.CoresPerNode,
-			Nodes: m.MaxNodes, SUFactor: m.SUFactor,
-		})
+		cfg.Resources = append(cfg.Resources, config.ResourceConfig{Name: m.Name, Type: "hpc", SUFactor: m.SUFactor})
 	}
 	return cfg
 }

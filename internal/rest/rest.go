@@ -467,9 +467,8 @@ func chartResultBytes(res chartResult) int {
 	return n
 }
 
-// handleJobViewer serves the Job Viewer document for one job:
-// accounting, SUPReMM summary, and (on satellites) the full metric
-// timeseries and job script.
+// handleJobViewer serves the Job Viewer document for one job: its
+// accounting and, when it has one, its SUPReMM summary.
 func (s *Server) handleJobViewer(w http.ResponseWriter, r *http.Request, _ auth.Session) {
 	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 	if err != nil {

@@ -61,7 +61,8 @@ func (td *TableData) Rows() int { return td.rows }
 // Tombstones returns the view's tombstone vector.
 func (td *TableData) Tombstones() []bool { return td.dead }
 
-// ColIndex resolves a column name to its vector position.
+// ColIndex resolves a column name to its vector position, which is
+// also its position in a binlog event's row.
 func (td *TableData) ColIndex(name string) (int, bool) {
 	i, ok := td.lay.colIndex[name]
 	return i, ok

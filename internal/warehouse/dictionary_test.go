@@ -19,7 +19,7 @@ import (
 // published snapshot.
 func stringDicts(t *testing.T, tab *Table, col string) [][]string {
 	t.Helper()
-	ci, ok := tab.ColumnIndex(col)
+	ci, ok := tab.lay.colIndex[col]
 	if !ok {
 		t.Fatalf("no column %q", col)
 	}
@@ -312,8 +312,8 @@ func TestDictionaryGrowsUnderConcurrentReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, _ := tab.ColumnIndex("id")
-	strs, _ := tab.ColumnIndex("s")
+	ids := tab.lay.colIndex["id"]
+	strs := tab.lay.colIndex["s"]
 	value := func(id int64) string { return fmt.Sprintf("value-%d", id) }
 	// Each reader checks whole snapshots until the writer is done, then
 	// one more; the writer waits for a reader's pass every few batches,

@@ -21,7 +21,7 @@ import (
 func realmSnapshots(t testing.TB) [][]byte {
 	t.Helper()
 	sat, err := core.NewSatellite(config.InstanceConfig{Name: "site", Version: core.Version,
-		Resources:         []config.ResourceConfig{{Name: "r", Type: "hpc", Nodes: 10, CoresPerNode: 16, WallLimitH: 50, SUFactor: 1}},
+		Resources:         []config.ResourceConfig{{Name: "r", Type: "hpc", SUFactor: 1}},
 		AggregationLevels: []config.AggregationLevels{config.InstanceAWallTime(), config.CloudVMMemory()}})
 	if err != nil {
 		t.Fatal(err)

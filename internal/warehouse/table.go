@@ -812,14 +812,6 @@ func equalIntSlices(a, b []int) bool {
 	return true
 }
 
-// ColumnIndex returns the position of the named column in the table's
-// row layout, or false when the column does not exist. Consumers of
-// positional binlog event rows use this instead of hardcoding offsets.
-func (t *Table) ColumnIndex(name string) (int, bool) {
-	i, ok := t.lay.colIndex[name]
-	return i, ok
-}
-
 // Columns returns the ordered column names.
 func (t *Table) Columns() []string {
 	names := make([]string, len(t.def.Columns))

@@ -45,7 +45,7 @@ func updateCols(tab *Table, key any, set map[string]any) error {
 	}
 	vals := r.Values()
 	for c, v := range set {
-		i, ok := tab.ColumnIndex(c)
+		i, ok := tab.lay.colIndex[c]
 		if !ok {
 			return fmt.Errorf("no column %q", c)
 		}

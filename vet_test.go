@@ -341,7 +341,7 @@ var handFlags = map[string][]string{
 	"xdmod-ingestor":  {"config", "db", "log-json", "metrics-listen", "pbs", "resource", "slurm", "staging", "storage-json"},
 	"xdmod-report":    {"experiment", "list", "markdown", "scale", "seed", "svg"},
 	"xdmod-satellite": {"admin-pass", "admin-user", "config", "db", "listen", "log-json", "wal"},
-	"xdmod-setup":     {"exclude-resources", "hierarchy-out", "hub", "mode", "name", "org", "out", "realms", "resource", "wall-levels"},
+	"xdmod-setup":     {"exclude-resources", "hierarchy-out", "hub", "mode", "name", "out", "realms", "resource", "wall-levels"},
 	"xdmod-shredder":  {"format", "input", "json", "resource"},
 }
 
