@@ -59,10 +59,9 @@ chaos:
 
 # Native fuzzing of the decoders that read bytes from outside the
 # process: the binary event codec (replication frames, WAL payloads),
-# WAL recovery over whole files, snapshot restore, and the member
-# /metrics bodies the hub's telemetry federator parses. The key index is fuzzed against a
-# model map, since the keys it finds come from ingested data. The chart encoders are fuzzed
-# too, because the bytes they write come from ingested data: the
+# WAL recovery over whole files and snapshot restore. The key index is
+# fuzzed against a model map, since the keys it finds come from
+# ingested data. The chart encoders are fuzzed too, because the bytes they write come from ingested data: the
 # /api/chart JSON body must equal encoding/json's for any strings and
 # finite values, and the SVG must stay legal XML for any text. One
 # target per invocation is a `go test -fuzz` rule. The seed corpora run
@@ -73,7 +72,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayLog$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/warehouse
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreSnapshot$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/warehouse
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyIndex$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/warehouse
-	$(GO) test -run '^$$' -fuzz '^FuzzParseExposition$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzChartJSON$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/rest
 	$(GO) test -run '^$$' -fuzz '^FuzzChartSVG$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/chart
 

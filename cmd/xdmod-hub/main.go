@@ -16,12 +16,11 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
+	"net"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"xdmodfed/internal/auth"
 	"xdmodfed/internal/config"
@@ -104,19 +103,13 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	if hub.Telemetry.Targets() > 0 {
-		go hub.Telemetry.Run(ctx)
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		fatal(err)
 	}
-	srv := rest.NewHTTPServer(*listen, rest.NewHubServer(hub).Handler())
-	go func() {
-		<-ctx.Done()
-		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		srv.Shutdown(sctx)
-	}()
 	fmt.Printf("xdmod-hub %q: REST on %s, replication on %s, %d members\n",
-		cfg.Name, *listen, repAddr, len(hub.Members()))
-	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+		cfg.Name, ln.Addr(), repAddr, len(hub.Members()))
+	if err := rest.Serve(ctx, rest.NewHTTPServer(*listen, rest.NewHubServer(hub).Handler()), ln); err != nil {
 		fatal(err)
 	}
 }

@@ -19,11 +19,10 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
+	"net"
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"xdmodfed/internal/auth"
 	"xdmodfed/internal/config"
@@ -78,24 +77,23 @@ func main() {
 	}
 	defer sat.StopFederation()
 
-	srv := rest.NewHTTPServer(*listen, rest.NewSatelliteServer(sat).Handler())
-	go func() {
-		<-ctx.Done()
-		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		srv.Shutdown(sctx)
-	}()
-	fmt.Printf("xdmod-satellite %q serving on %s (version %s, %d hub routes)\n",
-		cfg.Name, *listen, cfg.Version, len(cfg.Hubs))
-	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
 		fatal(err)
 	}
-
+	fmt.Printf("xdmod-satellite %q serving on %s (version %s, %d hub routes)\n",
+		cfg.Name, ln.Addr(), cfg.Version, len(cfg.Hubs))
+	// Serve returns once the requests in flight at shutdown have
+	// finished, so the snapshot holds every write they acknowledged.
+	serveErr := rest.Serve(ctx, rest.NewHTTPServer(*listen, rest.NewSatelliteServer(sat).Handler()), ln)
 	if *dbPath != "" {
 		if err := sat.DB.SaveFile(*dbPath); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("warehouse saved to %s\n", *dbPath)
+	}
+	if serveErr != nil {
+		fatal(serveErr)
 	}
 }
 

@@ -215,54 +215,6 @@ func (d DurabilityConfig) Validate() error {
 	return nil
 }
 
-// TelemetryMember names one member instance whose /metrics and
-// /healthz a hub scrapes.
-type TelemetryMember struct {
-	Name string `json:"name"`
-	Addr string `json:"addr"` // REST address, "host:port" or full URL
-}
-
-// TelemetryConfig tunes the hub's telemetry federation: scraping each
-// member's /metrics and /healthz and re-exporting them centrally. With
-// no members listed, nothing is scraped.
-type TelemetryConfig struct {
-	// ScrapeInterval paces member telemetry scrapes. Empty uses the
-	// default (15s).
-	ScrapeInterval string `json:"scrape_interval,omitempty"`
-	// Members are the instances to scrape.
-	Members []TelemetryMember `json:"members,omitempty"`
-}
-
-// DefaultScrapeInterval paces member scrapes when scrape_interval is
-// unset.
-const DefaultScrapeInterval = 15 * time.Second
-
-// ScrapeIntervalDuration parses telemetry.scrape_interval.
-func (t TelemetryConfig) ScrapeIntervalDuration() (time.Duration, error) {
-	return parseDuration("telemetry scrape_interval", t.ScrapeInterval, DefaultScrapeInterval)
-}
-
-// Validate checks the telemetry knobs.
-func (t TelemetryConfig) Validate() error {
-	if _, err := t.ScrapeIntervalDuration(); err != nil {
-		return err
-	}
-	seen := map[string]bool{}
-	for _, m := range t.Members {
-		if m.Name == "" {
-			return fmt.Errorf("config: telemetry member missing name")
-		}
-		if m.Addr == "" {
-			return fmt.Errorf("config: telemetry member %q missing addr", m.Name)
-		}
-		if seen[m.Name] {
-			return fmt.Errorf("config: telemetry member %q listed twice", m.Name)
-		}
-		seen[m.Name] = true
-	}
-	return nil
-}
-
 // AdmissionConfig tunes the REST front door's admission controller
 // (internal/admission): layered token-bucket rate limits (per-user,
 // per-center, global), a concurrency cap with a bounded FIFO queue,
@@ -351,9 +303,6 @@ type InstanceConfig struct {
 	// Durability tunes the satellite write-ahead log's fsync policy;
 	// the zero value fsyncs on every batch.
 	Durability DurabilityConfig `json:"durability,omitempty"`
-	// Telemetry configures hub-side scraping of member /metrics and
-	// /healthz; the zero value scrapes nothing.
-	Telemetry TelemetryConfig `json:"telemetry,omitempty"`
 	// Admission configures front-door rate limits, quotas and the
 	// bounded admission queue; the zero value disables admission.
 	Admission AdmissionConfig `json:"admission,omitempty"`
@@ -404,9 +353,6 @@ func (c InstanceConfig) Validate() error {
 		return err
 	}
 	if err := c.Durability.Validate(); err != nil {
-		return err
-	}
-	if err := c.Telemetry.Validate(); err != nil {
 		return err
 	}
 	if err := c.Admission.Validate(); err != nil {

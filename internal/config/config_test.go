@@ -154,10 +154,12 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 	}
 	// A config file written for a retired knob fails loudly, naming the
 	// key, instead of being silently ignored. The tuning keys that
-	// became constants are retired knobs too; the observability ones are
-	// named by their section, which went as a whole. So are the keys no
-	// code ever read: a resource marked "sensitive" federated all the
-	// same, since a route's exclude_resources is what withholds one.
+	// became constants are retired knobs too; the observability and
+	// telemetry ones are named by their section, which went as a whole
+	// (a hub learns about a member only through replication). So are
+	// the keys no code ever read: a resource marked "sensitive"
+	// federated all the same, since a route's exclude_resources is what
+	// withholds one.
 	retired := map[string]string{
 		`{"name":"x","version":"1","aggregation":{"disable_incremental":true}}`:                    `"aggregation"`,
 		`{"name":"x","version":"1","sharding":{"shards":2}}`:                                       `"sharding"`,
@@ -187,11 +189,13 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 		"replication.quarantine_backoff",
 		"replication.quarantine_max_backoff",
 		"replication.quarantine_threshold",
+		"telemetry.members",
+		"telemetry.scrape_interval",
 		"telemetry.scrape_timeout",
 	} {
 		section, leaf, _ := strings.Cut(key, ".")
 		named := leaf
-		if section == "observability" {
+		if section == "observability" || section == "telemetry" {
 			named = section
 		}
 		retired[fmt.Sprintf(`{"name":"x","version":"1",%q:{%q:1}}`, section, leaf)] = strconv.Quote(named)

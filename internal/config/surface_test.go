@@ -45,9 +45,6 @@ var configSurface = []string{
 	"sso_sources[].metadata",
 	"sso_sources[].name",
 	"sso_sources[].secret",
-	"telemetry.members[].addr",
-	"telemetry.members[].name",
-	"telemetry.scrape_interval",
 	"version",
 }
 

@@ -70,12 +70,6 @@ type Hub struct {
 	Positions *replicate.PositionStore
 	Identity  *auth.IdentityMap
 
-	// Telemetry scrapes member /metrics and /healthz endpoints and
-	// re-exports them on the hub (telemetry federation). Always non-nil
-	// on a hub; it scrapes nothing until targets are configured. The
-	// daemon starts its loop with Telemetry.Run.
-	Telemetry *obs.Federator
-
 	// Faults, when set before Listen, injects connection faults on
 	// every replication conn the hub accepts (chaos tests only).
 	Faults *faults.Registry
@@ -123,19 +117,10 @@ func NewHub(cfg config.InstanceConfig) (*Hub, error) {
 	if err != nil {
 		return nil, err
 	}
-	scrapeInterval, err := cfg.Telemetry.ScrapeIntervalDuration()
-	if err != nil {
-		return nil, err
-	}
-	var targets []obs.MemberTarget
-	for _, m := range cfg.Telemetry.Members {
-		targets = append(targets, obs.MemberTarget{Name: m.Name, Addr: m.Addr})
-	}
 	h := &Hub{
 		Instance:      in,
 		Positions:     ps,
 		Identity:      auth.NewIdentityMap(),
-		Telemetry:     obs.NewFederator(targets, scrapeInterval, obs.DefaultScrapeTimeout),
 		now:           time.Now,
 		members:       make(map[string]*Member),
 		factRealms:    make(map[string]realm.Info),

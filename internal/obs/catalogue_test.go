@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -43,28 +44,49 @@ func TestMetricCatalogueIsComplete(t *testing.T) {
 }
 
 // TestMetricCatalogueNamesOnlyLiveFamilies is the reverse guard:
-// every xdmodfed_ name in a table row of docs/observability.md must be
-// a family the linked packages register, so a deleted or renamed metric
-// cannot leave a catalogue line promising a series no daemon exports.
-// The hub's re-exported xdmodfed_member_* names are not families of
-// their own.
+// every xdmodfed_ name on any line of docs/*.md — table row or prose —
+// must be a family the linked packages register, so a deleted or
+// renamed metric cannot leave a line promising a series no daemon
+// exports. A histogram's _bucket, _sum and _count series resolve to
+// their family, and a name ending in '_' (a prefix standing for a
+// group of families) must begin at least one live family.
 func TestMetricCatalogueNamesOnlyLiveFamilies(t *testing.T) {
-	doc, err := os.ReadFile("../../docs/observability.md")
-	if err != nil {
-		t.Fatal(err)
+	docs, err := filepath.Glob("../../docs/*.md")
+	if err != nil || len(docs) == 0 {
+		t.Fatalf("no docs found (%v)", err)
 	}
+	names := obs.Default.FamilyNames()
 	live := map[string]bool{}
-	for _, name := range obs.Default.FamilyNames() {
+	for _, name := range names {
 		live[name] = true
 	}
-	metricName := regexp.MustCompile(`\bxdmodfed_[a-z0-9_]+`)
-	for i, line := range strings.Split(string(doc), "\n") {
-		if !strings.HasPrefix(line, "|") {
-			continue
+	isLive := func(name string) bool {
+		if strings.HasSuffix(name, "_") {
+			for _, n := range names {
+				if strings.HasPrefix(n, name) {
+					return true
+				}
+			}
+			return false
 		}
-		for _, name := range metricName.FindAllString(line, -1) {
-			if !live[name] && !strings.HasPrefix(name, "xdmodfed_member_") {
-				t.Errorf("docs/observability.md:%d names %s, which no package registers", i+1, name)
+		for _, suffix := range []string{"", "_bucket", "_sum", "_count"} {
+			if base, ok := strings.CutSuffix(name, suffix); ok && live[base] {
+				return true
+			}
+		}
+		return false
+	}
+	metricName := regexp.MustCompile(`\bxdmodfed_[a-z0-9_]+`)
+	for _, path := range docs {
+		doc, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(doc), "\n") {
+			for _, name := range metricName.FindAllString(line, -1) {
+				if !isLive(name) {
+					t.Errorf("docs/%s:%d names %s, which no package registers", filepath.Base(path), i+1, name)
+				}
 			}
 		}
 	}

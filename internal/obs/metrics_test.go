@@ -39,6 +39,20 @@ func TestRender(t *testing.T) {
 			},
 		},
 		{
+			// The format escapes only backslash and newline in HELP
+			// text, so a trailing '\r' renders as is, right before the
+			// line's newline.
+			name: "help ending in cr",
+			fill: func(r *Registry) {
+				r.Counter("a_total", "ends in cr\r").Inc()
+			},
+			want: []string{
+				"# HELP a_total ends in cr\r",
+				"# TYPE a_total counter",
+				"a_total 1",
+			},
+		},
+		{
 			name: "label value escaping",
 			fill: func(r *Registry) {
 				v := r.CounterVec("lbl_total", "h", "path")
@@ -141,6 +155,24 @@ func TestRender(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRenderDeterministic: two renders of the same registry are
+// byte-identical (families sorted by name, series sorted by value),
+// so scrape diffs mean data changes, never map-order noise.
+func TestRenderDeterministic(t *testing.T) {
+	r := NewRegistry()
+	v := r.CounterVec("det_total", "h", "a", "b")
+	v.With("x", "1").Inc()
+	v.With("y", "2").Add(2)
+	v.With("w", "0").Add(3)
+	r.Gauge("det_gauge", "h").Set(1)
+	first := r.RenderString()
+	for i := 0; i < 5; i++ {
+		if got := r.RenderString(); got != first {
+			t.Fatalf("render %d differs:\n%s\nvs\n%s", i, got, first)
+		}
 	}
 }
 

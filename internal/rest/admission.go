@@ -24,7 +24,7 @@ var mStaleServed = obs.Default.Counter("xdmodfed_rest_stale_charts_total",
 // work: authenticated routes run the full tier stack (per-user quota,
 // per-center quota, global rate, then the bounded execution queue)
 // inside requireAuth/requireRole; the handful of unauthenticated
-// routes (login, SSO, logout, version, telemetry) pay only the global
+// routes (login, SSO, logout, version) pay only the global
 // rate via admitAnon. Shed requests get 429 with an honest Retry-After
 // — except chart GETs, which degrade to an epoch-stale cached result
 // tagged "Warning: 110 ... Response is Stale" when the cache holds one

@@ -153,58 +153,64 @@ func (c *Client) do(method, path string, body io.Reader, out any) error {
 	if attempts <= 0 {
 		attempts = DefaultMaxAttempts
 	}
+	sleep := c.sleep
+	if sleep == nil {
+		sleep = time.Sleep
+	}
 	for attempt := 1; ; attempt++ {
-		retryable, err := c.doOnce(method, path, payload, out)
+		retryAfter, retryable, err := c.doOnce(method, path, payload, out)
 		if err == nil || !retryable || attempt >= attempts {
 			return err
 		}
+		// Only when another attempt follows: the last shed returns at
+		// once.
+		sleep(c.retryDelay(retryAfter))
 		mClientRetries.Inc()
 	}
 }
 
-// doOnce performs one HTTP round trip. On a 429 it sleeps out the
-// (capped, jittered) Retry-After and reports retryable=true; every
-// other failure is terminal.
-func (c *Client) doOnce(method, path string, payload []byte, out any) (retryable bool, err error) {
+// doOnce performs one HTTP round trip. On a 429 it reports
+// retryable=true with the server's Retry-After header; every other
+// failure is terminal.
+func (c *Client) doOnce(method, path string, payload []byte, out any) (retryAfter string, retryable bool, err error) {
 	var body io.Reader
 	if payload != nil {
 		body = bytes.NewReader(payload)
 	}
 	req, err := http.NewRequest(method, c.BaseURL+path, body)
 	if err != nil {
-		return false, err
+		return "", false, err
 	}
 	if c.token != "" {
 		req.Header.Set("Authorization", "Bearer "+c.token)
 	}
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
-		return false, err
+		return "", false, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusTooManyRequests {
 		io.Copy(io.Discard, resp.Body)
-		c.waitRetryAfter(resp.Header.Get("Retry-After"))
-		return true, fmt.Errorf("rest: %s %s: status %d (shed)", method, path, resp.StatusCode)
+		return resp.Header.Get("Retry-After"), true, fmt.Errorf("rest: %s %s: status %d (shed)", method, path, resp.StatusCode)
 	}
 	if resp.StatusCode >= 400 {
 		var e errorResponse
 		if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
-			return false, fmt.Errorf("rest: %s %s: %s (status %d)", method, path, e.Error, resp.StatusCode)
+			return "", false, fmt.Errorf("rest: %s %s: %s (status %d)", method, path, e.Error, resp.StatusCode)
 		}
-		return false, fmt.Errorf("rest: %s %s: status %d", method, path, resp.StatusCode)
+		return "", false, fmt.Errorf("rest: %s %s: status %d", method, path, resp.StatusCode)
 	}
 	if out == nil {
 		io.Copy(io.Discard, resp.Body)
-		return false, nil
+		return "", false, nil
 	}
-	return false, json.NewDecoder(resp.Body).Decode(out)
+	return "", false, json.NewDecoder(resp.Body).Decode(out)
 }
 
-// waitRetryAfter sleeps for the server's Retry-After hint — capped,
+// retryDelay is the wait for the server's Retry-After hint — capped,
 // then spread uniformly over [d/2, d] (the replication layer's jitter
 // shape) so a fleet of shed clients does not return in lockstep.
-func (c *Client) waitRetryAfter(header string) {
+func (c *Client) retryDelay(header string) time.Duration {
 	d := time.Second
 	if secs, err := strconv.Atoi(header); err == nil && secs > 0 {
 		d = time.Duration(secs) * time.Second
@@ -217,10 +223,5 @@ func (c *Client) waitRetryAfter(header string) {
 		d = cap
 	}
 	half := d / 2
-	d = half + time.Duration(rand.Int63n(int64(d-half)+1))
-	sleep := c.sleep
-	if sleep == nil {
-		sleep = time.Sleep
-	}
-	sleep(d)
+	return half + time.Duration(rand.Int63n(int64(d-half)+1))
 }

@@ -52,18 +52,27 @@ func TestClientRetriesAfterShed(t *testing.T) {
 	}
 }
 
+// TestClientGivesUpAfterMaxAttempts: the client stops after
+// MaxAttempts calls and sleeps only between them, never after the last
+// one, so MaxAttempts=1 returns the first shed at once.
 func TestClientGivesUpAfterMaxAttempts(t *testing.T) {
-	srv, calls := shedThenAdmit(100, "1")
-	defer srv.Close()
-	c := NewClient(srv.URL)
-	c.MaxAttempts = 2
-	c.sleep = func(time.Duration) {}
-	err := c.do("GET", "/api/version", nil, nil)
-	if err == nil || !strings.Contains(err.Error(), "429") {
-		t.Fatalf("err = %v, want terminal 429", err)
-	}
-	if calls.Load() != 2 {
-		t.Fatalf("server saw %d calls, want MaxAttempts=2", calls.Load())
+	for _, attempts := range []int{1, 2, 3} {
+		srv, calls := shedThenAdmit(100, "1")
+		c := NewClient(srv.URL)
+		c.MaxAttempts = attempts
+		sleeps := 0
+		c.sleep = func(time.Duration) { sleeps++ }
+		err := c.do("GET", "/api/version", nil, nil)
+		srv.Close()
+		if err == nil || !strings.Contains(err.Error(), "429") {
+			t.Fatalf("MaxAttempts=%d: err = %v, want terminal 429", attempts, err)
+		}
+		if int(calls.Load()) != attempts {
+			t.Errorf("MaxAttempts=%d: server saw %d calls", attempts, calls.Load())
+		}
+		if sleeps != attempts-1 {
+			t.Errorf("MaxAttempts=%d: slept %d times, want %d", attempts, sleeps, attempts-1)
+		}
 	}
 }
 

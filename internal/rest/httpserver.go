@@ -1,6 +1,9 @@
 package rest
 
 import (
+	"context"
+	"fmt"
+	"net"
 	"net/http"
 	"time"
 )
@@ -24,6 +27,9 @@ const (
 	ServerIdleTimeout = 2 * time.Minute
 	// ServerMaxHeaderBytes caps request-header memory per connection.
 	ServerMaxHeaderBytes = 1 << 20
+	// ServerShutdownGrace bounds how long Serve waits for in-flight
+	// requests once its context is done.
+	ServerShutdownGrace = 10 * time.Second
 )
 
 // NewHTTPServer returns an http.Server for h with the front-door
@@ -39,4 +45,28 @@ func NewHTTPServer(addr string, h http.Handler) *http.Server {
 		IdleTimeout:       ServerIdleTimeout,
 		MaxHeaderBytes:    ServerMaxHeaderBytes,
 	}
+}
+
+// Serve serves srv on ln until ctx is done, then shuts srv down. It
+// returns only after Shutdown has returned, so every request in flight
+// when ctx ended has finished (or ServerShutdownGrace has run out):
+// a daemon that saves its warehouse after Serve saves every write it
+// acknowledged. http.Server.Serve itself returns as soon as Shutdown
+// starts, which is why neither daemon calls it directly.
+func Serve(ctx context.Context, srv *http.Server, ln net.Listener) error {
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	sctx, cancel := context.WithTimeout(context.Background(), ServerShutdownGrace)
+	defer cancel()
+	err := srv.Shutdown(sctx)
+	<-served
+	if err != nil {
+		return fmt.Errorf("rest: shutdown: %w", err)
+	}
+	return nil
 }

@@ -1,7 +1,6 @@
 package rest
 
 import (
-	"fmt"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -73,14 +72,12 @@ func (s *Server) handle(mux *http.ServeMux, pattern string, fn http.HandlerFunc)
 }
 
 // registerObsHandlers adds /metrics, /healthz, /debug/traces,
-// /debug/slowlog, the hub's /api/federation/telemetry and (when
-// configured) the pprof handlers.
+// /debug/slowlog and (when configured) the pprof handlers.
 func (s *Server) registerObsHandlers(mux *http.ServeMux) {
 	s.handle(mux, "GET /metrics", s.handleMetrics)
 	s.handle(mux, "GET /healthz", s.handleHealthz)
 	s.handle(mux, "GET /debug/traces", s.handleTraces)
 	s.handle(mux, "GET /debug/slowlog", s.handleSlowlog)
-	s.handle(mux, "GET /api/federation/telemetry", s.admitAnon(s.handleFederationTelemetry))
 	if s.Instance.Config.EnablePprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -94,40 +91,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", obs.ContentType)
 	if err := obs.Default.Render(w); err != nil {
 		restLog.Error("metrics render failed", "err", err)
-		return
 	}
-	// A hub additionally re-exports every scraped member series with a
-	// `member` label (telemetry federation). Member families are
-	// rewritten to xdmodfed_member_* so they cannot collide with the
-	// hub's own series above.
-	if s.Hub != nil && s.Hub.Telemetry != nil {
-		if err := s.Hub.Telemetry.Render(w); err != nil {
-			restLog.Error("federated metrics render failed", "err", err)
-		}
-	}
-}
-
-// handleFederationTelemetry serves the hub's JSON telemetry rollup:
-// per-member reachability, scrape latency, staleness and key gauges.
-func (s *Server) handleFederationTelemetry(w http.ResponseWriter, r *http.Request) {
-	if s.Hub == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("this instance is not a federation hub"))
-		return
-	}
-	members := s.Hub.Telemetry.Snapshot()
-	up := 0
-	for _, m := range members {
-		if m.Up {
-			up++
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"hub":                     s.Instance.Config.Name,
-		"scrape_interval_seconds": s.Hub.Telemetry.Interval().Seconds(),
-		"members_total":           len(members),
-		"members_up":              up,
-		"members":                 members,
-	})
 }
 
 // healthzResponse is the /healthz document. Satellites report sender

@@ -119,15 +119,6 @@ func TestSlowLogThresholdAndErrors(t *testing.T) {
 	nilLog.record(QueryStat{})
 }
 
-// TestFederationTelemetryNotHub: the rollup endpoint 404s on plain
-// instances and satellites.
-func TestFederationTelemetryNotHub(t *testing.T) {
-	srv := newServer(testInstance(t)).Handler()
-	if rec := get(t, srv, "", "/api/federation/telemetry"); rec.Code != http.StatusNotFound {
-		t.Fatalf("non-hub telemetry status %d", rec.Code)
-	}
-}
-
 // TestTraceparentPropagation: a caller-supplied traceparent is adopted
 // (same trace id comes back) and a server span joins that trace.
 func TestTraceparentPropagation(t *testing.T) {

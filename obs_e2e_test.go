@@ -231,12 +231,11 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFederatedTelemetryEndToEnd exercises the telemetry federation
-// stack over a live hub+satellite pair: the ingest trace propagates
-// across the replication link (one TraceID visible from both sides'
-// /debug/traces), the hub re-exports scraped member series under a
-// member label, the JSON rollup reports the member up, and a chart
-// query lands in /debug/slowlog with cache outcome and scan size.
+// TestFederatedTelemetryEndToEnd exercises the federated telemetry
+// over a live hub+satellite pair: the ingest trace propagates across
+// the replication link (one TraceID visible from both sides'
+// /debug/traces), and a hub chart query lands in /debug/slowlog with
+// cache outcome and scan size.
 func TestFederatedTelemetryEndToEnd(t *testing.T) {
 	hub, err := core.NewHub(config.InstanceConfig{
 		Name: "telhub", Version: core.Version,
@@ -369,60 +368,6 @@ func TestFederatedTelemetryEndToEnd(t *testing.T) {
 		if !found {
 			t.Errorf("%s /debug/traces has no %q span in trace %s:\n%s", handler, wantSpan, traceID, body)
 		}
-	}
-
-	// Telemetry federation: point the hub's scraper at the satellite's
-	// REST endpoint and run it until the member is scraped.
-	memberSrv := httptest.NewServer(satSrv)
-	defer memberSrv.Close()
-	hub.Telemetry.AddTarget("siteB", memberSrv.URL)
-	scrapeCtx, stopScrape := context.WithCancel(context.Background())
-	defer stopScrape()
-	go hub.Telemetry.Run(scrapeCtx)
-	waitUntil(t, 10*time.Second, func() bool {
-		for _, m := range hub.Telemetry.Snapshot() {
-			if m.Name == "siteB" && m.Up {
-				return true
-			}
-		}
-		return false
-	}, "hub telemetry never scraped siteB")
-
-	code, hubMetrics := httpGetBody(t, hubSrv, "/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("hub /metrics status %d", code)
-	}
-	checkExposition(t, hubMetrics)
-	for _, want := range []string{
-		"# TYPE xdmodfed_member_ingest_records_total counter",
-		`xdmodfed_member_ingest_records_total{member="siteB",realm="Jobs",outcome="ingested"}`,
-		`xdmodfed_member_replication_lag_events{member="siteB",`,
-	} {
-		if !strings.Contains(hubMetrics, want) {
-			t.Errorf("hub /metrics missing scraped member series %q", want)
-		}
-	}
-
-	// The JSON rollup reports the member scraped, healthy and fresh.
-	code, telBody := httpGetBody(t, hubSrv, "/api/federation/telemetry")
-	if code != http.StatusOK {
-		t.Fatalf("/api/federation/telemetry status %d", code)
-	}
-	var tel struct {
-		Hub     string                `json:"hub"`
-		Up      int                   `json:"members_up"`
-		Total   int                   `json:"members_total"`
-		Members []obs.MemberTelemetry `json:"members"`
-	}
-	if err := json.Unmarshal([]byte(telBody), &tel); err != nil {
-		t.Fatalf("telemetry rollup not JSON: %v\n%s", err, telBody)
-	}
-	if tel.Hub != "telhub" || tel.Up != 1 || tel.Total != 1 {
-		t.Errorf("rollup header = %s", telBody)
-	}
-	if len(tel.Members) != 1 || !tel.Members[0].Up || tel.Members[0].Name != "siteB" ||
-		tel.Members[0].Series == 0 || tel.Members[0].Health != "ok" {
-		t.Errorf("rollup member = %s", telBody)
 	}
 
 	// A hub chart query lands in the slow-query log with its cache

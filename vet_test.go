@@ -334,8 +334,8 @@ func TestRealmsAreListedOnce(t *testing.T) {
 // by command, sorted. No flag sets a configuration key: a daemon knob
 // lives in the instance file, whose keys TestConfigSurface counts.
 // Like that list, this one is written out by hand so a new flag —
-// above all a second way to set a config key, such as a hub flag that
-// appends telemetry members — shows up in review.
+// above all a second way to set a config key, such as a daemon flag
+// that overrides one — shows up in review.
 var handFlags = map[string][]string{
 	"xdmod-hub":       {"admin-pass", "admin-user", "config", "listen", "log-json", "loose", "members", "replication"},
 	"xdmod-ingestor":  {"config", "db", "log-json", "metrics-listen", "pbs", "resource", "slurm", "staging", "storage-json"},
