@@ -30,7 +30,7 @@ func decodedFacts(t *testing.T, eng *Engine, info realm.Info, views ...*warehous
 	}
 	var out []string
 	for _, td := range views {
-		err := eng.eachFact(info, td, l, nil, func(ts time.Time, dims []string, vals, wvals []float64) {
+		err := eng.eachFact(info, td, l, nil, nil, func(ts time.Time, dims []string, vals, wvals []float64) {
 			out = append(out, fmt.Sprintf("%d %q %x %x", ts.UnixNano(), dims, bits(vals), bits(wvals)))
 		})
 		if err != nil {

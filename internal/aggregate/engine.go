@@ -297,7 +297,7 @@ func (e *Engine) Write(realms []string, fn func() error) (warehouse.Record, erro
 				if st.info.FactTable != tc.Table || st.stale.Load() {
 					continue
 				}
-				if rerr := e.Refresh(st.info, tc.Schema, tc.Change); rerr != nil {
+				if rerr := e.Refresh(st.info, tc.Change); rerr != nil {
 					st.stale.Store(true)
 					aggLog.Error("aggregation refresh failed; realm marked stale for rebuild",
 						"realm", name, "schema", tc.Schema, "err", rerr)
@@ -375,25 +375,29 @@ func (e *Engine) Stale() []string {
 }
 
 // Refresh brings a realm's aggregation tables up to one committed write
-// to sourceSchema's fact table, c being that table's entry in the
-// write's warehouse.Record; it is the one place that chooses how. A
-// write that replaced nothing is additive, and its rows fold in
-// (ApplyFactRows). Otherwise exactly the groups its replaced and
-// written rows fall in are recomputed over the realm's rebuild sources
-// (scopeOf, then ReaggregateFrom), so every group it touches ends as a
-// rebuild would write it. A whole-table change (truncate or LOAD) marks
-// the realm stale instead. The caller holds the realm's mutex (Lock)
-// from the write through Refresh.
-func (e *Engine) Refresh(info realm.Info, sourceSchema string, c warehouse.Change) error {
+// to a schema's fact table, c being that table's entry in the write's
+// warehouse.Record; it is the one place that chooses how. It reads the
+// rows the write named straight from c's view of the table's vectors.
+// A write that replaced nothing is additive, and its rows fold in
+// (fold). Otherwise exactly the groups its replaced and written rows
+// fall in are recomputed over the realm's rebuild sources (scopeOf,
+// then ReaggregateFrom), so every group it touches ends as a rebuild
+// would write it. A whole-table change (truncate or LOAD) marks the
+// realm stale instead. The caller holds the realm's mutex (Lock) from
+// the write through Refresh.
+func (e *Engine) Refresh(info realm.Info, c warehouse.Change) error {
 	switch {
 	case c.Whole:
 		e.realms[info.Name].stale.Store(true)
 		return nil
 	case len(c.Replaced) == 0:
-		_, err := e.ApplyFactRows(info, sourceSchema, c.Inserted)
+		if len(c.Inserted) == 0 {
+			return nil
+		}
+		_, err := e.fold(info, c.Data, c.Inserted)
 		return err
 	}
-	scope, err := e.scopeOf(info, sourceSchema, slices.Concat(c.Replaced, c.Inserted))
+	scope, err := e.scopeOf(info, c.Data, slices.Concat(c.Replaced, c.Inserted))
 	if err != nil {
 		return err
 	}

@@ -18,16 +18,11 @@ import (
 // with a scope), a truncate the whole realm.
 
 // ApplyFactRows folds positional fact rows (binlog event payloads for
-// sourceSchema's fact table) into all period aggregation tables. The
-// batch becomes a transient column view, is decoded by eachFact and
-// grouped per period with no lock held; one write transaction on the
-// realm's aggregate schema then writes each affected aggregation row
-// once — one keyed batch upsert per table, through typed column
-// vectors, whose one key probe per row also hands the fold the stored
-// row it replaces — while folding each group's facts sequentially to
-// keep float accumulation identical to a full rebuild. A row failing
-// validation aborts the fold before any table is touched; the caller
-// must schedule a full rebuild if it cannot tolerate the dropped batch.
+// sourceSchema's fact table) into all period aggregation tables: the
+// batch becomes a transient column view (warehouse.Table.RowsChunk),
+// which folds as a write's view does (fold). A row failing validation
+// aborts the fold before any table is touched; the caller must
+// schedule a full rebuild if it cannot tolerate the dropped batch.
 func (e *Engine) ApplyFactRows(info realm.Info, sourceSchema string, rows [][]any) (int, error) {
 	if len(rows) == 0 {
 		return 0, nil
@@ -36,19 +31,36 @@ func (e *Engine) ApplyFactRows(info realm.Info, sourceSchema string, rows [][]an
 	if err != nil {
 		return 0, err
 	}
+	td, err := fact.RowsChunk(rows)
+	if err != nil {
+		return 0, fmt.Errorf("aggregate: incremental fold into %s: %w", info.Name, err)
+	}
+	return e.fold(info, td, nil)
+}
+
+// fold folds the facts at positions at of a fact-table view (every live
+// one when at is nil) into all period aggregation tables, and returns
+// how many it folded. The facts are decoded by eachFact and grouped per
+// period with no lock held; one write transaction on the realm's
+// aggregate schema then writes each affected aggregation row once —
+// one keyed batch upsert per table, through typed column vectors, whose
+// one key probe per row also hands the fold the stored row it replaces
+// — while folding each group's facts sequentially to keep float
+// accumulation identical to a full rebuild.
+func (e *Engine) fold(info realm.Info, td *warehouse.TableData, at []int) (int, error) {
 	targets, err := e.targets(info)
 	if err != nil {
 		return 0, err
 	}
 	codec := e.codecOf(info)
 
-	// Phase 1, lock-free: decode the batch and group it per period.
-	td, err := fact.RowsChunk(rows)
-	if err != nil {
-		return 0, fmt.Errorf("aggregate: incremental fold into %s: %w", info.Name, err)
+	// Phase 1, lock-free: decode the facts and group them per period.
+	n := len(at)
+	if at == nil {
+		n = td.Len()
 	}
-	b := newFoldBatch(codec, len(rows))
-	if err := e.eachFact(info, td, codec.l, nil, b.add); err != nil {
+	b := newFoldBatch(codec, n)
+	if err := e.eachFact(info, td, codec.l, at, nil, b.add); err != nil {
 		return 0, fmt.Errorf("aggregate: incremental fold into %s: %w", info.Name, err)
 	}
 
@@ -64,8 +76,8 @@ func (e *Engine) ApplyFactRows(info realm.Info, sourceSchema string, rows [][]an
 	if err != nil {
 		return 0, err
 	}
-	mIncrementalFacts.Add(uint64(len(rows)))
-	return len(rows), nil
+	mIncrementalFacts.Add(uint64(n))
+	return n, nil
 }
 
 // foldBatch is one batch's facts grouped per period. Everything is

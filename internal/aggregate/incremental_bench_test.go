@@ -91,7 +91,7 @@ func rowsWritten(tb testing.TB, eng *Engine, info realm.Info, batch [][]any) int
 	}
 	codec := newAggCodec(info)
 	fb := newFoldBatch(codec, len(batch))
-	if err := eng.eachFact(info, ch, codec.l, nil, fb.add); err != nil {
+	if err := eng.eachFact(info, ch, codec.l, nil, nil, fb.add); err != nil {
 		tb.Fatal(err)
 	}
 	n := 0

@@ -138,16 +138,18 @@ func (e *Engine) newFactReader(info realm.Info, td *warehouse.TableData, l *rowL
 }
 
 // eachFact is the one loop that decodes fact rows for aggregation —
-// the rebuild scan, the pushdown folder's snapshot fold and both
-// boxed-row folds (which first turn their batch into a transient view
-// with warehouse.Table.RowsChunk) all run it, so there is no second
-// rendering for them to disagree with. Every live position of td that
-// skip (nil = keep all) does not reject is rendered as (time, dimension
-// values, and the measure values and weighted products of layout l —
-// none for a nil l) and handed to visit; the slices are reused between
-// calls, so visit copies what it keeps. A NULL time cell is an error,
-// as the row cannot be bucketed.
-func (e *Engine) eachFact(info realm.Info, td *warehouse.TableData, l *rowLayout,
+// the rebuild scan, the pushdown folder's snapshot fold, a write's
+// fold and scope (over its Change's view) and both boxed-row folds
+// (which first turn their batch into a transient view with
+// warehouse.Table.RowsChunk) all run it, so there is no second
+// rendering for them to disagree with. It visits the positions at of
+// td, tombstoned or not, in order — or, when at is nil, every live
+// position that skip (nil = keep all) does not reject — rendering each
+// as (time, dimension values, and the measure values and weighted
+// products of layout l — none for a nil l) for visit; the slices are
+// reused between calls, so visit copies what it keeps. A NULL time
+// cell is an error, as the row cannot be bucketed.
+func (e *Engine) eachFact(info realm.Info, td *warehouse.TableData, l *rowLayout, at []int,
 	skip func(pos int) bool, visit func(t time.Time, dims []string, vals, wvals []float64)) error {
 
 	if td.Rows() == 0 {
@@ -160,11 +162,7 @@ func (e *Engine) eachFact(info realm.Info, td *warehouse.TableData, l *rowLayout
 	dims := make([]string, len(fr.dims))
 	vals := make([]float64, len(fr.meas))
 	wvals := make([]float64, len(fr.wpairs))
-	dead := td.Tombstones()
-	for pos := 0; pos < td.Rows(); pos++ {
-		if dead[pos] || (skip != nil && skip(pos)) {
-			continue
-		}
+	one := func(pos int) error {
 		if fr.tnulls[pos] {
 			return fmt.Errorf("aggregate: time column %q is <nil>, want time.Time", info.TimeColumn)
 		}
@@ -178,6 +176,24 @@ func (e *Engine) eachFact(info realm.Info, td *warehouse.TableData, l *rowLayout
 			wvals[i] = fr.wpairs[i][0].at(pos) * fr.wpairs[i][1].at(pos)
 		}
 		visit(fr.times.At(pos), dims, vals, wvals)
+		return nil
+	}
+	if at != nil {
+		for _, pos := range at {
+			if err := one(pos); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	dead := td.Tombstones()
+	for pos := 0; pos < td.Rows(); pos++ {
+		if dead[pos] || (skip != nil && skip(pos)) {
+			continue
+		}
+		if err := one(pos); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -186,7 +202,7 @@ func (e *Engine) eachFact(info realm.Info, td *warehouse.TableData, l *rowLayout
 // columns f's layout folds, and returns how many were folded.
 func (e *Engine) foldFacts(info realm.Info, td *warehouse.TableData, skip func(pos int) bool, f *folder) (int, error) {
 	n := 0
-	err := e.eachFact(info, td, f.l, skip, func(t time.Time, dims []string, vals, wvals []float64) {
+	err := e.eachFact(info, td, f.l, nil, skip, func(t time.Time, dims []string, vals, wvals []float64) {
 		if f.fold(t, dims, vals, wvals) {
 			n++
 		}

@@ -30,25 +30,17 @@ func newScope() Scope {
 	return s
 }
 
-// scopeOf returns the groups positional fact rows of sourceSchema's
-// fact table fall in, in every period. The rows are decoded the way
-// every fold decodes them (Table.RowsChunk, then eachFact), so a
-// scope names exactly the groups those facts were or will be folded
-// into. For an update or delete, pass both the old and the new rows:
+// scopeOf returns the groups the facts at positions at of a fact-table
+// view (a write's Change.Data) fall in, in every period. The facts are
+// decoded the way every fold decodes them (eachFact), so a scope names
+// exactly the groups those facts were or will be folded into. For an
+// update or delete, pass both the replaced and the written positions:
 // the groups a fact leaves change as much as the ones it joins.
-func (e *Engine) scopeOf(info realm.Info, sourceSchema string, rows [][]any) (Scope, error) {
-	fact, err := e.db.TableIn(sourceSchema, info.FactTable)
-	if err != nil {
-		return nil, err
-	}
-	td, err := fact.RowsChunk(rows)
-	if err != nil {
-		return nil, fmt.Errorf("aggregate: scope of %s rows: %w", info.Name, err)
-	}
+func (e *Engine) scopeOf(info realm.Info, td *warehouse.TableData, at []int) (Scope, error) {
 	s := newScope()
 	periods := Periods()
 	var keyBuf []byte
-	err = e.eachFact(info, td, nil, nil, func(t time.Time, dims []string, _, _ []float64) {
+	err := e.eachFact(info, td, nil, at, nil, func(t time.Time, dims []string, _, _ []float64) {
 		var dimsCopy []string // shared by every period's group of this fact
 		for pi, period := range periods {
 			pk := period.Key(t)

@@ -4,13 +4,16 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"xdmodfed/internal/config"
 	"xdmodfed/internal/realm"
 	"xdmodfed/internal/realm/cloud"
+	"xdmodfed/internal/realm/jobs"
 	"xdmodfed/internal/realm/storage"
+	"xdmodfed/internal/shredder"
 	"xdmodfed/internal/warehouse"
 )
 
@@ -156,8 +159,8 @@ func runScopedRecompute(t *testing.T, sr scopeRealm, seed int64) {
 		return key
 	}
 	for batch := 0; batch < 40; batch++ {
-		// The same mutations on both warehouses; the scoped side records
-		// each source's old and new rows.
+		// The same mutations on both warehouses; the scoped side keeps
+		// the write's record of each source's old and new rows.
 		type op struct {
 			schema int
 			row    []any
@@ -167,7 +170,7 @@ func runScopedRecompute(t *testing.T, sr scopeRealm, seed int64) {
 		for n := 1 + rng.Intn(6); n > 0; n-- {
 			ops = append(ops, op{schema: rng.Intn(len(schemas)), row: sr.row(rng), del: rng.Intn(4) == 0})
 		}
-		touched := make([][][]any, len(schemas))
+		var rec warehouse.Record
 		for side, db := range []*warehouse.DB{scopedDB, rebuiltDB} {
 			tabs := make([]*warehouse.Table, len(schemas))
 			for i, s := range schemas {
@@ -176,12 +179,9 @@ func runScopedRecompute(t *testing.T, sr scopeRealm, seed int64) {
 					t.Fatal(err)
 				}
 			}
-			err := db.Do(func() error {
+			r, err := db.Write(func() error {
 				for _, o := range ops {
 					tab := tabs[o.schema]
-					if r, ok := tab.GetByKey(keyOf(o.row)...); ok && side == 0 {
-						touched[o.schema] = append(touched[o.schema], r.Values())
-					}
 					if o.del {
 						tab.DeleteByKey(keyOf(o.row)...)
 						continue
@@ -189,21 +189,25 @@ func runScopedRecompute(t *testing.T, sr scopeRealm, seed int64) {
 					if err := tab.UpsertRow(o.row); err != nil {
 						return err
 					}
-					if side == 0 {
-						touched[o.schema] = append(touched[o.schema], o.row)
-					}
 				}
 				return nil
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			if side == 0 {
+				rec = r
+			}
 		}
 		// A batch of deletes of absent keys leaves the scope empty:
 		// nothing to recompute.
 		scope := newScope()
-		for i, rows := range touched {
-			sc, err := scopedEng.scopeOf(info, schemas[i], rows)
+		for _, schema := range schemas {
+			c := rec.Of(schema, info.FactTable)
+			if c.Data == nil {
+				continue
+			}
+			sc, err := scopedEng.scopeOf(info, c.Data, slices.Concat(c.Replaced, c.Inserted))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -253,5 +257,88 @@ func TestScopedRecomputeWithPushdownSourceRebuilds(t *testing.T) {
 	}
 	if n != len(rows) {
 		t.Fatalf("recompute with a pushdown source folded %d facts, want all %d", n, len(rows))
+	}
+}
+
+// TestRefreshAcrossACompactingCommit: a write that deletes three facts
+// in four and rewrites some others commits a compaction of the fact
+// table, so the table's vectors are new before the write's Refresh
+// reads the rows it names. The Refresh reads them from the write's view
+// of the vectors as they stood, and leaves every aggregation table bit
+// for bit what a rebuild of the same facts gives.
+func TestRefreshAcrossACompactingCommit(t *testing.T) {
+	db := warehouse.Open("compacting")
+	info := jobs.RealmInfo()
+	if _, err := realm.Setup(db, info); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(db, []config.AggregationLevels{config.HubWallTime(), config.DefaultJobSize()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Setup(info); err != nil {
+		t.Fatal(err)
+	}
+	tab, err := db.TableIn(info.Schema, info.FactTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := time.Date(2017, 1, 1, 0, 0, 0, 0, time.UTC)
+	fact := func(id int64, cores int64) []any {
+		end := base.Add(time.Duration(id*37%2000) * time.Hour)
+		row, err := jobs.FactRowFromRecord(shredder.JobRecord{LocalJobID: id, User: fmt.Sprintf("u%d", id%7),
+			Account: "a", Resource: []string{"r1", "r2"}[id%2], Queue: "q", Nodes: 1, Cores: cores,
+			Submit: end.Add(-3 * time.Hour), Start: end.Add(-time.Duration(1+id%5) * time.Hour), End: end}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return row
+	}
+	if _, err := eng.Write([]string{info.Name}, func() error {
+		for id := int64(1); id <= 600; id++ {
+			if err := tab.InsertRow(fact(id, 1+id%64)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := eng.Write([]string{info.Name}, func() error {
+		for id := int64(1); id <= 600; id++ {
+			switch {
+			case id%4 != 0:
+				tab.DeleteByKey([]string{"r1", "r2"}[id%2], id)
+			case id%8 == 0:
+				if err := tab.UpsertRow(fact(id, 100+id%9)); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := rec.Of(info.Schema, info.FactTable)
+	if td := tab.Data(); td.Rows() != td.Len() || c.Data.Rows() != 675 || len(c.Replaced) != 525 || len(c.Inserted) != 75 {
+		t.Fatalf("the write did not compact the table across its change: %d slots for %d rows; the change names %d replaced and %d written rows in %d slots",
+			td.Rows(), td.Len(), len(c.Replaced), len(c.Inserted), c.Data.Rows())
+	}
+	if stale := eng.Stale(); len(stale) != 0 {
+		t.Fatalf("refresh left %v stale", stale)
+	}
+	refreshed := aggBits(t, db, info)
+	if _, err := eng.Rebuild(info); err != nil {
+		t.Fatal(err)
+	}
+	rebuilt := aggBits(t, db, info)
+	if len(refreshed) != len(rebuilt) {
+		t.Fatalf("refresh left %d groups, a rebuild %d", len(refreshed), len(rebuilt))
+	}
+	for k, w := range rebuilt {
+		if g := refreshed[k]; g != w {
+			t.Fatalf("group %s: refreshed %s, rebuilt %s", k, g, w)
+		}
 	}
 }

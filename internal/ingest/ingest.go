@@ -96,40 +96,26 @@ func (p *Pipeline) IngestJobRecords(recs []shredder.JobRecord) (Stats, error) {
 	defer mBatchSeconds.With("Jobs").ObserveSince(time.Now())
 	defer func() { countStats("Jobs", st) }()
 	// Normalize and validate with no lock held; only well-formed rows
-	// enter the write transaction.
-	type candidate struct {
-		resource string
-		jobID    int64
-		row      []any
-	}
-	cands := make([]candidate, 0, len(recs))
+	// enter the write transaction, as one typed columnar batch.
+	batch := jobs.NewBatch(len(recs))
 	for _, rec := range recs {
 		st.Parsed++
-		row, err := jobs.FactRowFromRecord(rec, p.Converter)
-		if err != nil {
+		if err := batch.Add(rec, p.Converter); err != nil {
 			st.Rejected++
 			st.Errors = append(st.Errors, err)
-			continue
 		}
-		cands = append(cands, candidate{rec.Resource, rec.LocalJobID, row})
 	}
 	// One write transaction for the whole batch: a single lock
 	// acquisition and one columnar-snapshot publish regardless of batch
-	// size. Duplicate keys — already ingested, or repeated within the
-	// batch — are visible to GetByKey inside the transaction.
+	// size. A key already ingested, or repeated within the batch, is
+	// skipped by the same probe that claims a new one.
 	_, err := p.write("Jobs", sp, func(tab *warehouse.Table) error {
-		for _, cd := range cands {
-			if _, exists := tab.GetByKey(cd.resource, cd.jobID); exists {
-				st.Skipped++
-				continue
-			}
-			if err := tab.InsertRow(cd.row); err != nil {
-				st.Rejected++
-				st.Errors = append(st.Errors, err)
-				continue
-			}
-			st.Ingested++
+		skipped, err := tab.InsertColumns(batch.Columns())
+		if err != nil {
+			return err
 		}
+		st.Skipped += skipped
+		st.Ingested += batch.Len() - skipped
 		return nil
 	})
 	return st, err

@@ -8,11 +8,13 @@ package jobs
 
 import (
 	"fmt"
+	"time"
 
 	"xdmodfed/internal/realm"
 	"xdmodfed/internal/shredder"
 	"xdmodfed/internal/su"
 	"xdmodfed/internal/warehouse"
+	"xdmodfed/internal/warehouse/store"
 )
 
 // Warehouse locations for the realm.
@@ -115,10 +117,92 @@ func RealmInfo() realm.Info {
 	}
 }
 
+// Batch is jobfact rows under construction as typed column vectors,
+// one per column of Def in its order: what ingest inserts in one call
+// (warehouse.Table.InsertColumns), with no boxed row per fact. No cell
+// is NULL, so no vector carries validity.
+type Batch struct {
+	cd  warehouse.ColumnData
+	ixs []store.Index // by column: a string column's dictionary index
+}
+
+// NewBatch starts an empty batch with room for n rows.
+func NewBatch(n int) *Batch {
+	def := Def()
+	b := &Batch{cd: warehouse.ColumnData{Names: make([]string, len(def.Columns)), Cols: make([]warehouse.ColumnVector, len(def.Columns))},
+		ixs: make([]store.Index, len(def.Columns))}
+	for i, c := range def.Columns {
+		b.cd.Names[i] = c.Name
+		b.cd.Cols[i].Type = c.Type
+		b.cd.Cols[i].Reserve(n)
+		b.cd.Cols[i].Nulls = nil
+	}
+	return b
+}
+
+// Add validates a staging record, converts its CPU hours to XD SUs for
+// its resource (none without a converter) and appends it as one row; a
+// record refused leaves the batch as it was. A time outside what a time
+// column holds (store.UnixNanos) is refused here, where an insert of
+// the boxed row would refuse it.
+func (b *Batch) Add(rec shredder.JobRecord, conv *su.Converter) error {
+	if err := rec.Validate(); err != nil {
+		return err
+	}
+	cpuh := rec.CPUHours()
+	xdsu := 0.0
+	if conv != nil {
+		v, err := conv.ToXDSU(rec.Resource, cpuh)
+		if err != nil {
+			return fmt.Errorf("jobs: %w", err)
+		}
+		xdsu = v
+	}
+	var nanos [3]int64
+	for i, t := range [3]time.Time{rec.Submit, rec.Start, rec.End} {
+		n, ok := store.UnixNanos(t)
+		if !ok {
+			return fmt.Errorf("jobs: job %d: %s %v is outside the years 1678 to 2262", rec.LocalJobID, [3]string{ColSubmit, ColStart, ColEnd}[i], t)
+		}
+		nanos[i] = n
+	}
+	c := b.cd.Cols // by position in Def
+	str := func(col int, v string) {
+		c[col].Codes = append(c[col].Codes, c[col].Intern(&b.ixs[col], v))
+	}
+	c[0].Ints = append(c[0].Ints, rec.LocalJobID)
+	str(1, rec.Resource)
+	str(2, rec.User)
+	str(3, rec.Account)
+	str(4, rec.Queue)
+	c[5].Ints = append(c[5].Ints, rec.Nodes)
+	c[6].Ints = append(c[6].Ints, rec.Cores)
+	for i, n := range nanos {
+		c[7+i].Nanos = append(c[7+i].Nanos, n)
+	}
+	c[10].Floats = append(c[10].Floats, rec.Wall().Seconds())
+	c[11].Floats = append(c[11].Floats, rec.Wait().Seconds())
+	c[12].Floats = append(c[12].Floats, cpuh)
+	c[13].Floats = append(c[13].Floats, xdsu)
+	str(14, rec.ExitState)
+	c[15].Ints = append(c[15].Ints, realm.DayKey(rec.End))
+	c[16].Ints = append(c[16].Ints, realm.MonthKey(rec.End))
+	b.cd.Rows++
+	return nil
+}
+
+// Len returns the number of rows added.
+func (b *Batch) Len() int { return b.cd.Rows }
+
+// Columns returns the batch as a columnar payload of the jobfact
+// table. It shares the batch's vectors: add nothing after handing it
+// on.
+func (b *Batch) Columns() *warehouse.ColumnData { return &b.cd }
+
 // FactRowFromRecord converts a staging record into a positional
 // jobfact row (Def column order), applying the XD SU conversion for
-// the record's resource. The positional form inserts straight into the
-// columnar fact table without a name-resolution map per record.
+// the record's resource: the boxed form of a row Batch.Add appends,
+// kept for tests that write facts a row at a time.
 func FactRowFromRecord(rec shredder.JobRecord, conv *su.Converter) ([]any, error) {
 	if err := rec.Validate(); err != nil {
 		return nil, err

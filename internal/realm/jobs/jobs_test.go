@@ -124,3 +124,38 @@ func TestSetupAndInsert(t *testing.T) {
 		t.Fatalf("cross-resource id collision: %v", err)
 	}
 }
+
+// TestBatchHoldsTheFactRow: a record added to a Batch is, column by
+// column of Def, the row FactRowFromRecord builds for it, and a record
+// either refuses is refused by both and leaves the batch as it was.
+func TestBatchHoldsTheFactRow(t *testing.T) {
+	conv := su.NewConverter()
+	conv.Register("comet", 0.8)
+	b := NewBatch(2)
+	bad := record()
+	bad.Resource = "unknown"
+	if err := b.Add(bad, conv); err == nil || b.Len() != 0 {
+		t.Fatalf("a record without an SU factor: err %v, %d rows", err, b.Len())
+	}
+	if err := b.Add(record(), conv); err != nil {
+		t.Fatal(err)
+	}
+	row, err := FactRowFromRecord(record(), conv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cd := b.Columns()
+	if err := cd.Validate(Def()); err != nil || cd.Rows != 1 {
+		t.Fatalf("batch of %d rows: %v", cd.Rows, err)
+	}
+	for i, want := range row {
+		got := cd.Cols[i].Value(0)
+		if w, ok := want.(time.Time); ok {
+			if !w.Equal(got.(time.Time)) {
+				t.Errorf("column %s: %v, want %v", cd.Names[i], got, want)
+			}
+		} else if got != want {
+			t.Errorf("column %s: %v, want %v", cd.Names[i], got, want)
+		}
+	}
+}

@@ -82,11 +82,12 @@ type Event struct {
 
 // Binlog is an in-memory, append-only ordered log of events with
 // support for blocking tails. It keeps its events coded, not boxed: a
-// commit's events are coded once with AppendEvents into blocks of at
-// most maxBlockEvents, which the WAL writer copies to disk as they are
-// and readers decode. Events below the low-water mark (set by Trim) are
-// discarded; readers that fall behind a trim receive
-// ErrPositionTrimmed.
+// commit's events are coded once, as AppendEvents codes them, into
+// blocks of at most maxBlockEvents, which the WAL writer copies to disk
+// as they are and readers decode. A write transaction's row events are
+// coded straight from its tables' vectors (appendLogged). Events below
+// the low-water mark (set by Trim) are discarded; readers that fall
+// behind a trim receive ErrPositionTrimmed.
 type Binlog struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -94,10 +95,11 @@ type Binlog struct {
 	// element and never changes one, and Trim installs a new slice, so
 	// a reader may keep a sub-slice after it lets go of mu.
 	blocks  []block
-	first   uint64      // LSN of the first retained event
-	next    uint64      // LSN of the next appended event
-	scratch []byte      // coding buffer, reused; blocks hold exact-size copies
-	notes   []traceNote // recent trace-context marks, oldest first
+	first   uint64           // LSN of the first retained event
+	next    uint64           // LSN of the next appended event
+	scratch []byte           // coding buffer, reused; blocks hold exact-size copies
+	notes   []traceNote      // recent trace-context marks, oldest first
+	clock   func() time.Time // the commit time's source: time.Now, or a test's fixed clock
 }
 
 // maxBlockEvents caps the events of one block. It is the replication
@@ -135,43 +137,31 @@ var ErrPositionTrimmed = fmt.Errorf("warehouse: binlog position has been trimmed
 
 // NewBinlog creates an empty binlog whose first event will have LSN 1.
 func NewBinlog() *Binlog {
-	b := &Binlog{first: 1, next: 1}
+	b := &Binlog{first: 1, next: 1, clock: time.Now}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
 
-// Append adds an event as a commit of its own, assigns its LSN, and
-// wakes blocked readers.
-func (b *Binlog) Append(ev Event) uint64 {
-	evs := []Event{ev}
-	b.appendCommit(evs)
-	return evs[0].LSN
-}
-
-// appendCommit appends the events of one commit: it numbers them from
-// the next LSN and gives those without a time the commit's, in place,
-// codes them in blocks of at most maxBlockEvents, and wakes blocked
-// readers once the whole commit is visible.
-func (b *Binlog) appendCommit(evs []Event) {
-	if len(evs) == 0 {
+// appendCommit appends the n events of one commit in blocks of at most
+// maxBlockEvents, and wakes blocked readers once the whole commit is
+// visible. code appends one block's coding to dst: events [i, j) of
+// the commit, numbered from LSN first, at the commit time now (for an
+// event without a time of its own), self-contained as AppendEvents
+// codes them.
+func (b *Binlog) appendCommit(n int, code func(dst []byte, i, j int, first uint64, now time.Time) []byte) {
+	if n == 0 {
 		return
 	}
-	now := time.Now().UTC()
-	mBinlogEvents.Add(uint64(len(evs)))
+	now := b.clock().UTC()
+	mBinlogEvents.Add(uint64(n))
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for i := range evs {
-		evs[i].LSN = b.next + uint64(i)
-		if evs[i].Time.IsZero() {
-			evs[i].Time = now
-		}
-	}
-	for len(evs) > 0 {
-		n := min(len(evs), maxBlockEvents)
-		b.scratch = AppendEvents(b.scratch[:0], evs[:n])
-		b.blocks = append(b.blocks, block{first: evs[0].LSN, n: n, buf: bytes.Clone(b.scratch)})
-		b.next += uint64(n)
-		evs = evs[n:]
+	for i := 0; i < n; {
+		j := min(n, i+maxBlockEvents)
+		b.scratch = code(b.scratch[:0], i, j, b.next, now)
+		b.blocks = append(b.blocks, block{first: b.next, n: j - i, buf: bytes.Clone(b.scratch)})
+		b.next += uint64(j - i)
+		i = j
 	}
 	if cap(b.scratch) > 1<<20 {
 		b.scratch = nil // a LOAD's buffer: do not keep it
@@ -193,8 +183,13 @@ func (b *Binlog) Len() int {
 	return int(b.next - b.first)
 }
 
-// ReadFrom returns up to max events with LSN > pos without blocking
-// (every retained one when max <= 0).
+// ReadFrom returns events with LSN > pos without blocking: every
+// retained one when max <= 0, and otherwise whole blocks while they fit
+// in max events — the rest of the block holding pos first, then the
+// blocks after it — or, when that first block alone holds more, its
+// first max events. A reader that passes back the last LSN it got thus
+// starts each later read on a block boundary, and decodes no event it
+// does not return.
 func (b *Binlog) ReadFrom(pos uint64, max int) ([]Event, error) {
 	blks, err := b.span(pos, max)
 	if err != nil || len(blks) == 0 {
@@ -203,8 +198,8 @@ func (b *Binlog) ReadFrom(pos uint64, max int) ([]Event, error) {
 	return decodeSpan(blks, pos, max)
 }
 
-// span returns the blocks that hold the first max events past pos
-// (every retained one when max <= 0), without blocking.
+// span returns the blocks that hold what ReadFrom returns for pos and
+// max, without blocking.
 func (b *Binlog) span(pos uint64, max int) ([]block, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -217,16 +212,21 @@ func (b *Binlog) spanLocked(pos uint64, max int) ([]block, error) {
 	}
 	i := sort.Search(len(b.blocks), func(i int) bool { return b.blocks[i].last() > pos })
 	j := len(b.blocks)
-	if max > 0 {
-		j = i + sort.Search(j-i, func(k int) bool { return b.blocks[i+k].first > pos+uint64(max) })
+	if max > 0 && i < j {
+		k := sort.Search(j-i, func(k int) bool { return b.blocks[i+k].last() > pos+uint64(max) })
+		j = i + k
+		if k == 0 { // the first block alone holds more than max
+			j++
+		}
 	}
 	return b.blocks[i:j:j], nil
 }
 
-// decodeSpan decodes the first max events past pos (all when max <= 0)
-// out of blks, which span returned for pos and max. Only the events of
-// the first block up to pos are decoded and dropped; the last block is
-// decoded no further than max.
+// decodeSpan decodes the events past pos out of blks, which span
+// returned for pos and max: all of them, or the first max when the one
+// block is larger. Only the events of the first block up to pos are
+// decoded and dropped, which a reader resuming at a block boundary
+// never pays.
 func decodeSpan(blks []block, pos uint64, max int) ([]Event, error) {
 	total := int(blks[len(blks)-1].last() - pos)
 	if max > 0 && total > max {
@@ -251,8 +251,8 @@ func decodeSpan(blks []block, pos uint64, max int) ([]Event, error) {
 	return out, nil
 }
 
-// Wait blocks until events beyond pos exist (returning up to max of
-// them) or the context is cancelled.
+// Wait blocks until events beyond pos exist, returning what ReadFrom
+// would, or the context is cancelled.
 func (b *Binlog) Wait(ctx context.Context, pos uint64, max int) ([]Event, error) {
 	blks, err := b.waitSpan(ctx, pos, max)
 	if err != nil {

@@ -19,7 +19,9 @@ const blockCap = 512
 // against a reference log of the boxed events that the test keeps:
 // ReadFrom and Wait at random positions with random limits return
 // exactly the reference's events (LSNs, kinds, names, times, cells, by
-// bits for floats), and ErrPositionTrimmed exactly where the reference
+// bits for floats) — whole blocks while they fit in the limit, or the
+// limit's worth of the block holding the position when it alone holds
+// more — and ErrPositionTrimmed exactly where the reference
 // has trimmed past the position. The reference trims as the binlog is
 // specified to: whole blocks of at most 512 events of one commit whose
 // every event is at or below the trim position.
@@ -69,9 +71,21 @@ func TestBinlogMatchesBoxedModel(t *testing.T) {
 			}
 			var want []warehouse.Event
 			if pos < last {
+				// Whole blocks while they fit in max, or max events of the
+				// block holding pos+1 when it alone holds more.
 				end := last
-				if max > 0 && pos+uint64(max) < end {
+				if max > 0 {
 					end = pos + uint64(max)
+					for _, k := range blocks[kept:] {
+						if k.last <= pos {
+							continue
+						}
+						if k.last > pos+uint64(max) {
+							break
+						}
+						end = k.last
+					}
+					end = min(end, last)
 				}
 				want = ref[pos:end]
 			}

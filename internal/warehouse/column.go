@@ -43,7 +43,9 @@ func newLayout(def TableDef) *layout {
 // change. A writer view (Table.View) reads the writer state instead,
 // the current transaction's changes included, and is valid only until
 // the table's next write. RowsChunk's transient view belongs to no
-// table.
+// table. A Change's view is the table's vectors captured at commit,
+// before any compaction, and as immutable as a published one; the rows
+// its Change names are read from it tombstoned or not.
 type TableData struct {
 	lay  *layout
 	cols []ColumnVector
@@ -97,10 +99,12 @@ type StringView = store.StringView
 // a UTC time.
 type TimeView = store.TimeView
 
-// RowsChunk converts boxed positional rows (binlog insert payloads for
-// this table) into a transient view laid out like the table — the one
-// boxed-rows → columns bridge, so readers of fact rows need only the
-// columnar decoder. Every cell is coerced exactly as an insert would
+// RowsChunk converts boxed positional rows (decoded binlog insert
+// payloads for this table) into a transient view laid out like the
+// table — the one boxed-rows → columns bridge, for a reader handed
+// boxed rows (a pushdown sender's fold), so readers of fact rows need
+// only the columnar decoder. A write's own rows need no bridge: its
+// Change names them in a view of the table. Every cell is coerced exactly as an insert would
 // coerce it: wrong arity, a NULL in a non-nullable column or a cell the
 // column type cannot hold is an error naming the row, never a zeroed
 // value. The view has no tombstones, does not alias rows and interns

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // DB is an embedded warehouse instance: a set of named schemas, each a
@@ -42,7 +43,7 @@ type DB struct {
 	// its binlog events, which commit appends as one commit (guarded by
 	// mu). DDL outside a transaction is a commit of its own.
 	inTxn   bool
-	pending []Event
+	pending []loggedEvent
 
 	// epoch is the root of the warehouse generation counter for the
 	// query-result cache (internal/qcache). Commits bump the touched
@@ -129,23 +130,42 @@ func (db *DB) EpochOf(schema string) uint64 {
 	return e
 }
 
-// logEvent logs ev: at the running transaction's commit, or at once
-// outside one. Caller holds mu.
-func (db *DB) logEvent(ev Event) {
-	switch {
-	case !db.logging:
-	case db.inTxn:
-		db.pending = append(db.pending, ev)
-	default:
-		db.binlog.Append(ev)
+// loggedEvent is one event of the running write transaction, kept
+// until commit codes it (appendLogged). A row event (INSERT, UPDATE,
+// DELETE) is its table and its row's position in the table's vectors
+// as they stood when it was logged: later appends leave those cells
+// alone, and a compaction, truncate or load installs new vectors, so
+// the row reads at commit as it was written. Any other event is ev.
+type loggedEvent struct {
+	kind EventKind
+	tab  *Table
+	cols []ColumnVector
+	pos  int
+	ev   *Event // nil for a row event
+}
+
+// logEvent logs ev, which carries no row: at the running transaction's
+// commit, or at once outside one. Caller holds mu.
+func (db *DB) logEvent(ev Event) { db.log(loggedEvent{kind: ev.Kind, ev: &ev}) }
+
+func (db *DB) log(le loggedEvent) {
+	if !db.logging {
+		return
+	}
+	db.pending = append(db.pending, le)
+	if !db.inTxn {
+		db.flushLogLocked()
 	}
 }
 
 // flushLogLocked appends the pending events to the binlog as one
-// commit, after which nothing holds their rows but the Record. Caller
-// holds mu.
+// commit, coding their rows from the vectors they name. Caller holds
+// mu.
 func (db *DB) flushLogLocked() {
-	db.binlog.appendCommit(db.pending)
+	evs := db.pending
+	db.binlog.appendCommit(len(evs), func(dst []byte, i, j int, first uint64, now time.Time) []byte {
+		return appendLogged(dst, evs[i:j], first, now)
+	})
 	if cap(db.pending) > maxBlockEvents {
 		db.pending = nil // a bulk commit's slice: do not keep it
 		return
@@ -157,16 +177,18 @@ func (db *DB) flushLogLocked() {
 // commitLocked publishes a fresh immutable snapshot for every table the
 // finished transaction touched, then bumps each touched schema's epoch
 // once, appends the transaction's events to the binlog, and returns
-// its Record (empty unless it kept one). Must run while holding mu
+// its Record (empty unless it kept one), each Change over its table's
+// vectors as they stood before any compaction. Must run while holding mu
 // exclusively; after it returns, lock-free readers observe the
 // transaction's effects.
 func (db *DB) commitLocked() (rec Record) {
 	for _, t := range db.dirty {
+		view := t.publish()
 		if t.chg != nil {
+			t.chg.Data = view
 			rec = append(rec, TableChange{Schema: t.schema, Table: t.def.Name, Change: *t.chg})
 			t.chg = nil
 		}
-		t.publish()
 		t.txnDirty = false
 		t.sch.txnDirty = true
 	}

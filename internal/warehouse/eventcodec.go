@@ -103,16 +103,20 @@ const (
 )
 
 // codecState is what an event is coded against; encoder and decoder
-// advance it identically.
+// advance it identically. The previous row is boxed (row) where the
+// events are, and a position into column vectors (vcols, vpos) where a
+// commit codes its rows from its tables' vectors (appendLogged).
 type codecState struct {
 	schema, table string
 	lsn           uint64
-	sec, nsec     int64 // commit time of the previous event
-	row           []any // previous row, nil after a change of table
+	sec, nsec     int64          // commit time of the previous event
+	row           []any          // previous row, nil after a change of table
+	vcols         []ColumnVector // previous row's vectors, when coded from vectors; nil after a change of table
+	vpos          int
 }
 
 func (st *codecState) switchTable(schema, table string) {
-	st.schema, st.table, st.row = schema, table, nil
+	st.schema, st.table, st.row, st.vcols = schema, table, nil, nil
 }
 
 // AppendEvents appends the encoding of evs to dst and returns the
@@ -125,52 +129,92 @@ func AppendEvents(dst []byte, evs []Event) []byte {
 	var st codecState
 	for i := range evs {
 		ev := &evs[i]
-		var flags byte
-		if ev.Schema == st.schema && ev.Table == st.table {
-			flags |= evSameTable
-		}
-		if ev.LSN == st.lsn+1 {
-			flags |= evNextLSN
-		}
-		if ev.Row != nil {
-			flags |= evHasRow
-		}
-		if ev.Old != nil {
-			flags |= evHasOld
-		}
-		if ev.Def != nil {
-			flags |= evHasDef
-		}
-		if ev.Cols != nil {
-			flags |= evHasCols
-		}
-		dst = binary.AppendUvarint(dst, uint64(ev.Kind))
-		dst = append(dst, flags)
-		if flags&evSameTable == 0 {
-			dst = appendString(dst, ev.Schema)
-			dst = appendString(dst, ev.Table)
-			st.switchTable(ev.Schema, ev.Table)
-		}
-		if flags&evNextLSN == 0 {
-			dst = binary.AppendUvarint(dst, ev.LSN)
-		}
-		st.lsn = ev.LSN
-		sec, nsec := ev.Time.Unix(), int64(ev.Time.Nanosecond())
-		dst = binary.AppendVarint(dst, sec-st.sec)
-		dst = binary.AppendVarint(dst, nsec-st.nsec)
-		st.sec, st.nsec = sec, nsec
+		dst = st.appendHeader(dst, ev, ev.Row != nil, ev.Old != nil)
 		if ev.Row != nil {
 			dst = st.appendRow(dst, ev.Row)
 		}
 		if ev.Old != nil {
 			dst = st.appendRow(dst, ev.Old)
 		}
-		if ev.Def != nil {
-			dst = appendDef(dst, ev.Def)
+		dst = appendTail(dst, ev)
+	}
+	return dst
+}
+
+// appendLogged appends the encoding of one block of a commit's events,
+// numbered from LSN first and given the commit time now, exactly as
+// AppendEvents codes the events they stand for: a row event's cells
+// are coded from the vectors that hold its row, with the same cell
+// tags and cellSame rule as a boxed row's, and boxed nowhere.
+func appendLogged(dst []byte, evs []loggedEvent, first uint64, now time.Time) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(evs)))
+	var st codecState
+	for i := range evs {
+		le := &evs[i]
+		if le.ev == nil { // a row event
+			ev := Event{LSN: first + uint64(i), Time: now, Kind: le.kind, Schema: le.tab.schema, Table: le.tab.def.Name}
+			dst = st.appendHeader(dst, &ev, le.kind != EvDelete, le.kind == EvDelete)
+			dst = st.appendVecRow(dst, le.cols, le.pos)
+			continue
 		}
-		if ev.Cols != nil {
-			dst = appendCols(dst, ev.Cols)
+		ev := le.ev
+		ev.LSN = first + uint64(i)
+		if ev.Time.IsZero() {
+			ev.Time = now
 		}
+		dst = appendTail(st.appendHeader(dst, ev, false, false), ev)
+	}
+	return dst
+}
+
+// appendHeader codes an event's kind, flags, names, LSN and time
+// against st; hasRow and hasOld say which row it carries.
+func (st *codecState) appendHeader(dst []byte, ev *Event, hasRow, hasOld bool) []byte {
+	var flags byte
+	if ev.Schema == st.schema && ev.Table == st.table {
+		flags |= evSameTable
+	}
+	if ev.LSN == st.lsn+1 {
+		flags |= evNextLSN
+	}
+	if hasRow {
+		flags |= evHasRow
+	}
+	if hasOld {
+		flags |= evHasOld
+	}
+	if ev.Def != nil {
+		flags |= evHasDef
+	}
+	if ev.Cols != nil {
+		flags |= evHasCols
+	}
+	dst = binary.AppendUvarint(dst, uint64(ev.Kind))
+	dst = append(dst, flags)
+	if flags&evSameTable == 0 {
+		dst = appendString(dst, ev.Schema)
+		dst = appendString(dst, ev.Table)
+		st.switchTable(ev.Schema, ev.Table)
+	}
+	if flags&evNextLSN == 0 {
+		dst = binary.AppendUvarint(dst, ev.LSN)
+	}
+	st.lsn = ev.LSN
+	sec, nsec := ev.Time.Unix(), int64(ev.Time.Nanosecond())
+	dst = binary.AppendVarint(dst, sec-st.sec)
+	dst = binary.AppendVarint(dst, nsec-st.nsec)
+	st.sec, st.nsec = sec, nsec
+	return dst
+}
+
+// appendTail codes what follows an event's rows: its definition and
+// its LOAD payload.
+func appendTail(dst []byte, ev *Event) []byte {
+	if ev.Def != nil {
+		dst = appendDef(dst, ev.Def)
+	}
+	if ev.Cols != nil {
+		dst = appendCols(dst, ev.Cols)
 	}
 	return dst
 }
@@ -213,10 +257,12 @@ func appendCols(dst []byte, cd *ColumnData) []byte {
 	for i := range cd.Cols {
 		v := &cd.Cols[i]
 		dst = appendFlag(append(appendString(dst, cd.Names[i]), byte(v.Type)), v.Nulls != nil)
-		var prev any
 		for r := 0; r < cd.Rows; r++ {
-			x := v.Value(r)
-			dst, prev = appendCell(dst, x, prev), x
+			if r == 0 {
+				dst = appendVecCell(dst, v, r, nil, 0)
+			} else {
+				dst = appendVecCell(dst, v, r, v, r-1)
+			}
 		}
 	}
 	return dst
@@ -239,10 +285,29 @@ func (st *codecState) appendRow(dst []byte, row []any) []byte {
 	return dst
 }
 
+// appendVecRow codes row pos of cols as appendRow codes the same row
+// boxed, against the previous row coded from vectors.
+func (st *codecState) appendVecRow(dst []byte, cols []ColumnVector, pos int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(cols)))
+	prev := st.vcols
+	if len(prev) != len(cols) {
+		prev = nil
+	}
+	for i := range cols {
+		if prev != nil {
+			dst = appendVecCell(dst, &cols[i], pos, &prev[i], st.vpos)
+		} else {
+			dst = appendVecCell(dst, &cols[i], pos, nil, 0)
+		}
+	}
+	st.vcols, st.vpos = cols, pos
+	return dst
+}
+
 // appendCell encodes v, as cellSame when it is identical to prev (the
 // cell above it, nil when there is none). Floats compare by bits so
 // that -0 and NaN payloads survive; null and bool cells are one byte
-// already.
+// already. appendVecCell is the same rule over typed cells.
 func appendCell(dst []byte, v, prev any) []byte {
 	switch x := v.(type) {
 	case nil:
@@ -251,34 +316,100 @@ func appendCell(dst []byte, v, prev any) []byte {
 		if p, ok := prev.(int64); ok && p == x {
 			return append(dst, cellSame)
 		}
-		return binary.AppendVarint(append(dst, cellInt), x)
+		return appendIntCell(dst, x)
 	case float64:
 		if p, ok := prev.(float64); ok && math.Float64bits(p) == math.Float64bits(x) {
 			return append(dst, cellSame)
 		}
-		if x >= -maxFloatInt && x <= maxFloatInt && float64(int64(x)) == x && !(x == 0 && math.Signbit(x)) {
-			return binary.AppendVarint(append(dst, cellFloatInt), int64(x))
-		}
-		return binary.LittleEndian.AppendUint64(append(dst, cellFloat), math.Float64bits(x))
+		return appendFloatCell(dst, x)
 	case string:
 		if p, ok := prev.(string); ok && p == x {
 			return append(dst, cellSame)
 		}
-		return appendString(append(dst, cellString), x)
+		return appendStringCell(dst, x)
 	case bool:
-		if x {
-			return append(dst, cellTrue)
-		}
-		return append(dst, cellFalse)
+		return appendBoolCell(dst, x)
 	case time.Time:
 		if p, ok := prev.(time.Time); ok && p == x {
 			return append(dst, cellSame)
 		}
-		dst = binary.AppendVarint(append(dst, cellTime), x.Unix())
-		return binary.AppendUvarint(dst, uint64(x.Nanosecond()))
+		return appendTimeCell(dst, x.Unix(), int64(x.Nanosecond()))
 	default:
 		panic(fmt.Sprintf("warehouse: event cell of type %T is not a canonical column value", v))
 	}
+}
+
+// appendVecCell encodes cell pos of v as appendCell encodes its value,
+// as cellSame when cell ppos of prev (the cell above it, a vector of
+// the same type; nil when there is none) holds the same value. A
+// vector's Nulls may be nil: no cell is NULL.
+func appendVecCell(dst []byte, v *ColumnVector, pos int, prev *ColumnVector, ppos int) []byte {
+	if v.Nulls != nil && v.Nulls[pos] {
+		return append(dst, cellNull)
+	}
+	above := prev != nil && (prev.Nulls == nil || !prev.Nulls[ppos])
+	switch v.Type {
+	case TypeInt:
+		x := v.Ints[pos]
+		if above && prev.Ints[ppos] == x {
+			return append(dst, cellSame)
+		}
+		return appendIntCell(dst, x)
+	case TypeFloat:
+		x := v.Floats[pos]
+		if above && math.Float64bits(prev.Floats[ppos]) == math.Float64bits(x) {
+			return append(dst, cellSame)
+		}
+		return appendFloatCell(dst, x)
+	case TypeString:
+		x := v.Dict[v.Codes[pos]]
+		if above && prev.Dict[prev.Codes[ppos]] == x {
+			return append(dst, cellSame)
+		}
+		return appendStringCell(dst, x)
+	case TypeBool:
+		return appendBoolCell(dst, v.Bools[pos])
+	case TypeTime:
+		n := v.Nanos[pos]
+		if above && prev.Nanos[ppos] == n {
+			return append(dst, cellSame)
+		}
+		sec, nsec := n/1e9, n%1e9
+		if nsec < 0 {
+			sec, nsec = sec-1, nsec+1e9
+		}
+		return appendTimeCell(dst, sec, nsec)
+	default:
+		panic(fmt.Sprintf("warehouse: event cell of column type %s", v.Type))
+	}
+}
+
+func appendIntCell(dst []byte, x int64) []byte {
+	return binary.AppendVarint(append(dst, cellInt), x)
+}
+
+func appendFloatCell(dst []byte, x float64) []byte {
+	if x >= -maxFloatInt && x <= maxFloatInt && float64(int64(x)) == x && !(x == 0 && math.Signbit(x)) {
+		return binary.AppendVarint(append(dst, cellFloatInt), int64(x))
+	}
+	return binary.LittleEndian.AppendUint64(append(dst, cellFloat), math.Float64bits(x))
+}
+
+func appendStringCell(dst []byte, x string) []byte {
+	return appendString(append(dst, cellString), x)
+}
+
+func appendBoolCell(dst []byte, x bool) []byte {
+	if x {
+		return append(dst, cellTrue)
+	}
+	return append(dst, cellFalse)
+}
+
+// appendTimeCell encodes a time by its Unix seconds and nanoseconds
+// (0 <= nsec < 1e9).
+func appendTimeCell(dst []byte, sec, nsec int64) []byte {
+	return binary.AppendUvarint(binary.AppendVarint(append(dst, cellTime), sec), uint64(nsec))
 }
 
 // DecodeEvents decodes a buffer written by AppendEvents. It is strict:

@@ -530,8 +530,9 @@ func TestDecodeEventsRejectsHostileBytes(t *testing.T) {
 // errors are the expected outcome there. The seed corpus (which plain
 // `go test` runs too) is real ingest batches of all three realms, each
 // DDL kind, a LOAD, a CREATE_TABLE of every column type with a key,
-// an index and the Derived flag, and a LOAD whose payload disagrees
-// with the table created just before it.
+// an index and the Derived flag, a LOAD whose payload disagrees
+// with the table created just before it, and the blocks of commits
+// that coded their rows from the vectors (vectorCodedBlocks).
 func FuzzDecodeEvents(f *testing.F) {
 	live, restored := ingestedBinlogs(f)
 	for _, evs := range [][]warehouse.Event{live, restored} {
@@ -550,6 +551,9 @@ func FuzzDecodeEvents(f *testing.F) {
 		Columns: []warehouse.Column{{Name: "i", Type: warehouse.TypeInt}, {Name: "f", Type: warehouse.TypeFloat, Nullable: true},
 			{Name: "s", Type: warehouse.TypeString}, {Name: "b", Type: warehouse.TypeBool, Nullable: true}, {Name: "t", Type: warehouse.TypeTime}}}
 	hostile := warehouse.TableDef{Name: "t", Columns: []warehouse.Column{{Name: "a", Type: warehouse.TypeInt}}}
+	for _, b := range vectorCodedBlocks(f) {
+		f.Add(b)
+	}
 	f.Add(warehouse.AppendEvents(nil, []warehouse.Event{
 		{LSN: 1, Kind: warehouse.EvCreateTable, Schema: "fed_siteA", Table: "every", Def: &every},
 		{LSN: 2, Kind: warehouse.EvCreateTable, Schema: "fed_siteA", Table: "t", Def: &hostile},
@@ -570,6 +574,45 @@ func FuzzDecodeEvents(f *testing.F) {
 			t.Fatalf("re-encoding changed the events: %s", diff)
 		}
 	})
+}
+
+// vectorCodedBlocks returns the binlog blocks of a DB whose commits
+// coded their row events from the tables' vectors: the DDL, and one
+// commit of inserts, an upsert, a delete and a truncate over every
+// column type, NULLs and -0 among the cells, and rows that repeat the
+// cells above them.
+func vectorCodedBlocks(tb testing.TB) [][]byte {
+	db := warehouse.Open("vectors")
+	def := warehouse.TableDef{Name: "every", PrimaryKey: []string{"i"}, Columns: []warehouse.Column{
+		{Name: "i", Type: warehouse.TypeInt}, {Name: "f", Type: warehouse.TypeFloat, Nullable: true},
+		{Name: "s", Type: warehouse.TypeString, Nullable: true}, {Name: "b", Type: warehouse.TypeBool},
+		{Name: "t", Type: warehouse.TypeTime}}}
+	tab, err := db.EnsureSchema("s").EnsureTable(def)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	at := time.Date(2017, 5, 6, 7, 8, 9, 10, time.UTC)
+	err = db.Do(func() error {
+		for i := int64(1); i <= 6; i++ {
+			var f, s any = float64(i / 2), "x"
+			if i == 3 {
+				f, s = math.Copysign(0, -1), nil
+			}
+			if err := tab.InsertRow([]any{i, f, s, i%2 == 0, at}); err != nil {
+				return err
+			}
+		}
+		if err := tab.UpsertRow([]any{int64(2), 9.5, "y", true, at.Add(time.Second)}); err != nil {
+			return err
+		}
+		tab.DeleteByKey(int64(4))
+		tab.Truncate()
+		return tab.InsertRow([]any{int64(7), nil, nil, false, at})
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return db.Binlog().Blocks()
 }
 
 // jobFactEvents returns n consecutive job-fact inserts as the sender

@@ -7,14 +7,20 @@ import (
 	"xdmodfed/internal/warehouse/store"
 )
 
-// Change is what one write transaction did to one table: the rows it
-// wrote, new or replacing stored ones (the slices the table stored
-// and, on a logged table, logged, not copies), and the stored rows
-// they replaced or that it deleted. Whole marks a truncate or bulk
-// load (LOAD): the table's whole content was replaced, which no list
-// of rows describes. Only the warehouse builds one, while it writes.
+// Change is what one write transaction did to one table, by position:
+// Inserted are the rows it wrote, new or replacing stored ones, and
+// Replaced the stored rows they replaced or that it deleted, each in
+// the order the transaction wrote them. The positions index Data, the
+// table's vectors as the transaction left them, captured at commit
+// before any compaction: an immutable view in which a replaced or
+// deleted row, and a written row replaced again, is tombstoned but
+// still readable, so no row is boxed to describe the write. Whole marks
+// a truncate or bulk load (LOAD): the table's whole content was
+// replaced, which no list of rows describes, and the lists are empty.
+// Only the warehouse builds one, while it writes.
 type Change struct {
-	Inserted, Replaced [][]any
+	Inserted, Replaced []int
+	Data               *TableData
 	Whole              bool
 }
 
@@ -25,9 +31,10 @@ type TableChange struct {
 }
 
 // Record is what one write transaction did: a TableChange for every
-// non-derived table it changed, in the order it first changed them. An
-// upsert of a row equal to the stored one changes nothing, so it is
-// not in the record (nor written, nor logged).
+// non-derived table it changed, in the order it first changed them, on
+// a satellite's ingest and a hub's Apply alike. An upsert of a row
+// equal to the stored one changes nothing, so it is not in the record
+// (nor written, nor logged).
 type Record []TableChange
 
 // Of returns the change the transaction made to schema.table; the zero

@@ -238,6 +238,35 @@ func (v *Column) AppendFrom(src *Column, pos int, ix *Index) {
 	v.Nulls = append(v.Nulls, src.Nulls[pos])
 }
 
+// GrowAsAppends makes room for n more cells as n appends of one cell
+// each would, growth step by growth step, so that a vector filled in
+// batches ends with the capacity it would have had filled a cell at a
+// time. (One append of many cells sizes the array to them, which starts
+// another sequence of capacities.)
+func (v *Column) GrowAsAppends(n int) {
+	switch v.Type {
+	case TypeInt:
+		v.Ints = growAsAppends(v.Ints, n)
+	case TypeFloat:
+		v.Floats = growAsAppends(v.Floats, n)
+	case TypeString:
+		v.Codes = growAsAppends(v.Codes, n)
+	case TypeBool:
+		v.Bools = growAsAppends(v.Bools, n)
+	case TypeTime:
+		v.Nanos = growAsAppends(v.Nanos, n)
+	}
+	v.Nulls = growAsAppends(v.Nulls, n)
+}
+
+func growAsAppends[T any](s []T, n int) []T {
+	var zero T
+	for cap(s)-len(s) < n {
+		s = append(s[:cap(s)], zero)[:len(s)]
+	}
+	return s
+}
+
 // AppendColumn appends every cell of src, a vector of the same type
 // with a full-length Nulls. String cells are translated into v's
 // dictionary (ix is its index) once per distinct code of src.

@@ -184,22 +184,36 @@ func (t *Table) Len() int { return t.rows - t.deleted }
 func (t *Table) Data() *TableData { return t.version.Load() }
 
 // publish captures the current vectors as an immutable TableData and
-// swaps it in atomically. Called at write-transaction commit (and at
-// table creation) while holding the DB write lock.
-func (t *Table) publish() {
+// swaps it in atomically, compacting the table first once tombstones
+// outnumber live rows. It returns the vectors as they stood before any
+// compaction, as an immutable view: the published one when the table
+// did not compact. Called at write-transaction commit (and at table
+// creation) while holding the DB write lock.
+func (t *Table) publish() *TableData {
+	before := t.snapshot()
+	td := before
 	if t.deleted > compactMinDead && t.deleted*2 > t.rows {
 		t.compact()
-	}
-	td := &TableData{
-		lay:  t.lay,
-		cols: slices.Clone(t.cols), // later appends never move a published header
-		dead: t.dead,
-		rows: t.rows,
-		live: t.rows - t.deleted,
+		td = t.snapshot()
 	}
 	t.version.Store(td)
 	t.deadShared = true
 	mSnapshotPublishes.Inc()
+	return before
+}
+
+// snapshot captures the current vectors as an immutable TableData: the
+// cells below rows never change, and the tombstones are copied before
+// a later write changes one the capture holds (tombstoneAt), once the
+// caller has set deadShared.
+func (t *Table) snapshot() *TableData {
+	return &TableData{
+		lay:  t.lay,
+		cols: slices.Clone(t.cols), // later appends never move a captured header
+		dead: t.dead,
+		rows: t.rows,
+		live: t.rows - t.deleted,
+	}
 }
 
 // compact rewrites the vectors with live rows only (preserving scan
@@ -350,49 +364,58 @@ func (t *Table) markDirty() {
 	}
 }
 
-// logEvent notes a mutation of this table: in the binlog, when the
-// table is logged at all (DB.logEvent: coded at commit, after which the
-// binlog keeps no boxed row), and in the running transaction's record
-// (Change), when it keeps one — the row an INSERT or UPDATE wrote, the
-// stored row an UPDATE replaced (passed as replaced) or a DELETE
-// removed, or a whole-table mark for a TRUNCATE or LOAD. Sites that
-// box a payload for it first check that something reads it: the binlog
-// (logged) or the record (recording).
-func (t *Table) logEvent(ev Event, replaced ...[]any) {
+// logRow notes a row mutation of this table by position, boxing
+// nothing: in the binlog when the table is logged (DB.log; commit codes
+// the row from the vectors), and in the running transaction's record
+// (Change) when it keeps one. pos is the row an INSERT or UPDATE wrote,
+// or the row a DELETE removed; replaced is the stored row an UPDATE
+// replaced, or -1.
+func (t *Table) logRow(kind EventKind, pos, replaced int) {
+	if t.logged {
+		t.db.log(loggedEvent{kind: kind, tab: t, cols: t.cols, pos: pos})
+	}
+	if !t.recording() {
+		return
+	}
+	c := t.change()
+	if c.Whole {
+		return
+	}
+	if kind == EvDelete {
+		c.Replaced = append(c.Replaced, pos)
+		return
+	}
+	c.Inserted = append(c.Inserted, pos)
+	if replaced >= 0 {
+		c.Replaced = append(c.Replaced, replaced)
+	}
+}
+
+// logEvent notes a mutation of this table that carries no row: its
+// creation, in the binlog only, and a TRUNCATE or LOAD, which the record
+// marks as a change of the whole table, dropping the rows it named.
+func (t *Table) logEvent(ev Event) {
 	if t.logged {
 		ev.Schema, ev.Table = t.schema, t.def.Name
 		t.db.logEvent(ev)
 	}
-	if !t.recording() || ev.Kind == EvCreateTable {
-		return
+	if t.recording() && ev.Kind != EvCreateTable {
+		*t.change() = Change{Whole: true}
 	}
+}
+
+// change returns the running transaction's change to the table.
+func (t *Table) change() *Change {
 	if t.chg == nil {
 		t.chg = &Change{}
 	}
-	switch ev.Kind {
-	case EvInsert, EvUpdate:
-		t.chg.Inserted = append(t.chg.Inserted, ev.Row)
-	case EvDelete:
-		t.chg.Replaced = append(t.chg.Replaced, ev.Old)
-	default: // EvTruncate, EvLoad
-		t.chg.Whole = true
-	}
-	t.chg.Replaced = append(t.chg.Replaced, replaced...)
+	return t.chg
 }
 
 // recording reports whether the running transaction keeps a record of
 // this table: it is a Write (or an Apply inside one) and the table is
 // not derived.
 func (t *Table) recording() bool { return t.db.recording && !t.def.Derived }
-
-// replacedRow boxes the stored row at pos for the transaction's record,
-// or returns nil when the transaction keeps none.
-func (t *Table) replacedRow(pos int) []any {
-	if !t.recording() {
-		return nil
-	}
-	return t.rowAt(pos).Values()
-}
 
 // insertVals inserts a pre-normalized row and logs the mutation.
 func (t *Table) insertVals(vals []any) error {
@@ -425,7 +448,7 @@ func (t *Table) insertNew(vals []any) {
 		t.enter(t.pk, pos)
 	}
 	t.addToIndexes(pos)
-	t.logEvent(Event{Kind: EvInsert, Row: vals})
+	t.logRow(EvInsert, pos, -1)
 }
 
 // Insert adds a row given as a column-name map.
@@ -485,8 +508,9 @@ func (t *Table) upsertVals(vals []any, verbatim bool) error {
 	t.pk.set(slot, h, t.rows)
 	t.removeFromIndexes(pos)
 	t.tombstoneAt(pos)
-	t.addToIndexes(t.appendRow(vals))
-	t.logEvent(Event{Kind: EvUpdate, Row: vals}, t.replacedRow(pos))
+	next := t.appendRow(vals)
+	t.addToIndexes(next)
+	t.logRow(EvUpdate, next, pos)
 	return nil
 }
 
@@ -513,10 +537,7 @@ func (t *Table) deleteAt(pos int) {
 	}
 	t.removeFromIndexes(pos)
 	t.tombstoneAt(pos)
-	if t.logged || t.recording() {
-		// The applier finds the row to delete by the prior values.
-		t.logEvent(Event{Kind: EvDelete, Old: t.rowAt(pos).Values()})
-	}
+	t.logRow(EvDelete, pos, -1) // the applier finds the row to delete by its values
 }
 
 // DeleteByKey removes the row with the given primary key values (see
@@ -599,17 +620,15 @@ func (t *Table) payloadCols(cd *ColumnData) ([]ColumnVector, error) {
 
 // UpsertColumns upserts every row of a columnar payload by primary key
 // in one batch: the result is what UpsertRow of the same rows, in
-// payload order, would leave — table contents, scan order, indexes and,
-// on a logged table, one INSERT or UPDATE event per row — except that a
-// row equal to the stored one is rewritten, where UpsertRow leaves it
-// alone, and that nothing is recorded: it writes derived tables, which
-// a Record leaves out. The payload is validated strictly (ColumnData.Validate) and
-// must not repeat a key; a refused payload leaves the table as it was. Replaced rows are
-// tombstoned through the copy-on-write path and every column is
-// appended with one copy (a string column's codes translated into the
-// table's dictionary once per distinct code), so published snapshots
-// keep reading the old cells. cd is copied, not adopted: the caller may
-// reuse it.
+// payload order, would leave — table contents, scan order, indexes, on
+// a logged table one INSERT or UPDATE event per row, and the record —
+// except that a row equal to the stored one is rewritten, where
+// UpsertRow leaves it alone. The payload is validated strictly
+// (ColumnData.Validate) and must not repeat a key; a refused payload
+// leaves the table as it was. Replaced rows are tombstoned through the
+// copy-on-write path and every column is appended with one copy
+// (appendPayload), so published snapshots keep reading the old cells.
+// cd is copied, not adopted: the caller may reuse it.
 //
 // fill, when not nil, completes the payload row by row in the same
 // pass that matches the keys: it runs once per row r, in payload order,
@@ -627,38 +646,15 @@ func (t *Table) UpsertColumns(cd *ColumnData, fill func(r, replaced int) error) 
 	if n == 0 {
 		return nil
 	}
-	// The key's string cells are hashed by the codes they have, or will
-	// get from the append below, in the table's dictionary: each
-	// distinct payload code is translated once, interning nothing.
-	cm := codeMap{to: make([][]uint32, len(cols))}
-	for _, ci := range t.pk.cols {
-		if c := &cols[ci]; c.Type == TypeString && cm.to[ci] == nil {
-			cm.to[ci] = make([]uint32, len(c.Dict))
-			t.cols[ci].Translate(c, &t.index[ci], cm.to[ci])
-		}
-	}
+	cm := t.keyCodes(cols)
 	// Claim each key for its new position base+r, remembering the
 	// position it replaces. A key already claimed by this payload is the
 	// one failure left once Validate has passed, a fill error the other;
 	// the claims made so far are then handed back, so nothing has
 	// changed.
-	// Room is made only for keys that are new, so an index re-upserted
-	// in full does not grow.
 	old := make([]int, n)
-	var buf [keyCellsOnStack]keyCell
 	for r := range old {
-		cells := t.keyCells(buf[:0], cols, r, t.pk.cols, cm)
-		h := t.hashKey(cells)
-		same := func(p int) bool {
-			if p >= base { // claimed by an earlier row of this payload
-				return t.rowHolds(cols, p-base, cm, t.pk.cols, cells)
-			}
-			return t.holds(p, t.pk.cols, cells)
-		}
-		pos, slot := t.pk.find(h, same)
-		if pos < 0 && t.pk.reserve(1) {
-			pos, slot = t.pk.find(h, same)
-		}
+		pos, slot, h := t.probeRow(cols, r, cm)
 		if pos >= base {
 			t.releaseClaims(cols, cm, old[:r])
 			return fmt.Errorf("warehouse: upsert into table %s.%s: duplicate primary key %s at rows %d and %d",
@@ -679,6 +675,107 @@ func (t *Table) UpsertColumns(cd *ColumnData, fill func(r, replaced int) error) 
 			t.tombstoneAt(pos)
 		}
 	}
+	t.appendPayload(cols, n, old)
+	return nil
+}
+
+// skippedRow marks, in a batch's claims, a row InsertColumns skips.
+const skippedRow = -2
+
+// InsertColumns inserts, in payload order, the rows of a columnar
+// payload whose primary key is new, and returns how many rows it
+// skipped: those whose key the table, or an earlier row of the payload,
+// already holds. What it leaves is what InsertRow of the inserted rows
+// would leave — table contents, scan order, indexes, on a logged table
+// one INSERT event per row, and the record, down to the vectors'
+// capacity — for one key probe per row. The payload is validated
+// strictly (ColumnData.Validate); a refused payload leaves the table
+// as it was. cd is copied, not adopted.
+func (t *Table) InsertColumns(cd *ColumnData) (skipped int, err error) {
+	cols, err := t.payloadCols(cd)
+	if err != nil || cd.Rows == 0 {
+		return 0, err
+	}
+	n, base := cd.Rows, t.rows
+	cm := t.keyCodes(cols)
+	claims := make([]int, n) // per row: -1 (its key is new, claimed) or skippedRow
+	for r := range claims {
+		pos, slot, h := t.probeRow(cols, r, cm)
+		if pos >= 0 {
+			claims[r] = skippedRow
+			skipped++
+			continue
+		}
+		claims[r] = -1
+		t.pk.set(slot, h, base+r)
+	}
+	if skipped == 0 {
+		for i := range t.cols { // the capacity n InsertRows would leave
+			t.cols[i].GrowAsAppends(n)
+		}
+		t.appendPayload(cols, n, nil)
+		return 0, nil
+	}
+	// The kept rows' keys were claimed where the whole payload would put
+	// them, and the key codes translated as if every row were appended:
+	// hand the claims back and insert the kept rows on their own, whose
+	// keys are all new.
+	t.releaseClaims(cols, cm, claims)
+	if skipped == n {
+		return n, nil
+	}
+	skip := make([]bool, n) // the skipped rows, as a view's tombstones
+	for r, c := range claims {
+		skip[r] = c == skippedRow
+	}
+	_, err = t.InsertColumns((&TableData{lay: t.lay, cols: cols, dead: skip, rows: n, live: n - skipped}).ColumnData())
+	return skipped, err
+}
+
+// keyCodes translates the string codes of a payload's key columns into
+// the codes the table's dictionary has, or appendPayload will give,
+// for their values: each distinct payload code once, interning nothing.
+func (t *Table) keyCodes(cols []ColumnVector) codeMap {
+	cm := codeMap{to: make([][]uint32, len(cols))}
+	for _, ci := range t.pk.cols {
+		if c := &cols[ci]; c.Type == TypeString && cm.to[ci] == nil {
+			cm.to[ci] = make([]uint32, len(c.Dict))
+			t.cols[ci].Translate(c, &t.index[ci], cm.to[ci])
+		}
+	}
+	return cm
+}
+
+// probeRow finds payload row r's primary key: the position that holds
+// it — a stored row, or t.rows+q for an earlier payload row q that
+// claimed it — or -1 and the empty slot where it would go, with room
+// made for one more key. Room is made only for keys that are new, so an
+// index re-upserted in full does not grow.
+func (t *Table) probeRow(cols []ColumnVector, r int, cm codeMap) (pos, slot int, h uint32) {
+	base := t.rows
+	var buf [keyCellsOnStack]keyCell
+	cells := t.keyCells(buf[:0], cols, r, t.pk.cols, cm)
+	h = t.hashKey(cells)
+	same := func(p int) bool {
+		if p >= base { // claimed by an earlier row of this payload
+			return t.rowHolds(cols, p-base, cm, t.pk.cols, cells)
+		}
+		return t.holds(p, t.pk.cols, cells)
+	}
+	pos, slot = t.pk.find(h, same)
+	if pos < 0 && t.pk.reserve(1) {
+		pos, slot = t.pk.find(h, same)
+	}
+	return pos, slot, h
+}
+
+// appendPayload appends every row of a payload whose keys are claimed
+// at positions t.rows.. (a string column's codes translated into the
+// table's dictionary once per distinct code), enters the rows in the
+// secondary indexes and logs each: an UPDATE of the stored row old[r]
+// when old (nil: none) names one, an INSERT otherwise.
+func (t *Table) appendPayload(cols []ColumnVector, n int, old []int) {
+	base := t.rows
 	for i := range t.cols {
 		t.cols[i].AppendColumn(&cols[i], &t.index[i])
 	}
@@ -688,25 +785,25 @@ func (t *Table) UpsertColumns(cd *ColumnData, fill func(r, replaced int) error) 
 		t.addToIndexes(base + r)
 	}
 	t.markDirty()
-	if t.logged {
-		for r, pos := range old {
-			kind := EvInsert
-			if pos >= 0 {
-				kind = EvUpdate
-			}
-			t.logEvent(Event{Kind: kind, Row: Row{lay: t.lay, cols: cols, pos: r}.Values()})
+	for r := range n {
+		if old != nil && old[r] >= 0 {
+			t.logRow(EvUpdate, base+r, old[r])
+		} else {
+			t.logRow(EvInsert, base+r, -1)
 		}
 	}
-	return nil
 }
 
-// releaseClaims hands back the key claims of a refused UpsertColumns
-// payload: payload row q's key, read through cm, was claimed for
-// position t.rows+q, and old[q] is the position it held before, or -1
-// when the key was new.
+// releaseClaims hands back the key claims of a batch payload: payload
+// row q's key, read through cm, was claimed for position t.rows+q, and
+// old[q] is the position it held before, -1 when the key was new, or
+// skippedRow when row q claimed nothing.
 func (t *Table) releaseClaims(cols []ColumnVector, cm codeMap, old []int) {
 	var buf [keyCellsOnStack]keyCell
 	for q, pos := range old {
+		if pos == skippedRow {
+			continue
+		}
 		h := t.hashKey(t.keyCells(buf[:0], cols, q, t.pk.cols, cm))
 		t.pk.remove(h, t.rows+q)
 		if pos >= 0 {

@@ -514,6 +514,35 @@ func TestReplayLogKeepsWhatItCannotDecode(t *testing.T) {
 	}
 }
 
+// vectorCodedWAL is the WAL of a DB whose commits coded their row
+// events from the table's vectors: inserts, an update and a delete in
+// one commit of two blocks, one record per block as the writer writes
+// them.
+func vectorCodedWAL(tb testing.TB) []byte {
+	db := Open("sat")
+	tab := mustTable(tb, db, "s")
+	err := db.Do(func() error {
+		for i := range maxBlockEvents + 20 {
+			if err := tab.Insert(map[string]any{"job_id": i, "user": "u", "resource": "r", "cores": 1, "wall": float64(i % 3)}); err != nil {
+				return err
+			}
+		}
+		if err := updateCols(tab, int64(3), map[string]any{"cores": 99}); err != nil {
+			return err
+		}
+		tab.DeleteByKey(int64(5))
+		return nil
+	})
+	if err != nil || len(db.binlog.blocks) < 4 {
+		tb.Fatalf("%d blocks: %v", len(db.binlog.blocks), err)
+	}
+	var file []byte
+	for _, k := range db.binlog.blocks {
+		file = append(file, walRecord(append([]byte{walBinary}, k.buf...))...)
+	}
+	return file
+}
+
 // FuzzReplayLog feeds whole WAL files to recovery: it never panics,
 // the file never grows, what remains is a prefix of what was there,
 // and it is never cut below the end of the last checksum-valid record
@@ -532,6 +561,7 @@ func FuzzReplayLog(f *testing.F) {
 	f.Add(walRecord([]byte{walBinary, 1, 1, 0xff}))
 	f.Add(walRecord(AppendEvents([]byte{walBinary}, evs))) // one block of every event
 	f.Add(append(walRecord(AppendEvents([]byte{walBinary}, evs[:2])), walRecord(AppendEvents([]byte{walBinary}, evs[2:]))...))
+	f.Add(vectorCodedWAL(f))
 	f.Add([]byte{})
 	path := filepath.Join(f.TempDir(), "fuzz.wal")
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -571,12 +601,12 @@ func TestLogWriterResumesInsideABlock(t *testing.T) {
 		}
 		return nil
 	})
-	head, err := db.Binlog().ReadFrom(0, 7) // up to LSN 7, inside the block
+	all, err := db.Binlog().ReadFrom(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var file []byte
-	for _, ev := range head {
+	for _, ev := range all[:7] { // up to LSN 7, inside the block
 		file = append(file, binaryWALRecord(ev)...)
 	}
 	path := walPath(t)

@@ -56,17 +56,18 @@ var reachAllowlist = map[string]reachExemption{
 
 	// (b) Test harnesses and fixtures shared by the tests of several
 	// packages.
-	"faults":                    {reachHarness, "failpoint registry that the warehouse, replicate, core and root chaos tests arm; daemons only consult it"},
-	"warehouse.Open":            {reachHarness, "logging in-memory DB for tests; daemons open through OpenOptions"},
-	"warehouse.DB.Insert":       {reachHarness, "map-form row insert that tests of most packages seed tables with"},
-	"warehouse.Table.Insert":    {reachHarness, "map-form row insert inside a transaction, for the same fixtures"},
-	"warehouse.DB.Schemas":      {reachHarness, "lists a DB's schemas for the warehouse, replicate and core tests"},
-	"warehouse.Schema.Tables":   {reachHarness, "lists a schema's tables for the warehouse, realm/perf and core tests"},
-	"warehouse.Table.Columns":   {reachHarness, "a table's column names, by which the aggregate, core and warehouse tests render its rows"},
-	"warehouse.Table.Def":       {reachHarness, "a table's definition, whose Derived flag and indexes the warehouse and core tests check"},
-	"realm/jobs.FactFromRecord": {reachHarness, "map-form job fact row for the replicate, core, aggregate, rest and warehouse tests"},
-	"obs.SetEnabled":            {reachHarness, "instrumentation off switch that TestDisabled and TestSpanDisabledNil in obs, and BenchmarkObsOverhead and BenchmarkTelemetryOverhead in rest, flip"},
-	"workload.SUConverter2017":  {reachHarness, "Figure 1 SU factors as a converter, for the warehouse, aggregate and workload tests"},
+	"faults":                       {reachHarness, "failpoint registry that the warehouse, replicate, core and root chaos tests arm; daemons only consult it"},
+	"warehouse.Open":               {reachHarness, "logging in-memory DB for tests; daemons open through OpenOptions"},
+	"warehouse.DB.Insert":          {reachHarness, "map-form row insert that tests of most packages seed tables with"},
+	"warehouse.Table.Insert":       {reachHarness, "map-form row insert inside a transaction, for the same fixtures"},
+	"warehouse.DB.Schemas":         {reachHarness, "lists a DB's schemas for the warehouse, replicate and core tests"},
+	"warehouse.Schema.Tables":      {reachHarness, "lists a schema's tables for the warehouse, realm/perf and core tests"},
+	"warehouse.Table.Columns":      {reachHarness, "a table's column names, by which the aggregate, core and warehouse tests render its rows"},
+	"warehouse.Table.Def":          {reachHarness, "a table's definition, whose Derived flag and indexes the warehouse and core tests check"},
+	"realm/jobs.FactFromRecord":    {reachHarness, "map-form job fact row for the replicate, core, aggregate, rest and warehouse tests"},
+	"realm/jobs.FactRowFromRecord": {reachHarness, "positional job fact row, the boxed form of what ingest appends as typed columns (jobs.Batch), for the aggregate, core, replicate and warehouse tests that write facts a row at a time"},
+	"obs.SetEnabled":               {reachHarness, "instrumentation off switch that TestDisabled and TestSpanDisabledNil in obs, and BenchmarkObsOverhead and BenchmarkTelemetryOverhead in rest, flip"},
+	"workload.SUConverter2017":     {reachHarness, "Figure 1 SU factors as a converter, for the warehouse, aggregate and workload tests"},
 
 	// (c) Methods an interface from outside the module requires.
 	"obs.dynHandler.WithGroup": {reachInterface, "slog.Handler"},
