@@ -59,7 +59,8 @@ chaos:
 
 # Native fuzzing of the decoders that read bytes from outside the
 # process: the binary event codec (replication frames, WAL payloads),
-# WAL recovery over whole files and snapshot restore. The key index is
+# WAL recovery over whole files, snapshot restore, and the hub's
+# replication receiver, fed hostile frames after a valid hello. The key index is
 # fuzzed against a model map, since the keys it finds come from
 # ingested data. The chart encoders are fuzzed too, because the bytes they write come from ingested data: the
 # /api/chart JSON body must equal encoding/json's for any strings and
@@ -72,6 +73,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayLog$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/warehouse
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreSnapshot$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/warehouse
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyIndex$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/warehouse
+	$(GO) test -run '^$$' -fuzz '^FuzzReceiverFrames$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/replicate
 	$(GO) test -run '^$$' -fuzz '^FuzzChartJSON$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/rest
 	$(GO) test -run '^$$' -fuzz '^FuzzChartSVG$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/chart
 

@@ -243,8 +243,8 @@ func TestChaosFederationConvergence(t *testing.T) {
 		t.Error("fault registry injected nothing; chaos run was fault-free")
 	}
 	for _, m := range hub.Status().Members {
-		if m.Quarantines != 0 || m.Quarantined(time.Now()) {
-			t.Errorf("member %s quarantined during chaos run: %+v", m.Name, m)
+		if m.Failures != 0 || m.LastError != "" {
+			t.Errorf("member %s recorded an apply failure during chaos run: %+v", m.Name, m)
 		}
 	}
 

@@ -5,9 +5,8 @@
 // shares one warehouse across every tenant; without admission control
 // a single runaway dashboard can monopolize it. The controller decides
 // — before any query work happens — whether a request runs now, waits
-// briefly for a slot, or is shed with an honest Retry-After hint
-// (mirroring the replication layer's quarantine RetryAfterError
-// shape: refusals always say when to come back).
+// briefly for a slot, or is shed with an honest Retry-After hint:
+// refusals always say when to come back.
 //
 // The tiers are checked fine to coarse — per-user, then per-center,
 // then global — so a request shed by its own tier never consumes a

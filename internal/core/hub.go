@@ -47,18 +47,11 @@ type Member struct {
 	// Replaced wholesale at each negotiation, under Hub.mu.
 	pushFacts map[string]bool
 
-	// Circuit-breaker state: a member whose batches repeatedly fail to
-	// apply is quarantined (connections bounced with a retry-after)
-	// instead of poisoning the apply loop for everyone.
-	Failures         int       // consecutive apply failures
-	Quarantines      int       // quarantine trips since the last success
-	QuarantinedUntil time.Time // zero when not quarantined
-	LastError        string    // most recent apply failure, for operators
-}
-
-// Quarantined reports whether the member is quarantined at time t.
-func (m Member) Quarantined(t time.Time) bool {
-	return !m.QuarantinedUntil.IsZero() && t.Before(m.QuarantinedUntil)
+	// Failures counts consecutive apply failures and LastError holds the
+	// newest one, for operators; one applied batch clears both. A failed
+	// batch is refused to its sender, whose backoff paces the retries.
+	Failures  int
+	LastError string
 }
 
 // Hub is a federation hub: an XDMoD instance of its own (it has a
@@ -74,15 +67,8 @@ type Hub struct {
 	// every replication conn the hub accepts (chaos tests only).
 	Faults *faults.Registry
 
-	receiver *replicate.Receiver
-	now      func() time.Time
-
-	// Quarantine circuit breaker: quarantineThreshold and friends,
-	// held per hub so tests can shorten them.
-	quarThreshold int
-	quarBackoff   time.Duration
-	quarMax       time.Duration
-	heartbeat     time.Duration
+	receiver  *replicate.Receiver
+	heartbeat time.Duration
 
 	// mu guards members. Realm mutexes (aggregate.Engine) come before
 	// it: realmSources reads the members with a realm mutex held.
@@ -93,15 +79,6 @@ type Hub struct {
 	// apply path can classify replicated events per realm.
 	factRealms map[string]realm.Info
 }
-
-// Member quarantine: quarantineThreshold consecutive apply failures
-// bounce a member for quarantineBackoff, doubling per consecutive trip
-// up to quarantineMaxBackoff.
-const (
-	quarantineThreshold  = 3
-	quarantineBackoff    = 30 * time.Second
-	quarantineMaxBackoff = 10 * time.Minute
-)
 
 // NewHub builds a federation hub from its configuration.
 func NewHub(cfg config.InstanceConfig) (*Hub, error) {
@@ -118,16 +95,12 @@ func NewHub(cfg config.InstanceConfig) (*Hub, error) {
 		return nil, err
 	}
 	h := &Hub{
-		Instance:      in,
-		Positions:     ps,
-		Identity:      auth.NewIdentityMap(),
-		now:           time.Now,
-		members:       make(map[string]*Member),
-		factRealms:    make(map[string]realm.Info),
-		quarThreshold: quarantineThreshold,
-		quarBackoff:   quarantineBackoff,
-		quarMax:       quarantineMaxBackoff,
-		heartbeat:     hb,
+		Instance:   in,
+		Positions:  ps,
+		Identity:   auth.NewIdentityMap(),
+		members:    make(map[string]*Member),
+		factRealms: make(map[string]realm.Info),
+		heartbeat:  hb,
 	}
 	for _, info := range realms {
 		h.factRealms[info.FactTable] = info
@@ -149,7 +122,7 @@ func (h *Hub) Register(instance string) error {
 	if _, ok := h.members[instance]; ok {
 		return fmt.Errorf("core: instance %q is already a federation member", instance)
 	}
-	h.members[instance] = &Member{Name: instance, JoinedAt: h.now()}
+	h.members[instance] = &Member{Name: instance, JoinedAt: time.Now()}
 	mHubMembers.Set(float64(len(h.members)))
 	coreLog.Info("member registered", "federation", h.Config.Name, "instance", instance)
 	return nil
@@ -167,21 +140,13 @@ func (h *Hub) Members() []Member {
 	return out
 }
 
-// authorize vets a connecting instance. A quarantined member is
-// bounced with a RetryAfter matching the remaining quarantine, so its
-// sender sleeps instead of hammering the hub with doomed batches.
+// authorize vets a connecting instance: only registered members may
+// replicate in.
 func (h *Hub) authorize(instance string) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	m, ok := h.members[instance]
-	if !ok {
+	if _, ok := h.members[instance]; !ok {
 		return fmt.Errorf("core: instance %q is not a registered member of federation %q", instance, h.Config.Name)
-	}
-	if now := h.now(); m.Quarantined(now) {
-		return &replicate.RetryAfterError{
-			After:  m.QuarantinedUntil.Sub(now),
-			Reason: fmt.Sprintf("core: member %q is quarantined after %d apply failures: %s", instance, m.Failures, m.LastError),
-		}
 	}
 	return nil
 }
@@ -274,9 +239,6 @@ func (h *Hub) ApplyDeltas(ctx context.Context, instance string, upTo uint64, del
 	sctx, sp := obs.StartSpan(ctx, "hub.ApplyDeltas")
 	sp.SetAttr("instance", instance)
 	defer sp.End()
-	if err := h.quarantineGate(instance); err != nil {
-		return err
-	}
 	schema := replicate.HubSchema(instance)
 	granted := h.pushdownFactsFor(instance)
 	rows := 0
@@ -311,7 +273,7 @@ func (h *Hub) ApplyDeltas(ctx context.Context, instance string, upTo uint64, del
 		if covered > m.DeltaCovered {
 			m.DeltaCovered = covered
 		}
-		now := h.now()
+		now := time.Now()
 		m.LastDelta = now
 		m.LastBatch = now
 	}
@@ -346,21 +308,18 @@ func (h *Hub) ApplyBatchCtx(ctx context.Context, instance string, upTo uint64, e
 }
 
 // apply is the hub's one apply step for a member's events, a tight
-// batch and a loose dump alike: the quarantine gate, then the events and
-// the identities they carry as one write transaction through
-// aggregate.Engine.Write over the realms whose fact tables they touch,
-// which refreshes those realms' aggregates from the transaction's record
-// before it returns (also for the prefix that applied when the batch
-// fails part-way); then the outcome against the member's circuit
-// breaker, and the member's bookkeeping. A tight batch (loose false)
-// moves the member's commit position to upTo. A loose dump never moves
-// it; it sets the member's mode to "loose" and dates the member by the
-// newest fact it carries.
+// batch and a loose dump alike: the events and the identities they
+// carry as one write transaction through aggregate.Engine.Write over the
+// realms whose fact tables they touch, which refreshes those realms'
+// aggregates from the transaction's record before it returns (also for
+// the prefix that applied when the batch fails part-way); then the
+// member's bookkeeping. A tight batch (loose false) moves the member's
+// commit position to upTo, or, when it fails part-way, to the last event
+// it applied, so the sender's retry starts at the failing event. A loose
+// dump never moves it; it sets the member's mode to "loose" and dates
+// the member by the newest fact it carries.
 func (h *Hub) apply(instance string, events []warehouse.Event, upTo uint64, loose bool) error {
 	defer mHubBatchSeconds.ObserveSince(time.Now())
-	if err := h.quarantineGate(instance); err != nil {
-		return err
-	}
 	// A pushdown-granted realm's bins arrive as deltas and live in the
 	// pagg tables; a stray raw fact event of it lands verbatim but is
 	// never folded on top.
@@ -390,6 +349,9 @@ func (h *Hub) apply(instance string, events []warehouse.Event, upTo uint64, loos
 			lsn = events[applied].LSN
 		}
 		coreLog.Error("apply batch failed", "instance", instance, "lsn", lsn, "err", err)
+		if !loose && applied > 0 {
+			h.advanceTo(instance, events[applied-1].LSN)
+		}
 		h.noteApplyFailure(instance, err)
 		return err
 	}
@@ -403,7 +365,7 @@ func (h *Hub) apply(instance string, events []warehouse.Event, upTo uint64, loos
 
 	h.mu.Lock()
 	if m, ok := h.members[instance]; ok {
-		m.LastBatch = h.now()
+		m.LastBatch = time.Now()
 		m.Batches++
 		if loose {
 			m.Mode = "loose"
@@ -419,18 +381,12 @@ func (h *Hub) apply(instance string, events []warehouse.Event, upTo uint64, loos
 				if t := events[n-1].Time; !t.IsZero() {
 					m.LastEvent = t
 				} else {
-					m.LastEvent = h.now()
+					m.LastEvent = time.Now()
 				}
 			}
 		}
-		// A successfully applied batch closes the circuit breaker.
-		if m.Failures > 0 || m.Quarantines > 0 || !m.QuarantinedUntil.IsZero() {
-			m.Failures = 0
-			m.Quarantines = 0
-			m.QuarantinedUntil = time.Time{}
-			m.LastError = ""
-			mMemberQuarantined.With(instance).Set(0)
-		}
+		m.Failures = 0
+		m.LastError = ""
 	}
 	h.mu.Unlock()
 	// No explicit epoch bump: every commit above (raw apply, fold and
@@ -441,54 +397,35 @@ func (h *Hub) apply(instance string, events []warehouse.Event, upTo uint64, loos
 	return nil
 }
 
-// quarantineGate rejects batches from a quarantined member with the
-// remaining backoff. Authorization already bounces quarantined members
-// at handshake; this covers connections that were already streaming
-// when the breaker tripped.
-func (h *Hub) quarantineGate(instance string) error {
+// advanceTo moves a member's commit position forward to lsn, the last
+// event of a failed batch that applied: its retry then starts at the
+// event that failed, not at events the hub already holds. A position
+// never moves back.
+func (h *Hub) advanceTo(instance string, lsn uint64) {
+	if lsn <= h.Positions.Get(instance) {
+		return
+	}
+	if err := h.Positions.Set(instance, lsn); err != nil {
+		coreLog.Error("member position not advanced", "instance", instance, "lsn", lsn, "err", err)
+		return
+	}
+	mMemberPosition.With(instance).Set(float64(lsn))
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	m, ok := h.members[instance]
-	if !ok {
-		return nil
+	if m, ok := h.members[instance]; ok {
+		m.Position = lsn
 	}
-	if now := h.now(); m.Quarantined(now) {
-		return &replicate.RetryAfterError{
-			After:  m.QuarantinedUntil.Sub(now),
-			Reason: fmt.Sprintf("core: member %q is quarantined", instance),
-		}
-	}
-	return nil
+	h.mu.Unlock()
 }
 
-// noteApplyFailure counts one failed batch apply against the member's
-// circuit breaker, tripping a quarantine at the threshold.
-// The failure count deliberately survives the quarantine window: once
-// it expires, the sender's next batch is a half-open probe, and a
-// single further failure re-trips the breaker with a doubled backoff
-// (capped), while one success resets everything.
+// noteApplyFailure records one failed apply on the member, for
+// operators (Members, /healthz, /api/federation/status).
 func (h *Hub) noteApplyFailure(instance string, cause error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	m, ok := h.members[instance]
-	if !ok {
-		return
+	if m, ok := h.members[instance]; ok {
+		m.Failures++
+		m.LastError = cause.Error()
 	}
-	m.Failures++
-	m.LastError = cause.Error()
-	if m.Failures < h.quarThreshold {
-		return
-	}
-	backoff := h.quarBackoff << uint(m.Quarantines)
-	if backoff <= 0 || backoff > h.quarMax {
-		backoff = h.quarMax
-	}
-	m.QuarantinedUntil = h.now().Add(backoff)
-	m.Quarantines++
-	mMemberQuarantined.With(instance).Set(1)
-	mQuarantines.With(instance).Inc()
-	coreLog.Error("member quarantined",
-		"instance", instance, "failures", m.Failures, "backoff", backoff, "err", cause)
 }
 
 // observeIdentity feeds job-fact usernames into the identity map so
@@ -573,7 +510,7 @@ func (h *Hub) Close() {
 // which the additive fold cannot express, so Engine.Write marks each
 // realm whose fact table it loads stale for rebuild — also when the
 // load fails partway, since the tables replaced before the failure stay
-// replaced, and such a failure counts toward the member's quarantine.
+// replaced, and such a failure counts in the member's Failures.
 func (h *Hub) LoadLooseDump(instance string, r io.Reader) error {
 	if err := h.authorize(instance); err != nil {
 		return err

@@ -14,9 +14,8 @@ import (
 // purpose: a change that adds an index must edit it in the same diff,
 // so the index and its reader are visible in review.
 var secondaryIndexes = []string{
-	"modw_alloc.allocation_charge(project)", // alloc.go: a project's charges
-	"modw_cloud.event(vm_id)",               // cloud/sessions.go: one VM's events
-	"modw_cloud.session_records(vm_id)",     // cloud/sessions.go: one VM's sessions
+	"modw_cloud.event(vm_id)",           // cloud/sessions.go: one VM's events
+	"modw_cloud.session_records(vm_id)", // cloud/sessions.go: one VM's sessions
 }
 
 // TestSecondaryIndexesAreRead: the secondary indexes an instance

@@ -439,16 +439,14 @@ func TestMalformedDumpTouchesNothing(t *testing.T) {
 	}
 }
 
-// TestFailedLooseLoadsQuarantineMember: a loose load that fails to
-// apply counts toward the member's circuit breaker as a failed batch
-// does, so at the threshold the member's next dump is refused with the
-// remaining backoff, however well formed.
-func TestFailedLooseLoadsQuarantineMember(t *testing.T) {
+// TestFailedLooseLoadsCountFailures: a loose load that fails to apply
+// counts in the member's Failures and LastError as a failed batch does,
+// and the member's next well-formed dump still applies and clears both.
+func TestFailedLooseLoadsCountFailures(t *testing.T) {
 	hub, err := NewHub(hubCfg("hub"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub.quarThreshold = 2
 	if err := hub.Register("L"); err != nil {
 		t.Fatal(err)
 	}
@@ -474,9 +472,11 @@ func TestFailedLooseLoadsQuarantineMember(t *testing.T) {
 	}
 	empty := warehouse.Open("L")
 	empty.EnsureSchema(jobs.SchemaName)
-	ra := retryAfter(t, hub.LoadLooseDump("L", snapshotOf(t, empty, jobs.SchemaName)))
-	if ra.After <= 0 {
-		t.Fatalf("retry-after = %v, want positive", ra.After)
+	if err := hub.LoadLooseDump("L", snapshotOf(t, empty, jobs.SchemaName)); err != nil {
+		t.Fatalf("a good dump after failed ones: %v", err)
+	}
+	if m := hub.Members()[0]; m.Failures != 0 || m.LastError != "" || m.Mode != "loose" {
+		t.Fatalf("after a good dump: failures=%d last error %q mode %q", m.Failures, m.LastError, m.Mode)
 	}
 }
 

@@ -16,10 +16,6 @@ var (
 		"Latency of the hub's apply step for one replication batch or loose dump.", nil)
 	mMemberPosition = obs.Default.GaugeVec("xdmodfed_hub_member_position",
 		"Last durably committed binlog LSN per member, as seen by the hub.", "member")
-	mMemberQuarantined = obs.Default.GaugeVec("xdmodfed_hub_member_quarantined",
-		"1 while the member is quarantined by the hub's circuit breaker, else 0.", "member")
-	mQuarantines = obs.Default.CounterVec("xdmodfed_hub_member_quarantines_total",
-		"Quarantine trips after repeated batch-apply failures, per member.", "member")
 	mAggSeconds = obs.Default.Histogram("xdmodfed_aggregation_run_seconds",
 		"Duration of one full aggregation run across all realms.", nil)
 

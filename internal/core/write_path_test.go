@@ -132,6 +132,72 @@ func TestFailedBatchRefreshesAppliedPrefix(t *testing.T) {
 	checkCurrent(t, hub, n)
 }
 
+// TestFailedBatchResumesAfterAppliedPrefix: a tight batch that fails
+// part-way moves the member's position to the last event that applied,
+// so the sender's retry starts at the failing event instead of
+// re-sending events the hub holds (which would fail on their own keys
+// and wedge the member), and it goes on once that event is gone. A
+// failed batch never moves the position back.
+func TestFailedBatchResumesAfterAppliedPrefix(t *testing.T) {
+	hub, err := NewHub(hubCfg("hub"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hub.Register("sat"); err != nil {
+		t.Fatal(err)
+	}
+	const n = 6
+	all, _ := jobInsertEvents(t, n+1)
+	evs, last := all[:len(all)-1], all[len(all)-1]
+	prefixEnd := evs[len(evs)-1].LSN
+	first := slices.IndexFunc(evs, func(ev warehouse.Event) bool { return ev.Kind == warehouse.EvInsert })
+	dup := evs[first]
+	dup.LSN = prefixEnd + 1
+	last.LSN = prefixEnd + 2
+	position := func() uint64 {
+		t.Helper()
+		pos, _ := hub.Resume("sat")
+		if m := hub.Members()[0]; m.Position != pos {
+			t.Fatalf("member position %d, stored position %d", m.Position, pos)
+		}
+		return pos
+	}
+
+	if err := hub.ApplyBatch("sat", last.LSN, append(slices.Clone(evs), dup, last)); err == nil {
+		t.Fatal("ApplyBatch of a repeated key succeeded")
+	}
+	if got := position(); got != prefixEnd {
+		t.Fatalf("position after a batch failing at LSN %d = %d, want %d (the applied prefix)", dup.LSN, got, prefixEnd)
+	}
+	// The retry sends what follows the position: it fails at once, on
+	// the event that failed before, and leaves the position alone.
+	if err := hub.ApplyBatch("sat", last.LSN, []warehouse.Event{dup, last}); err == nil || !strings.Contains(err.Error(), "duplicate") {
+		t.Fatalf("retry = %v, want the duplicate key again", err)
+	}
+	if got, m := position(), hub.Members()[0]; got != prefixEnd || m.Failures != 2 {
+		t.Fatalf("after the retry: position %d, failures %d; want %d, 2", got, m.Failures, prefixEnd)
+	}
+	// Once the failing event is gone, the member goes on.
+	if err := hub.ApplyBatch("sat", last.LSN, []warehouse.Event{last}); err != nil {
+		t.Fatal(err)
+	}
+	if got, m := position(), hub.Members()[0]; got != last.LSN || m.Failures != 0 || m.LastError != "" {
+		t.Fatalf("after the good batch: position %d, member %+v; want %d and no failures", got, m, last.LSN)
+	}
+	if got := hub.DB.Count(replicate.HubSchema("sat"), jobs.FactTable); got != n+1 {
+		t.Fatalf("hub holds %d facts, want %d", got, n+1)
+	}
+	// A replay of old events that fails after applying some of them
+	// leaves the position where it is.
+	if err := hub.ApplyBatch("sat", dup.LSN, append(slices.Clone(evs[:first]), dup)); err == nil {
+		t.Fatal("replayed repeated key applied")
+	}
+	if got := position(); got != last.LSN {
+		t.Fatalf("a failed replay moved the position to %d, want %d", got, last.LSN)
+	}
+	checkCurrent(t, hub, n+1)
+}
+
 // TestFailedPositionWriteLeavesRealmsCurrent: the hub refreshes a
 // batch's realms before it writes the member's position, so a position
 // write that fails leaves aggregates that already match the applied

@@ -73,7 +73,6 @@ func ChargeDef() warehouse.TableDef {
 			{Name: "month_key", Type: warehouse.TypeInt},
 		},
 		PrimaryKey: []string{"resource", "job_id"},
-		Indexes:    [][]string{{"project"}},
 	}
 }
 
@@ -166,77 +165,81 @@ type Balance struct {
 
 // ProjectBalance computes the balance of one project at time now.
 func ProjectBalance(db *warehouse.DB, project string, now time.Time) (Balance, error) {
-	awardTab, err := db.TableIn(SchemaName, AwardTable)
+	all, err := balances(db, now)
 	if err != nil {
 		return Balance{}, err
 	}
-	chargeTab, err := db.TableIn(SchemaName, ChargeTable)
-	if err != nil {
-		return Balance{}, err
-	}
-	b := Balance{Project: project}
-	var start time.Time
-	found := false
-	db.View(func() error {
-		awardTab.Scan(func(r warehouse.Row) bool {
-			if r.String("project") != project {
-				return true
-			}
-			found = true
-			b.Award += r.Float("award_xdsu")
-			st, _ := r.Lookup("start_time")
-			if start.IsZero() || st.(time.Time).Before(start) {
-				start = st.(time.Time)
-			}
-			return true
-		})
-		chargeTab.ScanIndex([]string{"project"}, []any{project}, func(r warehouse.Row) bool {
-			b.Charged += r.Float("xdsu")
-			return true
-		})
-		return nil
-	})
-	if !found {
-		return Balance{}, fmt.Errorf("alloc: project %q has no allocation", project)
-	}
-	b.Remaining = b.Award - b.Charged
-	days := now.Sub(start).Hours() / 24
-	if days > 0 {
-		b.BurnPerDay = b.Charged / days
-		if b.BurnPerDay > 0 && b.Remaining > 0 {
-			b.ProjectedExhaustion = now.Add(time.Duration(b.Remaining / b.BurnPerDay * 24 * float64(time.Hour)))
+	for _, b := range all {
+		if b.Project == project {
+			return b, nil
 		}
 	}
-	return b, nil
+	return Balance{}, fmt.Errorf("alloc: project %q has no allocation", project)
 }
 
 // OverspentProjects returns projects whose charges exceed their award.
 func OverspentProjects(db *warehouse.DB, now time.Time) ([]Balance, error) {
+	all, err := balances(db, now)
+	if err != nil {
+		return nil, err
+	}
+	var out []Balance
+	for _, b := range all {
+		if b.Remaining < 0 {
+			out = append(out, b)
+		}
+	}
+	return out, nil
+}
+
+// balances computes the balance at now of every project with an award,
+// in the order the award table first names them, from one scan of the
+// award table and one of the charge table.
+func balances(db *warehouse.DB, now time.Time) ([]Balance, error) {
 	awardTab, err := db.TableIn(SchemaName, AwardTable)
 	if err != nil {
 		return nil, err
 	}
-	seen := map[string]bool{}
-	var projects []string
+	chargeTab, err := db.TableIn(SchemaName, ChargeTable)
+	if err != nil {
+		return nil, err
+	}
+	var out []Balance
+	var starts []time.Time // each project's earliest award start
+	at := map[string]int{}
 	db.View(func() error {
 		awardTab.Scan(func(r warehouse.Row) bool {
 			p := r.String("project")
-			if !seen[p] {
-				seen[p] = true
-				projects = append(projects, p)
+			i, ok := at[p]
+			if !ok {
+				i = len(out)
+				at[p] = i
+				out = append(out, Balance{Project: p})
+				starts = append(starts, time.Time{})
+			}
+			out[i].Award += r.Float("award_xdsu")
+			st, _ := r.Lookup("start_time")
+			if st := st.(time.Time); starts[i].IsZero() || st.Before(starts[i]) {
+				starts[i] = st
+			}
+			return true
+		})
+		chargeTab.Scan(func(r warehouse.Row) bool {
+			if i, ok := at[r.String("project")]; ok {
+				out[i].Charged += r.Float("xdsu")
 			}
 			return true
 		})
 		return nil
 	})
-	var out []Balance
-	for _, p := range projects {
-		b, err := ProjectBalance(db, p, now)
-		if err != nil {
-			return nil, err
-		}
-		if b.Remaining < 0 {
-			out = append(out, b)
+	for i := range out {
+		b := &out[i]
+		b.Remaining = b.Award - b.Charged
+		if days := now.Sub(starts[i]).Hours() / 24; days > 0 {
+			b.BurnPerDay = b.Charged / days
+			if b.BurnPerDay > 0 && b.Remaining > 0 {
+				b.ProjectedExhaustion = now.Add(time.Duration(b.Remaining / b.BurnPerDay * 24 * float64(time.Hour)))
+			}
 		}
 	}
 	return out, nil

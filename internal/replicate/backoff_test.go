@@ -105,3 +105,63 @@ func TestBackoffResetsAfterHandshake(t *testing.T) {
 		t.Fatal("RunWithRetry did not return after cancel")
 	}
 }
+
+// TestRefusedBatchesBackOff: a hub that accepts every handshake and
+// answers every batch with an error ack is redialed with growing delays:
+// a refused batch does not reset the backoff the way a dropped
+// connection after a handshake does (TestBackoffResetsAfterHandshake).
+// From a 10ms start, jittered delays of at least 5, 10, 20, 40, 80 and
+// 160ms leave room for at most 7 dials in 600ms; a reset backoff would
+// make dozens.
+func TestRefusedBatchesBackOff(t *testing.T) {
+	db := satelliteWithJobs(t, "refusedsat", 3)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	dials := make(chan time.Time, 100)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			dials <- time.Now()
+			dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
+			var h hello
+			var b batch
+			if dec.Decode(&h) == nil &&
+				enc.Encode(helloAck{OK: true, Wire: wireFormat, Heartbeat: DefaultHeartbeatInterval}) == nil &&
+				dec.Decode(&b) == nil {
+				enc.Encode(ack{UpTo: b.UpTo, Err: "cannot apply"})
+			}
+			conn.Close()
+		}
+	}()
+
+	s := &Sender{Instance: "refusedsat", Version: "t", DB: db, Rewriter: NewRewriter("refusedsat", Filter{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- s.RunWithRetry(ctx, ln.Addr().String(), 10*time.Millisecond) }()
+	time.Sleep(600 * time.Millisecond)
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("RunWithRetry returned %v after cancel", err)
+	}
+	var at []time.Time
+	for len(dials) > 0 {
+		at = append(at, <-dials)
+	}
+	if len(at) < 3 || len(at) > 7 {
+		t.Fatalf("%d dials in 600ms, want 3 to 7: refused batches must back off", len(at))
+	}
+	for i := 2; i < len(at); i++ {
+		if gap, prev := at[i].Sub(at[i-1]), at[i-1].Sub(at[i-2]); gap < prev/2 {
+			t.Errorf("redial gap %d = %v after %v: the backoff did not grow", i, gap, prev)
+		}
+	}
+	if st := s.Stats(); st.SentBatches != 0 || st.Position != 0 {
+		t.Errorf("sender counted a refused batch: %+v", st)
+	}
+}

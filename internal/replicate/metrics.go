@@ -18,7 +18,7 @@ var (
 	mSentBytes = obs.Default.CounterVec("xdmodfed_replicate_sent_bytes_total",
 		"Bytes written to hub connections: gob frame envelopes, the events packed inside them in the binary event codec, and pushdown deltas.", "instance")
 	mRetries = obs.Default.CounterVec("xdmodfed_replicate_retries_total",
-		"Sender reconnect attempts after transient failures.", "instance")
+		"Sender reconnect attempts after transient failures and refused batches.", "instance")
 	mLag = obs.Default.GaugeVec("xdmodfed_replication_lag_events",
 		"Per-satellite replication lag in binlog events: satellite binlog head minus the last hub-acknowledged position. Returns to 0 when the hub has applied everything.",
 		"instance", "hub")

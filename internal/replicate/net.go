@@ -27,7 +27,7 @@ import (
 //	satellite -> hub:  hello{instance, version, wire}
 //	hub -> satellite:  helloAck{ok, err, wire, resumeLSN, heartbeat}
 //	satellite -> hub:  batch{upTo, packed}   (repeated; hb=true when idle)
-//	hub -> satellite:  ack{upTo}             (one per batch; hb=true on a timer)
+//	hub -> satellite:  ack{upTo, err}        (one per batch; hb=true on a timer)
 //
 // The frames are gob; a batch's events are not — they ride in one byte
 // field, packed by the warehouse's binary event codec
@@ -56,6 +56,12 @@ import (
 // can no longer hang a sender or receiver goroutine forever. The hub
 // picks the interval and propagates it in the handshake ack so both
 // sides always agree.
+//
+// A batch the hub cannot apply is refused, not dropped: the hub answers
+// it with an ack whose Err says why, then closes the connection. The
+// sender's reconnect backoff (RunWithRetry) is the one retry policy: it
+// keeps growing across refused batches, where a connection that merely
+// dropped after the handshake retries at the initial delay.
 
 var repLog = obs.Logger("replicate")
 
@@ -136,10 +142,6 @@ type helloAck struct {
 	// OK ack, since a hub that predates the field accepts any hello.
 	Wire   int
 	Resume uint64
-	// RetryAfter, when nonzero on a rejection, tells the satellite the
-	// refusal is temporary (e.g. the member is quarantined) and when to
-	// try again, rather than a permanent stop.
-	RetryAfter time.Duration
 	// Heartbeat is the hub's heartbeat interval, always positive; the
 	// satellite adopts it.
 	Heartbeat time.Duration
@@ -177,19 +179,14 @@ type ack struct {
 	UpTo uint64
 	// HB marks a hub keep-alive; it acknowledges nothing.
 	HB bool
+	// Err, when set, refuses the batch UpTo: the hub could not apply it
+	// and closes the connection after this ack. gob omits it when empty,
+	// so an ack of an applied batch encodes as it always did.
+	Err string
 }
 
-// RetryAfterError reports a temporary refusal: the peer asked us to
-// come back after a delay (member quarantine, hub overload). Senders
-// treat it as transient and sleep exactly the requested delay.
-type RetryAfterError struct {
-	After  time.Duration
-	Reason string
-}
-
-func (e *RetryAfterError) Error() string {
-	return fmt.Sprintf("replicate: refused, retry after %s: %s", e.After, e.Reason)
-}
+// errBatchRefused marks a batch the hub answered with an error ack.
+var errBatchRefused = errors.New("replicate: hub refused batch")
 
 // errFrameTooBig reports a replication frame exceeding MaxFrameBytes.
 var errFrameTooBig = errors.New("replicate: frame exceeds maximum size")
@@ -268,7 +265,7 @@ type Receiver struct {
 	Sink    Sink
 	// Authorize, when set, vets an instance at handshake (the
 	// federation core uses it to restrict membership to registered
-	// instances and to bounce quarantined members with a RetryAfter).
+	// instances).
 	Authorize func(instance string) error
 	// HeartbeatInterval paces keep-alive acks and the peer-silence
 	// deadline (2× this). Zero means DefaultHeartbeatInterval.
@@ -371,7 +368,7 @@ func (r *Receiver) serve(conn net.Conn) {
 	}
 	if r.Authorize != nil {
 		if err := r.Authorize(h.Instance); err != nil {
-			send(rejection(err))
+			send(helloAck{Err: err.Error()})
 			hsp.SetAttr("rejected", err.Error())
 			hsp.End()
 			return
@@ -395,7 +392,7 @@ func (r *Receiver) serve(conn net.Conn) {
 		default:
 			repLog.Warn("replication handshake rejected",
 				"instance", h.Instance, "err", err)
-			send(rejection(err))
+			send(helloAck{Err: err.Error()})
 			hsp.SetAttr("rejected", err.Error())
 			hsp.End()
 			return
@@ -405,7 +402,7 @@ func (r *Receiver) serve(conn net.Conn) {
 	}
 	resume, err := r.Sink.Resume(h.Instance)
 	if err != nil {
-		send(rejection(err))
+		send(helloAck{Err: err.Error()})
 		hsp.SetAttr("rejected", err.Error())
 		hsp.End()
 		return
@@ -484,6 +481,7 @@ func (r *Receiver) serve(conn net.Conn) {
 		if err := r.Sink.ApplyBatchCtx(actx, h.Instance, b.UpTo, events); err != nil {
 			repLog.Warn("replication batch rejected",
 				"instance", h.Instance, "up_to", b.UpTo, "err", err)
+			send(ack{UpTo: b.UpTo, Err: err.Error()})
 			return
 		}
 		if len(b.Deltas) > 0 {
@@ -497,6 +495,7 @@ func (r *Receiver) serve(conn net.Conn) {
 			if err := pdSink.ApplyDeltas(actx, h.Instance, b.UpTo, b.Deltas); err != nil {
 				repLog.Warn("pushdown deltas rejected",
 					"instance", h.Instance, "up_to", b.UpTo, "err", err)
+				send(ack{UpTo: b.UpTo, Err: err.Error()})
 				return
 			}
 		}
@@ -505,18 +504,6 @@ func (r *Receiver) serve(conn net.Conn) {
 			return
 		}
 	}
-}
-
-// rejection maps an authorize/resume error to a handshake nack,
-// preserving a RetryAfterError's delay so the satellite knows the
-// refusal is temporary.
-func rejection(err error) helloAck {
-	ha := helloAck{OK: false, Err: err.Error()}
-	var ra *RetryAfterError
-	if errors.As(err, &ra) {
-		ha.RetryAfter = ra.After
-	}
-	return ha
 }
 
 // Close stops the receiver and waits for connection handlers.
@@ -634,9 +621,6 @@ func (s *Sender) Run(ctx context.Context, hubAddr string) error {
 	hsp.SetAttr("ok", strconv.FormatBool(ha.OK))
 	hsp.End()
 	if !ha.OK {
-		if ha.RetryAfter > 0 {
-			return &RetryAfterError{After: ha.RetryAfter, Reason: ha.Err}
-		}
 		return fmt.Errorf("%w: %s", ErrHandshakeRejected, ha.Err)
 	}
 	if ha.Wire != wireFormat {
@@ -689,14 +673,21 @@ func (s *Sender) Run(ctx context.Context, hubAddr string) error {
 	// Reader goroutine: the hub's frames are batch acks interleaved
 	// with keep-alives, so acks are consumed off the main loop. A hub
 	// silent for 2× the heartbeat interval is dead — the read deadline
-	// fires, the conn is closed, and the main loop unblocks.
+	// fires, the conn is closed, and the main loop unblocks. An ack that
+	// refuses its batch ends the connection the same way, with the hub's
+	// reason as the error: the hub closes right behind it, and only one
+	// error reaches the main loop.
 	acks := make(chan ack, 1) // stop-and-wait: at most one outstanding batch
 	readErr := make(chan error, 1)
 	go func() {
 		for {
 			conn.SetReadDeadline(time.Now().Add(2 * hb))
 			var a ack
-			if err := dec.Decode(&a); err != nil {
+			err := dec.Decode(&a)
+			if err == nil && a.Err != "" {
+				err = fmt.Errorf("%w %d: %s", errBatchRefused, a.UpTo, a.Err)
+			}
+			if err != nil {
 				if isTimeout(err) {
 					mPeerTimeouts.With("satellite").Inc()
 					repLog.Warn("hub silent, closing",
@@ -928,8 +919,9 @@ func jitteredDelay(d time.Duration) time.Duration {
 // is jittered over [d/2, d], and resets to the initial value whenever
 // a connection gets past the hub's handshake — so a flapping network
 // backs off hard while a single dropped connection retries fast. A
-// RetryAfter refusal (member quarantine) sleeps exactly the delay the
-// hub asked for, then retries with a fresh backoff.
+// batch the hub refused is not a dropped connection: the delay keeps
+// growing, so a member whose batch cannot apply retries it ever more
+// slowly until it does.
 func (s *Sender) RunWithRetry(ctx context.Context, hubAddr string, backoff time.Duration) error {
 	if backoff <= 0 {
 		backoff = DefaultRetryBackoff
@@ -938,25 +930,15 @@ func (s *Sender) RunWithRetry(ctx context.Context, hubAddr string, backoff time.
 	for {
 		s.handshook.Store(false)
 		err := s.Run(ctx, hubAddr)
-		var ra *RetryAfterError
 		switch {
 		case err == nil:
 			return nil
 		case errors.Is(err, ErrHandshakeRejected):
 			return err
-		case errors.As(err, &ra):
-			mRetries.With(s.Instance).Inc()
-			repLog.Info("hub asked to retry later",
-				"instance", s.Instance, "hub", hubAddr, "after", ra.After, "reason", ra.Reason)
-			select {
-			case <-ctx.Done():
-				return nil
-			case <-time.After(ra.After):
-			}
-			delay = backoff
-			continue
-		}
-		if s.handshook.Load() {
+		case errors.Is(err, errBatchRefused):
+			repLog.Warn("hub refused batch",
+				"instance", s.Instance, "hub", hubAddr, "backoff", delay, "err", err)
+		case s.handshook.Load():
 			delay = backoff
 		}
 		mRetries.With(s.Instance).Inc()

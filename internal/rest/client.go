@@ -111,16 +111,10 @@ func (c *Client) FederationStatus() (core.Status, error) {
 	}
 	st := core.Status{Hub: resp.Hub, Version: resp.Version, Dirty: resp.Dirty, DirtyRealms: resp.DirtyRealms}
 	for _, m := range resp.Members {
-		cm := core.Member{
+		st.Members = append(st.Members, core.Member{
 			Name: m.Name, Position: m.Position, Batches: m.Batches, Events: m.Events,
-			Failures: m.Failures, Quarantines: m.Quarantines, LastError: m.LastError,
-		}
-		if m.Quarantined && m.QuarantineSecondsLeft > 0 {
-			// The wire carries remaining seconds, not an absolute deadline,
-			// so reconstruct one relative to the client's clock.
-			cm.QuarantinedUntil = time.Now().Add(time.Duration(m.QuarantineSecondsLeft * float64(time.Second)))
-		}
-		st.Members = append(st.Members, cm)
+			Failures: m.Failures, LastError: m.LastError,
+		})
 	}
 	return st, nil
 }

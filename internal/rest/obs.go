@@ -123,11 +123,10 @@ type memberHealth struct {
 	// (0 when converged).
 	Mode     string `json:"mode,omitempty"`
 	DeltaLag uint64 `json:"delta_lag,omitempty"`
-	// Circuit-breaker state: a quarantined member degrades the hub's
-	// health and carries its remaining backoff and last apply error.
-	Quarantined           bool    `json:"quarantined,omitempty"`
-	QuarantineSecondsLeft float64 `json:"quarantine_seconds_left,omitempty"`
-	LastError             string  `json:"last_error,omitempty"`
+	// A member whose batches fail to apply degrades the hub's health
+	// and carries its consecutive failures and the newest error.
+	Failures  int    `json:"failures,omitempty"`
+	LastError string `json:"last_error,omitempty"`
 }
 
 type senderHealth struct {
@@ -173,6 +172,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 				LastEvent:  m.LastEvent,
 				AgeSeconds: -1,
 				Mode:       m.Mode,
+				Failures:   m.Failures,
+				LastError:  m.LastError,
 			}
 			if m.Mode == "pushdown" && m.Position > m.DeltaCovered {
 				mh.DeltaLag = m.Position - m.DeltaCovered
@@ -181,12 +182,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 				mh.AgeSeconds = now.Sub(m.LastBatch).Seconds()
 				mh.Fresh = now.Sub(m.LastBatch) <= FreshnessWindow
 			}
-			if m.Quarantined(now) {
-				mh.Quarantined = true
-				mh.QuarantineSecondsLeft = m.QuarantinedUntil.Sub(now).Seconds()
-				mh.LastError = m.LastError
-			}
-			if !mh.Fresh || mh.Quarantined {
+			if !mh.Fresh || m.Failures > 0 {
 				resp.Status = "degraded"
 			}
 			resp.Members = append(resp.Members, mh)

@@ -198,11 +198,12 @@ func TestPprofGatedByConfig(t *testing.T) {
 	}
 }
 
-// TestHealthzQuarantinedMember: a member tripped by the hub's circuit
-// breaker degrades /healthz and is flagged — with its remaining backoff
-// and last error — in both /healthz and /api/federation/status, while a
-// healthy member stays unflagged.
-func TestHealthzQuarantinedMember(t *testing.T) {
+// TestHealthzFailingMember: a member whose batches keep failing to
+// apply degrades /healthz and shows its consecutive failures and last
+// error in both /healthz and /api/federation/status (and so in
+// rest.Client.FederationStatus), while a healthy member beside it shows
+// neither; one applied batch clears them.
+func TestHealthzFailingMember(t *testing.T) {
 	hub, err := core.NewHub(config.InstanceConfig{
 		Name: "fedhub", Version: core.Version,
 		AggregationLevels: []config.AggregationLevels{config.HubWallTime()},
@@ -217,12 +218,13 @@ func TestHealthzQuarantinedMember(t *testing.T) {
 		}
 	}
 	srv := NewHubServer(hub).Handler()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
 
 	poison := warehouse.Event{
 		LSN: 1, Kind: warehouse.EvInsert,
 		Schema: "no_such_schema", Table: "no_such_table", Row: []any{int64(1)},
 	}
-	// Three consecutive failures trip the breaker for 30s.
 	for i := 0; i < 3; i++ {
 		if err := hub.ApplyBatch("flaky", 1, []warehouse.Event{poison}); err == nil {
 			t.Fatal("poison batch applied cleanly")
@@ -232,52 +234,63 @@ func TestHealthzQuarantinedMember(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec := get(t, srv, "", "/healthz")
-	var resp healthzResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
+	healthz := func() healthzResponse {
+		t.Helper()
+		var resp healthzResponse
+		if err := json.Unmarshal(get(t, srv, "", "/healthz").Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
 	}
+	resp := healthz()
 	if resp.Status != "degraded" {
 		t.Errorf("healthz status = %q, want degraded", resp.Status)
 	}
 	for _, m := range resp.Members {
 		switch m.Name {
 		case "flaky":
-			if !m.Quarantined || m.QuarantineSecondsLeft <= 0 || m.LastError == "" {
-				t.Errorf("quarantined member health = %+v", m)
+			if m.Failures != 3 || !strings.Contains(m.LastError, "no_such_schema") {
+				t.Errorf("failing member health = %+v", m)
 			}
 		case "steady":
-			if m.Quarantined || m.LastError != "" {
+			if m.Failures != 0 || m.LastError != "" {
 				t.Errorf("healthy member health = %+v", m)
 			}
 		}
 	}
 
-	admin := loginAs(t, srv, "admin", "hunter2hunter2")
-	rec = get(t, srv, admin, "/api/federation/status")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("federation status: %d %s", rec.Code, rec.Body)
-	}
-	var st federationStatusResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+	c := NewClient(ts.URL)
+	if err := c.Login("admin", "hunter2hunter2"); err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range st.Members {
-		switch m.Name {
-		case "flaky":
-			if !m.Quarantined || m.QuarantineSecondsLeft <= 0 || m.Quarantines != 1 || m.LastError == "" {
-				t.Errorf("quarantined member status = %+v", m)
-			}
-		case "steady":
-			if m.Quarantined || m.Failures != 0 {
-				t.Errorf("healthy member status = %+v", m)
-			}
+	status := func() map[string]core.Member {
+		t.Helper()
+		st, err := c.FederationStatus()
+		if err != nil {
+			t.Fatal(err)
 		}
+		out := map[string]core.Member{}
+		for _, m := range st.Members {
+			out[m.Name] = m
+		}
+		return out
+	}
+	members := status()
+	if m := members["flaky"]; m.Failures != 3 || !strings.Contains(m.LastError, "no_such_schema") {
+		t.Errorf("failing member status = %+v", m)
+	}
+	if m := members["steady"]; m.Failures != 0 || m.LastError != "" {
+		t.Errorf("healthy member status = %+v", m)
 	}
 
-	// The quarantine gauge is exported.
-	body := get(t, srv, "", "/metrics").Body.String()
-	if !strings.Contains(body, `xdmodfed_hub_member_quarantined{member="flaky"} 1`) {
-		t.Error("/metrics missing quarantine gauge for flaky member")
+	// One applied batch clears the failures.
+	if err := hub.ApplyBatch("flaky", 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if resp := healthz(); resp.Status != "ok" {
+		t.Errorf("healthz after an applied batch = %+v, want ok", resp)
+	}
+	if m := status()["flaky"]; m.Failures != 0 || m.LastError != "" {
+		t.Errorf("member status after an applied batch = %+v", m)
 	}
 }

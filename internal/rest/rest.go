@@ -506,13 +506,10 @@ type memberResponse struct {
 	DeltaRows    int    `json:"delta_rows,omitempty"`
 	DeltaCovered uint64 `json:"delta_covered,omitempty"`
 	DeltaLag     uint64 `json:"delta_lag,omitempty"`
-	// Circuit-breaker state, for operators watching a member that the
-	// hub has isolated after repeated apply failures.
-	Quarantined           bool    `json:"quarantined,omitempty"`
-	QuarantineSecondsLeft float64 `json:"quarantine_seconds_left,omitempty"`
-	Failures              int     `json:"failures,omitempty"`
-	Quarantines           int     `json:"quarantines,omitempty"`
-	LastError             string  `json:"last_error,omitempty"`
+	// A member whose batches fail to apply: consecutive failures and
+	// the newest one's error (both empty once a batch applies).
+	Failures  int    `json:"failures,omitempty"`
+	LastError string `json:"last_error,omitempty"`
 }
 
 func (s *Server) handleFederationStatus(w http.ResponseWriter, r *http.Request, _ auth.Session) {
@@ -521,20 +518,13 @@ func (s *Server) handleFederationStatus(w http.ResponseWriter, r *http.Request, 
 		return
 	}
 	st := s.Hub.Status()
-	now := time.Now()
 	resp := federationStatusResponse{Hub: st.Hub, Version: st.Version, Dirty: st.Dirty, DirtyRealms: st.DirtyRealms}
 	for _, m := range st.Members {
 		mr := memberResponse{Name: m.Name, Position: m.Position, Batches: m.Batches, Events: m.Events,
-			Mode: m.Mode, Deltas: m.Deltas, DeltaRows: m.DeltaRows, DeltaCovered: m.DeltaCovered}
+			Mode: m.Mode, Deltas: m.Deltas, DeltaRows: m.DeltaRows, DeltaCovered: m.DeltaCovered,
+			Failures: m.Failures, LastError: m.LastError}
 		if m.Mode == "pushdown" && m.Position > m.DeltaCovered {
 			mr.DeltaLag = m.Position - m.DeltaCovered
-		}
-		if m.Quarantined(now) {
-			mr.Quarantined = true
-			mr.QuarantineSecondsLeft = m.QuarantinedUntil.Sub(now).Seconds()
-			mr.Failures = m.Failures
-			mr.Quarantines = m.Quarantines
-			mr.LastError = m.LastError
 		}
 		resp.Members = append(resp.Members, mr)
 	}

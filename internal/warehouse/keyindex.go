@@ -46,6 +46,12 @@ import (
 // shifts later entries back without reordering those of one key), and
 // rows enter an index in position order, so a secondary index yields
 // its rows in scan order. Row positions are below 2^32-1.
+//
+// The same run makes a key's entries costly to add to: entering a row
+// walks past every entry already held under its key, so adding a row to
+// a secondary index walks every row that shares its value, and filling
+// an index over a column of few distinct values is quadratic in the
+// rows. Such a column is read by a scan, not indexed.
 type keyIndex struct {
 	cols  []int    // the key's columns, in key order
 	slots []uint64 // hash bits<<32 | position+1; 0 = empty
