@@ -257,3 +257,84 @@ func TestRestartWithWALAndSnapshotKeepsWrites(t *testing.T) {
 		}
 	}
 }
+
+// TestPreSeqCloudEventsAreRefused: a snapshot or WAL written before
+// the Cloud event table was keyed by (vm_id, seq) holds that table in
+// its old layout — no seq column, no primary key — or rows of it. A
+// satellite starting from one refuses it with an error naming the
+// table or its row width, neither panicking nor starting with the old
+// events unread; such a satellite re-ingests its data. The WALs are a
+// WAL a snapshot restore seeded, which opens with the table's DDL, and
+// a WAL a fresh satellite wrote, which holds only rows.
+func TestPreSeqCloudEventsAreRefused(t *testing.T) {
+	oldEventDef := warehouse.TableDef{Name: cloud.EventTable, Columns: []warehouse.Column{
+		{Name: "vm_id", Type: warehouse.TypeString},
+		{Name: "resource", Type: warehouse.TypeString},
+		{Name: "username", Type: warehouse.TypeString},
+		{Name: "project", Type: warehouse.TypeString},
+		{Name: "instance_type", Type: warehouse.TypeString},
+		{Name: "event_type", Type: warehouse.TypeString},
+		{Name: "event_time", Type: warehouse.TypeTime},
+		{Name: "cores", Type: warehouse.TypeInt},
+		{Name: "memory_gb", Type: warehouse.TypeFloat},
+		{Name: "disk_gb", Type: warehouse.TypeFloat},
+	}}
+	dir := t.TempDir()
+	// write makes a DB holding the old event table and one event, with
+	// a WAL at walPath opened before the table's DDL (ddlLogged) or
+	// after it, and saves the DB to dbPath.
+	write := func(walPath, dbPath string, ddlLogged bool) {
+		t.Helper()
+		old := warehouse.Open("site")
+		var w *warehouse.LogWriter
+		open := func() {
+			var err error
+			if w, err = warehouse.OpenLogWriterOpts(old, walPath, old.Binlog().Last(), warehouse.WALOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if ddlLogged {
+			open()
+		}
+		tab, err := old.EnsureSchema(cloud.SchemaName).EnsureTable(oldEventDef)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ddlLogged {
+			open()
+		}
+		at := time.Date(2017, 3, 1, 0, 0, 0, 0, time.UTC)
+		if err := old.Do(func() error {
+			return tab.InsertRow([]any{"vm-1", "lakeeffect", "u", "p", "m1.small", string(cloud.EvStart), at, int64(2), 4.0, 20.0})
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := old.SaveFile(dbPath); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seeded, fresh, dbPath := filepath.Join(dir, "seeded.wal"), filepath.Join(dir, "fresh.wal"), filepath.Join(dir, "old.snap")
+	write(seeded, dbPath, true)
+	write(fresh, filepath.Join(dir, "unused.snap"), false)
+	layout := "modw_cloud.event exists with another layout"
+	for _, c := range []struct{ what, wal, db, want string }{
+		{"snapshot", "", dbPath, layout},
+		{"seeded WAL", seeded, "", layout},
+		{"fresh WAL", fresh, "", "modw_cloud.event expects 11 values, got 10"},
+	} {
+		sat, err := NewSatellite(satCfg("site", []string{"lakeeffect"}, ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wal, err := sat.Recover(c.wal, c.db)
+		if wal != nil {
+			wal.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("start from a pre-seq %s: %v, want an error saying %q", c.what, err, c.want)
+		}
+	}
+}

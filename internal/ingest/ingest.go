@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"xdmodfed/internal/aggregate"
@@ -139,13 +138,15 @@ func (p *Pipeline) IngestJobLog(r io.Reader, format, resource string) (Stats, er
 }
 
 // IngestCloudEvents appends raw VM lifecycle events and brings the
-// session table up to date in the same write transaction: the sessions
-// of every VM the batch names, plus those of every VM whose
-// still-running session this horizon closes elsewhere, are
-// reconstructed from the VM's own events and upserted over the stored
-// ones (cloud.SyncSessions); a session that did not change writes
-// nothing, so only sessions that changed are written and logged. The Cloud realm's aggregates then follow the changed
-// sessions (see write).
+// session table up to date in the same write transaction. Every VM the
+// batch names, and every VM whose still-running session this horizon
+// closes elsewhere, has its stored events read once, by key
+// (cloud.ReadEvents); each new event is appended as its VM's next seq
+// (cloud.AppendEvent), and each VM's sessions are reconstructed from
+// its events and upserted over the stored ones (cloud.SyncSessions). A
+// session that did not change writes nothing, so only sessions that
+// changed are written and logged. The Cloud realm's aggregates then
+// follow the changed sessions (see write).
 func (p *Pipeline) IngestCloudEvents(events []cloud.Event, horizon time.Time) (Stats, error) {
 	var st Stats
 	_, sp := obs.StartSpan(context.Background(), "ingest.IngestCloudEvents")
@@ -156,8 +157,7 @@ func (p *Pipeline) IngestCloudEvents(events []cloud.Event, horizon time.Time) (S
 	if err != nil {
 		return st, fmt.Errorf("ingest: Cloud realm not set up: %w", err)
 	}
-	rows := make([][]any, 0, len(events))
-	named := map[string]bool{}
+	valid := make([]cloud.Event, 0, len(events))
 	for _, e := range events {
 		st.Parsed++
 		if err := e.Validate(); err != nil {
@@ -165,33 +165,34 @@ func (p *Pipeline) IngestCloudEvents(events []cloud.Event, horizon time.Time) (S
 			st.Errors = append(st.Errors, err)
 			continue
 		}
-		rows = append(rows, cloud.EventRow(e))
-		named[e.VMID] = true
+		valid = append(valid, e)
 	}
 	_, err = p.write("Cloud", sp, func(sessTab *warehouse.Table) error {
 		// Read before this transaction writes: the published snapshot is
 		// then exactly the writer state.
-		vms := cloud.StaleOpenVMs(sessTab.Data(), horizon)
-		for _, vm := range vms {
-			named[vm] = true
+		byVM := map[string][]cloud.Event{}
+		for _, vm := range cloud.StaleOpenVMs(sessTab.Data(), horizon) {
+			byVM[vm] = nil
 		}
-		if len(named) == 0 {
+		for _, e := range valid {
+			byVM[e.VMID] = nil
+		}
+		if len(byVM) == 0 {
 			return nil
 		}
-		for _, r := range rows {
-			if err := evTab.InsertRow(r); err != nil {
+		for vm := range byVM {
+			byVM[vm] = cloud.ReadEvents(evTab, vm)
+		}
+		for _, e := range valid {
+			var err error
+			if byVM[e.VMID], err = cloud.AppendEvent(evTab, byVM[e.VMID], e); err != nil {
 				st.Rejected++
 				st.Errors = append(st.Errors, err)
 				continue
 			}
 			st.Ingested++
 		}
-		vms = vms[:0]
-		for vm := range named {
-			vms = append(vms, vm)
-		}
-		sort.Strings(vms)
-		return cloud.SyncSessions(evTab, sessTab, vms, horizon)
+		return cloud.SyncSessions(sessTab, byVM, horizon)
 	})
 	return st, err
 }

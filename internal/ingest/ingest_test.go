@@ -418,28 +418,40 @@ func TestCloudSessionDiffMatchesFullReconstruction(t *testing.T) {
 	}
 	gotSessions, gotAggs := snapshot()
 
-	// The reference: one reconstruction of the whole log, as the ingest
-	// did before it diffed, then a rebuild.
+	// The reference: one plain scan of the whole event log, grouped by
+	// VM in scan order, each VM's sessions reconstructed and written
+	// afresh, then a rebuild. It reads no event or session by key.
 	evTab, _ := p.DB.TableIn(cloud.SchemaName, cloud.EventTable)
 	sessTab, _ := p.DB.TableIn(cloud.SchemaName, cloud.SessionTable)
-	var all []string
-	p.DB.View(func() error {
+	err := p.DB.Do(func() error {
+		byVM := map[string][]cloud.Event{}
+		var vms []string
 		evTab.Scan(func(r warehouse.Row) bool {
-			all = append(all, r.String("vm_id"))
+			vm := r.String("vm_id")
+			if _, ok := byVM[vm]; !ok {
+				vms = append(vms, vm)
+			}
+			byVM[vm] = append(byVM[vm], cloud.Event{
+				VMID: vm, Resource: r.String("resource"), User: r.String("username"),
+				Project: r.String("project"), InstanceType: r.String("instance_type"),
+				Type: cloud.EventType(r.String("event_type")), Time: r.Get("event_time").(time.Time),
+				Cores: r.Int("cores"), MemoryGB: r.Float("memory_gb"), DiskGB: r.Float("disk_gb"),
+			})
 			return true
 		})
-		return nil
-	})
-	sort.Strings(all)
-	var vms []string
-	for i, vm := range all {
-		if i == 0 || vm != all[i-1] {
-			vms = append(vms, vm)
-		}
-	}
-	err := p.DB.Do(func() error {
 		sessTab.Truncate()
-		return cloud.SyncSessions(evTab, sessTab, vms, horizon)
+		for _, vm := range vms {
+			sessions, err := cloud.ReconstructSessions(byVM[vm], horizon)
+			if err != nil {
+				return err
+			}
+			for seq, s := range sessions {
+				if err := sessTab.InsertRow(cloud.SessionValues(s, seq)); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

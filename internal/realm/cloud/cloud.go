@@ -107,12 +107,16 @@ func (s Session) Wall() time.Duration { return s.End.Sub(s.Start) }
 // CoreHours returns cores × wall hours for the session.
 func (s Session) CoreHours() float64 { return float64(s.Cores) * s.Wall().Hours() }
 
-// EventDef returns the raw event table definition.
+// EventDef returns the raw event table definition. An event's key is
+// its VM and seq, its ordinal among the VM's events in arrival order: a
+// VM's seqs run 0, 1, … with no gap, so its events are read by key, in
+// arrival order, up to the first seq the table lacks (ReadEvents).
 func EventDef() warehouse.TableDef {
 	return warehouse.TableDef{
 		Name: EventTable,
 		Columns: []warehouse.Column{
 			{Name: "vm_id", Type: warehouse.TypeString},
+			{Name: "seq", Type: warehouse.TypeInt},
 			{Name: "resource", Type: warehouse.TypeString},
 			{Name: "username", Type: warehouse.TypeString},
 			{Name: "project", Type: warehouse.TypeString},
@@ -123,7 +127,7 @@ func EventDef() warehouse.TableDef {
 			{Name: "memory_gb", Type: warehouse.TypeFloat},
 			{Name: "disk_gb", Type: warehouse.TypeFloat},
 		},
-		Indexes: [][]string{{"vm_id"}},
+		PrimaryKey: []string{"vm_id", "seq"},
 	}
 }
 
@@ -150,7 +154,6 @@ func SessionDef() warehouse.TableDef {
 			{Name: "month_key", Type: warehouse.TypeInt},
 		},
 		PrimaryKey: []string{"session_id"},
-		Indexes:    [][]string{{"vm_id"}},
 	}
 }
 
@@ -206,21 +209,25 @@ func RealmInfo() realm.Info {
 	}
 }
 
-// EventRow converts a VM lifecycle event into a positional
-// cloud_events row (EventDef column order).
-func EventRow(e Event) []any {
+// EventRow converts a VM lifecycle event, its VM's event seq, into a
+// positional event row (EventDef column order).
+func EventRow(e Event, seq int) []any {
 	return []any{
-		e.VMID, e.Resource, e.User, e.Project, e.InstanceType,
+		e.VMID, int64(seq), e.Resource, e.User, e.Project, e.InstanceType,
 		string(e.Type), e.Time, e.Cores, e.MemoryGB, e.DiskGB,
 	}
 }
+
+// SessionID is the key of session seq of a VM: a VM's sessions are
+// numbered 0, 1, … in start order.
+func SessionID(vm string, seq int) string { return fmt.Sprintf("%s/%d", vm, seq) }
 
 // SessionValues converts a session into a positional session_records
 // row (SessionDef column order). seq disambiguates multiple sessions
 // of the same VM.
 func SessionValues(s Session, seq int) []any {
 	return []any{
-		fmt.Sprintf("%s/%d", s.VMID, seq),
+		SessionID(s.VMID, seq),
 		s.VMID, s.Resource, s.User, s.Project, s.InstanceType,
 		s.Cores, s.MemoryGB, s.DiskGB,
 		s.Start, s.End, s.Wall().Hours(), s.CoreHours(),

@@ -172,50 +172,66 @@ func eventFromRow(r warehouse.Row) Event {
 	}
 }
 
-// SyncSessions brings the stored sessions of the given VMs up to date
-// with their events at horizon. Sessions are per-VM independent, and so
-// is their seq numbering, so each VM is reconstructed on its own: its
-// events are read through the event table's vm_id index in position
-// order (the order a full scan yields them in) and replayed by
-// ReconstructSessions, giving exactly the rows a reconstruction of the
-// whole log would. Each reconstructed session is upserted — one equal
-// to the stored session writes and logs nothing — and a stored session
-// id that no longer exists is deleted. Every VM is reconstructed before
-// the first write, so a failure to reconstruct leaves the session table
-// untouched. Must run inside the caller's write transaction, whose
-// record then holds what changed.
-func SyncSessions(evTab, sessTab *warehouse.Table, vms []string, horizon time.Time) error {
+// ReadEvents returns the events of vm that evTab holds, in seq order:
+// rows (vm, 0), (vm, 1), … read by primary key up to the first seq the
+// table lacks. Their count is the seq of vm's next event (AppendEvent).
+func ReadEvents(evTab *warehouse.Table, vm string) []Event {
+	var out []Event
+	for seq := 0; ; seq++ {
+		r, ok := evTab.GetByKey(vm, seq)
+		if !ok {
+			return out
+		}
+		out = append(out, eventFromRow(r))
+	}
+}
+
+// AppendEvent inserts e as the next event of its VM, whose stored events
+// are evs (ReadEvents, and the events appended since), and returns evs
+// with e appended as the table holds it. An insert that fails takes no
+// seq: evs come back as they were, so a VM's seqs stay gapless.
+func AppendEvent(evTab *warehouse.Table, evs []Event, e Event) ([]Event, error) {
+	if err := evTab.InsertRow(EventRow(e, len(evs))); err != nil {
+		return evs, err
+	}
+	e.Time = e.Time.UTC() // as it reads back: no monotonic clock reading
+	return append(evs, e), nil
+}
+
+// SyncSessions brings the stored sessions of each VM in events up to
+// date at horizon: events[vm] is every event of vm in seq order
+// (ReadEvents, then what AppendEvent appended). Sessions are per-VM
+// independent, and so is their seq numbering, so each VM is
+// reconstructed on its own by ReconstructSessions, giving exactly the
+// rows a reconstruction of the whole log would. Session k of a VM is
+// upserted under SessionID(vm, k) — one equal to the stored session
+// writes and logs nothing — and the stored sessions past the last one,
+// from SessionID(vm, n) up to the first the table lacks, are deleted,
+// so a VM's stored session seqs stay gapless from 0. VMs are written in
+// name order, and every VM is reconstructed before the first write, so
+// a failure to reconstruct leaves the session table untouched. Must run
+// inside the caller's write transaction, whose record then holds what
+// changed.
+func SyncSessions(sessTab *warehouse.Table, events map[string][]Event, horizon time.Time) error {
+	vms := make([]string, 0, len(events))
+	for vm := range events {
+		vms = append(vms, vm)
+	}
+	sort.Strings(vms)
 	byVM := make([][]Session, len(vms))
 	for i, vm := range vms {
-		var events []Event
-		evTab.ScanIndex([]string{"vm_id"}, []any{vm}, func(r warehouse.Row) bool {
-			events = append(events, eventFromRow(r))
-			return true
-		})
 		var err error
-		if byVM[i], err = ReconstructSessions(events, horizon); err != nil {
+		if byVM[i], err = ReconstructSessions(events[vm], horizon); err != nil {
 			return fmt.Errorf("cloud: sessions of vm %s: %w", vm, err)
 		}
 	}
 	for i, vm := range vms {
-		var stored []string
-		sessTab.ScanIndex([]string{"vm_id"}, []any{vm}, func(r warehouse.Row) bool {
-			stored = append(stored, r.String("session_id"))
-			return true
-		})
-		kept := map[string]bool{}
 		for seq, s := range byVM[i] {
-			row := SessionValues(s, seq)
-			kept[row[0].(string)] = true
-			if err := sessTab.UpsertRow(row); err != nil {
+			if err := sessTab.UpsertRow(SessionValues(s, seq)); err != nil {
 				return err
 			}
 		}
-		sort.Strings(stored)
-		for _, id := range stored {
-			if !kept[id] {
-				sessTab.DeleteByKey(id)
-			}
+		for seq := len(byVM[i]); sessTab.DeleteByKey(SessionID(vm, seq)); seq++ {
 		}
 	}
 	return nil

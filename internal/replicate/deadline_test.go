@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"xdmodfed/internal/aggregate"
 	"xdmodfed/internal/realm/jobs"
 	"xdmodfed/internal/shredder"
 	"xdmodfed/internal/warehouse"
@@ -204,8 +205,9 @@ func TestReceiverRejectsOversizeFrame(t *testing.T) {
 }
 
 // TestReceiverRejectsMalformedPackedEvents: a frame whose Packed bytes
-// do not decode closes the connection with nothing of the frame
-// applied and the member's position where the last good frame left it.
+// do not decode is refused — an ack whose Err says why, then the
+// connection closes — with nothing of the frame applied and the
+// member's position where the last good frame left it.
 func TestReceiverRejectsMalformedPackedEvents(t *testing.T) {
 	sink, hub := newTestSink(t)
 	recv := &Receiver{Version: "v", Sink: sink, HeartbeatInterval: 50 * time.Millisecond}
@@ -273,8 +275,8 @@ func TestReceiverRejectsMalformedPackedEvents(t *testing.T) {
 	if err := enc.Encode(batch{UpTo: 5, Packed: bad[:len(bad)-3]}); err != nil {
 		t.Fatal(err)
 	}
-	if a, err := awaitAck(); err == nil {
-		t.Fatalf("hub acked a frame whose events do not decode: %+v", a)
+	if a, err := awaitAck(); err != nil || a.UpTo != 5 || a.Err == "" {
+		t.Fatalf("a frame whose events do not decode: ack %+v, %v; want it refused", a, err)
 	}
 	recv.Close() // the handler has returned: what it applied is final
 	if got := hub.Count(schema, def.Name); got != 1 {
@@ -282,6 +284,69 @@ func TestReceiverRejectsMalformedPackedEvents(t *testing.T) {
 	}
 	if pos, _ := sink.Resume("ccr"); pos != 3 {
 		t.Errorf("member position %d after the malformed frame, want 3", pos)
+	}
+}
+
+// TestReceiverRefusesBadFramesWithAnAck: after a good handshake, a
+// frame whose Packed events do not decode, and one carrying pushdown
+// deltas the connection never negotiated, are each answered with an
+// ack whose Err says why — a refusal the sender backs off from, where
+// a plain close would have it re-send at once — and the sink sees no
+// event of either.
+func TestReceiverRefusesBadFramesWithAnAck(t *testing.T) {
+	db := satelliteWithJobs(t, "badsat", 3)
+	evs, err := db.Binlog().ReadFrom(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, upTo := NewRewriter("badsat", Filter{}).ProcessBatch(evs)
+	packed := warehouse.AppendEvents(nil, evs)
+	corrupt := packed[:len(packed)-3]
+	delta := aggregate.Delta{Realm: "Jobs", CoveredLSN: upTo}
+	for _, c := range []struct {
+		name  string
+		frame batch
+	}{
+		{"events that do not decode", batch{UpTo: upTo, Packed: corrupt}},
+		{"unnegotiated deltas", batch{UpTo: upTo, Packed: packed, Deltas: []aggregate.Delta{delta}}},
+	} {
+		sink := &frameSink{}
+		r := &Receiver{Version: "v", Sink: sink, HeartbeatInterval: time.Second}
+		client, server := net.Pipe()
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			defer server.Close()
+			r.serve(server)
+		}()
+		client.SetDeadline(time.Now().Add(5 * time.Second))
+		enc, dec := gob.NewEncoder(client), gob.NewDecoder(client)
+		if err := enc.Encode(hello{Instance: "badsat", Version: "v", Wire: wireFormat}); err != nil {
+			t.Fatal(err)
+		}
+		var ha helloAck
+		if err := dec.Decode(&ha); err != nil || !ha.OK {
+			t.Fatalf("%s: handshake: %v %+v", c.name, err, ha)
+		}
+		if err := enc.Encode(c.frame); err != nil {
+			t.Fatal(err)
+		}
+		var a ack
+		for a.HB || a == (ack{}) {
+			a = ack{}
+			if err := dec.Decode(&a); err != nil {
+				t.Fatalf("%s: no ack: %v", c.name, err)
+			}
+		}
+		if a.UpTo != upTo || a.Err == "" {
+			t.Errorf("%s: ack %+v, want the frame UpTo %d refused with a reason", c.name, a, upTo)
+		}
+		client.Close()
+		<-served
+		r.wg.Wait()
+		if len(sink.calls) != 0 {
+			t.Errorf("%s: the sink saw %v", c.name, sink.calls)
+		}
 	}
 }
 

@@ -57,8 +57,11 @@ import (
 // picks the interval and propagates it in the handshake ack so both
 // sides always agree.
 //
-// A batch the hub cannot apply is refused, not dropped: the hub answers
-// it with an ack whose Err says why, then closes the connection. The
+// A batch the hub does not apply is refused, not dropped: the hub
+// answers it with an ack whose Err says why, then closes the
+// connection. That holds for a batch whose events do not decode, one
+// carrying pushdown deltas the connection never negotiated, and one the
+// sink fails to apply alike. The
 // sender's reconnect backoff (RunWithRetry) is the one retry policy: it
 // keeps growing across refused batches, where a connection that merely
 // dropped after the handshake retries at the initial delay.
@@ -466,16 +469,23 @@ func (r *Receiver) serve(conn net.Conn) {
 		if b.HB {
 			continue // satellite keep-alive
 		}
+		// A frame refused before the sink sees it applies nothing, and the
+		// member's position stays where it was.
 		var events []warehouse.Event
 		if len(b.Packed) > 0 {
 			var err error
 			if events, err = warehouse.DecodeEvents(b.Packed); err != nil {
-				// Nothing of the frame is applied and the member's
-				// position stays where it was.
-				repLog.Error("malformed replication frame, closing",
+				repLog.Error("malformed replication frame, refusing",
 					"instance", h.Instance, "up_to", b.UpTo, "err", err)
+				send(ack{UpTo: b.UpTo, Err: "malformed replication frame: " + err.Error()})
 				return
 			}
+		}
+		if len(b.Deltas) > 0 && !pdGranted {
+			repLog.Error("unnegotiated pushdown deltas, refusing",
+				"instance", h.Instance, "up_to", b.UpTo, "deltas", len(b.Deltas))
+			send(ack{UpTo: b.UpTo, Err: "the frame carries pushdown deltas this connection never negotiated"})
+			return
 		}
 		actx := obs.ContextWithTraceParent(context.Background(), b.Trace)
 		if err := r.Sink.ApplyBatchCtx(actx, h.Instance, b.UpTo, events); err != nil {
@@ -485,13 +495,6 @@ func (r *Receiver) serve(conn net.Conn) {
 			return
 		}
 		if len(b.Deltas) > 0 {
-			if !pdGranted {
-				// Protocol violation: the frame carries deltas this
-				// connection never negotiated.
-				repLog.Error("unnegotiated pushdown deltas, closing",
-					"instance", h.Instance, "deltas", len(b.Deltas))
-				return
-			}
 			if err := pdSink.ApplyDeltas(actx, h.Instance, b.UpTo, b.Deltas); err != nil {
 				repLog.Warn("pushdown deltas rejected",
 					"instance", h.Instance, "up_to", b.UpTo, "err", err)

@@ -33,11 +33,13 @@ import (
 //
 //	def    = string(name) | uvarint(n) | column{n}
 //	         | uvarint(k) | string{k}              primary key
-//	         | uvarint(m) | (uvarint(w) | string{w}){m}   indexes
+//	         | uvarint(m) | (uvarint(w) | string{w}){m}   legacy index list
 //	         | flag(derived)
 //	column = string(name) | type byte | flag(nullable)
 //
-// and a LOAD's table contents are coded column-major:
+// where the encoder writes m = 0: older builds coded a table's
+// secondary indexes there, and the decoder reads such a list and drops
+// it. A LOAD's table contents are coded column-major:
 //
 //	cols   = uvarint(rows) | uvarint(n) | vector{n}
 //	vector = string(name) | type byte | flag(has validity vector) | cell{rows}
@@ -243,10 +245,7 @@ func appendDef(dst []byte, d *TableDef) []byte {
 	for _, c := range d.Columns {
 		dst = appendFlag(append(appendString(dst, c.Name), byte(c.Type)), c.Nullable)
 	}
-	dst = binary.AppendUvarint(appendStrings(dst, d.PrimaryKey), uint64(len(d.Indexes)))
-	for _, ix := range d.Indexes {
-		dst = appendStrings(dst, ix)
-	}
+	dst = binary.AppendUvarint(appendStrings(dst, d.PrimaryKey), 0) // an empty index list: see eventReader.def
 	return appendFlag(dst, d.Derived)
 }
 
@@ -552,8 +551,10 @@ func (r *eventReader) def() *TableDef {
 		d.Columns = append(d.Columns, Column{Name: r.string(), Type: ColumnType(r.byte()), Nullable: r.flag()})
 	}
 	d.PrimaryKey = r.strings()
+	// A list of secondary indexes, which tables no longer have: bytes
+	// coded before they went carry one. It is read and dropped.
 	for n := r.count("indexes", 1); n > 0 && r.err == nil; n-- {
-		d.Indexes = append(d.Indexes, r.strings())
+		r.strings()
 	}
 	d.Derived = r.flag()
 	return d

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
@@ -59,8 +60,7 @@ func defsEqual(a, b *warehouse.TableDef) bool {
 	// slices.Equal goes by length: gob does not tell nil from empty.
 	return a.Name == b.Name && a.Derived == b.Derived &&
 		slices.Equal(a.Columns, b.Columns) &&
-		slices.Equal(a.PrimaryKey, b.PrimaryKey) &&
-		slices.EqualFunc(a.Indexes, b.Indexes, slices.Equal[[]string])
+		slices.Equal(a.PrimaryKey, b.PrimaryKey)
 }
 
 func colsEqual(a, b *warehouse.ColumnData) bool {
@@ -547,7 +547,7 @@ func FuzzDecodeEvents(f *testing.F) {
 		f.Add(warehouse.AppendEvents(nil, randomEvents(rng, 12)))
 	}
 	f.Add([]byte{})
-	every := warehouse.TableDef{Name: "every", Derived: true, PrimaryKey: []string{"i", "s"}, Indexes: [][]string{{"t"}, {"b", "f"}},
+	every := warehouse.TableDef{Name: "every", Derived: true, PrimaryKey: []string{"i", "s"},
 		Columns: []warehouse.Column{{Name: "i", Type: warehouse.TypeInt}, {Name: "f", Type: warehouse.TypeFloat, Nullable: true},
 			{Name: "s", Type: warehouse.TypeString}, {Name: "b", Type: warehouse.TypeBool, Nullable: true}, {Name: "t", Type: warehouse.TypeTime}}}
 	hostile := warehouse.TableDef{Name: "t", Columns: []warehouse.Column{{Name: "a", Type: warehouse.TypeInt}}}
@@ -560,6 +560,7 @@ func FuzzDecodeEvents(f *testing.F) {
 		{LSN: 3, Kind: warehouse.EvLoad, Schema: "fed_siteA", Table: "t", Cols: &warehouse.ColumnData{
 			Rows: 1, Names: []string{"a"}, Cols: []warehouse.ColumnVector{store.ColumnOf([]string{"x"})}}},
 	}))
+	f.Add(legacyIndexDDL)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		evs, err := warehouse.DecodeEvents(b)
 		if err != nil {
@@ -574,6 +575,109 @@ func FuzzDecodeEvents(f *testing.F) {
 			t.Fatalf("re-encoding changed the events: %s", diff)
 		}
 	})
+}
+
+// Bytes coded by the build before secondary indexes went, which coded a
+// table's index list into its CREATE_TABLE: the Cloud session table's
+// CREATE_TABLE, whose definition carried the list {vm_id}, and a
+// snapshot of that table holding one session. This build reads the list
+// and drops it (tables have no secondary index); old WALs, snapshots
+// and pre-change members send such bytes.
+var (
+	legacyIndexDDL = mustHex(`
+	0106100a6d6f64775f636c6f75640f73657373696f6e5f7265636f7264730780
+	e4fa920b000f73657373696f6e5f7265636f726473100a73657373696f6e5f69
+	64030005766d5f69640300087265736f75726365030008757365726e616d6503
+	000770726f6a65637403000d696e7374616e63655f74797065030005636f7265
+	730100096d656d6f72795f67620200076469736b5f676202000a73746172745f
+	74696d65050008656e645f74696d6505000a77616c6c5f686f75727302000a63
+	6f72655f686f757273020005656e64656404000a7465726d696e617465640400
+	096d6f6e74685f6b65790100010a73657373696f6e5f6964010105766d5f6964
+	00`)
+	legacyIndexSnapshot = mustHex(`
+	58444d46534e415003036f6c64000305020a6d6f64775f636c6f756400ffdb8f
+	f9ce030006120a6d6f64775f636c6f75640f73657373696f6e5f7265636f7264
+	7300000f73657373696f6e5f7265636f726473100a73657373696f6e5f696403
+	0005766d5f69640300087265736f75726365030008757365726e616d65030007
+	70726f6a65637403000d696e7374616e63655f74797065030005636f72657301
+	00096d656d6f72795f67620200076469736b5f676202000a73746172745f7469
+	6d65050008656e645f74696d6505000a77616c6c5f686f75727302000a636f72
+	655f686f757273020005656e64656404000a7465726d696e617465640400096d
+	6f6e74685f6b65790100010a73657373696f6e5f6964010105766d5f69640008
+	23000001100a73657373696f6e5f696403010406766d2d312f3005766d5f6964
+	03010404766d2d31087265736f757263650301040a6c616b6565666665637408
+	757365726e616d6503010401750770726f6a65637403010401700d696e737461
+	6e63655f74797065030104086d312e736d616c6c05636f72657301010104096d
+	656d6f72795f676202010308076469736b5f6762020103280a73746172745f74
+	696d6505010780bcb08b0b0008656e645f74696d650501078082bb8b0b000a77
+	616c6c5f686f757273020103300a636f72655f686f7572730201036005656e64
+	65640401060a7465726d696e61746564040105096d6f6e74685f6b6579010101
+	cecf18`)
+)
+
+// mustHex decodes hex digits, ignoring white space.
+func mustHex(s string) []byte {
+	b, err := hex.DecodeString(strings.Join(strings.Fields(s), ""))
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// TestDecodeLegacyIndexList: a CREATE_TABLE coded with an index list
+// decodes to the definition the same bytes with an empty list decode
+// to — the session table's definition as this build declares it — and
+// this build codes that definition as those bytes. Applied to a
+// hub-side DB, the old event creates the table; the old snapshot
+// restores with its row.
+func TestDecodeLegacyIndexList(t *testing.T) {
+	list := []byte{1, 1, 5, 'v', 'm', '_', 'i', 'd', 0} // one index {vm_id}, then derived false
+	if !bytes.HasSuffix(legacyIndexDDL, list) {
+		t.Fatalf("the legacy bytes do not end in the index list {vm_id}: % x", legacyIndexDDL[len(legacyIndexDDL)-len(list):])
+	}
+	noList := append(bytes.Clone(legacyIndexDDL[:len(legacyIndexDDL)-len(list)]), 0, 0) // an empty list, then derived false
+	old, err := warehouse.DecodeEvents(legacyIndexDDL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := warehouse.DecodeEvents(noList)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := eventsDiffer(old, plain); diff != "" {
+		t.Fatalf("with and without the index list: %s", diff)
+	}
+	want := cloud.SessionDef()
+	if len(old) != 1 || old[0].Kind != warehouse.EvCreateTable || !defsEqual(old[0].Def, &want) {
+		t.Fatalf("decoded %+v, want the CREATE_TABLE of %+v", old, want)
+	}
+	if got := warehouse.AppendEvents(nil, old); !bytes.Equal(got, noList) {
+		t.Fatalf("recoded as % x\nwant % x", got, noList)
+	}
+
+	hub := warehouse.OpenOptions("hub", warehouse.Options{NoBinlog: true})
+	if _, err := hub.ApplyAll(old); err != nil {
+		t.Fatalf("applying the old CREATE_TABLE: %v", err)
+	}
+	tab, err := hub.TableIn(cloud.SchemaName, cloud.SessionTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tab.Def(); !defsEqual(&got, &want) {
+		t.Fatalf("the hub created %+v, want %+v", got, want)
+	}
+
+	_, evs, err := warehouse.ReadSnapshot(bytes.NewReader(legacyIndexSnapshot))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := warehouse.OpenOptions("restored", warehouse.Options{NoBinlog: true})
+	if _, err := db.ApplyAll(evs); err != nil {
+		t.Fatalf("restoring the old snapshot: %v", err)
+	}
+	if n := db.Count(cloud.SchemaName, cloud.SessionTable); n != 1 {
+		t.Fatalf("the restored session table holds %d rows, want 1", n)
+	}
 }
 
 // vectorCodedBlocks returns the binlog blocks of a DB whose commits

@@ -12,11 +12,11 @@ import (
 	"xdmodfed/internal/warehouse/store"
 )
 
-// Key indexes. A table finds a row by its primary key, and a secondary
-// index finds the rows holding a tuple of values, through a keyIndex:
-// an open-addressing hash table of row positions that holds no Go
-// pointer per slot, so the collector never walks it slot by slot and no
-// key is ever rendered into a string.
+// The key index. A table finds a row by its primary key through a
+// keyIndex: an open-addressing hash table of row positions, one entry
+// per key, that holds no Go pointer per slot, so the collector never
+// walks it slot by slot and no key is ever rendered into a string. A
+// table has no other index: rows are found by key or by a scan.
 //
 // A key is its cells read straight from the column vectors (keyCell):
 // an int or a time as stored (Unix nanoseconds), a float's bits, a
@@ -28,30 +28,19 @@ import (
 // collide on one instance does not collide on another.
 //
 // A table's dictionary only grows until a truncate, compaction or bulk
-// load replaces it, and each of those rebuilds every index, so a
-// string's code names one value for as long as an index holds it.
+// load replaces it, and each of those rebuilds the index, so a
+// string's code names one value for as long as the index holds it.
 //
 // The index is never persisted: WAL, snapshot and wire bytes do not
 // depend on it.
 
-// keyIndex is one index over the columns cols. Each slot packs 32 bits
-// of a key's hash (high half) with its row position plus one (low half;
-// 0 is an empty slot). A key's probe starts at the slot its hash bits
-// name and runs forward to the first empty slot; growing re-homes the
-// slots by their stored bits and never reads a cell. A candidate's
-// cells are read back only when its stored bits equal the probe's.
-//
-// Entries of one key sit along its probe in the order they were entered
-// (an entry lands in the first empty slot past its home, and removal
-// shifts later entries back without reordering those of one key), and
-// rows enter an index in position order, so a secondary index yields
-// its rows in scan order. Row positions are below 2^32-1.
-//
-// The same run makes a key's entries costly to add to: entering a row
-// walks past every entry already held under its key, so adding a row to
-// a secondary index walks every row that shares its value, and filling
-// an index over a column of few distinct values is quadratic in the
-// rows. Such a column is read by a scan, not indexed.
+// keyIndex is the index over the key columns cols. Each slot packs 32
+// bits of a key's hash (high half) with its row position plus one (low
+// half; 0 is an empty slot). A key's probe starts at the slot its hash
+// bits name and runs forward to the first empty slot; growing re-homes
+// the slots by their stored bits and never reads a cell. A candidate's
+// cells are read back only when its stored bits equal the probe's. Row
+// positions are below 2^32-1.
 type keyIndex struct {
 	cols  []int    // the key's columns, in key order
 	slots []uint64 // hash bits<<32 | position+1; 0 = empty
@@ -84,15 +73,8 @@ func (ix *keyIndex) reserve(k int) bool {
 	}
 	old := ix.slots
 	ix.slots = make([]uint64, size)
-	// Walk the old slots from an empty one, so that each run of
-	// occupied slots is re-entered from its start and the entries of
-	// one key keep their order.
-	start := 0
-	for start < len(old) && old[start] != 0 {
-		start++
-	}
-	for i := range old {
-		if s := old[(start+i)%len(old)]; s != 0 {
+	for _, s := range old {
+		if s != 0 {
 			ix.place(s)
 		}
 	}
@@ -111,7 +93,7 @@ func (ix *keyIndex) place(s uint64) int {
 	return i
 }
 
-// add enters pos under hash h, after every entry already held under h.
+// add enters pos under hash h, a key ix does not hold.
 func (ix *keyIndex) add(h uint32, pos int) {
 	ix.reserve(1)
 	ix.place(packSlot(h, pos))
@@ -146,20 +128,6 @@ func (ix *keyIndex) set(i int, h uint32, pos int) {
 		ix.used++
 	}
 	ix.slots[i] = packSlot(h, pos)
-}
-
-// each calls fn with every position entered under hash h, in the order
-// they were entered, until fn returns false. fn must not change ix.
-func (ix *keyIndex) each(h uint32, fn func(pos int) bool) {
-	if len(ix.slots) == 0 {
-		return
-	}
-	mask := len(ix.slots) - 1
-	for i := int(h) & mask; ix.slots[i] != 0; i = (i + 1) & mask {
-		if s := ix.slots[i]; slotHash(s) == h && !fn(slotPos(s)) {
-			return
-		}
-	}
 }
 
 // remove drops position pos, entered under hash h, if ix holds it.
@@ -337,37 +305,41 @@ func (t *Table) probeKey(dst []keyCell, idx []int, vals []any) ([]keyCell, bool)
 	return dst, true
 }
 
-// lookup returns the position of the stored row whose key in ix's
-// columns holds cells, and its slot (find).
-func (t *Table) lookup(ix *keyIndex, cells []keyCell) (pos, slot int, h uint32) {
+// lookup returns the position of the stored row whose primary key holds
+// cells, and its slot (find).
+func (t *Table) lookup(cells []keyCell) (pos, slot int, h uint32) {
 	h = t.hashKey(cells)
-	pos, slot = ix.find(h, func(p int) bool { return t.holds(p, ix.cols, cells) })
+	pos, slot = t.pk.find(h, func(p int) bool { return t.holds(p, t.pk.cols, cells) })
 	return pos, slot, h
 }
 
-// storedHash is the hash of the key in ix's columns of the stored row at
-// pos.
-func (t *Table) storedHash(ix *keyIndex, pos int) uint32 {
+// storedHash is the hash of the primary key of the stored row at pos.
+func (t *Table) storedHash(pos int) uint32 {
 	var buf [keyCellsOnStack]keyCell
-	return t.hashKey(t.keyCells(buf[:0], t.cols, pos, ix.cols, codeMap{}))
+	return t.hashKey(t.keyCells(buf[:0], t.cols, pos, t.pk.cols, codeMap{}))
 }
 
-// enter adds the stored row at pos to ix.
-func (t *Table) enter(ix *keyIndex, pos int) { ix.add(t.storedHash(ix, pos), pos) }
+// enter adds the stored row at pos to the key index.
+func (t *Table) enter(pos int) { t.pk.add(t.storedHash(pos), pos) }
 
-// unenter drops the stored row at pos from ix.
-func (t *Table) unenter(ix *keyIndex, pos int) { ix.remove(t.storedHash(ix, pos), pos) }
+// unenter drops the stored row at pos from the key index.
+func (t *Table) unenter(pos int) { t.pk.remove(t.storedHash(pos), pos) }
 
-// buildIndex returns an index over idx of rows [0, rows) of cols,
-// vectors whose codes are the table's. With unique set it fails on the
-// first row whose key an earlier row holds, naming both.
-func (t *Table) buildIndex(cols []ColumnVector, rows int, idx []int, unique bool) (*keyIndex, error) {
+// buildPK returns the key index of rows [0, rows) of cols, vectors whose
+// codes are the table's; nil when the table has no primary key. With
+// check set it fails on the first row whose key an earlier row holds,
+// naming both; without, the rows' keys must be distinct.
+func (t *Table) buildPK(cols []ColumnVector, rows int, check bool) (*keyIndex, error) {
+	if t.pk == nil {
+		return nil, nil
+	}
+	idx := t.pk.cols
 	ix := newKeyIndex(idx, rows)
 	var buf [keyCellsOnStack]keyCell
 	for pos := 0; pos < rows; pos++ {
 		cells := t.keyCells(buf[:0], cols, pos, idx, codeMap{})
 		h := t.hashKey(cells)
-		if unique {
+		if check {
 			dup, _ := ix.find(h, func(p int) bool { return t.rowHolds(cols, p, codeMap{}, idx, cells) })
 			if dup >= 0 {
 				return nil, fmt.Errorf("duplicate primary key %s at rows %d and %d",

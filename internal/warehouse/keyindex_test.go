@@ -186,11 +186,15 @@ func TestKeyIndexHoldsNoPointerPerSlot(t *testing.T) {
 			t.Errorf("keyIndex.%s is %v, which holds a pointer", f.Name, f.Type)
 		}
 	}
-	for _, f := range []string{"pk", "indexes"} {
-		sf, _ := reflect.TypeOf(Table{}).FieldByName(f)
-		if e := sf.Type; e != reflect.TypeOf(&keyIndex{}) && e != reflect.TypeOf([]*keyIndex{}) {
-			t.Errorf("Table.%s is %v, not the key index", f, e)
+	// A table has one key index, its primary key's.
+	var ixFields []string
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Table{})) {
+		if strings.Contains(f.Type.String(), "keyIndex") {
+			ixFields = append(ixFields, f.Name+" "+f.Type.String())
 		}
+	}
+	if want := "pk *warehouse.keyIndex"; len(ixFields) != 1 || ixFields[0] != want {
+		t.Errorf("Table's key index fields are %q, want only %q", ixFields, want)
 	}
 }
 
@@ -267,62 +271,68 @@ func TestKeyLookupsAllocateNothing(t *testing.T) {
 	}
 }
 
-// TestKeyIndexKeepsEntryOrder: the entries of one hash come back in the
-// order they were entered — ScanIndex's scan order rests on it — when
-// their run wraps past the last slot, across growth, which re-enters a
-// wrapped run from its start, and across removals, which shift the
-// rest of a run back.
-func TestKeyIndexKeepsEntryOrder(t *testing.T) {
+// TestKeyIndexWrapsGrowsAndRemoves: every entry stays findable under
+// its hash when its run wraps past the last slot, across growth, which
+// re-homes every slot, and across removals, which shift the rest of a
+// run back; a removed entry is not found. Four of the keys share all 32
+// hash bits, as distinct keys may, and are told apart by same alone.
+func TestKeyIndexWrapsGrowsAndRemoves(t *testing.T) {
 	ix := newKeyIndex([]int{0}, 0)
 	last := uint32(len(ix.slots) - 1) // a home slot whose run wraps to slot 0
 	other := uint32(len(ix.slots))    // home slot 0, inside that run
-	want := []int{}
+	var order []int                   // positions held, each a distinct key
+	hashOf := map[int]uint32{}
+	add := func(h uint32, pos int) {
+		ix.add(h, pos)
+		order, hashOf[pos] = append(order, pos), h
+	}
+	found := func(pos int) bool {
+		got, _ := ix.find(hashOf[pos], func(p int) bool { return p == pos })
+		return got == pos
+	}
+	check := func(what string) {
+		t.Helper()
+		for _, pos := range order {
+			if !found(pos) {
+				t.Fatalf("%s: position %d not found under hash %#x", what, pos, hashOf[pos])
+			}
+		}
+		if ix.used != len(order) {
+			t.Fatalf("%s: %d slots used, want %d", what, ix.used, len(order))
+		}
+	}
+	remove := func(pos int) {
+		ix.remove(hashOf[pos], pos)
+		order = slices.DeleteFunc(order, func(p int) bool { return p == pos })
+		if found(pos) {
+			t.Fatalf("removed position %d is still found", pos)
+		}
+	}
 	for pos := 0; pos < 4; pos++ {
-		ix.add(last, pos)
-		want = append(want, pos)
+		add(last, pos)
 		if pos == 1 {
-			ix.add(other, 100) // another hash's entry inside the run
+			add(other, 100) // another hash's entry inside the run
 		}
 	}
 	if ix.slots[0] == 0 {
 		t.Fatalf("the run does not wrap: %x", ix.slots)
 	}
-	entries := func(h uint32) []int {
-		var got []int
-		ix.each(h, func(pos int) bool { got = append(got, pos); return true })
-		return got
-	}
-	check := func(what string) {
-		t.Helper()
-		if got := entries(last); !slices.Equal(got, want) {
-			t.Fatalf("%s: entries %v, want %v", what, got, want)
-		}
-		if got := entries(other); !slices.Equal(got, []int{100}) {
-			t.Fatalf("%s: the other hash's entries are %v", what, got)
-		}
-	}
 	check("wrapped")
-	ix.remove(last, 1)
-	want = slices.Delete(want, 1, 2)
+	remove(1)
 	check("after a removal")
 	for pos := 4; len(ix.slots) == minKeySlots; pos++ {
-		ix.add(last, pos)
-		want = append(want, pos)
+		add(last, pos)
 	}
 	check("after growing")
-	for len(want) > 0 {
-		ix.remove(last, want[0])
-		want = want[1:]
+	for len(order) > 0 {
+		remove(order[0])
 		check("after removing the first")
-	}
-	if ix.used != 1 {
-		t.Fatalf("%d slots used, want 1", ix.used)
 	}
 }
 
 // The table FuzzKeyIndex drives: a composite primary key over a
-// nullable string, a string and a nullable float, and a secondary index
-// over a nullable string and a nullable int.
+// nullable string, a string and a nullable float, and two nullable
+// columns outside the key.
 func fuzzKeyDef() TableDef {
 	return TableDef{
 		Name: "t",
@@ -334,7 +344,6 @@ func fuzzKeyDef() TableDef {
 			{Name: "v", Type: TypeInt, Nullable: true},
 		},
 		PrimaryKey: []string{"a", "b", "f"},
-		Indexes:    [][]string{{"g", "v"}},
 	}
 }
 
@@ -448,7 +457,7 @@ func (o *fuzzOps) rows(distinct bool) [][]any {
 // runKeyIndexModel applies the operations data decodes to a table of db
 // and to a model, a Go map keyed by typed tuples, and checks after
 // every step that the table answers Len, GetByKey of every model key
-// and of absent keys, and ScanIndex, as the model says. Meanwhile a
+// and of absent keys, and Scan, as the model says. Meanwhile a
 // reader probes the table under View, as the REST layer does, so that
 // the race detector sees lookups interleaved with the writer's changes.
 func runKeyIndexModel(t *testing.T, db *DB, data []byte) {
@@ -469,7 +478,6 @@ func runKeyIndexModel(t *testing.T, db *DB, data []byte) {
 			}
 			db.View(func() error {
 				tab.GetByKey("x", "y", 1.5)
-				tab.ScanIndex([]string{"g", "v"}, []any{"x", int64(1)}, func(Row) bool { return true })
 				return nil
 			})
 			time.Sleep(20 * time.Microsecond)
@@ -591,50 +599,34 @@ func checkKeyIndexModel(t *testing.T, step int, tab *Table, model map[fuzzKey][]
 	}
 	// A candidate is confirmed cell by cell (Table.holds) only when its
 	// 32 hash bits match, which distinct keys seldom do; so compare
-	// every pair of a few stored rows directly, in both indexes.
+	// every pair of a few stored rows directly.
 	var live []int
 	for _, s := range tab.pk.slots {
 		if s != 0 && len(live) < 12 {
 			live = append(live, slotPos(s))
 		}
 	}
-	for _, ix := range append([]*keyIndex{tab.pk}, tab.indexes...) {
-		for _, a := range live {
-			for _, b := range live {
-				var buf [keyCellsOnStack]keyCell
-				cells := tab.keyCells(buf[:0], tab.cols, b, ix.cols, codeMap{})
-				va, vb := tab.rowAt(a).Values(), tab.rowAt(b).Values()
-				same := true
-				for _, ci := range ix.cols {
-					same = same && sameValues(va[ci:ci+1], vb[ci:ci+1])
-				}
-				if tab.holds(a, ix.cols, cells) != same {
-					t.Fatalf("step %d: row %q holds the key %v of row %q: %v", step, va, ix.cols, vb, !same)
-				}
+	ix := tab.pk
+	for _, a := range live {
+		for _, b := range live {
+			var buf [keyCellsOnStack]keyCell
+			cells := tab.keyCells(buf[:0], tab.cols, b, ix.cols, codeMap{})
+			va, vb := tab.rowAt(a).Values(), tab.rowAt(b).Values()
+			same := true
+			for _, ci := range ix.cols {
+				same = same && sameValues(va[ci:ci+1], vb[ci:ci+1])
+			}
+			if tab.holds(a, ix.cols, cells) != same {
+				t.Fatalf("step %d: row %q holds the key %v of row %q: %v", step, va, ix.cols, vb, !same)
 			}
 		}
 	}
-	var scan [][]any
-	tab.Scan(func(r Row) bool { scan = append(scan, r.Values()); return true })
-	probes := [][]any{{"absent", int64(9)}}
-	for _, r := range scan {
-		if want := model[fuzzKeyOf(r)]; !sameValues(r, want) {
-			t.Fatalf("step %d: Scan holds %q, model %q", step, r, want)
+	tab.Scan(func(r Row) bool {
+		if want := model[fuzzKeyOf(r.Values())]; !sameValues(r.Values(), want) {
+			t.Fatalf("step %d: Scan holds %q, model %q", step, r.Values(), want)
 		}
-		probes = append(probes, []any{r[3], r[4]})
-	}
-	for _, p := range probes {
-		var want, got [][]any
-		for _, r := range scan {
-			if sameValues(r[3:], p) {
-				want = append(want, r)
-			}
-		}
-		tab.ScanIndex([]string{"g", "v"}, p, func(r Row) bool { got = append(got, r.Values()); return true })
-		if !slices.EqualFunc(got, want, sameValues) {
-			t.Fatalf("step %d: ScanIndex(%q) = %q, want in scan order %q", step, p, got, want)
-		}
-	}
+		return true
+	})
 }
 
 // FuzzKeyIndex checks the key indexes against a model through every

@@ -40,7 +40,7 @@ func realmSnapshots(t testing.TB) [][]byte {
 	if _, err := sat.Pipeline.IngestStorageSnapshots(workload.CCRStorage2017(2, 3)[:10]); err != nil {
 		t.Fatal(err)
 	}
-	every := warehouse.TableDef{Name: "every", PrimaryKey: []string{"i"}, Indexes: [][]string{{"s", "b"}},
+	every := warehouse.TableDef{Name: "every", PrimaryKey: []string{"i"},
 		Columns: []warehouse.Column{{Name: "i", Type: warehouse.TypeInt}, {Name: "f", Type: warehouse.TypeFloat, Nullable: true},
 			{Name: "s", Type: warehouse.TypeString, Nullable: true}, {Name: "b", Type: warehouse.TypeBool, Nullable: true},
 			{Name: "t", Type: warehouse.TypeTime, Nullable: true}}}
@@ -95,8 +95,9 @@ type gobSnapshotV2 struct {
 // succeeds, and never panics. A snapshot it restores is a fixed point:
 // the restored DB snapshots to bytes that restore to a DB that snapshots
 // to the same bytes. The seeds are real snapshots of
-// every realm (whole, then schema by schema), a cut-short one, an empty
-// input and a gob snapshot of version 2.
+// every realm (whole, then schema by schema), one whose CREATE_TABLE
+// carries an index list (legacyIndexSnapshot), a cut-short one, an
+// empty input and a gob snapshot of version 2.
 func FuzzRestoreSnapshot(f *testing.F) {
 	restore := func(data []byte) (*warehouse.DB, error) {
 		_, evs, err := warehouse.ReadSnapshot(bytes.NewReader(data))
@@ -107,7 +108,7 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		_, err = db.ApplyAll(evs)
 		return db, err
 	}
-	snaps := realmSnapshots(f)
+	snaps := append(realmSnapshots(f), legacyIndexSnapshot)
 	for _, b := range snaps {
 		if _, err := restore(b); err != nil {
 			f.Fatalf("a seed snapshot does not restore: %v", err)

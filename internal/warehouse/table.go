@@ -91,7 +91,7 @@ func (r Row) Values() []any {
 }
 
 // Table is a typed columnar table. The writer-side state (column
-// vectors, tombstones, primary-key and secondary indexes) is
+// vectors, tombstones, the primary-key index) is
 // synchronized by the owning DB: all mutating methods and the
 // read methods below must be called while holding the DB lock, which
 // the Schema/DB wrappers do. Data() is the exception — it returns the
@@ -120,10 +120,9 @@ type Table struct {
 	cols    []ColumnVector // the table's vectors, positions [0, rows)
 	index   []store.Index  // by column: the index of a string column's dictionary
 	dead    []bool
-	rows    int         // total slots, tombstones included
-	deleted int         // tombstoned slots
-	pk      *keyIndex   // the primary key's index; nil without a primary key
-	indexes []*keyIndex // the secondary indexes, in definition order
+	rows    int       // total slots, tombstones included
+	deleted int       // tombstoned slots
+	pk      *keyIndex // the primary key's index; nil without a primary key
 	seed    maphash.Seed
 
 	version    atomic.Pointer[TableData]
@@ -152,18 +151,12 @@ func newTable(s *Schema, def TableDef) (*Table, error) {
 		seed:   maphash.MakeSeed(),
 	}
 	t.cols, t.index = freshCols(d), make([]store.Index, len(d.Columns))
-	colsOf := func(names []string) []int {
-		idx := make([]int, len(names))
-		for n, k := range names {
+	if len(d.PrimaryKey) > 0 {
+		idx := make([]int, len(d.PrimaryKey))
+		for n, k := range d.PrimaryKey {
 			idx[n] = t.lay.colIndex[k]
 		}
-		return idx
-	}
-	if len(d.PrimaryKey) > 0 {
-		t.pk = newKeyIndex(colsOf(d.PrimaryKey), 0)
-	}
-	for _, ix := range d.Indexes {
-		t.indexes = append(t.indexes, newKeyIndex(colsOf(ix), 0))
+		t.pk = newKeyIndex(idx, 0)
 	}
 	t.publish()
 	return t, nil
@@ -218,7 +211,7 @@ func (t *Table) snapshot() *TableData {
 
 // compact rewrites the vectors with live rows only (preserving scan
 // order) into fresh dictionaries that hold only live values, and
-// rebuilds the key indexes. Published snapshots keep the old vectors,
+// rebuilds the key index. Published snapshots keep the old vectors,
 // so concurrent readers are unaffected.
 func (t *Table) compact() {
 	mCompactions.Inc()
@@ -232,9 +225,9 @@ func (t *Table) compact() {
 			newCols[i].AppendFrom(&t.cols[i], pos, &newIx[i])
 		}
 	}
-	pk, indexes, _ := t.buildIndexes(newCols, live, false) // live keys are distinct
+	pk, _ := t.buildPK(newCols, live, false) // live keys are distinct
 	t.install(newCols, newIx, live)
-	t.pk, t.indexes = pk, indexes
+	t.pk = pk
 }
 
 // install makes rows-long vectors, whose dictionaries ixs indexes, the
@@ -258,24 +251,6 @@ func freshCols(def TableDef) []ColumnVector {
 
 // rowAt wraps the row at position pos.
 func (t *Table) rowAt(pos int) Row { return Row{lay: t.lay, cols: t.cols, pos: pos} }
-
-// buildIndexes returns the primary-key and secondary indexes of rows
-// [0, rows) of cols, vectors whose codes are the table's; with check
-// set, or an error naming a primary key two rows hold.
-func (t *Table) buildIndexes(cols []ColumnVector, rows int, check bool) (*keyIndex, []*keyIndex, error) {
-	var pk *keyIndex
-	if t.pk != nil {
-		var err error
-		if pk, err = t.buildIndex(cols, rows, t.pk.cols, check); err != nil {
-			return nil, nil, err
-		}
-	}
-	indexes := make([]*keyIndex, len(t.indexes))
-	for n, ix := range t.indexes {
-		indexes[n], _ = t.buildIndex(cols, rows, ix.cols, false)
-	}
-	return pk, indexes, nil
-}
 
 // checkArity rejects a positional row of the wrong width.
 func (t *Table) checkArity(n int) error {
@@ -437,17 +412,16 @@ func (t *Table) rowPos(vals []any) (pos, slot int, h uint32) {
 	if !ok {
 		return -1, -1, 0
 	}
-	return t.lookup(t.pk, cells)
+	return t.lookup(cells)
 }
 
 // insertNew appends a row whose primary key is known to be absent,
-// enters it in every index and logs the insert.
+// enters it in the key index and logs the insert.
 func (t *Table) insertNew(vals []any) {
 	pos := t.appendRow(vals)
 	if t.pk != nil {
-		t.enter(t.pk, pos)
+		t.enter(pos)
 	}
-	t.addToIndexes(pos)
 	t.logRow(EvInsert, pos, -1)
 }
 
@@ -506,36 +480,16 @@ func (t *Table) upsertVals(vals []any, verbatim bool) error {
 		return nil
 	}
 	t.pk.set(slot, h, t.rows)
-	t.removeFromIndexes(pos)
 	t.tombstoneAt(pos)
 	next := t.appendRow(vals)
-	t.addToIndexes(next)
 	t.logRow(EvUpdate, next, pos)
 	return nil
 }
 
-// removeFromIndexes drops the stored row at pos from every secondary
-// index, keyed straight from the column vectors. Rows only ever enter
-// an index at a position above every other, and a removal keeps the
-// order of the rest, so ScanIndex visits rows in scan order.
-func (t *Table) removeFromIndexes(pos int) {
-	for _, ix := range t.indexes {
-		t.unenter(ix, pos)
-	}
-}
-
-// addToIndexes enters the stored row at pos into every secondary index.
-func (t *Table) addToIndexes(pos int) {
-	for _, ix := range t.indexes {
-		t.enter(ix, pos)
-	}
-}
-
 func (t *Table) deleteAt(pos int) {
 	if t.pk != nil {
-		t.unenter(t.pk, pos)
+		t.unenter(pos)
 	}
-	t.removeFromIndexes(pos)
 	t.tombstoneAt(pos)
 	t.logRow(EvDelete, pos, -1) // the applier finds the row to delete by its values
 }
@@ -561,9 +515,6 @@ func (t *Table) resetStorage() {
 	t.install(freshCols(t.def), make([]store.Index, len(t.def.Columns)), 0)
 	if t.pk != nil {
 		t.pk = newKeyIndex(t.pk.cols, 0)
-	}
-	for n, ix := range t.indexes {
-		t.indexes[n] = newKeyIndex(ix.cols, 0)
 	}
 	t.markDirty()
 }
@@ -594,12 +545,12 @@ func (t *Table) ReplaceAllColumns(cd *ColumnData) error {
 			return fmt.Errorf("warehouse: load for table %s.%s column %q: %w", t.schema, t.def.Name, t.def.Columns[i].Name, err)
 		}
 	}
-	pk, indexes, err := t.buildIndexes(cols, cd.Rows, true)
+	pk, err := t.buildPK(cols, cd.Rows, true)
 	if err != nil {
 		return fmt.Errorf("warehouse: load for table %s.%s: %w", t.schema, t.def.Name, err)
 	}
 	t.install(cols, ixs, cd.Rows)
-	t.pk, t.indexes = pk, indexes
+	t.pk = pk
 	t.markDirty()
 	t.logEvent(Event{Kind: EvLoad, Cols: cd})
 	return nil
@@ -620,7 +571,7 @@ func (t *Table) payloadCols(cd *ColumnData) ([]ColumnVector, error) {
 
 // UpsertColumns upserts every row of a columnar payload by primary key
 // in one batch: the result is what UpsertRow of the same rows, in
-// payload order, would leave — table contents, scan order, indexes, on
+// payload order, would leave — table contents, scan order, key index, on
 // a logged table one INSERT or UPDATE event per row, and the record —
 // except that a row equal to the stored one is rewritten, where
 // UpsertRow leaves it alone. The payload is validated strictly
@@ -671,7 +622,6 @@ func (t *Table) UpsertColumns(cd *ColumnData, fill func(r, replaced int) error) 
 	}
 	for _, pos := range old {
 		if pos >= 0 {
-			t.removeFromIndexes(pos)
 			t.tombstoneAt(pos)
 		}
 	}
@@ -686,7 +636,7 @@ const skippedRow = -2
 // payload whose primary key is new, and returns how many rows it
 // skipped: those whose key the table, or an earlier row of the payload,
 // already holds. What it leaves is what InsertRow of the inserted rows
-// would leave — table contents, scan order, indexes, on a logged table
+// would leave — table contents, scan order, key index, on a logged table
 // one INSERT event per row, and the record, down to the vectors'
 // capacity — for one key probe per row. The payload is validated
 // strictly (ColumnData.Validate); a refused payload leaves the table
@@ -771,9 +721,9 @@ func (t *Table) probeRow(cols []ColumnVector, r int, cm codeMap) (pos, slot int,
 
 // appendPayload appends every row of a payload whose keys are claimed
 // at positions t.rows.. (a string column's codes translated into the
-// table's dictionary once per distinct code), enters the rows in the
-// secondary indexes and logs each: an UPDATE of the stored row old[r]
-// when old (nil: none) names one, an INSERT otherwise.
+// table's dictionary once per distinct code) and logs each: an UPDATE
+// of the stored row old[r] when old (nil: none) names one, an INSERT
+// otherwise.
 func (t *Table) appendPayload(cols []ColumnVector, n int, old []int) {
 	base := t.rows
 	for i := range t.cols {
@@ -781,9 +731,6 @@ func (t *Table) appendPayload(cols []ColumnVector, n int, old []int) {
 	}
 	t.dead = append(t.dead, make([]bool, n)...)
 	t.rows += n
-	for r := range n { // above every stored position, in order: ScanIndex keeps scan order
-		t.addToIndexes(base + r)
-	}
 	t.markDirty()
 	for r := range n {
 		if old != nil && old[r] >= 0 {
@@ -845,7 +792,7 @@ func (t *Table) keyPos(keyVals []any) int {
 	if !ok {
 		return -1
 	}
-	pos, _, _ := t.lookup(t.pk, cells)
+	pos, _, _ := t.lookup(cells)
 	return pos
 }
 
@@ -860,53 +807,6 @@ func (t *Table) Scan(fn func(Row) bool) {
 			return
 		}
 	}
-}
-
-// ScanIndex scans only rows whose indexed columns equal the given
-// values, each coerced to its column and compared as GetByKey compares
-// keys, in position order (the order Scan visits them in). Like Scan
-// it reads the writer state; fn must not write the table. The index is
-// chosen by exact column-name match; when no such index exists
-// ScanIndex falls back to a full scan with the same equality filter (so
-// callers stay correct even if an index was not declared).
-func (t *Table) ScanIndex(cols []string, vals []any, fn func(Row) bool) {
-	want := make([]int, len(cols))
-	for i, c := range cols {
-		want[i] = t.lay.colIndex[c]
-	}
-	var buf [keyCellsOnStack]keyCell
-	cells, ok := t.probeKey(buf[:0], want, vals)
-	if !ok {
-		return
-	}
-	for _, ix := range t.indexes {
-		if equalIntSlices(ix.cols, want) {
-			ix.each(t.hashKey(cells), func(pos int) bool {
-				if t.dead[pos] || !t.holds(pos, want, cells) {
-					return true
-				}
-				return fn(t.rowAt(pos))
-			})
-			return
-		}
-	}
-	for pos := 0; pos < t.rows; pos++ {
-		if !t.dead[pos] && t.rowHolds(t.cols, pos, codeMap{}, want, cells) && !fn(t.rowAt(pos)) {
-			return
-		}
-	}
-}
-
-func equalIntSlices(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Columns returns the ordered column names.

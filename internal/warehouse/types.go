@@ -3,7 +3,7 @@
 // MySQL/MariaDB; federation only requires a transactional, schema/table
 // structured store that emits a binary log of its mutations, so this
 // package provides exactly that: typed tables grouped into named
-// schemas, primary-key and secondary indexes, snapshot persistence, and
+// schemas, a primary-key index per keyed table, snapshot persistence, and
 // an append-only binlog that replicators can tail (the MySQL binlog
 // analog that Tungsten Replicator reads in the paper).
 package warehouse
@@ -35,14 +35,14 @@ type Column struct {
 	Nullable bool
 }
 
-// TableDef is the schema of a table: its ordered columns, the primary
-// key (a subset of column names; may be empty for append-only fact
-// tables), and optional secondary index definitions.
+// TableDef is the schema of a table: its ordered columns and the
+// primary key (a subset of column names; may be empty for append-only
+// fact tables). A table is found by its primary key or scanned; it has
+// no other index.
 type TableDef struct {
 	Name       string
 	Columns    []Column
 	PrimaryKey []string
-	Indexes    [][]string
 	// Derived marks a table whose contents are recomputable from other
 	// tables (aggregation and partial-aggregate tables). Its owner
 	// recreates and refills it on every start, so nothing would ever
@@ -56,9 +56,6 @@ func (d TableDef) Clone() TableDef {
 	c := TableDef{Name: d.Name, Derived: d.Derived}
 	c.Columns = append([]Column(nil), d.Columns...)
 	c.PrimaryKey = append([]string(nil), d.PrimaryKey...)
-	for _, ix := range d.Indexes {
-		c.Indexes = append(c.Indexes, append([]string(nil), ix...))
-	}
 	return c
 }
 
@@ -88,16 +85,6 @@ func (d TableDef) Validate() error {
 	for _, k := range d.PrimaryKey {
 		if !seen[k] {
 			return fmt.Errorf("warehouse: table %q primary key references unknown column %q", d.Name, k)
-		}
-	}
-	for _, ix := range d.Indexes {
-		if len(ix) == 0 {
-			return fmt.Errorf("warehouse: table %q has an empty index definition", d.Name)
-		}
-		for _, k := range ix {
-			if !seen[k] {
-				return fmt.Errorf("warehouse: table %q index references unknown column %q", d.Name, k)
-			}
 		}
 	}
 	return nil

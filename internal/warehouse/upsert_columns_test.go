@@ -12,12 +12,10 @@ import (
 	"xdmodfed/internal/warehouse/store"
 )
 
-// keyedDef is allTypesDef under a composite primary key and one
-// secondary index over a nullable column with few distinct values.
+// keyedDef is allTypesDef under a composite primary key.
 func keyedDef() TableDef {
 	def := allTypesDef()
 	def.PrimaryKey = []string{"id", "b"}
-	def.Indexes = [][]string{{"s"}}
 	return def
 }
 
@@ -69,7 +67,9 @@ func columnDataOf(def TableDef, rows [][]any) *ColumnData {
 	return cd
 }
 
-var indexedStrings = []any{nil, "", "alpha", "beta"}
+// sValues are the values randomKeyedRows draws for the nullable
+// string column s: few and repeated.
+var sValues = []any{nil, "", "alpha", "beta"}
 
 // randomKeyedRows draws n rows of keyedDef with distinct keys from a
 // space of 2*ids keys.
@@ -86,7 +86,7 @@ func randomKeyedRows(rng *rand.Rand, n, ids int) [][]any {
 		if rng.Intn(3) > 0 {
 			nn = rng.Int63n(1000)
 		}
-		rows = append(rows, []any{id, rng.NormFloat64(), indexedStrings[rng.Intn(len(indexedStrings))], b,
+		rows = append(rows, []any{id, rng.NormFloat64(), sValues[rng.Intn(len(sValues))], b,
 			time.Unix(rng.Int63n(1e9), rng.Int63n(1e9)).UTC(), nn})
 	}
 	return rows
@@ -98,7 +98,6 @@ type tableState struct {
 	Scan    [][]any
 	Len     int
 	ByKey   map[string][]any
-	ByIndex map[string][][]any
 	PK      map[string]int
 	Rows    int
 	Deleted int
@@ -106,7 +105,7 @@ type tableState struct {
 }
 
 func stateOf(db *DB, tab *Table, ids int) tableState {
-	st := tableState{ByKey: map[string][]any{}, ByIndex: map[string][][]any{}, PK: map[string]int{}}
+	st := tableState{ByKey: map[string][]any{}, PK: map[string]int{}}
 	db.View(func() error {
 		tab.Scan(func(r Row) bool {
 			st.Scan = append(st.Scan, r.Values())
@@ -119,12 +118,6 @@ func stateOf(db *DB, tab *Table, ids int) tableState {
 					st.ByKey[fmt.Sprint(id, b)] = r.Values()
 				}
 			}
-		}
-		for _, s := range indexedStrings {
-			tab.ScanIndex([]string{"s"}, []any{s}, func(r Row) bool {
-				st.ByIndex[fmt.Sprint(s)] = append(st.ByIndex[fmt.Sprint(s)], r.Values())
-				return true
-			})
 		}
 		st.PK = keyPositions(tab)
 		st.Rows, st.Deleted = tab.rows, tab.deleted

@@ -22,7 +22,6 @@ func jobsDef() TableDef {
 			{Name: "end_time", Type: TypeTime, Nullable: true},
 		},
 		PrimaryKey: []string{"job_id"},
-		Indexes:    [][]string{{"resource"}},
 	}
 }
 
@@ -98,8 +97,6 @@ func TestTableDefValidate(t *testing.T) {
 		{"dup column", TableDef{Name: "t", Columns: []Column{{Name: "a", Type: TypeInt}, {Name: "a", Type: TypeInt}}}, false},
 		{"bad type", TableDef{Name: "t", Columns: []Column{{Name: "a", Type: 0}}}, false},
 		{"bad pk", TableDef{Name: "t", Columns: []Column{{Name: "a", Type: TypeInt}}, PrimaryKey: []string{"z"}}, false},
-		{"bad index", TableDef{Name: "t", Columns: []Column{{Name: "a", Type: TypeInt}}, Indexes: [][]string{{"z"}}}, false},
-		{"empty index", TableDef{Name: "t", Columns: []Column{{Name: "a", Type: TypeInt}}, Indexes: [][]string{{}}}, false},
 	}
 	for _, c := range cases {
 		err := c.def.Validate()
@@ -232,40 +229,6 @@ func TestDeleteAndTombstones(t *testing.T) {
 	})
 }
 
-func TestScanIndexEqualsFullScan(t *testing.T) {
-	db := Open("test")
-	tab := mustTable(t, db, "s")
-	db.Do(func() error {
-		for i := 0; i < 100; i++ {
-			res := fmt.Sprintf("res%d", i%7)
-			if err := tab.Insert(map[string]any{"job_id": i, "user": "u", "resource": res, "cores": 1, "wall": 1.0}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	db.View(func() error {
-		var viaIndex, viaScan int
-		tab.ScanIndex([]string{"resource"}, []any{"res3"}, func(r Row) bool { viaIndex++; return true })
-		tab.Scan(func(r Row) bool {
-			if r.String("resource") == "res3" {
-				viaScan++
-			}
-			return true
-		})
-		if viaIndex != viaScan || viaIndex == 0 {
-			t.Errorf("index scan %d != full scan %d", viaIndex, viaScan)
-		}
-		// Unindexed column falls back to a filtered full scan.
-		var viaFallback int
-		tab.ScanIndex([]string{"user"}, []any{"u"}, func(r Row) bool { viaFallback++; return true })
-		if viaFallback != 100 {
-			t.Errorf("fallback scan %d, want 100", viaFallback)
-		}
-		return nil
-	})
-}
-
 func TestIndexMaintainedAcrossDeleteAndUpsert(t *testing.T) {
 	db := Open("test")
 	tab := mustTable(t, db, "s")
@@ -278,12 +241,18 @@ func TestIndexMaintainedAcrossDeleteAndUpsert(t *testing.T) {
 		return updateCols(tab, int64(3), map[string]any{"resource": "c"})
 	})
 	db.View(func() error {
-		var inA, inB, inC int
-		tab.ScanIndex([]string{"resource"}, []any{"a"}, func(r Row) bool { inA++; return true })
-		tab.ScanIndex([]string{"resource"}, []any{"b"}, func(r Row) bool { inB++; return true })
-		tab.ScanIndex([]string{"resource"}, []any{"c"}, func(r Row) bool { inC++; return true })
-		if inA != 0 || inB != 1 || inC != 1 {
-			t.Errorf("index counts a=%d b=%d c=%d, want 0,1,1", inA, inB, inC)
+		in := map[string]int{}
+		tab.Scan(func(r Row) bool { in[r.String("resource")]++; return true })
+		if in["a"] != 0 || in["b"] != 1 || in["c"] != 1 {
+			t.Errorf("scan counts a=%d b=%d c=%d, want 0,1,1", in["a"], in["b"], in["c"])
+		}
+		if _, ok := tab.GetByKey(int64(1)); ok {
+			t.Error("deleted job 1 still reachable by key")
+		}
+		for id, want := range map[int64]string{2: "b", 3: "c"} {
+			if r, ok := tab.GetByKey(id); !ok || r.String("resource") != want {
+				t.Errorf("GetByKey(%d) = %v, %v; want resource %q", id, r.Values(), ok, want)
+			}
 		}
 		return nil
 	})
