@@ -59,8 +59,10 @@ chaos:
 
 # Native fuzzing of the decoders that read bytes from outside the
 # process: the binary event codec (replication frames, WAL payloads),
-# WAL recovery over whole files, snapshot restore, and the hub's
-# replication receiver, fed hostile frames after a valid hello. The key index is
+# WAL recovery over whole files, snapshot restore, the hub's
+# replication receiver, fed hostile frames after a valid hello, the
+# shredder's Slurm, PBS and LSF accounting-log parsers, and the
+# storage realm's JSON snapshot parser. The key index is
 # fuzzed against a model map, since the keys it finds come from
 # ingested data. The chart encoders are fuzzed too, because the bytes they write come from ingested data: the
 # /api/chart JSON body must equal encoding/json's for any strings and
@@ -74,6 +76,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreSnapshot$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/warehouse
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyIndex$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/warehouse
 	$(GO) test -run '^$$' -fuzz '^FuzzReceiverFrames$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/replicate
+	$(GO) test -run '^$$' -fuzz '^FuzzSlurmParse$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/shredder
+	$(GO) test -run '^$$' -fuzz '^FuzzPBSParse$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/shredder
+	$(GO) test -run '^$$' -fuzz '^FuzzLSFParse$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/shredder
+	$(GO) test -run '^$$' -fuzz '^FuzzParseJSON$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/realm/storage
 	$(GO) test -run '^$$' -fuzz '^FuzzChartJSON$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/rest
 	$(GO) test -run '^$$' -fuzz '^FuzzChartSVG$$' -fuzztime 20s -fuzzminimizetime 5s ./internal/chart
 

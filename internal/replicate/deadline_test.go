@@ -463,3 +463,81 @@ func TestSenderRefusesOldWireFormatHub(t *testing.T) {
 		t.Fatalf("sender progressed against an old-format hub: %+v", st)
 	}
 }
+
+// TestWireFormat4PeersAreRefused: wire format 5 added the event codec's
+// string reference, which a build of format 4 cannot decode. A hub of
+// this build refuses a format-4 hello, and a sender of this build stops
+// at a format-4 hub's OK ack without sending a batch.
+func TestWireFormat4PeersAreRefused(t *testing.T) {
+	const previous = 4
+	if wireFormat != previous+1 {
+		t.Fatalf("wireFormat is %d; this test pins the step from %d", wireFormat, previous)
+	}
+	t.Run("hub", func(t *testing.T) {
+		sink, _ := newTestSink(t)
+		recv := &Receiver{Version: "v", Sink: sink, HeartbeatInterval: 50 * time.Millisecond}
+		addr, err := recv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer recv.Close()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := gob.NewEncoder(conn).Encode(hello{Instance: "ccr", Version: "v", Wire: previous}); err != nil {
+			t.Fatal(err)
+		}
+		var ha helloAck
+		if err := gob.NewDecoder(conn).Decode(&ha); err != nil || ha.OK || !strings.Contains(ha.Err, "wire format mismatch") {
+			t.Fatalf("hello of wire format %d: ack %+v, %v; want a wire format refusal", previous, ha, err)
+		}
+		if pos, _ := sink.Resume("ccr"); pos != 0 {
+			t.Errorf("member position %d after a refused handshake, want 0", pos)
+		}
+	})
+	t.Run("sender", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		afterAck := make(chan error, 1) // what the hub reads after its OK
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				afterAck <- err
+				return
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(5 * time.Second))
+			dec := gob.NewDecoder(conn)
+			var h hello
+			if err := dec.Decode(&h); err != nil {
+				afterAck <- err
+				return
+			}
+			if err := gob.NewEncoder(conn).Encode(helloAck{OK: true, Wire: previous, Heartbeat: 50 * time.Millisecond}); err != nil {
+				afterAck <- err
+				return
+			}
+			var b batch
+			afterAck <- dec.Decode(&b)
+		}()
+		sender := &Sender{Instance: "ccr", Version: "v", DB: satelliteWithJobs(t, "ccr", 10), Rewriter: NewRewriter("ccr", Filter{})}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		err = sender.RunWithRetry(ctx, ln.Addr().String(), time.Millisecond)
+		if !errors.Is(err, ErrHandshakeRejected) || !strings.Contains(err.Error(), "wire format mismatch") {
+			t.Fatalf("RunWithRetry against a wire-%d hub = %v, want a permanent wire format rejection", previous, err)
+		}
+		if err := <-afterAck; err != io.EOF {
+			t.Fatalf("hub read %v after its ack, want EOF: the satellite sent a frame", err)
+		}
+		if st := sender.Stats(); st.SentBatches != 0 || st.Position != 0 {
+			t.Fatalf("sender progressed against a wire-%d hub: %+v", previous, st)
+		}
+	})
+}

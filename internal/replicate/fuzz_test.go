@@ -78,7 +78,9 @@ func expectedCalls(stream []byte) []sinkCall {
 // hand the sink no batch whose frame or Packed events do not decode (an
 // empty call would still move the member's position). Seeds: good
 // batches, an error ack (serve reads it as a batch), a batch with
-// corrupted Packed bytes and a truncated frame.
+// corrupted Packed bytes, batches whose Packed bytes hold a string
+// reference naming no string (badStringRefFrames) and a truncated
+// frame.
 func FuzzReceiverFrames(f *testing.F) {
 	db := satelliteWithJobs(f, "fuzzsat", 3)
 	evs, err := db.Binlog().ReadFrom(0, 0)
@@ -116,6 +118,12 @@ func FuzzReceiverFrames(f *testing.F) {
 		corrupt[i] ^= 0xa5
 	}
 	f.Add(frames(batch{UpTo: upTo, Packed: corrupt}))
+	for _, p := range badStringRefFrames() {
+		if _, err := warehouse.DecodeEvents(p); err == nil {
+			f.Fatalf("a bad string reference decoded: % x", p)
+		}
+		f.Add(frames(batch{UpTo: upTo, Packed: p}))
+	}
 	f.Add(good[:len(good)/2])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -152,4 +160,30 @@ func FuzzReceiverFrames(f *testing.F) {
 			}
 		}
 	})
+}
+
+// badStringRefFrames returns Packed buffers that are well formed but
+// for one string reference (cell tag 9) naming no string its column
+// spelled: before the column spelled any, one past its strings, across
+// a change of table, in a LOAD vector to the vector before it, and in
+// a LOAD vector of ints. Each opens with a CREATE_SCHEMA, which a
+// receiver that applied part of the frame would apply. The warehouse
+// tests name the same cases and the errors they give.
+func badStringRefFrames() [][]byte {
+	const ref = 9
+	createS := []byte{5, 2, 1, 's', 0, 0, 0} // CREATE_SCHEMA s at LSN 1
+	insert := func(table byte) []byte {      // INSERT into s.<table> at the next LSN
+		return []byte{1, 6, 1, 's', 1, table, 0, 0}
+	}
+	next := []byte{1, 7, 0, 0}                  // INSERT into the same table at the next LSN
+	load := []byte{8, 34, 1, 's', 1, 't', 0, 0} // LOAD of s.t at the next LSN
+	ab := []byte{4, 2, 'a', 'b'}                // the string "ab", spelled
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	return [][]byte{
+		cat([]byte{2}, createS, insert('t'), []byte{1, ref, 0}),
+		cat([]byte{3}, createS, insert('t'), []byte{1}, ab, next, []byte{1, ref, 1}),
+		cat([]byte{4}, createS, insert('t'), []byte{1}, ab, insert('u'), []byte{1, 0}, insert('t'), []byte{1, ref, 0}),
+		cat([]byte{2}, createS, load, []byte{1, 2, 1, 'a', 3, 0}, ab, []byte{1, 'b', 3, 0, ref, 0}),
+		cat([]byte{2}, createS, load, []byte{2, 1, 1, 'a', 1, 0, 1, 8, ref, 0}),
+	}
 }

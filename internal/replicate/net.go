@@ -109,8 +109,10 @@ func isTimeout(err error) bool {
 // builds refuses at hello instead of merging bins of another shape; 4
 // codes a CREATE_TABLE's definition and a LOAD's column vectors inside
 // Packed with the event codec's own primitives, where 3 nested gob
-// blobs.
-const wireFormat = 4
+// blobs; 5 adds the codec's string reference (a cell naming a string
+// its column already spelled in the same buffer), which a build of 4
+// would refuse as an unknown cell tag.
+const wireFormat = 5
 
 func init() {
 	// The frames above never carry a boxed cell, but a gob encoding of

@@ -3,7 +3,9 @@ package warehouse
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math"
+	"sync"
 	"time"
 
 	"xdmodfed/internal/warehouse/store"
@@ -46,17 +48,24 @@ import (
 //
 // with the row codec's cell tags, restricted to the column's type (and
 // to cellNull where the vector has validity); there cellSame repeats
-// the previous cell of the same column.
+// the previous cell of the same column, and cellStringRef indexes the
+// strings spelled earlier in the same vector.
 //
 // Every event is coded against what preceded it in the same buffer,
 // starting from the zero state (no schema, LSN 0, the Unix epoch, no
-// rows): an event of the previous event's table drops both names, the
-// next LSN drops the number, the commit time is a delta, and a cell
-// equal to the same column of the previous row is one cellSame byte —
-// which the decoder answers by sharing the previous row's value instead
-// of allocating one. The previous row is the last one coded since the
-// buffer last named a table: a change of table forgets it. A buffer is
-// therefore self-contained, and its events are not separable.
+// rows, no strings): an event of the previous event's table drops both
+// names, the next LSN drops the number, the commit time is a delta, a
+// cell equal to the same column of the previous row is one cellSame
+// byte, and any other string cell its column (its position in the row,
+// whatever the row's width) has already spelled is cellStringRef and
+// the string's index among the strings that column has spelled as
+// cellString, counted from 0. The decoder answers both by sharing the
+// value it decoded before instead of allocating one; it accepts a
+// string spelled twice, and counts both spellings. The previous row is
+// the last one coded since the buffer last named a table, and the
+// spelled strings are those coded since then, in rows and old rows
+// alike: a change of table forgets both. A buffer is therefore
+// self-contained, and its events are not separable.
 //
 // A snapshot file is the same stream (see snapshot.go), so every count
 // the decoder reads — events, cells, columns, rows, names — is checked
@@ -83,8 +92,9 @@ const (
 	cellString        // uvarint(length) | bytes
 	cellFalse
 	cellTrue
-	cellTime // varint(Unix seconds) | uvarint(nanoseconds); decoded in UTC
-	cellSame // the same column of the previous row (of this table, this width); in cols, the previous cell
+	cellTime      // varint(Unix seconds) | uvarint(nanoseconds); decoded in UTC
+	cellSame      // the same column of the previous row (of this table, this width); in cols, the previous cell
+	cellStringRef // uvarint(index): the index-th string this column has spelled (since its table was named; in cols, in this vector)
 )
 
 // maxFloatInt bounds cellFloatInt to the range where every integer is
@@ -107,7 +117,11 @@ const (
 // codecState is what an event is coded against; encoder and decoder
 // advance it identically. The previous row is boxed (row) where the
 // events are, and a position into column vectors (vcols, vpos) where a
-// commit codes its rows from its tables' vectors (appendLogged).
+// commit codes its rows from its tables' vectors (appendLogged). The
+// encoder finds the strings already spelled in refs and vrefs, the
+// decoder in strs and vstrs. A released state is reused with the
+// memory of those four (codecStates), so that coding into a reused
+// buffer allocates nothing and decoding allocates only what it returns.
 type codecState struct {
 	schema, table string
 	lsn           uint64
@@ -115,10 +129,166 @@ type codecState struct {
 	row           []any          // previous row, nil after a change of table
 	vcols         []ColumnVector // previous row's vectors, when coded from vectors; nil after a change of table
 	vpos          int
+	refs          strRefs // encoder: the strings each column has spelled since the table was named
+	vrefs         strRefs // encoder: the strings the LOAD vector being coded has spelled
+	strs          [][]any // decoder: per column, the strings it has spelled since the table was named
+	vstrs         []any   // decoder: the strings the LOAD vector being read has spelled
+}
+
+// codecStates keeps released states for reuse, so that coding into a
+// reused buffer allocates nothing. It is a short free list rather than
+// a sync.Pool, which under the race detector drops a random quarter of
+// what it is given.
+var codecStates struct {
+	mu   sync.Mutex
+	free []*codecState
+}
+
+// A released state is kept only while the free list holds fewer than
+// maxFreeStates, and only if its index slots and lists of spelled
+// strings hold at most maxFreeStrings entries together: one that grew
+// past that, coding or reading a large LOAD, is dropped rather than
+// held.
+const (
+	maxFreeStates  = 4
+	maxFreeStrings = 4096
+)
+
+func newCodecState() *codecState {
+	codecStates.mu.Lock()
+	defer codecStates.mu.Unlock()
+	n := len(codecStates.free)
+	if n == 0 {
+		return new(codecState)
+	}
+	st := codecStates.free[n-1]
+	codecStates.free[n-1] = nil
+	codecStates.free = codecStates.free[:n-1]
+	return st
+}
+
+// release lets go of every value st refers to and keeps it for reuse.
+func (st *codecState) release() {
+	st.switchTable("", "")
+	st.vrefs.reset()
+	clear(st.vstrs)
+	size := len(st.refs.slots) + len(st.vrefs.slots) + cap(st.vstrs)
+	for _, l := range st.strs {
+		size += cap(l)
+	}
+	if size > maxFreeStrings || len(st.strs) > maxWidthHint {
+		return
+	}
+	st.lsn, st.sec, st.nsec, st.vpos, st.vstrs = 0, 0, 0, 0, st.vstrs[:0]
+	codecStates.mu.Lock()
+	if len(codecStates.free) < maxFreeStates {
+		codecStates.free = append(codecStates.free, st)
+	}
+	codecStates.mu.Unlock()
 }
 
 func (st *codecState) switchTable(schema, table string) {
 	st.schema, st.table, st.row, st.vcols = schema, table, nil, nil
+	st.refs.reset()
+	for i := range st.strs {
+		clear(st.strs[i])
+		st.strs[i] = st.strs[i][:0]
+	}
+}
+
+// spelled returns the strings column col has spelled since its table
+// was named.
+func (st *codecState) spelled(col int) []any {
+	if col < len(st.strs) {
+		return st.strs[col]
+	}
+	return nil
+}
+
+// spell records that column col spelled v.
+func (st *codecState) spell(col int, v any) {
+	for len(st.strs) <= col {
+		st.strs = append(st.strs, nil)
+	}
+	st.strs[col] = append(st.strs[col], v)
+}
+
+// strRefs indexes spelled strings by column and value: an
+// open-addressed table of entries, each holding its string, its column
+// and its index among that column's spelled strings. A slot is 0 when
+// empty, else the entry's position plus one in its low half and the
+// hash's high half in its high half.
+type strRefs struct {
+	counts  []uint32 // per column, the strings spelled
+	entries []refEntry
+	slots   []uint64 // a power of two, at least twice len(entries)
+}
+
+type refEntry struct {
+	s              string
+	col, idx, slot uint32
+}
+
+var refSeed = maphash.MakeSeed()
+
+func refHash(col int, s string) uint64 {
+	return maphash.String(refSeed, s) ^ uint64(col)*0x9e3779b97f4a7c15
+}
+
+// ref returns the index of s among the strings column col has spelled.
+// When the column has spelled no string equal to s, it records s as the
+// column's next and returns false: the caller spells it.
+func (t *strRefs) ref(col int, s string) (uint32, bool) {
+	if 2*(len(t.entries)+1) > len(t.slots) {
+		t.grow()
+	}
+	h := refHash(col, s)
+	mask := uint64(len(t.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		sl := t.slots[i]
+		if sl == 0 {
+			for len(t.counts) <= col {
+				t.counts = append(t.counts, 0)
+			}
+			t.entries = append(t.entries, refEntry{s: s, col: uint32(col), idx: t.counts[col], slot: uint32(i)})
+			t.counts[col]++
+			t.slots[i] = h&^math.MaxUint32 | uint64(len(t.entries))
+			return 0, false
+		}
+		if sl&^math.MaxUint32 == h&^math.MaxUint32 {
+			if e := &t.entries[uint32(sl)-1]; e.col == uint32(col) && e.s == s {
+				return e.idx, true
+			}
+		}
+	}
+}
+
+// grow doubles the slots (to 64 at first) and places every entry again.
+func (t *strRefs) grow() {
+	t.slots = make([]uint64, max(64, 2*len(t.slots)))
+	mask := uint64(len(t.slots) - 1)
+	for n := range t.entries {
+		e := &t.entries[n]
+		h := refHash(int(e.col), e.s)
+		i := h & mask
+		for t.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = h&^math.MaxUint32 | uint64(n+1)
+		e.slot = uint32(i)
+	}
+}
+
+// reset forgets every spelled string, in time proportional to their
+// number.
+func (t *strRefs) reset() {
+	for i := range t.entries {
+		t.slots[t.entries[i].slot] = 0
+	}
+	clear(t.entries)
+	t.entries = t.entries[:0]
+	clear(t.counts)
+	t.counts = t.counts[:0]
 }
 
 // AppendEvents appends the encoding of evs to dst and returns the
@@ -128,7 +298,8 @@ func (st *codecState) switchTable(schema, table string) {
 // anything else is a bug in the producer and panics.
 func AppendEvents(dst []byte, evs []Event) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(evs)))
-	var st codecState
+	st := newCodecState()
+	defer st.release()
 	for i := range evs {
 		ev := &evs[i]
 		dst = st.appendHeader(dst, ev, ev.Row != nil, ev.Old != nil)
@@ -138,7 +309,7 @@ func AppendEvents(dst []byte, evs []Event) []byte {
 		if ev.Old != nil {
 			dst = st.appendRow(dst, ev.Old)
 		}
-		dst = appendTail(dst, ev)
+		dst = st.appendTail(dst, ev)
 	}
 	return dst
 }
@@ -147,10 +318,12 @@ func AppendEvents(dst []byte, evs []Event) []byte {
 // numbered from LSN first and given the commit time now, exactly as
 // AppendEvents codes the events they stand for: a row event's cells
 // are coded from the vectors that hold its row, with the same cell
-// tags and cellSame rule as a boxed row's, and boxed nowhere.
+// tags, cellSame and cellStringRef rules as a boxed row's, and boxed
+// nowhere.
 func appendLogged(dst []byte, evs []loggedEvent, first uint64, now time.Time) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(evs)))
-	var st codecState
+	st := newCodecState()
+	defer st.release()
 	for i := range evs {
 		le := &evs[i]
 		if le.ev == nil { // a row event
@@ -164,7 +337,7 @@ func appendLogged(dst []byte, evs []loggedEvent, first uint64, now time.Time) []
 		if ev.Time.IsZero() {
 			ev.Time = now
 		}
-		dst = appendTail(st.appendHeader(dst, ev, false, false), ev)
+		dst = st.appendTail(st.appendHeader(dst, ev, false, false), ev)
 	}
 	return dst
 }
@@ -211,12 +384,12 @@ func (st *codecState) appendHeader(dst []byte, ev *Event, hasRow, hasOld bool) [
 
 // appendTail codes what follows an event's rows: its definition and
 // its LOAD payload.
-func appendTail(dst []byte, ev *Event) []byte {
+func (st *codecState) appendTail(dst []byte, ev *Event) []byte {
 	if ev.Def != nil {
 		dst = appendDef(dst, ev.Def)
 	}
 	if ev.Cols != nil {
-		dst = appendCols(dst, ev.Cols)
+		dst = appendCols(dst, ev.Cols, &st.vrefs)
 	}
 	return dst
 }
@@ -250,17 +423,18 @@ func appendDef(dst []byte, d *TableDef) []byte {
 }
 
 // appendCols codes a payload column by column, each cell against the
-// one above it.
-func appendCols(dst []byte, cd *ColumnData) []byte {
+// one above it and the strings spelled above it, which refs indexes.
+func appendCols(dst []byte, cd *ColumnData, refs *strRefs) []byte {
 	dst = binary.AppendUvarint(binary.AppendUvarint(dst, uint64(cd.Rows)), uint64(len(cd.Cols)))
 	for i := range cd.Cols {
 		v := &cd.Cols[i]
 		dst = appendFlag(append(appendString(dst, cd.Names[i]), byte(v.Type)), v.Nulls != nil)
+		refs.reset()
 		for r := 0; r < cd.Rows; r++ {
 			if r == 0 {
-				dst = appendVecCell(dst, v, r, nil, 0)
+				dst = appendVecCell(dst, refs, 0, v, r, nil, 0)
 			} else {
-				dst = appendVecCell(dst, v, r, v, r-1)
+				dst = appendVecCell(dst, refs, 0, v, r, v, r-1)
 			}
 		}
 	}
@@ -278,7 +452,7 @@ func (st *codecState) appendRow(dst []byte, row []any) []byte {
 		if prev != nil {
 			p = prev[i]
 		}
-		dst = appendCell(dst, v, p)
+		dst = appendCell(dst, &st.refs, i, v, p)
 	}
 	st.row = row
 	return dst
@@ -294,20 +468,21 @@ func (st *codecState) appendVecRow(dst []byte, cols []ColumnVector, pos int) []b
 	}
 	for i := range cols {
 		if prev != nil {
-			dst = appendVecCell(dst, &cols[i], pos, &prev[i], st.vpos)
+			dst = appendVecCell(dst, &st.refs, i, &cols[i], pos, &prev[i], st.vpos)
 		} else {
-			dst = appendVecCell(dst, &cols[i], pos, nil, 0)
+			dst = appendVecCell(dst, &st.refs, i, &cols[i], pos, nil, 0)
 		}
 	}
 	st.vcols, st.vpos = cols, pos
 	return dst
 }
 
-// appendCell encodes v, as cellSame when it is identical to prev (the
-// cell above it, nil when there is none). Floats compare by bits so
-// that -0 and NaN payloads survive; null and bool cells are one byte
+// appendCell encodes v, a cell of column col, as cellSame when it is
+// identical to prev (the cell above it, nil when there is none); any
+// other string goes through appendStringCell. Floats compare by bits
+// so that -0 and NaN payloads survive; null and bool cells are one byte
 // already. appendVecCell is the same rule over typed cells.
-func appendCell(dst []byte, v, prev any) []byte {
+func appendCell(dst []byte, refs *strRefs, col int, v, prev any) []byte {
 	switch x := v.(type) {
 	case nil:
 		return append(dst, cellNull)
@@ -325,7 +500,7 @@ func appendCell(dst []byte, v, prev any) []byte {
 		if p, ok := prev.(string); ok && p == x {
 			return append(dst, cellSame)
 		}
-		return appendStringCell(dst, x)
+		return appendStringCell(dst, refs, col, x)
 	case bool:
 		return appendBoolCell(dst, x)
 	case time.Time:
@@ -342,7 +517,7 @@ func appendCell(dst []byte, v, prev any) []byte {
 // as cellSame when cell ppos of prev (the cell above it, a vector of
 // the same type; nil when there is none) holds the same value. A
 // vector's Nulls may be nil: no cell is NULL.
-func appendVecCell(dst []byte, v *ColumnVector, pos int, prev *ColumnVector, ppos int) []byte {
+func appendVecCell(dst []byte, refs *strRefs, col int, v *ColumnVector, pos int, prev *ColumnVector, ppos int) []byte {
 	if v.Nulls != nil && v.Nulls[pos] {
 		return append(dst, cellNull)
 	}
@@ -365,7 +540,7 @@ func appendVecCell(dst []byte, v *ColumnVector, pos int, prev *ColumnVector, ppo
 		if above && prev.Dict[prev.Codes[ppos]] == x {
 			return append(dst, cellSame)
 		}
-		return appendStringCell(dst, x)
+		return appendStringCell(dst, refs, col, x)
 	case TypeBool:
 		return appendBoolCell(dst, v.Bools[pos])
 	case TypeTime:
@@ -394,7 +569,12 @@ func appendFloatCell(dst []byte, x float64) []byte {
 	return binary.LittleEndian.AppendUint64(append(dst, cellFloat), math.Float64bits(x))
 }
 
-func appendStringCell(dst []byte, x string) []byte {
+// appendStringCell codes x, a string of column col, as a reference to
+// its first spelling when refs has one, and spells it otherwise.
+func appendStringCell(dst []byte, refs *strRefs, col int, x string) []byte {
+	if idx, ok := refs.ref(col, x); ok {
+		return binary.AppendUvarint(append(dst, cellStringRef), uint64(idx))
+	}
 	return appendString(append(dst, cellString), x)
 }
 
@@ -416,12 +596,15 @@ func appendTimeCell(dst []byte, sec, nsec int64) []byte {
 // an error before anything is allocated for it, as are an unknown
 // kind, flag bit, flag byte, column type or cell tag, a cellSame with
 // no previous row of that table and width (or, in a LOAD, no cell
-// above it), a LOAD cell its column cannot hold, and trailing bytes.
-// The event slice, a row and a LOAD's vectors start at no more than
-// maxEventsHint, maxWidthHint and maxRowsHint entries and grow as their
-// bytes are consumed, so what a buffer makes the decoder allocate
-// follows what it holds, not what it declares. Decoded strings own
-// their bytes (or share the previous cell's); nothing aliases b.
+// above it), a cellStringRef past the strings its column has spelled
+// (or in a LOAD vector that is not of strings), a LOAD cell its column
+// cannot hold, and trailing bytes. The event slice, a row and a LOAD's
+// vectors start at no more than maxEventsHint, maxWidthHint and
+// maxRowsHint entries and grow as their bytes are consumed, and a
+// column's spelled strings grow by one per string it spells, so what a
+// buffer makes the decoder allocate follows what it holds, not what it
+// declares. Decoded strings own their bytes (or share the previous
+// cell's, or the spelling a reference names); nothing aliases b.
 func DecodeEvents(b []byte) ([]Event, error) {
 	r := eventReader{b: b}
 	n := r.count("events", minEventBytes)
@@ -449,10 +632,11 @@ func decodeBlock(dst []Event, b []byte, n int) ([]Event, error) {
 
 // events decodes the next n events, appending them to dst.
 func (r *eventReader) events(dst []Event, n int) ([]Event, error) {
-	var st codecState
+	st := newCodecState()
+	defer st.release()
 	for ; n > 0; n-- {
 		dst = append(dst, Event{})
-		r.event(&st, &dst[len(dst)-1])
+		r.event(st, &dst[len(dst)-1])
 		if r.err != nil {
 			return nil, r.err
 		}
@@ -563,7 +747,7 @@ func (r *eventReader) def() *TableDef {
 // cols reads a LOAD payload. Every cell is at least its tag byte, so
 // the row count is bounded by the bytes remaining, and each vector
 // starts at no more than maxRowsHint cells and grows as they decode.
-func (r *eventReader) cols() *ColumnData {
+func (r *eventReader) cols(st *codecState) *ColumnData {
 	cd := &ColumnData{Rows: r.count("rows", 1)}
 	for n := r.count("columns", 3); n > 0 && r.err == nil; n-- {
 		cd.Names = append(cd.Names, r.string())
@@ -577,16 +761,35 @@ func (r *eventReader) cols() *ColumnData {
 		v.Reserve(min(cd.Rows, maxRowsHint))
 		var ix store.Index
 		var prev any
+		clear(st.vstrs)
+		st.vstrs = st.vstrs[:0]
+		name := cd.Names[len(cd.Names)-1]
 		for i := 0; i < cd.Rows && r.err == nil; i++ {
-			x, same := r.cell()
-			if same && i > 0 {
+			x, tag := r.cell()
+			switch {
+			case tag == cellSame && i == 0:
+				r.fail("cell 0 of column %q repeats the cell above it, but there is none", name)
+			case tag == cellSame:
 				x = prev
+			case tag == cellStringRef && v.Type != TypeString:
+				r.fail("cell %d of column %q refers to a string in a %s vector", i, name, v.Type)
+			case tag == cellStringRef:
+				if idx := r.uvarint(); idx < uint64(len(st.vstrs)) {
+					x = st.vstrs[idx]
+				} else if r.err == nil {
+					r.fail("cell %d of column %q refers to string %d of the column, which has spelled %d", i, name, idx, len(st.vstrs))
+				}
+			case tag == cellString:
+				st.vstrs = append(st.vstrs, x)
 			}
-			if same && i == 0 || x == nil && !validity || !v.AppendValue(x, &ix) {
+			if r.err != nil {
+				break
+			}
+			if x == nil && !validity || !v.AppendValue(x, &ix) {
 				if t, ok := x.(time.Time); ok && v.Type == TypeTime {
-					r.fail("cell %d of column %q: time %v is outside the years 1678 to 2262", i, cd.Names[len(cd.Names)-1], t)
+					r.fail("cell %d of column %q: time %v is outside the years 1678 to 2262", i, name, t)
 				} else {
-					r.fail("cell %d of column %q cannot be a %T in a %s vector (validity: %t)", i, cd.Names[len(cd.Names)-1], x, v.Type, validity)
+					r.fail("cell %d of column %q cannot be a %T in a %s vector (validity: %t)", i, name, x, v.Type, validity)
 				}
 			}
 			prev = x
@@ -641,7 +844,7 @@ func (r *eventReader) event(st *codecState, ev *Event) {
 		ev.Def = r.def()
 	}
 	if flags&evHasCols != 0 {
-		ev.Cols = r.cols()
+		ev.Cols = r.cols(st)
 	}
 }
 
@@ -656,12 +859,25 @@ func (r *eventReader) row(st *codecState) []any {
 		prev = nil
 	}
 	for i := 0; i < width; i++ {
-		v, same := r.cell()
-		if same && prev == nil {
-			r.fail("cell %d repeats a previous row, but %s.%s has none of width %d before it",
-				i, st.schema, st.table, width)
-		} else if same {
-			v = prev[i]
+		v, tag := r.cell()
+		switch tag {
+		case cellSame:
+			if prev == nil {
+				r.fail("cell %d repeats a previous row, but %s.%s has none of width %d before it",
+					i, st.schema, st.table, width)
+			} else {
+				v = prev[i]
+			}
+		case cellStringRef:
+			spelled := st.spelled(i)
+			if idx := r.uvarint(); idx < uint64(len(spelled)) {
+				v = spelled[idx]
+			} else if r.err == nil {
+				r.fail("cell %d refers to string %d of its column, but %s.%s has spelled %d there since it was named",
+					i, idx, st.schema, st.table, len(spelled))
+			}
+		case cellString:
+			st.spell(i, v)
 		}
 		if r.err != nil {
 			return nil
@@ -672,10 +888,11 @@ func (r *eventReader) row(st *codecState) []any {
 	return row
 }
 
-// cell reads one cell. A cellSame tag reads as same, with no value: the
-// caller knows the cell it repeats.
-func (r *eventReader) cell() (v any, same bool) {
-	switch tag := r.byte(); tag {
+// cell reads one cell and returns its tag. A cellSame or cellStringRef
+// tag reads with no value: the caller knows the cell it repeats, and
+// reads the reference's index.
+func (r *eventReader) cell() (v any, tag byte) {
+	switch tag = r.byte(); tag {
 	case cellNull:
 	case cellInt:
 		v = r.varint()
@@ -697,10 +914,9 @@ func (r *eventReader) cell() (v any, same bool) {
 			r.fail("time cell nanoseconds %d out of range", nsec)
 		}
 		v = time.Unix(sec, int64(nsec)).UTC()
-	case cellSame:
-		same = true
+	case cellSame, cellStringRef:
 	default:
 		r.fail("unknown cell tag %d", tag)
 	}
-	return v, same
+	return v, tag
 }

@@ -531,8 +531,10 @@ func TestDecodeEventsRejectsHostileBytes(t *testing.T) {
 // `go test` runs too) is real ingest batches of all three realms, each
 // DDL kind, a LOAD, a CREATE_TABLE of every column type with a key,
 // an index and the Derived flag, a LOAD whose payload disagrees
-// with the table created just before it, and the blocks of commits
-// that coded their rows from the vectors (vectorCodedBlocks).
+// with the table created just before it, the blocks of commits
+// that coded their rows from the vectors (vectorCodedBlocks), and
+// buffers whose one string reference names no string its column
+// spelled (BadStringRefs).
 func FuzzDecodeEvents(f *testing.F) {
 	live, restored := ingestedBinlogs(f)
 	for _, evs := range [][]warehouse.Event{live, restored} {
@@ -561,6 +563,9 @@ func FuzzDecodeEvents(f *testing.F) {
 			Rows: 1, Names: []string{"a"}, Cols: []warehouse.ColumnVector{store.ColumnOf([]string{"x"})}}},
 	}))
 	f.Add(legacyIndexDDL)
+	for _, b := range warehouse.BadStringRefs() {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		evs, err := warehouse.DecodeEvents(b)
 		if err != nil {
@@ -740,6 +745,70 @@ func jobFactEvents(t testing.TB, n int) []warehouse.Event {
 			Schema: "fed_siteA", Table: jobs.FactTable, Row: row}
 	}
 	return evs
+}
+
+// TestFactBuffersSpellEachUsernameOnce guards, as a count, what string
+// references save. The job-fact fixture, 700 facts, is coded in
+// buffers of at most 512 events, as a sender's frames hold it
+// (AppendEvents) and as one commit's binlog blocks hold it (coded from
+// the table's vectors). Each buffer spells each distinct username
+// once: every later occurrence is cellSame or a reference to that
+// spelling. And the frames cost no more than the 67 229 bytes (96.0 B
+// a fact) they cost when references came in; spelling again each
+// string that differs from the row above took 77 458 (110.7 B).
+func TestFactBuffersSpellEachUsernameOnce(t *testing.T) {
+	const facts, maxBytes = 700, 67229
+	evs := jobFactEvents(t, facts)
+	user := slices.IndexFunc(jobs.Def().Columns, func(c warehouse.Column) bool { return c.Name == jobs.ColUser })
+	spelledOnce := func(what string, buf []byte, evs []warehouse.Event) {
+		users := map[string]bool{}
+		for _, ev := range evs {
+			users[ev.Row[user].(string)] = true
+		}
+		for u := range users {
+			spelling := append([]byte{4}, binary.AppendUvarint(nil, uint64(len(u)))...) // cellString, its length
+			if n := bytes.Count(buf, append(spelling, u...)); n != 1 {
+				t.Errorf("%s of %d facts spells username %q %d times, want once", what, len(evs), u, n)
+			}
+		}
+	}
+	total := 0
+	for rest := evs; len(rest) > 0; {
+		n := min(512, len(rest))
+		buf := warehouse.AppendEvents(nil, rest[:n])
+		spelledOnce("a frame", buf, rest[:n])
+		total += len(buf)
+		rest = rest[n:]
+	}
+	t.Logf("%d facts in frames of at most 512: %d bytes, %.1f B a fact", facts, total, float64(total)/facts)
+	if total > maxBytes {
+		t.Errorf("%d facts code as %d bytes, more than the %d they took when string references came in", facts, total, maxBytes)
+	}
+
+	db := warehouse.Open("sat")
+	tab, err := db.EnsureSchema("s").EnsureTable(jobs.Def())
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = db.Do(func() error {
+		for _, ev := range evs {
+			if err := tab.InsertRow(ev.Row); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := db.Binlog().Blocks()
+	for _, b := range blocks[len(blocks)-2:] { // the commit's two blocks; the DDL's come first
+		got, err := warehouse.DecodeEvents(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spelledOnce("a binlog block", b, got)
+	}
 }
 
 // TestEventCodecAllocationCeilings: encoding a 17-column fact into a

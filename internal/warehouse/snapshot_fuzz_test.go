@@ -97,7 +97,8 @@ type gobSnapshotV2 struct {
 // to the same bytes. The seeds are real snapshots of
 // every realm (whole, then schema by schema), one whose CREATE_TABLE
 // carries an index list (legacyIndexSnapshot), a cut-short one, an
-// empty input and a gob snapshot of version 2.
+// empty input, a gob snapshot of version 2, and snapshots whose one
+// string reference names no string its column spelled (BadStringRefs).
 func FuzzRestoreSnapshot(f *testing.F) {
 	restore := func(data []byte) (*warehouse.DB, error) {
 		_, evs, err := warehouse.ReadSnapshot(bytes.NewReader(data))
@@ -123,6 +124,9 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(v2.Bytes())
+	for _, b := range warehouse.BadStringRefs() {
+		f.Add(warehouse.SnapshotOf(b))
+	}
 	snapshot := func(t *testing.T, data []byte) []byte {
 		db, err := restore(data)
 		if err != nil {

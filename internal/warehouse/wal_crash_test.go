@@ -546,7 +546,9 @@ func vectorCodedWAL(tb testing.TB) []byte {
 // FuzzReplayLog feeds whole WAL files to recovery: it never panics,
 // the file never grows, what remains is a prefix of what was there,
 // and it is never cut below the end of the last checksum-valid record
-// of the leading valid run.
+// of the leading valid run. Among the seeds are records whose one
+// string reference names no string its column spelled
+// (BadStringRefs), alone and after a file of valid records.
 func FuzzReplayLog(f *testing.F) {
 	evs := sampleWALEvents(f)
 	var binaryFile, gobFile []byte
@@ -562,6 +564,11 @@ func FuzzReplayLog(f *testing.F) {
 	f.Add(walRecord(AppendEvents([]byte{walBinary}, evs))) // one block of every event
 	f.Add(append(walRecord(AppendEvents([]byte{walBinary}, evs[:2])), walRecord(AppendEvents([]byte{walBinary}, evs[2:]))...))
 	f.Add(vectorCodedWAL(f))
+	for _, b := range BadStringRefs() {
+		bad := walRecord(append([]byte{walBinary}, b...))
+		f.Add(bad)
+		f.Add(append(bytes.Clone(binaryFile), bad...))
+	}
 	f.Add([]byte{})
 	path := filepath.Join(f.TempDir(), "fuzz.wal")
 	f.Fuzz(func(t *testing.T, data []byte) {

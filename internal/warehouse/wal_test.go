@@ -309,12 +309,16 @@ func TestReplayKeepsTheWALsLSNs(t *testing.T) {
 // it: DDL, a commit of 550 job facts in two blocks, upserts and
 // deletes, cells equal to the row above, NULLs, -0 and NaN, a truncate
 // and LOADs, 592 events in all. Replayed, the WAL gives that snapshot
-// byte for byte, at the same head LSN, but for one list: that build
-// coded modw.kv's secondary index {s} into its CREATE_TABLE, which this
-// build reads and drops (tables have no secondary index), so its own
-// snapshot codes an empty list there, 3 bytes shorter. A WAL from
-// before rows were coded from vectors, and from before secondary
-// indexes went, restores as it did.
+// as this build codes the same events, byte for byte, at the same head
+// LSN. This build codes them 8 254 bytes shorter: that build coded
+// modw.kv's secondary index {s} into its CREATE_TABLE, which this build
+// reads and drops (tables have no secondary index), so its own
+// snapshot codes an empty list there, 3 bytes shorter; and that build
+// spelled a string in full each time a LOAD vector held it again,
+// where this build refers back to its first spelling (cellStringRef),
+// 8 251 bytes shorter. A WAL from before rows were coded from vectors,
+// from before secondary indexes went and from before string references,
+// restores as it did.
 func TestReplayWALOfRowCodedCommits(t *testing.T) {
 	wal, err := os.ReadFile(filepath.Join("testdata", "blockwal", "binlog.wal"))
 	if err != nil {
@@ -340,7 +344,8 @@ func TestReplayWALOfRowCodedCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The writing build's snapshot as this build codes it: the same
-	// events, modw.kv's index list dropped.
+	// events, modw.kv's index list dropped and repeated strings referred
+	// back to.
 	lsn, evs, err := ReadSnapshot(bytes.NewReader(want))
 	if err != nil {
 		t.Fatal(err)
@@ -349,8 +354,8 @@ func TestReplayWALOfRowCodedCommits(t *testing.T) {
 	if err := WriteSnapshot(&recoded, db.Name(), lsn, evs); err != nil {
 		t.Fatal(err)
 	}
-	if len(want)-recoded.Len() != 3 {
-		t.Fatalf("the writing build's snapshot recodes from %d to %d bytes, want 3 fewer: its one index list, {s}, dropped", len(want), recoded.Len())
+	if len(want)-recoded.Len() != 8254 {
+		t.Fatalf("the writing build's snapshot recodes from %d to %d bytes, want 8 254 fewer: its one index list, {s}, dropped (3) and its repeated strings referred back to (8 251)", len(want), recoded.Len())
 	}
 	if !bytes.Equal(got.Bytes(), recoded.Bytes()) {
 		t.Fatalf("replayed snapshot is %d bytes and differs from the %d bytes the writing build took (%d recoded)", got.Len(), len(want), recoded.Len())
